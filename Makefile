@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race chaos bench docs-check
+.PHONY: check fmt vet build test race chaos bench bench-smoke docs-check
 
-check: fmt vet build test race chaos docs-check
+check: fmt vet build test race chaos docs-check bench-smoke
 
 # gofmt -l prints unformatted files; fail if it prints anything.
 fmt:
@@ -54,6 +54,15 @@ docs-check:
 	$(GO) run ./cmd/docscheck -dir ./internal/serve
 	$(GO) run ./cmd/docscheck -dir ./internal/pool
 	$(GO) run ./cmd/docscheck -dir ./internal/netfabric
+
+# cmd/bench is a module of its own, so `go build ./... && go test ./...`
+# skips it — yet it compiles against engine.Key, engine.Tuple,
+# netfabric.Message and Executor.Stats().FLOPs. Vet it and run its smoke
+# tests (~7 s) so a refactor that breaks that surface fails here, before
+# a benchmark run does.
+bench-smoke:
+	$(GO) vet -C cmd/bench ./...
+	$(GO) test -C cmd/bench ./...
 
 # Runs every benchmark once and records the dist-vs-sequential
 # comparison in BENCH_dist.json (now with a span-derived phase_ns

@@ -8,10 +8,13 @@
 // relation's consumers so shards are freed as soon as the last consumer
 // finishes, and accounts peak resident bytes.
 //
-// Operators never touch another shard's tuples directly: all data
-// movement goes through channel-backed exchange primitives (broadcast,
-// co-partitioned join, shuffle-by-key, group-by-SUM aggregation) that
-// meter the actual bytes and message counts crossing shard boundaries.
+// The runtime holds no operator code. Each physical implementation is
+// defined once, in internal/engine's operator table, against the
+// engine.Mover interface; a run's per-attempt exec implements Mover with
+// the shard workers (Parallel, On), the exchange fabric (Exchange,
+// Reduce) and the fault hooks, so operators never touch another shard's
+// tuples directly and every movement meters the actual bytes and message
+// counts crossing shard boundaries.
 // Every run meters into its own obs.Registry — exchange traffic by
 // (vertex, kind, label), per-shard busy time, queue-wait and
 // vertex-duration histograms, retries — and its Report is built as a
@@ -22,10 +25,10 @@
 // Reports can be held against the cost model's predicted features.
 //
 // Determinism: the runtime produces byte-identical results to the
-// sequential engine. Floating-point addition is not associative, so
-// every aggregation ships tagged partial results (key, seq) to a
-// deterministic owner shard, sorts them, and replays the exact reduction
-// order — and the exact kernel sequence — of the sequential executors.
+// sequential engine, which interprets the same table at one shard.
+// Floating-point addition is not associative, so every aggregation ships
+// tagged partial results (key, seq) to a deterministic shard, sorts
+// them, and folds them in that one order at every shard count.
 package dist
 
 import (
@@ -315,7 +318,7 @@ func (rt *Runtime) RunPlan(ctx context.Context, p *plan.Plan, inputs map[string]
 		if rel == nil {
 			return nil, r.report(peak, time.Since(start)), fmt.Errorf("dist: sink %d has no relation after the run: %w", id, core.ErrInternal)
 		}
-		m, err := engine.Assemble(rel.asEngine())
+		m, err := engine.Assemble(rel.Relation)
 		if err != nil {
 			return nil, r.report(peak, time.Since(start)), fmt.Errorf("dist: collecting sink %d: %w", id, err)
 		}

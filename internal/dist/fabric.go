@@ -16,10 +16,9 @@ import (
 
 // message is one tuple in flight plus its deterministic reduce
 // position: Seq is the contraction index of a partial result, so the
-// receiving shard can sort contributions into the exact order the
-// sequential engine folds them in. The type lives in netfabric so
-// transports can frame it; the fabric's movement semantics are
-// unchanged.
+// receiving shard can sort contributions into the one order every
+// runtime folds them in. The type lives in netfabric so transports can
+// frame it.
 type message = netfabric.Message
 
 // routed is a message with an explicit destination shard.
@@ -37,11 +36,8 @@ type routed struct {
 // same counters, so recovery traffic merges into the exchange it
 // belongs to rather than appearing as a duplicate row.
 type meter struct {
-	vertex int
-	kind   string
-	label  string
-	bytes  *obs.Counter
-	msgs   *obs.Counter
+	bytes *obs.Counter
+	msgs  *obs.Counter
 }
 
 func (m *meter) count(t engine.Tuple) {
@@ -56,20 +52,20 @@ type fabric struct {
 }
 
 // meterFor returns the meter for one exchange identity at one vertex.
-func (f *fabric) meterFor(vertex int, kind, label string) *meter {
+func (f *fabric) meterFor(x engine.Xfer) *meter {
 	ls := []obs.Label{
-		obs.L("vertex", strconv.Itoa(vertex)),
-		obs.L("kind", kind),
-		obs.L("label", label),
+		obs.L("vertex", strconv.Itoa(x.Vertex)),
+		obs.L("kind", x.Kind),
+		obs.L("label", x.Label),
 	}
 	return &meter{
-		vertex: vertex, kind: kind, label: label,
 		bytes: f.reg.Counter("dist.exchange.bytes", ls...),
 		msgs:  f.reg.Counter("dist.exchange.messages", ls...),
 	}
 }
 
-// exchange is the fabric's one movement primitive: produce runs on every
+// exchange is the fabric's one movement primitive, the body of both
+// Mover movements (Exchange and Reduce): produce runs on every
 // shard as a pool task (so its compute is attributed to the shard) and
 // emits messages with explicit destinations; deliveries go through the
 // run's Transport session — buffered channels in process by default, a
@@ -89,22 +85,23 @@ func (f *fabric) meterFor(vertex int, kind, label string) *meter {
 // On the timer-driven timeout path the producers may still be running,
 // so session teardown is handed to a background drainer; the shard
 // workers themselves stay healthy for the retry.
-func (r *exec) exchange(m *meter, produce func(shard int) ([]routed, error)) ([][]message, error) {
+func (r *exec) exchange(x engine.Xfer, produce func(shard int) ([]routed, error)) ([][]message, error) {
+	m := r.fab.meterFor(x)
 	tp := r.rt.transport
 	xspan := r.tr.Start(r.span, "exchange").
-		SetStr("kind", m.kind).SetStr("label", m.label).SetInt("vertex", int64(m.vertex)).
+		SetStr("kind", x.Kind).SetStr("label", x.Label).SetInt("vertex", int64(x.Vertex)).
 		SetStr("transport", tp.Name())
 	if pl, ok := tp.(interface{ PeerList() string }); ok {
 		xspan.SetStr("peers", pl.PeerList())
 	}
 	defer xspan.End()
-	n := r.shards()
-	id := netfabric.ExchangeID{Vertex: m.vertex, Kind: m.kind, Label: m.label, Attempt: r.attempt}
+	n := r.Shards()
+	id := netfabric.ExchangeID{Vertex: x.Vertex, Kind: x.Kind, Label: x.Label, Attempt: r.attempt}
 	sess, err := tp.Open(r.ctx, r.reg, id, n)
 	if err != nil {
-		return nil, r.wireErr(m, "open", err)
+		return nil, r.wireErr(x, "open", err)
 	}
-	drop, delay := r.rt.faults.exchangeFaults(m.vertex, m.label, r.attempt)
+	drop, delay := r.rt.faults.exchangeFaults(x.Vertex, x.Label, r.attempt)
 	var lost atomic.Bool
 	work := func(s int) error {
 		out, err := produce(s)
@@ -161,7 +158,7 @@ func (r *exec) exchange(m *meter, produce func(shard int) ([]routed, error)) ([]
 				derrs[s] = work(s)
 			}(s)
 		}
-		perr := r.parallel(func(s int) error {
+		perr := r.Parallel(func(s int) error {
 			if delayed(s) {
 				return nil
 			}
@@ -198,7 +195,7 @@ func (r *exec) exchange(m *meter, produce func(shard int) ([]routed, error)) ([]
 			sess.Abandon()
 		}()
 		return nil, fmt.Errorf("dist: exchange %q at vertex %d exceeded its %v timeout: %w",
-			m.label, m.vertex, r.rt.exchangeTimeout, ErrExchangeTimeout)
+			x.Label, x.Vertex, r.rt.exchangeTimeout, ErrExchangeTimeout)
 	}
 	if perr != nil {
 		// Abandon only after every producer has returned (they just
@@ -206,17 +203,17 @@ func (r *exec) exchange(m *meter, produce func(shard int) ([]routed, error)) ([]
 		// on error or cancel.
 		sess.Abandon()
 		if errors.Is(perr, netfabric.ErrWire) {
-			return nil, r.wireErr(m, "send", perr)
+			return nil, r.wireErr(x, "send", perr)
 		}
 		return nil, perr
 	}
 	recv, err := sess.Collect()
 	if err != nil {
-		return nil, r.wireErr(m, "collect", err)
+		return nil, r.wireErr(x, "collect", err)
 	}
 	if lost.Load() {
 		return nil, fmt.Errorf("dist: exchange %q at vertex %d lost messages (injected %v): %w",
-			m.label, m.vertex, *drop, ErrExchangeTimeout)
+			x.Label, x.Vertex, *drop, ErrExchangeTimeout)
 	}
 	for s := range recv {
 		sortMessages(recv[s])
@@ -228,9 +225,9 @@ func (r *exec) exchange(m *meter, produce func(shard int) ([]routed, error)) ([]
 // scheduler's point of view a dead wire and a silent one are the same
 // transient event, so the existing retry/cascade/fallback ladder
 // handles both without knowing transports exist.
-func (r *exec) wireErr(m *meter, stage string, err error) error {
+func (r *exec) wireErr(x engine.Xfer, stage string, err error) error {
 	return fmt.Errorf("dist: exchange %q at vertex %d %s failed on transport %q: %v: %w",
-		m.label, m.vertex, stage, r.rt.transport.Name(), err, ErrExchangeTimeout)
+		x.Label, x.Vertex, stage, r.rt.transport.Name(), err, ErrExchangeTimeout)
 }
 
 // sleepCtx waits d, returning early with the context's error when the
@@ -253,15 +250,16 @@ func (r *exec) sleepCtx(d time.Duration) error {
 // reduce-replay order.
 func sortMessages(ms []message) { netfabric.SortMessages(ms) }
 
-// broadcastTuples ships every tuple of rel to every shard and returns
-// each shard's copy in key order — the broadcast-join primitive.
-func (r *exec) broadcastTuples(m *meter, rel *relation) ([][]engine.Tuple, error) {
-	recv, err := r.exchange(m, func(s int) ([]routed, error) {
-		var out []routed
-		for _, t := range rel.parts[s] {
-			for d := 0; d < r.shards(); d++ {
-				out = append(out, routed{dst: d, msg: message{Key: t.Key, Tuple: t}})
-			}
+// Exchange implements engine.Mover's shuffle on the fabric.
+func (r *exec) Exchange(x engine.Xfer, produce func(shard int) ([]engine.Routed, error)) ([][]engine.Tuple, error) {
+	recv, err := r.exchange(x, func(s int) ([]routed, error) {
+		ts, err := produce(s)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]routed, len(ts))
+		for i, t := range ts {
+			out[i] = routed{dst: t.Dst, msg: message{Key: t.Tuple.Key, Tuple: t.Tuple}}
 		}
 		return out, nil
 	})
@@ -271,37 +269,32 @@ func (r *exec) broadcastTuples(m *meter, rel *relation) ([][]engine.Tuple, error
 	return messageTuples(recv), nil
 }
 
-// gatherAt ships every tuple of rel to one shard and returns them in
-// key order; used for single-tuple moves and the transform stitch.
-func (r *exec) gatherAt(m *meter, rel *relation, dst int) ([]engine.Tuple, error) {
-	recv, err := r.exchange(m, func(s int) ([]routed, error) {
-		var out []routed
-		for _, t := range rel.parts[s] {
-			out = append(out, routed{dst: dst, msg: message{Key: t.Key, Tuple: t}})
+// Reduce implements engine.Mover's group-by-SUM on the fabric: every
+// partial is computed on the shard that produced it, shipped tagged
+// (key, seq), and folded on its destination shard in sorted order.
+func (r *exec) Reduce(x engine.Xfer, produce func(shard int) ([]engine.Partial, error),
+	fold func(shard int, key engine.Key, part *tensor.Dense)) error {
+	recv, err := r.exchange(x, func(s int) ([]routed, error) {
+		ps, err := produce(s)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]routed, len(ps))
+		for i, p := range ps {
+			out[i] = routed{dst: p.Dst, msg: message{Key: p.Key, Seq: p.Seq,
+				Tuple: engine.Tuple{Key: p.Key, Dense: p.Make()}}}
 		}
 		return out, nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return messageTuples(recv)[dst], nil
-}
-
-// routeByKey re-homes every tuple of rel onto shardOf(key) — the
-// co-partitioning primitive (a no-op, and free, for relations already
-// hash partitioned).
-func (r *exec) routeByKey(m *meter, rel *relation) ([][]engine.Tuple, error) {
-	recv, err := r.exchange(m, func(s int) ([]routed, error) {
-		var out []routed
-		for _, t := range rel.parts[s] {
-			out = append(out, routed{dst: r.shardOf(t.Key), msg: message{Key: t.Key, Tuple: t}})
+	return r.Parallel(func(s int) error {
+		for _, g := range recv[s] {
+			fold(s, g.Key, g.Tuple.Dense)
 		}
-		return out, nil
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return messageTuples(recv), nil
 }
 
 // messageTuples strips the routing envelope, preserving order.
@@ -318,29 +311,4 @@ func messageTuples(recv [][]message) [][]engine.Tuple {
 		out[s] = ts
 	}
 	return out
-}
-
-// foldMessages is the group-by-SUM reduce: contributions arrive sorted
-// by (key, seq); the first contribution of each key becomes the
-// accumulator and later ones are folded with tensor.AddInPlace — the
-// exact operation sequence of the sequential executors' accumulator
-// maps, so sums are bit-identical.
-func foldMessages(msgs []message) []engine.Tuple {
-	var out []engine.Tuple
-	for _, g := range msgs {
-		if n := len(out); n > 0 && out[n-1].Key == g.Key {
-			tensor.AddInPlace(out[n-1].Dense, g.Tuple.Dense)
-		} else {
-			out = append(out, engine.Tuple{Key: g.Key, Dense: g.Tuple.Dense})
-		}
-	}
-	return out
-}
-
-// foldInto sums sorted contributions into a zeroed accumulator,
-// mirroring the sequential executors that start from tensor.NewDense.
-func foldInto(acc *tensor.Dense, msgs []message) {
-	for _, g := range msgs {
-		tensor.AddInPlace(acc, g.Tuple.Dense)
-	}
 }

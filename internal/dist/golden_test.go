@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"matopt/internal/benchkit"
 	"matopt/internal/core"
 	"matopt/internal/costmodel"
 	"matopt/internal/dist"
@@ -56,10 +57,42 @@ func compareSinks(t *testing.T, name string, ann *core.Annotation, want, got map
 	}
 }
 
+// oracleTol is the largest max-abs error, relative to the largest
+// expected entry, an engine output may have against the oracle.
+const oracleTol = 1e-7
+
+// checkOracle holds every sink in got against benchkit.Eval. Both
+// engines interpret one operator table, so their agreeing bit for bit
+// says nothing about either being right; the oracle's plain loops over
+// whole matrices share no code with the table or the tensor kernels.
+func checkOracle(t *testing.T, name string, g *core.Graph, inputs map[string]*tensor.Dense, got map[int]*tensor.Dense) {
+	t.Helper()
+	asMat := func(m *tensor.Dense) *benchkit.Mat {
+		return &benchkit.Mat{Rows: m.Rows, Cols: m.Cols, Data: m.Data}
+	}
+	in := make(map[string]*benchkit.Mat, len(inputs))
+	for k, m := range inputs {
+		in[k] = asMat(m)
+	}
+	want, err := benchkit.Eval(g, in)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", name, err)
+	}
+	for id, w := range want {
+		if got[id] == nil {
+			t.Fatalf("%s: sink %d missing from the engine's outputs", name, id)
+		}
+		if e := benchkit.RelErr(asMat(got[id]), w); e > oracleTol {
+			t.Errorf("%s: sink %d differs from the oracle by %.3g relative (limit %g)", name, id, e, oracleTol)
+		}
+	}
+}
+
 // assertBitIdentical executes ann on the sequential engine (serial and
 // threaded kernels) and on the dist runtime at every golden shard count
 // and kernel-thread budget, requiring every sink to be bit-for-bit
-// identical to the fully serial baseline.
+// identical to the fully serial baseline — and that baseline to agree
+// with the independent oracle.
 func assertBitIdentical(t *testing.T, name string, cl costmodel.Cluster, ann *core.Annotation, inputs map[string]*tensor.Dense) {
 	t.Helper()
 	// The baseline: sequential engine, kernels forced serial — the
@@ -70,6 +103,7 @@ func assertBitIdentical(t *testing.T, name string, cl costmodel.Cluster, ann *co
 	if err != nil {
 		t.Fatalf("%s: serial sequential run: %v", name, err)
 	}
+	checkOracle(t, name, ann.Graph, inputs, want)
 	// Sequential engine with auto (whole-machine) kernel threads.
 	auto := engine.New(cl)
 	got, err := auto.RunCollect(ann, inputs)

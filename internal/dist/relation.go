@@ -1,25 +1,16 @@
 package dist
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"matopt/internal/engine"
-	"matopt/internal/format"
-	"matopt/internal/shape"
-	"matopt/internal/sparse"
-	"matopt/internal/tensor"
 )
 
-// relation is a matrix stored in a physical format, hash partitioned
-// across shards. Invariant: chunked-kind relations (tile, strips, COO)
-// keep every tuple on shardOf(key); single-kind relations (single,
-// csr-single) hold their one tuple on whichever shard produced it.
+// relation is the operator table's relation plus the runtime's recovery
+// state: its tuples are partitioned across the run's shards exactly as
+// engine.Relation documents.
 type relation struct {
-	format  format.Format
-	shape   shape.Shape
-	density float64
-	parts   [][]engine.Tuple // parts[s] = tuples resident on shard s
+	*engine.Relation
 
 	// lost marks the relation's shard data as gone (an injected
 	// node-loss fault): the scheduler must recompute it from lineage
@@ -35,72 +26,3 @@ func (rel *relation) markLost() { rel.lost.Store(true) }
 
 // isLost reports whether the relation's resident data was lost.
 func (rel *relation) isLost() bool { return rel.lost.Load() }
-
-// asEngine views the relation through the engine's type so the shared
-// Assemble/Chunk helpers apply.
-func (rel *relation) asEngine() *engine.Relation {
-	return &engine.Relation{Format: rel.format, Shape: rel.shape, Density: rel.density, Parts: rel.parts}
-}
-
-// bytes returns the total payload bytes resident across shards.
-func (rel *relation) bytes() int64 {
-	var n int64
-	for _, p := range rel.parts {
-		for _, t := range p {
-			n += t.Bytes()
-		}
-	}
-	return n
-}
-
-// soleTuple returns the relation's only tuple and the shard holding it.
-func (rel *relation) soleTuple() (engine.Tuple, int, error) {
-	var out engine.Tuple
-	shard, found := -1, false
-	for s, p := range rel.parts {
-		for _, t := range p {
-			if found {
-				return engine.Tuple{}, -1, fmt.Errorf("dist: relation %v/%v has multiple tuples, expected one", rel.format, rel.shape)
-			}
-			out, shard, found = t, s, true
-		}
-	}
-	if !found {
-		return engine.Tuple{}, -1, fmt.Errorf("dist: relation %v/%v is empty", rel.format, rel.shape)
-	}
-	return out, shard, nil
-}
-
-// singleDense returns the payload and home shard of a one-tuple dense
-// relation.
-func (rel *relation) singleDense() (*tensor.Dense, int, error) {
-	t, s, err := rel.soleTuple()
-	if err != nil {
-		return nil, -1, err
-	}
-	if t.Dense == nil {
-		return nil, -1, fmt.Errorf("dist: relation %v/%v is not a dense single", rel.format, rel.shape)
-	}
-	return t.Dense, s, nil
-}
-
-// singleCSR returns the payload and home shard of a one-tuple CSR
-// relation.
-func (rel *relation) singleCSR() (*sparse.CSR, int, error) {
-	t, s, err := rel.soleTuple()
-	if err != nil {
-		return nil, -1, err
-	}
-	if t.CSR == nil {
-		return nil, -1, fmt.Errorf("dist: relation %v/%v is not a csr single", rel.format, rel.shape)
-	}
-	return t.CSR, s, nil
-}
-
-// sortedShard returns shard s's tuples in key order; operators iterate
-// local tuples in this order so per-shard output is deterministic.
-func sortedShard(rel *relation, s int) []engine.Tuple {
-	ts := append([]engine.Tuple(nil), rel.parts[s]...)
-	engine.SortTuples(ts)
-	return ts
-}

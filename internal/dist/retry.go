@@ -176,7 +176,7 @@ func (r *run) runAttempt(gr *planGroup, ins []*relation, inputs map[string]*tens
 		aspan := r.tr.Start(vspan, "attempt").SetInt("n", int64(attempt))
 		defer aspan.End()
 		x := &exec{run: r, ctx: r.ctx, attempt: attempt, span: aspan}
-		return x.execGroup(gr, append([]*relation(nil), ins...), inputs)
+		return x.execGroup(gr, ins, inputs)
 	}
 
 	type outcome struct {
@@ -201,7 +201,7 @@ func (r *run) runAttempt(gr *planGroup, ins []*relation, inputs map[string]*tens
 			}
 			aspan := r.tr.Start(vspan, name).SetInt("n", int64(attempt))
 			x := &exec{run: r, ctx: ctx, attempt: attempt, ownerOff: off, span: aspan}
-			rel, err := x.execGroup(gr, append([]*relation(nil), ins...), inputs)
+			rel, err := x.execGroup(gr, ins, inputs)
 			aspan.End()
 			resc <- outcome{rel: rel, err: err, spec: spec}
 		}()

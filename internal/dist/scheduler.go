@@ -13,11 +13,9 @@ import (
 	"matopt/internal/core"
 	"matopt/internal/costmodel"
 	"matopt/internal/engine"
-	"matopt/internal/format"
 	"matopt/internal/obs"
 	"matopt/internal/plan"
 	"matopt/internal/pool"
-	"matopt/internal/shape"
 	"matopt/internal/tensor"
 )
 
@@ -110,9 +108,10 @@ type run struct {
 // touching the primary, span so exchanges nest under the right attempt,
 // attempt so fault matchers see the right number, and ownerOff so a
 // speculative duplicate computes on rotated owner shards (away from the
-// straggler that triggered it). Every operator and exchange primitive
-// takes *exec; promotion keeps the shared methods (on, parallel,
-// shards, shardOf, submit) reachable unchanged.
+// straggler that triggered it). *exec is the runtime's engine.Mover: the
+// operator table reaches shards, workers and the fabric only through
+// its Shards, OwnerShard, Kern, Flops, Parallel, On, Exchange and Reduce
+// methods (the run-scoped ones promoted from the embedded run).
 type exec struct {
 	*run
 	ctx      context.Context
@@ -122,18 +121,22 @@ type exec struct {
 	kernAcc  atomic.Int64 // kernel ns accumulated by this attempt, for its span
 }
 
-// kern returns the kernel context this attempt's local compute runs
+// Kern returns the kernel context this attempt's local compute runs
 // under: the run's per-shard thread budget (so shard × kernel
 // parallelism never oversubscribes the machine), with a timer that
 // meters kernel wall time into the run registry (dist.kernel.ns) and
 // the attempt's kernel_ns span attribute — traces therefore show kernel
 // time against the exchange spans directly.
-func (x *exec) kern() tensor.K {
+func (x *exec) Kern() tensor.K {
 	return tensor.K{Threads: x.kthreads, Timer: func(ns int64) {
 		x.kernNS.Add(ns)
 		x.kernAcc.Add(ns)
 	}}
 }
+
+// Flops is a no-op: the runtime meters kernel time and exchanged bytes,
+// and leaves the exact operation count to the sequential engine's Stats.
+func (x *exec) Flops(int64) {}
 
 func newRun(rt *Runtime, ctx context.Context, p *plan.Plan, groups []*planGroup) *run {
 	reg := obs.NewRegistry()
@@ -190,26 +193,20 @@ func (r *run) stop() {
 	r.span.End()
 }
 
-func (r *run) shards() int { return r.rt.shards }
+// Shards returns the run's shard count.
+func (r *run) Shards() int { return r.rt.shards }
 
-// shardOf hashes a tuple key to its home shard — the same mixing as the
-// sequential engine's worker placement, over the shard count.
-func (r *run) shardOf(k engine.Key) int {
-	h := uint64(k.I)*0x9e3779b97f4a7c15 ^ uint64(k.J)*0xff51afd7ed558ccd
-	return int(h % uint64(r.shards()))
-}
-
-// ownerShard is the deterministic home of a vertex's single-tuple
+// OwnerShard is the deterministic home of a vertex's single-tuple
 // output: spreading owners by vertex ID keeps independent single-chunk
 // chains on different shards, which is where the DAG parallelism of
 // single-format plans comes from. A speculative attempt's ownerOff
 // rotates every owner so the duplicate's tasks land on different
 // workers than the straggling primary's.
-func (x *exec) ownerShard(id int) int {
+func (x *exec) OwnerShard(id int) int {
 	if id < 0 {
 		id = -id
 	}
-	return (id + x.ownerOff) % x.shards()
+	return (id + x.ownerOff) % x.Shards()
 }
 
 // submit queues fn on one shard's worker, metering how long the task
@@ -222,13 +219,13 @@ func (r *run) submit(shard int, fn func()) {
 	}
 }
 
-// parallel runs fn(s) on every shard's worker and waits for all of
+// Parallel runs fn(s) on every shard's worker and waits for all of
 // them; the first error (by shard index) is returned.
-func (r *run) parallel(fn func(shard int) error) error {
-	errs := make([]error, r.shards())
+func (r *run) Parallel(fn func(shard int) error) error {
+	errs := make([]error, r.Shards())
 	var wg sync.WaitGroup
-	wg.Add(r.shards())
-	for s := 0; s < r.shards(); s++ {
+	wg.Add(r.Shards())
+	for s := 0; s < r.Shards(); s++ {
 		s := s
 		r.submit(s, func() {
 			defer wg.Done()
@@ -244,8 +241,8 @@ func (r *run) parallel(fn func(shard int) error) error {
 	return nil
 }
 
-// on runs fn on one shard's worker and waits for it.
-func (r *run) on(shard int, fn func() error) error {
+// On runs fn on one shard's worker and waits for it.
+func (r *run) On(shard int, fn func() error) error {
 	var wg sync.WaitGroup
 	var err error
 	wg.Add(1)
@@ -255,22 +252,6 @@ func (r *run) on(shard int, fn func() error) error {
 	})
 	wg.Wait()
 	return err
-}
-
-// place distributes freshly produced tuples: chunked-kind formats are
-// hash partitioned by key; single-kind formats live on the producing
-// vertex's owner shard.
-func (x *exec) place(vertex int, f format.Format, s shape.Shape, density float64, tuples []engine.Tuple) *relation {
-	parts := make([][]engine.Tuple, x.shards())
-	if f.Kind == format.Single || f.Kind == format.CSRSingle {
-		parts[x.ownerShard(vertex)] = tuples
-	} else {
-		for _, t := range tuples {
-			d := x.shardOf(t.Key)
-			parts[d] = append(parts[d], t)
-		}
-	}
-	return &relation{format: f, shape: s, density: density, parts: parts}
 }
 
 // checkpointPins re-derives the pin-for-recovery set from the plan's
@@ -428,7 +409,7 @@ func (r *run) execute(inputs map[string]*tensor.Dense) (map[int]*relation, int64
 		rels[res.id] = res.rel
 		done[res.id] = true
 		completed++
-		resident += res.rel.bytes()
+		resident += res.rel.Bytes()
 		if resident > peak {
 			peak = resident
 		}
@@ -436,7 +417,7 @@ func (r *run) execute(inputs map[string]*tensor.Dense) (map[int]*relation, int64
 			refs[dep]--
 			if refs[dep] == 0 && !retain[dep] {
 				if rel, ok := rels[dep]; ok {
-					resident -= rel.bytes()
+					resident -= rel.Bytes()
 					delete(rels, dep)
 				}
 			}
@@ -446,7 +427,7 @@ func (r *run) execute(inputs map[string]*tensor.Dense) (map[int]*relation, int64
 		var ckptBytes int64
 		for id := range pins {
 			if rel, ok := rels[id]; ok {
-				ckptBytes += rel.bytes()
+				ckptBytes += rel.Bytes()
 			}
 		}
 		r.reg.Gauge("dist.checkpoint.bytes").SetMax(ckptBytes)
@@ -515,7 +496,7 @@ func (r *run) cascade(vertex int, cause *lostInputsError, refs map[int]int, reta
 			}
 		}
 		if rel, ok := rels[u]; ok {
-			*resident -= rel.bytes()
+			*resident -= rel.Bytes()
 			delete(rels, u)
 		}
 		done[u], launched[u] = false, false
@@ -524,11 +505,12 @@ func (r *run) cascade(vertex int, cause *lostInputsError, refs map[int]int, reta
 	return nil
 }
 
-// execGroup runs one recovery group's plan nodes: the scan for sources,
-// otherwise the fused re-layout nodes followed by the compute node's
-// dist operator, verified against the plan's output format. An injected
-// node-loss fault additionally marks the group's input relations lost,
-// so the retry discovers the missing data and escalates to a cascade.
+// execGroup runs one recovery group's plan nodes through the operator
+// table with this attempt as the Mover: the scan for sources, otherwise
+// the fused re-layout nodes followed by the compute node's operator. An
+// injected node-loss fault additionally marks the group's input
+// relations lost, so the retry discovers the missing data and escalates
+// to a cascade.
 func (x *exec) execGroup(gr *planGroup, ins []*relation, inputs map[string]*tensor.Dense) (*relation, error) {
 	defer func() {
 		if ns := x.kernAcc.Load(); ns > 0 {
@@ -544,10 +526,10 @@ func (x *exec) execGroup(gr *planGroup, ins []*relation, inputs map[string]*tens
 				in.markLost()
 			}
 		}
-		return nil, fmt.Errorf("dist: injected %v on shard %d: %w", *f, x.ownerShard(gr.vertex), ErrShardFailed)
+		return nil, fmt.Errorf("dist: injected %v on shard %d: %w", *f, x.OwnerShard(gr.vertex), ErrShardFailed)
 	}
 	if f := x.rt.faults.crash(gr.vertex, x.attempt); f != nil {
-		return nil, fmt.Errorf("dist: injected %v on shard %d: %w", *f, x.ownerShard(gr.vertex), ErrShardFailed)
+		return nil, fmt.Errorf("dist: injected %v on shard %d: %w", *f, x.OwnerShard(gr.vertex), ErrShardFailed)
 	}
 	n := gr.node
 	if n.Kind == plan.KindScan {
@@ -559,21 +541,13 @@ func (x *exec) execGroup(gr *planGroup, ins []*relation, inputs map[string]*tens
 			return nil, fmt.Errorf("dist: input %q is %dx%d, graph declares %v",
 				n.Source, m.Rows, m.Cols, n.OutShape)
 		}
-		var rel *relation
-		err := x.on(x.ownerShard(gr.vertex), func() error {
-			tuples, s, density, err := engine.Chunk(m, n.OutFormat, x.rt.cluster.MaxTupleBytes)
-			if err != nil {
-				return fmt.Errorf("dist: loading %q: %w", n.Source, err)
-			}
-			rel = x.place(gr.vertex, n.OutFormat, s, density, tuples)
-			return nil
-		})
-		return rel, err
+		rel, err := engine.Scan(x, gr.vertex, m, n.OutFormat, x.rt.cluster.MaxTupleBytes)
+		if err != nil {
+			return nil, fmt.Errorf("dist: loading %q: %w", n.Source, err)
+		}
+		return &relation{Relation: rel}, nil
 	}
-	ex, ok := distExecutors[n.Name]
-	if !ok {
-		return nil, fmt.Errorf("dist: no executor for implementation %q", n.Name)
-	}
+	args := make([]*engine.Relation, len(ins))
 	for j := range ins {
 		if ins[j] == nil {
 			return nil, fmt.Errorf("dist: vertex %d input %d was freed early", gr.vertex, j)
@@ -581,25 +555,22 @@ func (x *exec) execGroup(gr *planGroup, ins []*relation, inputs map[string]*tens
 		if ins[j].isLost() {
 			return nil, &lostInputsError{vertex: gr.vertex, arg: j}
 		}
+		args[j] = ins[j].Relation
 	}
-	for j := range ins {
+	for j := range args {
 		if rn := gr.relayouts[j]; rn != nil {
 			var err error
-			ins[j], err = x.transform(gr.vertex, j, ins[j], rn.OutFormat)
+			args[j], err = engine.Relayout(x, gr.vertex, j, args[j], rn.OutFormat, x.rt.cluster.MaxTupleBytes)
 			if err != nil {
 				return nil, fmt.Errorf("dist: transforming input %d of vertex %d: %w", j, gr.vertex, err)
 			}
 		}
 	}
-	out, err := ex(x, n, ins)
+	out, err := engine.Compute(x, n, args)
 	if err != nil {
-		return nil, fmt.Errorf("dist: executing vertex %d (%s): %w", gr.vertex, n.Name, err)
+		return nil, fmt.Errorf("dist: %w", err)
 	}
-	if out.format != n.OutFormat {
-		return nil, fmt.Errorf("dist: vertex %d produced %v, plan says %v",
-			gr.vertex, out.format, n.OutFormat)
-	}
-	return out, nil
+	return &relation{Relation: out}, nil
 }
 
 // report finalizes the run's registry (peak/wall/fault gauges), builds
@@ -608,7 +579,7 @@ func (x *exec) execGroup(gr *planGroup, ins []*relation, inputs map[string]*tens
 // on both the success and the error path, so even a run that is about
 // to degrade reports everything it metered.
 func (r *run) report(peak int64, wall time.Duration) *Report {
-	r.reg.Gauge("dist.shards").Set(int64(r.shards()))
+	r.reg.Gauge("dist.shards").Set(int64(r.Shards()))
 	r.reg.Gauge("dist.kernel.threads").Set(int64(r.kthreads))
 	r.reg.Gauge("dist.peak_bytes").SetMax(peak)
 	r.reg.Gauge("dist.wall_ns").SetMax(int64(wall))

@@ -1,0 +1,128 @@
+package dist_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"matopt/internal/core"
+	"matopt/internal/costmodel"
+	"matopt/internal/dist"
+	"matopt/internal/engine"
+	"matopt/internal/format"
+	"matopt/internal/impl"
+	"matopt/internal/op"
+	"matopt/internal/shape"
+	"matopt/internal/tensor"
+)
+
+// TestEveryImplementationBitIdentical forces each registered
+// implementation in turn — the golden workloads only reach the ones the
+// optimizer happens to pick — over every combination of input formats
+// its type function accepts, and requires the sequential engine and the
+// dist runtime at 2 and 7 shards to return the same bytes, and those
+// bytes to agree with the oracle.
+func TestEveryImplementationBitIdentical(t *testing.T) {
+	const blk = 50 // ragged against every extent below
+	candidates := []format.Format{
+		format.NewSingle(), format.NewTile(blk), format.NewRowStrip(blk), format.NewColStrip(blk),
+		format.NewCOO(), format.NewCSRSingle(), format.NewCSRRowStrip(blk),
+	}
+	// Argument shapes per computation; the graph infers the output's.
+	argShapes := func(k op.Kind) []shape.Shape {
+		switch k {
+		case op.MatMul:
+			return []shape.Shape{shape.New(130, 170), shape.New(170, 90)}
+		case op.Add, op.Sub, op.Hadamard:
+			return []shape.Shape{shape.New(130, 170), shape.New(130, 170)}
+		case op.AddBias:
+			return []shape.Shape{shape.New(130, 170), shape.New(1, 170)}
+		case op.Inverse:
+			return []shape.Shape{shape.New(60, 60)}
+		}
+		return []shape.Shape{shape.New(130, 170)}
+	}
+	cl := costmodel.LocalTest(3)
+	for _, im := range impl.All() {
+		o := op.Op{Kind: im.Op}
+		if im.Op == op.ScalarMul {
+			o.Scalar = -2.5
+		}
+		shapes := argShapes(im.Op)
+		ran := 0
+		// Enumerate every assignment of candidate formats to arguments.
+		combos := 1
+		for range shapes {
+			combos *= len(candidates)
+		}
+		for c := 0; c < combos; c++ {
+			rng := rand.New(rand.NewSource(int64(im.ID)*1000 + int64(c)))
+			g := core.NewGraph()
+			ins := make([]impl.Input, len(shapes))
+			args := make([]*core.Vertex, len(shapes))
+			inputs := make(map[string]*tensor.Dense, len(shapes))
+			valid := true
+			for j, s := range shapes {
+				f := candidates[(c/pow(len(candidates), j))%len(candidates)]
+				density := 1.0
+				m := tensor.RandNormal(rng, int(s.Rows), int(s.Cols))
+				if f.IsSparse() {
+					density = 0.05
+					m = tensor.RandSparse(rng, int(s.Rows), int(s.Cols), density)
+				}
+				if im.Op == op.Inverse {
+					for i := 0; i < m.Rows; i++ {
+						m.Set(i, i, m.At(i, i)+float64(m.Rows))
+					}
+				}
+				if !f.Valid(s, density, cl.MaxTupleBytes) {
+					valid = false
+					break
+				}
+				name := fmt.Sprintf("in%d", j)
+				ins[j] = impl.Input{Shape: s, Density: density, Format: f}
+				args[j] = g.Input(name, s, density, f)
+				inputs[name] = m
+			}
+			if !valid {
+				continue
+			}
+			v := g.MustApply(o, args...)
+			out, ok := im.Apply(o, ins, v.Shape, v.Density, cl)
+			if !ok {
+				continue
+			}
+			ran++
+			label := fmt.Sprintf("%s%v", im.Name, ins)
+			ann := handAnn(t, g, im.Name, out.Format)
+			want, err := engine.New(cl).RunCollect(ann, inputs)
+			if err != nil {
+				t.Fatalf("%s: sequential run: %v", label, err)
+			}
+			checkOracle(t, label, g, inputs, want)
+			for _, shards := range []int{2, 7} {
+				rt, err := dist.New(cl, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := rt.Run(context.Background(), ann, inputs)
+				if err != nil {
+					t.Fatalf("%s @%d shards: %v", label, shards, err)
+				}
+				compareSinks(t, fmt.Sprintf("%s @%d shards", label, shards), ann, want, got)
+			}
+		}
+		if ran == 0 {
+			t.Errorf("%s: its type function accepted no candidate format combination", im.Name)
+		}
+	}
+}
+
+func pow(b, e int) int {
+	p := 1
+	for ; e > 0; e-- {
+		p *= b
+	}
+	return p
+}

@@ -13,8 +13,8 @@ import (
 // Chunk splits a dense matrix into the tuples of the given physical
 // format, validating the layout against the per-tuple size bound.
 // Sparse target formats extract the non-zeros. It is the layout half of
-// Load, shared with the dist runtime's sharded loader; placement (which
-// worker or shard each tuple lives on) is the caller's concern.
+// Scan and Relayout; placement (which shard each tuple lives on) is
+// theirs.
 func Chunk(m *tensor.Dense, f format.Format, maxTupleBytes int64) ([]Tuple, shape.Shape, float64, error) {
 	s := shape.New(int64(m.Rows), int64(m.Cols))
 	density := m.Density()
@@ -75,21 +75,16 @@ func Chunk(m *tensor.Dense, f format.Format, maxTupleBytes int64) ([]Tuple, shap
 	return tuples, s, density, nil
 }
 
-// Load chunks a dense matrix into the given physical format and
-// distributes the tuples across workers.
+// Load chunks a dense matrix into the given physical format as a
+// one-shard relation.
 func (e *Engine) Load(m *tensor.Dense, f format.Format) (*Relation, error) {
-	tuples, s, density, err := Chunk(m, f, e.Cluster.MaxTupleBytes)
-	if err != nil {
-		return nil, err
-	}
-	return e.place(f, s, density, tuples), nil
+	return e.produced(Scan(local{e}, 0, m, f, e.Cluster.MaxTupleBytes))
 }
 
 // Assemble reconstructs the dense matrix a relation stores, validating
-// that its tuples tile the shape exactly. It is the layout half of
-// Collect, shared with the dist runtime's gather path; tuple order does
-// not matter because every tuple writes a disjoint region (or, for COO,
-// a distinct element).
+// that its tuples tile the shape exactly; tuple order does not matter
+// because every tuple writes a disjoint region (or, for COO, a distinct
+// element).
 func Assemble(r *Relation) (*tensor.Dense, error) {
 	m := tensor.NewDense(int(r.Shape.Rows), int(r.Shape.Cols))
 	var tuples []Tuple
@@ -149,46 +144,28 @@ func (e *Engine) Collect(r *Relation) (*tensor.Dense, error) {
 	return Assemble(r)
 }
 
-// Transform re-lays-out a relation into the target format: each source
-// tuple is sliced into fragments aligned to the target grid, fragments
-// are shuffled to the target chunks' home workers, and a group-by stitch
-// assembles each target tuple — the engine-level realization of the
-// ROWMATRIX/COLMATRIX-style re-layouts.
+// Transform re-lays-out a relation into the target format — the
+// engine-level realization of the ROWMATRIX/COLMATRIX-style re-layouts;
+// see Relayout.
 func (e *Engine) Transform(r *Relation, target format.Format) (*Relation, error) {
 	if target == r.Format {
 		return r, nil
 	}
-	// The generic re-chunker goes through the dense (or sparse)
-	// assembly; network accounting reflects the repartition pattern.
-	moved := r.Bytes()
-	switch {
-	case target.Kind == format.Single || target.Kind == format.CSRSingle:
-		e.chargeNet(moved) // gather onto one worker
-		e.chargeInter(moved)
-	case r.Format.Kind == format.Single || r.Format.Kind == format.CSRSingle:
-		e.chargeNet(moved) // scatter from the holder
-	default:
-		e.chargeNet(moved / int64(e.workers())) // parallel shuffle per link
-		e.chargeInter(moved / int64(e.workers()))
-	}
-	m, err := e.Collect(r)
-	if err != nil {
-		return nil, fmt.Errorf("engine: transform assemble: %w", err)
-	}
-	e.chargeFlops(int64(m.Rows) * int64(m.Cols))
-	return e.Load(m, target)
+	return e.produced(Relayout(local{e}, 0, 0, r, target, e.Cluster.MaxTupleBytes))
 }
 
-// SortTuples orders tuples by key for deterministic iteration; both
-// engines rely on this order to make floating-point accumulation
+// sortTuples orders tuples by key for deterministic iteration; every
+// runtime relies on this order to make floating-point accumulation
 // reproducible.
-func SortTuples(ts []Tuple) {
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].Key.I != ts[j].Key.I {
-			return ts[i].Key.I < ts[j].Key.I
-		}
-		return ts[i].Key.J < ts[j].Key.J
-	})
+func sortTuples(ts []Tuple) {
+	sort.Slice(ts, func(i, j int) bool { return keyLess(ts[i].Key, ts[j].Key) })
+}
+
+func keyLess(a, b Key) bool {
+	if a.I != b.I {
+		return a.I < b.I
+	}
+	return a.J < b.J
 }
 
 func minInt(a, b int) int {

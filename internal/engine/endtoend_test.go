@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -14,9 +15,9 @@ import (
 
 // TestRandomGraphsEndToEnd is the repository's strongest integration
 // property: generate random compute DAGs, optimize them, execute the
-// chosen physical plans on real data, and compare every sink against a
-// plain-kernel reference evaluation. Any bug in the optimizer's
-// type-correctness, a transformation kernel, or an executor shows up as
+// chosen physical plans on real data, and compare every sink against
+// the independent oracle (benchkit.Eval). Any bug in the optimizer's
+// type-correctness, a transformation kernel, or an operator shows up as
 // a numeric mismatch.
 func TestRandomGraphsEndToEnd(t *testing.T) {
 	env := core.NewEnv(costmodel.LocalTest(4), format.All())
@@ -75,53 +76,9 @@ func TestRandomGraphsEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: execute: %v", seed, err)
 		}
-		want := referenceEval(t, g, inputs)
-		for _, sink := range g.Sinks() {
-			if diff := tensor.MaxAbsDiff(got[sink.ID], want[sink.ID]); diff > 1e-7 {
-				t.Errorf("seed %d sink v%d: engine deviates from reference by %g\nplan:\n%s",
-					seed, sink.ID, diff, ann.Describe())
-			}
+		checkOracle(t, fmt.Sprintf("seed %d", seed), g, inputs, got)
+		if t.Failed() {
+			t.Fatalf("seed %d plan:\n%s", seed, ann.Describe())
 		}
 	}
-}
-
-func referenceEval(t *testing.T, g *core.Graph, inputs map[string]*tensor.Dense) map[int]*tensor.Dense {
-	t.Helper()
-	vals := make(map[int]*tensor.Dense)
-	for _, v := range g.Vertices {
-		if v.IsSource {
-			vals[v.ID] = inputs[v.Name]
-			continue
-		}
-		in := func(j int) *tensor.Dense { return vals[v.Ins[j].ID] }
-		switch v.Op.Kind {
-		case op.MatMul:
-			vals[v.ID] = tensor.MatMul(in(0), in(1))
-		case op.Add:
-			vals[v.ID] = tensor.Add(in(0), in(1))
-		case op.Sub:
-			vals[v.ID] = tensor.Sub(in(0), in(1))
-		case op.Hadamard:
-			vals[v.ID] = tensor.Hadamard(in(0), in(1))
-		case op.Transpose:
-			vals[v.ID] = tensor.Transpose(in(0))
-		case op.ScalarMul:
-			vals[v.ID] = tensor.Scale(in(0), v.Op.Scalar)
-		case op.Neg:
-			vals[v.ID] = tensor.Neg(in(0))
-		case op.ReLU:
-			vals[v.ID] = tensor.ReLU(in(0))
-		case op.ReLUGrad:
-			vals[v.ID] = tensor.ReLUGrad(in(0))
-		case op.Softmax:
-			vals[v.ID] = tensor.Softmax(in(0))
-		case op.RowSums:
-			vals[v.ID] = tensor.RowSums(in(0))
-		case op.ColSums:
-			vals[v.ID] = tensor.ColSums(in(0))
-		default:
-			t.Fatalf("reference evaluator missing %v", v.Op.Kind)
-		}
-	}
-	return vals
 }

@@ -1,9 +1,14 @@
-// Package engine is the distributed relational substrate the optimizer's
-// plans run on — the stand-in for the paper's SimSQL and PlinyCompute
-// deployments. Matrices are relations of (key…, matrix-block) tuples hash
-// partitioned across workers; physical operators are per-tuple maps,
-// broadcast joins, co-partitioned joins, shuffle joins and group-by SUM
-// aggregation.
+// Package engine is the relational substrate the optimizer's plans run
+// on — the stand-in for the paper's SimSQL and PlinyCompute deployments —
+// and the home of the one operator table every runtime interprets.
+// Matrices are relations of (key…, matrix-block) tuples hash partitioned
+// across shards; the physical operators (operators.go) are per-tuple
+// maps, broadcast joins, co-partitioned joins, shuffle joins and
+// group-by-SUM aggregation, each written once against the small movement
+// interface Mover (mover.go). Engine interprets the table sequentially
+// at one shard with no fabric and no goroutines; internal/dist
+// implements Mover over its fabric and scheduler and interprets the same
+// table at P shards, which is why the two produce identical bytes.
 //
 // The engine has two modes. Execute (Run) materializes real data and
 // computes real results, validating every implementation's semantics at
@@ -54,13 +59,16 @@ func (t Tuple) Bytes() int64 {
 	return 0
 }
 
-// Relation is a matrix stored in a physical format, hash partitioned
-// across workers.
+// Relation is a matrix stored in a physical format, partitioned across
+// the executing runtime's shards (one for the sequential engine).
+// Chunked formats (tile, strips, COO) keep every tuple on the shard its
+// key hashes to; single-kind formats (single, csr-single) hold their one
+// tuple on whichever shard produced it.
 type Relation struct {
 	Format  format.Format
 	Shape   shape.Shape
 	Density float64
-	Parts   [][]Tuple // Parts[w] = tuples resident on worker w
+	Parts   [][]Tuple // Parts[s] = tuples resident on shard s
 }
 
 // NumTuples returns the total tuple count.
@@ -83,16 +91,18 @@ func (r *Relation) Bytes() int64 {
 	return n
 }
 
-// Stats aggregates what an execution actually did; the calibration
-// pipeline compares these against the analytic features.
+// Stats counts what the engine's executions actually did. FLOPs is
+// exact, from each operator's own formula; the benchmark reports it as
+// engine.flops. Movement is not counted here: the sequential engine
+// moves nothing, the dist runtime meters real bytes in its Report, and
+// costmodel.Features holds the analytic volumes.
 type Stats struct {
-	NetBytes   int64 // bytes that crossed worker boundaries
-	Tuples     int64 // tuples produced by operators
-	FLOPs      int64 // floating-point operations executed
-	InterBytes int64 // bytes of intermediate tuples materialized
+	Tuples int64 // tuples produced by loads, re-layouts and operators
+	FLOPs  int64 // floating-point operations executed
 }
 
-// Engine executes annotated plans over a fixed worker count.
+// Engine executes annotated plans sequentially; Cluster supplies the
+// per-tuple size bound and the environment plans are lowered for.
 type Engine struct {
 	Cluster costmodel.Cluster
 
@@ -103,16 +113,14 @@ type Engine struct {
 	// bit-identical at every setting.
 	KernelThreads int
 
-	netBytes   atomic.Int64
-	tuples     atomic.Int64
-	flops      atomic.Int64
-	interBytes atomic.Int64
+	tuples atomic.Int64
+	flops  atomic.Int64
 }
 
 // New returns an engine with the given cluster profile.
 func New(cl costmodel.Cluster) *Engine { return &Engine{Cluster: cl} }
 
-// kern returns the kernel context executors run local compute under.
+// kern returns the kernel context operators run local compute under.
 func (e *Engine) kern() tensor.K {
 	if e.KernelThreads > 0 {
 		return tensor.K{Threads: e.KernelThreads}
@@ -122,67 +130,22 @@ func (e *Engine) kern() tensor.K {
 
 // Stats returns a snapshot of the counters.
 func (e *Engine) Stats() Stats {
-	return Stats{
-		NetBytes:   e.netBytes.Load(),
-		Tuples:     e.tuples.Load(),
-		FLOPs:      e.flops.Load(),
-		InterBytes: e.interBytes.Load(),
-	}
+	return Stats{Tuples: e.tuples.Load(), FLOPs: e.flops.Load()}
 }
 
 // ResetStats zeroes the counters.
 func (e *Engine) ResetStats() {
-	e.netBytes.Store(0)
 	e.tuples.Store(0)
 	e.flops.Store(0)
-	e.interBytes.Store(0)
 }
 
-func (e *Engine) workers() int { return e.Cluster.Workers }
-
-// home returns the worker a key hashes to.
-func (e *Engine) home(k Key) int {
-	h := uint64(k.I)*0x9e3779b97f4a7c15 ^ uint64(k.J)*0xff51afd7ed558ccd
-	return int(h % uint64(e.workers()))
-}
-
-// place builds a relation from tuples, hash partitioning them by key.
-func (e *Engine) place(f format.Format, s shape.Shape, density float64, tuples []Tuple) *Relation {
-	r := &Relation{Format: f, Shape: s, Density: density, Parts: make([][]Tuple, e.workers())}
-	for _, t := range tuples {
-		w := e.home(t.Key)
-		r.Parts[w] = append(r.Parts[w], t)
+// produced counts a freshly produced relation's tuples into Stats.
+func (e *Engine) produced(r *Relation, err error) (*Relation, error) {
+	if err != nil {
+		return nil, err
 	}
-	e.tuples.Add(int64(len(tuples)))
-	return r
-}
-
-// chargeNet records logical cross-worker movement of b bytes.
-func (e *Engine) chargeNet(b int64) { e.netBytes.Add(b) }
-
-// chargeFlops records floating point work.
-func (e *Engine) chargeFlops(n int64) { e.flops.Add(n) }
-
-// chargeInter records intermediate materialization.
-func (e *Engine) chargeInter(b int64) { e.interBytes.Add(b) }
-
-// all returns every tuple of r (in worker order), charging broadcast
-// traffic for the copies that cross workers when bcast is true.
-func (e *Engine) all(r *Relation, bcast bool) []Tuple {
-	var out []Tuple
-	for w, p := range r.Parts {
-		out = append(out, p...)
-		if bcast {
-			var b int64
-			for _, t := range p {
-				b += t.Bytes()
-			}
-			_ = w
-			b *= int64(e.workers() - 1)
-			e.chargeNet(b)
-		}
-	}
-	return out
+	e.tuples.Add(r.NumTuples())
+	return r, nil
 }
 
 func (r *Relation) String() string {

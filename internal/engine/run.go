@@ -20,7 +20,7 @@ func (e *Engine) Run(ann *core.Annotation, inputs map[string]*tensor.Dense) (map
 // IR and executes it end to end on real data: inputs maps source-vertex
 // names to dense matrices, which are loaded in each source's declared
 // format; every re-layout and compute node then runs through the
-// relational executors.
+// operator table.
 //
 // The plan's free nodes ref-count relations by consumer: once a vertex's
 // last consumer has executed, its relation is dropped, bounding peak
@@ -67,7 +67,9 @@ func (e *Engine) RunPlanCtx(ctx context.Context, p *plan.Plan, inputs map[string
 }
 
 // planInterp is the sequential engine's implementation of the shared
-// plan.Interpreter operator interface over materialized relations.
+// plan.Interpreter interface over materialized relations: each node
+// runs the operator table's Scan, Relayout or Compute (through Load and
+// Transform for the first two) on the one-shard local Mover.
 type planInterp struct {
 	e      *Engine
 	ctx    context.Context
@@ -112,17 +114,9 @@ func (pi *planInterp) Compute(n *plan.Node, ins []*Relation) (*Relation, error) 
 	if err := pi.ctx.Err(); err != nil {
 		return nil, fmt.Errorf("engine: execution aborted before vertex %d: %w", n.Vertex, err)
 	}
-	exec, ok := executors[n.Name]
-	if !ok {
-		return nil, fmt.Errorf("engine: no executor for implementation %q", n.Name)
-	}
-	out, err := exec(pi.e, n.Op, n.OutShape, ins)
+	out, err := pi.e.produced(Compute(local{pi.e}, n, ins))
 	if err != nil {
-		return nil, fmt.Errorf("engine: executing vertex %d (%s): %w", n.Vertex, n.Name, err)
-	}
-	if out.Format != n.OutFormat {
-		return nil, fmt.Errorf("engine: vertex %d produced %v, plan says %v",
-			n.Vertex, out.Format, n.OutFormat)
+		return nil, fmt.Errorf("engine: %w", err)
 	}
 	return out, nil
 }

@@ -123,7 +123,7 @@ func LowerKeep(g *core.Graph, env *core.Env, ann *core.Annotation, keep []int) (
 			Inputs: inputNodes, InFormats: inFormats,
 			OutFormat: iout.Format, OutShape: v.Shape, OutDensity: v.Density,
 			Cost: im.Cost(env.Model, iout), Features: iout.Features,
-			PeakWorkerBytes: iout.PeakWorkerBytes, Strategy: StrategyOf(im.Name),
+			PeakWorkerBytes: iout.PeakWorkerBytes, Strategy: im.Strategy(),
 		})
 		p.NodeOfVertex[v.ID] = cn.ID
 		// Re-layout temporaries have exactly one consumer — this vertex —
