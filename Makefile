@@ -46,10 +46,14 @@ chaos:
 		. ./internal/dist/
 
 # Every exported identifier in the public matopt package, the shared
-# physical-plan IR and the serving layer must carry a doc comment;
-# docscheck prints one file:line per miss.
+# physical-plan IR, the serving layer, the dist runtime (home of the
+# execution Config every surface documents itself by) and the engine
+# (home of the operator table) must carry a doc comment; docscheck
+# prints one file:line per miss.
 docs-check:
 	$(GO) run ./cmd/docscheck -dir .
+	$(GO) run ./cmd/docscheck -dir ./internal/dist
+	$(GO) run ./cmd/docscheck -dir ./internal/engine
 	$(GO) run ./cmd/docscheck -dir ./internal/plan
 	$(GO) run ./cmd/docscheck -dir ./internal/serve
 	$(GO) run ./cmd/docscheck -dir ./internal/pool
@@ -64,45 +68,17 @@ bench-smoke:
 	$(GO) vet -C cmd/bench ./...
 	$(GO) test -C cmd/bench ./...
 
-# Runs every benchmark once and records the dist-vs-sequential
-# comparison in BENCH_dist.json (now with a span-derived phase_ns
-# breakdown), the fault-tolerance overhead in BENCH_dist_faults.json
-# (nofault_ns there should stay within noise of dist_ns here), the
-# tracing overhead in BENCH_obs.json (untraced_ns should also stay
-# within noise of dist_ns), and the plan layer's lowering / -explain /
-# serialization costs in BENCH_plan.json (dist_plan_ns there is the
-# same workload executed from a pre-lowered plan, so it too should stay
-# within noise of dist_ns). BENCH_serve.json records the serving
-# layer's warm-cache throughput, p50/p99 request latency, the direct
-# in-process call it wraps, and the coalesce hit rate.
-# BENCH_recovery.json records what a sink node loss costs with lineage
-# recompute alone next to the same loss under checkpoint pins, and the
-# memory the pins hold relative to the run's resident peak.
-# BENCH_kernels.json records the compute-kernel layer: naive vs
-# cache-blocked vs threaded GEMM per shape, a sparse SpMM point, and
-# the dist runtime end to end with kernels forced serial vs
-# auto-budgeted; on a multi-core host the benchmark fails if threaded
-# GEMM regresses below serial (on a single-CPU host that gate is
-# skipped with a warning — there is no parallelism to measure — and
-# every record carries numcpu so a reader can tell).
-# BENCH_netfabric.json compares the dist exchanges over the in-process
-# chan transport and over loopback TCP through a worker server, with
-# the framed wire bytes next to the cost model's NetBytesCeiling.
+# The benchmark is cmd/bench (BENCHMARK.json: four workloads, end-to-end
+# and per-layer metrics). Fault, cascade and checkpoint wall time has no
+# metric there yet, so the two Go benchmarks that price them ride along:
+# BENCH_dist_faults.json records what the fault hooks cost a run that
+# never fails next to one that crashes and recovers every vertex, and
+# BENCH_recovery.json a sink node loss under lineage recompute alone
+# next to the same loss under checkpoint pins, with the memory the pins
+# hold relative to the run's resident peak.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	BENCH_DIST_JSON=$(CURDIR)/BENCH_dist.json $(GO) test -run '^$$' \
-		-bench BenchmarkDistVsSequential -benchtime 1x ./internal/dist/
+	bash cmd/bench/run.sh
 	BENCH_DIST_FAULTS_JSON=$(CURDIR)/BENCH_dist_faults.json $(GO) test -run '^$$' \
 		-bench BenchmarkDistFaultOverhead -benchtime 1x ./internal/dist/
-	BENCH_OBS_JSON=$(CURDIR)/BENCH_obs.json $(GO) test -run '^$$' \
-		-bench BenchmarkDistTracingOverhead -benchtime 1x ./internal/dist/
-	BENCH_PLAN_JSON=$(CURDIR)/BENCH_plan.json $(GO) test -run '^$$' \
-		-bench BenchmarkPlanLowering -benchtime 1x ./internal/plan/
-	BENCH_SERVE_JSON=$(CURDIR)/BENCH_serve.json $(GO) test -run '^$$' \
-		-bench BenchmarkServeWarmOptimize -benchtime 200x ./internal/serve/
 	BENCH_RECOVERY_JSON=$(CURDIR)/BENCH_recovery.json $(GO) test -run '^$$' \
 		-bench BenchmarkRecovery -benchtime 1x ./internal/dist/
-	BENCH_KERNELS_JSON=$(CURDIR)/BENCH_kernels.json $(GO) test -run '^$$' \
-		-bench BenchmarkKernels -benchtime 1x ./internal/dist/
-	BENCH_NETFABRIC_JSON=$(CURDIR)/BENCH_netfabric.json $(GO) test -run '^$$' \
-		-bench BenchmarkNetfabric -benchtime 1x ./internal/dist/

@@ -3,24 +3,18 @@ package main
 import (
 	"fmt"
 	"strings"
+
+	"matopt/internal/dist"
 )
 
-// execConfig holds the execution-related flag values so their
-// validation is testable without invoking main.
+// execConfig is what the execution flags bind to: the shared run-time
+// knobs of dist.Config (each flag is the field's JSON name with '_'
+// spelled '-'; the field comment is its reference) plus the CLI's own.
 type execConfig struct {
+	dist.Config
 	Engine      string // sim | seq | dist
-	Shards      int
 	Scale       int64
 	Parallelism int
-	KernThreads int    // kernel threads per local compute (0 = auto, 1 = serial)
-	Faults      int    // number of seeded faults to inject (dist only)
-	FaultSeed   int64  // schedule seed
-	MaxRetries  int    // per-vertex retry budget
-	Fallback    bool   // degrade to sequential when retries are exhausted
-	Checkpoint  bool   // cost-model-driven checkpoint placement (dist only)
-	CkptBudget  int64  // cap on checkpoint-pinned bytes (0 = unbounded)
-	Speculate   bool   // speculative straggler re-execution (dist only)
-	Peers       string // comma-separated worker addresses for the TCP transport ("" = in-process)
 	Trace       bool   // print the span tree after the run
 	TraceOut    string // write a Chrome trace_event file here ("" = off)
 	Metrics     bool   // print the metrics registry after the run
@@ -33,71 +27,35 @@ type execConfig struct {
 // output form (-trace tree, -trace-out file) needs the spans recorded.
 func (c execConfig) tracing() bool { return c.Trace || c.TraceOut != "" }
 
+// validate checks the CLI's own flags, then the shared knobs with the
+// one validator every surface uses (it names a knob by its JSON name).
 func (c execConfig) validate() error {
 	if c.Parallelism <= 0 {
 		return fmt.Errorf("-parallelism must be positive, got %d", c.Parallelism)
 	}
-	if c.Shards <= 0 {
-		return fmt.Errorf("-shards must be positive, got %d", c.Shards)
-	}
 	if c.Scale <= 0 {
 		return fmt.Errorf("-scale must be positive, got %d", c.Scale)
-	}
-	if c.KernThreads < 0 {
-		return fmt.Errorf("-kernel-threads must be non-negative, got %d", c.KernThreads)
 	}
 	switch c.Engine {
 	case "sim", "seq", "dist":
 	default:
 		return fmt.Errorf("unknown engine %q (want sim, seq or dist)", c.Engine)
 	}
-	if c.Faults < 0 {
-		return fmt.Errorf("-faults must be non-negative, got %d", c.Faults)
-	}
-	if c.FaultSeed < 0 {
-		return fmt.Errorf("-fault-seed must be non-negative, got %d", c.FaultSeed)
-	}
-	if c.MaxRetries < 0 {
-		return fmt.Errorf("-max-retries must be non-negative, got %d", c.MaxRetries)
-	}
-	if c.Faults > 0 && c.Engine != "dist" {
-		return fmt.Errorf("-faults requires -engine dist, got -engine %s", c.Engine)
-	}
-	if c.Checkpoint && c.Engine != "dist" {
-		return fmt.Errorf("-checkpoint requires -engine dist, got -engine %s", c.Engine)
-	}
-	if c.CkptBudget < 0 {
-		return fmt.Errorf("-checkpoint-budget must be non-negative, got %d", c.CkptBudget)
-	}
-	if c.CkptBudget > 0 && !c.Checkpoint {
-		return fmt.Errorf("-checkpoint-budget requires -checkpoint")
-	}
-	if c.Speculate && c.Engine != "dist" {
-		return fmt.Errorf("-speculate requires -engine dist, got -engine %s", c.Engine)
-	}
 	if c.PlanIn != "" && c.PlanOut != "" {
 		return fmt.Errorf("-plan-in and -plan-out are mutually exclusive")
 	}
-	if c.Peers != "" && c.Engine != "dist" {
-		return fmt.Errorf("-peers requires -engine dist, got -engine %s", c.Engine)
-	}
-	for _, p := range c.peerList() {
-		if p == "" {
-			return fmt.Errorf("-peers has an empty entry in %q", c.Peers)
-		}
-	}
-	return nil
+	return c.Config.Validate(c.Engine == "dist")
 }
 
-// peerList splits the -peers flag into worker addresses (nil when the
-// flag is unset — the in-process chan transport).
-func (c execConfig) peerList() []string {
-	if c.Peers == "" {
+// setPeers is the -peers flag's setter: a comma-separated list of
+// worker addresses (empty = the in-process chan transport).
+func (c *execConfig) setPeers(list string) error {
+	c.Peers = nil
+	if list == "" {
 		return nil
 	}
-	parts := strings.Split(c.Peers, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
+	for _, p := range strings.Split(list, ",") {
+		c.Peers = append(c.Peers, strings.TrimSpace(p))
 	}
-	return parts
+	return nil
 }

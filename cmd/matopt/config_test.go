@@ -3,17 +3,25 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"matopt/internal/dist"
 )
+
+func intp(n int) *int { return &n }
 
 // valid returns a config that passes validation; tests mutate one
 // field at a time.
 func valid() execConfig {
 	return execConfig{
-		Engine: "dist", Shards: 4, Scale: 100, Parallelism: 8,
-		Faults: 0, FaultSeed: 1, MaxRetries: 2,
+		Engine: "dist", Scale: 100, Parallelism: 8,
+		Config: dist.Config{Shards: 4, FaultSeed: 1, MaxRetries: intp(2)},
 	}
 }
 
+// TestExecConfigValidate: the CLI-only checks (scale, parallelism,
+// engine name, plan-in/out), and that every shared knob the flags bind
+// reaches dist.Config.Validate, whose full table is
+// dist.TestConfigValidate.
 func TestExecConfigValidate(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -24,44 +32,44 @@ func TestExecConfigValidate(t *testing.T) {
 		{"sim engine", func(c *execConfig) { c.Engine = "sim" }, ""},
 		{"seq engine", func(c *execConfig) { c.Engine = "seq" }, ""},
 		{"faults on dist", func(c *execConfig) { c.Faults = 5 }, ""},
-		{"zero retries", func(c *execConfig) { c.MaxRetries = 0 }, ""},
+		{"zero retries", func(c *execConfig) { c.MaxRetries = intp(0) }, ""},
 		{"zero fault seed", func(c *execConfig) { c.FaultSeed = 0 }, ""},
 		{"trace on sim", func(c *execConfig) { c.Engine = "sim"; c.Trace = true }, ""},
 		{"trace-out on seq", func(c *execConfig) { c.Engine = "seq"; c.TraceOut = "t.json" }, ""},
 		{"metrics on dist", func(c *execConfig) { c.Metrics = true }, ""},
 
-		{"zero kernel threads (auto)", func(c *execConfig) { c.KernThreads = 0 }, ""},
-		{"serial kernel threads", func(c *execConfig) { c.KernThreads = 1 }, ""},
-		{"many kernel threads", func(c *execConfig) { c.KernThreads = 64 }, ""},
-		{"kernel threads on seq", func(c *execConfig) { c.Engine = "seq"; c.KernThreads = 4 }, ""},
+		{"zero kernel threads (auto)", func(c *execConfig) { c.KernelThreads = 0 }, ""},
+		{"serial kernel threads", func(c *execConfig) { c.KernelThreads = 1 }, ""},
+		{"many kernel threads", func(c *execConfig) { c.KernelThreads = 64 }, ""},
+		{"kernel threads on seq", func(c *execConfig) { c.Engine = "seq"; c.KernelThreads = 4 }, ""},
 
 		{"zero parallelism", func(c *execConfig) { c.Parallelism = 0 }, "-parallelism"},
 		{"negative parallelism", func(c *execConfig) { c.Parallelism = -3 }, "-parallelism"},
-		{"zero shards", func(c *execConfig) { c.Shards = 0 }, "-shards"},
-		{"negative shards", func(c *execConfig) { c.Shards = -1 }, "-shards"},
+		{"zero shards", func(c *execConfig) { c.Shards = 0 }, ""}, // GOMAXPROCS, as on every surface
+		{"negative shards", func(c *execConfig) { c.Shards = -1 }, "shards must be non-negative"},
 		{"zero scale", func(c *execConfig) { c.Scale = 0 }, "-scale"},
 		{"negative scale", func(c *execConfig) { c.Scale = -100 }, "-scale"},
-		{"negative kernel threads", func(c *execConfig) { c.KernThreads = -1 }, "-kernel-threads must be non-negative"},
+		{"negative kernel threads", func(c *execConfig) { c.KernelThreads = -1 }, "kernel_threads must be non-negative"},
 		{"unknown engine", func(c *execConfig) { c.Engine = "mpi" }, "unknown engine"},
-		{"negative faults", func(c *execConfig) { c.Faults = -1 }, "-faults must be non-negative"},
-		{"negative fault seed", func(c *execConfig) { c.FaultSeed = -7 }, "-fault-seed"},
-		{"negative max retries", func(c *execConfig) { c.MaxRetries = -2 }, "-max-retries"},
-		{"faults with sim engine", func(c *execConfig) { c.Engine = "sim"; c.Faults = 3 }, "-faults requires -engine dist"},
-		{"faults with seq engine", func(c *execConfig) { c.Engine = "seq"; c.Faults = 1 }, "-faults requires -engine dist"},
+		{"negative faults", func(c *execConfig) { c.Faults = -1 }, "faults must be non-negative"},
+		{"negative fault seed", func(c *execConfig) { c.FaultSeed = -7 }, "fault_seed"},
+		{"negative max retries", func(c *execConfig) { c.MaxRetries = intp(-2) }, "max_retries"},
+		{"faults with sim engine", func(c *execConfig) { c.Engine = "sim"; c.Faults = 3 }, "faults requires engine dist"},
+		{"faults with seq engine", func(c *execConfig) { c.Engine = "seq"; c.Faults = 1 }, "faults requires engine dist"},
 
 		{"checkpoint on dist", func(c *execConfig) { c.Checkpoint = true }, ""},
-		{"checkpoint with budget", func(c *execConfig) { c.Checkpoint = true; c.CkptBudget = 1 << 20 }, ""},
+		{"checkpoint with budget", func(c *execConfig) { c.Checkpoint = true; c.CheckpointBudget = 1 << 20 }, ""},
 		{"speculate on dist", func(c *execConfig) { c.Speculate = true }, ""},
-		{"checkpoint on seq", func(c *execConfig) { c.Engine = "seq"; c.Checkpoint = true }, "-checkpoint requires -engine dist"},
-		{"negative checkpoint budget", func(c *execConfig) { c.Checkpoint = true; c.CkptBudget = -1 }, "-checkpoint-budget"},
-		{"budget without checkpoint", func(c *execConfig) { c.CkptBudget = 1024 }, "-checkpoint-budget requires -checkpoint"},
-		{"speculate on sim", func(c *execConfig) { c.Engine = "sim"; c.Speculate = true }, "-speculate requires -engine dist"},
+		{"checkpoint on seq", func(c *execConfig) { c.Engine = "seq"; c.Checkpoint = true }, "checkpoint requires engine dist"},
+		{"negative checkpoint budget", func(c *execConfig) { c.Checkpoint = true; c.CheckpointBudget = -1 }, "checkpoint_budget"},
+		{"budget without checkpoint", func(c *execConfig) { c.CheckpointBudget = 1024 }, "checkpoint_budget requires checkpoint"},
+		{"speculate on sim", func(c *execConfig) { c.Engine = "sim"; c.Speculate = true }, "speculate requires engine dist"},
 
-		{"peers on dist", func(c *execConfig) { c.Peers = "127.0.0.1:9431" }, ""},
-		{"peer list with local", func(c *execConfig) { c.Peers = "local,127.0.0.1:9431" }, ""},
-		{"peers on seq", func(c *execConfig) { c.Engine = "seq"; c.Peers = "127.0.0.1:9431" }, "-peers requires -engine dist"},
-		{"peers on sim", func(c *execConfig) { c.Engine = "sim"; c.Peers = "127.0.0.1:9431" }, "-peers requires -engine dist"},
-		{"empty peer entry", func(c *execConfig) { c.Peers = "127.0.0.1:9431,," }, "empty entry"},
+		{"peers on dist", func(c *execConfig) { c.setPeers("127.0.0.1:9431") }, ""},
+		{"peer list with local", func(c *execConfig) { c.setPeers("local,127.0.0.1:9431") }, ""},
+		{"peers on seq", func(c *execConfig) { c.Engine = "seq"; c.setPeers("127.0.0.1:9431") }, "peers requires engine dist"},
+		{"peers on sim", func(c *execConfig) { c.Engine = "sim"; c.setPeers("127.0.0.1:9431") }, "peers requires engine dist"},
+		{"empty peer entry", func(c *execConfig) { c.setPeers("127.0.0.1:9431,,") }, "peers[1] is empty"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -111,10 +119,15 @@ func TestTracingSelector(t *testing.T) {
 // flag so the user sees one actionable message, not a cascade.
 func TestValidateReportsFirstProblem(t *testing.T) {
 	c := valid()
-	c.Shards = 0
+	c.Scale = 0
+	c.Shards = -1
 	c.Faults = -1
 	err := c.validate()
-	if err == nil || !strings.Contains(err.Error(), "-shards") {
-		t.Fatalf("want the -shards error first, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), "-scale") {
+		t.Fatalf("want the -scale error first, got %v", err)
+	}
+	c.Scale = 100
+	if err = c.validate(); err == nil || !strings.Contains(err.Error(), "shards") {
+		t.Fatalf("want the shards error next, got %v", err)
 	}
 }

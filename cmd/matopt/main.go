@@ -5,15 +5,12 @@
 //
 // With -engine seq or -engine dist the plan is also executed on real
 // (randomly generated) matrices, scaled down by -scale so the workloads
-// fit in one process. The dist engine shards every relation across
-// -shards workers, verifies its outputs bit-for-bit against the
-// sequential engine, and prints the measured shuffle traffic.
-//
-// -faults N injects a seeded schedule of N deterministic failures
-// (crashed tasks, dropped or delayed exchanges, straggler shards) into
-// the dist run; the runtime recovers via lineage-based retries (capped
-// by -max-retries) and, when retries are exhausted, degrades to the
-// sequential engine — outputs stay bit-identical either way.
+// fit in one process. The dist engine shards every relation, verifies
+// its outputs bit-for-bit against the sequential engine, and prints the
+// measured shuffle traffic. Its run-time flags (-shards, -kernel-threads,
+// -max-retries, -fallback, -checkpoint, -checkpoint-budget, -speculate,
+// -faults, -fault-seed, -peers) are the fields of dist.Config, whose
+// comments are their reference; DESIGN.md §17 has the table.
 //
 //	matopt -workload ffnn -hidden 80000 -workers 10
 //	matopt -workload chain -sizeset 2
@@ -25,11 +22,6 @@
 // as a Chrome trace_event file loadable in chrome://tracing or
 // Perfetto; -metrics dumps the process metrics registry (plan-cache
 // hit rate, shuffle bytes, retry counts — DESIGN.md §11).
-//
-// -peers runs the dist engine's exchanges over real TCP: each entry is
-// a `matoptd -worker` address (or the literal "local" for in-process
-// hosting), and shard s lives on peer s mod len(peers). README's
-// "running a real cluster" walks through a two-process loopback run.
 //
 //	matopt -workload ffnn -engine dist -shards 8 -scale 500
 //	matopt -workload chain -engine dist -shards 4 -peers 127.0.0.1:9431
@@ -67,7 +59,6 @@ import (
 	"matopt/internal/dist"
 	"matopt/internal/engine"
 	"matopt/internal/format"
-	"matopt/internal/netfabric"
 	"matopt/internal/obs"
 	"matopt/internal/plan"
 	"matopt/internal/shape"
@@ -84,38 +75,29 @@ func main() {
 	formatSet := flag.String("formats", "all", "format universe: all | ssb (single/strip/block) | sb (single/block)")
 	alg := flag.String("alg", "auto", "optimization algorithm: auto (tree DP / frontier) | brute")
 	budget := flag.Duration("brute-budget", 30*time.Second, "brute-force time budget")
-	par := flag.Int("parallelism", runtime.GOMAXPROCS(0), "frontier worker pool size")
 	stats := flag.Bool("stats", false, "print optimizer search statistics")
 	dot := flag.Bool("dot", false, "emit the annotated compute graph in Graphviz format (Figure 2 style)")
-	engSel := flag.String("engine", "sim", "sim (simulate at paper scale) | seq | dist (execute, scaled by -scale)")
-	shards := flag.Int("shards", dist.DefaultShards(), "dist engine shard count")
-	scale := flag.Int64("scale", 100, "divisor applied to workload dimensions before real execution")
-	kernThreads := flag.Int("kernel-threads", 0, "threads per local compute kernel (0 = auto-size to the machine, 1 = serial; bit-identical at every setting)")
-	faults := flag.Int("faults", 0, "number of seeded faults to inject into the dist run (0 = none)")
-	faultSeed := flag.Int64("fault-seed", 1, "seed for the injected fault schedule")
-	maxRetries := flag.Int("max-retries", dist.DefaultMaxRetries, "dist engine per-vertex retry budget")
-	fallback := flag.Bool("fallback", true, "degrade to the sequential engine when dist retries are exhausted")
-	checkpoint := flag.Bool("checkpoint", false, "pin cost-model-chosen intermediates resident for recovery (dist)")
-	ckptBudget := flag.Int64("checkpoint-budget", 0, "cap on checkpoint-pinned bytes, deepest vertices first (0 = unbounded)")
-	speculate := flag.Bool("speculate", false, "launch speculative duplicates of straggling dist vertices")
-	peers := flag.String("peers", "", "comma-separated matoptd -worker addresses for the dist TCP transport (\"local\" = in-process shard)")
-	trace := flag.Bool("trace", false, "print a span tree of the run (optimizer phases, dist vertices, exchanges)")
-	traceOut := flag.String("trace-out", "", "write the run's spans as a Chrome trace_event file to this path")
-	metrics := flag.Bool("metrics", false, "print the process metrics registry after the run")
-	explain := flag.Bool("explain", false, "print the lowered physical plan with per-operator costs")
-	planOut := flag.String("plan-out", "", "write the serialized physical plan to this path")
-	planIn := flag.String("plan-in", "", "load a serialized physical plan from this path instead of optimizing")
+	var cfg execConfig
+	flag.IntVar(&cfg.Parallelism, "parallelism", runtime.GOMAXPROCS(0), "frontier worker pool size")
+	flag.StringVar(&cfg.Engine, "engine", "sim", "sim (simulate at paper scale) | seq | dist (execute, scaled by -scale)")
+	flag.IntVar(&cfg.Shards, "shards", 0, "dist engine shard count (0 = GOMAXPROCS)")
+	flag.Int64Var(&cfg.Scale, "scale", 100, "divisor applied to workload dimensions before real execution")
+	flag.IntVar(&cfg.KernelThreads, "kernel-threads", 0, "threads per local compute kernel (0 = auto-size to the machine, 1 = serial; bit-identical at every setting)")
+	flag.IntVar(&cfg.Faults, "faults", 0, "number of seeded faults to inject into the dist run (0 = none)")
+	flag.Int64Var(&cfg.FaultSeed, "fault-seed", 1, "seed for the injected fault schedule")
+	cfg.MaxRetries = flag.Int("max-retries", dist.DefaultMaxRetries, "dist engine per-vertex retry budget (0 = fail on the first fault)")
+	flag.BoolVar(&cfg.Fallback, "fallback", true, "degrade to the sequential engine when dist retries are exhausted")
+	flag.BoolVar(&cfg.Checkpoint, "checkpoint", false, "pin cost-model-chosen intermediates resident for recovery (dist)")
+	flag.Int64Var(&cfg.CheckpointBudget, "checkpoint-budget", 0, "cap on checkpoint-pinned bytes, deepest vertices first (0 = unbounded)")
+	flag.BoolVar(&cfg.Speculate, "speculate", false, "launch speculative duplicates of straggling dist vertices")
+	flag.Func("peers", "comma-separated matoptd -worker addresses for the dist TCP transport (\"local\" = in-process shard)", cfg.setPeers)
+	flag.BoolVar(&cfg.Trace, "trace", false, "print a span tree of the run (optimizer phases, dist vertices, exchanges)")
+	flag.StringVar(&cfg.TraceOut, "trace-out", "", "write the run's spans as a Chrome trace_event file to this path")
+	flag.BoolVar(&cfg.Metrics, "metrics", false, "print the process metrics registry after the run")
+	flag.BoolVar(&cfg.Explain, "explain", false, "print the lowered physical plan with per-operator costs")
+	flag.StringVar(&cfg.PlanOut, "plan-out", "", "write the serialized physical plan to this path")
+	flag.StringVar(&cfg.PlanIn, "plan-in", "", "load a serialized physical plan from this path instead of optimizing")
 	flag.Parse()
-
-	cfg := execConfig{
-		Engine: *engSel, Shards: *shards, Scale: *scale, Parallelism: *par,
-		KernThreads: *kernThreads,
-		Faults:      *faults, FaultSeed: *faultSeed, MaxRetries: *maxRetries,
-		Fallback: *fallback, Checkpoint: *checkpoint, CkptBudget: *ckptBudget,
-		Speculate: *speculate, Peers: *peers,
-		Trace: *trace, TraceOut: *traceOut, Metrics: *metrics,
-		Explain: *explain, PlanOut: *planOut, PlanIn: *planIn,
-	}
 	if err := cfg.validate(); err != nil {
 		log.Fatal(err)
 	}
@@ -129,7 +111,7 @@ func main() {
 	var err error
 	rng := rand.New(rand.NewSource(1))
 	if execute {
-		g, inputs, err = buildExecutable(*wl, *hidden, *sizeSet, *scale, rng)
+		g, inputs, err = buildExecutable(*wl, *hidden, *sizeSet, cfg.Scale, rng)
 	} else {
 		g, err = buildPaperScale(*wl, *hidden, *sizeSet)
 	}
@@ -154,15 +136,13 @@ func main() {
 	}
 	// One root span wraps optimization and execution so the exported
 	// trace's top-level spans cover the whole measured run.
-	var tr *obs.Tracer
-	var root *obs.Span
 	if cfg.tracing() {
-		tr = obs.NewTracer()
-		root = tr.Start(nil, "matopt").SetStr("workload", *wl).SetStr("engine", cfg.Engine)
+		cfg.Tracer = obs.NewTracer()
+		cfg.Span = cfg.Tracer.Start(nil, "matopt").SetStr("workload", *wl).SetStr("engine", cfg.Engine)
 	}
-	sessOpts := []core.SessionOption{core.WithParallelism(*par)}
-	if tr != nil {
-		sessOpts = append(sessOpts, core.WithTracer(tr, root))
+	sessOpts := []core.SessionOption{core.WithParallelism(cfg.Parallelism)}
+	if cfg.Tracer != nil {
+		sessOpts = append(sessOpts, core.WithTracer(cfg.Tracer, cfg.Span))
 	}
 	var ann *core.Annotation
 	var phys *plan.Plan
@@ -225,8 +205,8 @@ func main() {
 	}
 
 	if execute {
-		run(ctx, cfg, env.Cluster, phys, inputs, tr, root)
-		emitObs(cfg, tr, root)
+		run(ctx, cfg, env.Cluster, phys, inputs)
+		emitObs(cfg)
 		return
 	}
 	rep, err := engine.SimulatePlan(phys, env)
@@ -238,16 +218,16 @@ func main() {
 	fmt.Printf("features: %.3g FLOPs, %.3g net bytes, %.3g intermediate bytes, %.0f tuples\n",
 		rep.Features.FLOPs, rep.Features.NetBytes, rep.Features.InterBytes, rep.Features.Tuples)
 	fmt.Printf("peak per-worker working set: %.1f GB\n", rep.PeakWorkerBytes/(1<<30))
-	emitObs(cfg, tr, root)
+	emitObs(cfg)
 }
 
 // emitObs closes the root span and writes whichever observability
 // outputs the flags asked for: the span tree (-trace), a Chrome
 // trace_event file (-trace-out) and the metrics registry (-metrics).
-func emitObs(cfg execConfig, tr *obs.Tracer, root *obs.Span) {
-	root.End()
-	if tr != nil {
-		snap := tr.Snapshot()
+func emitObs(cfg execConfig) {
+	cfg.Span.End()
+	if cfg.Tracer != nil {
+		snap := cfg.Tracer.Snapshot()
 		if cfg.Trace {
 			fmt.Printf("\ntrace (%d spans, root coverage %.0f%%):\n%s",
 				len(snap.Spans), 100*snap.WallCoverage(), snap.Tree())
@@ -379,9 +359,9 @@ func buildExecutable(wl string, hidden int64, sizeSet int, scale int64, rng *ran
 // runs the sequential engine too and cross-checks every output bit by
 // bit. When cfg.Faults > 0, a seeded fault schedule is injected and the
 // run must recover (or, with -fallback, degrade) to the same bits.
-func run(ctx context.Context, cfg execConfig, cl costmodel.Cluster, phys *plan.Plan, inputs map[string]*tensor.Dense, tr *obs.Tracer, root *obs.Span) {
+func run(ctx context.Context, cfg execConfig, cl costmodel.Cluster, phys *plan.Plan, inputs map[string]*tensor.Dense) {
 	seq := engine.New(cl)
-	seq.KernelThreads = cfg.KernThreads
+	seq.KernelThreads = cfg.KernelThreads
 	t0 := time.Now()
 	want, err := seq.RunPlanCollectCtx(ctx, phys, inputs)
 	if err != nil {
@@ -393,42 +373,15 @@ func run(ctx context.Context, cfg execConfig, cl costmodel.Cluster, phys *plan.P
 		return
 	}
 
-	opts := []dist.Option{dist.WithMaxRetries(cfg.MaxRetries)}
-	if cfg.KernThreads > 0 {
-		opts = append(opts, dist.WithKernelThreads(cfg.KernThreads))
-	}
-	if tr != nil {
-		opts = append(opts, dist.WithTracer(tr, root))
-	}
-	if cfg.Checkpoint {
-		opts = append(opts, dist.WithCheckpointing(0, cfg.CkptBudget))
-	}
-	if cfg.Speculate {
-		opts = append(opts, dist.WithSpeculation(dist.DefaultSpeculation()))
-	}
-	if pl := cfg.peerList(); pl != nil {
-		tp, err := netfabric.NewTCP(pl)
-		if err != nil {
-			log.Fatalf("-peers: %v", err)
-		}
-		defer tp.Close()
-		opts = append(opts, dist.WithTransport(tp))
-	}
-	if cfg.Faults > 0 {
-		ids := make([]int, 0, len(phys.Graph.Vertices))
-		for _, v := range phys.Graph.Vertices {
-			ids = append(ids, v.ID)
-		}
-		fp := dist.RandomFaults(cfg.FaultSeed, cfg.Faults, ids, cfg.Shards)
-		fmt.Printf("injecting %d seeded faults (seed %d):\n", cfg.Faults, cfg.FaultSeed)
-		for _, f := range fp.Faults() {
-			fmt.Printf("  %v\n", f)
-		}
-		opts = append(opts, dist.WithFaults(fp))
-	}
-	rt, err := dist.New(cl, cfg.Shards, opts...)
+	rt, err := dist.New(cl, cfg.Config)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if sched := rt.FaultSchedule(phys); len(sched) > 0 {
+		fmt.Printf("injecting %d seeded faults (seed %d):\n", len(sched), rt.Config().FaultSeed)
+		for _, f := range sched {
+			fmt.Printf("  %v\n", f)
+		}
 	}
 	got, rep, err := rt.RunPlan(ctx, phys, inputs)
 	if err != nil {
@@ -439,7 +392,7 @@ func run(ctx context.Context, cfg execConfig, cl costmodel.Cluster, phys *plan.P
 		// hand, so report the downgrade and serve those.
 		rep.Degraded = true
 		rep.DegradedCause = err.Error()
-		fmt.Printf("dist engine (%d shards) degraded to sequential: %v\n%s", cfg.Shards, err, rep)
+		fmt.Printf("dist engine (%d shards) degraded to sequential: %v\n%s", rep.Shards, err, rep)
 		return
 	}
 	for id, w := range want {
@@ -453,7 +406,7 @@ func run(ctx context.Context, cfg execConfig, cl costmodel.Cluster, phys *plan.P
 			}
 		}
 	}
-	fmt.Printf("dist engine (%d shards): outputs bit-identical to sequential ✓\n%s", cfg.Shards, rep)
+	fmt.Printf("dist engine (%d shards): outputs bit-identical to sequential ✓\n%s", rep.Shards, rep)
 	if rep.Wall > 0 {
 		fmt.Printf("speedup over sequential: %.2fx\n", float64(seqWall)/float64(rep.Wall))
 	}

@@ -48,7 +48,9 @@ func main() {
 	}
 
 	// The dist engine: shards every relation across 4 worker shards and
-	// meters every byte that crosses a shard boundary.
+	// meters every byte that crosses a shard boundary. The other run-time
+	// knobs are fields of matopt.ExecConfig (matopt.WithExecConfig;
+	// DESIGN.md §17 has the table).
 	ex := matopt.NewExecutor(matopt.ClusterR5D(4),
 		matopt.WithEngineKind(matopt.DistEngine), matopt.WithShards(4))
 	got, err := ex.RunSingle(plan, inputs)

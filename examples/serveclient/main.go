@@ -80,6 +80,7 @@ func main() {
 
 	// Execute on the sequential engine and on the fault-injected dist
 	// engine; the SHA-256 digests prove the outputs are bit-identical.
+	// The run-time keys are matopt.ExecConfig's JSON names (DESIGN.md §17).
 	fmt.Println("== POST /execute  seq vs dist+faults")
 	seq := post("/execute", `{"workload":"chain","scale":400}`)
 	dist := post("/execute", `{"workload":"chain","scale":400,"engine":"dist","shards":3,"faults":2,"fallback":true}`)

@@ -81,8 +81,8 @@ func TestExecutorFaultPaths(t *testing.T) {
 	for _, v := range plan.Annotation().Graph.Vertices {
 		faults = append(faults, Fault{Kind: FaultCrash, Vertex: v.ID})
 	}
-	recov := NewExecutor(cl, WithEngineKind(DistEngine), WithShards(4),
-		WithFaults(NewFaultPlan(faults...)))
+	recov := NewExecutor(cl, WithEngineKind(DistEngine),
+		WithExecConfig(ExecConfig{Shards: 4, FaultPlan: NewFaultPlan(faults...)}))
 	got, err = recov.Run(plan, inputs)
 	if err != nil {
 		t.Fatalf("recovery run failed: %v", err)
@@ -102,8 +102,9 @@ func TestExecutorFaultPaths(t *testing.T) {
 		Fault{Kind: FaultCrash, Vertex: v, Attempt: 0},
 		Fault{Kind: FaultCrash, Vertex: v, Attempt: 1},
 	)
-	degraded := NewExecutor(cl, WithEngineKind(DistEngine), WithShards(4),
-		WithFaults(always), WithMaxRetries(1), WithFallback())
+	one := 1
+	degraded := NewExecutor(cl, WithEngineKind(DistEngine),
+		WithExecConfig(ExecConfig{Shards: 4, FaultPlan: always, MaxRetries: &one, Fallback: true}))
 	got, err = degraded.Run(plan, inputs)
 	if err != nil {
 		t.Fatalf("fallback run failed: %v", err)
@@ -117,12 +118,12 @@ func TestExecutorFaultPaths(t *testing.T) {
 		t.Fatal("downgrade cause missing from report")
 	}
 
-	// The same schedule without WithFallback must surface the typed error.
-	strict := NewExecutor(cl, WithEngineKind(DistEngine), WithShards(4),
-		WithFaults(NewFaultPlan(
+	// The same schedule without Fallback must surface the typed error.
+	strict := NewExecutor(cl, WithEngineKind(DistEngine),
+		WithExecConfig(ExecConfig{Shards: 4, MaxRetries: &one, FaultPlan: NewFaultPlan(
 			Fault{Kind: FaultCrash, Vertex: v, Attempt: 0},
 			Fault{Kind: FaultCrash, Vertex: v, Attempt: 1},
-		)), WithMaxRetries(1))
+		)}))
 	if _, err := strict.Run(plan, inputs); !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, ErrShardFailed) {
 		t.Fatalf("want ErrRetriesExhausted wrapping ErrShardFailed, got %v", err)
 	}
@@ -134,7 +135,7 @@ func TestExecutorFaultPaths(t *testing.T) {
 func TestFallbackNeverMasksCancellation(t *testing.T) {
 	plan, inputs, _ := faultGolden(t)
 	cl := costmodel.LocalTest(3)
-	exec := NewExecutor(cl, WithEngineKind(DistEngine), WithShards(4), WithFallback())
+	exec := NewExecutor(cl, WithEngineKind(DistEngine), WithExecConfig(ExecConfig{Shards: 4, Fallback: true}))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := exec.RunCtx(ctx, plan, inputs); !errors.Is(err, context.Canceled) {

@@ -12,39 +12,19 @@ import (
 	"matopt/internal/core"
 	"matopt/internal/costmodel"
 	"matopt/internal/dist"
-	"matopt/internal/engine"
 	"matopt/internal/format"
-	"matopt/internal/obs"
 	"matopt/internal/shape"
 	"matopt/internal/tensor"
 	"matopt/internal/workload"
 )
 
-// benchResult is the record `make bench` writes to BENCH_dist.json.
-// PhaseNs is a span-derived breakdown of one traced run: total
-// nanoseconds per span name (dist.run, vertex, exchange, …), summed
-// over a separate instrumented pass so the timed loop stays untraced.
-type benchResult struct {
-	Workload   string           `json:"workload"`
-	Shards     int              `json:"shards"`
-	GOMAXPROCS int              `json:"gomaxprocs"`
-	NumCPU     int              `json:"numcpu"`
-	SeqNs      int64            `json:"seq_ns"`
-	DistNs     int64            `json:"dist_ns"`
-	Speedup    float64          `json:"speedup"`
-	NetBytes   int64            `json:"net_bytes"`
-	PeakBytes  int64            `json:"peak_bytes"`
-	PhaseNs    map[string]int64 `json:"phase_ns"`
-}
+// benchShards is the shard count both benchmarks run at.
+const benchShards = 8
 
-// BenchmarkDistVsSequential times the same optimized plan on the
-// sequential reference engine and on the dist runtime at 8 shards. The
-// speedup metric reflects the host: on a multi-core machine the shards
-// run on separate cores; on a single-core container both engines do the
-// same work and the ratio hovers around 1. When BENCH_DIST_JSON names a
-// file, the measured comparison is written there as JSON.
-func BenchmarkDistVsSequential(b *testing.B) {
-	const shards = 8
+// benchChain optimizes the scaled matmul chain both benchmarks run and
+// returns it with a timer for one run of it under a given Config. Every timed run builds a fresh runtime: FaultPlan latches are
+// once-only, so a fault variant re-arms its plan every iteration.
+func benchChain(b *testing.B) (*core.Annotation, func(dist.Config) (time.Duration, *dist.Report)) {
 	sz := workload.ChainSizes{
 		Name: "bench",
 		A:    shape.New(200, 600), B: shape.New(600, 1000),
@@ -55,9 +35,8 @@ func BenchmarkDistVsSequential(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cl := costmodel.LocalTest(shards)
-	env := core.NewEnv(cl, format.All())
-	ann, err := core.Optimize(g, env)
+	cl := costmodel.LocalTest(benchShards)
+	ann, err := core.Optimize(g, core.NewEnv(cl, format.All()))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -67,175 +46,20 @@ func BenchmarkDistVsSequential(b *testing.B) {
 		"A": mk(sz.A), "B": mk(sz.B), "C": mk(sz.C),
 		"D": mk(sz.D), "E": mk(sz.E), "F": mk(sz.F),
 	}
-	eng := engine.New(cl)
-	rt, err := dist.New(cl, shards)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	var seqTotal, distTotal time.Duration
-	var rep *dist.Report
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	timeRun := func(cfg dist.Config) (time.Duration, *dist.Report) {
+		cfg.Shards = benchShards
+		rt, err := dist.New(cl, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		t0 := time.Now()
-		if _, err := eng.RunCollect(ann, inputs); err != nil {
-			b.Fatal(err)
-		}
-		seqTotal += time.Since(t0)
-
-		t1 := time.Now()
-		var err error
-		if _, rep, err = rt.Run(context.Background(), ann, inputs); err != nil {
-			b.Fatal(err)
-		}
-		distTotal += time.Since(t1)
-	}
-	b.StopTimer()
-
-	seqNs := seqTotal.Nanoseconds() / int64(b.N)
-	distNs := distTotal.Nanoseconds() / int64(b.N)
-	speedup := float64(seqNs) / float64(distNs)
-	b.ReportMetric(float64(seqNs), "seq-ns/op")
-	b.ReportMetric(float64(distNs), "dist-ns/op")
-	b.ReportMetric(speedup, "speedup")
-
-	if path := os.Getenv("BENCH_DIST_JSON"); path != "" {
-		// One traced pass, outside the timed loop, for the phase
-		// breakdown.
-		tr := obs.NewTracer()
-		trt, err := dist.New(cl, shards, dist.WithTracer(tr, nil))
+		_, rep, err := rt.Run(context.Background(), ann, inputs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := trt.Run(context.Background(), ann, inputs); err != nil {
-			b.Fatal(err)
-		}
-		phases := make(map[string]int64)
-		for name, d := range tr.Snapshot().DurationsByName() {
-			phases[name] = d.Nanoseconds()
-		}
-		out, err := json.MarshalIndent(benchResult{
-			Workload:   "matmul-chain (scaled)",
-			Shards:     shards,
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			NumCPU:     runtime.NumCPU(),
-			SeqNs:      seqNs,
-			DistNs:     distNs,
-			Speedup:    speedup,
-			NetBytes:   rep.NetBytes,
-			PeakBytes:  rep.PeakBytes,
-			PhaseNs:    phases,
-		}, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
+		return time.Since(t0), rep
 	}
-}
-
-// obsBenchResult is the record `make bench` writes to BENCH_obs.json:
-// the same workload with tracing off (the default every production run
-// pays: nil-receiver span hooks plus the always-on metrics registry)
-// and with a live tracer recording every span. untraced_ns is directly
-// comparable with dist_ns in BENCH_dist.json.
-type obsBenchResult struct {
-	Workload    string  `json:"workload"`
-	Shards      int     `json:"shards"`
-	GOMAXPROCS  int     `json:"gomaxprocs"`
-	NumCPU      int     `json:"numcpu"`
-	UntracedNs  int64   `json:"untraced_ns"`
-	TracedNs    int64   `json:"traced_ns"`
-	Spans       int     `json:"spans_per_run"`
-	OverheadPct float64 `json:"tracing_overhead_pct"` // (traced - untraced) / untraced
-}
-
-// BenchmarkDistTracingOverhead measures what the observability layer
-// costs a dist run: disabled tracing must stay within noise of the
-// pre-obs runtime (the per-op cost of a nil-span hook is benchmarked
-// separately in internal/obs), and enabled tracing should stay cheap
-// enough to leave on during debugging. When BENCH_OBS_JSON names a
-// file, the comparison is written there as JSON.
-func BenchmarkDistTracingOverhead(b *testing.B) {
-	const shards = 8
-	sz := workload.ChainSizes{
-		Name: "bench",
-		A:    shape.New(200, 600), B: shape.New(600, 1000),
-		C: shape.New(1000, 1), D: shape.New(1, 1000),
-		E: shape.New(1000, 200), F: shape.New(1000, 200),
-	}
-	g, err := workload.MatMulChain(sz)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cl := costmodel.LocalTest(shards)
-	env := core.NewEnv(cl, format.All())
-	ann, err := core.Optimize(g, env)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	mk := func(s shape.Shape) *tensor.Dense { return tensor.RandNormal(rng, int(s.Rows), int(s.Cols)) }
-	inputs := map[string]*tensor.Dense{
-		"A": mk(sz.A), "B": mk(sz.B), "C": mk(sz.C),
-		"D": mk(sz.D), "E": mk(sz.E), "F": mk(sz.F),
-	}
-	plain, err := dist.New(cl, shards)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := obs.NewTracer()
-	traced, err := dist.New(cl, shards, dist.WithTracer(tr, nil))
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	var untracedTotal, tracedTotal time.Duration
-	var spans int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		if _, _, err := plain.Run(context.Background(), ann, inputs); err != nil {
-			b.Fatal(err)
-		}
-		untracedTotal += time.Since(t0)
-
-		tr.Reset()
-		t1 := time.Now()
-		if _, _, err := traced.Run(context.Background(), ann, inputs); err != nil {
-			b.Fatal(err)
-		}
-		tracedTotal += time.Since(t1)
-		spans = len(tr.Snapshot().Spans)
-	}
-	b.StopTimer()
-
-	untracedNs := untracedTotal.Nanoseconds() / int64(b.N)
-	tracedNs := tracedTotal.Nanoseconds() / int64(b.N)
-	overhead := float64(tracedNs-untracedNs) / float64(untracedNs)
-	b.ReportMetric(float64(untracedNs), "untraced-ns/op")
-	b.ReportMetric(float64(tracedNs), "traced-ns/op")
-	b.ReportMetric(float64(spans), "spans/run")
-
-	if path := os.Getenv("BENCH_OBS_JSON"); path != "" {
-		out, err := json.MarshalIndent(obsBenchResult{
-			Workload:    "matmul-chain (scaled)",
-			Shards:      shards,
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			NumCPU:      runtime.NumCPU(),
-			UntracedNs:  untracedNs,
-			TracedNs:    tracedNs,
-			Spans:       spans,
-			OverheadPct: overhead * 100,
-		}, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return ann, timeRun
 }
 
 // faultBenchResult is the record `make bench` writes to
@@ -247,7 +71,7 @@ type faultBenchResult struct {
 	Shards          int     `json:"shards"`
 	GOMAXPROCS      int     `json:"gomaxprocs"`
 	NumCPU          int     `json:"numcpu"`
-	NoFaultNs       int64   `json:"nofault_ns"`       // nil FaultPlan: the PR-2-comparable number
+	NoFaultNs       int64   `json:"nofault_ns"`       // nil FaultPlan: what every fault-free run pays
 	EmptyPlanNs     int64   `json:"empty_plan_ns"`    // armed but empty plan: per-hook lookup cost
 	CrashRecoverNs  int64   `json:"crash_recover_ns"` // crash every vertex once, recover
 	RecoveryRetries int64   `json:"recovery_retries"`
@@ -255,65 +79,27 @@ type faultBenchResult struct {
 }
 
 // BenchmarkDistFaultOverhead measures what fault tolerance costs a run
-// that never fails. The nofault_ns series is directly comparable with
-// dist_ns in BENCH_dist.json (same workload, same shard count): the
-// nil-plan hooks and per-vertex attempt counters must stay within noise
-// of the pre-recovery runtime. When BENCH_DIST_FAULTS_JSON names a
-// file, the comparison is written there as JSON.
+// that never fails: an armed-but-empty plan next to a nil one prices the
+// per-hook lookups, and crashing every vertex once prices a full
+// recovery. When BENCH_DIST_FAULTS_JSON names a file, the comparison is
+// written there as JSON.
 func BenchmarkDistFaultOverhead(b *testing.B) {
-	const shards = 8
-	sz := workload.ChainSizes{
-		Name: "bench",
-		A:    shape.New(200, 600), B: shape.New(600, 1000),
-		C: shape.New(1000, 1), D: shape.New(1, 1000),
-		E: shape.New(1000, 200), F: shape.New(1000, 200),
-	}
-	g, err := workload.MatMulChain(sz)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cl := costmodel.LocalTest(shards)
-	env := core.NewEnv(cl, format.All())
-	ann, err := core.Optimize(g, env)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	mk := func(s shape.Shape) *tensor.Dense { return tensor.RandNormal(rng, int(s.Rows), int(s.Cols)) }
-	inputs := map[string]*tensor.Dense{
-		"A": mk(sz.A), "B": mk(sz.B), "C": mk(sz.C),
-		"D": mk(sz.D), "E": mk(sz.E), "F": mk(sz.F),
-	}
+	ann, timeRun := benchChain(b)
 	var crashAll []dist.Fault
 	for _, v := range ann.Graph.Vertices {
 		crashAll = append(crashAll, dist.Fault{Kind: dist.FaultCrash, Vertex: v.ID})
-	}
-
-	// A fresh runtime per variant: FaultPlan latches are once-only, so
-	// the crash variant re-arms its plan every iteration.
-	timeRun := func(opts ...dist.Option) (time.Duration, *dist.Report) {
-		rt, err := dist.New(cl, shards, opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		t0 := time.Now()
-		_, rep, err := rt.Run(context.Background(), ann, inputs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(t0), rep
 	}
 
 	var noFault, emptyPlan, crashRecover time.Duration
 	var retries int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, _ := timeRun()
+		d, _ := timeRun(dist.Config{})
 		noFault += d
-		d, _ = timeRun(dist.WithFaults(dist.NewFaultPlan()))
+		d, _ = timeRun(dist.Config{FaultPlan: dist.NewFaultPlan()})
 		emptyPlan += d
 		var rep *dist.Report
-		d, rep = timeRun(dist.WithFaults(dist.NewFaultPlan(crashAll...)))
+		d, rep = timeRun(dist.Config{FaultPlan: dist.NewFaultPlan(crashAll...)})
 		crashRecover += d
 		retries = rep.Retries
 	}
@@ -330,7 +116,7 @@ func BenchmarkDistFaultOverhead(b *testing.B) {
 	if path := os.Getenv("BENCH_DIST_FAULTS_JSON"); path != "" {
 		out, err := json.MarshalIndent(faultBenchResult{
 			Workload:        "matmul-chain (scaled)",
-			Shards:          shards,
+			Shards:          benchShards,
 			GOMAXPROCS:      runtime.GOMAXPROCS(0),
 			NumCPU:          runtime.NumCPU(),
 			NoFaultNs:       noFaultNs,
@@ -376,56 +162,21 @@ type recoveryBenchResult struct {
 // shorter redo chain. When BENCH_RECOVERY_JSON names a file, the
 // comparison is written there as JSON.
 func BenchmarkRecovery(b *testing.B) {
-	const shards = 8
-	sz := workload.ChainSizes{
-		Name: "bench",
-		A:    shape.New(200, 600), B: shape.New(600, 1000),
-		C: shape.New(1000, 1), D: shape.New(1, 1000),
-		E: shape.New(1000, 200), F: shape.New(1000, 200),
-	}
-	g, err := workload.MatMulChain(sz)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cl := costmodel.LocalTest(shards)
-	env := core.NewEnv(cl, format.All())
-	ann, err := core.Optimize(g, env)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	mk := func(s shape.Shape) *tensor.Dense { return tensor.RandNormal(rng, int(s.Rows), int(s.Cols)) }
-	inputs := map[string]*tensor.Dense{
-		"A": mk(sz.A), "B": mk(sz.B), "C": mk(sz.C),
-		"D": mk(sz.D), "E": mk(sz.E), "F": mk(sz.F),
-	}
+	ann, timeRun := benchChain(b)
 	sink := ann.Graph.Vertices[len(ann.Graph.Vertices)-1].ID
 	lossPlan := func() *dist.FaultPlan {
 		return dist.NewFaultPlan(dist.Fault{Kind: dist.FaultNodeLoss, Vertex: sink})
-	}
-
-	timeRun := func(opts ...dist.Option) (time.Duration, *dist.Report) {
-		rt, err := dist.New(cl, shards, opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		t0 := time.Now()
-		_, rep, err := rt.Run(context.Background(), ann, inputs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(t0), rep
 	}
 
 	var clean, cascade, checkpoint time.Duration
 	var cascRep, ckptRep *dist.Report
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, _ := timeRun()
+		d, _ := timeRun(dist.Config{})
 		clean += d
-		d, cascRep = timeRun(dist.WithFaults(lossPlan()))
+		d, cascRep = timeRun(dist.Config{FaultPlan: lossPlan()})
 		cascade += d
-		d, ckptRep = timeRun(dist.WithFaults(lossPlan()), dist.WithCheckpointing(0, 0))
+		d, ckptRep = timeRun(dist.Config{FaultPlan: lossPlan(), Checkpoint: true})
 		checkpoint += d
 	}
 	b.StopTimer()
@@ -445,7 +196,7 @@ func BenchmarkRecovery(b *testing.B) {
 		}
 		out, err := json.MarshalIndent(recoveryBenchResult{
 			Workload:           "matmul-chain (scaled)",
-			Shards:             shards,
+			Shards:             benchShards,
 			GOMAXPROCS:         runtime.GOMAXPROCS(0),
 			NumCPU:             runtime.NumCPU(),
 			CleanNs:            cleanNs,

@@ -68,7 +68,7 @@ func measuredVsPredicted(t *testing.T, name string, g *core.Graph, ann *core.Ann
 		}
 		ceiling := costmodel.NetBytesCeiling(out.Features.NetBytes, shards)
 
-		rt, err := dist.New(cl, shards)
+		rt, err := dist.New(cl, dist.Config{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}

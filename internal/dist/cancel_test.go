@@ -38,7 +38,7 @@ func TestCancelMidRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	inputs := map[string]*tensor.Dense{"A": tensor.RandNormal(rng, n, n)}
 
-	rt, err := dist.New(env.Cluster, 4)
+	rt, err := dist.New(env.Cluster, dist.Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,13 @@
 // vertex-duration histograms, retries — and its Report is built as a
 // view over that registry, including on failed and degraded runs, then
 // merged into the process-wide registry (DESIGN.md §11). With a tracer
-// attached (WithTracer) each run also records a span tree: dist.run →
+// attached (Config.Tracer) each run also records a span tree: dist.run →
 // vertex → attempt → exchange, plus retry.backoff during recovery.
 // Reports can be held against the cost model's predicted features.
+//
+// Everything a caller may set about a run is a field of Config, the
+// struct New takes and the public API, the /execute body and the CLI
+// all bind to; Config.Validate is the only place a knob is checked.
 //
 // Determinism: the runtime produces byte-identical results to the
 // sequential engine, which interprets the same table at one shard.
@@ -34,7 +38,6 @@ package dist
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"matopt/internal/core"
@@ -42,36 +45,14 @@ import (
 	"matopt/internal/engine"
 	"matopt/internal/format"
 	"matopt/internal/netfabric"
-	"matopt/internal/obs"
 	"matopt/internal/plan"
 	"matopt/internal/tensor"
 )
 
-// Runtime executes annotated plans across a fixed number of shards.
+// Runtime executes annotated plans under one validated Config.
 type Runtime struct {
 	cluster costmodel.Cluster
-	shards  int
-
-	faults          *FaultPlan
-	maxRetries      int
-	backoffBase     time.Duration
-	backoffCap      time.Duration
-	vertexDeadline  time.Duration
-	exchangeTimeout time.Duration
-	retrySeed       int64
-	retrySeedSet    bool
-
-	ckptOn       bool
-	ckptMultiple float64
-	ckptBudget   int64
-	spec         *Speculation
-
-	kernelThreads int
-
-	transport netfabric.Transport
-
-	tr   *obs.Tracer
-	span *obs.Span
+	cfg     Config // defaults filled
 }
 
 // Speculation configures straggler re-execution: once a run has at
@@ -88,7 +69,7 @@ type Speculation struct {
 	// any estimate at all.
 	MinObservations int
 	// Multiplier scales the observed p99 vertex duration into the
-	// straggler deadline.
+	// straggler deadline; ≤ 0 means 3.
 	Multiplier float64
 	// Floor is the minimum deadline, guarding against spuriously tight
 	// p99 estimates early in a run.
@@ -101,174 +82,24 @@ func DefaultSpeculation() Speculation {
 	return Speculation{MinObservations: 8, Multiplier: 3, Floor: 10 * time.Millisecond}
 }
 
-// Recovery defaults: two retries with sub-millisecond-to-50ms capped
-// exponential backoff keep recovery latency negligible next to any real
-// vertex's compute, and the 30s guards only ever fire on genuinely
-// wedged runs.
-const (
-	DefaultMaxRetries      = 2
-	defaultBackoffBase     = 500 * time.Microsecond
-	defaultBackoffCap      = 50 * time.Millisecond
-	defaultVertexDeadline  = 30 * time.Second
-	defaultExchangeTimeout = 30 * time.Second
-)
-
-// Option configures a Runtime.
-type Option func(*Runtime)
-
-// WithFaults installs a deterministic fault-injection schedule; nil
-// (the default) injects nothing and costs one nil check per hook.
-func WithFaults(p *FaultPlan) Option { return func(rt *Runtime) { rt.faults = p } }
-
-// WithTracer attaches an obs tracer: every Run opens a "dist.run" span
-// under parent, with per-vertex "vertex"/"attempt" children, one
-// "exchange" span per fabric exchange, and "retry.backoff" spans during
-// recovery (DESIGN.md §11). A nil tracer — the default — disables
-// tracing at zero cost; the metrics registry backing each Report is
-// unaffected by this option.
-func WithTracer(t *obs.Tracer, parent *obs.Span) Option {
-	return func(rt *Runtime) { rt.tr, rt.span = t, parent }
-}
-
-// WithMaxRetries sets how many times a vertex whose execution fails
-// transiently (ErrShardFailed, ErrExchangeTimeout) is recomputed before
-// the run gives up with ErrRetriesExhausted. Negative values are
-// clamped to 0 (fail on first fault). Default DefaultMaxRetries.
-func WithMaxRetries(n int) Option {
-	return func(rt *Runtime) {
-		if n < 0 {
-			n = 0
-		}
-		rt.maxRetries = n
+// New returns a runtime for the given cluster profile (per-tuple size
+// bounds) and configuration, which must pass Config.Validate(true);
+// its zero values take their documented defaults.
+func New(cl costmodel.Cluster, cfg Config) (*Runtime, error) {
+	if err := cfg.Validate(true); err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
 	}
+	return &Runtime{cluster: cl, cfg: cfg.withDefaults()}, nil
 }
 
-// WithRetryBackoff sets the capped exponential backoff between retry
-// attempts: attempt i waits min(base<<i, cap). Non-positive values keep
-// the defaults.
-func WithRetryBackoff(base, cap time.Duration) Option {
-	return func(rt *Runtime) {
-		if base > 0 {
-			rt.backoffBase = base
-		}
-		if cap > 0 {
-			rt.backoffCap = cap
-		}
-	}
-}
+// Config returns the runtime's configuration with defaults filled in:
+// the shard count, retry budget and fault seed its runs actually use.
+func (rt *Runtime) Config() Config { return rt.cfg }
 
-// WithVertexDeadline bounds the total recovery window of one vertex:
-// once a vertex has been failing for this long, the run stops retrying
-// it. Zero disables the deadline.
-func WithVertexDeadline(d time.Duration) Option {
-	return func(rt *Runtime) { rt.vertexDeadline = d }
-}
-
-// WithExchangeTimeout bounds how long one exchange may take before the
-// consuming vertex fails with ErrExchangeTimeout (and is retried). Zero
-// disables the timeout.
-func WithExchangeTimeout(d time.Duration) Option {
-	return func(rt *Runtime) { rt.exchangeTimeout = d }
-}
-
-// WithRetrySeed seeds the deterministic retry-backoff jitter. Without
-// this option the seed defaults to the fault plan's seed (when one is
-// installed), so a chaos run's backoff schedule is reproducible from
-// the same seed that drives its faults.
-func WithRetrySeed(seed int64) Option {
-	return func(rt *Runtime) { rt.retrySeed, rt.retrySeedSet = seed, true }
-}
-
-// WithCheckpointing enables cost-model-driven checkpoint placement: a
-// compute vertex whose recompute-from-frontier cost exceeds multiple ×
-// its materialization cost is pinned resident for recovery (exempt from
-// ref-counted frees), truncating the cascades a later node loss can
-// trigger. multiple <= 0 uses costmodel.DefaultCheckpointMultiple.
-// budgetBytes caps the total bytes pinned — deepest vertices first,
-// since a deep vertex fronts the longest recompute chain; <= 0 means
-// unbounded.
-func WithCheckpointing(multiple float64, budgetBytes int64) Option {
-	return func(rt *Runtime) {
-		rt.ckptOn = true
-		rt.ckptMultiple = multiple
-		rt.ckptBudget = budgetBytes
-	}
-}
-
-// WithSpeculation enables speculative straggler re-execution with the
-// given profile; see Speculation. Use DefaultSpeculation() for a
-// conservative starting point.
-func WithSpeculation(s Speculation) Option {
-	return func(rt *Runtime) {
-		if s.Multiplier <= 0 {
-			s.Multiplier = 3
-		}
-		rt.spec = &s
-	}
-}
-
-// WithKernelThreads bounds the threads each shard's local compute
-// kernels may use. ≤ 0 (the default) sizes the budget to the machine
-// divided by the shard count — pool.Budget(shards) = max(1,
-// GOMAXPROCS/shards) — so shard parallelism and kernel parallelism
-// compose without oversubscribing: the kernels run on the shared
-// GOMAXPROCS-bounded pool in internal/pool, and a shard that cannot get
-// a pool worker simply computes its chunk inline. Results are
-// bit-identical at every setting.
-func WithKernelThreads(n int) Option {
-	return func(rt *Runtime) { rt.kernelThreads = n }
-}
-
-// WithTransport routes every exchange through t instead of the default
-// in-process channel transport (netfabric.Chan). With a TCP transport
-// the runtime's shards stay local goroutines but their exchange inboxes
-// live on the mapped worker peers, so every cross-shard payload incurs
-// real serialization, framing and socket costs — and wire failures
-// (refused dials, severed connections, I/O deadlines) surface as
-// ErrExchangeTimeout and ride the existing retry/cascade/fallback
-// ladder. Outputs are bit-identical across transports: the fabric's
-// (key, seq) sort erases arrival order. The caller owns t's lifecycle;
-// the runtime never closes it.
-func WithTransport(t netfabric.Transport) Option {
-	return func(rt *Runtime) {
-		if t != nil {
-			rt.transport = t
-		}
-	}
-}
-
-// DefaultShards is the shard count used when the caller does not choose
-// one: the process's GOMAXPROCS.
-func DefaultShards() int { return runtime.GOMAXPROCS(0) }
-
-// New returns a runtime with the given cluster profile (for per-tuple
-// size bounds) and shard count. The shard count must be positive; use
-// DefaultShards to size it to the host.
-func New(cl costmodel.Cluster, shards int, opts ...Option) (*Runtime, error) {
-	if shards <= 0 {
-		return nil, fmt.Errorf("dist: shard count must be positive, got %d", shards)
-	}
-	rt := &Runtime{
-		cluster:         cl,
-		shards:          shards,
-		maxRetries:      DefaultMaxRetries,
-		backoffBase:     defaultBackoffBase,
-		backoffCap:      defaultBackoffCap,
-		vertexDeadline:  defaultVertexDeadline,
-		exchangeTimeout: defaultExchangeTimeout,
-		transport:       netfabric.Chan(),
-	}
-	for _, opt := range opts {
-		opt(rt)
-	}
-	if !rt.retrySeedSet && rt.faults != nil {
-		rt.retrySeed = rt.faults.Seed()
-	}
-	return rt, nil
-}
-
-// Shards returns the configured shard count.
-func (rt *Runtime) Shards() int { return rt.shards }
+// FaultSchedule lists the faults a run of p injects — the FaultPlan's,
+// or those Faults/FaultSeed derive for p — so a caller can print them
+// before running.
+func (rt *Runtime) FaultSchedule(p *plan.Plan) []Fault { return rt.cfg.faultPlan(p).Faults() }
 
 // Run executes an annotated compute graph on real data and returns the
 // assembled dense result of every sink vertex, keyed by vertex ID,
@@ -286,7 +117,7 @@ func (rt *Runtime) Run(ctx context.Context, ann *core.Annotation, inputs map[str
 	env := core.NewEnv(rt.cluster, format.All())
 	p, err := plan.Lower(ann.Graph, env, ann)
 	if err != nil {
-		return nil, &Report{Shards: rt.shards}, err
+		return nil, &Report{Shards: rt.cfg.Shards}, err
 	}
 	return rt.RunPlan(ctx, p, inputs)
 }
@@ -299,14 +130,32 @@ func (rt *Runtime) Run(ctx context.Context, ann *core.Annotation, inputs map[str
 // CLI's -plan-in path) call it directly.
 func (rt *Runtime) RunPlan(ctx context.Context, p *plan.Plan, inputs map[string]*tensor.Dense) (map[int]*tensor.Dense, *Report, error) {
 	if err := p.Validate(); err != nil {
-		return nil, &Report{Shards: rt.shards}, err
+		return nil, &Report{Shards: rt.cfg.Shards}, err
 	}
 	groups, err := buildGroups(p)
 	if err != nil {
-		return nil, &Report{Shards: rt.shards}, err
+		return nil, &Report{Shards: rt.cfg.Shards}, err
+	}
+	// What is per run, not per runtime: a fresh seeded fault schedule
+	// for this plan's vertices, and — with Peers — a TCP transport whose
+	// pooled connections live for the run's exchanges and are torn down
+	// with it, so a degraded or failed run never leaks sockets.
+	cfg := rt.cfg
+	cfg.FaultPlan = cfg.faultPlan(p)
+	switch {
+	case cfg.Transport != nil:
+	case len(cfg.Peers) > 0:
+		tp, err := netfabric.NewTCP(cfg.Peers)
+		if err != nil {
+			return nil, &Report{Shards: cfg.Shards}, err
+		}
+		defer tp.Close()
+		cfg.Transport = tp
+	default:
+		cfg.Transport = netfabric.Chan()
 	}
 	start := time.Now()
-	r := newRun(rt, ctx, p, groups)
+	r := newRun(cfg, rt.cluster, ctx, p, groups)
 	defer r.stop()
 	rels, peak, err := r.execute(inputs)
 	if err != nil {

@@ -69,7 +69,7 @@ func (f *fabric) meterFor(x engine.Xfer) *meter {
 // shard as a pool task (so its compute is attributed to the shard) and
 // emits messages with explicit destinations; deliveries go through the
 // run's Transport session — buffered channels in process by default, a
-// framed TCP stream to worker peers under WithTransport — and land in
+// framed TCP stream to worker peers under Config.Peers — and land in
 // per-shard inboxes. Returns the per-shard received messages sorted by
 // (key, seq) — the deterministic order every reduce replays, which is
 // what makes the output independent of the transport's arrival order.
@@ -87,7 +87,7 @@ func (f *fabric) meterFor(x engine.Xfer) *meter {
 // workers themselves stay healthy for the retry.
 func (r *exec) exchange(x engine.Xfer, produce func(shard int) ([]routed, error)) ([][]message, error) {
 	m := r.fab.meterFor(x)
-	tp := r.rt.transport
+	tp := r.cfg.Transport
 	xspan := r.tr.Start(r.span, "exchange").
 		SetStr("kind", x.Kind).SetStr("label", x.Label).SetInt("vertex", int64(x.Vertex)).
 		SetStr("transport", tp.Name())
@@ -101,7 +101,7 @@ func (r *exec) exchange(x engine.Xfer, produce func(shard int) ([]routed, error)
 	if err != nil {
 		return nil, r.wireErr(x, "open", err)
 	}
-	drop, delay := r.rt.faults.exchangeFaults(x.Vertex, x.Label, r.attempt)
+	drop, delay := r.cfg.FaultPlan.exchangeFaults(x.Vertex, x.Label, r.attempt)
 	var lost atomic.Bool
 	work := func(s int) error {
 		out, err := produce(s)
@@ -178,7 +178,7 @@ func (r *exec) exchange(x engine.Xfer, produce func(shard int) ([]routed, error)
 
 	var perr error
 	var timeoutCh <-chan time.Time
-	if d := r.rt.exchangeTimeout; d > 0 {
+	if d := r.cfg.ExchangeTimeout; d > 0 {
 		timer := time.NewTimer(d)
 		defer timer.Stop()
 		timeoutCh = timer.C
@@ -195,7 +195,7 @@ func (r *exec) exchange(x engine.Xfer, produce func(shard int) ([]routed, error)
 			sess.Abandon()
 		}()
 		return nil, fmt.Errorf("dist: exchange %q at vertex %d exceeded its %v timeout: %w",
-			x.Label, x.Vertex, r.rt.exchangeTimeout, ErrExchangeTimeout)
+			x.Label, x.Vertex, r.cfg.ExchangeTimeout, ErrExchangeTimeout)
 	}
 	if perr != nil {
 		// Abandon only after every producer has returned (they just
@@ -227,7 +227,7 @@ func (r *exec) exchange(x engine.Xfer, produce func(shard int) ([]routed, error)
 // handles both without knowing transports exist.
 func (r *exec) wireErr(x engine.Xfer, stage string, err error) error {
 	return fmt.Errorf("dist: exchange %q at vertex %d %s failed on transport %q: %v: %w",
-		x.Label, x.Vertex, stage, r.rt.transport.Name(), err, ErrExchangeTimeout)
+		x.Label, x.Vertex, stage, r.cfg.Transport.Name(), err, ErrExchangeTimeout)
 }
 
 // sleepCtx waits d, returning early with the context's error when the

@@ -57,6 +57,8 @@ const (
 	FaultNodeLoss
 )
 
+// String names the kind as fault schedules print it: crash, drop,
+// delay, slow or node-loss.
 func (k FaultKind) String() string {
 	switch k {
 	case FaultCrash:
@@ -85,6 +87,8 @@ type Fault struct {
 	Delay   time.Duration // stall length (delay/slow)
 }
 
+// String renders the fault as one schedule line — kind(target,
+// attempt, delay) — the form the CLI prints before a chaos run.
 func (f Fault) String() string {
 	switch f.Kind {
 	case FaultSlowShard:

@@ -70,13 +70,22 @@ func seqGolden(t *testing.T, cl costmodel.Cluster, ann *core.Annotation, inputs 
 	return want
 }
 
+// intp returns a pointer to n, for Config.MaxRetries.
+func intp(n int) *int { return &n }
+
 // runFaulted executes ann on a dist runtime with the given fault plan
-// and requires every sink to match the sequential golden bit for bit.
+// (over the optional base configuration) and requires every sink to
+// match the sequential golden bit for bit.
 func runFaulted(t *testing.T, name string, cl costmodel.Cluster, shards int, plan *dist.FaultPlan,
 	ann *core.Annotation, inputs map[string]*tensor.Dense, want map[int]*tensor.Dense,
-	opts ...dist.Option) *dist.Report {
+	base ...dist.Config) *dist.Report {
 	t.Helper()
-	rt, err := dist.New(cl, shards, append([]dist.Option{dist.WithFaults(plan)}, opts...)...)
+	var cfg dist.Config
+	if len(base) > 0 {
+		cfg = base[0]
+	}
+	cfg.Shards, cfg.FaultPlan = shards, plan
+	rt, err := dist.New(cl, cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -236,7 +245,7 @@ func TestDelayedExchangeRecovers(t *testing.T) {
 	leakChecked(t, func() {
 		long := dist.NewFaultPlan(dist.Fault{Kind: dist.FaultDelayExchange, Vertex: -1, Shard: -1, Delay: 300 * time.Millisecond})
 		rep = runFaulted(t, "long-delay", cl, 4, long, ann, inputs, want,
-			dist.WithExchangeTimeout(100*time.Millisecond), dist.WithMaxRetries(8))
+			dist.Config{ExchangeTimeout: 100 * time.Millisecond, MaxRetries: intp(8)})
 		if rep.Retries < 1 {
 			t.Fatalf("long delay: vertex was not retried: %+v", rep)
 		}
@@ -255,8 +264,8 @@ func TestRetriesExhausted(t *testing.T) {
 			dist.Fault{Kind: dist.FaultCrash, Vertex: v, Attempt: 1},
 			dist.Fault{Kind: dist.FaultCrash, Vertex: v, Attempt: 2},
 		)
-		rt, err := dist.New(cl, 4, dist.WithFaults(plan), dist.WithMaxRetries(2),
-			dist.WithRetryBackoff(time.Microsecond, time.Millisecond))
+		rt, err := dist.New(cl, dist.Config{Shards: 4, FaultPlan: plan, MaxRetries: intp(2),
+			BackoffBase: time.Microsecond, BackoffCap: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,9 +294,9 @@ func TestVertexDeadlineExhausts(t *testing.T) {
 		dist.Fault{Kind: dist.FaultCrash, Vertex: v, Attempt: 0},
 		dist.Fault{Kind: dist.FaultCrash, Vertex: v, Attempt: 1},
 	)
-	rt, err := dist.New(cl, 2, dist.WithFaults(plan), dist.WithMaxRetries(10),
-		dist.WithRetryBackoff(20*time.Millisecond, 20*time.Millisecond),
-		dist.WithVertexDeadline(10*time.Millisecond))
+	rt, err := dist.New(cl, dist.Config{Shards: 2, FaultPlan: plan, MaxRetries: intp(10),
+		BackoffBase: 20 * time.Millisecond, BackoffCap: 20 * time.Millisecond,
+		VertexDeadline: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +317,7 @@ func TestShutdownCleanOnFailure(t *testing.T) {
 		leakChecked(t, func() {
 			for _, v := range ann.Graph.Vertices {
 				plan := dist.NewFaultPlan(dist.Fault{Kind: dist.FaultCrash, Vertex: v.ID})
-				rt, err := dist.New(cl, 4, dist.WithFaults(plan), dist.WithMaxRetries(0))
+				rt, err := dist.New(cl, dist.Config{Shards: 4, FaultPlan: plan, MaxRetries: intp(0)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -321,7 +330,7 @@ func TestShutdownCleanOnFailure(t *testing.T) {
 
 	t.Run("missing-input", func(t *testing.T) {
 		leakChecked(t, func() {
-			rt, err := dist.New(cl, 4)
+			rt, err := dist.New(cl, dist.Config{Shards: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,8 +348,8 @@ func TestShutdownCleanOnFailure(t *testing.T) {
 				dist.Fault{Kind: dist.FaultDropExchange, Vertex: -1, Shard: -1, Attempt: 1},
 				dist.Fault{Kind: dist.FaultDropExchange, Vertex: -1, Shard: -1, Attempt: 2},
 			)
-			rt, err := dist.New(cl, 7, dist.WithFaults(plan),
-				dist.WithRetryBackoff(time.Microsecond, time.Millisecond))
+			rt, err := dist.New(cl, dist.Config{Shards: 7, FaultPlan: plan,
+				BackoffBase: time.Microsecond, BackoffCap: time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -360,8 +369,8 @@ func TestCancelDuringBackoff(t *testing.T) {
 	v := ann.Graph.Vertices[0].ID
 	leakChecked(t, func() {
 		plan := dist.NewFaultPlan(dist.Fault{Kind: dist.FaultCrash, Vertex: v})
-		rt, err := dist.New(cl, 4, dist.WithFaults(plan),
-			dist.WithRetryBackoff(time.Hour, time.Hour))
+		rt, err := dist.New(cl, dist.Config{Shards: 4, FaultPlan: plan,
+			BackoffBase: time.Hour, BackoffCap: time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,7 +404,7 @@ func TestCancelDuringInjectedDelay(t *testing.T) {
 	ann, inputs, cl := chaosWorkload(t)
 	leakChecked(t, func() {
 		plan := dist.NewFaultPlan(dist.Fault{Kind: dist.FaultDelayExchange, Vertex: -1, Shard: -1, Delay: time.Hour})
-		rt, err := dist.New(cl, 4, dist.WithFaults(plan))
+		rt, err := dist.New(cl, dist.Config{Shards: 4, FaultPlan: plan})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -112,13 +112,9 @@ func assertBitIdentical(t *testing.T, name string, cl costmodel.Cluster, ann *co
 	}
 	compareSinks(t, name+" seq-auto-kernels", ann, want, got)
 	for _, shards := range goldenShards {
-		// -1 marks the default (machine-divided) kernel budget.
-		for _, kthreads := range append([]int{-1}, goldenKernelThreads...) {
-			var opts []dist.Option
-			if kthreads > 0 {
-				opts = append(opts, dist.WithKernelThreads(kthreads))
-			}
-			rt, err := dist.New(cl, shards, opts...)
+		// 0 is the default (machine-divided) kernel budget.
+		for _, kthreads := range append([]int{0}, goldenKernelThreads...) {
+			rt, err := dist.New(cl, dist.Config{Shards: shards, KernelThreads: kthreads})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

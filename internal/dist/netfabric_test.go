@@ -101,7 +101,7 @@ func TestGoldenTCPTransport(t *testing.T) {
 	}
 	for _, shards := range goldenShards {
 		// The chan-transport run this PR must not perturb.
-		rt, err := dist.New(cl, shards)
+		rt, err := dist.New(cl, dist.Config{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestGoldenTCPTransport(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt, err := dist.New(cl, shards, dist.WithTransport(tp))
+			rt, err := dist.New(cl, dist.Config{Shards: shards, Transport: tp})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +167,7 @@ func TestChaosNetSeveredConn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := dist.New(cl, shards, dist.WithTransport(tp))
+		rt, err := dist.New(cl, dist.Config{Shards: shards, Transport: tp})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,9 +208,8 @@ func TestChaosNetDialRefusedSurfacesExchangeTimeout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := dist.New(cl, shards,
-			dist.WithTransport(tp),
-			dist.WithRetryBackoff(time.Millisecond, 2*time.Millisecond))
+		rt, err := dist.New(cl, dist.Config{Shards: shards, Transport: tp,
+			BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +247,7 @@ func TestChaosNetShutdownLeakFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := dist.New(cl, 4, dist.WithTransport(tp))
+		rt, err := dist.New(cl, dist.Config{Shards: 4, Transport: tp})
 		if err != nil {
 			t.Fatal(err)
 		}

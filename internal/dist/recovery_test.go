@@ -84,7 +84,7 @@ func TestCheckpointShortensCascade(t *testing.T) {
 		// the recompute > multiple × materialize test, so the whole
 		// interior of the chain is pinned.
 		rep := runFaulted(t, "node-loss-ckpt", cl, shards, plan(), ann, inputs, want,
-			dist.WithCheckpointing(1e-9, 0))
+			dist.Config{Checkpoint: true, CheckpointMultiple: 1e-9})
 		if rep.CheckpointVertices < 1 {
 			t.Fatalf("checkpointing @%d shards pinned nothing", shards)
 		}
@@ -102,7 +102,7 @@ func TestCheckpointShortensCascade(t *testing.T) {
 		// A 1-byte budget rejects every candidate: placement must
 		// degrade to no pins, not to a panic or a partial pin.
 		rep = runFaulted(t, "node-loss-budget", cl, shards, plan(), ann, inputs, want,
-			dist.WithCheckpointing(1e-9, 1))
+			dist.Config{Checkpoint: true, CheckpointMultiple: 1e-9, CheckpointBudget: 1})
 		if rep.CheckpointVertices != 0 {
 			t.Fatalf("1-byte checkpoint budget @%d shards still pinned %d vertices", shards, rep.CheckpointVertices)
 		}
@@ -147,7 +147,7 @@ func TestSpeculativeStragglerWin(t *testing.T) {
 			// duplicate can reach the exchange first and absorb the delay
 			// itself.
 			rep := runFaulted(t, "spec-straggler", cl, shards, plan, ann, inputs, want,
-				dist.WithSpeculation(dist.Speculation{MinObservations: 1, Multiplier: 1, Floor: 250 * time.Millisecond}))
+				dist.Config{Speculate: true, Speculation: dist.Speculation{MinObservations: 1, Multiplier: 1, Floor: 250 * time.Millisecond}})
 			if rep.FaultsInjected != 1 {
 				t.Fatalf("straggler @%d shards: %d faults injected, want 1", shards, rep.FaultsInjected)
 			}
@@ -162,7 +162,7 @@ func TestSpeculativeStragglerWin(t *testing.T) {
 	}
 }
 
-// TestSpeculationOffByDefault: with no WithSpeculation option a
+// TestSpeculationOffByDefault: with Config.Speculate unset a
 // straggling exchange merely slows the run — no duplicates launch.
 func TestSpeculationOffByDefault(t *testing.T) {
 	ann, inputs, cl := chaosWorkload(t)

@@ -78,6 +78,9 @@ func (r *Report) TotalBusy() time.Duration {
 	return t
 }
 
+// String renders the report as the indented block the CLI prints after
+// a dist run; lines for wire traffic, kernels, recovery, checkpoints
+// and degradation appear only when the run has something to say there.
 func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "dist run: %d shards, wall %v, peak %d B resident\n", r.Shards, r.Wall.Round(time.Microsecond), r.PeakBytes)

@@ -143,10 +143,10 @@ func (r *run) runGroup(gr *planGroup, ins []*relation, inputs map[string]*tensor
 		if !retryable(err) {
 			return nil, err
 		}
-		if attempt >= r.rt.maxRetries {
+		if attempt >= *r.cfg.MaxRetries {
 			return nil, &RetriesExhaustedError{Vertex: gr.vertex, Attempts: attempt + 1, Cause: err}
 		}
-		if dl := r.rt.vertexDeadline; dl > 0 && time.Since(start) >= dl {
+		if dl := r.cfg.VertexDeadline; dl > 0 && time.Since(start) >= dl {
 			return nil, &RetriesExhaustedError{Vertex: gr.vertex, Attempts: attempt + 1, Deadline: dl, Cause: err}
 		}
 		r.recordRetry(gr.vertex)
@@ -256,10 +256,10 @@ func (r *run) runAttempt(gr *planGroup, ins []*relation, inputs map[string]*tens
 // observations yet, or the p99 landed in the histogram's overflow
 // bucket (no finite estimate).
 func (r *run) specDeadline() time.Duration {
-	sp := r.rt.spec
-	if sp == nil {
+	if !r.cfg.Speculate {
 		return 0
 	}
+	sp := r.cfg.Speculation
 	if r.vsec.Count() < int64(sp.MinObservations) {
 		return 0
 	}
@@ -280,16 +280,16 @@ func (r *run) specDeadline() time.Duration {
 // other half is scaled by a hash of (retry seed, vertex, attempt) — so
 // every wait stays at least half the nominal backoff while concurrent
 // retries decorrelate.
-func (rt *Runtime) backoffDelay(vertex, attempt int) time.Duration {
-	d := rt.backoffBase << uint(attempt)
-	if d > rt.backoffCap || d <= 0 {
-		d = rt.backoffCap
+func (c *Config) backoffDelay(vertex, attempt int) time.Duration {
+	d := c.BackoffBase << uint(attempt)
+	if d > c.BackoffCap || d <= 0 {
+		d = c.BackoffCap
 	}
 	if d <= 0 {
 		return 0
 	}
 	half := d / 2
-	return half + time.Duration(jitterFrac(rt.retrySeed, vertex, attempt)*float64(half))
+	return half + time.Duration(jitterFrac(c.FaultPlan.Seed(), vertex, attempt)*float64(half))
 }
 
 // sleepBackoff waits the capped exponential backoff for the given
@@ -299,7 +299,7 @@ func (rt *Runtime) backoffDelay(vertex, attempt int) time.Duration {
 // while chaos runs stay reproducible under their fault seed. Returns
 // early with the context's error on cancellation.
 func (r *run) sleepBackoff(vertex, attempt int) error {
-	d := r.rt.backoffDelay(vertex, attempt)
+	d := r.cfg.backoffDelay(vertex, attempt)
 	if d <= 0 {
 		return r.ctx.Err()
 	}

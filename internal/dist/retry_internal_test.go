@@ -37,11 +37,11 @@ func TestJitterFracDeterministic(t *testing.T) {
 // caps at the configured ceiling, and equal jitter keeps every wait in
 // [d/2, d) of the nominal delay d.
 func TestBackoffDelayBounds(t *testing.T) {
-	rt := &Runtime{backoffBase: time.Millisecond, backoffCap: 8 * time.Millisecond, retrySeed: 42}
+	rt := &Config{BackoffBase: time.Millisecond, BackoffCap: 8 * time.Millisecond, FaultPlan: &FaultPlan{seed: 42}}
 	for attempt := 0; attempt < 8; attempt++ {
 		nominal := time.Millisecond << uint(attempt)
-		if nominal > rt.backoffCap {
-			nominal = rt.backoffCap
+		if nominal > rt.BackoffCap {
+			nominal = rt.BackoffCap
 		}
 		for vertex := 0; vertex < 16; vertex++ {
 			d := rt.backoffDelay(vertex, attempt)
@@ -55,9 +55,9 @@ func TestBackoffDelayBounds(t *testing.T) {
 // TestBackoffDelaySeedSensitive: different retry seeds decorrelate the
 // jitter while the same seed reproduces it exactly.
 func TestBackoffDelaySeedSensitive(t *testing.T) {
-	a := &Runtime{backoffBase: time.Second, backoffCap: time.Second, retrySeed: 1}
-	b := &Runtime{backoffBase: time.Second, backoffCap: time.Second, retrySeed: 2}
-	c := &Runtime{backoffBase: time.Second, backoffCap: time.Second, retrySeed: 1}
+	a := &Config{BackoffBase: time.Second, BackoffCap: time.Second, FaultPlan: &FaultPlan{seed: 1}}
+	b := &Config{BackoffBase: time.Second, BackoffCap: time.Second, FaultPlan: &FaultPlan{seed: 2}}
+	c := &Config{BackoffBase: time.Second, BackoffCap: time.Second, FaultPlan: &FaultPlan{seed: 1}}
 	var differs bool
 	for vertex := 0; vertex < 8; vertex++ {
 		if a.backoffDelay(vertex, 0) != c.backoffDelay(vertex, 0) {
@@ -75,7 +75,7 @@ func TestBackoffDelaySeedSensitive(t *testing.T) {
 // TestBackoffDelayZeroCap: a zero cap disables the wait entirely rather
 // than sleeping a garbage duration.
 func TestBackoffDelayZeroCap(t *testing.T) {
-	rt := &Runtime{backoffBase: 0, backoffCap: 0, retrySeed: 3}
+	rt := &Config{FaultPlan: &FaultPlan{seed: 3}}
 	if d := rt.backoffDelay(0, 0); d != 0 {
 		t.Fatalf("backoffDelay with zero base and cap = %v, want 0", d)
 	}

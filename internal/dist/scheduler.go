@@ -15,7 +15,6 @@ import (
 	"matopt/internal/engine"
 	"matopt/internal/obs"
 	"matopt/internal/plan"
-	"matopt/internal/pool"
 	"matopt/internal/tensor"
 )
 
@@ -79,7 +78,8 @@ func buildGroups(p *plan.Plan) ([]*planGroup, error) {
 // the recovery bookkeeping (lineage records, cascade counters, in-flight
 // speculative attempts).
 type run struct {
-	rt      *Runtime
+	cfg     Config            // this run's: defaults filled, FaultPlan and Transport resolved
+	cl      costmodel.Cluster // per-tuple size bounds
 	ctx     context.Context
 	pl      *plan.Plan
 	groups  []*planGroup
@@ -94,8 +94,7 @@ type run struct {
 	qwait *obs.Histogram // dist.queue.wait.seconds
 	vsec  *obs.Histogram // dist.vertex.seconds — feeds the speculation deadline
 
-	kthreads int          // kernel threads per shard (resolved: explicit or pool.Budget)
-	kernNS   *obs.Counter // dist.kernel.ns — wall time inside local compute kernels
+	kernNS *obs.Counter // dist.kernel.ns — wall time inside local compute kernels
 
 	casc     map[int]int // vertex ID → cascading recomputes taken (scheduler goroutine only)
 	recMu    sync.Mutex  // guards lineages
@@ -128,7 +127,7 @@ type exec struct {
 // the attempt's kernel_ns span attribute — traces therefore show kernel
 // time against the exchange spans directly.
 func (x *exec) Kern() tensor.K {
-	return tensor.K{Threads: x.kthreads, Timer: func(ns int64) {
+	return tensor.K{Threads: x.cfg.KernelThreads, Timer: func(ns int64) {
 		x.kernNS.Add(ns)
 		x.kernAcc.Add(ns)
 	}}
@@ -138,32 +137,29 @@ func (x *exec) Kern() tensor.K {
 // and leaves the exact operation count to the sequential engine's Stats.
 func (x *exec) Flops(int64) {}
 
-func newRun(rt *Runtime, ctx context.Context, p *plan.Plan, groups []*planGroup) *run {
+func newRun(cfg Config, cl costmodel.Cluster, ctx context.Context, p *plan.Plan, groups []*planGroup) *run {
 	reg := obs.NewRegistry()
 	r := &run{
-		rt:     rt,
+		cfg:    cfg,
+		cl:     cl,
 		ctx:    ctx,
 		pl:     p,
 		groups: groups,
 		reg:    reg,
-		tr:     rt.tr,
-		fab:    &fabric{shards: rt.shards, reg: reg},
-		tasks:  make([]chan func(), rt.shards),
+		tr:     cfg.Tracer,
+		fab:    &fabric{shards: cfg.Shards, reg: reg},
+		tasks:  make([]chan func(), cfg.Shards),
 		qwait:  reg.Histogram("dist.queue.wait.seconds", obs.DefaultDurationBuckets()),
 		vsec:   reg.Histogram("dist.vertex.seconds", obs.DefaultDurationBuckets()),
 		casc:   make(map[int]int),
 	}
-	r.kthreads = rt.kernelThreads
-	if r.kthreads <= 0 {
-		r.kthreads = pool.Budget(rt.shards)
-	}
 	r.kernNS = reg.Counter("dist.kernel.ns")
-	r.span = rt.tr.Start(rt.span, "dist.run").
-		SetInt("shards", int64(rt.shards)).
-		SetInt("kernel_threads", int64(r.kthreads))
-	for s := 0; s < rt.shards; s++ {
+	r.span = cfg.Tracer.Start(cfg.Span, "dist.run").
+		SetInt("shards", int64(cfg.Shards)).
+		SetInt("kernel_threads", int64(cfg.KernelThreads))
+	for s := 0; s < cfg.Shards; s++ {
 		r.tasks[s] = make(chan func(), 16)
-		straggle := rt.faults.slow(s)
+		straggle := cfg.FaultPlan.slow(s)
 		busy := reg.Counter("dist.shard.busy_ns", obs.L("shard", strconv.Itoa(s)))
 		r.workers.Add(1)
 		go func(s int) {
@@ -194,7 +190,7 @@ func (r *run) stop() {
 }
 
 // Shards returns the run's shard count.
-func (r *run) Shards() int { return r.rt.shards }
+func (r *run) Shards() int { return r.cfg.Shards }
 
 // OwnerShard is the deterministic home of a vertex's single-tuple
 // output: spreading owners by vertex ID keeps independent single-chunk
@@ -263,8 +259,7 @@ func (r *run) On(shard int, fn func() error) error {
 // deepest-first: a deep vertex fronts the longest recompute chain, so
 // pinning it truncates the worst cascades first.
 func (r *run) checkpointPins() map[int]bool {
-	rt := r.rt
-	if !rt.ckptOn {
+	if !r.cfg.Checkpoint {
 		return nil
 	}
 	retained := make(map[int]bool, len(r.pl.Retained))
@@ -276,7 +271,7 @@ func (r *run) checkpointPins() map[int]bool {
 		if n.Kind != plan.KindCompute || retained[n.Vertex] {
 			continue
 		}
-		if costmodel.ShouldCheckpoint(n.RecomputeSeconds, n.MaterializeSeconds, rt.ckptMultiple) {
+		if costmodel.ShouldCheckpoint(n.RecomputeSeconds, n.MaterializeSeconds, r.cfg.CheckpointMultiple) {
 			cands = append(cands, n)
 		}
 	}
@@ -284,7 +279,7 @@ func (r *run) checkpointPins() map[int]bool {
 		return nil
 	}
 	pins := make(map[int]bool, len(cands))
-	if rt.ckptBudget <= 0 {
+	if r.cfg.CheckpointBudget <= 0 {
 		for _, n := range cands {
 			pins[n.Vertex] = true
 		}
@@ -302,7 +297,7 @@ func (r *run) checkpointPins() map[int]bool {
 	var used int64
 	for _, n := range cands {
 		b := n.OutBytes()
-		if used+b > rt.ckptBudget {
+		if used+b > r.cfg.CheckpointBudget {
 			continue
 		}
 		used += b
@@ -457,7 +452,7 @@ func (r *run) execute(inputs map[string]*tensor.Dense) (map[int]*relation, int64
 func (r *run) cascade(vertex int, cause *lostInputsError, refs map[int]int, retain map[int]bool,
 	rels map[int]*relation, done, launched map[int]bool, resident *int64, completed *int) error {
 	r.casc[vertex]++
-	if r.casc[vertex] > r.rt.maxRetries {
+	if r.casc[vertex] > *r.cfg.MaxRetries {
 		return &RetriesExhaustedError{Vertex: vertex, Attempts: r.casc[vertex], Cause: cause}
 	}
 	launched[vertex] = false
@@ -520,7 +515,7 @@ func (x *exec) execGroup(gr *planGroup, ins []*relation, inputs map[string]*tens
 	if err := x.ctx.Err(); err != nil {
 		return nil, fmt.Errorf("dist: execution aborted before vertex %d: %w", gr.vertex, err)
 	}
-	if f := x.rt.faults.loses(gr.vertex, x.attempt); f != nil {
+	if f := x.cfg.FaultPlan.loses(gr.vertex, x.attempt); f != nil {
 		for _, in := range ins {
 			if in != nil {
 				in.markLost()
@@ -528,7 +523,7 @@ func (x *exec) execGroup(gr *planGroup, ins []*relation, inputs map[string]*tens
 		}
 		return nil, fmt.Errorf("dist: injected %v on shard %d: %w", *f, x.OwnerShard(gr.vertex), ErrShardFailed)
 	}
-	if f := x.rt.faults.crash(gr.vertex, x.attempt); f != nil {
+	if f := x.cfg.FaultPlan.crash(gr.vertex, x.attempt); f != nil {
 		return nil, fmt.Errorf("dist: injected %v on shard %d: %w", *f, x.OwnerShard(gr.vertex), ErrShardFailed)
 	}
 	n := gr.node
@@ -541,7 +536,7 @@ func (x *exec) execGroup(gr *planGroup, ins []*relation, inputs map[string]*tens
 			return nil, fmt.Errorf("dist: input %q is %dx%d, graph declares %v",
 				n.Source, m.Rows, m.Cols, n.OutShape)
 		}
-		rel, err := engine.Scan(x, gr.vertex, m, n.OutFormat, x.rt.cluster.MaxTupleBytes)
+		rel, err := engine.Scan(x, gr.vertex, m, n.OutFormat, x.cl.MaxTupleBytes)
 		if err != nil {
 			return nil, fmt.Errorf("dist: loading %q: %w", n.Source, err)
 		}
@@ -560,7 +555,7 @@ func (x *exec) execGroup(gr *planGroup, ins []*relation, inputs map[string]*tens
 	for j := range args {
 		if rn := gr.relayouts[j]; rn != nil {
 			var err error
-			args[j], err = engine.Relayout(x, gr.vertex, j, args[j], rn.OutFormat, x.rt.cluster.MaxTupleBytes)
+			args[j], err = engine.Relayout(x, gr.vertex, j, args[j], rn.OutFormat, x.cl.MaxTupleBytes)
 			if err != nil {
 				return nil, fmt.Errorf("dist: transforming input %d of vertex %d: %w", j, gr.vertex, err)
 			}
@@ -580,12 +575,12 @@ func (x *exec) execGroup(gr *planGroup, ins []*relation, inputs map[string]*tens
 // to degrade reports everything it metered.
 func (r *run) report(peak int64, wall time.Duration) *Report {
 	r.reg.Gauge("dist.shards").Set(int64(r.Shards()))
-	r.reg.Gauge("dist.kernel.threads").Set(int64(r.kthreads))
+	r.reg.Gauge("dist.kernel.threads").Set(int64(r.cfg.KernelThreads))
 	r.reg.Gauge("dist.peak_bytes").SetMax(peak)
 	r.reg.Gauge("dist.wall_ns").SetMax(int64(wall))
-	r.reg.Gauge("dist.faults_injected").Set(r.rt.faults.Injected())
+	r.reg.Gauge("dist.faults_injected").Set(r.cfg.FaultPlan.Injected())
 	rep := reportFromRegistry(r.reg.Snapshot())
-	rep.Transport = r.rt.transport.Name()
+	rep.Transport = r.cfg.Transport.Name()
 	obs.Default().Merge(r.reg)
 	return rep
 }

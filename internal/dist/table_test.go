@@ -102,7 +102,7 @@ func TestEveryImplementationBitIdentical(t *testing.T) {
 			}
 			checkOracle(t, label, g, inputs, want)
 			for _, shards := range []int{2, 7} {
-				rt, err := dist.New(cl, shards)
+				rt, err := dist.New(cl, dist.Config{Shards: shards})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -148,6 +148,8 @@ func (e *Engine) produced(r *Relation, err error) (*Relation, error) {
 	return r, nil
 }
 
+// String summarizes the relation — shape, format, tuple count — for
+// error messages and debugging; it never prints tuple data.
 func (r *Relation) String() string {
 	return fmt.Sprintf("Relation(%v, %v, %d tuples)", r.Shape, r.Format, r.NumTuples())
 }

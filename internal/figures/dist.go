@@ -106,7 +106,7 @@ func distRow(w distWorkload, shards int) []string {
 	}
 	seqWall := time.Since(t0)
 
-	rt, err := dist.New(cl, shards)
+	rt, err := dist.New(cl, dist.Config{Shards: shards})
 	if err != nil {
 		return fail(err)
 	}

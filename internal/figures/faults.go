@@ -46,46 +46,36 @@ func FaultRecovery(shards int) Table {
 		crashAll = append(crashAll, dist.Fault{Kind: dist.FaultCrash, Vertex: v.ID})
 	}
 	mid := ann.Graph.Vertices[len(ann.Graph.Vertices)/2].ID
+	straggler := func() *dist.FaultPlan {
+		return dist.NewFaultPlan(dist.Fault{Kind: dist.FaultSlowShard, Shard: shards - 1, Delay: 200 * time.Microsecond})
+	}
+	nodeLoss := func() *dist.FaultPlan {
+		return dist.NewFaultPlan(dist.Fault{Kind: dist.FaultNodeLoss, Vertex: mid})
+	}
 	for _, s := range []struct {
 		name string
-		plan *dist.FaultPlan
+		cfg  dist.Config
 	}{
-		{"fault-free", nil},
-		{"crash every vertex once", dist.NewFaultPlan(crashAll...)},
+		{"fault-free", dist.Config{}},
+		{"crash every vertex once", dist.Config{FaultPlan: dist.NewFaultPlan(crashAll...)}},
 		{fmt.Sprintf("drop one exchange at v%d", mid),
-			dist.NewFaultPlan(dist.Fault{Kind: dist.FaultDropExchange, Vertex: mid})},
-		{"straggler shard (+200µs/task)",
-			dist.NewFaultPlan(dist.Fault{Kind: dist.FaultSlowShard, Shard: shards - 1, Delay: 200 * time.Microsecond})},
-		{fmt.Sprintf("node loss at v%d (cascading recompute)", mid),
-			dist.NewFaultPlan(dist.Fault{Kind: dist.FaultNodeLoss, Vertex: mid})},
-		{"random schedule (seed 7, 5 faults)", randomPlan(7, 5, ann, shards)},
+			dist.Config{FaultPlan: dist.NewFaultPlan(dist.Fault{Kind: dist.FaultDropExchange, Vertex: mid})}},
+		{"straggler shard (+200µs/task)", dist.Config{FaultPlan: straggler()}},
+		{fmt.Sprintf("node loss at v%d (cascading recompute)", mid), dist.Config{FaultPlan: nodeLoss()}},
+		{"random schedule (seed 7, 5 faults)", dist.Config{Faults: 5, FaultSeed: 7}},
+		{fmt.Sprintf("node loss at v%d + checkpointing", mid), dist.Config{FaultPlan: nodeLoss(), Checkpoint: true}},
+		{"straggler shard + speculation", dist.Config{FaultPlan: straggler(), Speculate: true}},
 	} {
-		t.Rows = append(t.Rows, faultRow(s.name, cl, shards, s.plan, ann, w.inputs, want))
+		s.cfg.Shards = shards
+		t.Rows = append(t.Rows, faultRow(s.name, cl, s.cfg, ann, w.inputs, want))
 	}
-	t.Rows = append(t.Rows, faultRow(
-		fmt.Sprintf("node loss at v%d + checkpointing", mid), cl, shards,
-		dist.NewFaultPlan(dist.Fault{Kind: dist.FaultNodeLoss, Vertex: mid}),
-		ann, w.inputs, want, dist.WithCheckpointing(0, 0)))
-	t.Rows = append(t.Rows, faultRow(
-		"straggler shard + speculation", cl, shards,
-		dist.NewFaultPlan(dist.Fault{Kind: dist.FaultSlowShard, Shard: shards - 1, Delay: 200 * time.Microsecond}),
-		ann, w.inputs, want, dist.WithSpeculation(dist.DefaultSpeculation())))
 	t.Rows = append(t.Rows, fallbackRow(cl, shards, ann, w.inputs, want))
 	return t
 }
 
-func randomPlan(seed int64, n int, ann *core.Annotation, shards int) *dist.FaultPlan {
-	ids := make([]int, 0, len(ann.Graph.Vertices))
-	for _, v := range ann.Graph.Vertices {
-		ids = append(ids, v.ID)
-	}
-	return dist.RandomFaults(seed, n, ids, shards)
-}
-
-func faultRow(name string, cl costmodel.Cluster, shards int, plan *dist.FaultPlan,
-	ann *core.Annotation, inputs map[string]*tensor.Dense, want map[int]*tensor.Dense,
-	extra ...dist.Option) []string {
-	rt, err := dist.New(cl, shards, append([]dist.Option{dist.WithFaults(plan)}, extra...)...)
+func faultRow(name string, cl costmodel.Cluster, cfg dist.Config,
+	ann *core.Annotation, inputs map[string]*tensor.Dense, want map[int]*tensor.Dense) []string {
+	rt, err := dist.New(cl, cfg)
 	if err != nil {
 		return []string{name, "-", "-", "-", "-", "FAIL: " + err.Error()}
 	}
@@ -117,7 +107,7 @@ func faultRow(name string, cl costmodel.Cluster, shards int, plan *dist.FaultPla
 }
 
 // fallbackRow exhausts the retry budget on one vertex and serves the
-// sequential result instead, the way Executor.WithFallback does.
+// sequential result instead, the way an Executor with Fallback does.
 func fallbackRow(cl costmodel.Cluster, shards int,
 	ann *core.Annotation, inputs map[string]*tensor.Dense, want map[int]*tensor.Dense) []string {
 	name := "crash v0 three times (budget 1) → fallback"
@@ -126,7 +116,8 @@ func fallbackRow(cl costmodel.Cluster, shards int,
 		dist.Fault{Kind: dist.FaultCrash, Vertex: v, Attempt: 0},
 		dist.Fault{Kind: dist.FaultCrash, Vertex: v, Attempt: 1},
 	)
-	rt, err := dist.New(cl, shards, dist.WithFaults(plan), dist.WithMaxRetries(1))
+	one := 1
+	rt, err := dist.New(cl, dist.Config{Shards: shards, FaultPlan: plan, MaxRetries: &one})
 	if err != nil {
 		return []string{name, "-", "-", "-", "-", "FAIL: " + err.Error()}
 	}

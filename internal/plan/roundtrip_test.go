@@ -63,7 +63,7 @@ func assertRoundTrip(t *testing.T, name string, cl costmodel.Cluster, g *core.Gr
 	}
 	assertSame(t, name+" (seq replay)", seq, want)
 
-	rt, err := dist.New(cl, roundTripShards)
+	rt, err := dist.New(cl, dist.Config{Shards: roundTripShards})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

@@ -10,6 +10,7 @@ import (
 	"math"
 	"time"
 
+	"matopt"
 	"matopt/internal/tensor"
 )
 
@@ -47,39 +48,16 @@ type OptimizeResponse struct {
 	TraceOut
 }
 
-// ExecuteRequest is the /execute body: a Spec plus engine selection.
+// ExecuteRequest is the /execute body: a Spec, the engine selection and
+// matopt.ExecConfig, whose JSON-tagged fields (shards, kernel_threads,
+// max_retries, fallback, checkpoint, checkpoint_budget, speculate,
+// faults, fault_seed, peers) sit flattened beside the spec's; its field
+// comments are their reference, zero values and bounds included.
 type ExecuteRequest struct {
 	Spec
+	matopt.ExecConfig
 	// Engine selects the runtime: seq | dist | sim (default seq).
 	Engine string `json:"engine,omitempty"`
-	// Shards is the dist engine's shard count (default GOMAXPROCS).
-	Shards int `json:"shards,omitempty"`
-	// Faults injects a seeded schedule of that many failures into the
-	// dist run; FaultSeed picks the schedule (default 1).
-	Faults    int   `json:"faults,omitempty"`
-	FaultSeed int64 `json:"fault_seed,omitempty"`
-	// MaxRetries overrides the dist engine's per-vertex retry budget
-	// (0 = runtime default).
-	MaxRetries int `json:"max_retries,omitempty"`
-	// Fallback degrades a dist run to the sequential engine when its
-	// retries are exhausted.
-	Fallback bool `json:"fallback,omitempty"`
-	// Checkpoint enables cost-model-driven checkpoint placement on the
-	// dist engine; CheckpointBudget caps the pinned bytes (0 =
-	// unbounded).
-	Checkpoint       bool  `json:"checkpoint,omitempty"`
-	CheckpointBudget int64 `json:"checkpoint_budget,omitempty"`
-	// Speculate enables speculative straggler re-execution on the dist
-	// engine (the runtime's default profile).
-	Speculate bool `json:"speculate,omitempty"`
-	// KernelThreads bounds the threads each local compute kernel may
-	// use (0 = auto-size to the machine; 1 = serial kernels). Results
-	// are bit-identical at every setting.
-	KernelThreads int `json:"kernel_threads,omitempty"`
-	// Peers maps dist shards onto worker processes: each entry is a
-	// `matoptd -worker` address (host:port) or the literal "local" for
-	// in-process hosting. Empty keeps the in-process chan transport.
-	Peers []string `json:"peers,omitempty"`
 	// DeadlineMS shortens the server's default request timeout.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// Trace asks for the request's span tree in the response.
@@ -93,45 +71,7 @@ func (r ExecuteRequest) validate() error {
 	default:
 		return fmt.Errorf("unknown engine %q (want seq, dist or sim)", r.Engine)
 	}
-	if r.Shards < 0 {
-		return fmt.Errorf("shards must be non-negative, got %d", r.Shards)
-	}
-	if r.Faults < 0 {
-		return fmt.Errorf("faults must be non-negative, got %d", r.Faults)
-	}
-	if r.Faults > 0 && r.Engine != "dist" {
-		return fmt.Errorf("faults require engine dist, got %q", r.Engine)
-	}
-	if r.FaultSeed < 0 {
-		return fmt.Errorf("fault_seed must be non-negative, got %d", r.FaultSeed)
-	}
-	if r.MaxRetries < 0 {
-		return fmt.Errorf("max_retries must be non-negative, got %d", r.MaxRetries)
-	}
-	if r.Checkpoint && r.Engine != "dist" {
-		return fmt.Errorf("checkpoint requires engine dist, got %q", r.Engine)
-	}
-	if r.CheckpointBudget < 0 {
-		return fmt.Errorf("checkpoint_budget must be non-negative, got %d", r.CheckpointBudget)
-	}
-	if r.CheckpointBudget > 0 && !r.Checkpoint {
-		return fmt.Errorf("checkpoint_budget requires checkpoint")
-	}
-	if r.Speculate && r.Engine != "dist" {
-		return fmt.Errorf("speculate requires engine dist, got %q", r.Engine)
-	}
-	if r.KernelThreads < 0 {
-		return fmt.Errorf("kernel_threads must be non-negative, got %d", r.KernelThreads)
-	}
-	if len(r.Peers) > 0 && r.Engine != "dist" {
-		return fmt.Errorf("peers require engine dist, got %q", r.Engine)
-	}
-	for i, p := range r.Peers {
-		if p == "" {
-			return fmt.Errorf("peers[%d] is empty", i)
-		}
-	}
-	return nil
+	return r.ExecConfig.Validate(r.Engine == "dist")
 }
 
 // OutputMatrix is one result matrix: dimensions, the raw float64 bits

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,7 +13,6 @@ import (
 	"time"
 
 	"matopt"
-	"matopt/internal/dist"
 	"matopt/internal/obs"
 	"matopt/internal/plan"
 )
@@ -211,17 +211,13 @@ func (s *Server) handleExecute(ctx context.Context, body []byte, tr *obs.Tracer,
 	if err := req.validate(); err != nil {
 		return nil, badRequestError{err}
 	}
-	engine := req.Engine
-	if engine == "" {
-		engine = "seq"
-	}
+	engine := cmp.Or(req.Engine, "seq")
 	spec := req.Spec.normalized()
 	g, inputs, err := spec.build()
 	if err != nil {
 		return nil, badRequestError{err}
 	}
-	b := matopt.NewBuilderFromGraph(g)
-	p, fp, err := s.optimizeSpec(ctx, b)
+	p, fp, err := s.optimizeSpec(ctx, matopt.NewBuilderFromGraph(g))
 	if err != nil {
 		return nil, err
 	}
@@ -244,44 +240,12 @@ func (s *Server) handleExecute(ctx context.Context, body []byte, tr *obs.Tracer,
 			PeakWorkerBytes: rep.PeakWorkerBytes,
 		}
 	case "seq", "dist":
-		xopts := []matopt.ExecutorOption{matopt.WithTracing(tr)}
-		if req.KernelThreads > 0 {
-			xopts = append(xopts, matopt.WithKernelThreads(req.KernelThreads))
-		}
+		kind := matopt.SequentialEngine
 		if engine == "dist" {
-			xopts = append(xopts, matopt.WithEngineKind(matopt.DistEngine), matopt.WithShards(req.Shards))
-			if len(req.Peers) > 0 {
-				xopts = append(xopts, matopt.WithPeers(req.Peers...))
-			}
-			if req.MaxRetries > 0 {
-				xopts = append(xopts, matopt.WithMaxRetries(req.MaxRetries))
-			}
-			if req.Fallback {
-				xopts = append(xopts, matopt.WithFallback())
-			}
-			if req.Checkpoint {
-				xopts = append(xopts, matopt.WithCheckpointing(0, req.CheckpointBudget))
-			}
-			if req.Speculate {
-				xopts = append(xopts, matopt.WithSpeculation(matopt.DefaultSpeculation()))
-			}
-			if req.Faults > 0 {
-				seed := req.FaultSeed
-				if seed == 0 {
-					seed = 1
-				}
-				var ids []int
-				for _, v := range g.Vertices {
-					ids = append(ids, v.ID)
-				}
-				shards := req.Shards
-				if shards <= 0 {
-					shards = dist.DefaultShards()
-				}
-				xopts = append(xopts, matopt.WithFaults(matopt.RandomFaults(seed, req.Faults, ids, shards)))
-			}
+			kind = matopt.DistEngine
 		}
-		x := matopt.NewExecutor(s.cfg.Cluster, xopts...)
+		x := matopt.NewExecutor(s.cfg.Cluster, matopt.WithExecConfig(req.ExecConfig),
+			matopt.WithEngineKind(kind), matopt.WithTracing(tr))
 		outs, err := x.RunCtx(ctx, p, inputs)
 		if err != nil {
 			return nil, err

@@ -24,10 +24,10 @@ import (
 func loadMix() []ExecuteRequest {
 	return []ExecuteRequest{
 		{Spec: Spec{Workload: "chain", SizeSet: 1, Scale: 400}},
-		{Spec: Spec{Workload: "chain", SizeSet: 2, Scale: 400}, Engine: "dist", Shards: 2},
+		{Spec: Spec{Workload: "chain", SizeSet: 2, Scale: 400}, Engine: "dist", ExecConfig: matopt.ExecConfig{Shards: 2}},
 		{Spec: Spec{Workload: "chain", SizeSet: 3, Scale: 600, Seed: 7}},
 		{Spec: Spec{Workload: "ffnn", Scale: 4000}},
-		{Spec: Spec{Workload: "ffnn3", Scale: 4000}, Engine: "dist", Shards: 2, Faults: 1, Fallback: true},
+		{Spec: Spec{Workload: "ffnn3", Scale: 4000}, Engine: "dist", ExecConfig: matopt.ExecConfig{Shards: 2, Faults: 1, Fallback: true}},
 		{Spec: Spec{Workload: "inverse", Scale: 100}},
 		{Spec: Spec{Workload: "ffnn", Scale: 4000}, Engine: "sim"},
 	}
@@ -59,17 +59,17 @@ func directExecute(t *testing.T, cl matopt.Cluster, req ExecuteRequest) *Execute
 	}
 	var xopts []matopt.ExecutorOption
 	if req.Engine == "dist" {
-		xopts = append(xopts, matopt.WithEngineKind(matopt.DistEngine), matopt.WithShards(req.Shards))
-		if req.Fallback {
-			xopts = append(xopts, matopt.WithFallback())
-		}
+		// The schedule the service must derive from {"faults": n}: seed
+		// 1 over the graph's vertex ids and the request's shard count.
+		cfg := matopt.ExecConfig{Shards: req.Shards, Fallback: req.Fallback}
 		if req.Faults > 0 {
 			var ids []int
 			for _, v := range g.Vertices {
 				ids = append(ids, v.ID)
 			}
-			xopts = append(xopts, matopt.WithFaults(matopt.RandomFaults(1, req.Faults, ids, req.Shards)))
+			cfg.FaultPlan = matopt.RandomFaults(1, req.Faults, ids, req.Shards)
 		}
+		xopts = append(xopts, matopt.WithExecConfig(cfg), matopt.WithEngineKind(matopt.DistEngine))
 	}
 	outs, err := matopt.NewExecutor(cl, xopts...).RunCtx(context.Background(), p, inputs)
 	if err != nil {

@@ -8,6 +8,11 @@
 // the paper assumes of its host system (SimSQL/PlinyCompute) becomes
 // optimize-once-per-fingerprint across every connected client.
 //
+// An /execute body is a workload Spec, an engine name and — embedded,
+// so its JSON tags are the wire format — matopt.ExecConfig, the one
+// declaration of the run-time knobs; the handler validates it with
+// ExecConfig.Validate (→ 400) and hands it to the Executor unchanged.
+//
 // Admission control is two bounds and two clocks: at most Workers
 // requests execute concurrently, at most MaxQueue wait; a request that
 // finds the queue full is rejected immediately with ErrOverloaded

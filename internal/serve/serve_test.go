@@ -6,10 +6,15 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"matopt"
+	"matopt/internal/netfabric"
 	"matopt/internal/obs"
 )
 
@@ -85,7 +90,7 @@ func TestExecuteEndpointEnginesAgree(t *testing.T) {
 	// The dist engine under injected faults — with the full recovery
 	// ladder armed (checkpoint pins, speculation) — returns bit-identical
 	// outputs and a recovery report.
-	if code := post(t, s, "/execute", `{`+spec+`,"engine":"dist","shards":3,"faults":2,"fallback":true,"checkpoint":true,"speculate":true,"kernel_threads":2}`, &dist); code != 200 {
+	if code := post(t, s, "/execute", executeDistBody, &dist); code != 200 {
 		t.Fatalf("dist execute status %d", code)
 	}
 	if dist.Dist == nil || dist.Dist.Shards != 3 {
@@ -107,6 +112,102 @@ func TestExecuteEndpointEnginesAgree(t *testing.T) {
 	}
 	if sim.Sim == nil || sim.Sim.Seconds <= 0 || sim.Sim.FLOPs <= 0 || len(sim.Outputs) != 0 {
 		t.Fatalf("sim response incomplete: %+v", sim.Sim)
+	}
+}
+
+// executeDistBody is the dist request TestExecuteEndpointEnginesAgree
+// posts, as a client writes it.
+const executeDistBody = `{"workload":"chain","scale":400,"engine":"dist","shards":3,"faults":2,"fallback":true,"checkpoint":true,"speculate":true,"kernel_threads":2}`
+
+// TestExecuteRequestWireFormat pins the /execute body: ExecuteRequest
+// embeds Spec and matopt.ExecConfig, so a tag slip in either — or two
+// fields colliding, which encoding/json resolves by silently dropping
+// both — would rename or lose a field without any compile error.
+func TestExecuteRequestWireFormat(t *testing.T) {
+	one := 1
+	full := ExecuteRequest{
+		Spec:   Spec{Workload: "chain", SizeSet: 2, Hidden: 10, Scale: 400, Seed: 7},
+		Engine: "dist", DeadlineMS: 5, Trace: true,
+		ExecConfig: matopt.ExecConfig{
+			Shards: 3, KernelThreads: 2, MaxRetries: &one, Fallback: true,
+			Checkpoint: true, CheckpointBudget: 1024, Speculate: true,
+			Faults: 2, FaultSeed: 9, Peers: []string{"local"},
+			// Go-only fields must never reach the wire.
+			Tracer: obs.NewTracer(), FaultPlan: matopt.NewFaultPlan(), Transport: netfabric.Chan(),
+			BackoffBase: time.Second, BackoffCap: time.Second, VertexDeadline: time.Second,
+			ExchangeTimeout: time.Second, CheckpointMultiple: 2, Speculation: matopt.Speculation{Multiplier: 2},
+		},
+	}
+	raw, err := json.Marshal(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for k := range fields {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	want := []string{
+		"checkpoint", "checkpoint_budget", "deadline_ms", "engine", "fallback", "fault_seed",
+		"faults", "hidden", "kernel_threads", "max_retries", "peers", "scale", "seed",
+		"shards", "sizeset", "speculate", "trace", "workload",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("/execute key set changed:\n got %v\nwant %v", got, want)
+	}
+
+	var req ExecuteRequest
+	if err := json.Unmarshal([]byte(executeDistBody), &req); err != nil {
+		t.Fatal(err)
+	}
+	wantReq := ExecuteRequest{
+		Spec: Spec{Workload: "chain", Scale: 400}, Engine: "dist",
+		ExecConfig: matopt.ExecConfig{
+			Shards: 3, Faults: 2, Fallback: true, Checkpoint: true, Speculate: true, KernelThreads: 2,
+		},
+	}
+	if !reflect.DeepEqual(req, wantReq) {
+		t.Fatalf("decoded %s as\n%+v\nwant\n%+v", executeDistBody, req, wantReq)
+	}
+	// max_retries distinguishes absent (the default budget) from an
+	// explicit 0 (fail on the first fault).
+	if req.MaxRetries != nil {
+		t.Fatalf("absent max_retries decoded as %d, want nil", *req.MaxRetries)
+	}
+	if err := json.Unmarshal([]byte(`{"max_retries":0}`), &req); err != nil || req.MaxRetries == nil || *req.MaxRetries != 0 {
+		t.Fatalf("explicit max_retries 0 decoded as %v (err %v)", req.MaxRetries, err)
+	}
+}
+
+// TestExecuteZeroRetriesIsExplicit: {"max_retries":0} means "fail on
+// the first fault" over the wire as it does in the Go API — under a
+// seeded fault schedule the run cannot recover, so it degrades when
+// fallback is on and fails when it is off, while the same request
+// without the field recovers on the default budget.
+func TestExecuteZeroRetriesIsExplicit(t *testing.T) {
+	s := New(testConfig(2, 8))
+	defer s.Drain(context.Background())
+
+	const faulted = `"workload":"chain","scale":400,"engine":"dist","shards":3,"faults":6,"fault_seed":3`
+	var resp ExecuteResponse
+	if code := post(t, s, "/execute", `{`+faulted+`}`, &resp); code != 200 {
+		t.Fatalf("default retry budget: status %d", code)
+	}
+	if resp.Dist == nil || resp.Dist.Degraded || resp.Dist.Retries == 0 {
+		t.Fatalf("default retry budget should recover by retrying, got %+v", resp.Dist)
+	}
+	if code := post(t, s, "/execute", `{`+faulted+`,"max_retries":0,"fallback":true}`, &resp); code != 200 {
+		t.Fatalf("zero retries with fallback: status %d", code)
+	}
+	if resp.Dist == nil || !resp.Dist.Degraded || resp.Dist.Retries != 0 {
+		t.Fatalf("zero retries should degrade without retrying, got %+v", resp.Dist)
+	}
+	if code := post(t, s, "/execute", `{`+faulted+`,"max_retries":0}`, nil); code != 500 {
+		t.Fatalf("zero retries without fallback: status %d, want 500", code)
 	}
 }
 
@@ -158,6 +259,12 @@ func TestRequestValidation(t *testing.T) {
 		{"/execute", `{"workload":"chain","engine":"dist","checkpoint":true,"checkpoint_budget":-1}`, 400},
 		{"/execute", `{"workload":"chain","engine":"dist","checkpoint_budget":1024}`, 400}, // budget needs checkpoint
 		{"/execute", `{"workload":"chain","kernel_threads":-1}`, 400},
+		{"/execute", `{"workload":"chain","engine":"dist","max_retries":-1}`, 400},
+		{"/execute", `{"workload":"chain","peers":["127.0.0.1:9431"]}`, 400}, // peers need dist
+		// Sizes that would allocate per-shard or per-fault state before
+		// any deadline could fire are refused by constant bounds.
+		{"/execute", `{"workload":"chain","engine":"dist","shards":50000000}`, 400},
+		{"/execute", `{"workload":"chain","engine":"dist","faults":2000000000}`, 400},
 		{"/plan", `{"workload":"chain","sizeset":9}`, 400},
 	}
 	for _, c := range cases {

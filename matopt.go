@@ -13,9 +13,14 @@
 // An Executor runs plans on one of two runtimes: the sequential
 // reference engine (the default), or — with WithEngineKind(DistEngine) —
 // a sharded multi-worker runtime that hash-partitions every relation
-// across WithShards worker shards, executes independent DAG vertices
-// concurrently, and meters every byte crossing a shard boundary
-// (DistReport). The two produce bit-identical results.
+// across worker shards, executes independent DAG vertices concurrently,
+// and meters every byte crossing a shard boundary (DistReport). The two
+// produce bit-identical results. Every run-time knob of either runtime
+// — shard count, kernel threads, retry budget, fallback, checkpointing,
+// speculation, fault injection, worker peers — is a field of ExecConfig
+// (set whole with WithExecConfig); the same struct is the /execute
+// request body and the CLI's flags, and its one Validate method is
+// applied by every run.
 //
 //	b := matopt.NewBuilder()
 //	a := b.Input("A", 100, 10000, matopt.RowStrips(10))

@@ -162,7 +162,7 @@ func TestPlanCacheMetrics(t *testing.T) {
 }
 
 // TestDegradedReportKeepsMeters is the regression test for the
-// degraded-run report: after WithFallback kicks in, DistReport must
+// degraded-run report: after Fallback kicks in, DistReport must
 // carry the attempted dist run's meters — the traffic it shipped, the
 // retries it took, the faults that fired — not a zeroed report.
 func TestDegradedReportKeepsMeters(t *testing.T) {
@@ -177,12 +177,12 @@ func TestDegradedReportKeepsMeters(t *testing.T) {
 			victim = v.ID
 		}
 	}
-	exec := NewExecutor(cl, WithEngineKind(DistEngine), WithShards(4),
-		WithFaults(NewFaultPlan(
+	one := 1
+	exec := NewExecutor(cl, WithEngineKind(DistEngine),
+		WithExecConfig(ExecConfig{Shards: 4, MaxRetries: &one, Fallback: true, FaultPlan: NewFaultPlan(
 			Fault{Kind: FaultCrash, Vertex: victim, Attempt: 0},
 			Fault{Kind: FaultCrash, Vertex: victim, Attempt: 1},
-		)),
-		WithMaxRetries(1), WithFallback())
+		)}))
 	got, err := exec.Run(plan, inputs)
 	if err != nil {
 		t.Fatal(err)

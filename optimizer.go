@@ -195,8 +195,8 @@ var ErrShardFailed = dist.ErrShardFailed
 var ErrExchangeTimeout = dist.ErrExchangeTimeout
 
 // ErrRetriesExhausted reports that a dist-engine vertex kept failing
-// past the retry budget or per-vertex deadline; with WithFallback the
-// Executor degrades to the sequential engine instead of returning it.
+// past the retry budget or per-vertex deadline; with ExecConfig.Fallback
+// the Executor degrades to the sequential engine instead of returning it.
 var ErrRetriesExhausted = dist.ErrRetriesExhausted
 
 // Optimize computes the cost-optimal annotation of the builder's graph.
@@ -364,85 +364,34 @@ const (
 	DistEngine
 )
 
+// ExecConfig is the one description of an execution's run-time
+// environment — shards, kernel threads, retry budget, fallback,
+// checkpointing, speculation, fault injection, peers — shared verbatim
+// with the /execute body and the matopt CLI. Its field comments are
+// the reference for every knob; every run applies its Validate.
+type ExecConfig = dist.Config
+
 // ExecutorOption configures an Executor.
 type ExecutorOption func(*Executor)
+
+// WithExecConfig sets the Executor's whole run-time configuration,
+// replacing anything earlier options set — so give it before WithShards
+// or WithPeers. An invalid configuration (a negative count, a dist-only
+// knob on the sequential engine) is reported by the first run.
+func WithExecConfig(cfg ExecConfig) ExecutorOption { return func(x *Executor) { x.cfg = cfg } }
 
 // WithEngineKind selects the execution runtime (default SequentialEngine).
 func WithEngineKind(k EngineKind) ExecutorOption { return func(x *Executor) { x.kind = k } }
 
-// WithShards sets the DistEngine's shard count; n ≤ 0 selects
-// dist.DefaultShards (GOMAXPROCS). Ignored by the sequential engine.
-func WithShards(n int) ExecutorOption { return func(x *Executor) { x.shards = n } }
-
-// WithFallback makes the Executor degrade gracefully: when a DistEngine
-// run fails after its retries are exhausted, the plan is transparently
-// re-executed on the sequential engine (which produces bit-identical
-// results) and the downgrade is recorded on DistReport. Cancellation is
-// never masked — a context error still aborts the run. Ignored by the
-// sequential engine.
-func WithFallback() ExecutorOption { return func(x *Executor) { x.fallback = true } }
-
-// WithMaxRetries bounds how many times the DistEngine recomputes a
-// vertex whose execution failed transiently before giving up (default
-// dist.DefaultMaxRetries). Ignored by the sequential engine.
-func WithMaxRetries(n int) ExecutorOption { return func(x *Executor) { x.maxRetries = &n } }
-
-// WithFaults installs a deterministic fault-injection schedule on the
-// DistEngine — crashes, node losses, dropped or delayed exchanges,
-// straggler shards — for chaos testing recovery paths. Outputs remain
-// bit-identical to the sequential engine under every recoverable
-// schedule. Ignored by the sequential engine.
-func WithFaults(p *FaultPlan) ExecutorOption { return func(x *Executor) { x.faults = p } }
-
-// WithCheckpointing enables the DistEngine's cost-model-driven
-// checkpoint placement: intermediates whose recompute cost exceeds
-// multiple × their materialization cost stay resident for recovery,
-// truncating the lineage cascades a node loss can trigger. multiple ≤ 0
-// uses the cost model's default; budgetBytes ≤ 0 means unbounded, else
-// it caps the pinned bytes (deepest vertices pinned first). Ignored by
-// the sequential engine.
-func WithCheckpointing(multiple float64, budgetBytes int64) ExecutorOption {
-	return func(x *Executor) { x.ckptOn, x.ckptMultiple, x.ckptBudget = true, multiple, budgetBytes }
-}
-
-// WithSpeculation enables the DistEngine's speculative straggler
-// re-execution: a vertex attempt exceeding the run's own p99-derived
-// deadline gets a duplicate launched on other shards, and the first
-// result wins — bit-identically, since both attempts replay the same
-// deterministic kernels. Ignored by the sequential engine.
-func WithSpeculation(s Speculation) ExecutorOption {
-	return func(x *Executor) { x.spec = &s }
-}
-
-// WithKernelThreads bounds the threads each local compute kernel may
-// use, on either engine. Kernels run on a shared GOMAXPROCS-bounded
-// worker pool, so the process never oversubscribes the machine no
-// matter how many runs or shards are active. n = 1 forces serial
-// kernels; n ≤ 0 (the default) picks automatically — the whole machine
-// for the sequential engine, and GOMAXPROCS divided by the shard count
-// (floor 1) per shard for the DistEngine, so shard parallelism and
-// kernel parallelism compose. Results are bit-identical at every
-// setting; see KERNELS.md for the determinism argument.
-func WithKernelThreads(n int) ExecutorOption { return func(x *Executor) { x.kernelThreads = n } }
+// WithShards sets ExecConfig.Shards.
+func WithShards(n int) ExecutorOption { return func(x *Executor) { x.cfg.Shards = n } }
 
 // LocalPeer is the WithPeers entry meaning "host this shard on the
 // coordinator process itself" — its exchanges never touch a socket.
 const LocalPeer = netfabric.LocalPeer
 
-// WithPeers maps the DistEngine's shards onto worker processes: shard s
-// is hosted by peers[s % len(peers)], where each entry is either a
-// `matoptd -worker -listen` address ("10.0.0.7:7070") or LocalPeer.
-// With at least one remote peer every cross-shard exchange moves over a
-// real TCP connection — length-prefixed frames, per-peer pooled
-// connections, wire bytes metered onto DistReport — and wire failures
-// (refused dials, severed connections) ride the same retry ladder as
-// exchange timeouts, degrading to the sequential engine under
-// WithFallback. Results stay bit-identical to the in-process transport
-// and the sequential engine. An empty call (or none) keeps the default
-// in-process channel transport. Ignored by the sequential engine.
-func WithPeers(peers ...string) ExecutorOption {
-	return func(x *Executor) { x.peers = peers }
-}
+// WithPeers sets ExecConfig.Peers.
+func WithPeers(peers ...string) ExecutorOption { return func(x *Executor) { x.cfg.Peers = peers } }
 
 // WithTracing attaches a tracer to the Executor: every run opens an
 // "execute" span; a DistEngine run nests its "dist.run" span (with
@@ -455,7 +404,8 @@ func WithPeers(peers ...string) ExecutorOption {
 func WithTracing(t *Tracer) ExecutorOption { return func(x *Executor) { x.tracer = t } }
 
 // FaultPlan is a deterministic schedule of injected failures for the
-// dist runtime; build one with NewFaultPlan or RandomFaults.
+// dist runtime, set as ExecConfig.FaultPlan; build one with
+// NewFaultPlan or RandomFaults.
 type FaultPlan = dist.FaultPlan
 
 // Fault is one scheduled failure in a FaultPlan.
@@ -473,12 +423,9 @@ const (
 	FaultNodeLoss      = dist.FaultNodeLoss
 )
 
-// Speculation configures the DistEngine's straggler re-execution; see
-// WithSpeculation and dist.Speculation.
+// Speculation is the profile ExecConfig.Speculate runs under (the zero
+// value is the default profile); see dist.Speculation.
 type Speculation = dist.Speculation
-
-// DefaultSpeculation is a conservative speculation profile.
-func DefaultSpeculation() Speculation { return dist.DefaultSpeculation() }
 
 // RetriesExhaustedError carries the failing vertex, attempt count and
 // root-cause fault behind an ErrRetriesExhausted; errors.As extracts it
@@ -504,21 +451,11 @@ type DistReport = dist.Report
 // Executor runs plans on real data, over either the in-process
 // sequential relational engine or the sharded dist runtime.
 type Executor struct {
-	cluster    Cluster
-	eng        *engine.Engine
-	kind       EngineKind
-	shards     int
-	fallback   bool
-	maxRetries *int // nil = dist runtime default
-	faults     *FaultPlan
-	tracer     *Tracer
-
-	ckptOn        bool
-	ckptMultiple  float64
-	ckptBudget    int64
-	spec          *Speculation
-	kernelThreads int
-	peers         []string
+	cluster Cluster
+	eng     *engine.Engine
+	kind    EngineKind
+	tracer  *Tracer
+	cfg     ExecConfig
 
 	mu         sync.Mutex
 	lastReport *DistReport
@@ -531,10 +468,7 @@ func NewExecutor(cl Cluster, opts ...ExecutorOption) *Executor {
 	for _, opt := range opts {
 		opt(x)
 	}
-	if x.shards <= 0 {
-		x.shards = dist.DefaultShards()
-	}
-	x.eng.KernelThreads = x.kernelThreads
+	x.eng.KernelThreads = x.cfg.KernelThreads
 	return x
 }
 
@@ -547,10 +481,14 @@ func (x *Executor) Run(p *Plan, inputs map[string]*tensor.Dense) (map[int]*tenso
 
 // RunCtx is Run under a caller-supplied context; execution checks the
 // context between vertices and aborts with its error when cancelled.
-// With WithFallback, a DistEngine run that fails for any reason other
-// than cancellation is transparently re-executed on the sequential
-// engine; DistReport then carries Degraded and the failure cause.
+// With ExecConfig.Fallback, a DistEngine run that fails for any reason
+// other than cancellation is transparently re-executed on the
+// sequential engine; DistReport then carries Degraded and the failure
+// cause.
 func (x *Executor) RunCtx(ctx context.Context, p *Plan, inputs map[string]*tensor.Dense) (map[int]*tensor.Dense, error) {
+	if err := x.cfg.Validate(x.kind == DistEngine); err != nil {
+		return nil, fmt.Errorf("matopt: %w", err)
+	}
 	span := x.tracer.Start(nil, "execute")
 	defer span.End()
 	// One lowering serves every engine: the physical IR is shared with
@@ -561,60 +499,33 @@ func (x *Executor) RunCtx(ctx context.Context, p *Plan, inputs map[string]*tenso
 	}
 	if x.kind == DistEngine {
 		span.SetStr("engine", "dist")
-		opts := []dist.Option{dist.WithFaults(x.faults), dist.WithTracer(x.tracer, span)}
-		if x.maxRetries != nil {
-			opts = append(opts, dist.WithMaxRetries(*x.maxRetries))
-		}
-		if x.ckptOn {
-			opts = append(opts, dist.WithCheckpointing(x.ckptMultiple, x.ckptBudget))
-		}
-		if x.spec != nil {
-			opts = append(opts, dist.WithSpeculation(*x.spec))
-		}
-		if x.kernelThreads > 0 {
-			opts = append(opts, dist.WithKernelThreads(x.kernelThreads))
-		}
-		if len(x.peers) > 0 {
-			// One transport per run: pooled connections live for the
-			// run's exchanges and are torn down with it, so a degraded
-			// or failed run never leaks sockets.
-			tp, err := netfabric.NewTCP(x.peers)
-			if err != nil {
-				return nil, err
-			}
-			defer tp.Close()
-			opts = append(opts, dist.WithTransport(tp))
-		}
-		rt, err := dist.New(x.cluster, x.shards, opts...)
+		cfg := x.cfg
+		cfg.Tracer, cfg.Span = x.tracer, span
+		rt, err := dist.New(x.cluster, cfg)
 		if err != nil {
 			return nil, err
 		}
 		outs, rep, err := rt.RunPlan(ctx, pp, inputs)
 		if err != nil {
-			if !x.fallback || ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			if !cfg.Fallback || ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return nil, err
 			}
-			// Keep the failed attempt's Report — its meters record what
-			// the dist run shipped, retried and injected before giving
-			// up, which is exactly what a caller diagnosing the
-			// degradation needs. Only a run that died before newRun
-			// (impossible today) would leave rep nil.
-			if rep == nil {
-				rep = &dist.Report{Shards: x.shards}
-			}
+			// Degrade, keeping the failed attempt's Report: its meters
+			// record what the dist run shipped, retried and injected
+			// before giving up, which is what a caller diagnosing the
+			// degradation needs.
 			rep.Degraded = true
 			rep.DegradedCause = err.Error()
-			x.mu.Lock()
-			x.lastReport = rep
-			x.mu.Unlock()
-			fspan := x.tracer.Start(span, "fallback.sequential").SetStr("cause", err.Error())
-			defer fspan.End()
-			return x.eng.RunPlanCollectCtx(ctx, pp, inputs)
 		}
 		x.mu.Lock()
 		x.lastReport = rep
 		x.mu.Unlock()
-		return outs, nil
+		if err == nil {
+			return outs, nil
+		}
+		fspan := x.tracer.Start(span, "fallback.sequential").SetStr("cause", err.Error())
+		defer fspan.End()
+		return x.eng.RunPlanCollectCtx(ctx, pp, inputs)
 	}
 	span.SetStr("engine", "seq")
 	sspan := x.tracer.Start(span, "seq.run")
@@ -623,7 +534,7 @@ func (x *Executor) RunCtx(ctx context.Context, p *Plan, inputs map[string]*tenso
 }
 
 // DistReport returns the measurement of the most recent DistEngine run,
-// or nil when none has completed. After a degraded run (WithFallback)
+// or nil when none has completed. After a degraded run (Fallback)
 // the report carries the attempted dist run's meters — traffic shipped,
 // retries taken, faults injected — alongside Degraded/DegradedCause,
 // not a zeroed report.

@@ -72,8 +72,9 @@ func TestChaosNetFallbackOnDeadPeer(t *testing.T) {
 	cl := costmodel.LocalTest(3)
 
 	addr := startPeerWorker(t, netfabric.CloseAfterSessions(1))
-	hard := NewExecutor(cl, WithEngineKind(DistEngine), WithShards(4),
-		WithPeers(addr), WithMaxRetries(1))
+	one := 1
+	hard := NewExecutor(cl, WithEngineKind(DistEngine),
+		WithExecConfig(ExecConfig{Shards: 4, MaxRetries: &one}), WithPeers(addr))
 	if _, err := hard.Run(plan, inputs); err == nil {
 		t.Fatal("run succeeded against a departed worker")
 	} else {
@@ -84,8 +85,8 @@ func TestChaosNetFallbackOnDeadPeer(t *testing.T) {
 	}
 
 	addr = startPeerWorker(t, netfabric.CloseAfterSessions(1))
-	soft := NewExecutor(cl, WithEngineKind(DistEngine), WithShards(4),
-		WithPeers(addr), WithMaxRetries(1), WithFallback())
+	soft := NewExecutor(cl, WithEngineKind(DistEngine),
+		WithExecConfig(ExecConfig{Shards: 4, MaxRetries: &one, Fallback: true}), WithPeers(addr))
 	got, err := soft.Run(plan, inputs)
 	if err != nil {
 		t.Fatalf("fallback run: %v", err)
