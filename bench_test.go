@@ -1,4 +1,4 @@
-package matopt
+package matopt_test
 
 // One benchmark per table and figure of the paper's evaluation (§8).
 // Each benchmark regenerates its figure through internal/figures — the
@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"matopt"
 	"matopt/internal/core"
 	"matopt/internal/costmodel"
 	"matopt/internal/figures"
@@ -149,20 +150,20 @@ func BenchmarkOptimizerFFNNW2Update80K(b *testing.B) {
 // fig5Builder wraps the Figure 5 three-pass FFNN graph (80 000 labels)
 // in a public-API Builder so the cache benchmarks exercise the same
 // Optimize entry point users call.
-func fig5Builder(b *testing.B) *Builder {
+func fig5Builder(b *testing.B) *matopt.Builder {
 	b.Helper()
 	g, err := workload.FFNNThreePass(workload.PaperFFNN(80000))
 	if err != nil {
 		b.Fatal(err)
 	}
-	return &Builder{g: g}
+	return matopt.NewBuilderFromGraph(g)
 }
 
 // BenchmarkOptimizeCacheHit measures a repeated Optimize served from the
 // plan cache; compare against BenchmarkOptimizeCacheCold — the hit path
 // must be ≥100× faster than the cold search.
 func BenchmarkOptimizeCacheHit(b *testing.B) {
-	o := NewOptimizer(ClusterR5D(10))
+	o := matopt.NewOptimizer(matopt.ClusterR5D(10))
 	bld := fig5Builder(b)
 	if _, err := o.Optimize(bld); err != nil {
 		b.Fatal(err)
@@ -182,7 +183,7 @@ func BenchmarkOptimizeCacheHit(b *testing.B) {
 // BenchmarkOptimizeCacheCold is the same computation with the cache
 // bypassed (WithoutPlanCache), i.e. today's pre-cache behavior.
 func BenchmarkOptimizeCacheCold(b *testing.B) {
-	o := NewOptimizer(ClusterR5D(10), WithoutPlanCache())
+	o := matopt.NewOptimizer(matopt.ClusterR5D(10), matopt.WithoutPlanCache())
 	bld := fig5Builder(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

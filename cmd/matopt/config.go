@@ -3,7 +3,9 @@ package main
 import (
 	"fmt"
 	"strings"
+	"time"
 
+	"matopt"
 	"matopt/internal/dist"
 )
 
@@ -21,6 +23,22 @@ type execConfig struct {
 	Explain     bool   // print the lowered physical plan with per-operator costs
 	PlanOut     string // write the serialized physical plan here ("" = off)
 	PlanIn      string // load a serialized physical plan instead of optimizing ("" = off)
+
+	// What to compute: with Scale, the fields of a workload.Spec (the
+	// seed is fixed).
+	Workload string
+	Hidden   int64
+	SizeSet  int
+
+	// How to optimize it: with Parallelism, one matopt.Option each.
+	Workers int           // cluster size
+	Formats string        // all | ssb | sb
+	Sparse  bool          // keep the sparse formats of "all"
+	Alg     string        // auto | brute
+	Budget  time.Duration // brute-force time budget
+
+	Stats bool // print optimizer search statistics
+	DOT   bool // emit the annotated graph in Graphviz format and stop
 }
 
 // tracing reports whether a tracer must be attached to the run: either
@@ -45,6 +63,26 @@ func (c execConfig) validate() error {
 		return fmt.Errorf("-plan-in and -plan-out are mutually exclusive")
 	}
 	return c.Config.Validate(c.Engine == "dist")
+}
+
+// optimizerOptions translates -formats/-sparse, -alg/-brute-budget and
+// -parallelism into the public API's options.
+func (c execConfig) optimizerOptions() ([]matopt.Option, error) {
+	formats, ok := map[string]matopt.FormatSet{
+		"all": matopt.AllFormats, "ssb": matopt.SingleStripBlockFormats, "sb": matopt.SingleBlockFormats,
+	}[c.Formats]
+	if !ok {
+		return nil, fmt.Errorf("unknown format set %q", c.Formats)
+	}
+	if formats == matopt.AllFormats && !c.Sparse {
+		formats = matopt.DenseFormats // "all" minus the sparse layouts
+	}
+	alg, ok := map[string]matopt.Algorithm{"auto": matopt.Auto, "brute": matopt.BruteForce}[c.Alg]
+	if !ok {
+		return nil, fmt.Errorf("unknown algorithm %q", c.Alg)
+	}
+	return []matopt.Option{matopt.WithFormats(formats), matopt.WithAlgorithm(alg),
+		matopt.WithBudget(c.Budget), matopt.WithParallelism(c.Parallelism)}, nil
 }
 
 // setPeers is the -peers flag's setter: a comma-separated list of

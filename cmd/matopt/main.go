@@ -42,42 +42,38 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
-	"math"
-	"math/rand"
 	"os"
 	"os/signal"
 	"runtime"
 	"syscall"
 	"time"
 
-	"matopt/internal/core"
-	"matopt/internal/costmodel"
+	"matopt"
 	"matopt/internal/dist"
-	"matopt/internal/engine"
-	"matopt/internal/format"
 	"matopt/internal/obs"
 	"matopt/internal/plan"
-	"matopt/internal/shape"
 	"matopt/internal/tensor"
 	"matopt/internal/workload"
 )
 
 func main() {
-	wl := flag.String("workload", "motivating", "motivating | ffnn | ffnn3 | chain | inverse")
-	hidden := flag.Int64("hidden", 80000, "FFNN hidden layer size")
-	sizeSet := flag.Int("sizeset", 1, "chain size set (1-3)")
-	workers := flag.Int("workers", 10, "cluster size")
-	sparse := flag.Bool("sparse", false, "allow sparse formats")
-	formatSet := flag.String("formats", "all", "format universe: all | ssb (single/strip/block) | sb (single/block)")
-	alg := flag.String("alg", "auto", "optimization algorithm: auto (tree DP / frontier) | brute")
-	budget := flag.Duration("brute-budget", 30*time.Second, "brute-force time budget")
-	stats := flag.Bool("stats", false, "print optimizer search statistics")
-	dot := flag.Bool("dot", false, "emit the annotated compute graph in Graphviz format (Figure 2 style)")
 	var cfg execConfig
+	flag.StringVar(&cfg.Workload, "workload", "motivating", "motivating | ffnn | ffnn3 | chain | inverse")
+	flag.Int64Var(&cfg.Hidden, "hidden", 80000, "FFNN hidden layer size")
+	flag.IntVar(&cfg.SizeSet, "sizeset", 1, "chain size set (1-3)")
+	flag.IntVar(&cfg.Workers, "workers", 10, "cluster size")
+	flag.BoolVar(&cfg.Sparse, "sparse", false, "allow sparse formats")
+	flag.StringVar(&cfg.Formats, "formats", "all", "format universe: all | ssb (single/strip/block) | sb (single/block)")
+	flag.StringVar(&cfg.Alg, "alg", "auto", "optimization algorithm: auto (tree DP / frontier) | brute")
+	flag.DurationVar(&cfg.Budget, "brute-budget", 30*time.Second, "brute-force time budget")
+	flag.BoolVar(&cfg.Stats, "stats", false, "print optimizer search statistics")
+	flag.BoolVar(&cfg.DOT, "dot", false, "emit the annotated compute graph in Graphviz format (Figure 2 style)")
 	flag.IntVar(&cfg.Parallelism, "parallelism", runtime.GOMAXPROCS(0), "frontier worker pool size")
 	flag.StringVar(&cfg.Engine, "engine", "sim", "sim (simulate at paper scale) | seq | dist (execute, scaled by -scale)")
 	flag.IntVar(&cfg.Shards, "shards", 0, "dist engine shard count (0 = GOMAXPROCS)")
@@ -98,327 +94,206 @@ func main() {
 	flag.StringVar(&cfg.PlanOut, "plan-out", "", "write the serialized physical plan to this path")
 	flag.StringVar(&cfg.PlanIn, "plan-in", "", "load a serialized physical plan from this path instead of optimizing")
 	flag.Parse()
-	if err := cfg.validate(); err != nil {
-		log.Fatal(err)
-	}
-	execute := cfg.Engine != "sim"
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-
-	var g *core.Graph
-	var inputs map[string]*tensor.Dense
-	var err error
-	rng := rand.New(rand.NewSource(1))
-	if execute {
-		g, inputs, err = buildExecutable(*wl, *hidden, *sizeSet, cfg.Scale, rng)
-	} else {
-		g, err = buildPaperScale(*wl, *hidden, *sizeSet)
-	}
-	if err != nil {
+	if _, err := drive(ctx, cfg, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
 
-	var universe []format.Format
-	switch *formatSet {
-	case "all":
-		universe = format.All()
-	case "ssb":
-		universe = format.SingleStripBlock()
-	case "sb":
-		universe = format.SingleBlock()
+// drive is the whole command after flag parsing: describe the
+// computation (workload.Spec), obtain its plan (matopt.Optimizer —
+// search or -plan-in), print what was asked for, then simulate or
+// execute it (matopt.Executor). It returns the executed outputs, nil
+// for -engine sim and -dot.
+func drive(ctx context.Context, cfg execConfig, w io.Writer) (map[int]*matopt.Dense, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	opts, err := cfg.optimizerOptions()
+	if err != nil {
+		return nil, err
+	}
+	// The seed is fixed: two identical invocations compute on identical
+	// matrices.
+	spec := workload.Spec{Workload: cfg.Workload, SizeSet: cfg.SizeSet, Hidden: cfg.Hidden, Scale: cfg.Scale, Seed: 1}
+	execute := cfg.Engine != "sim"
+	var b *matopt.Builder
+	var inputs map[string]*matopt.Dense
+	switch {
+	case !execute:
+		g, err := spec.PaperGraph()
+		if err != nil {
+			return nil, err
+		}
+		b = matopt.NewBuilderFromGraph(g)
+	case spec.Workload == "motivating":
+		return nil, fmt.Errorf("the motivating chain exists at paper scale only; use -engine sim or -workload chain")
 	default:
-		log.Fatalf("unknown format set %q", *formatSet)
+		g, in, err := spec.Build()
+		if err != nil {
+			return nil, err
+		}
+		b, inputs = matopt.NewBuilderFromGraph(g), in
 	}
-	env := core.NewEnv(costmodel.EC2R5D(*workers), universe)
-	if !*sparse {
-		env.DisableSparse()
-	}
-	// One root span wraps optimization and execution so the exported
-	// trace's top-level spans cover the whole measured run.
+
+	// One tracer shared by the optimizer and both executors, so the
+	// exported trace covers the whole measured run.
+	var tracer *matopt.Tracer
 	if cfg.tracing() {
-		cfg.Tracer = obs.NewTracer()
-		cfg.Span = cfg.Tracer.Start(nil, "matopt").SetStr("workload", *wl).SetStr("engine", cfg.Engine)
+		tracer = matopt.NewTracer()
 	}
-	sessOpts := []core.SessionOption{core.WithParallelism(cfg.Parallelism)}
-	if cfg.Tracer != nil {
-		sessOpts = append(sessOpts, core.WithTracer(cfg.Tracer, cfg.Span))
-	}
-	var ann *core.Annotation
-	var phys *plan.Plan
+	cl := matopt.ClusterR5D(cfg.Workers)
+	opt := matopt.NewOptimizer(cl, append(opts, matopt.WithTracer(tracer))...)
+	var p *matopt.Plan
 	if cfg.PlanIn != "" {
 		// Replay a previously serialized physical plan: no optimization,
 		// just fingerprint-checked decoding against this graph and env.
-		data, rerr := os.ReadFile(cfg.PlanIn)
-		if rerr != nil {
-			log.Fatalf("-plan-in: %v", rerr)
-		}
-		if phys, err = plan.Decode(g, env, data); err != nil {
-			log.Fatalf("-plan-in: %v", err)
-		}
-		ann = phys.Ann
-		fmt.Printf("loaded physical plan (%d nodes) from %s\n", len(phys.Nodes), cfg.PlanIn)
-	} else {
-		switch *alg {
-		case "auto":
-			sess := core.NewSession(ctx, env, sessOpts...)
-			ann, err = sess.Optimize(g)
-			reportStats(*stats, sess)
-		case "brute":
-			bctx, cancel := context.WithTimeout(ctx, *budget)
-			defer cancel()
-			sess := core.NewSession(bctx, env, sessOpts...)
-			ann, err = sess.Brute(g)
-			reportStats(*stats, sess)
-		default:
-			log.Fatalf("unknown algorithm %q", *alg)
-		}
+		data, err := os.ReadFile(cfg.PlanIn)
 		if err != nil {
-			log.Fatalf("optimize: %v", err)
+			return nil, fmt.Errorf("-plan-in: %w", err)
+		}
+		if p, err = opt.DecodePlan(b, data); err != nil {
+			return nil, fmt.Errorf("-plan-in: %w", err)
+		}
+	} else {
+		if p, err = opt.OptimizeCtx(ctx, b); err != nil {
+			return nil, fmt.Errorf("optimize: %w", err)
+		}
+		if st := p.OptimizerStats(); cfg.Stats {
+			fmt.Fprintf(w, "optimizer stats: %d classes expanded, %d entries pruned, %d candidates evaluated, %.3fs wall\n",
+				st.ClassesExpanded, st.EntriesPruned, st.CandidatesEvaluated, st.WallSeconds)
 		}
 	}
-	if *dot {
-		fmt.Print(ann.DOT())
-		return
+	// -explain, -plan-out, both execution engines and the simulator all
+	// work off the plan's one lowering.
+	phys, _ := p.Physical() // a Plan is lowered where it is made: never an error
+	if cfg.PlanIn != "" {
+		fmt.Fprintf(w, "loaded physical plan (%d nodes) from %s\n", len(phys.Nodes), cfg.PlanIn)
 	}
-	fmt.Print(ann.Describe())
-
-	// Every downstream consumer — -explain, -plan-out, both execution
-	// engines and the simulator — works off one lowering of the plan.
-	if phys == nil {
-		if phys, err = plan.Lower(g, env, ann); err != nil {
-			log.Fatalf("lower: %v", err)
-		}
+	if cfg.DOT {
+		fmt.Fprint(w, p.Annotation().DOT())
+		return nil, nil
 	}
+	fmt.Fprint(w, p.Describe())
 	if cfg.Explain {
-		fmt.Printf("\n%s", phys.Explain())
+		fmt.Fprintf(w, "\n%s", phys.Explain())
 	}
 	if cfg.PlanOut != "" {
-		data, eerr := plan.Encode(phys, env)
-		if eerr != nil {
-			log.Fatalf("-plan-out: %v", eerr)
+		data, err := plan.Encode(phys, opt.Env())
+		if err != nil {
+			return nil, fmt.Errorf("-plan-out: %w", err)
 		}
-		if werr := os.WriteFile(cfg.PlanOut, data, 0o644); werr != nil {
-			log.Fatalf("-plan-out: %v", werr)
+		if err := os.WriteFile(cfg.PlanOut, data, 0o644); err != nil {
+			return nil, fmt.Errorf("-plan-out: %w", err)
 		}
-		fmt.Printf("\nwrote physical plan (%d nodes) to %s\n", len(phys.Nodes), cfg.PlanOut)
+		fmt.Fprintf(w, "\nwrote physical plan (%d nodes) to %s\n", len(phys.Nodes), cfg.PlanOut)
 	}
 
+	var outs map[int]*matopt.Dense
 	if execute {
-		run(ctx, cfg, env.Cluster, phys, inputs)
-		emitObs(cfg)
-		return
+		if outs, err = run(ctx, cfg, cl, p, inputs, tracer, w); err != nil {
+			return nil, err
+		}
+	} else {
+		rep, err := matopt.Simulate(p)
+		if err != nil {
+			return nil, fmt.Errorf("simulate: %w", err)
+		}
+		fmt.Fprintf(w, "\nsimulated time on %d workers: %s   (optimizer: %.2fs)\n",
+			cfg.Workers, fmtSec(rep.Seconds), p.OptimizerSeconds())
+		fmt.Fprintf(w, "features: %.3g FLOPs, %.3g net bytes, %.3g intermediate bytes, %.0f tuples\n",
+			rep.Features.FLOPs, rep.Features.NetBytes, rep.Features.InterBytes, rep.Features.Tuples)
+		fmt.Fprintf(w, "peak per-worker working set: %.1f GB\n", rep.PeakWorkerBytes/(1<<30))
 	}
-	rep, err := engine.SimulatePlan(phys, env)
-	if err != nil {
-		log.Fatalf("simulate: %v", err)
-	}
-	fmt.Printf("\nsimulated time on %d workers: %s   (optimizer: %.2fs)\n",
-		*workers, fmtSec(rep.Seconds), ann.OptSeconds)
-	fmt.Printf("features: %.3g FLOPs, %.3g net bytes, %.3g intermediate bytes, %.0f tuples\n",
-		rep.Features.FLOPs, rep.Features.NetBytes, rep.Features.InterBytes, rep.Features.Tuples)
-	fmt.Printf("peak per-worker working set: %.1f GB\n", rep.PeakWorkerBytes/(1<<30))
-	emitObs(cfg)
+	return outs, emitObs(cfg, tracer, w)
 }
 
-// emitObs closes the root span and writes whichever observability
-// outputs the flags asked for: the span tree (-trace), a Chrome
-// trace_event file (-trace-out) and the metrics registry (-metrics).
-func emitObs(cfg execConfig) {
-	cfg.Span.End()
-	if cfg.Tracer != nil {
-		snap := cfg.Tracer.Snapshot()
+// emitObs writes whichever observability outputs the flags asked for:
+// the span tree (-trace), a Chrome trace_event file (-trace-out) and
+// the metrics registry (-metrics).
+func emitObs(cfg execConfig, tracer *matopt.Tracer, w io.Writer) error {
+	if tracer != nil {
+		snap := tracer.Snapshot()
 		if cfg.Trace {
-			fmt.Printf("\ntrace (%d spans, root coverage %.0f%%):\n%s",
+			fmt.Fprintf(w, "\ntrace (%d spans, root coverage %.0f%%):\n%s",
 				len(snap.Spans), 100*snap.WallCoverage(), snap.Tree())
 		}
 		if cfg.TraceOut != "" {
-			f, err := os.Create(cfg.TraceOut)
-			if err != nil {
-				log.Fatalf("-trace-out: %v", err)
+			var buf bytes.Buffer
+			if err := snap.WriteChromeTrace(&buf); err != nil {
+				return fmt.Errorf("-trace-out: %w", err)
 			}
-			if err := snap.WriteChromeTrace(f); err != nil {
-				f.Close()
-				log.Fatalf("-trace-out: %v", err)
+			if err := os.WriteFile(cfg.TraceOut, buf.Bytes(), 0o644); err != nil {
+				return fmt.Errorf("-trace-out: %w", err)
 			}
-			if err := f.Close(); err != nil {
-				log.Fatalf("-trace-out: %v", err)
-			}
-			fmt.Printf("\nwrote %d spans to %s (load in chrome://tracing or Perfetto)\n",
+			fmt.Fprintf(w, "\nwrote %d spans to %s (load in chrome://tracing or Perfetto)\n",
 				len(snap.Spans), cfg.TraceOut)
 		}
 	}
 	if cfg.Metrics {
-		fmt.Printf("\nmetrics:\n%s", obs.Default().Render())
+		fmt.Fprintf(w, "\nmetrics:\n%s", obs.Default().Render())
 	}
+	return nil
 }
 
-// buildPaperScale builds the workload at the paper's published sizes,
-// for optimization and simulation only.
-func buildPaperScale(wl string, hidden int64, sizeSet int) (*core.Graph, error) {
-	switch wl {
-	case "motivating":
-		return workload.MotivatingChain()
-	case "ffnn":
-		return workload.FFNNW2Update(workload.PaperFFNN(hidden))
-	case "ffnn3":
-		return workload.FFNNThreePass(workload.PaperFFNN(hidden))
-	case "chain":
-		sets := workload.ChainSizeSets()
-		if sizeSet < 1 || sizeSet > len(sets) {
-			return nil, fmt.Errorf("sizeset must be in 1..%d", len(sets))
-		}
-		return workload.MatMulChain(sets[sizeSet-1])
-	case "inverse":
-		return workload.BlockInverse2(workload.PaperBlockInverse())
-	default:
-		return nil, fmt.Errorf("unknown workload %q", wl)
-	}
-}
-
-// buildExecutable builds the workload with every dimension divided by
-// scale plus matching random input matrices.
-func buildExecutable(wl string, hidden int64, sizeSet int, scale int64, rng *rand.Rand) (*core.Graph, map[string]*tensor.Dense, error) {
-	div := func(x int64) int64 {
-		if v := x / scale; v > 0 {
-			return v
-		}
-		return 1
-	}
-	switch wl {
-	case "motivating":
-		return nil, nil, fmt.Errorf("the motivating chain exists at paper scale only; use -engine sim or -workload chain")
-	case "ffnn", "ffnn3":
-		cfg := workload.ScaledFFNN(workload.PaperFFNN(hidden), scale)
-		gen := workload.FFNNW2Update
-		if wl == "ffnn3" {
-			gen = workload.FFNNThreePass
-		}
-		g, err := gen(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return g, workload.FFNNInputs(rng, cfg), nil
-	case "chain":
-		sets := workload.ChainSizeSets()
-		if sizeSet < 1 || sizeSet > len(sets) {
-			return nil, nil, fmt.Errorf("sizeset must be in 1..%d", len(sets))
-		}
-		sz := sets[sizeSet-1]
-		shrink := func(s shape.Shape) shape.Shape { return shape.New(div(s.Rows), div(s.Cols)) }
-		sz.A, sz.B, sz.C = shrink(sz.A), shrink(sz.B), shrink(sz.C)
-		sz.D, sz.E, sz.F = shrink(sz.D), shrink(sz.E), shrink(sz.F)
-		g, err := workload.MatMulChain(sz)
-		if err != nil {
-			return nil, nil, err
-		}
-		inputs := map[string]*tensor.Dense{}
-		for n, s := range map[string]shape.Shape{"A": sz.A, "B": sz.B, "C": sz.C, "D": sz.D, "E": sz.E, "F": sz.F} {
-			inputs[n] = tensor.RandNormal(rng, int(s.Rows), int(s.Cols))
-		}
-		return g, inputs, nil
-	case "inverse":
-		paper := workload.PaperBlockInverse()
-		outer := div(paper.Outer)
-		if outer < 2 {
-			outer = 2
-		}
-		inner1 := outer * paper.Inner1 / paper.Outer
-		if inner1 < 1 {
-			inner1 = 1
-		}
-		cfg := workload.BlockInverseConfig{
-			Outer: outer, Inner1: inner1, Inner2: outer - inner1,
-			BlockFormat: format.NewSingle(),
-		}
-		g, err := workload.BlockInverse2(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		// A diagonally dominant matrix keeps every Schur complement the
-		// identity-based plan inverts well conditioned.
-		n, n1 := int(outer), int(inner1)
-		full := tensor.RandNormal(rng, 2*n, 2*n)
-		for i := 0; i < 2*n; i++ {
-			full.Set(i, i, full.At(i, i)+float64(2*n))
-		}
-		inputs := map[string]*tensor.Dense{
-			"A11": full.Slice(0, n1, 0, n1), "A12": full.Slice(0, n1, n1, n),
-			"A21": full.Slice(n1, n, 0, n1), "A22": full.Slice(n1, n, n1, n),
-			"B1": full.Slice(0, n1, n, 2*n), "B2": full.Slice(n1, n, n, 2*n),
-			"C1": full.Slice(n, 2*n, 0, n1), "C2": full.Slice(n, 2*n, n1, n),
-			"D": full.Slice(n, 2*n, n, 2*n),
-		}
-		return g, inputs, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown workload %q", wl)
-	}
-}
-
-// run executes the lowered physical plan for real. The dist path always
-// runs the sequential engine too and cross-checks every output bit by
-// bit. When cfg.Faults > 0, a seeded fault schedule is injected and the
-// run must recover (or, with -fallback, degrade) to the same bits.
-func run(ctx context.Context, cfg execConfig, cl costmodel.Cluster, phys *plan.Plan, inputs map[string]*tensor.Dense) {
-	seq := engine.New(cl)
-	seq.KernelThreads = cfg.KernelThreads
+// run executes the plan for real and returns its outputs. The dist path
+// always runs the sequential engine too and cross-checks every output
+// bit by bit. When cfg.Faults > 0, a seeded fault schedule is injected
+// and the run must recover (or, with -fallback, degrade inside the
+// Executor) to the same bits.
+func run(ctx context.Context, cfg execConfig, cl matopt.Cluster, p *matopt.Plan,
+	inputs map[string]*matopt.Dense, tracer *matopt.Tracer, w io.Writer) (map[int]*matopt.Dense, error) {
+	seq := matopt.NewExecutor(cl, matopt.WithTracing(tracer),
+		matopt.WithExecConfig(matopt.ExecConfig{KernelThreads: cfg.KernelThreads}))
 	t0 := time.Now()
-	want, err := seq.RunPlanCollectCtx(ctx, phys, inputs)
+	want, err := seq.RunCtx(ctx, p, inputs)
 	if err != nil {
-		log.Fatalf("sequential run: %v", err)
+		return nil, fmt.Errorf("sequential run: %w", err)
 	}
 	seqWall := time.Since(t0)
-	fmt.Printf("\nsequential engine: %d outputs in %v\n", len(want), seqWall.Round(time.Millisecond))
+	fmt.Fprintf(w, "\nsequential engine: %d outputs in %v\n", len(want), seqWall.Round(time.Millisecond))
 	if cfg.Engine == "seq" {
-		return
+		return want, nil
 	}
 
+	// The runtime built here only names the schedule the Executor's own
+	// run will draw from the same Config and plan.
 	rt, err := dist.New(cl, cfg.Config)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
+	phys, _ := p.Physical() // never an error, as in drive
 	if sched := rt.FaultSchedule(phys); len(sched) > 0 {
-		fmt.Printf("injecting %d seeded faults (seed %d):\n", len(sched), rt.Config().FaultSeed)
+		fmt.Fprintf(w, "injecting %d seeded faults (seed %d):\n", len(sched), rt.Config().FaultSeed)
 		for _, f := range sched {
-			fmt.Printf("  %v\n", f)
+			fmt.Fprintf(w, "  %v\n", f)
 		}
 	}
-	got, rep, err := rt.RunPlan(ctx, phys, inputs)
+	x := matopt.NewExecutor(cl, matopt.WithEngineKind(matopt.DistEngine),
+		matopt.WithExecConfig(cfg.Config), matopt.WithTracing(tracer))
+	got, err := x.RunCtx(ctx, p, inputs)
 	if err != nil {
-		if !cfg.Fallback || ctx.Err() != nil {
-			log.Fatalf("dist run: %v", err)
-		}
-		// Graceful degradation: the sequential outputs are already in
-		// hand, so report the downgrade and serve those.
-		rep.Degraded = true
-		rep.DegradedCause = err.Error()
-		fmt.Printf("dist engine (%d shards) degraded to sequential: %v\n%s", rep.Shards, err, rep)
-		return
+		return nil, fmt.Errorf("dist run: %w", err)
 	}
-	for id, w := range want {
-		g, ok := got[id]
-		if !ok || g.Rows != w.Rows || g.Cols != w.Cols {
-			log.Fatalf("dist output %d does not match the sequential engine's shape", id)
-		}
-		for i := range w.Data {
-			if math.Float64bits(g.Data[i]) != math.Float64bits(w.Data[i]) {
-				log.Fatalf("dist output %d differs from the sequential engine at entry %d", id, i)
-			}
+	rep := x.DistReport()
+	if rep.Degraded {
+		// Graceful degradation: the Executor re-ran the plan on its
+		// sequential engine, so report the downgrade and serve that.
+		fmt.Fprintf(w, "dist engine (%d shards) degraded to sequential: %s\n%s", rep.Shards, rep.DegradedCause, rep)
+		return got, nil
+	}
+	for id, wm := range want {
+		if !tensor.BitEqual(got[id], wm) {
+			return nil, fmt.Errorf("dist output %d differs from the sequential engine's", id)
 		}
 	}
-	fmt.Printf("dist engine (%d shards): outputs bit-identical to sequential ✓\n%s", rep.Shards, rep)
+	fmt.Fprintf(w, "dist engine (%d shards): outputs bit-identical to sequential ✓\n%s", rep.Shards, rep)
 	if rep.Wall > 0 {
-		fmt.Printf("speedup over sequential: %.2fx\n", float64(seqWall)/float64(rep.Wall))
+		fmt.Fprintf(w, "speedup over sequential: %.2fx\n", float64(seqWall)/float64(rep.Wall))
 	}
-}
-
-func reportStats(enabled bool, sess *core.Session) {
-	if !enabled {
-		return
-	}
-	st := sess.Stats()
-	fmt.Printf("optimizer stats: %d classes expanded, %d entries pruned, %d candidates evaluated, %.3fs wall\n",
-		st.ClassesExpanded, st.EntriesPruned, st.CandidatesEvaluated, st.WallSeconds)
+	return got, nil
 }
 
 func fmtSec(s float64) string {

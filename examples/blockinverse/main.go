@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -14,6 +15,7 @@ import (
 	"matopt/internal/costmodel"
 	"matopt/internal/engine"
 	"matopt/internal/format"
+	"matopt/internal/plan"
 	"matopt/internal/tensor"
 	"matopt/internal/workload"
 )
@@ -64,29 +66,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
-	n, n1 := int(cfg.Outer), int(cfg.Inner1)
-	full := tensor.RandNormal(rng, 2*n, 2*n)
-	for i := 0; i < 2*n; i++ {
-		full.Set(i, i, full.At(i, i)+float64(2*n))
-	}
-	inputs := map[string]*tensor.Dense{
-		"A11": full.Slice(0, n1, 0, n1), "A12": full.Slice(0, n1, n1, n),
-		"A21": full.Slice(n1, n, 0, n1), "A22": full.Slice(n1, n, n1, n),
-		"B1": full.Slice(0, n1, n, 2*n), "B2": full.Slice(n1, n, n, 2*n),
-		"C1": full.Slice(n, 2*n, 0, n1), "C2": full.Slice(n, 2*n, n1, n),
-		"D": full.Slice(n, 2*n, n, 2*n),
-	}
+	inputs, full := workload.BlockInverseInputs(rand.New(rand.NewSource(3)), cfg)
 	// The outer Schur-complement inverse is D̄, the bottom-right block.
-	// It is an intermediate (not a sink), so the run must keep it.
+	// It is an intermediate (not a sink), so the lowering must keep it.
 	sinvID := -1
 	for _, v := range sg.Vertices {
 		if !v.IsSource && v.Op.Kind.String() == "inverse" {
 			sinvID = v.ID
 		}
 	}
+	sp, err := plan.Lower(sg, small, sann, sinvID)
+	if err != nil {
+		log.Fatal(err)
+	}
 	eng := engine.New(small.Cluster)
-	rels, err := eng.RunKeep(sann, inputs, []int{sinvID})
+	rels, err := eng.RunPlan(context.Background(), sp, inputs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,6 +92,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	n := int(cfg.Outer)
 	diff := tensor.MaxAbsDiff(got, wantInv.Slice(n, 2*n, n, 2*n))
 	fmt.Printf("\nreduced-scale execution: D̄ block max deviation from direct inverse = %.2e\n", diff)
 }

@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
 	"math/rand"
 
 	"matopt"
@@ -58,10 +57,8 @@ func main() {
 		log.Fatalf("dist run: %v", err)
 	}
 
-	for i := range want.Data {
-		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-			log.Fatalf("dist output differs from the sequential engine at entry %d", i)
-		}
+	if !tensor.BitEqual(got, want) {
+		log.Fatal("dist output differs from the sequential engine")
 	}
 	fmt.Printf("\ndist output (%dx%d) is bit-identical to the sequential engine ✓\n\n",
 		got.Rows, got.Cols)

@@ -9,8 +9,8 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
+	"matopt"
 	"matopt/internal/baseline"
 	"matopt/internal/core"
 	"matopt/internal/costmodel"
@@ -51,26 +51,21 @@ func main() {
 	// Train a scaled-down instance for real: three optimizer-planned
 	// update steps of W2.
 	fmt.Println("\nExecuting three scaled-down W2 update steps for real:")
-	cfg := workload.ScaledFFNN(workload.PaperFFNN(80000), 400)
-	g, err := workload.FFNNW2Update(cfg)
+	g, inputs, err := workload.Spec{Workload: "ffnn", Hidden: 80000, Scale: 400, Seed: 7}.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	small := core.NewEnv(costmodel.LocalTest(4), format.All())
-	ann, err := core.Optimize(g, small)
+	small := costmodel.LocalTest(4)
+	p, err := matopt.NewOptimizer(small).Optimize(matopt.NewBuilderFromGraph(g))
 	if err != nil {
 		log.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(7))
-	inputs := workload.FFNNInputs(rng, cfg)
-	eng := engine.New(small.Cluster)
-	sink := g.Sinks()[0]
+	exec := matopt.NewExecutor(small)
 	for step := 1; step <= 3; step++ {
-		outs, err := eng.RunCollect(ann, inputs)
+		w2, err := exec.RunSingle(p, inputs)
 		if err != nil {
 			log.Fatal(err)
 		}
-		w2 := outs[sink.ID]
 		var norm float64
 		for _, v := range w2.Data {
 			norm += v * v

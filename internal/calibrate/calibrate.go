@@ -13,6 +13,7 @@
 package calibrate
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -23,6 +24,7 @@ import (
 	"matopt/internal/format"
 	"matopt/internal/impl"
 	"matopt/internal/op"
+	"matopt/internal/plan"
 	"matopt/internal/shape"
 	"matopt/internal/tensor"
 	"matopt/internal/workload"
@@ -98,16 +100,28 @@ func Collect(rng *rand.Rand, cl costmodel.Cluster, rounds int) ([]costmodel.Samp
 					inputs["b"] = tensor.RandNormal(rng, int(mc.rows), int(mc.inner))
 				}
 			}
-			eng := engine.New(cl)
-			start := time.Now()
-			if _, err := eng.Run(ann, inputs); err != nil {
+			elapsed, err := timeRun(env, ann, inputs)
+			if err != nil {
 				return nil, fmt.Errorf("calibrate %q: %w", mc.name, err)
 			}
-			elapsed := time.Since(start).Seconds()
 			samples = append(samples, planSamples(ann, env, elapsed)...)
 		}
 	}
 	return samples, nil
+}
+
+// timeRun lowers ann in env, the environment it was annotated in, and
+// returns the wall seconds the sequential engine takes to execute it.
+func timeRun(env *core.Env, ann *core.Annotation, inputs map[string]*tensor.Dense) (float64, error) {
+	p, err := plan.Lower(ann.Graph, env, ann)
+	if err != nil {
+		return 0, err
+	}
+	start := time.Now()
+	if _, err := engine.New(env.Cluster).RunPlan(context.Background(), p, inputs); err != nil {
+		return 0, err
+	}
+	return time.Since(start).Seconds(), nil
 }
 
 // planSamples attributes a measured plan time to its operators in
@@ -187,10 +201,6 @@ func SmokeWorkload(rng *rand.Rand, cl costmodel.Cluster, m *costmodel.Model) (pr
 	if err != nil {
 		return 0, 0, err
 	}
-	eng := engine.New(cl)
-	start := time.Now()
-	if _, err := eng.Run(ann, workload.FFNNInputs(rng, cfg)); err != nil {
-		return 0, 0, err
-	}
-	return ann.Total(), time.Since(start).Seconds(), nil
+	measured, err = timeRun(env, ann, workload.FFNNInputs(rng, cfg))
+	return ann.Total(), measured, err
 }

@@ -45,20 +45,6 @@ func NewEnv(cl costmodel.Cluster, formats []format.Format) *Env {
 	return e
 }
 
-// DisableSparse removes the sparse formats and the implementations that
-// require them, reproducing the Figure 12 "no sparsity" configuration.
-func (e *Env) DisableSparse() *Env {
-	var dense []format.Format
-	for _, f := range e.Formats {
-		if !f.IsSparse() {
-			dense = append(dense, f)
-		}
-	}
-	e.Formats = dense
-	e.Transforms = trans.ForFormats(dense)
-	return e
-}
-
 // HasFormat reports whether f is in the environment's format universe.
 func (e *Env) HasFormat(f format.Format) bool {
 	for _, g := range e.Formats {

@@ -95,13 +95,9 @@ func DecodePlan(g *Graph, env *Env, data []byte) (*Annotation, error) {
 		}
 		ann.VertexImpl[vd.ID] = im
 	}
-	transByName := make(map[string]*trans.Transform)
-	for _, tr := range trans.All() {
-		transByName[tr.Name] = tr
-	}
 	for _, ed := range dto.Edges {
-		tr, ok := transByName[ed.Transform]
-		if !ok {
+		tr := trans.ByName(ed.Transform)
+		if tr == nil {
 			return nil, fmt.Errorf("core: unknown transformation %q", ed.Transform)
 		}
 		ann.EdgeTrans[EdgeKey{To: ed.To, Arg: ed.Arg}] = tr

@@ -13,6 +13,7 @@ import (
 	"matopt/internal/costmodel"
 	"matopt/internal/dist"
 	"matopt/internal/format"
+	"matopt/internal/plan"
 	"matopt/internal/shape"
 	"matopt/internal/tensor"
 	"matopt/internal/workload"
@@ -24,7 +25,7 @@ const benchShards = 8
 // benchChain optimizes the scaled matmul chain both benchmarks run and
 // returns it with a timer for one run of it under a given Config. Every timed run builds a fresh runtime: FaultPlan latches are
 // once-only, so a fault variant re-arms its plan every iteration.
-func benchChain(b *testing.B) (*core.Annotation, func(dist.Config) (time.Duration, *dist.Report)) {
+func benchChain(b *testing.B) (*plan.Plan, func(dist.Config) (time.Duration, *dist.Report)) {
 	sz := workload.ChainSizes{
 		Name: "bench",
 		A:    shape.New(200, 600), B: shape.New(600, 1000),
@@ -36,10 +37,7 @@ func benchChain(b *testing.B) (*core.Annotation, func(dist.Config) (time.Duratio
 		b.Fatal(err)
 	}
 	cl := costmodel.LocalTest(benchShards)
-	ann, err := core.Optimize(g, core.NewEnv(cl, format.All()))
-	if err != nil {
-		b.Fatal(err)
-	}
+	pp := optimize(b, g, core.NewEnv(cl, format.All()))
 	rng := rand.New(rand.NewSource(1))
 	mk := func(s shape.Shape) *tensor.Dense { return tensor.RandNormal(rng, int(s.Rows), int(s.Cols)) }
 	inputs := map[string]*tensor.Dense{
@@ -53,13 +51,13 @@ func benchChain(b *testing.B) (*core.Annotation, func(dist.Config) (time.Duratio
 			b.Fatal(err)
 		}
 		t0 := time.Now()
-		_, rep, err := rt.Run(context.Background(), ann, inputs)
+		_, rep, err := rt.RunPlan(context.Background(), pp, inputs)
 		if err != nil {
 			b.Fatal(err)
 		}
 		return time.Since(t0), rep
 	}
-	return ann, timeRun
+	return pp, timeRun
 }
 
 // faultBenchResult is the record `make bench` writes to
@@ -84,9 +82,9 @@ type faultBenchResult struct {
 // recovery. When BENCH_DIST_FAULTS_JSON names a file, the comparison is
 // written there as JSON.
 func BenchmarkDistFaultOverhead(b *testing.B) {
-	ann, timeRun := benchChain(b)
+	pp, timeRun := benchChain(b)
 	var crashAll []dist.Fault
-	for _, v := range ann.Graph.Vertices {
+	for _, v := range pp.Graph.Vertices {
 		crashAll = append(crashAll, dist.Fault{Kind: dist.FaultCrash, Vertex: v.ID})
 	}
 
@@ -162,8 +160,8 @@ type recoveryBenchResult struct {
 // shorter redo chain. When BENCH_RECOVERY_JSON names a file, the
 // comparison is written there as JSON.
 func BenchmarkRecovery(b *testing.B) {
-	ann, timeRun := benchChain(b)
-	sink := ann.Graph.Vertices[len(ann.Graph.Vertices)-1].ID
+	pp, timeRun := benchChain(b)
+	sink := pp.Graph.Vertices[len(pp.Graph.Vertices)-1].ID
 	lossPlan := func() *dist.FaultPlan {
 		return dist.NewFaultPlan(dist.Fault{Kind: dist.FaultNodeLoss, Vertex: sink})
 	}

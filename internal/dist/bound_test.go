@@ -8,6 +8,7 @@ import (
 	"matopt/internal/core"
 	"matopt/internal/costmodel"
 	"matopt/internal/dist"
+	"matopt/internal/enginetest"
 	"matopt/internal/format"
 	"matopt/internal/impl"
 	"matopt/internal/op"
@@ -72,7 +73,8 @@ func measuredVsPredicted(t *testing.T, name string, g *core.Graph, ann *core.Ann
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rep, err := rt.Run(context.Background(), ann, inputs)
+		pp := enginetest.Lower(t, core.NewEnv(cl, format.All()), ann)
+		_, rep, err := rt.RunPlan(context.Background(), pp, inputs)
 		if err != nil {
 			t.Fatalf("%s @%d shards: %v", name, shards, err)
 		}

@@ -31,10 +31,7 @@ func TestCancelMidRun(t *testing.T) {
 		cur = g.MustApply(op.Op{Kind: op.MatMul}, cur, a)
 	}
 	env := core.NewEnv(costmodel.LocalTest(4), format.All())
-	ann, err := core.Optimize(g, env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pp := optimize(t, g, env)
 	rng := rand.New(rand.NewSource(1))
 	inputs := map[string]*tensor.Dense{"A": tensor.RandNormal(rng, n, n)}
 
@@ -45,7 +42,7 @@ func TestCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := rt.Run(ctx, ann, inputs)
+		_, _, err := rt.RunPlan(ctx, pp, inputs)
 		done <- err
 	}()
 	time.Sleep(2 * time.Millisecond)

@@ -43,13 +43,12 @@ import (
 	"matopt/internal/core"
 	"matopt/internal/costmodel"
 	"matopt/internal/engine"
-	"matopt/internal/format"
 	"matopt/internal/netfabric"
 	"matopt/internal/plan"
 	"matopt/internal/tensor"
 )
 
-// Runtime executes annotated plans under one validated Config.
+// Runtime executes lowered plans under one validated Config.
 type Runtime struct {
 	cluster costmodel.Cluster
 	cfg     Config // defaults filled
@@ -101,33 +100,20 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 // before running.
 func (rt *Runtime) FaultSchedule(p *plan.Plan) []Fault { return rt.cfg.faultPlan(p).Faults() }
 
-// Run executes an annotated compute graph on real data and returns the
-// assembled dense result of every sink vertex, keyed by vertex ID,
-// together with a Report of what the run measured. Results are
-// byte-identical to the sequential engine's — including runs that
-// recovered from injected or transient faults, since every vertex
-// recomputation replays the same deterministic kernels over immutable
-// inputs. The context cancels the run at the next vertex, exchange or
-// backoff boundary.
+// RunPlan executes a lowered physical plan on real data — the runtime's
+// one execution entry point — and returns the assembled dense result of
+// every retained vertex, keyed by vertex ID, together with a Report of
+// what the run measured. Results are byte-identical to the sequential
+// engine's — including runs that recovered from injected or transient
+// faults, since every vertex recomputation replays the same
+// deterministic kernels over immutable inputs. The context cancels the
+// run at the next vertex, exchange or backoff boundary. The plan is
+// validated before any shard does work, so a corrupt or stale plan fails
+// with plan.ErrInvalidPlan instead of executing garbage.
 //
 // On error the Report is still returned (with whatever the run metered
 // before failing) so callers deciding whether to degrade to another
 // engine can see the faults and retries that led here.
-func (rt *Runtime) Run(ctx context.Context, ann *core.Annotation, inputs map[string]*tensor.Dense) (map[int]*tensor.Dense, *Report, error) {
-	env := core.NewEnv(rt.cluster, format.All())
-	p, err := plan.Lower(ann.Graph, env, ann)
-	if err != nil {
-		return nil, &Report{Shards: rt.cfg.Shards}, err
-	}
-	return rt.RunPlan(ctx, p, inputs)
-}
-
-// RunPlan executes an already-lowered physical plan; see Run. The plan
-// is validated before any shard does work, so a corrupt or stale plan
-// fails with plan.ErrInvalidPlan instead of executing garbage. This is
-// the runtime's single execution entry point: Run lowers and delegates
-// here, and callers that cache lowered plans (the public Executor, the
-// CLI's -plan-in path) call it directly.
 func (rt *Runtime) RunPlan(ctx context.Context, p *plan.Plan, inputs map[string]*tensor.Dense) (map[int]*tensor.Dense, *Report, error) {
 	if err := p.Validate(); err != nil {
 		return nil, &Report{Shards: rt.cfg.Shards}, err

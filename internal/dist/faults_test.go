@@ -12,7 +12,9 @@ import (
 	"matopt/internal/costmodel"
 	"matopt/internal/dist"
 	"matopt/internal/engine"
+	"matopt/internal/enginetest"
 	"matopt/internal/format"
+	"matopt/internal/plan"
 	"matopt/internal/shape"
 	"matopt/internal/tensor"
 	"matopt/internal/testutil"
@@ -34,7 +36,7 @@ func leakChecked(t *testing.T, fn func()) {
 // chaosWorkload builds the scaled matmul chain the sweep uses — small
 // enough that crash-each-vertex × drop-each-exchange × {2,7} shards
 // stays fast, with a DAG deep enough to exercise every exchange kind.
-func chaosWorkload(t *testing.T) (*core.Annotation, map[string]*tensor.Dense, costmodel.Cluster) {
+func chaosWorkload(t *testing.T) (*plan.Plan, map[string]*tensor.Dense, costmodel.Cluster) {
 	t.Helper()
 	sz := workload.ChainSizes{
 		Name: "chaos",
@@ -47,37 +49,30 @@ func chaosWorkload(t *testing.T) (*core.Annotation, map[string]*tensor.Dense, co
 		t.Fatal(err)
 	}
 	env := core.NewEnv(costmodel.LocalTest(3), format.All())
-	ann, err := core.Optimize(g, env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pp := optimize(t, g, env)
 	rng := rand.New(rand.NewSource(7))
 	mk := func(s shape.Shape) *tensor.Dense { return tensor.RandNormal(rng, int(s.Rows), int(s.Cols)) }
 	inputs := map[string]*tensor.Dense{
 		"A": mk(sz.A), "B": mk(sz.B), "C": mk(sz.C),
 		"D": mk(sz.D), "E": mk(sz.E), "F": mk(sz.F),
 	}
-	return ann, inputs, env.Cluster
+	return pp, inputs, env.Cluster
 }
 
-// seqGolden runs the annotation on the sequential engine.
-func seqGolden(t *testing.T, cl costmodel.Cluster, ann *core.Annotation, inputs map[string]*tensor.Dense) map[int]*tensor.Dense {
+// seqGolden runs the plan on the sequential engine.
+func seqGolden(t *testing.T, cl costmodel.Cluster, pp *plan.Plan, inputs map[string]*tensor.Dense) map[int]*tensor.Dense {
 	t.Helper()
-	want, err := engine.New(cl).RunCollect(ann, inputs)
-	if err != nil {
-		t.Fatalf("sequential run: %v", err)
-	}
-	return want
+	return enginetest.Run(t, engine.New(cl), pp, inputs)
 }
 
 // intp returns a pointer to n, for Config.MaxRetries.
 func intp(n int) *int { return &n }
 
-// runFaulted executes ann on a dist runtime with the given fault plan
+// runFaulted executes pp on a dist runtime with the given fault plan
 // (over the optional base configuration) and requires every sink to
 // match the sequential golden bit for bit.
 func runFaulted(t *testing.T, name string, cl costmodel.Cluster, shards int, plan *dist.FaultPlan,
-	ann *core.Annotation, inputs map[string]*tensor.Dense, want map[int]*tensor.Dense,
+	pp *plan.Plan, inputs map[string]*tensor.Dense, want map[int]*tensor.Dense,
 	base ...dist.Config) *dist.Report {
 	t.Helper()
 	var cfg dist.Config
@@ -89,7 +84,7 @@ func runFaulted(t *testing.T, name string, cl costmodel.Cluster, shards int, pla
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	got, rep, err := rt.Run(context.Background(), ann, inputs)
+	got, rep, err := rt.RunPlan(context.Background(), pp, inputs)
 	if err != nil {
 		t.Fatalf("%s @%d shards: dist run did not recover: %v", name, shards, err)
 	}
@@ -117,21 +112,21 @@ func runFaulted(t *testing.T, name string, cl costmodel.Cluster, shards int, pla
 // bit-identical outputs, and the Report must count each injected fault
 // and each retry taken.
 func TestChaosSweep(t *testing.T) {
-	ann, inputs, cl := chaosWorkload(t)
-	want := seqGolden(t, cl, ann, inputs)
+	pp, inputs, cl := chaosWorkload(t)
+	want := seqGolden(t, cl, pp, inputs)
 
 	for _, shards := range chaosShards {
 		// Fault-free profiling run: the exchange list drives the
 		// drop-each-exchange schedules below.
-		base := runFaulted(t, "fault-free", cl, shards, nil, ann, inputs, want)
+		base := runFaulted(t, "fault-free", cl, shards, nil, pp, inputs, want)
 		if base.FaultsInjected != 0 || base.Retries != 0 {
 			t.Fatalf("fault-free run reports recovery: %+v", base)
 		}
 
 		// Crash each vertex once on its first attempt.
-		for _, v := range ann.Graph.Vertices {
+		for _, v := range pp.Graph.Vertices {
 			plan := dist.NewFaultPlan(dist.Fault{Kind: dist.FaultCrash, Vertex: v.ID})
-			rep := runFaulted(t, "crash", cl, shards, plan, ann, inputs, want)
+			rep := runFaulted(t, "crash", cl, shards, plan, pp, inputs, want)
 			if rep.FaultsInjected != 1 {
 				t.Fatalf("crash v%d @%d shards: %d faults injected, want 1", v.ID, shards, rep.FaultsInjected)
 			}
@@ -147,7 +142,7 @@ func TestChaosSweep(t *testing.T) {
 			plan := dist.NewFaultPlan(dist.Fault{
 				Kind: dist.FaultDropExchange, Vertex: x.Vertex, Label: x.Label, Shard: -1,
 			})
-			rep := runFaulted(t, "drop "+x.Label, cl, shards, plan, ann, inputs, want)
+			rep := runFaulted(t, "drop "+x.Label, cl, shards, plan, pp, inputs, want)
 			if rep.FaultsInjected != 1 {
 				t.Fatalf("drop %s v%d @%d shards: %d faults injected, want 1", x.Label, x.Vertex, shards, rep.FaultsInjected)
 			}
@@ -158,7 +153,7 @@ func TestChaosSweep(t *testing.T) {
 
 		// One straggler shard: nothing fails, the schedule just shifts.
 		plan := dist.NewFaultPlan(dist.Fault{Kind: dist.FaultSlowShard, Shard: shards - 1, Delay: 100 * time.Microsecond})
-		rep := runFaulted(t, "straggler", cl, shards, plan, ann, inputs, want)
+		rep := runFaulted(t, "straggler", cl, shards, plan, pp, inputs, want)
 		if rep.FaultsInjected != 1 || rep.Retries != 0 {
 			t.Fatalf("straggler @%d shards: injected=%d retries=%d, want 1/0", shards, rep.FaultsInjected, rep.Retries)
 		}
@@ -168,7 +163,7 @@ func TestChaosSweep(t *testing.T) {
 		// other than the crashed one — a crash preempts the vertex's
 		// first attempt before its exchanges run, so a drop scheduled on
 		// the same vertex's attempt 0 would never fire.
-		mid := ann.Graph.Vertices[len(ann.Graph.Vertices)/2]
+		mid := pp.Graph.Vertices[len(pp.Graph.Vertices)/2]
 		dropX := base.Exchanges[0]
 		for _, x := range base.Exchanges {
 			if x.Vertex != mid.ID {
@@ -181,7 +176,7 @@ func TestChaosSweep(t *testing.T) {
 			dist.Fault{Kind: dist.FaultDropExchange, Vertex: dropX.Vertex, Label: dropX.Label, Shard: -1},
 			dist.Fault{Kind: dist.FaultSlowShard, Shard: 0, Delay: 50 * time.Microsecond},
 		)
-		rep = runFaulted(t, "combined", cl, shards, combined, ann, inputs, want)
+		rep = runFaulted(t, "combined", cl, shards, combined, pp, inputs, want)
 		if rep.FaultsInjected != 3 {
 			t.Fatalf("combined @%d shards: %d faults injected, want 3", shards, rep.FaultsInjected)
 		}
@@ -200,22 +195,19 @@ func TestChaosSeededRandomSchedules(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := core.NewEnv(costmodel.LocalTest(3), format.All())
-	ann, err := core.Optimize(g, env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pp := optimize(t, g, env)
 	rng := rand.New(rand.NewSource(3))
 	inputs := workload.FFNNInputs(rng, cfg)
-	want := seqGolden(t, env.Cluster, ann, inputs)
+	want := seqGolden(t, env.Cluster, pp, inputs)
 
-	ids := make([]int, len(ann.Graph.Vertices))
-	for i, v := range ann.Graph.Vertices {
+	ids := make([]int, len(pp.Graph.Vertices))
+	for i, v := range pp.Graph.Vertices {
 		ids[i] = v.ID
 	}
 	for _, shards := range chaosShards {
 		for seed := int64(1); seed <= 4; seed++ {
 			plan := dist.RandomFaults(seed, 5, ids, shards)
-			rep := runFaulted(t, "random-schedule", cl3(), shards, plan, ann, inputs, want)
+			rep := runFaulted(t, "random-schedule", cl3(), shards, plan, pp, inputs, want)
 			if rep.FaultsInjected > int64(len(plan.Faults())) {
 				t.Fatalf("seed %d @%d shards: injected %d of %d scheduled", seed, shards, rep.FaultsInjected, len(plan.Faults()))
 			}
@@ -229,11 +221,11 @@ func cl3() costmodel.Cluster { return costmodel.LocalTest(3) }
 // under the timeout merely slows the run; a delay past the exchange
 // timeout fails the vertex, which retries and recovers.
 func TestDelayedExchangeRecovers(t *testing.T) {
-	ann, inputs, cl := chaosWorkload(t)
-	want := seqGolden(t, cl, ann, inputs)
+	pp, inputs, cl := chaosWorkload(t)
+	want := seqGolden(t, cl, pp, inputs)
 
 	short := dist.NewFaultPlan(dist.Fault{Kind: dist.FaultDelayExchange, Vertex: -1, Shard: -1, Delay: 2 * time.Millisecond})
-	rep := runFaulted(t, "short-delay", cl, 4, short, ann, inputs, want)
+	rep := runFaulted(t, "short-delay", cl, 4, short, pp, inputs, want)
 	if rep.FaultsInjected != 1 || rep.Retries != 0 {
 		t.Fatalf("short delay: injected=%d retries=%d, want 1/0", rep.FaultsInjected, rep.Retries)
 	}
@@ -244,7 +236,7 @@ func TestDelayedExchangeRecovers(t *testing.T) {
 	// stall, as it would a real straggling link.
 	leakChecked(t, func() {
 		long := dist.NewFaultPlan(dist.Fault{Kind: dist.FaultDelayExchange, Vertex: -1, Shard: -1, Delay: 300 * time.Millisecond})
-		rep = runFaulted(t, "long-delay", cl, 4, long, ann, inputs, want,
+		rep = runFaulted(t, "long-delay", cl, 4, long, pp, inputs, want,
 			dist.Config{ExchangeTimeout: 100 * time.Millisecond, MaxRetries: intp(8)})
 		if rep.Retries < 1 {
 			t.Fatalf("long delay: vertex was not retried: %+v", rep)
@@ -256,8 +248,8 @@ func TestDelayedExchangeRecovers(t *testing.T) {
 // run must fail with ErrRetriesExhausted wrapping ErrShardFailed, still
 // return its Report, and leak nothing.
 func TestRetriesExhausted(t *testing.T) {
-	ann, inputs, cl := chaosWorkload(t)
-	v := ann.Graph.Vertices[0].ID
+	pp, inputs, cl := chaosWorkload(t)
+	v := pp.Graph.Vertices[0].ID
 	leakChecked(t, func() {
 		plan := dist.NewFaultPlan(
 			dist.Fault{Kind: dist.FaultCrash, Vertex: v, Attempt: 0},
@@ -269,7 +261,7 @@ func TestRetriesExhausted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rep, err := rt.Run(context.Background(), ann, inputs)
+		_, rep, err := rt.RunPlan(context.Background(), pp, inputs)
 		if err == nil {
 			t.Fatal("run succeeded with a vertex crashing on every attempt")
 		}
@@ -288,8 +280,8 @@ func TestRetriesExhausted(t *testing.T) {
 // TestVertexDeadlineExhausts bounds a vertex's recovery window: with a
 // tiny deadline and a long backoff, a second failure stops retrying.
 func TestVertexDeadlineExhausts(t *testing.T) {
-	ann, inputs, cl := chaosWorkload(t)
-	v := ann.Graph.Vertices[0].ID
+	pp, inputs, cl := chaosWorkload(t)
+	v := pp.Graph.Vertices[0].ID
 	plan := dist.NewFaultPlan(
 		dist.Fault{Kind: dist.FaultCrash, Vertex: v, Attempt: 0},
 		dist.Fault{Kind: dist.FaultCrash, Vertex: v, Attempt: 1},
@@ -300,7 +292,7 @@ func TestVertexDeadlineExhausts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = rt.Run(context.Background(), ann, inputs)
+	_, _, err = rt.RunPlan(context.Background(), pp, inputs)
 	if !errors.Is(err, dist.ErrRetriesExhausted) {
 		t.Fatalf("deadline exceeded should surface as ErrRetriesExhausted, got %v", err)
 	}
@@ -311,17 +303,17 @@ func TestVertexDeadlineExhausts(t *testing.T) {
 // exhausted mid-DAG — must drain every worker, collector and producer
 // goroutine before Run returns.
 func TestShutdownCleanOnFailure(t *testing.T) {
-	ann, inputs, cl := chaosWorkload(t)
+	pp, inputs, cl := chaosWorkload(t)
 
 	t.Run("first-fault-fatal", func(t *testing.T) {
 		leakChecked(t, func() {
-			for _, v := range ann.Graph.Vertices {
+			for _, v := range pp.Graph.Vertices {
 				plan := dist.NewFaultPlan(dist.Fault{Kind: dist.FaultCrash, Vertex: v.ID})
 				rt, err := dist.New(cl, dist.Config{Shards: 4, FaultPlan: plan, MaxRetries: intp(0)})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := rt.Run(context.Background(), ann, inputs); !errors.Is(err, dist.ErrShardFailed) {
+				if _, _, err := rt.RunPlan(context.Background(), pp, inputs); !errors.Is(err, dist.ErrShardFailed) {
 					t.Fatalf("crash v%d with no retries: want ErrShardFailed, got %v", v.ID, err)
 				}
 			}
@@ -335,7 +327,7 @@ func TestShutdownCleanOnFailure(t *testing.T) {
 				t.Fatal(err)
 			}
 			partial := map[string]*tensor.Dense{"A": inputs["A"]}
-			if _, _, err := rt.Run(context.Background(), ann, partial); err == nil {
+			if _, _, err := rt.RunPlan(context.Background(), pp, partial); err == nil {
 				t.Fatal("run with missing inputs succeeded")
 			}
 		})
@@ -353,7 +345,7 @@ func TestShutdownCleanOnFailure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, _, err = rt.Run(context.Background(), ann, inputs)
+			_, _, err = rt.RunPlan(context.Background(), pp, inputs)
 			if !errors.Is(err, dist.ErrExchangeTimeout) {
 				t.Fatalf("want ErrExchangeTimeout after drops exhaust retries, got %v", err)
 			}
@@ -365,8 +357,8 @@ func TestShutdownCleanOnFailure(t *testing.T) {
 // waiting out its retry backoff: the run must return context.Canceled
 // promptly — not after the backoff — and leak nothing.
 func TestCancelDuringBackoff(t *testing.T) {
-	ann, inputs, cl := chaosWorkload(t)
-	v := ann.Graph.Vertices[0].ID
+	pp, inputs, cl := chaosWorkload(t)
+	v := pp.Graph.Vertices[0].ID
 	leakChecked(t, func() {
 		plan := dist.NewFaultPlan(dist.Fault{Kind: dist.FaultCrash, Vertex: v})
 		rt, err := dist.New(cl, dist.Config{Shards: 4, FaultPlan: plan,
@@ -377,7 +369,7 @@ func TestCancelDuringBackoff(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
-			_, _, err := rt.Run(ctx, ann, inputs)
+			_, _, err := rt.RunPlan(ctx, pp, inputs)
 			done <- err
 		}()
 		time.Sleep(20 * time.Millisecond)
@@ -401,7 +393,7 @@ func TestCancelDuringBackoff(t *testing.T) {
 // stalled by an injected delay (mid-retryable-failure): the delay must
 // not outlive the cancel.
 func TestCancelDuringInjectedDelay(t *testing.T) {
-	ann, inputs, cl := chaosWorkload(t)
+	pp, inputs, cl := chaosWorkload(t)
 	leakChecked(t, func() {
 		plan := dist.NewFaultPlan(dist.Fault{Kind: dist.FaultDelayExchange, Vertex: -1, Shard: -1, Delay: time.Hour})
 		rt, err := dist.New(cl, dist.Config{Shards: 4, FaultPlan: plan})
@@ -411,7 +403,7 @@ func TestCancelDuringInjectedDelay(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
-			_, _, err := rt.Run(ctx, ann, inputs)
+			_, _, err := rt.RunPlan(ctx, pp, inputs)
 			done <- err
 		}()
 		time.Sleep(20 * time.Millisecond)

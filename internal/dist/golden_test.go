@@ -12,8 +12,10 @@ import (
 	"matopt/internal/costmodel"
 	"matopt/internal/dist"
 	"matopt/internal/engine"
+	"matopt/internal/enginetest"
 	"matopt/internal/format"
 	"matopt/internal/op"
+	"matopt/internal/plan"
 	"matopt/internal/shape"
 	"matopt/internal/tensor"
 	"matopt/internal/workload"
@@ -33,7 +35,7 @@ var goldenKernelThreads = []int{1, 3}
 
 // compareSinks requires got to reproduce want bit for bit
 // (math.Float64bits, not a tolerance).
-func compareSinks(t *testing.T, name string, ann *core.Annotation, want, got map[int]*tensor.Dense) {
+func compareSinks(t *testing.T, name string, pp *plan.Plan, want, got map[int]*tensor.Dense) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d sinks, baseline produced %d", name, len(got), len(want))
@@ -51,7 +53,7 @@ func compareSinks(t *testing.T, name string, ann *core.Annotation, want, got map
 				t.Fatalf("%s: sink %d entry (%d,%d): got %v (bits %x) != want %v (bits %x)\nplan:\n%s",
 					name, id, i/w.Cols, i%w.Cols,
 					g.Data[i], math.Float64bits(g.Data[i]),
-					w.Data[i], math.Float64bits(w.Data[i]), ann.Describe())
+					w.Data[i], math.Float64bits(w.Data[i]), pp.Ann.Describe())
 			}
 		}
 	}
@@ -88,29 +90,22 @@ func checkOracle(t *testing.T, name string, g *core.Graph, inputs map[string]*te
 	}
 }
 
-// assertBitIdentical executes ann on the sequential engine (serial and
+// assertBitIdentical executes pp on the sequential engine (serial and
 // threaded kernels) and on the dist runtime at every golden shard count
 // and kernel-thread budget, requiring every sink to be bit-for-bit
 // identical to the fully serial baseline — and that baseline to agree
 // with the independent oracle.
-func assertBitIdentical(t *testing.T, name string, cl costmodel.Cluster, ann *core.Annotation, inputs map[string]*tensor.Dense) {
+func assertBitIdentical(t *testing.T, name string, cl costmodel.Cluster, pp *plan.Plan, inputs map[string]*tensor.Dense) {
 	t.Helper()
 	// The baseline: sequential engine, kernels forced serial — the
 	// reference every blocked and threaded configuration must reproduce.
 	serial := engine.New(cl)
 	serial.KernelThreads = 1
-	want, err := serial.RunCollect(ann, inputs)
-	if err != nil {
-		t.Fatalf("%s: serial sequential run: %v", name, err)
-	}
-	checkOracle(t, name, ann.Graph, inputs, want)
+	want := enginetest.Run(t, serial, pp, inputs)
+	checkOracle(t, name, pp.Graph, inputs, want)
 	// Sequential engine with auto (whole-machine) kernel threads.
-	auto := engine.New(cl)
-	got, err := auto.RunCollect(ann, inputs)
-	if err != nil {
-		t.Fatalf("%s: threaded sequential run: %v", name, err)
-	}
-	compareSinks(t, name+" seq-auto-kernels", ann, want, got)
+	got := enginetest.Run(t, engine.New(cl), pp, inputs)
+	compareSinks(t, name+" seq-auto-kernels", pp, want, got)
 	for _, shards := range goldenShards {
 		// 0 is the default (machine-divided) kernel budget.
 		for _, kthreads := range append([]int{0}, goldenKernelThreads...) {
@@ -119,7 +114,7 @@ func assertBitIdentical(t *testing.T, name string, cl costmodel.Cluster, ann *co
 				t.Fatalf("%s: %v", name, err)
 			}
 			label := fmt.Sprintf("%s @%d shards kthreads=%d", name, shards, kthreads)
-			got, rep, err := rt.Run(context.Background(), ann, inputs)
+			got, rep, err := rt.RunPlan(context.Background(), pp, inputs)
 			if err != nil {
 				t.Fatalf("%s: dist run: %v", label, err)
 			}
@@ -129,18 +124,20 @@ func assertBitIdentical(t *testing.T, name string, cl costmodel.Cluster, ann *co
 			if kthreads > 0 && rep.KernelThreads != kthreads {
 				t.Fatalf("%s: report says %d kernel threads", label, rep.KernelThreads)
 			}
-			compareSinks(t, label, ann, want, got)
+			compareSinks(t, label, pp, want, got)
 		}
 	}
 }
 
-func optimize(t *testing.T, g *core.Graph, env *core.Env) *core.Annotation {
+// optimize returns g's optimal plan, lowered in the env it was
+// optimized in.
+func optimize(t testing.TB, g *core.Graph, env *core.Env) *plan.Plan {
 	t.Helper()
 	ann, err := core.Optimize(g, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ann
+	return enginetest.Lower(t, env, ann)
 }
 
 // TestGoldenMatMulChain covers the §8.2 chain workload generator at an
@@ -157,14 +154,14 @@ func TestGoldenMatMulChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := core.NewEnv(costmodel.LocalTest(3), format.All())
-	ann := optimize(t, g, env)
+	pp := optimize(t, g, env)
 	rng := rand.New(rand.NewSource(1))
 	mk := func(s shape.Shape) *tensor.Dense { return tensor.RandNormal(rng, int(s.Rows), int(s.Cols)) }
 	inputs := map[string]*tensor.Dense{
 		"A": mk(sz.A), "B": mk(sz.B), "C": mk(sz.C),
 		"D": mk(sz.D), "E": mk(sz.E), "F": mk(sz.F),
 	}
-	assertBitIdentical(t, "matmul-chain", env.Cluster, ann, inputs)
+	assertBitIdentical(t, "matmul-chain", env.Cluster, pp, inputs)
 }
 
 // TestGoldenFFNN covers the three FFNN workload generators (W2 update,
@@ -182,9 +179,9 @@ func TestGoldenFFNN(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		ann := optimize(t, g, env)
+		pp := optimize(t, g, env)
 		rng := rand.New(rand.NewSource(3))
-		assertBitIdentical(t, "ffnn-"+name, env.Cluster, ann, workload.FFNNInputs(rng, cfg))
+		assertBitIdentical(t, "ffnn-"+name, env.Cluster, pp, workload.FFNNInputs(rng, cfg))
 	}
 }
 
@@ -196,21 +193,9 @@ func TestGoldenBlockInverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := core.NewEnv(costmodel.LocalTest(3), format.All())
-	ann := optimize(t, g, env)
-	rng := rand.New(rand.NewSource(1))
-	n, n1 := int(cfg.Outer), int(cfg.Inner1)
-	full := tensor.RandNormal(rng, 2*n, 2*n)
-	for i := 0; i < 2*n; i++ {
-		full.Set(i, i, full.At(i, i)+float64(2*n))
-	}
-	inputs := map[string]*tensor.Dense{
-		"A11": full.Slice(0, n1, 0, n1), "A12": full.Slice(0, n1, n1, n),
-		"A21": full.Slice(n1, n, 0, n1), "A22": full.Slice(n1, n, n1, n),
-		"B1": full.Slice(0, n1, n, 2*n), "B2": full.Slice(n1, n, n, 2*n),
-		"C1": full.Slice(n, 2*n, 0, n1), "C2": full.Slice(n, 2*n, n1, n),
-		"D": full.Slice(n, 2*n, n, 2*n),
-	}
-	assertBitIdentical(t, "block-inverse", env.Cluster, ann, inputs)
+	pp := optimize(t, g, env)
+	inputs, _ := workload.BlockInverseInputs(rand.New(rand.NewSource(1)), cfg)
+	assertBitIdentical(t, "block-inverse", env.Cluster, pp, inputs)
 }
 
 // TestGoldenSparse covers sparse formats: a CSR-input FFNN forward
@@ -223,26 +208,26 @@ func TestGoldenSparse(t *testing.T) {
 		w1 := g.Input("W1", shape.New(3000, 80), 1, format.NewRowStrip(1000))
 		z1 := g.MustApply(op.Op{Kind: op.MatMul}, x, w1)
 		g.MustApply(op.Op{Kind: op.ReLU}, z1)
-		ann := optimize(t, g, env)
+		pp := optimize(t, g, env)
 		rng := rand.New(rand.NewSource(2))
 		inputs := map[string]*tensor.Dense{
 			"X":  tensor.RandSparse(rng, 200, 3000, 0.01),
 			"W1": tensor.RandNormal(rng, 3000, 80),
 		}
-		assertBitIdentical(t, "sparse-csr-forward", env.Cluster, ann, inputs)
+		assertBitIdentical(t, "sparse-csr-forward", env.Cluster, pp, inputs)
 	}
 	{
 		g := core.NewGraph()
 		x := g.Input("X", shape.New(150, 400), 0.005, format.NewCOO())
 		w := g.Input("W", shape.New(400, 60), 1, format.NewSingle())
 		g.MustApply(op.Op{Kind: op.MatMul}, x, w)
-		ann := optimize(t, g, env)
+		pp := optimize(t, g, env)
 		rng := rand.New(rand.NewSource(4))
 		inputs := map[string]*tensor.Dense{
 			"X": tensor.RandSparse(rng, 150, 400, 0.005),
 			"W": tensor.RandNormal(rng, 400, 60),
 		}
-		assertBitIdentical(t, "sparse-coo-mm", env.Cluster, ann, inputs)
+		assertBitIdentical(t, "sparse-coo-mm", env.Cluster, pp, inputs)
 	}
 }
 
@@ -292,7 +277,7 @@ func TestGoldenRandomGraphs(t *testing.T) {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}
-		ann := optimize(t, g, env)
-		assertBitIdentical(t, "random-dag", env.Cluster, ann, inputs)
+		pp := optimize(t, g, env)
+		assertBitIdentical(t, "random-dag", env.Cluster, pp, inputs)
 	}
 }

@@ -13,8 +13,10 @@ import (
 	"matopt/internal/costmodel"
 	"matopt/internal/dist"
 	"matopt/internal/engine"
+	"matopt/internal/enginetest"
 	"matopt/internal/format"
 	"matopt/internal/netfabric"
+	"matopt/internal/plan"
 	"matopt/internal/shape"
 	"matopt/internal/tensor"
 	"matopt/internal/testutil"
@@ -44,7 +46,7 @@ func startWorker(t *testing.T, opts ...netfabric.ServerOption) (*netfabric.Serve
 
 // tcpGoldenWorkload is the chain workload the TCP golden suite runs: it
 // exercises broadcast, shuffle and aggregation exchanges.
-func tcpGoldenWorkload(t *testing.T) (costmodel.Cluster, *core.Annotation, map[string]*tensor.Dense) {
+func tcpGoldenWorkload(t *testing.T) (costmodel.Cluster, *plan.Plan, map[string]*tensor.Dense) {
 	t.Helper()
 	sz := workload.ChainSizes{
 		Name: "tcp-golden",
@@ -57,27 +59,23 @@ func tcpGoldenWorkload(t *testing.T) (costmodel.Cluster, *core.Annotation, map[s
 		t.Fatal(err)
 	}
 	env := core.NewEnv(costmodel.LocalTest(3), format.All())
-	ann := optimize(t, g, env)
+	pp := optimize(t, g, env)
 	rng := rand.New(rand.NewSource(11))
 	mk := func(s shape.Shape) *tensor.Dense { return tensor.RandNormal(rng, int(s.Rows), int(s.Cols)) }
 	inputs := map[string]*tensor.Dense{
 		"A": mk(sz.A), "B": mk(sz.B), "C": mk(sz.C),
 		"D": mk(sz.D), "E": mk(sz.E), "F": mk(sz.F),
 	}
-	return env.Cluster, ann, inputs
+	return env.Cluster, pp, inputs
 }
 
 // sequentialBaseline runs the serial sequential engine — the reference
 // every transport must reproduce bit for bit.
-func sequentialBaseline(t *testing.T, cl costmodel.Cluster, ann *core.Annotation, inputs map[string]*tensor.Dense) map[int]*tensor.Dense {
+func sequentialBaseline(t *testing.T, cl costmodel.Cluster, pp *plan.Plan, inputs map[string]*tensor.Dense) map[int]*tensor.Dense {
 	t.Helper()
 	serial := engine.New(cl)
 	serial.KernelThreads = 1
-	want, err := serial.RunCollect(ann, inputs)
-	if err != nil {
-		t.Fatalf("serial sequential run: %v", err)
-	}
-	return want
+	return enginetest.Run(t, serial, pp, inputs)
 }
 
 // TestGoldenTCPTransport is the tentpole's golden suite: at every
@@ -86,8 +84,8 @@ func sequentialBaseline(t *testing.T, cl costmodel.Cluster, ann *core.Annotation
 // and through a mixed local/remote peer map — must be bit-identical to
 // the in-process chan transport and the sequential engine.
 func TestGoldenTCPTransport(t *testing.T) {
-	cl, ann, inputs := tcpGoldenWorkload(t)
-	want := sequentialBaseline(t, cl, ann, inputs)
+	cl, pp, inputs := tcpGoldenWorkload(t)
+	want := sequentialBaseline(t, cl, pp, inputs)
 
 	_, addr1 := startWorker(t)
 	_, addr2 := startWorker(t)
@@ -105,14 +103,14 @@ func TestGoldenTCPTransport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chanGot, chanRep, err := rt.Run(context.Background(), ann, inputs)
+		chanGot, chanRep, err := rt.RunPlan(context.Background(), pp, inputs)
 		if err != nil {
 			t.Fatalf("chan @%d shards: %v", shards, err)
 		}
 		if chanRep.Transport != "chan" {
 			t.Fatalf("chan report says transport %q", chanRep.Transport)
 		}
-		compareSinks(t, fmt.Sprintf("chan @%d shards", shards), ann, want, chanGot)
+		compareSinks(t, fmt.Sprintf("chan @%d shards", shards), pp, want, chanGot)
 
 		for _, topo := range topologies {
 			label := fmt.Sprintf("tcp/%s @%d shards", topo.name, shards)
@@ -124,14 +122,14 @@ func TestGoldenTCPTransport(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, rep, err := rt.Run(context.Background(), ann, inputs)
+			got, rep, err := rt.RunPlan(context.Background(), pp, inputs)
 			if cerr := tp.Close(); cerr != nil {
 				t.Fatalf("%s: transport close: %v", label, cerr)
 			}
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			compareSinks(t, label, ann, want, got)
+			compareSinks(t, label, pp, want, got)
 			if rep.Transport != "tcp" {
 				t.Fatalf("%s: report says transport %q", label, rep.Transport)
 			}
@@ -158,8 +156,8 @@ func TestGoldenTCPTransport(t *testing.T) {
 // the consuming vertex must fail with ErrExchangeTimeout, retry over a
 // fresh dial, and finish bit-identical to the sequential engine.
 func TestChaosNetSeveredConn(t *testing.T) {
-	cl, ann, inputs := tcpGoldenWorkload(t)
-	want := sequentialBaseline(t, cl, ann, inputs)
+	cl, pp, inputs := tcpGoldenWorkload(t)
+	want := sequentialBaseline(t, cl, pp, inputs)
 	for _, shards := range goldenShards {
 		label := fmt.Sprintf("severed @%d shards", shards)
 		_, addr := startWorker(t, netfabric.SeverSessions(2))
@@ -171,14 +169,14 @@ func TestChaosNetSeveredConn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, rep, err := rt.Run(context.Background(), ann, inputs)
+		got, rep, err := rt.RunPlan(context.Background(), pp, inputs)
 		if cerr := tp.Close(); cerr != nil {
 			t.Fatalf("%s: transport close: %v", label, cerr)
 		}
 		if err != nil {
 			t.Fatalf("%s: run failed despite retry budget: %v", label, err)
 		}
-		compareSinks(t, label, ann, want, got)
+		compareSinks(t, label, pp, want, got)
 		if shards > 1 {
 			// A single shard opens no sessions, so nothing severs; at
 			// every other count the fault must have fired and healed.
@@ -197,7 +195,7 @@ func TestChaosNetSeveredConn(t *testing.T) {
 // must surface through the typed ErrExchangeTimeout ladder — never a
 // raw net error — and exhaust into RetriesExhaustedError.
 func TestChaosNetDialRefusedSurfacesExchangeTimeout(t *testing.T) {
-	cl, ann, inputs := tcpGoldenWorkload(t)
+	cl, pp, inputs := tcpGoldenWorkload(t)
 	for _, shards := range goldenShards {
 		if shards == 1 {
 			continue // a single shard opens no sessions — no wire to kill
@@ -213,7 +211,7 @@ func TestChaosNetDialRefusedSurfacesExchangeTimeout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = rt.Run(context.Background(), ann, inputs)
+		_, _, err = rt.RunPlan(context.Background(), pp, inputs)
 		if cerr := tp.Close(); cerr != nil {
 			t.Fatalf("%s: transport close: %v", label, cerr)
 		}
@@ -234,7 +232,7 @@ func TestChaosNetDialRefusedSurfacesExchangeTimeout(t *testing.T) {
 // the process back at its goroutine baseline once transport and worker
 // are closed: no read loops, collectors, or handlers may survive.
 func TestChaosNetShutdownLeakFree(t *testing.T) {
-	cl, ann, inputs := tcpGoldenWorkload(t)
+	cl, pp, inputs := tcpGoldenWorkload(t)
 	testutil.CheckGoroutines(t, func() {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -251,7 +249,7 @@ func TestChaosNetShutdownLeakFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := rt.Run(context.Background(), ann, inputs); err != nil {
+		if _, _, err := rt.RunPlan(context.Background(), pp, inputs); err != nil {
 			t.Fatal(err)
 		}
 		if err := tp.Close(); err != nil {

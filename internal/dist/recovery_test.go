@@ -14,14 +14,14 @@ import (
 // bit-identical outputs — the "crash after ancestor freed" case single-
 // hop retry cannot recover.
 func TestNodeLossCascade(t *testing.T) {
-	ann, inputs, cl := chaosWorkload(t)
-	want := seqGolden(t, cl, ann, inputs)
-	sink := ann.Graph.Vertices[len(ann.Graph.Vertices)-1].ID
+	pp, inputs, cl := chaosWorkload(t)
+	want := seqGolden(t, cl, pp, inputs)
+	sink := pp.Graph.Vertices[len(pp.Graph.Vertices)-1].ID
 
 	for _, shards := range chaosShards {
 		leakChecked(t, func() {
 			plan := dist.NewFaultPlan(dist.Fault{Kind: dist.FaultNodeLoss, Vertex: sink})
-			rep := runFaulted(t, "node-loss", cl, shards, plan, ann, inputs, want)
+			rep := runFaulted(t, "node-loss", cl, shards, plan, pp, inputs, want)
 			if rep.FaultsInjected != 1 {
 				t.Fatalf("node loss @%d shards: %d faults injected, want 1", shards, rep.FaultsInjected)
 			}
@@ -46,18 +46,18 @@ func TestNodeLossCascade(t *testing.T) {
 // chaos shard count: wherever the node dies, lineage recovery must
 // reconstruct the lost inputs and converge bit-identically.
 func TestNodeLossEveryVertex(t *testing.T) {
-	ann, inputs, cl := chaosWorkload(t)
-	want := seqGolden(t, cl, ann, inputs)
+	pp, inputs, cl := chaosWorkload(t)
+	want := seqGolden(t, cl, pp, inputs)
 	for _, shards := range chaosShards {
-		for _, v := range ann.Graph.Vertices {
+		for _, v := range pp.Graph.Vertices {
 			plan := dist.NewFaultPlan(dist.Fault{Kind: dist.FaultNodeLoss, Vertex: v.ID})
-			rep := runFaulted(t, "node-loss-sweep", cl, shards, plan, ann, inputs, want)
+			rep := runFaulted(t, "node-loss-sweep", cl, shards, plan, pp, inputs, want)
 			if rep.FaultsInjected != 1 {
 				t.Fatalf("node loss v%d @%d shards: %d faults injected, want 1", v.ID, shards, rep.FaultsInjected)
 			}
 			// Source vertices have no inputs to lose, so only vertices
 			// with dependencies must cascade.
-			if len(ann.Graph.Vertices) > 0 && rep.Cascades < 1 && rep.Retries < 1 {
+			if len(pp.Graph.Vertices) > 0 && rep.Cascades < 1 && rep.Retries < 1 {
 				t.Fatalf("node loss v%d @%d shards: neither cascade nor retry recorded: %+v", v.ID, shards, rep)
 			}
 		}
@@ -70,20 +70,20 @@ func TestNodeLossEveryVertex(t *testing.T) {
 // unpinned run's, and the report must meter the pins. A 1-byte budget
 // must pin nothing.
 func TestCheckpointShortensCascade(t *testing.T) {
-	ann, inputs, cl := chaosWorkload(t)
-	want := seqGolden(t, cl, ann, inputs)
-	sink := ann.Graph.Vertices[len(ann.Graph.Vertices)-1].ID
+	pp, inputs, cl := chaosWorkload(t)
+	want := seqGolden(t, cl, pp, inputs)
+	sink := pp.Graph.Vertices[len(pp.Graph.Vertices)-1].ID
 	plan := func() *dist.FaultPlan {
 		return dist.NewFaultPlan(dist.Fault{Kind: dist.FaultNodeLoss, Vertex: sink})
 	}
 
 	for _, shards := range chaosShards {
-		bare := runFaulted(t, "node-loss-bare", cl, shards, plan(), ann, inputs, want)
+		bare := runFaulted(t, "node-loss-bare", cl, shards, plan(), pp, inputs, want)
 
 		// A multiple this small makes every non-retained compute pass
 		// the recompute > multiple × materialize test, so the whole
 		// interior of the chain is pinned.
-		rep := runFaulted(t, "node-loss-ckpt", cl, shards, plan(), ann, inputs, want,
+		rep := runFaulted(t, "node-loss-ckpt", cl, shards, plan(), pp, inputs, want,
 			dist.Config{Checkpoint: true, CheckpointMultiple: 1e-9})
 		if rep.CheckpointVertices < 1 {
 			t.Fatalf("checkpointing @%d shards pinned nothing", shards)
@@ -101,7 +101,7 @@ func TestCheckpointShortensCascade(t *testing.T) {
 
 		// A 1-byte budget rejects every candidate: placement must
 		// degrade to no pins, not to a panic or a partial pin.
-		rep = runFaulted(t, "node-loss-budget", cl, shards, plan(), ann, inputs, want,
+		rep = runFaulted(t, "node-loss-budget", cl, shards, plan(), pp, inputs, want,
 			dist.Config{Checkpoint: true, CheckpointMultiple: 1e-9, CheckpointBudget: 1})
 		if rep.CheckpointVertices != 0 {
 			t.Fatalf("1-byte checkpoint budget @%d shards still pinned %d vertices", shards, rep.CheckpointVertices)
@@ -114,12 +114,12 @@ func TestCheckpointShortensCascade(t *testing.T) {
 // speculative duplicate on rotated shards, take its result, and stay
 // bit-identical to the sequential engine.
 func TestSpeculativeStragglerWin(t *testing.T) {
-	ann, inputs, cl := chaosWorkload(t)
-	want := seqGolden(t, cl, ann, inputs)
+	pp, inputs, cl := chaosWorkload(t)
+	want := seqGolden(t, cl, pp, inputs)
 
 	for _, shards := range chaosShards {
 		leakChecked(t, func() {
-			base := runFaulted(t, "spec-profile", cl, shards, nil, ann, inputs, want)
+			base := runFaulted(t, "spec-profile", cl, shards, nil, pp, inputs, want)
 			if len(base.Exchanges) == 0 {
 				t.Fatalf("@%d shards: workload has no exchanges to stall", shards)
 			}
@@ -146,7 +146,7 @@ func TestSpeculativeStragglerWin(t *testing.T) {
 			// the targeted exchange unnecessary, and the straggler's own
 			// duplicate can reach the exchange first and absorb the delay
 			// itself.
-			rep := runFaulted(t, "spec-straggler", cl, shards, plan, ann, inputs, want,
+			rep := runFaulted(t, "spec-straggler", cl, shards, plan, pp, inputs, want,
 				dist.Config{Speculate: true, Speculation: dist.Speculation{MinObservations: 1, Multiplier: 1, Floor: 250 * time.Millisecond}})
 			if rep.FaultsInjected != 1 {
 				t.Fatalf("straggler @%d shards: %d faults injected, want 1", shards, rep.FaultsInjected)
@@ -165,12 +165,12 @@ func TestSpeculativeStragglerWin(t *testing.T) {
 // TestSpeculationOffByDefault: with Config.Speculate unset a
 // straggling exchange merely slows the run — no duplicates launch.
 func TestSpeculationOffByDefault(t *testing.T) {
-	ann, inputs, cl := chaosWorkload(t)
-	want := seqGolden(t, cl, ann, inputs)
+	pp, inputs, cl := chaosWorkload(t)
+	want := seqGolden(t, cl, pp, inputs)
 	plan := dist.NewFaultPlan(dist.Fault{
 		Kind: dist.FaultDelayExchange, Vertex: -1, Shard: -1, Delay: 5 * time.Millisecond,
 	})
-	rep := runFaulted(t, "no-spec", cl, 2, plan, ann, inputs, want)
+	rep := runFaulted(t, "no-spec", cl, 2, plan, pp, inputs, want)
 	if rep.SpeculativeLaunches != 0 || rep.SpeculativeWins != 0 {
 		t.Fatalf("speculation ran without being enabled: %+v", rep)
 	}

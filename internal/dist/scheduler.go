@@ -253,8 +253,8 @@ func (r *run) On(shard int, fn func() error) error {
 // checkpointPins re-derives the pin-for-recovery set from the plan's
 // pure per-node recompute/materialize costs under this runtime's
 // configured checkpoint multiple and memory budget. The plan itself
-// stores only knob-free per-node costs (Plan.Physical is memoized and
-// shared across cache hits), so two executors with different knobs can
+// stores only knob-free per-node costs (one lowered plan is shared by
+// every cache hit), so two executors with different knobs can
 // pin differently off the same plan. Under a budget the greedy order is
 // deepest-first: a deep vertex fronts the longest recompute chain, so
 // pinning it truncates the worst cascades first.

@@ -10,6 +10,7 @@ import (
 	"matopt/internal/costmodel"
 	"matopt/internal/dist"
 	"matopt/internal/engine"
+	"matopt/internal/enginetest"
 	"matopt/internal/format"
 	"matopt/internal/impl"
 	"matopt/internal/op"
@@ -44,6 +45,7 @@ func TestEveryImplementationBitIdentical(t *testing.T) {
 		return []shape.Shape{shape.New(130, 170)}
 	}
 	cl := costmodel.LocalTest(3)
+	env := core.NewEnv(cl, format.All())
 	for _, im := range impl.All() {
 		o := op.Op{Kind: im.Op}
 		if im.Op == op.ScalarMul {
@@ -95,22 +97,19 @@ func TestEveryImplementationBitIdentical(t *testing.T) {
 			}
 			ran++
 			label := fmt.Sprintf("%s%v", im.Name, ins)
-			ann := handAnn(t, g, im.Name, out.Format)
-			want, err := engine.New(cl).RunCollect(ann, inputs)
-			if err != nil {
-				t.Fatalf("%s: sequential run: %v", label, err)
-			}
+			pp := enginetest.Lower(t, env, handAnn(t, g, im.Name, out.Format))
+			want := enginetest.Run(t, engine.New(cl), pp, inputs)
 			checkOracle(t, label, g, inputs, want)
 			for _, shards := range []int{2, 7} {
 				rt, err := dist.New(cl, dist.Config{Shards: shards})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, _, err := rt.Run(context.Background(), ann, inputs)
+				got, _, err := rt.RunPlan(context.Background(), pp, inputs)
 				if err != nil {
 					t.Fatalf("%s @%d shards: %v", label, shards, err)
 				}
-				compareSinks(t, fmt.Sprintf("%s @%d shards", label, shards), ann, want, got)
+				compareSinks(t, fmt.Sprintf("%s @%d shards", label, shards), pp, want, got)
 			}
 		}
 		if ran == 0 {

@@ -60,12 +60,8 @@ func (e *Engine) RunAdaptive(g *core.Graph, env *core.Env, inputs map[string]*te
 		return nil, fmt.Errorf("engine: relative-error threshold %v must be ≥ 1", threshold)
 	}
 	res := &AdaptiveResult{Relations: make(map[int]*Relation)}
-
-	// measured densities override the graph's estimates after a drift.
-	measured := make(map[int]float64)
-
 	for {
-		sub, idmap, err := remainderGraph(g, res.Relations, measured)
+		sub, idmap, err := remainderGraph(g, res.Relations)
 		if err != nil {
 			return nil, err
 		}
@@ -76,7 +72,41 @@ func (e *Engine) RunAdaptive(g *core.Graph, env *core.Env, inputs map[string]*te
 		if err != nil {
 			return nil, fmt.Errorf("engine: adaptive re-optimization: %w", err)
 		}
-		drifted, err := e.runUntilDrift(sub, idmap, env, ann, inputs, threshold, res)
+		p, err := plan.Lower(sub, env, ann)
+		if err != nil {
+			return nil, err
+		}
+		// back maps sub vertex IDs to original ones. Already-computed
+		// intermediates re-enter the sub-plan as sources: preload their
+		// scans with the materialized relations.
+		back := make(map[int]int, len(idmap))
+		preload := make(map[int]*Relation)
+		for orig, nv := range idmap {
+			back[nv.ID] = orig
+			if r, ok := res.Relations[orig]; ok {
+				preload[nv.ID] = r
+			}
+		}
+		// Run the sub-plan through the engine's node loop, publishing each
+		// computed relation under its ORIGINAL vertex ID, until the plan
+		// finishes or a density estimate drifts beyond threshold. res holds
+		// every published relation, so the plan's frees release nothing a
+		// re-optimization could want to resume from.
+		drifted := false
+		_, err = e.interpret(context.Background(), p, inputs, preload, func(n *plan.Node, out *Relation) bool {
+			orig := back[n.Vertex]
+			res.Relations[orig] = out
+			est := sub.Vertices[n.Vertex].Density
+			// Record the truth for any re-optimization.
+			out.Density = out.MeasuredDensity()
+			if re := sparse.RelativeError(est, out.Density); re > threshold {
+				res.Corrections = append(res.Corrections, DensityCorrection{
+					Vertex: orig, Estimated: est, Measured: out.Density, RelErr: re,
+				})
+				drifted = true
+			}
+			return !drifted
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -91,7 +121,7 @@ func (e *Engine) RunAdaptive(g *core.Graph, env *core.Env, inputs map[string]*te
 // vertices whose results are still needed become sources carrying their
 // materialized format and measured density. idmap maps original vertex
 // IDs to the new graph's vertices.
-func remainderGraph(g *core.Graph, done map[int]*Relation, measured map[int]float64) (*core.Graph, map[int]*core.Vertex, error) {
+func remainderGraph(g *core.Graph, done map[int]*Relation) (*core.Graph, map[int]*core.Vertex, error) {
 	sub := core.NewGraph()
 	idmap := make(map[int]*core.Vertex)
 	for _, v := range g.Vertices {
@@ -107,11 +137,7 @@ func remainderGraph(g *core.Graph, done map[int]*Relation, measured map[int]floa
 			if !needed {
 				continue
 			}
-			d := r.Density
-			if md, ok := measured[v.ID]; ok {
-				d = md
-			}
-			idmap[v.ID] = sub.Input(fmt.Sprintf("done-%d", v.ID), v.Shape, d, r.Format)
+			idmap[v.ID] = sub.Input(fmt.Sprintf("done-%d", v.ID), v.Shape, r.Density, r.Format)
 			continue
 		}
 		if v.IsSource {
@@ -133,82 +159,4 @@ func remainderGraph(g *core.Graph, done map[int]*Relation, measured map[int]floa
 		idmap[v.ID] = nv
 	}
 	return sub, idmap, nil
-}
-
-// runUntilDrift lowers the sub-plan to the physical IR and steps its
-// nodes in plan order, publishing each computed relation into res under
-// the ORIGINAL vertex IDs, until either the plan finishes (false) or a
-// density estimate drifts beyond threshold (true). Free nodes are
-// skipped: the adaptive executor keeps every intermediate resident so a
-// re-optimization can resume from any of them.
-func (e *Engine) runUntilDrift(sub *core.Graph, idmap map[int]*core.Vertex, env *core.Env, ann *core.Annotation,
-	inputs map[string]*tensor.Dense, threshold float64, res *AdaptiveResult) (bool, error) {
-	// Reverse map: sub vertex ID → original vertex ID.
-	back := make(map[int]int, len(idmap))
-	for orig, nv := range idmap {
-		back[nv.ID] = orig
-	}
-	p, err := plan.Lower(sub, env, ann)
-	if err != nil {
-		return false, err
-	}
-	if err := p.Validate(); err != nil {
-		return false, err
-	}
-	// Already-computed intermediates re-enter the sub-plan as sources:
-	// preload their scans with the materialized relations.
-	preload := make(map[int]*Relation)
-	for _, v := range sub.Vertices {
-		if !v.IsSource {
-			continue
-		}
-		if r, ok := res.Relations[back[v.ID]]; ok {
-			preload[v.ID] = r
-		}
-	}
-	pi := &planInterp{e: e, ctx: context.Background(), inputs: inputs, preload: preload}
-	vals := make([]*Relation, len(p.Nodes))
-	for _, n := range p.Nodes {
-		switch n.Kind {
-		case plan.KindScan:
-			r, err := pi.Scan(n)
-			if err != nil {
-				return false, err
-			}
-			vals[n.ID] = r
-		case plan.KindRelayout:
-			r, err := pi.Relayout(n, vals[n.Inputs[0]])
-			if err != nil {
-				return false, err
-			}
-			vals[n.ID] = r
-		case plan.KindCompute:
-			ins := make([]*Relation, len(n.Inputs))
-			for j, in := range n.Inputs {
-				ins[j] = vals[in]
-			}
-			out, err := pi.Compute(n, ins)
-			if err != nil {
-				return false, err
-			}
-			vals[n.ID] = out
-			orig := back[n.Vertex]
-			res.Relations[orig] = out
-
-			est := sub.Vertices[n.Vertex].Density
-			got := out.MeasuredDensity()
-			if re := sparse.RelativeError(est, got); re > threshold {
-				res.Corrections = append(res.Corrections, DensityCorrection{
-					Vertex: orig, Estimated: est, Measured: got, RelErr: re,
-				})
-				// Record the truth for the re-optimization and halt.
-				out.Density = got
-				return true, nil
-			}
-			out.Density = got
-		case plan.KindFree:
-			// Keep everything resident; see the doc comment.
-		}
-	}
-	return false, nil
 }

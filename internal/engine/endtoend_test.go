@@ -72,7 +72,7 @@ func TestRandomGraphsEndToEnd(t *testing.T) {
 			t.Fatalf("seed %d: verify: %v", seed, err)
 		}
 		e := New(env.Cluster)
-		got, err := e.RunCollect(ann, inputs)
+		got, err := runCollect(e, env, ann, inputs)
 		if err != nil {
 			t.Fatalf("seed %d: execute: %v", seed, err)
 		}

@@ -10,13 +10,15 @@
 // implements Mover over its fabric and scheduler and interprets the same
 // table at P shards, which is why the two produce identical bytes.
 //
-// The engine has two modes. Execute (Run) materializes real data and
+// The engine has two modes. Execute (RunPlan) materializes real data and
 // computes real results, validating every implementation's semantics at
 // laptop scale and producing the measurements the cost model is
-// calibrated on. Simulate walks the identical annotated plan at paper
+// calibrated on. Simulate walks the identical lowered plan at paper
 // scale without materializing data, advancing a virtual clock from the
 // calibrated cost model — the substitution (documented in DESIGN.md) for
-// the paper's EC2 clusters.
+// the paper's EC2 clusters. Either way the engine is handed a lowered
+// plan: lowering belongs to whoever holds the annotation and the
+// environment it was optimized in.
 package engine
 
 import (
@@ -101,8 +103,8 @@ type Stats struct {
 	FLOPs  int64 // floating-point operations executed
 }
 
-// Engine executes annotated plans sequentially; Cluster supplies the
-// per-tuple size bound and the environment plans are lowered for.
+// Engine executes lowered plans sequentially; Cluster supplies the
+// per-tuple size bound.
 type Engine struct {
 	Cluster costmodel.Cluster
 

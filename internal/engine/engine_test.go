@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -50,6 +51,22 @@ func checkOracle(t *testing.T, name string, g *core.Graph, inputs map[string]*te
 	}
 }
 
+// runCollect lowers ann in env — the environment it was optimized in —
+// runs it on e and collects every sink. (internal/enginetest is the same
+// helper for tests outside this package, which it cannot serve without
+// an import cycle.)
+func runCollect(e *Engine, env *core.Env, ann *core.Annotation, inputs map[string]*tensor.Dense) (map[int]*tensor.Dense, error) {
+	p, err := plan.Lower(ann.Graph, env, ann)
+	if err != nil {
+		return nil, err
+	}
+	rels, err := e.RunPlan(context.Background(), p, inputs)
+	if err != nil {
+		return nil, err
+	}
+	return e.CollectAll(rels)
+}
+
 // checkPlan runs an annotated plan on the engine and holds every sink
 // against the oracle.
 func checkPlan(t *testing.T, g *core.Graph, env *core.Env, ann *core.Annotation, inputs map[string]*tensor.Dense) {
@@ -58,7 +75,7 @@ func checkPlan(t *testing.T, g *core.Graph, env *core.Env, ann *core.Annotation,
 		t.Fatalf("annotation invalid: %v", err)
 	}
 	e := New(env.Cluster)
-	got, err := e.RunCollect(ann, inputs)
+	got, err := runCollect(e, env, ann, inputs)
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}
@@ -311,11 +328,11 @@ func TestGreedyAllTilePlanMatchesOptimalNumerically(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(env.Cluster)
-	got1, err := e.RunCollect(auto, inputs)
+	got1, err := runCollect(e, env, auto, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := e.RunCollect(tiled, inputs)
+	got2, err := runCollect(e, env, tiled, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,13 @@
 package figures
 
 import (
-	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
+	"matopt"
 	"matopt/internal/core"
 	"matopt/internal/costmodel"
-	"matopt/internal/dist"
-	"matopt/internal/engine"
-	"matopt/internal/format"
-	"matopt/internal/shape"
 	"matopt/internal/tensor"
 	"matopt/internal/workload"
 )
@@ -36,109 +31,69 @@ func DistValidation(shards int) Table {
 	return t
 }
 
+// distWorkload is one scaled evaluation workload the dist and faults
+// tables execute.
 type distWorkload struct {
-	name   string
-	graph  *core.Graph
-	inputs map[string]*tensor.Dense
+	name  string
+	build func() (*core.Graph, map[string]*tensor.Dense, error)
 }
 
+// distWorkloads lists them. Three are catalogue entries (workload.Spec);
+// the full FFNN backpropagation is not one, so its row builds straight
+// from the generator.
 func distWorkloads() []distWorkload {
-	rng := rand.New(rand.NewSource(42))
-	var out []distWorkload
-
-	sz := workload.ChainSizes{
-		Name: "scaled",
-		A:    shape.New(100, 300), B: shape.New(300, 500),
-		C: shape.New(500, 1), D: shape.New(1, 500),
-		E: shape.New(500, 100), F: shape.New(500, 100),
+	spec := func(w string, scale int64) func() (*core.Graph, map[string]*tensor.Dense, error) {
+		return workload.Spec{Workload: w, Scale: scale, Seed: 42}.Normalized().Build
 	}
-	if g, err := workload.MatMulChain(sz); err == nil {
-		out = append(out, distWorkload{name: "chain (scaled)", graph: g, inputs: map[string]*tensor.Dense{
-			"A": tensor.RandNormal(rng, 100, 300), "B": tensor.RandNormal(rng, 300, 500),
-			"C": tensor.RandNormal(rng, 500, 1), "D": tensor.RandNormal(rng, 1, 500),
-			"E": tensor.RandNormal(rng, 500, 100), "F": tensor.RandNormal(rng, 500, 100),
-		}})
+	return []distWorkload{
+		{"chain (scaled)", spec("chain", 100)},
+		{"ffnn backprop (scaled)", func() (*core.Graph, map[string]*tensor.Dense, error) {
+			cfg := workload.ScaledFFNN(workload.PaperFFNN(80000), 200)
+			g, err := workload.FFNNBackprop(cfg)
+			return g, workload.FFNNInputs(rand.New(rand.NewSource(42)), cfg), err
+		}},
+		{"ffnn 3-pass (scaled)", spec("ffnn3", 200)},
+		{"block inverse (scaled)", spec("inverse", 166)},
 	}
-
-	cfg := workload.ScaledFFNN(workload.PaperFFNN(80000), 200)
-	if g, err := workload.FFNNBackprop(cfg); err == nil {
-		out = append(out, distWorkload{name: "ffnn backprop (scaled)", graph: g,
-			inputs: workload.FFNNInputs(rng, cfg)})
-	}
-	if g, err := workload.FFNNThreePass(cfg); err == nil {
-		out = append(out, distWorkload{name: "ffnn 3-pass (scaled)", graph: g,
-			inputs: workload.FFNNInputs(rng, cfg)})
-	}
-
-	icfg := workload.BlockInverseConfig{Outer: 60, Inner1: 20, Inner2: 40, BlockFormat: format.NewSingle()}
-	if g, err := workload.BlockInverse2(icfg); err == nil {
-		n, n1 := 60, 20
-		full := tensor.RandNormal(rng, 2*n, 2*n)
-		for i := 0; i < 2*n; i++ {
-			full.Set(i, i, full.At(i, i)+float64(2*n))
-		}
-		out = append(out, distWorkload{name: "block inverse (scaled)", graph: g, inputs: map[string]*tensor.Dense{
-			"A11": full.Slice(0, n1, 0, n1), "A12": full.Slice(0, n1, n1, n),
-			"A21": full.Slice(n1, n, 0, n1), "A22": full.Slice(n1, n, n1, n),
-			"B1": full.Slice(0, n1, n, 2*n), "B2": full.Slice(n1, n, n, 2*n),
-			"C1": full.Slice(n, 2*n, 0, n1), "C2": full.Slice(n, 2*n, n1, n),
-			"D": full.Slice(n, 2*n, n, 2*n),
-		}})
-	}
-	return out
 }
 
+// distRow drives one workload the way any caller does: the public
+// Optimizer plans it, a sequential and a dist Executor run the same
+// plan, and the simulator prices it for the traffic ceiling.
 func distRow(w distWorkload, shards int) []string {
 	fail := func(err error) []string {
 		return []string{w.name, "-", "-", "-", "-", "-", "-", "FAIL: " + err.Error()}
 	}
+	g, inputs, err := w.build()
+	if err != nil {
+		return fail(err)
+	}
 	cl := costmodel.LocalTest(shards)
-	env := core.NewEnv(cl, format.All())
-	ann, err := core.Optimize(w.graph, env)
+	p, err := matopt.NewOptimizer(cl).Optimize(matopt.NewBuilderFromGraph(g))
 	if err != nil {
 		return fail(err)
 	}
 
 	t0 := time.Now()
-	want, err := engine.New(cl).RunCollect(ann, w.inputs)
+	want, err := matopt.NewExecutor(cl).Run(p, inputs)
 	if err != nil {
 		return fail(err)
 	}
 	seqWall := time.Since(t0)
 
-	rt, err := dist.New(cl, dist.Config{Shards: shards})
+	x := matopt.NewExecutor(cl, matopt.WithEngineKind(matopt.DistEngine), matopt.WithShards(shards))
+	got, err := x.Run(p, inputs)
 	if err != nil {
 		return fail(err)
 	}
-	got, rep, err := rt.Run(context.Background(), ann, w.inputs)
-	if err != nil {
-		return fail(err)
-	}
-	identical := len(got) == len(want)
-	for id, wm := range want {
-		gm := got[id]
-		if gm == nil || gm.Rows != wm.Rows || gm.Cols != wm.Cols {
-			identical = false
-			break
-		}
-		for i := range wm.Data {
-			if math.Float64bits(gm.Data[i]) != math.Float64bits(wm.Data[i]) {
-				identical = false
-				break
-			}
-		}
-	}
+	rep := x.DistReport()
 
-	sim, err := engine.Simulate(ann, env)
+	sim, err := matopt.Simulate(p)
 	if err != nil {
 		return fail(err)
 	}
 	ceiling := costmodel.NetBytesCeiling(sim.Features.NetBytes, shards)
 	mb := func(b float64) string { return fmt.Sprintf("%.3f", b/(1<<20)) }
-	ok := "yes"
-	if !identical {
-		ok = "NO"
-	}
 	return []string{
 		w.name,
 		fmt.Sprintf("%.1f", float64(seqWall)/1e6),
@@ -147,6 +102,20 @@ func distRow(w distWorkload, shards int) []string {
 		mb(float64(rep.NetBytes)),
 		mb(ceiling),
 		mb(float64(rep.PeakBytes)),
-		ok,
+		identicalWord(got, want),
 	}
+}
+
+// identicalWord is the tables' "identical" cell: "yes" when got holds
+// exactly want's matrices, bit for bit.
+func identicalWord(got, want map[int]*tensor.Dense) string {
+	if len(got) != len(want) {
+		return "NO"
+	}
+	for id, wm := range want {
+		if !tensor.BitEqual(got[id], wm) {
+			return "NO"
+		}
+	}
+	return "yes"
 }

@@ -1,17 +1,12 @@
 package figures
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"math"
 	"time"
 
-	"matopt/internal/core"
+	"matopt"
 	"matopt/internal/costmodel"
 	"matopt/internal/dist"
-	"matopt/internal/engine"
-	"matopt/internal/format"
 	"matopt/internal/tensor"
 )
 
@@ -27,31 +22,36 @@ func FaultRecovery(shards int) Table {
 		Header: []string{"schedule", "wall ms", "faults injected", "retries",
 			"identical", "outcome"},
 	}
-	w := distWorkloads()[0]
 	cl := costmodel.LocalTest(shards)
-	env := core.NewEnv(cl, format.All())
-	ann, err := core.Optimize(w.graph, env)
+	g, inputs, err := distWorkloads()[0].build()
+	if err != nil {
+		t.Rows = append(t.Rows, []string{"build", "-", "-", "-", "-", "FAIL: " + err.Error()})
+		return t
+	}
+	p, err := matopt.NewOptimizer(cl).Optimize(matopt.NewBuilderFromGraph(g))
 	if err != nil {
 		t.Rows = append(t.Rows, []string{"optimize", "-", "-", "-", "-", "FAIL: " + err.Error()})
 		return t
 	}
-	want, err := engine.New(cl).RunCollect(ann, w.inputs)
+	want, err := matopt.NewExecutor(cl).Run(p, inputs)
 	if err != nil {
 		t.Rows = append(t.Rows, []string{"sequential golden", "-", "-", "-", "-", "FAIL: " + err.Error()})
 		return t
 	}
 
 	var crashAll []dist.Fault
-	for _, v := range ann.Graph.Vertices {
+	for _, v := range g.Vertices {
 		crashAll = append(crashAll, dist.Fault{Kind: dist.FaultCrash, Vertex: v.ID})
 	}
-	mid := ann.Graph.Vertices[len(ann.Graph.Vertices)/2].ID
+	v0 := g.Vertices[0].ID
+	mid := g.Vertices[len(g.Vertices)/2].ID
 	straggler := func() *dist.FaultPlan {
 		return dist.NewFaultPlan(dist.Fault{Kind: dist.FaultSlowShard, Shard: shards - 1, Delay: 200 * time.Microsecond})
 	}
 	nodeLoss := func() *dist.FaultPlan {
 		return dist.NewFaultPlan(dist.Fault{Kind: dist.FaultNodeLoss, Vertex: mid})
 	}
+	one := 1
 	for _, s := range []struct {
 		name string
 		cfg  dist.Config
@@ -65,27 +65,37 @@ func FaultRecovery(shards int) Table {
 		{"random schedule (seed 7, 5 faults)", dist.Config{Faults: 5, FaultSeed: 7}},
 		{fmt.Sprintf("node loss at v%d + checkpointing", mid), dist.Config{FaultPlan: nodeLoss(), Checkpoint: true}},
 		{"straggler shard + speculation", dist.Config{FaultPlan: straggler(), Speculate: true}},
+		// Two crashes of one vertex exhaust a retry budget of one; with
+		// Fallback the Executor serves the sequential result instead.
+		{fmt.Sprintf("crash v%d three times (budget 1) → fallback", v0), dist.Config{
+			FaultPlan: dist.NewFaultPlan(
+				dist.Fault{Kind: dist.FaultCrash, Vertex: v0, Attempt: 0},
+				dist.Fault{Kind: dist.FaultCrash, Vertex: v0, Attempt: 1}),
+			MaxRetries: &one, Fallback: true}},
 	} {
 		s.cfg.Shards = shards
-		t.Rows = append(t.Rows, faultRow(s.name, cl, s.cfg, ann, w.inputs, want))
+		t.Rows = append(t.Rows, faultRow(s.name, cl, s.cfg, p, inputs, want))
 	}
-	t.Rows = append(t.Rows, fallbackRow(cl, shards, ann, w.inputs, want))
 	return t
 }
 
-func faultRow(name string, cl costmodel.Cluster, cfg dist.Config,
-	ann *core.Annotation, inputs map[string]*tensor.Dense, want map[int]*tensor.Dense) []string {
-	rt, err := dist.New(cl, cfg)
+// faultRow runs the plan on a dist Executor under cfg and reports what
+// its DistReport recorded.
+func faultRow(name string, cl matopt.Cluster, cfg matopt.ExecConfig,
+	p *matopt.Plan, inputs map[string]*tensor.Dense, want map[int]*tensor.Dense) []string {
+	x := matopt.NewExecutor(cl, matopt.WithEngineKind(matopt.DistEngine), matopt.WithExecConfig(cfg))
+	t0 := time.Now()
+	got, err := x.Run(p, inputs)
+	wall := time.Since(t0) // of a degraded run too: the dist attempt and the sequential rerun
 	if err != nil {
 		return []string{name, "-", "-", "-", "-", "FAIL: " + err.Error()}
 	}
-	got, rep, err := rt.Run(context.Background(), ann, inputs)
-	if err != nil {
-		return []string{name, "-", fmt.Sprint(rep.FaultsInjected), fmt.Sprint(rep.Retries),
-			"-", "FAIL: " + err.Error()}
-	}
+	rep := x.DistReport()
 	outcome := "recovered"
-	if rep.FaultsInjected == 0 && rep.Retries == 0 && rep.Cascades == 0 {
+	switch {
+	case rep.Degraded:
+		outcome = "degraded to sequential"
+	case rep.FaultsInjected == 0 && rep.Retries == 0 && rep.Cascades == 0:
 		outcome = "clean"
 	}
 	if rep.Cascades > 0 {
@@ -98,61 +108,10 @@ func faultRow(name string, cl costmodel.Cluster, cfg dist.Config,
 		outcome += fmt.Sprintf(", %d/%d speculative wins", rep.SpeculativeWins, rep.SpeculativeLaunches)
 	}
 	return []string{name,
-		fmt.Sprintf("%.1f", float64(rep.Wall)/1e6),
+		fmt.Sprintf("%.1f", float64(wall)/1e6),
 		fmt.Sprint(rep.FaultsInjected),
 		fmt.Sprint(rep.Retries),
 		identicalWord(got, want),
 		outcome,
 	}
-}
-
-// fallbackRow exhausts the retry budget on one vertex and serves the
-// sequential result instead, the way an Executor with Fallback does.
-func fallbackRow(cl costmodel.Cluster, shards int,
-	ann *core.Annotation, inputs map[string]*tensor.Dense, want map[int]*tensor.Dense) []string {
-	name := "crash v0 three times (budget 1) → fallback"
-	v := ann.Graph.Vertices[0].ID
-	plan := dist.NewFaultPlan(
-		dist.Fault{Kind: dist.FaultCrash, Vertex: v, Attempt: 0},
-		dist.Fault{Kind: dist.FaultCrash, Vertex: v, Attempt: 1},
-	)
-	one := 1
-	rt, err := dist.New(cl, dist.Config{Shards: shards, FaultPlan: plan, MaxRetries: &one})
-	if err != nil {
-		return []string{name, "-", "-", "-", "-", "FAIL: " + err.Error()}
-	}
-	_, rep, err := rt.Run(context.Background(), ann, inputs)
-	if !errors.Is(err, dist.ErrRetriesExhausted) {
-		return []string{name, "-", "-", "-", "-", fmt.Sprintf("FAIL: want ErrRetriesExhausted, got %v", err)}
-	}
-	t0 := time.Now()
-	got, err := engine.New(cl).RunCollect(ann, inputs)
-	if err != nil {
-		return []string{name, "-", "-", "-", "-", "FAIL: " + err.Error()}
-	}
-	return []string{name,
-		fmt.Sprintf("%.1f", float64(time.Since(t0))/1e6),
-		fmt.Sprint(rep.FaultsInjected),
-		fmt.Sprint(rep.Retries),
-		identicalWord(got, want),
-		"degraded to sequential",
-	}
-}
-
-func identicalWord(got, want map[int]*tensor.Dense) string {
-	if len(got) != len(want) {
-		return "NO"
-	}
-	for id, wm := range want {
-		gm := got[id]
-		if gm == nil || gm.Rows != wm.Rows || gm.Cols != wm.Cols {
-			return "NO"
-		}
-		for i := range wm.Data {
-			if math.Float64bits(gm.Data[i]) != math.Float64bits(wm.Data[i]) {
-				return "NO"
-			}
-		}
-	}
-	return "yes"
 }

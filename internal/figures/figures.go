@@ -319,7 +319,7 @@ func Fig11() Table {
 			if err != nil {
 				panic(err)
 			}
-			env := core.NewEnv(costmodel.EC2R5DN(workers), format.All()).DisableSparse()
+			env := core.NewEnv(costmodel.EC2R5DN(workers), format.DenseOnly())
 			auto, errA := core.Optimize(g, env)
 			torch := baseline.TorchLike(cfg, env.Cluster)
 			torchCell := "Fail"
@@ -361,7 +361,7 @@ func Fig12() Table {
 			if err != nil {
 				panic(err)
 			}
-			noSp := core.NewEnv(costmodel.EC2R5DN(workers), format.All()).DisableSparse()
+			noSp := core.NewEnv(costmodel.EC2R5DN(workers), format.DenseOnly())
 			full := core.NewEnv(costmodel.EC2R5DN(workers), format.All())
 
 			aNo, eNo := core.Optimize(gDense, noSp)

@@ -19,17 +19,14 @@ import (
 // environment's model — the annotation's cost maps are not consulted, so
 // hand-built annotations with empty maps lower correctly.
 //
+// keep lists additional vertex IDs to retain on top of the sinks: their
+// values are never freed, so callers can collect chosen intermediates
+// after executing the plan.
+//
 // Lowering fails with the paper's ⊥ ("Fail") when a chosen
 // transformation or implementation rejects its inputs on this cluster —
 // the same feasibility checks core.Annotation.Verify applies.
-func Lower(g *core.Graph, env *core.Env, ann *core.Annotation) (*Plan, error) {
-	return LowerKeep(g, env, ann, nil)
-}
-
-// LowerKeep is Lower with additional vertex IDs to retain: their values
-// are never freed, so callers can collect chosen intermediates after
-// executing the plan.
-func LowerKeep(g *core.Graph, env *core.Env, ann *core.Annotation, keep []int) (*Plan, error) {
+func Lower(g *core.Graph, env *core.Env, ann *core.Annotation, keep ...int) (*Plan, error) {
 	if g == nil || ann == nil {
 		return nil, fmt.Errorf("plan: nil graph or annotation")
 	}

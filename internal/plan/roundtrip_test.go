@@ -10,6 +10,7 @@ import (
 	"matopt/internal/costmodel"
 	"matopt/internal/dist"
 	"matopt/internal/engine"
+	"matopt/internal/enginetest"
 	"matopt/internal/format"
 	"matopt/internal/op"
 	"matopt/internal/plan"
@@ -35,15 +36,8 @@ func assertRoundTrip(t *testing.T, name string, cl costmodel.Cluster, g *core.Gr
 		t.Fatalf("%s: optimize: %v", name, err)
 	}
 	eng := engine.New(cl)
-	want, err := eng.RunCollect(ann, inputs)
-	if err != nil {
-		t.Fatalf("%s: direct sequential run: %v", name, err)
-	}
-
-	p, err := plan.Lower(g, env, ann)
-	if err != nil {
-		t.Fatalf("%s: lower: %v", name, err)
-	}
+	p := enginetest.Lower(t, env, ann)
+	want := enginetest.Run(t, eng, p, inputs)
 	data, err := plan.Encode(p, env)
 	if err != nil {
 		t.Fatalf("%s: encode: %v", name, err)
@@ -56,18 +50,13 @@ func assertRoundTrip(t *testing.T, name string, cl costmodel.Cluster, g *core.Gr
 		t.Fatalf("%s: decoded plan renders differently:\n%s\nvs\n%s", name, p.Explain(), p2.Explain())
 	}
 
-	ctx := context.Background()
-	seq, err := eng.RunPlanCollectCtx(ctx, p2, inputs)
-	if err != nil {
-		t.Fatalf("%s: decoded plan on sequential engine: %v", name, err)
-	}
-	assertSame(t, name+" (seq replay)", seq, want)
+	assertSame(t, name+" (seq replay)", enginetest.Run(t, eng, p2, inputs), want)
 
 	rt, err := dist.New(cl, dist.Config{Shards: roundTripShards})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	got, _, err := rt.RunPlan(ctx, p2, inputs)
+	got, _, err := rt.RunPlan(context.Background(), p2, inputs)
 	if err != nil {
 		t.Fatalf("%s: decoded plan on dist runtime: %v", name, err)
 	}
@@ -143,19 +132,7 @@ func TestRoundTripBlockInverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	n, n1 := int(cfg.Outer), int(cfg.Inner1)
-	full := tensor.RandNormal(rng, 2*n, 2*n)
-	for i := 0; i < 2*n; i++ {
-		full.Set(i, i, full.At(i, i)+float64(2*n))
-	}
-	inputs := map[string]*tensor.Dense{
-		"A11": full.Slice(0, n1, 0, n1), "A12": full.Slice(0, n1, n1, n),
-		"A21": full.Slice(n1, n, 0, n1), "A22": full.Slice(n1, n, n1, n),
-		"B1": full.Slice(0, n1, n, 2*n), "B2": full.Slice(n1, n, n, 2*n),
-		"C1": full.Slice(n, 2*n, 0, n1), "C2": full.Slice(n, 2*n, n1, n),
-		"D": full.Slice(n, 2*n, n, 2*n),
-	}
+	inputs, _ := workload.BlockInverseInputs(rand.New(rand.NewSource(1)), cfg)
 	assertRoundTrip(t, "block-inverse", costmodel.LocalTest(3), g, inputs)
 }
 

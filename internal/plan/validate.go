@@ -29,10 +29,6 @@ func (p *Plan) Validate() error {
 	bad := func(f string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrInvalidPlan, fmt.Sprintf(f, args...))
 	}
-	transByName := make(map[string]bool)
-	for _, t := range trans.All() {
-		transByName[t.Name] = true
-	}
 	retained := make(map[int]bool, len(p.Retained))
 	for _, id := range p.Retained {
 		retained[id] = true
@@ -75,7 +71,7 @@ func (p *Plan) Validate() error {
 			if len(n.Inputs) != 1 {
 				return bad("re-layout node %d has %d inputs, want 1", i, len(n.Inputs))
 			}
-			if !transByName[n.Name] {
+			if trans.ByName(n.Name) == nil {
 				return bad("re-layout node %d names unknown transformation %q", i, n.Name)
 			}
 			if got := p.Nodes[n.Inputs[0]].OutFormat; got != n.InFormats[0] {

@@ -12,7 +12,14 @@ import (
 
 	"matopt"
 	"matopt/internal/tensor"
+	"matopt/internal/workload"
 )
+
+// Spec names the computation a request wants optimized or executed. It
+// is workload.Spec — the one workload catalogue, whose field comments
+// document the wire format — under the name request bodies and clients
+// have always embedded.
+type Spec = workload.Spec
 
 // OptimizeRequest is the /optimize body: a workload Spec plus options.
 type OptimizeRequest struct {

@@ -151,14 +151,10 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 
 // optimizeSpec runs the shared optimizer on a spec's graph and records
 // the coalesce outcome — the core of /optimize, /execute, and /plan.
-func (s *Server) optimizeSpec(ctx context.Context, b *matopt.Builder) (*matopt.Plan, string, error) {
-	fp, err := s.opt.Fingerprint(b)
-	if err != nil {
-		return nil, "", badRequestError{err}
-	}
+func (s *Server) optimizeSpec(ctx context.Context, b *matopt.Builder) (*matopt.Plan, error) {
 	p, err := s.opt.OptimizeCtx(ctx, b)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	switch {
 	case p.Cached():
@@ -168,7 +164,7 @@ func (s *Server) optimizeSpec(ctx context.Context, b *matopt.Builder) (*matopt.P
 	default:
 		s.reg.Counter("serve.coalesce", obs.L("result", "leader")).Inc()
 	}
-	return p, fp, nil
+	return p, nil
 }
 
 func (s *Server) handleOptimize(ctx context.Context, body []byte, tr *obs.Tracer, span *obs.Span) (any, error) {
@@ -176,19 +172,19 @@ func (s *Server) handleOptimize(ctx context.Context, body []byte, tr *obs.Tracer
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, badRequest("invalid JSON: %v", err)
 	}
-	spec := req.Spec.normalized()
-	g, err := spec.buildGraph()
+	spec := req.Spec.Normalized()
+	g, err := spec.Graph()
 	if err != nil {
 		return nil, badRequestError{err}
 	}
-	p, fp, err := s.optimizeSpec(ctx, matopt.NewBuilderFromGraph(g))
+	p, err := s.optimizeSpec(ctx, matopt.NewBuilderFromGraph(g))
 	if err != nil {
 		return nil, err
 	}
 	span.SetBool("cached", p.Cached()).SetBool("coalesced", p.Coalesced())
 	resp := &OptimizeResponse{
 		Spec:             spec,
-		Fingerprint:      fp,
+		Fingerprint:      p.Fingerprint(),
 		PredictedSeconds: p.PredictedSeconds(),
 		OptimizerSeconds: p.OptimizerStats().WallSeconds,
 		Cached:           p.Cached(),
@@ -212,18 +208,18 @@ func (s *Server) handleExecute(ctx context.Context, body []byte, tr *obs.Tracer,
 		return nil, badRequestError{err}
 	}
 	engine := cmp.Or(req.Engine, "seq")
-	spec := req.Spec.normalized()
-	g, inputs, err := spec.build()
+	spec := req.Spec.Normalized()
+	g, inputs, err := spec.Build()
 	if err != nil {
 		return nil, badRequestError{err}
 	}
-	p, fp, err := s.optimizeSpec(ctx, matopt.NewBuilderFromGraph(g))
+	p, err := s.optimizeSpec(ctx, matopt.NewBuilderFromGraph(g))
 	if err != nil {
 		return nil, err
 	}
 	span.SetStr("engine", engine).SetBool("cached", p.Cached()).SetBool("coalesced", p.Coalesced())
 	resp := &ExecuteResponse{
-		Spec: spec, Engine: engine, Fingerprint: fp,
+		Spec: spec, Engine: engine, Fingerprint: p.Fingerprint(),
 		Cached: p.Cached(), Coalesced: p.Coalesced(),
 	}
 	t0 := time.Now()
@@ -284,8 +280,8 @@ func (s *Server) handlePlan(ctx context.Context, body []byte, tr *obs.Tracer, sp
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, badRequest("invalid JSON: %v", err)
 	}
-	spec := req.Spec.normalized()
-	g, err := spec.buildGraph()
+	spec := req.Spec.Normalized()
+	g, err := spec.Graph()
 	if err != nil {
 		return nil, badRequestError{err}
 	}
@@ -295,41 +291,35 @@ func (s *Server) handlePlan(ctx context.Context, body []byte, tr *obs.Tracer, sp
 		// graph and environment. A payload lowered for a different
 		// computation or cluster is rejected by its fingerprint.
 		span.SetStr("mode", "decode")
-		pp, err := plan.Decode(g, s.opt.Env(), req.Plan)
-		if err != nil {
-			if errors.Is(err, plan.ErrInvalidPlan) {
-				return nil, badRequestError{err}
-			}
+		p, err := s.opt.DecodePlan(matopt.NewBuilderFromGraph(g), req.Plan)
+		if errors.Is(err, plan.ErrInvalidPlan) {
+			return nil, badRequestError{err}
+		} else if err != nil {
 			return nil, err
 		}
-		if resp.Fingerprint, err = s.opt.Fingerprint(matopt.NewBuilderFromGraph(g)); err != nil {
-			return nil, err
-		}
-		resp.Nodes = len(pp.Nodes)
-		resp.PredictedSeconds = pp.PredictedSeconds()
-		resp.Explain = pp.Explain()
 		resp.Valid = true
-		return resp, nil
+		return resp.describe(p), nil
 	}
 	// Encode mode: optimize (through the cache and the coalescing
 	// boundary) and serialize the lowered plan.
 	span.SetStr("mode", "encode")
-	p, fp, err := s.optimizeSpec(ctx, matopt.NewBuilderFromGraph(g))
+	p, err := s.optimizeSpec(ctx, matopt.NewBuilderFromGraph(g))
 	if err != nil {
 		return nil, err
 	}
-	pp, err := p.Physical()
-	if err != nil {
+	pp, _ := p.Physical()
+	if resp.Plan, err = plan.Encode(pp, s.opt.Env()); err != nil {
 		return nil, err
 	}
-	data, err := plan.Encode(pp, s.opt.Env())
-	if err != nil {
-		return nil, err
-	}
-	resp.Fingerprint = fp
-	resp.Nodes = len(pp.Nodes)
-	resp.PredictedSeconds = pp.PredictedSeconds()
-	resp.Explain = pp.Explain()
-	resp.Plan = data
-	return resp, nil
+	return resp.describe(p), nil
+}
+
+// describe fills the summary both /plan modes return for p.
+func (r *PlanResponse) describe(p *matopt.Plan) *PlanResponse {
+	pp, _ := p.Physical()
+	r.Fingerprint = p.Fingerprint()
+	r.Nodes = len(pp.Nodes)
+	r.PredictedSeconds = pp.PredictedSeconds()
+	r.Explain = pp.Explain()
+	return r
 }

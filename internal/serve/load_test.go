@@ -38,8 +38,8 @@ func loadMix() []ExecuteRequest {
 // form the service must match bit for bit.
 func directExecute(t *testing.T, cl matopt.Cluster, req ExecuteRequest) *ExecuteResponse {
 	t.Helper()
-	spec := req.Spec.normalized()
-	g, inputs, err := spec.build()
+	spec := req.Spec.Normalized()
+	g, inputs, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,6 +104,22 @@ func MaxAbsDiff(a, b *Dense) float64 {
 	return d
 }
 
+// BitEqual reports whether a and b have the same shape and the same
+// math.Float64bits at every entry — the cross-engine identity every
+// runtime must hold, which == cannot state (it equates ±0 and rejects
+// NaN). A nil matrix equals nothing.
+func BitEqual(a, b *Dense) bool {
+	if a == nil || b == nil || a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Density returns the fraction of non-zero entries.
 func (m *Dense) Density() float64 {
 	nnz := 0

@@ -163,6 +163,16 @@ func init() {
 // All returns every registered transformation (20 with the identity).
 func All() []*Transform { return registry }
 
+// ByName returns the transformation with the given name, or nil.
+func ByName(name string) *Transform {
+	for _, t := range registry {
+		if t.Name == name {
+			return t
+		}
+	}
+	return nil
+}
+
 // ByID returns the transformation with the given ID.
 func ByID(id ID) *Transform {
 	if int(id) >= len(registry) {

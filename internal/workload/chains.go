@@ -126,6 +126,7 @@ const (
 	ScaleDAG2
 )
 
+// String returns the family's name as Figure 13 labels it.
 func (k ScaleKind) String() string {
 	switch k {
 	case ScaleTree:

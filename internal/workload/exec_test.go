@@ -7,6 +7,7 @@ import (
 	"matopt/internal/core"
 	"matopt/internal/costmodel"
 	"matopt/internal/engine"
+	"matopt/internal/enginetest"
 	"matopt/internal/format"
 	"matopt/internal/op"
 	"matopt/internal/shape"
@@ -40,10 +41,7 @@ func TestMatMulChainNumerics(t *testing.T) {
 		"D": mk(sz.D), "E": mk(sz.E), "F": mk(sz.F),
 	}
 	eng := engine.New(e.Cluster)
-	outs, err := eng.RunCollect(ann, ins)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outs := enginetest.Run(t, eng, enginetest.Lower(t, e, ann), ins)
 	t1 := tensor.MatMul(ins["A"], ins["B"])
 	t2 := tensor.MatMul(ins["C"], ins["D"])
 	want := tensor.MatMul(
@@ -92,10 +90,7 @@ func TestSparseFFNNForwardNumerics(t *testing.T) {
 	xm := tensor.RandSparse(rng, batch, features, 0.01)
 	wm := tensor.RandNormal(rng, features, hidden)
 	eng := engine.New(e.Cluster)
-	outs, err := eng.RunCollect(ann, map[string]*tensor.Dense{"X": xm, "W1": wm})
-	if err != nil {
-		t.Fatal(err)
-	}
+	outs := enginetest.Run(t, eng, enginetest.Lower(t, e, ann), map[string]*tensor.Dense{"X": xm, "W1": wm})
 	want := tensor.ReLU(tensor.MatMul(xm, wm))
 	sink := g.Sinks()[0]
 	if diff := tensor.MaxAbsDiff(outs[sink.ID], want); diff > 1e-8 {
@@ -119,10 +114,7 @@ func TestFFNNBackpropSmallScaleNumerics(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ins := FFNNInputs(rng, cfg)
 	eng := engine.New(e.Cluster)
-	outs, err := eng.RunCollect(ann, ins)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outs := enginetest.Run(t, eng, enginetest.Lower(t, e, ann), ins)
 	// Reference: recompute the W3 update with plain kernels.
 	z1 := tensor.AddBias(tensor.MatMul(ins["X"], ins["W1"]), ins["B1"])
 	a1 := tensor.ReLU(z1)

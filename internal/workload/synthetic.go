@@ -3,6 +3,7 @@ package workload
 import (
 	"math/rand"
 
+	"matopt/internal/shape"
 	"matopt/internal/tensor"
 )
 
@@ -58,4 +59,37 @@ func FFNNInputs(rng *rand.Rand, c FFNNConfig) map[string]*tensor.Dense {
 		ins["X"] = x
 	}
 	return ins
+}
+
+// ChainInputs draws the six matmul-chain inputs with Normal(0, 1)
+// entries, A through F in that order from the one generator.
+func ChainInputs(rng *rand.Rand, sz ChainSizes) map[string]*tensor.Dense {
+	inputs := map[string]*tensor.Dense{}
+	for _, in := range []struct {
+		name string
+		s    shape.Shape
+	}{{"A", sz.A}, {"B", sz.B}, {"C", sz.C}, {"D", sz.D}, {"E", sz.E}, {"F", sz.F}} {
+		inputs[in.name] = tensor.RandNormal(rng, int(in.s.Rows), int(in.s.Cols))
+	}
+	return inputs
+}
+
+// BlockInverseInputs draws one 2n×2n Normal(0, 1) matrix (n = Outer),
+// adds 2n to its diagonal — diagonal dominance keeps every Schur
+// complement the plan inverts well conditioned — and cuts it into the
+// nine blocks BlockInverse2 names. full is the uncut matrix, for checks
+// against a direct inverse.
+func BlockInverseInputs(rng *rand.Rand, c BlockInverseConfig) (inputs map[string]*tensor.Dense, full *tensor.Dense) {
+	n, n1 := int(c.Outer), int(c.Inner1)
+	full = tensor.RandNormal(rng, 2*n, 2*n)
+	for i := 0; i < 2*n; i++ {
+		full.Set(i, i, full.At(i, i)+float64(2*n))
+	}
+	return map[string]*tensor.Dense{
+		"A11": full.Slice(0, n1, 0, n1), "A12": full.Slice(0, n1, n1, n),
+		"A21": full.Slice(n1, n, 0, n1), "A22": full.Slice(n1, n, n1, n),
+		"B1": full.Slice(0, n1, n, 2*n), "B2": full.Slice(n1, n, n, 2*n),
+		"C1": full.Slice(n, 2*n, 0, n1), "C2": full.Slice(n, 2*n, n1, n),
+		"D": full.Slice(n, 2*n, n, 2*n),
+	}, full
 }

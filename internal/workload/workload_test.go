@@ -7,6 +7,7 @@ import (
 	"matopt/internal/core"
 	"matopt/internal/costmodel"
 	"matopt/internal/engine"
+	"matopt/internal/enginetest"
 	"matopt/internal/format"
 	"matopt/internal/shape"
 	"matopt/internal/tensor"
@@ -110,24 +111,9 @@ func TestBlockInverseNumerics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	n, n1 := int(cfg.Outer), int(cfg.Inner1)
 	// A full 2n×2n well-conditioned matrix, sliced into the inputs.
-	full := tensor.RandNormal(rng, 2*n, 2*n)
-	for i := 0; i < 2*n; i++ {
-		full.Set(i, i, full.At(i, i)+float64(2*n))
-	}
-	inputs := map[string]*tensor.Dense{
-		"A11": full.Slice(0, n1, 0, n1),
-		"A12": full.Slice(0, n1, n1, n),
-		"A21": full.Slice(n1, n, 0, n1),
-		"A22": full.Slice(n1, n, n1, n),
-		"B1":  full.Slice(0, n1, n, 2*n),
-		"B2":  full.Slice(n1, n, n, 2*n),
-		"C1":  full.Slice(n, 2*n, 0, n1),
-		"C2":  full.Slice(n, 2*n, n1, n),
-		"D":   full.Slice(n, 2*n, n, 2*n),
-	}
+	inputs, full := BlockInverseInputs(rand.New(rand.NewSource(1)), cfg)
+	n := int(cfg.Outer)
 	// D̄ = S⁻¹ is the bottom-right block of the true inverse. Find the
 	// outer Schur inverse vertex: the last Inverse op in the graph. It is
 	// not a sink, so ask the run to keep its relation alive.
@@ -137,21 +123,13 @@ func TestBlockInverseNumerics(t *testing.T) {
 			sinvID = v.ID
 		}
 	}
-	eng := engine.New(e.Cluster)
-	rels, err := eng.RunKeep(ann, inputs, []int{sinvID})
-	if err != nil {
-		t.Fatal(err)
-	}
+	outs := enginetest.Run(t, engine.New(e.Cluster), enginetest.Lower(t, e, ann, sinvID), inputs)
 	wantInv, err := tensor.Inverse(full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.Collect(rels[sinvID])
-	if err != nil {
-		t.Fatal(err)
-	}
 	wantD := wantInv.Slice(n, 2*n, n, 2*n)
-	if diff := tensor.MaxAbsDiff(got, wantD); diff > 1e-6 {
+	if diff := tensor.MaxAbsDiff(outs[sinvID], wantD); diff > 1e-6 {
 		t.Errorf("D̄ block deviates from the true inverse by %g", diff)
 	}
 }
@@ -231,10 +209,7 @@ func TestScaledFFNNExecutes(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	eng := engine.New(e.Cluster)
-	outs, err := eng.RunCollect(ann, FFNNInputs(rng, c))
-	if err != nil {
-		t.Fatal(err)
-	}
+	outs := enginetest.Run(t, eng, enginetest.Lower(t, e, ann), FFNNInputs(rng, c))
 	sink := g.Sinks()[0]
 	got := outs[sink.ID]
 	if int64(got.Rows) != c.Hidden || int64(got.Cols) != c.Hidden {

@@ -140,19 +140,6 @@ func NewOptimizer(cl Cluster, opts ...Option) *Optimizer {
 // experiment harness uses it to cross baselines and clusters).
 func (o *Optimizer) Env() *core.Env { return o.env }
 
-// Fingerprint returns the canonical identity of the builder's
-// computation under this optimizer's environment — the same key the
-// plan cache and the request-coalescing layers use. Two computations
-// with the same fingerprint (same graph structure, shapes, densities,
-// format universe and cluster profile) share one cached plan. The
-// serving layer uses it to coalesce identical in-flight requests.
-func (o *Optimizer) Fingerprint(b *Builder) (string, error) {
-	if b.err != nil {
-		return "", b.err
-	}
-	return core.Fingerprint(b.g, o.env), nil
-}
-
 // CachedPlans reports how many optimized computations the plan cache
 // currently holds (0 when the cache is disabled).
 func (o *Optimizer) CachedPlans() int {
@@ -162,17 +149,19 @@ func (o *Optimizer) CachedPlans() int {
 	return o.cache.len()
 }
 
-// Plan is an optimized, type-correct annotated compute graph paired
-// with its lazily-lowered physical plan (the internal/plan IR every
-// engine executes). Lowering happens at most once per plan — cache hits
-// share the lowered IR with the entry they came from.
+// Plan is an optimized, type-correct annotated compute graph in the
+// form every engine executes: the lowered physical plan (internal/plan),
+// which carries the annotation and graph it was lowered from. A Plan is
+// lowered where it is made — by the search that found it or by
+// DecodePlan — in the Optimizer's own environment; cache hits and
+// coalesced waiters share the leader's lowered plan.
 type Plan struct {
-	ann       *core.Annotation
-	env       *core.Env
-	stats     core.Stats
-	cached    bool
-	coalesced bool
-	low       *loweredPlan
+	phys        *plan.Plan
+	env         *core.Env
+	fingerprint string
+	stats       core.Stats
+	cached      bool
+	coalesced   bool
 }
 
 // ErrTimeout reports that the search exceeded its budget or deadline.
@@ -223,47 +212,50 @@ func (o *Optimizer) OptimizeCtx(ctx context.Context, b *Builder, outputs ...Matr
 	span := o.tracer.Start(nil, "optimize").SetInt("vertices", int64(len(g.Vertices)))
 	defer span.End()
 	if o.cache == nil {
-		ann, stats, err := o.search(ctx, g, span)
+		pp, stats, err := o.search(ctx, g, span)
 		if err != nil {
 			return nil, err
 		}
-		return &Plan{ann: ann, env: o.env, stats: stats, low: &loweredPlan{}}, nil
+		return &Plan{phys: pp, env: o.env, fingerprint: core.Fingerprint(g, o.env), stats: stats}, nil
 	}
 	lspan := o.tracer.Start(span, "plancache.lookup")
-	key := fmt.Sprintf("%d|%s", o.algorithm, core.Fingerprint(g, o.env))
-	ann, low, ok := o.cache.get(key)
+	fp := core.Fingerprint(g, o.env)
+	key := fmt.Sprintf("%d|%s", o.algorithm, fp)
+	pp, ok := o.cache.get(key)
 	lspan.SetBool("hit", ok).End()
 	if ok {
 		obs.Default().Counter("matopt.plancache.hits").Inc()
 		span.SetBool("cached", true)
-		return &Plan{ann: ann, env: o.env, cached: true, low: low}, nil
+		return &Plan{phys: pp, env: o.env, fingerprint: fp, cached: true}, nil
 	}
 	// Cache miss: coalesce with any identical in-flight search. The
 	// leader populates the cache before waiters are released, so every
 	// later request — coalesced or not — shares one lowered plan.
-	ann, low, stats, leader, err := o.flight.do(ctx, key, func() (*core.Annotation, *loweredPlan, core.Stats, error) {
+	var stats core.Stats // the leader's; a waiter ran no search
+	pp, leader, err := o.flight.do(ctx, key, func() (*plan.Plan, error) {
 		obs.Default().Counter("matopt.plancache.misses").Inc()
-		a, st, serr := o.search(ctx, g, span)
-		if serr != nil {
-			return nil, nil, st, serr
+		found, st, serr := o.search(ctx, g, span)
+		if serr == nil {
+			stats = st
+			o.cache.put(key, found)
 		}
-		l := &loweredPlan{}
-		o.cache.put(key, a, l)
-		return a, l, st, nil
+		return found, serr
 	})
 	if err != nil {
 		return nil, err
 	}
-	if leader {
-		return &Plan{ann: ann, env: o.env, stats: stats, low: low}, nil
+	if !leader {
+		obs.Default().Counter("matopt.plancache.coalesced").Inc()
+		span.SetBool("coalesced", true)
 	}
-	obs.Default().Counter("matopt.plancache.coalesced").Inc()
-	span.SetBool("coalesced", true)
-	return &Plan{ann: ann, env: o.env, coalesced: true, low: low}, nil
+	return &Plan{phys: pp, env: o.env, fingerprint: fp, stats: stats, coalesced: !leader}, nil
 }
 
-// search runs the configured optimization algorithm on g.
-func (o *Optimizer) search(ctx context.Context, g *core.Graph, span *Span) (*core.Annotation, core.Stats, error) {
+// search runs the configured optimization algorithm on g and lowers the
+// winning annotation: lowering costs microseconds against the search's
+// milliseconds, and doing it here means a plan is never handed out — or
+// cached — in a form an engine cannot run.
+func (o *Optimizer) search(ctx context.Context, g *core.Graph, span *Span) (*plan.Plan, core.Stats, error) {
 	var ann *core.Annotation
 	var err error
 	var sess *core.Session
@@ -279,7 +271,30 @@ func (o *Optimizer) search(ctx context.Context, g *core.Graph, span *Span) (*cor
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
-	return ann, sess.Stats(), nil
+	pp, err := plan.Lower(g, o.env, ann)
+	if err != nil {
+		return nil, core.Stats{}, err
+	}
+	return pp, sess.Stats(), nil
+}
+
+// DecodePlan reconstructs a Plan for the builder's computation from a
+// serialized physical plan (plan.Encode output: the CLI's -plan-out
+// file, the /plan response). No search runs: the payload's fingerprint
+// is checked against this optimizer's environment, its annotation is
+// re-verified and re-lowered, and the node listing cross-checked, so a
+// payload made for another computation or cluster, or edited since, is
+// refused with an error wrapping plan.ErrInvalidPlan. The result runs,
+// simulates and explains like any optimized Plan.
+func (o *Optimizer) DecodePlan(b *Builder, data []byte) (*Plan, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
+	pp, err := plan.Decode(b.g, o.env, data)
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{phys: pp, env: o.env, fingerprint: core.Fingerprint(b.g, o.env)}, nil
 }
 
 func (o *Optimizer) newSession(ctx context.Context, span *Span) *core.Session {
@@ -294,10 +309,10 @@ func (o *Optimizer) newSession(ctx context.Context, span *Span) *core.Session {
 }
 
 // PredictedSeconds returns the cost model's total predicted running time.
-func (p *Plan) PredictedSeconds() float64 { return p.ann.Total() }
+func (p *Plan) PredictedSeconds() float64 { return p.phys.Ann.Total() }
 
 // OptimizerSeconds returns the wall time the optimizer itself took.
-func (p *Plan) OptimizerSeconds() float64 { return p.ann.OptSeconds }
+func (p *Plan) OptimizerSeconds() float64 { return p.phys.OptSeconds }
 
 // OptimizerStats returns the search's per-run instrumentation: classes
 // expanded, beam entries pruned, candidates evaluated and wall time. A
@@ -316,37 +331,33 @@ func (p *Plan) Cached() bool { return p.cached }
 func (p *Plan) Coalesced() bool { return p.coalesced }
 
 // Describe renders the chosen implementations, formats and re-layouts.
-func (p *Plan) Describe() string { return p.ann.Describe() }
+func (p *Plan) Describe() string { return p.phys.Ann.Describe() }
 
 // Annotation exposes the underlying annotated graph.
-func (p *Plan) Annotation() *core.Annotation { return p.ann }
+func (p *Plan) Annotation() *core.Annotation { return p.phys.Ann }
 
-// Physical returns the plan lowered to the shared physical-plan IR
-// (internal/plan) that every engine executes. Lowering runs at most
-// once per plan; repeated calls — and every Executor run of this plan —
-// share the same lowered IR. The IR is engine-invariant, so the same
-// physical plan drives the sequential engine and the dist runtime at
-// any shard count.
-func (p *Plan) Physical() (*plan.Plan, error) {
-	if p.low == nil {
-		p.low = &loweredPlan{}
-	}
-	return p.low.lower(p.env, p.ann)
-}
+// Fingerprint returns the canonical identity of the plan's computation
+// under the optimizer's environment — the key the plan cache and the
+// coalescing layers filed it under. Two computations with the same
+// fingerprint (same graph structure, shapes, densities, format universe
+// and cluster profile) share one cached plan.
+func (p *Plan) Fingerprint() string { return p.fingerprint }
+
+// Physical returns the shared physical-plan IR (internal/plan) that
+// every engine executes: the same pointer for a plan, its cache hits and
+// its coalesced waiters. The IR is engine-invariant, so it drives the
+// sequential engine and the dist runtime at any shard count. The error
+// is always nil — a Plan is lowered where it is made — and remains in
+// the signature for callers written against lazy lowering.
+func (p *Plan) Physical() (*plan.Plan, error) { return p.phys, nil }
 
 // Explain pretty-prints the lowered physical plan: one line per
 // physical operator with its strategy class and model-predicted cost
-// (the CLI's -explain output).
-func (p *Plan) Explain() (string, error) {
-	pp, err := p.Physical()
-	if err != nil {
-		return "", err
-	}
-	return pp.Explain(), nil
-}
+// (the CLI's -explain output). The error is always nil, as Physical's.
+func (p *Plan) Explain() (string, error) { return p.phys.Explain(), nil }
 
 // Verify re-checks the plan's type-correctness (§4.2).
-func (p *Plan) Verify() error { return p.ann.Verify(p.env) }
+func (p *Plan) Verify() error { return p.phys.Ann.Verify(p.env) }
 
 // EngineKind selects which execution runtime an Executor drives.
 type EngineKind int
@@ -491,12 +502,6 @@ func (x *Executor) RunCtx(ctx context.Context, p *Plan, inputs map[string]*tenso
 	}
 	span := x.tracer.Start(nil, "execute")
 	defer span.End()
-	// One lowering serves every engine: the physical IR is shared with
-	// the plan cache, so repeated runs of a cached plan never re-lower.
-	pp, err := p.Physical()
-	if err != nil {
-		return nil, err
-	}
 	if x.kind == DistEngine {
 		span.SetStr("engine", "dist")
 		cfg := x.cfg
@@ -505,7 +510,7 @@ func (x *Executor) RunCtx(ctx context.Context, p *Plan, inputs map[string]*tenso
 		if err != nil {
 			return nil, err
 		}
-		outs, rep, err := rt.RunPlan(ctx, pp, inputs)
+		outs, rep, err := rt.RunPlan(ctx, p.phys, inputs)
 		if err != nil {
 			if !cfg.Fallback || ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return nil, err
@@ -525,12 +530,22 @@ func (x *Executor) RunCtx(ctx context.Context, p *Plan, inputs map[string]*tenso
 		}
 		fspan := x.tracer.Start(span, "fallback.sequential").SetStr("cause", err.Error())
 		defer fspan.End()
-		return x.eng.RunPlanCollectCtx(ctx, pp, inputs)
+		return x.runSequential(ctx, p, inputs)
 	}
 	span.SetStr("engine", "seq")
 	sspan := x.tracer.Start(span, "seq.run")
 	defer sspan.End()
-	return x.eng.RunPlanCollectCtx(ctx, pp, inputs)
+	return x.runSequential(ctx, p, inputs)
+}
+
+// runSequential executes the plan on the Executor's sequential engine
+// and collects every retained vertex.
+func (x *Executor) runSequential(ctx context.Context, p *Plan, inputs map[string]*tensor.Dense) (map[int]*tensor.Dense, error) {
+	rels, err := x.eng.RunPlan(ctx, p.phys, inputs)
+	if err != nil {
+		return nil, err
+	}
+	return x.eng.CollectAll(rels)
 }
 
 // DistReport returns the measurement of the most recent DistEngine run,
@@ -556,7 +571,7 @@ func (x *Executor) RunSingle(p *Plan, inputs map[string]*tensor.Dense) (*tensor.
 	if err != nil {
 		return nil, err
 	}
-	sinks := p.ann.Graph.Sinks()
+	sinks := p.phys.Graph.Sinks()
 	if len(sinks) != 1 {
 		return nil, fmt.Errorf("matopt: plan has %d outputs; use Run", len(sinks))
 	}
@@ -585,13 +600,7 @@ func (x *Executor) RunAdaptive(o *Optimizer, b *Builder, inputs map[string]*tens
 // returning the virtual wall time and resource report; the error is the
 // paper's Fail outcome (e.g. a plan that exceeds worker RAM). The walk
 // folds the same lowered physical IR the engines execute.
-func Simulate(p *Plan) (engine.Report, error) {
-	pp, err := p.Physical()
-	if err != nil {
-		return engine.Report{OptSeconds: p.ann.OptSeconds}, err
-	}
-	return engine.SimulatePlan(pp, p.env)
-}
+func Simulate(p *Plan) (engine.Report, error) { return engine.SimulatePlan(p.phys, p.env) }
 
 // Dense re-exports the engine's dense matrix type for inputs/outputs.
 type Dense = tensor.Dense

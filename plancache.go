@@ -6,7 +6,6 @@ import (
 	"errors"
 	"sync"
 
-	"matopt/internal/core"
 	"matopt/internal/plan"
 )
 
@@ -15,14 +14,13 @@ import (
 // entries; override it with WithPlanCacheSize.
 const DefaultPlanCacheSize = 128
 
-// planCache is a thread-safe LRU of optimized annotations keyed by the
+// planCache is a thread-safe LRU of lowered physical plans keyed by the
 // canonical fingerprint of (graph, environment). Repeated Optimize calls
 // on identical computations — the heavy-traffic serving case — hit the
-// cache and skip the search entirely. Each entry also carries the
-// lazily-lowered physical plan, shared across every cache hit: the
-// lowered IR is engine-invariant (plan.Lower takes no engine kind or
-// shard count), so one cached lowering serves SequentialEngine and
-// DistEngine runs at any shard count alike.
+// cache and skip the search and the lowering entirely. The lowered IR
+// (which carries the annotation it came from) is engine-invariant —
+// plan.Lower takes no engine kind or shard count — so one cached plan
+// serves SequentialEngine and DistEngine runs at any shard count alike.
 type planCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -32,22 +30,7 @@ type planCache struct {
 
 type planCacheEntry struct {
 	key string
-	ann *core.Annotation
-	low *loweredPlan
-}
-
-// loweredPlan lowers an annotation to the physical IR exactly once and
-// shares the result (or the lowering error) with every caller.
-type loweredPlan struct {
-	once sync.Once
-	p    *plan.Plan
-	err  error
-}
-
-// lower returns the shared lowered plan, lowering on first use.
-func (l *loweredPlan) lower(env *core.Env, ann *core.Annotation) (*plan.Plan, error) {
-	l.once.Do(func() { l.p, l.err = plan.Lower(ann.Graph, env, ann) })
-	return l.p, l.err
+	p   *plan.Plan
 }
 
 func newPlanCache(capacity int) *planCache {
@@ -61,28 +44,26 @@ func newPlanCache(capacity int) *planCache {
 	}
 }
 
-func (c *planCache) get(key string) (*core.Annotation, *loweredPlan, bool) {
+func (c *planCache) get(key string) (*plan.Plan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
 	c.order.MoveToFront(el)
-	e := el.Value.(*planCacheEntry)
-	return e.ann, e.low, true
+	return el.Value.(*planCacheEntry).p, true
 }
 
-func (c *planCache) put(key string, ann *core.Annotation, low *loweredPlan) {
+func (c *planCache) put(key string, p *plan.Plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		e := el.Value.(*planCacheEntry)
-		e.ann, e.low = ann, low
+		el.Value.(*planCacheEntry).p = p
 		c.order.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.order.PushFront(&planCacheEntry{key: key, ann: ann, low: low})
+	c.items[key] = c.order.PushFront(&planCacheEntry{key: key, p: p})
 	for c.order.Len() > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
@@ -99,7 +80,7 @@ func (c *planCache) len() int {
 // flightGroup coalesces concurrent optimizations of the same plan-cache
 // key: the first caller (the leader) runs the search, every concurrent
 // caller with the same key (a waiter) blocks until the leader finishes
-// and shares its annotation and lowered plan. This closes the plan
+// and shares its lowered plan. This closes the plan
 // cache's thundering-herd window — without it, N identical requests
 // arriving before the first one populates the cache all run the full
 // Frontier search.
@@ -111,11 +92,9 @@ type flightGroup struct {
 // flightCall is one in-flight optimization; done is closed when the
 // leader's result fields are final.
 type flightCall struct {
-	done  chan struct{}
-	ann   *core.Annotation
-	low   *loweredPlan
-	stats core.Stats
-	err   error
+	done chan struct{}
+	p    *plan.Plan
+	err  error
 }
 
 func newFlightGroup() *flightGroup {
@@ -129,7 +108,7 @@ func newFlightGroup() *flightGroup {
 // free to retry: its call slot is removed before done is closed, so a
 // still-live waiter loops and either finds the cache populated (via the
 // caller's re-lookup) or becomes the new leader.
-func (g *flightGroup) do(ctx context.Context, key string, fn func() (*core.Annotation, *loweredPlan, core.Stats, error)) (ann *core.Annotation, low *loweredPlan, stats core.Stats, leader bool, err error) {
+func (g *flightGroup) do(ctx context.Context, key string, fn func() (*plan.Plan, error)) (p *plan.Plan, leader bool, err error) {
 	for {
 		g.mu.Lock()
 		if c, ok := g.calls[key]; ok {
@@ -142,20 +121,20 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (*core.Annot
 					// stranger's cancellation.
 					continue
 				}
-				return c.ann, c.low, c.stats, false, c.err
+				return c.p, false, c.err
 			case <-ctx.Done():
-				return nil, nil, core.Stats{}, false, waitErr(ctx)
+				return nil, false, waitErr(ctx)
 			}
 		}
 		c := &flightCall{done: make(chan struct{})}
 		g.calls[key] = c
 		g.mu.Unlock()
-		c.ann, c.low, c.stats, c.err = fn()
+		c.p, c.err = fn()
 		g.mu.Lock()
 		delete(g.calls, key)
 		g.mu.Unlock()
 		close(c.done)
-		return c.ann, c.low, c.stats, true, c.err
+		return c.p, true, c.err
 	}
 }
 

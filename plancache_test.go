@@ -3,8 +3,12 @@ package matopt
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
+
+	"matopt/internal/core"
+	"matopt/internal/plan"
 )
 
 // motivatingBuilder rebuilds the §2.1 motivating chain; density lets the
@@ -138,5 +142,81 @@ func TestOptimizeCtxDeadline(t *testing.T) {
 	o := NewOptimizer(ClusterR5D(5), WithoutPlanCache())
 	if _, err := o.OptimizeCtx(ctx, motivatingBuilder(1)); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("expected ErrTimeout, got %v", err)
+	}
+}
+
+// TestLeaderWaiterAndHitShareOnePlan: a plan is lowered where it is
+// made, once, and everyone who asks for that computation — the leader
+// that searched, a waiter coalesced onto it, a later cache hit — gets
+// the same *plan.Plan from Physical(). The leader here is the miss path
+// of OptimizeCtx run by hand under the request's own key, so the test
+// can hold it at a gate until the waiter is certain to find it in
+// flight.
+func TestLeaderWaiterAndHitShareOnePlan(t *testing.T) {
+	tr := NewTracer()
+	o := NewOptimizer(ClusterR5D(5), WithTracer(tr))
+	ctx := context.Background()
+	g := motivatingBuilder(1).g
+	key := fmt.Sprintf("%d|%s", o.algorithm, core.Fingerprint(g, o.env))
+
+	started, gate := make(chan struct{}), make(chan struct{})
+	leader := make(chan *plan.Plan, 1)
+	go func() {
+		pp, _, _ := o.flight.do(ctx, key, func() (*plan.Plan, error) {
+			close(started)
+			<-gate
+			pp, _, err := o.search(ctx, g, nil)
+			if err == nil {
+				o.cache.put(key, pp)
+			}
+			return pp, err
+		})
+		leader <- pp
+	}()
+	<-started
+
+	waiter := make(chan *Plan, 1)
+	go func() {
+		p, err := o.OptimizeCtx(ctx, motivatingBuilder(1))
+		if err != nil {
+			t.Errorf("waiter: %v", err)
+		}
+		waiter <- p
+	}()
+	// The waiter has missed the cache once its lookup span has ended;
+	// the leader's call slot then stays put until the gate opens.
+	for lookedUp := false; !lookedUp; time.Sleep(time.Millisecond) {
+		for _, sp := range tr.Snapshot().Spans {
+			lookedUp = lookedUp || (sp.Name == "plancache.lookup" && !sp.End.IsZero())
+		}
+	}
+	time.Sleep(10 * time.Millisecond) // let the waiter park on the call
+	close(gate)
+
+	want := <-leader
+	if want == nil {
+		t.Fatal("the leader's search failed")
+	}
+	wp := <-waiter
+	if wp == nil {
+		t.FailNow()
+	}
+	if !wp.Coalesced() || wp.Cached() {
+		t.Fatalf("second caller was not a coalesced waiter (cached=%v coalesced=%v)", wp.Cached(), wp.Coalesced())
+	}
+	hit, err := o.OptimizeCtx(ctx, motivatingBuilder(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached() {
+		t.Fatal("third caller missed the cache the leader filled")
+	}
+	for role, p := range map[string]*Plan{"waiter": wp, "cache hit": hit} {
+		if pp, err := p.Physical(); err != nil || pp != want {
+			t.Errorf("%s holds physical plan %p (err %v), the leader lowered %p", role, pp, err, want)
+		}
+		if p.Fingerprint() == "" || p.Fingerprint() != core.Fingerprint(g, o.env) {
+			t.Errorf("%s reports fingerprint %q", role, p.Fingerprint())
+		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"matopt/internal/core"
 	"matopt/internal/obs"
+	"matopt/internal/plan"
 )
 
 // TestOptimizeCoalescesConcurrentMisses is the thundering-herd
@@ -84,10 +84,10 @@ func TestFlightGroupSharesLeaderError(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, _, _, _, err := g.do(context.Background(), "k", func() (*core.Annotation, *loweredPlan, core.Stats, error) {
+		_, _, err := g.do(context.Background(), "k", func() (*plan.Plan, error) {
 			close(started)
 			<-gate
-			return nil, nil, core.Stats{}, sentinel
+			return nil, sentinel
 		})
 		if !errors.Is(err, sentinel) {
 			t.Errorf("leader error = %v, want sentinel", err)
@@ -96,9 +96,9 @@ func TestFlightGroupSharesLeaderError(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-started
-		_, _, _, leaderRole, waitErr = g.do(context.Background(), "k", func() (*core.Annotation, *loweredPlan, core.Stats, error) {
+		_, leaderRole, waitErr = g.do(context.Background(), "k", func() (*plan.Plan, error) {
 			t.Error("waiter ran the search despite an in-flight leader")
-			return nil, nil, core.Stats{}, nil
+			return nil, nil
 		})
 	}()
 	<-started
@@ -125,10 +125,10 @@ func TestFlightGroupAbandonedLeader(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, _, _, err := g.do(context.Background(), "k", func() (*core.Annotation, *loweredPlan, core.Stats, error) {
+		_, _, err := g.do(context.Background(), "k", func() (*plan.Plan, error) {
 			close(started)
 			<-gate
-			return nil, nil, core.Stats{}, context.Canceled
+			return nil, context.Canceled
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("leader error = %v, want context.Canceled", err)
@@ -142,9 +142,9 @@ func TestFlightGroupAbandonedLeader(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		_, _, _, leaderRole, err = g.do(context.Background(), "k", func() (*core.Annotation, *loweredPlan, core.Stats, error) {
+		_, leaderRole, err = g.do(context.Background(), "k", func() (*plan.Plan, error) {
 			retried = true
-			return nil, nil, core.Stats{}, nil
+			return nil, nil
 		})
 	}()
 	time.Sleep(10 * time.Millisecond) // park the waiter on the doomed leader
@@ -172,18 +172,18 @@ func TestFlightGroupWaiterCancellation(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		g.do(context.Background(), "k", func() (*core.Annotation, *loweredPlan, core.Stats, error) {
+		g.do(context.Background(), "k", func() (*plan.Plan, error) {
 			close(started)
 			<-gate
-			return nil, nil, core.Stats{}, nil
+			return nil, nil
 		})
 	}()
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	_, _, _, _, err := g.do(ctx, "k", func() (*core.Annotation, *loweredPlan, core.Stats, error) {
+	_, _, err := g.do(ctx, "k", func() (*plan.Plan, error) {
 		t.Error("expired waiter ran the search")
-		return nil, nil, core.Stats{}, nil
+		return nil, nil
 	})
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("expired waiter returned %v, want ErrTimeout", err)
