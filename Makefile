@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race chaos bench bench-smoke docs-check
+.PHONY: check fmt vet build test race chaos bench bench-smoke docs-check profile-frontier
 
 check: fmt vet build test race chaos docs-check bench-smoke
 
@@ -84,3 +84,12 @@ bench:
 		-bench BenchmarkDistFaultOverhead -benchtime 1x ./internal/dist/
 	BENCH_RECOVERY_JSON=$(CURDIR)/BENCH_recovery.json $(GO) test -run '^$$' \
 		-bench BenchmarkRecovery -benchtime 1x ./internal/dist/
+
+# Profile first: a hundred cold serial Frontier searches of the benchmark's
+# inverse_cold graph (BenchmarkFrontierInverseCold) on one processor,
+# with CPU and heap profiles and the test binary written to git-ignored
+# frontier.{cpu,mem}.prof / frontier.test, then the 15 hottest functions.
+profile-frontier:
+	$(GO) test -run '^$$' -bench BenchmarkFrontierInverseCold -benchtime 100x -cpu 1 \
+		-cpuprofile frontier.cpu.prof -memprofile frontier.mem.prof -o frontier.test .
+	$(GO) tool pprof -top -nodecount 15 frontier.test frontier.cpu.prof

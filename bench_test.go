@@ -199,12 +199,12 @@ func BenchmarkOptimizeCacheCold(b *testing.B) {
 
 // --- parallel-vs-serial Frontier benches ---
 
-func benchFrontier(b *testing.B, parallelism int) {
-	g, err := workload.FFNNThreePass(workload.PaperFFNN(80000))
+func benchFrontier(b *testing.B, g *core.Graph, err error, cl costmodel.Cluster, parallelism int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	env := core.NewEnv(costmodel.EC2R5D(10), format.All())
+	env := core.NewEnv(cl, format.All())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sess := core.NewSession(nil, env, core.WithParallelism(parallelism))
@@ -214,9 +214,23 @@ func benchFrontier(b *testing.B, parallelism int) {
 	}
 }
 
-func BenchmarkFrontierSerial(b *testing.B) { benchFrontier(b, 1) }
+func benchFrontierFFNN(b *testing.B, parallelism int) {
+	g, err := workload.FFNNThreePass(workload.PaperFFNN(80000))
+	benchFrontier(b, g, err, costmodel.EC2R5D(10), parallelism)
+}
 
-func BenchmarkFrontierParallel(b *testing.B) { benchFrontier(b, runtime.GOMAXPROCS(0)) }
+func BenchmarkFrontierSerial(b *testing.B) { benchFrontierFFNN(b, 1) }
+
+func BenchmarkFrontierParallel(b *testing.B) { benchFrontierFFNN(b, runtime.GOMAXPROCS(0)) }
+
+// BenchmarkFrontierInverseCold is one cold serial search of the graph
+// and cluster of the benchmark's inverse_cold workload (cmd/bench/lib.go:
+// the two-level block inverse ÷ 80 under LocalTest(2)), where the search
+// is nearly all of the op. `make profile-frontier` profiles it.
+func BenchmarkFrontierInverseCold(b *testing.B) {
+	g, err := workload.Spec{Workload: "inverse", Scale: 80}.Normalized().Graph()
+	benchFrontier(b, g, err, costmodel.LocalTest(2), 1)
+}
 
 // --- ablation benches for the design choices DESIGN.md calls out ---
 

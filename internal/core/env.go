@@ -24,10 +24,14 @@ type Env struct {
 	// tables are Θ(|P|^c) for class size c; graphs with pathological
 	// sharing (the two-level block inverse) can make c large. When a
 	// table exceeds the bound, only the cheapest entries are kept — a
-	// beam search over formats. 0 means the default (20,000); the
+	// beam search over formats. 0 means DefaultMaxClassEntries; the
 	// exactness tests against Brute stay far below any bound.
 	MaxClassEntries int
 }
+
+// DefaultMaxClassEntries is the beam a zero Env.MaxClassEntries stands
+// for.
+const DefaultMaxClassEntries = 20000
 
 // NewEnv returns an environment over the given format universe with every
 // registered implementation available and the analytic default cost model.

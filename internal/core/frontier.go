@@ -1,7 +1,10 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"context"
+	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -17,109 +20,291 @@ import (
 // share ancestors are grouped into equivalence classes, and F is
 // maintained jointly per class: F(V, p) is the minimum cost to compute
 // every vertex in class V with the output formats fixed to the vector p.
+//
+// One round expands one vertex v: it consumes the classes holding v's
+// arguments and builds the class of their surviving members plus v. A
+// round has two steps. The best-choice table (bestChoices) decides, once
+// per tuple of formats the arguments can arrive in, which
+// (transformations, implementation) choices can win a cell at all; the
+// combo walk (round.walk) then crosses the consumed classes' cells and
+// offers each new cell the cheapest such choice. DESIGN.md §7 has the
+// layout and the argument for why the result is independent of the walk
+// order.
+
+// formatIDs gives every format one Frontier run can meet a dense byte
+// id, so cost-table keys are integers. Ids are assigned once, serially
+// and in a fixed order (the environment's universe, the source formats in
+// vertex order, the transformation targets), before the first round; the
+// run only reads them afterwards.
+type formatIDs struct {
+	ids     map[format.Format]uint8
+	formats []format.Format
+}
+
+func internFormats(g *Graph, env *Env) (*formatIDs, error) {
+	in := &formatIDs{ids: make(map[format.Format]uint8)}
+	add := func(f format.Format) {
+		if _, ok := in.ids[f]; !ok {
+			in.ids[f] = uint8(len(in.formats))
+			in.formats = append(in.formats, f)
+		}
+	}
+	for _, f := range env.Formats {
+		add(f)
+	}
+	for _, v := range g.Vertices {
+		if v.IsSource {
+			add(v.SrcFormat)
+		}
+	}
+	for _, tr := range env.Transforms {
+		if !tr.Identity() {
+			add(tr.Target())
+		}
+	}
+	if len(in.formats) > 256 {
+		return nil, internalf("more than 256 distinct formats in one optimization")
+	}
+	return in, nil
+}
+
+// A cell's key is the formats of its class's members: one id byte each,
+// in member order, packed big-endian into ⌈members/8⌉ uint64 words.
+// Comparing two keys of a class word by word therefore compares the
+// member formats lexicographically by id. keyPos returns the word and the
+// shift of the key byte of member position p.
+func keyPos(p int) (word int, shift uint) { return p >> 3, uint(56 - 8*(p&7)) }
 
 // fclass is one equivalence class along the frontier with its joint cost
-// table.
+// table: flat, pointer-free arrays of cells in ascending key order. A
+// cell is F(V, p) plus its back-pointers — which choice of the expansion
+// that built the class produced it, from which cell of each class that
+// expansion consumed. The member formats, argument pins, transformations
+// and implementation are read back through those at backtrack time.
 type fclass struct {
-	members []int // sorted vertex IDs still on the frontier
-	entries map[string]*fentry
+	members []int      // sorted vertex IDs still on the frontier
+	words   int        // key words per cell
+	keys    []uint64   // cell i: keys[i*words : (i+1)*words]
+	cost    []float64  // cell i: F(V, p)
+	from    *expansion // the round that built the cells
+	choice  []int32    // cell i: index into from.choices
+	parent  []int32    // cell i: parent[i*len(from.args)+k] indexes from.args[k]
 }
 
-// fentry is one F(V, p) cell plus the back-pointers that reconstruct the
-// annotation: the vertex whose processing created the entry, its chosen
-// implementation and format, the per-argument transformations, and the
-// consumed entries of the previous classes.
-type fentry struct {
-	cost    float64
-	formats []format.Format // parallel to the class's members
+func (c *fclass) len() int { return len(c.cost) }
 
-	vertex   int
-	vFormat  format.Format
-	im       *impl.Impl // nil for source entries
+// expansion records one round — vertex v consuming the classes args —
+// for as long as the class it built is reachable: the best-choice table
+// is what the cells' choice indices point into.
+type expansion struct {
+	v       *Vertex
+	args    []*fclass // consumed classes, in order of first use by v's arguments
+	choices []choice  // ordered by (pin tuple, output cell, enumeration order)
+	edges   []edge    // choices[i] transforms argument j by edges[i*len(v.Ins)+j]
+}
+
+// choice is one way to compute v from arguments pinned to given formats:
+// a transformation per argument and an implementation.
+type choice struct {
+	outBits  uint64 // the output format's id at v's own key byte; 0 when v leaves the frontier at once
+	trCost   float64
 	implCost float64
-	pins     []format.Format
-	trs      []*trans.Transform
-	trCosts  []float64
-	parents  []*fentry
+	out      format.Format
+	im       *impl.Impl
 }
 
-// fmtIntern assigns dense byte IDs to the formats seen during one
-// Frontier run, so that cost-table keys are cheap byte strings rather
-// than formatted text (key construction sits on the DP's hot path).
-// Every format the run can encounter is interned up front in a
-// deterministic order, so during the parallel candidate evaluation id()
-// only takes the read path; the mutex guards the (never expected)
-// residual write path.
-type fmtIntern struct {
-	mu       sync.RWMutex
-	ids      map[format.Format]byte
-	overflow bool
+// edge is the transformation a choice applies to one argument.
+type edge struct {
+	tr   *trans.Transform
+	cost float64
 }
 
-func newFmtIntern() *fmtIntern { return &fmtIntern{ids: make(map[format.Format]byte)} }
-
-func (in *fmtIntern) id(f format.Format) byte {
-	in.mu.RLock()
-	id, ok := in.ids[f]
-	in.mu.RUnlock()
-	if ok {
-		return id
+// backtrack labels the annotation along the sub-plan that ends in one
+// cell of the class. Every class is consumed by exactly one round, so
+// the walk down the back-pointers is a tree and visits each class once.
+func (c *fclass) backtrack(cell int, ann *Annotation) {
+	x := c.from
+	v := x.v
+	if v.IsSource {
+		ann.VertexFormat[v.ID] = v.SrcFormat
+		return
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if id, ok := in.ids[f]; ok {
-		return id
+	ci := int(c.choice[cell])
+	ch := &x.choices[ci]
+	ann.VertexFormat[v.ID] = ch.out
+	ann.VertexImpl[v.ID] = ch.im
+	ann.VertexCost[v.ID] = ch.implCost
+	for j := range v.Ins {
+		e := x.edges[ci*len(v.Ins)+j]
+		ek := EdgeKey{To: v.ID, Arg: j}
+		ann.EdgeTrans[ek] = e.tr
+		ann.EdgeCost[ek] = e.cost
 	}
-	if len(in.ids) >= 256 {
-		// Key bytes would collide; record the overflow and let the run
-		// abort with ErrInternal at the next checkpoint.
-		in.overflow = true
-		return 0
+	for k, p := range x.args {
+		p.backtrack(int(c.parent[cell*len(x.args)+k]), ann)
 	}
-	id = byte(len(in.ids))
-	in.ids[f] = id
-	return id
 }
 
-func (in *fmtIntern) failed() bool {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return in.overflow
+// cellTable collects the winners of one round: an open-addressing hash
+// from key to cell over the same flat arrays a class has. A cell is won
+// by the lowest cost and, at equal cost, the lowest choice index — a rule
+// that does not depend on the order offers arrive in.
+type cellTable struct {
+	words, nargs int
+	slots        []int32 // cell index + 1; 0 is empty
+	shift        uint    // 64 − log2(len(slots))
+	keys         []uint64
+	cost         []float64
+	choice       []int32
+	parent       []int32
 }
 
-func (in *fmtIntern) key(formats []format.Format) string {
-	b := make([]byte, len(formats))
-	for i, f := range formats {
-		b[i] = in.id(f)
+// reset empties the table for a round whose keys have the given width,
+// with room for hint cells; the arrays of earlier rounds are reused.
+func (t *cellTable) reset(words, nargs, hint int) {
+	size := 16
+	for size < 2*hint {
+		size *= 2
 	}
-	return string(b)
+	if size > cap(t.slots) {
+		t.slots = make([]int32, size)
+	} else {
+		t.slots = t.slots[:size]
+		clear(t.slots)
+	}
+	t.words, t.nargs, t.shift = words, nargs, uint(64-bits.TrailingZeros(uint(size)))
+	t.keys = slices.Grow(t.keys[:0], hint*words)
+	t.cost = slices.Grow(t.cost[:0], hint)
+	t.choice = slices.Grow(t.choice[:0], hint)
+	t.parent = slices.Grow(t.parent[:0], hint*nargs)
 }
 
-// pruneEntries beam-limits a class table to the cheapest max entries
-// (see Env.MaxClassEntries) and reports how many were dropped. Ties at
-// the cut are broken on the entry key, so pruning is deterministic.
-func pruneEntries(entries map[string]*fentry, max int) int {
-	if max <= 0 {
-		max = 20000
+func hashKey(key []uint64) uint64 {
+	h := uint64(0x9E3779B97F4A7C15)
+	for _, w := range key {
+		h = (h ^ w) * 0x9E3779B97F4A7C15
+		h ^= h >> 32
 	}
-	if len(entries) <= max {
-		return 0
-	}
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		ci, cj := entries[keys[i]].cost, entries[keys[j]].cost
-		if ci != cj {
-			return ci < cj
+	return h * 0x9E3779B97F4A7C15
+}
+
+func (t *cellTable) key(i int) []uint64 { return t.keys[i*t.words : (i+1)*t.words] }
+
+// offer proposes (cost, choice, parents) for the cell with the given key.
+func (t *cellTable) offer(key []uint64, cost float64, choice int32, parents []int32) {
+	mask := len(t.slots) - 1
+	for s := int(hashKey(key) >> t.shift); ; s = (s + 1) & mask {
+		at := int(t.slots[s]) - 1
+		if at < 0 {
+			t.slots[s] = int32(len(t.cost) + 1)
+			t.keys = append(t.keys, key...)
+			t.cost = append(t.cost, cost)
+			t.choice = append(t.choice, choice)
+			t.parent = append(t.parent, parents...)
+			if 2*len(t.cost) > len(t.slots) {
+				t.grow()
+			}
+			return
 		}
-		return keys[i] < keys[j]
-	})
-	for _, k := range keys[max:] {
-		delete(entries, k)
+		if slices.Equal(t.key(at), key) {
+			if cost < t.cost[at] || cost == t.cost[at] && choice < t.choice[at] {
+				t.cost[at], t.choice[at] = cost, choice
+				copy(t.parent[at*t.nargs:], parents)
+			}
+			return
+		}
 	}
-	return len(keys) - max
+}
+
+func (t *cellTable) grow() {
+	t.slots, t.shift = make([]int32, 2*len(t.slots)), t.shift-1
+	mask := len(t.slots) - 1
+	for i := range t.cost {
+		s := int(hashKey(t.key(i)) >> t.shift)
+		for t.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		t.slots[s] = int32(i + 1)
+	}
+}
+
+// kthSmallest returns the value that k values of a are no larger than
+// (k counts from 0), by quickselect; it reorders a.
+func kthSmallest(a []float64, k int) float64 {
+	for lo, hi := 0, len(a)-1; lo < hi; {
+		pivot := a[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for a[j] > pivot {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i, j = i+1, j-1
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k]
+		}
+	}
+	return a[k]
+}
+
+// class turns the table into a frontier class: cells in ascending key
+// order, beam-limited to the cheapest beam of them (see
+// Env.MaxClassEntries). It reports how many cells the beam dropped. Ties
+// at the cut are broken on the key, so pruning is deterministic.
+func (t *cellTable) class(members []int, from *expansion, beam int) (*fclass, int) {
+	n, w := len(t.cost), t.words
+	order := make([]int32, n) // cell indices, ascending by key
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return slices.Compare(t.key(int(a)), t.key(int(b))) })
+	pruned := 0
+	if n > beam {
+		// The cheapest beam cells by (cost, key): every cell below the
+		// beam-th smallest cost, then cells at that cost in key order.
+		cut := kthSmallest(slices.Clone(t.cost), beam-1)
+		atCut := beam
+		for _, c := range t.cost {
+			if c < cut {
+				atCut--
+			}
+		}
+		order = slices.DeleteFunc(order, func(i int32) bool {
+			if t.cost[i] == cut {
+				atCut--
+				return atCut < 0
+			}
+			return t.cost[i] > cut
+		})
+		pruned = n - beam
+	}
+	c := &fclass{
+		members: members,
+		words:   w,
+		keys:    make([]uint64, 0, len(order)*w),
+		cost:    make([]float64, len(order)),
+		from:    from,
+		choice:  make([]int32, len(order)),
+		parent:  make([]int32, 0, len(order)*t.nargs),
+	}
+	for i, at := range order {
+		c.keys = append(c.keys, t.key(int(at))...)
+		c.cost[i] = t.cost[at]
+		c.choice[i] = t.choice[at]
+		c.parent = append(c.parent, t.parent[int(at)*t.nargs:(int(at)+1)*t.nargs]...)
+	}
+	return c, pruned
 }
 
 // Frontier runs the Frontier DP with a fresh uncancellable session; see
@@ -128,33 +313,12 @@ func Frontier(g *Graph, env *Env) (*Annotation, error) {
 	return NewSession(nil, env).Frontier(g)
 }
 
-// implEval is one memoized implementation evaluation for a delivered
-// input-format combination.
-type implEval struct {
-	outF   format.Format
-	outKey byte
-	cost   float64
-	ok     bool
-}
-
-// argOption is a pre-resolved transformation choice for one argument pin
-// format: the transOption plus its interned output byte, computed once
-// per (argument, pin) so the candidate evaluation loop does no map
-// writes and can run on several goroutines.
-type argOption struct {
-	tr     *trans.Transform
-	pout   format.Format
-	poutID byte
-	cost   float64
-}
-
 // Frontier computes the optimal annotation of a general compute DAG.
-// Per-class candidate evaluation — the (implementation × format ×
-// transformation) enumeration over the deduplicated parent combos — runs
-// on a worker pool bounded by the session's parallelism; combos are
-// processed in sorted key order and chunk results merged in chunk order
-// with strict-improvement replacement, so parallel and serial runs
-// produce byte-identical plans and costs.
+// Each round's best-choice table is built serially; the combo walk over
+// the consumed classes' cells runs on a worker pool bounded by the
+// session's parallelism. A cell's winner is defined by (cost, choice
+// index), not by arrival order, so parallel and serial runs produce
+// byte-identical plans and costs.
 func (s *Session) Frontier(g *Graph) (ann *Annotation, err error) {
 	start := time.Now()
 	fspan := s.tr.Start(s.span, "frontier")
@@ -168,29 +332,17 @@ func (s *Session) Frontier(g *Graph) (ann *Annotation, err error) {
 			End()
 	}()
 	env := s.env
+	ids, err := internFormats(g, env)
+	if err != nil {
+		return nil, err
+	}
 	cache := make(transCache)
-	intern := newFmtIntern()
-	// Deterministically pre-intern every format the run can touch:
-	// the environment's universe, the input formats, and every
-	// transformation target. ID assignment order is then independent of
-	// map iteration and of the worker schedule.
-	for _, f := range env.Formats {
-		intern.id(f)
-	}
-	for _, v := range g.Vertices {
-		if v.IsSource {
-			intern.id(v.SrcFormat)
-		}
-	}
-	for _, tr := range env.Transforms {
-		if !tr.Identity() {
-			intern.id(tr.Target())
-		}
-	}
-	if intern.failed() {
-		return nil, internalf("more than 256 distinct formats in one optimization")
+	beam := env.MaxClassEntries
+	if beam <= 0 {
+		beam = DefaultMaxClassEntries
 	}
 
+	tables := make([]cellTable, s.parallelism) // one per walk goroutine, reused round after round
 	visited := make([]bool, len(g.Vertices))
 	classOf := make(map[int]*fclass) // frontier vertex → its class
 	var front []*fclass
@@ -218,10 +370,13 @@ func (s *Session) Frontier(g *Graph) (ann *Annotation, err error) {
 			continue
 		}
 		visited[v.ID] = true
-		e := &fentry{formats: []format.Format{v.SrcFormat}, vertex: v.ID, vFormat: v.SrcFormat}
+		_, shift := keyPos(0)
 		addClass(&fclass{
 			members: []int{v.ID},
-			entries: map[string]*fentry{intern.key(e.formats): e},
+			words:   1,
+			keys:    []uint64{uint64(ids.ids[v.SrcFormat]) << shift},
+			cost:    []float64{0},
+			from:    &expansion{v: v},
 		})
 	}
 
@@ -239,24 +394,18 @@ func (s *Session) Frontier(g *Graph) (ann *Annotation, err error) {
 
 		// The classes feeding v (line 10 of Algorithm 4).
 		var argClasses []*fclass
-		seen := map[*fclass]bool{}
 		for _, in := range v.Ins {
 			c := classOf[in.ID]
 			if c == nil {
 				return nil, internalf("parent v%d left the frontier before its consumer v%d was optimized", in.ID, v.ID)
 			}
-			if !seen[c] {
-				seen[c] = true
+			if !slices.Contains(argClasses, c) {
 				argClasses = append(argClasses, c)
 			}
 		}
 
 		// New class: merged members plus v, minus vertices whose
 		// out-edges all lead to visited vertices (line 13).
-		var merged []int
-		for _, c := range argClasses {
-			merged = append(merged, c.members...)
-		}
 		stillLive := func(id int) bool {
 			for _, out := range g.Vertices[id].Outs {
 				if !visited[out.ID] {
@@ -266,352 +415,420 @@ func (s *Session) Frontier(g *Graph) (ann *Annotation, err error) {
 			return false
 		}
 		var newMembers []int
-		for _, id := range merged {
-			if stillLive(id) {
-				newMembers = append(newMembers, id)
+		for _, c := range argClasses {
+			for _, id := range c.members {
+				if stillLive(id) {
+					newMembers = append(newMembers, id)
+				}
 			}
 		}
 		if stillLive(v.ID) {
 			newMembers = append(newMembers, v.ID)
 		}
-		sort.Ints(newMembers)
+		slices.Sort(newMembers)
 
-		// Locate every vertex the combo key needs inside its class, so
-		// the cross product below can splice entry-key bytes directly
-		// instead of re-hashing formats.
-		type slot struct{ cls, idx int }
-		locate := func(id int) (slot, bool) {
-			for ci, c := range argClasses {
-				for mi, m := range c.members {
-					if m == id {
-						return slot{cls: ci, idx: mi}, true
-					}
-				}
-			}
-			return slot{}, false
+		r, err := s.newRound(v, argClasses, newMembers, ids, cache)
+		if err != nil {
+			return nil, err
 		}
-		var retainedSlots []slot // newMembers minus v, in order
-		for _, id := range newMembers {
-			if id == v.ID {
-				continue
-			}
-			sl, ok := locate(id)
-			if !ok {
-				return nil, internalf("retained vertex v%d not found in any consumed class at v%d", id, v.ID)
-			}
-			retainedSlots = append(retainedSlots, sl)
-		}
-		argSlots := make([]slot, len(v.Ins))
-		for j, in := range v.Ins {
-			sl, ok := locate(in.ID)
-			if !ok {
-				return nil, internalf("argument v%d not found in any consumed class at v%d", in.ID, v.ID)
-			}
-			argSlots[j] = sl
-		}
-
-		// Phase 1: cross product of the consumed classes' entries,
-		// deduplicated on (retained formats, argument pins) keeping the
-		// cheapest base cost. Keys splice the classes' own entry-key
-		// bytes, so no format hashing happens on this hot path. Each
-		// class's entries are walked in sorted key order so that
-		// equal-cost ties resolve identically on every run.
-		type comboInfo struct {
-			baseCost float64
-			parents  []*fentry
-		}
-		classKeys := make([][]string, len(argClasses))
-		for i, c := range argClasses {
-			ks := make([]string, 0, len(c.entries))
-			for k := range c.entries {
-				ks = append(ks, k)
-			}
-			sort.Strings(ks)
-			classKeys[i] = ks
-		}
-		combos := make(map[string]*comboInfo)
-		chosenKeys := make([]string, len(argClasses))
-		chosenEntries := make([]*fentry, len(argClasses))
-		comboKey := make([]byte, len(retainedSlots)+len(v.Ins))
-		var cross func(i int, cost float64)
-		cross = func(i int, cost float64) {
-			if i == len(argClasses) {
-				for p, sl := range retainedSlots {
-					comboKey[p] = chosenKeys[sl.cls][sl.idx]
-				}
-				for j, sl := range argSlots {
-					comboKey[len(retainedSlots)+j] = chosenKeys[sl.cls][sl.idx]
-				}
-				k := string(comboKey)
-				if cur, ok := combos[k]; !ok || cost < cur.baseCost {
-					combos[k] = &comboInfo{
-						baseCost: cost,
-						parents:  append([]*fentry(nil), chosenEntries...),
-					}
-				}
-				return
-			}
-			for _, k := range classKeys[i] {
-				chosenKeys[i] = k
-				chosenEntries[i] = argClasses[i].entries[k]
-				cross(i+1, cost+argClasses[i].entries[k].cost)
-			}
-		}
-		cross(0, 0)
-		// fmtAt reads a combo's format for a located vertex from its
-		// parent entry.
-		fmtAt := func(combo *comboInfo, sl slot) format.Format {
-			return combo.parents[sl.cls].formats[sl.idx]
-		}
-
-		// Pre-resolve the transformation options of every (argument,
-		// pin) pair the combos can deliver, keyed by the pin's interned
-		// byte. After this, phase 2 performs no shared-state writes and
-		// is safe to fan out.
-		argOpts := make([]map[byte][]argOption, len(v.Ins))
-		for a, in := range v.Ins {
-			argOpts[a] = make(map[byte][]argOption)
-			sl := argSlots[a]
-			c := argClasses[sl.cls]
-			for _, e := range c.entries {
-				pin := e.formats[sl.idx]
-				pid := intern.id(pin)
-				if _, ok := argOpts[a][pid]; ok {
-					continue
-				}
-				opts := env.transOptions(cache, in, pin)
-				aos := make([]argOption, len(opts))
-				for k, to := range opts {
-					aos[k] = argOption{tr: to.tr, pout: to.pout, poutID: intern.id(to.pout), cost: to.cost}
-				}
-				argOpts[a][pid] = aos
-			}
-		}
-		if intern.failed() {
-			return nil, internalf("more than 256 distinct formats in one optimization")
-		}
-
-		// Phase 2: Equation (2). For every deduplicated combo, choose
-		// transformations per argument and an implementation; impl
-		// evaluations are memoized per delivered-format combination.
-		// Combos are evaluated in sorted key order — in parallel chunks
-		// when the class is large enough — and ties always resolve to
-		// the earliest combo, matching the serial walk exactly.
-		impls := env.Impls[v.Op.Kind]
-		vIdx := -1
-		for i, id := range newMembers {
-			if id == v.ID {
-				vIdx = i
-			}
-		}
-		comboKeys := make([]string, 0, len(combos))
-		for k := range combos {
-			comboKeys = append(comboKeys, k)
-		}
-		sort.Strings(comboKeys)
-
-		evalCombos := func(keys []string) (map[string]*fentry, int64) {
-			entries := make(map[string]*fentry)
-			implCache := make(map[string][]implEval) // pout-combo key → per-impl results
-			pouts := make([]format.Format, len(v.Ins))
-			poutIDs := make([]byte, len(v.Ins))
-			trsBuf := make([]*trans.Transform, len(v.Ins))
-			trCostBuf := make([]float64, len(v.Ins))
-			keyBytes := make([]byte, len(newMembers))
-			var candidates int64
-			var comboK string
-			var combo *comboInfo
-			var pins []format.Format
-			opts := make([][]argOption, len(v.Ins))
-			var rec func(j int, trCost float64)
-			rec = func(j int, trCost float64) {
-				if j == len(v.Ins) {
-					poutKey := string(poutIDs)
-					evs, ok := implCache[poutKey]
-					if !ok {
-						evs = make([]implEval, len(impls))
-						for ii, im := range impls {
-							var ev implEval
-							ev.outF, ev.cost, ev.ok = env.applyImpl(v, im, pouts)
-							if ev.ok {
-								ev.outKey = intern.id(ev.outF)
-							}
-							evs[ii] = ev
-						}
-						implCache[poutKey] = evs
-						candidates += int64(len(impls))
-					}
-					for ii := range evs {
-						ev := &evs[ii]
-						if !ev.ok {
-							continue
-						}
-						total := combo.baseCost + trCost + ev.cost
-						if vIdx >= 0 {
-							keyBytes[vIdx] = ev.outKey
-						}
-						k := string(keyBytes)
-						if cur, exists := entries[k]; !exists || total < cur.cost {
-							formats := make([]format.Format, len(newMembers))
-							ri := 0
-							for i, id := range newMembers {
-								if id == v.ID {
-									formats[i] = ev.outF
-								} else {
-									formats[i] = fmtAt(combo, retainedSlots[ri])
-									ri++
-								}
-							}
-							entries[k] = &fentry{
-								cost:     total,
-								formats:  formats,
-								vertex:   v.ID,
-								vFormat:  ev.outF,
-								im:       impls[ii],
-								implCost: ev.cost,
-								pins:     pins,
-								trs:      append([]*trans.Transform(nil), trsBuf...),
-								trCosts:  append([]float64(nil), trCostBuf...),
-								parents:  combo.parents,
-							}
-						}
-					}
-					return
-				}
-				for k := range opts[j] {
-					o := &opts[j][k]
-					pouts[j] = o.pout
-					poutIDs[j] = o.poutID
-					trsBuf[j] = o.tr
-					trCostBuf[j] = o.cost
-					rec(j+1, trCost+o.cost)
-				}
-			}
-			for ci, k := range keys {
-				if ci&15 == 0 && s.ctx.Err() != nil {
-					return entries, candidates
-				}
-				comboK = k
-				combo = combos[k]
-				// The retained-member portion of the new table key is
-				// fixed for this combo (it is the combo key's prefix);
-				// only v's slot, if retained, varies by implementation.
-				p := 0
-				for i := range newMembers {
-					if i == vIdx {
-						continue
-					}
-					keyBytes[i] = comboK[p]
-					p++
-				}
-				pins = make([]format.Format, len(v.Ins))
-				for a := range v.Ins {
-					pins[a] = fmtAt(combo, argSlots[a])
-					opts[a] = argOpts[a][comboK[len(retainedSlots)+a]]
-				}
-				rec(0, 0)
-			}
-			return entries, candidates
-		}
-
-		var entries map[string]*fentry
-		workers := s.parallelism
-		if workers > len(comboKeys) {
-			workers = len(comboKeys)
-		}
-		if workers <= 1 || len(comboKeys) < 16 {
-			var n int64
-			entries, n = evalCombos(comboKeys)
-			s.stats.CandidatesEvaluated += n
-		} else {
-			chunkEntries := make([]map[string]*fentry, workers)
-			chunkCounts := make([]int64, workers)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				lo := w * len(comboKeys) / workers
-				hi := (w + 1) * len(comboKeys) / workers
-				wg.Add(1)
-				go func(w, lo, hi int) {
-					defer wg.Done()
-					chunkEntries[w], chunkCounts[w] = evalCombos(comboKeys[lo:hi])
-				}(w, lo, hi)
-			}
-			wg.Wait()
-			// Deterministic merge: chunks cover contiguous sorted-key
-			// ranges; folding them in chunk order with strict-improvement
-			// replacement reproduces the serial walk's outcome exactly.
-			entries = chunkEntries[0]
-			for w := 1; w < workers; w++ {
-				for k, e := range chunkEntries[w] {
-					if cur, ok := entries[k]; !ok || e.cost < cur.cost {
-						entries[k] = e
-					}
-				}
-				s.stats.CandidatesEvaluated += chunkCounts[w]
-			}
-			s.stats.CandidatesEvaluated += chunkCounts[0]
-		}
+		table := r.run(s.ctx, tables)
 		if err := s.ctxErr(); err != nil {
 			return nil, err
 		}
-		if intern.failed() {
-			return nil, internalf("more than 256 distinct formats in one optimization")
-		}
-		if len(entries) == 0 {
+		if len(table.cost) == 0 {
 			return nil, ErrInfeasible
 		}
-		s.stats.EntriesPruned += pruneEntries(entries, env.MaxClassEntries)
-		rspan.SetInt("combos", int64(len(comboKeys))).SetInt("entries", int64(len(entries)))
+		class, pruned := table.class(newMembers, r.x, beam)
+		s.stats.EntriesPruned += pruned
+		rspan.SetInt("combos", int64(r.combos)).SetInt("entries", int64(class.len()))
 
 		for _, c := range argClasses {
 			removeClass(c)
 		}
-		addClass(&fclass{members: newMembers, entries: entries})
+		addClass(class)
 	}
 
 	// Every class remaining on the frontier contributes its cheapest
-	// entry; classes are ancestor-disjoint, so costs add. Entry keys are
-	// walked in sorted order so equal-cost sinks pick the same entry on
-	// every run.
+	// cell — at equal cost the one with the lowest key; classes are
+	// ancestor-disjoint, so costs add.
 	ann = newAnnotation(g)
-	done := make(map[*fentry]bool)
 	for _, c := range front {
-		keys := make([]string, 0, len(c.entries))
-		for k := range c.entries {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var best *fentry
-		for _, k := range keys {
-			if e := c.entries[k]; best == nil || e.cost < best.cost {
-				best = e
+		best := 0
+		for i, cost := range c.cost {
+			if cost < c.cost[best] {
+				best = i
 			}
 		}
-		if best == nil {
-			return nil, ErrInfeasible
-		}
-		backtrackFrontier(g, best, ann, done)
+		c.backtrack(best, ann)
 	}
 	return ann, nil
 }
 
-func backtrackFrontier(g *Graph, e *fentry, ann *Annotation, done map[*fentry]bool) {
-	if done[e] {
-		return
+// round is the working state of one expansion: where each consumed cell's
+// formats land in the new key and in the pin tuple, and which choices
+// each pin tuple has. It is read-only once built, so the walk can fan
+// out.
+type round struct {
+	x      *expansion
+	combos int // Π len(args[k]): the cross product the walk covers
+	words  int // key words of the class being built
+	vWord  int // word and shift of v's own key byte; vWord is −1 when v leaves the frontier at once
+	vShift uint
+	// Per consumed class and cell: the retained members' formats at their
+	// positions in the new key, and the cell's share of the pin-tuple index.
+	contrib [][]uint64
+	pinPart [][]int32
+	spans   []span // pin-tuple index → its range of x.choices
+	cells   int    // most output cells any pin tuple's choices reach
+
+	// What bestChoices enumerates. A pin tuple's index is the format ids
+	// its arguments arrive in, as digits in radix len(ids.formats) with
+	// argument 0 most significant: ascending index is ascending
+	// lexicographic order of the ids.
+	weight    []int32         // argument → weight of its digit
+	pins      [][][]argOption // argument → pin's format id → transformation options; nil if never delivered
+	delivered []int           // argument → weight of its delivered format in the evaluation index
+}
+
+type span struct{ lo, hi int32 }
+
+// argOption is one transformation option, with the delivered format
+// numbered among the formats its argument can be delivered in this round.
+type argOption struct {
+	transOption
+	delivered int
+}
+
+// newRound lays out the expansion of v over the consumed classes and
+// builds its best-choice table.
+func (s *Session) newRound(v *Vertex, args []*fclass, members []int, ids *formatIDs, cache transCache) (*round, error) {
+	nargs := len(v.Ins)
+	radix := int32(len(ids.formats))
+	r := &round{
+		x:         &expansion{v: v, args: args},
+		combos:    1,
+		words:     (len(members) + 7) / 8,
+		vWord:     -1,
+		contrib:   make([][]uint64, len(args)),
+		pinPart:   make([][]int32, len(args)),
+		weight:    make([]int32, nargs),
+		pins:      make([][][]argOption, nargs),
+		delivered: make([]int, nargs),
 	}
-	done[e] = true
-	v := g.Vertices[e.vertex]
-	ann.VertexFormat[v.ID] = e.vFormat
-	if e.im != nil {
-		ann.VertexImpl[v.ID] = e.im
-		ann.VertexCost[v.ID] = e.implCost
-		for j := range v.Ins {
-			ek := EdgeKey{To: v.ID, Arg: j}
-			ann.EdgeTrans[ek] = e.trs[j]
-			ann.EdgeCost[ek] = e.trCosts[j]
+	if p, ok := slices.BinarySearch(members, v.ID); ok {
+		r.vWord, r.vShift = keyPos(p)
+	}
+	tuples := int32(1)
+	for a := nargs - 1; a >= 0; a-- {
+		r.weight[a] = tuples
+		tuples *= radix
+	}
+	r.spans = make([]span, tuples)
+
+	// Each consumed cell's contribution to the new key and to the pin
+	// tuple. The pin tuples the classes can deliver are the sums of one
+	// share per class.
+	deliverable := []int32{0}
+	for k, c := range args {
+		r.combos *= c.len()
+		type move struct {
+			word, toWord   int   // a member's byte in c's keys; if retained, its byte in the new key
+			shift, toShift uint  //
+			weight         int32 // if it is an argument, the weight of the argument's digit
+		}
+		var keep, pin []move
+		for p, id := range c.members {
+			w, sh := keyPos(p)
+			if np, ok := slices.BinarySearch(members, id); ok {
+				tw, tsh := keyPos(np)
+				keep = append(keep, move{word: w, shift: sh, toWord: tw, toShift: tsh})
+			}
+			for a, in := range v.Ins {
+				if in.ID == id {
+					pin = append(pin, move{word: w, shift: sh, weight: r.weight[a]})
+				}
+			}
+		}
+		contrib := make([]uint64, c.len()*r.words)
+		part := make([]int32, c.len())
+		seen := make([]bool, tuples)
+		var shares []int32
+		for i := range part {
+			key := c.keys[i*c.words : (i+1)*c.words]
+			for _, m := range keep {
+				contrib[i*r.words+m.toWord] |= (key[m.word] >> m.shift & 0xff) << m.toShift
+			}
+			for _, m := range pin {
+				part[i] += int32(key[m.word]>>m.shift&0xff) * m.weight
+			}
+			if !seen[part[i]] {
+				seen[part[i]] = true
+				shares = append(shares, part[i])
+			}
+		}
+		r.contrib[k], r.pinPart[k] = contrib, part
+		sums := make([]int32, 0, len(deliverable)*len(shares))
+		for _, d := range deliverable {
+			for _, sh := range shares {
+				sums = append(sums, d+sh)
+			}
+		}
+		deliverable = sums
+	}
+	slices.Sort(deliverable)
+
+	// The transformation options out of every pin a deliverable tuple
+	// holds, with the delivered formats numbered per argument:
+	// implementation evaluations memoize in a flat array indexed by those
+	// numbers.
+	evals := 1
+	for a, in := range v.Ins {
+		r.pins[a] = make([][]argOption, radix)
+		var number [256]int // delivered format id → its number + 1
+		n := 0
+		for _, t := range deliverable {
+			id := t / r.weight[a] % radix
+			if r.pins[a][id] != nil {
+				continue
+			}
+			opts := s.env.transOptions(cache, in, ids.formats[id])
+			r.pins[a][id] = make([]argOption, len(opts))
+			for o, to := range opts {
+				did, ok := ids.ids[to.pout]
+				if !ok {
+					return nil, internalf("transformation %s at v%d delivers a format that was not interned", to.tr.Name, v.ID)
+				}
+				if number[did] == 0 {
+					n++
+					number[did] = n
+				}
+				r.pins[a][id][o] = argOption{transOption: to, delivered: number[did] - 1}
+			}
+		}
+		r.delivered[a] = evals
+		evals *= n
+	}
+
+	if err := s.bestChoices(r, ids, deliverable, evals); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// bestChoices fills the round's best-choice table: for every deliverable
+// pin tuple, in ascending index order, it enumerates transformation
+// options × implementations once (Equation (2) without the parents' base
+// cost) and keeps the choices that can win a cell under some base cost.
+// Implementation evaluations are memoized per delivered-format
+// combination for the round; they are what Stats.CandidatesEvaluated
+// counts.
+//
+// A cell's cost is (base + trCost) + implCost in floating point, which is
+// monotone in both terms, so a candidate is dropped exactly when an
+// earlier candidate for the same cell has trCost and implCost both no
+// larger: it would lose or tie — and a tie goes to the earlier — whatever
+// the base. Choices of one tuple are grouped by output cell, in
+// enumeration order within a cell, which makes "lowest choice index" the
+// tie order of a serial scan over (pin tuples ascending, enumeration
+// order).
+func (s *Session) bestChoices(r *round, ids *formatIDs, tuples []int32, evals int) error {
+	env, x := s.env, r.x
+	v := x.v
+	nargs := len(v.Ins)
+	impls := env.Impls[v.Op.Kind]
+	// implEval is one implementation's result on one combination of
+	// delivered formats.
+	type implEval struct {
+		out   format.Format
+		outID uint8
+		cost  float64
+		ok    bool
+	}
+	evaluated := make([][]implEval, evals)
+
+	// The candidates kept for the current tuple, chained per output cell.
+	type candidate struct {
+		choice
+		prev int // previous candidate of the same cell, +1
+	}
+	var (
+		cands     []candidate
+		candEdges []edge
+		head      [256]int // output cell → its last candidate, +1
+		order     []int
+		pouts     = make([]format.Format, nargs)
+		cur       = make([]edge, nargs)
+		opts      = make([][]argOption, nargs)
+	)
+	var rec func(j int, trCost float64, code int)
+	rec = func(j int, trCost float64, code int) {
+		if j < nargs {
+			for k := range opts[j] {
+				o := &opts[j][k]
+				pouts[j] = o.pout
+				cur[j] = edge{tr: o.tr, cost: o.cost}
+				rec(j+1, trCost+o.cost, code+o.delivered*r.delivered[j])
+			}
+			return
+		}
+		evs := evaluated[code]
+		if evs == nil {
+			evs = make([]implEval, len(impls))
+			for ii, im := range impls {
+				ev := &evs[ii]
+				ev.out, ev.cost, ev.ok = env.applyImpl(v, im, pouts)
+				ev.outID = ids.ids[ev.out] // applyImpl only lets formats of env.Formats through
+			}
+			evaluated[code] = evs
+			s.stats.CandidatesEvaluated += int64(len(impls))
+		}
+	nextImpl:
+		for ii := range evs {
+			ev := &evs[ii]
+			if !ev.ok {
+				continue
+			}
+			cell := 0
+			if r.vWord >= 0 {
+				cell = int(ev.outID)
+			}
+			for k := head[cell]; k != 0; k = cands[k-1].prev {
+				if c := &cands[k-1]; c.trCost <= trCost && c.implCost <= ev.cost {
+					continue nextImpl
+				}
+			}
+			cands = append(cands, candidate{
+				choice: choice{
+					outBits:  uint64(cell) << r.vShift,
+					trCost:   trCost,
+					implCost: ev.cost,
+					out:      ev.out,
+					im:       impls[ii],
+				},
+				prev: head[cell],
+			})
+			candEdges = append(candEdges, cur...)
+			head[cell] = len(cands)
 		}
 	}
-	for _, p := range e.parents {
-		backtrackFrontier(g, p, ann, done)
+
+	for _, t := range tuples {
+		if s.ctx.Err() != nil {
+			return s.ctxErr()
+		}
+		for a := range opts {
+			opts[a] = r.pins[a][int(t/r.weight[a])%len(r.pins[a])]
+		}
+		cands, candEdges, order = cands[:0], candEdges[:0], order[:0]
+		rec(0, 0, 0)
+		cells := 0
+		for i := range cands {
+			order = append(order, i)
+			if cands[i].prev == 0 {
+				cells++
+			}
+			head[cands[i].outBits>>r.vShift] = 0
+		}
+		r.cells = max(r.cells, cells)
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(cands[a].outBits, cands[b].outBits) })
+		lo := len(x.choices)
+		for _, i := range order {
+			x.choices = append(x.choices, cands[i].choice)
+			x.edges = append(x.edges, candEdges[i*nargs:(i+1)*nargs]...)
+		}
+		r.spans[t] = span{int32(lo), int32(len(x.choices))}
+	}
+	return nil
+}
+
+// run walks the round's combos — on up to len(tables) goroutines when
+// there are enough of them — and returns the table of winning cells.
+// Chunks cover contiguous combo ranges and fold in chunk order; since a
+// cell's winner is its minimum under (cost, choice index), the fold
+// equals the serial walk.
+func (r *round) run(ctx context.Context, tables []cellTable) *cellTable {
+	workers := min(len(tables), r.combos)
+	if r.combos < 16 {
+		workers = 1
+	}
+	chunk := func(w int) {
+		lo, hi := w*r.combos/workers, (w+1)*r.combos/workers
+		tables[w].reset(r.words, len(r.x.args), min((hi-lo)*r.cells, 1<<16))
+		r.walk(ctx, lo, hi, &tables[w])
+	}
+	t := &tables[0]
+	if workers == 1 {
+		chunk(0)
+		return t
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			chunk(w)
+		}()
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		o := &tables[w]
+		for i := range o.cost {
+			t.offer(o.key(i), o.cost[i], o.choice[i], o.parent[i*o.nargs:(i+1)*o.nargs])
+		}
+	}
+	return t
+}
+
+// walk offers the cells reachable from combos [lo, hi) — combo c picks
+// one cell of every consumed class, the last class varying fastest — to
+// the table: per combo and output cell, the cheapest choice of the
+// combo's pin tuple on top of the picked cells' summed cost. The context
+// is polled every 16 combos.
+func (r *round) walk(ctx context.Context, lo, hi int, t *cellTable) {
+	x := r.x
+	at := make([]int32, len(x.args)) // the picked cell of each class
+	for k, rest := len(x.args)-1, lo; k >= 0; k-- {
+		n := x.args[k].len()
+		at[k], rest = int32(rest%n), rest/n
+	}
+	key := make([]uint64, r.words)
+	for c := lo; c < hi; c++ {
+		if c&15 == 0 && ctx.Err() != nil {
+			return
+		}
+		var base float64
+		tuple := int32(0)
+		clear(key)
+		for k, i := range at {
+			base += x.args[k].cost[i]
+			tuple += r.pinPart[k][i]
+			for w := range key {
+				key[w] |= r.contrib[k][int(i)*r.words+w]
+			}
+		}
+		var kv uint64
+		if r.vWord >= 0 {
+			kv = key[r.vWord]
+		}
+		sp := r.spans[tuple]
+		for ch := sp.lo; ch < sp.hi; {
+			cell := x.choices[ch].outBits
+			best, bestCost := ch, base+x.choices[ch].trCost+x.choices[ch].implCost
+			for ch++; ch < sp.hi && x.choices[ch].outBits == cell; ch++ {
+				if total := base + x.choices[ch].trCost + x.choices[ch].implCost; total < bestCost {
+					best, bestCost = ch, total
+				}
+			}
+			if r.vWord >= 0 {
+				key[r.vWord] = kv | cell
+			}
+			t.offer(key, bestCost, best, at)
+		}
+		for k := len(at) - 1; k >= 0; k-- {
+			if at[k]++; int(at[k]) < x.args[k].len() {
+				break
+			}
+			at[k] = 0
+		}
 	}
 }

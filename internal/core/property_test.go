@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,39 +14,132 @@ import (
 	"matopt/internal/shape"
 )
 
-// randomDAG generates a small random compute DAG over square matrices:
-// a few inputs, then ops drawn over random existing vertices, with
-// sharing arising naturally from re-use. Square shapes keep every
-// binary op type-correct so the generator never dead-ends.
-func randomDAG(rng *rand.Rand, nInputs, nOps int) *Graph {
-	g := NewGraph()
-	const n = 3000
-	s := shape.New(n, n)
-	srcFormats := []format.Format{
+// The random graphs are over square matrices, which keeps every binary
+// op type-correct so the generators never dead-end.
+var (
+	randShape      = shape.New(3000, 3000)
+	randSrcFormats = []format.Format{
 		format.NewSingle(), format.NewTile(1000), format.NewRowStrip(1000), format.NewColStrip(1000),
 	}
-	for i := 0; i < nInputs; i++ {
-		g.Input(string(rune('A'+i)), s, 1, srcFormats[rng.Intn(len(srcFormats))])
+	randKinds = []op.Kind{op.MatMul, op.Add, op.Sub, op.Hadamard, op.Transpose, op.ReLU, op.ScalarMul, op.Neg}
+)
+
+func randInput(rng *rand.Rand, g *Graph) *Vertex {
+	return g.Input(fmt.Sprintf("in%d", len(g.Vertices)), randShape, 1, randSrcFormats[rng.Intn(len(randSrcFormats))])
+}
+
+// randOp draws an op; draw supplies its arguments one at a time.
+func randOp(rng *rand.Rand, g *Graph, kinds []op.Kind, draw func() *Vertex) *Vertex {
+	o := op.Op{Kind: kinds[rng.Intn(len(kinds))]}
+	if o.Kind == op.ScalarMul {
+		o.Scalar = rng.Float64()*4 - 2
 	}
-	kinds := []op.Kind{op.MatMul, op.Add, op.Sub, op.Hadamard, op.Transpose, op.ReLU, op.ScalarMul, op.Neg}
+	ins := []*Vertex{draw()}
+	if o.Arity() == 2 {
+		ins = append(ins, draw())
+	}
+	return g.MustApply(o, ins...) // square shapes make every op well-typed
+}
+
+// eitherOrder returns a draw that yields a then b, or b then a.
+func eitherOrder(rng *rand.Rand, a, b *Vertex) func() *Vertex {
+	if rng.Intn(2) == 0 {
+		a, b = b, a
+	}
+	return func() *Vertex {
+		next := a
+		a = b
+		return next
+	}
+}
+
+// randomDAG generates a small random compute DAG: a few inputs, then ops
+// drawn over random existing vertices, with sharing arising naturally
+// from re-use.
+func randomDAG(rng *rand.Rand, nInputs, nOps int) *Graph {
+	g := NewGraph()
+	for i := 0; i < nInputs; i++ {
+		randInput(rng, g)
+	}
 	for i := 0; i < nOps; i++ {
-		k := kinds[rng.Intn(len(kinds))]
-		o := op.Op{Kind: k}
-		if k == op.ScalarMul {
-			o.Scalar = rng.Float64()*4 - 2
-		}
-		pick := func() *Vertex { return g.Vertices[rng.Intn(len(g.Vertices))] }
-		var err error
-		if o.Arity() == 2 {
-			_, err = g.Apply(o, pick(), pick())
-		} else {
-			_, err = g.Apply(o, pick())
-		}
-		if err != nil {
-			panic(err) // square shapes make every op well-typed
-		}
+		randOp(rng, g, randKinds, func() *Vertex { return g.Vertices[rng.Intn(len(g.Vertices))] })
 	}
 	return g
+}
+
+// sharedDAG generates a DAG with forced sharing, so that frontier classes
+// grow wide on graphs Brute still finishes: every op draws at least one
+// argument from the last k vertices. After spread such ops, most vertices
+// built so far are held back and then folded one by one into the newest
+// vertex — until its turn, a held vertex stays on the frontier, in the
+// newest vertex's class.
+func sharedDAG(rng *rand.Rand, nInputs, spread, k int) *Graph {
+	g := NewGraph()
+	for i := 0; i < nInputs; i++ {
+		randInput(rng, g)
+	}
+	for i := 0; i < spread; i++ {
+		n := len(g.Vertices)
+		randOp(rng, g, randKinds, eitherOrder(rng, g.Vertices[n-1-rng.Intn(min(k, n))], g.Vertices[rng.Intn(n)]))
+	}
+	var held []*Vertex
+	for _, v := range g.Vertices[:len(g.Vertices)-1] {
+		if len(v.Outs) == 0 || rng.Intn(4) != 0 {
+			held = append(held, v)
+		}
+	}
+	rng.Shuffle(len(held), func(i, j int) { held[i], held[j] = held[j], held[i] })
+	for _, u := range held {
+		randOp(rng, g, randKinds[:4], eitherOrder(rng, u, g.Vertices[len(g.Vertices)-1]))
+	}
+	return g
+}
+
+// randomTree generates a tree-shaped graph: every argument is a fresh
+// input or the root of a subtree nothing else consumes.
+func randomTree(rng *rand.Rand, nOps int) *Graph {
+	g := NewGraph()
+	var roots []*Vertex
+	for i := 0; i < nOps; i++ {
+		roots = append(roots, randOp(rng, g, randKinds, func() *Vertex {
+			if len(roots) == 0 || rng.Intn(3) == 0 {
+				return randInput(rng, g)
+			}
+			i := rng.Intn(len(roots))
+			v := roots[i]
+			roots = slices.Delete(roots, i, i+1)
+			return v
+		}))
+	}
+	return g
+}
+
+// widestClass returns the size of the largest equivalence class the
+// Frontier algorithm builds on g — a property of the graph alone: the
+// class of v is the union of its arguments' classes plus v, less the
+// vertices with no unvisited consumer left.
+func widestClass(g *Graph) int {
+	class := make([]int, len(g.Vertices)) // visited vertex → the vertex whose round last absorbed it
+	widest := 0
+	for _, v := range g.Vertices {
+		class[v.ID] = v.ID
+		for _, in := range v.Ins {
+			absorbed := class[in.ID]
+			for _, u := range g.Vertices[:v.ID] {
+				if class[u.ID] == absorbed {
+					class[u.ID] = v.ID
+				}
+			}
+		}
+		size := 0
+		for _, u := range g.Vertices[:v.ID+1] {
+			if class[u.ID] == v.ID && slices.ContainsFunc(u.Outs, func(o *Vertex) bool { return o.ID > v.ID }) {
+				size++
+			}
+		}
+		widest = max(widest, size)
+	}
+	return widest
 }
 
 // TestFrontierMatchesBruteOnRandomDAGs is the core exactness property:
@@ -78,6 +173,76 @@ func TestFrontierMatchesBruteOnRandomDAGs(t *testing.T) {
 		}
 		if err := fr.Verify(env); err != nil {
 			t.Errorf("seed %d: frontier annotation invalid: %v", seed, err)
+		}
+	}
+}
+
+// TestFrontierMatchesBruteOnSharedDAGs is the same exactness property
+// where the joint tables are wide: 200 graphs from sharedDAG, a good part
+// of which must build classes of five or more members.
+func TestFrontierMatchesBruteOnSharedDAGs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive search cross-check")
+	}
+	universe := []format.Format{format.NewSingle(), format.NewTile(1000), format.NewRowStrip(1000), format.NewColStrip(1000)}
+	env := NewEnv(costmodel.EC2R5D(4), universe)
+	wide := 0
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(3000 + seed))
+		g := sharedDAG(rng, 1+rng.Intn(2), 4, 2+rng.Intn(2))
+		if err := g.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if widestClass(g) >= 5 {
+			wide++
+		}
+		fr, frErr := Frontier(g, env)
+		br, brErr := Brute(g, env, 2*time.Minute)
+		if (frErr == nil) != (brErr == nil) {
+			t.Fatalf("seed %d: feasibility disagreement: frontier=%v brute=%v", seed, frErr, brErr)
+		}
+		if frErr != nil {
+			continue
+		}
+		if d := math.Abs(fr.Total() - br.Total()); d > 1e-9*math.Max(1, br.Total()) {
+			t.Errorf("seed %d: Frontier %.9f vs Brute %.9f\n%s\n--- brute ---\n%s",
+				seed, fr.Total(), br.Total(), fr.Describe(), br.Describe())
+		}
+		if err := fr.Verify(env); err != nil {
+			t.Errorf("seed %d: frontier annotation invalid: %v", seed, err)
+		}
+	}
+	t.Logf("%d of 200 graphs built a class of ≥ 5 members", wide)
+	if wide < 60 {
+		t.Errorf("only %d of 200 graphs built a class of ≥ 5 members; the generator no longer forces sharing", wide)
+	}
+}
+
+// TestFrontierMatchesTreeDPOnRandomTrees runs random trees through both
+// dynamic programs over the full format universe. The costs must agree
+// and both plans verify; the plans themselves may differ where two are
+// equally cheap, because TreeDP breaks ties in map order.
+func TestFrontierMatchesTreeDPOnRandomTrees(t *testing.T) {
+	env := NewEnv(costmodel.EC2R5D(8), format.All())
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(4000 + seed))
+		g := randomTree(rng, 4+rng.Intn(8))
+		dp, dpErr := TreeDP(g, env)
+		fr, frErr := Frontier(g, env)
+		if (frErr == nil) != (dpErr == nil) {
+			t.Fatalf("seed %d: feasibility disagreement: frontier=%v treedp=%v", seed, frErr, dpErr)
+		}
+		if frErr != nil {
+			continue
+		}
+		if d := math.Abs(fr.Total() - dp.Total()); d > 1e-9*math.Max(1, dp.Total()) {
+			t.Errorf("seed %d: Frontier %.9f vs TreeDP %.9f\n%s\n--- treedp ---\n%s",
+				seed, fr.Total(), dp.Total(), fr.Describe(), dp.Describe())
+		}
+		for name, ann := range map[string]*Annotation{"frontier": fr, "treedp": dp} {
+			if err := ann.Verify(env); err != nil {
+				t.Errorf("seed %d: %s annotation invalid: %v", seed, name, err)
+			}
 		}
 	}
 }

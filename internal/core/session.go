@@ -32,8 +32,11 @@ type Stats struct {
 	// EntriesPruned counts cost-table entries dropped by the beam limit
 	// (Env.MaxClassEntries); 0 means the search was exact.
 	EntriesPruned int
-	// CandidatesEvaluated counts (implementation × delivered-format)
-	// combinations evaluated through the cost model.
+	// CandidatesEvaluated counts cost-model evaluations of an
+	// implementation on one combination of delivered input formats. In
+	// Frontier each round evaluates every implementation once per distinct
+	// combination, before the walk fans out, so the count is a function
+	// of the graph and the environment, not of the parallelism.
 	CandidatesEvaluated int64
 	// WallSeconds is the wall time of the last algorithm run.
 	WallSeconds float64

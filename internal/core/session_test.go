@@ -62,29 +62,39 @@ func seedGraphs(t *testing.T) []seedCase {
 
 // TestParallelFrontierMatchesSerial is the determinism property the
 // worker pool must preserve: for every seed workload, the parallel
-// Frontier returns the identical total cost and Describe() output as the
-// serial path, and the plan verifies.
+// Frontier returns the identical total cost, Describe() output and stats
+// (wall time aside) as the serial path at every parallelism, and the plan
+// verifies.
 func TestParallelFrontierMatchesSerial(t *testing.T) {
 	for _, tc := range seedGraphs(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			env := core.NewEnv(costmodel.EC2R5D(10), format.All())
 			env.MaxClassEntries = tc.beam
-			serial, err := core.NewSession(nil, env, core.WithParallelism(1)).Frontier(tc.g)
-			if err != nil {
-				t.Fatalf("serial Frontier: %v", err)
+			run := func(parallelism int) (*core.Annotation, core.Stats) {
+				sess := core.NewSession(nil, env, core.WithParallelism(parallelism))
+				ann, err := sess.Frontier(tc.g)
+				if err != nil {
+					t.Fatalf("Frontier at parallelism %d: %v", parallelism, err)
+				}
+				st := sess.Stats()
+				st.WallSeconds = 0
+				return ann, st
 			}
-			parallel, err := core.NewSession(nil, env, core.WithParallelism(8)).Frontier(tc.g)
-			if err != nil {
-				t.Fatalf("parallel Frontier: %v", err)
-			}
-			if s, p := serial.Total(), parallel.Total(); s != p {
-				t.Errorf("total cost diverged: serial %.12f, parallel %.12f", s, p)
-			}
-			if s, p := serial.Describe(), parallel.Describe(); s != p {
-				t.Errorf("plans diverged:\n--- serial ---\n%s\n--- parallel ---\n%s", s, p)
-			}
-			if err := parallel.Verify(env); err != nil {
-				t.Errorf("parallel plan does not verify: %v", err)
+			serial, serialStats := run(1)
+			for _, workers := range []int{2, 8} {
+				parallel, stats := run(workers)
+				if s, p := serial.Total(), parallel.Total(); s != p {
+					t.Errorf("total cost diverged: serial %.12f, parallel %.12f", s, p)
+				}
+				if s, p := serial.Describe(), parallel.Describe(); s != p {
+					t.Errorf("plans diverged:\n--- serial ---\n%s\n--- parallel ---\n%s", s, p)
+				}
+				if stats != serialStats {
+					t.Errorf("stats diverged at parallelism %d: serial %+v, parallel %+v", workers, serialStats, stats)
+				}
+				if err := parallel.Verify(env); err != nil {
+					t.Errorf("parallel plan does not verify: %v", err)
+				}
 			}
 		})
 	}
