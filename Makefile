@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race chaos bench bench-smoke docs-check profile-frontier
+.PHONY: check fmt vet build test test-purego nofma race chaos bench bench-smoke docs-check profile-frontier profile-chain
 
-check: fmt vet build test race chaos docs-check bench-smoke
+check: fmt vet build test test-purego nofma race chaos docs-check bench-smoke
 
 # gofmt -l prints unformatted files; fail if it prints anything.
 fmt:
@@ -22,6 +22,31 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The multiply-accumulate primitives have two bodies (KERNELS.md §1):
+# AVX2 assembler, bound at init on an amd64 that has it, and portable Go.
+# `go test` runs whichever the host selects; this runs the portable one
+# under the kernels' own tests and the engines' golden suites, which
+# record one set of bits for both.
+test-purego:
+	$(GO) test -tags purego ./internal/tensor ./internal/sparse ./internal/engine ./internal/dist
+
+# KERNELS.md §2 Rule 3 — a product is rounded before it is added —
+# checked on what the compiler emits: cross-build the two kernel packages
+# for arm64 (where Go fuses x*y + z unless the product is converted) and
+# for amd64 at v1 and v3 (where v3 may), and fail on any fused
+# multiply-add in the objects or in the assembler sources.
+nofma:
+	@for target in "GOARCH=arm64" "GOARCH=amd64 GOAMD64=v1" "GOARCH=amd64 GOAMD64=v3"; do \
+		for pkg in tensor sparse; do \
+			obj=$$(mktemp) || exit 1; \
+			env $$target $(GO) build -o $$obj ./internal/$$pkg || { rm -f $$obj; exit 1; }; \
+			hits=$$($(GO) tool objdump $$obj | grep -E 'FN?M(ADD|SUB)'); rm -f $$obj; \
+			if [ -n "$$hits" ]; then echo "fused multiply-add in internal/$$pkg ($$target):"; echo "$$hits"; exit 1; fi; \
+		done; \
+	done
+	@if sed 's://.*::' internal/tensor/*.s internal/sparse/*.s 2>/dev/null | grep -nE 'FN?M(ADD|SUB)'; then \
+		echo "fused multiply-add in an assembler source"; exit 1; fi
 
 # The optimizer's parallel Frontier expansion, the engine's
 # context-aware execution, the sharded dist runtime, the shared kernel
@@ -93,3 +118,12 @@ profile-frontier:
 	$(GO) test -run '^$$' -bench BenchmarkFrontierInverseCold -benchtime 100x -cpu 1 \
 		-cpuprofile frontier.cpu.prof -memprofile frontier.mem.prof -o frontier.test .
 	$(GO) tool pprof -top -nodecount 15 frontier.test frontier.cpu.prof
+
+# The same for the kernels: twenty warm operations of the benchmark's
+# chain_seq workload (BenchmarkChainSeq) on one processor, profile and
+# test binary written to git-ignored chain.cpu.prof / chain.test, then
+# the 12 hottest functions.
+profile-chain:
+	$(GO) test -run '^$$' -bench BenchmarkChainSeq -benchtime 20x -cpu 1 \
+		-cpuprofile chain.cpu.prof -o chain.test .
+	$(GO) tool pprof -top -nodecount 12 chain.test chain.cpu.prof

@@ -9,6 +9,7 @@ package matopt_test
 // paper-vs-measured record.
 
 import (
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -19,6 +20,8 @@ import (
 	"matopt/internal/costmodel"
 	"matopt/internal/figures"
 	"matopt/internal/format"
+	"matopt/internal/sparse"
+	"matopt/internal/tensor"
 	"matopt/internal/workload"
 )
 
@@ -230,6 +233,68 @@ func BenchmarkFrontierParallel(b *testing.B) { benchFrontierFFNN(b, runtime.GOMA
 func BenchmarkFrontierInverseCold(b *testing.B) {
 	g, err := workload.Spec{Workload: "inverse", Scale: 80}.Normalized().Graph()
 	benchFrontier(b, g, err, costmodel.LocalTest(2), 1)
+}
+
+// --- kernel benches: the floor under every engine ---
+
+// BenchmarkGEMM times the serial dense product at the sizes the plans
+// run it: a large square, a chain tile, the 64³ small tile where packing
+// used to dominate, and a tall-skinny product whose width is not a
+// multiple of the register tile.
+func BenchmarkGEMM(b *testing.B) {
+	for _, s := range []struct {
+		name    string
+		n, k, m int
+	}{{"1000", 1000, 1000, 1000}, {"250", 250, 250, 250}, {"64", 64, 64, 64}, {"2500x250x30", 2500, 250, 30}} {
+		b.Run(s.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x, y := tensor.RandNormal(rng, s.n, s.k), tensor.RandNormal(rng, s.k, s.m)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = tensor.MatMul(x, y)
+			}
+			b.ReportMetric(2*float64(s.n)*float64(s.k)*float64(s.m)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}
+
+// BenchmarkCSRMulDense times the CSR×dense product at the shape of the
+// chain plan's mm-bcast-csr-rowstrip-agg vertex: a fully dense 250×1250
+// strip held as CSR times a 1250×1250 dense matrix.
+func BenchmarkCSRMulDense(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	a := sparse.FromDense(tensor.RandNormal(rng, 250, 1250))
+	y := tensor.RandNormal(rng, 1250, 1250)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = a.MulDense(y)
+	}
+	b.ReportMetric(2*250*1250*1250*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// benchSink keeps the kernel benchmarks' results live.
+var benchSink *tensor.Dense
+
+// BenchmarkChainSeq is one warm operation of the benchmark's chain_seq
+// workload (cmd/bench/lib.go: matmul chain S1 ÷ 40 under LocalTest(2) on
+// the sequential engine, plan cached). `make profile-chain` profiles it.
+func BenchmarkChainSeq(b *testing.B) {
+	g, inputs, err := workload.Spec{Workload: "chain", Scale: 40}.Normalized().Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl := costmodel.LocalTest(2)
+	p, err := matopt.NewOptimizer(cl).Optimize(matopt.NewBuilderFromGraph(g))
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := matopt.NewExecutor(cl)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := x.Run(p, inputs); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // --- ablation benches for the design choices DESIGN.md calls out ---

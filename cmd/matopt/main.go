@@ -51,6 +51,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 	"syscall"
 	"time"
 
@@ -178,7 +179,10 @@ func drive(ctx context.Context, cfg execConfig, w io.Writer) (map[int]*matopt.De
 	}
 	fmt.Fprint(w, p.Describe())
 	if cfg.Explain {
-		fmt.Fprintf(w, "\n%s", phys.Explain())
+		// The listing is the plan's own; the header line also names the
+		// kernels this process would run it on, which no plan knows.
+		head, nodes, _ := strings.Cut(phys.Explain(), "\n")
+		fmt.Fprintf(w, "\n%s, %s kernels\n%s", head, tensor.ISA(), nodes)
 	}
 	if cfg.PlanOut != "" {
 		data, err := plan.Encode(phys, opt.Env())

@@ -239,3 +239,17 @@ func TestPlanOutPlanInRoundTrip(t *testing.T) {
 		t.Errorf("a plan written for another workload was not refused: %v", err)
 	}
 }
+
+// TestExplainNamesTheKernels: the header line of -explain says which
+// bodies the run's multiply-accumulate kernels are bound to.
+func TestExplainNamesTheKernels(t *testing.T) {
+	cfg := cliConfig(workload.Spec{Workload: "chain", Scale: 400}.Normalized(), "seq")
+	cfg.Explain = true
+	var transcript strings.Builder
+	if _, err := drive(context.Background(), cfg, &transcript); err != nil {
+		t.Fatal(err)
+	}
+	if want := "s, " + tensor.ISA() + " kernels\n  n0 "; !strings.Contains(transcript.String(), want) {
+		t.Fatalf("-explain header does not end in %q before the first node:\n%s", want, transcript.String())
+	}
+}

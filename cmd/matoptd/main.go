@@ -53,6 +53,7 @@ import (
 
 	"matopt/internal/netfabric"
 	"matopt/internal/serve"
+	"matopt/internal/tensor"
 )
 
 func main() {
@@ -81,6 +82,7 @@ func main() {
 		return
 	}
 
+	log.Printf("tensor kernels: %s", tensor.ISA())
 	srv := serve.New(cfg.serveConfig())
 	httpSrv := &http.Server{Addr: cfg.Addr, Handler: srv.Handler()}
 

@@ -37,6 +37,7 @@ import (
 	"matopt"
 	"matopt/internal/costmodel"
 	"matopt/internal/obs"
+	"matopt/internal/tensor"
 )
 
 // Typed admission-control rejections; the HTTP layer maps them to
@@ -161,6 +162,9 @@ func New(cfg Config) *Server {
 		quit:    make(chan struct{}),
 		stopped: make(chan struct{}),
 	}
+	// A constant: which bodies the multiply-accumulate kernels run on in
+	// this process, so a scrape says what its timings were measured on.
+	s.reg.Gauge("matopt.tensor.kernel_isa", obs.L("isa", tensor.ISA())).Set(1)
 	s.cond = sync.NewCond(&s.mu)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.mux = s.routes()

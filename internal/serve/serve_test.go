@@ -16,6 +16,7 @@ import (
 	"matopt"
 	"matopt/internal/netfabric"
 	"matopt/internal/obs"
+	"matopt/internal/tensor"
 )
 
 // post issues a JSON POST through the server's handler and decodes the
@@ -299,6 +300,7 @@ func TestMetricsAndHealth(t *testing.T) {
 		"serve.request.seconds",
 		"serve.queue.wait.seconds",
 		"serve.coalesce{result=leader} 1",
+		"matopt.tensor.kernel_isa{isa=" + tensor.ISA() + "} 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)

@@ -49,11 +49,7 @@ func (m *CSR) MulDenseK(kc tensor.K, b *tensor.Dense) *tensor.Dense {
 		for i := lo; i < hi; i++ {
 			orow := out.Data[i*b.Cols : (i+1)*b.Cols]
 			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-				av := m.Val[k]
-				brow := b.Data[m.ColIdx[k]*b.Cols : (m.ColIdx[k]+1)*b.Cols]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
+				tensor.Axpy(m.Val[k], b.Data[m.ColIdx[k]*b.Cols:(m.ColIdx[k]+1)*b.Cols], orow)
 			}
 		}
 	})
@@ -82,11 +78,7 @@ func (m *CSR) TransposeMulDenseK(kc tensor.K, b *tensor.Dense) *tensor.Dense {
 	for i := 0; i < m.Rows; i++ {
 		brow := b.Data[i*b.Cols : (i+1)*b.Cols]
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			av := m.Val[k]
-			orow := out.Data[m.ColIdx[k]*b.Cols : (m.ColIdx[k]+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+			tensor.Axpy(m.Val[k], brow, out.Data[m.ColIdx[k]*b.Cols:(m.ColIdx[k]+1)*b.Cols])
 		}
 	}
 	return out
@@ -131,8 +123,10 @@ func (m *CSR) MulK(kc tensor.K, b *CSR) *CSR {
 			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
 				av := m.Val[k]
 				r := m.ColIdx[k]
+				// float64(…) rounds the product before the add, so
+				// no compiler may fuse the two (KERNELS.md §2, Rule 3).
 				for kb := b.RowPtr[r]; kb < b.RowPtr[r+1]; kb++ {
-					acc[b.ColIdx[kb]] += av * b.Val[kb]
+					acc[b.ColIdx[kb]] += float64(av * b.Val[kb])
 				}
 			}
 			cols = cols[:0]
@@ -189,7 +183,7 @@ func EstimateMatMulDensity(da, db float64, k int64) float64 {
 	if da >= 1 && db >= 1 {
 		return 1
 	}
-	p := da * db
+	p := float64(da * db) // rounded, so that 1−p cannot fuse: plans are priced with this (KERNELS.md §2, Rule 3)
 	// 1 − (1−p)^k without float underflow for tiny p·k.
 	if pk := p * float64(k); pk < 1e-6 {
 		return pk

@@ -111,9 +111,13 @@ func EstimateMatMul(a, b *Sketch) (*Sketch, error) {
 	// row i's non-zeros over the inner index proportionally to b's row
 	// counts: mass_i = RowCounts_a[i] · (Σ_k rb[k]) / K̄ … simplified to
 	// mass_i ∝ RowCounts_a[i] · avgRB.
+	//
+	// Here and below float64(x * y) rounds a product before it is added,
+	// so the estimate is the same number on every architecture
+	// (KERNELS.md §2, Rule 3).
 	var sumRB, sumCA float64
 	for k := 0; k < a.Cols; k++ {
-		total += float64(a.ColCounts[k]) * float64(b.RowCounts[k])
+		total += float64(float64(a.ColCounts[k]) * float64(b.RowCounts[k]))
 		sumRB += float64(b.RowCounts[k])
 		sumCA += float64(a.ColCounts[k])
 	}
@@ -130,11 +134,11 @@ func EstimateMatMul(a, b *Sketch) (*Sketch, error) {
 	rowMass := make([]float64, m)
 	colMass := make([]float64, n)
 	for i := 0; i < m; i++ {
-		rowMass[i] = float64(a.RowCounts[i]) * avgRB
+		rowMass[i] = float64(float64(a.RowCounts[i]) * avgRB)
 		rowMassTotal += rowMass[i]
 	}
 	for j := 0; j < n; j++ {
-		colMass[j] = float64(b.ColCounts[j]) * avgCA
+		colMass[j] = float64(float64(b.ColCounts[j]) * avgCA)
 		colMassTotal += colMass[j]
 	}
 	for i := 0; i < m; i++ {
@@ -170,12 +174,12 @@ func EstimateAdd(a, b *Sketch) (*Sketch, error) {
 	for i := range out.RowCounts {
 		pa := float64(a.RowCounts[i]) / float64(a.Cols)
 		pb := float64(b.RowCounts[i]) / float64(b.Cols)
-		out.RowCounts[i] = int64(math.Round(float64(a.Cols) * (pa + pb - pa*pb)))
+		out.RowCounts[i] = int64(math.Round(float64(a.Cols) * (pa + pb - float64(pa*pb))))
 	}
 	for j := range out.ColCounts {
 		pa := float64(a.ColCounts[j]) / float64(a.Rows)
 		pb := float64(b.ColCounts[j]) / float64(b.Rows)
-		out.ColCounts[j] = int64(math.Round(float64(a.Rows) * (pa + pb - pa*pb)))
+		out.ColCounts[j] = int64(math.Round(float64(a.Rows) * (pa + pb - float64(pa*pb))))
 	}
 	return out, nil
 }

@@ -102,14 +102,16 @@ func TestMatMulIdentity(t *testing.T) {
 	}
 }
 
-// naiveMatMul is an unblocked reference implementation.
+// naiveMatMul is an unblocked reference implementation. The product is
+// rounded before it is added (KERNELS.md §2, Rule 3), so the reference
+// cannot be fused on an architecture where the kernels are not.
 func naiveMatMul(a, b *Dense) *Dense {
 	out := NewDense(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < b.Cols; j++ {
 			var s float64
 			for k := 0; k < a.Cols; k++ {
-				s += a.At(i, k) * b.At(k, j)
+				s += float64(a.At(i, k) * b.At(k, j))
 			}
 			out.Set(i, j, s)
 		}

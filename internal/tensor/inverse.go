@@ -77,9 +77,5 @@ func scaleRow(m *Dense, r int, s float64) {
 
 // axpyRow adds f times row src to row dst.
 func axpyRow(m *Dense, dst, src int, f float64) {
-	rd := m.Data[dst*m.Cols : (dst+1)*m.Cols]
-	rs := m.Data[src*m.Cols : (src+1)*m.Cols]
-	for i := range rd {
-		rd[i] += f * rs[i]
-	}
+	Axpy(f, m.Data[src*m.Cols:(src+1)*m.Cols], m.Data[dst*m.Cols:(dst+1)*m.Cols])
 }

@@ -2,9 +2,9 @@ package tensor
 
 // GEMM blocking parameters. The kernel packs b into kc×nc panels: one
 // panel (mmKC·mmNC doubles = 256 KiB) sits in L2 while it is reused
-// across every output row of the chunk, and the four accumulator rows
-// the micro-kernel holds (4·mmNC doubles = 4 KiB) stay in L1 across the
-// whole k sweep of a panel.
+// across every output row of the chunk, and the micro-kernel holds a
+// 4-row × 8-column block of dst in registers across the whole k sweep
+// of a panel (KERNELS.md §1).
 const (
 	mmKC = 256 // k extent of a packed b panel
 	mmNC = 128 // j extent of a packed b panel
@@ -51,59 +51,58 @@ func (k K) MatMulAdd(dst, a, b *Dense) {
 }
 
 // gemmRows computes dst[lo:hi) += a[lo:hi) × b. Panels of b are packed
-// contiguously so the micro-kernel streams them with unit stride; rows
-// are processed four at a time to amortize each packed-panel load
-// across four accumulator rows.
+// contiguously (a b no wider than one panel already is one and is used
+// in place); each group of four rows sweeps the panel in 8-column
+// register tiles through gemmTile4x8, and what a tile cannot cover —
+// the w mod 8 last columns, the < 4 last rows — goes through Axpy.
 //
 // Determinism note: for every output element (i, j) the additions
 // happen in ascending k order — j panels are independent elements, and
-// within a j panel the k panels ascend — and there is deliberately no
-// skip of zero a-elements: a skipped `+= 0·b` is not a no-op for signed
-// zeros, so any data-dependent shortcut could make results depend on
-// which code path (4-row group vs. remainder row) a row lands in, which
-// shifts with the chunk boundary. Every path performs the identical
+// within a j panel the k panels ascend — every product is rounded
+// before it is added, and there is deliberately no skip of zero
+// a-elements: a skipped `+= 0·b` is not a no-op for signed zeros, so
+// any data-dependent shortcut could make results depend on which code
+// path (register tile vs. remainder) an element lands in, which shifts
+// with the chunk boundary. Every path performs the identical
 // per-element operation sequence, so chunking cannot change bits.
 func gemmRows(dst, a, b *Dense, lo, hi int) {
 	kd, m := a.Cols, b.Cols
-	bp := make([]float64, mmKC*mmNC)
+	tiled := lo + (hi-lo)&^3 // rows [lo, tiled) go through the register tile
+	var bp []float64
+	if m > mmNC {
+		bp = make([]float64, min(kd, mmKC)*mmNC)
+	}
 	for j0 := 0; j0 < m; j0 += mmNC {
 		j1 := min(j0+mmNC, m)
 		w := j1 - j0
+		w8 := w &^ 7
 		for k0 := 0; k0 < kd; k0 += mmKC {
 			k1 := min(k0+mmKC, kd)
-			for kk := k0; kk < k1; kk++ {
-				copy(bp[(kk-k0)*w:(kk-k0+1)*w], b.Data[kk*m+j0:kk*m+j1])
-			}
-			i := lo
-			for ; i+4 <= hi; i += 4 {
-				a0 := a.Data[i*kd : (i+1)*kd]
-				a1 := a.Data[(i+1)*kd : (i+2)*kd]
-				a2 := a.Data[(i+2)*kd : (i+3)*kd]
-				a3 := a.Data[(i+3)*kd : (i+4)*kd]
-				d0 := dst.Data[i*m+j0 : i*m+j1]
-				d1 := dst.Data[(i+1)*m+j0 : (i+1)*m+j1]
-				d2 := dst.Data[(i+2)*m+j0 : (i+2)*m+j1]
-				d3 := dst.Data[(i+3)*m+j0 : (i+3)*m+j1]
+			panel := b.Data[k0*m : k1*m]
+			if bp != nil {
+				panel = bp[:(k1-k0)*w]
 				for kk := k0; kk < k1; kk++ {
-					prow := bp[(kk-k0)*w : (kk-k0+1)*w]
-					av0, av1, av2, av3 := a0[kk], a1[kk], a2[kk], a3[kk]
-					for j, bv := range prow {
-						d0[j] += av0 * bv
-						d1[j] += av1 * bv
-						d2[j] += av2 * bv
-						d3[j] += av3 * bv
-					}
+					copy(panel[(kk-k0)*w:(kk-k0+1)*w], b.Data[kk*m+j0:kk*m+j1])
 				}
 			}
-			for ; i < hi; i++ {
-				arow := a.Data[i*kd : (i+1)*kd]
-				drow := dst.Data[i*m+j0 : i*m+j1]
-				for kk := k0; kk < k1; kk++ {
-					prow := bp[(kk-k0)*w : (kk-k0+1)*w]
-					av := arow[kk]
-					for j, bv := range prow {
-						drow[j] += av * bv
-					}
+			for i := lo; i < tiled; i += 4 {
+				for jj := 0; jj < w8; jj += 8 {
+					gemmTile4x8(dst.Data[i*m+j0+jj:], m, a.Data[i*kd+k0:], kd, panel[jj:], w, k1-k0)
+				}
+			}
+			// What the tiles left: columns [w8, w) of the tiled rows and
+			// the whole width of the last < 4 rows.
+			for r := lo; r < hi; r++ {
+				from := 0
+				if r < tiled {
+					from = w8
+				}
+				if from == w {
+					continue
+				}
+				drow := dst.Data[r*m+j0 : r*m+j1]
+				for kk, av := range a.Data[r*kd+k0 : r*kd+k1] {
+					Axpy(av, panel[kk*w+from:(kk+1)*w], drow[from:])
 				}
 			}
 		}

@@ -18,7 +18,9 @@ func RandSparse(rng *rand.Rand, r, c int, density float64) *Dense {
 	m := NewDense(r, c)
 	for i := range m.Data {
 		if rng.Float64() < density {
-			m.Data[i] = rng.Float64() + 1e-9
+			// The conversion rounds Float64's inlined scaling before
+			// the add (KERNELS.md §2, Rule 3).
+			m.Data[i] = float64(rng.Float64()) + 1e-9
 		}
 	}
 	return m

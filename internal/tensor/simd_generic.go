@@ -1,0 +1,53 @@
+package tensor
+
+// The two multiply-accumulate primitives every dense and CSR×dense
+// product bottoms out in, and their portable bodies. simd_amd64.go
+// replaces the bodies with AVX2 ones at init when the CPU and the OS
+// allow it; everywhere else (other architectures, `-tags purego`, an
+// amd64 without AVX2) these run. Both bodies perform, per output
+// element, the identical operation sequence — multiply, round, add, in
+// ascending k — so which one is selected never shows in the bits
+// (KERNELS.md §2).
+var (
+	isa         = "generic"
+	axpy        = axpyGeneric
+	gemmTile4x8 = gemmTile4x8Generic
+)
+
+// ISA names the instruction set the multiply-accumulate primitives were
+// bound to at start-up: "avx2" or "generic".
+func ISA() string { return isa }
+
+// Axpy computes y[j] += a·x[j] for every j < len(x). Each product is
+// rounded to float64 before it is added — never fused — and lanes are
+// independent, so the result does not depend on the selected body. It
+// panics if y is shorter than x.
+func Axpy(a float64, x, y []float64) {
+	axpy(a, x, y[:len(x)])
+}
+
+// axpyGeneric is the portable Axpy body. The explicit conversion rounds
+// the product and thereby forbids the compiler to fuse it into the add
+// (arm64, GOAMD64=v3); it costs nothing where no fused form exists.
+func axpyGeneric(a float64, x, y []float64) {
+	for j, xv := range x {
+		y[j] += float64(a * xv)
+	}
+}
+
+// gemmTile4x8Generic is the portable register-tile body: d[r][0:8] +=
+// Σ_k a[r][k]·p[k][0:8] for r < 4 and k ascending over kc panel rows.
+// d, a and p start at the tile's first element; ldd, lda and ldp are
+// the row strides of dst, a and the panel.
+func gemmTile4x8Generic(d []float64, ldd int, a []float64, lda int, p []float64, ldp, kc int) {
+	d0, d1, d2, d3 := d[:8], d[ldd:ldd+8], d[2*ldd:2*ldd+8], d[3*ldd:3*ldd+8]
+	for k := 0; k < kc; k++ {
+		a0, a1, a2, a3 := a[k], a[lda+k], a[2*lda+k], a[3*lda+k]
+		for j, pv := range p[k*ldp : k*ldp+8] {
+			d0[j] += float64(a0 * pv)
+			d1[j] += float64(a1 * pv)
+			d2[j] += float64(a2 * pv)
+			d3[j] += float64(a3 * pv)
+		}
+	}
+}

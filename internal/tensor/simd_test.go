@@ -1,0 +1,249 @@
+package tensor
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// These tests carry no build tag: `go test` runs them on the bodies the
+// host selected (AVX2 on an amd64 that has it), `go test -tags purego`
+// on the portable ones, and both must reproduce the same references.
+
+func TestISA(t *testing.T) {
+	if got := ISA(); got != "avx2" && got != "generic" {
+		t.Fatalf("ISA() = %q, want avx2 or generic", got)
+	}
+}
+
+// sameBits reports whether two values are the same float64 bit pattern,
+// or both NaN: which NaN an operation returns is not part of the
+// kernels' contract (KERNELS.md §2).
+func sameBits(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+}
+
+func randSlice(rng *rand.Rand, n int) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = rng.NormFloat64()
+	}
+	return s
+}
+
+// TestAxpyMatchesReference: every length 0…70 at every pair of slice
+// offsets 0…7 — unaligned heads, tails shorter than a vector — equals
+// the three-line reference bit for bit and writes nothing outside y.
+func TestAxpyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n <= 70; n++ {
+		for xo := 0; xo < 8; xo++ {
+			for yo := 0; yo < 8; yo++ {
+				a := rng.NormFloat64()
+				xs, ys := randSlice(rng, n+16), randSlice(rng, n+16)
+				want := append([]float64(nil), ys...)
+				for j := 0; j < n; j++ {
+					want[yo+j] += float64(a * xs[xo+j])
+				}
+				Axpy(a, xs[xo:xo+n], ys[yo:yo+n+1]) // y may be longer than x
+				for j := range ys {
+					if !sameBits(ys[j], want[j]) {
+						t.Fatalf("n=%d xo=%d yo=%d: y[%d] = %x, want %x", n, xo, yo, j,
+							math.Float64bits(ys[j]), math.Float64bits(want[j]))
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestAxpyPanicsOnShortY(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Axpy with len(y) < len(x) did not panic")
+		}
+	}()
+	Axpy(1, make([]float64, 9), make([]float64, 8))
+}
+
+// TestGemmTileMatchesReference drives the selected tile body and the
+// portable one over kc on both sides of the panel height, at every
+// offset of the tile inside its rows, with unequal strides.
+func TestGemmTileMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	bodies := map[string]func([]float64, int, []float64, int, []float64, int, int){
+		ISA(): gemmTile4x8, "portable": gemmTile4x8Generic,
+	}
+	for _, kc := range []int{0, 1, 255, 256, 257} {
+		for off := 0; off < 8; off++ {
+			ldd, lda, ldp := 8+off+3, kc+off+1, 8+2*off
+			d := randSlice(rng, off+3*ldd+8+5)
+			a := randSlice(rng, off+3*lda+kc+5)
+			p := randSlice(rng, off+kc*ldp+8+5)
+			want := append([]float64(nil), d...)
+			for r := 0; r < 4; r++ {
+				for k := 0; k < kc; k++ {
+					for j := 0; j < 8; j++ {
+						want[off+r*ldd+j] += float64(a[off+r*lda+k] * p[off+k*ldp+j])
+					}
+				}
+			}
+			for name, tile := range bodies {
+				got := append([]float64(nil), d...)
+				tile(got[off:], ldd, a[off:], lda, p[off:], ldp, kc)
+				for j := range got {
+					if !sameBits(got[j], want[j]) {
+						t.Fatalf("%s kc=%d off=%d: d[%d] = %x, want %x", name, kc, off, j,
+							math.Float64bits(got[j]), math.Float64bits(want[j]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGEMMEdgeSweep straddles every edge the register tile introduces —
+// the 4-row group, the 8-column tile, the 128-column panel, the 256-row
+// panel — and holds each product to the naive triple loop, bit for bit,
+// at every thread count.
+func TestGEMMEdgeSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, rows := range []int{1, 3, 4, 5, 7, 8, 9} {
+		for _, cols := range []int{1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136} {
+			for _, kd := range []int{1, 255, 256, 257, 513} {
+				a, b := RandNormal(rng, rows, kd), RandNormal(rng, kd, cols)
+				want := naiveMatMul(a, b)
+				for _, threads := range []int{1, 2, 3, 8} {
+					if got := (K{Threads: threads}).MatMul(a, b); !bitsEqual(got, want) {
+						t.Fatalf("%dx%dx%d threads=%d: differs from naive (max |Δ| %g)",
+							rows, kd, cols, threads, MaxAbsDiff(got, want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGEMMSpecialValues: signed zeros, infinities, subnormals and
+// products that overflow take the tile, the edge columns and the
+// remainder row to the bits of the naive loop; where the naive loop
+// produces a NaN (∞·0, ∞−∞, a NaN input) so does the kernel.
+func TestGEMMSpecialValues(t *testing.T) {
+	gentle := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040, 1, -2.5,
+	}
+	for _, withNaN := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(9))
+		draw := func(r, c int) *Dense {
+			m := RandNormal(rng, r, c)
+			for i := range m.Data {
+				if pick := rng.Intn(3 * len(gentle)); pick < len(gentle) {
+					m.Data[i] = gentle[pick]
+				}
+			}
+			return m
+		}
+		// 9×300 × 300×21: two 4-row groups and a remainder row, two
+		// 8-column tiles and five edge columns, two k panels.
+		a, b := draw(9, 300), draw(300, 21)
+		a.Set(1, 10, math.MaxFloat64) // overflows in one product, or not at all
+		a.Set(1, 200, math.MaxFloat64)
+		a.Set(2, 7, math.Inf(1))
+		a.Set(5, 3, math.Inf(1)) // +Inf and −Inf in one row: Inf−Inf
+		a.Set(5, 260, math.Inf(-1))
+		a.Set(8, 299, -math.MaxFloat64)
+		b.Set(50, 3, math.MaxFloat64)
+		b.Set(100, 20, math.Inf(1)) // times a's zeros: ∞·0
+		if withNaN {
+			a.Set(4, 17, math.NaN())
+			b.Set(290, 9, math.NaN())
+		}
+		want := naiveMatMul(a, b)
+		var nans, infs int
+		for _, v := range want.Data {
+			if math.IsNaN(v) {
+				nans++
+			} else if math.IsInf(v, 0) {
+				infs++
+			}
+		}
+		if nans == 0 || infs == 0 || nans+infs > len(want.Data)/2 {
+			t.Fatalf("withNaN=%v: degenerate reference (%d NaN, %d Inf of %d)", withNaN, nans, infs, len(want.Data))
+		}
+		for _, threads := range []int{1, 2} {
+			got := K{Threads: threads}.MatMul(a, b)
+			for i := range got.Data {
+				if !sameBits(got.Data[i], want.Data[i]) {
+					t.Fatalf("withNaN=%v threads=%d: element %d = %x, want %x", withNaN, threads, i,
+						math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+				}
+			}
+		}
+	}
+	// Overflow by accumulation, not by one product: MaxFloat64 + MaxFloat64.
+	a := FromRows([][]float64{{1, 1}, {1, -1}, {-1, -1}, {1, 1}})
+	b := NewDense(2, 8)
+	for i := range b.Data {
+		b.Data[i] = math.MaxFloat64
+	}
+	if got, want := MatMul(a, b), naiveMatMul(a, b); !bitsEqual(got, want) || !math.IsInf(got.Data[0], 1) ||
+		got.Data[8] != 0 || !math.IsInf(got.Data[16], -1) {
+		t.Fatalf("overflow to Inf: got %v, want %v", got.Data, want.Data)
+	}
+}
+
+// TestMatMulAddIntoNonZeroDst: the tile loads dst before it accumulates,
+// so dst += a×b starts each element's ascending-k sum from the value
+// already there.
+func TestMatMulAddIntoNonZeroDst(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	a, b := RandNormal(rng, 13, 260), RandNormal(rng, 260, 141)
+	base := RandNormal(rng, 13, 141)
+	want := base.Clone()
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			s := base.At(i, j)
+			for k := 0; k < a.Cols; k++ {
+				s += float64(a.At(i, k) * b.At(k, j))
+			}
+			want.Set(i, j, s)
+		}
+	}
+	for _, threads := range []int{1, 3} {
+		got := base.Clone()
+		K{Threads: threads}.MatMulAdd(got, a, b)
+		if !bitsEqual(got, want) {
+			t.Fatalf("threads=%d: MatMulAdd into non-zero dst differs from naive (max |Δ| %g)",
+				threads, MaxAbsDiff(got, want))
+		}
+	}
+}
+
+// TestInverseDigest pins Gauss–Jordan's bits to a digest recorded on the
+// commit before axpyRow was routed through Axpy.
+func TestInverseDigest(t *testing.T) {
+	const want = "de77f31b16228834202b50ba62bce557d2bb2a4b88a24ea255e67448c025889e"
+	rng := rand.New(rand.NewSource(41))
+	h := sha256.New()
+	var buf [8]byte
+	for _, n := range []int{1, 5, 37, 64} {
+		a := RandNormal(rng, n, n)
+		for i := 0; i < n; i++ {
+			a.Data[i*n+i] += float64(n)
+		}
+		inv, err := Inverse(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range inv.Data {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("Inverse digest %s, want %s", got, want)
+	}
+}
