@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test test-purego nofma race chaos bench bench-smoke docs-check profile-frontier profile-chain
+.PHONY: check fmt vet build test test-purego nofma race chaos bench bench-smoke docs-check profile-frontier profile-chain profile-chain-tcp
 
 check: fmt vet build test test-purego nofma race chaos docs-check bench-smoke
 
@@ -127,3 +127,14 @@ profile-chain:
 	$(GO) test -run '^$$' -bench BenchmarkChainSeq -benchtime 20x -cpu 1 \
 		-cpuprofile chain.cpu.prof -o chain.test .
 	$(GO) tool pprof -top -nodecount 12 chain.test chain.cpu.prof
+
+# And for the wire: twenty warm operations of the benchmark's
+# chain_dist_tcp workload (BenchmarkChainDistTCP: 2 dist shards, shard 1
+# behind an in-process loopback worker) on one processor, profile and
+# test binary written to git-ignored chain-tcp.cpu.prof / chain-tcp.test,
+# then the 15 hottest functions. BenchmarkChainDistChan is the same plan
+# without the wire.
+profile-chain-tcp:
+	$(GO) test -run '^$$' -bench 'BenchmarkChainDistTCP$$' -benchtime 20x -cpu 1 \
+		-cpuprofile chain-tcp.cpu.prof -o chain-tcp.test .
+	$(GO) tool pprof -top -nodecount 15 chain-tcp.test chain-tcp.cpu.prof

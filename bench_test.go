@@ -10,6 +10,7 @@ package matopt_test
 
 import (
 	"math/rand"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"matopt/internal/costmodel"
 	"matopt/internal/figures"
 	"matopt/internal/format"
+	"matopt/internal/netfabric"
 	"matopt/internal/sparse"
 	"matopt/internal/tensor"
 	"matopt/internal/workload"
@@ -296,6 +298,57 @@ func BenchmarkChainSeq(b *testing.B) {
 		}
 	}
 }
+
+// benchChainDist is one warm operation of the benchmark's chain_dist_tcp
+// workload (cmd/bench/lib.go: matmul chain S2 ÷ 100 under LocalTest(2) on
+// 2 dist shards, plan cached, one warm-up run). With tcp, shard 1 lives
+// behind an in-process netfabric worker on a loopback socket; without,
+// both shards exchange over channels — the twin that prices the wire.
+func benchChainDist(b *testing.B, tcp bool) {
+	g, inputs, err := workload.Spec{Workload: "chain", SizeSet: 2, Scale: 100}.Normalized().Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl := costmodel.LocalTest(2)
+	p, err := matopt.NewOptimizer(cl).Optimize(matopt.NewBuilderFromGraph(g))
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := []matopt.ExecutorOption{matopt.WithEngineKind(matopt.DistEngine), matopt.WithShards(2)}
+	if tcp {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv, done := netfabric.NewServer(), make(chan error, 1)
+		go func() { done <- srv.Serve(ln) }()
+		defer func() {
+			srv.Close()
+			if err := <-done; err != nil {
+				b.Error(err)
+			}
+		}()
+		opts = append(opts, matopt.WithPeers(matopt.LocalPeer, ln.Addr().String()))
+	}
+	x := matopt.NewExecutor(cl, opts...)
+	if _, err := x.Run(p, inputs); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := x.Run(p, inputs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkChainDistTCP is the chain_dist_tcp op; `make profile-chain-tcp`
+// profiles it. BenchmarkChainDistChan is the same plan on the chan
+// transport: the difference between the two is what the wire costs.
+func BenchmarkChainDistTCP(b *testing.B) { benchChainDist(b, true) }
+
+func BenchmarkChainDistChan(b *testing.B) { benchChainDist(b, false) }
 
 // --- ablation benches for the design choices DESIGN.md calls out ---
 

@@ -117,33 +117,45 @@ func main() {
 	log.Printf("drained and stopped in %v", time.Since(start).Round(time.Millisecond))
 }
 
-// runWorker hosts exchange inboxes on addr until SIGINT/SIGTERM, then
-// shuts down gracefully: stop accepting, sever live connections, wait
-// for every handler to exit.
+// runWorker hosts exchange inboxes on addr until SIGINT/SIGTERM.
 func runWorker(addr string) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		log.Fatalf("worker listen %s: %v", addr, err)
 	}
-	srv := netfabric.NewServer()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	if err := serveWorker(ctx, ln, log.Printf); err != nil {
+		log.Fatalf("worker failed: %v", err)
+	}
+}
 
+// serveWorker serves exchanges on ln until ctx is done, then shuts down
+// gracefully: stop accepting, sever live connections, wait for every
+// handler to exit. A worker is not a black box: every session it
+// rejects is one logf line (peer address, typed error), and the totals
+// of what it served, relayed and rejected are logged as it stops.
+func serveWorker(ctx context.Context, ln net.Listener, logf func(format string, args ...any)) error {
+	srv := netfabric.NewServer()
+	srv.Logf = logf
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("worker serving exchanges on %s", ln.Addr())
+		logf("worker serving exchanges on %s", ln.Addr())
 		errc <- srv.Serve(ln)
 	}()
 	select {
 	case err := <-errc:
-		log.Fatalf("worker failed: %v", err)
+		return err
 	case <-ctx.Done():
 	}
-	log.Printf("signal received; closing worker")
+	logf("signal received; closing worker")
 	start := time.Now()
 	if err := srv.Close(); err != nil {
-		log.Printf("worker close: %v", err)
+		logf("worker close: %v", err)
 	}
 	<-errc // Serve has returned
-	log.Printf("worker stopped in %v", time.Since(start).Round(time.Millisecond))
+	st := srv.Stats()
+	logf("worker served %d sessions (%d frames, %d B relayed), rejected %d", st.Sessions, st.Frames, st.Bytes, st.Rejected)
+	logf("worker stopped in %v", time.Since(start).Round(time.Millisecond))
+	return nil
 }

@@ -2,9 +2,15 @@ package netfabric
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
+	"net"
+	"sync"
 	"testing"
 
 	"matopt/internal/engine"
@@ -40,14 +46,53 @@ func sampleMessages() []Message {
 	}
 }
 
+// encodeMessage is m's encoding alone: a MSG payload less its shard word.
+func encodeMessage(m Message) []byte {
+	f, err := shardMessageFrame(nil, frameMsg, 0, m)
+	if err != nil {
+		panic(err)
+	}
+	return framePayload(f)[8:]
+}
+
+// decodeMessage decodes what encodeMessage produces.
+func decodeMessage(b []byte) (Message, error) {
+	_, m, err := decodeShardMessage(append(make([]byte, 8), b...))
+	return m, err
+}
+
+// framePayload is the payload of an encoded frame.
+func framePayload(f []byte) []byte { return f[frameHeaderLen : len(f)-frameTrailerLen] }
+
+// mustFrame unwraps a frame encoder's result.
+func mustFrame(tb testing.TB) func(f []byte, err error) []byte {
+	return func(f []byte, err error) []byte {
+		tb.Helper()
+		if err != nil {
+			tb.Fatalf("encode frame: %v", err)
+		}
+		return f
+	}
+}
+
+// readFrame reads one frame from r into a buffer of its own.
+func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
+	return (&frameReader{r: r}).next()
+}
+
+// appendInt64 builds hostile payloads by hand, one word at a time.
+func appendInt64(buf []byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(buf, uint64(v))
+}
+
 // messagesEqual compares bit-exactly (NaN payloads must survive).
 func messagesEqual(a, b Message) bool {
-	return bytes.Equal(appendMessage(nil, a), appendMessage(nil, b))
+	return bytes.Equal(encodeMessage(a), encodeMessage(b))
 }
 
 func TestMessageRoundTrip(t *testing.T) {
 	for i, m := range sampleMessages() {
-		got, err := decodeMessage(appendMessage(nil, m))
+		got, err := decodeMessage(encodeMessage(m))
 		if err != nil {
 			t.Fatalf("message %d: decode: %v", i, err)
 		}
@@ -61,13 +106,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := sampleMessages()
 	for i, m := range msgs {
-		if _, err := writeFrame(&buf, frameMsg, appendShardMessage(nil, i, m)); err != nil {
-			t.Fatalf("writeFrame: %v", err)
-		}
+		buf.Write(mustFrame(t)(shardMessageFrame(nil, frameMsg, i, m)))
 	}
-	if _, err := writeFrame(&buf, frameEOF, nil); err != nil {
-		t.Fatalf("writeFrame EOF: %v", err)
-	}
+	buf.Write(controlFrame(nil, frameEOF))
 	r := bytes.NewReader(buf.Bytes())
 	for i, want := range msgs {
 		typ, payload, err := readFrame(r)
@@ -92,7 +133,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestOpenRoundTrip(t *testing.T) {
 	id := ExchangeID{Vertex: 12, Kind: "aggregate", Label: "sum(ab)", Attempt: 3}
-	gotID, shards, err := decodeOpen(appendOpen(nil, id, 7))
+	gotID, shards, err := decodeOpen(framePayload(mustFrame(t)(openFrame(nil, id, 7))))
 	if err != nil {
 		t.Fatalf("decodeOpen: %v", err)
 	}
@@ -106,11 +147,7 @@ func TestOpenRoundTrip(t *testing.T) {
 // typed error, never a panic or a silent mis-parse.
 func TestFrameRejectsCorruption(t *testing.T) {
 	m := sampleMessages()[0]
-	var buf bytes.Buffer
-	if _, err := writeFrame(&buf, frameMsg, appendShardMessage(nil, 2, m)); err != nil {
-		t.Fatalf("writeFrame: %v", err)
-	}
-	frame := buf.Bytes()
+	frame := mustFrame(t)(shardMessageFrame(nil, frameMsg, 2, m))
 
 	t.Run("truncated", func(t *testing.T) {
 		for cut := 1; cut < len(frame); cut += 7 {
@@ -166,9 +203,9 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	})
 }
 
-// TestDecodeRejectsHostilePayloads covers payloads that frame and
-// checksum cleanly but lie about their contents.
-func TestDecodeRejectsHostilePayloads(t *testing.T) {
+// hostilePayloads are message encodings that frame and checksum cleanly
+// but lie about their contents; FuzzScanMatchesDecode is seeded from them.
+func hostilePayloads() map[string][]byte {
 	base := func() []byte {
 		var b []byte
 		for i := 0; i < 5; i++ {
@@ -205,9 +242,151 @@ func TestDecodeRejectsHostilePayloads(t *testing.T) {
 		"trailing garbage": append(append(base(), payloadEmpty), 0xAA),
 		"truncated header": base()[:17],
 	}
+	// A 2×3 CSR with 2 non-zeros, wrong in one more way each.
+	csr := func(rowPtr, colIdx []int64) []byte {
+		b := append(base(), payloadCSR)
+		for _, w := range append(append([]int64{2, 3, 2}, rowPtr...), colIdx...) {
+			b = appendInt64(b, w)
+		}
+		return appendInt64(appendInt64(b, 0), 0) // two values
+	}
+	cases["csr first pointer not 0"] = csr([]int64{1, 1, 2}, []int64{0, 1})
+	cases["csr last pointer not nnz"] = csr([]int64{0, 1, 1}, []int64{0, 1})
+	cases["csr pointer beyond nnz"] = csr([]int64{0, 1 << 40, 2}, []int64{0, 1})
+	cases["csr column out of range"] = csr([]int64{0, 1, 2}, []int64{0, 3})
+	cases["csr negative column"] = csr([]int64{0, 1, 2}, []int64{-1, 1})
+	cases["csr columns not ascending"] = csr([]int64{0, 2, 2}, []int64{1, 1})
+	return cases
+}
+
+// TestDecodeRejectsHostilePayloads covers payloads that frame and
+// checksum cleanly but lie about their contents.
+func TestDecodeRejectsHostilePayloads(t *testing.T) {
+	cases := hostilePayloads()
 	for name, payload := range cases {
 		if _, err := decodeMessage(payload); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%s: want ErrBadFrame, got %v", name, err)
 		}
+	}
+}
+
+// recordingListener wraps every accepted connection so the test can hash
+// exactly what crossed it: in is what the coordinator wrote (the worker's
+// reads), out what the worker wrote back.
+type recordingListener struct {
+	net.Listener
+	mu      sync.Mutex
+	in, out bytes.Buffer
+}
+
+type recordingConn struct {
+	net.Conn
+	l *recordingListener
+}
+
+func (l *recordingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &recordingConn{Conn: c, l: l}, nil
+}
+
+func (c *recordingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.l.mu.Lock()
+	c.l.in.Write(p[:n])
+	c.l.mu.Unlock()
+	return n, err
+}
+
+func (c *recordingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.l.mu.Lock()
+	c.l.out.Write(p[:n])
+	c.l.mu.Unlock()
+	return n, err
+}
+
+// TestGoldenWireBytes is what "frameVersion stays 1" means as a test: one
+// session carrying every payload kind — dense 1×1, 3×5 and 257×129, a CSR
+// with an empty row, a Val, an empty tuple — interleaved across two remote
+// shards must put exactly the recorded bytes on the wire, in both
+// directions. The hashes were recorded from the append-per-word encoder
+// and the decode-and-re-encode worker this codec replaced; a change that
+// moves either one has changed the wire format and must bump frameVersion.
+//
+// Each shard has its own worker, so each connection carries one shard's
+// frames in send order: the order in which a worker hosting several
+// shards returns their frames is not part of the format (the fabric sorts
+// every inbox by (key, seq)).
+func TestGoldenWireBytes(t *testing.T) {
+	const (
+		wantToWorker   = "03cb66e8abbbf5be8d0a90526dce6f1e5d64f6f411b9ab3e10d19c0b2e7796a7"
+		wantFromWorker = "deca47c4322416b76f40bd9b46ef88c4fce28d4445c23c61a847d7c16a8482a9"
+	)
+	var lns [2]*recordingListener
+	var srvs [2]*Server
+	peers := make([]string, 2)
+	done := make(chan error, 2)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		lns[i] = &recordingListener{Listener: ln}
+		srvs[i] = NewServer()
+		peers[i] = ln.Addr().String()
+		go func() { done <- srvs[i].Serve(lns[i]) }()
+	}
+	tp, err := NewTCP(peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := func(i, j int64) engine.Key { return engine.Key{I: i, J: j} }
+	msgs := []Message{
+		{Key: k(0, 0), Seq: 1, Tuple: denseTuple(k(0, 0), 1, 1, -0.5)},
+		{Key: k(1, 2), Seq: 7, Tuple: denseTuple(k(1, 2), 3, 5, 0.25)},
+		{Key: k(-4, 0), Seq: 0, Tuple: csrTuple(k(-4, 0))},
+		{Key: k(2, 3), Seq: 2, Tuple: denseTuple(k(2, 3), 257, 129, 1e-3)},
+		{Key: k(0, 9), Seq: -3, Tuple: engine.Tuple{Key: k(0, 9), Val: math.Pi, IsVal: true}},
+		{Key: k(5, 5), Seq: 4, Tuple: engine.Tuple{Key: k(5, 5)}},
+		{Key: k(6, 1), Seq: 5, Tuple: denseTuple(k(6, 1), 3, 5, 8)},
+	}
+	sess, err := tp.Open(context.Background(), nil, ExchangeID{Vertex: 9, Kind: "shuffle", Label: "shuffle(golden)", Attempt: 2}, 2)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for i, m := range msgs {
+		if err := sess.Send(i%2, m); err != nil {
+			t.Fatalf("Send %d: %v", i, err)
+		}
+	}
+	recv, err := sess.Collect()
+	if err != nil {
+		t.Fatalf("Collect: %v", err)
+	}
+	for i, m := range msgs {
+		if got := recv[i%2][i/2]; !messagesEqual(got, m) {
+			t.Fatalf("message %d came back as %+v", i, got)
+		}
+	}
+	tp.Close()
+	for i := range srvs {
+		srvs[i].Close()
+		if err := <-done; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	}
+	toWorker, fromWorker := sha256.New(), sha256.New()
+	for _, ln := range lns {
+		toWorker.Write(ln.in.Bytes())
+		fromWorker.Write(ln.out.Bytes())
+	}
+	if got := hex.EncodeToString(toWorker.Sum(nil)); got != wantToWorker {
+		t.Errorf("coordinator→worker stream hashes to %s, want %s", got, wantToWorker)
+	}
+	if got := hex.EncodeToString(fromWorker.Sum(nil)); got != wantFromWorker {
+		t.Errorf("worker→coordinator stream hashes to %s, want %s", got, wantFromWorker)
 	}
 }

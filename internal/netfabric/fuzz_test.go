@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -20,20 +21,16 @@ import (
 func seedFrames(tb testing.TB) [][]byte {
 	tb.Helper()
 	var seeds [][]byte
-	add := func(typ byte, payload []byte) {
-		var buf bytes.Buffer
-		if _, err := writeFrame(&buf, typ, payload); err != nil {
-			tb.Fatalf("seed frame: %v", err)
-		}
-		seeds = append(seeds, buf.Bytes())
+	add := func(f []byte, err error) {
+		seeds = append(seeds, mustFrame(tb)(f, err))
 	}
-	add(frameOpen, appendOpen(nil, ExchangeID{Vertex: 3, Kind: "shuffle", Label: "shuffle(a)", Attempt: 1}, 7))
+	add(openFrame(nil, ExchangeID{Vertex: 3, Kind: "shuffle", Label: "shuffle(a)", Attempt: 1}, 7))
 	for i, m := range sampleMessages() {
-		add(frameMsg, appendShardMessage(nil, i, m))
-		add(frameInbox, appendShardMessage(nil, i, m))
+		add(shardMessageFrame(nil, frameMsg, i, m))
+		add(shardMessageFrame(nil, frameInbox, i, m))
 	}
-	add(frameFin, nil)
-	add(frameEOF, nil)
+	add(controlFrame(nil, frameFin), nil)
+	add(controlFrame(nil, frameEOF), nil)
 	// And one deliberately corrupt frame so the reject path is seeded.
 	bad := append([]byte(nil), seeds[0]...)
 	bad[len(bad)-1] ^= 0xff
@@ -68,7 +65,7 @@ func FuzzFrame(f *testing.F) {
 				}
 				return
 			}
-			if got := appendOpen(nil, id, shards); !bytes.Equal(got, payload) {
+			if got := framePayload(mustFrame(t)(openFrame(nil, id, shards))); !bytes.Equal(got, payload) {
 				t.Fatalf("open did not round-trip canonically:\n got %x\nwant %x", got, payload)
 			}
 		case frameMsg, frameInbox:
@@ -79,12 +76,65 @@ func FuzzFrame(f *testing.F) {
 				}
 				return
 			}
-			if got := appendShardMessage(nil, shard, m); !bytes.Equal(got, payload) {
+			if got := framePayload(mustFrame(t)(shardMessageFrame(nil, typ, shard, m))); !bytes.Equal(got, payload) {
 				t.Fatalf("message did not round-trip canonically:\n got %x\nwant %x", got, payload)
 			}
 		default:
 			// Control frames carry no payload worth decoding; reading
 			// them must simply not have panicked.
+		}
+	})
+}
+
+// seedPayloads are the inputs FuzzScanMatchesDecode mutates from: the
+// payload of every seed frame (valid MSG/INBOX payloads of every kind,
+// and OPEN's, which is not one), the seed frames themselves as raw bytes,
+// and every hostile payload behind a shard word.
+func seedPayloads(tb testing.TB) [][]byte {
+	tb.Helper()
+	var seeds [][]byte
+	for _, frame := range seedFrames(tb) {
+		if _, payload, err := readFrame(bytes.NewReader(frame)); err == nil {
+			seeds = append(seeds, payload)
+		}
+		seeds = append(seeds, frame)
+	}
+	hostile := hostilePayloads()
+	names := make([]string, 0, len(hostile))
+	for name := range hostile {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		seeds = append(seeds, append(make([]byte, 8), hostile[name]...))
+	}
+	return seeds
+}
+
+// FuzzScanMatchesDecode holds the worker's validating scan to the
+// decoder's verdict: on arbitrary payload bytes checkShardMessage
+// returns nil exactly when decodeShardMessage does, names the same
+// shard, and both failures are the typed ErrBadFrame — so a worker that
+// relays a frame without building its tuple refuses exactly what one
+// that built it would have.
+func FuzzScanMatchesDecode(f *testing.F) {
+	for _, seed := range seedPayloads(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		wantShard, _, decodeErr := decodeShardMessage(payload)
+		gotShard, scanErr := checkShardMessage(payload)
+		if (decodeErr == nil) != (scanErr == nil) {
+			t.Fatalf("verdicts differ: decode %v, scan %v", decodeErr, scanErr)
+		}
+		if decodeErr != nil {
+			if !errors.Is(decodeErr, ErrBadFrame) || !errors.Is(scanErr, ErrBadFrame) {
+				t.Fatalf("untyped rejection: decode %v, scan %v", decodeErr, scanErr)
+			}
+			return
+		}
+		if gotShard != wantShard {
+			t.Fatalf("scan found shard %d, decode %d", gotShard, wantShard)
 		}
 	})
 }
@@ -104,7 +154,7 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			Seq:   seq,
 			Tuple: denseTuple(engine.Key{I: ki, J: kj}, rows, cols, fill),
 		}
-		got, err := decodeMessage(appendMessage(nil, m))
+		got, err := decodeMessage(encodeMessage(m))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -114,12 +164,17 @@ func FuzzMessageRoundTrip(f *testing.F) {
 	})
 }
 
-// TestSeedCorpusInSync regenerates the checked-in seed corpus when
-// NETFABRIC_WRITE_CORPUS=1 and otherwise verifies it matches what
-// seedFrames produces, so the corpus under testdata/ can never rot.
+// TestSeedCorpusInSync regenerates the checked-in seed corpora when
+// NETFABRIC_WRITE_CORPUS=1 and otherwise verifies they match what
+// seedFrames and seedPayloads produce, so the corpus under testdata/ can
+// never rot.
 func TestSeedCorpusInSync(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzFrame")
-	seeds := seedFrames(t)
+	syncCorpus(t, "FuzzFrame", seedFrames(t))
+	syncCorpus(t, "FuzzScanMatchesDecode", seedPayloads(t))
+}
+
+func syncCorpus(t *testing.T, target string, seeds [][]byte) {
+	dir := filepath.Join("testdata", "fuzz", target)
 	if os.Getenv("NETFABRIC_WRITE_CORPUS") == "1" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)

@@ -13,24 +13,48 @@ import (
 
 // Server is the worker side of the TCP transport: it hosts the exchange
 // inboxes of remote shards. Each accepted connection serves sessions
-// back to back — OPEN, MSG frames buffered per shard, FIN, then the
-// inboxes stream back as INBOX frames ending in EOF, after which the
-// connection is idle again and the coordinator may pool it.
+// back to back — OPEN, MSG frames validated and held until FIN, then the
+// same frames relayed back as INBOX frames (no tuple is ever built) and
+// EOF, after which the connection is idle and the coordinator may pool it.
 //
 // cmd/matoptd runs one of these per worker process (-worker -listen);
 // tests run it in-process on a loopback listener, which exercises the
 // identical code path hermetically.
 type Server struct {
-	ioTimeout  time.Duration
-	sever      map[int64]bool
-	closeAfter int64
-	sessions   atomic.Int64
+	// Logf, when set before Serve, receives one line per rejected
+	// session: the peer's address and the typed error that ended it.
+	Logf func(format string, args ...any)
+
+	ioTimeout                       time.Duration
+	maxSessionBytes                 int // the constant, unless a test lowered it
+	sever                           map[int64]bool
+	closeAfter                      int64
+	sessions                        atomic.Int64 // opened; numbers them for fault injection
+	served, frames, bytes, rejected atomic.Int64 // see ServerStats
 
 	mu     sync.Mutex
 	ln     net.Listener
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
+}
+
+// maxSessionBytes bounds the frames one session may hold on a worker
+// before FIN (four of maxFramePayload; DESIGN.md §16): a peer that
+// streams frames and never finishes is refused with ErrBadFrame and
+// disconnected instead of growing the worker without limit.
+const maxSessionBytes = 4 * maxFramePayload
+
+// ServerStats counts what a worker has done since it started: Sessions
+// served through to EOF, the Frames relayed and their Bytes on the wire,
+// and sessions Rejected — ended by an error (a malformed, hostile or
+// oversized frame, a shard out of range, a connection cut mid-session);
+// a pooled connection closed while idle is not one.
+type ServerStats struct{ Sessions, Frames, Bytes, Rejected int64 }
+
+// Stats reports the server's counters; safe to call at any time.
+func (s *Server) Stats() ServerStats {
+	return ServerStats{s.served.Load(), s.frames.Load(), s.bytes.Load(), s.rejected.Load()}
 }
 
 // ServerOption configures a Server.
@@ -70,9 +94,10 @@ func CloseAfterSessions(n int) ServerOption {
 // NewServer builds a worker server; call Serve to run it.
 func NewServer(opts ...ServerOption) *Server {
 	s := &Server{
-		ioTimeout: DefaultIOTimeout,
-		sever:     make(map[int64]bool),
-		conns:     make(map[net.Conn]struct{}),
+		ioTimeout:       DefaultIOTimeout,
+		maxSessionBytes: maxSessionBytes,
+		sever:           make(map[int64]bool),
+		conns:           make(map[net.Conn]struct{}),
 	}
 	for _, o := range opts {
 		o(s)
@@ -168,23 +193,37 @@ func (s *Server) release(conn net.Conn) {
 	s.mu.Unlock()
 }
 
-// handle serves sessions on one connection until it closes or breaks.
+// handle serves sessions on one connection until it closes or breaks,
+// counting and reporting a session that ends in an error — unless that
+// is the coordinator closing an idle pooled connection (the normal end
+// of life) or this server shutting down.
 func (s *Server) handle(conn net.Conn) {
 	defer s.release(conn)
-	br := bufio.NewReaderSize(conn, connBufSize)
+	fr := &frameReader{r: bufio.NewReaderSize(conn, connBufSize), limit: s.maxSessionBytes}
 	bw := bufio.NewWriterSize(conn, connBufSize)
 	for {
-		if err := s.session(conn, br, bw); err != nil {
-			return
+		err := s.session(conn, fr, bw)
+		if err == nil {
+			continue
 		}
+		if err != io.EOF && !errors.Is(err, net.ErrClosed) {
+			s.rejected.Add(1)
+			if s.Logf != nil {
+				s.Logf("netfabric: session from %s rejected: %v", conn.RemoteAddr(), err)
+			}
+		}
+		return
 	}
 }
 
-// session serves one OPEN…FIN→INBOX…EOF round trip. Any error —
-// including the coordinator closing an idle pooled connection, the
-// normal end of life — tears the connection down.
-func (s *Server) session(conn net.Conn, br io.Reader, bw *bufio.Writer) error {
-	typ, payload, err := readFrame(br)
+// session serves one OPEN…FIN→INBOX…EOF round trip. Each MSG frame is
+// read whole into the connection's arena (fr.buf), CRC-checked and
+// validated as decodeShardMessage would before the next is read, and its
+// type byte flipped to INBOX in place, so at FIN the arena is the reply
+// and goes back in one write. Any error tears the connection down.
+func (s *Server) session(conn net.Conn, fr *frameReader, bw *bufio.Writer) error {
+	fr.buf = idleBuf(fr.buf) // an oversized arena is not held while idle
+	typ, payload, err := fr.next()
 	if err != nil {
 		return err // io.EOF: pooled connection closed while idle
 	}
@@ -200,42 +239,48 @@ func (s *Server) session(conn net.Conn, br io.Reader, bw *bufio.Writer) error {
 		conn.Close() // injected fault: reset mid-exchange
 		return errors.New("netfabric: session severed by fault injection")
 	}
-	inboxes := make([][]Message, shards)
+	fr.buf = fr.buf[:0]
+	var frames int64
 	for {
-		typ, payload, err := readFrame(br)
+		start := len(fr.buf)
+		typ, payload, err := fr.next()
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // between frames, but before FIN
+		}
 		if err != nil {
 			return err
 		}
 		if typ == frameFin {
+			fr.buf = fr.buf[:start]
 			break
 		}
 		if typ != frameMsg {
 			return fmt.Errorf("%w: expected MSG or FIN, got frame type %d", ErrBadFrame, typ)
 		}
-		shard, m, err := decodeShardMessage(payload)
+		shard, err := checkShardMessage(payload)
 		if err != nil {
 			return err
 		}
 		if shard >= shards {
 			return fmt.Errorf("%w: message for shard %d of %d", ErrBadFrame, shard, shards)
 		}
-		inboxes[shard] = append(inboxes[shard], m)
+		fr.buf[start+3] = frameInbox
+		frames++
 	}
 	conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
-	for shard, msgs := range inboxes {
-		for _, m := range msgs {
-			if _, err := writeFrame(bw, frameInbox, appendShardMessage(nil, shard, m)); err != nil {
-				return err
-			}
-		}
+	if _, err := bw.Write(fr.buf); err != nil {
+		return err
 	}
-	if _, err := writeFrame(bw, frameEOF, nil); err != nil {
+	if _, err := bw.Write(controlFrame(nil, frameEOF)); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
 		return err
 	}
 	conn.SetWriteDeadline(time.Time{})
+	s.served.Add(1)
+	s.frames.Add(frames)
+	s.bytes.Add(int64(len(fr.buf)))
 	if s.closeAfter > 0 && num >= s.closeAfter {
 		// Injected fault: the worker leaves the cluster. Close runs on
 		// its own goroutine (it waits for this handler); dropping the

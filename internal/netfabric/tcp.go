@@ -22,9 +22,10 @@ const LocalPeer = "local"
 // onto its exchange-timeout retry ladder.
 const DefaultIOTimeout = 30 * time.Second
 
-// connBufSize is the bufio depth on each side of a connection: writes
-// coalesce into it so an exchange of many small tuples reaches the
-// kernel in few large writes, flushed only when full or at FIN.
+// connBufSize is the bufio depth on each side of a connection: small
+// frames coalesce into it so an exchange of many small tuples reaches
+// the kernel in few large writes, flushed only when full or at FIN; a
+// frame larger than it passes between socket and frame buffer uncopied.
 const connBufSize = 64 << 10
 
 // TCP is the socket transport: shard s is hosted by peers[s % len(peers)],
@@ -109,11 +110,13 @@ func (t *TCP) Close() error {
 	return nil
 }
 
-// wireConn is one pooled connection with its coalescing buffers.
+// wireConn is one pooled connection with the buffers it reuses from
+// frame to frame: wbuf holds the frame being sent, fr.buf the one read.
 type wireConn struct {
-	nc net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
+	nc   net.Conn
+	fr   frameReader
+	bw   *bufio.Writer
+	wbuf []byte
 }
 
 // checkout returns a pooled connection to addr, dialing when the pool
@@ -147,13 +150,14 @@ func (t *TCP) checkout(ctx context.Context, reg *obs.Registry, addr string) (*wi
 	}
 	return &wireConn{
 		nc: nc,
-		br: bufio.NewReaderSize(nc, connBufSize),
+		fr: frameReader{r: bufio.NewReaderSize(nc, connBufSize)},
 		bw: bufio.NewWriterSize(nc, connBufSize),
 	}, nil
 }
 
-// checkin returns a connection to the pool after a clean session.
+// checkin pools a connection, less any oversized buffer, after a clean session.
 func (t *TCP) checkin(addr string, c *wireConn) {
+	c.wbuf, c.fr.buf = idleBuf(c.wbuf), idleBuf(c.fr.buf)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -203,7 +207,9 @@ func (t *TCP) Open(ctx context.Context, reg *obs.Registry, id ExchangeID, shards
 			msgs:  reg.Counter("dist.wire.messages", obs.L("peer", addr)),
 		}
 		s.links[addr] = l
-		if err := l.write(t.ioTimeout, frameOpen, appendOpen(nil, id, shards)); err != nil {
+		// No producer has the session yet, so nothing contends for the link.
+		err = l.writeLocked(t.ioTimeout, func(buf []byte) ([]byte, error) { return openFrame(buf, id, shards) })
+		if err != nil {
 			s.Abandon()
 			return nil, err
 		}
@@ -224,22 +230,23 @@ type peerLink struct {
 	err  error
 }
 
-// write frames and sends one frame under the link lock, metering the
-// wire bytes. The deadline covers the implicit bufio flush, so a
-// stalled socket surfaces here rather than wedging the producer.
-func (l *peerLink) write(ioTimeout time.Duration, typ byte, payload []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.writeLocked(ioTimeout, typ, payload)
-}
-
-func (l *peerLink) writeLocked(ioTimeout time.Duration, typ byte, payload []byte) error {
+// writeLocked builds one frame in the connection's send buffer (encode
+// is handed the previous frame's storage) and sends it, metering the
+// wire bytes; the caller holds the link lock. The deadline covers the
+// implicit bufio flush, so a stalled socket surfaces here rather than
+// wedging the producer.
+func (l *peerLink) writeLocked(ioTimeout time.Duration, encode func(buf []byte) ([]byte, error)) error {
 	if l.err != nil {
 		return l.err
 	}
-	l.conn.nc.SetWriteDeadline(time.Now().Add(ioTimeout))
-	n, err := writeFrame(l.conn.bw, typ, payload)
-	l.bytes.Add(n)
+	frame, err := encode(l.conn.wbuf)
+	if err == nil {
+		l.conn.wbuf = frame
+		l.conn.nc.SetWriteDeadline(time.Now().Add(ioTimeout))
+		var n int
+		n, err = l.conn.bw.Write(frame)
+		l.bytes.Add(int64(n))
+	}
 	if err != nil {
 		return l.failLocked(fmt.Errorf("%w: write to %s: %v", ErrWire, l.addr, err))
 	}
@@ -278,7 +285,8 @@ func (s *tcpSession) Send(dst int, m Message) error {
 	l := s.links[addr]
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.writeLocked(s.t.ioTimeout, frameMsg, appendShardMessage(nil, dst, m)); err != nil {
+	err := l.writeLocked(s.t.ioTimeout, func(buf []byte) ([]byte, error) { return shardMessageFrame(buf, frameMsg, dst, m) })
+	if err != nil {
 		return err
 	}
 	l.msgs.Inc()
@@ -335,7 +343,7 @@ func (s *tcpSession) collectLink(l *peerLink, recv [][]Message) {
 		l.conn = nil
 		l.failLocked(err)
 	}
-	if err := l.writeLocked(s.t.ioTimeout, frameFin, nil); err != nil {
+	if err := l.writeLocked(s.t.ioTimeout, func(buf []byte) ([]byte, error) { return controlFrame(buf, frameFin), nil }); err != nil {
 		fail(err)
 		return
 	}
@@ -346,7 +354,8 @@ func (s *tcpSession) collectLink(l *peerLink, recv [][]Message) {
 	}
 	for {
 		l.conn.nc.SetReadDeadline(time.Now().Add(s.t.ioTimeout))
-		typ, payload, err := readFrame(l.conn.br)
+		l.conn.fr.buf = l.conn.fr.buf[:0]
+		typ, payload, err := l.conn.fr.next()
 		if err != nil {
 			fail(fmt.Errorf("%w: read from %s: %v", ErrWire, l.addr, err))
 			return

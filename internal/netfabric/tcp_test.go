@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +18,7 @@ import (
 
 // startServer runs a worker server on an ephemeral loopback listener
 // and returns its address; cleanup closes it.
-func startServer(t *testing.T, opts ...ServerOption) (*Server, string) {
+func startServer(t testing.TB, opts ...ServerOption) (*Server, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -339,6 +341,190 @@ func TestTCPConcurrentSessions(t *testing.T) {
 	}
 }
 
+// TestServerBoundsSessionBytes streams more MSG bytes at a worker than
+// one session may hold (the bound lowered through its unexported field):
+// the worker must refuse with ErrBadFrame and hang up rather than grow,
+// the coordinator must see a wire failure, the next session must succeed
+// over a fresh dial, and nothing may leak.
+func TestServerBoundsSessionBytes(t *testing.T) {
+	testutil.CheckGoroutines(t, func() {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer()
+		srv.maxSessionBytes = 64 << 10
+		rejected := make(chan string, 1) // the one rejection this test causes
+		srv.Logf = func(format string, args ...any) { rejected <- fmt.Sprintf(format, args...) }
+		done := make(chan error, 1)
+		go func() { done <- srv.Serve(ln) }()
+		tp, err := NewTCP([]string{ln.Addr().String()}, WithIOTimeout(5*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		sess, err := tp.Open(context.Background(), reg, testID(0), 2)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		k := engine.Key{I: 1}
+		big := Message{Key: k, Tuple: denseTuple(k, 64, 64, 1)} // 32 KiB a frame
+		var sessErr error
+		for i := 0; i < 64 && sessErr == nil; i++ {
+			sessErr = sess.Send(1, big)
+		}
+		if sessErr != nil {
+			sess.Abandon()
+		} else {
+			_, sessErr = sess.Collect()
+		}
+		if !errors.Is(sessErr, ErrWire) {
+			t.Fatalf("oversized session: got %v, want ErrWire", sessErr)
+		}
+		if line := <-rejected; !strings.Contains(line, ErrBadFrame.Error()) || !strings.Contains(line, "127.0.0.1:") {
+			t.Fatalf("rejection line %q names neither the peer nor ErrBadFrame", line)
+		}
+
+		sess, err = tp.Open(context.Background(), reg, testID(1), 2)
+		if err != nil {
+			t.Fatalf("Open after rejection: %v", err)
+		}
+		if err := sess.Send(1, big); err != nil {
+			t.Fatalf("Send after rejection: %v", err)
+		}
+		recv, err := sess.Collect()
+		if err != nil || len(recv[1]) != 1 || !messagesEqual(recv[1][0], big) {
+			t.Fatalf("session after rejection: %d messages, err %v", len(recv[1]), err)
+		}
+		if v := counterValue(reg, "dist.wire.reconnects"); v != 1 {
+			t.Fatalf("reconnects = %d, want 1", v)
+		}
+		tp.Close()
+		srv.Close()
+		if err := <-done; err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+		if st := srv.Stats(); st.Rejected != 1 || st.Sessions != 1 || st.Frames != 1 {
+			t.Fatalf("stats %+v, want 1 rejected and 1 served session of 1 frame", st)
+		}
+	})
+}
+
+// TestServerStats checks what a worker says about itself: served
+// sessions, relayed frames and their wire bytes are counted; a pooled
+// connection closed while idle is not a rejection and logs nothing; a
+// peer that speaks garbage is one, logged with its address and the typed
+// error.
+func TestServerStats(t *testing.T) {
+	lines := make(chan string, 8) // more than the one line expected, so an extra never blocks a handler
+	srv, addr := startServer(t, func(s *Server) {
+		s.Logf = func(format string, args ...any) { lines <- fmt.Sprintf(format, args...) }
+	})
+	tp, err := NewTCP([]string{addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	sess, err := tp.Open(context.Background(), reg, testID(0), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var relayed int64
+	for d := 0; d < 2; d++ {
+		k := engine.Key{I: int64(d)}
+		m := Message{Key: k, Tuple: denseTuple(k, 3, 3, 1)}
+		if err := sess.Send(d, m); err != nil {
+			t.Fatal(err)
+		}
+		relayed += int64(len(mustFrame(t)(shardMessageFrame(nil, frameMsg, d, m))))
+	}
+	if _, err := sess.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	tp.Close() // the pooled connection closes while idle: not a rejection
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET / HTTP/1.1\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	line := <-lines
+	if !strings.Contains(line, conn.LocalAddr().String()) || !strings.Contains(line, ErrBadFrame.Error()) {
+		t.Fatalf("rejection line %q names neither the peer %s nor ErrBadFrame", line, conn.LocalAddr())
+	}
+	srv.Close() // waits for every handler, so the counters are final
+	if want := (ServerStats{Sessions: 1, Frames: 2, Bytes: relayed, Rejected: 1}); srv.Stats() != want {
+		t.Fatalf("stats %+v, want %+v", srv.Stats(), want)
+	}
+	if len(lines) != 0 {
+		t.Fatalf("unexpected extra log line %q", <-lines)
+	}
+}
+
+// TestTCPSessionAllocBudget pins what one pass per byte means in the
+// allocator: on a warm pooled connection, a session of 16 dense 256×256
+// tuples allocates little more than the 16 decoded tuples the engine
+// keeps — coordinator and in-process worker together — and a number of
+// objects proportional to the messages, because every frame is built,
+// relayed and read in a buffer its connection reuses. Then the other
+// side of reuse: a buffer a session grew past maxIdleBuf does not go
+// back to the pool with its connection.
+func TestTCPSessionAllocBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	_, addr := startServer(t)
+	tp, err := NewTCP([]string{addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tp.Close()
+	reg := obs.NewRegistry()
+	k := engine.Key{I: 1}
+	session := func(attempt, msgs int, tuple engine.Tuple) {
+		t.Helper()
+		sess, err := tp.Open(context.Background(), reg, testID(attempt), 2)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		for i := 0; i < msgs; i++ {
+			if err := sess.Send(1, Message{Key: k, Seq: int64(i), Tuple: tuple}); err != nil {
+				t.Fatalf("Send: %v", err)
+			}
+		}
+		recv, err := sess.Collect()
+		if err != nil || len(recv[1]) != msgs {
+			t.Fatalf("Collect: %d messages, err %v", len(recv[1]), err)
+		}
+	}
+	const msgs = 16
+	tuple := denseTuple(k, 256, 256, 1)
+	session(0, msgs, tuple)
+	session(1, msgs, tuple)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	session(2, msgs, tuple)
+	runtime.ReadMemStats(&after)
+	decoded := uint64(msgs * tuple.Dense.Bytes())
+	if got := after.TotalAlloc - before.TotalAlloc; got > decoded*5/4 {
+		t.Errorf("warm session allocated %d B, more than 1.25 × the %d B of its decoded tuples", got, decoded)
+	}
+	if got := after.Mallocs - before.Mallocs; got > 16*msgs {
+		t.Errorf("warm session allocated %d objects for %d messages", got, msgs)
+	}
+
+	session(3, 1, denseTuple(k, 1, maxIdleBuf/8+1, 1))
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	if len(tp.idle[addr]) != 1 {
+		t.Fatalf("%d pooled connections, want 1", len(tp.idle[addr]))
+	}
+	if c := tp.idle[addr][0]; cap(c.wbuf) > maxIdleBuf || cap(c.fr.buf) > maxIdleBuf {
+		t.Errorf("pooled connection kept %d B send and %d B read buffers, bound %d", cap(c.wbuf), cap(c.fr.buf), maxIdleBuf)
+	}
+}
+
 func counterValue(reg *obs.Registry, name string) int64 {
 	var total int64
 	for _, m := range reg.Snapshot() {
@@ -347,4 +533,41 @@ func counterValue(reg *obs.Registry, name string) int64 {
 		}
 	}
 	return total
+}
+
+// BenchmarkTCPSession is one warm session at the shape of the
+// benchmark's chain_dist_tcp plan — 17 messages of 2.6 MB, all to the
+// remote shard: Open · Send × 17 · Collect through a loopback worker,
+// reported as payload MB/s each way (every byte goes out and comes back).
+func BenchmarkTCPSession(b *testing.B) {
+	_, addr := startServer(b)
+	tp, err := NewTCP([]string{LocalPeer, addr})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tp.Close()
+	const msgs = 17
+	k := engine.Key{I: 1}
+	tuple := denseTuple(k, 1, 2_600_000/8, 1)
+	session := func(attempt int) {
+		sess, err := tp.Open(context.Background(), nil, testID(attempt), 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < msgs; i++ {
+			if err := sess.Send(1, Message{Key: k, Seq: int64(i), Tuple: tuple}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if recv, err := sess.Collect(); err != nil || len(recv[1]) != msgs {
+			b.Fatalf("Collect: %d messages, err %v", len(recv[1]), err)
+		}
+	}
+	session(0)
+	b.ReportAllocs()
+	b.SetBytes(msgs * tuple.Dense.Bytes())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		session(i + 1)
+	}
 }
