@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test test-purego nofma race chaos bench bench-smoke docs-check profile-frontier profile-chain profile-chain-tcp
+.PHONY: check fmt vet build test test-purego nofma race chaos fuzz bench bench-smoke docs-check profile-frontier profile-chain profile-chain-tcp
 
 check: fmt vet build test test-purego nofma race chaos docs-check bench-smoke
 
@@ -69,6 +69,22 @@ race:
 chaos:
 	$(GO) test -race -run 'Chaos|NodeLoss|Checkpoint|Speculat|Delayed|Retries|Deadline|Shutdown|Cancel|RandomFaults' \
 		. ./internal/dist/
+
+# Every Fuzz* target in the tree — the wire codec's three and the plan
+# decoder's one, the decoders of bytes that arrive from outside — for ten
+# seconds each, one `go test -fuzz` per target as the tool requires. The
+# default 60 s of minimizing each coverage-widening input would be the
+# whole ten seconds on the plan payloads (several KB), so it is cut to
+# one. Not part of check: the checked-in seed corpora already run under
+# `test`; this is the search beyond them. A finding is written to the
+# package's testdata/fuzz/ and fails every later `go test` until fixed.
+fuzz:
+	@for dir in $$(grep -rl --include='*_test.go' '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
+		for target in $$(grep -ho '^func Fuzz[A-Za-z0-9_]*' $$dir/*_test.go | cut -c6-); do \
+			echo "$$dir $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s -fuzzminimizetime 1s $$dir || exit 1; \
+		done; \
+	done
 
 # Every exported identifier in the public matopt package, the shared
 # physical-plan IR, the serving layer, the workload catalogue (home of

@@ -22,7 +22,6 @@ import (
 	"matopt/internal/costmodel"
 	"matopt/internal/engine"
 	"matopt/internal/format"
-	"matopt/internal/impl"
 	"matopt/internal/op"
 	"matopt/internal/plan"
 	"matopt/internal/shape"
@@ -100,78 +99,51 @@ func Collect(rng *rand.Rand, cl costmodel.Cluster, rounds int) ([]costmodel.Samp
 					inputs["b"] = tensor.RandNormal(rng, int(mc.rows), int(mc.inner))
 				}
 			}
-			elapsed, err := timeRun(env, ann, inputs)
+			p, elapsed, err := timeRun(env, ann, inputs)
 			if err != nil {
 				return nil, fmt.Errorf("calibrate %q: %w", mc.name, err)
 			}
-			samples = append(samples, planSamples(ann, env, elapsed)...)
+			samples = append(samples, planSamples(p, elapsed)...)
 		}
 	}
 	return samples, nil
 }
 
 // timeRun lowers ann in env, the environment it was annotated in, and
-// returns the wall seconds the sequential engine takes to execute it.
-func timeRun(env *core.Env, ann *core.Annotation, inputs map[string]*tensor.Dense) (float64, error) {
+// returns the plan with the wall seconds the sequential engine takes to
+// execute it.
+func timeRun(env *core.Env, ann *core.Annotation, inputs map[string]*tensor.Dense) (*plan.Plan, float64, error) {
 	p, err := plan.Lower(ann.Graph, env, ann)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	start := time.Now()
 	if _, err := engine.New(env.Cluster).RunPlan(context.Background(), p, inputs); err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	return time.Since(start).Seconds(), nil
+	return p, time.Since(start).Seconds(), nil
 }
 
-// planSamples attributes a measured plan time to its operators in
-// proportion to their modeled share, yielding one sample per operator.
-// For the single-op calibration plans this is dominated by one
+// planSamples attributes a measured plan time to its compute operators
+// in proportion to their modeled share, yielding one sample per
+// operator. For the single-op calibration plans this is dominated by one
 // implementation (plus any forced input transformations).
-func planSamples(ann *core.Annotation, env *core.Env, measured float64) []costmodel.Sample {
-	total := ann.Total()
+func planSamples(p *plan.Plan, measured float64) []costmodel.Sample {
+	total := p.Ann.Total()
 	if total <= 0 {
 		return nil
 	}
 	var out []costmodel.Sample
-	rep := func(key string, feats costmodel.Features, share float64) {
-		out = append(out, costmodel.Sample{
-			Key:      key,
-			Features: feats,
-			Seconds:  measured * share / total,
-		})
-	}
-	for _, v := range ann.Graph.Vertices {
-		if v.IsSource {
-			continue
+	for _, n := range p.Nodes {
+		if n.Kind == plan.KindCompute {
+			out = append(out, costmodel.Sample{
+				Key:      n.Name,
+				Features: n.Features,
+				Seconds:  measured * n.Cost / total,
+			})
 		}
-		im := ann.VertexImpl[v.ID]
-		feats, ok := vertexFeatures(ann, env, v.ID)
-		if !ok {
-			continue
-		}
-		rep(im.Name, feats, ann.VertexCost[v.ID])
 	}
 	return out
-}
-
-// vertexFeatures re-derives the feature vector of one annotated vertex.
-func vertexFeatures(ann *core.Annotation, env *core.Env, id int) (costmodel.Features, bool) {
-	v := ann.Graph.Vertices[id]
-	ins := make([]impl.Input, len(v.Ins))
-	for j, in := range v.Ins {
-		tr := ann.EdgeTrans[core.EdgeKey{To: id, Arg: j}]
-		tout, ok := tr.Apply(in.Shape, in.Density, ann.VertexFormat[in.ID], env.Cluster)
-		if !ok {
-			return costmodel.Features{}, false
-		}
-		ins[j] = impl.Input{Shape: in.Shape, Density: in.Density, Format: tout.Format}
-	}
-	out, ok := ann.VertexImpl[id].Apply(v.Op, ins, v.Shape, v.Density, env.Cluster)
-	if !ok {
-		return costmodel.Features{}, false
-	}
-	return out.Features, true
 }
 
 // Fit runs the whole calibration: collect samples, fit the model, and
@@ -201,6 +173,6 @@ func SmokeWorkload(rng *rand.Rand, cl costmodel.Cluster, m *costmodel.Model) (pr
 	if err != nil {
 		return 0, 0, err
 	}
-	measured, err = timeRun(env, ann, workload.FFNNInputs(rng, cfg))
+	_, measured, err = timeRun(env, ann, workload.FFNNInputs(rng, cfg))
 	return ann.Total(), measured, err
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"matopt/internal/format"
@@ -32,14 +31,53 @@ type Annotation struct {
 	OptSeconds float64
 }
 
-func newAnnotation(g *Graph) *Annotation {
-	return &Annotation{
+// NewAnnotation returns the annotation of g that holds no decision yet —
+// only the sources' formats, which the graph gives — to be filled one
+// vertex at a time with Decide.
+func NewAnnotation(g *Graph) *Annotation {
+	a := &Annotation{
 		Graph:        g,
 		VertexImpl:   make(map[int]*impl.Impl),
 		VertexFormat: make(map[int]format.Format),
 		EdgeTrans:    make(map[EdgeKey]*trans.Transform),
 		VertexCost:   make(map[int]float64),
 		EdgeCost:     make(map[EdgeKey]float64),
+	}
+	for _, v := range g.Vertices {
+		if v.IsSource {
+			a.VertexFormat[v.ID] = v.SrcFormat
+		}
+	}
+	return a
+}
+
+// EdgeChoice is the decision on one input edge: the transformation that
+// re-lays-out the argument and its predicted cost.
+type EdgeChoice struct {
+	Trans *trans.Transform
+	Cost  float64
+}
+
+// Decision is everything G′ holds for one non-source vertex: its
+// implementation, the output format and cost that induces, and one
+// EdgeChoice per argument.
+type Decision struct {
+	Impl   *impl.Impl
+	Format format.Format
+	Cost   float64
+	Edges  []EdgeChoice
+}
+
+// Decide records d as the decision for vertex v. Every search and the
+// plan decoder write through it.
+func (a *Annotation) Decide(v *Vertex, d Decision) {
+	a.VertexImpl[v.ID] = d.Impl
+	a.VertexFormat[v.ID] = d.Format
+	a.VertexCost[v.ID] = d.Cost
+	for j, e := range d.Edges {
+		ek := EdgeKey{To: v.ID, Arg: j}
+		a.EdgeTrans[ek] = e.Trans
+		a.EdgeCost[ek] = e.Cost
 	}
 }
 
@@ -131,20 +169,12 @@ func (a *Annotation) Describe() string {
 			v.ID, v.Op.String(), im, strings.Join(args, ", "),
 			a.VertexFormat[v.ID], a.VertexCost[v.ID])
 	}
-	var edges []EdgeKey
-	for e, c := range a.EdgeCost {
-		if c > 0 {
-			edges = append(edges, e)
+	for _, v := range a.Graph.Vertices {
+		for j := range v.Ins {
+			if e := (EdgeKey{To: v.ID, Arg: j}); a.EdgeCost[e] > 0 {
+				fmt.Fprintf(&b, "  edge →v%d#%d %-20s [%.3fs]\n", e.To, e.Arg, a.EdgeTrans[e].Name, a.EdgeCost[e])
+			}
 		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].To != edges[j].To {
-			return edges[i].To < edges[j].To
-		}
-		return edges[i].Arg < edges[j].Arg
-	})
-	for _, e := range edges {
-		fmt.Fprintf(&b, "  edge →v%d#%d %-20s [%.3fs]\n", e.To, e.Arg, a.EdgeTrans[e].Name, a.EdgeCost[e])
 	}
 	return b.String()
 }

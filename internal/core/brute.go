@@ -6,22 +6,11 @@ import (
 	"time"
 
 	"matopt/internal/format"
-	"matopt/internal/trans"
 )
 
 // ErrTimeout is returned when the search's deadline expires before it
 // completes (the paper's "Fail" at 30 minutes in Figure 13).
 var ErrTimeout = errors.New("core: search exceeded its time budget")
-
-// bruteChoice is the decision recorded for one vertex during the search.
-type bruteChoice struct {
-	im       int // index into env.Impls[v.Op.Kind]
-	pins     []format.Format
-	trs      []*trans.Transform
-	trCosts  []float64
-	outF     format.Format
-	implCost float64
-}
 
 // Brute runs the exhaustive search with a fresh session bounded by
 // budget; see Session.Brute.
@@ -58,8 +47,8 @@ func (s *Session) Brute(g *Graph) (ann *Annotation, err error) {
 		}
 	}
 
-	choices := make([]bruteChoice, len(order))
-	var bestChoices []bruteChoice
+	choices := make([]Decision, len(order)) // the branch being explored
+	var bestChoices []Decision
 	bestCost := -1.0
 	aborted := false
 	steps := 0
@@ -86,47 +75,24 @@ func (s *Session) Brute(g *Graph) (ann *Annotation, err error) {
 			return
 		}
 		v := order[k]
-		pouts := make([]format.Format, len(v.Ins))
-		trs := make([]*trans.Transform, len(v.Ins))
-		trCosts := make([]float64, len(v.Ins))
-		pins := make([]format.Format, len(v.Ins))
-		var args func(j int, trCost float64)
-		args = func(j int, trCost float64) {
+		pinOf := func(in *Vertex) format.Format { return curFormat[in.ID] }
+		env.eachDelivery(cache, v, pinOf, func(pouts []format.Format, edges []EdgeChoice, trCost float64) {
 			if aborted {
 				return
 			}
-			if j == len(v.Ins) {
-				for ii, im := range env.Impls[v.Op.Kind] {
-					s.stats.CandidatesEvaluated++
-					outF, implCost, ok := env.applyImpl(v, im, pouts)
-					if !ok {
-						continue
-					}
-					choices[k] = bruteChoice{
-						im:       ii,
-						pins:     append([]format.Format(nil), pins...),
-						trs:      append([]*trans.Transform(nil), trs...),
-						trCosts:  append([]float64(nil), trCosts...),
-						outF:     outF,
-						implCost: implCost,
-					}
-					saved := curFormat[v.ID]
-					curFormat[v.ID] = outF
-					rec(k+1, costSoFar+trCost+implCost)
-					curFormat[v.ID] = saved
+			for _, im := range env.Impls[v.Op.Kind] {
+				s.stats.CandidatesEvaluated++
+				outF, implCost, ok := env.applyImpl(v, im, pouts)
+				if !ok {
+					continue
 				}
-				return
+				choices[k] = Decision{Impl: im, Format: outF, Cost: implCost, Edges: append([]EdgeChoice(nil), edges...)}
+				saved := curFormat[v.ID]
+				curFormat[v.ID] = outF
+				rec(k+1, costSoFar+trCost+implCost)
+				curFormat[v.ID] = saved
 			}
-			in := v.Ins[j]
-			pins[j] = curFormat[in.ID]
-			for _, to := range env.transOptions(cache, in, curFormat[in.ID]) {
-				pouts[j] = to.pout
-				trs[j] = to.tr
-				trCosts[j] = to.cost
-				args(j+1, trCost+to.cost)
-			}
-		}
-		args(0, 0)
+		})
 	}
 	rec(0, 0)
 
@@ -136,22 +102,9 @@ func (s *Session) Brute(g *Graph) (ann *Annotation, err error) {
 	if bestCost < 0 {
 		return nil, ErrInfeasible
 	}
-	ann = newAnnotation(g)
-	for _, v := range g.Vertices {
-		if v.IsSource {
-			ann.VertexFormat[v.ID] = v.SrcFormat
-		}
-	}
+	ann = NewAnnotation(g)
 	for k, v := range order {
-		ch := bestChoices[k]
-		ann.VertexImpl[v.ID] = env.Impls[v.Op.Kind][ch.im]
-		ann.VertexFormat[v.ID] = ch.outF
-		ann.VertexCost[v.ID] = ch.implCost
-		for j := range v.Ins {
-			ek := EdgeKey{To: v.ID, Arg: j}
-			ann.EdgeTrans[ek] = ch.trs[j]
-			ann.EdgeCost[ek] = ch.trCosts[j]
-		}
+		ann.Decide(v, bestChoices[k])
 	}
 	return ann, nil
 }

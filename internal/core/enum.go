@@ -45,6 +45,31 @@ func (env *Env) transOptions(cache transCache, v *Vertex, pin format.Format) []t
 	return opts
 }
 
+// eachDelivery walks, in a fixed order, every way to hand v its
+// arguments: one option of transOptions per argument, out of the format
+// pinOf reports for that argument's producer. visit sees the delivered
+// formats, the edge decisions and their summed cost; the three slices
+// are reused between calls.
+func (env *Env) eachDelivery(cache transCache, v *Vertex, pinOf func(in *Vertex) format.Format,
+	visit func(pouts []format.Format, edges []EdgeChoice, trCost float64)) {
+	pouts := make([]format.Format, len(v.Ins))
+	edges := make([]EdgeChoice, len(v.Ins))
+	var args func(j int, trCost float64)
+	args = func(j int, trCost float64) {
+		if j == len(v.Ins) {
+			visit(pouts, edges, trCost)
+			return
+		}
+		in := v.Ins[j]
+		for _, to := range env.transOptions(cache, in, pinOf(in)) {
+			pouts[j] = to.pout
+			edges[j] = EdgeChoice{Trans: to.tr, Cost: to.cost}
+			args(j+1, trCost+to.cost)
+		}
+	}
+	args(0, 0)
+}
+
 // applyImpl evaluates implementation im on vertex v with the given
 // (already transformed) input formats. It returns the output format and
 // the implementation's predicted cost; ok is false when the

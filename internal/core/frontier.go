@@ -11,7 +11,6 @@ import (
 	"matopt/internal/format"
 	"matopt/internal/impl"
 	"matopt/internal/obs"
-	"matopt/internal/trans"
 )
 
 // The Frontier algorithm (Algorithm 4) generalizes the tree DP to DAGs
@@ -98,9 +97,9 @@ func (c *fclass) len() int { return len(c.cost) }
 // is what the cells' choice indices point into.
 type expansion struct {
 	v       *Vertex
-	args    []*fclass // consumed classes, in order of first use by v's arguments
-	choices []choice  // ordered by (pin tuple, output cell, enumeration order)
-	edges   []edge    // choices[i] transforms argument j by edges[i*len(v.Ins)+j]
+	args    []*fclass    // consumed classes, in order of first use by v's arguments
+	choices []choice     // ordered by (pin tuple, output cell, enumeration order)
+	edges   []EdgeChoice // choices[i] transforms argument j by edges[i*len(v.Ins)+j]
 }
 
 // choice is one way to compute v from arguments pinned to given formats:
@@ -113,12 +112,6 @@ type choice struct {
 	im       *impl.Impl
 }
 
-// edge is the transformation a choice applies to one argument.
-type edge struct {
-	tr   *trans.Transform
-	cost float64
-}
-
 // backtrack labels the annotation along the sub-plan that ends in one
 // cell of the class. Every class is consumed by exactly one round, so
 // the walk down the back-pointers is a tree and visits each class once.
@@ -126,20 +119,12 @@ func (c *fclass) backtrack(cell int, ann *Annotation) {
 	x := c.from
 	v := x.v
 	if v.IsSource {
-		ann.VertexFormat[v.ID] = v.SrcFormat
 		return
 	}
 	ci := int(c.choice[cell])
 	ch := &x.choices[ci]
-	ann.VertexFormat[v.ID] = ch.out
-	ann.VertexImpl[v.ID] = ch.im
-	ann.VertexCost[v.ID] = ch.implCost
-	for j := range v.Ins {
-		e := x.edges[ci*len(v.Ins)+j]
-		ek := EdgeKey{To: v.ID, Arg: j}
-		ann.EdgeTrans[ek] = e.tr
-		ann.EdgeCost[ek] = e.cost
-	}
+	edges := x.edges[ci*len(v.Ins) : (ci+1)*len(v.Ins)]
+	ann.Decide(v, Decision{Impl: ch.im, Format: ch.out, Cost: ch.implCost, Edges: edges})
 	for k, p := range x.args {
 		p.backtrack(int(c.parent[cell*len(x.args)+k]), ann)
 	}
@@ -451,7 +436,7 @@ func (s *Session) Frontier(g *Graph) (ann *Annotation, err error) {
 	// Every class remaining on the frontier contributes its cheapest
 	// cell — at equal cost the one with the lowest key; classes are
 	// ancestor-disjoint, so costs add.
-	ann = newAnnotation(g)
+	ann = NewAnnotation(g)
 	for _, c := range front {
 		best := 0
 		for i, cost := range c.cost {
@@ -653,11 +638,11 @@ func (s *Session) bestChoices(r *round, ids *formatIDs, tuples []int32, evals in
 	}
 	var (
 		cands     []candidate
-		candEdges []edge
+		candEdges []EdgeChoice
 		head      [256]int // output cell → its last candidate, +1
 		order     []int
 		pouts     = make([]format.Format, nargs)
-		cur       = make([]edge, nargs)
+		cur       = make([]EdgeChoice, nargs)
 		opts      = make([][]argOption, nargs)
 	)
 	var rec func(j int, trCost float64, code int)
@@ -666,7 +651,7 @@ func (s *Session) bestChoices(r *round, ids *formatIDs, tuples []int32, evals in
 			for k := range opts[j] {
 				o := &opts[j][k]
 				pouts[j] = o.pout
-				cur[j] = edge{tr: o.tr, cost: o.cost}
+				cur[j] = EdgeChoice{Trans: o.tr, Cost: o.cost}
 				rec(j+1, trCost+o.cost, code+o.delivered*r.delivered[j])
 			}
 			return

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"matopt/internal/format"
-	"matopt/internal/trans"
 )
 
 // GreedyAnnotate builds a type-correct annotation from a per-vertex
@@ -20,71 +19,35 @@ import (
 func GreedyAnnotate(g *Graph, env *Env, want map[int]format.Format) (*Annotation, error) {
 	start := time.Now()
 	cache := make(transCache)
-	ann := newAnnotation(g)
+	ann := NewAnnotation(g)
 	for _, v := range g.Vertices {
 		if v.IsSource {
-			ann.VertexFormat[v.ID] = v.SrcFormat
 			continue
 		}
-		type choice struct {
-			cost     float64
-			im       int
-			outF     format.Format
-			trs      []*trans.Transform
-			trCosts  []float64
-			implCost float64
-		}
-		var best *choice
-		pouts := make([]format.Format, len(v.Ins))
-		trs := make([]*trans.Transform, len(v.Ins))
-		trCosts := make([]float64, len(v.Ins))
+		var best *Decision
+		var bestCost float64
 		target, constrained := want[v.ID]
-		var args func(j int, trCost float64)
-		args = func(j int, trCost float64) {
-			if j == len(v.Ins) {
-				for ii, im := range env.Impls[v.Op.Kind] {
-					outF, implCost, ok := env.applyImpl(v, im, pouts)
-					if !ok {
-						continue
-					}
-					if constrained && outF != target {
-						continue
-					}
-					total := trCost + implCost
-					if best == nil || total < best.cost {
-						best = &choice{
-							cost:     total,
-							im:       ii,
-							outF:     outF,
-							trs:      append([]*trans.Transform(nil), trs...),
-							trCosts:  append([]float64(nil), trCosts...),
-							implCost: implCost,
-						}
-					}
+		pinOf := func(in *Vertex) format.Format { return ann.VertexFormat[in.ID] }
+		env.eachDelivery(cache, v, pinOf, func(pouts []format.Format, edges []EdgeChoice, trCost float64) {
+			for _, im := range env.Impls[v.Op.Kind] {
+				outF, implCost, ok := env.applyImpl(v, im, pouts)
+				if !ok {
+					continue
 				}
-				return
+				if constrained && outF != target {
+					continue
+				}
+				if total := trCost + implCost; best == nil || total < bestCost {
+					bestCost = total
+					best = &Decision{Impl: im, Format: outF, Cost: implCost, Edges: append([]EdgeChoice(nil), edges...)}
+				}
 			}
-			in := v.Ins[j]
-			for _, to := range env.transOptions(cache, in, ann.VertexFormat[in.ID]) {
-				pouts[j] = to.pout
-				trs[j] = to.tr
-				trCosts[j] = to.cost
-				args(j+1, trCost+to.cost)
-			}
-		}
-		args(0, 0)
+		})
 		if best == nil {
 			return nil, fmt.Errorf("%w: vertex %d (%v) has no feasible plan for target %v",
 				ErrInfeasible, v.ID, v.Op, formatOrAny(target, constrained))
 		}
-		ann.VertexImpl[v.ID] = env.Impls[v.Op.Kind][best.im]
-		ann.VertexFormat[v.ID] = best.outF
-		ann.VertexCost[v.ID] = best.implCost
-		for j := range v.Ins {
-			ek := EdgeKey{To: v.ID, Arg: j}
-			ann.EdgeTrans[ek] = best.trs[j]
-			ann.EdgeCost[ek] = best.trCosts[j]
-		}
+		ann.Decide(v, *best)
 	}
 	ann.OptSeconds = time.Since(start).Seconds()
 	return ann, nil

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"matopt/internal/format"
-	"matopt/internal/impl"
-	"matopt/internal/trans"
 )
 
 // ErrInfeasible is returned when no type-correct annotation exists within
@@ -21,10 +19,8 @@ var ErrNotTree = errors.New("core: graph is not tree-shaped; use Frontier")
 // reconstruct the optimal annotation.
 type treeEntry struct {
 	cost float64
-	im   *impl.Impl
-	// Per argument: the child's table format and the edge transformation.
-	pins []format.Format
-	trs  []*trans.Transform
+	Decision
+	pins []format.Format // per argument: the child's table format
 }
 
 // childChoice is the cheapest way to obtain format pout from a child:
@@ -32,7 +28,7 @@ type treeEntry struct {
 type childChoice struct {
 	cost float64
 	pin  format.Format
-	tr   *trans.Transform
+	edge EdgeChoice
 }
 
 // TreeDP runs the tree dynamic program with a fresh uncancellable
@@ -81,7 +77,7 @@ func (s *Session) TreeDP(g *Graph) (ann *Annotation, err error) {
 				for _, to := range env.transOptions(cache, in, pin) {
 					cand := e.cost + to.cost
 					if cur, ok := best[j][to.pout]; !ok || cand < cur.cost {
-						best[j][to.pout] = childChoice{cost: cand, pin: pin, tr: to.tr}
+						best[j][to.pout] = childChoice{cost: cand, pin: pin, edge: EdgeChoice{Trans: to.tr, Cost: to.cost}}
 					}
 				}
 			}
@@ -108,12 +104,13 @@ func (s *Session) TreeDP(g *Graph) (ann *Annotation, err error) {
 				}
 				if cur, ok := table[outF]; !ok || total < cur.cost {
 					pins := make([]format.Format, len(pouts))
-					trs := make([]*trans.Transform, len(pouts))
+					edges := make([]EdgeChoice, len(pouts))
 					for j, p := range pouts {
 						pins[j] = best[j][p].pin
-						trs[j] = best[j][p].tr
+						edges[j] = best[j][p].edge
 					}
-					table[outF] = &treeEntry{cost: total, im: im, pins: pins, trs: trs}
+					table[outF] = &treeEntry{cost: total, pins: pins,
+						Decision: Decision{Impl: im, Format: outF, Cost: implCost, Edges: edges}}
 				}
 			})
 		}
@@ -123,7 +120,7 @@ func (s *Session) TreeDP(g *Graph) (ann *Annotation, err error) {
 		tables[v.ID] = table
 	}
 
-	ann = newAnnotation(g)
+	ann = NewAnnotation(g)
 	for _, sink := range g.Sinks() {
 		var bestF format.Format
 		bestCost := -1.0
@@ -135,7 +132,7 @@ func (s *Session) TreeDP(g *Graph) (ann *Annotation, err error) {
 		if bestCost < 0 {
 			return nil, ErrInfeasible
 		}
-		if err := backtrackTree(g, env, tables, sink, bestF, ann); err != nil {
+		if err := backtrackTree(tables, sink, bestF, ann); err != nil {
 			return nil, err
 		}
 	}
@@ -156,10 +153,8 @@ func enumerateCombos(best []map[format.Format]childChoice, j int, pouts []format
 }
 
 // backtrackTree labels the annotation along the optimal sub-plan that
-// leaves vertex v in format f. A recorded choice that no longer applies
-// is an optimizer bug and surfaces as ErrInternal.
-func backtrackTree(g *Graph, env *Env, tables []map[format.Format]*treeEntry, v *Vertex, f format.Format, ann *Annotation) error {
-	ann.VertexFormat[v.ID] = f
+// leaves vertex v in format f.
+func backtrackTree(tables []map[format.Format]*treeEntry, v *Vertex, f format.Format, ann *Annotation) error {
 	if v.IsSource {
 		return nil
 	}
@@ -167,26 +162,9 @@ func backtrackTree(g *Graph, env *Env, tables []map[format.Format]*treeEntry, v 
 	if e == nil {
 		return internalf("backtracking reached vertex %d with unrecorded format %v", v.ID, f)
 	}
-	ann.VertexImpl[v.ID] = e.im
-	// Re-derive the impl cost for the cost breakdown.
-	pouts := make([]format.Format, len(v.Ins))
+	ann.Decide(v, e.Decision)
 	for j, in := range v.Ins {
-		tout, ok := e.trs[j].Apply(in.Shape, in.Density, e.pins[j], env.Cluster)
-		if !ok {
-			return internalf("recorded transformation %s became infeasible during backtracking at vertex %d", e.trs[j].Name, v.ID)
-		}
-		pouts[j] = tout.Format
-		ek := EdgeKey{To: v.ID, Arg: j}
-		ann.EdgeTrans[ek] = e.trs[j]
-		ann.EdgeCost[ek] = e.trs[j].Cost(env.Model, tout)
-	}
-	_, implCost, ok := env.applyImpl(v, e.im, pouts)
-	if !ok {
-		return internalf("recorded implementation %s became infeasible during backtracking at vertex %d", e.im.Name, v.ID)
-	}
-	ann.VertexCost[v.ID] = implCost
-	for j, in := range v.Ins {
-		if err := backtrackTree(g, env, tables, in, e.pins[j], ann); err != nil {
+		if err := backtrackTree(tables, in, e.pins[j], ann); err != nil {
 			return err
 		}
 	}

@@ -9,8 +9,6 @@ package format
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"matopt/internal/shape"
 )
@@ -209,63 +207,4 @@ func (f Format) Valid(s shape.Shape, density float64, maxTupleBytes int64) bool 
 		}
 	}
 	return f.MaxTupleBytes(s, density) <= maxTupleBytes
-}
-
-// Parse is the inverse of String: it reconstructs a format from its
-// textual form (e.g. "tile[1000]", "csr-single"), as used by plan
-// serialization.
-func Parse(s string) (Format, error) {
-	var kindStr string
-	var block int64
-	if i := strings.IndexByte(s, '['); i >= 0 {
-		if !strings.HasSuffix(s, "]") {
-			return Format{}, fmt.Errorf("format: malformed %q", s)
-		}
-		kindStr = s[:i]
-		v, err := strconv.ParseInt(s[i+1:len(s)-1], 10, 64)
-		if err != nil || v <= 0 {
-			return Format{}, fmt.Errorf("format: malformed block in %q", s)
-		}
-		block = v
-	} else {
-		kindStr = s
-	}
-	switch kindStr {
-	case "single":
-		if block != 0 {
-			return Format{}, fmt.Errorf("format: %q takes no block", s)
-		}
-		return NewSingle(), nil
-	case "coo":
-		if block != 0 {
-			return Format{}, fmt.Errorf("format: %q takes no block", s)
-		}
-		return NewCOO(), nil
-	case "csr-single":
-		if block != 0 {
-			return Format{}, fmt.Errorf("format: %q takes no block", s)
-		}
-		return NewCSRSingle(), nil
-	case "tile":
-		if block == 0 {
-			return Format{}, fmt.Errorf("format: %q needs a block", s)
-		}
-		return NewTile(block), nil
-	case "rowstrip":
-		if block == 0 {
-			return Format{}, fmt.Errorf("format: %q needs a block", s)
-		}
-		return NewRowStrip(block), nil
-	case "colstrip":
-		if block == 0 {
-			return Format{}, fmt.Errorf("format: %q needs a block", s)
-		}
-		return NewColStrip(block), nil
-	case "csr-rowstrip":
-		if block == 0 {
-			return Format{}, fmt.Errorf("format: %q needs a block", s)
-		}
-		return NewCSRRowStrip(block), nil
-	}
-	return Format{}, fmt.Errorf("format: unknown kind in %q", s)
 }

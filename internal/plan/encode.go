@@ -5,26 +5,32 @@ import (
 	"fmt"
 
 	"matopt/internal/core"
+	"matopt/internal/impl"
+	"matopt/internal/trans"
 )
 
-// encodeVersion is the physical-plan wire format version. Version 2
-// added the per-node checkpoint mark; version-1 payloads (no checkpoint
-// fields) are still accepted, with the marks re-derived by re-lowering.
+// encodeVersion is the version of the plan document Encode writes.
+// Version 3 is the node listing alone. Versions 1 and 2 repeated the
+// listing's decisions in a nested "annotation" member (2 added the
+// per-node checkpoint mark); both still decode, through legacyDecisions.
 const (
-	encodeVersion    = 2
+	encodeVersion    = 3
 	minEncodeVersion = 1
 )
 
-// planDTO is the serialized physical plan: the annotation in
-// core.EncodePlan's format (the authoritative decisions, from which the
-// plan is re-lowered on load), a fingerprint binding it to one
-// (graph, environment) pair, and the node listing for cross-checking
-// and for human inspection of the dump.
+// planDTO is the serialized physical plan: a fingerprint binding it to
+// one (graph, environment) pair, and the node listing. The listing is
+// the decision set — a compute node names its vertex's implementation, a
+// relayout node the transformation of input edge (vertex, arg), an edge
+// with no relayout node is the identity — and everything else in it is
+// derived from those by Lower, written out for the reader of a dump and
+// so that Decode can tell an edited payload from a lowered one.
 type planDTO struct {
-	Version     int             `json:"version"`
-	Fingerprint string          `json:"fingerprint"`
-	Annotation  json.RawMessage `json:"annotation"`
-	Nodes       []nodeDTO       `json:"nodes"`
+	Version     int    `json:"version"`
+	Fingerprint string `json:"fingerprint"`
+	// Annotation is read from version 1 and 2 payloads only.
+	Annotation json.RawMessage `json:"annotation,omitempty"`
+	Nodes      []nodeDTO       `json:"nodes"`
 }
 
 // nodeDTO is one serialized physical operator.
@@ -43,23 +49,16 @@ type nodeDTO struct {
 	Checkpoint bool `json:"checkpoint,omitempty"`
 }
 
-// Encode serializes a lowered plan. The payload embeds core.EncodePlan's
-// annotation encoding plus the fingerprint of (graph, env), so Decode
-// can refuse to replay the plan against a different computation or
-// cluster. The node listing is included for inspection and integrity
-// checking; Decode re-lowers from the annotation and cross-checks it.
+// Encode serializes a lowered plan: its node listing under the
+// fingerprint of (graph, env), so Decode can refuse to replay it against
+// a different computation or cluster.
 func Encode(p *Plan, env *core.Env) ([]byte, error) {
-	if p == nil || p.Ann == nil {
-		return nil, fmt.Errorf("plan: cannot encode a plan without its annotation")
-	}
-	ann, err := core.EncodePlan(p.Ann)
-	if err != nil {
-		return nil, err
+	if p == nil || p.Graph == nil {
+		return nil, fmt.Errorf("plan: cannot encode a plan without its graph")
 	}
 	dto := planDTO{
 		Version:     encodeVersion,
 		Fingerprint: core.Fingerprint(p.Graph, env),
-		Annotation:  ann,
 		Nodes:       make([]nodeDTO, len(p.Nodes)),
 	}
 	for i, n := range p.Nodes {
@@ -77,52 +76,171 @@ func Encode(p *Plan, env *core.Env) ([]byte, error) {
 }
 
 // Decode reconstructs a physical plan for graph g under env from Encode
-// output: it verifies the fingerprint, decodes the embedded annotation
-// via core.DecodePlan (which re-derives and re-verifies every format
-// decision), re-lowers it, and cross-checks the result against the
-// serialized node listing. A payload lowered for a different graph or
-// environment, or with a tampered node listing, is rejected with
-// ErrInvalidPlan.
+// output. It verifies the fingerprint, reads the decisions out of the
+// node listing, lowers them — Lower is the only place a format, cost or
+// feature is derived — and requires the listing to be the one that
+// lowering produces, every implementation's output format to lie in
+// env.Formats, and the completed annotation to pass Verify. A payload
+// made for a different graph or environment, naming an unknown or
+// infeasible operator, or edited since it was lowered is rejected with
+// an error wrapping ErrInvalidPlan.
 func Decode(g *core.Graph, env *core.Env, data []byte) (*Plan, error) {
 	var dto planDTO
 	if err := json.Unmarshal(data, &dto); err != nil {
 		return nil, fmt.Errorf("plan: decoding: %w", err)
 	}
 	if dto.Version < minEncodeVersion || dto.Version > encodeVersion {
-		return nil, fmt.Errorf("%w: unsupported plan version %d", ErrInvalidPlan, dto.Version)
+		return nil, bad("unsupported plan version %d", dto.Version)
 	}
 	if fp := core.Fingerprint(g, env); dto.Fingerprint != fp {
-		return nil, fmt.Errorf("%w: plan was lowered for a different computation or environment", ErrInvalidPlan)
+		return nil, bad("plan was lowered for a different computation or environment")
 	}
-	ann, err := core.DecodePlan(g, env, dto.Annotation)
+	decisions := dto.Nodes
+	if dto.Version < 3 {
+		var err error
+		if decisions, err = legacyDecisions(dto.Annotation); err != nil {
+			return nil, err
+		}
+	}
+	ann, err := readDecisions(g, decisions)
 	if err != nil {
 		return nil, err
 	}
 	p, err := Lower(g, env, ann)
 	if err != nil {
-		return nil, err
+		return nil, bad("%v", err)
 	}
 	if len(p.Nodes) != len(dto.Nodes) {
-		return nil, fmt.Errorf("%w: payload lists %d nodes, lowering produced %d",
-			ErrInvalidPlan, len(dto.Nodes), len(p.Nodes))
+		return nil, bad("payload lists %d nodes, lowering produced %d", len(dto.Nodes), len(p.Nodes))
 	}
 	for i, n := range p.Nodes {
 		d := dto.Nodes[i]
 		if d.ID != n.ID || d.Kind != n.Kind.String() || d.Vertex != n.Vertex ||
 			d.Arg != n.Arg || d.Name != n.Name {
-			return nil, fmt.Errorf("%w: node %d in the payload (%s %q on vertex %d) does not match the lowered plan",
-				ErrInvalidPlan, i, d.Kind, d.Name, d.Vertex)
+			return nil, bad("node %d in the payload (%s %q on vertex %d) does not match the lowered plan",
+				i, d.Kind, d.Name, d.Vertex)
 		}
 		if n.Kind != KindFree && d.Format != n.OutFormat.String() {
-			return nil, fmt.Errorf("%w: node %d format %q does not match lowered %v",
-				ErrInvalidPlan, i, d.Format, n.OutFormat)
+			return nil, bad("node %d format %q does not match lowered %v", i, d.Format, n.OutFormat)
 		}
 		// v1 payloads predate the checkpoint mark; cross-check it only
 		// when the payload's version carries one.
 		if dto.Version >= 2 && d.Checkpoint != n.Checkpoint {
-			return nil, fmt.Errorf("%w: node %d checkpoint mark %v does not match lowered %v",
-				ErrInvalidPlan, i, d.Checkpoint, n.Checkpoint)
+			return nil, bad("node %d checkpoint mark %v does not match lowered %v", i, d.Checkpoint, n.Checkpoint)
 		}
 	}
+	// Complete the annotation from the lowered nodes.
+	for _, v := range g.Vertices {
+		if v.IsSource {
+			continue
+		}
+		n := p.Nodes[p.NodeOfVertex[v.ID]]
+		if !env.HasFormat(n.OutFormat) {
+			return nil, bad("vertex %d: %s produces %v, outside the environment's formats", v.ID, n.Name, n.OutFormat)
+		}
+		edges := make([]core.EdgeChoice, len(v.Ins))
+		for j, in := range n.Inputs {
+			edges[j].Trans = ann.EdgeTrans[core.EdgeKey{To: v.ID, Arg: j}]
+			if r := p.Nodes[in]; r.Kind == KindRelayout {
+				edges[j].Cost = r.Cost
+			}
+		}
+		ann.Decide(v, core.Decision{Impl: ann.VertexImpl[v.ID], Format: n.OutFormat, Cost: n.Cost, Edges: edges})
+	}
+	if dto.Version < 3 { // the nested member stated every vertex's format too
+		for _, d := range decisions {
+			f, ok := ann.VertexFormat[d.Vertex]
+			if d.Kind != KindRelayout.String() && (!ok || d.Format != f.String()) {
+				return nil, bad("payload states format %q for vertex %d, derived %v", d.Format, d.Vertex, f)
+			}
+		}
+	}
+	if err := ann.Verify(env); err != nil {
+		return nil, bad("%v", err)
+	}
 	return p, nil
+}
+
+// readDecisions reads the decision set out of a node listing into an
+// annotation holding implementations and transformations only: exactly
+// one compute node per non-source vertex, at most one relayout node per
+// input edge, every name a registered operator. Scan and free nodes
+// decide nothing; Decode's comparison with the lowered listing covers
+// them.
+func readDecisions(g *core.Graph, nodes []nodeDTO) (*core.Annotation, error) {
+	ann := core.NewAnnotation(g)
+	for _, d := range nodes {
+		compute, relayout := d.Kind == KindCompute.String(), d.Kind == KindRelayout.String()
+		if !compute && !relayout {
+			continue
+		}
+		if d.Vertex < 0 || d.Vertex >= len(g.Vertices) || g.Vertices[d.Vertex].IsSource {
+			return nil, bad("%s %q is on vertex %d, which is not a computation of the graph", d.Kind, d.Name, d.Vertex)
+		}
+		if compute {
+			if ann.VertexImpl[d.Vertex] != nil {
+				return nil, bad("vertex %d has a second compute node, %q", d.Vertex, d.Name)
+			}
+			if ann.VertexImpl[d.Vertex] = impl.ByName(d.Name); ann.VertexImpl[d.Vertex] == nil {
+				return nil, bad("vertex %d names unknown implementation %q", d.Vertex, d.Name)
+			}
+			continue
+		}
+		ek := core.EdgeKey{To: d.Vertex, Arg: d.Arg}
+		if d.Arg < 0 || d.Arg >= len(g.Vertices[d.Vertex].Ins) {
+			return nil, bad("re-layout %q is on argument %d of vertex %d, which has no such argument", d.Name, d.Arg, d.Vertex)
+		}
+		if ann.EdgeTrans[ek] != nil {
+			return nil, bad("argument %d of vertex %d has a second re-layout node, %q", d.Arg, d.Vertex, d.Name)
+		}
+		if ann.EdgeTrans[ek] = trans.ByName(d.Name); ann.EdgeTrans[ek] == nil {
+			return nil, bad("argument %d of vertex %d names unknown transformation %q", d.Arg, d.Vertex, d.Name)
+		}
+	}
+	for _, v := range g.Vertices {
+		if !v.IsSource && ann.VertexImpl[v.ID] == nil {
+			return nil, bad("vertex %d has no compute node", v.ID)
+		}
+		for j := range v.Ins {
+			if ek := (core.EdgeKey{To: v.ID, Arg: j}); ann.EdgeTrans[ek] == nil {
+				ann.EdgeTrans[ek] = trans.IdentityTransform
+			}
+		}
+	}
+	return ann, nil
+}
+
+// legacyDecisions is the adapter for versions 1 and 2, whose decisions
+// Decode took from a nested member — {"vertices": [{id, impl, format}],
+// "edges": [{to, arg, transform}]} — and not from the listing beside it.
+// It restates that member as listing nodes, so that it is read, lowered
+// and compared with the listing the way a version 3 payload is.
+func legacyDecisions(blob json.RawMessage) ([]nodeDTO, error) {
+	var a struct { // encoding/json matches member names to fields whatever their case
+		Vertices []struct {
+			ID           int
+			Impl, Format string
+		}
+		Edges []struct {
+			To, Arg   int
+			Transform string
+		}
+	}
+	if err := json.Unmarshal(blob, &a); err != nil {
+		return nil, bad("nested annotation: %v", err)
+	}
+	var nodes []nodeDTO
+	for _, v := range a.Vertices {
+		kind := KindCompute
+		if v.Impl == "" {
+			kind = KindScan
+		}
+		nodes = append(nodes, nodeDTO{Kind: kind.String(), Vertex: v.ID, Name: v.Impl, Format: v.Format})
+	}
+	for _, e := range a.Edges {
+		if e.Transform != trans.IdentityTransform.Name {
+			nodes = append(nodes, nodeDTO{Kind: KindRelayout.String(), Vertex: e.To, Arg: e.Arg, Name: e.Transform})
+		}
+	}
+	return nodes, nil
 }

@@ -2,7 +2,7 @@ package plan
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"matopt/internal/core"
 	"matopt/internal/costmodel"
@@ -149,7 +149,6 @@ func Lower(g *core.Graph, env *core.Env, ann *core.Annotation, keep ...int) (*Pl
 			p.Retained = append(p.Retained, id)
 		}
 	}
-	sort.Ints(p.Retained)
 	annotateRecovery(p, env, retain)
 	return p, nil
 }
@@ -174,26 +173,32 @@ func annotateRecovery(p *Plan, env *core.Env, retain []bool) {
 			ownCost[n.Vertex] += n.Cost
 		}
 	}
-	// cone[v]: ancestor vertex set including v, in graph (topological)
-	// vertex order, so every dependency's cone is ready when needed.
-	cone := make([]map[int]bool, nv)
+	// A vertex's cone is its ancestor set including itself, one bit per
+	// vertex ID, built in graph (topological) vertex order, so every
+	// dependency's cone is ready when needed. A cone's costs are summed
+	// in ascending vertex ID: RecomputeSeconds must be the same bits in
+	// every lowering, since pins are ordered and marks thresholded on it.
+	words := (nv + 63) / 64
+	cones := make([]uint64, nv*words)
 	for _, v := range p.Graph.Vertices {
-		c := map[int]bool{v.ID: true}
+		c := cones[v.ID*words : (v.ID+1)*words]
+		c[v.ID/64] |= 1 << (v.ID % 64)
 		depth := 0
 		for _, in := range v.Ins {
-			for u := range cone[in.ID] {
-				c[u] = true
+			for w, x := range cones[in.ID*words : (in.ID+1)*words] {
+				c[w] |= x
 			}
 			d := p.Nodes[p.NodeOfVertex[in.ID]].Depth + 1
 			if d > depth {
 				depth = d
 			}
 		}
-		cone[v.ID] = c
 		n := p.Nodes[p.NodeOfVertex[v.ID]]
 		n.Depth = depth
-		for u := range c {
-			n.RecomputeSeconds += ownCost[u]
+		for w, x := range c {
+			for ; x != 0; x &= x - 1 {
+				n.RecomputeSeconds += ownCost[w*64+bits.TrailingZeros64(x)]
+			}
 		}
 		n.MaterializeSeconds = costmodel.MaterializeSeconds(env.Cluster, float64(n.OutBytes()))
 		if n.Kind == KindCompute && !retain[v.ID] &&
@@ -202,5 +207,4 @@ func annotateRecovery(p *Plan, env *core.Env, retain []bool) {
 			p.Checkpoints = append(p.Checkpoints, v.ID)
 		}
 	}
-	sort.Ints(p.Checkpoints)
 }

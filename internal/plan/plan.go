@@ -141,8 +141,8 @@ func (n *Node) OutBytes() int64 {
 type Plan struct {
 	// Graph is the logical computation the plan was lowered from.
 	Graph *core.Graph
-	// Ann is the optimizer annotation the plan was lowered from; kept so
-	// the plan can be serialized via core.EncodePlan and re-lowered.
+	// Ann is the annotation the plan was lowered from: the search's, or
+	// the one Decode completed from a payload's decisions.
 	Ann *core.Annotation
 	// Nodes holds every physical operator in execution order.
 	Nodes []*Node

@@ -150,7 +150,7 @@ func TestEncodeDecodeRejectsTampering(t *testing.T) {
 	// Tampering with the node listing after serialization.
 	expectInvalid("tampered operator name", bytes.Replace(data, []byte(`"name": "load"`), []byte(`"name": "leak"`), 1), g, env)
 	// An unknown wire version.
-	expectInvalid("unknown version", bytes.Replace(data, []byte(`"version": 2`), []byte(`"version": 99`), 1), g, env)
+	expectInvalid("unknown version", bytes.Replace(data, []byte(`"version": 3`), []byte(`"version": 99`), 1), g, env)
 }
 
 // TestLowerMatchesAnnotationCost pins the invariant Simulate has always

@@ -15,6 +15,12 @@ import (
 // hand-edited serialized plan is rejected before any data moves.
 var ErrInvalidPlan = errors.New("plan: invalid physical plan")
 
+// bad returns an error wrapping ErrInvalidPlan: what Validate and Decode
+// refuse a plan with.
+func bad(f string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrInvalidPlan, fmt.Sprintf(f, args...))
+}
+
 // Validate checks the structural and format soundness of the plan
 // without touching data or the cost model: nodes are topologically
 // ordered, every input reference points at an earlier live value, every
@@ -24,10 +30,7 @@ var ErrInvalidPlan = errors.New("plan: invalid physical plan")
 // or an error wrapping ErrInvalidPlan.
 func (p *Plan) Validate() error {
 	if p == nil || p.Graph == nil {
-		return fmt.Errorf("%w: nil plan or graph", ErrInvalidPlan)
-	}
-	bad := func(f string, args ...any) error {
-		return fmt.Errorf("%w: %s", ErrInvalidPlan, fmt.Sprintf(f, args...))
+		return bad("nil plan or graph")
 	}
 	retained := make(map[int]bool, len(p.Retained))
 	for _, id := range p.Retained {

@@ -281,11 +281,12 @@ func (o *Optimizer) search(ctx context.Context, g *core.Graph, span *Span) (*pla
 // DecodePlan reconstructs a Plan for the builder's computation from a
 // serialized physical plan (plan.Encode output: the CLI's -plan-out
 // file, the /plan response). No search runs: the payload's fingerprint
-// is checked against this optimizer's environment, its annotation is
-// re-verified and re-lowered, and the node listing cross-checked, so a
-// payload made for another computation or cluster, or edited since, is
-// refused with an error wrapping plan.ErrInvalidPlan. The result runs,
-// simulates and explains like any optimized Plan.
+// is checked against this optimizer's environment, the decisions its
+// node listing states are lowered and verified, and the listing compared
+// with the lowered one, so a payload made for another computation or
+// cluster, or edited since, is refused with an error wrapping
+// plan.ErrInvalidPlan. The result runs, simulates and explains like any
+// optimized Plan.
 func (o *Optimizer) DecodePlan(b *Builder, data []byte) (*Plan, error) {
 	if b.err != nil {
 		return nil, b.err
