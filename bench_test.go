@@ -260,18 +260,35 @@ func BenchmarkGEMM(b *testing.B) {
 	}
 }
 
-// BenchmarkCSRMulDense times the CSR×dense product at the shape of the
-// chain plan's mm-bcast-csr-rowstrip-agg vertex: a fully dense 250×1250
-// strip held as CSR times a 1250×1250 dense matrix.
+// BenchmarkCSRMulDense times the CSR×dense product: first at the shape
+// of the chain plan's mm-bcast-csr-rowstrip-agg vertex (a fully dense
+// 250×1250 strip held as CSR times a 1250×1250 dense matrix), then on
+// operands that are sparse in earnest and on narrow right-hand sides,
+// where blocking has the least to give and the most to cost.
 func BenchmarkCSRMulDense(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := sparse.FromDense(tensor.RandNormal(rng, 250, 1250))
-	y := tensor.RandNormal(rng, 1250, 1250)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = a.MulDense(y)
+	for _, s := range []struct {
+		name    string
+		n, k, m int
+		density float64
+	}{
+		{"chain", 250, 1250, 1250, 1},
+		{"1000x2000x500@0.01", 1000, 2000, 500, 0.01},
+		{"1000x2000x500@0.1", 1000, 2000, 500, 0.1},
+		{"2000x5000x64@0.002", 2000, 5000, 64, 0.002},
+		{"1000x1000x1@0.05", 1000, 1000, 1, 0.05},
+		{"1000x1000x10@0.05", 1000, 1000, 10, 0.05},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			a := sparse.FromDense(tensor.RandSparse(rng, s.n, s.k, s.density))
+			y := tensor.RandNormal(rng, s.k, s.m)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = a.MulDense(y)
+			}
+			b.ReportMetric(2*float64(a.NNZ())*float64(s.m)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
-	b.ReportMetric(2*250*1250*1250*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
 // benchSink keeps the kernel benchmarks' results live.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 
 	"matopt/internal/format"
 	"matopt/internal/op"
@@ -457,25 +458,28 @@ func mmCSRSingleSingle(m Mover, n *plan.Node, ins []*Relation) (*Relation, error
 }
 
 // csrColSlice extracts columns [c0, c1) of a CSR matrix, renumbering
-// column indices to the slice.
+// column indices to the slice. Columns ascend within a row, so a row's
+// share of the slice is the run between two binary searches; the runs
+// are located first and copied into arrays of exactly their total size.
 func csrColSlice(m *sparse.CSR, c0, c1 int) *sparse.CSR {
 	rowPtr := make([]int, m.Rows+1)
-	var colIdx []int
-	var val []float64
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			if c := m.ColIdx[k]; c >= c0 && c < c1 {
-				colIdx = append(colIdx, c-c0)
-				val = append(val, m.Val[k])
-			}
+	from := make([]int, m.Rows) // where each row's run starts in m
+	for i := range from {
+		row := m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]]
+		lo := sort.SearchInts(row, c0)
+		from[i] = m.RowPtr[i] + lo
+		rowPtr[i+1] = rowPtr[i] + sort.SearchInts(row[lo:], c1)
+	}
+	colIdx := make([]int, rowPtr[m.Rows])
+	val := make([]float64, rowPtr[m.Rows])
+	for i, p := range from {
+		q := p + rowPtr[i+1] - rowPtr[i]
+		copy(val[rowPtr[i]:], m.Val[p:q])
+		for k, c := range m.ColIdx[p:q] {
+			colIdx[rowPtr[i]+k] = c - c0
 		}
-		rowPtr[i+1] = len(val)
 	}
-	out, err := sparse.NewCSR(m.Rows, c1-c0, rowPtr, colIdx, val)
-	if err != nil {
-		panic(err) // slice of a valid CSR is valid
-	}
-	return out
+	return &sparse.CSR{Rows: m.Rows, Cols: c1 - c0, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
 }
 
 func mmBcastCSRRowStripAgg(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"matopt/internal/costmodel"
@@ -9,6 +10,7 @@ import (
 	"matopt/internal/impl"
 	"matopt/internal/op"
 	"matopt/internal/shape"
+	"matopt/internal/sparse"
 	"matopt/internal/tensor"
 )
 
@@ -179,5 +181,25 @@ func TestStatsAccounting(t *testing.T) {
 	e.ResetStats()
 	if e.Stats() != (Stats{}) {
 		t.Error("ResetStats left residue")
+	}
+}
+
+// TestCSRColSliceIsTheDenseSlice: a column slice of a CSR matrix is the
+// CSR of the dense matrix's column slice — empty rows, rows with nothing
+// inside the slice and slices at either edge included.
+func TestCSRColSliceIsTheDenseSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, density := range []float64{0.02, 0.3, 1} {
+		d := tensor.RandSparse(rng, 17, 40, density)
+		for j := 0; j < d.Cols; j++ {
+			d.Set(4, j, 0)
+		}
+		m := sparse.FromDense(d)
+		for _, c := range [][2]int{{0, 40}, {0, 1}, {39, 40}, {7, 23}, {16, 17}} {
+			got, want := csrColSlice(m, c[0], c[1]), sparse.FromDense(d.Slice(0, d.Rows, c[0], c[1]))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("density %g columns [%d,%d): got %+v, want %+v", density, c[0], c[1], got, want)
+			}
+		}
 	}
 }

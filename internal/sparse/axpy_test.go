@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -39,23 +40,48 @@ func transposeMulDenseRef(m *CSR, b *tensor.Dense) *tensor.Dense {
 }
 
 // TestCSRDenseProductsMatchScalarLoops: widths on both sides of the
-// vector length and its unrolling, empty rows, and a fully dense CSR —
-// every output bit equals the scalar loop's, at every thread budget.
+// vector length, the 32-column strip and the column block (256 columns
+// for a dense operand, 192 at density 0.4, the whole width for a sparse
+// one), inner dimensions on both sides of the smallest b-row block,
+// operands from nearly empty to fully dense, empty rows and explicitly
+// stored zeros of both signs — every output bit equals the scalar
+// loop's, at every thread budget.
 func TestCSRDenseProductsMatchScalarLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	for _, width := range []int{1, 3, 4, 5, 15, 16, 17, 67, 130} {
-		for _, density := range []float64{0.05, 0.4, 1} {
-			a := FromDense(tensor.RandSparse(rng, 41, 53, density))
-			b := tensor.RandNormal(rng, 53, width)
-			want := mulDenseRef(a, b)
-			for _, threads := range []int{1, 2, 8} {
-				if got := a.MulDenseK(tensor.K{Threads: threads}, b); !bitsEqualDense(got, want) {
-					t.Fatalf("width %d density %g threads %d: MulDenseK differs from the scalar loop", width, density, threads)
+	for _, width := range []int{1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 36, 67, 130, 191, 192, 193, 255, 256, 257, 300, 1250} {
+		for _, inner := range []int{15, 16, 17, 53, 300} {
+			for _, density := range []float64{0.002, 0.05, 0.4, 1} {
+				d := tensor.RandSparse(rng, 41, inner, density)
+				for _, empty := range []int{0, 20} {
+					for j := 0; j < inner; j++ {
+						d.Set(empty, j, 0)
+					}
 				}
-			}
-			bt := tensor.RandNormal(rng, 41, width)
-			if got, want := a.TransposeMulDense(bt), transposeMulDenseRef(a, bt); !bitsEqualDense(got, want) {
-				t.Fatalf("width %d density %g: TransposeMulDense differs from the scalar loop", width, density)
+				a := FromDense(d)
+				for k := range a.Val {
+					switch rng.Intn(8) {
+					case 0:
+						a.Val[k] = 0
+					case 1:
+						a.Val[k] = math.Copysign(0, -1)
+					}
+				}
+				a, err := NewCSR(a.Rows, a.Cols, a.RowPtr, a.ColIdx, a.Val)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b := tensor.RandNormal(rng, inner, width)
+				want := mulDenseRef(a, b)
+				for _, threads := range []int{1, 2, 8} {
+					if got := a.MulDenseK(tensor.K{Threads: threads}, b); !bitsEqualDense(got, want) {
+						t.Fatalf("width %d inner %d density %g threads %d: MulDenseK differs from the scalar loop",
+							width, inner, density, threads)
+					}
+				}
+				bt := tensor.RandNormal(rng, 41, width)
+				if got, want := a.TransposeMulDense(bt), transposeMulDenseRef(a, bt); !bitsEqualDense(got, want) {
+					t.Fatalf("width %d inner %d density %g: TransposeMulDense differs from the scalar loop", width, inner, density)
+				}
 			}
 		}
 	}

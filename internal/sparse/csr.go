@@ -93,8 +93,34 @@ func (m *CSR) ToCOO() *COO {
 	return out
 }
 
-// FromDense extracts the non-zeros of d into CSR form.
-func FromDense(d *tensor.Dense) *CSR { return FromCOO(FromDenseCOO(d)) }
+// FromDense extracts the non-zeros of d into CSR form: a cell is stored
+// iff it compares unequal to zero (so −0 is dropped and NaN kept), the
+// arrays FromCOO(FromDenseCOO(d)) builds. One pass counts each row's
+// non-zeros, a second fills arrays of exactly that size.
+func FromDense(d *tensor.Dense) *CSR {
+	rowPtr := make([]int, d.Rows+1)
+	for i := 0; i < d.Rows; i++ {
+		n := 0
+		for _, v := range d.Data[i*d.Cols : (i+1)*d.Cols] {
+			if v != 0 {
+				n++
+			}
+		}
+		rowPtr[i+1] = rowPtr[i] + n
+	}
+	colIdx := make([]int, rowPtr[d.Rows])
+	val := make([]float64, rowPtr[d.Rows])
+	k := 0
+	for i := 0; i < d.Rows; i++ {
+		for j, v := range d.Data[i*d.Cols : (i+1)*d.Cols] {
+			if v != 0 {
+				colIdx[k], val[k] = j, v
+				k++
+			}
+		}
+	}
+	return &CSR{Rows: d.Rows, Cols: d.Cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
+}
 
 // ToDense materializes the matrix densely.
 func (m *CSR) ToDense() *tensor.Dense {

@@ -38,6 +38,16 @@ func (m *CSR) MulDense(b *tensor.Dense) *tensor.Dense { return m.MulDenseK(tenso
 // partitioned into contiguous chunks (a CSR row is owned by exactly one
 // chunk, and its accumulation order over stored entries is unchanged),
 // so any thread count is bit-identical to serial.
+//
+// A chunk sweeps column blocks × b-row blocks × its rows, so that the
+// kb×cb tile of b its rows gather from stays in L1 while
+// tensor.GatherAxpy holds each 32-column strip of an output row in
+// registers across the row's entries in the block. Both block sizes
+// come from the operands: kb makes a (row, block) visit carry at least
+// about eight stored entries, cb keeps the tile at 32 KiB. Column indices
+// ascend within a row, so a block's entries are a contiguous run that a
+// per-row cursor walks once per column block, and every output element
+// still adds its rounded products in ascending stored-entry order.
 func (m *CSR) MulDenseK(kc tensor.K, b *tensor.Dense) *tensor.Dense {
 	if m.Cols != b.Rows {
 		shapePanic("MulDense", "inner dimensions must agree (a.Cols == b.Rows)",
@@ -45,11 +55,31 @@ func (m *CSR) MulDenseK(kc tensor.K, b *tensor.Dense) *tensor.Dense {
 	}
 	defer kernDone(kc, time.Now())
 	out := tensor.NewDense(m.Rows, b.Cols)
-	kc.Par(m.Rows, m.avgRowWork(b.Cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			orow := out.Data[i*b.Cols : (i+1)*b.Cols]
-			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-				tensor.Axpy(m.Val[k], b.Data[m.ColIdx[k]*b.Cols:(m.ColIdx[k]+1)*b.Cols], orow)
+	if m.NNZ() == 0 {
+		return out
+	}
+	w := b.Cols
+	kb := max(16, (8*m.Rows*m.Cols+m.NNZ()-1)/m.NNZ())
+	cb := min(w, max(32, (4096/kb)&^31))
+	kb = max(kb, 4096/cb) // a b narrower than cb leaves room for more of its rows
+	kc.Par(m.Rows, m.avgRowWork(w), func(lo, hi int) {
+		cur := make([]int, hi-lo) // per row: its first entry not yet multiplied in this column block
+		for j0 := 0; j0 < w; j0 += cb {
+			j1 := min(j0+cb, w)
+			copy(cur, m.RowPtr[lo:hi])
+			for k1 := kb; k1 < m.Cols+kb; k1 += kb {
+				for i := lo; i < hi; i++ {
+					p, end := cur[i-lo], m.RowPtr[i+1]
+					q := end
+					if k1 < m.Cols {
+						for q = p; q < end && m.ColIdx[q] < k1; q++ {
+						}
+					}
+					if q > p {
+						tensor.GatherAxpy(m.Val[p:q], m.ColIdx[p:q], b.Data[j0:], w, out.Data[i*w+j0:i*w+j1])
+						cur[i-lo] = q
+					}
+				}
 			}
 		}
 	})

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -57,6 +58,36 @@ func TestCSRRoundTrips(t *testing.T) {
 	}
 	if !tensor.Equal(FromCOO(m.ToCOO()).ToDense(), d, 0) {
 		t.Fatal("COO→CSR round trip mismatch")
+	}
+}
+
+// TestFromDenseMatchesCOOPath: the two-pass FromDense builds, array for
+// array, what the route through sorted triples built — at every density,
+// with an all-zero row, and with −0 (dropped: it equals zero) and NaN
+// (kept: it does not) among the cells.
+func TestFromDenseMatchesCOOPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, density := range []float64{0, 0.01, 0.4, 1} {
+		d := tensor.RandSparse(rng, 19, 37, density)
+		for j := 0; j < d.Cols; j++ {
+			d.Set(7, j, 0)
+		}
+		d.Set(3, 5, math.Copysign(0, -1))
+		d.Set(3, 6, math.NaN())
+		d.Set(18, 36, math.NaN())
+		got, want := FromDense(d), FromCOO(FromDenseCOO(d))
+		if got.Rows != want.Rows || got.Cols != want.Cols || !reflect.DeepEqual(got.RowPtr, want.RowPtr) ||
+			!reflect.DeepEqual(got.ColIdx, want.ColIdx) || len(got.Val) != len(want.Val) {
+			t.Fatalf("density %g: structure differs:\n got %v %v\nwant %v %v", density, got.RowPtr, got.ColIdx, want.RowPtr, want.ColIdx)
+		}
+		for k := range got.Val {
+			if math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
+				t.Fatalf("density %g: Val[%d] = %x, want %x", density, k, math.Float64bits(got.Val[k]), math.Float64bits(want.Val[k]))
+			}
+		}
+		if _, err := NewCSR(got.Rows, got.Cols, got.RowPtr, got.ColIdx, got.Val); err != nil {
+			t.Fatalf("density %g: %v", density, err)
+		}
 	}
 }
 

@@ -53,8 +53,11 @@ func (k K) MatMulAdd(dst, a, b *Dense) {
 // gemmRows computes dst[lo:hi) += a[lo:hi) × b. Panels of b are packed
 // contiguously (a b no wider than one panel already is one and is used
 // in place); each group of four rows sweeps the panel in 8-column
-// register tiles through gemmTile4x8, and what a tile cannot cover —
-// the w mod 8 last columns, the < 4 last rows — goes through Axpy.
+// register tiles through gemmTile4x8. The w mod 8 last columns of a
+// panel take the same tile: they are packed beside eight−(w mod 8)
+// columns of zeros, and the tile runs on a 4×8 scratch block seeded from
+// dst, of which only the valid columns are copied back. The < 4 last
+// rows go through Axpy.
 //
 // Determinism note: for every output element (i, j) the additions
 // happen in ascending k order — j panels are independent elements, and
@@ -71,6 +74,11 @@ func gemmRows(dst, a, b *Dense, lo, hi int) {
 	var bp []float64
 	if m > mmNC {
 		bp = make([]float64, min(kd, mmKC)*mmNC)
+	}
+	var scratch, edge []float64 // the 4×8 block of dst the edge tile updates, and its zero-padded kc×8 panel
+	if m%8 != 0 && tiled > lo {
+		buf := make([]float64, 32+min(kd, mmKC)*8)
+		scratch, edge = buf[:32], buf[32:]
 	}
 	for j0 := 0; j0 < m; j0 += mmNC {
 		j1 := min(j0+mmNC, m)
@@ -90,19 +98,25 @@ func gemmRows(dst, a, b *Dense, lo, hi int) {
 					gemmTile4x8(dst.Data[i*m+j0+jj:], m, a.Data[i*kd+k0:], kd, panel[jj:], w, k1-k0)
 				}
 			}
-			// What the tiles left: columns [w8, w) of the tiled rows and
-			// the whole width of the last < 4 rows.
-			for r := lo; r < hi; r++ {
-				from := 0
-				if r < tiled {
-					from = w8
+			if w8 < w && edge != nil {
+				for kk := 0; kk < k1-k0; kk++ {
+					copy(edge[kk*8:], panel[kk*w+w8:(kk+1)*w]) // columns w−w8..8 stay zero
 				}
-				if from == w {
-					continue
+				for i := lo; i < tiled; i += 4 {
+					for r := 0; r < 4; r++ {
+						copy(scratch[r*8:], dst.Data[(i+r)*m+j0+w8:(i+r)*m+j1])
+					}
+					gemmTile4x8(scratch, 8, a.Data[i*kd+k0:], kd, edge, 8, k1-k0)
+					for r := 0; r < 4; r++ {
+						copy(dst.Data[(i+r)*m+j0+w8:(i+r)*m+j1], scratch[r*8:])
+					}
 				}
+			}
+			// The < 4 last rows, at the panel's whole width.
+			for r := tiled; r < hi; r++ {
 				drow := dst.Data[r*m+j0 : r*m+j1]
 				for kk, av := range a.Data[r*kd+k0 : r*kd+k1] {
-					Axpy(av, panel[kk*w+from:(kk+1)*w], drow[from:])
+					Axpy(av, panel[kk*w:(kk+1)*w], drow)
 				}
 			}
 		}

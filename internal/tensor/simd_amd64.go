@@ -8,7 +8,7 @@ package tensor
 // bits as the portable ones, only sooner.
 func init() {
 	if cpuHasAVX2() {
-		isa, axpy, gemmTile4x8 = "avx2", axpyAVX2, gemmTile4x8AVX2
+		isa, axpy, gatherAxpy, gemmTile4x8 = "avx2", axpyAVX2, gatherAxpyAVX2, gemmTile4x8AVX2
 	}
 }
 
@@ -22,6 +22,15 @@ func cpuHasAVX2() bool
 //
 //go:noescape
 func axpyAVX2(a float64, x, y []float64)
+
+// gatherAxpyAVX2 is GatherAxpy's vector body: a 32-column strip of y is
+// held in eight YMM accumulators across all of val's entries, loaded and
+// stored once; what is left of y goes four columns, then one, at a time.
+// The caller has checked that every row idx[k] holds len(y) columns
+// inside b.
+//
+//go:noescape
+func gatherAxpyAVX2(val []float64, idx []int, b []float64, ldb int, y []float64)
 
 // gemmTile4x8AVX2 is gemmTile4x8Generic with the 4×8 block of dst held
 // in eight YMM accumulators across the whole k sweep and stored once.

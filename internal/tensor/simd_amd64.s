@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// The AVX2 bodies of the two multiply-accumulate primitives. Every
+// The AVX2 bodies of the three multiply-accumulate primitives. Every
 // product is formed by VMULPD/VMULSD and rounded, then added by
 // VADDPD/VADDSD: the binary64 multiply and add of MULSD/ADDSD under the
 // same MXCSR, one independent output element per lane. No fused
@@ -85,6 +85,129 @@ tail:
 	JMP  tail
 
 done:
+	VZEROUPPER
+	RET
+
+// func gatherAxpyAVX2(val []float64, idx []int, b []float64, ldb int, y []float64)
+//
+// Columns of y are taken 32, then 4, then 1 at a time; each strip is
+// loaded once, receives val[k]·b[idx[k]][strip] for every k ascending,
+// and is stored once. In the 32-column strip Y0..Y7 are the
+// accumulators, Y8 the broadcast of val[k], Y9..Y15 products in flight.
+// BX and DI advance with the strip, so AX = BX + idx[k]·ldb·8 is the
+// strip's first element in row idx[k].
+TEXT ·gatherAxpyAVX2(SB), NOSPLIT, $0-104
+	MOVQ val_base+0(FP), SI
+	MOVQ val_len+8(FP), R8
+	MOVQ idx_base+24(FP), DX
+	MOVQ b_base+48(FP), BX
+	MOVQ ldb+72(FP), R9
+	MOVQ y_base+80(FP), DI
+	MOVQ y_len+88(FP), CX
+	SHLQ $3, R9              // row stride in bytes
+
+strip32:
+	CMPQ CX, $32
+	JLT  strip4
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+	XORQ R10, R10
+
+entry32:
+	CMPQ R10, R8
+	JGE  store32
+	MOVQ (DX)(R10*8), AX
+	IMULQ R9, AX
+	ADDQ BX, AX
+	VBROADCASTSD (SI)(R10*8), Y8
+	VMULPD (AX), Y8, Y9
+	VMULPD 32(AX), Y8, Y10
+	VMULPD 64(AX), Y8, Y11
+	VMULPD 96(AX), Y8, Y12
+	VMULPD 128(AX), Y8, Y13
+	VMULPD 160(AX), Y8, Y14
+	VMULPD 192(AX), Y8, Y15
+	VADDPD Y9, Y0, Y0
+	VMULPD 224(AX), Y8, Y9
+	VADDPD Y10, Y1, Y1
+	VADDPD Y11, Y2, Y2
+	VADDPD Y12, Y3, Y3
+	VADDPD Y13, Y4, Y4
+	VADDPD Y14, Y5, Y5
+	VADDPD Y15, Y6, Y6
+	VADDPD Y9, Y7, Y7
+	INCQ R10
+	JMP  entry32
+
+store32:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	ADDQ $256, DI
+	ADDQ $256, BX
+	SUBQ $32, CX
+	JMP  strip32
+
+strip4:
+	CMPQ CX, $4
+	JLT  strip1
+	VMOVUPD (DI), Y0
+	XORQ R10, R10
+
+entry4:
+	CMPQ R10, R8
+	JGE  store4
+	MOVQ (DX)(R10*8), AX
+	IMULQ R9, AX
+	VBROADCASTSD (SI)(R10*8), Y8
+	VMULPD (BX)(AX*1), Y8, Y9
+	VADDPD Y9, Y0, Y0
+	INCQ R10
+	JMP  entry4
+
+store4:
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, BX
+	SUBQ $4, CX
+	JMP  strip4
+
+strip1:
+	TESTQ CX, CX
+	JZ   gathered
+	VMOVSD (DI), X0
+	XORQ R10, R10
+
+entry1:
+	CMPQ R10, R8
+	JGE  store1
+	MOVQ (DX)(R10*8), AX
+	IMULQ R9, AX
+	VMOVSD (SI)(R10*8), X8
+	VMULSD (BX)(AX*1), X8, X9
+	VADDSD X9, X0, X0
+	INCQ R10
+	JMP  entry1
+
+store1:
+	VMOVSD X0, (DI)
+	ADDQ $8, DI
+	ADDQ $8, BX
+	DECQ CX
+	JMP  strip1
+
+gathered:
 	VZEROUPPER
 	RET
 

@@ -1,6 +1,6 @@
 package tensor
 
-// The two multiply-accumulate primitives every dense and CSR×dense
+// The three multiply-accumulate primitives every dense and CSR×dense
 // product bottoms out in, and their portable bodies. simd_amd64.go
 // replaces the bodies with AVX2 ones at init when the CPU and the OS
 // allow it; everywhere else (other architectures, `-tags purego`, an
@@ -11,6 +11,7 @@ package tensor
 var (
 	isa         = "generic"
 	axpy        = axpyGeneric
+	gatherAxpy  = gatherAxpyGeneric
 	gemmTile4x8 = gemmTile4x8Generic
 )
 
@@ -32,6 +33,39 @@ func Axpy(a float64, x, y []float64) {
 func axpyGeneric(a float64, x, y []float64) {
 	for j, xv := range x {
 		y[j] += float64(a * xv)
+	}
+}
+
+// GatherAxpy computes y[j] += Σ_k val[k]·b[idx[k]·ldb+j] for every
+// j < len(y), k ascending: the rows idx[k] of a row-major b with row
+// stride ldb, scaled by val[k], accumulated into y. Each product is
+// rounded before it is added and every y[j] receives its products in
+// the order of val, so the result is that of one Axpy per entry; idx
+// may repeat and need not be sorted. It panics if idx is shorter than
+// val, if y is wider than a row of b, or if a gathered row does not lie
+// inside b.
+func GatherAxpy(val []float64, idx []int, b []float64, ldb int, y []float64) {
+	idx = idx[:len(val)]
+	if len(y) == 0 || len(val) == 0 {
+		return
+	}
+	if len(y) > ldb || len(y) > len(b) {
+		panic("tensor: GatherAxpy: y is wider than a row of b")
+	}
+	last := uint((len(b) - len(y)) / ldb) // the last row whose len(y) columns lie inside b
+	for _, r := range idx {
+		if uint(r) > last {
+			panic("tensor: GatherAxpy: row index outside b")
+		}
+	}
+	gatherAxpy(val, idx, b, ldb, y)
+}
+
+// gatherAxpyGeneric is the portable GatherAxpy body: one rounded
+// multiply-add sweep of y per entry.
+func gatherAxpyGeneric(val []float64, idx []int, b []float64, ldb int, y []float64) {
+	for k, v := range val {
+		axpyGeneric(v, b[idx[k]*ldb:][:len(y)], y)
 	}
 }
 

@@ -69,6 +69,128 @@ func TestAxpyPanicsOnShortY(t *testing.T) {
 	Axpy(1, make([]float64, 9), make([]float64, 8))
 }
 
+// gatherAxpyRef is GatherAxpy's definition, written out.
+func gatherAxpyRef(val []float64, idx []int, b []float64, ldb int, y []float64) {
+	for k, v := range val {
+		for j := range y {
+			y[j] += float64(v * b[idx[k]*ldb+j])
+		}
+	}
+}
+
+// TestGatherAxpyMatchesReference drives the selected body and the
+// portable one over widths on both sides of the 32-column strip and the
+// 4-column tail, with no, one and many entries — sorted, unsorted and
+// repeated — at an offset into b and y, into a non-zero y, and holds
+// every element of y (and the guard elements around it) to the scalar
+// loop's bits.
+func TestGatherAxpyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	bodies := map[string]func([]float64, []int, []float64, int, []float64){
+		ISA(): gatherAxpy, "portable": gatherAxpyGeneric, "checked": GatherAxpy,
+	}
+	const rows = 23
+	for _, width := range []int{0, 1, 3, 4, 5, 31, 32, 33, 36, 63, 64, 65, 130, 257} {
+		for _, entries := range []int{0, 1, 2, 9, 40} {
+			for off := 0; off < 3; off++ {
+				ldb := width + 2*off
+				b := randSlice(rng, off+rows*ldb+3)
+				y := randSlice(rng, off+width+5)
+				val := randSlice(rng, entries)
+				idx := make([]int, entries)
+				for k := range idx {
+					idx[k] = rng.Intn(rows) // unsorted, with repeats once entries > rows
+				}
+				if entries == 2 {
+					idx[1] = idx[0]
+				}
+				want := append([]float64(nil), y...)
+				gatherAxpyRef(val, idx, b[off:], ldb, want[off:off+width])
+				for name, body := range bodies {
+					if width == 0 && name != "checked" {
+						continue // the bodies are never called with an empty y
+					}
+					got := append([]float64(nil), y...)
+					body(val, idx, b[off:], ldb, got[off:off+width])
+					for j := range got {
+						if !sameBits(got[j], want[j]) {
+							t.Fatalf("%s width=%d entries=%d off=%d: y[%d] = %x, want %x", name, width, entries, off, j,
+								math.Float64bits(got[j]), math.Float64bits(want[j]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGatherAxpySpecialValues: the values of TestGEMMSpecialValues
+// through every strip width of both bodies.
+func TestGatherAxpySpecialValues(t *testing.T) {
+	special := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), 1, -2.5,
+	}
+	rng := rand.New(rand.NewSource(11))
+	draw := func(n int) []float64 {
+		s := randSlice(rng, n)
+		for i := range s {
+			if pick := rng.Intn(2 * len(special)); pick < len(special) {
+				s[i] = special[pick]
+			}
+		}
+		return s
+	}
+	const rows, width = 9, 32 + 4 + 3
+	for trial := 0; trial < 50; trial++ {
+		b, y, val := draw(rows*width), draw(width), draw(12)
+		idx := make([]int, len(val))
+		for k := range idx {
+			idx[k] = rng.Intn(rows)
+		}
+		want := append([]float64(nil), y...)
+		gatherAxpyRef(val, idx, b, width, want)
+		for name, body := range map[string]func([]float64, []int, []float64, int, []float64){
+			ISA(): gatherAxpy, "portable": gatherAxpyGeneric,
+		} {
+			got := append([]float64(nil), y...)
+			body(val, idx, b, width, got)
+			for j := range got {
+				if !sameBits(got[j], want[j]) {
+					t.Fatalf("%s trial %d: y[%d] = %x, want %x", name, trial, j,
+						math.Float64bits(got[j]), math.Float64bits(want[j]))
+				}
+			}
+		}
+	}
+}
+
+// TestGatherAxpyPanics: an index outside b, a y wider than a row, a row
+// whose last columns fall off b's end and an idx shorter than val are
+// refused in Go, before the body dereferences anything.
+func TestGatherAxpyPanics(t *testing.T) {
+	b := make([]float64, 4*10)
+	for name, call := range map[string]func(){
+		"row past the end":     func() { GatherAxpy([]float64{1}, []int{4}, b, 10, make([]float64, 10)) },
+		"negative row":         func() { GatherAxpy([]float64{1}, []int{-1}, b, 10, make([]float64, 10)) },
+		"y wider than a row":   func() { GatherAxpy([]float64{1}, []int{0}, b, 10, make([]float64, 11)) },
+		"y wider than b":       func() { GatherAxpy([]float64{1}, []int{0}, b[:5], 10, make([]float64, 6)) },
+		"last row cut short":   func() { GatherAxpy([]float64{1}, []int{3}, b[:36], 10, make([]float64, 7)) },
+		"idx shorter than val": func() { GatherAxpy([]float64{1, 2}, []int{0}, b, 10, make([]float64, 10)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: GatherAxpy did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+	// The same row is fine when its columns do fit.
+	GatherAxpy([]float64{1}, []int{3}, b[:36], 10, make([]float64, 6))
+}
+
 // TestGemmTileMatchesReference drives the selected tile body and the
 // portable one over kc on both sides of the panel height, at every
 // offset of the tile inside its rows, with unequal strides.
@@ -108,9 +230,13 @@ func TestGemmTileMatchesReference(t *testing.T) {
 // TestGEMMEdgeSweep straddles every edge the register tile introduces —
 // the 4-row group, the 8-column tile, the 128-column panel, the 256-row
 // panel — and holds each product to the naive triple loop, bit for bit,
-// at every thread count.
+// at every thread count. The padded edge tile computes eight columns
+// where dst has fewer: a row range in the middle of a dst filled with a
+// sentinel must leave every element outside the range — the next row's
+// first elements among them — exactly as it was.
 func TestGEMMEdgeSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
+	const sentinel = -7.25
 	for _, rows := range []int{1, 3, 4, 5, 7, 8, 9} {
 		for _, cols := range []int{1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136} {
 			for _, kd := range []int{1, 255, 256, 257, 513} {
@@ -120,6 +246,21 @@ func TestGEMMEdgeSweep(t *testing.T) {
 					if got := (K{Threads: threads}).MatMul(a, b); !bitsEqual(got, want) {
 						t.Fatalf("%dx%dx%d threads=%d: differs from naive (max |Δ| %g)",
 							rows, kd, cols, threads, MaxAbsDiff(got, want))
+					}
+				}
+				lo, hi := rows/3, rows-rows/4
+				got := NewDense(rows, cols)
+				for i := range got.Data {
+					if i < lo*cols || i >= hi*cols {
+						got.Data[i] = sentinel
+					}
+				}
+				gemmRows(got, a, b, lo, hi)
+				for i, v := range got.Data {
+					inside := i >= lo*cols && i < hi*cols
+					if inside && !sameBits(v, want.Data[i]) || !inside && v != sentinel {
+						t.Fatalf("%dx%dx%d rows [%d,%d): element %d = %v (inside=%v, naive %v)",
+							rows, kd, cols, lo, hi, i, v, inside, want.Data[i])
 					}
 				}
 			}
@@ -195,29 +336,33 @@ func TestGEMMSpecialValues(t *testing.T) {
 	}
 }
 
-// TestMatMulAddIntoNonZeroDst: the tile loads dst before it accumulates,
-// so dst += a×b starts each element's ascending-k sum from the value
-// already there.
+// TestMatMulAddIntoNonZeroDst: the tile loads dst before it accumulates
+// and the padded edge tile is seeded from dst, so dst += a×b starts each
+// element's ascending-k sum from the value already there — in a packed
+// panel's edge columns (141 = 128 + 8 + 5), in an in-place panel's
+// (30 = 24 + 6) and where the edge is all there is (5).
 func TestMatMulAddIntoNonZeroDst(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	a, b := RandNormal(rng, 13, 260), RandNormal(rng, 260, 141)
-	base := RandNormal(rng, 13, 141)
-	want := base.Clone()
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < b.Cols; j++ {
-			s := base.At(i, j)
-			for k := 0; k < a.Cols; k++ {
-				s += float64(a.At(i, k) * b.At(k, j))
+	for _, cols := range []int{141, 30, 5} {
+		a, b := RandNormal(rng, 13, 260), RandNormal(rng, 260, cols)
+		base := RandNormal(rng, 13, cols)
+		want := base.Clone()
+		for i := 0; i < a.Rows; i++ {
+			for j := 0; j < b.Cols; j++ {
+				s := base.At(i, j)
+				for k := 0; k < a.Cols; k++ {
+					s += float64(a.At(i, k) * b.At(k, j))
+				}
+				want.Set(i, j, s)
 			}
-			want.Set(i, j, s)
 		}
-	}
-	for _, threads := range []int{1, 3} {
-		got := base.Clone()
-		K{Threads: threads}.MatMulAdd(got, a, b)
-		if !bitsEqual(got, want) {
-			t.Fatalf("threads=%d: MatMulAdd into non-zero dst differs from naive (max |Δ| %g)",
-				threads, MaxAbsDiff(got, want))
+		for _, threads := range []int{1, 3} {
+			got := base.Clone()
+			K{Threads: threads}.MatMulAdd(got, a, b)
+			if !bitsEqual(got, want) {
+				t.Fatalf("cols=%d threads=%d: MatMulAdd into non-zero dst differs from naive (max |Δ| %g)",
+					cols, threads, MaxAbsDiff(got, want))
+			}
 		}
 	}
 }
