@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test test-purego nofma race chaos fuzz bench bench-smoke docs-check profile-frontier profile-chain profile-chain-tcp
+.PHONY: check fmt vet build test test-purego test-avx2 nofma race chaos fuzz bench bench-smoke docs-check profile-frontier profile-chain profile-chain-tcp
 
-check: fmt vet build test test-purego nofma race chaos docs-check bench-smoke
+check: fmt vet build test test-purego test-avx2 nofma race chaos docs-check bench-smoke
 
 # gofmt -l prints unformatted files; fail if it prints anything.
 fmt:
@@ -23,13 +23,23 @@ build:
 test:
 	$(GO) test ./...
 
-# The multiply-accumulate primitives have two bodies (KERNELS.md §1):
-# AVX2 assembler, bound at init on an amd64 that has it, and portable Go.
-# `go test` runs whichever the host selects; this runs the portable one
-# under the kernels' own tests and the engines' golden suites, which
-# record one set of bits for both.
+# The multiply-accumulate primitives have three bindings (KERNELS.md §1):
+# AVX-512 and AVX2 assembler, the widest the CPU has bound at init on
+# amd64, and portable Go. `go test` runs whichever the host selects;
+# test-purego runs the portable one and test-avx2 (on an AVX-512 host,
+# where they would otherwise never be bound again) the AVX2 one under
+# the kernels' own tests, the engines' golden suites and the root
+# package's pinned output digest, which record one set of bits for all
+# three.
+KERNEL_SUITES = ./internal/tensor ./internal/sparse ./internal/engine ./internal/dist
+
 test-purego:
-	$(GO) test -tags purego ./internal/tensor ./internal/sparse ./internal/engine ./internal/dist
+	$(GO) test -tags purego $(KERNEL_SUITES)
+	$(GO) test -tags purego -run TestPlanCacheEngineInvariance .
+
+test-avx2:
+	$(GO) test -tags noavx512 $(KERNEL_SUITES)
+	$(GO) test -tags noavx512 -run TestPlanCacheEngineInvariance .
 
 # KERNELS.md §2 Rule 3 — a product is rounded before it is added —
 # checked on what the compiler emits: cross-build the two kernel packages

@@ -40,15 +40,15 @@ func transposeMulDenseRef(m *CSR, b *tensor.Dense) *tensor.Dense {
 }
 
 // TestCSRDenseProductsMatchScalarLoops: widths on both sides of the
-// vector length, the 32-column strip and the column block (256 columns
-// for a dense operand, 192 at density 0.4, the whole width for a sparse
-// one), inner dimensions on both sides of the smallest b-row block,
+// vector length, the 32- and 128-column strips and the column block (256
+// columns for a dense operand, 192 or 128 at density 0.4, the whole width
+// for a sparse one), inner dimensions on both sides of the smallest b-row block,
 // operands from nearly empty to fully dense, empty rows and explicitly
 // stored zeros of both signs — every output bit equals the scalar
 // loop's, at every thread budget.
 func TestCSRDenseProductsMatchScalarLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	for _, width := range []int{1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 36, 67, 130, 191, 192, 193, 255, 256, 257, 300, 1250} {
+	for _, width := range []int{1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 36, 67, 127, 128, 129, 130, 191, 192, 193, 255, 256, 257, 300, 1250} {
 		for _, inner := range []int{15, 16, 17, 53, 300} {
 			for _, density := range []float64{0.002, 0.05, 0.4, 1} {
 				d := tensor.RandSparse(rng, 41, inner, density)

@@ -51,8 +51,11 @@ func NewCSR(rows, cols int, rowPtr, colIdx []int, val []float64) (*CSR, error) {
 // NNZ returns the number of stored non-zeros.
 func (m *CSR) NNZ() int { return len(m.Val) }
 
-// Density returns the non-zero fraction.
+// Density returns the non-zero fraction; an empty matrix has density 0.
 func (m *CSR) Density() float64 {
+	if m.Rows == 0 || m.Cols == 0 {
+		return 0
+	}
 	return float64(m.NNZ()) / (float64(m.Rows) * float64(m.Cols))
 }
 

@@ -40,11 +40,12 @@ func (m *CSR) MulDense(b *tensor.Dense) *tensor.Dense { return m.MulDenseK(tenso
 // so any thread count is bit-identical to serial.
 //
 // A chunk sweeps column blocks × b-row blocks × its rows, so that the
-// kb×cb tile of b its rows gather from stays in L1 while
-// tensor.GatherAxpy holds each 32-column strip of an output row in
-// registers across the row's entries in the block. Both block sizes
-// come from the operands: kb makes a (row, block) visit carry at least
-// about eight stored entries, cb keeps the tile at 32 KiB. Column indices
+// kb×cb tile of b its rows gather from stays in cache while
+// tensor.GatherAxpy holds each strip of an output row (tensor.GatherStrip
+// columns: 32 or 128, as the bound body has registers for) in registers
+// across the row's entries in the block. Both block sizes come from the
+// operands: kb makes a (row, block) visit carry at least about eight
+// stored entries, cb keeps the tile at 32 KiB in whole strips. Column indices
 // ascend within a row, so a block's entries are a contiguous run that a
 // per-row cursor walks once per column block, and every output element
 // still adds its rounded products in ascending stored-entry order.
@@ -59,8 +60,9 @@ func (m *CSR) MulDenseK(kc tensor.K, b *tensor.Dense) *tensor.Dense {
 		return out
 	}
 	w := b.Cols
+	strip := tensor.GatherStrip()
 	kb := max(16, (8*m.Rows*m.Cols+m.NNZ()-1)/m.NNZ())
-	cb := min(w, max(32, (4096/kb)&^31))
+	cb := min(w, max(strip, 4096/kb/strip*strip))
 	kb = max(kb, 4096/cb) // a b narrower than cb leaves room for more of its rows
 	kc.Par(m.Rows, m.avgRowWork(w), func(lo, hi int) {
 		cur := make([]int, hi-lo) // per row: its first entry not yet multiplied in this column block

@@ -63,8 +63,12 @@ func NewCOO(rows, cols int, ts []Triple) (*COO, error) {
 // NNZ returns the number of stored non-zeros.
 func (m *COO) NNZ() int { return len(m.Triples) }
 
-// Density returns the non-zero fraction (the paper's "sparsity").
+// Density returns the non-zero fraction (the paper's "sparsity"); an
+// empty matrix has density 0.
 func (m *COO) Density() float64 {
+	if m.Rows == 0 || m.Cols == 0 {
+		return 0
+	}
 	return float64(m.NNZ()) / (float64(m.Rows) * float64(m.Cols))
 }
 

@@ -209,3 +209,17 @@ func TestSparseDensityEstimateTracksEmpirical(t *testing.T) {
 		t.Errorf("empirical density %v vs estimate %v", got, want)
 	}
 }
+
+// The constructors refuse empty shapes, the zero values do not: their
+// density is 0, not the NaN of 0/0.
+func TestCSRDensityOfEmptyMatrix(t *testing.T) {
+	if d := new(CSR).Density(); d != 0 {
+		t.Fatalf("Density of an empty CSR = %v, want 0", d)
+	}
+}
+
+func TestCOODensityOfEmptyMatrix(t *testing.T) {
+	if d := new(COO).Density(); d != 0 {
+		t.Fatalf("Density of an empty COO = %v, want 0", d)
+	}
+}

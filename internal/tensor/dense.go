@@ -120,8 +120,12 @@ func BitEqual(a, b *Dense) bool {
 	return true
 }
 
-// Density returns the fraction of non-zero entries.
+// Density returns the fraction of non-zero entries; an empty matrix has
+// density 0.
 func (m *Dense) Density() float64 {
+	if len(m.Data) == 0 {
+		return 0
+	}
 	nnz := 0
 	for _, v := range m.Data {
 		if v != 0 {

@@ -321,3 +321,11 @@ func TestRandSparseDensity(t *testing.T) {
 		t.Errorf("RandSparse density = %v, want ≈0.1", d)
 	}
 }
+
+// TestDensityOfEmptyMatrix: no entries, no non-zero fraction — 0, not
+// the NaN of 0/0 (a zero-value Dense is the only empty one there is).
+func TestDensityOfEmptyMatrix(t *testing.T) {
+	if d := new(Dense).Density(); d != 0 {
+		t.Fatalf("Density of an empty matrix = %v, want 0", d)
+	}
+}

@@ -2,9 +2,9 @@ package tensor
 
 // GEMM blocking parameters. The kernel packs b into kc×nc panels: one
 // panel (mmKC·mmNC doubles = 256 KiB) sits in L2 while it is reused
-// across every output row of the chunk, and the micro-kernel holds a
-// 4-row × 8-column block of dst in registers across the whole k sweep
-// of a panel (KERNELS.md §1).
+// across every output row of the chunk, and the bound micro-kernel
+// holds a tileRows × tileCols block of dst in registers across the
+// whole k sweep of a panel (KERNELS.md §1).
 const (
 	mmKC = 256 // k extent of a packed b panel
 	mmNC = 128 // j extent of a packed b panel
@@ -52,12 +52,13 @@ func (k K) MatMulAdd(dst, a, b *Dense) {
 
 // gemmRows computes dst[lo:hi) += a[lo:hi) × b. Panels of b are packed
 // contiguously (a b no wider than one panel already is one and is used
-// in place); each group of four rows sweeps the panel in 8-column
-// register tiles through gemmTile4x8. The w mod 8 last columns of a
-// panel take the same tile: they are packed beside eight−(w mod 8)
-// columns of zeros, and the tile runs on a 4×8 scratch block seeded from
-// dst, of which only the valid columns are copied back. The < 4 last
-// rows go through Axpy.
+// in place); each group of tileRows rows sweeps the panel in tileCols-
+// column register tiles through the bound gemmTile, and a last group of
+// half that height through gemmHalfTile where the binding has one. The
+// w mod tileCols last columns of a panel take the same tile: they are
+// packed beside columns of zeros, and the tile runs on a scratch block
+// seeded from dst, of which only the valid columns are copied back. The
+// rows no tile covers go through Axpy.
 //
 // Determinism note: for every output element (i, j) the additions
 // happen in ascending k order — j panels are independent elements, and
@@ -70,20 +71,26 @@ func (k K) MatMulAdd(dst, a, b *Dense) {
 // per-element operation sequence, so chunking cannot change bits.
 func gemmRows(dst, a, b *Dense, lo, hi int) {
 	kd, m := a.Cols, b.Cols
-	tiled := lo + (hi-lo)&^3 // rows [lo, tiled) go through the register tile
+	bd := bound
+	tr, tc := bd.tileRows, bd.tileCols
+	least := tr // the shortest row group a tile takes
+	if bd.gemmHalfTile != nil {
+		least = tr / 2
+	}
+	tiled := lo + (hi-lo)/least*least // rows [lo, tiled) go through register tiles
 	var bp []float64
 	if m > mmNC {
 		bp = make([]float64, min(kd, mmKC)*mmNC)
 	}
-	var scratch, edge []float64 // the 4×8 block of dst the edge tile updates, and its zero-padded kc×8 panel
-	if m%8 != 0 && tiled > lo {
-		buf := make([]float64, 32+min(kd, mmKC)*8)
-		scratch, edge = buf[:32], buf[32:]
+	var scratch, edge []float64 // the tr×tc block of dst the edge tile updates, and its zero-padded kc×tc panel
+	if m%tc != 0 && tiled > lo {
+		buf := make([]float64, (tr+min(kd, mmKC))*tc)
+		scratch, edge = buf[:tr*tc], buf[tr*tc:]
 	}
 	for j0 := 0; j0 < m; j0 += mmNC {
 		j1 := min(j0+mmNC, m)
 		w := j1 - j0
-		w8 := w &^ 7
+		wt := w / tc * tc
 		for k0 := 0; k0 < kd; k0 += mmKC {
 			k1 := min(k0+mmKC, kd)
 			panel := b.Data[k0*m : k1*m]
@@ -93,26 +100,32 @@ func gemmRows(dst, a, b *Dense, lo, hi int) {
 					copy(panel[(kk-k0)*w:(kk-k0+1)*w], b.Data[kk*m+j0:kk*m+j1])
 				}
 			}
-			for i := lo; i < tiled; i += 4 {
-				for jj := 0; jj < w8; jj += 8 {
-					gemmTile4x8(dst.Data[i*m+j0+jj:], m, a.Data[i*kd+k0:], kd, panel[jj:], w, k1-k0)
-				}
-			}
-			if w8 < w && edge != nil {
+			if wt < w && edge != nil {
 				for kk := 0; kk < k1-k0; kk++ {
-					copy(edge[kk*8:], panel[kk*w+w8:(kk+1)*w]) // columns w−w8..8 stay zero
-				}
-				for i := lo; i < tiled; i += 4 {
-					for r := 0; r < 4; r++ {
-						copy(scratch[r*8:], dst.Data[(i+r)*m+j0+w8:(i+r)*m+j1])
-					}
-					gemmTile4x8(scratch, 8, a.Data[i*kd+k0:], kd, edge, 8, k1-k0)
-					for r := 0; r < 4; r++ {
-						copy(dst.Data[(i+r)*m+j0+w8:(i+r)*m+j1], scratch[r*8:])
-					}
+					copy(edge[kk*tc:], panel[kk*w+wt:(kk+1)*w]) // columns w−wt..tc stay zero
 				}
 			}
-			// The < 4 last rows, at the panel's whole width.
+			for i := lo; i < tiled; {
+				h, tile := tr, bd.gemmTile
+				if tiled-i < tr {
+					h, tile = least, bd.gemmHalfTile
+				}
+				ai := a.Data[i*kd+k0:]
+				for jj := 0; jj < wt; jj += tc {
+					tile(dst.Data[i*m+j0+jj:], m, ai, kd, panel[jj:], w, k1-k0)
+				}
+				if wt < w {
+					for r := 0; r < h; r++ {
+						copy(scratch[r*tc:], dst.Data[(i+r)*m+j0+wt:(i+r)*m+j1])
+					}
+					tile(scratch, tc, ai, kd, edge, tc, k1-k0)
+					for r := 0; r < h; r++ {
+						copy(dst.Data[(i+r)*m+j0+wt:(i+r)*m+j1], scratch[r*tc:])
+					}
+				}
+				i += h
+			}
+			// The rows no tile covers, at the panel's whole width.
 			for r := tiled; r < hi; r++ {
 				drow := dst.Data[r*m+j0 : r*m+j1]
 				for kk, av := range a.Data[r*kd+k0 : r*kd+k1] {
@@ -128,7 +141,12 @@ func Add(a, b *Dense) *Dense { return K{}.Add(a, b) }
 
 // Add returns a+b, element-partitioned across the context's threads.
 func (k K) Add(a, b *Dense) *Dense {
-	return k.zipNew("Add", a, b, func(x, y float64) float64 { return x + y })
+	return k.zipNew("Add", a, b, func(od, ad, bd []float64) {
+		od, bd = od[:len(ad)], bd[:len(ad)]
+		for i, x := range ad {
+			od[i] = x + bd[i]
+		}
+	})
 }
 
 // Sub returns a−b.
@@ -136,7 +154,12 @@ func Sub(a, b *Dense) *Dense { return K{}.Sub(a, b) }
 
 // Sub returns a−b, element-partitioned across the context's threads.
 func (k K) Sub(a, b *Dense) *Dense {
-	return k.zipNew("Sub", a, b, func(x, y float64) float64 { return x - y })
+	return k.zipNew("Sub", a, b, func(od, ad, bd []float64) {
+		od, bd = od[:len(ad)], bd[:len(ad)]
+		for i, x := range ad {
+			od[i] = x - bd[i]
+		}
+	})
 }
 
 // Hadamard returns the entrywise product a∘b.
@@ -144,7 +167,12 @@ func Hadamard(a, b *Dense) *Dense { return K{}.Hadamard(a, b) }
 
 // Hadamard returns a∘b, element-partitioned across the context's threads.
 func (k K) Hadamard(a, b *Dense) *Dense {
-	return k.zipNew("Hadamard", a, b, func(x, y float64) float64 { return x * y })
+	return k.zipNew("Hadamard", a, b, func(od, ad, bd []float64) {
+		od, bd = od[:len(ad)], bd[:len(ad)]
+		for i, x := range ad {
+			od[i] = x * bd[i]
+		}
+	})
 }
 
 // AddInPlace computes a += b.
@@ -166,9 +194,13 @@ func (k K) AddInPlace(a, b *Dense) {
 	})
 }
 
-// zipNew allocates the elementwise combination f(a, b). Elements are
-// independent, so any flat partition is bit-identical to serial.
-func (k K) zipNew(name string, a, b *Dense, f func(x, y float64) float64) *Dense {
+// zipNew allocates the elementwise combination of a and b that loop
+// writes: loop is called once per chunk with equally long slices of the
+// output and the two operands, so an element costs one iteration of a
+// plain loop, not a call (each loop reslices to len(ad) to tell the
+// compiler so, and pays no bounds check). Elements are independent, so
+// any flat partition is bit-identical to serial.
+func (k K) zipNew(name string, a, b *Dense, loop func(od, ad, bd []float64)) *Dense {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		shapePanic(name, "operands must have equal shapes",
 			Dim("a", a.Rows, a.Cols), Dim("b", b.Rows, b.Cols))
@@ -176,10 +208,7 @@ func (k K) zipNew(name string, a, b *Dense, f func(x, y float64) float64) *Dense
 	defer k.end(k.begin())
 	out := NewDense(a.Rows, a.Cols)
 	k.parRange(len(a.Data), grainFor(1), func(lo, hi int) {
-		ad, bd, od := a.Data[lo:hi], b.Data[lo:hi], out.Data[lo:hi]
-		for i := range ad {
-			od[i] = f(ad[i], bd[i])
-		}
+		loop(out.Data[lo:hi], a.Data[lo:hi], b.Data[lo:hi])
 	})
 	return out
 }

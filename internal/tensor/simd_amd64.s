@@ -2,37 +2,29 @@
 
 #include "textflag.h"
 
-// The AVX2 bodies of the three multiply-accumulate primitives. Every
-// product is formed by VMULPD/VMULSD and rounded, then added by
-// VADDPD/VADDSD: the binary64 multiply and add of MULSD/ADDSD under the
-// same MXCSR, one independent output element per lane. No fused
-// multiply-add instruction may appear in this file (`make nofma`).
+// The AVX2 (YMM) and AVX-512 (ZMM) bodies of the three multiply-
+// accumulate primitives. Every product is formed by VMULPD/VMULSD and
+// rounded, then added by VADDPD/VADDSD: the binary64 multiply and add of
+// MULSD/ADDSD under the same MXCSR, one independent output element per
+// lane, whatever the lane count. No fused multiply-add instruction may
+// appear in this file (`make nofma`).
 
-// func cpuHasAVX2() bool
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-	XORL AX, AX
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
 	CPUID
-	CMPL AX, $7              // highest basic leaf
-	JLT  no
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX     // leaf 1 ECX: OSXSAVE (27) and AVX (28)
-	CMPL CX, $0x18000000
-	JNE  no
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() uint32
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
 	XORL CX, CX
 	XGETBV
-	ANDL $6, AX              // XCR0: SSE (1) and AVX (2) state saved by the OS
-	CMPL AX, $6
-	JNE  no
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	SHRL $5, BX              // leaf 7 EBX: AVX2 (5)
-	ANDL $1, BX
-	MOVB BX, ret+0(FP)
-no:
+	MOVL AX, ret+0(FP)
 	RET
 
 // func axpyAVX2(a float64, x, y []float64)
@@ -88,14 +80,70 @@ done:
 	VZEROUPPER
 	RET
 
+// func axpyAVX512(a float64, x, y []float64)
+TEXT ·axpyAVX512(SB), NOSPLIT, $0-56
+	VBROADCASTSD a+0(FP), Z0
+	MOVQ x_base+8(FP), SI
+	MOVQ x_len+16(FP), CX
+	MOVQ y_base+32(FP), DI
+
+loop32:
+	CMPQ CX, $32
+	JLT  loop8
+	VMULPD (SI), Z0, Z1
+	VMULPD 64(SI), Z0, Z2
+	VMULPD 128(SI), Z0, Z3
+	VMULPD 192(SI), Z0, Z4
+	VADDPD (DI), Z1, Z1
+	VADDPD 64(DI), Z2, Z2
+	VADDPD 128(DI), Z3, Z3
+	VADDPD 192(DI), Z4, Z4
+	VMOVUPD Z1, (DI)
+	VMOVUPD Z2, 64(DI)
+	VMOVUPD Z3, 128(DI)
+	VMOVUPD Z4, 192(DI)
+	ADDQ $256, SI
+	ADDQ $256, DI
+	SUBQ $32, CX
+	JMP  loop32
+
+loop8:
+	CMPQ CX, $8
+	JLT  tail4
+	VMULPD (SI), Z0, Z1
+	VADDPD (DI), Z1, Z1
+	VMOVUPD Z1, (DI)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	SUBQ $8, CX
+	JMP  loop8
+
+tail4:
+	CMPQ CX, $4
+	JLT  tail
+	VMULPD (SI), Y0, Y1
+	VADDPD (DI), Y1, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $4, CX
+
+tail:
+	TESTQ CX, CX
+	JZ   done
+	VMULSD (SI), X0, X1
+	VADDSD (DI), X1, X1
+	VMOVSD X1, (DI)
+	ADDQ $8, SI
+	ADDQ $8, DI
+	DECQ CX
+	JMP  tail
+
+done:
+	VZEROUPPER
+	RET
+
 // func gatherAxpyAVX2(val []float64, idx []int, b []float64, ldb int, y []float64)
-//
-// Columns of y are taken 32, then 4, then 1 at a time; each strip is
-// loaded once, receives val[k]·b[idx[k]][strip] for every k ascending,
-// and is stored once. In the 32-column strip Y0..Y7 are the
-// accumulators, Y8 the broadcast of val[k], Y9..Y15 products in flight.
-// BX and DI advance with the strip, so AX = BX + idx[k]·ldb·8 is the
-// strip's first element in row idx[k].
 TEXT ·gatherAxpyAVX2(SB), NOSPLIT, $0-104
 	MOVQ val_base+0(FP), SI
 	MOVQ val_len+8(FP), R8
@@ -105,7 +153,19 @@ TEXT ·gatherAxpyAVX2(SB), NOSPLIT, $0-104
 	MOVQ y_base+80(FP), DI
 	MOVQ y_len+88(FP), CX
 	SHLQ $3, R9              // row stride in bytes
+	JMP  gatherTails<>(SB)
 
+// gatherTails<> is GatherAxpy on YMM registers. Both gather bodies jump
+// to it with SI = val, R8 = len(val), DX = idx, BX = b, R9 = b's row
+// stride in bytes, DI = y and CX = len(y); it returns to their caller.
+//
+// Columns of y are taken 32, then 4, then 1 at a time; each strip is
+// loaded once, receives val[k]·b[idx[k]][strip] for every k ascending,
+// and is stored once. In the 32-column strip Y0..Y7 are the
+// accumulators, Y8 the broadcast of val[k], Y9..Y15 products in flight.
+// BX and DI advance with the strip, so AX = BX + idx[k]·ldb·8 is the
+// strip's first element in row idx[k].
+TEXT gatherTails<>(SB), NOSPLIT|NOFRAME, $0-0
 strip32:
 	CMPQ CX, $32
 	JLT  strip4
@@ -211,6 +271,110 @@ gathered:
 	VZEROUPPER
 	RET
 
+// func gatherAxpyAVX512(val []float64, idx []int, b []float64, ldb int, y []float64)
+//
+// gatherTails<> behind a wider strip: columns of y are taken 128 at a
+// time first — Z0..Z15 the accumulators, Z16 the broadcast of val[k],
+// Z17..Z31 products in flight — and what is left goes on to the 32-, 4-
+// and 1-column strips.
+TEXT ·gatherAxpyAVX512(SB), NOSPLIT, $0-104
+	MOVQ val_base+0(FP), SI
+	MOVQ val_len+8(FP), R8
+	MOVQ idx_base+24(FP), DX
+	MOVQ b_base+48(FP), BX
+	MOVQ ldb+72(FP), R9
+	MOVQ y_base+80(FP), DI
+	MOVQ y_len+88(FP), CX
+	SHLQ $3, R9              // row stride in bytes
+
+strip:
+	CMPQ CX, $128
+	JGE  strip128
+	JMP  gatherTails<>(SB)
+
+strip128:
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	VMOVUPD 256(DI), Z4
+	VMOVUPD 320(DI), Z5
+	VMOVUPD 384(DI), Z6
+	VMOVUPD 448(DI), Z7
+	VMOVUPD 512(DI), Z8
+	VMOVUPD 576(DI), Z9
+	VMOVUPD 640(DI), Z10
+	VMOVUPD 704(DI), Z11
+	VMOVUPD 768(DI), Z12
+	VMOVUPD 832(DI), Z13
+	VMOVUPD 896(DI), Z14
+	VMOVUPD 960(DI), Z15
+	XORQ R10, R10
+
+entry:
+	CMPQ R10, R8
+	JGE  store
+	MOVQ (DX)(R10*8), AX
+	IMULQ R9, AX
+	ADDQ BX, AX
+	VBROADCASTSD (SI)(R10*8), Z16
+	VMULPD (AX), Z16, Z17
+	VMULPD 64(AX), Z16, Z18
+	VMULPD 128(AX), Z16, Z19
+	VMULPD 192(AX), Z16, Z20
+	VMULPD 256(AX), Z16, Z21
+	VMULPD 320(AX), Z16, Z22
+	VMULPD 384(AX), Z16, Z23
+	VMULPD 448(AX), Z16, Z24
+	VMULPD 512(AX), Z16, Z25
+	VMULPD 576(AX), Z16, Z26
+	VMULPD 640(AX), Z16, Z27
+	VMULPD 704(AX), Z16, Z28
+	VMULPD 768(AX), Z16, Z29
+	VMULPD 832(AX), Z16, Z30
+	VMULPD 896(AX), Z16, Z31
+	VADDPD Z17, Z0, Z0
+	VMULPD 960(AX), Z16, Z17
+	VADDPD Z18, Z1, Z1
+	VADDPD Z19, Z2, Z2
+	VADDPD Z20, Z3, Z3
+	VADDPD Z21, Z4, Z4
+	VADDPD Z22, Z5, Z5
+	VADDPD Z23, Z6, Z6
+	VADDPD Z24, Z7, Z7
+	VADDPD Z25, Z8, Z8
+	VADDPD Z26, Z9, Z9
+	VADDPD Z27, Z10, Z10
+	VADDPD Z28, Z11, Z11
+	VADDPD Z29, Z12, Z12
+	VADDPD Z30, Z13, Z13
+	VADDPD Z31, Z14, Z14
+	VADDPD Z17, Z15, Z15
+	INCQ R10
+	JMP  entry
+
+store:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, 256(DI)
+	VMOVUPD Z5, 320(DI)
+	VMOVUPD Z6, 384(DI)
+	VMOVUPD Z7, 448(DI)
+	VMOVUPD Z8, 512(DI)
+	VMOVUPD Z9, 576(DI)
+	VMOVUPD Z10, 640(DI)
+	VMOVUPD Z11, 704(DI)
+	VMOVUPD Z12, 768(DI)
+	VMOVUPD Z13, 832(DI)
+	VMOVUPD Z14, 896(DI)
+	VMOVUPD Z15, 960(DI)
+	ADDQ $1024, DI
+	ADDQ $1024, BX
+	SUBQ $128, CX
+	JMP  strip
+
 // func gemmTile4x8AVX2(d []float64, ldd int, a []float64, lda int, p []float64, ldp, kc int)
 //
 // Y0..Y7 hold d[r][0:4], d[r][4:8] for r = 0..3. Per k: two loads of
@@ -283,5 +447,206 @@ store:
 	VMOVUPD Y5, 32(R12)
 	VMOVUPD Y6, (R13)
 	VMOVUPD Y7, 32(R13)
+	VZEROUPPER
+	RET
+
+// func gemmTile8x16AVX512(d []float64, ldd int, a []float64, lda int, p []float64, ldp, kc int)
+//
+// Z0..Z15 hold d[r][0:8], d[r][8:16] for r = 0..7. Per k: two loads of
+// the panel row, eight broadcasts of a[r][k], sixteen multiplies,
+// sixteen adds. All thirty-two ZMM registers: sixteen accumulators, two
+// panel halves, eight broadcasts, six products in flight. Row r of a is
+// SI + r·lda: R11, R12 and R13 hold 3·lda, 5·lda and 7·lda.
+TEXT ·gemmTile8x16AVX512(SB), NOSPLIT, $0-104
+	MOVQ d_base+0(FP), DI
+	MOVQ ldd+24(FP), R8
+	MOVQ a_base+32(FP), SI
+	MOVQ lda+56(FP), R9
+	MOVQ p_base+64(FP), BX
+	MOVQ ldp+88(FP), R10
+	MOVQ kc+96(FP), CX
+	SHLQ $3, R8              // strides in bytes
+	SHLQ $3, R9
+	SHLQ $3, R10
+	LEAQ (R9)(R9*2), R11     // 3·lda
+	LEAQ (R9)(R9*4), R12     // 5·lda
+	LEAQ (R11)(R9*4), R13    // 7·lda
+
+	MOVQ DI, AX
+	VMOVUPD (AX), Z0
+	VMOVUPD 64(AX), Z1
+	ADDQ R8, AX
+	VMOVUPD (AX), Z2
+	VMOVUPD 64(AX), Z3
+	ADDQ R8, AX
+	VMOVUPD (AX), Z4
+	VMOVUPD 64(AX), Z5
+	ADDQ R8, AX
+	VMOVUPD (AX), Z6
+	VMOVUPD 64(AX), Z7
+	ADDQ R8, AX
+	VMOVUPD (AX), Z8
+	VMOVUPD 64(AX), Z9
+	ADDQ R8, AX
+	VMOVUPD (AX), Z10
+	VMOVUPD 64(AX), Z11
+	ADDQ R8, AX
+	VMOVUPD (AX), Z12
+	VMOVUPD 64(AX), Z13
+	ADDQ R8, AX
+	VMOVUPD (AX), Z14
+	VMOVUPD 64(AX), Z15
+
+	TESTQ CX, CX
+	JZ   store
+
+loop:
+	VMOVUPD (BX), Z16
+	VMOVUPD 64(BX), Z17
+	VBROADCASTSD (SI), Z18
+	VBROADCASTSD (SI)(R9*1), Z19
+	VBROADCASTSD (SI)(R9*2), Z20
+	VBROADCASTSD (SI)(R11*1), Z21
+	VBROADCASTSD (SI)(R9*4), Z22
+	VBROADCASTSD (SI)(R12*1), Z23
+	VBROADCASTSD (SI)(R11*2), Z24
+	VBROADCASTSD (SI)(R13*1), Z25
+	VMULPD Z16, Z18, Z26
+	VMULPD Z17, Z18, Z27
+	VADDPD Z26, Z0, Z0
+	VADDPD Z27, Z1, Z1
+	VMULPD Z16, Z19, Z28
+	VMULPD Z17, Z19, Z29
+	VADDPD Z28, Z2, Z2
+	VADDPD Z29, Z3, Z3
+	VMULPD Z16, Z20, Z30
+	VMULPD Z17, Z20, Z31
+	VADDPD Z30, Z4, Z4
+	VADDPD Z31, Z5, Z5
+	VMULPD Z16, Z21, Z26
+	VMULPD Z17, Z21, Z27
+	VADDPD Z26, Z6, Z6
+	VADDPD Z27, Z7, Z7
+	VMULPD Z16, Z22, Z28
+	VMULPD Z17, Z22, Z29
+	VADDPD Z28, Z8, Z8
+	VADDPD Z29, Z9, Z9
+	VMULPD Z16, Z23, Z30
+	VMULPD Z17, Z23, Z31
+	VADDPD Z30, Z10, Z10
+	VADDPD Z31, Z11, Z11
+	VMULPD Z16, Z24, Z26
+	VMULPD Z17, Z24, Z27
+	VADDPD Z26, Z12, Z12
+	VADDPD Z27, Z13, Z13
+	VMULPD Z16, Z25, Z28
+	VMULPD Z17, Z25, Z29
+	VADDPD Z28, Z14, Z14
+	VADDPD Z29, Z15, Z15
+	ADDQ $8, SI
+	ADDQ R10, BX
+	DECQ CX
+	JNZ  loop
+
+store:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	ADDQ R8, DI
+	VMOVUPD Z2, (DI)
+	VMOVUPD Z3, 64(DI)
+	ADDQ R8, DI
+	VMOVUPD Z4, (DI)
+	VMOVUPD Z5, 64(DI)
+	ADDQ R8, DI
+	VMOVUPD Z6, (DI)
+	VMOVUPD Z7, 64(DI)
+	ADDQ R8, DI
+	VMOVUPD Z8, (DI)
+	VMOVUPD Z9, 64(DI)
+	ADDQ R8, DI
+	VMOVUPD Z10, (DI)
+	VMOVUPD Z11, 64(DI)
+	ADDQ R8, DI
+	VMOVUPD Z12, (DI)
+	VMOVUPD Z13, 64(DI)
+	ADDQ R8, DI
+	VMOVUPD Z14, (DI)
+	VMOVUPD Z15, 64(DI)
+	VZEROUPPER
+	RET
+
+// func gemmTile4x16AVX512(d []float64, ldd int, a []float64, lda int, p []float64, ldp, kc int)
+//
+// The first four rows of gemmTile8x16AVX512: Z0..Z7 accumulate, Z16 and
+// Z17 are the panel halves, Z18..Z21 the broadcasts, Z26..Z31 products.
+TEXT ·gemmTile4x16AVX512(SB), NOSPLIT, $0-104
+	MOVQ d_base+0(FP), DI
+	MOVQ ldd+24(FP), R8
+	MOVQ a_base+32(FP), SI
+	MOVQ lda+56(FP), R9
+	MOVQ p_base+64(FP), BX
+	MOVQ ldp+88(FP), R10
+	MOVQ kc+96(FP), CX
+	SHLQ $3, R8              // strides in bytes
+	SHLQ $3, R9
+	SHLQ $3, R10
+	LEAQ (R9)(R9*2), R11     // 3·lda
+
+	MOVQ DI, AX
+	VMOVUPD (AX), Z0
+	VMOVUPD 64(AX), Z1
+	ADDQ R8, AX
+	VMOVUPD (AX), Z2
+	VMOVUPD 64(AX), Z3
+	ADDQ R8, AX
+	VMOVUPD (AX), Z4
+	VMOVUPD 64(AX), Z5
+	ADDQ R8, AX
+	VMOVUPD (AX), Z6
+	VMOVUPD 64(AX), Z7
+
+	TESTQ CX, CX
+	JZ   store
+
+loop:
+	VMOVUPD (BX), Z16
+	VMOVUPD 64(BX), Z17
+	VBROADCASTSD (SI), Z18
+	VBROADCASTSD (SI)(R9*1), Z19
+	VBROADCASTSD (SI)(R9*2), Z20
+	VBROADCASTSD (SI)(R11*1), Z21
+	VMULPD Z16, Z18, Z26
+	VMULPD Z17, Z18, Z27
+	VADDPD Z26, Z0, Z0
+	VADDPD Z27, Z1, Z1
+	VMULPD Z16, Z19, Z28
+	VMULPD Z17, Z19, Z29
+	VADDPD Z28, Z2, Z2
+	VADDPD Z29, Z3, Z3
+	VMULPD Z16, Z20, Z30
+	VMULPD Z17, Z20, Z31
+	VADDPD Z30, Z4, Z4
+	VADDPD Z31, Z5, Z5
+	VMULPD Z16, Z21, Z26
+	VMULPD Z17, Z21, Z27
+	VADDPD Z26, Z6, Z6
+	VADDPD Z27, Z7, Z7
+	ADDQ $8, SI
+	ADDQ R10, BX
+	DECQ CX
+	JNZ  loop
+
+store:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	ADDQ R8, DI
+	VMOVUPD Z2, (DI)
+	VMOVUPD Z3, 64(DI)
+	ADDQ R8, DI
+	VMOVUPD Z4, (DI)
+	VMOVUPD Z5, 64(DI)
+	ADDQ R8, DI
+	VMOVUPD Z6, (DI)
+	VMOVUPD Z7, 64(DI)
 	VZEROUPPER
 	RET

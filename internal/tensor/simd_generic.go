@@ -2,29 +2,61 @@ package tensor
 
 // The three multiply-accumulate primitives every dense and CSR×dense
 // product bottoms out in, and their portable bodies. simd_amd64.go
-// replaces the bodies with AVX2 ones at init when the CPU and the OS
-// allow it; everywhere else (other architectures, `-tags purego`, an
-// amd64 without AVX2) these run. Both bodies perform, per output
-// element, the identical operation sequence — multiply, round, add, in
-// ascending k — so which one is selected never shows in the bits
-// (KERNELS.md §2).
-var (
-	isa         = "generic"
-	axpy        = axpyGeneric
-	gatherAxpy  = gatherAxpyGeneric
-	gemmTile4x8 = gemmTile4x8Generic
-)
+// replaces the bodies with AVX-512 or AVX2 ones at init when the CPU
+// and the OS allow it; everywhere else (other architectures, `-tags
+// purego`, an amd64 without AVX2) these run. Every body performs, per
+// output element, the identical operation sequence — multiply, round,
+// add, in ascending k — so which one is selected never shows in the
+// bits (KERNELS.md §2).
+
+// tileFunc is a register-tile body: d[r][0:cols] += Σ_k a[r][k]·p[k][0:cols]
+// for r < rows and k ascending over kc panel rows, rows × cols being the
+// geometry of the binding it belongs to. d, a and p start at the tile's
+// first element; ldd, lda and ldp are the row strides of dst, a and the
+// panel.
+type tileFunc func(d []float64, ldd int, a []float64, lda int, p []float64, ldp, kc int)
+
+// A binding is one set of bodies for the three primitives together with
+// the geometry those bodies fix: the loop nests above them (gemmRows,
+// sparse.MulDenseK) read their steps from it and hold no tile constant
+// of their own.
+type binding struct {
+	isa        string
+	axpy       func(a float64, x, y []float64)
+	gatherAxpy func(val []float64, idx []int, b []float64, ldb int, y []float64)
+	// gatherStrip is how many columns of y gatherAxpy holds in registers
+	// across a run of entries; a caller blocking columns rounds to it.
+	gatherStrip int
+	// gemmTile updates tileRows × tileCols elements of dst. gemmHalfTile,
+	// when the binding has one, updates tileRows/2 × tileCols: it takes
+	// the rows a last full tile would overshoot.
+	gemmTile, gemmHalfTile tileFunc
+	tileRows, tileCols     int
+}
+
+var generic = binding{
+	isa: "generic", axpy: axpyGeneric,
+	gatherAxpy: gatherAxpyGeneric, gatherStrip: 32,
+	gemmTile: gemmTile4x8Generic, tileRows: 4, tileCols: 8,
+}
+
+// bound is the binding in use, chosen once at start-up.
+var bound = generic
 
 // ISA names the instruction set the multiply-accumulate primitives were
-// bound to at start-up: "avx2" or "generic".
-func ISA() string { return isa }
+// bound to at start-up: "avx512", "avx2" or "generic".
+func ISA() string { return bound.isa }
+
+// GatherStrip reports how many columns of y the bound GatherAxpy body
+// holds in registers at once (32 or 128).
+func GatherStrip() int { return bound.gatherStrip }
 
 // Axpy computes y[j] += a·x[j] for every j < len(x). Each product is
 // rounded to float64 before it is added — never fused — and lanes are
 // independent, so the result does not depend on the selected body. It
 // panics if y is shorter than x.
 func Axpy(a float64, x, y []float64) {
-	axpy(a, x, y[:len(x)])
+	bound.axpy(a, x, y[:len(x)])
 }
 
 // axpyGeneric is the portable Axpy body. The explicit conversion rounds
@@ -58,7 +90,7 @@ func GatherAxpy(val []float64, idx []int, b []float64, ldb int, y []float64) {
 			panic("tensor: GatherAxpy: row index outside b")
 		}
 	}
-	gatherAxpy(val, idx, b, ldb, y)
+	bound.gatherAxpy(val, idx, b, ldb, y)
 }
 
 // gatherAxpyGeneric is the portable GatherAxpy body: one rounded
@@ -71,8 +103,6 @@ func gatherAxpyGeneric(val []float64, idx []int, b []float64, ldb int, y []float
 
 // gemmTile4x8Generic is the portable register-tile body: d[r][0:8] +=
 // Σ_k a[r][k]·p[k][0:8] for r < 4 and k ascending over kc panel rows.
-// d, a and p start at the tile's first element; ldd, lda and ldp are
-// the row strides of dst, a and the panel.
 func gemmTile4x8Generic(d []float64, ldd int, a []float64, lda int, p []float64, ldp, kc int) {
 	d0, d1, d2, d3 := d[:8], d[ldd:ldd+8], d[2*ldd:2*ldd+8], d[3*ldd:3*ldd+8]
 	for k := 0; k < kc; k++ {

@@ -9,13 +9,53 @@ import (
 	"testing"
 )
 
-// These tests carry no build tag: `go test` runs them on the bodies the
-// host selected (AVX2 on an amd64 that has it), `go test -tags purego`
-// on the portable ones, and both must reproduce the same references.
+// These tests carry no build tag. Each kernel test runs once per entry
+// of bindings — every set of bodies this build can execute on this host,
+// not only the one init bound — with that entry bound in its place, and
+// all of them must reproduce the same references.
+
+// bindings starts with the portable bodies, and with the same again
+// under the wide geometry — the tile's definition written out at 8×16 and
+// 4×16, a 128-column strip — so that gemmRows' loop nest at that shape is
+// driven on any host and under `-tags purego`; simd_amd64_test.go appends
+// the assembler bodies the CPU can run.
+var bindings = []binding{generic, {
+	isa: "generic-8x16", axpy: axpyGeneric,
+	gatherAxpy: gatherAxpyGeneric, gatherStrip: 128,
+	gemmTile: refTile(8, 16), gemmHalfTile: refTile(4, 16), tileRows: 8, tileCols: 16,
+}}
+
+// refTile is the register tile's definition at one geometry.
+func refTile(rows, cols int) tileFunc {
+	return func(d []float64, ldd int, a []float64, lda int, p []float64, ldp, kc int) {
+		for r := 0; r < rows; r++ {
+			for k := 0; k < kc; k++ {
+				for j := 0; j < cols; j++ {
+					d[r*ldd+j] += float64(a[r*lda+k] * p[k*ldp+j])
+				}
+			}
+		}
+	}
+}
+
+// withBinding runs f with b bound in place of what init chose.
+func withBinding(b binding, f func()) {
+	defer func(was binding) { bound = was }(bound)
+	bound = b
+	f()
+}
+
+// eachBinding runs f as one subtest per entry of bindings, bound for
+// the subtest's duration.
+func eachBinding(t *testing.T, f func(t *testing.T, b binding)) {
+	for _, b := range bindings {
+		t.Run(b.isa, func(t *testing.T) { withBinding(b, func() { f(t, b) }) })
+	}
+}
 
 func TestISA(t *testing.T) {
-	if got := ISA(); got != "avx2" && got != "generic" {
-		t.Fatalf("ISA() = %q, want avx2 or generic", got)
+	if got := ISA(); got != "avx512" && got != "avx2" && got != "generic" {
+		t.Fatalf("ISA() = %q, want avx512, avx2 or generic", got)
 	}
 }
 
@@ -34,12 +74,14 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 	return s
 }
 
-// TestAxpyMatchesReference: every length 0…70 at every pair of slice
+// TestAxpyMatchesReference: every length 0…140 at every pair of slice
 // offsets 0…7 — unaligned heads, tails shorter than a vector — equals
 // the three-line reference bit for bit and writes nothing outside y.
-func TestAxpyMatchesReference(t *testing.T) {
+func TestAxpyMatchesReference(t *testing.T) { eachBinding(t, testAxpyMatchesReference) }
+
+func testAxpyMatchesReference(t *testing.T, _ binding) {
 	rng := rand.New(rand.NewSource(5))
-	for n := 0; n <= 70; n++ {
+	for n := 0; n <= 140; n++ {
 		for xo := 0; xo < 8; xo++ {
 			for yo := 0; yo < 8; yo++ {
 				a := rng.NormFloat64()
@@ -78,19 +120,21 @@ func gatherAxpyRef(val []float64, idx []int, b []float64, ldb int, y []float64) 
 	}
 }
 
-// TestGatherAxpyMatchesReference drives the selected body and the
-// portable one over widths on both sides of the 32-column strip and the
-// 4-column tail, with no, one and many entries — sorted, unsorted and
-// repeated — at an offset into b and y, into a non-zero y, and holds
-// every element of y (and the guard elements around it) to the scalar
-// loop's bits.
-func TestGatherAxpyMatchesReference(t *testing.T) {
+// TestGatherAxpyMatchesReference drives the body, bare and behind the
+// checking wrapper, over widths on both sides of the 128- and 32-column
+// strips and the 4-column tail, with no, one and many entries — sorted,
+// unsorted and repeated — at an offset into b and y, into a non-zero y,
+// and holds every element of y (and the guard elements around it) to
+// the scalar loop's bits.
+func TestGatherAxpyMatchesReference(t *testing.T) { eachBinding(t, testGatherAxpyMatchesReference) }
+
+func testGatherAxpyMatchesReference(t *testing.T, bd binding) {
 	rng := rand.New(rand.NewSource(7))
 	bodies := map[string]func([]float64, []int, []float64, int, []float64){
-		ISA(): gatherAxpy, "portable": gatherAxpyGeneric, "checked": GatherAxpy,
+		"body": bd.gatherAxpy, "checked": GatherAxpy,
 	}
 	const rows = 23
-	for _, width := range []int{0, 1, 3, 4, 5, 31, 32, 33, 36, 63, 64, 65, 130, 257} {
+	for _, width := range []int{0, 1, 3, 4, 5, 31, 32, 33, 36, 63, 64, 65, 127, 128, 129, 130, 255, 256, 257, 1250} {
 		for _, entries := range []int{0, 1, 2, 9, 40} {
 			for off := 0; off < 3; off++ {
 				ldb := width + 2*off
@@ -125,8 +169,10 @@ func TestGatherAxpyMatchesReference(t *testing.T) {
 }
 
 // TestGatherAxpySpecialValues: the values of TestGEMMSpecialValues
-// through every strip width of both bodies.
-func TestGatherAxpySpecialValues(t *testing.T) {
+// through every strip width of the body.
+func TestGatherAxpySpecialValues(t *testing.T) { eachBinding(t, testGatherAxpySpecialValues) }
+
+func testGatherAxpySpecialValues(t *testing.T, bd binding) {
 	special := []float64{
 		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040,
 		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), 1, -2.5,
@@ -141,7 +187,7 @@ func TestGatherAxpySpecialValues(t *testing.T) {
 		}
 		return s
 	}
-	const rows, width = 9, 32 + 4 + 3
+	const rows, width = 9, 128 + 32 + 4 + 3
 	for trial := 0; trial < 50; trial++ {
 		b, y, val := draw(rows*width), draw(width), draw(12)
 		idx := make([]int, len(val))
@@ -150,16 +196,12 @@ func TestGatherAxpySpecialValues(t *testing.T) {
 		}
 		want := append([]float64(nil), y...)
 		gatherAxpyRef(val, idx, b, width, want)
-		for name, body := range map[string]func([]float64, []int, []float64, int, []float64){
-			ISA(): gatherAxpy, "portable": gatherAxpyGeneric,
-		} {
-			got := append([]float64(nil), y...)
-			body(val, idx, b, width, got)
-			for j := range got {
-				if !sameBits(got[j], want[j]) {
-					t.Fatalf("%s trial %d: y[%d] = %x, want %x", name, trial, j,
-						math.Float64bits(got[j]), math.Float64bits(want[j]))
-				}
+		got := append([]float64(nil), y...)
+		bd.gatherAxpy(val, idx, b, width, got)
+		for j := range got {
+			if !sameBits(got[j], want[j]) {
+				t.Fatalf("trial %d: y[%d] = %x, want %x", trial, j,
+					math.Float64bits(got[j]), math.Float64bits(want[j]))
 			}
 		}
 	}
@@ -191,34 +233,33 @@ func TestGatherAxpyPanics(t *testing.T) {
 	GatherAxpy([]float64{1}, []int{3}, b[:36], 10, make([]float64, 6))
 }
 
-// TestGemmTileMatchesReference drives the selected tile body and the
-// portable one over kc on both sides of the panel height, at every
-// offset of the tile inside its rows, with unequal strides.
-func TestGemmTileMatchesReference(t *testing.T) {
+// TestGemmTileMatchesReference drives the tile body, and the half-height
+// one where the binding has it, over kc on both sides of the panel
+// height, at every offset of the tile inside its rows, with unequal
+// strides and guard elements around every row of the tile.
+func TestGemmTileMatchesReference(t *testing.T) { eachBinding(t, testGemmTileMatchesReference) }
+
+func testGemmTileMatchesReference(t *testing.T, bd binding) {
 	rng := rand.New(rand.NewSource(6))
-	bodies := map[string]func([]float64, int, []float64, int, []float64, int, int){
-		ISA(): gemmTile4x8, "portable": gemmTile4x8Generic,
+	tiles := map[int]tileFunc{bd.tileRows: bd.gemmTile}
+	if bd.gemmHalfTile != nil {
+		tiles[bd.tileRows/2] = bd.gemmHalfTile
 	}
-	for _, kc := range []int{0, 1, 255, 256, 257} {
-		for off := 0; off < 8; off++ {
-			ldd, lda, ldp := 8+off+3, kc+off+1, 8+2*off
-			d := randSlice(rng, off+3*ldd+8+5)
-			a := randSlice(rng, off+3*lda+kc+5)
-			p := randSlice(rng, off+kc*ldp+8+5)
-			want := append([]float64(nil), d...)
-			for r := 0; r < 4; r++ {
-				for k := 0; k < kc; k++ {
-					for j := 0; j < 8; j++ {
-						want[off+r*ldd+j] += float64(a[off+r*lda+k] * p[off+k*ldp+j])
-					}
-				}
-			}
-			for name, tile := range bodies {
+	cols := bd.tileCols
+	for rows, tile := range tiles {
+		for _, kc := range []int{0, 1, 255, 256, 257} {
+			for off := 0; off < 8; off++ {
+				ldd, lda, ldp := cols+off+3, kc+off+1, cols+2*off
+				d := randSlice(rng, off+(rows-1)*ldd+cols+5)
+				a := randSlice(rng, off+(rows-1)*lda+kc+5)
+				p := randSlice(rng, off+kc*ldp+cols+5)
+				want := append([]float64(nil), d...)
+				refTile(rows, cols)(want[off:], ldd, a[off:], lda, p[off:], ldp, kc)
 				got := append([]float64(nil), d...)
 				tile(got[off:], ldd, a[off:], lda, p[off:], ldp, kc)
 				for j := range got {
 					if !sameBits(got[j], want[j]) {
-						t.Fatalf("%s kc=%d off=%d: d[%d] = %x, want %x", name, kc, off, j,
+						t.Fatalf("%d×%d kc=%d off=%d: d[%d] = %x, want %x", rows, cols, kc, off, j,
 							math.Float64bits(got[j]), math.Float64bits(want[j]))
 					}
 				}
@@ -227,41 +268,51 @@ func TestGemmTileMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGEMMEdgeSweep straddles every edge the register tile introduces —
-// the 4-row group, the 8-column tile, the 128-column panel, the 256-row
-// panel — and holds each product to the naive triple loop, bit for bit,
-// at every thread count. The padded edge tile computes eight columns
-// where dst has fewer: a row range in the middle of a dst filled with a
-// sentinel must leave every element outside the range — the next row's
-// first elements among them — exactly as it was.
+// TestGEMMEdgeSweep straddles every edge the register tiles introduce —
+// the 4- and 8-row groups, the 8- and 16-column tiles, the 128-column
+// panel, the 256-row panel — and holds each product to the naive triple
+// loop, bit for bit, under every binding at every thread count. The
+// padded edge tile computes a whole tile's columns where dst has fewer:
+// a row range in the middle of a dst filled with a sentinel must leave
+// every element outside the range — the next row's first elements among
+// them — exactly as it was. (The row counts past nine meet the column
+// counts up to 33 only: row groups and panels do not interact, and the
+// naive reference is most of this test's time.)
 func TestGEMMEdgeSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const sentinel = -7.25
-	for _, rows := range []int{1, 3, 4, 5, 7, 8, 9} {
-		for _, cols := range []int{1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136} {
+	for _, rows := range []int{1, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17} {
+		for _, cols := range []int{1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 127, 128, 129, 136, 144} {
+			if rows > 9 && cols > 33 {
+				continue
+			}
 			for _, kd := range []int{1, 255, 256, 257, 513} {
 				a, b := RandNormal(rng, rows, kd), RandNormal(rng, kd, cols)
 				want := naiveMatMul(a, b)
-				for _, threads := range []int{1, 2, 3, 8} {
-					if got := (K{Threads: threads}).MatMul(a, b); !bitsEqual(got, want) {
-						t.Fatalf("%dx%dx%d threads=%d: differs from naive (max |Δ| %g)",
-							rows, kd, cols, threads, MaxAbsDiff(got, want))
-					}
-				}
 				lo, hi := rows/3, rows-rows/4
-				got := NewDense(rows, cols)
-				for i := range got.Data {
-					if i < lo*cols || i >= hi*cols {
-						got.Data[i] = sentinel
-					}
-				}
-				gemmRows(got, a, b, lo, hi)
-				for i, v := range got.Data {
-					inside := i >= lo*cols && i < hi*cols
-					if inside && !sameBits(v, want.Data[i]) || !inside && v != sentinel {
-						t.Fatalf("%dx%dx%d rows [%d,%d): element %d = %v (inside=%v, naive %v)",
-							rows, kd, cols, lo, hi, i, v, inside, want.Data[i])
-					}
+				for _, bd := range bindings {
+					withBinding(bd, func() {
+						for _, threads := range []int{1, 2, 3, 8} {
+							if got := (K{Threads: threads}).MatMul(a, b); !bitsEqual(got, want) {
+								t.Fatalf("%s %dx%dx%d threads=%d: differs from naive (max |Δ| %g)",
+									bd.isa, rows, kd, cols, threads, MaxAbsDiff(got, want))
+							}
+						}
+						got := NewDense(rows, cols)
+						for i := range got.Data {
+							if i < lo*cols || i >= hi*cols {
+								got.Data[i] = sentinel
+							}
+						}
+						gemmRows(got, a, b, lo, hi)
+						for i, v := range got.Data {
+							inside := i >= lo*cols && i < hi*cols
+							if inside && !sameBits(v, want.Data[i]) || !inside && v != sentinel {
+								t.Fatalf("%s %dx%dx%d rows [%d,%d): element %d = %v (inside=%v, naive %v)",
+									bd.isa, rows, kd, cols, lo, hi, i, v, inside, want.Data[i])
+							}
+						}
+					})
 				}
 			}
 		}
@@ -272,7 +323,9 @@ func TestGEMMEdgeSweep(t *testing.T) {
 // products that overflow take the tile, the edge columns and the
 // remainder row to the bits of the naive loop; where the naive loop
 // produces a NaN (∞·0, ∞−∞, a NaN input) so does the kernel.
-func TestGEMMSpecialValues(t *testing.T) {
+func TestGEMMSpecialValues(t *testing.T) { eachBinding(t, testGEMMSpecialValues) }
+
+func testGEMMSpecialValues(t *testing.T, _ binding) {
 	gentle := []float64{
 		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040, 1, -2.5,
 	}
@@ -287,15 +340,16 @@ func TestGEMMSpecialValues(t *testing.T) {
 			}
 			return m
 		}
-		// 9×300 × 300×21: two 4-row groups and a remainder row, two
-		// 8-column tiles and five edge columns, two k panels.
-		a, b := draw(9, 300), draw(300, 21)
+		// 13×300 × 300×37: an 8-row and a 4-row group (or three of four)
+		// and a remainder row, two 16-column tiles (or four of eight) and
+		// five edge columns, two k panels.
+		a, b := draw(13, 300), draw(300, 37)
 		a.Set(1, 10, math.MaxFloat64) // overflows in one product, or not at all
 		a.Set(1, 200, math.MaxFloat64)
 		a.Set(2, 7, math.Inf(1))
 		a.Set(5, 3, math.Inf(1)) // +Inf and −Inf in one row: Inf−Inf
 		a.Set(5, 260, math.Inf(-1))
-		a.Set(8, 299, -math.MaxFloat64)
+		a.Set(12, 299, -math.MaxFloat64)
 		b.Set(50, 3, math.MaxFloat64)
 		b.Set(100, 20, math.Inf(1)) // times a's zeros: ∞·0
 		if withNaN {
@@ -339,11 +393,14 @@ func TestGEMMSpecialValues(t *testing.T) {
 // TestMatMulAddIntoNonZeroDst: the tile loads dst before it accumulates
 // and the padded edge tile is seeded from dst, so dst += a×b starts each
 // element's ascending-k sum from the value already there — in a packed
-// panel's edge columns (141 = 128 + 8 + 5), in an in-place panel's
-// (30 = 24 + 6) and where the edge is all there is (5).
-func TestMatMulAddIntoNonZeroDst(t *testing.T) {
+// panel's edge columns (141 = 128 + 8 + 5, 157 = 128 + 16 + 13), in an
+// in-place panel's (30 = 24 + 6 = 16 + 14) and where the edge is all
+// there is (5).
+func TestMatMulAddIntoNonZeroDst(t *testing.T) { eachBinding(t, testMatMulAddIntoNonZeroDst) }
+
+func testMatMulAddIntoNonZeroDst(t *testing.T, _ binding) {
 	rng := rand.New(rand.NewSource(10))
-	for _, cols := range []int{141, 30, 5} {
+	for _, cols := range []int{141, 157, 30, 5} {
 		a, b := RandNormal(rng, 13, 260), RandNormal(rng, 260, cols)
 		base := RandNormal(rng, 13, cols)
 		want := base.Clone()

@@ -1,7 +1,12 @@
 package matopt
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -41,6 +46,14 @@ func TestPlanCacheEngineInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The golden itself is pinned, to a digest recorded when the widest
+	// kernel bodies were AVX2: whichever bodies this build binds (avx512;
+	// avx2 under -tags noavx512; generic under -tags purego or on another
+	// architecture), these are the bits.
+	const wantDigest = "b562691a3f02ad41235ff9f7b2313fecceaf46e8ff0dde9ade9b8692b6d5890f"
+	if got := outputDigest(want); got != wantDigest {
+		t.Fatalf("sequential outputs under %s kernels hash to %s, want %s", tensor.ISA(), got, wantDigest)
+	}
 
 	// A second Optimize of the identical computation hits the cache and
 	// must share the cold plan's lowered IR, not re-derive its own.
@@ -73,6 +86,32 @@ func TestPlanCacheEngineInvariance(t *testing.T) {
 		}
 		requireBitIdentical(t, "cached plan on dist", got, want)
 	}
+}
+
+// outputDigest is the SHA-256 of a run's outputs — vertex id, shape and
+// value bits, in ascending vertex order.
+func outputDigest(outs map[int]*Dense) string {
+	ids := make([]int, 0, len(outs))
+	for id := range outs {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	h := sha256.New()
+	var buf [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, id := range ids {
+		m := outs[id]
+		word(uint64(id))
+		word(uint64(m.Rows))
+		word(uint64(m.Cols))
+		for _, v := range m.Data {
+			word(math.Float64bits(v))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestPlanExplainAPI pins the public Explain surface: the rendered
