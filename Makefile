@@ -122,19 +122,9 @@ bench-smoke:
 	$(GO) test -C cmd/bench ./...
 
 # The benchmark is cmd/bench (BENCHMARK.json: four workloads, end-to-end
-# and per-layer metrics). Fault, cascade and checkpoint wall time has no
-# metric there yet, so the two Go benchmarks that price them ride along:
-# BENCH_dist_faults.json records what the fault hooks cost a run that
-# never fails next to one that crashes and recovers every vertex, and
-# BENCH_recovery.json a sink node loss under lineage recompute alone
-# next to the same loss under checkpoint pins, with the memory the pins
-# hold relative to the run's resident peak.
+# and per-layer metrics).
 bench:
 	bash cmd/bench/run.sh
-	BENCH_DIST_FAULTS_JSON=$(CURDIR)/BENCH_dist_faults.json $(GO) test -run '^$$' \
-		-bench BenchmarkDistFaultOverhead -benchtime 1x ./internal/dist/
-	BENCH_RECOVERY_JSON=$(CURDIR)/BENCH_recovery.json $(GO) test -run '^$$' \
-		-bench BenchmarkRecovery -benchtime 1x ./internal/dist/
 
 # Profile first: a hundred cold serial Frontier searches of the benchmark's
 # inverse_cold graph (BenchmarkFrontierInverseCold) on one processor,

@@ -71,7 +71,7 @@ func main() {
 	flag.IntVar(&cfg.Workers, "workers", 10, "cluster size")
 	flag.BoolVar(&cfg.Sparse, "sparse", false, "allow sparse formats")
 	flag.StringVar(&cfg.Formats, "formats", "all", "format universe: all | ssb (single/strip/block) | sb (single/block)")
-	flag.StringVar(&cfg.Alg, "alg", "auto", "optimization algorithm: auto (tree DP / frontier) | brute")
+	flag.StringVar(&cfg.Alg, "alg", "auto", "optimization algorithm: auto (frontier) | brute")
 	flag.DurationVar(&cfg.Budget, "brute-budget", 30*time.Second, "brute-force time budget")
 	flag.BoolVar(&cfg.Stats, "stats", false, "print optimizer search statistics")
 	flag.BoolVar(&cfg.DOT, "dot", false, "emit the annotated compute graph in Graphviz format (Figure 2 style)")

@@ -221,7 +221,8 @@ func TestFrontierMatchesBruteOnSharedDAGs(t *testing.T) {
 // TestFrontierMatchesTreeDPOnRandomTrees runs random trees through both
 // dynamic programs over the full format universe. The costs must agree
 // and both plans verify; the plans themselves may differ where two are
-// equally cheap, because TreeDP breaks ties in map order.
+// equally cheap, because TreeDP breaks ties in map order — Frontier does
+// not, so its plan must be the same one on every run.
 func TestFrontierMatchesTreeDPOnRandomTrees(t *testing.T) {
 	env := NewEnv(costmodel.EC2R5D(8), format.All())
 	for seed := int64(0); seed < 200; seed++ {
@@ -242,6 +243,16 @@ func TestFrontierMatchesTreeDPOnRandomTrees(t *testing.T) {
 		for name, ann := range map[string]*Annotation{"frontier": fr, "treedp": dp} {
 			if err := ann.Verify(env); err != nil {
 				t.Errorf("seed %d: %s annotation invalid: %v", seed, name, err)
+			}
+		}
+		first := fr.Describe()
+		for repeat := 1; repeat <= 3; repeat++ {
+			again, err := Frontier(g, env)
+			if err != nil {
+				t.Fatalf("seed %d: repeat %d: %v", seed, repeat, err)
+			}
+			if got := again.Describe(); got != first {
+				t.Errorf("seed %d: Frontier's plan differs on repeat %d\n%s\n--- first ---\n%s", seed, repeat, got, first)
 			}
 		}
 	}

@@ -11,9 +11,9 @@ import (
 // answer depends on: the graph's structure (vertex ops, argument wiring,
 // shapes, densities, input names and formats) and the environment (the
 // format universe, the cluster profile, the cost-model coefficients and
-// the beam limit). Two Optimize calls with equal fingerprints are
-// guaranteed the same optimal plan, which is what makes the plan cache
-// in the root package sound. Densities are part of the key because the
+// the beam limit). Equal fingerprints, same plan byte for byte from
+// Optimize: the root package's plan cache rests on it
+// (TestPlanBytesStableOnTrees). Densities are part of the key because the
 // adaptive executor re-optimizes remainder graphs with measured
 // densities substituted in — those must not collide with the original
 // estimate's plan.

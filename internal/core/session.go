@@ -114,17 +114,11 @@ func (s *Session) ctxErr() error {
 	return err
 }
 
-// Optimize computes the optimal annotation of g under the session,
-// dispatching to the linear-time tree DP on tree-shaped graphs and to
-// the Frontier algorithm otherwise, exactly as the paper's prototype
-// does (§8.2 notes the FFNN graph is not a tree, so the frontier
-// algorithm is used).
+// Optimize computes the optimal annotation of g with the Frontier
+// algorithm (Algorithm 4), whatever the graph's shape.
 func (s *Session) Optimize(g *Graph) (*Annotation, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
-	}
-	if g.IsTree() {
-		return s.TreeDP(g)
 	}
 	return s.Frontier(g)
 }

@@ -60,8 +60,9 @@ func (e *Engine) RunAdaptive(g *core.Graph, env *core.Env, inputs map[string]*te
 		return nil, fmt.Errorf("engine: relative-error threshold %v must be ≥ 1", threshold)
 	}
 	res := &AdaptiveResult{Relations: make(map[int]*Relation)}
+	measured := make(map[int]float64) // original vertex → true density of its result
 	for {
-		sub, idmap, err := remainderGraph(g, res.Relations)
+		sub, idmap, err := remainderGraph(g, res.Relations, measured)
 		if err != nil {
 			return nil, err
 		}
@@ -98,10 +99,11 @@ func (e *Engine) RunAdaptive(g *core.Graph, env *core.Env, inputs map[string]*te
 			res.Relations[orig] = out
 			est := sub.Vertices[n.Vertex].Density
 			// Record the truth for any re-optimization.
-			out.Density = out.MeasuredDensity()
-			if re := sparse.RelativeError(est, out.Density); re > threshold {
+			truth := out.MeasuredDensity()
+			measured[orig] = truth
+			if re := sparse.RelativeError(est, truth); re > threshold {
 				res.Corrections = append(res.Corrections, DensityCorrection{
-					Vertex: orig, Estimated: est, Measured: out.Density, RelErr: re,
+					Vertex: orig, Estimated: est, Measured: truth, RelErr: re,
 				})
 				drifted = true
 			}
@@ -121,7 +123,7 @@ func (e *Engine) RunAdaptive(g *core.Graph, env *core.Env, inputs map[string]*te
 // vertices whose results are still needed become sources carrying their
 // materialized format and measured density. idmap maps original vertex
 // IDs to the new graph's vertices.
-func remainderGraph(g *core.Graph, done map[int]*Relation) (*core.Graph, map[int]*core.Vertex, error) {
+func remainderGraph(g *core.Graph, done map[int]*Relation, measured map[int]float64) (*core.Graph, map[int]*core.Vertex, error) {
 	sub := core.NewGraph()
 	idmap := make(map[int]*core.Vertex)
 	for _, v := range g.Vertices {
@@ -137,7 +139,7 @@ func remainderGraph(g *core.Graph, done map[int]*Relation) (*core.Graph, map[int
 			if !needed {
 				continue
 			}
-			idmap[v.ID] = sub.Input(fmt.Sprintf("done-%d", v.ID), v.Shape, r.Density, r.Format)
+			idmap[v.ID] = sub.Input(fmt.Sprintf("done-%d", v.ID), v.Shape, measured[v.ID], r.Format)
 			continue
 		}
 		if v.IsSource {

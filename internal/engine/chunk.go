@@ -15,11 +15,10 @@ import (
 // Sparse target formats extract the non-zeros. It is the layout half of
 // Scan and Relayout; placement (which shard each tuple lives on) is
 // theirs.
-func Chunk(m *tensor.Dense, f format.Format, maxTupleBytes int64) ([]Tuple, shape.Shape, float64, error) {
+func Chunk(m *tensor.Dense, f format.Format, maxTupleBytes int64) ([]Tuple, shape.Shape, error) {
 	s := shape.New(int64(m.Rows), int64(m.Cols))
-	density := m.Density()
-	if !f.Valid(s, density, maxTupleBytes) {
-		return nil, s, density, fmt.Errorf("engine: %v cannot store a %v matrix", f, s)
+	if !f.Valid(s, m.Density(), maxTupleBytes) {
+		return nil, s, fmt.Errorf("engine: %v cannot store a %v matrix", f, s)
 	}
 	var tuples []Tuple
 	switch f.Kind {
@@ -31,7 +30,7 @@ func Chunk(m *tensor.Dense, f format.Format, maxTupleBytes int64) ([]Tuple, shap
 			for j := 0; j < m.Cols; j += b {
 				tuples = append(tuples, Tuple{
 					Key:   Key{int64(i / b), int64(j / b)},
-					Dense: m.Slice(i, minInt(i+b, m.Rows), j, minInt(j+b, m.Cols)),
+					Dense: m.Slice(i, min(i+b, m.Rows), j, min(j+b, m.Cols)),
 				})
 			}
 		}
@@ -40,7 +39,7 @@ func Chunk(m *tensor.Dense, f format.Format, maxTupleBytes int64) ([]Tuple, shap
 		for i := 0; i < m.Rows; i += h {
 			tuples = append(tuples, Tuple{
 				Key:   Key{int64(i / h), 0},
-				Dense: m.Slice(i, minInt(i+h, m.Rows), 0, m.Cols),
+				Dense: m.Slice(i, min(i+h, m.Rows), 0, m.Cols),
 			})
 		}
 	case format.ColStrip:
@@ -48,7 +47,7 @@ func Chunk(m *tensor.Dense, f format.Format, maxTupleBytes int64) ([]Tuple, shap
 		for j := 0; j < m.Cols; j += w {
 			tuples = append(tuples, Tuple{
 				Key:   Key{0, int64(j / w)},
-				Dense: m.Slice(0, m.Rows, j, minInt(j+w, m.Cols)),
+				Dense: m.Slice(0, m.Rows, j, min(j+w, m.Cols)),
 			})
 		}
 	case format.COO:
@@ -66,13 +65,13 @@ func Chunk(m *tensor.Dense, f format.Format, maxTupleBytes int64) ([]Tuple, shap
 		for i := 0; i < m.Rows; i += h {
 			tuples = append(tuples, Tuple{
 				Key: Key{int64(i / h), 0},
-				CSR: whole.RowSlice(i, minInt(i+h, m.Rows)),
+				CSR: whole.RowSlice(i, min(i+h, m.Rows)),
 			})
 		}
 	default:
-		return nil, s, density, fmt.Errorf("engine: unknown format %v", f)
+		return nil, s, fmt.Errorf("engine: unknown format %v", f)
 	}
-	return tuples, s, density, nil
+	return tuples, s, nil
 }
 
 // Load chunks a dense matrix into the given physical format as a
@@ -166,11 +165,4 @@ func keyLess(a, b Key) bool {
 		return a.I < b.I
 	}
 	return a.J < b.J
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

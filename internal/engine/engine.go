@@ -67,10 +67,9 @@ func (t Tuple) Bytes() int64 {
 // key hashes to; single-kind formats (single, csr-single) hold their one
 // tuple on whichever shard produced it.
 type Relation struct {
-	Format  format.Format
-	Shape   shape.Shape
-	Density float64
-	Parts   [][]Tuple // Parts[s] = tuples resident on shard s
+	Format format.Format
+	Shape  shape.Shape
+	Parts  [][]Tuple // Parts[s] = tuples resident on shard s
 }
 
 // NumTuples returns the total tuple count.

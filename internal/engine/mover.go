@@ -148,10 +148,10 @@ func shuffle(m Mover, x Xfer, rel *Relation, dst func(Tuple) int) ([][]Tuple, er
 }
 
 // single builds a one-tuple relation (key (0, 0)) resident on shard.
-func single(m Mover, f format.Format, s shape.Shape, density float64, t Tuple, shard int) *Relation {
+func single(m Mover, f format.Format, s shape.Shape, t Tuple, shard int) *Relation {
 	parts := make([][]Tuple, m.Shards())
 	parts[shard] = []Tuple{t}
-	return &Relation{Format: f, Shape: s, Density: density, Parts: parts}
+	return &Relation{Format: f, Shape: s, Parts: parts}
 }
 
 func isSingleKind(f format.Format) bool {
@@ -165,11 +165,11 @@ func Scan(m Mover, vertex int, mat *tensor.Dense, f format.Format, maxTupleBytes
 	owner := m.OwnerShard(vertex)
 	var rel *Relation
 	err := m.On(owner, func() error {
-		tuples, s, density, err := Chunk(mat, f, maxTupleBytes)
+		tuples, s, err := Chunk(mat, f, maxTupleBytes)
 		if err != nil {
 			return err
 		}
-		rel = &Relation{Format: f, Shape: s, Density: density, Parts: make([][]Tuple, m.Shards())}
+		rel = &Relation{Format: f, Shape: s, Parts: make([][]Tuple, m.Shards())}
 		if isSingleKind(f) {
 			rel.Parts[owner] = tuples
 			return nil
@@ -201,20 +201,20 @@ func Relayout(m Mover, vertex, arg int, rel *Relation, target format.Format, max
 	var tuples []Tuple
 	out := &Relation{Format: target}
 	err = m.On(stitch, func() error {
-		whole := &Relation{Format: rel.Format, Shape: rel.Shape, Density: rel.Density, Parts: gathered[stitch : stitch+1]}
+		whole := &Relation{Format: rel.Format, Shape: rel.Shape, Parts: gathered[stitch : stitch+1]}
 		md, err := Assemble(whole)
 		if err != nil {
 			return fmt.Errorf("transform assemble: %w", err)
 		}
 		m.Flops(int64(md.Rows) * int64(md.Cols))
-		tuples, out.Shape, out.Density, err = Chunk(md, target, maxTupleBytes)
+		tuples, out.Shape, err = Chunk(md, target, maxTupleBytes)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	if isSingleKind(target) {
-		return single(m, target, out.Shape, out.Density, tuples[0], stitch), nil
+		return single(m, target, out.Shape, tuples[0], stitch), nil
 	}
 	out.Parts, err = m.Exchange(x, func(s int) ([]Routed, error) {
 		if s != stitch {

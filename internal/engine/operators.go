@@ -139,7 +139,7 @@ func pairAtSite(m Mover, n *plan.Node, ins []*Relation, f func(a, b Tuple) *tens
 	var rel *Relation
 	err = m.On(site, func() error {
 		out := f(ta, tb)
-		rel = single(m, format.NewSingle(), n.OutShape, out.Density(), Tuple{Dense: out}, site)
+		rel = single(m, format.NewSingle(), n.OutShape, Tuple{Dense: out}, site)
 		return nil
 	})
 	return rel, err
@@ -147,7 +147,7 @@ func pairAtSite(m Mover, n *plan.Node, ins []*Relation, f func(a, b Tuple) *tens
 
 // atHolder runs f on the shard holding a one-tuple relation and leaves
 // the resulting tuple there as a one-tuple relation in format outFmt.
-func atHolder(m Mover, n *plan.Node, in *Relation, outFmt format.Format, density float64, f func(t Tuple) (Tuple, error)) (*Relation, error) {
+func atHolder(m Mover, n *plan.Node, in *Relation, outFmt format.Format, f func(t Tuple) (Tuple, error)) (*Relation, error) {
 	t, holder, err := in.sole()
 	if err != nil {
 		return nil, err
@@ -158,7 +158,7 @@ func atHolder(m Mover, n *plan.Node, in *Relation, outFmt format.Format, density
 		if err != nil {
 			return err
 		}
-		rel = single(m, outFmt, n.OutShape, density, out, holder)
+		rel = single(m, outFmt, n.OutShape, out, holder)
 		return nil
 	})
 	return rel, err
@@ -166,11 +166,11 @@ func atHolder(m Mover, n *plan.Node, in *Relation, outFmt format.Format, density
 
 // chunked wraps an operator's per-shard output tuples as its result
 // relation, or passes on the error that interrupted producing them.
-func chunked(f format.Format, n *plan.Node, density float64, parts [][]Tuple, err error) (*Relation, error) {
+func chunked(f format.Format, n *plan.Node, parts [][]Tuple, err error) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Relation{Format: f, Shape: n.OutShape, Density: density, Parts: parts}, nil
+	return &Relation{Format: f, Shape: n.OutShape, Parts: parts}, nil
 }
 
 // mapLocal applies f to every tuple on the shard it lives on, in key
@@ -246,7 +246,7 @@ func sumAtOwner(m Mover, n *plan.Node, label string, produce func(shard, owner i
 	if err != nil {
 		return nil, err
 	}
-	return single(m, format.NewSingle(), n.OutShape, acc.Density(), Tuple{Dense: acc}, owner), nil
+	return single(m, format.NewSingle(), n.OutShape, Tuple{Dense: acc}, owner), nil
 }
 
 // addPartial folds a whole-matrix partial into the accumulator.
@@ -275,7 +275,7 @@ func mmBcastSingleColStrip(m Mover, n *plan.Node, ins []*Relation) (*Relation, e
 	parts, err := mapLocal(m, ins[1], func(s int, t Tuple) Tuple {
 		return Tuple{Key: t.Key, Dense: product(m, kc, as[s], t.Dense)()}
 	})
-	return chunked(ins[1].Format, n, 1, parts, err)
+	return chunked(ins[1].Format, n, parts, err)
 }
 
 func mmRowStripBcastSingle(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
@@ -287,7 +287,7 @@ func mmRowStripBcastSingle(m Mover, n *plan.Node, ins []*Relation) (*Relation, e
 	parts, err := mapLocal(m, ins[0], func(s int, t Tuple) Tuple {
 		return Tuple{Key: t.Key, Dense: product(m, kc, t.Dense, bs[s])()}
 	})
-	return chunked(ins[0].Format, n, 1, parts, err)
+	return chunked(ins[0].Format, n, parts, err)
 }
 
 func mmRowStripColStrip(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
@@ -314,7 +314,7 @@ func mmRowStripColStrip(m Mover, n *plan.Node, ins []*Relation) (*Relation, erro
 		}
 		return out, nil
 	})
-	return chunked(format.NewTile(ins[0].Format.Block), n, 1, parts, err)
+	return chunked(format.NewTile(ins[0].Format.Block), n, parts, err)
 }
 
 func mmColStripRowStripAgg(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
@@ -367,7 +367,7 @@ func tileTileProducts(m Mover, n *plan.Node, blk int64, pairs func(shard int) (a
 		}
 		return out, nil
 	})
-	return chunked(format.NewTile(blk), n, 1, parts, err)
+	return chunked(format.NewTile(blk), n, parts, err)
 }
 
 func mmTileTileShuffle(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
@@ -421,7 +421,7 @@ func mmBcastSingleTile(m Mover, n *plan.Node, ins []*Relation) (*Relation, error
 		}
 		return out, nil
 	})
-	return chunked(format.NewColStrip(ins[1].Format.Block), n, 1, parts, err)
+	return chunked(format.NewColStrip(ins[1].Format.Block), n, parts, err)
 }
 
 func mmTileBcastSingle(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
@@ -442,7 +442,7 @@ func mmTileBcastSingle(m Mover, n *plan.Node, ins []*Relation) (*Relation, error
 		}
 		return out, nil
 	})
-	return chunked(format.NewRowStrip(ins[0].Format.Block), n, 1, parts, err)
+	return chunked(format.NewRowStrip(ins[0].Format.Block), n, parts, err)
 }
 
 func mmCSRSingleSingle(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
@@ -516,7 +516,7 @@ func mmCSRRowStripBcastSingle(m Mover, n *plan.Node, ins []*Relation) (*Relation
 	parts, err := mapLocal(m, ins[0], func(s int, t Tuple) Tuple {
 		return Tuple{Key: t.Key, Dense: csrProduct(m, kc, t.CSR, bs[s])()}
 	})
-	return chunked(format.NewRowStrip(ins[0].Format.Block), n, 1, parts, err)
+	return chunked(format.NewRowStrip(ins[0].Format.Block), n, parts, err)
 }
 
 func mmBcastCOOSingle(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
@@ -610,7 +610,7 @@ func ewCoPart(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
 		}
 		return nil
 	})
-	return chunked(ins[0].Format, n, 1, parts, err)
+	return chunked(ins[0].Format, n, parts, err)
 }
 
 func mapKernel(kc tensor.K, o op.Op) func(*tensor.Dense) *tensor.Dense {
@@ -648,7 +648,7 @@ func mapOp(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
 		d := tensor.FromRows([][]float64{{t.Val}})
 		return Tuple{Key: t.Key, Val: kern(d).At(0, 0), IsVal: true}
 	})
-	return chunked(ins[0].Format, n, ins[0].Density, parts, err)
+	return chunked(ins[0].Format, n, parts, err)
 }
 
 // denseMap applies a per-tuple dense kernel shard-locally, keeping keys
@@ -658,7 +658,7 @@ func denseMap(m Mover, n *plan.Node, in *Relation, kern func(*tensor.Dense) *ten
 		m.Flops(int64(len(t.Dense.Data)))
 		return Tuple{Key: t.Key, Dense: kern(t.Dense)}
 	})
-	return chunked(in.Format, n, 1, parts, err)
+	return chunked(in.Format, n, parts, err)
 }
 
 func addBias(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
@@ -671,7 +671,7 @@ func addBias(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
 		m.Flops(int64(len(t.Dense.Data)))
 		return Tuple{Key: t.Key, Dense: kc.AddBias(t.Dense, bs[s])}
 	})
-	return chunked(ins[0].Format, n, 1, parts, err)
+	return chunked(ins[0].Format, n, parts, err)
 }
 
 func rowSums(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
@@ -692,7 +692,7 @@ func transposeDense(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
 	var outFmt format.Format
 	switch in.Format.Kind {
 	case format.Single:
-		return atHolder(m, n, in, format.NewSingle(), in.Density, func(t Tuple) (Tuple, error) { return transposed(t), nil })
+		return atHolder(m, n, in, format.NewSingle(), func(t Tuple) (Tuple, error) { return transposed(t), nil })
 	case format.Tile:
 		outFmt = in.Format
 	case format.RowStrip:
@@ -711,14 +711,14 @@ func transposeDense(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
 		}
 		return out, nil
 	})
-	return chunked(outFmt, n, in.Density, parts, err)
+	return chunked(outFmt, n, parts, err)
 }
 
 func transposeCSR(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
 	if _, _, err := ins[0].singleCSR(); err != nil {
 		return nil, err
 	}
-	return atHolder(m, n, ins[0], format.NewCSRSingle(), ins[0].Density, func(t Tuple) (Tuple, error) {
+	return atHolder(m, n, ins[0], format.NewCSRSingle(), func(t Tuple) (Tuple, error) {
 		m.Flops(2 * int64(t.CSR.NNZ()))
 		return Tuple{CSR: sparse.FromDense(m.Kern().Transpose(t.CSR.ToDense()))}, nil
 	})
@@ -728,7 +728,7 @@ func inverse(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
 	if _, _, err := ins[0].singleDense(); err != nil {
 		return nil, err
 	}
-	return atHolder(m, n, ins[0], format.NewSingle(), 1, func(t Tuple) (Tuple, error) {
+	return atHolder(m, n, ins[0], format.NewSingle(), func(t Tuple) (Tuple, error) {
 		rows := int64(t.Dense.Rows)
 		m.Flops(2 * rows * rows * rows)
 		inv, err := tensor.Inverse(t.Dense)

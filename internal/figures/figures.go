@@ -91,6 +91,23 @@ func simEnv(workers int) *core.Env {
 	return core.NewEnv(costmodel.EC2R5D(workers), format.All())
 }
 
+// threeWay returns one row's Auto-gen / Hand-written / All-tile cells:
+// the simulated time of the optimizer's plan, with the search time
+// rendered by optTime in parentheses, then the two baselines'.
+func threeWay(g *core.Graph, env *core.Env, optTime func(sec float64) string) []string {
+	auto, errA := core.Optimize(g, env)
+	hand, errH := baseline.HandWritten(g, env)
+	tile, errT := baseline.AllTile(g, env)
+	autoCell := FmtDur(simulate(auto, errA, env))
+	if errA == nil {
+		autoCell += fmt.Sprintf(" (%s)", optTime(auto.OptSeconds))
+	}
+	return []string{autoCell, FmtDur(simulate(hand, errH, env)), FmtDur(simulate(tile, errT, env))}
+}
+
+// seconds renders a sub-minute search time as the paper's tables do.
+func seconds(sec float64) string { return fmt.Sprintf(":%02.0f", sec) }
+
 // Fig1 reproduces the §2.1 motivating comparison: the tile-based
 // implementation 1 against the collapse-and-broadcast implementation 2
 // that the optimizer discovers automatically.
@@ -139,22 +156,11 @@ func Fig5() Table {
 	if err != nil {
 		panic(err)
 	}
-	auto, errA := core.Optimize(g, env)
-	hand, errH := baseline.HandWritten(g, env)
-	tile, errT := baseline.AllTile(g, env)
-	autoCell := FmtDur(simulate(auto, errA, env))
-	if errA == nil {
-		autoCell += fmt.Sprintf(" (%s)", FmtDur(auto.OptSeconds))
-	}
 	return Table{
 		Name:   "Figure 5",
 		Title:  "FFNN fwd+backprop+fwd, hidden 80K, 10 workers (opt time in parens)",
 		Header: []string{"Auto-gen", "Hand-written", "All-tile"},
-		Rows: [][]string{{
-			autoCell,
-			FmtDur(simulate(hand, errH, env)),
-			FmtDur(simulate(tile, errT, env)),
-		}},
+		Rows:   [][]string{threeWay(g, env, FmtDur)},
 	}
 }
 
@@ -172,19 +178,7 @@ func Fig6() Table {
 		if err != nil {
 			panic(err)
 		}
-		auto, errA := core.Optimize(g, env)
-		hand, errH := baseline.HandWritten(g, env)
-		tile, errT := baseline.AllTile(g, env)
-		autoCell := FmtDur(simulate(auto, errA, env))
-		if errA == nil {
-			autoCell += fmt.Sprintf(" (:%02.0f)", auto.OptSeconds)
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%dK", hidden/1000),
-			autoCell,
-			FmtDur(simulate(hand, errH, env)),
-			FmtDur(simulate(tile, errT, env)),
-		})
+		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%dK", hidden/1000)}, threeWay(g, env, seconds)...))
 	}
 	return t
 }
@@ -202,19 +196,7 @@ func Fig7() Table {
 	}
 	for _, workers := range []int{5, 10, 20, 25} {
 		env := simEnv(workers)
-		auto, errA := core.Optimize(g, env)
-		hand, errH := baseline.HandWritten(g, env)
-		tile, errT := baseline.AllTile(g, env)
-		autoCell := FmtDur(simulate(auto, errA, env))
-		if errA == nil {
-			autoCell += fmt.Sprintf(" (:%02.0f)", auto.OptSeconds)
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", workers),
-			autoCell,
-			FmtDur(simulate(hand, errH, env)),
-			FmtDur(simulate(tile, errT, env)),
-		})
+		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%d", workers)}, threeWay(g, env, seconds)...))
 	}
 	return t
 }
@@ -253,22 +235,11 @@ func Fig9() Table {
 	if err != nil {
 		panic(err)
 	}
-	auto, errA := core.Optimize(g, env)
-	hand, errH := baseline.HandWritten(g, env)
-	tile, errT := baseline.AllTile(g, env)
-	autoCell := FmtDur(simulate(auto, errA, env))
-	if errA == nil {
-		autoCell += fmt.Sprintf(" (:%02.0f)", auto.OptSeconds)
-	}
 	return Table{
 		Name:   "Figure 9",
 		Title:  "Two-level block-wise matrix inverse, 10 workers (opt time in parens)",
 		Header: []string{"Auto-gen", "Hand-written", "All-tile"},
-		Rows: [][]string{{
-			autoCell,
-			FmtDur(simulate(hand, errH, env)),
-			FmtDur(simulate(tile, errT, env)),
-		}},
+		Rows:   [][]string{threeWay(g, env, seconds)},
 	}
 }
 
@@ -286,19 +257,7 @@ func Fig10() Table {
 		if err != nil {
 			panic(err)
 		}
-		auto, errA := core.Optimize(g, env)
-		hand, errH := baseline.HandWritten(g, env)
-		tile, errT := baseline.AllTile(g, env)
-		autoCell := FmtDur(simulate(auto, errA, env))
-		if errA == nil {
-			autoCell += fmt.Sprintf(" (:%02.0f)", auto.OptSeconds)
-		}
-		t.Rows = append(t.Rows, []string{
-			sz.Name,
-			autoCell,
-			FmtDur(simulate(hand, errH, env)),
-			FmtDur(simulate(tile, errT, env)),
-		})
+		t.Rows = append(t.Rows, append([]string{sz.Name}, threeWay(g, env, seconds)...))
 	}
 	return t
 }
@@ -415,8 +374,12 @@ func Fig13(budget time.Duration) Table {
 					panic(err)
 				}
 				env := core.NewEnv(costmodel.EC2R5D(10), u.fs)
+				dp := core.Frontier // Algorithm 4
+				if kind == workload.ScaleTree {
+					dp = core.TreeDP // the "DP Tree" column times Algorithm 3, by name
+				}
 				dpStart := time.Now()
-				if _, err := core.Optimize(g, env); err != nil {
+				if _, err := dp(g, env); err != nil {
 					row = append(row, "err")
 				} else {
 					row = append(row, FmtDur(time.Since(dpStart).Seconds()))

@@ -291,7 +291,7 @@ func init() {
 						cl.Workers, strips),
 					NetBytes: costmodel.BroadcastBytes(bytesOf(a), cl.Workers) +
 						costmodel.AggregateBytes(outB, cl.Workers),
-					InterBytes: perWorker(float64(minI64(strips, int64(cl.Workers)))*outB, cl.Workers),
+					InterBytes: perWorker(float64(min(strips, int64(cl.Workers)))*outB, cl.Workers),
 					Tuples:     perWorker(float64(strips), cl.Workers),
 				},
 				PeakWorkerBytes: streamPeak(bytesOf(a)+2*outB, tupleBytes(b)),
@@ -337,11 +337,4 @@ func init() {
 				PeakWorkerBytes: streamPeak(bytesOf(b) + 2*denseOutBytes(outShape)),
 			}, true
 		})
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // Trace is an immutable snapshot of a tracer's spans, the unit every
-// exporter consumes: Tree renders a human-readable span tree, WriteJSON
-// a tooling-friendly JSON array, and WriteChromeTrace a Chrome
-// trace_event file loadable in chrome://tracing or Perfetto.
+// exporter consumes: Tree renders a human-readable span tree and
+// WriteChromeTrace a Chrome trace_event file loadable in
+// chrome://tracing or Perfetto.
 type Trace struct {
 	// Spans is the snapshot in span-creation order.
 	Spans []SpanData
@@ -101,44 +101,6 @@ func (t *Trace) Tree() string {
 		walk(root, 0)
 	}
 	return b.String()
-}
-
-// jsonSpan is the schema WriteJSON emits per span.
-type jsonSpan struct {
-	ID     int64          `json:"id"`
-	Parent int64          `json:"parent,omitempty"`
-	Name   string         `json:"name"`
-	Start  time.Time      `json:"start"`
-	DurNs  int64          `json:"dur_ns"`
-	Open   bool           `json:"open,omitempty"`
-	Attrs  map[string]any `json:"attrs,omitempty"`
-}
-
-// WriteJSON writes the trace as a JSON array of spans — id, parent,
-// name, RFC 3339 start, duration in nanoseconds and an attrs object —
-// for downstream tooling.
-func (t *Trace) WriteJSON(w io.Writer) error {
-	spans := make([]jsonSpan, 0, len(t.Spans))
-	for _, s := range t.Spans {
-		js := jsonSpan{
-			ID: s.ID, Parent: s.Parent, Name: s.Name, Start: s.Start,
-			DurNs: t.endOf(s).Sub(s.Start).Nanoseconds(),
-			Open:  s.End.IsZero(),
-		}
-		if js.DurNs < 0 {
-			js.DurNs = 0
-		}
-		if len(s.Attrs) > 0 {
-			js.Attrs = make(map[string]any, len(s.Attrs))
-			for _, a := range s.Attrs {
-				js.Attrs[a.Key] = a.Value()
-			}
-		}
-		spans = append(spans, js)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(spans)
 }
 
 // chromeEvent is one trace_event entry: a "complete" (ph "X") event

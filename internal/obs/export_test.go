@@ -131,32 +131,6 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenTrace().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var spans []struct {
-		ID     int64          `json:"id"`
-		Parent int64          `json:"parent"`
-		Name   string         `json:"name"`
-		DurNs  int64          `json:"dur_ns"`
-		Attrs  map[string]any `json:"attrs"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &spans); err != nil {
-		t.Fatalf("WriteJSON output is not valid JSON: %v", err)
-	}
-	if len(spans) != 7 {
-		t.Fatalf("decoded %d spans, want 7", len(spans))
-	}
-	if spans[0].Name != "optimize" || spans[0].DurNs != 1_500_000 {
-		t.Errorf("span 0 wrong: %+v", spans[0])
-	}
-	if spans[6].Parent != 6 || spans[6].Attrs["impl"] != "RowMatrix" {
-		t.Errorf("span 6 wrong: %+v", spans[6])
-	}
-}
-
 func TestDurationsByName(t *testing.T) {
 	d := goldenTrace().DurationsByName()
 	if d["optimize"] != 1500*time.Microsecond {

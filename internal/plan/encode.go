@@ -9,13 +9,12 @@ import (
 	"matopt/internal/trans"
 )
 
-// encodeVersion is the version of the plan document Encode writes.
-// Version 3 is the node listing alone. Versions 1 and 2 repeated the
-// listing's decisions in a nested "annotation" member (2 added the
-// per-node checkpoint mark); both still decode, through legacyDecisions.
+// encodeVersion is the version of the plan document Encode writes, and
+// the only one Decode reads: the node listing alone. Versions 1 and 2
+// repeated the listing's decisions in a nested "annotation" member.
 const (
 	encodeVersion    = 3
-	minEncodeVersion = 1
+	minEncodeVersion = 3
 )
 
 // planDTO is the serialized physical plan: a fingerprint binding it to
@@ -26,11 +25,9 @@ const (
 // derived from those by Lower, written out for the reader of a dump and
 // so that Decode can tell an edited payload from a lowered one.
 type planDTO struct {
-	Version     int    `json:"version"`
-	Fingerprint string `json:"fingerprint"`
-	// Annotation is read from version 1 and 2 payloads only.
-	Annotation json.RawMessage `json:"annotation,omitempty"`
-	Nodes      []nodeDTO       `json:"nodes"`
+	Version     int       `json:"version"`
+	Fingerprint string    `json:"fingerprint"`
+	Nodes       []nodeDTO `json:"nodes"`
 }
 
 // nodeDTO is one serialized physical operator.
@@ -45,7 +42,7 @@ type nodeDTO struct {
 	Format   string  `json:"format,omitempty"`
 	Strategy string  `json:"strategy"`
 	Cost     float64 `json:"cost"`
-	// Checkpoint is the lowering-time default checkpoint mark (v2+).
+	// Checkpoint is the lowering-time default checkpoint mark.
 	Checkpoint bool `json:"checkpoint,omitempty"`
 }
 
@@ -95,14 +92,7 @@ func Decode(g *core.Graph, env *core.Env, data []byte) (*Plan, error) {
 	if fp := core.Fingerprint(g, env); dto.Fingerprint != fp {
 		return nil, bad("plan was lowered for a different computation or environment")
 	}
-	decisions := dto.Nodes
-	if dto.Version < 3 {
-		var err error
-		if decisions, err = legacyDecisions(dto.Annotation); err != nil {
-			return nil, err
-		}
-	}
-	ann, err := readDecisions(g, decisions)
+	ann, err := readDecisions(g, dto.Nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -123,9 +113,7 @@ func Decode(g *core.Graph, env *core.Env, data []byte) (*Plan, error) {
 		if n.Kind != KindFree && d.Format != n.OutFormat.String() {
 			return nil, bad("node %d format %q does not match lowered %v", i, d.Format, n.OutFormat)
 		}
-		// v1 payloads predate the checkpoint mark; cross-check it only
-		// when the payload's version carries one.
-		if dto.Version >= 2 && d.Checkpoint != n.Checkpoint {
+		if d.Checkpoint != n.Checkpoint {
 			return nil, bad("node %d checkpoint mark %v does not match lowered %v", i, d.Checkpoint, n.Checkpoint)
 		}
 	}
@@ -146,14 +134,6 @@ func Decode(g *core.Graph, env *core.Env, data []byte) (*Plan, error) {
 			}
 		}
 		ann.Decide(v, core.Decision{Impl: ann.VertexImpl[v.ID], Format: n.OutFormat, Cost: n.Cost, Edges: edges})
-	}
-	if dto.Version < 3 { // the nested member stated every vertex's format too
-		for _, d := range decisions {
-			f, ok := ann.VertexFormat[d.Vertex]
-			if d.Kind != KindRelayout.String() && (!ok || d.Format != f.String()) {
-				return nil, bad("payload states format %q for vertex %d, derived %v", d.Format, d.Vertex, f)
-			}
-		}
 	}
 	if err := ann.Verify(env); err != nil {
 		return nil, bad("%v", err)
@@ -208,39 +188,4 @@ func readDecisions(g *core.Graph, nodes []nodeDTO) (*core.Annotation, error) {
 		}
 	}
 	return ann, nil
-}
-
-// legacyDecisions is the adapter for versions 1 and 2, whose decisions
-// Decode took from a nested member — {"vertices": [{id, impl, format}],
-// "edges": [{to, arg, transform}]} — and not from the listing beside it.
-// It restates that member as listing nodes, so that it is read, lowered
-// and compared with the listing the way a version 3 payload is.
-func legacyDecisions(blob json.RawMessage) ([]nodeDTO, error) {
-	var a struct { // encoding/json matches member names to fields whatever their case
-		Vertices []struct {
-			ID           int
-			Impl, Format string
-		}
-		Edges []struct {
-			To, Arg   int
-			Transform string
-		}
-	}
-	if err := json.Unmarshal(blob, &a); err != nil {
-		return nil, bad("nested annotation: %v", err)
-	}
-	var nodes []nodeDTO
-	for _, v := range a.Vertices {
-		kind := KindCompute
-		if v.Impl == "" {
-			kind = KindScan
-		}
-		nodes = append(nodes, nodeDTO{Kind: kind.String(), Vertex: v.ID, Name: v.Impl, Format: v.Format})
-	}
-	for _, e := range a.Edges {
-		if e.Transform != trans.IdentityTransform.Name {
-			nodes = append(nodes, nodeDTO{Kind: KindRelayout.String(), Vertex: e.To, Arg: e.Arg, Name: e.Transform})
-		}
-	}
-	return nodes, nil
 }

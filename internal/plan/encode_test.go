@@ -275,42 +275,6 @@ func readFixture(t testing.TB, name string) []byte {
 	return data
 }
 
-// TestDecodeLegacyVersions: chain.v2.json was written by the version 2
-// encoder (the last one to nest an annotation), chain.v1.json is that
-// file with the checkpoint marks taken out. Both must still decode to
-// the plan a fresh lowering gives.
-func TestDecodeLegacyVersions(t *testing.T) {
-	g, env, fresh := chainFixture(t)
-	for _, name := range []string{"chain.v1.json", "chain.v2.json"} {
-		data := readFixture(t, name)
-		p, err := plan.Decode(g, env, data)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if p.Explain() != fresh.Explain() || !slices.Equal(p.Retained, fresh.Retained) {
-			t.Errorf("%s decodes to\n%s\nretaining %v; a fresh lowering is\n%s\nretaining %v",
-				name, p.Explain(), p.Retained, fresh.Explain(), fresh.Retained)
-		}
-		// The nested annotation is where these versions' decisions are
-		// read from: one that disagrees with the listing is refused.
-		for _, edit := range [][2]string{
-			{`"impl": "mm-tile-tile-shuffle"`, `"impl": "mm-tile-tile-bcast"`},
-			{`"transform": "to-tile[1000]"`, `"transform": "identity"`},
-			{`"impl": "mm-tile-tile-shuffle",
-        "format": "tile[1000]"`, `"impl": "mm-tile-tile-shuffle",
-        "format": "single"`},
-		} {
-			bad := bytes.Replace(data, []byte(edit[0]), []byte(edit[1]), 1)
-			if bytes.Equal(bad, data) {
-				t.Fatalf("%s does not contain %s", name, edit[0])
-			}
-			if _, err := plan.Decode(g, env, bad); !errors.Is(err, plan.ErrInvalidPlan) {
-				t.Errorf("%s with %s: %v does not wrap ErrInvalidPlan", name, edit[1], err)
-			}
-		}
-	}
-}
-
 // TestGoldenPlanBytes pins version 3: the fixture's plan must encode to
 // exactly the checked-in bytes. A change that moves them has changed the
 // plan document (or the plan) and must be deliberate: bump encodeVersion

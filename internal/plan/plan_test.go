@@ -121,7 +121,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 
 // TestEncodeDecodeRejectsTampering checks the serialized plan's
 // integrity story: a clean payload round-trips, while a tampered node
-// listing, a foreign environment, or an unknown wire version are all
+// listing, a foreign environment, or a wire version other than 3 are all
 // rejected with ErrInvalidPlan.
 func TestEncodeDecodeRejectsTampering(t *testing.T) {
 	g, env, p := lowered(t)
@@ -149,8 +149,11 @@ func TestEncodeDecodeRejectsTampering(t *testing.T) {
 	expectInvalid("foreign environment", data, g, other)
 	// Tampering with the node listing after serialization.
 	expectInvalid("tampered operator name", bytes.Replace(data, []byte(`"name": "load"`), []byte(`"name": "leak"`), 1), g, env)
-	// An unknown wire version.
-	expectInvalid("unknown version", bytes.Replace(data, []byte(`"version": 3`), []byte(`"version": 99`), 1), g, env)
+	// A wire version outside the range: unknown, or one nothing writes
+	// any more (1 and 2 nested an annotation beside the listing).
+	for _, v := range []string{"99", "1", "2", "0"} {
+		expectInvalid("version "+v, bytes.Replace(data, []byte(`"version": 3`), []byte(`"version": `+v), 1), g, env)
+	}
 }
 
 // TestLowerMatchesAnnotationCost pins the invariant Simulate has always

@@ -80,7 +80,7 @@ func TestOverloadRejectsImmediately(t *testing.T) {
 			})
 			queued <- err
 		}()
-		waitFor(t, func() bool { return len(s.jobs) == 1 })
+		waitFor(t, func() bool { return s.waiting.Load() == 1 })
 
 		begin := time.Now()
 		_, err := s.submit(context.Background(), time.Minute, func(ctx context.Context) (any, error) {
@@ -102,6 +102,64 @@ func TestOverloadRejectsImmediately(t *testing.T) {
 		}
 		if err := <-results; err != nil {
 			t.Fatalf("blocking job failed: %v", err)
+		}
+	})
+}
+
+// TestFullHouseAdmitsOldestWaiter pins both bounds at once: with
+// Workers requests running and MaxQueue waiting the next arrival is
+// shed, and a freed slot goes to the waiter that has waited longest.
+func TestFullHouseAdmitsOldestWaiter(t *testing.T) {
+	testutil.CheckGoroutines(t, func() {
+		const workers, queue = 2, 2
+		s := New(testConfig(workers, queue))
+		defer s.Drain(context.Background())
+
+		var releases [workers]chan struct{}
+		results := make(chan error, workers)
+		for i := range releases {
+			started := make(chan struct{})
+			releases[i] = make(chan struct{})
+			go blockingJob(s, started, releases[i], results)
+			<-started
+		}
+		admitted := make(chan int, queue)
+		finish := make(chan struct{})
+		for i := 0; i < queue; i++ {
+			go func() {
+				s.submit(context.Background(), time.Minute, func(ctx context.Context) (any, error) {
+					admitted <- i
+					<-finish
+					return nil, nil
+				})
+			}()
+			waitFor(t, func() bool { return s.waiting.Load() == int64(i+1) })
+			time.Sleep(5 * time.Millisecond) // counted, then parked: let waiter i block before i+1 arrives
+		}
+
+		if _, err := s.submit(context.Background(), time.Minute, func(ctx context.Context) (any, error) {
+			return nil, nil
+		}); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("submit at %d running + %d waiting = %v, want ErrOverloaded", workers, queue, err)
+		}
+
+		close(releases[0])
+		if got := <-admitted; got != 0 {
+			t.Fatalf("freed slot admitted waiter %d, want the oldest (0)", got)
+		}
+		waitFor(t, func() bool { return s.waiting.Load() == queue-1 })
+		select {
+		case got := <-admitted:
+			t.Fatalf("one freed slot also admitted waiter %d", got)
+		default:
+		}
+
+		close(releases[1])
+		close(finish)
+		for range releases {
+			if err := <-results; err != nil {
+				t.Fatalf("blocking job failed: %v", err)
+			}
 		}
 	})
 }
@@ -214,7 +272,7 @@ func TestDrainCompletesInflight(t *testing.T) {
 		for i := executing; i < executing+queuedN; i++ {
 			go runOne(i)
 		}
-		waitFor(t, func() bool { return len(s.jobs) == queuedN })
+		waitFor(t, func() bool { return s.waiting.Load() == queuedN })
 
 		drained := make(chan error, 1)
 		go func() { drained <- s.Drain(context.Background()) }()

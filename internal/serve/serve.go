@@ -1,28 +1,27 @@
 // Package serve is the long-running service layer over the optimizer
 // and the execution engines: a JSON-over-HTTP front end (/optimize,
-// /execute, /plan, /metrics, /healthz) backed by a bounded worker pool
-// with admission control, singleflight coalescing of identical
-// concurrent computations (through the optimizer's plan cache), and
-// graceful drain. It is the substrate a deployment of this system
-// serves heavy traffic through: the optimize-once/execute-many split
-// the paper assumes of its host system (SimSQL/PlinyCompute) becomes
-// optimize-once-per-fingerprint across every connected client.
+// /execute, /plan, /metrics, /healthz) with admission control,
+// singleflight coalescing of identical concurrent computations (through
+// the optimizer's plan cache), and graceful drain. It is the substrate
+// a deployment of this system serves heavy traffic through: the
+// optimize-once/execute-many split the paper assumes of its host system
+// (SimSQL/PlinyCompute) becomes optimize-once-per-fingerprint across
+// every connected client.
 //
 // An /execute body is a workload Spec, an engine name and — embedded,
 // so its JSON tags are the wire format — matopt.ExecConfig, the one
 // declaration of the run-time knobs; the handler validates it with
 // ExecConfig.Validate (→ 400) and hands it to the Executor unchanged.
 //
-// Admission control is two bounds and two clocks: at most Workers
-// requests execute concurrently, at most MaxQueue wait; a request that
-// finds the queue full is rejected immediately with ErrOverloaded
-// (HTTP 429), one that waits longer than QueueTimeout is rejected with
-// ErrQueueTimeout (HTTP 503), and each admitted request runs under a
-// deadline (per-request deadline_ms, default RequestTimeout). Drain
-// stops admission (healthz flips to draining, new requests get
-// ErrDraining), lets in-flight work finish, cancels whatever is still
-// running when the drain context expires, and stops the pool — no
-// goroutine outlives it.
+// Admission control is two bounds and two clocks, applied on the
+// goroutine the request arrived on: at most Workers requests execute,
+// at most MaxQueue wait; one that finds both full is rejected at once
+// with ErrOverloaded (HTTP 429), one that waits longer than QueueTimeout
+// with ErrQueueTimeout (HTTP 503), and each runs under a deadline
+// (deadline_ms, default RequestTimeout) covering wait plus service.
+// Drain stops admission (healthz flips to draining, new requests get
+// ErrDraining), lets in-flight work finish and cancels whatever is
+// still running when the drain context expires.
 package serve
 
 import (
@@ -126,9 +125,8 @@ type Server struct {
 	reg *obs.Registry
 	mux *http.ServeMux
 
-	jobs    chan *job
-	quit    chan struct{}
-	workers sync.WaitGroup
+	slots   chan struct{} // capacity Workers: a send is the right to execute
+	waiting atomic.Int64  // requests blocked on slots, at most MaxQueue
 
 	// mu guards the admission gate: the in-flight count and the
 	// draining flag flip together, so a request is either counted
@@ -140,14 +138,13 @@ type Server struct {
 	draining  atomic.Bool // mirror of the gate's flag for lock-free reads
 	drainOnce sync.Once
 	drainErr  error
-	stopped   chan struct{}
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 }
 
-// New returns a started server: the worker pool is running and the
-// handler is ready to serve. Stop it with Drain.
+// New returns a server whose handler is ready to serve. Stop it with
+// Drain.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	opts := []matopt.Option{matopt.WithFormats(cfg.Formats)}
@@ -155,12 +152,10 @@ func New(cfg Config) *Server {
 		opts = append(opts, matopt.WithPlanCacheSize(cfg.PlanCacheSize))
 	}
 	s := &Server{
-		cfg:     cfg,
-		opt:     matopt.NewOptimizer(cfg.Cluster, opts...),
-		reg:     cfg.Registry,
-		jobs:    make(chan *job, cfg.MaxQueue),
-		quit:    make(chan struct{}),
-		stopped: make(chan struct{}),
+		cfg:   cfg,
+		opt:   matopt.NewOptimizer(cfg.Cluster, opts...),
+		reg:   cfg.Registry,
+		slots: make(chan struct{}, cfg.Workers),
 	}
 	// A constant: which bodies the multiply-accumulate kernels run on in
 	// this process, so a scrape says what its timings were measured on.
@@ -168,10 +163,6 @@ func New(cfg Config) *Server {
 	s.cond = sync.NewCond(&s.mu)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.mux = s.routes()
-	s.workers.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go s.worker()
-	}
 	return s
 }
 
@@ -189,49 +180,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // Draining reports whether Drain has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// job is one admitted request travelling from the admission queue to a
-// worker. state moves queued → running (worker claims it) or queued →
-// aborted (the requester gave up first); exactly one side wins the CAS.
-type job struct {
-	ctx      context.Context
-	fn       func(ctx context.Context) (any, error)
-	state    atomic.Int32 // 0 queued, 1 running, 2 aborted
-	admitted chan struct{}
-	done     chan struct{}
-	result   any
-	err      error
-	enqueued time.Time
-}
-
-func (j *job) claim() bool { return j.state.CompareAndSwap(0, 1) }
-func (j *job) abort() bool { return j.state.CompareAndSwap(0, 2) }
-
-// worker executes queued jobs until the server stops. A job whose
-// requester aborted (queue timeout, dead context) is skipped — its
-// admitted channel stays closed-by-nobody and the requester has already
-// answered.
-func (s *Server) worker() {
-	defer s.workers.Done()
-	for {
-		select {
-		case j := <-s.jobs:
-			if !j.claim() {
-				continue
-			}
-			close(j.admitted)
-			s.reg.Histogram("serve.queue.wait.seconds", obs.DefaultDurationBuckets()).
-				Observe(time.Since(j.enqueued).Seconds())
-			j.result, j.err = j.fn(j.ctx)
-			close(j.done)
-		case <-s.quit:
-			return
-		}
-	}
-}
-
-// submit runs fn on the worker pool under admission control and the
-// request's deadline. It blocks until the job completes, is rejected,
-// or the request context dies.
+// submit runs fn on the caller's goroutine under admission control and
+// the request's deadline. It blocks until fn returns, the request is
+// rejected, or its context dies while it waits.
 func (s *Server) submit(ctx context.Context, deadline time.Duration, fn func(ctx context.Context) (any, error)) (any, error) {
 	s.mu.Lock()
 	if s.draining.Load() {
@@ -255,45 +206,49 @@ func (s *Server) submit(ctx context.Context, deadline time.Duration, fn func(ctx
 	if deadline <= 0 {
 		deadline = s.cfg.RequestTimeout
 	}
-	jctx, cancel := context.WithTimeout(ctx, deadline)
+	ctx, cancel := context.WithTimeout(ctx, deadline)
 	defer cancel()
 	// A drain deadline cancels whatever is still running.
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()
 
-	j := &job{
-		ctx:      jctx,
-		fn:       fn,
-		admitted: make(chan struct{}),
-		done:     make(chan struct{}),
-		enqueued: time.Now(),
-	}
+	arrived := time.Now()
 	select {
-	case s.jobs <- j:
+	case s.slots <- struct{}{}:
 	default:
-		s.reject("overloaded")
-		return nil, ErrOverloaded
+		if err := s.waitForSlot(ctx); err != nil {
+			return nil, err
+		}
 	}
+	defer func() { <-s.slots }()
+	s.reg.Histogram("serve.queue.wait.seconds", obs.DefaultDurationBuckets()).
+		Observe(time.Since(arrived).Seconds())
+	return fn(ctx)
+}
 
+// waitForSlot blocks for an execution slot as one of at most MaxQueue
+// waiters. The runtime hands a freed slot to the longest-blocked sender,
+// so waiters are admitted in arrival order and a new arrival cannot
+// overtake them.
+func (s *Server) waitForSlot(ctx context.Context) error {
+	if s.waiting.Add(1) > int64(s.cfg.MaxQueue) {
+		s.waiting.Add(-1)
+		s.reject("overloaded")
+		return ErrOverloaded
+	}
+	defer s.waiting.Add(-1)
 	queueTimer := time.NewTimer(s.cfg.QueueTimeout)
 	defer queueTimer.Stop()
 	select {
-	case <-j.admitted:
+	case s.slots <- struct{}{}:
+		return nil
 	case <-queueTimer.C:
-		if j.abort() {
-			s.reject("queue_timeout")
-			return nil, ErrQueueTimeout
-		}
-		<-j.admitted // a worker won the race; the job is running
-	case <-jctx.Done():
-		if j.abort() {
-			s.reject("deadline")
-			return nil, jctx.Err()
-		}
-		<-j.admitted
+		s.reject("queue_timeout")
+		return ErrQueueTimeout
+	case <-ctx.Done():
+		s.reject("deadline")
+		return ctx.Err()
 	}
-	<-j.done
-	return j.result, j.err
 }
 
 func (s *Server) reject(reason string) {
@@ -304,11 +259,10 @@ func (s *Server) reject(reason string) {
 // (healthz flips to draining, new requests are rejected with
 // ErrDraining), in-flight requests — queued or executing — run to
 // completion, and when ctx expires first, whatever is still running is
-// cancelled and its error returned to its requester. The worker pool
-// exits before Drain returns, so a drained server leaves no goroutines
-// behind; a zero-deadline ctx gets the configured DrainTimeout. Drain
-// is idempotent — concurrent and repeated calls share one shutdown and
-// one result.
+// cancelled and its error returned to its requester. The server owns
+// no goroutine, so a drained one leaves none behind; a zero-deadline
+// ctx gets the configured DrainTimeout. Drain is idempotent —
+// concurrent and repeated calls share one shutdown and one result.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainOnce.Do(func() {
 		start := time.Now()
@@ -339,16 +293,12 @@ func (s *Server) Drain(ctx context.Context) error {
 			<-idle
 			s.drainErr = ctx.Err()
 		}
-		close(s.quit)
-		s.workers.Wait()
 		s.baseCancel()
 		// Flush: record the drain itself so a scraped /metrics endpoint
 		// (or the daemon's exit log) carries the shutdown's shape.
 		s.reg.Counter("serve.drains").Inc()
 		s.reg.Histogram("serve.drain.seconds", obs.DefaultDurationBuckets()).
 			Observe(time.Since(start).Seconds())
-		close(s.stopped)
 	})
-	<-s.stopped
 	return s.drainErr
 }

@@ -317,10 +317,3 @@ func (k K) AddBias(a, bias *Dense) *Dense {
 	})
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -218,14 +218,7 @@ func ScaledFFNN(c FFNNConfig, factor int64) FFNNConfig {
 			c.Labels = 2
 		}
 	}
-	c.InputFormat = format.NewRowStrip(minI64(100, c.Batch))
+	c.InputFormat = format.NewRowStrip(min(100, c.Batch))
 	c.WeightFormat = format.NewSingle()
 	return c
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

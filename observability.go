@@ -11,8 +11,8 @@ import (
 type Tracer = obs.Tracer
 
 // Trace is an immutable snapshot of a tracer's spans with exporters:
-// Tree (human-readable span tree), WriteJSON, and WriteChromeTrace
-// (a trace_event file loadable in chrome://tracing or Perfetto).
+// Tree (human-readable span tree) and WriteChromeTrace (a trace_event
+// file loadable in chrome://tracing or Perfetto).
 type Trace = obs.Trace
 
 // Span is one timed region of a traced run; spans carry a parent link

@@ -50,8 +50,7 @@ func (fs FormatSet) formats() []format.Format {
 type Algorithm int
 
 const (
-	// Auto uses the linear-time tree DP on tree-shaped graphs and the
-	// Frontier DP on general DAGs (the paper's default).
+	// Auto is the Frontier DP (Algorithm 4) on every graph.
 	Auto Algorithm = iota
 	// BruteForce enumerates every type-correct annotation (Algorithm 2);
 	// exponential, bounded by the optimizer's Budget.
@@ -108,7 +107,7 @@ func WithPlanCacheSize(n int) Option { return func(o *Optimizer) { o.cacheSize =
 
 // WithTracer attaches a tracer to the optimizer: every Optimize call
 // opens an "optimize" span with "plancache.lookup" and per-algorithm
-// children ("frontier" with one "frontier.round" per vertex, "treedp",
+// children ("frontier" with one "frontier.round" per vertex, or
 // "brute.enumerate"). A nil tracer — the default — disables tracing at
 // zero cost. The same tracer may be shared with an Executor (see
 // WithTracing) so one Trace covers a plan's whole life.

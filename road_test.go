@@ -1,8 +1,11 @@
 package matopt
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strconv"
@@ -19,6 +22,9 @@ import (
 // may import the optimizer core or the sequential engine. (b) Each
 // runtime has one way to run a plan: the engine's Run* methods are
 // RunPlan and its adaptive variant, the dist runtime's RunPlan alone.
+// (c) There is one production search: Algorithms 3 and 2 are reached by
+// name only — TreeDP from the figures, Brute from the figures and from
+// the optimizer's BruteForce branch.
 func TestOneRoadFromComputationToBytes(t *testing.T) {
 	for _, dir := range []string{"cmd/matopt", "cmd/matoptd", "internal/serve"} {
 		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, nil, parser.ImportsOnly)
@@ -61,5 +67,44 @@ func TestOneRoadFromComputationToBytes(t *testing.T) {
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%v has Run* methods %v, want exactly %v", typ, got, c.want)
 		}
+	}
+
+	bruteInOptimizer := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if dir == "internal/core" || dir == "internal/figures" {
+			return nil
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			switch {
+			case !ok:
+			case sel.Sel.Name == "TreeDP":
+				t.Errorf("%s calls TreeDP: the production search is Session.Optimize", path)
+			case sel.Sel.Name == "Brute" && path == "optimizer.go":
+				bruteInOptimizer++
+			case sel.Sel.Name == "Brute":
+				t.Errorf("%s calls Brute: ask for it with matopt.WithAlgorithm(matopt.BruteForce)", path)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bruteInOptimizer != 1 {
+		t.Errorf("optimizer.go calls Brute %d times, want once (the BruteForce branch)", bruteInOptimizer)
 	}
 }
