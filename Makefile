@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test test-purego test-avx2 nofma race chaos fuzz bench bench-smoke docs-check profile-frontier profile-chain profile-chain-tcp
+.PHONY: check fmt vet build test test-purego test-avx2 nofma race chaos fuzz bench bench-smoke docs-check profile-frontier profile-chain profile-chain-tcp profile-serve
 
 check: fmt vet build test test-purego test-avx2 nofma race chaos docs-check bench-smoke
 
@@ -80,9 +80,9 @@ chaos:
 	$(GO) test -race -run 'Chaos|NodeLoss|Checkpoint|Speculat|Delayed|Retries|Deadline|Shutdown|Cancel|RandomFaults' \
 		. ./internal/dist/
 
-# Every Fuzz* target in the tree — the wire codec's three and the plan
-# decoder's one, the decoders of bytes that arrive from outside — for ten
-# seconds each, one `go test -fuzz` per target as the tool requires. The
+# Every Fuzz* target in the tree — the wire codec's three, the plan
+# decoder's one, the daemon's request bodies and the workload spec, the
+# decoders of bytes that arrive from outside — for ten seconds each, one `go test -fuzz` per target as the tool requires. The
 # default 60 s of minimizing each coverage-widening input would be the
 # whole ten seconds on the plan payloads (several KB), so it is cut to
 # one. Not part of check: the checked-in seed corpora already run under
@@ -154,3 +154,14 @@ profile-chain-tcp:
 	$(GO) test -run '^$$' -bench 'BenchmarkChainDistTCP$$' -benchtime 20x -cpu 1 \
 		-cpuprofile chain-tcp.cpu.prof -o chain-tcp.test .
 	$(GO) tool pprof -top -nodecount 15 chain-tcp.test chain-tcp.cpu.prof
+
+# And for the serving layer: two thousand warm /execute requests of each
+# of served_mix's two serve-bound classes (BenchmarkServeExecute:
+# exec_small, exec_bigreply) through Server.Handler() on one processor,
+# profile and test binary written to git-ignored serve.cpu.prof /
+# serve.test, then the 30 hottest functions. What is not the engine
+# there is the envelope.
+profile-serve:
+	$(GO) test -run '^$$' -bench BenchmarkServeExecute -benchtime 2000x -benchmem -cpu 1 \
+		-cpuprofile serve.cpu.prof -o serve.test ./internal/serve
+	$(GO) tool pprof -top -nodecount 30 serve.test serve.cpu.prof

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"matopt/internal/costmodel"
 	"matopt/internal/format"
 	"matopt/internal/impl"
@@ -27,6 +29,12 @@ type Env struct {
 	// beam search over formats. 0 means DefaultMaxClassEntries; the
 	// exactness tests against Brute stay far below any bound.
 	MaxClassEntries int
+
+	// fp holds the last rendering of the fields above that Fingerprint
+	// hashes (see envRender). A pointer, so that an Env stays copyable;
+	// copies share the cell, which is checked against the reader's own
+	// fields before use. Nil outside NewEnv: nothing is cached.
+	fp *atomic.Pointer[envRender]
 }
 
 // DefaultMaxClassEntries is the beam a zero Env.MaxClassEntries stands
@@ -42,6 +50,7 @@ func NewEnv(cl costmodel.Cluster, formats []format.Format) *Env {
 		Formats:    formats,
 		Transforms: trans.ForFormats(formats),
 		Impls:      make(map[op.Kind][]*impl.Impl),
+		fp:         new(atomic.Pointer[envRender]),
 	}
 	for _, k := range op.Kinds() {
 		e.Impls[k] = impl.ForOp(k)

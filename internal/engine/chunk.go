@@ -17,7 +17,13 @@ import (
 // theirs.
 func Chunk(m *tensor.Dense, f format.Format, maxTupleBytes int64) ([]Tuple, shape.Shape, error) {
 	s := shape.New(int64(m.Rows), int64(m.Cols))
-	if !f.Valid(s, m.Density(), maxTupleBytes) {
+	// Only a sparse format's tuple size depends on the density, and
+	// measuring it is a pass over the matrix.
+	density := 1.0
+	if f.IsSparse() {
+		density = m.Density()
+	}
+	if !f.Valid(s, density, maxTupleBytes) {
 		return nil, s, fmt.Errorf("engine: %v cannot store a %v matrix", f, s)
 	}
 	var tuples []Tuple

@@ -390,3 +390,26 @@ func TestSimulateDetectsInfeasiblePlanAsFail(t *testing.T) {
 		t.Errorf("the plan should fit on 64 workers: %v", err)
 	}
 }
+
+// TestChunkValidityIgnoresUnusedDensity: Chunk measures a matrix's
+// density only for sparse targets. Its accept/reject verdict must be the
+// one Format.Valid gives with the measured density, for every format, at
+// every density, on both sides of the per-tuple bound.
+func TestChunkValidityIgnoresUnusedDensity(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	formats := append(format.All(), format.NewTile(7), format.NewRowStrip(16), format.NewColStrip(16), format.NewCSRRowStrip(16))
+	for _, density := range []float64{0, 0.01, 1} {
+		m := tensor.RandSparse(rng, 120, 150, density)
+		s := shape.New(int64(m.Rows), int64(m.Cols))
+		for _, f := range formats {
+			// Bounds from "nothing fits" to "everything fits", through the
+			// sizes at which each format's largest tuple tips over.
+			for _, bound := range []int64{0, 16, 2000, f.MaxTupleBytes(s, m.Density()) - 1, f.MaxTupleBytes(s, m.Density()), 1 << 30} {
+				_, _, err := Chunk(m, f, bound)
+				if want := f.Valid(s, m.Density(), bound); (err == nil) != want {
+					t.Errorf("%v at density %g under %d B: Chunk err = %v, Valid(measured density) = %v", f, density, bound, err, want)
+				}
+			}
+		}
+	}
+}

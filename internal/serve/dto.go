@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"crypto/sha256"
 	"encoding/base64"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -84,7 +82,8 @@ func (r ExecuteRequest) validate() error {
 // OutputMatrix is one result matrix: dimensions, the raw float64 bits
 // base64-encoded little-endian (bit-exact across the wire — JSON float
 // formatting never touches the data), and a SHA-256 of those bytes for
-// cheap comparison.
+// cheap comparison. The server never builds one: it streams a matrix
+// into the reply in this form (executeReply); clients decode into it.
 type OutputMatrix struct {
 	// Vertex is the producing sink vertex's ID.
 	Vertex int `json:"vertex"`
@@ -95,20 +94,6 @@ type OutputMatrix struct {
 	DataB64 string `json:"data_b64"`
 	// SHA256 is the hex digest of the encoded bytes.
 	SHA256 string `json:"sha256"`
-}
-
-// encodeDense converts an output matrix to its wire form.
-func encodeDense(vertex int, d *tensor.Dense) OutputMatrix {
-	buf := make([]byte, 8*len(d.Data))
-	for i, v := range d.Data {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-	}
-	sum := sha256.Sum256(buf)
-	return OutputMatrix{
-		Vertex: vertex, Rows: d.Rows, Cols: d.Cols,
-		DataB64: base64.StdEncoding.EncodeToString(buf),
-		SHA256:  hex.EncodeToString(sum[:]),
-	}
 }
 
 // Dense decodes the wire form back to a matrix — what example clients
@@ -258,13 +243,15 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// reqOptions is the slice of every request body the endpoint wrapper
-// reads before dispatch: the deadline and the trace flag.
-type reqOptions struct {
-	DeadlineMS int64 `json:"deadline_ms"`
-	Trace      bool  `json:"trace"`
+// request is what the endpoint wrapper reads off a decoded body before
+// dispatch: the deadline the request asks for (0 = the server's default)
+// and whether it wants its span tree back.
+type request interface {
+	options() (deadline time.Duration, trace bool)
 }
 
-func (o reqOptions) deadline() time.Duration {
-	return time.Duration(o.DeadlineMS) * time.Millisecond
-}
+func (r OptimizeRequest) options() (time.Duration, bool) { return ms(r.DeadlineMS), r.Trace }
+func (r ExecuteRequest) options() (time.Duration, bool)  { return ms(r.DeadlineMS), r.Trace }
+func (r PlanRequest) options() (time.Duration, bool)     { return ms(r.DeadlineMS), r.Trace }
+
+func ms(n int64) time.Duration { return time.Duration(n) * time.Millisecond }

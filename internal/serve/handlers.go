@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -8,13 +9,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"strconv"
 	"time"
 
 	"matopt"
 	"matopt/internal/obs"
 	"matopt/internal/plan"
+	"matopt/internal/tensor"
 )
 
 // maxBodyBytes bounds a request body; plan payloads are the largest
@@ -28,16 +28,12 @@ type badRequestError struct{ err error }
 func (e badRequestError) Error() string { return e.err.Error() }
 func (e badRequestError) Unwrap() error { return e.err }
 
-func badRequest(format string, args ...any) error {
-	return badRequestError{fmt.Errorf(format, args...)}
-}
-
 // routes assembles the service's endpoint table.
 func (s *Server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/optimize", s.endpoint("optimize", s.handleOptimize))
-	mux.Handle("/execute", s.endpoint("execute", s.handleExecute))
-	mux.Handle("/plan", s.endpoint("plan", s.handlePlan))
+	mux.Handle("/optimize", endpoint(s, "optimize", s.handleOptimize))
+	mux.Handle("/execute", endpoint(s, "execute", s.handleExecute))
+	mux.Handle("/plan", endpoint(s, "plan", s.handlePlan))
 	mux.Handle("/metrics", obs.MetricsHandler(s.reg))
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	return mux
@@ -56,54 +52,47 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "{\"status\":\"ok\"}\n")
 }
 
-// endpoint wraps one POST JSON handler with the service plumbing:
-// admission control, the per-request deadline, the root span, the
-// request/latency metrics, and error → status mapping.
-func (s *Server) endpoint(name string, fn func(ctx context.Context, body []byte, tr *obs.Tracer, root *obs.Span) (any, error)) http.Handler {
+// endpoint wraps one POST JSON handler with the service plumbing: the
+// body read and decoded once into the endpoint's request type, admission
+// control, the per-request deadline, the root span, the request/latency
+// metrics, and error → status mapping. A malformed body is refused
+// before it takes a place in the queue.
+func endpoint[R request](s *Server, name string, fn func(ctx context.Context, req R, tr *obs.Tracer, root *obs.Span) (any, error)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", "POST")
 			s.writeError(w, name, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		if err != nil {
-			s.writeError(w, name, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
+		var req R
+		if err := readRequest(w, r, &req); err != nil {
+			s.writeError(w, name, http.StatusBadRequest, err)
 			return
 		}
-		var opts reqOptions
-		if len(body) > 0 {
-			if err := json.Unmarshal(body, &opts); err != nil {
-				s.writeError(w, name, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
-				return
-			}
-		}
+		deadline, trace := req.options()
 		var tr *obs.Tracer
 		var root *obs.Span
-		if s.cfg.Tracing || opts.Trace {
+		if s.cfg.Tracing || trace {
 			tr = obs.NewTracer()
 			root = tr.Start(nil, "serve."+name)
 		}
 		qspan := tr.Start(root, "serve.queue")
 		t0 := time.Now()
 		var service time.Duration
-		result, err := s.submit(r.Context(), opts.deadline(), func(ctx context.Context) (any, error) {
+		result, err := s.submit(r.Context(), deadline, func(ctx context.Context) (any, error) {
 			qspan.End()
 			hspan := tr.Start(root, "serve.handle")
 			defer hspan.End()
 			h0 := time.Now()
-			res, herr := fn(ctx, body, tr, hspan)
+			res, herr := fn(ctx, req, tr, hspan)
 			service = time.Since(h0)
 			return res, herr
 		})
 		root.End()
-		code := http.StatusOK
 		if err != nil {
-			code = statusOf(err)
-			s.writeError(w, name, code, err)
+			s.writeError(w, name, statusOf(err), err)
 			return
 		}
-		s.reg.Counter("serve.requests", obs.L("endpoint", name), obs.L("code", strconv.Itoa(code))).Inc()
 		s.reg.Histogram("serve.request.seconds", obs.DefaultDurationBuckets(), obs.L("endpoint", name)).
 			Observe(time.Since(t0).Seconds())
 		s.reg.Histogram("serve.service.seconds", obs.DefaultDurationBuckets(), obs.L("endpoint", name)).
@@ -111,8 +100,29 @@ func (s *Server) endpoint(name string, fn func(ctx context.Context, body []byte,
 		if ts, ok := result.(traceSetter); ok && tr != nil {
 			ts.setTrace(tr.Snapshot().Tree())
 		}
-		s.writeJSON(w, code, result)
+		s.writeReply(w, name, http.StatusOK, result)
 	})
+}
+
+// readRequest reads r's body — at most maxBodyBytes — into a pooled
+// buffer sized from Content-Length and decodes it into req. Decoding
+// copies what it keeps, so the buffer is free again on return. Every
+// failure is the client's (a 400).
+func readRequest(w http.ResponseWriter, r *http.Request, req any) error {
+	if r.ContentLength > maxBodyBytes {
+		return badRequestError{fmt.Errorf("reading body: %d bytes, limit %d", r.ContentLength, maxBodyBytes)}
+	}
+	buf := getBuf()
+	defer putBuf(buf)
+	// ReadFrom wants MinRead spare bytes before the read that finds EOF.
+	buf.Grow(int(max(r.ContentLength, 0)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		return badRequestError{fmt.Errorf("reading body: %w", err)}
+	}
+	if err := json.Unmarshal(buf.Bytes(), req); err != nil {
+		return badRequestError{fmt.Errorf("invalid JSON: %w", err)}
+	}
+	return nil
 }
 
 // statusOf maps service errors to HTTP statuses: admission rejections
@@ -136,17 +146,14 @@ func statusOf(err error) int {
 	}
 }
 
-func (s *Server) writeError(w http.ResponseWriter, endpoint string, code int, err error) {
-	s.reg.Counter("serve.requests", obs.L("endpoint", endpoint), obs.L("code", strconv.Itoa(code))).Inc()
-	s.writeJSON(w, code, errorResponse{Error: err.Error()})
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+// graphOf builds only the normalized spec's compute graph — all that
+// optimizing, encoding or simulating a plan reads.
+func graphOf(spec Spec) (*matopt.Builder, error) {
+	g, err := spec.Graph()
+	if err != nil {
+		return nil, err
+	}
+	return matopt.NewBuilderFromGraph(g), nil
 }
 
 // optimizeSpec runs the shared optimizer on a spec's graph and records
@@ -167,17 +174,13 @@ func (s *Server) optimizeSpec(ctx context.Context, b *matopt.Builder) (*matopt.P
 	return p, nil
 }
 
-func (s *Server) handleOptimize(ctx context.Context, body []byte, tr *obs.Tracer, span *obs.Span) (any, error) {
-	var req OptimizeRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, badRequest("invalid JSON: %v", err)
-	}
+func (s *Server) handleOptimize(ctx context.Context, req OptimizeRequest, tr *obs.Tracer, span *obs.Span) (any, error) {
 	spec := req.Spec.Normalized()
-	g, err := spec.Graph()
+	b, err := graphOf(spec)
 	if err != nil {
 		return nil, badRequestError{err}
 	}
-	p, err := s.optimizeSpec(ctx, matopt.NewBuilderFromGraph(g))
+	p, err := s.optimizeSpec(ctx, b)
 	if err != nil {
 		return nil, err
 	}
@@ -199,21 +202,24 @@ func (s *Server) handleOptimize(ctx context.Context, body []byte, tr *obs.Tracer
 	return resp, nil
 }
 
-func (s *Server) handleExecute(ctx context.Context, body []byte, tr *obs.Tracer, span *obs.Span) (any, error) {
-	var req ExecuteRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, badRequest("invalid JSON: %v", err)
-	}
+func (s *Server) handleExecute(ctx context.Context, req ExecuteRequest, tr *obs.Tracer, span *obs.Span) (any, error) {
 	if err := req.validate(); err != nil {
 		return nil, badRequestError{err}
 	}
 	engine := cmp.Or(req.Engine, "seq")
 	spec := req.Spec.Normalized()
-	g, inputs, err := spec.Build()
+	var b *matopt.Builder
+	var inputs map[string]*tensor.Dense
+	var err error
+	if engine == "sim" { // simulates the plan; reads no matrix
+		b, err = graphOf(spec)
+	} else {
+		b, inputs, err = s.materialize(spec)
+	}
 	if err != nil {
 		return nil, badRequestError{err}
 	}
-	p, err := s.optimizeSpec(ctx, matopt.NewBuilderFromGraph(g))
+	p, err := s.optimizeSpec(ctx, b)
 	if err != nil {
 		return nil, err
 	}
@@ -223,6 +229,7 @@ func (s *Server) handleExecute(ctx context.Context, body []byte, tr *obs.Tracer,
 		Cached: p.Cached(), Coalesced: p.Coalesced(),
 	}
 	t0 := time.Now()
+	reply := any(resp)
 	switch engine {
 	case "sim":
 		rep, err := matopt.Simulate(p)
@@ -246,14 +253,7 @@ func (s *Server) handleExecute(ctx context.Context, body []byte, tr *obs.Tracer,
 		if err != nil {
 			return nil, err
 		}
-		ids := make([]int, 0, len(outs))
-		for id := range outs {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			resp.Outputs = append(resp.Outputs, encodeDense(id, outs[id]))
-		}
+		reply = &executeReply{ExecuteResponse: resp, outs: outs}
 		if rep := x.DistReport(); engine == "dist" && rep != nil {
 			resp.Dist = &DistSummary{
 				Shards: rep.Shards, NetBytes: rep.NetBytes, Messages: rep.Messages,
@@ -272,16 +272,12 @@ func (s *Server) handleExecute(ctx context.Context, body []byte, tr *obs.Tracer,
 		}
 	}
 	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
-	return resp, nil
+	return reply, nil
 }
 
-func (s *Server) handlePlan(ctx context.Context, body []byte, tr *obs.Tracer, span *obs.Span) (any, error) {
-	var req PlanRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, badRequest("invalid JSON: %v", err)
-	}
+func (s *Server) handlePlan(ctx context.Context, req PlanRequest, tr *obs.Tracer, span *obs.Span) (any, error) {
 	spec := req.Spec.Normalized()
-	g, err := spec.Graph()
+	b, err := graphOf(spec)
 	if err != nil {
 		return nil, badRequestError{err}
 	}
@@ -291,7 +287,7 @@ func (s *Server) handlePlan(ctx context.Context, body []byte, tr *obs.Tracer, sp
 		// graph and environment. A payload lowered for a different
 		// computation or cluster is rejected by its fingerprint.
 		span.SetStr("mode", "decode")
-		p, err := s.opt.DecodePlan(matopt.NewBuilderFromGraph(g), req.Plan)
+		p, err := s.opt.DecodePlan(b, req.Plan)
 		if errors.Is(err, plan.ErrInvalidPlan) {
 			return nil, badRequestError{err}
 		} else if err != nil {
@@ -303,7 +299,7 @@ func (s *Server) handlePlan(ctx context.Context, body []byte, tr *obs.Tracer, sp
 	// Encode mode: optimize (through the cache and the coalescing
 	// boundary) and serialize the lowered plan.
 	span.SetStr("mode", "encode")
-	p, err := s.optimizeSpec(ctx, matopt.NewBuilderFromGraph(g))
+	p, err := s.optimizeSpec(ctx, b)
 	if err != nil {
 		return nil, err
 	}

@@ -125,6 +125,8 @@ type Server struct {
 	reg *obs.Registry
 	mux *http.ServeMux
 
+	inputs *inputCache // materialized inputs of recently executed specs
+
 	slots   chan struct{} // capacity Workers: a send is the right to execute
 	waiting atomic.Int64  // requests blocked on slots, at most MaxQueue
 
@@ -152,10 +154,11 @@ func New(cfg Config) *Server {
 		opts = append(opts, matopt.WithPlanCacheSize(cfg.PlanCacheSize))
 	}
 	s := &Server{
-		cfg:   cfg,
-		opt:   matopt.NewOptimizer(cfg.Cluster, opts...),
-		reg:   cfg.Registry,
-		slots: make(chan struct{}, cfg.Workers),
+		cfg:    cfg,
+		opt:    matopt.NewOptimizer(cfg.Cluster, opts...),
+		reg:    cfg.Registry,
+		inputs: newInputCache(inputBudget, cfg.Registry.Gauge("serve.inputs.bytes")),
+		slots:  make(chan struct{}, cfg.Workers),
 	}
 	// A constant: which bodies the multiply-accumulate kernels run on in
 	// this process, so a scrape says what its timings were measured on.

@@ -18,8 +18,10 @@ import (
 // useful request body is {"workload":"chain"}. The same (normalized)
 // spec always produces the same graph and — because input generation is
 // seeded and ordered — bit-identical input matrices, which is what lets
-// the load tests compare service responses against direct Executor runs
-// and lets the coalescing layer treat equal specs as one computation.
+// the load tests compare service responses against direct Executor runs,
+// lets the coalescing layer treat equal specs as one computation, and
+// lets the serving layer draw a spec's inputs once and hand the same
+// matrices to every request that names it.
 type Spec struct {
 	// Workload selects the generator: chain | ffnn | ffnn3 | inverse.
 	Workload string `json:"workload"`
@@ -112,7 +114,9 @@ func (s Spec) materialize(paper, withInputs bool) (*core.Graph, map[string]*tens
 	if err := s.Validate(); err != nil {
 		return nil, nil, err
 	}
-	rng := rand.New(rand.NewSource(s.Seed))
+	// Seeding is the costly part of a graph-only build, so the generator
+	// is made where inputs are drawn.
+	rng := func() *rand.Rand { return rand.New(rand.NewSource(s.Seed)) }
 	switch s.Workload {
 	case "ffnn", "ffnn3":
 		cfg := PaperFFNN(s.Hidden)
@@ -127,7 +131,7 @@ func (s Spec) materialize(paper, withInputs bool) (*core.Graph, map[string]*tens
 		if err != nil || !withInputs {
 			return g, nil, err
 		}
-		return g, FFNNInputs(rng, cfg), nil
+		return g, FFNNInputs(rng(), cfg), nil
 	case "chain":
 		sz := ChainSizeSets()[s.SizeSet-1]
 		if !paper {
@@ -139,7 +143,7 @@ func (s Spec) materialize(paper, withInputs bool) (*core.Graph, map[string]*tens
 		if err != nil || !withInputs {
 			return g, nil, err
 		}
-		return g, ChainInputs(rng, sz), nil
+		return g, ChainInputs(rng(), sz), nil
 	default: // inverse
 		cfg := PaperBlockInverse()
 		if !paper {
@@ -151,7 +155,7 @@ func (s Spec) materialize(paper, withInputs bool) (*core.Graph, map[string]*tens
 		if err != nil || !withInputs {
 			return g, nil, err
 		}
-		inputs, _ := BlockInverseInputs(rng, cfg)
+		inputs, _ := BlockInverseInputs(rng(), cfg)
 		return g, inputs, nil
 	}
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"encoding/json"
 	"testing"
 
 	"matopt/internal/core"
@@ -67,4 +68,34 @@ func TestSpecPaperGraph(t *testing.T) {
 	if _, _, err := (Spec{Workload: "motivating"}).Normalized().Build(); err == nil {
 		t.Error("the motivating chain must not build at executable scale")
 	}
+}
+
+// FuzzSpec feeds the spec decoder every request body starts with
+// arbitrary JSON. Whatever decodes must normalize and validate without
+// panicking, and what Validate accepts must build a graph or return an
+// error — at any scale, width or seed a client can write, since a graph
+// is symbolic and costs no memory.
+func FuzzSpec(f *testing.F) {
+	f.Add([]byte(`{"workload":"chain"}`))
+	f.Add([]byte(`{"workload":"chain","sizeset":3,"scale":800,"seed":7}`))
+	f.Add([]byte(`{"workload":"ffnn3","hidden":80000,"scale":200}`))
+	f.Add([]byte(`{"workload":"inverse","scale":9223372036854775807}`))
+	f.Add([]byte(`{"workload":"ffnn","hidden":9223372036854775807,"scale":1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Spec
+		if err := json.Unmarshal(data, &s); err != nil {
+			return
+		}
+		s = s.Normalized()
+		if err := s.Validate(); err != nil {
+			return
+		}
+		g, err := s.Graph()
+		if (g == nil) == (err == nil) {
+			t.Fatalf("%+v: Graph returned %v and error %v", s, g, err)
+		}
+		if g, err := s.PaperGraph(); (g == nil) == (err == nil) {
+			t.Fatalf("%+v: PaperGraph returned %v and error %v", s, g, err)
+		}
+	})
 }

@@ -486,12 +486,19 @@ func NewExecutor(cl Cluster, opts ...ExecutorOption) *Executor {
 // Run executes the plan; inputs maps input names to dense matrices. The
 // result maps each sink's vertex ID to its dense output; for the common
 // single-output case use RunSingle.
+//
+// Inputs are never written: both engines copy a matrix into tuples when
+// they scan it and compute on the copies, and no output aliases an
+// input. One set of matrices may therefore be handed to any number of
+// runs, concurrent ones included — the serving layer's input cache does
+// (TestEnginesLeaveInputsUntouched).
 func (x *Executor) Run(p *Plan, inputs map[string]*tensor.Dense) (map[int]*tensor.Dense, error) {
 	return x.RunCtx(context.Background(), p, inputs)
 }
 
-// RunCtx is Run under a caller-supplied context; execution checks the
-// context between vertices and aborts with its error when cancelled.
+// RunCtx is Run — inputs are never written — under a caller-supplied
+// context; execution checks the context between vertices and aborts with
+// its error when cancelled.
 // With ExecConfig.Fallback, a DistEngine run that fails for any reason
 // other than cancellation is transparently re-executed on the
 // sequential engine; DistReport then carries Degraded and the failure
