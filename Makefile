@@ -63,10 +63,11 @@ nofma:
 # worker pool and the tensor/sparse kernels that fork onto it, the plan
 # layer (whose lowered IR is shared across concurrent engine runs), the
 # metrics registry / tracer they hammer concurrently, the public
-# package's singleflight coalescing, and the serving layer's admission
-# control and drain are the concurrency-bearing packages.
+# package's singleflight coalescing, the serving layer's admission
+# control and drain, and the LRU both caches share are the
+# concurrency-bearing packages.
 race:
-	$(GO) test -race . ./internal/core/ ./internal/engine/ ./internal/dist/ ./internal/netfabric/ ./internal/obs/ ./internal/plan/ ./internal/serve/ ./internal/pool/ ./internal/tensor/ ./internal/sparse/
+	$(GO) test -race . ./internal/core/ ./internal/engine/ ./internal/dist/ ./internal/netfabric/ ./internal/obs/ ./internal/plan/ ./internal/serve/ ./internal/pool/ ./internal/tensor/ ./internal/sparse/ ./internal/lru/
 
 # The fault-injection sweep under the race detector: seeded crash /
 # drop / delay / straggler schedules, cascading node-loss recovery,
@@ -111,6 +112,7 @@ docs-check:
 	$(GO) run ./cmd/docscheck -dir ./internal/workload
 	$(GO) run ./cmd/docscheck -dir ./internal/pool
 	$(GO) run ./cmd/docscheck -dir ./internal/netfabric
+	$(GO) run ./cmd/docscheck -dir ./internal/lru
 
 # cmd/bench is a module of its own, so `go build ./... && go test ./...`
 # skips it — yet it compiles against engine.Key, engine.Tuple,

@@ -87,7 +87,7 @@ type Config struct {
 	// sockets. Wire failures surface as ErrExchangeTimeout and ride the
 	// retry → cascade → fallback ladder; outputs are bit-identical across
 	// transports (the fabric's (key, seq) sort erases arrival order).
-	// Empty = the in-process channel transport; an empty entry or more
+	// Empty = the in-process chan transport; an empty entry or more
 	// than PeerLimit entries is an error; dist only.
 	Peers []string `json:"peers,omitempty"`
 

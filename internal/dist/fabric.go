@@ -68,11 +68,11 @@ func (f *fabric) meterFor(x engine.Xfer) *meter {
 // Mover movements (Exchange and Reduce): produce runs on every
 // shard as a pool task (so its compute is attributed to the shard) and
 // emits messages with explicit destinations; deliveries go through the
-// run's Transport session — buffered channels in process by default, a
-// framed TCP stream to worker peers under Config.Peers — and land in
-// per-shard inboxes. Returns the per-shard received messages sorted by
-// (key, seq) — the deterministic order every reduce replays, which is
-// what makes the output independent of the transport's arrival order.
+// run's Transport session into per-shard inboxes — directly by default,
+// over a framed TCP stream for shards on Config.Peers workers. Returns
+// the per-shard received messages sorted by (key, seq) — the
+// deterministic order every reduce replays, which is what makes the
+// output independent of the transport's arrival order.
 //
 // Failure semantics: a drop fault discards a producing shard's
 // messages in flight; since receivers cannot distinguish lost data from
@@ -102,6 +102,12 @@ func (r *exec) exchange(x engine.Xfer, produce func(shard int) ([]routed, error)
 		return nil, r.wireErr(x, "open", err)
 	}
 	drop, delay := r.cfg.FaultPlan.exchangeFaults(x.Vertex, x.Label, r.attempt)
+	if drop != nil {
+		r.faults.Inc()
+	}
+	if delay != nil {
+		r.faults.Inc()
+	}
 	var lost atomic.Bool
 	work := func(s int) error {
 		out, err := produce(s)
@@ -151,7 +157,7 @@ func (r *exec) exchange(x engine.Xfer, produce func(shard int) ([]routed, error)
 			dwg.Add(1)
 			go func(s int) {
 				defer dwg.Done()
-				if err := r.sleepCtx(delay.Delay); err != nil {
+				if err := sleepCtx(r.ctx, delay.Delay); err != nil {
 					derrs[s] = err
 					return
 				}
@@ -216,7 +222,7 @@ func (r *exec) exchange(x engine.Xfer, produce func(shard int) ([]routed, error)
 			x.Label, x.Vertex, *drop, ErrExchangeTimeout)
 	}
 	for s := range recv {
-		sortMessages(recv[s])
+		netfabric.SortMessages(recv[s])
 	}
 	return recv, nil
 }
@@ -229,26 +235,6 @@ func (r *exec) wireErr(x engine.Xfer, stage string, err error) error {
 	return fmt.Errorf("dist: exchange %q at vertex %d %s failed on transport %q: %v: %w",
 		x.Label, x.Vertex, stage, r.cfg.Transport.Name(), err, ErrExchangeTimeout)
 }
-
-// sleepCtx waits d, returning early with the context's error when the
-// attempt is cancelled — injected delays must never outlive a cancel.
-func (r *exec) sleepCtx(d time.Duration) error {
-	if d <= 0 {
-		return r.ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-r.ctx.Done():
-		return r.ctx.Err()
-	}
-}
-
-// sortMessages orders a shard's received messages by (key, seq): the
-// reduce-replay order.
-func sortMessages(ms []message) { netfabric.SortMessages(ms) }
 
 // Exchange implements engine.Mover's shuffle on the fabric.
 func (r *exec) Exchange(x engine.Xfer, produce func(shard int) ([]engine.Routed, error)) ([][]engine.Tuple, error) {

@@ -182,49 +182,16 @@ func (p *FaultPlan) Faults() []Fault {
 	return out
 }
 
-// Injected reports how many scheduled faults have fired so far.
-func (p *FaultPlan) Injected() int64 {
-	if p == nil {
-		return 0
-	}
-	var n int64
-	for _, f := range p.faults {
-		if f.fired.Load() {
-			n++
-		}
-	}
-	return n
-}
-
-// crash returns the matching crash fault for this vertex attempt,
-// claiming it so it fires exactly once. All methods are nil-safe: a
-// runtime with no plan pays one pointer comparison per injection point.
-func (p *FaultPlan) crash(vertex, attempt int) *Fault {
+// claim returns the matching crash or node-loss fault (kind) for this
+// vertex attempt, claiming it so it fires exactly once. All methods are
+// nil-safe: a runtime with no plan pays one pointer comparison per
+// injection point.
+func (p *FaultPlan) claim(kind FaultKind, vertex, attempt int) *Fault {
 	if p == nil {
 		return nil
 	}
 	for _, f := range p.faults {
-		if f.Kind != FaultCrash || f.Attempt != attempt {
-			continue
-		}
-		if f.Vertex != -1 && f.Vertex != vertex {
-			continue
-		}
-		if f.fired.CompareAndSwap(false, true) {
-			return &f.Fault
-		}
-	}
-	return nil
-}
-
-// loses returns the matching node-loss fault for this vertex attempt,
-// claiming it so it fires exactly once.
-func (p *FaultPlan) loses(vertex, attempt int) *Fault {
-	if p == nil {
-		return nil
-	}
-	for _, f := range p.faults {
-		if f.Kind != FaultNodeLoss || f.Attempt != attempt {
+		if f.Kind != kind || f.Attempt != attempt {
 			continue
 		}
 		if f.Vertex != -1 && f.Vertex != vertex {
@@ -270,18 +237,16 @@ func (p *FaultPlan) exchangeFaults(vertex int, label string, attempt int) (drop,
 	return drop, delay
 }
 
-// slow returns the straggler delay for a shard's tasks (0 = none). A
-// slow-shard fault is marked fired on first use but keeps applying for
-// the whole run.
-func (p *FaultPlan) slow(shard int) time.Duration {
+// slow returns the straggler fault delaying a shard's tasks (nil =
+// none); it applies for the whole run and is never claimed.
+func (p *FaultPlan) slow(shard int) *Fault {
 	if p == nil {
-		return 0
+		return nil
 	}
 	for _, f := range p.faults {
 		if f.Kind == FaultSlowShard && (f.Shard == -1 || f.Shard == shard) {
-			f.fired.Store(true)
-			return f.Delay
+			return &f.Fault
 		}
 	}
-	return 0
+	return nil
 }

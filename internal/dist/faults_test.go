@@ -14,6 +14,7 @@ import (
 	"matopt/internal/engine"
 	"matopt/internal/enginetest"
 	"matopt/internal/format"
+	"matopt/internal/obs"
 	"matopt/internal/plan"
 	"matopt/internal/shape"
 	"matopt/internal/tensor"
@@ -183,6 +184,33 @@ func TestChaosSweep(t *testing.T) {
 		if rep.Retries < 2 {
 			t.Fatalf("combined @%d shards: %d retries, want ≥ 2 (crash + drop)", shards, rep.Retries)
 		}
+	}
+}
+
+// TestChaosSharedPlanCountsPerRun: a run reports the faults it fired,
+// not the plan's lifetime. One runtime runs twice under an explicit plan
+// with one crash: the first run fires and retries it, the second has
+// nothing left to fire and must report nothing — and the process-wide
+// counter sums the two runs to one fault.
+func TestChaosSharedPlanCountsPerRun(t *testing.T) {
+	pp, inputs, cl := chaosWorkload(t)
+	plan := dist.NewFaultPlan(dist.Fault{Kind: dist.FaultCrash, Vertex: pp.Graph.Vertices[len(pp.Graph.Vertices)-1].ID})
+	rt, err := dist.New(cl, dist.Config{Shards: 2, FaultPlan: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := obs.Default().Counter("dist.faults_injected").Value()
+	for i, want := range []int64{1, 0} {
+		_, rep, err := rt.RunPlan(context.Background(), pp, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.FaultsInjected != want || rep.Retries != want {
+			t.Errorf("run %d: %d faults injected, %d retries; want %d and %d", i+1, rep.FaultsInjected, rep.Retries, want, want)
+		}
+	}
+	if d := obs.Default().Counter("dist.faults_injected").Value() - before; d != 1 {
+		t.Errorf("process-wide dist.faults_injected rose by %d over the two runs, want 1", d)
 	}
 }
 

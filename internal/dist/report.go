@@ -24,38 +24,39 @@ type ExchangeStat struct {
 // the cost model's predicted features. Recovery is part of the
 // measurement: traffic of failed attempts stays in the exchange meters
 // (re-shipping data is a real cost of recovery), and every injected
-// fault and vertex recomputation is counted.
+// fault and vertex recomputation is counted. Its JSON form is the
+// /execute reply's "dist" member; breakdowns stay off the wire.
 type Report struct {
-	Shards    int
-	NetBytes  int64           // total payload bytes that crossed shard boundaries
-	Messages  int64           // total tuples that crossed shard boundaries
-	Exchanges []ExchangeStat  // per-edge breakdown, ordered by (vertex, label)
-	PeakBytes int64           // peak resident relation bytes during the run
-	ShardBusy []time.Duration // per-shard time spent inside tasks
-	Wall      time.Duration   // end-to-end wall time of the run
+	Shards    int           `json:"shards"`
+	NetBytes  int64         `json:"net_bytes"`  // total payload bytes that crossed shard boundaries
+	Messages  int64         `json:"messages"`   // total tuples that crossed shard boundaries
+	PeakBytes int64         `json:"peak_bytes"` // peak resident relation bytes during the run
+	Wall      time.Duration `json:"wall_ns"`    // end-to-end wall time of the run
 
-	FaultsInjected  int64       // scheduled faults that fired during the run
-	Retries         int64       // total vertex recomputations taken
-	RetriesByVertex map[int]int // vertex ID → recomputations (nil when none)
-	Degraded        bool        // run fell back to the sequential engine
-	DegradedCause   string      // the dist failure that forced the fallback
+	FaultsInjected      int64 `json:"faults_injected"`                // scheduled faults this run fired or applied
+	Retries             int64 `json:"retries"`                        // total vertex recomputations taken
+	Cascades            int64 `json:"cascades,omitempty"`             // cascading lineage recomputes triggered
+	SpeculativeLaunches int64 `json:"speculative_launches,omitempty"` // speculative duplicate attempts launched
+	SpeculativeWins     int64 `json:"speculative_wins,omitempty"`     // speculative attempts that beat their primary
+	CheckpointVertices  int   `json:"checkpoint_vertices,omitempty"`  // vertices pinned resident for recovery
+	CheckpointBytes     int64 `json:"checkpoint_bytes,omitempty"`     // bytes held by checkpoint pins at run end
 
-	KernelThreads int           // kernel threads each shard's local compute could use
-	KernelTime    time.Duration // summed wall time inside local compute kernels
+	Transport      string `json:"transport,omitempty"`       // exchange transport that moved the run's data ("chan", "tcp")
+	WireBytes      int64  `json:"wire_bytes,omitempty"`      // framed bytes put on (and read off) real sockets, both directions
+	WireMessages   int64  `json:"wire_messages,omitempty"`   // framed messages that crossed a socket, both directions
+	WireDials      int64  `json:"wire_dials,omitempty"`      // connections dialed to worker peers
+	WireReconnects int64  `json:"wire_reconnects,omitempty"` // dials that replaced a connection discarded after a failure
 
-	Transport      string // exchange transport that moved the run's data ("chan", "tcp")
-	WireBytes      int64  // framed bytes put on (and read off) real sockets, both directions
-	WireMessages   int64  // framed messages that crossed a socket, both directions
-	WireDials      int64  // connections dialed to worker peers
-	WireReconnects int64  // dials that replaced a connection discarded after a failure
+	Degraded      bool   `json:"degraded"`                 // run fell back to the sequential engine
+	DegradedCause string `json:"degraded_cause,omitempty"` // the dist failure that forced the fallback
 
-	Cascades            int64       // cascading lineage recomputes triggered
-	CascadesByVertex    map[int]int // failing vertex ID → cascades (nil when none)
-	MaxCascadeDepth     int         // deepest ancestor chain re-executed by one cascade
-	SpeculativeLaunches int64       // speculative duplicate attempts launched
-	SpeculativeWins     int64       // speculative attempts that beat their primary
-	CheckpointVertices  int         // vertices pinned resident for recovery
-	CheckpointBytes     int64       // bytes held by checkpoint pins at run end
+	Exchanges        []ExchangeStat  `json:"-"` // per-edge breakdown, ordered by (vertex, label)
+	ShardBusy        []time.Duration `json:"-"` // per-shard time spent inside tasks
+	RetriesByVertex  map[int]int     `json:"-"` // vertex ID → recomputations (nil when none)
+	CascadesByVertex map[int]int     `json:"-"` // failing vertex ID → cascades (nil when none)
+	MaxCascadeDepth  int             `json:"-"` // deepest ancestor chain re-executed by one cascade
+	KernelThreads    int             `json:"-"` // kernel threads each shard's local compute could use
+	KernelTime       time.Duration   `json:"-"` // summed wall time inside local compute kernels
 }
 
 // BusiestShard returns the largest per-shard busy time.
@@ -143,8 +144,9 @@ func (r *Report) String() string {
 // families DESIGN.md §11 documents: exchange counters keyed by
 // (vertex, kind, label) become Exchanges rows, dist.shard.busy_ns
 // counters become ShardBusy, dist.retries counters become
-// Retries/RetriesByVertex, and the dist.shards / dist.peak_bytes /
-// dist.wall_ns / dist.faults_injected gauges fill the scalars.
+// Retries/RetriesByVertex, the dist.faults_injected counter becomes
+// FaultsInjected, and the dist.shards / dist.peak_bytes / dist.wall_ns
+// gauges fill the scalars.
 func reportFromRegistry(snap []obs.Metric) *Report {
 	rep := &Report{}
 	label := func(m obs.Metric, key string) string {

@@ -92,20 +92,6 @@ func retryable(err error) bool {
 	return errors.Is(err, ErrShardFailed) || errors.Is(err, ErrExchangeTimeout)
 }
 
-// lineage is the recovery record of one relation: which vertex produced
-// it under which physical operator, and how many attempts that took.
-// The scheduler ref-counts every relation until its last consumer has
-// *completed* (not merely started), so a failed consumer's direct
-// inputs are normally still resident and a single-hop retry suffices —
-// the property RDD lineage buys Spark. When a node loss takes the
-// resident inputs with it, the same records drive the cascading
-// recompute back to the nearest intact frontier.
-type lineage struct {
-	vertex   int    // producing vertex ID
-	impl     string // physical operator name from the plan ("load" for sources)
-	attempts int    // executions needed (1 = no faults)
-}
-
 // runGroup executes one recovery group (a vertex's fused plan nodes)
 // with recovery: transient failures (ErrShardFailed,
 // ErrExchangeTimeout) are retried with capped, jittered exponential
@@ -127,7 +113,6 @@ func (r *run) runGroup(gr *planGroup, ins []*relation, inputs map[string]*tensor
 	for attempt := 0; ; attempt++ {
 		rel, err := r.runAttempt(gr, ins, inputs, vspan, attempt)
 		if err == nil {
-			r.recordLineage(gr, attempt+1)
 			vspan.SetInt("attempts", int64(attempt+1))
 			return rel, nil
 		}
@@ -151,7 +136,7 @@ func (r *run) runGroup(gr *planGroup, ins []*relation, inputs map[string]*tensor
 		}
 		r.recordRetry(gr.vertex)
 		bspan := r.tr.Start(vspan, "retry.backoff").SetInt("attempt", int64(attempt))
-		berr := r.sleepBackoff(gr.vertex, attempt)
+		berr := sleepCtx(r.ctx, r.cfg.backoffDelay(gr.vertex, attempt))
 		bspan.End()
 		if berr != nil {
 			return nil, fmt.Errorf("dist: vertex %d aborted during retry backoff: %w", gr.vertex, berr)
@@ -292,24 +277,20 @@ func (c *Config) backoffDelay(vertex, attempt int) time.Duration {
 	return half + time.Duration(jitterFrac(c.FaultPlan.Seed(), vertex, attempt)*float64(half))
 }
 
-// sleepBackoff waits the capped exponential backoff for the given
-// attempt with equal jitter: the wait is d/2 plus a deterministic
-// fraction of d/2 derived from (retry seed, vertex, attempt), so
-// simultaneous shard failures fan out instead of retrying in lockstep
-// while chaos runs stay reproducible under their fault seed. Returns
-// early with the context's error on cancellation.
-func (r *run) sleepBackoff(vertex, attempt int) error {
-	d := r.cfg.backoffDelay(vertex, attempt)
+// sleepCtx waits d, returning early with the context's error on
+// cancellation — neither a retry backoff nor an injected delay may
+// outlive a cancel.
+func sleepCtx(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
-		return r.ctx.Err()
+		return ctx.Err()
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
 		return nil
-	case <-r.ctx.Done():
-		return r.ctx.Err()
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -331,14 +312,4 @@ func jitterFrac(seed int64, vertex, attempt int) float64 {
 // counters.
 func (r *run) recordRetry(vertex int) {
 	r.reg.Counter("dist.retries", obs.L("vertex", strconv.Itoa(vertex))).Inc()
-}
-
-// recordLineage notes the recovery record of a completed group.
-func (r *run) recordLineage(gr *planGroup, attempts int) {
-	r.recMu.Lock()
-	if r.lineages == nil {
-		r.lineages = make(map[int]lineage)
-	}
-	r.lineages[gr.vertex] = lineage{vertex: gr.vertex, impl: gr.node.Name, attempts: attempts}
-	r.recMu.Unlock()
 }

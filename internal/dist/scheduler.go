@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"sync"
@@ -21,7 +22,7 @@ import (
 // planGroup is the dist runtime's unit of scheduling and recovery: one
 // vertex's producing plan node (a scan or compute) fused with the
 // re-layout nodes feeding it. Fusing keeps the fault surface per vertex
-// — one attempt counter, one lineage record, one retry unit — exactly as
+// — one attempt counter, one retry unit — exactly as
 // the recovery semantics and chaos tests expect, while the work itself
 // is described entirely by shared physical-plan IR nodes.
 type planGroup struct {
@@ -75,8 +76,8 @@ func buildGroups(p *plan.Plan) ([]*planGroup, error) {
 // a task queue, the comms fabric, the lowered physical plan being
 // executed, the run's metrics registry (every meter and timer lands
 // there; the final Report is a view over it), the optional tracer, and
-// the recovery bookkeeping (lineage records, cascade counters, in-flight
-// speculative attempts).
+// the recovery bookkeeping (cascade counters, in-flight speculative
+// attempts).
 type run struct {
 	cfg     Config            // this run's: defaults filled, FaultPlan and Transport resolved
 	cl      costmodel.Cluster // per-tuple size bounds
@@ -95,10 +96,9 @@ type run struct {
 	vsec  *obs.Histogram // dist.vertex.seconds — feeds the speculation deadline
 
 	kernNS *obs.Counter // dist.kernel.ns — wall time inside local compute kernels
+	faults *obs.Counter // dist.faults_injected — faults this run claimed or applied
 
-	casc     map[int]int // vertex ID → cascading recomputes taken (scheduler goroutine only)
-	recMu    sync.Mutex  // guards lineages
-	lineages map[int]lineage
+	casc map[int]int // vertex ID → cascading recomputes taken (scheduler goroutine only)
 }
 
 // exec is one attempt's view of the run: the embedded run carries all
@@ -154,12 +154,17 @@ func newRun(cfg Config, cl costmodel.Cluster, ctx context.Context, p *plan.Plan,
 		casc:   make(map[int]int),
 	}
 	r.kernNS = reg.Counter("dist.kernel.ns")
+	r.faults = reg.Counter("dist.faults_injected")
 	r.span = cfg.Tracer.Start(cfg.Span, "dist.run").
 		SetInt("shards", int64(cfg.Shards)).
 		SetInt("kernel_threads", int64(cfg.KernelThreads))
+	stragglers := map[*Fault]bool{}
 	for s := 0; s < cfg.Shards; s++ {
 		r.tasks[s] = make(chan func(), 16)
-		straggle := cfg.FaultPlan.slow(s)
+		var straggle time.Duration
+		if f := cfg.FaultPlan.slow(s); f != nil {
+			straggle, stragglers[f] = f.Delay, true
+		}
 		busy := reg.Counter("dist.shard.busy_ns", obs.L("shard", strconv.Itoa(s)))
 		r.workers.Add(1)
 		go func(s int) {
@@ -174,6 +179,7 @@ func newRun(cfg Config, cl costmodel.Cluster, ctx context.Context, p *plan.Plan,
 			}
 		}(s)
 	}
+	r.faults.Add(int64(len(stragglers))) // a straggler counts once per run
 	return r
 }
 
@@ -250,28 +256,67 @@ func (r *run) On(shard int, fn func() error) error {
 	return err
 }
 
-// checkpointPins re-derives the pin-for-recovery set from the plan's
-// pure per-node recompute/materialize costs under this runtime's
-// configured checkpoint multiple and memory budget. The plan itself
-// stores only knob-free per-node costs (one lowered plan is shared by
-// every cache hit), so two executors with different knobs can
-// pin differently off the same plan. Under a budget the greedy order is
-// deepest-first: a deep vertex fronts the longest recompute chain, so
-// pinning it truncates the worst cascades first.
+// recoveryCosts prices losing each vertex's value: recompute[v] is the
+// predicted seconds of regenerating it from the sources — its producing
+// node and feeding re-layouts plus every ancestor's, a shared ancestor
+// counted once — and depth[v] its longest producer chain (0 for a
+// source). A cone is summed in ascending vertex ID, so the sums are the
+// same bits on every run: pins are thresholded and ordered on them.
+func recoveryCosts(p *plan.Plan) (recompute []float64, depth []int) {
+	nv := len(p.Graph.Vertices)
+	own := make([]float64, nv)
+	for _, n := range p.Nodes {
+		if n.Kind != plan.KindFree {
+			own[n.Vertex] += n.Cost
+		}
+	}
+	// A cone is the vertex's ancestor set including itself, one bit per
+	// vertex ID, built in graph (topological) order.
+	words := (nv + 63) / 64
+	cones := make([]uint64, nv*words)
+	recompute, depth = make([]float64, nv), make([]int, nv)
+	for _, v := range p.Graph.Vertices {
+		c := cones[v.ID*words : (v.ID+1)*words]
+		c[v.ID/64] |= 1 << (v.ID % 64)
+		for _, in := range v.Ins {
+			for w, x := range cones[in.ID*words : (in.ID+1)*words] {
+				c[w] |= x
+			}
+			depth[v.ID] = max(depth[v.ID], depth[in.ID]+1)
+		}
+		for w, x := range c {
+			for ; x != 0; x &= x - 1 {
+				recompute[v.ID] += own[w*64+bits.TrailingZeros64(x)]
+			}
+		}
+	}
+	return recompute, depth
+}
+
+// checkpointPins decides which vertices this run pins resident for
+// recovery: every non-retained computation whose recompute cost exceeds
+// the configured multiple × the price of materializing its output on
+// this runtime's cluster. The plan carries no placement, so one cached
+// plan runs pinned or unpinned under any knobs. Under a budget the
+// greedy order is deepest-first: a deep vertex fronts the longest
+// recompute chain, so pinning it truncates the worst cascades first.
 func (r *run) checkpointPins() map[int]bool {
 	if !r.cfg.Checkpoint {
 		return nil
 	}
+	recompute, depth := recoveryCosts(r.pl)
 	retained := make(map[int]bool, len(r.pl.Retained))
 	for _, id := range r.pl.Retained {
 		retained[id] = true
 	}
 	var cands []*plan.Node
-	for _, n := range r.pl.Nodes {
-		if n.Kind != plan.KindCompute || retained[n.Vertex] {
+	for _, v := range r.pl.Graph.Vertices {
+		if v.IsSource || retained[v.ID] {
 			continue
 		}
-		if costmodel.ShouldCheckpoint(n.RecomputeSeconds, n.MaterializeSeconds, r.cfg.CheckpointMultiple) {
+		n := r.pl.Nodes[r.pl.NodeOfVertex[v.ID]]
+		mat := costmodel.MaterializeSeconds(r.cl, float64(n.OutBytes()))
+		if costmodel.ShouldCheckpoint(recompute[v.ID], mat, r.cfg.CheckpointMultiple) {
 			cands = append(cands, n)
 		}
 	}
@@ -286,13 +331,14 @@ func (r *run) checkpointPins() map[int]bool {
 		return pins
 	}
 	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Depth != cands[j].Depth {
-			return cands[i].Depth > cands[j].Depth
+		a, b := cands[i].Vertex, cands[j].Vertex
+		if depth[a] != depth[b] {
+			return depth[a] > depth[b]
 		}
-		if cands[i].RecomputeSeconds != cands[j].RecomputeSeconds {
-			return cands[i].RecomputeSeconds > cands[j].RecomputeSeconds
+		if recompute[a] != recompute[b] {
+			return recompute[a] > recompute[b]
 		}
-		return cands[i].Vertex < cands[j].Vertex
+		return a < b
 	})
 	var used int64
 	for _, n := range cands {
@@ -515,15 +561,18 @@ func (x *exec) execGroup(gr *planGroup, ins []*relation, inputs map[string]*tens
 	if err := x.ctx.Err(); err != nil {
 		return nil, fmt.Errorf("dist: execution aborted before vertex %d: %w", gr.vertex, err)
 	}
-	if f := x.cfg.FaultPlan.loses(gr.vertex, x.attempt); f != nil {
+	f := x.cfg.FaultPlan.claim(FaultNodeLoss, gr.vertex, x.attempt)
+	if f != nil {
 		for _, in := range ins {
 			if in != nil {
 				in.markLost()
 			}
 		}
-		return nil, fmt.Errorf("dist: injected %v on shard %d: %w", *f, x.OwnerShard(gr.vertex), ErrShardFailed)
+	} else {
+		f = x.cfg.FaultPlan.claim(FaultCrash, gr.vertex, x.attempt)
 	}
-	if f := x.cfg.FaultPlan.crash(gr.vertex, x.attempt); f != nil {
+	if f != nil {
+		x.faults.Inc()
 		return nil, fmt.Errorf("dist: injected %v on shard %d: %w", *f, x.OwnerShard(gr.vertex), ErrShardFailed)
 	}
 	n := gr.node
@@ -568,7 +617,7 @@ func (x *exec) execGroup(gr *planGroup, ins []*relation, inputs map[string]*tens
 	return &relation{Relation: out}, nil
 }
 
-// report finalizes the run's registry (peak/wall/fault gauges), builds
+// report finalizes the run's registry (peak and wall gauges), builds
 // the Report as a view over it, and merges the per-run readings into
 // the process-wide obs.Default registry. Called exactly once per Run,
 // on both the success and the error path, so even a run that is about
@@ -578,7 +627,6 @@ func (r *run) report(peak int64, wall time.Duration) *Report {
 	r.reg.Gauge("dist.kernel.threads").Set(int64(r.cfg.KernelThreads))
 	r.reg.Gauge("dist.peak_bytes").SetMax(peak)
 	r.reg.Gauge("dist.wall_ns").SetMax(int64(wall))
-	r.reg.Gauge("dist.faults_injected").Set(r.cfg.FaultPlan.Injected())
 	rep := reportFromRegistry(r.reg.Snapshot())
 	rep.Transport = r.cfg.Transport.Name()
 	obs.Default().Merge(r.reg)

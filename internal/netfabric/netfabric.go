@@ -1,22 +1,22 @@
 // Package netfabric is the pluggable exchange transport under the dist
 // runtime's shuffle fabric. The fabric in internal/dist decides *what*
 // moves (which tuples, to which shard, metered how); a Transport decides
-// *how* the bytes get there. Two implementations ship:
+// *how* the bytes get there. Both transports open one session type: the
+// inboxes of the shards this process hosts plus a link per remote peer.
 //
-//   - Chan keeps every delivery in-process over buffered channels — the
-//     exact mechanism the fabric used before the interface was extracted,
-//     byte-for-byte unchanged behavior, and the default.
+//   - Chan, the default, has no links: every message is appended to its
+//     shard's inbox.
 //   - TCP maps shards onto peer worker processes (cmd/matoptd -worker)
 //     and moves every message to a remote-hosted shard over a real
 //     socket: length-prefixed binary frames (codec.go), per-peer
 //     connection pooling with lazy dial, coalesced writes, and read
-//     loops that feed the same collector path the channel transport
-//     fills. Wire traffic is metered into the run's registry
-//     (dist.wire.*) next to the fabric's dist.exchange.* meters.
+//     loops that fill the same inboxes. Wire traffic is metered into the
+//     run's registry (dist.wire.*) next to the fabric's dist.exchange.*
+//     meters.
 //
 // Determinism carries across transports because the fabric sorts every
 // shard's inbox by (Key, Seq) before any reduce replays it — arrival
-// order over a socket is as irrelevant as arrival order over a channel,
+// order over a socket is as irrelevant as arrival order in process,
 // and the dist runtime's outputs stay bit-identical to the sequential
 // engine. Transport failures (dial refused, connection reset, I/O
 // deadline) surface as errors wrapping ErrWire; the dist runtime maps
@@ -84,9 +84,9 @@ var (
 // the session. Send is safe for concurrent use; Collect and Abandon are
 // not, and must be called only after every producer has returned.
 type Session interface {
-	// Send delivers one message to shard dst's inbox. It may block for
-	// back-pressure (a full channel buffer, a busy socket) and returns
-	// an error wrapping ErrWire when the transport fails.
+	// Send delivers one message to shard dst's inbox. It may block on a
+	// busy socket and returns an error wrapping ErrWire when the
+	// transport fails.
 	Send(dst int, m Message) error
 	// Collect closes the send side, waits for every inbox to settle,
 	// and returns each shard's received messages in arrival order (the

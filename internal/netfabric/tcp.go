@@ -32,9 +32,9 @@ const connBufSize = 64 << 10
 // where each entry is either a worker address ("127.0.0.1:7070") or
 // LocalPeer. Messages routed to a remote-hosted shard are framed to
 // that worker, buffered there, and streamed back at Collect into the
-// same per-shard inboxes the channel transport fills — the fabric's
-// (key, seq) sort then erases any arrival-order difference, keeping
-// outputs bit-identical across transports.
+// session's per-shard inboxes, where LocalPeer shards' messages already
+// are — the fabric's (key, seq) sort then erases any arrival-order
+// difference, keeping outputs bit-identical across transports.
 //
 // Connections are pooled per peer and dialed lazily: a session checks
 // one out per peer at Open (dialing only when the pool is dry), and
@@ -184,12 +184,7 @@ func (t *TCP) Open(ctx context.Context, reg *obs.Registry, id ExchangeID, shards
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	s := &tcpSession{
-		t:      t,
-		shards: shards,
-		local:  make([][]Message, shards),
-		links:  make(map[string]*peerLink),
-	}
+	s := &session{t: t, inbox: make([][]Message, shards), links: make(map[string]*peerLink)}
 	for sh := 0; sh < shards; sh++ {
 		addr := t.peerOf(sh)
 		if addr == LocalPeer || s.links[addr] != nil {
@@ -261,99 +256,35 @@ func (l *peerLink) failLocked(err error) error {
 	return l.err
 }
 
-type tcpSession struct {
-	t      *TCP
-	shards int
-
-	localMu sync.Mutex
-	local   [][]Message
-
-	links map[string]*peerLink
-}
-
-// Send routes one message: coordinator-hosted shards append to an
-// in-memory inbox, remote-hosted shards get a MSG frame on their
-// peer's link.
-func (s *tcpSession) Send(dst int, m Message) error {
-	addr := s.t.peerOf(dst)
-	if addr == LocalPeer {
-		s.localMu.Lock()
-		s.local[dst] = append(s.local[dst], m)
-		s.localMu.Unlock()
-		return nil
-	}
-	l := s.links[addr]
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	err := l.writeLocked(s.t.ioTimeout, func(buf []byte) ([]byte, error) { return shardMessageFrame(buf, frameMsg, dst, m) })
-	if err != nil {
-		return err
-	}
-	l.msgs.Inc()
-	return nil
-}
-
-// Collect finishes every link concurrently — FIN, flush, then stream
-// the worker's buffered inboxes back into recv. Distinct peers host
-// disjoint shards, so the per-link readers write disjoint recv slots.
-func (s *tcpSession) Collect() ([][]Message, error) {
-	recv := s.local
-	s.local = nil
-	var wg sync.WaitGroup
-	for _, l := range s.links {
-		wg.Add(1)
-		go func(l *peerLink) {
-			defer wg.Done()
-			s.collectLink(l, recv)
-		}(l)
-	}
-	wg.Wait()
-	var firstErr error
-	for _, l := range s.links {
-		l.mu.Lock()
-		err, conn := l.err, l.conn
-		l.conn = nil
-		l.mu.Unlock()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		s.t.checkin(l.addr, conn)
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return recv, nil
-}
-
-func (s *tcpSession) collectLink(l *peerLink, recv [][]Message) {
+// collectLink finishes one session link: FIN, flush, then read the
+// worker's buffered inbox frames into recv until EOF. The first wire
+// error discards the connection and latches on the link.
+func (t *TCP) collectLink(l *peerLink, recv [][]Message) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
 		if l.conn != nil {
-			s.t.discard(l.addr, l.conn)
+			t.discard(l.addr, l.conn)
 			l.conn = nil
 		}
 		return
 	}
 	fail := func(err error) {
-		s.t.discard(l.addr, l.conn)
+		t.discard(l.addr, l.conn)
 		l.conn = nil
 		l.failLocked(err)
 	}
-	if err := l.writeLocked(s.t.ioTimeout, func(buf []byte) ([]byte, error) { return controlFrame(buf, frameFin), nil }); err != nil {
+	if err := l.writeLocked(t.ioTimeout, func(buf []byte) ([]byte, error) { return controlFrame(buf, frameFin), nil }); err != nil {
 		fail(err)
 		return
 	}
-	l.conn.nc.SetWriteDeadline(time.Now().Add(s.t.ioTimeout))
+	l.conn.nc.SetWriteDeadline(time.Now().Add(t.ioTimeout))
 	if err := l.conn.bw.Flush(); err != nil {
 		fail(fmt.Errorf("%w: flush to %s: %v", ErrWire, l.addr, err))
 		return
 	}
 	for {
-		l.conn.nc.SetReadDeadline(time.Now().Add(s.t.ioTimeout))
+		l.conn.nc.SetReadDeadline(time.Now().Add(t.ioTimeout))
 		l.conn.fr.buf = l.conn.fr.buf[:0]
 		typ, payload, err := l.conn.fr.next()
 		if err != nil {
@@ -368,7 +299,7 @@ func (s *tcpSession) collectLink(l *peerLink, recv [][]Message) {
 				fail(fmt.Errorf("%w: from %s: %v", ErrWire, l.addr, err))
 				return
 			}
-			if shard >= s.shards || s.t.peerOf(shard) != l.addr {
+			if shard >= len(recv) || t.peerOf(shard) != l.addr {
 				fail(fmt.Errorf("%w: peer %s returned inbox for shard %d it does not host", ErrWire, l.addr, shard))
 				return
 			}
@@ -382,21 +313,4 @@ func (s *tcpSession) collectLink(l *peerLink, recv [][]Message) {
 			return
 		}
 	}
-}
-
-// Abandon discards every link's connection: mid-session state is
-// unknowable after a timeout, so nothing returns to the pool.
-func (s *tcpSession) Abandon() {
-	for _, l := range s.links {
-		l.mu.Lock()
-		if l.conn != nil {
-			s.t.discard(l.addr, l.conn)
-			l.conn = nil
-		}
-		l.failLocked(fmt.Errorf("%w: session abandoned", ErrWire))
-		l.mu.Unlock()
-	}
-	s.localMu.Lock()
-	s.local = nil
-	s.localMu.Unlock()
 }

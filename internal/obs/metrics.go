@@ -96,6 +96,11 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.buckets[i].Add(1)
 	h.count.Add(1)
+	h.addSum(v)
+}
+
+// addSum adds v to the running sum, lock-free.
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -465,11 +470,6 @@ func (r *Registry) Merge(src *Registry) {
 			h.buckets[i].Add(n)
 		}
 		h.count.Add(s.count)
-		for {
-			old := h.sumBits.Load()
-			if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+s.sum)) {
-				break
-			}
-		}
+		h.addSum(s.sum)
 	}
 }

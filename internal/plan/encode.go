@@ -9,11 +9,11 @@ import (
 	"matopt/internal/trans"
 )
 
-// encodeVersion is the version of the plan document Encode writes, and
-// the only one Decode reads: the node listing alone. Versions 1 and 2
-// repeated the listing's decisions in a nested "annotation" member.
+// encodeVersion is the version of the plan document Encode writes: the
+// node listing alone. Decode also reads version 3, whose nodes carried a
+// "checkpoint" mark it ignores; versions 1 and 2 are refused.
 const (
-	encodeVersion    = 3
+	encodeVersion    = 4
 	minEncodeVersion = 3
 )
 
@@ -42,8 +42,6 @@ type nodeDTO struct {
 	Format   string  `json:"format,omitempty"`
 	Strategy string  `json:"strategy"`
 	Cost     float64 `json:"cost"`
-	// Checkpoint is the lowering-time default checkpoint mark.
-	Checkpoint bool `json:"checkpoint,omitempty"`
 }
 
 // Encode serializes a lowered plan: its node listing under the
@@ -62,7 +60,7 @@ func Encode(p *Plan, env *core.Env) ([]byte, error) {
 		d := nodeDTO{
 			ID: n.ID, Kind: n.Kind.String(), Vertex: n.Vertex, Arg: n.Arg,
 			Name: n.Name, Source: n.Source, Inputs: n.Inputs,
-			Strategy: n.Strategy, Cost: n.Cost, Checkpoint: n.Checkpoint,
+			Strategy: n.Strategy, Cost: n.Cost,
 		}
 		if n.Kind != KindFree {
 			d.Format = n.OutFormat.String()
@@ -112,9 +110,6 @@ func Decode(g *core.Graph, env *core.Env, data []byte) (*Plan, error) {
 		}
 		if n.Kind != KindFree && d.Format != n.OutFormat.String() {
 			return nil, bad("node %d format %q does not match lowered %v", i, d.Format, n.OutFormat)
-		}
-		if d.Checkpoint != n.Checkpoint {
-			return nil, bad("node %d checkpoint mark %v does not match lowered %v", i, d.Checkpoint, n.Checkpoint)
 		}
 	}
 	// Complete the annotation from the lowered nodes.

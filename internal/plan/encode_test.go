@@ -247,7 +247,7 @@ func TestDecodeRejectsFormatOutsideUniverse(t *testing.T) {
 // chainFixture is the computation the checked-in payloads under testdata/
 // were made for: the paper-scale matmul chain on the CLI's default
 // ten-worker cluster and dense formats (matopt -workload chain
-// -plan-out). Its plan has two re-layouts and five checkpoint marks.
+// -plan-out). Its plan has two re-layouts.
 func chainFixture(t testing.TB) (*core.Graph, *core.Env, *plan.Plan) {
 	t.Helper()
 	g, err := workload.Spec{Workload: "chain"}.Normalized().PaperGraph()
@@ -275,25 +275,43 @@ func readFixture(t testing.TB, name string) []byte {
 	return data
 }
 
-// TestGoldenPlanBytes pins version 3: the fixture's plan must encode to
+// TestGoldenPlanBytes pins version 4: the fixture's plan must encode to
 // exactly the checked-in bytes. A change that moves them has changed the
 // plan document (or the plan) and must be deliberate: bump encodeVersion
-// if old payloads stop decoding, and rewrite testdata/chain.v3.json.
+// if old payloads stop decoding, and rewrite testdata/chain.v4.json.
 func TestGoldenPlanBytes(t *testing.T) {
 	_, env, p := chainFixture(t)
 	got, err := plan.Encode(p, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := readFixture(t, "chain.v3.json"); !bytes.Equal(got, want) {
-		t.Errorf("version 3 bytes moved; Encode now writes\n%s", got)
+	if want := readFixture(t, "chain.v4.json"); !bytes.Equal(got, want) {
+		t.Errorf("version 4 bytes moved; Encode now writes\n%s", got)
 	}
 }
 
-// TestLowerIsBitReproducible lowers one annotation twenty times: the
-// recovery annotations feed an ordering (dist's budgeted pins) and a
-// threshold (the checkpoint mark), so they must be the same bits each
-// time, not the same up to rounding.
+// TestDecodeReadsVersion3: a version-3 payload — the same listing plus
+// the checkpoint marks version 4 dropped — decodes to the plan its
+// version-4 form does.
+func TestDecodeReadsVersion3(t *testing.T) {
+	g, env, _ := chainFixture(t)
+	v3, err := plan.Decode(g, env, readFixture(t, "chain.v3.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v4, err := plan.Decode(g, env, readFixture(t, "chain.v4.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v3.Explain() != v4.Explain() || math.Float64bits(v3.PredictedSeconds()) != math.Float64bits(v4.PredictedSeconds()) {
+		t.Errorf("version 3 decodes to\n%s\nversion 4 to\n%s", v3.Explain(), v4.Explain())
+	}
+}
+
+// TestLowerIsBitReproducible lowers one annotation twenty times: every
+// node's predicted cost must be the same bits each time, not the same up
+// to rounding — Simulate sums them and the dist runtime prices its
+// checkpoint pins on them.
 func TestLowerIsBitReproducible(t *testing.T) {
 	g, err := workload.Spec{Workload: "ffnn3", Scale: 200}.Normalized().Graph()
 	if err != nil {
@@ -313,24 +331,20 @@ func TestLowerIsBitReproducible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(p.Checkpoints, first.Checkpoints) {
-			t.Fatalf("lowering %d checkpoints %v, the first %v", i, p.Checkpoints, first.Checkpoints)
-		}
 		for j, n := range p.Nodes {
-			f := first.Nodes[j]
-			if math.Float64bits(n.RecomputeSeconds) != math.Float64bits(f.RecomputeSeconds) || n.Depth != f.Depth {
-				t.Fatalf("lowering %d node %d: recompute %x depth %d, the first lowering %x depth %d", i, j,
-					math.Float64bits(n.RecomputeSeconds), n.Depth, math.Float64bits(f.RecomputeSeconds), f.Depth)
+			if f := first.Nodes[j]; n.Name != f.Name || math.Float64bits(n.Cost) != math.Float64bits(f.Cost) {
+				t.Fatalf("lowering %d node %d: %s cost %x, the first lowering %s cost %x", i, j,
+					n.Name, math.Float64bits(n.Cost), f.Name, math.Float64bits(f.Cost))
 			}
 		}
 	}
 }
 
 // FuzzDecode feeds Decode arbitrary bytes for the fixture computation
-// (the seed corpus holds the three versions' payloads and edits of
-// them). It must never panic; what it does not refuse — with
-// ErrInvalidPlan or a JSON error — must be a valid plan that encodes to a
-// payload decoding to the same plan.
+// (the seed corpus holds payloads of versions 1–4 and edits of them). It
+// must never panic; what it does not refuse — with ErrInvalidPlan or a
+// JSON error — must be a valid plan that encodes to a payload decoding
+// to the same plan.
 func FuzzDecode(f *testing.F) {
 	g, env, _ := chainFixture(f)
 	f.Fuzz(func(t *testing.T, data []byte) {

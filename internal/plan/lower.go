@@ -2,10 +2,8 @@ package plan
 
 import (
 	"fmt"
-	"math/bits"
 
 	"matopt/internal/core"
-	"matopt/internal/costmodel"
 	"matopt/internal/format"
 	"matopt/internal/impl"
 )
@@ -149,62 +147,5 @@ func Lower(g *core.Graph, env *core.Env, ann *core.Annotation, keep ...int) (*Pl
 			p.Retained = append(p.Retained, id)
 		}
 	}
-	annotateRecovery(p, env, retain)
 	return p, nil
-}
-
-// annotateRecovery computes each vertex-producing node's recovery costs
-// and applies the default checkpoint placement: RecomputeSeconds is the
-// regenerate-from-sources cost — the node's own predicted cost, its
-// input re-layouts, and every ancestor cone member's, with shared
-// ancestors counted once (diamond-shaped lineage must not double-bill
-// the shared producer) — MaterializeSeconds is the cost-model price of
-// persisting the output instead, and Depth is the longest producer
-// chain. A non-retained compute node whose recompute cost exceeds
-// DefaultCheckpointMultiple × its materialization cost gets the
-// Checkpoint mark; vertices so marked are listed in Plan.Checkpoints.
-func annotateRecovery(p *Plan, env *core.Env, retain []bool) {
-	nv := len(p.Graph.Vertices)
-	// ownCost[v]: the producing node's cost plus its feeding re-layouts.
-	ownCost := make([]float64, nv)
-	for _, n := range p.Nodes {
-		switch n.Kind {
-		case KindScan, KindCompute, KindRelayout:
-			ownCost[n.Vertex] += n.Cost
-		}
-	}
-	// A vertex's cone is its ancestor set including itself, one bit per
-	// vertex ID, built in graph (topological) vertex order, so every
-	// dependency's cone is ready when needed. A cone's costs are summed
-	// in ascending vertex ID: RecomputeSeconds must be the same bits in
-	// every lowering, since pins are ordered and marks thresholded on it.
-	words := (nv + 63) / 64
-	cones := make([]uint64, nv*words)
-	for _, v := range p.Graph.Vertices {
-		c := cones[v.ID*words : (v.ID+1)*words]
-		c[v.ID/64] |= 1 << (v.ID % 64)
-		depth := 0
-		for _, in := range v.Ins {
-			for w, x := range cones[in.ID*words : (in.ID+1)*words] {
-				c[w] |= x
-			}
-			d := p.Nodes[p.NodeOfVertex[in.ID]].Depth + 1
-			if d > depth {
-				depth = d
-			}
-		}
-		n := p.Nodes[p.NodeOfVertex[v.ID]]
-		n.Depth = depth
-		for w, x := range c {
-			for ; x != 0; x &= x - 1 {
-				n.RecomputeSeconds += ownCost[w*64+bits.TrailingZeros64(x)]
-			}
-		}
-		n.MaterializeSeconds = costmodel.MaterializeSeconds(env.Cluster, float64(n.OutBytes()))
-		if n.Kind == KindCompute && !retain[v.ID] &&
-			costmodel.ShouldCheckpoint(n.RecomputeSeconds, n.MaterializeSeconds, costmodel.DefaultCheckpointMultiple) {
-			n.Checkpoint = true
-			p.Checkpoints = append(p.Checkpoints, v.ID)
-		}
-	}
 }

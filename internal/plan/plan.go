@@ -104,30 +104,6 @@ type Node struct {
 	// "re-layout", "local", "map", "broadcast-join", "shuffle-join",
 	// "co-partition-join", "group-by-sum", or "free".
 	Strategy string
-
-	// Recovery costs (scan and compute nodes only; see costmodel's
-	// checkpoint inequality). These are engine- and knob-invariant —
-	// pure functions of the plan and cluster — so one cached plan serves
-	// executors with different checkpoint settings, which re-derive
-	// their pin sets from these numbers at run time.
-
-	// RecomputeSeconds is the model-predicted cost of regenerating this
-	// node's value from the sources: its own cost plus every ancestor
-	// cone member's (each shared ancestor counted once) plus the
-	// re-layout transforms between them.
-	RecomputeSeconds float64
-	// MaterializeSeconds is the model-predicted cost of persisting this
-	// node's output instead (job overhead + disk write of OutBytes).
-	MaterializeSeconds float64
-	// Depth is the longest producer chain below this node: 0 for scans,
-	// 1 + max input depth for computes.
-	Depth int
-	// Checkpoint marks a compute node whose recompute cost exceeds
-	// costmodel.DefaultCheckpointMultiple × its materialization cost —
-	// the lowering-time default placement. Runtimes with a different
-	// multiple or a memory budget re-derive their own set from
-	// RecomputeSeconds/MaterializeSeconds.
-	Checkpoint bool
 }
 
 // OutBytes estimates the node's output size in bytes: density-scaled
@@ -152,10 +128,6 @@ type Plan struct {
 	// Retained lists the vertex IDs whose values survive the run
 	// (sinks plus any explicitly kept vertices), in increasing order.
 	Retained []int
-	// Checkpoints lists the vertex IDs whose compute nodes carry the
-	// default checkpoint mark (see Node.Checkpoint), in increasing
-	// order; empty when no intermediate clears the default inequality.
-	Checkpoints []int
 	// OptSeconds is the optimizer time recorded on the annotation.
 	OptSeconds float64
 }

@@ -121,8 +121,8 @@ func TestValidateCatchesCorruption(t *testing.T) {
 
 // TestEncodeDecodeRejectsTampering checks the serialized plan's
 // integrity story: a clean payload round-trips, while a tampered node
-// listing, a foreign environment, or a wire version other than 3 are all
-// rejected with ErrInvalidPlan.
+// listing, a foreign environment, or a wire version other than 3 or 4
+// are all rejected with ErrInvalidPlan.
 func TestEncodeDecodeRejectsTampering(t *testing.T) {
 	g, env, p := lowered(t)
 	data, err := plan.Encode(p, env)
@@ -149,10 +149,10 @@ func TestEncodeDecodeRejectsTampering(t *testing.T) {
 	expectInvalid("foreign environment", data, g, other)
 	// Tampering with the node listing after serialization.
 	expectInvalid("tampered operator name", bytes.Replace(data, []byte(`"name": "load"`), []byte(`"name": "leak"`), 1), g, env)
-	// A wire version outside the range: unknown, or one nothing writes
+	// A wire version outside the range: unknown, or one nothing reads
 	// any more (1 and 2 nested an annotation beside the listing).
-	for _, v := range []string{"99", "1", "2", "0"} {
-		expectInvalid("version "+v, bytes.Replace(data, []byte(`"version": 3`), []byte(`"version": `+v), 1), g, env)
+	for _, v := range []string{"99", "5", "1", "2", "0"} {
+		expectInvalid("version "+v, bytes.Replace(data, []byte(`"version": 4`), []byte(`"version": `+v), 1), g, env)
 	}
 }
 

@@ -114,42 +114,6 @@ func (o OutputMatrix) Dense() (*tensor.Dense, error) {
 	return d, nil
 }
 
-// DistSummary is the dist engine's per-run report in wire form.
-type DistSummary struct {
-	// Shards is the shard count the run used.
-	Shards int `json:"shards"`
-	// NetBytes and Messages meter the shuffle fabric.
-	NetBytes int64 `json:"net_bytes"`
-	Messages int64 `json:"messages"`
-	// PeakBytes is the peak resident relation bytes.
-	PeakBytes int64 `json:"peak_bytes"`
-	// WallNS is the run's wall time in nanoseconds.
-	WallNS int64 `json:"wall_ns"`
-	// FaultsInjected and Retries record the recovery path.
-	FaultsInjected int64 `json:"faults_injected"`
-	Retries        int64 `json:"retries"`
-	// Cascades, SpeculativeLaunches/Wins and the checkpoint counters
-	// record the deeper recovery machinery (see dist.Report).
-	Cascades            int64 `json:"cascades,omitempty"`
-	SpeculativeLaunches int64 `json:"speculative_launches,omitempty"`
-	SpeculativeWins     int64 `json:"speculative_wins,omitempty"`
-	CheckpointVertices  int   `json:"checkpoint_vertices,omitempty"`
-	CheckpointBytes     int64 `json:"checkpoint_bytes,omitempty"`
-	// Transport names the exchange transport the run used ("chan" or
-	// "tcp"); the Wire* counters meter the physical network fabric —
-	// framed bytes, frames, dials and reconnects — and stay zero on the
-	// in-process chan transport.
-	Transport      string `json:"transport,omitempty"`
-	WireBytes      int64  `json:"wire_bytes,omitempty"`
-	WireMessages   int64  `json:"wire_messages,omitempty"`
-	WireDials      int64  `json:"wire_dials,omitempty"`
-	WireReconnects int64  `json:"wire_reconnects,omitempty"`
-	// Degraded reports a fallback to the sequential engine, with its
-	// cause.
-	Degraded      bool   `json:"degraded"`
-	DegradedCause string `json:"degraded_cause,omitempty"`
-}
-
 // SimSummary is the simulator's paper-scale resource report in wire
 // form.
 type SimSummary struct {
@@ -179,8 +143,8 @@ type ExecuteResponse struct {
 	// Outputs holds every sink's matrix, ordered by vertex ID (absent
 	// for engine sim).
 	Outputs []OutputMatrix `json:"outputs,omitempty"`
-	// Dist summarizes the dist run's report (engine dist only).
-	Dist *DistSummary `json:"dist,omitempty"`
+	// Dist is the dist run's report in its JSON form (engine dist only).
+	Dist *matopt.DistReport `json:"dist,omitempty"`
 	// Sim carries the simulator's report (engine sim only).
 	Sim *SimSummary `json:"sim,omitempty"`
 	// ElapsedMS is service time (queue wait excluded) in milliseconds.

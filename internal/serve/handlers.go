@@ -254,22 +254,7 @@ func (s *Server) handleExecute(ctx context.Context, req ExecuteRequest, tr *obs.
 			return nil, err
 		}
 		reply = &executeReply{ExecuteResponse: resp, outs: outs}
-		if rep := x.DistReport(); engine == "dist" && rep != nil {
-			resp.Dist = &DistSummary{
-				Shards: rep.Shards, NetBytes: rep.NetBytes, Messages: rep.Messages,
-				PeakBytes: rep.PeakBytes, WallNS: rep.Wall.Nanoseconds(),
-				FaultsInjected: rep.FaultsInjected, Retries: rep.Retries,
-				Cascades:            rep.Cascades,
-				SpeculativeLaunches: rep.SpeculativeLaunches,
-				SpeculativeWins:     rep.SpeculativeWins,
-				CheckpointVertices:  rep.CheckpointVertices,
-				CheckpointBytes:     rep.CheckpointBytes,
-				Transport:           rep.Transport,
-				WireBytes:           rep.WireBytes, WireMessages: rep.WireMessages,
-				WireDials: rep.WireDials, WireReconnects: rep.WireReconnects,
-				Degraded: rep.Degraded, DegradedCause: rep.DegradedCause,
-			}
-		}
+		resp.Dist = x.DistReport()
 	}
 	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
 	return reply, nil

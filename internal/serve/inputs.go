@@ -1,10 +1,10 @@
 package serve
 
 import (
-	"container/list"
 	"sync"
 
 	"matopt"
+	"matopt/internal/lru"
 	"matopt/internal/obs"
 	"matopt/internal/tensor"
 )
@@ -12,70 +12,42 @@ import (
 // inputBudget is how many bytes of materialized inputs a Server keeps.
 const inputBudget = 64 << 20
 
-// inputCache is a thread-safe, byte-budgeted LRU of materialized input
-// matrices keyed by normalized Spec. It is sound because of two
-// contracts: a normalized spec always draws bit-identical inputs
-// (workload.Spec), and no engine ever writes a matrix it was handed
-// (matopt.Executor.Run) — so the matrices of one entry are shared,
-// unsynchronized, by every request that names the spec. An entry larger
-// than a quarter of the budget is not kept: it would evict most of the
-// working set to save one draw.
+// inputCache is a byte-budgeted LRU of materialized input matrices keyed
+// by normalized Spec. It is sound because of two contracts: a normalized
+// spec always draws bit-identical inputs (workload.Spec), and no engine
+// ever writes a matrix it was handed (matopt.Executor.Run) — so the
+// matrices of one entry are shared, unsynchronized, by every request
+// that names the spec. An entry larger than a quarter of the budget is
+// not kept: it would evict most of the working set to save one draw.
 type inputCache struct {
-	mu     sync.Mutex
+	*lru.Cache[Spec, map[string]*tensor.Dense]
 	budget int64
-	bytes  int64
+	mu     sync.Mutex // orders puts, so held ends at the last total
 	held   *obs.Gauge // bytes, as serve.inputs.bytes
-	order  *list.List // front = most recently used
-	items  map[Spec]*list.Element
-}
-
-type inputEntry struct {
-	spec   Spec
-	inputs map[string]*tensor.Dense
-	bytes  int64
 }
 
 func newInputCache(budget int64, held *obs.Gauge) *inputCache {
-	return &inputCache{budget: budget, held: held, order: list.New(), items: make(map[Spec]*list.Element)}
+	return &inputCache{Cache: lru.New[Spec](budget, inputBytes), budget: budget, held: held}
 }
 
-func (c *inputCache) get(spec Spec) (map[string]*tensor.Dense, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[spec]
-	if !ok {
-		return nil, false
+func inputBytes(inputs map[string]*tensor.Dense) int64 {
+	var size int64
+	for _, m := range inputs {
+		size += m.Bytes()
 	}
-	c.order.MoveToFront(el)
-	return el.Value.(*inputEntry).inputs, true
+	return size
 }
 
 // put keeps inputs under spec, evicting least-recently-used entries down
 // to the budget. It reports false, keeping nothing, for an entry over a
 // quarter of the budget.
 func (c *inputCache) put(spec Spec, inputs map[string]*tensor.Dense) (kept bool) {
-	var size int64
-	for _, m := range inputs {
-		size += m.Bytes()
+	if inputBytes(inputs) > c.budget/4 {
+		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if size > c.budget/4 {
-		return false
-	}
-	if _, ok := c.items[spec]; ok {
-		// A concurrent request drew the same spec first; its matrices
-		// hold the same bits.
-		return true
-	}
-	c.items[spec] = c.order.PushFront(&inputEntry{spec: spec, inputs: inputs, bytes: size})
-	c.bytes += size
-	for c.bytes > c.budget {
-		oldest := c.order.Remove(c.order.Back()).(*inputEntry)
-		delete(c.items, oldest.spec)
-		c.bytes -= oldest.bytes
-	}
-	c.held.Set(c.bytes)
+	c.held.Set(c.Put(spec, inputs))
 	return true
 }
 
@@ -83,7 +55,7 @@ func (c *inputCache) put(spec Spec, inputs map[string]*tensor.Dense) (kept bool)
 // the latter from the input cache when the spec was drawn before. The
 // matrices are shared: callers must not write them.
 func (s *Server) materialize(spec Spec) (*matopt.Builder, map[string]*tensor.Dense, error) {
-	if inputs, ok := s.inputs.get(spec); ok {
+	if inputs, ok := s.inputs.Get(spec); ok {
 		s.reg.Counter("serve.inputs", obs.L("result", "hit")).Inc()
 		b, err := graphOf(spec)
 		return b, inputs, err

@@ -16,8 +16,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"matopt"
 	"matopt/internal/costmodel"
+	"matopt/internal/dist"
 	"matopt/internal/obs"
 	"matopt/internal/tensor"
 )
@@ -143,6 +146,39 @@ func TestReplyBytesEqualMarshal(t *testing.T) {
 	}
 }
 
+// TestDistReplyBytes: the reply's "dist" member is dist.Report's JSON
+// form, and it is byte for byte what the hand-copied wire struct it
+// replaced marshalled — recorded at that commit, every summary field set
+// and none set.
+func TestDistReplyBytes(t *testing.T) {
+	full := &matopt.DistReport{
+		Shards: 3, NetBytes: 46000, Messages: 4, PeakBytes: 123456, Wall: 7890123 * time.Nanosecond,
+		FaultsInjected: 2, Retries: 5, Cascades: 1, SpeculativeLaunches: 2, SpeculativeWins: 1,
+		CheckpointVertices: 3, CheckpointBytes: 4096, Transport: "tcp",
+		WireBytes: 51234, WireMessages: 12, WireDials: 2, WireReconnects: 1,
+		Degraded: true, DegradedCause: `dist: "v3" <crash> & more`,
+		// Off the wire.
+		Exchanges: []dist.ExchangeStat{{Vertex: 1, Bytes: 9}}, ShardBusy: []time.Duration{1, 2, 3},
+		RetriesByVertex: map[int]int{1: 5}, CascadesByVertex: map[int]int{1: 1}, MaxCascadeDepth: 2,
+		KernelThreads: 4, KernelTime: time.Second,
+	}
+	for _, c := range []struct {
+		rep  *matopt.DistReport
+		want string
+	}{
+		{full, `{"spec":{"workload":""},"engine":"dist","fingerprint":"f00d","cached":false,"coalesced":false,"dist":{"shards":3,"net_bytes":46000,"messages":4,"peak_bytes":123456,"wall_ns":7890123,"faults_injected":2,"retries":5,"cascades":1,"speculative_launches":2,"speculative_wins":1,"checkpoint_vertices":3,"checkpoint_bytes":4096,"transport":"tcp","wire_bytes":51234,"wire_messages":12,"wire_dials":2,"wire_reconnects":1,"degraded":true,"degraded_cause":"dist: \"v3\" \u003ccrash\u003e \u0026 more"},"elapsed_ms":0}`},
+		{&matopt.DistReport{}, `{"spec":{"workload":""},"engine":"dist","fingerprint":"f00d","cached":false,"coalesced":false,"dist":{"shards":0,"net_bytes":0,"messages":0,"peak_bytes":0,"wall_ns":0,"faults_injected":0,"retries":0,"degraded":false},"elapsed_ms":0}`},
+	} {
+		got, err := json.Marshal(&ExecuteResponse{Engine: "dist", Fingerprint: "f00d", Dist: c.rep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != c.want {
+			t.Errorf("reply bytes moved:\n got %s\nwant %s", got, c.want)
+		}
+	}
+}
+
 // testStreamedMatrices drives the streaming encoder directly with the
 // matrices requests do not produce: one element, shapes on both sides
 // of the staging chunk (384 float64s), every base64 padding, a 57 KB
@@ -163,7 +199,7 @@ func testStreamedMatrices(t *testing.T) {
 			Fingerprint: "f00d", Cached: true, ElapsedMS: 1.25,
 		}
 		if withTail {
-			resp.Engine, resp.Dist = "dist", &DistSummary{Shards: 2, NetBytes: 7, Transport: "chan", DegradedCause: `"outputs":[] <&>`}
+			resp.Engine, resp.Dist = "dist", &matopt.DistReport{Shards: 2, NetBytes: 7, Transport: "chan", DegradedCause: `"outputs":[] <&>`}
 			resp.Trace = "serve.execute 1ms\n  \"outputs\":[{\"vertex\":0}]\n"
 		}
 		want := resp
@@ -266,16 +302,16 @@ func TestInputCache(t *testing.T) {
 	if !c.put(spec(1), one) {
 		t.Fatal("an entry of a quarter of the budget was not kept")
 	}
-	if got, ok := c.get(spec(1)); !ok || got["a"] != one["a"] || got["b"] != one["b"] {
+	if got, ok := c.Get(spec(1)); !ok || got["a"] != one["a"] || got["b"] != one["b"] {
 		t.Fatal("a hit did not return the matrices that were put")
 	}
-	if _, ok := c.get(spec(2)); ok {
+	if _, ok := c.Get(spec(2)); ok {
 		t.Fatal("a different seed hit another seed's entry")
 	}
 	if c.put(spec(9), inputsOf(1040)) {
 		t.Fatal("an entry over a quarter of the budget was kept")
 	}
-	if _, ok := c.get(spec(9)); ok || held.Value() != 1024 {
+	if _, ok := c.Get(spec(9)); ok || held.Value() != 1024 {
 		t.Fatalf("bypassed entry is present, or %d bytes held, want 1024", held.Value())
 	}
 
@@ -284,10 +320,10 @@ func TestInputCache(t *testing.T) {
 	for seed := int64(2); seed <= 4; seed++ {
 		c.put(spec(seed), inputsOf(1024))
 	}
-	c.get(spec(1))
+	c.Get(spec(1))
 	c.put(spec(5), inputsOf(1024))
 	for seed, want := range map[int64]bool{1: true, 2: false, 3: true, 4: true, 5: true} {
-		if _, ok := c.get(spec(seed)); ok != want {
+		if _, ok := c.Get(spec(seed)); ok != want {
 			t.Errorf("after eviction: seed %d present = %v, want %v", seed, ok, want)
 		}
 	}

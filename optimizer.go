@@ -12,6 +12,7 @@ import (
 	"matopt/internal/dist"
 	"matopt/internal/engine"
 	"matopt/internal/format"
+	"matopt/internal/lru"
 	"matopt/internal/netfabric"
 	"matopt/internal/obs"
 	"matopt/internal/plan"
@@ -72,8 +73,8 @@ type Optimizer struct {
 	tracer      *Tracer
 
 	env    *core.Env
-	cache  *planCache   // nil when WithoutPlanCache was given
-	flight *flightGroup // nil when WithoutPlanCache was given
+	cache  *lru.Cache[string, *plan.Plan] // nil when WithoutPlanCache was given
+	flight *flightGroup                   // nil when WithoutPlanCache was given
 }
 
 // Option configures an Optimizer.
@@ -145,7 +146,7 @@ func (o *Optimizer) CachedPlans() int {
 	if o.cache == nil {
 		return 0
 	}
-	return o.cache.len()
+	return o.cache.Len()
 }
 
 // Plan is an optimized, type-correct annotated compute graph in the
@@ -220,7 +221,7 @@ func (o *Optimizer) OptimizeCtx(ctx context.Context, b *Builder, outputs ...Matr
 	lspan := o.tracer.Start(span, "plancache.lookup")
 	fp := core.Fingerprint(g, o.env)
 	key := fmt.Sprintf("%d|%s", o.algorithm, fp)
-	pp, ok := o.cache.get(key)
+	pp, ok := o.cache.Get(key)
 	lspan.SetBool("hit", ok).End()
 	if ok {
 		obs.Default().Counter("matopt.plancache.hits").Inc()
@@ -236,7 +237,7 @@ func (o *Optimizer) OptimizeCtx(ctx context.Context, b *Builder, outputs ...Matr
 		found, st, serr := o.search(ctx, g, span)
 		if serr == nil {
 			stats = st
-			o.cache.put(key, found)
+			o.cache.Put(key, found)
 		}
 		return found, serr
 	})

@@ -1,11 +1,11 @@
 package matopt
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"sync"
 
+	"matopt/internal/lru"
 	"matopt/internal/plan"
 )
 
@@ -14,67 +14,19 @@ import (
 // entries; override it with WithPlanCacheSize.
 const DefaultPlanCacheSize = 128
 
-// planCache is a thread-safe LRU of lowered physical plans keyed by the
-// canonical fingerprint of (graph, environment). Repeated Optimize calls
-// on identical computations — the heavy-traffic serving case — hit the
+// newPlanCache returns a thread-safe LRU of lowered physical plans keyed
+// by the canonical fingerprint of (graph, environment), holding size
+// plans (DefaultPlanCacheSize when size ≤ 0). Repeated Optimize calls on
+// identical computations — the heavy-traffic serving case — hit the
 // cache and skip the search and the lowering entirely. The lowered IR
 // (which carries the annotation it came from) is engine-invariant —
 // plan.Lower takes no engine kind or shard count — so one cached plan
 // serves SequentialEngine and DistEngine runs at any shard count alike.
-type planCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used
-	items map[string]*list.Element
-}
-
-type planCacheEntry struct {
-	key string
-	p   *plan.Plan
-}
-
-func newPlanCache(capacity int) *planCache {
-	if capacity <= 0 {
-		capacity = DefaultPlanCacheSize
+func newPlanCache(size int) *lru.Cache[string, *plan.Plan] {
+	if size <= 0 {
+		size = DefaultPlanCacheSize
 	}
-	return &planCache{
-		cap:   capacity,
-		order: list.New(),
-		items: make(map[string]*list.Element, capacity),
-	}
-}
-
-func (c *planCache) get(key string) (*plan.Plan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*planCacheEntry).p, true
-}
-
-func (c *planCache) put(key string, p *plan.Plan) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*planCacheEntry).p = p
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.order.PushFront(&planCacheEntry{key: key, p: p})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*planCacheEntry).key)
-	}
-}
-
-func (c *planCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
+	return lru.New[string](int64(size), func(*plan.Plan) int64 { return 1 })
 }
 
 // flightGroup coalesces concurrent optimizations of the same plan-cache

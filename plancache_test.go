@@ -167,7 +167,7 @@ func TestLeaderWaiterAndHitShareOnePlan(t *testing.T) {
 			<-gate
 			pp, _, err := o.search(ctx, g, nil)
 			if err == nil {
-				o.cache.put(key, pp)
+				o.cache.Put(key, pp)
 			}
 			return pp, err
 		})
