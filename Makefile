@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test test-purego test-avx2 nofma race chaos fuzz bench bench-smoke docs-check profile-frontier profile-chain profile-chain-tcp profile-serve
+.PHONY: check fmt vet build test test-purego test-avx2 poison nofma race chaos fuzz bench bench-smoke docs-check profile-frontier profile-chain profile-chain-tcp profile-serve
 
-check: fmt vet build test test-purego test-avx2 nofma race chaos docs-check bench-smoke
+check: fmt vet build test test-purego test-avx2 poison nofma race chaos docs-check bench-smoke
 
 # gofmt -l prints unformatted files; fail if it prints anything.
 fmt:
@@ -41,6 +41,17 @@ test-avx2:
 	$(GO) test -tags noavx512 $(KERNEL_SUITES)
 	$(GO) test -tags noavx512 -run TestPlanCacheEngineInvariance .
 
+# The kernels draw storage off a free list without zeroing it where they
+# write every element, and the sequential engine recycles what its plan
+# frees (DESIGN.md §15, Storage). Under the matopt_poison tag every such
+# draw and every release is filled with a NaN: the kernel suites and the
+# root package's pinned output digest must still reproduce their bits,
+# which proves each kernel writes (or clears) every element it hands out
+# and nothing reads storage after it is released.
+poison:
+	$(GO) test -tags matopt_poison $(KERNEL_SUITES)
+	$(GO) test -tags matopt_poison -run 'TestPlanCacheEngineInvariance|TestEnginesLeaveInputsUntouched' .
+
 # KERNELS.md §2 Rule 3 — a product is rounded before it is added —
 # checked on what the compiler emits: cross-build the two kernel packages
 # for arm64 (where Go fuses x*y + z unless the product is converted) and
@@ -68,6 +79,7 @@ nofma:
 # concurrency-bearing packages.
 race:
 	$(GO) test -race . ./internal/core/ ./internal/engine/ ./internal/dist/ ./internal/netfabric/ ./internal/obs/ ./internal/plan/ ./internal/serve/ ./internal/pool/ ./internal/tensor/ ./internal/sparse/ ./internal/lru/
+	$(GO) test -race -count=10 -run TestFreeListConcurrent ./internal/tensor/
 
 # The fault-injection sweep under the race detector: seeded crash /
 # drop / delay / straggler schedules, cascading node-loss recovery,
@@ -138,13 +150,15 @@ profile-frontier:
 	$(GO) tool pprof -top -nodecount 15 frontier.test frontier.cpu.prof
 
 # The same for the kernels: twenty warm operations of the benchmark's
-# chain_seq workload (BenchmarkChainSeq) on one processor, profile and
-# test binary written to git-ignored chain.cpu.prof / chain.test, then
-# the 12 hottest functions.
+# chain_seq workload (BenchmarkChainSeq) on one processor, with B/op,
+# profiles and test binary written to git-ignored chain.{cpu,mem}.prof /
+# chain.test, then the 12 hottest functions and the 8 sites that
+# allocate the most bytes.
 profile-chain:
-	$(GO) test -run '^$$' -bench BenchmarkChainSeq -benchtime 20x -cpu 1 \
-		-cpuprofile chain.cpu.prof -o chain.test .
+	$(GO) test -run '^$$' -bench BenchmarkChainSeq -benchtime 20x -cpu 1 -benchmem \
+		-cpuprofile chain.cpu.prof -memprofile chain.mem.prof -o chain.test .
 	$(GO) tool pprof -top -nodecount 12 chain.test chain.cpu.prof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 8 chain.test chain.mem.prof
 
 # And for the wire: twenty warm operations of the benchmark's
 # chain_dist_tcp workload (BenchmarkChainDistTCP: 2 dist shards, shard 1

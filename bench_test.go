@@ -312,6 +312,7 @@ func BenchmarkChainSeq(b *testing.B) {
 		b.Fatal(err)
 	}
 	x := matopt.NewExecutor(cl)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := x.Run(p, inputs); err != nil {

@@ -3,8 +3,10 @@ package matopt
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"testing"
 
 	"matopt/internal/costmodel"
@@ -40,9 +42,11 @@ func digestInputs(inputs map[string]*tensor.Dense) [sha256.Size]byte {
 func TestEnginesLeaveInputsUntouched(t *testing.T) {
 	cl := costmodel.LocalTest(2)
 	worker := startPeerWorker(t)
+	// Scales at which every workload has intermediates of at least 32
+	// KiB, the shortest the sequential engine's free list recycles.
 	for _, spec := range []workload.Spec{
-		{Workload: "chain", Scale: 400},
-		{Workload: "ffnn3", Scale: 2000},
+		{Workload: "chain", Scale: 100},
+		{Workload: "ffnn3", Scale: 500},
 		{Workload: "inverse", Scale: 100},
 	} {
 		g, inputs, err := spec.Normalized().Build()
@@ -76,5 +80,60 @@ func TestEnginesLeaveInputsUntouched(t *testing.T) {
 				t.Fatalf("%s on %s: an output aliases an input", spec.Workload, name)
 			}
 		}
+		checkRecycledStorageStaysInside(t, spec.Workload, cl, p, inputs)
+	}
+}
+
+// checkRecycledStorageStaysInside runs the sequential engine, which
+// recycles what its plan frees, warm and concurrently: outputs one run
+// returned keep their bits while the same Executor runs twice more, and
+// every run — three in a row, then five on each of four goroutines over
+// the one shared input set — returns the first run's bits. A sink
+// released into the free list, or an output that shares storage with
+// one, fails here.
+func checkRecycledStorageStaysInside(t *testing.T, name string, cl Cluster, p *Plan, inputs map[string]*tensor.Dense) {
+	t.Helper()
+	x := NewExecutor(cl)
+	first, err := x.Run(p, inputs)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want := outputDigest(first)
+	for run := 2; run <= 3; run++ {
+		outs, err := x.Run(p, inputs)
+		if err != nil {
+			t.Fatalf("%s run %d: %v", name, run, err)
+		}
+		if outputDigest(outs) != want {
+			t.Fatalf("%s: warm run %d returned other bits than run 1", name, run)
+		}
+		if outputDigest(first) != want {
+			t.Fatalf("%s: warm run %d changed the outputs run 1 returned", name, run)
+		}
+	}
+	const goroutines, runs = 4, 5
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			x := NewExecutor(cl)
+			for run := 0; run < runs; run++ {
+				outs, err := x.Run(p, inputs)
+				if err == nil && outputDigest(outs) != want {
+					err = fmt.Errorf("concurrent run %d returned other bits than run 1", run)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("%s: %v", name, err)
 	}
 }

@@ -259,7 +259,7 @@ func (r *exec) Exchange(x engine.Xfer, produce func(shard int) ([]engine.Routed,
 // partial is computed on the shard that produced it, shipped tagged
 // (key, seq), and folded on its destination shard in sorted order.
 func (r *exec) Reduce(x engine.Xfer, produce func(shard int) ([]engine.Partial, error),
-	fold func(shard int, key engine.Key, part *tensor.Dense)) error {
+	fold func(shard int, key engine.Key, part *tensor.Dense) bool) error {
 	recv, err := r.exchange(x, func(s int) ([]routed, error) {
 		ps, err := produce(s)
 		if err != nil {

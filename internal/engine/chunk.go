@@ -12,9 +12,10 @@ import (
 
 // Chunk splits a dense matrix into the tuples of the given physical
 // format, validating the layout against the per-tuple size bound.
-// Sparse target formats extract the non-zeros. It is the layout half of
-// Scan and Relayout; placement (which shard each tuple lives on) is
-// theirs.
+// Sparse target formats extract the non-zeros; a single's one tuple is m
+// itself, shared, since no operator writes its inputs. It is the layout
+// half of Scan and Relayout; placement (which shard each tuple lives on)
+// is theirs.
 func Chunk(m *tensor.Dense, f format.Format, maxTupleBytes int64) ([]Tuple, shape.Shape, error) {
 	s := shape.New(int64(m.Rows), int64(m.Cols))
 	// Only a sparse format's tuple size depends on the density, and
@@ -29,7 +30,7 @@ func Chunk(m *tensor.Dense, f format.Format, maxTupleBytes int64) ([]Tuple, shap
 	var tuples []Tuple
 	switch f.Kind {
 	case format.Single:
-		tuples = []Tuple{{Key: Key{0, 0}, Dense: m.Clone()}}
+		tuples = []Tuple{{Key: Key{0, 0}, Dense: m}}
 	case format.Tile:
 		b := int(f.Block)
 		for i := 0; i < m.Rows; i += b {
@@ -89,9 +90,9 @@ func (e *Engine) Load(m *tensor.Dense, f format.Format) (*Relation, error) {
 // Assemble reconstructs the dense matrix a relation stores, validating
 // that its tuples tile the shape exactly; tuple order does not matter
 // because every tuple writes a disjoint region (or, for COO, a distinct
-// element).
+// element). A single relation's payload is returned as is, not copied:
+// the caller only reads it (Collect copies).
 func Assemble(r *Relation) (*tensor.Dense, error) {
-	m := tensor.NewDense(int(r.Shape.Rows), int(r.Shape.Cols))
 	var tuples []Tuple
 	for _, p := range r.Parts {
 		tuples = append(tuples, p...)
@@ -101,7 +102,15 @@ func Assemble(r *Relation) (*tensor.Dense, error) {
 		if len(tuples) != 1 || tuples[0].Dense == nil {
 			return nil, fmt.Errorf("engine: malformed single relation (%d tuples)", len(tuples))
 		}
-		return tuples[0].Dense.Clone(), nil
+		return tuples[0].Dense, nil
+	case format.CSRSingle:
+		if len(tuples) != 1 || tuples[0].CSR == nil {
+			return nil, fmt.Errorf("engine: malformed csr-single relation")
+		}
+		return tuples[0].CSR.ToDense(), nil
+	}
+	m := tensor.NewDense(int(r.Shape.Rows), int(r.Shape.Cols))
+	switch r.Format.Kind {
 	case format.Tile:
 		b := int(r.Format.Block)
 		for _, t := range tuples {
@@ -127,11 +136,6 @@ func Assemble(r *Relation) (*tensor.Dense, error) {
 			}
 			m.Set(int(t.Key.I), int(t.Key.J), t.Val)
 		}
-	case format.CSRSingle:
-		if len(tuples) != 1 || tuples[0].CSR == nil {
-			return nil, fmt.Errorf("engine: malformed csr-single relation")
-		}
-		return tuples[0].CSR.ToDense(), nil
 	case format.CSRRowStrip:
 		h := int(r.Format.Block)
 		for _, t := range tuples {
@@ -144,10 +148,19 @@ func Assemble(r *Relation) (*tensor.Dense, error) {
 }
 
 // Collect assembles a relation back into a dense matrix, validating that
-// its tuples tile the shape exactly.
-func (e *Engine) Collect(r *Relation) (*tensor.Dense, error) {
-	return Assemble(r)
+// its tuples tile the shape exactly. The matrix shares no memory with
+// the relation — a single's payload is copied — so a runtime's outputs
+// alias neither its inputs nor storage it may recycle.
+func Collect(r *Relation) (*tensor.Dense, error) {
+	m, err := Assemble(r)
+	if err == nil && r.Format.Kind == format.Single {
+		m = m.Clone()
+	}
+	return m, err
 }
+
+// Collect is the package-level Collect, for the engine's own relations.
+func (e *Engine) Collect(r *Relation) (*tensor.Dense, error) { return Collect(r) }
 
 // Transform re-lays-out a relation into the target format — the
 // engine-level realization of the ROWMATRIX/COLMATRIX-style re-layouts;

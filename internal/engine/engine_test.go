@@ -127,6 +127,30 @@ func TestLoadCollectRoundTripAllFormats(t *testing.T) {
 	}
 }
 
+// TestRelayoutOutOfSingleCopiesOnce: re-laying out a single copies its
+// payload once, into the new chunks. Assemble hands a single's matrix
+// over as it is; it used to allocate a matrix it then discarded, and
+// clone the payload on top, for three copies' worth of bytes.
+func TestRelayoutOutOfSingleCopiesOnce(t *testing.T) {
+	const n = 512
+	e := New(costmodel.LocalTest(4))
+	r, err := e.Load(tensor.RandNormal(rand.New(rand.NewSource(3)), n, n), format.NewSingle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := e.Transform(r, format.NewRowStrip(128)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got, payload := res.AllocedBytesPerOp(), int64(n*n*8); got > payload*11/10 {
+		t.Fatalf("single → rowstrip[128] of a %d×%d matrix allocates %d B, want at most 1.1 × its %d B",
+			n, n, got, payload)
+	}
+}
+
 func TestLoadRejectsInvalidFormat(t *testing.T) {
 	e := New(costmodel.LocalTest(4))
 	m := tensor.NewDense(10, 10)

@@ -43,8 +43,9 @@ type Mover interface {
 	// sums bit-identical across shard counts. A runtime may evaluate
 	// Make where the partial is produced (dist, before the wire) or only
 	// as fold consumes it (the sequential engine, so one partial is live
-	// at a time).
-	Reduce(x Xfer, produce func(shard int) ([]Partial, error), fold func(shard int, key Key, part *tensor.Dense)) error
+	// at a time). fold reports whether it kept part; one it did not keep
+	// has been added into an accumulator, and the runtime may recycle it.
+	Reduce(x Xfer, produce func(shard int) ([]Partial, error), fold func(shard int, key Key, part *tensor.Dense) (kept bool)) error
 }
 
 // Xfer names one movement for metering and tracing: the consuming
@@ -62,7 +63,8 @@ type Routed struct {
 
 // Partial is one deferred contribution to a group-by-SUM: Key is the
 // output chunk it belongs to, Seq its contraction index (its position
-// in the reduction order), Make the kernel call that computes it.
+// in the reduction order), Make the kernel call that computes it into
+// storage nothing else holds.
 type Partial struct {
 	Dst  int
 	Key  Key
@@ -102,7 +104,7 @@ func (l local) Exchange(_ Xfer, produce func(shard int) ([]Routed, error)) ([][]
 	return [][]Tuple{ts}, nil
 }
 
-func (l local) Reduce(_ Xfer, produce func(shard int) ([]Partial, error), fold func(shard int, key Key, part *tensor.Dense)) error {
+func (l local) Reduce(_ Xfer, produce func(shard int) ([]Partial, error), fold func(shard int, key Key, part *tensor.Dense) bool) error {
 	ps, err := produce(0)
 	if err != nil {
 		return err
@@ -114,7 +116,9 @@ func (l local) Reduce(_ Xfer, produce func(shard int) ([]Partial, error), fold f
 		return ps[i].Seq < ps[j].Seq
 	})
 	for _, p := range ps {
-		fold(0, p.Key, p.Make())
+		if part := p.Make(); !fold(0, p.Key, part) {
+			tensor.Release(part)
+		}
 	}
 	return nil
 }

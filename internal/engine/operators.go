@@ -223,12 +223,13 @@ func broadcastSmaller(m Mover, n *plan.Node, ins []*Relation) (int, [][]Tuple, e
 func sumByKey(m Mover, x Xfer, produce func(shard int) ([]Partial, error)) ([][]Tuple, error) {
 	kc := m.Kern()
 	parts := make([][]Tuple, m.Shards())
-	err := m.Reduce(x, produce, func(s int, key Key, part *tensor.Dense) {
+	err := m.Reduce(x, produce, func(s int, key Key, part *tensor.Dense) bool {
 		if n := len(parts[s]); n > 0 && parts[s][n-1].Key == key {
 			kc.AddInPlace(parts[s][n-1].Dense, part)
-		} else {
-			parts[s] = append(parts[s], Tuple{Key: key, Dense: part})
+			return false
 		}
+		parts[s] = append(parts[s], Tuple{Key: key, Dense: part})
+		return true
 	})
 	return parts, err
 }
@@ -242,7 +243,7 @@ func sumAtOwner(m Mover, n *plan.Node, label string, produce func(shard, owner i
 	acc := tensor.NewDense(int(n.OutShape.Rows), int(n.OutShape.Cols))
 	err := m.Reduce(Xfer{Vertex: n.Vertex, Kind: "aggregate", Label: label},
 		func(s int) ([]Partial, error) { return produce(s, owner) },
-		func(_ int, key Key, part *tensor.Dense) { fold(acc, key, part) })
+		func(_ int, key Key, part *tensor.Dense) bool { fold(acc, key, part); return false })
 	if err != nil {
 		return nil, err
 	}
@@ -540,7 +541,7 @@ func mmBcastCOOSingle(m Mover, n *plan.Node, ins []*Relation) (*Relation, error)
 			v, brow := t.Val, b.Data[int(t.Key.J)*b.Cols:(int(t.Key.J)+1)*b.Cols]
 			m.Flops(2 * int64(b.Cols))
 			out = append(out, Partial{Dst: owner, Key: t.Key, Make: func() *tensor.Dense {
-				c := tensor.NewDense(1, len(brow))
+				c := tensor.Draw(1, len(brow))
 				for j, bv := range brow {
 					c.Data[j] = v * bv
 				}

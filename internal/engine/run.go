@@ -16,7 +16,9 @@ import (
 //
 // The plan's free nodes ref-count relations by consumer: once a vertex's
 // last consumer has executed, its relation is dropped, bounding peak
-// memory on deep graphs. The returned map therefore holds only the
+// memory on deep graphs, and the storage this run's compute and
+// re-layout nodes drew for it goes back to the tensor free list for the
+// next kernel to draw. The returned map therefore holds only the
 // plan's retained vertices — the sinks, plus whatever plan.Lower was
 // asked to keep — keyed by vertex ID; Collect or CollectAll turns them
 // back into dense matrices. The context is checked before every scan
@@ -41,6 +43,10 @@ func (e *Engine) interpret(ctx context.Context, p *plan.Plan, inputs map[string]
 		return nil, err
 	}
 	vals := make([]*Relation, len(p.Nodes))
+	var st *storage // nil when computed sees the relations: an adaptive run resumes from them
+	if computed == nil {
+		st = &storage{owned: make([]bool, len(p.Nodes)), holders: make(map[*float64]int)}
+	}
 	for _, n := range p.Nodes {
 		switch n.Kind {
 		case plan.KindScan:
@@ -65,11 +71,15 @@ func (e *Engine) interpret(ctx context.Context, p *plan.Plan, inputs map[string]
 			}
 			vals[n.ID] = r
 		case plan.KindRelayout:
-			r, err := e.Transform(vals[n.Inputs[0]], n.OutFormat)
+			in := vals[n.Inputs[0]]
+			r, err := e.Transform(in, n.OutFormat)
 			if err != nil {
 				return nil, fmt.Errorf("engine: transforming input %d of vertex %d: %w", n.Arg, n.Vertex, err)
 			}
 			vals[n.ID] = r
+			if r != in { // a relayout to the format it has hands back its input, owned or not
+				st.own(n.ID, r)
+			}
 		case plan.KindCompute:
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("engine: execution aborted before vertex %d: %w", n.Vertex, err)
@@ -83,10 +93,12 @@ func (e *Engine) interpret(ctx context.Context, p *plan.Plan, inputs map[string]
 				return nil, fmt.Errorf("engine: %w", err)
 			}
 			vals[n.ID] = r
+			st.own(n.ID, r)
 			if computed != nil && !computed(n, r) {
 				return nil, nil
 			}
 		case plan.KindFree:
+			st.free(n.Inputs[0], vals[n.Inputs[0]])
 			vals[n.Inputs[0]] = nil
 		}
 	}
@@ -95,6 +107,52 @@ func (e *Engine) interpret(ctx context.Context, p *plan.Plan, inputs map[string]
 		out[vid] = vals[p.NodeOfVertex[vid]]
 	}
 	return out, nil
+}
+
+// storage is what one run recycles: the dense arrays of the relations
+// its compute and re-layout nodes produced, counted by the relations
+// holding each, so an array goes back to the free list once, after its
+// last holder is freed. Scanned and preloaded relations are never owned
+// and every operator writes fresh storage, so no input is released; the
+// plan never frees a retained vertex, so no output is.
+type storage struct {
+	owned   []bool           // by node ID
+	holders map[*float64]int // by the array's first element
+}
+
+// own records the relation node id produced.
+func (st *storage) own(id int, r *Relation) {
+	if st == nil {
+		return
+	}
+	st.owned[id] = true
+	for _, p := range r.Parts {
+		for _, t := range p {
+			if t.Dense != nil && len(t.Dense.Data) > 0 {
+				st.holders[&t.Dense.Data[0]]++
+			}
+		}
+	}
+}
+
+// free releases the arrays of node id's relation that no other owned
+// relation still holds.
+func (st *storage) free(id int, r *Relation) {
+	if st == nil || !st.owned[id] {
+		return
+	}
+	for _, p := range r.Parts {
+		for _, t := range p {
+			if t.Dense == nil || len(t.Dense.Data) == 0 {
+				continue
+			}
+			a := &t.Dense.Data[0]
+			if st.holders[a]--; st.holders[a] == 0 {
+				delete(st.holders, a)
+				tensor.Release(t.Dense)
+			}
+		}
+	}
 }
 
 // CollectAll assembles every relation RunPlan retained back into a

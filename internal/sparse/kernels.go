@@ -48,17 +48,20 @@ func (m *CSR) MulDense(b *tensor.Dense) *tensor.Dense { return m.MulDenseK(tenso
 // stored entries, cb keeps the tile at 32 KiB in whole strips. Column indices
 // ascend within a row, so a block's entries are a contiguous run that a
 // per-row cursor walks once per column block, and every output element
-// still adds its rounded products in ascending stored-entry order.
+// still adds its rounded products in ascending stored-entry order. The
+// output may come dirty off the free list (tensor.DrawAccumulator): a
+// chunk then clears its rows' share of a column block right before it
+// accumulates into it.
 func (m *CSR) MulDenseK(kc tensor.K, b *tensor.Dense) *tensor.Dense {
 	if m.Cols != b.Rows {
 		shapePanic("MulDense", "inner dimensions must agree (a.Cols == b.Rows)",
 			tensor.Dim("a", m.Rows, m.Cols), tensor.Dim("b", b.Rows, b.Cols))
 	}
 	defer kernDone(kc, time.Now())
-	out := tensor.NewDense(m.Rows, b.Cols)
 	if m.NNZ() == 0 {
-		return out
+		return tensor.NewDense(m.Rows, b.Cols)
 	}
+	out, dirty := tensor.DrawAccumulator(m.Rows, b.Cols)
 	w := b.Cols
 	strip := tensor.GatherStrip()
 	kb := max(16, (8*m.Rows*m.Cols+m.NNZ()-1)/m.NNZ())
@@ -68,6 +71,9 @@ func (m *CSR) MulDenseK(kc tensor.K, b *tensor.Dense) *tensor.Dense {
 		cur := make([]int, hi-lo) // per row: its first entry not yet multiplied in this column block
 		for j0 := 0; j0 < w; j0 += cb {
 			j1 := min(j0+cb, w)
+			for i := lo; dirty && i < hi; i++ {
+				clear(out.Data[i*w+j0 : i*w+j1])
+			}
 			copy(cur, m.RowPtr[lo:hi])
 			for k1 := kb; k1 < m.Cols+kb; k1 += kb {
 				for i := lo; i < hi; i++ {

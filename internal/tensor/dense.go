@@ -17,10 +17,18 @@ type Dense struct {
 
 // NewDense returns a zeroed r-by-c matrix.
 func NewDense(r, c int) *Dense {
+	checkDims(r, c)
+	d, dirty := draw(r * c)
+	if dirty {
+		clear(d)
+	}
+	return &Dense{Rows: r, Cols: c, Data: d}
+}
+
+func checkDims(r, c int) {
 	if r <= 0 || c <= 0 {
 		panic(fmt.Sprintf("tensor: invalid dims %dx%d", r, c))
 	}
-	return &Dense{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
 // FromRows builds a matrix from row slices; all rows must share a length.
@@ -46,7 +54,7 @@ func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Clone returns a deep copy.
 func (m *Dense) Clone() *Dense {
-	out := NewDense(m.Rows, m.Cols)
+	out := Draw(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
 }
@@ -59,7 +67,7 @@ func (m *Dense) Slice(r0, r1, c0, c1 int) *Dense {
 	if r0 < 0 || c0 < 0 || r1 > m.Rows || c1 > m.Cols || r0 >= r1 || c0 >= c1 {
 		panic(fmt.Sprintf("tensor: bad slice [%d:%d, %d:%d) of %dx%d", r0, r1, c0, c1, m.Rows, m.Cols))
 	}
-	out := NewDense(r1-r0, c1-c0)
+	out := Draw(r1-r0, c1-c0)
 	for i := r0; i < r1; i++ {
 		copy(out.Data[(i-r0)*out.Cols:(i-r0+1)*out.Cols], m.Data[i*m.Cols+c0:i*m.Cols+c1])
 	}

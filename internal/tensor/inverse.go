@@ -17,6 +17,7 @@ func Inverse(a *Dense) (*Dense, error) {
 	n := a.Rows
 	// Augmented [a | I], eliminated in place.
 	w := a.Clone()
+	defer Release(w)
 	inv := Identity(n)
 	for col := 0; col < n; col++ {
 		// Partial pivot.

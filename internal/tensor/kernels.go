@@ -25,8 +25,8 @@ func (k K) MatMul(a, b *Dense) *Dense {
 		shapePanic("MatMul", "inner dimensions must agree (a.Cols == b.Rows)",
 			Dim("a", a.Rows, a.Cols), Dim("b", b.Rows, b.Cols))
 	}
-	out := NewDense(a.Rows, b.Cols)
-	k.MatMulAdd(out, a, b)
+	out, dirty := DrawAccumulator(a.Rows, b.Cols)
+	k.gemm(out, a, b, dirty)
 	return out
 }
 
@@ -40,17 +40,30 @@ func (k K) MatMulAdd(dst, a, b *Dense) {
 		shapePanic("MatMulAdd", "dst must be a.Rows×b.Cols with a.Cols == b.Rows",
 			Dim("dst", dst.Rows, dst.Cols), Dim("a", a.Rows, a.Cols), Dim("b", b.Rows, b.Cols))
 	}
+	k.gemm(dst, a, b, false)
+}
+
+// gemm runs gemmRows over contiguous chunks of dst's rows; with zero,
+// each chunk clears its rows as it first reaches them, so dst may be
+// dirty.
+func (k K) gemm(dst, a, b *Dense, zero bool) {
 	defer k.end(k.begin())
 	n, kd, m := a.Rows, a.Cols, b.Cols
 	if n == 0 || kd == 0 || m == 0 {
+		if zero {
+			clear(dst.Data)
+		}
 		return
 	}
 	k.parRange(n, grainFor(2*kd*m), func(lo, hi int) {
-		gemmRows(dst, a, b, lo, hi)
+		gemmRows(dst, a, b, lo, hi, zero)
 	})
 }
 
-// gemmRows computes dst[lo:hi) += a[lo:hi) × b. Panels of b are packed
+// gemmRows computes dst[lo:hi) += a[lo:hi) × b, or with zero dst[lo:hi)
+// = a[lo:hi) × b: then each block of dst is cleared right before the
+// first panel accumulates into it, while its lines are about to be
+// used, so the element still starts at +0. Panels of b are packed
 // contiguously (a b no wider than one panel already is one and is used
 // in place); each group of tileRows rows sweeps the panel in tileCols-
 // column register tiles through the bound gemmTile, and a last group of
@@ -69,7 +82,7 @@ func (k K) MatMulAdd(dst, a, b *Dense) {
 // path (register tile vs. remainder) an element lands in, which shifts
 // with the chunk boundary. Every path performs the identical
 // per-element operation sequence, so chunking cannot change bits.
-func gemmRows(dst, a, b *Dense, lo, hi int) {
+func gemmRows(dst, a, b *Dense, lo, hi int, zero bool) {
 	kd, m := a.Cols, b.Cols
 	bd := bound
 	tr, tc := bd.tileRows, bd.tileCols
@@ -80,11 +93,16 @@ func gemmRows(dst, a, b *Dense, lo, hi int) {
 	tiled := lo + (hi-lo)/least*least // rows [lo, tiled) go through register tiles
 	var bp []float64
 	if m > mmNC {
-		bp = make([]float64, min(kd, mmKC)*mmNC)
+		bp, _ = draw(min(kd, mmKC) * mmNC)
+		defer release(bp)
 	}
 	var scratch, edge []float64 // the tr×tc block of dst the edge tile updates, and its zero-padded kc×tc panel
 	if m%tc != 0 && tiled > lo {
-		buf := make([]float64, (tr+min(kd, mmKC))*tc)
+		buf, dirty := draw((tr + min(kd, mmKC)) * tc)
+		defer release(buf)
+		if dirty {
+			clear(buf)
+		}
 		scratch, edge = buf[:tr*tc], buf[tr*tc:]
 	}
 	for j0 := 0; j0 < m; j0 += mmNC {
@@ -110,6 +128,11 @@ func gemmRows(dst, a, b *Dense, lo, hi int) {
 				if tiled-i < tr {
 					h, tile = least, bd.gemmHalfTile
 				}
+				if zero && k0 == 0 {
+					for r := 0; r < h; r++ {
+						clear(dst.Data[(i+r)*m+j0 : (i+r)*m+j1])
+					}
+				}
 				ai := a.Data[i*kd+k0:]
 				for jj := 0; jj < wt; jj += tc {
 					tile(dst.Data[i*m+j0+jj:], m, ai, kd, panel[jj:], w, k1-k0)
@@ -128,6 +151,9 @@ func gemmRows(dst, a, b *Dense, lo, hi int) {
 			// The rows no tile covers, at the panel's whole width.
 			for r := tiled; r < hi; r++ {
 				drow := dst.Data[r*m+j0 : r*m+j1]
+				if zero && k0 == 0 {
+					clear(drow)
+				}
 				for kk, av := range a.Data[r*kd+k0 : r*kd+k1] {
 					Axpy(av, panel[kk*w:(kk+1)*w], drow)
 				}
@@ -194,8 +220,8 @@ func (k K) AddInPlace(a, b *Dense) {
 	})
 }
 
-// zipNew allocates the elementwise combination of a and b that loop
-// writes: loop is called once per chunk with equally long slices of the
+// zipNew draws the elementwise combination of a and b that loop writes
+// whole: loop is called once per chunk with equally long slices of the
 // output and the two operands, so an element costs one iteration of a
 // plain loop, not a call (each loop reslices to len(ad) to tell the
 // compiler so, and pays no bounds check). Elements are independent, so
@@ -206,7 +232,7 @@ func (k K) zipNew(name string, a, b *Dense, loop func(od, ad, bd []float64)) *De
 			Dim("a", a.Rows, a.Cols), Dim("b", b.Rows, b.Cols))
 	}
 	defer k.end(k.begin())
-	out := NewDense(a.Rows, a.Cols)
+	out := Draw(a.Rows, a.Cols)
 	k.parRange(len(a.Data), grainFor(1), func(lo, hi int) {
 		loop(out.Data[lo:hi], a.Data[lo:hi], b.Data[lo:hi])
 	})
@@ -220,7 +246,7 @@ func Transpose(a *Dense) *Dense { return K{}.Transpose(a) }
 // each chunk writes a disjoint slab of the output.
 func (k K) Transpose(a *Dense) *Dense {
 	defer k.end(k.begin())
-	out := NewDense(a.Cols, a.Rows)
+	out := Draw(a.Cols, a.Rows)
 	const bs = 32
 	k.parRange(a.Cols, grainFor(a.Rows), func(lo, hi int) {
 		for i0 := 0; i0 < a.Rows; i0 += bs {
@@ -244,7 +270,7 @@ func Scale(a *Dense, s float64) *Dense { return K{}.Scale(a, s) }
 // Scale returns s·a, element-partitioned across the context's threads.
 func (k K) Scale(a *Dense, s float64) *Dense {
 	defer k.end(k.begin())
-	out := NewDense(a.Rows, a.Cols)
+	out := Draw(a.Rows, a.Cols)
 	k.parRange(len(a.Data), grainFor(1), func(lo, hi int) {
 		ad, od := a.Data[lo:hi], out.Data[lo:hi]
 		for i, v := range ad {
@@ -261,7 +287,7 @@ func RowSums(a *Dense) *Dense { return K{}.RowSums(a) }
 // row's sum accumulates left to right exactly as in the serial kernel.
 func (k K) RowSums(a *Dense) *Dense {
 	defer k.end(k.begin())
-	out := NewDense(a.Rows, 1)
+	out := Draw(a.Rows, 1)
 	k.parRange(a.Rows, grainFor(a.Cols), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var s float64
@@ -305,7 +331,7 @@ func (k K) AddBias(a, bias *Dense) *Dense {
 			Dim("a", a.Rows, a.Cols), Dim("bias", bias.Rows, bias.Cols))
 	}
 	defer k.end(k.begin())
-	out := NewDense(a.Rows, a.Cols)
+	out := Draw(a.Rows, a.Cols)
 	k.parRange(a.Rows, grainFor(a.Cols), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := a.Data[i*a.Cols : (i+1)*a.Cols]

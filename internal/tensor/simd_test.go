@@ -298,18 +298,22 @@ func TestGEMMEdgeSweep(t *testing.T) {
 									bd.isa, rows, kd, cols, threads, MaxAbsDiff(got, want))
 							}
 						}
-						got := NewDense(rows, cols)
-						for i := range got.Data {
-							if i < lo*cols || i >= hi*cols {
-								got.Data[i] = sentinel
+						// Accumulating onto zeros, and clearing rows that
+						// hold garbage first, each touch rows [lo, hi) only.
+						for _, zero := range []bool{false, true} {
+							got := NewDense(rows, cols)
+							for i := range got.Data {
+								if zero || i < lo*cols || i >= hi*cols {
+									got.Data[i] = sentinel
+								}
 							}
-						}
-						gemmRows(got, a, b, lo, hi)
-						for i, v := range got.Data {
-							inside := i >= lo*cols && i < hi*cols
-							if inside && !sameBits(v, want.Data[i]) || !inside && v != sentinel {
-								t.Fatalf("%s %dx%dx%d rows [%d,%d): element %d = %v (inside=%v, naive %v)",
-									bd.isa, rows, kd, cols, lo, hi, i, v, inside, want.Data[i])
+							gemmRows(got, a, b, lo, hi, zero)
+							for i, v := range got.Data {
+								inside := i >= lo*cols && i < hi*cols
+								if inside && !sameBits(v, want.Data[i]) || !inside && v != sentinel {
+									t.Fatalf("%s %dx%dx%d rows [%d,%d) zero=%v: element %d = %v (inside=%v, naive %v)",
+										bd.isa, rows, kd, cols, lo, hi, zero, i, v, inside, want.Data[i])
+								}
 							}
 						}
 					})

@@ -10,7 +10,7 @@ func Apply(a *Dense, f func(float64) float64) *Dense { return K{}.Apply(a, f) }
 // bit-identical to serial).
 func (k K) Apply(a *Dense, f func(float64) float64) *Dense {
 	defer k.end(k.begin())
-	out := NewDense(a.Rows, a.Cols)
+	out := Draw(a.Rows, a.Cols)
 	k.parRange(len(a.Data), grainFor(unaryWork), func(lo, hi int) {
 		ad, od := a.Data[lo:hi], out.Data[lo:hi]
 		for i, v := range ad {
@@ -84,7 +84,7 @@ func Softmax(a *Dense) *Dense { return K{}.Softmax(a) }
 // all left to right), so thread count cannot change bits.
 func (k K) Softmax(a *Dense) *Dense {
 	defer k.end(k.begin())
-	out := NewDense(a.Rows, a.Cols)
+	out := Draw(a.Rows, a.Cols)
 	k.parRange(a.Rows, grainFor(unaryWork*a.Cols), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := a.Data[i*a.Cols : (i+1)*a.Cols]

@@ -488,11 +488,10 @@ func NewExecutor(cl Cluster, opts ...ExecutorOption) *Executor {
 // result maps each sink's vertex ID to its dense output; for the common
 // single-output case use RunSingle.
 //
-// Inputs are never written: both engines copy a matrix into tuples when
-// they scan it and compute on the copies, and no output aliases an
-// input. One set of matrices may therefore be handed to any number of
-// runs, concurrent ones included — the serving layer's input cache does
-// (TestEnginesLeaveInputsUntouched).
+// Inputs are read, never written, and outputs share no memory with them
+// (nor with storage a run recycles). One set of matrices may therefore
+// be handed to any number of runs, concurrent ones included — the
+// serving layer's input cache does (TestEnginesLeaveInputsUntouched).
 func (x *Executor) Run(p *Plan, inputs map[string]*tensor.Dense) (map[int]*tensor.Dense, error) {
 	return x.RunCtx(context.Background(), p, inputs)
 }
