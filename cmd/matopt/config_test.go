@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"strings"
 	"testing"
 
@@ -57,12 +59,7 @@ func TestExecConfigValidate(t *testing.T) {
 		{"faults with sim engine", func(c *execConfig) { c.Engine = "sim"; c.Faults = 3 }, "faults requires engine dist"},
 		{"faults with seq engine", func(c *execConfig) { c.Engine = "seq"; c.Faults = 1 }, "faults requires engine dist"},
 
-		{"checkpoint on dist", func(c *execConfig) { c.Checkpoint = true }, ""},
-		{"checkpoint with budget", func(c *execConfig) { c.Checkpoint = true; c.CheckpointBudget = 1 << 20 }, ""},
 		{"speculate on dist", func(c *execConfig) { c.Speculate = true }, ""},
-		{"checkpoint on seq", func(c *execConfig) { c.Engine = "seq"; c.Checkpoint = true }, "checkpoint requires engine dist"},
-		{"negative checkpoint budget", func(c *execConfig) { c.Checkpoint = true; c.CheckpointBudget = -1 }, "checkpoint_budget"},
-		{"budget without checkpoint", func(c *execConfig) { c.CheckpointBudget = 1024 }, "checkpoint_budget requires checkpoint"},
 		{"speculate on sim", func(c *execConfig) { c.Engine = "sim"; c.Speculate = true }, "speculate requires engine dist"},
 
 		{"peers on dist", func(c *execConfig) { c.setPeers("127.0.0.1:9431") }, ""},
@@ -87,6 +84,30 @@ func TestExecConfigValidate(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("want error containing %q, got %q", tc.wantErr, err)
+			}
+		})
+	}
+
+	// The checkpoint flags are gone: the command line refuses them as
+	// unknown flags, before anything is validated or run.
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"checkpoint on dist", []string{"-engine", "dist", "-checkpoint"}},
+		{"checkpoint with budget", []string{"-engine", "dist", "-checkpoint", "-checkpoint-budget", "1048576"}},
+		{"checkpoint on seq", []string{"-engine", "seq", "-checkpoint"}},
+		{"negative checkpoint budget", []string{"-engine", "dist", "-checkpoint-budget", "-1"}},
+		{"budget without checkpoint", []string{"-engine", "dist", "-checkpoint-budget", "1024"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var c execConfig
+			fs := flag.NewFlagSet("matopt", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			bindFlags(fs, &c)
+			err := fs.Parse(tc.args)
+			if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -checkpoint") {
+				t.Fatalf("parsing %q: want an unknown-flag error naming -checkpoint, got %v", tc.args, err)
 			}
 		})
 	}

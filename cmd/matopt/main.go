@@ -8,9 +8,9 @@
 // fit in one process. The dist engine shards every relation, verifies
 // its outputs bit-for-bit against the sequential engine, and prints the
 // measured shuffle traffic. Its run-time flags (-shards, -kernel-threads,
-// -max-retries, -fallback, -checkpoint, -checkpoint-budget, -speculate,
-// -faults, -fault-seed, -peers) are the fields of dist.Config, whose
-// comments are their reference; DESIGN.md §17 has the table.
+// -max-retries, -fallback, -speculate, -faults, -fault-seed, -peers) are
+// the fields of dist.Config, whose comments are their reference;
+// DESIGN.md §17 has the table.
 //
 //	matopt -workload ffnn -hidden 80000 -workers 10
 //	matopt -workload chain -sizeset 2
@@ -65,35 +65,7 @@ import (
 
 func main() {
 	var cfg execConfig
-	flag.StringVar(&cfg.Workload, "workload", "motivating", "motivating | ffnn | ffnn3 | chain | inverse")
-	flag.Int64Var(&cfg.Hidden, "hidden", 80000, "FFNN hidden layer size")
-	flag.IntVar(&cfg.SizeSet, "sizeset", 1, "chain size set (1-3)")
-	flag.IntVar(&cfg.Workers, "workers", 10, "cluster size")
-	flag.BoolVar(&cfg.Sparse, "sparse", false, "allow sparse formats")
-	flag.StringVar(&cfg.Formats, "formats", "all", "format universe: all | ssb (single/strip/block) | sb (single/block)")
-	flag.StringVar(&cfg.Alg, "alg", "auto", "optimization algorithm: auto (frontier) | brute")
-	flag.DurationVar(&cfg.Budget, "brute-budget", 30*time.Second, "brute-force time budget")
-	flag.BoolVar(&cfg.Stats, "stats", false, "print optimizer search statistics")
-	flag.BoolVar(&cfg.DOT, "dot", false, "emit the annotated compute graph in Graphviz format (Figure 2 style)")
-	flag.IntVar(&cfg.Parallelism, "parallelism", runtime.GOMAXPROCS(0), "frontier worker pool size")
-	flag.StringVar(&cfg.Engine, "engine", "sim", "sim (simulate at paper scale) | seq | dist (execute, scaled by -scale)")
-	flag.IntVar(&cfg.Shards, "shards", 0, "dist engine shard count (0 = GOMAXPROCS)")
-	flag.Int64Var(&cfg.Scale, "scale", 100, "divisor applied to workload dimensions before real execution")
-	flag.IntVar(&cfg.KernelThreads, "kernel-threads", 0, "threads per local compute kernel (0 = auto-size to the machine, 1 = serial; bit-identical at every setting)")
-	flag.IntVar(&cfg.Faults, "faults", 0, "number of seeded faults to inject into the dist run (0 = none)")
-	flag.Int64Var(&cfg.FaultSeed, "fault-seed", 1, "seed for the injected fault schedule")
-	cfg.MaxRetries = flag.Int("max-retries", dist.DefaultMaxRetries, "dist engine per-vertex retry budget (0 = fail on the first fault)")
-	flag.BoolVar(&cfg.Fallback, "fallback", true, "degrade to the sequential engine when dist retries are exhausted")
-	flag.BoolVar(&cfg.Checkpoint, "checkpoint", false, "pin cost-model-chosen intermediates resident for recovery (dist)")
-	flag.Int64Var(&cfg.CheckpointBudget, "checkpoint-budget", 0, "cap on checkpoint-pinned bytes, deepest vertices first (0 = unbounded)")
-	flag.BoolVar(&cfg.Speculate, "speculate", false, "launch speculative duplicates of straggling dist vertices")
-	flag.Func("peers", "comma-separated matoptd -worker addresses for the dist TCP transport (\"local\" = in-process shard)", cfg.setPeers)
-	flag.BoolVar(&cfg.Trace, "trace", false, "print a span tree of the run (optimizer phases, dist vertices, exchanges)")
-	flag.StringVar(&cfg.TraceOut, "trace-out", "", "write the run's spans as a Chrome trace_event file to this path")
-	flag.BoolVar(&cfg.Metrics, "metrics", false, "print the process metrics registry after the run")
-	flag.BoolVar(&cfg.Explain, "explain", false, "print the lowered physical plan with per-operator costs")
-	flag.StringVar(&cfg.PlanOut, "plan-out", "", "write the serialized physical plan to this path")
-	flag.StringVar(&cfg.PlanIn, "plan-in", "", "load a serialized physical plan from this path instead of optimizing")
+	bindFlags(flag.CommandLine, &cfg)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -101,6 +73,37 @@ func main() {
 	if _, err := drive(ctx, cfg, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// bindFlags declares every command-line flag on fs, bound to cfg.
+func bindFlags(fs *flag.FlagSet, cfg *execConfig) {
+	fs.StringVar(&cfg.Workload, "workload", "motivating", "motivating | ffnn | ffnn3 | chain | inverse")
+	fs.Int64Var(&cfg.Hidden, "hidden", 80000, "FFNN hidden layer size")
+	fs.IntVar(&cfg.SizeSet, "sizeset", 1, "chain size set (1-3)")
+	fs.IntVar(&cfg.Workers, "workers", 10, "cluster size")
+	fs.BoolVar(&cfg.Sparse, "sparse", false, "allow sparse formats")
+	fs.StringVar(&cfg.Formats, "formats", "all", "format universe: all | ssb (single/strip/block) | sb (single/block)")
+	fs.StringVar(&cfg.Alg, "alg", "auto", "optimization algorithm: auto (frontier) | brute")
+	fs.DurationVar(&cfg.Budget, "brute-budget", 30*time.Second, "brute-force time budget")
+	fs.BoolVar(&cfg.Stats, "stats", false, "print optimizer search statistics")
+	fs.BoolVar(&cfg.DOT, "dot", false, "emit the annotated compute graph in Graphviz format (Figure 2 style)")
+	fs.IntVar(&cfg.Parallelism, "parallelism", runtime.GOMAXPROCS(0), "frontier worker pool size")
+	fs.StringVar(&cfg.Engine, "engine", "sim", "sim (simulate at paper scale) | seq | dist (execute, scaled by -scale)")
+	fs.IntVar(&cfg.Shards, "shards", 0, "dist engine shard count (0 = GOMAXPROCS)")
+	fs.Int64Var(&cfg.Scale, "scale", 100, "divisor applied to workload dimensions before real execution")
+	fs.IntVar(&cfg.KernelThreads, "kernel-threads", 0, "threads per local compute kernel (0 = auto-size to the machine, 1 = serial; bit-identical at every setting)")
+	fs.IntVar(&cfg.Faults, "faults", 0, "number of seeded faults to inject into the dist run (0 = none)")
+	fs.Int64Var(&cfg.FaultSeed, "fault-seed", 1, "seed for the injected fault schedule")
+	cfg.MaxRetries = fs.Int("max-retries", dist.DefaultMaxRetries, "dist engine per-vertex retry budget (0 = fail on the first fault)")
+	fs.BoolVar(&cfg.Fallback, "fallback", true, "degrade to the sequential engine when dist retries are exhausted")
+	fs.BoolVar(&cfg.Speculate, "speculate", false, "launch speculative duplicates of straggling dist vertices")
+	fs.Func("peers", "comma-separated matoptd -worker addresses for the dist TCP transport (\"local\" = in-process shard)", cfg.setPeers)
+	fs.BoolVar(&cfg.Trace, "trace", false, "print a span tree of the run (optimizer phases, dist vertices, exchanges)")
+	fs.StringVar(&cfg.TraceOut, "trace-out", "", "write the run's spans as a Chrome trace_event file to this path")
+	fs.BoolVar(&cfg.Metrics, "metrics", false, "print the process metrics registry after the run")
+	fs.BoolVar(&cfg.Explain, "explain", false, "print the lowered physical plan with per-operator costs")
+	fs.StringVar(&cfg.PlanOut, "plan-out", "", "write the serialized physical plan to this path")
+	fs.StringVar(&cfg.PlanIn, "plan-in", "", "load a serialized physical plan from this path instead of optimizing")
 }
 
 // drive is the whole command after flag parsing: describe the

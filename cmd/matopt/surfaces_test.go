@@ -36,7 +36,6 @@ func TestOneValidatorOnEverySurface(t *testing.T) {
 		wantErr      string
 	}{
 		{"negative kernel threads", "seq", dist.Config{KernelThreads: -3}, "kernel_threads must be non-negative"},
-		{"budget without checkpoint", "dist", dist.Config{CheckpointBudget: 1024}, "checkpoint_budget requires checkpoint"},
 		{"peers on seq", "seq", dist.Config{Peers: []string{"127.0.0.1:9431"}}, "peers requires engine dist"},
 		{"shards over the bound", "dist", dist.Config{Shards: 50_000_000}, "shards must be at most"},
 		{"faults over the bound", "dist", dist.Config{Faults: 2_000_000_000}, "faults must be at most"},

@@ -16,13 +16,14 @@ import (
 	"matopt/internal/workload"
 )
 
-// benchShards is the shard count both benchmarks run at.
+// benchShards is the shard count the benchmark runs at.
 const benchShards = 8
 
-// benchChain optimizes the scaled matmul chain both benchmarks run and
-// returns it with a timer for one run of it under a given Config. Every timed run builds a fresh runtime: FaultPlan latches are
-// once-only, so a fault variant re-arms its plan every iteration.
-func benchChain(b *testing.B) (*plan.Plan, func(dist.Config) (time.Duration, *dist.Report)) {
+// benchChain optimizes the scaled matmul chain the benchmark runs and
+// returns it with a timer for one run of it under a given Config. Every
+// timed run builds a fresh runtime: FaultPlan latches are once-only, so
+// a fault variant re-arms its plan every iteration.
+func benchChain(b *testing.B) (*plan.Plan, func(dist.Config) time.Duration) {
 	sz := workload.ChainSizes{
 		Name: "bench",
 		A:    shape.New(200, 600), B: shape.New(600, 1000),
@@ -41,18 +42,17 @@ func benchChain(b *testing.B) (*plan.Plan, func(dist.Config) (time.Duration, *di
 		"A": mk(sz.A), "B": mk(sz.B), "C": mk(sz.C),
 		"D": mk(sz.D), "E": mk(sz.E), "F": mk(sz.F),
 	}
-	timeRun := func(cfg dist.Config) (time.Duration, *dist.Report) {
+	timeRun := func(cfg dist.Config) time.Duration {
 		cfg.Shards = benchShards
 		rt, err := dist.New(cl, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		t0 := time.Now()
-		_, rep, err := rt.RunPlan(context.Background(), pp, inputs)
-		if err != nil {
+		if _, _, err := rt.RunPlan(context.Background(), pp, inputs); err != nil {
 			b.Fatal(err)
 		}
-		return time.Since(t0), rep
+		return time.Since(t0)
 	}
 	return pp, timeRun
 }
@@ -71,12 +71,9 @@ func BenchmarkDistFaultOverhead(b *testing.B) {
 	var noFault, emptyPlan, crashRecover time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, _ := timeRun(dist.Config{})
-		noFault += d
-		d, _ = timeRun(dist.Config{FaultPlan: dist.NewFaultPlan()})
-		emptyPlan += d
-		d, _ = timeRun(dist.Config{FaultPlan: dist.NewFaultPlan(crashAll...)})
-		crashRecover += d
+		noFault += timeRun(dist.Config{})
+		emptyPlan += timeRun(dist.Config{FaultPlan: dist.NewFaultPlan()})
+		crashRecover += timeRun(dist.Config{FaultPlan: dist.NewFaultPlan(crashAll...)})
 	}
 	b.StopTimer()
 
@@ -86,37 +83,4 @@ func BenchmarkDistFaultOverhead(b *testing.B) {
 	b.ReportMetric(float64(noFaultNs), "nofault-ns/op")
 	b.ReportMetric(float64(emptyNs), "emptyplan-ns/op")
 	b.ReportMetric(float64(crashNs), "crashrecover-ns/op")
-}
-
-// BenchmarkRecovery measures the cascading-recompute path end to end: a
-// node loss at the sink forces the runtime to rebuild the freed
-// upstream chain, and checkpoint pins trade resident memory for a
-// shorter redo chain.
-func BenchmarkRecovery(b *testing.B) {
-	pp, timeRun := benchChain(b)
-	sink := pp.Graph.Vertices[len(pp.Graph.Vertices)-1].ID
-	lossPlan := func() *dist.FaultPlan {
-		return dist.NewFaultPlan(dist.Fault{Kind: dist.FaultNodeLoss, Vertex: sink})
-	}
-
-	var clean, cascade, checkpoint time.Duration
-	var cascRep *dist.Report
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d, _ := timeRun(dist.Config{})
-		clean += d
-		d, cascRep = timeRun(dist.Config{FaultPlan: lossPlan()})
-		cascade += d
-		d, _ = timeRun(dist.Config{FaultPlan: lossPlan(), Checkpoint: true})
-		checkpoint += d
-	}
-	b.StopTimer()
-
-	cleanNs := clean.Nanoseconds() / int64(b.N)
-	cascadeNs := cascade.Nanoseconds() / int64(b.N)
-	ckptNs := checkpoint.Nanoseconds() / int64(b.N)
-	b.ReportMetric(float64(cleanNs), "clean-ns/op")
-	b.ReportMetric(float64(cascadeNs), "cascade-ns/op")
-	b.ReportMetric(float64(ckptNs), "checkpoint-ns/op")
-	b.ReportMetric(float64(cascRep.MaxCascadeDepth), "cascade-depth")
 }

@@ -40,11 +40,10 @@ type Config struct {
 	// setting (KERNELS.md).
 	KernelThreads int `json:"kernel_threads,omitempty"`
 	// MaxRetries is how often the dist engine recomputes a vertex that
-	// failed transiently (ErrShardFailed, ErrExchangeTimeout) — and how
-	// often a node loss may cascade through one — before giving up with
-	// ErrRetriesExhausted. nil (absent on the wire) = DefaultMaxRetries;
-	// an explicit 0 = fail on the first fault. Negative or above
-	// RetryLimit is an error.
+	// failed transiently (ErrShardFailed, ErrExchangeTimeout) before
+	// giving up with ErrRetriesExhausted. nil (absent on the wire) =
+	// DefaultMaxRetries; an explicit 0 = fail on the first fault.
+	// Negative or above RetryLimit is an error.
 	MaxRetries *int `json:"max_retries,omitempty"`
 	// Fallback degrades gracefully: when a dist run fails for any reason
 	// but cancellation, the caller that owns a sequential engine
@@ -52,15 +51,6 @@ type Config struct {
 	// bit-identically — and marks the Report Degraded. The dist runtime
 	// itself only carries the flag.
 	Fallback bool `json:"fallback,omitempty"`
-	// Checkpoint pins for recovery (exempt from ref-counted frees) every
-	// compute vertex whose recompute-from-frontier cost exceeds
-	// CheckpointMultiple × its materialization cost, truncating the
-	// lineage cascades a node loss can trigger. Dist only.
-	Checkpoint bool `json:"checkpoint,omitempty"`
-	// CheckpointBudget caps the bytes Checkpoint may pin, deepest
-	// vertices first (a deep vertex fronts the longest recompute chain).
-	// 0 = unbounded; negative is an error; positive requires Checkpoint.
-	CheckpointBudget int64 `json:"checkpoint_budget,omitempty"`
 	// Speculate re-executes stragglers under the Speculation profile: an
 	// attempt outliving the run's own p99-derived deadline gets a
 	// duplicate on rotated owner shards and the first result wins —
@@ -85,7 +75,7 @@ type Config struct {
 	// messages over pooled per-peer connections, wire bytes metered onto
 	// the Report — and closes it with the run, so a failed run leaks no
 	// sockets. Wire failures surface as ErrExchangeTimeout and ride the
-	// retry → cascade → fallback ladder; outputs are bit-identical across
+	// retry → fallback ladder; outputs are bit-identical across
 	// transports (the fabric's (key, seq) sort erases arrival order).
 	// Empty = the in-process chan transport; an empty entry or more
 	// than PeerLimit entries is an error; dist only.
@@ -98,8 +88,8 @@ type Config struct {
 	Tracer *obs.Tracer `json:"-"`
 	Span   *obs.Span   `json:"-"`
 	// FaultPlan is an explicit schedule, replacing Faults/FaultSeed — the
-	// only way to inject a FaultNodeLoss or a fault on a later attempt.
-	// Its one-shot faults fire once across every run sharing the plan.
+	// only way to inject a fault on a later attempt. Its one-shot faults
+	// fire once across every run sharing the plan.
 	FaultPlan *FaultPlan `json:"-"`
 	// Transport replaces the transport Peers would select with a
 	// caller-built one (say, a TCP with a short netfabric.WithIOTimeout);
@@ -114,17 +104,14 @@ type Config struct {
 	// exchange that takes this long. 0 = 30s, which only a wedged run
 	// reaches; negative disables.
 	VertexDeadline, ExchangeTimeout time.Duration `json:"-"`
-	// CheckpointMultiple is Checkpoint's recompute-to-materialize ratio;
-	// ≤ 0 = costmodel.DefaultCheckpointMultiple.
-	CheckpointMultiple float64 `json:"-"`
 	// Speculation is Speculate's profile; zero = DefaultSpeculation().
 	Speculation Speculation `json:"-"`
 }
 
 // Upper bounds on the knobs that size per-run state — shard goroutines
-// and queues, fault records, peer pools, cascade counters — straight
-// from outside input: far above anything one process can use, they
-// exist so an absurd request is refused before it allocates.
+// and queues, fault records, peer pools — straight from outside input:
+// far above anything one process can use, they exist so an absurd
+// request is refused before it allocates.
 const (
 	ShardLimit = 4096
 	FaultLimit = 4096
@@ -156,7 +143,6 @@ func (c Config) Validate(distEngine bool) error {
 		{"faults", int64(c.Faults), FaultLimit},
 		{"fault_seed", c.FaultSeed, math.MaxInt64},
 		{"max_retries", int64(retries), RetryLimit},
-		{"checkpoint_budget", c.CheckpointBudget, math.MaxInt64},
 		{"len(peers)", int64(len(c.Peers)), PeerLimit},
 	} {
 		if k.v < 0 {
@@ -171,15 +157,10 @@ func (c Config) Validate(distEngine bool) error {
 			return fmt.Errorf("peers[%d] is empty", i)
 		}
 	}
-	if c.CheckpointBudget > 0 && !c.Checkpoint {
-		return errors.New("checkpoint_budget requires checkpoint")
-	}
 	switch {
 	case distEngine:
 	case c.Faults > 0:
 		return errors.New("faults requires engine dist")
-	case c.Checkpoint:
-		return errors.New("checkpoint requires engine dist")
 	case c.Speculate:
 		return errors.New("speculate requires engine dist")
 	case len(c.Peers) > 0:

@@ -29,8 +29,7 @@ func TestConfigValidate(t *testing.T) {
 		{"zero value on dist", dist.Config{}, true, ""},
 		{"zero value on seq", dist.Config{}, false, ""},
 		{"every knob on dist", dist.Config{
-			Shards: 4, KernelThreads: 2, MaxRetries: intp(3), Fallback: true,
-			Checkpoint: true, CheckpointBudget: 1 << 20, Speculate: true,
+			Shards: 4, KernelThreads: 2, MaxRetries: intp(3), Fallback: true, Speculate: true,
 			Faults: 5, FaultSeed: 7, Peers: []string{"local", "127.0.0.1:9431"},
 		}, true, ""},
 		{"engine-neutral knobs on seq", dist.Config{
@@ -50,13 +49,10 @@ func TestConfigValidate(t *testing.T) {
 		{"negative faults", dist.Config{Faults: -1}, true, "faults must be non-negative"},
 		{"faults over the limit", dist.Config{Faults: 2_000_000_000}, true, "faults must be at most"},
 		{"negative fault seed", dist.Config{FaultSeed: -7}, true, "fault_seed must be non-negative"},
-		{"negative checkpoint budget", dist.Config{Checkpoint: true, CheckpointBudget: -1}, true, "checkpoint_budget must be non-negative"},
-		{"budget without checkpoint", dist.Config{CheckpointBudget: 1024}, true, "checkpoint_budget requires checkpoint"},
 		{"too many peers", dist.Config{Peers: many(dist.PeerLimit + 1)}, true, "len(peers) must be at most"},
 		{"empty peer entry", dist.Config{Peers: []string{"127.0.0.1:9431", " "}}, true, "peers[1] is empty"},
 
 		{"faults on seq", dist.Config{Faults: 2}, false, "faults requires engine dist"},
-		{"checkpoint on seq", dist.Config{Checkpoint: true}, false, "checkpoint requires engine dist"},
 		{"speculate on seq", dist.Config{Speculate: true}, false, "speculate requires engine dist"},
 		{"peers on seq", dist.Config{Peers: []string{"127.0.0.1:9431"}}, false, "peers requires engine dist"},
 

@@ -153,7 +153,7 @@ func (rt *Runtime) RunPlan(ctx context.Context, p *plan.Plan, inputs map[string]
 		if rel == nil {
 			return nil, r.report(peak, time.Since(start)), fmt.Errorf("dist: sink %d has no relation after the run: %w", id, core.ErrInternal)
 		}
-		m, err := engine.Collect(rel.Relation)
+		m, err := engine.Collect(rel)
 		if err != nil {
 			return nil, r.report(peak, time.Since(start)), fmt.Errorf("dist: collecting sink %d: %w", id, err)
 		}

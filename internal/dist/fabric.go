@@ -81,7 +81,7 @@ func (f *fabric) meterFor(x engine.Xfer) *meter {
 // vertex, which the scheduler retries. Wire failures (a refused dial, a
 // connection severed mid-exchange, an I/O deadline) are likewise
 // transient network weather, so they map onto the same
-// ErrExchangeTimeout and ride the retry → cascade → fallback ladder.
+// ErrExchangeTimeout and ride the retry → fallback ladder.
 // On the timer-driven timeout path the producers may still be running,
 // so session teardown is handed to a background drainer; the shard
 // workers themselves stay healthy for the retry.
@@ -229,7 +229,7 @@ func (r *exec) exchange(x engine.Xfer, produce func(shard int) ([]routed, error)
 
 // wireErr maps a transport failure onto ErrExchangeTimeout: from the
 // scheduler's point of view a dead wire and a silent one are the same
-// transient event, so the existing retry/cascade/fallback ladder
+// transient event, so the existing retry/fallback ladder
 // handles both without knowing transports exist.
 func (r *exec) wireErr(x engine.Xfer, stage string, err error) error {
 	return fmt.Errorf("dist: exchange %q at vertex %d %s failed on transport %q: %v: %w",

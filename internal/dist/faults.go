@@ -33,6 +33,10 @@ import (
 //   - FaultSlowShard makes every task on one shard sleep Delay before
 //     running — a straggler node. Nothing fails; the schedule of the
 //     DAG shifts and the output must still be bit-identical.
+//
+// No kind loses data: no process but the coordinator holds a relation,
+// so a worker that dies is a failed exchange, retried like any other
+// (DESIGN.md §14).
 
 // FaultKind selects what a Fault breaks.
 type FaultKind int
@@ -48,17 +52,10 @@ const (
 	FaultDelayExchange
 	// FaultSlowShard delays every task on Shard by Delay (a straggler).
 	FaultSlowShard
-	// FaultNodeLoss fails a vertex execution attempt like FaultCrash and
-	// additionally marks the vertex's input relations as lost — the
-	// stand-in for the worker node dying and taking its resident shard
-	// data with it. The retried vertex then finds its inputs gone and
-	// the scheduler recovers by cascading lineage recompute back to the
-	// nearest resident (or checkpointed) frontier.
-	FaultNodeLoss
 )
 
 // String names the kind as fault schedules print it: crash, drop,
-// delay, slow or node-loss.
+// delay or slow.
 func (k FaultKind) String() string {
 	switch k {
 	case FaultCrash:
@@ -69,8 +66,6 @@ func (k FaultKind) String() string {
 		return "delay"
 	case FaultSlowShard:
 		return "slow"
-	case FaultNodeLoss:
-		return "node-loss"
 	}
 	return fmt.Sprintf("FaultKind(%d)", int(k))
 }
@@ -97,8 +92,6 @@ func (f Fault) String() string {
 		return fmt.Sprintf("delay(v%d %q attempt %d, %v)", f.Vertex, f.Label, f.Attempt, f.Delay)
 	case FaultDropExchange:
 		return fmt.Sprintf("drop(v%d %q attempt %d)", f.Vertex, f.Label, f.Attempt)
-	case FaultNodeLoss:
-		return fmt.Sprintf("node-loss(v%d attempt %d)", f.Vertex, f.Attempt)
 	default:
 		return fmt.Sprintf("crash(v%d attempt %d)", f.Vertex, f.Attempt)
 	}
@@ -182,16 +175,15 @@ func (p *FaultPlan) Faults() []Fault {
 	return out
 }
 
-// claim returns the matching crash or node-loss fault (kind) for this
-// vertex attempt, claiming it so it fires exactly once. All methods are
-// nil-safe: a runtime with no plan pays one pointer comparison per
-// injection point.
-func (p *FaultPlan) claim(kind FaultKind, vertex, attempt int) *Fault {
+// claim returns the matching crash fault for this vertex attempt,
+// claiming it so it fires exactly once. All methods are nil-safe: a
+// runtime with no plan pays one pointer comparison per injection point.
+func (p *FaultPlan) claim(vertex, attempt int) *Fault {
 	if p == nil {
 		return nil
 	}
 	for _, f := range p.faults {
-		if f.Kind != kind || f.Attempt != attempt {
+		if f.Kind != FaultCrash || f.Attempt != attempt {
 			continue
 		}
 		if f.Vertex != -1 && f.Vertex != vertex {

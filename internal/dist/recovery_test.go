@@ -8,107 +8,6 @@ import (
 	"matopt/internal/dist"
 )
 
-// TestNodeLossCascade kills the sink vertex's node after its upstream
-// chain has been freed: the scheduler must walk the lineage back to a
-// usable frontier, recompute the missing ancestors and still produce
-// bit-identical outputs — the "crash after ancestor freed" case single-
-// hop retry cannot recover.
-func TestNodeLossCascade(t *testing.T) {
-	pp, inputs, cl := chaosWorkload(t)
-	want := seqGolden(t, cl, pp, inputs)
-	sink := pp.Graph.Vertices[len(pp.Graph.Vertices)-1].ID
-
-	for _, shards := range chaosShards {
-		leakChecked(t, func() {
-			plan := dist.NewFaultPlan(dist.Fault{Kind: dist.FaultNodeLoss, Vertex: sink})
-			rep := runFaulted(t, "node-loss", cl, shards, plan, pp, inputs, want)
-			if rep.FaultsInjected != 1 {
-				t.Fatalf("node loss @%d shards: %d faults injected, want 1", shards, rep.FaultsInjected)
-			}
-			if rep.Cascades < 1 || rep.CascadesByVertex[sink] < 1 {
-				t.Fatalf("node loss @%d shards: no cascade recorded: %+v", shards, rep)
-			}
-			// The sink's upstream chain was freed when its consumers
-			// completed, so recovery must recompute more than the sink's
-			// immediate inputs.
-			if rep.MaxCascadeDepth < 2 {
-				t.Fatalf("node loss @%d shards: cascade depth %d, want ≥ 2 (freed ancestors recomputed)",
-					shards, rep.MaxCascadeDepth)
-			}
-			if rep.Degraded {
-				t.Fatalf("node loss @%d shards: run degraded instead of recovering", shards)
-			}
-		})
-	}
-}
-
-// TestNodeLossEveryVertex sweeps a node loss over each vertex at each
-// chaos shard count: wherever the node dies, lineage recovery must
-// reconstruct the lost inputs and converge bit-identically.
-func TestNodeLossEveryVertex(t *testing.T) {
-	pp, inputs, cl := chaosWorkload(t)
-	want := seqGolden(t, cl, pp, inputs)
-	for _, shards := range chaosShards {
-		for _, v := range pp.Graph.Vertices {
-			plan := dist.NewFaultPlan(dist.Fault{Kind: dist.FaultNodeLoss, Vertex: v.ID})
-			rep := runFaulted(t, "node-loss-sweep", cl, shards, plan, pp, inputs, want)
-			if rep.FaultsInjected != 1 {
-				t.Fatalf("node loss v%d @%d shards: %d faults injected, want 1", v.ID, shards, rep.FaultsInjected)
-			}
-			// Source vertices have no inputs to lose, so only vertices
-			// with dependencies must cascade.
-			if len(pp.Graph.Vertices) > 0 && rep.Cascades < 1 && rep.Retries < 1 {
-				t.Fatalf("node loss v%d @%d shards: neither cascade nor retry recorded: %+v", v.ID, shards, rep)
-			}
-		}
-	}
-}
-
-// TestCheckpointShortensCascade re-runs the sink node loss with
-// cost-model checkpoint placement: pinned ancestors form a nearer
-// frontier, so the cascade must be strictly shallower than the
-// unpinned run's, and the report must meter the pins. A 1-byte budget
-// must pin nothing.
-func TestCheckpointShortensCascade(t *testing.T) {
-	pp, inputs, cl := chaosWorkload(t)
-	want := seqGolden(t, cl, pp, inputs)
-	sink := pp.Graph.Vertices[len(pp.Graph.Vertices)-1].ID
-	plan := func() *dist.FaultPlan {
-		return dist.NewFaultPlan(dist.Fault{Kind: dist.FaultNodeLoss, Vertex: sink})
-	}
-
-	for _, shards := range chaosShards {
-		bare := runFaulted(t, "node-loss-bare", cl, shards, plan(), pp, inputs, want)
-
-		// A multiple this small makes every non-retained compute pass
-		// the recompute > multiple × materialize test, so the whole
-		// interior of the chain is pinned.
-		rep := runFaulted(t, "node-loss-ckpt", cl, shards, plan(), pp, inputs, want,
-			dist.Config{Checkpoint: true, CheckpointMultiple: 1e-9})
-		if rep.CheckpointVertices < 1 {
-			t.Fatalf("checkpointing @%d shards pinned nothing", shards)
-		}
-		if rep.CheckpointBytes < 1 {
-			t.Fatalf("checkpointing @%d shards metered no pinned bytes: %+v", shards, rep)
-		}
-		if rep.Cascades < 1 {
-			t.Fatalf("checkpointed node loss @%d shards did not cascade: %+v", shards, rep)
-		}
-		if rep.MaxCascadeDepth >= bare.MaxCascadeDepth {
-			t.Fatalf("checkpointing @%d shards did not shorten the cascade: depth %d with pins, %d without",
-				shards, rep.MaxCascadeDepth, bare.MaxCascadeDepth)
-		}
-
-		// A 1-byte budget rejects every candidate: placement must
-		// degrade to no pins, not to a panic or a partial pin.
-		rep = runFaulted(t, "node-loss-budget", cl, shards, plan(), pp, inputs, want,
-			dist.Config{Checkpoint: true, CheckpointMultiple: 1e-9, CheckpointBudget: 1})
-		if rep.CheckpointVertices != 0 {
-			t.Fatalf("1-byte checkpoint budget @%d shards still pinned %d vertices", shards, rep.CheckpointVertices)
-		}
-	}
-}
-
 // TestSpeculativeStragglerWin stalls one exchange of a late vertex far
 // past the run's p99 vertex latency: the runtime must launch a
 // speculative duplicate on rotated shards, take its result, and stay

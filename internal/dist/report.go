@@ -35,11 +35,8 @@ type Report struct {
 
 	FaultsInjected      int64 `json:"faults_injected"`                // scheduled faults this run fired or applied
 	Retries             int64 `json:"retries"`                        // total vertex recomputations taken
-	Cascades            int64 `json:"cascades,omitempty"`             // cascading lineage recomputes triggered
 	SpeculativeLaunches int64 `json:"speculative_launches,omitempty"` // speculative duplicate attempts launched
 	SpeculativeWins     int64 `json:"speculative_wins,omitempty"`     // speculative attempts that beat their primary
-	CheckpointVertices  int   `json:"checkpoint_vertices,omitempty"`  // vertices pinned resident for recovery
-	CheckpointBytes     int64 `json:"checkpoint_bytes,omitempty"`     // bytes held by checkpoint pins at run end
 
 	Transport      string `json:"transport,omitempty"`       // exchange transport that moved the run's data ("chan", "tcp")
 	WireBytes      int64  `json:"wire_bytes,omitempty"`      // framed bytes put on (and read off) real sockets, both directions
@@ -50,13 +47,11 @@ type Report struct {
 	Degraded      bool   `json:"degraded"`                 // run fell back to the sequential engine
 	DegradedCause string `json:"degraded_cause,omitempty"` // the dist failure that forced the fallback
 
-	Exchanges        []ExchangeStat  `json:"-"` // per-edge breakdown, ordered by (vertex, label)
-	ShardBusy        []time.Duration `json:"-"` // per-shard time spent inside tasks
-	RetriesByVertex  map[int]int     `json:"-"` // vertex ID → recomputations (nil when none)
-	CascadesByVertex map[int]int     `json:"-"` // failing vertex ID → cascades (nil when none)
-	MaxCascadeDepth  int             `json:"-"` // deepest ancestor chain re-executed by one cascade
-	KernelThreads    int             `json:"-"` // kernel threads each shard's local compute could use
-	KernelTime       time.Duration   `json:"-"` // summed wall time inside local compute kernels
+	Exchanges       []ExchangeStat  `json:"-"` // per-edge breakdown, ordered by (vertex, label)
+	ShardBusy       []time.Duration `json:"-"` // per-shard time spent inside tasks
+	RetriesByVertex map[int]int     `json:"-"` // vertex ID → recomputations (nil when none)
+	KernelThreads   int             `json:"-"` // kernel threads each shard's local compute could use
+	KernelTime      time.Duration   `json:"-"` // summed wall time inside local compute kernels
 }
 
 // BusiestShard returns the largest per-shard busy time.
@@ -80,7 +75,7 @@ func (r *Report) TotalBusy() time.Duration {
 }
 
 // String renders the report as the indented block the CLI prints after
-// a dist run; lines for wire traffic, kernels, recovery, checkpoints
+// a dist run; lines for wire traffic, kernels, recovery, speculation
 // and degradation appear only when the run has something to say there.
 func (r *Report) String() string {
 	var b strings.Builder
@@ -114,17 +109,9 @@ func (r *Report) String() string {
 		}
 		b.WriteString("\n")
 	}
-	if r.Cascades > 0 {
-		fmt.Fprintf(&b, "  cascades: %d lineage recomputes, deepest chain %d vertices\n",
-			r.Cascades, r.MaxCascadeDepth)
-	}
 	if r.SpeculativeLaunches > 0 {
 		fmt.Fprintf(&b, "  speculation: %d duplicates launched, %d won\n",
 			r.SpeculativeLaunches, r.SpeculativeWins)
-	}
-	if r.CheckpointVertices > 0 {
-		fmt.Fprintf(&b, "  checkpoints: %d vertices pinned, %d B held\n",
-			r.CheckpointVertices, r.CheckpointBytes)
 	}
 	if r.Degraded {
 		fmt.Fprintf(&b, "  DEGRADED to sequential engine: %s\n", r.DegradedCause)
@@ -218,25 +205,10 @@ func reportFromRegistry(snap []obs.Metric) *Report {
 				rep.RetriesByVertex[v] += int(m.Value)
 				rep.Retries += m.Value
 			}
-		case "dist.cascades":
-			v, err := strconv.Atoi(label(m, "vertex"))
-			if err == nil && m.Value > 0 {
-				if rep.CascadesByVertex == nil {
-					rep.CascadesByVertex = make(map[int]int)
-				}
-				rep.CascadesByVertex[v] += int(m.Value)
-				rep.Cascades += m.Value
-			}
-		case "dist.cascade.depth":
-			rep.MaxCascadeDepth = int(m.Value)
 		case "dist.speculative.launches":
 			rep.SpeculativeLaunches = m.Value
 		case "dist.speculative.wins":
 			rep.SpeculativeWins = m.Value
-		case "dist.checkpoint.vertices":
-			rep.CheckpointVertices = int(m.Value)
-		case "dist.checkpoint.bytes":
-			rep.CheckpointBytes = m.Value
 		}
 	}
 	rep.ShardBusy = make([]time.Duration, rep.Shards)

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"matopt/internal/engine"
 	"matopt/internal/obs"
 	"matopt/internal/tensor"
 )
@@ -31,24 +32,18 @@ var (
 	// wrapped in a RetriesExhaustedError carrying the failing vertex,
 	// the attempt count and the root-cause fault.
 	ErrRetriesExhausted = errors.New("dist: vertex retries exhausted")
-
-	// errInputsLost is the sentinel under every lostInputsError; it is
-	// deliberately not retryable in place — re-running the vertex with
-	// the same lost inputs cannot succeed, only a cascading lineage
-	// recompute by the scheduler can.
-	errInputsLost = errors.New("dist: vertex inputs lost")
 )
 
 // RetriesExhaustedError is the actionable form of ErrRetriesExhausted:
-// which vertex gave up, after how many attempts (or cascades), and the
-// last attempt's root-cause error. errors.Is matches both
+// which vertex gave up, after how many attempts, and the last attempt's
+// root-cause error. errors.Is matches both
 // ErrRetriesExhausted and anything the cause wraps (e.g.
 // ErrShardFailed), so existing callers keep working; Report and the
 // serve layer surface the fields instead of a bare sentinel.
 type RetriesExhaustedError struct {
 	// Vertex is the failing vertex's ID.
 	Vertex int
-	// Attempts counts the executions (or cascading recomputes) taken.
+	// Attempts counts the executions taken.
 	Attempts int
 	// Deadline is the per-vertex recovery deadline that expired, zero
 	// when the retry budget (not the deadline) was exhausted.
@@ -70,22 +65,6 @@ func (e *RetriesExhaustedError) Error() string {
 // Unwrap exposes both the sentinel and the root cause to errors.Is/As.
 func (e *RetriesExhaustedError) Unwrap() []error { return []error{ErrRetriesExhausted, e.Cause} }
 
-// lostInputsError reports that a vertex attempt found one of its input
-// relations marked lost. It is raised inside the attempt but handled by
-// the scheduler, which walks lineage backwards and re-executes the
-// missing chain.
-type lostInputsError struct {
-	vertex int // the consuming vertex
-	arg    int // the first lost argument position
-}
-
-func (e *lostInputsError) Error() string {
-	return fmt.Sprintf("dist: vertex %d input %d was lost with its shard; cascading recompute required",
-		e.vertex, e.arg)
-}
-
-func (e *lostInputsError) Unwrap() error { return errInputsLost }
-
 // retryable reports whether an attempt error is transient: only shard
 // failures and exchange timeouts are worth re-executing a vertex for.
 func retryable(err error) bool {
@@ -99,9 +78,8 @@ func retryable(err error) bool {
 // deterministic inputs make every re-execution produce the same bits as
 // a fault-free run. The input snapshot is re-copied per attempt so a
 // retry re-derives the fused re-layouts from the original relations
-// rather than a half-transformed attempt state. Lost inputs are not
-// retried in place — the error escalates to the scheduler's cascade.
-func (r *run) runGroup(gr *planGroup, ins []*relation, inputs map[string]*tensor.Dense) (*relation, error) {
+// rather than a half-transformed attempt state.
+func (r *run) runGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]*tensor.Dense) (*engine.Relation, error) {
 	start := time.Now()
 	vspan := r.tr.Start(r.span, "vertex").
 		SetInt("id", int64(gr.vertex)).SetStr("impl", gr.node.Name).
@@ -120,10 +98,6 @@ func (r *run) runGroup(gr *planGroup, ins []*relation, inputs map[string]*tensor
 			// The run was cancelled; report the context's cause rather
 			// than whatever the teardown surfaced as.
 			return nil, fmt.Errorf("dist: vertex %d aborted: %w", gr.vertex, cerr)
-		}
-		var lost *lostInputsError
-		if errors.As(err, &lost) {
-			return nil, err // only the scheduler's cascade can fix this
 		}
 		if !retryable(err) {
 			return nil, err
@@ -154,8 +128,8 @@ func (r *run) runGroup(gr *planGroup, ins []*relation, inputs map[string]*tensor
 // loser are bit-identical and either result is correct. The loser is
 // cancelled and drained on the run's attempt WaitGroup so shutdown
 // never races a straggling task against queue close.
-func (r *run) runAttempt(gr *planGroup, ins []*relation, inputs map[string]*tensor.Dense,
-	vspan *obs.Span, attempt int) (*relation, error) {
+func (r *run) runAttempt(gr *planGroup, ins []*engine.Relation, inputs map[string]*tensor.Dense,
+	vspan *obs.Span, attempt int) (*engine.Relation, error) {
 	deadline := r.specDeadline()
 	if deadline <= 0 {
 		aspan := r.tr.Start(vspan, "attempt").SetInt("n", int64(attempt))
@@ -165,7 +139,7 @@ func (r *run) runAttempt(gr *planGroup, ins []*relation, inputs map[string]*tens
 	}
 
 	type outcome struct {
-		rel  *relation
+		rel  *engine.Relation
 		err  error
 		spec bool
 	}

@@ -2,10 +2,7 @@ package dist
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math/bits"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -76,8 +73,7 @@ func buildGroups(p *plan.Plan) ([]*planGroup, error) {
 // a task queue, the comms fabric, the lowered physical plan being
 // executed, the run's metrics registry (every meter and timer lands
 // there; the final Report is a view over it), the optional tracer, and
-// the recovery bookkeeping (cascade counters, in-flight speculative
-// attempts).
+// the in-flight speculative attempts.
 type run struct {
 	cfg     Config            // this run's: defaults filled, FaultPlan and Transport resolved
 	cl      costmodel.Cluster // per-tuple size bounds
@@ -97,8 +93,6 @@ type run struct {
 
 	kernNS *obs.Counter // dist.kernel.ns — wall time inside local compute kernels
 	faults *obs.Counter // dist.faults_injected — faults this run claimed or applied
-
-	casc map[int]int // vertex ID → cascading recomputes taken (scheduler goroutine only)
 }
 
 // exec is one attempt's view of the run: the embedded run carries all
@@ -151,7 +145,6 @@ func newRun(cfg Config, cl costmodel.Cluster, ctx context.Context, p *plan.Plan,
 		tasks:  make([]chan func(), cfg.Shards),
 		qwait:  reg.Histogram("dist.queue.wait.seconds", obs.DefaultDurationBuckets()),
 		vsec:   reg.Histogram("dist.vertex.seconds", obs.DefaultDurationBuckets()),
-		casc:   make(map[int]int),
 	}
 	r.kernNS = reg.Counter("dist.kernel.ns")
 	r.faults = reg.Counter("dist.faults_injected")
@@ -256,136 +249,31 @@ func (r *run) On(shard int, fn func() error) error {
 	return err
 }
 
-// recoveryCosts prices losing each vertex's value: recompute[v] is the
-// predicted seconds of regenerating it from the sources — its producing
-// node and feeding re-layouts plus every ancestor's, a shared ancestor
-// counted once — and depth[v] its longest producer chain (0 for a
-// source). A cone is summed in ascending vertex ID, so the sums are the
-// same bits on every run: pins are thresholded and ordered on them.
-func recoveryCosts(p *plan.Plan) (recompute []float64, depth []int) {
-	nv := len(p.Graph.Vertices)
-	own := make([]float64, nv)
-	for _, n := range p.Nodes {
-		if n.Kind != plan.KindFree {
-			own[n.Vertex] += n.Cost
-		}
-	}
-	// A cone is the vertex's ancestor set including itself, one bit per
-	// vertex ID, built in graph (topological) order.
-	words := (nv + 63) / 64
-	cones := make([]uint64, nv*words)
-	recompute, depth = make([]float64, nv), make([]int, nv)
-	for _, v := range p.Graph.Vertices {
-		c := cones[v.ID*words : (v.ID+1)*words]
-		c[v.ID/64] |= 1 << (v.ID % 64)
-		for _, in := range v.Ins {
-			for w, x := range cones[in.ID*words : (in.ID+1)*words] {
-				c[w] |= x
-			}
-			depth[v.ID] = max(depth[v.ID], depth[in.ID]+1)
-		}
-		for w, x := range c {
-			for ; x != 0; x &= x - 1 {
-				recompute[v.ID] += own[w*64+bits.TrailingZeros64(x)]
-			}
-		}
-	}
-	return recompute, depth
-}
-
-// checkpointPins decides which vertices this run pins resident for
-// recovery: every non-retained computation whose recompute cost exceeds
-// the configured multiple × the price of materializing its output on
-// this runtime's cluster. The plan carries no placement, so one cached
-// plan runs pinned or unpinned under any knobs. Under a budget the
-// greedy order is deepest-first: a deep vertex fronts the longest
-// recompute chain, so pinning it truncates the worst cascades first.
-func (r *run) checkpointPins() map[int]bool {
-	if !r.cfg.Checkpoint {
-		return nil
-	}
-	recompute, depth := recoveryCosts(r.pl)
-	retained := make(map[int]bool, len(r.pl.Retained))
-	for _, id := range r.pl.Retained {
-		retained[id] = true
-	}
-	var cands []*plan.Node
-	for _, v := range r.pl.Graph.Vertices {
-		if v.IsSource || retained[v.ID] {
-			continue
-		}
-		n := r.pl.Nodes[r.pl.NodeOfVertex[v.ID]]
-		mat := costmodel.MaterializeSeconds(r.cl, float64(n.OutBytes()))
-		if costmodel.ShouldCheckpoint(recompute[v.ID], mat, r.cfg.CheckpointMultiple) {
-			cands = append(cands, n)
-		}
-	}
-	if len(cands) == 0 {
-		return nil
-	}
-	pins := make(map[int]bool, len(cands))
-	if r.cfg.CheckpointBudget <= 0 {
-		for _, n := range cands {
-			pins[n.Vertex] = true
-		}
-		return pins
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i].Vertex, cands[j].Vertex
-		if depth[a] != depth[b] {
-			return depth[a] > depth[b]
-		}
-		if recompute[a] != recompute[b] {
-			return recompute[a] > recompute[b]
-		}
-		return a < b
-	})
-	var used int64
-	for _, n := range cands {
-		b := n.OutBytes()
-		if used+b > r.cfg.CheckpointBudget {
-			continue
-		}
-		used += b
-		pins[n.Vertex] = true
-	}
-	return pins
-}
-
 // execute schedules the dataflow DAG: every recovery group whose inputs
-// are ready is launched concurrently; a completed group releases inputs
-// whose last consumer has now run (retained and checkpoint-pinned
-// vertices are kept). A group that fails because its inputs were lost
-// triggers a cascading lineage recompute back to the nearest resident
-// frontier. Returns the retained relations and the peak resident bytes.
-func (r *run) execute(inputs map[string]*tensor.Dense) (map[int]*relation, int64, error) {
+// are ready is launched concurrently, and a completed group releases
+// inputs whose last consumer has now run (retained vertices are kept).
+// The first error wins: nothing further launches, and execute returns
+// it once every group in flight has reported. Returns the retained
+// relations and the peak resident bytes.
+func (r *run) execute(inputs map[string]*tensor.Dense) (map[int]*engine.Relation, int64, error) {
 	refs := make(map[int]int, len(r.groups))
-	retain := make(map[int]bool)
 	for _, gr := range r.groups {
 		for _, dep := range gr.deps {
 			refs[dep]++
 		}
 	}
+	retain := make(map[int]bool, len(r.pl.Retained))
 	for _, id := range r.pl.Retained {
 		retain[id] = true
-	}
-	pins := r.checkpointPins()
-	for id := range pins {
-		retain[id] = true
-	}
-	if len(pins) > 0 {
-		r.reg.Gauge("dist.checkpoint.vertices").Set(int64(len(pins)))
-		r.span.SetInt("checkpoints", int64(len(pins)))
 	}
 
 	type result struct {
 		id  int
-		rel *relation
+		rel *engine.Relation
 		err error
 	}
 	results := make(chan result)
-	rels := make(map[int]*relation, len(r.groups))
-	done := make(map[int]bool, len(r.groups))
+	rels := make(map[int]*engine.Relation, len(r.groups))
 	launched := make(map[int]bool, len(r.groups))
 	var failed error
 	var resident, peak int64
@@ -396,7 +284,7 @@ func (r *run) execute(inputs map[string]*tensor.Dense) (map[int]*relation, int64
 			return false
 		}
 		for _, dep := range gr.deps {
-			if !done[dep] {
+			if _, ok := rels[dep]; !ok {
 				return false
 			}
 		}
@@ -406,7 +294,7 @@ func (r *run) execute(inputs map[string]*tensor.Dense) (map[int]*relation, int64
 		launched[gr.vertex] = true
 		// Snapshot input relations now: ref counts guarantee they stay
 		// alive until this consumer completes.
-		ins := make([]*relation, len(gr.deps))
+		ins := make([]*engine.Relation, len(gr.deps))
 		for j, dep := range gr.deps {
 			ins[j] = rels[dep]
 		}
@@ -435,43 +323,22 @@ func (r *run) execute(inputs map[string]*tensor.Dense) (map[int]*relation, int64
 		res := <-results
 		inFlight--
 		if res.err != nil {
-			var lie *lostInputsError
-			if failed == nil && r.ctx.Err() == nil && errors.As(res.err, &lie) {
-				if cerr := r.cascade(res.id, lie, refs, retain, rels, done, launched, &resident, &completed); cerr != nil {
-					failed = cerr
-				}
-				continue
-			}
 			if failed == nil {
 				failed = res.err
 			}
 			continue
 		}
 		rels[res.id] = res.rel
-		done[res.id] = true
 		completed++
 		resident += res.rel.Bytes()
-		if resident > peak {
-			peak = resident
-		}
+		peak = max(peak, resident)
 		for _, dep := range r.groups[res.id].deps {
 			refs[dep]--
 			if refs[dep] == 0 && !retain[dep] {
-				if rel, ok := rels[dep]; ok {
-					resident -= rel.Bytes()
-					delete(rels, dep)
-				}
+				resident -= rels[dep].Bytes()
+				delete(rels, dep)
 			}
 		}
-	}
-	if len(pins) > 0 {
-		var ckptBytes int64
-		for id := range pins {
-			if rel, ok := rels[id]; ok {
-				ckptBytes += rel.Bytes()
-			}
-		}
-		r.reg.Gauge("dist.checkpoint.bytes").SetMax(ckptBytes)
 	}
 	if failed != nil {
 		return nil, peak, failed
@@ -483,76 +350,10 @@ func (r *run) execute(inputs map[string]*tensor.Dense) (map[int]*relation, int64
 	return rels, peak, nil
 }
 
-// cascade recovers a vertex whose inputs were lost by walking the plan
-// DAG backwards to the nearest usable frontier — a dependency that is
-// done, still resident and not itself lost, or one still in flight —
-// and resetting everything between that frontier and the failed vertex
-// for re-execution. The normal ready/launch loop then re-runs the chain
-// in dependency order, re-deriving fused re-layouts per attempt from
-// the IR. Bookkeeping invariants: a reset vertex that had completed
-// pre-increments each dependency's ref count (it will decrement again
-// on re-completion), and the failed vertex itself still holds one
-// pending ref on each of its inputs, so no relation recomputed for the
-// cascade can be freed before the failed vertex consumes it. Cascades
-// per vertex are bounded by the runtime's retry budget.
-func (r *run) cascade(vertex int, cause *lostInputsError, refs map[int]int, retain map[int]bool,
-	rels map[int]*relation, done, launched map[int]bool, resident *int64, completed *int) error {
-	r.casc[vertex]++
-	if r.casc[vertex] > *r.cfg.MaxRetries {
-		return &RetriesExhaustedError{Vertex: vertex, Attempts: r.casc[vertex], Cause: cause}
-	}
-	launched[vertex] = false
-	visited := make(map[int]bool)
-	var redo []int
-	var visit func(u int)
-	visit = func(u int) {
-		if visited[u] {
-			return
-		}
-		visited[u] = true
-		if u != vertex {
-			if rel, ok := rels[u]; ok && done[u] && !rel.isLost() {
-				return // usable frontier: resident and intact
-			}
-			if launched[u] && !done[u] {
-				return // in flight: its fresh value arrives through the normal path
-			}
-		}
-		for _, dep := range r.groups[u].deps {
-			visit(dep)
-		}
-		redo = append(redo, u)
-	}
-	visit(vertex)
-	depth := len(redo) - 1
-	cspan := r.tr.Start(r.span, "cascade.recompute").
-		SetInt("vertex", int64(vertex)).SetInt("depth", int64(depth))
-	r.reg.Counter("dist.cascades", obs.L("vertex", strconv.Itoa(vertex))).Inc()
-	r.reg.Gauge("dist.cascade.depth").SetMax(int64(depth))
-	for _, u := range redo {
-		if done[u] {
-			*completed--
-			for _, dep := range r.groups[u].deps {
-				refs[dep]++ // re-completion will decrement again
-			}
-		}
-		if rel, ok := rels[u]; ok {
-			*resident -= rel.Bytes()
-			delete(rels, u)
-		}
-		done[u], launched[u] = false, false
-	}
-	cspan.End()
-	return nil
-}
-
 // execGroup runs one recovery group's plan nodes through the operator
 // table with this attempt as the Mover: the scan for sources, otherwise
-// the fused re-layout nodes followed by the compute node's operator. An
-// injected node-loss fault additionally marks the group's input
-// relations lost, so the retry discovers the missing data and escalates
-// to a cascade.
-func (x *exec) execGroup(gr *planGroup, ins []*relation, inputs map[string]*tensor.Dense) (*relation, error) {
+// the fused re-layout nodes followed by the compute node's operator.
+func (x *exec) execGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]*tensor.Dense) (*engine.Relation, error) {
 	defer func() {
 		if ns := x.kernAcc.Load(); ns > 0 {
 			x.span.SetInt("kernel_ns", ns)
@@ -561,17 +362,7 @@ func (x *exec) execGroup(gr *planGroup, ins []*relation, inputs map[string]*tens
 	if err := x.ctx.Err(); err != nil {
 		return nil, fmt.Errorf("dist: execution aborted before vertex %d: %w", gr.vertex, err)
 	}
-	f := x.cfg.FaultPlan.claim(FaultNodeLoss, gr.vertex, x.attempt)
-	if f != nil {
-		for _, in := range ins {
-			if in != nil {
-				in.markLost()
-			}
-		}
-	} else {
-		f = x.cfg.FaultPlan.claim(FaultCrash, gr.vertex, x.attempt)
-	}
-	if f != nil {
+	if f := x.cfg.FaultPlan.claim(gr.vertex, x.attempt); f != nil {
 		x.faults.Inc()
 		return nil, fmt.Errorf("dist: injected %v on shard %d: %w", *f, x.OwnerShard(gr.vertex), ErrShardFailed)
 	}
@@ -589,17 +380,14 @@ func (x *exec) execGroup(gr *planGroup, ins []*relation, inputs map[string]*tens
 		if err != nil {
 			return nil, fmt.Errorf("dist: loading %q: %w", n.Source, err)
 		}
-		return &relation{Relation: rel}, nil
+		return rel, nil
 	}
 	args := make([]*engine.Relation, len(ins))
-	for j := range ins {
-		if ins[j] == nil {
+	for j, in := range ins {
+		if in == nil {
 			return nil, fmt.Errorf("dist: vertex %d input %d was freed early", gr.vertex, j)
 		}
-		if ins[j].isLost() {
-			return nil, &lostInputsError{vertex: gr.vertex, arg: j}
-		}
-		args[j] = ins[j].Relation
+		args[j] = in
 	}
 	for j := range args {
 		if rn := gr.relayouts[j]; rn != nil {
@@ -614,7 +402,7 @@ func (x *exec) execGroup(gr *planGroup, ins []*relation, inputs map[string]*tens
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
-	return &relation{Relation: out}, nil
+	return out, nil
 }
 
 // report finalizes the run's registry (peak and wall gauges), builds

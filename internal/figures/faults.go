@@ -48,9 +48,6 @@ func FaultRecovery(shards int) Table {
 	straggler := func() *dist.FaultPlan {
 		return dist.NewFaultPlan(dist.Fault{Kind: dist.FaultSlowShard, Shard: shards - 1, Delay: 200 * time.Microsecond})
 	}
-	nodeLoss := func() *dist.FaultPlan {
-		return dist.NewFaultPlan(dist.Fault{Kind: dist.FaultNodeLoss, Vertex: mid})
-	}
 	one := 1
 	for _, s := range []struct {
 		name string
@@ -61,9 +58,7 @@ func FaultRecovery(shards int) Table {
 		{fmt.Sprintf("drop one exchange at v%d", mid),
 			dist.Config{FaultPlan: dist.NewFaultPlan(dist.Fault{Kind: dist.FaultDropExchange, Vertex: mid})}},
 		{"straggler shard (+200µs/task)", dist.Config{FaultPlan: straggler()}},
-		{fmt.Sprintf("node loss at v%d (cascading recompute)", mid), dist.Config{FaultPlan: nodeLoss()}},
 		{"random schedule (seed 7, 5 faults)", dist.Config{Faults: 5, FaultSeed: 7}},
-		{fmt.Sprintf("node loss at v%d + checkpointing", mid), dist.Config{FaultPlan: nodeLoss(), Checkpoint: true}},
 		{"straggler shard + speculation", dist.Config{FaultPlan: straggler(), Speculate: true}},
 		// Two crashes of one vertex exhaust a retry budget of one; with
 		// Fallback the Executor serves the sequential result instead.
@@ -95,14 +90,8 @@ func faultRow(name string, cl matopt.Cluster, cfg matopt.ExecConfig,
 	switch {
 	case rep.Degraded:
 		outcome = "degraded to sequential"
-	case rep.FaultsInjected == 0 && rep.Retries == 0 && rep.Cascades == 0:
+	case rep.FaultsInjected == 0 && rep.Retries == 0:
 		outcome = "clean"
-	}
-	if rep.Cascades > 0 {
-		outcome += fmt.Sprintf(", %d cascades (depth %d)", rep.Cascades, rep.MaxCascadeDepth)
-	}
-	if rep.CheckpointVertices > 0 {
-		outcome += fmt.Sprintf(", %d checkpoints", rep.CheckpointVertices)
 	}
 	if rep.SpeculativeLaunches > 0 {
 		outcome += fmt.Sprintf(", %d/%d speculative wins", rep.SpeculativeWins, rep.SpeculativeLaunches)

@@ -20,7 +20,7 @@
 // and the dist runtime's outputs stay bit-identical to the sequential
 // engine. Transport failures (dial refused, connection reset, I/O
 // deadline) surface as errors wrapping ErrWire; the dist runtime maps
-// them onto its ErrExchangeTimeout retry/cascade/fallback ladder, so
+// them onto its ErrExchangeTimeout retry/fallback ladder, so
 // fault tolerance carries over to the wire for free (DESIGN.md §16).
 package netfabric
 

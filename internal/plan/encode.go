@@ -10,11 +10,11 @@ import (
 )
 
 // encodeVersion is the version of the plan document Encode writes: the
-// node listing alone. Decode also reads version 3, whose nodes carried a
-// "checkpoint" mark it ignores; versions 1 and 2 are refused.
+// node listing alone. minEncodeVersion is the oldest Decode reads;
+// versions 1 to 3 are refused.
 const (
 	encodeVersion    = 4
-	minEncodeVersion = 3
+	minEncodeVersion = 4
 )
 
 // planDTO is the serialized physical plan: a fingerprint binding it to

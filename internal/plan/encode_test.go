@@ -290,28 +290,20 @@ func TestGoldenPlanBytes(t *testing.T) {
 	}
 }
 
-// TestDecodeReadsVersion3: a version-3 payload — the same listing plus
-// the checkpoint marks version 4 dropped — decodes to the plan its
-// version-4 form does.
-func TestDecodeReadsVersion3(t *testing.T) {
+// TestDecodeRefusesVersion3: version 3 differed from 4 only by a node
+// mark nothing reads any more, and 4 is the floor, so the golden listing
+// relabelled as version 3 is refused rather than decoded.
+func TestDecodeRefusesVersion3(t *testing.T) {
 	g, env, _ := chainFixture(t)
-	v3, err := plan.Decode(g, env, readFixture(t, "chain.v3.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v4, err := plan.Decode(g, env, readFixture(t, "chain.v4.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v3.Explain() != v4.Explain() || math.Float64bits(v3.PredictedSeconds()) != math.Float64bits(v4.PredictedSeconds()) {
-		t.Errorf("version 3 decodes to\n%s\nversion 4 to\n%s", v3.Explain(), v4.Explain())
+	v3 := tamper(t, readFixture(t, "chain.v4.json"), func(p *payload) { p.Version = 3 })
+	if _, err := plan.Decode(g, env, v3); !errors.Is(err, plan.ErrInvalidPlan) {
+		t.Errorf("version 3: %v does not wrap ErrInvalidPlan", err)
 	}
 }
 
 // TestLowerIsBitReproducible lowers one annotation twenty times: every
 // node's predicted cost must be the same bits each time, not the same up
-// to rounding — Simulate sums them and the dist runtime prices its
-// checkpoint pins on them.
+// to rounding — Simulate sums them.
 func TestLowerIsBitReproducible(t *testing.T) {
 	g, err := workload.Spec{Workload: "ffnn3", Scale: 200}.Normalized().Graph()
 	if err != nil {

@@ -106,7 +106,9 @@ func endpoint[R request](s *Server, name string, fn func(ctx context.Context, re
 
 // readRequest reads r's body — at most maxBodyBytes — into a pooled
 // buffer sized from Content-Length and decodes it into req. Decoding
-// copies what it keeps, so the buffer is free again on return. Every
+// copies what it keeps, so the buffer is free again on return. A member
+// req does not declare is refused, not ignored — a misspelled knob must
+// not run at its default — and so is anything after the object. Every
 // failure is the client's (a 400).
 func readRequest(w http.ResponseWriter, r *http.Request, req any) error {
 	if r.ContentLength > maxBodyBytes {
@@ -119,8 +121,13 @@ func readRequest(w http.ResponseWriter, r *http.Request, req any) error {
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		return badRequestError{fmt.Errorf("reading body: %w", err)}
 	}
-	if err := json.Unmarshal(buf.Bytes(), req); err != nil {
+	dec := json.NewDecoder(buf)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
 		return badRequestError{fmt.Errorf("invalid JSON: %w", err)}
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return badRequestError{errors.New("invalid JSON: data after the request object")}
 	}
 	return nil
 }

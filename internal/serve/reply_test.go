@@ -147,26 +147,23 @@ func TestReplyBytesEqualMarshal(t *testing.T) {
 }
 
 // TestDistReplyBytes: the reply's "dist" member is dist.Report's JSON
-// form, and it is byte for byte what the hand-copied wire struct it
-// replaced marshalled — recorded at that commit, every summary field set
-// and none set.
+// form, pinned byte for byte with every summary field set and with none
+// set: the members' order, their omitempty rules and their encoding.
 func TestDistReplyBytes(t *testing.T) {
 	full := &matopt.DistReport{
 		Shards: 3, NetBytes: 46000, Messages: 4, PeakBytes: 123456, Wall: 7890123 * time.Nanosecond,
-		FaultsInjected: 2, Retries: 5, Cascades: 1, SpeculativeLaunches: 2, SpeculativeWins: 1,
-		CheckpointVertices: 3, CheckpointBytes: 4096, Transport: "tcp",
+		FaultsInjected: 2, Retries: 5, SpeculativeLaunches: 2, SpeculativeWins: 1, Transport: "tcp",
 		WireBytes: 51234, WireMessages: 12, WireDials: 2, WireReconnects: 1,
 		Degraded: true, DegradedCause: `dist: "v3" <crash> & more`,
 		// Off the wire.
 		Exchanges: []dist.ExchangeStat{{Vertex: 1, Bytes: 9}}, ShardBusy: []time.Duration{1, 2, 3},
-		RetriesByVertex: map[int]int{1: 5}, CascadesByVertex: map[int]int{1: 1}, MaxCascadeDepth: 2,
-		KernelThreads: 4, KernelTime: time.Second,
+		RetriesByVertex: map[int]int{1: 5}, KernelThreads: 4, KernelTime: time.Second,
 	}
 	for _, c := range []struct {
 		rep  *matopt.DistReport
 		want string
 	}{
-		{full, `{"spec":{"workload":""},"engine":"dist","fingerprint":"f00d","cached":false,"coalesced":false,"dist":{"shards":3,"net_bytes":46000,"messages":4,"peak_bytes":123456,"wall_ns":7890123,"faults_injected":2,"retries":5,"cascades":1,"speculative_launches":2,"speculative_wins":1,"checkpoint_vertices":3,"checkpoint_bytes":4096,"transport":"tcp","wire_bytes":51234,"wire_messages":12,"wire_dials":2,"wire_reconnects":1,"degraded":true,"degraded_cause":"dist: \"v3\" \u003ccrash\u003e \u0026 more"},"elapsed_ms":0}`},
+		{full, `{"spec":{"workload":""},"engine":"dist","fingerprint":"f00d","cached":false,"coalesced":false,"dist":{"shards":3,"net_bytes":46000,"messages":4,"peak_bytes":123456,"wall_ns":7890123,"faults_injected":2,"retries":5,"speculative_launches":2,"speculative_wins":1,"transport":"tcp","wire_bytes":51234,"wire_messages":12,"wire_dials":2,"wire_reconnects":1,"degraded":true,"degraded_cause":"dist: \"v3\" \u003ccrash\u003e \u0026 more"},"elapsed_ms":0}`},
 		{&matopt.DistReport{}, `{"spec":{"workload":""},"engine":"dist","fingerprint":"f00d","cached":false,"coalesced":false,"dist":{"shards":0,"net_bytes":0,"messages":0,"peak_bytes":0,"wall_ns":0,"faults_injected":0,"retries":0,"degraded":false},"elapsed_ms":0}`},
 	} {
 		got, err := json.Marshal(&ExecuteResponse{Engine: "dist", Fingerprint: "f00d", Dist: c.rep})

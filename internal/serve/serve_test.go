@@ -89,7 +89,7 @@ func TestExecuteEndpointEnginesAgree(t *testing.T) {
 	}
 
 	// The dist engine under injected faults — with the full recovery
-	// ladder armed (checkpoint pins, speculation) — returns bit-identical
+	// ladder armed (retry, speculation, fallback) — returns bit-identical
 	// outputs and a recovery report.
 	if code := post(t, s, "/execute", executeDistBody, &dist); code != 200 {
 		t.Fatalf("dist execute status %d", code)
@@ -118,7 +118,7 @@ func TestExecuteEndpointEnginesAgree(t *testing.T) {
 
 // executeDistBody is the dist request TestExecuteEndpointEnginesAgree
 // posts, as a client writes it.
-const executeDistBody = `{"workload":"chain","scale":400,"engine":"dist","shards":3,"faults":2,"fallback":true,"checkpoint":true,"speculate":true,"kernel_threads":2}`
+const executeDistBody = `{"workload":"chain","scale":400,"engine":"dist","shards":3,"faults":2,"fallback":true,"speculate":true,"kernel_threads":2}`
 
 // TestExecuteRequestWireFormat pins the /execute body: ExecuteRequest
 // embeds Spec and matopt.ExecConfig, so a tag slip in either — or two
@@ -131,12 +131,11 @@ func TestExecuteRequestWireFormat(t *testing.T) {
 		Engine: "dist", DeadlineMS: 5, Trace: true,
 		ExecConfig: matopt.ExecConfig{
 			Shards: 3, KernelThreads: 2, MaxRetries: &one, Fallback: true,
-			Checkpoint: true, CheckpointBudget: 1024, Speculate: true,
-			Faults: 2, FaultSeed: 9, Peers: []string{"local"},
+			Speculate: true, Faults: 2, FaultSeed: 9, Peers: []string{"local"},
 			// Go-only fields must never reach the wire.
 			Tracer: obs.NewTracer(), FaultPlan: matopt.NewFaultPlan(), Transport: netfabric.Chan(),
 			BackoffBase: time.Second, BackoffCap: time.Second, VertexDeadline: time.Second,
-			ExchangeTimeout: time.Second, CheckpointMultiple: 2, Speculation: matopt.Speculation{Multiplier: 2},
+			ExchangeTimeout: time.Second, Speculation: matopt.Speculation{Multiplier: 2},
 		},
 	}
 	raw, err := json.Marshal(full)
@@ -153,7 +152,7 @@ func TestExecuteRequestWireFormat(t *testing.T) {
 	}
 	sort.Strings(got)
 	want := []string{
-		"checkpoint", "checkpoint_budget", "deadline_ms", "engine", "fallback", "fault_seed",
+		"deadline_ms", "engine", "fallback", "fault_seed",
 		"faults", "hidden", "kernel_threads", "max_retries", "peers", "scale", "seed",
 		"shards", "sizeset", "speculate", "trace", "workload",
 	}
@@ -168,7 +167,7 @@ func TestExecuteRequestWireFormat(t *testing.T) {
 	wantReq := ExecuteRequest{
 		Spec: Spec{Workload: "chain", Scale: 400}, Engine: "dist",
 		ExecConfig: matopt.ExecConfig{
-			Shards: 3, Faults: 2, Fallback: true, Checkpoint: true, Speculate: true, KernelThreads: 2,
+			Shards: 3, Faults: 2, Fallback: true, Speculate: true, KernelThreads: 2,
 		},
 	}
 	if !reflect.DeepEqual(req, wantReq) {
@@ -255,10 +254,14 @@ func TestRequestValidation(t *testing.T) {
 		{"/execute", `{"workload":"chain","engine":"gpu"}`, 400},
 		{"/execute", `{"workload":"chain","faults":2}`, 400}, // faults need dist
 		{"/execute", `{"workload":"chain","shards":-1}`, 400},
-		{"/execute", `{"workload":"chain","checkpoint":true}`, 400}, // checkpoint needs dist
-		{"/execute", `{"workload":"chain","speculate":true}`, 400},  // speculation needs dist
-		{"/execute", `{"workload":"chain","engine":"dist","checkpoint":true,"checkpoint_budget":-1}`, 400},
-		{"/execute", `{"workload":"chain","engine":"dist","checkpoint_budget":1024}`, 400}, // budget needs checkpoint
+		{"/execute", `{"workload":"chain","speculate":true}`, 400}, // speculation needs dist
+		// A member the request type does not declare is refused, not
+		// ignored: a misspelled knob, a removed one, and one that
+		// belongs to another endpoint.
+		{"/execute", `{"workload":"chain","engine":"dist","shard":3}`, 400},
+		{"/execute", `{"workload":"chain","engine":"dist","checkpoint":true}`, 400},
+		{"/optimize", `{"workload":"chain","engine":"dist"}`, 400},
+		{"/execute", `{"workload":"chain"} {}`, 400}, // data after the object
 		{"/execute", `{"workload":"chain","kernel_threads":-1}`, 400},
 		{"/execute", `{"workload":"chain","engine":"dist","max_retries":-1}`, 400},
 		{"/execute", `{"workload":"chain","peers":["127.0.0.1:9431"]}`, 400}, // peers need dist

@@ -378,7 +378,7 @@ const (
 
 // ExecConfig is the one description of an execution's run-time
 // environment — shards, kernel threads, retry budget, fallback,
-// checkpointing, speculation, fault injection, peers — shared verbatim
+// speculation, fault injection, peers — shared verbatim
 // with the /execute body and the matopt CLI. Its field comments are
 // the reference for every knob; every run applies its Validate.
 type ExecConfig = dist.Config
@@ -432,7 +432,6 @@ const (
 	FaultDropExchange  = dist.FaultDropExchange
 	FaultDelayExchange = dist.FaultDelayExchange
 	FaultSlowShard     = dist.FaultSlowShard
-	FaultNodeLoss      = dist.FaultNodeLoss
 )
 
 // Speculation is the profile ExecConfig.Speculate runs under (the zero
