@@ -42,8 +42,8 @@ test-avx2:
 	$(GO) test -tags noavx512 -run TestPlanCacheEngineInvariance .
 
 # The kernels draw storage off a free list without zeroing it where they
-# write every element, and the sequential engine recycles what its plan
-# frees (DESIGN.md §15, Storage). Under the matopt_poison tag every such
+# write every element, and both runtimes recycle what their plan or
+# scheduler frees (DESIGN.md §15, Storage). Under the matopt_poison tag every such
 # draw and every release is filled with a NaN: the kernel suites and the
 # root package's pinned output digest must still reproduce their bits,
 # which proves each kernel writes (or clears) every element it hands out
@@ -162,14 +162,16 @@ profile-chain:
 
 # And for the wire: twenty warm operations of the benchmark's
 # chain_dist_tcp workload (BenchmarkChainDistTCP: 2 dist shards, shard 1
-# behind an in-process loopback worker) on one processor, profile and
-# test binary written to git-ignored chain-tcp.cpu.prof / chain-tcp.test,
-# then the 15 hottest functions. BenchmarkChainDistChan is the same plan
-# without the wire.
+# behind an in-process loopback worker) on one processor, with B/op,
+# profiles and test binary written to git-ignored
+# chain-tcp.{cpu,mem}.prof / chain-tcp.test, then the 15 hottest
+# functions and the 8 sites that allocate the most bytes.
+# BenchmarkChainDistChan is the same plan without the wire.
 profile-chain-tcp:
-	$(GO) test -run '^$$' -bench 'BenchmarkChainDistTCP$$' -benchtime 20x -cpu 1 \
-		-cpuprofile chain-tcp.cpu.prof -o chain-tcp.test .
+	$(GO) test -run '^$$' -bench 'BenchmarkChainDistTCP$$' -benchtime 20x -cpu 1 -benchmem \
+		-cpuprofile chain-tcp.cpu.prof -memprofile chain-tcp.mem.prof -o chain-tcp.test .
 	$(GO) tool pprof -top -nodecount 15 chain-tcp.test chain-tcp.cpu.prof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 8 chain-tcp.test chain-tcp.mem.prof
 
 # And for the serving layer: two thousand warm /execute requests of each
 # of served_mix's two serve-bound classes (BenchmarkServeExecute:

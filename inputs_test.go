@@ -58,11 +58,12 @@ func TestEnginesLeaveInputsUntouched(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := digestInputs(inputs)
-		for name, opts := range map[string][]ExecutorOption{
+		executors := map[string][]ExecutorOption{
 			"seq":       nil,
 			"dist chan": {WithEngineKind(DistEngine), WithShards(2)},
 			"dist tcp":  {WithEngineKind(DistEngine), WithShards(2), WithPeers(LocalPeer, worker)},
-		} {
+		}
+		for name, opts := range executors {
 			outs, err := NewExecutor(cl, opts...).Run(p, inputs)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", spec.Workload, name, err)
@@ -80,32 +81,41 @@ func TestEnginesLeaveInputsUntouched(t *testing.T) {
 				t.Fatalf("%s on %s: an output aliases an input", spec.Workload, name)
 			}
 		}
-		checkRecycledStorageStaysInside(t, spec.Workload, cl, p, inputs)
+		for name, opts := range executors {
+			checkRecycledStorageStaysInside(t, spec.Workload+" on "+name, cl, p, inputs, opts...)
+		}
 	}
 }
 
-// checkRecycledStorageStaysInside runs the sequential engine, which
-// recycles what its plan frees, warm and concurrently: outputs one run
-// returned keep their bits while the same Executor runs twice more, and
-// every run — three in a row, then five on each of four goroutines over
-// the one shared input set — returns the first run's bits. A sink
-// released into the free list, or an output that shares storage with
-// one, fails here.
-func checkRecycledStorageStaysInside(t *testing.T, name string, cl Cluster, p *Plan, inputs map[string]*tensor.Dense) {
+// checkRecycledStorageStaysInside runs an executor — each runtime
+// recycles what its plan or scheduler frees — warm and concurrently:
+// outputs one run returned keep their bits while the same Executor runs
+// twice more, and every run — three in a row, then five on each of four
+// goroutines over the one shared input set — returns a fresh sequential
+// run's bits. A sink released into the free list, or an output that
+// shares storage with one, fails here.
+func checkRecycledStorageStaysInside(t *testing.T, name string, cl Cluster, p *Plan, inputs map[string]*tensor.Dense, opts ...ExecutorOption) {
 	t.Helper()
-	x := NewExecutor(cl)
+	seq, err := NewExecutor(cl).Run(p, inputs)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want := outputDigest(seq)
+	x := NewExecutor(cl, opts...)
 	first, err := x.Run(p, inputs)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	want := outputDigest(first)
+	if outputDigest(first) != want {
+		t.Fatalf("%s: run 1 returned other bits than the sequential engine", name)
+	}
 	for run := 2; run <= 3; run++ {
 		outs, err := x.Run(p, inputs)
 		if err != nil {
 			t.Fatalf("%s run %d: %v", name, run, err)
 		}
 		if outputDigest(outs) != want {
-			t.Fatalf("%s: warm run %d returned other bits than run 1", name, run)
+			t.Fatalf("%s: warm run %d returned other bits than the sequential engine", name, run)
 		}
 		if outputDigest(first) != want {
 			t.Fatalf("%s: warm run %d changed the outputs run 1 returned", name, run)
@@ -118,11 +128,11 @@ func checkRecycledStorageStaysInside(t *testing.T, name string, cl Cluster, p *P
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			x := NewExecutor(cl)
+			x := NewExecutor(cl, opts...)
 			for run := 0; run < runs; run++ {
 				outs, err := x.Run(p, inputs)
 				if err == nil && outputDigest(outs) != want {
-					err = fmt.Errorf("concurrent run %d returned other bits than run 1", run)
+					err = fmt.Errorf("concurrent run %d returned other bits than the sequential engine", run)
 				}
 				if err != nil {
 					errs <- err

@@ -83,8 +83,9 @@ func (f *fabric) meterFor(x engine.Xfer) *meter {
 // transient network weather, so they map onto the same
 // ErrExchangeTimeout and ride the retry → fallback ladder.
 // On the timer-driven timeout path the producers may still be running,
-// so session teardown is handed to a background drainer; the shard
-// workers themselves stay healthy for the retry.
+// so session teardown is handed to a background drainer, and the group's
+// inputs are marked stray — never recycled; the shard workers themselves
+// stay healthy for the retry.
 func (r *exec) exchange(x engine.Xfer, produce func(shard int) ([]routed, error)) ([][]message, error) {
 	m := r.fab.meterFor(x)
 	tp := r.cfg.Transport
@@ -196,6 +197,7 @@ func (r *exec) exchange(x engine.Xfer, produce func(shard int) ([]routed, error)
 		// mid-delay). Hand teardown to a drainer that abandons the
 		// session once every producer has returned; the recv buffers
 		// are dropped.
+		r.stray.Store(true)
 		go func() {
 			<-prodDone
 			sess.Abandon()
@@ -236,8 +238,12 @@ func (r *exec) wireErr(x engine.Xfer, stage string, err error) error {
 		x.Label, x.Vertex, stage, r.cfg.Transport.Name(), err, ErrExchangeTimeout)
 }
 
-// Exchange implements engine.Mover's shuffle on the fabric.
+// Exchange implements engine.Mover's shuffle on the fabric. A dense
+// tuple that arrives as other storage than was sent crossed a wire and
+// was decoded into storage of its own, which the attempt recycles once
+// its compute is done (execGroup).
 func (r *exec) Exchange(x engine.Xfer, produce func(shard int) ([]engine.Routed, error)) ([][]engine.Tuple, error) {
+	sent := make([][]routed, r.Shards())
 	recv, err := r.exchange(x, func(s int) ([]routed, error) {
 		ts, err := produce(s)
 		if err != nil {
@@ -247,17 +253,34 @@ func (r *exec) Exchange(x engine.Xfer, produce func(shard int) ([]engine.Routed,
 		for i, t := range ts {
 			out[i] = routed{dst: t.Dst, msg: message{Key: t.Tuple.Key, Tuple: t.Tuple}}
 		}
+		sent[s] = out
 		return out, nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	local := make(map[*tensor.Dense]bool)
+	for _, out := range sent {
+		for _, rm := range out {
+			local[rm.msg.Tuple.Dense] = true
+		}
+	}
+	for _, ms := range recv {
+		for _, m := range ms {
+			if d := m.Tuple.Dense; d != nil && !local[d] {
+				r.wire = append(r.wire, m.Tuple)
+			}
+		}
 	}
 	return messageTuples(recv), nil
 }
 
 // Reduce implements engine.Mover's group-by-SUM on the fabric: every
 // partial is computed on the shard that produced it, shipped tagged
-// (key, seq), and folded on its destination shard in sorted order.
+// (key, seq), and folded on its destination shard in sorted order. A
+// received partial fold did not keep is held by nothing else — it was
+// made for this exchange, or decoded off the wire — so it goes back to
+// the free list.
 func (r *exec) Reduce(x engine.Xfer, produce func(shard int) ([]engine.Partial, error),
 	fold func(shard int, key engine.Key, part *tensor.Dense) bool) error {
 	recv, err := r.exchange(x, func(s int) ([]routed, error) {
@@ -277,7 +300,9 @@ func (r *exec) Reduce(x engine.Xfer, produce func(shard int) ([]engine.Partial, 
 	}
 	return r.Parallel(func(s int) error {
 		for _, g := range recv[s] {
-			fold(s, g.Key, g.Tuple.Dense)
+			if !fold(s, g.Key, g.Tuple.Dense) {
+				tensor.Release(g.Tuple.Dense)
+			}
 		}
 		return nil
 	})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"matopt/internal/engine"
@@ -78,8 +79,10 @@ func retryable(err error) bool {
 // deterministic inputs make every re-execution produce the same bits as
 // a fault-free run. The input snapshot is re-copied per attempt so a
 // retry re-derives the fused re-layouts from the original relations
-// rather than a half-transformed attempt state.
-func (r *run) runGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]*tensor.Dense) (*engine.Relation, error) {
+// rather than a half-transformed attempt state. An attempt that leaves a
+// goroutine behind which may still read ins — a speculative loser, or
+// the producers of an exchange that timed out — sets stray.
+func (r *run) runGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]*tensor.Dense, stray *atomic.Bool) (*engine.Relation, error) {
 	start := time.Now()
 	vspan := r.tr.Start(r.span, "vertex").
 		SetInt("id", int64(gr.vertex)).SetStr("impl", gr.node.Name).
@@ -89,7 +92,7 @@ func (r *run) runGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]
 		vspan.End()
 	}()
 	for attempt := 0; ; attempt++ {
-		rel, err := r.runAttempt(gr, ins, inputs, vspan, attempt)
+		rel, err := r.runAttempt(gr, ins, inputs, vspan, attempt, stray)
 		if err == nil {
 			vspan.SetInt("attempts", int64(attempt+1))
 			return rel, nil
@@ -127,14 +130,16 @@ func (r *run) runGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]
 // deterministic kernels over the same immutable inputs, so winner and
 // loser are bit-identical and either result is correct. The loser is
 // cancelled and drained on the run's attempt WaitGroup so shutdown
-// never races a straggling task against queue close.
+// never races a straggling task against queue close; launching the
+// duplicate marks the group's inputs stray, since the loser may still be
+// reading them when the winner returns.
 func (r *run) runAttempt(gr *planGroup, ins []*engine.Relation, inputs map[string]*tensor.Dense,
-	vspan *obs.Span, attempt int) (*engine.Relation, error) {
+	vspan *obs.Span, attempt int, stray *atomic.Bool) (*engine.Relation, error) {
 	deadline := r.specDeadline()
 	if deadline <= 0 {
 		aspan := r.tr.Start(vspan, "attempt").SetInt("n", int64(attempt))
 		defer aspan.End()
-		x := &exec{run: r, ctx: r.ctx, attempt: attempt, span: aspan}
+		x := &exec{run: r, ctx: r.ctx, attempt: attempt, stray: stray, span: aspan}
 		return x.execGroup(gr, ins, inputs)
 	}
 
@@ -159,7 +164,7 @@ func (r *run) runAttempt(gr *planGroup, ins []*engine.Relation, inputs map[strin
 				name, off = "attempt.speculative", 1
 			}
 			aspan := r.tr.Start(vspan, name).SetInt("n", int64(attempt))
-			x := &exec{run: r, ctx: ctx, attempt: attempt, ownerOff: off, span: aspan}
+			x := &exec{run: r, ctx: ctx, attempt: attempt, ownerOff: off, stray: stray, span: aspan}
 			rel, err := x.execGroup(gr, ins, inputs)
 			aspan.End()
 			resc <- outcome{rel: rel, err: err, spec: spec}
@@ -175,6 +180,7 @@ func (r *run) runAttempt(gr *planGroup, ins []*engine.Relation, inputs map[strin
 		case <-timer.C:
 			if !specLaunched {
 				specLaunched = true
+				stray.Store(true)
 				running++
 				r.reg.Counter("dist.speculative.launches").Inc()
 				vspan.SetInt("speculated", 1)

@@ -81,6 +81,7 @@ type run struct {
 	pl      *plan.Plan
 	groups  []*planGroup
 	fab     *fabric
+	st      *engine.Storage // what this run's compute groups and re-layouts produced
 	tasks   []chan func()
 	workers sync.WaitGroup
 	specWG  sync.WaitGroup // in-flight attempt goroutines (primary + speculative)
@@ -99,9 +100,11 @@ type run struct {
 // shared state (shards, fabric, registry), while the attempt-scoped
 // fields shadow it — ctx so a speculative loser can be cancelled without
 // touching the primary, span so exchanges nest under the right attempt,
-// attempt so fault matchers see the right number, and ownerOff so a
+// attempt so fault matchers see the right number, ownerOff so a
 // speculative duplicate computes on rotated owner shards (away from the
-// straggler that triggered it). *exec is the runtime's engine.Mover: the
+// straggler that triggered it), and stray, shared by every attempt of
+// one group, set once any of them leaves a goroutine behind that may
+// still read the group's inputs. *exec is the runtime's engine.Mover: the
 // operator table reaches shards, workers and the fabric only through
 // its Shards, OwnerShard, Kern, Flops, Parallel, On, Exchange and Reduce
 // methods (the run-scoped ones promoted from the embedded run).
@@ -110,6 +113,8 @@ type exec struct {
 	ctx      context.Context
 	attempt  int
 	ownerOff int
+	stray    *atomic.Bool
+	wire     []engine.Tuple // what this attempt's exchanges received as copies of their own
 	span     *obs.Span
 	kernAcc  atomic.Int64 // kernel ns accumulated by this attempt, for its span
 }
@@ -142,6 +147,7 @@ func newRun(cfg Config, cl costmodel.Cluster, ctx context.Context, p *plan.Plan,
 		reg:    reg,
 		tr:     cfg.Tracer,
 		fab:    &fabric{shards: cfg.Shards, reg: reg},
+		st:     engine.NewStorage(),
 		tasks:  make([]chan func(), cfg.Shards),
 		qwait:  reg.Histogram("dist.queue.wait.seconds", obs.DefaultDurationBuckets()),
 		vsec:   reg.Histogram("dist.vertex.seconds", obs.DefaultDurationBuckets()),
@@ -250,12 +256,17 @@ func (r *run) On(shard int, fn func() error) error {
 }
 
 // execute schedules the dataflow DAG: every recovery group whose inputs
-// are ready is launched concurrently, and a completed group releases
+// are ready is launched concurrently, and a completed group drops
 // inputs whose last consumer has now run (retained vertices are kept).
+// A compute group's output is owned by the run's Storage, so a dropped
+// one goes back to the tensor free list — unless one of its consumers
+// speculated or timed out: the loser or the stale producers it left may
+// still be reading, so its storage is left to the garbage collector.
 // The first error wins: nothing further launches, and execute returns
 // it once every group in flight has reported. Returns the retained
-// relations and the peak resident bytes.
-func (r *run) execute(inputs map[string]*tensor.Dense) (map[int]*engine.Relation, int64, error) {
+// relations, the ones that may be recycled once collected, and the peak
+// resident bytes.
+func (r *run) execute(inputs map[string]*tensor.Dense) (rels map[int]*engine.Relation, recyclable []*engine.Relation, peak int64, err error) {
 	refs := make(map[int]int, len(r.groups))
 	for _, gr := range r.groups {
 		for _, dep := range gr.deps {
@@ -268,15 +279,17 @@ func (r *run) execute(inputs map[string]*tensor.Dense) (map[int]*engine.Relation
 	}
 
 	type result struct {
-		id  int
-		rel *engine.Relation
-		err error
+		id    int
+		rel   *engine.Relation
+		stray bool
+		err   error
 	}
 	results := make(chan result)
-	rels := make(map[int]*engine.Relation, len(r.groups))
+	rels = make(map[int]*engine.Relation, len(r.groups))
 	launched := make(map[int]bool, len(r.groups))
+	read := make(map[int]bool) // read by a goroutine that may outlive its consumer
 	var failed error
-	var resident, peak int64
+	var resident int64
 	inFlight, completed := 0, 0
 
 	ready := func(gr *planGroup) bool {
@@ -300,8 +313,9 @@ func (r *run) execute(inputs map[string]*tensor.Dense) (map[int]*engine.Relation
 		}
 		inFlight++
 		go func(gr *planGroup) {
-			rel, err := r.runGroup(gr, ins, inputs)
-			results <- result{id: gr.vertex, rel: rel, err: err}
+			var stray atomic.Bool
+			rel, err := r.runGroup(gr, ins, inputs, &stray)
+			results <- result{id: gr.vertex, rel: rel, stray: stray.Load(), err: err}
 		}(gr)
 	}
 
@@ -333,26 +347,40 @@ func (r *run) execute(inputs map[string]*tensor.Dense) (map[int]*engine.Relation
 		resident += res.rel.Bytes()
 		peak = max(peak, resident)
 		for _, dep := range r.groups[res.id].deps {
+			read[dep] = read[dep] || res.stray
 			refs[dep]--
 			if refs[dep] == 0 && !retain[dep] {
 				resident -= rels[dep].Bytes()
+				if !read[dep] {
+					r.st.Free(rels[dep])
+				}
 				delete(rels, dep)
 			}
 		}
 	}
 	if failed != nil {
-		return nil, peak, failed
+		return nil, nil, peak, failed
 	}
 	if completed != len(r.groups) {
-		return nil, peak, fmt.Errorf("dist: scheduler stalled with %d of %d vertices executed: %w",
+		return nil, nil, peak, fmt.Errorf("dist: scheduler stalled with %d of %d vertices executed: %w",
 			completed, len(r.groups), core.ErrInternal)
 	}
-	return rels, peak, nil
+	for _, id := range r.pl.Retained {
+		if !read[id] {
+			recyclable = append(recyclable, rels[id])
+		}
+	}
+	return rels, recyclable, peak, nil
 }
 
 // execGroup runs one recovery group's plan nodes through the operator
 // table with this attempt as the Mover: the scan for sources, otherwise
-// the fused re-layout nodes followed by the compute node's operator.
+// the fused re-layout nodes followed by the compute node's operator,
+// whose output the run's Storage then owns. What else the attempt made —
+// a re-layout output that is not its input, and the copies its exchanges
+// received over a wire — is its alone, so once the compute has
+// succeeded (no exchange of the attempt left a producer running) it goes
+// back to the free list, less what the output holds.
 func (x *exec) execGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]*tensor.Dense) (*engine.Relation, error) {
 	defer func() {
 		if ns := x.kernAcc.Load(); ns > 0 {
@@ -396,12 +424,24 @@ func (x *exec) execGroup(gr *planGroup, ins []*engine.Relation, inputs map[strin
 			if err != nil {
 				return nil, fmt.Errorf("dist: transforming input %d of vertex %d: %w", j, gr.vertex, err)
 			}
+			if args[j] != ins[j] {
+				x.st.Own(args[j])
+			}
 		}
 	}
 	out, err := engine.Compute(x, n, args)
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
+	x.st.Own(out)
+	wire := &engine.Relation{Parts: [][]engine.Tuple{x.wire}}
+	x.st.Own(wire)
+	for j, a := range args {
+		if a != ins[j] {
+			x.st.Free(a)
+		}
+	}
+	x.st.Free(wire)
 	return out, nil
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"matopt/internal/plan"
 	"matopt/internal/tensor"
@@ -43,9 +44,9 @@ func (e *Engine) interpret(ctx context.Context, p *plan.Plan, inputs map[string]
 		return nil, err
 	}
 	vals := make([]*Relation, len(p.Nodes))
-	var st *storage // nil when computed sees the relations: an adaptive run resumes from them
+	var st *Storage // nil when computed sees the relations: an adaptive run resumes from them
 	if computed == nil {
-		st = &storage{owned: make([]bool, len(p.Nodes)), holders: make(map[*float64]int)}
+		st = NewStorage()
 	}
 	for _, n := range p.Nodes {
 		switch n.Kind {
@@ -76,10 +77,15 @@ func (e *Engine) interpret(ctx context.Context, p *plan.Plan, inputs map[string]
 			if err != nil {
 				return nil, fmt.Errorf("engine: transforming input %d of vertex %d: %w", n.Arg, n.Vertex, err)
 			}
-			vals[n.ID] = r
-			if r != in { // a relayout to the format it has hands back its input, owned or not
-				st.own(n.ID, r)
+			if r == in {
+				// A relayout to the format its input has hands the input
+				// back; this node's free must not release what it does
+				// not hold.
+				r = &Relation{Format: in.Format, Shape: in.Shape, Parts: in.Parts}
+			} else {
+				st.Own(r)
 			}
+			vals[n.ID] = r
 		case plan.KindCompute:
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("engine: execution aborted before vertex %d: %w", n.Vertex, err)
@@ -93,12 +99,12 @@ func (e *Engine) interpret(ctx context.Context, p *plan.Plan, inputs map[string]
 				return nil, fmt.Errorf("engine: %w", err)
 			}
 			vals[n.ID] = r
-			st.own(n.ID, r)
+			st.Own(r)
 			if computed != nil && !computed(n, r) {
 				return nil, nil
 			}
 		case plan.KindFree:
-			st.free(n.Inputs[0], vals[n.Inputs[0]])
+			st.Free(vals[n.Inputs[0]])
 			vals[n.Inputs[0]] = nil
 		}
 	}
@@ -109,23 +115,34 @@ func (e *Engine) interpret(ctx context.Context, p *plan.Plan, inputs map[string]
 	return out, nil
 }
 
-// storage is what one run recycles: the dense arrays of the relations
-// its compute and re-layout nodes produced, counted by the relations
-// holding each, so an array goes back to the free list once, after its
-// last holder is freed. Scanned and preloaded relations are never owned
-// and every operator writes fresh storage, so no input is released; the
-// plan never frees a retained vertex, so no output is.
-type storage struct {
-	owned   []bool           // by node ID
+// Storage is the one ownership rule of both runtimes' recycling: the
+// dense arrays of the relations a run produced and owns, counted by the
+// relations holding each, so an array goes back to the tensor free list
+// once, after its last holder is freed — an array an exchange delivered
+// in process to another shard is held by every relation it landed in.
+// Only relations Own was given are ever released: a scan shares the
+// caller's matrix and is never owned, every operator writes fresh
+// storage, and a runtime never frees what it hands back. Safe for
+// concurrent use; a nil *Storage owns nothing.
+type Storage struct {
+	mu      sync.Mutex
+	owned   map[*Relation]bool
 	holders map[*float64]int // by the array's first element
 }
 
-// own records the relation node id produced.
-func (st *storage) own(id int, r *Relation) {
+// NewStorage returns an empty Storage for one run.
+func NewStorage() *Storage {
+	return &Storage{owned: make(map[*Relation]bool), holders: make(map[*float64]int)}
+}
+
+// Own records r as a relation the run produced and may recycle.
+func (st *Storage) Own(r *Relation) {
 	if st == nil {
 		return
 	}
-	st.owned[id] = true
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.owned[r] = true
 	for _, p := range r.Parts {
 		for _, t := range p {
 			if t.Dense != nil && len(t.Dense.Data) > 0 {
@@ -135,12 +152,19 @@ func (st *storage) own(id int, r *Relation) {
 	}
 }
 
-// free releases the arrays of node id's relation that no other owned
-// relation still holds.
-func (st *storage) free(id int, r *Relation) {
-	if st == nil || !st.owned[id] {
+// Free drops r, releasing the arrays no other owned relation still
+// holds; a relation Own was not given is left alone. The caller
+// guarantees nothing reads r any more.
+func (st *Storage) Free(r *Relation) {
+	if st == nil {
 		return
 	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if !st.owned[r] {
+		return
+	}
+	delete(st.owned, r)
 	for _, p := range r.Parts {
 		for _, t := range p {
 			if t.Dense == nil || len(t.Dense.Data) == 0 {

@@ -46,6 +46,29 @@ func sampleMessages() []Message {
 	}
 }
 
+// shardMessageFrame is the MSG or INBOX frame writeShardMessage puts on
+// the wire for (shard, m), in a buffer of its own.
+func shardMessageFrame(buf []byte, typ byte, shard int, m Message) ([]byte, error) {
+	var b bytes.Buffer
+	_, err := writeShardMessage(&b, buf, typ, shard, m)
+	return b.Bytes(), err
+}
+
+// decodeShardMessage runs the one decoder over a MSG payload: sealed
+// into a frame, read from a bytes.Reader.
+func decodeShardMessage(payload []byte) (int, Message, error) {
+	f, err := newFrame(nil, frameMsg, len(payload))
+	if err != nil {
+		return 0, Message{}, err
+	}
+	copy(f[frameHeaderLen:], payload)
+	fr := frameReader{r: bytes.NewReader(sealFrame(f))}
+	if _, err := fr.header(); err != nil {
+		return 0, Message{}, err
+	}
+	return fr.message()
+}
+
 // encodeMessage is m's encoding alone: a MSG payload less its shard word.
 func encodeMessage(m Message) []byte {
 	f, err := shardMessageFrame(nil, frameMsg, 0, m)
@@ -98,6 +121,34 @@ func TestMessageRoundTrip(t *testing.T) {
 		}
 		if !messagesEqual(got, m) {
 			t.Fatalf("message %d: round trip mismatch:\n got %+v\nwant %+v", i, got, m)
+		}
+	}
+}
+
+// TestConvertingPath runs, on this machine, the word path machines take
+// whose float64 or int is not its eight wire bytes: every frame it
+// writes is the byte view's frame, and it decodes each back.
+func TestConvertingPath(t *testing.T) {
+	defer func(native bool) { wireNative = native }(wireNative)
+	k := engine.Key{I: 3}
+	msgs := append(sampleMessages(), Message{Key: k, Seq: 1, Tuple: denseTuple(k, 7, 300, 0.5)})
+	want := make([][]byte, len(msgs))
+	for i, m := range msgs {
+		want[i] = mustFrame(t)(shardMessageFrame(nil, frameInbox, i, m))
+	}
+	wireNative = false
+	for i, m := range msgs {
+		f := mustFrame(t)(shardMessageFrame(nil, frameInbox, i, m))
+		if !bytes.Equal(f, want[i]) {
+			t.Fatalf("message %d: converting path wrote other bytes than the byte view", i)
+		}
+		fr := frameReader{r: bytes.NewReader(f)}
+		if _, err := fr.header(); err != nil {
+			t.Fatalf("message %d: header: %v", i, err)
+		}
+		shard, got, err := fr.message()
+		if err != nil || shard != i || !messagesEqual(got, m) {
+			t.Fatalf("message %d: decoded shard %d, err %v, equal %v", i, shard, err, err == nil && messagesEqual(got, m))
 		}
 	}
 }
@@ -308,13 +359,15 @@ func (c *recordingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// TestGoldenWireBytes is what "frameVersion stays 1" means as a test: one
-// session carrying every payload kind — dense 1×1, 3×5 and 257×129, a CSR
-// with an empty row, a Val, an empty tuple — interleaved across two remote
-// shards must put exactly the recorded bytes on the wire, in both
-// directions. The hashes were recorded from the append-per-word encoder
-// and the decode-and-re-encode worker this codec replaced; a change that
-// moves either one has changed the wire format and must bump frameVersion.
+// TestGoldenWireBytes pins the wire format: one session carrying every
+// payload kind — dense 1×1, 3×5 and 257×129, a CSR with an empty row, a
+// Val, an empty tuple — interleaved across two remote shards must put
+// exactly the recorded bytes on the wire, in both directions; a change
+// that moves either one has changed the format and must bump
+// frameVersion. Version 2 changed when the worker answers, not what it
+// sends: with every frame's version byte set back to 1, both streams hash
+// to what the version 1 codec (the append-per-word encoder and the
+// decode-and-re-encode worker) put on the wire.
 //
 // Each shard has its own worker, so each connection carries one shard's
 // frames in send order: the order in which a worker hosting several
@@ -322,8 +375,10 @@ func (c *recordingConn) Write(p []byte) (int, error) {
 // every inbox by (key, seq)).
 func TestGoldenWireBytes(t *testing.T) {
 	const (
-		wantToWorker   = "03cb66e8abbbf5be8d0a90526dce6f1e5d64f6f411b9ab3e10d19c0b2e7796a7"
-		wantFromWorker = "deca47c4322416b76f40bd9b46ef88c4fce28d4445c23c61a847d7c16a8482a9"
+		wantToWorker   = "3c4ef651ba5754fa77c32585b017a0a159ecec60a60cd3a171797575254a68ce"
+		wantFromWorker = "54061b5ffba2567243de563d03ad6debab922297bdb4467970e15aff8bd7efbe"
+		v1ToWorker     = "03cb66e8abbbf5be8d0a90526dce6f1e5d64f6f411b9ab3e10d19c0b2e7796a7"
+		v1FromWorker   = "deca47c4322416b76f40bd9b46ef88c4fce28d4445c23c61a847d7c16a8482a9"
 	)
 	var lns [2]*recordingListener
 	var srvs [2]*Server
@@ -378,15 +433,38 @@ func TestGoldenWireBytes(t *testing.T) {
 			t.Errorf("Serve: %v", err)
 		}
 	}
-	toWorker, fromWorker := sha256.New(), sha256.New()
-	for _, ln := range lns {
-		toWorker.Write(ln.in.Bytes())
-		fromWorker.Write(ln.out.Bytes())
+	for _, c := range []struct {
+		name, want, v1 string
+		stream         func(*recordingListener) []byte
+	}{
+		{"coordinator→worker", wantToWorker, v1ToWorker, func(l *recordingListener) []byte { return l.in.Bytes() }},
+		{"worker→coordinator", wantFromWorker, v1FromWorker, func(l *recordingListener) []byte { return l.out.Bytes() }},
+	} {
+		v2, v1 := sha256.New(), sha256.New()
+		for _, ln := range lns {
+			b := c.stream(ln)
+			v2.Write(b)
+			v1.Write(asVersion1(t, b))
+		}
+		if got := hex.EncodeToString(v2.Sum(nil)); got != c.want {
+			t.Errorf("%s stream hashes to %s, want %s", c.name, got, c.want)
+		}
+		if got := hex.EncodeToString(v1.Sum(nil)); got != c.v1 {
+			t.Errorf("%s stream at version 1 hashes to %s, want %s", c.name, got, c.v1)
+		}
 	}
-	if got := hex.EncodeToString(toWorker.Sum(nil)); got != wantToWorker {
-		t.Errorf("coordinator→worker stream hashes to %s, want %s", got, wantToWorker)
+}
+
+// asVersion1 is a copy of a recorded stream with every frame's version
+// byte set to 1.
+func asVersion1(t *testing.T, stream []byte) []byte {
+	out := append([]byte(nil), stream...)
+	for at := 0; at < len(out); {
+		if at+frameHeaderLen > len(out) || out[at+2] != frameVersion {
+			t.Fatalf("no version %d frame header at offset %d of a %d B stream", frameVersion, at, len(out))
+		}
+		out[at+2] = 1
+		at += frameHeaderLen + int(binary.LittleEndian.Uint32(out[at+4:])) + frameTrailerLen
 	}
-	if got := hex.EncodeToString(fromWorker.Sum(nil)); got != wantFromWorker {
-		t.Errorf("worker→coordinator stream hashes to %s, want %s", got, wantFromWorker)
-	}
+	return out
 }

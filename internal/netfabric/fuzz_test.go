@@ -38,10 +38,11 @@ func seedFrames(tb testing.TB) [][]byte {
 	return seeds
 }
 
-// FuzzFrame feeds arbitrary bytes through the full wire read path:
-// frame parsing, then payload decoding per frame type. The codec must
-// never panic; failures must be the typed ErrBadFrame (or a plain io
-// short-read error), and anything that decodes must re-encode to the
+// FuzzFrame feeds arbitrary bytes through the full wire read path the
+// coordinator's reader takes: the frame header, then the one decoder for
+// MSG/INBOX frames and payload checks per type for the others. The codec
+// must never panic; failures must be the typed ErrBadFrame (or a plain
+// io short-read error), and anything that decodes must re-encode to the
 // exact bytes it came from — the codec is canonical, which is what lets
 // the golden tests compare wire traffic bit for bit.
 func FuzzFrame(f *testing.F) {
@@ -49,11 +50,32 @@ func FuzzFrame(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, err := readFrame(bytes.NewReader(data))
-		if err != nil {
+		typed := func(err error) {
 			if !errors.Is(err, ErrBadFrame) && err != io.EOF && err != io.ErrUnexpectedEOF {
 				t.Fatalf("untyped frame error: %v", err)
 			}
+		}
+		fr := frameReader{r: bytes.NewReader(data)}
+		typ, err := fr.header()
+		if err != nil {
+			typed(err)
+			return
+		}
+		if typ == frameMsg || typ == frameInbox {
+			shard, m, err := fr.message()
+			if err != nil {
+				typed(err)
+				return
+			}
+			frame := data[:frameHeaderLen+fr.n+frameTrailerLen]
+			if got := mustFrame(t)(shardMessageFrame(nil, typ, shard, m)); !bytes.Equal(got, frame) {
+				t.Fatalf("message did not round-trip canonically:\n got %x\nwant %x", got, frame)
+			}
+			return
+		}
+		payload, err := fr.body()
+		if err != nil {
+			typed(err)
 			return
 		}
 		switch typ {
@@ -67,17 +89,6 @@ func FuzzFrame(f *testing.F) {
 			}
 			if got := framePayload(mustFrame(t)(openFrame(nil, id, shards))); !bytes.Equal(got, payload) {
 				t.Fatalf("open did not round-trip canonically:\n got %x\nwant %x", got, payload)
-			}
-		case frameMsg, frameInbox:
-			shard, m, err := decodeShardMessage(payload)
-			if err != nil {
-				if !errors.Is(err, ErrBadFrame) {
-					t.Fatalf("untyped message error: %v", err)
-				}
-				return
-			}
-			if got := framePayload(mustFrame(t)(shardMessageFrame(nil, typ, shard, m))); !bytes.Equal(got, payload) {
-				t.Fatalf("message did not round-trip canonically:\n got %x\nwant %x", got, payload)
 			}
 		default:
 			// Control frames carry no payload worth decoding; reading

@@ -13,9 +13,10 @@ import (
 
 // Server is the worker side of the TCP transport: it hosts the exchange
 // inboxes of remote shards. Each accepted connection serves sessions
-// back to back — OPEN, MSG frames validated and held until FIN, then the
-// same frames relayed back as INBOX frames (no tuple is ever built) and
-// EOF, after which the connection is idle and the coordinator may pool it.
+// back to back — OPEN, then each MSG frame validated and echoed back as
+// an INBOX frame as soon as it is (no tuple is ever built), and at FIN
+// an EOF, after which the connection is idle and the coordinator may
+// pool it. A worker holds one frame per connection, never a session.
 //
 // cmd/matoptd runs one of these per worker process (-worker -listen);
 // tests run it in-process on a loopback listener, which exercises the
@@ -26,11 +27,14 @@ type Server struct {
 	Logf func(format string, args ...any)
 
 	ioTimeout                       time.Duration
-	maxSessionBytes                 int // the constant, unless a test lowered it
 	sever                           map[int64]bool
 	closeAfter                      int64
 	sessions                        atomic.Int64 // opened; numbers them for fault injection
 	served, frames, bytes, rejected atomic.Int64 // see ServerStats
+
+	// bufs holds the frame buffers of closed connections for new ones to
+	// take: a coordinator dials anew for every run.
+	bufs chan []byte
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -39,16 +43,14 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// maxSessionBytes bounds the frames one session may hold on a worker
-// before FIN (four of maxFramePayload; DESIGN.md §16): a peer that
-// streams frames and never finishes is refused with ErrBadFrame and
-// disconnected instead of growing the worker without limit.
-const maxSessionBytes = 4 * maxFramePayload
+// idleFrameBufs bounds how many frame buffers (each at most maxIdleBuf)
+// a worker keeps between connections.
+const idleFrameBufs = 4
 
 // ServerStats counts what a worker has done since it started: Sessions
 // served through to EOF, the Frames relayed and their Bytes on the wire,
 // and sessions Rejected — ended by an error (a malformed, hostile or
-// oversized frame, a shard out of range, a connection cut mid-session);
+// frame, a shard out of range, a connection cut mid-session);
 // a pooled connection closed while idle is not one.
 type ServerStats struct{ Sessions, Frames, Bytes, Rejected int64 }
 
@@ -60,7 +62,7 @@ func (s *Server) Stats() ServerStats {
 // ServerOption configures a Server.
 type ServerOption func(*Server)
 
-// WithServerIOTimeout bounds the server's reply writes (reads stay
+// WithServerIOTimeout bounds the server's echo writes (reads stay
 // unbounded: the gap between a session's frames is the coordinator's
 // produce time, which the server must not second-guess).
 func WithServerIOTimeout(d time.Duration) ServerOption {
@@ -94,10 +96,10 @@ func CloseAfterSessions(n int) ServerOption {
 // NewServer builds a worker server; call Serve to run it.
 func NewServer(opts ...ServerOption) *Server {
 	s := &Server{
-		ioTimeout:       DefaultIOTimeout,
-		maxSessionBytes: maxSessionBytes,
-		sever:           make(map[int64]bool),
-		conns:           make(map[net.Conn]struct{}),
+		ioTimeout: DefaultIOTimeout,
+		sever:     make(map[int64]bool),
+		conns:     make(map[net.Conn]struct{}),
+		bufs:      make(chan []byte, idleFrameBufs),
 	}
 	for _, o := range opts {
 		o(s)
@@ -196,13 +198,27 @@ func (s *Server) release(conn net.Conn) {
 // handle serves sessions on one connection until it closes or breaks,
 // counting and reporting a session that ends in an error — unless that
 // is the coordinator closing an idle pooled connection (the normal end
-// of life) or this server shutting down.
+// of life) or this server shutting down. The connection reads into a
+// frame buffer an earlier one left, and leaves its own for a later one.
 func (s *Server) handle(conn net.Conn) {
 	defer s.release(conn)
-	fr := &frameReader{r: bufio.NewReaderSize(conn, connBufSize), limit: s.maxSessionBytes}
+	br := bufio.NewReaderSize(conn, connBufSize)
+	fr := &frameReader{r: br}
+	select {
+	case fr.buf = <-s.bufs:
+	default:
+	}
+	defer func() {
+		if buf := idleBuf(fr.buf); buf != nil {
+			select {
+			case s.bufs <- buf:
+			default:
+			}
+		}
+	}()
 	bw := bufio.NewWriterSize(conn, connBufSize)
 	for {
-		err := s.session(conn, fr, bw)
+		err := s.session(conn, fr, br, bw)
 		if err == nil {
 			continue
 		}
@@ -216,13 +232,15 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// session serves one OPEN…FIN→INBOX…EOF round trip. Each MSG frame is
-// read whole into the connection's arena (fr.buf), CRC-checked and
-// validated as decodeShardMessage would before the next is read, and its
-// type byte flipped to INBOX in place, so at FIN the arena is the reply
-// and goes back in one write. Any error tears the connection down.
-func (s *Server) session(conn net.Conn, fr *frameReader, bw *bufio.Writer) error {
-	fr.buf = idleBuf(fr.buf) // an oversized arena is not held while idle
+// session serves one OPEN, MSG…, FIN round trip. Each MSG frame is read
+// whole into the connection's frame buffer, CRC-checked and validated as
+// the decoder would validate it, its type byte flipped to INBOX in
+// place, and written straight back; the writer is flushed whenever the
+// reader has nothing buffered (the coordinator is producing, so what
+// was echoed should reach it now), and at FIN after an EOF frame. Any
+// error tears the connection down.
+func (s *Server) session(conn net.Conn, fr *frameReader, br *bufio.Reader, bw *bufio.Writer) error {
+	fr.buf = idleBuf(fr.buf) // an oversized buffer is not held while idle
 	typ, payload, err := fr.next()
 	if err != nil {
 		return err // io.EOF: pooled connection closed while idle
@@ -239,10 +257,8 @@ func (s *Server) session(conn net.Conn, fr *frameReader, bw *bufio.Writer) error
 		conn.Close() // injected fault: reset mid-exchange
 		return errors.New("netfabric: session severed by fault injection")
 	}
-	fr.buf = fr.buf[:0]
-	var frames int64
+	var frames, bytes int64
 	for {
-		start := len(fr.buf)
 		typ, payload, err := fr.next()
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF // between frames, but before FIN
@@ -251,7 +267,6 @@ func (s *Server) session(conn net.Conn, fr *frameReader, bw *bufio.Writer) error
 			return err
 		}
 		if typ == frameFin {
-			fr.buf = fr.buf[:start]
 			break
 		}
 		if typ != frameMsg {
@@ -264,14 +279,21 @@ func (s *Server) session(conn net.Conn, fr *frameReader, bw *bufio.Writer) error
 		if shard >= shards {
 			return fmt.Errorf("%w: message for shard %d of %d", ErrBadFrame, shard, shards)
 		}
-		fr.buf[start+3] = frameInbox
+		fr.buf[3] = frameInbox
+		conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
+		if _, err := bw.Write(fr.buf); err != nil {
+			return err
+		}
+		if br.Buffered() == 0 {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
 		frames++
+		bytes += int64(len(fr.buf))
 	}
 	conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
-	if _, err := bw.Write(fr.buf); err != nil {
-		return err
-	}
-	if _, err := bw.Write(controlFrame(nil, frameEOF)); err != nil {
+	if _, err := bw.Write(controlFrame(fr.buf, frameEOF)); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
@@ -280,7 +302,7 @@ func (s *Server) session(conn net.Conn, fr *frameReader, bw *bufio.Writer) error
 	conn.SetWriteDeadline(time.Time{})
 	s.served.Add(1)
 	s.frames.Add(frames)
-	s.bytes.Add(int64(len(fr.buf)))
+	s.bytes.Add(bytes)
 	if s.closeAfter > 0 && num >= s.closeAfter {
 		// Injected fault: the worker leaves the cluster. Close runs on
 		// its own goroutine (it waits for this handler); dropping the

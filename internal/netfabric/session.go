@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"matopt/internal/obs"
 )
@@ -56,7 +57,9 @@ func (s *session) Send(dst int, m Message) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	err := l.writeLocked(s.t.ioTimeout, func(buf []byte) ([]byte, error) { return shardMessageFrame(buf, frameMsg, dst, m) })
+	err := l.sendLocked(s.t.ioTimeout, func(c *wireConn) (int, error) {
+		return writeShardMessage(c.bw, c.wbuf, frameMsg, dst, m)
+	})
 	if err != nil {
 		return err
 	}
@@ -64,54 +67,51 @@ func (s *session) Send(dst int, m Message) error {
 	return nil
 }
 
-// Collect finishes every link concurrently — FIN, flush, then stream
-// the worker's buffered inboxes back into recv — and returns the inboxes.
-// Distinct peers host disjoint shards, so the per-link readers write
-// disjoint recv slots.
+// Collect finishes every link — FIN, flush, then wait under the I/O
+// deadline for its reader to reach the worker's EOF — and returns the
+// inboxes. A link that failed, on either side, discards its connection;
+// the rest go back to the pool.
 func (s *session) Collect() ([][]Message, error) {
-	recv := s.inbox
-	s.inbox = nil
-	var wg sync.WaitGroup
 	for _, l := range s.links {
-		wg.Add(1)
-		go func(l *peerLink) {
-			defer wg.Done()
-			s.t.collectLink(l, recv)
-		}(l)
+		l.finish(s.t.ioTimeout)
 	}
-	wg.Wait()
 	var firstErr error
 	for _, l := range s.links {
-		l.mu.Lock()
-		err, conn := l.err, l.conn
-		l.conn = nil
-		l.mu.Unlock()
+		<-l.done
+		err := l.err
+		if err == nil {
+			err = l.readErr
+		}
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
+			s.t.discard(l.addr, l.conn)
 			continue
 		}
-		s.t.checkin(l.addr, conn)
+		l.conn.nc.SetReadDeadline(time.Time{})
+		s.t.checkin(l.addr, l.conn)
 	}
+	recv := s.inbox
+	s.inbox = nil
 	if firstErr != nil {
 		return nil, firstErr
 	}
 	return recv, nil
 }
 
-// Abandon drops the inboxes and discards every link's connection:
-// mid-session state is unknowable after a timeout, so nothing returns
-// to the pool.
+// Abandon drops the inboxes and discards every link's connection once
+// its reader has stopped: mid-session state is unknowable after a
+// timeout, so nothing returns to the pool.
 func (s *session) Abandon() {
 	for _, l := range s.links {
 		l.mu.Lock()
-		if l.conn != nil {
-			s.t.discard(l.addr, l.conn)
-			l.conn = nil
+		if l.err == nil {
+			l.err = fmt.Errorf("%w: session abandoned", ErrWire)
 		}
-		l.failLocked(fmt.Errorf("%w: session abandoned", ErrWire))
+		s.t.discard(l.addr, l.conn)
 		l.mu.Unlock()
+		<-l.done
 	}
 	s.mu.Lock()
 	s.inbox = nil

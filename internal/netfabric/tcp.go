@@ -24,17 +24,19 @@ const DefaultIOTimeout = 30 * time.Second
 
 // connBufSize is the bufio depth on each side of a connection: small
 // frames coalesce into it so an exchange of many small tuples reaches
-// the kernel in few large writes, flushed only when full or at FIN; a
-// frame larger than it passes between socket and frame buffer uncopied.
+// the kernel in few large writes; a payload larger than it passes
+// between socket and storage uncopied.
 const connBufSize = 64 << 10
 
 // TCP is the socket transport: shard s is hosted by peers[s % len(peers)],
 // where each entry is either a worker address ("127.0.0.1:7070") or
 // LocalPeer. Messages routed to a remote-hosted shard are framed to
-// that worker, buffered there, and streamed back at Collect into the
-// session's per-shard inboxes, where LocalPeer shards' messages already
-// are — the fabric's (key, seq) sort then erases any arrival-order
-// difference, keeping outputs bit-identical across transports.
+// that worker, which echoes each one back as soon as it has checked it;
+// a reader per link decodes the echoes, while producers are still
+// sending, into the session's per-shard inboxes, where LocalPeer shards'
+// messages already are — the fabric's (key, seq) sort then erases any
+// arrival-order difference, keeping outputs bit-identical across
+// transports.
 //
 // Connections are pooled per peer and dialed lazily: a session checks
 // one out per peer at Open (dialing only when the pool is dry), and
@@ -110,8 +112,10 @@ func (t *TCP) Close() error {
 	return nil
 }
 
-// wireConn is one pooled connection with the buffers it reuses from
-// frame to frame: wbuf holds the frame being sent, fr.buf the one read.
+// wireConn is one pooled connection with what it reuses from session to
+// session: fr reads (its buffer holds a frame's fixed fields, never a
+// payload), bw writes, and wbuf is where a frame's header and fixed
+// fields are built.
 type wireConn struct {
 	nc   net.Conn
 	fr   frameReader
@@ -149,9 +153,10 @@ func (t *TCP) checkout(ctx context.Context, reg *obs.Registry, addr string) (*wi
 		return nil, fmt.Errorf("%w: dial %s: %v", ErrWire, addr, err)
 	}
 	return &wireConn{
-		nc: nc,
-		fr: frameReader{r: bufio.NewReaderSize(nc, connBufSize)},
-		bw: bufio.NewWriterSize(nc, connBufSize),
+		nc:   nc,
+		fr:   frameReader{r: bufio.NewReaderSize(nc, connBufSize)},
+		bw:   bufio.NewWriterSize(nc, connBufSize),
+		wbuf: make([]byte, 0, frameHeaderLen+fixedLen(payloadCSR)+frameTrailerLen),
 	}, nil
 }
 
@@ -177,9 +182,9 @@ func (t *TCP) discard(addr string, c *wireConn) {
 }
 
 // Open checks out one connection per remote peer hosting a shard of
-// this exchange and announces the session with an OPEN frame. A refused
-// dial fails the open with an ErrWire-wrapped error — the dist runtime
-// retries the vertex like any exchange timeout.
+// this exchange, starts its reader and announces the session with an
+// OPEN frame. A refused dial fails the open with an ErrWire-wrapped
+// error — the dist runtime retries the vertex like any exchange timeout.
 func (t *TCP) Open(ctx context.Context, reg *obs.Registry, id ExchangeID, shards int) (Session, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -200,10 +205,19 @@ func (t *TCP) Open(ctx context.Context, reg *obs.Registry, id ExchangeID, shards
 			conn:  c,
 			bytes: reg.Counter("dist.wire.bytes", obs.L("peer", addr)),
 			msgs:  reg.Counter("dist.wire.messages", obs.L("peer", addr)),
+			done:  make(chan struct{}),
 		}
 		s.links[addr] = l
+		go s.read(l, c)
 		// No producer has the session yet, so nothing contends for the link.
-		err = l.writeLocked(t.ioTimeout, func(buf []byte) ([]byte, error) { return openFrame(buf, id, shards) })
+		err = l.sendLocked(t.ioTimeout, func(c *wireConn) (int, error) {
+			f, err := openFrame(c.wbuf, id, shards)
+			if err != nil {
+				return 0, err
+			}
+			c.wbuf = f
+			return c.bw.Write(f)
+		})
 		if err != nil {
 			s.Abandon()
 			return nil, err
@@ -213,103 +227,104 @@ func (t *TCP) Open(ctx context.Context, reg *obs.Registry, id ExchangeID, shards
 }
 
 // peerLink is one session's connection to one worker. Sends from
-// concurrent producers serialize on mu; the first wire error latches
-// and fails every later use of the link.
+// concurrent producers serialize on mu, and the first write error
+// latches in err and fails every later use of the link. The link's
+// reader runs from Open until EOF or its first error, which it leaves in
+// readErr before closing done.
 type peerLink struct {
 	addr  string
 	bytes *obs.Counter
 	msgs  *obs.Counter
+
+	done    chan struct{}
+	readErr error
 
 	mu   sync.Mutex
 	conn *wireConn
 	err  error
 }
 
-// writeLocked builds one frame in the connection's send buffer (encode
-// is handed the previous frame's storage) and sends it, metering the
-// wire bytes; the caller holds the link lock. The deadline covers the
+// sendLocked writes one frame on the link — write puts it into the
+// connection's bufio.Writer and returns its length — and meters its wire
+// bytes; the caller holds the link lock. The deadline covers the
 // implicit bufio flush, so a stalled socket surfaces here rather than
 // wedging the producer.
-func (l *peerLink) writeLocked(ioTimeout time.Duration, encode func(buf []byte) ([]byte, error)) error {
+func (l *peerLink) sendLocked(ioTimeout time.Duration, write func(c *wireConn) (int, error)) error {
 	if l.err != nil {
 		return l.err
 	}
-	frame, err := encode(l.conn.wbuf)
-	if err == nil {
-		l.conn.wbuf = frame
-		l.conn.nc.SetWriteDeadline(time.Now().Add(ioTimeout))
-		var n int
-		n, err = l.conn.bw.Write(frame)
-		l.bytes.Add(int64(n))
-	}
+	l.conn.nc.SetWriteDeadline(time.Now().Add(ioTimeout))
+	n, err := write(l.conn)
 	if err != nil {
-		return l.failLocked(fmt.Errorf("%w: write to %s: %v", ErrWire, l.addr, err))
+		l.err = fmt.Errorf("%w: write to %s: %v", ErrWire, l.addr, err)
+		return l.err
 	}
+	l.bytes.Add(int64(n))
 	return nil
 }
 
-// failLocked latches the link's first error and discards its connection.
-func (l *peerLink) failLocked(err error) error {
-	if l.err == nil {
-		l.err = err
-	}
-	return l.err
-}
-
-// collectLink finishes one session link: FIN, flush, then read the
-// worker's buffered inbox frames into recv until EOF. The first wire
-// error discards the connection and latches on the link.
-func (t *TCP) collectLink(l *peerLink, recv [][]Message) {
+// finish ends the send side of the link: FIN, flush, and a read deadline
+// by which the worker's EOF must have arrived. On a link that already
+// failed it closes the connection instead, so the reader stops.
+func (l *peerLink) finish(ioTimeout time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil {
-		if l.conn != nil {
-			t.discard(l.addr, l.conn)
-			l.conn = nil
+	err := l.sendLocked(ioTimeout, func(c *wireConn) (int, error) {
+		f := controlFrame(c.wbuf, frameFin)
+		c.wbuf = f
+		n, err := c.bw.Write(f)
+		if err == nil {
+			err = c.bw.Flush()
 		}
+		return n, err
+	})
+	if err != nil {
+		l.conn.nc.Close()
 		return
 	}
+	l.conn.nc.SetReadDeadline(time.Now().Add(ioTimeout))
+}
+
+// read is a link's reader: it decodes the worker's INBOX frames into the
+// inboxes of the shards that worker hosts until EOF. Its first error is
+// left in readErr and closes the connection, so a producer blocked on a
+// dead worker fails at once.
+func (s *session) read(l *peerLink, c *wireConn) {
+	defer close(l.done)
 	fail := func(err error) {
-		t.discard(l.addr, l.conn)
-		l.conn = nil
-		l.failLocked(err)
-	}
-	if err := l.writeLocked(t.ioTimeout, func(buf []byte) ([]byte, error) { return controlFrame(buf, frameFin), nil }); err != nil {
-		fail(err)
-		return
-	}
-	l.conn.nc.SetWriteDeadline(time.Now().Add(t.ioTimeout))
-	if err := l.conn.bw.Flush(); err != nil {
-		fail(fmt.Errorf("%w: flush to %s: %v", ErrWire, l.addr, err))
-		return
+		l.readErr = err
+		c.nc.Close()
 	}
 	for {
-		l.conn.nc.SetReadDeadline(time.Now().Add(t.ioTimeout))
-		l.conn.fr.buf = l.conn.fr.buf[:0]
-		typ, payload, err := l.conn.fr.next()
+		typ, err := c.fr.header()
 		if err != nil {
 			fail(fmt.Errorf("%w: read from %s: %v", ErrWire, l.addr, err))
 			return
 		}
-		l.bytes.Add(int64(frameHeaderLen + len(payload) + frameTrailerLen))
 		switch typ {
 		case frameInbox:
-			shard, m, err := decodeShardMessage(payload)
+			shard, m, err := c.fr.message()
 			if err != nil {
-				fail(fmt.Errorf("%w: from %s: %v", ErrWire, l.addr, err))
+				fail(fmt.Errorf("%w: read from %s: %v", ErrWire, l.addr, err))
 				return
 			}
-			if shard >= len(recv) || t.peerOf(shard) != l.addr {
+			if shard >= len(s.inbox) || s.t.peerOf(shard) != l.addr {
 				fail(fmt.Errorf("%w: peer %s returned inbox for shard %d it does not host", ErrWire, l.addr, shard))
 				return
 			}
+			s.inbox[shard] = append(s.inbox[shard], m)
 			l.msgs.Inc()
-			recv[shard] = append(recv[shard], m)
 		case frameEOF:
-			l.conn.nc.SetReadDeadline(time.Time{})
-			return
+			if _, err := c.fr.body(); err != nil {
+				fail(fmt.Errorf("%w: read from %s: %v", ErrWire, l.addr, err))
+				return
+			}
 		default:
 			fail(fmt.Errorf("%w: peer %s sent unexpected frame type %d", ErrWire, l.addr, typ))
+			return
+		}
+		l.bytes.Add(int64(frameHeaderLen + c.fr.n + frameTrailerLen))
+		if typ == frameEOF {
 			return
 		}
 	}

@@ -341,73 +341,96 @@ func TestTCPConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestServerBoundsSessionBytes streams more MSG bytes at a worker than
-// one session may hold (the bound lowered through its unexported field):
-// the worker must refuse with ErrBadFrame and hang up rather than grow,
-// the coordinator must see a wire failure, the next session must succeed
-// over a fresh dial, and nothing may leak.
-func TestServerBoundsSessionBytes(t *testing.T) {
+// TestServerHoldsOneFrame streams a session many times larger than one
+// frame through a worker: it must come back whole, bit for bit, while
+// the worker's frame buffer never grows past one frame — the buffer the
+// connection leaves for the next is exactly one frame long.
+func TestServerHoldsOneFrame(t *testing.T) {
 	testutil.CheckGoroutines(t, func() {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		srv := NewServer()
-		srv.maxSessionBytes = 64 << 10
-		rejected := make(chan string, 1) // the one rejection this test causes
-		srv.Logf = func(format string, args ...any) { rejected <- fmt.Sprintf(format, args...) }
 		done := make(chan error, 1)
 		go func() { done <- srv.Serve(ln) }()
 		tp, err := NewTCP([]string{ln.Addr().String()}, WithIOTimeout(5*time.Second))
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := obs.NewRegistry()
-		sess, err := tp.Open(context.Background(), reg, testID(0), 2)
+		k := engine.Key{I: 1}
+		big := Message{Key: k, Tuple: denseTuple(k, 64, 64, 1)} // 32 KiB a frame
+		frameLen := len(mustFrame(t)(shardMessageFrame(nil, frameMsg, 1, big)))
+		const msgs = 64 // 2 MiB a session
+		sess, err := tp.Open(context.Background(), obs.NewRegistry(), testID(0), 2)
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
-		k := engine.Key{I: 1}
-		big := Message{Key: k, Tuple: denseTuple(k, 64, 64, 1)} // 32 KiB a frame
-		var sessErr error
-		for i := 0; i < 64 && sessErr == nil; i++ {
-			sessErr = sess.Send(1, big)
-		}
-		if sessErr != nil {
-			sess.Abandon()
-		} else {
-			_, sessErr = sess.Collect()
-		}
-		if !errors.Is(sessErr, ErrWire) {
-			t.Fatalf("oversized session: got %v, want ErrWire", sessErr)
-		}
-		if line := <-rejected; !strings.Contains(line, ErrBadFrame.Error()) || !strings.Contains(line, "127.0.0.1:") {
-			t.Fatalf("rejection line %q names neither the peer nor ErrBadFrame", line)
-		}
-
-		sess, err = tp.Open(context.Background(), reg, testID(1), 2)
-		if err != nil {
-			t.Fatalf("Open after rejection: %v", err)
-		}
-		if err := sess.Send(1, big); err != nil {
-			t.Fatalf("Send after rejection: %v", err)
+		for i := 0; i < msgs; i++ {
+			m := big
+			m.Seq = int64(i)
+			if err := sess.Send(1, m); err != nil {
+				t.Fatalf("Send %d: %v", i, err)
+			}
 		}
 		recv, err := sess.Collect()
-		if err != nil || len(recv[1]) != 1 || !messagesEqual(recv[1][0], big) {
-			t.Fatalf("session after rejection: %d messages, err %v", len(recv[1]), err)
+		if err != nil || len(recv[1]) != msgs {
+			t.Fatalf("Collect: %d messages, err %v", len(recv[1]), err)
 		}
-		if v := counterValue(reg, "dist.wire.reconnects"); v != 1 {
-			t.Fatalf("reconnects = %d, want 1", v)
+		for i, m := range recv[1] {
+			want := big
+			want.Seq = int64(i)
+			if !messagesEqual(m, want) {
+				t.Fatalf("message %d came back altered", i)
+			}
 		}
 		tp.Close()
 		srv.Close()
 		if err := <-done; err != nil {
 			t.Fatalf("Serve: %v", err)
 		}
-		if st := srv.Stats(); st.Rejected != 1 || st.Sessions != 1 || st.Frames != 1 {
-			t.Fatalf("stats %+v, want 1 rejected and 1 served session of 1 frame", st)
+		if st := srv.Stats(); st.Sessions != 1 || st.Frames != msgs || st.Rejected != 0 {
+			t.Fatalf("stats %+v, want 1 served session of %d frames", st, msgs)
+		}
+		if len(srv.bufs) != 1 {
+			t.Fatalf("%d frame buffers left for the next connection, want 1", len(srv.bufs))
+		}
+		if buf := <-srv.bufs; cap(buf) != frameLen {
+			t.Fatalf("worker frame buffer holds %d B, one frame is %d B", cap(buf), frameLen)
 		}
 	})
+}
+
+// TestServerRefusesVersion1 is what frame version 2 means to a worker: a
+// version 1 coordinator's OPEN is refused with ErrBadFrame, counted as
+// one rejected session and logged as one line naming the peer.
+func TestServerRefusesVersion1(t *testing.T) {
+	lines := make(chan string, 8)
+	srv, addr := startServer(t, func(s *Server) {
+		s.Logf = func(format string, args ...any) { lines <- fmt.Sprintf(format, args...) }
+	})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	open := mustFrame(t)(openFrame(nil, testID(0), 2))
+	open[2] = 1
+	if _, err := conn.Write(open); err != nil {
+		t.Fatal(err)
+	}
+	line := <-lines
+	if !strings.Contains(line, conn.LocalAddr().String()) || !strings.Contains(line, ErrBadFrame.Error()) ||
+		!strings.Contains(line, "version 1") {
+		t.Fatalf("rejection line %q names neither the peer %s, ErrBadFrame nor the version", line, conn.LocalAddr())
+	}
+	srv.Close()
+	if st := srv.Stats(); st.Rejected != 1 || st.Sessions != 0 {
+		t.Fatalf("stats %+v, want 1 rejected and no session served", st)
+	}
+	if len(lines) != 0 {
+		t.Fatalf("unexpected extra log line %q", <-lines)
+	}
 }
 
 // TestServerStats checks what a worker says about itself: served
@@ -468,13 +491,14 @@ func TestServerStats(t *testing.T) {
 // allocator: on a warm pooled connection, a session of 16 dense 256×256
 // tuples allocates little more than the 16 decoded tuples the engine
 // keeps — coordinator and in-process worker together — and a number of
-// objects proportional to the messages, because every frame is built,
-// relayed and read in a buffer its connection reuses. Then the other
-// side of reuse: a buffer a session grew past maxIdleBuf does not go
-// back to the pool with its connection.
+// objects proportional to the messages, because every payload is sent
+// from its tuple's storage, echoed from a frame buffer its worker
+// connection reuses, and decoded into the storage drawn for it. Then the
+// other side of reuse: a buffer grown past maxIdleBuf is kept neither
+// by the pooled connection nor by the worker.
 func TestTCPSessionAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	_, addr := startServer(t)
+	srv, addr := startServer(t)
 	tp, err := NewTCP([]string{addr})
 	if err != nil {
 		t.Fatal(err)
@@ -516,12 +540,19 @@ func TestTCPSessionAllocBudget(t *testing.T) {
 
 	session(3, 1, denseTuple(k, 1, maxIdleBuf/8+1, 1))
 	tp.mu.Lock()
-	defer tp.mu.Unlock()
 	if len(tp.idle[addr]) != 1 {
 		t.Fatalf("%d pooled connections, want 1", len(tp.idle[addr]))
 	}
 	if c := tp.idle[addr][0]; cap(c.wbuf) > maxIdleBuf || cap(c.fr.buf) > maxIdleBuf {
 		t.Errorf("pooled connection kept %d B send and %d B read buffers, bound %d", cap(c.wbuf), cap(c.fr.buf), maxIdleBuf)
+	}
+	tp.mu.Unlock()
+	tp.Close()
+	srv.Close() // every handler has returned its frame buffer, or dropped it
+	for len(srv.bufs) > 0 {
+		if buf := <-srv.bufs; cap(buf) > maxIdleBuf {
+			t.Errorf("worker kept a %d B frame buffer, bound %d", cap(buf), maxIdleBuf)
+		}
 	}
 }
 
@@ -536,9 +567,10 @@ func counterValue(reg *obs.Registry, name string) int64 {
 }
 
 // BenchmarkTCPSession is one warm session at the shape of the
-// benchmark's chain_dist_tcp plan — 17 messages of 2.6 MB, all to the
-// remote shard: Open · Send × 17 · Collect through a loopback worker,
-// reported as payload MB/s each way (every byte goes out and comes back).
+// benchmark's chain_dist_tcp plan — 17 messages of 2.6 MB, 13 of them to
+// the remote shard (33.6 MB out and back) and 4 to the local one: Open ·
+// Send × 17 · Collect through a loopback worker, reported as remote
+// payload MB/s each way (every remote byte goes out and comes back).
 func BenchmarkTCPSession(b *testing.B) {
 	_, addr := startServer(b)
 	tp, err := NewTCP([]string{LocalPeer, addr})
@@ -546,7 +578,7 @@ func BenchmarkTCPSession(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer tp.Close()
-	const msgs = 17
+	const remote, local = 13, 4
 	k := engine.Key{I: 1}
 	tuple := denseTuple(k, 1, 2_600_000/8, 1)
 	session := func(attempt int) {
@@ -554,18 +586,22 @@ func BenchmarkTCPSession(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for i := 0; i < msgs; i++ {
-			if err := sess.Send(1, Message{Key: k, Seq: int64(i), Tuple: tuple}); err != nil {
+		for i := 0; i < remote+local; i++ {
+			dst := 1
+			if i < local {
+				dst = 0
+			}
+			if err := sess.Send(dst, Message{Key: k, Seq: int64(i), Tuple: tuple}); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if recv, err := sess.Collect(); err != nil || len(recv[1]) != msgs {
-			b.Fatalf("Collect: %d messages, err %v", len(recv[1]), err)
+		if recv, err := sess.Collect(); err != nil || len(recv[0]) != local || len(recv[1]) != remote {
+			b.Fatalf("Collect: %d local and %d remote messages, err %v", len(recv[0]), len(recv[1]), err)
 		}
 	}
 	session(0)
 	b.ReportAllocs()
-	b.SetBytes(msgs * tuple.Dense.Bytes())
+	b.SetBytes(remote * tuple.Dense.Bytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		session(i + 1)
