@@ -47,10 +47,13 @@ test-avx2:
 # draw and every release is filled with a NaN: the kernel suites and the
 # root package's pinned output digest must still reproduce their bits,
 # which proves each kernel writes (or clears) every element it hands out
-# and nothing reads storage after it is released.
+# and nothing reads storage after it is released. A Frontier search's
+# scratch (DESIGN.md §7) is poisoned the same way, with junk keys, NaN
+# costs and −1 indices, and the recorded plan hashes must still match.
 poison:
 	$(GO) test -tags matopt_poison $(KERNEL_SUITES)
 	$(GO) test -tags matopt_poison -run 'TestPlanCacheEngineInvariance|TestEnginesLeaveInputsUntouched' .
+	$(GO) test -tags matopt_poison -run 'TestFrontierPlanIdentity|TestParallelFrontierMatchesSerial|TestSearchesShareScratch' ./internal/core
 
 # KERNELS.md §2 Rule 3 — a product is rounded before it is added —
 # checked on what the compiler emits: cross-build the two kernel packages
@@ -141,13 +144,16 @@ bench:
 	bash cmd/bench/run.sh
 
 # Profile first: a hundred cold serial Frontier searches of the benchmark's
-# inverse_cold graph (BenchmarkFrontierInverseCold) on one processor,
-# with CPU and heap profiles and the test binary written to git-ignored
-# frontier.{cpu,mem}.prof / frontier.test, then the 15 hottest functions.
+# inverse_cold graph, each on the scratch the one before gave back
+# (BenchmarkFrontierInverseCold/reused, internal/core), on one processor,
+# with B/op, CPU and heap profiles and the test binary written to
+# git-ignored frontier.{cpu,mem}.prof / frontier.test, then the 15
+# hottest functions and the 8 sites that allocate the most bytes.
 profile-frontier:
-	$(GO) test -run '^$$' -bench BenchmarkFrontierInverseCold -benchtime 100x -cpu 1 \
-		-cpuprofile frontier.cpu.prof -memprofile frontier.mem.prof -o frontier.test .
+	$(GO) test -run '^$$' -bench 'BenchmarkFrontierInverseCold/reused' -benchtime 100x -cpu 1 -benchmem \
+		-cpuprofile frontier.cpu.prof -memprofile frontier.mem.prof -o frontier.test ./internal/core
 	$(GO) tool pprof -top -nodecount 15 frontier.test frontier.cpu.prof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 8 frontier.test frontier.mem.prof
 
 # The same for the kernels: twenty warm operations of the benchmark's
 # chain_seq workload (BenchmarkChainSeq) on one processor, with B/op,

@@ -232,15 +232,6 @@ func BenchmarkFrontierSerial(b *testing.B) { benchFrontierFFNN(b, 1) }
 
 func BenchmarkFrontierParallel(b *testing.B) { benchFrontierFFNN(b, runtime.GOMAXPROCS(0)) }
 
-// BenchmarkFrontierInverseCold is one cold serial search of the graph
-// and cluster of the benchmark's inverse_cold workload (cmd/bench/lib.go:
-// the two-level block inverse ÷ 80 under LocalTest(2)), where the search
-// is nearly all of the op. `make profile-frontier` profiles it.
-func BenchmarkFrontierInverseCold(b *testing.B) {
-	g, err := workload.Spec{Workload: "inverse", Scale: 80}.Normalized().Graph()
-	benchFrontier(b, g, err, costmodel.LocalTest(2), 1)
-}
-
 // --- kernel benches: the floor under every engine ---
 
 // BenchmarkGEMM times the serial dense product at the sizes the plans

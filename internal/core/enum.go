@@ -76,10 +76,27 @@ func (env *Env) eachDelivery(cache transCache, v *Vertex, pinOf func(in *Vertex)
 // implementation is ⊥ on these inputs or its output format falls outside
 // the environment's format universe.
 func (env *Env) applyImpl(v *Vertex, im *impl.Impl, pouts []format.Format) (format.Format, float64, bool) {
+	ins := vertexInputs(v)
+	for j := range ins {
+		ins[j].Format = pouts[j]
+	}
+	return env.applyInputs(v, im, ins)
+}
+
+// vertexInputs describes v's arguments, their formats left for the
+// caller to fill in.
+func vertexInputs(v *Vertex) []impl.Input {
 	ins := make([]impl.Input, len(v.Ins))
 	for j, in := range v.Ins {
-		ins[j] = impl.Input{Shape: in.Shape, Density: in.Density, Format: pouts[j]}
+		ins[j] = impl.Input{Shape: in.Shape, Density: in.Density}
 	}
+	return ins
+}
+
+// applyInputs is applyImpl on arguments already described; Frontier
+// shares one description among all the implementations it evaluates on a
+// combination of delivered formats.
+func (env *Env) applyInputs(v *Vertex, im *impl.Impl, ins []impl.Input) (format.Format, float64, bool) {
 	out, ok := im.Apply(v.Op, ins, v.Shape, v.Density, env.Cluster)
 	if !ok {
 		return format.Format{}, 0, false

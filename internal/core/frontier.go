@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -145,19 +146,15 @@ type cellTable struct {
 }
 
 // reset empties the table for a round whose keys have the given width,
-// with room for hint cells; the arrays of earlier rounds are reused.
+// with room for hint cells; the arrays of earlier rounds and searches are
+// reused.
 func (t *cellTable) reset(words, nargs, hint int) {
 	size := 16
 	for size < 2*hint {
 		size *= 2
 	}
-	if size > cap(t.slots) {
-		t.slots = make([]int32, size)
-	} else {
-		t.slots = t.slots[:size]
-		clear(t.slots)
-	}
-	t.words, t.nargs, t.shift = words, nargs, uint(64-bits.TrailingZeros(uint(size)))
+	t.emptySlots(size)
+	t.words, t.nargs = words, nargs
 	t.keys = slices.Grow(t.keys[:0], hint*words)
 	t.cost = slices.Grow(t.cost[:0], hint)
 	t.choice = slices.Grow(t.choice[:0], hint)
@@ -201,8 +198,15 @@ func (t *cellTable) offer(key []uint64, cost float64, choice int32, parents []in
 	}
 }
 
+// emptySlots makes the hash size slots, all empty.
+func (t *cellTable) emptySlots(size int) {
+	t.slots = reuse(t.slots, size, math.MaxInt32) // junk that indexes past every cell
+	clear(t.slots)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+}
+
 func (t *cellTable) grow() {
-	t.slots, t.shift = make([]int32, 2*len(t.slots)), t.shift-1
+	t.emptySlots(2 * len(t.slots))
 	mask := len(t.slots) - 1
 	for i := range t.cost {
 		s := int(hashKey(t.key(i)) >> t.shift)
@@ -246,10 +250,12 @@ func kthSmallest(a []float64, k int) float64 {
 // class turns the table into a frontier class: cells in ascending key
 // order, beam-limited to the cheapest beam of them (see
 // Env.MaxClassEntries). It reports how many cells the beam dropped. Ties
-// at the cut are broken on the key, so pruning is deterministic.
-func (t *cellTable) class(members []int, from *expansion, beam int) (*fclass, int) {
+// at the cut are broken on the key, so pruning is deterministic. The
+// class's cells are cut from the scratch.
+func (t *cellTable) class(sc *scratch, members []int, from *expansion, beam int) (*fclass, int) {
 	n, w := len(t.cost), t.words
-	order := make([]int32, n) // cell indices, ascending by key
+	sc.order = reuse(sc.order, n, -1)
+	order := sc.order // cell indices, ascending by key
 	for i := range order {
 		order[i] = int32(i)
 	}
@@ -258,7 +264,9 @@ func (t *cellTable) class(members []int, from *expansion, beam int) (*fclass, in
 	if n > beam {
 		// The cheapest beam cells by (cost, key): every cell below the
 		// beam-th smallest cost, then cells at that cost in key order.
-		cut := kthSmallest(slices.Clone(t.cost), beam-1)
+		sc.costs = reuse(sc.costs, n, math.NaN())
+		copy(sc.costs, t.cost)
+		cut := kthSmallest(sc.costs, beam-1)
 		atCut := beam
 		for _, c := range t.cost {
 			if c < cut {
@@ -277,17 +285,17 @@ func (t *cellTable) class(members []int, from *expansion, beam int) (*fclass, in
 	c := &fclass{
 		members: members,
 		words:   w,
-		keys:    make([]uint64, 0, len(order)*w),
-		cost:    make([]float64, len(order)),
+		keys:    sc.u64.take(len(order) * w),
+		cost:    sc.f64.take(len(order)),
 		from:    from,
-		choice:  make([]int32, len(order)),
-		parent:  make([]int32, 0, len(order)*t.nargs),
+		choice:  sc.i32.take(len(order)),
+		parent:  sc.i32.take(len(order) * t.nargs),
 	}
 	for i, at := range order {
-		c.keys = append(c.keys, t.key(int(at))...)
+		copy(c.keys[i*w:], t.key(int(at)))
 		c.cost[i] = t.cost[at]
 		c.choice[i] = t.choice[at]
-		c.parent = append(c.parent, t.parent[int(at)*t.nargs:(int(at)+1)*t.nargs]...)
+		copy(c.parent[i*t.nargs:], t.parent[int(at)*t.nargs:(int(at)+1)*t.nargs])
 	}
 	return c, pruned
 }
@@ -303,12 +311,16 @@ func Frontier(g *Graph, env *Env) (*Annotation, error) {
 // the consumed classes' cells runs on a worker pool bounded by the
 // session's parallelism. A cell's winner is defined by (cost, choice
 // index), not by arrival order, so parallel and serial runs produce
-// byte-identical plans and costs.
+// byte-identical plans and costs. The search's working memory is one
+// scratch (scratch.go), given back on every return: each round's walk
+// has joined by then.
 func (s *Session) Frontier(g *Graph) (ann *Annotation, err error) {
 	start := time.Now()
 	fspan := s.tr.Start(s.span, "frontier")
 	var rspan *obs.Span // current frontier.round; ended by the defer on error paths
+	sc := takeScratch()
 	defer func() {
+		sc.giveBack()
 		s.finish(ann, start)
 		rspan.End()
 		fspan.SetInt("classes", int64(s.stats.ClassesExpanded)).
@@ -327,7 +339,7 @@ func (s *Session) Frontier(g *Graph) (ann *Annotation, err error) {
 		beam = DefaultMaxClassEntries
 	}
 
-	tables := make([]cellTable, s.parallelism) // one per walk goroutine, reused round after round
+	tables := sc.walkTables(s.parallelism) // one per walk goroutine, reused round after round
 	visited := make([]bool, len(g.Vertices))
 	classOf := make(map[int]*fclass) // frontier vertex → its class
 	var front []*fclass
@@ -412,7 +424,7 @@ func (s *Session) Frontier(g *Graph) (ann *Annotation, err error) {
 		}
 		slices.Sort(newMembers)
 
-		r, err := s.newRound(v, argClasses, newMembers, ids, cache)
+		r, err := s.newRound(sc, v, argClasses, newMembers, ids, cache)
 		if err != nil {
 			return nil, err
 		}
@@ -423,7 +435,7 @@ func (s *Session) Frontier(g *Graph) (ann *Annotation, err error) {
 		if len(table.cost) == 0 {
 			return nil, ErrInfeasible
 		}
-		class, pruned := table.class(newMembers, r.x, beam)
+		class, pruned := table.class(sc, newMembers, r.x, beam)
 		s.stats.EntriesPruned += pruned
 		rspan.SetInt("combos", int64(r.combos)).SetInt("entries", int64(class.len()))
 
@@ -477,6 +489,15 @@ type round struct {
 
 type span struct{ lo, hi int32 }
 
+// implEval is one implementation's result on one combination of
+// delivered formats.
+type implEval struct {
+	out   format.Format
+	outID uint8
+	cost  float64
+	ok    bool
+}
+
 // argOption is one transformation option, with the delivered format
 // numbered among the formats its argument can be delivered in this round.
 type argOption struct {
@@ -485,8 +506,9 @@ type argOption struct {
 }
 
 // newRound lays out the expansion of v over the consumed classes and
-// builds its best-choice table.
-func (s *Session) newRound(v *Vertex, args []*fclass, members []int, ids *formatIDs, cache transCache) (*round, error) {
+// builds its best-choice table. Its per-cell and per-tuple arrays come
+// from the scratch and live until the next round.
+func (s *Session) newRound(sc *scratch, v *Vertex, args []*fclass, members []int, ids *formatIDs, cache transCache) (*round, error) {
 	nargs := len(v.Ins)
 	radix := int32(len(ids.formats))
 	r := &round{
@@ -508,7 +530,9 @@ func (s *Session) newRound(v *Vertex, args []*fclass, members []int, ids *format
 		r.weight[a] = tuples
 		tuples *= radix
 	}
-	r.spans = make([]span, tuples)
+	// Only the deliverable tuples' spans are written, and only they are read.
+	sc.spans = reuse(sc.spans, int(tuples), span{-1, -1})
+	r.spans = sc.spans
 
 	// Each consumed cell's contribution to the new key and to the pin
 	// tuple. The pin tuples the classes can deliver are the sums of one
@@ -516,39 +540,67 @@ func (s *Session) newRound(v *Vertex, args []*fclass, members []int, ids *format
 	deliverable := []int32{0}
 	for k, c := range args {
 		r.combos *= c.len()
-		type move struct {
-			word, toWord   int   // a member's byte in c's keys; if retained, its byte in the new key
-			shift, toShift uint  //
-			weight         int32 // if it is an argument, the weight of the argument's digit
+		// Retained members' key bytes move from c's keys into the new key.
+		// Members that share the source word, the destination word and the
+		// shift distance move as one masked word.
+		type wordMove struct {
+			word, toWord int
+			mask         uint64 // the source word's bytes that move
+			left, right  uint   // the shift distance; one of them is 0
 		}
-		var keep, pin []move
+		// An argument's key byte adds its weighted format id to the tuple.
+		type pinMove struct {
+			word   int
+			shift  uint
+			weight int32
+		}
+		var keep []wordMove
+		var pin []pinMove
 		for p, id := range c.members {
 			w, sh := keyPos(p)
 			if np, ok := slices.BinarySearch(members, id); ok {
-				tw, tsh := keyPos(np)
-				keep = append(keep, move{word: w, shift: sh, toWord: tw, toShift: tsh})
+				m := wordMove{word: w, mask: 0xff << sh}
+				var tsh uint
+				m.toWord, tsh = keyPos(np)
+				if tsh >= sh {
+					m.left = tsh - sh
+				} else {
+					m.right = sh - tsh
+				}
+				if n := len(keep) - 1; n >= 0 && keep[n].word == m.word && keep[n].toWord == m.toWord &&
+					keep[n].left == m.left && keep[n].right == m.right {
+					keep[n].mask |= m.mask
+				} else {
+					keep = append(keep, m)
+				}
 			}
 			for a, in := range v.Ins {
 				if in.ID == id {
-					pin = append(pin, move{word: w, shift: sh, weight: r.weight[a]})
+					pin = append(pin, pinMove{word: w, shift: sh, weight: r.weight[a]})
 				}
 			}
 		}
-		contrib := make([]uint64, c.len()*r.words)
-		part := make([]int32, c.len())
-		seen := make([]bool, tuples)
+		contrib := sc.u64.take(c.len() * r.words)
+		clear(contrib)
+		part := sc.i32.take(c.len())
+		sc.seen = reuse(sc.seen, int(tuples), true)
+		seen := sc.seen
+		clear(seen)
 		var shares []int32
 		for i := range part {
 			key := c.keys[i*c.words : (i+1)*c.words]
+			to := contrib[i*r.words : (i+1)*r.words]
 			for _, m := range keep {
-				contrib[i*r.words+m.toWord] |= (key[m.word] >> m.shift & 0xff) << m.toShift
+				to[m.toWord] |= (key[m.word] & m.mask) << m.left >> m.right
 			}
+			share := int32(0)
 			for _, m := range pin {
-				part[i] += int32(key[m.word]>>m.shift&0xff) * m.weight
+				share += int32(key[m.word]>>m.shift&0xff) * m.weight
 			}
-			if !seen[part[i]] {
-				seen[part[i]] = true
-				shares = append(shares, part[i])
+			part[i] = share
+			if !seen[share] {
+				seen[share] = true
+				shares = append(shares, share)
 			}
 		}
 		r.contrib[k], r.pinPart[k] = contrib, part
@@ -594,7 +646,7 @@ func (s *Session) newRound(v *Vertex, args []*fclass, members []int, ids *format
 		evals *= n
 	}
 
-	if err := s.bestChoices(r, ids, deliverable, evals); err != nil {
+	if err := s.bestChoices(r, sc, ids, deliverable, evals); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -616,20 +668,17 @@ func (s *Session) newRound(v *Vertex, args []*fclass, members []int, ids *format
 // enumeration order within a cell, which makes "lowest choice index" the
 // tie order of a serial scan over (pin tuples ascending, enumeration
 // order).
-func (s *Session) bestChoices(r *round, ids *formatIDs, tuples []int32, evals int) error {
+func (s *Session) bestChoices(r *round, sc *scratch, ids *formatIDs, tuples []int32, evals int) error {
 	env, x := s.env, r.x
 	v := x.v
 	nargs := len(v.Ins)
 	impls := env.Impls[v.Op.Kind]
-	// implEval is one implementation's result on one combination of
-	// delivered formats.
-	type implEval struct {
-		out   format.Format
-		outID uint8
-		cost  float64
-		ok    bool
-	}
-	evaluated := make([][]implEval, evals)
+	// The evaluations of code c are evaluated[c*len(impls):][:len(impls)],
+	// valid once done[c] is set.
+	sc.evals = reuse(sc.evals, evals*len(impls), implEval{cost: math.NaN(), outID: 0xff, ok: true})
+	sc.done = reuse(sc.done, evals, true)
+	evaluated, done := sc.evals, sc.done
+	clear(done)
 
 	// The candidates kept for the current tuple, chained per output cell.
 	type candidate struct {
@@ -641,7 +690,7 @@ func (s *Session) bestChoices(r *round, ids *formatIDs, tuples []int32, evals in
 		candEdges []EdgeChoice
 		head      [256]int // output cell → its last candidate, +1
 		order     []int
-		pouts     = make([]format.Format, nargs)
+		ins       = vertexInputs(v) // v's arguments in the delivered formats rec is at
 		cur       = make([]EdgeChoice, nargs)
 		opts      = make([][]argOption, nargs)
 	)
@@ -650,21 +699,20 @@ func (s *Session) bestChoices(r *round, ids *formatIDs, tuples []int32, evals in
 		if j < nargs {
 			for k := range opts[j] {
 				o := &opts[j][k]
-				pouts[j] = o.pout
+				ins[j].Format = o.pout
 				cur[j] = EdgeChoice{Trans: o.tr, Cost: o.cost}
 				rec(j+1, trCost+o.cost, code+o.delivered*r.delivered[j])
 			}
 			return
 		}
-		evs := evaluated[code]
-		if evs == nil {
-			evs = make([]implEval, len(impls))
+		evs := evaluated[code*len(impls) : (code+1)*len(impls)]
+		if !done[code] {
 			for ii, im := range impls {
 				ev := &evs[ii]
-				ev.out, ev.cost, ev.ok = env.applyImpl(v, im, pouts)
-				ev.outID = ids.ids[ev.out] // applyImpl only lets formats of env.Formats through
+				ev.out, ev.cost, ev.ok = env.applyInputs(v, im, ins)
+				ev.outID = ids.ids[ev.out] // applyInputs only lets formats of env.Formats through
 			}
-			evaluated[code] = evs
+			done[code] = true
 			s.stats.CandidatesEvaluated += int64(len(impls))
 		}
 	nextImpl:

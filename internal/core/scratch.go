@@ -1,0 +1,170 @@
+package core
+
+import (
+	"math"
+	"sync"
+	"unsafe"
+)
+
+// A Frontier search borrows all of its working memory — the walk
+// goroutines' cell tables, the per-round index arrays and the cells of
+// every class it builds — from one scratch, and gives the scratch back
+// whole when it returns. Nothing cut from a scratch outlives the search:
+// the annotation is written from the expansions' choices and edges,
+// which are ordinary heap memory. Idle scratches wait on one
+// process-wide free list, so a process that searches again finds its
+// tables already allocated. The list is bounded by constants, the way
+// netfabric bounds its idle frame buffers; it is not a sync.Pool because
+// a collection would empty a pool between a serving process's searches.
+const (
+	maxIdleScratches = 2        // scratches the free list keeps
+	maxScratchBytes  = 64 << 20 // a scratch holding more is dropped, not kept
+)
+
+var idleScratches struct {
+	sync.Mutex
+	list []*scratch
+}
+
+// poisoned is set only under the matopt_poison build tag (poison.go).
+// Every bump take and every reused scratch array is then filled with junk
+// before it is handed out, so a search that reads memory it neither wrote
+// nor cleared changes its plan.
+var poisoned bool
+
+type scratch struct {
+	tables []cellTable // one per walk goroutine
+	order  []int32     // class: cell indices in key order
+	costs  []float64   // class: the cost copy the beam cut reorders
+	seen   []bool      // newRound: pin-tuple shares already met
+	spans  []span      // newRound: pin tuple → its range of choices
+	evals  []implEval  // bestChoices: code·len(impls) + impl → its evaluation
+	done   []bool      // bestChoices: code → evaluated
+
+	// Class cells and per-round contributions are cut from these.
+	u64 bump[uint64]
+	f64 bump[float64]
+	i32 bump[int32]
+}
+
+// takeScratch returns an idle scratch, or a new one when none is idle.
+func takeScratch() *scratch {
+	idleScratches.Lock()
+	defer idleScratches.Unlock()
+	if n := len(idleScratches.list); n > 0 {
+		s := idleScratches.list[n-1]
+		idleScratches.list[n-1] = nil
+		idleScratches.list = idleScratches.list[:n-1]
+		return s
+	}
+	return &scratch{
+		u64: bump[uint64]{junk: math.MaxUint64},
+		f64: bump[float64]{junk: math.NaN()},
+		i32: bump[int32]{junk: -1},
+	}
+}
+
+// giveBack returns the scratch to the free list, unless it holds more
+// than maxScratchBytes or the list is full. The caller must not use it,
+// or anything cut from it, afterwards.
+func (s *scratch) giveBack() {
+	if s.bytes() > maxScratchBytes {
+		return
+	}
+	s.u64.rewind()
+	s.f64.rewind()
+	s.i32.rewind()
+	idleScratches.Lock()
+	defer idleScratches.Unlock()
+	if len(idleScratches.list) < maxIdleScratches {
+		idleScratches.list = append(idleScratches.list, s)
+	}
+}
+
+// bytes is what the scratch holds. A rewind never makes it larger.
+func (s *scratch) bytes() int {
+	n := 4*cap(s.order) + 8*cap(s.costs) + cap(s.seen) + 8*cap(s.spans) +
+		int(unsafe.Sizeof(implEval{}))*cap(s.evals) + cap(s.done)
+	for i := range s.tables {
+		t := &s.tables[i]
+		n += 4*cap(t.slots) + 8*cap(t.keys) + 8*cap(t.cost) + 4*cap(t.choice) + 4*cap(t.parent)
+	}
+	return n + s.u64.bytes() + s.f64.bytes() + s.i32.bytes()
+}
+
+// walkTables returns n cell tables for the walk goroutines.
+func (s *scratch) walkTables(n int) []cellTable {
+	if len(s.tables) < n {
+		s.tables = append(s.tables, make([]cellTable, n-len(s.tables))...)
+	}
+	return s.tables[:n]
+}
+
+// reuse returns n elements of s, reallocating only when its capacity is
+// short. Their contents are undefined (junk under matopt_poison).
+func reuse[T any](s []T, n int, junk T) []T {
+	if cap(s) < n {
+		s = make([]T, n)
+	}
+	s = s[:n]
+	if poisoned {
+		for i := range s {
+			s[i] = junk
+		}
+	}
+	return s
+}
+
+// bump cuts arrays from chunks it keeps between searches. A take is
+// dirty: its caller clears only what it ORs or sums into.
+//
+// A new chunk is sized to the take that needs it, so a search on a new
+// scratch allocates no more than the arrays it takes, and a repeat of
+// the same search fits the same chunks exactly. A search on a reused
+// scratch that still needs a new chunk merges all of them, when it ends,
+// into one region sized to its total.
+type bump[T uint64 | float64 | int32] struct {
+	chunks    [][]T
+	kept      int // chunks held when the search began
+	cur, used int // the chunk being cut, and how much of it is cut
+	total     int // elements taken this search
+	junk      T   // what a take holds under matopt_poison
+}
+
+func (b *bump[T]) take(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	for b.cur < len(b.chunks) && b.used+n > len(b.chunks[b.cur]) {
+		b.cur, b.used = b.cur+1, 0
+	}
+	if b.cur == len(b.chunks) {
+		b.chunks = append(b.chunks, make([]T, n))
+	}
+	a := b.chunks[b.cur][b.used : b.used+n : b.used+n]
+	b.used += n
+	b.total += n
+	if poisoned {
+		for i := range a {
+			a[i] = b.junk
+		}
+	}
+	return a
+}
+
+// rewind readies the bump for the next search; every array taken since
+// the last rewind is dead.
+func (b *bump[T]) rewind() {
+	if b.kept > 0 && len(b.chunks) > b.kept {
+		b.chunks = [][]T{make([]T, b.total)}
+	}
+	b.kept, b.cur, b.used, b.total = len(b.chunks), 0, 0, 0
+}
+
+func (b *bump[T]) bytes() int {
+	n := 0
+	for _, c := range b.chunks {
+		n += len(c)
+	}
+	return n * int(unsafe.Sizeof(b.junk))
+}
