@@ -86,15 +86,22 @@ race:
 
 # The fault-injection sweep under the race detector: seeded crash /
 # drop / delay / straggler schedules, retry exhaustion and the vertex
-# deadline, speculative re-execution and the cancellation / shutdown-gap
+# deadline, the stray-input rule and the cancellation / shutdown-gap
 # checks must all recover bit-identically (or fail typed) and leak no
 # goroutines. The ChaosNet rows inject network faults into
 # the TCP transport — a peer severing connections mid-exchange and a
 # worker departing mid-run (later dials refused) — and require the
-# same bit-identical recovery or typed degradation.
+# same bit-identical recovery or typed degradation. The pattern cannot
+# go stale: before running, every |-alternative of it must list at least
+# one test (go test -list), so deleting the last test an alternative
+# names fails the target instead of silently matching nothing.
+CHAOS_RUN = Chaos|Delayed|Retries|Deadline|Shutdown|Cancel|RandomFaults
 chaos:
-	$(GO) test -race -run 'Chaos|Speculat|Delayed|Retries|Deadline|Shutdown|Cancel|RandomFaults' \
-		. ./internal/dist/
+	@for alt in $$(echo '$(CHAOS_RUN)' | tr '|' ' '); do \
+		$(GO) test -list "$$alt" . ./internal/dist/ | grep -qE '^(Test|Example|Fuzz)' || \
+			{ echo "chaos: -run alternative '$$alt' matches no test in . or ./internal/dist/"; exit 1; }; \
+	done
+	$(GO) test -race -run '$(CHAOS_RUN)' . ./internal/dist/
 
 # Every Fuzz* target in the tree — the wire codec's three, the plan
 # decoder's one, the daemon's request bodies and the workload spec, the

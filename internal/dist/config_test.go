@@ -3,6 +3,7 @@ package dist_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"matopt/internal/costmodel"
 	"matopt/internal/dist"
@@ -29,7 +30,7 @@ func TestConfigValidate(t *testing.T) {
 		{"zero value on dist", dist.Config{}, true, ""},
 		{"zero value on seq", dist.Config{}, false, ""},
 		{"every knob on dist", dist.Config{
-			Shards: 4, KernelThreads: 2, MaxRetries: intp(3), Fallback: true, Speculate: true,
+			Shards: 4, KernelThreads: 2, MaxRetries: intp(3), Fallback: true,
 			Faults: 5, FaultSeed: 7, Peers: []string{"local", "127.0.0.1:9431"},
 		}, true, ""},
 		{"engine-neutral knobs on seq", dist.Config{
@@ -53,7 +54,6 @@ func TestConfigValidate(t *testing.T) {
 		{"empty peer entry", dist.Config{Peers: []string{"127.0.0.1:9431", " "}}, true, "peers[1] is empty"},
 
 		{"faults on seq", dist.Config{Faults: 2}, false, "faults requires engine dist"},
-		{"speculate on seq", dist.Config{Speculate: true}, false, "speculate requires engine dist"},
 		{"peers on seq", dist.Config{Peers: []string{"127.0.0.1:9431"}}, false, "peers requires engine dist"},
 
 		{"first problem wins", dist.Config{Shards: -1, Faults: -1}, true, "shards"},
@@ -98,8 +98,11 @@ func TestConfigDefaults(t *testing.T) {
 	if c.FaultSeed != 1 {
 		t.Errorf("fault_seed default = %d, want 1", c.FaultSeed)
 	}
-	if c.Speculation != dist.DefaultSpeculation() {
-		t.Errorf("speculation profile default = %+v", c.Speculation)
+	if c.BackoffBase != 500*time.Microsecond || c.BackoffCap != 50*time.Millisecond {
+		t.Errorf("backoff defaults = %v..%v, want 500µs..50ms", c.BackoffBase, c.BackoffCap)
+	}
+	if c.VertexDeadline != 30*time.Second || c.ExchangeTimeout != 30*time.Second {
+		t.Errorf("vertex deadline = %v, exchange timeout = %v, want 30s each", c.VertexDeadline, c.ExchangeTimeout)
 	}
 	rt, err = dist.New(costmodel.LocalTest(2), dist.Config{MaxRetries: intp(0)})
 	if err != nil {

@@ -54,33 +54,6 @@ type Runtime struct {
 	cfg     Config // defaults filled
 }
 
-// Speculation configures straggler re-execution: once a run has at
-// least MinObservations completed vertex durations, any attempt that
-// runs longer than Multiplier × the observed p99 (but never less than
-// Floor) gets a speculative duplicate launched on rotated owner shards;
-// the first attempt to finish wins and the loser is cancelled. Both
-// attempts replay the same deterministic kernels over the same
-// immutable inputs, so the winner's result is bit-identical either way.
-type Speculation struct {
-	// MinObservations is how many completed vertices the run must have
-	// timed before deadlines are derived; below it nothing speculates.
-	// Zero or negative means speculate from the first vertex that has
-	// any estimate at all.
-	MinObservations int
-	// Multiplier scales the observed p99 vertex duration into the
-	// straggler deadline; ≤ 0 means 3.
-	Multiplier float64
-	// Floor is the minimum deadline, guarding against spuriously tight
-	// p99 estimates early in a run.
-	Floor time.Duration
-}
-
-// DefaultSpeculation is a conservative profile: wait for 8 observations,
-// call an attempt a straggler at 3× the p99, never under 10ms.
-func DefaultSpeculation() Speculation {
-	return Speculation{MinObservations: 8, Multiplier: 3, Floor: 10 * time.Millisecond}
-}
-
 // New returns a runtime for the given cluster profile (per-tuple size
 // bounds) and configuration, which must pass Config.Validate(true);
 // its zero values take their documented defaults.

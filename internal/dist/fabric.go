@@ -144,11 +144,11 @@ func (r *exec) exchange(x engine.Xfer, produce func(shard int) ([]routed, error)
 	go func() {
 		// A delayed exchange models a slow link, not a busy node: the
 		// stall must hold up this transfer without occupying the shard's
-		// worker, which stays free for other attempts' tasks — in
-		// particular a speculative duplicate of this very vertex, whose
-		// whole point is to dodge the stall. Delayed shards therefore
-		// wait out the injected delay (and then produce) on their own
-		// goroutine; healthy shards go through the worker as usual.
+		// worker. Delayed shards therefore wait out the injected delay
+		// (and then produce) on their own goroutine; healthy shards go
+		// through the worker as usual. Should that producer then block —
+		// a held write that outlives the exchange timeout — the worker
+		// stays free for the retry of this very vertex.
 		var dwg sync.WaitGroup
 		derrs := make([]error, n)
 		for s := 0; s < n; s++ {

@@ -26,7 +26,8 @@ import (
 //   - FaultDelayExchange stalls one producing shard of an exchange for
 //     Delay before it emits — a slow link, so the stall holds the
 //     transfer without occupying the shard's worker (that is
-//     FaultSlowShard's job); a speculative duplicate can run past it.
+//     FaultSlowShard's job), which stays free for the vertex's retry
+//     should the delayed producer outlive the exchange timeout.
 //     If the delay exceeds the runtime's exchange timeout the exchange
 //     fails (and is retried); otherwise the run is merely slower and
 //     the output unchanged.

@@ -14,73 +14,6 @@ import (
 	"matopt/internal/tensor"
 )
 
-// TestSpeculativeStragglerWin stalls one exchange of a late vertex far
-// past the run's p99 vertex latency: the runtime must launch a
-// speculative duplicate on rotated shards, take its result, and stay
-// bit-identical to the sequential engine.
-func TestSpeculativeStragglerWin(t *testing.T) {
-	pp, inputs, cl := chaosWorkload(t)
-	want := seqGolden(t, cl, pp, inputs)
-
-	for _, shards := range chaosShards {
-		leakChecked(t, func() {
-			base := runFaulted(t, "spec-profile", cl, shards, nil, pp, inputs, want)
-			if len(base.Exchanges) == 0 {
-				t.Fatalf("@%d shards: workload has no exchanges to stall", shards)
-			}
-			// Stall the latest exchanging vertex: everything upstream has
-			// completed by then, so the latency histogram the deadline is
-			// derived from is well seeded.
-			x := base.Exchanges[0]
-			for _, e := range base.Exchanges {
-				if e.Vertex > x.Vertex {
-					x = e
-				}
-			}
-			plan := dist.NewFaultPlan(dist.Fault{
-				Kind: dist.FaultDelayExchange, Vertex: x.Vertex, Label: x.Label, Shard: -1,
-				Delay: 750 * time.Millisecond,
-			})
-			// The floor sits far above any healthy vertex (even under the
-			// race detector) and far below the stall: only the straggling
-			// vertex is ever raced, its primary reaches the exchange — and
-			// latches the once-only delay — long before the duplicate
-			// launches, and the duplicate then wins by hundreds of
-			// milliseconds. A hair-trigger floor would instead speculate
-			// every vertex: an upstream win's rotated placement can make
-			// the targeted exchange unnecessary, and the straggler's own
-			// duplicate can reach the exchange first and absorb the delay
-			// itself.
-			rep := runFaulted(t, "spec-straggler", cl, shards, plan, pp, inputs, want,
-				dist.Config{Speculate: true, Speculation: dist.Speculation{MinObservations: 1, Multiplier: 1, Floor: 250 * time.Millisecond}})
-			if rep.FaultsInjected != 1 {
-				t.Fatalf("straggler @%d shards: %d faults injected, want 1", shards, rep.FaultsInjected)
-			}
-			if rep.SpeculativeLaunches < 1 {
-				t.Fatalf("straggler @%d shards: no speculative duplicate launched: %+v", shards, rep)
-			}
-			if rep.SpeculativeWins < 1 {
-				t.Fatalf("straggler @%d shards: the duplicate never won against a %v stall: %+v",
-					shards, 750*time.Millisecond, rep)
-			}
-		})
-	}
-}
-
-// TestSpeculationOffByDefault: with Config.Speculate unset a
-// straggling exchange merely slows the run — no duplicates launch.
-func TestSpeculationOffByDefault(t *testing.T) {
-	pp, inputs, cl := chaosWorkload(t)
-	want := seqGolden(t, cl, pp, inputs)
-	plan := dist.NewFaultPlan(dist.Fault{
-		Kind: dist.FaultDelayExchange, Vertex: -1, Shard: -1, Delay: 5 * time.Millisecond,
-	})
-	rep := runFaulted(t, "no-spec", cl, 2, plan, pp, inputs, want)
-	if rep.SpeculativeLaunches != 0 || rep.SpeculativeWins != 0 {
-		t.Fatalf("speculation ran without being enabled: %+v", rep)
-	}
-}
-
 // TestRandomFaultsGolden locks the RandomFaults schedule for fixed
 // seeds: the derived schedules are part of the reproducibility contract
 // (chaos runs cite their seed), so the case distribution in
@@ -125,8 +58,8 @@ func TestRandomFaultsGolden(t *testing.T) {
 
 // heldLink is the in-process transport with one slow socket: the first
 // dense message an exchange of the watched vertex and label sends is held
-// in its Send for hold — a blocked write, which neither a cancelled
-// attempt nor a timed-out exchange calls back — and only then is its
+// in its Send for hold — a blocked write, which a timed-out exchange
+// does not call back — and only then is its
 // payload read, the way a socket that writes from storage reads it. done
 // receives once, when the held payload has been read: whether its
 // storage was released or rewritten while the write was blocked.
@@ -211,31 +144,6 @@ func TestChaosTimedOutConsumerKeepsItsInputs(t *testing.T) {
 		}
 		if <-link.done {
 			t.Fatalf("v%d's input was recycled while a timed-out producer was still sending it", x.Vertex)
-		}
-	})
-}
-
-// TestSpeculativeLoserKeepsItsInputs: a vertex whose primary attempt is
-// stuck sending one of its inputs gets a speculative duplicate, which
-// wins — but the input must not be recycled when it does, since the
-// loser's write is still reading it.
-func TestSpeculativeLoserKeepsItsInputs(t *testing.T) {
-	pp, inputs, cl := chaosWorkload(t)
-	want := seqGolden(t, cl, pp, inputs)
-	x := soleConsumerExchange(t, pp, runFaulted(t, "profile", cl, 2, nil, pp, inputs, want))
-	leakChecked(t, func() {
-		link := newHeldLink(x, 600*time.Millisecond)
-		plan := dist.NewFaultPlan(dist.Fault{
-			Kind: dist.FaultDelayExchange, Vertex: x.Vertex, Label: x.Label, Shard: -1, Delay: time.Millisecond,
-		})
-		rep := runFaulted(t, "speculated", cl, 2, plan, pp, inputs, want,
-			dist.Config{Transport: link, Speculate: true,
-				Speculation: dist.Speculation{MinObservations: 1, Multiplier: 1, Floor: 150 * time.Millisecond}})
-		if rep.SpeculativeWins < 1 {
-			t.Fatalf("the duplicate of v%d never won against a %v held write: %+v", x.Vertex, link.hold, rep)
-		}
-		if <-link.done {
-			t.Fatalf("v%d's input was recycled while the losing attempt was still sending it", x.Vertex)
 		}
 	})
 }

@@ -33,10 +33,8 @@ type Report struct {
 	PeakBytes int64         `json:"peak_bytes"` // peak resident relation bytes during the run
 	Wall      time.Duration `json:"wall_ns"`    // end-to-end wall time of the run
 
-	FaultsInjected      int64 `json:"faults_injected"`                // scheduled faults this run fired or applied
-	Retries             int64 `json:"retries"`                        // total vertex recomputations taken
-	SpeculativeLaunches int64 `json:"speculative_launches,omitempty"` // speculative duplicate attempts launched
-	SpeculativeWins     int64 `json:"speculative_wins,omitempty"`     // speculative attempts that beat their primary
+	FaultsInjected int64 `json:"faults_injected"` // scheduled faults this run fired or applied
+	Retries        int64 `json:"retries"`         // total vertex recomputations taken
 
 	Transport      string `json:"transport,omitempty"`       // exchange transport that moved the run's data ("chan", "tcp")
 	WireBytes      int64  `json:"wire_bytes,omitempty"`      // framed bytes put on (and read off) real sockets, both directions
@@ -75,8 +73,8 @@ func (r *Report) TotalBusy() time.Duration {
 }
 
 // String renders the report as the indented block the CLI prints after
-// a dist run; lines for wire traffic, kernels, recovery, speculation
-// and degradation appear only when the run has something to say there.
+// a dist run; lines for wire traffic, kernels, recovery and
+// degradation appear only when the run has something to say there.
 func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "dist run: %d shards, wall %v, peak %d B resident\n", r.Shards, r.Wall.Round(time.Microsecond), r.PeakBytes)
@@ -108,10 +106,6 @@ func (r *Report) String() string {
 			b.WriteString(")")
 		}
 		b.WriteString("\n")
-	}
-	if r.SpeculativeLaunches > 0 {
-		fmt.Fprintf(&b, "  speculation: %d duplicates launched, %d won\n",
-			r.SpeculativeLaunches, r.SpeculativeWins)
 	}
 	if r.Degraded {
 		fmt.Fprintf(&b, "  DEGRADED to sequential engine: %s\n", r.DegradedCause)
@@ -205,10 +199,6 @@ func reportFromRegistry(snap []obs.Metric) *Report {
 				rep.RetriesByVertex[v] += int(m.Value)
 				rep.Retries += m.Value
 			}
-		case "dist.speculative.launches":
-			rep.SpeculativeLaunches = m.Value
-		case "dist.speculative.wins":
-			rep.SpeculativeWins = m.Value
 		}
 	}
 	rep.ShardBusy = make([]time.Duration, rep.Shards)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -73,15 +72,15 @@ func retryable(err error) bool {
 }
 
 // runGroup executes one recovery group (a vertex's fused plan nodes)
-// with recovery: transient failures (ErrShardFailed,
-// ErrExchangeTimeout) are retried with capped, jittered exponential
-// backoff up to the runtime's retry budget and per-vertex deadline;
-// deterministic inputs make every re-execution produce the same bits as
-// a fault-free run. The input snapshot is re-copied per attempt so a
-// retry re-derives the fused re-layouts from the original relations
-// rather than a half-transformed attempt state. An attempt that leaves a
-// goroutine behind which may still read ins — a speculative loser, or
-// the producers of an exchange that timed out — sets stray.
+// with recovery: each attempt runs inline on the group's goroutine, and
+// transient failures (ErrShardFailed, ErrExchangeTimeout) are retried
+// with capped, jittered exponential backoff up to the runtime's retry
+// budget and per-vertex deadline; deterministic inputs make every
+// re-execution produce the same bits as a fault-free run. The input
+// snapshot is re-copied per attempt so a retry re-derives the fused
+// re-layouts from the original relations rather than a half-transformed
+// attempt state. An attempt whose exchange timed out leaves its
+// producers behind, which may still read ins, and so sets stray.
 func (r *run) runGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]*tensor.Dense, stray *atomic.Bool) (*engine.Relation, error) {
 	start := time.Now()
 	vspan := r.tr.Start(r.span, "vertex").
@@ -92,7 +91,10 @@ func (r *run) runGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]
 		vspan.End()
 	}()
 	for attempt := 0; ; attempt++ {
-		rel, err := r.runAttempt(gr, ins, inputs, vspan, attempt, stray)
+		aspan := r.tr.Start(vspan, "attempt").SetInt("n", int64(attempt))
+		x := &exec{run: r, attempt: attempt, stray: stray, span: aspan}
+		rel, err := x.execGroup(gr, ins, inputs)
+		aspan.End()
 		if err == nil {
 			vspan.SetInt("attempts", int64(attempt+1))
 			return rel, nil
@@ -119,124 +121,6 @@ func (r *run) runGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]
 			return nil, fmt.Errorf("dist: vertex %d aborted during retry backoff: %w", gr.vertex, berr)
 		}
 	}
-}
-
-// runAttempt runs one execution attempt of a group. When speculation is
-// enabled and the run's vertex-duration histogram has enough
-// observations to derive a deadline, the attempt is raced against a
-// straggler timer: if the primary has not finished by the p99-derived
-// deadline, a speculative duplicate launches with rotated owner shards
-// and the first successful result wins — both attempts replay the same
-// deterministic kernels over the same immutable inputs, so winner and
-// loser are bit-identical and either result is correct. The loser is
-// cancelled and drained on the run's attempt WaitGroup so shutdown
-// never races a straggling task against queue close; launching the
-// duplicate marks the group's inputs stray, since the loser may still be
-// reading them when the winner returns.
-func (r *run) runAttempt(gr *planGroup, ins []*engine.Relation, inputs map[string]*tensor.Dense,
-	vspan *obs.Span, attempt int, stray *atomic.Bool) (*engine.Relation, error) {
-	deadline := r.specDeadline()
-	if deadline <= 0 {
-		aspan := r.tr.Start(vspan, "attempt").SetInt("n", int64(attempt))
-		defer aspan.End()
-		x := &exec{run: r, ctx: r.ctx, attempt: attempt, stray: stray, span: aspan}
-		return x.execGroup(gr, ins, inputs)
-	}
-
-	type outcome struct {
-		rel  *engine.Relation
-		err  error
-		spec bool
-	}
-	// Capacity 2 so neither attempt ever blocks sending its result: a
-	// loser finishing after runAttempt returned must still exit.
-	resc := make(chan outcome, 2)
-	pctx, pcancel := context.WithCancel(r.ctx)
-	defer pcancel()
-	sctx, scancel := context.WithCancel(r.ctx)
-	defer scancel()
-	start := func(ctx context.Context, spec bool) {
-		r.specWG.Add(1)
-		go func() {
-			defer r.specWG.Done()
-			name, off := "attempt", 0
-			if spec {
-				name, off = "attempt.speculative", 1
-			}
-			aspan := r.tr.Start(vspan, name).SetInt("n", int64(attempt))
-			x := &exec{run: r, ctx: ctx, attempt: attempt, ownerOff: off, stray: stray, span: aspan}
-			rel, err := x.execGroup(gr, ins, inputs)
-			aspan.End()
-			resc <- outcome{rel: rel, err: err, spec: spec}
-		}()
-	}
-	start(pctx, false)
-	timer := time.NewTimer(deadline)
-	defer timer.Stop()
-	running, specLaunched := 1, false
-	var primaryErr, specErr error
-	for {
-		select {
-		case <-timer.C:
-			if !specLaunched {
-				specLaunched = true
-				stray.Store(true)
-				running++
-				r.reg.Counter("dist.speculative.launches").Inc()
-				vspan.SetInt("speculated", 1)
-				start(sctx, true)
-			}
-		case out := <-resc:
-			running--
-			if out.err == nil {
-				if out.spec {
-					r.reg.Counter("dist.speculative.wins").Inc()
-					pcancel()
-				} else {
-					scancel()
-				}
-				// A still-running loser drains through the buffered
-				// channel and exits via specWG; its error is discarded.
-				return out.rel, nil
-			}
-			if out.spec {
-				specErr = out.err
-			} else {
-				primaryErr = out.err
-			}
-			if running > 0 {
-				continue // the other attempt may still succeed
-			}
-			if primaryErr != nil {
-				return nil, primaryErr
-			}
-			return nil, specErr
-		}
-	}
-}
-
-// specDeadline derives the straggler deadline for the next attempt from
-// the run's own vertex-duration histogram: Multiplier × p99, floored at
-// Floor. Zero means "do not speculate": speculation disabled, too few
-// observations yet, or the p99 landed in the histogram's overflow
-// bucket (no finite estimate).
-func (r *run) specDeadline() time.Duration {
-	if !r.cfg.Speculate {
-		return 0
-	}
-	sp := r.cfg.Speculation
-	if r.vsec.Count() < int64(sp.MinObservations) {
-		return 0
-	}
-	q := r.vsec.Quantile(0.99)
-	if q <= 0 || math.IsInf(q, 1) {
-		return 0
-	}
-	d := time.Duration(q * sp.Multiplier * float64(time.Second))
-	if d < sp.Floor {
-		d = sp.Floor
-	}
-	return d
 }
 
 // backoffDelay returns the jittered pause before retry `attempt` of a

