@@ -147,8 +147,8 @@ func TestFallbackNeverMasksCancellation(t *testing.T) {
 // schedule; different seeds differ.
 func TestRandomFaultsDeterministic(t *testing.T) {
 	ids := []int{0, 1, 2, 3, 4}
-	a := RandomFaults(42, 8, ids, 4).Faults()
-	b := RandomFaults(42, 8, ids, 4).Faults()
+	a := RandomFaults(42, 8, ids).Faults()
+	b := RandomFaults(42, 8, ids).Faults()
 	if len(a) != 8 || len(b) != 8 {
 		t.Fatalf("want 8 faults, got %d and %d", len(a), len(b))
 	}
@@ -157,7 +157,7 @@ func TestRandomFaultsDeterministic(t *testing.T) {
 			t.Fatalf("schedules diverge at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
-	c := RandomFaults(43, 8, ids, 4).Faults()
+	c := RandomFaults(43, 8, ids).Faults()
 	same := true
 	for i := range a {
 		if a[i] != c[i] {

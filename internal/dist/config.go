@@ -51,11 +51,10 @@ type Config struct {
 	// bit-identically — and marks the Report Degraded. The dist runtime
 	// itself only carries the flag.
 	Fallback bool `json:"fallback,omitempty"`
-	// Faults injects that many seeded failures — crashed tasks, dropped
-	// or delayed exchanges, a straggler shard — drawn by RandomFaults
-	// from (FaultSeed, the plan's vertex ids, Shards) afresh for every
-	// run. Each targets a first attempt, so any retry budget above zero
-	// recovers. 0 = none; negative or above FaultLimit is an error;
+	// Faults injects that many seeded failures — crashed tasks and
+	// dropped exchanges — drawn by RandomFaults from (FaultSeed, the
+	// plan's vertex ids) afresh for every run. Each targets a first
+	// attempt, so any retry budget above zero recovers. 0 = none; negative or above FaultLimit is an error;
 	// positive requires the dist engine. FaultPlan takes precedence.
 	Faults int `json:"faults,omitempty"`
 	// FaultSeed picks the Faults schedule and, through it, the jitter of
@@ -93,11 +92,6 @@ type Config struct {
 	// min(base<<i, cap), jittered deterministically from the fault seed.
 	// 0 = 500µs and 50ms, negligible next to real compute.
 	BackoffBase, BackoffCap time.Duration `json:"-"`
-	// VertexDeadline stops retrying a vertex that has been failing this
-	// long; ExchangeTimeout fails (and so retries) the consumer of an
-	// exchange that takes this long. 0 = 30s, which only a wedged run
-	// reaches; negative disables.
-	VertexDeadline, ExchangeTimeout time.Duration `json:"-"`
 }
 
 // Upper bounds on the knobs that size per-run state — shard goroutines
@@ -169,8 +163,6 @@ func (c Config) withDefaults() Config {
 	c.FaultSeed = cmp.Or(c.FaultSeed, 1)
 	c.BackoffBase = cmp.Or(c.BackoffBase, 500*time.Microsecond)
 	c.BackoffCap = cmp.Or(c.BackoffCap, 50*time.Millisecond)
-	c.VertexDeadline = cmp.Or(c.VertexDeadline, 30*time.Second)
-	c.ExchangeTimeout = cmp.Or(c.ExchangeTimeout, 30*time.Second)
 	return c
 }
 
@@ -185,5 +177,5 @@ func (c Config) faultPlan(p *plan.Plan) *FaultPlan {
 	for i, v := range p.Graph.Vertices {
 		ids[i] = v.ID
 	}
-	return RandomFaults(c.FaultSeed, c.Faults, ids, c.Shards)
+	return RandomFaults(c.FaultSeed, c.Faults, ids)
 }

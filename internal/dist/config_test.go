@@ -101,9 +101,6 @@ func TestConfigDefaults(t *testing.T) {
 	if c.BackoffBase != 500*time.Microsecond || c.BackoffCap != 50*time.Millisecond {
 		t.Errorf("backoff defaults = %v..%v, want 500µs..50ms", c.BackoffBase, c.BackoffCap)
 	}
-	if c.VertexDeadline != 30*time.Second || c.ExchangeTimeout != 30*time.Second {
-		t.Errorf("vertex deadline = %v, exchange timeout = %v, want 30s each", c.VertexDeadline, c.ExchangeTimeout)
-	}
 	rt, err = dist.New(costmodel.LocalTest(2), dist.Config{MaxRetries: intp(0)})
 	if err != nil {
 		t.Fatal(err)

@@ -116,7 +116,7 @@ func (rt *Runtime) RunPlan(ctx context.Context, p *plan.Plan, inputs map[string]
 	start := time.Now()
 	r := newRun(cfg, rt.cluster, ctx, p, groups)
 	defer r.stop()
-	rels, recyclable, peak, err := r.execute(inputs)
+	rels, peak, err := r.execute(inputs)
 	if err != nil {
 		return nil, r.report(peak, time.Since(start)), err
 	}
@@ -131,9 +131,7 @@ func (rt *Runtime) RunPlan(ctx context.Context, p *plan.Plan, inputs map[string]
 			return nil, r.report(peak, time.Since(start)), fmt.Errorf("dist: collecting sink %d: %w", id, err)
 		}
 		outs[id] = m
-	}
-	for _, rel := range recyclable {
-		r.st.Free(rel) // collected into outs, which share none of it
+		r.st.Free(rel) // collected into m, which shares none of it
 	}
 	return outs, r.report(peak, time.Since(start)), nil
 }

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"matopt/internal/engine"
 	"matopt/internal/netfabric"
@@ -75,17 +73,15 @@ func (f *fabric) meterFor(x engine.Xfer) *meter {
 // output independent of the transport's arrival order.
 //
 // Failure semantics: a drop fault discards a producing shard's
-// messages in flight; since receivers cannot distinguish lost data from
-// slow data, the loss surfaces — like a genuine stall past the
-// runtime's exchange timeout — as ErrExchangeTimeout on the consuming
-// vertex, which the scheduler retries. Wire failures (a refused dial, a
+// messages in flight; since receivers cannot tell lost data from a dead
+// link, the loss surfaces as ErrExchangeTimeout on the consuming vertex,
+// which the scheduler retries. Wire failures (a refused dial, a
 // connection severed mid-exchange, an I/O deadline) are likewise
 // transient network weather, so they map onto the same
 // ErrExchangeTimeout and ride the retry → fallback ladder.
-// On the timer-driven timeout path the producers may still be running,
-// so session teardown is handed to a background drainer, and the group's
-// inputs are marked stray — never recycled; the shard workers themselves
-// stay healthy for the retry.
+// The exchange ends when its producers return and keeps no clock of its
+// own: the chan transport cannot stall, and the TCP transport bounds
+// every socket operation with its I/O deadline (DESIGN.md §16).
 func (r *exec) exchange(x engine.Xfer, produce func(shard int) ([]routed, error)) ([][]message, error) {
 	m := r.fab.meterFor(x)
 	tp := r.cfg.Transport
@@ -102,15 +98,12 @@ func (r *exec) exchange(x engine.Xfer, produce func(shard int) ([]routed, error)
 	if err != nil {
 		return nil, r.wireErr(x, "open", err)
 	}
-	drop, delay := r.cfg.FaultPlan.exchangeFaults(x.Vertex, x.Label, r.attempt)
+	drop := r.cfg.FaultPlan.drop(x.Vertex, x.Label, r.attempt)
 	if drop != nil {
 		r.faults.Inc()
 	}
-	if delay != nil {
-		r.faults.Inc()
-	}
 	var lost atomic.Bool
-	work := func(s int) error {
+	err = r.Parallel(func(s int) error {
 		out, err := produce(s)
 		if err != nil {
 			return err
@@ -136,84 +129,15 @@ func (r *exec) exchange(x engine.Xfer, produce func(shard int) ([]routed, error)
 			}
 		}
 		return nil
-	}
-	delayed := func(s int) bool {
-		return delay != nil && (delay.Shard == -1 || delay.Shard == s)
-	}
-	prodDone := make(chan error, 1)
-	go func() {
-		// A delayed exchange models a slow link, not a busy node: the
-		// stall must hold up this transfer without occupying the shard's
-		// worker. Delayed shards therefore wait out the injected delay
-		// (and then produce) on their own goroutine; healthy shards go
-		// through the worker as usual. Should that producer then block —
-		// a held write that outlives the exchange timeout — the worker
-		// stays free for the retry of this very vertex.
-		var dwg sync.WaitGroup
-		derrs := make([]error, n)
-		for s := 0; s < n; s++ {
-			if !delayed(s) {
-				continue
-			}
-			dwg.Add(1)
-			go func(s int) {
-				defer dwg.Done()
-				if err := sleepCtx(r.ctx, delay.Delay); err != nil {
-					derrs[s] = err
-					return
-				}
-				derrs[s] = work(s)
-			}(s)
-		}
-		perr := r.Parallel(func(s int) error {
-			if delayed(s) {
-				return nil
-			}
-			return work(s)
-		})
-		dwg.Wait()
-		if perr == nil {
-			for _, err := range derrs {
-				if err != nil {
-					perr = err
-					break
-				}
-			}
-		}
-		prodDone <- perr
-	}()
-
-	var perr error
-	var timeoutCh <-chan time.Time
-	if d := r.cfg.ExchangeTimeout; d > 0 {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		timeoutCh = timer.C
-	}
-	select {
-	case perr = <-prodDone:
-	case <-timeoutCh:
-		// Producers are still running (a stalled link, a straggler
-		// mid-delay). Hand teardown to a drainer that abandons the
-		// session once every producer has returned; the recv buffers
-		// are dropped.
-		r.stray.Store(true)
-		go func() {
-			<-prodDone
-			sess.Abandon()
-		}()
-		return nil, fmt.Errorf("dist: exchange %q at vertex %d exceeded its %v timeout: %w",
-			x.Label, x.Vertex, r.cfg.ExchangeTimeout, ErrExchangeTimeout)
-	}
-	if perr != nil {
-		// Abandon only after every producer has returned (they just
-		// did); the session's buffers and connections are released even
-		// on error or cancel.
+	})
+	if err != nil {
+		// Every producer has returned, so the session's buffers and
+		// connections are released even on error or cancel.
 		sess.Abandon()
-		if errors.Is(perr, netfabric.ErrWire) {
-			return nil, r.wireErr(x, "send", perr)
+		if errors.Is(err, netfabric.ErrWire) {
+			return nil, r.wireErr(x, "send", err)
 		}
-		return nil, perr
+		return nil, err
 	}
 	recv, err := sess.Collect()
 	if err != nil {

@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sync/atomic"
-	"time"
 )
 
 // Fault injection: the paper's optimizer targets real clusters where
-// workers crash, straggle and lose messages. The dist runtime injects
-// those failures deterministically — a FaultPlan is a fixed schedule,
-// not a random process at execution time — so every chaos test is
+// workers crash and lose messages. The dist runtime injects those
+// failures deterministically — a FaultPlan is a fixed schedule, not a
+// random process at execution time — so every chaos test is
 // reproducible bit for bit: the same plan against the same computation
 // always fails at the same points and recovers along the same path.
 //
@@ -20,20 +19,9 @@ import (
 //     stand-in for a worker process dying mid-task. It surfaces as
 //     ErrShardFailed and is retryable.
 //   - FaultDropExchange discards one shard's (or every shard's)
-//     outgoing messages of one exchange. The receiving side can only
-//     notice missing data by timing out, so a drop surfaces as
+//     outgoing messages of one exchange at the producer. The receiving
+//     side cannot tell lost data from a dead link, so a drop surfaces as
 //     ErrExchangeTimeout and is retryable.
-//   - FaultDelayExchange stalls one producing shard of an exchange for
-//     Delay before it emits — a slow link, so the stall holds the
-//     transfer without occupying the shard's worker (that is
-//     FaultSlowShard's job), which stays free for the vertex's retry
-//     should the delayed producer outlive the exchange timeout.
-//     If the delay exceeds the runtime's exchange timeout the exchange
-//     fails (and is retried); otherwise the run is merely slower and
-//     the output unchanged.
-//   - FaultSlowShard makes every task on one shard sleep Delay before
-//     running — a straggler node. Nothing fails; the schedule of the
-//     DAG shifts and the output must still be bit-identical.
 //
 // No kind loses data: no process but the coordinator holds a relation,
 // so a worker that dies is a failed exchange, retried like any other
@@ -48,54 +36,36 @@ const (
 	// FaultDropExchange loses an exchange's messages; surfaces as
 	// ErrExchangeTimeout on the consuming vertex.
 	FaultDropExchange
-	// FaultDelayExchange stalls one producing shard of an exchange for
-	// Delay before it sends.
-	FaultDelayExchange
-	// FaultSlowShard delays every task on Shard by Delay (a straggler).
-	FaultSlowShard
 )
 
-// String names the kind as fault schedules print it: crash, drop,
-// delay or slow.
+// String names the kind as fault schedules print it: crash or drop.
 func (k FaultKind) String() string {
 	switch k {
 	case FaultCrash:
 		return "crash"
 	case FaultDropExchange:
 		return "drop"
-	case FaultDelayExchange:
-		return "delay"
-	case FaultSlowShard:
-		return "slow"
 	}
 	return fmt.Sprintf("FaultKind(%d)", int(k))
 }
 
-// Fault is one scheduled failure. Crash, drop and delay faults fire at
-// most once, on the attempt they name; a slow-shard fault applies to
-// every task on its shard for the whole run.
+// Fault is one scheduled failure. It fires at most once, on the attempt
+// it names.
 type Fault struct {
 	Kind    FaultKind
-	Vertex  int           // target vertex ID (crash/drop/delay); -1 matches any vertex
-	Label   string        // exchange label filter (drop/delay); "" matches any exchange of the vertex
-	Shard   int           // target shard (slow; drop/delay producer side); -1 matches all shards
-	Attempt int           // the vertex execution attempt the fault fires on (0 = first)
-	Delay   time.Duration // stall length (delay/slow)
+	Vertex  int    // target vertex ID; -1 matches any vertex
+	Label   string // exchange label filter (drop); "" matches any exchange of the vertex
+	Shard   int    // producing shard whose messages are lost (drop); -1 matches all shards
+	Attempt int    // the vertex execution attempt the fault fires on (0 = first)
 }
 
 // String renders the fault as one schedule line — kind(target,
-// attempt, delay) — the form the CLI prints before a chaos run.
+// attempt) — the form the CLI prints before a chaos run.
 func (f Fault) String() string {
-	switch f.Kind {
-	case FaultSlowShard:
-		return fmt.Sprintf("slow(shard %d, %v/task)", f.Shard, f.Delay)
-	case FaultDelayExchange:
-		return fmt.Sprintf("delay(v%d %q attempt %d, %v)", f.Vertex, f.Label, f.Attempt, f.Delay)
-	case FaultDropExchange:
+	if f.Kind == FaultDropExchange {
 		return fmt.Sprintf("drop(v%d %q attempt %d)", f.Vertex, f.Label, f.Attempt)
-	default:
-		return fmt.Sprintf("crash(v%d attempt %d)", f.Vertex, f.Attempt)
 	}
+	return fmt.Sprintf("crash(v%d attempt %d)", f.Vertex, f.Attempt)
 }
 
 // faultState is one scheduled fault plus its once-only firing latch.
@@ -122,13 +92,13 @@ func NewFaultPlan(faults ...Fault) *FaultPlan {
 	return p
 }
 
-// RandomFaults derives a schedule of n faults from a seed: crashes,
-// drops and delays over the given vertex IDs and a possible straggler
-// shard. Every fault targets attempt 0, so a runtime with at least one
-// retry always recovers. The same (seed, n, vertices, shards) always
-// yields the same schedule — TestRandomFaultsGolden locks the output
-// across releases, so the case distribution below must never change.
-func RandomFaults(seed int64, n int, vertices []int, shards int) *FaultPlan {
+// RandomFaults derives a schedule of n faults from a seed: crashes and
+// drops over the given vertex IDs. Every fault targets attempt 0, so a
+// runtime with at least one retry always recovers. The same (seed, n,
+// vertices) always yields the same schedule — TestRandomFaultsGolden
+// locks the output across releases, so the case distribution below must
+// never change.
+func RandomFaults(seed int64, n int, vertices []int) *FaultPlan {
 	rng := rand.New(rand.NewSource(seed))
 	var fs []Fault
 	for i := 0; i < n; i++ {
@@ -136,17 +106,10 @@ func RandomFaults(seed int64, n int, vertices []int, shards int) *FaultPlan {
 		if len(vertices) > 0 {
 			v = vertices[rng.Intn(len(vertices))]
 		}
-		switch rng.Intn(4) {
-		case 0:
+		if rng.Intn(2) == 0 {
 			fs = append(fs, Fault{Kind: FaultCrash, Vertex: v})
-		case 1:
+		} else {
 			fs = append(fs, Fault{Kind: FaultDropExchange, Vertex: v, Shard: -1})
-		case 2:
-			fs = append(fs, Fault{Kind: FaultDelayExchange, Vertex: v, Shard: -1,
-				Delay: time.Duration(1+rng.Intn(3)) * time.Millisecond})
-		default:
-			fs = append(fs, Fault{Kind: FaultSlowShard, Shard: rng.Intn(shards),
-				Delay: 50 * time.Microsecond})
 		}
 	}
 	p := NewFaultPlan(fs...)
@@ -197,17 +160,14 @@ func (p *FaultPlan) claim(vertex, attempt int) *Fault {
 	return nil
 }
 
-// exchangeFaults returns the drop and delay faults (if any) scheduled
-// for this exchange of this vertex attempt, claiming each.
-func (p *FaultPlan) exchangeFaults(vertex int, label string, attempt int) (drop, delay *Fault) {
+// drop returns the drop fault (if any) scheduled for this exchange of
+// this vertex attempt, claiming it.
+func (p *FaultPlan) drop(vertex int, label string, attempt int) *Fault {
 	if p == nil {
-		return nil, nil
+		return nil
 	}
 	for _, f := range p.faults {
-		if f.Kind != FaultDropExchange && f.Kind != FaultDelayExchange {
-			continue
-		}
-		if f.Attempt != attempt {
+		if f.Kind != FaultDropExchange || f.Attempt != attempt {
 			continue
 		}
 		if f.Vertex != -1 && f.Vertex != vertex {
@@ -216,28 +176,7 @@ func (p *FaultPlan) exchangeFaults(vertex int, label string, attempt int) (drop,
 		if f.Label != "" && f.Label != label {
 			continue
 		}
-		switch {
-		case f.Kind == FaultDropExchange && drop == nil:
-			if f.fired.CompareAndSwap(false, true) {
-				drop = &f.Fault
-			}
-		case f.Kind == FaultDelayExchange && delay == nil:
-			if f.fired.CompareAndSwap(false, true) {
-				delay = &f.Fault
-			}
-		}
-	}
-	return drop, delay
-}
-
-// slow returns the straggler fault delaying a shard's tasks (nil =
-// none); it applies for the whole run and is never claimed.
-func (p *FaultPlan) slow(shard int) *Fault {
-	if p == nil {
-		return nil
-	}
-	for _, f := range p.faults {
-		if f.Kind == FaultSlowShard && (f.Shard == -1 || f.Shard == shard) {
+		if f.fired.CompareAndSwap(false, true) {
 			return &f.Fault
 		}
 	}

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
+	"matopt"
 	"matopt/internal/core"
 	"matopt/internal/costmodel"
 	"matopt/internal/dist"
@@ -225,6 +228,101 @@ func TestChaosNetDialRefusedSurfacesExchangeTimeout(t *testing.T) {
 			t.Fatalf("%s: expected retries exhausted, got: %v", label, err)
 		}
 	}
+}
+
+// silentPeer listens on loopback and reads every byte each accepted
+// connection sends without ever writing one: a worker that has hung.
+// stop closes the listener and its connections and waits for the
+// goroutines serving them.
+func silentPeer(t *testing.T) (addr string, stop func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var conns []net.Conn
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				io.Copy(io.Discard, c)
+			}()
+		}
+	}()
+	return ln.Addr().String(), func() {
+		ln.Close()
+		mu.Lock()
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	}
+}
+
+// TestChaosNetSilentPeer: a peer that takes every frame and never answers
+// is caught by the transport's I/O deadline alone, since the runtime
+// keeps no clock of its own. The run must exhaust its retry budget
+// through ErrExchangeTimeout within seconds and leak nothing; an Executor
+// with Fallback must serve the sequential engine's bits and say it
+// degraded.
+func TestChaosNetSilentPeer(t *testing.T) {
+	cl, pp, inputs := tcpGoldenWorkload(t)
+	testutil.CheckGoroutines(t, func() {
+		addr, stop := silentPeer(t)
+		defer stop()
+		tp, err := netfabric.NewTCP([]string{netfabric.LocalPeer, addr}, netfabric.WithIOTimeout(200*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tp.Close()
+		cfg := dist.Config{Shards: 2, Transport: tp, MaxRetries: intp(1),
+			BackoffBase: time.Microsecond, BackoffCap: time.Microsecond}
+
+		rt, err := dist.New(cl, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t0 := time.Now()
+		_, _, err = rt.RunPlan(context.Background(), pp, inputs)
+		if waited := time.Since(t0); waited > 5*time.Second {
+			t.Fatalf("a silent peer held the run for %v", waited)
+		}
+		if !errors.Is(err, dist.ErrRetriesExhausted) || !errors.Is(err, dist.ErrExchangeTimeout) {
+			t.Fatalf("want ErrRetriesExhausted wrapping ErrExchangeTimeout, got %v", err)
+		}
+
+		p, err := matopt.NewOptimizer(cl).Optimize(matopt.NewBuilderFromGraph(pp.Graph))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := matopt.NewExecutor(cl).Run(p, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Fallback = true
+		x := matopt.NewExecutor(cl, matopt.WithEngineKind(matopt.DistEngine), matopt.WithExecConfig(cfg))
+		got, err := x.Run(p, inputs)
+		if err != nil {
+			t.Fatalf("fallback run failed: %v", err)
+		}
+		compareSinks(t, "silent peer, fallback", pp, want, got)
+		if rep := x.DistReport(); rep == nil || !rep.Degraded {
+			t.Fatalf("a run that fell back must report Degraded, got %+v", rep)
+		}
+	})
 }
 
 // TestChaosNetShutdownLeakFree runs a full TCP-transport dist run —

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"matopt/internal/engine"
@@ -23,14 +22,14 @@ var (
 	// mid-execution (in-process: an injected crash; on a real network
 	// backend: a worker failure).
 	ErrShardFailed = errors.New("dist: shard task failed")
-	// ErrExchangeTimeout reports that an exchange did not complete in
-	// time — messages were lost or a link stalled past the runtime's
-	// exchange timeout.
+	// ErrExchangeTimeout reports that an exchange did not complete:
+	// messages were lost, or the wire failed or stalled past the
+	// transport's I/O deadline.
 	ErrExchangeTimeout = errors.New("dist: exchange timed out")
 	// ErrRetriesExhausted reports that a vertex kept failing past the
-	// runtime's retry budget or per-vertex deadline. Every occurrence is
-	// wrapped in a RetriesExhaustedError carrying the failing vertex,
-	// the attempt count and the root-cause fault.
+	// runtime's retry budget. Every occurrence is wrapped in a
+	// RetriesExhaustedError carrying the failing vertex, the attempt
+	// count and the root-cause fault.
 	ErrRetriesExhausted = errors.New("dist: vertex retries exhausted")
 )
 
@@ -45,19 +44,12 @@ type RetriesExhaustedError struct {
 	Vertex int
 	// Attempts counts the executions taken.
 	Attempts int
-	// Deadline is the per-vertex recovery deadline that expired, zero
-	// when the retry budget (not the deadline) was exhausted.
-	Deadline time.Duration
 	// Cause is the last attempt's error.
 	Cause error
 }
 
 // Error renders the vertex, attempt count and root cause.
 func (e *RetriesExhaustedError) Error() string {
-	if e.Deadline > 0 {
-		return fmt.Sprintf("%v: vertex %d exceeded its %v recovery deadline after %d attempts: %v",
-			ErrRetriesExhausted, e.Vertex, e.Deadline, e.Attempts, e.Cause)
-	}
 	return fmt.Sprintf("%v: vertex %d failed %d times: %v",
 		ErrRetriesExhausted, e.Vertex, e.Attempts, e.Cause)
 }
@@ -75,13 +67,11 @@ func retryable(err error) bool {
 // with recovery: each attempt runs inline on the group's goroutine, and
 // transient failures (ErrShardFailed, ErrExchangeTimeout) are retried
 // with capped, jittered exponential backoff up to the runtime's retry
-// budget and per-vertex deadline; deterministic inputs make every
-// re-execution produce the same bits as a fault-free run. The input
-// snapshot is re-copied per attempt so a retry re-derives the fused
-// re-layouts from the original relations rather than a half-transformed
-// attempt state. An attempt whose exchange timed out leaves its
-// producers behind, which may still read ins, and so sets stray.
-func (r *run) runGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]*tensor.Dense, stray *atomic.Bool) (*engine.Relation, error) {
+// budget; deterministic inputs make every re-execution produce the same
+// bits as a fault-free run. Every attempt reads the original input
+// relations, so a retry re-derives the fused re-layouts from them rather
+// than from a half-transformed attempt state.
+func (r *run) runGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]*tensor.Dense) (*engine.Relation, error) {
 	start := time.Now()
 	vspan := r.tr.Start(r.span, "vertex").
 		SetInt("id", int64(gr.vertex)).SetStr("impl", gr.node.Name).
@@ -92,7 +82,7 @@ func (r *run) runGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]
 	}()
 	for attempt := 0; ; attempt++ {
 		aspan := r.tr.Start(vspan, "attempt").SetInt("n", int64(attempt))
-		x := &exec{run: r, attempt: attempt, stray: stray, span: aspan}
+		x := &exec{run: r, attempt: attempt, span: aspan}
 		rel, err := x.execGroup(gr, ins, inputs)
 		aspan.End()
 		if err == nil {
@@ -109,9 +99,6 @@ func (r *run) runGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]
 		}
 		if attempt >= *r.cfg.MaxRetries {
 			return nil, &RetriesExhaustedError{Vertex: gr.vertex, Attempts: attempt + 1, Cause: err}
-		}
-		if dl := r.cfg.VertexDeadline; dl > 0 && time.Since(start) >= dl {
-			return nil, &RetriesExhaustedError{Vertex: gr.vertex, Attempts: attempt + 1, Deadline: dl, Cause: err}
 		}
 		r.recordRetry(gr.vertex)
 		bspan := r.tr.Start(vspan, "retry.backoff").SetInt("attempt", int64(attempt))
@@ -142,8 +129,7 @@ func (c *Config) backoffDelay(vertex, attempt int) time.Duration {
 }
 
 // sleepCtx waits d, returning early with the context's error on
-// cancellation — neither a retry backoff nor an injected delay may
-// outlive a cancel.
+// cancellation — a retry backoff must not outlive a cancel.
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()

@@ -97,9 +97,7 @@ type run struct {
 // exec is one attempt's view of the run: the embedded run carries all
 // shared state (shards, fabric, registry, context), while the
 // attempt-scoped fields shadow it — span so exchanges nest under the
-// right attempt, attempt so fault matchers see the right number, and
-// stray, shared by every attempt of one group, set once any of them
-// leaves a goroutine behind that may still read the group's inputs.
+// right attempt, and attempt so fault matchers see the right number.
 // *exec is the runtime's engine.Mover: the operator table reaches
 // shards, workers and the fabric only through its Shards, OwnerShard,
 // Kern, Flops, Parallel, On, Exchange and Reduce methods (the run-scoped
@@ -107,7 +105,6 @@ type run struct {
 type exec struct {
 	*run
 	attempt int
-	stray   *atomic.Bool
 	wire    []engine.Tuple // what this attempt's exchanges received as copies of their own
 	span    *obs.Span
 	kernAcc atomic.Int64 // kernel ns accumulated by this attempt, for its span
@@ -151,28 +148,19 @@ func newRun(cfg Config, cl costmodel.Cluster, ctx context.Context, p *plan.Plan,
 	r.span = cfg.Tracer.Start(cfg.Span, "dist.run").
 		SetInt("shards", int64(cfg.Shards)).
 		SetInt("kernel_threads", int64(cfg.KernelThreads))
-	stragglers := map[*Fault]bool{}
 	for s := 0; s < cfg.Shards; s++ {
 		r.tasks[s] = make(chan func(), 16)
-		var straggle time.Duration
-		if f := cfg.FaultPlan.slow(s); f != nil {
-			straggle, stragglers[f] = f.Delay, true
-		}
 		busy := reg.Counter("dist.shard.busy_ns", obs.L("shard", strconv.Itoa(s)))
 		r.workers.Add(1)
 		go func(s int) {
 			defer r.workers.Done()
 			for fn := range r.tasks[s] {
-				if straggle > 0 {
-					time.Sleep(straggle)
-				}
 				t0 := time.Now()
 				fn()
 				busy.Add(int64(time.Since(t0)))
 			}
 		}(s)
 	}
-	r.faults.Add(int64(len(stragglers))) // a straggler counts once per run
 	return r
 }
 
@@ -250,14 +238,12 @@ func (r *run) On(shard int, fn func() error) error {
 // are ready is launched concurrently, and a completed group drops
 // inputs whose last consumer has now run (retained vertices are kept).
 // A compute group's output is owned by the run's Storage, so a dropped
-// one goes back to the tensor free list — unless an exchange of one of
-// its consumers timed out: the stale producers it left may still be
-// reading, so its storage is left to the garbage collector.
+// one goes back to the tensor free list: every exchange has returned
+// with its producers, so nothing reads it once its last consumer is done.
 // The first error wins: nothing further launches, and execute returns
 // it once every group in flight has reported. Returns the retained
-// relations, the ones that may be recycled once collected, and the peak
-// resident bytes.
-func (r *run) execute(inputs map[string]*tensor.Dense) (rels map[int]*engine.Relation, recyclable []*engine.Relation, peak int64, err error) {
+// relations and the peak resident bytes.
+func (r *run) execute(inputs map[string]*tensor.Dense) (rels map[int]*engine.Relation, peak int64, err error) {
 	refs := make(map[int]int, len(r.groups))
 	for _, gr := range r.groups {
 		for _, dep := range gr.deps {
@@ -270,15 +256,13 @@ func (r *run) execute(inputs map[string]*tensor.Dense) (rels map[int]*engine.Rel
 	}
 
 	type result struct {
-		id    int
-		rel   *engine.Relation
-		stray bool
-		err   error
+		id  int
+		rel *engine.Relation
+		err error
 	}
 	results := make(chan result)
 	rels = make(map[int]*engine.Relation, len(r.groups))
 	launched := make(map[int]bool, len(r.groups))
-	read := make(map[int]bool) // read by a goroutine that may outlive its consumer
 	var failed error
 	var resident int64
 	inFlight, completed := 0, 0
@@ -304,9 +288,8 @@ func (r *run) execute(inputs map[string]*tensor.Dense) (rels map[int]*engine.Rel
 		}
 		inFlight++
 		go func(gr *planGroup) {
-			var stray atomic.Bool
-			rel, err := r.runGroup(gr, ins, inputs, &stray)
-			results <- result{id: gr.vertex, rel: rel, stray: stray.Load(), err: err}
+			rel, err := r.runGroup(gr, ins, inputs)
+			results <- result{id: gr.vertex, rel: rel, err: err}
 		}(gr)
 	}
 
@@ -338,30 +321,22 @@ func (r *run) execute(inputs map[string]*tensor.Dense) (rels map[int]*engine.Rel
 		resident += res.rel.Bytes()
 		peak = max(peak, resident)
 		for _, dep := range r.groups[res.id].deps {
-			read[dep] = read[dep] || res.stray
 			refs[dep]--
 			if refs[dep] == 0 && !retain[dep] {
 				resident -= rels[dep].Bytes()
-				if !read[dep] {
-					r.st.Free(rels[dep])
-				}
+				r.st.Free(rels[dep])
 				delete(rels, dep)
 			}
 		}
 	}
 	if failed != nil {
-		return nil, nil, peak, failed
+		return nil, peak, failed
 	}
 	if completed != len(r.groups) {
-		return nil, nil, peak, fmt.Errorf("dist: scheduler stalled with %d of %d vertices executed: %w",
+		return nil, peak, fmt.Errorf("dist: scheduler stalled with %d of %d vertices executed: %w",
 			completed, len(r.groups), core.ErrInternal)
 	}
-	for _, id := range r.pl.Retained {
-		if !read[id] {
-			recyclable = append(recyclable, rels[id])
-		}
-	}
-	return rels, recyclable, peak, nil
+	return rels, peak, nil
 }
 
 // execGroup runs one recovery group's plan nodes through the operator
@@ -370,8 +345,7 @@ func (r *run) execute(inputs map[string]*tensor.Dense) (rels map[int]*engine.Rel
 // whose output the run's Storage then owns. What else the attempt made —
 // a re-layout output that is not its input, and the copies its exchanges
 // received over a wire — is its alone, so once the compute has
-// succeeded (no exchange of the attempt left a producer running) it goes
-// back to the free list, less what the output holds.
+// succeeded it goes back to the free list, less what the output holds.
 func (x *exec) execGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]*tensor.Dense) (*engine.Relation, error) {
 	defer func() {
 		if ns := x.kernAcc.Load(); ns > 0 {

@@ -72,7 +72,7 @@ func TestExecuteFreesAtLastConsumer(t *testing.T) {
 					cfg.Transport = tp
 				}
 				r := newRun(cfg, cl, context.Background(), p, groups)
-				rels, _, _, err := r.execute(inputs)
+				rels, _, err := r.execute(inputs)
 				r.stop()
 				if c, ok := cfg.Transport.(*netfabric.TCP); ok {
 					c.Close()

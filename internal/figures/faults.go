@@ -54,8 +54,6 @@ func FaultRecovery(shards int) Table {
 		{"crash every vertex once", dist.Config{FaultPlan: dist.NewFaultPlan(crashAll...)}},
 		{fmt.Sprintf("drop one exchange at v%d", mid),
 			dist.Config{FaultPlan: dist.NewFaultPlan(dist.Fault{Kind: dist.FaultDropExchange, Vertex: mid})}},
-		{"straggler shard (+200µs/task)", dist.Config{FaultPlan: dist.NewFaultPlan(
-			dist.Fault{Kind: dist.FaultSlowShard, Shard: shards - 1, Delay: 200 * time.Microsecond})}},
 		{"random schedule (seed 7, 5 faults)", dist.Config{Faults: 5, FaultSeed: 7}},
 		// Two crashes of one vertex exhaust a retry budget of one; with
 		// Fallback the Executor serves the sequential result instead.

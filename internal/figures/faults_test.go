@@ -13,8 +13,8 @@ func TestFaultRecoveryShape(t *testing.T) {
 	if tab.Name != "faults" {
 		t.Fatalf("table name = %q, want faults", tab.Name)
 	}
-	if len(tab.Rows) != 6 {
-		t.Fatalf("want 6 schedules, got %d:\n%v", len(tab.Rows), tab)
+	if len(tab.Rows) != 5 {
+		t.Fatalf("want 5 schedules, got %d:\n%v", len(tab.Rows), tab)
 	}
 	for _, row := range tab.Rows {
 		if len(row) != len(tab.Header) {

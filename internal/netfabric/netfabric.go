@@ -93,8 +93,9 @@ type Session interface {
 	// fabric sorts). The session must not be used afterwards.
 	Collect() ([][]Message, error)
 	// Abandon releases the session's resources without collecting —
-	// the timed-out and failed paths. Buffered messages are dropped; a
-	// TCP session's connections are discarded rather than pooled.
+	// the path of a failed or cancelled producer. Buffered messages are
+	// dropped; a TCP session's connections are discarded rather than
+	// pooled.
 	Abandon()
 }
 

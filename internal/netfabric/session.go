@@ -102,7 +102,7 @@ func (s *session) Collect() ([][]Message, error) {
 
 // Abandon drops the inboxes and discards every link's connection once
 // its reader has stopped: mid-session state is unknowable after a
-// timeout, so nothing returns to the pool.
+// failure, so nothing returns to the pool.
 func (s *session) Abandon() {
 	for _, l := range s.links {
 		l.mu.Lock()

@@ -19,7 +19,8 @@ const LocalPeer = "local"
 // DefaultIOTimeout bounds every socket operation — dial, frame write,
 // frame read — so a severed or stalled link always surfaces as an error
 // instead of wedging a shard's producer; the dist runtime then maps it
-// onto its exchange-timeout retry ladder.
+// onto its retry ladder. It is the only bound on a stalled wire: the
+// runtime keeps no exchange timer of its own.
 const DefaultIOTimeout = 30 * time.Second
 
 // connBufSize is the bufio depth on each side of a connection: small

@@ -60,14 +60,14 @@ func directExecute(t *testing.T, cl matopt.Cluster, req ExecuteRequest) *Execute
 	var xopts []matopt.ExecutorOption
 	if req.Engine == "dist" {
 		// The schedule the service must derive from {"faults": n}: seed
-		// 1 over the graph's vertex ids and the request's shard count.
+		// 1 over the graph's vertex ids.
 		cfg := matopt.ExecConfig{Shards: req.Shards, Fallback: req.Fallback}
 		if req.Faults > 0 {
 			var ids []int
 			for _, v := range g.Vertices {
 				ids = append(ids, v.ID)
 			}
-			cfg.FaultPlan = matopt.RandomFaults(1, req.Faults, ids, req.Shards)
+			cfg.FaultPlan = matopt.RandomFaults(1, req.Faults, ids)
 		}
 		xopts = append(xopts, matopt.WithExecConfig(cfg), matopt.WithEngineKind(matopt.DistEngine))
 	}

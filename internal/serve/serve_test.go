@@ -139,8 +139,7 @@ func TestExecuteRequestWireFormat(t *testing.T) {
 			Faults: 2, FaultSeed: 9, Peers: []string{"local"},
 			// Go-only fields must never reach the wire.
 			Tracer: obs.NewTracer(), FaultPlan: matopt.NewFaultPlan(), Transport: netfabric.Chan(),
-			BackoffBase: time.Second, BackoffCap: time.Second, VertexDeadline: time.Second,
-			ExchangeTimeout: time.Second,
+			BackoffBase: time.Second, BackoffCap: time.Second,
 		},
 	}
 	raw, err := json.Marshal(full)
@@ -202,7 +201,7 @@ func TestExecuteZeroRetriesIsExplicit(t *testing.T) {
 	if code := post(t, s, "/execute", `{`+faulted+`}`, &resp); code != 200 {
 		t.Fatalf("default retry budget: status %d", code)
 	}
-	if resp.Dist == nil || resp.Dist.Degraded || resp.Dist.Retries == 0 {
+	if resp.Dist == nil || resp.Dist.Degraded || resp.Dist.FaultsInjected == 0 || resp.Dist.Retries == 0 {
 		t.Fatalf("default retry budget should recover by retrying, got %+v", resp.Dist)
 	}
 	if code := post(t, s, "/execute", `{`+faulted+`,"max_retries":0,"fallback":true}`, &resp); code != 200 {

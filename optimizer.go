@@ -180,11 +180,11 @@ var ErrInternal = core.ErrInternal
 var ErrShardFailed = dist.ErrShardFailed
 
 // ErrExchangeTimeout reports that a dist-engine exchange lost messages
-// or stalled past its timeout. Transient — retried like ErrShardFailed.
+// or its wire failed. Transient — retried like ErrShardFailed.
 var ErrExchangeTimeout = dist.ErrExchangeTimeout
 
 // ErrRetriesExhausted reports that a dist-engine vertex kept failing
-// past the retry budget or per-vertex deadline; with ExecConfig.Fallback
+// past the retry budget; with ExecConfig.Fallback
 // the Executor degrades to the sequential engine instead of returning it.
 var ErrRetriesExhausted = dist.ErrRetriesExhausted
 
@@ -428,10 +428,8 @@ type FaultKind = dist.FaultKind
 
 // Fault kinds, re-exported from the dist runtime.
 const (
-	FaultCrash         = dist.FaultCrash
-	FaultDropExchange  = dist.FaultDropExchange
-	FaultDelayExchange = dist.FaultDelayExchange
-	FaultSlowShard     = dist.FaultSlowShard
+	FaultCrash        = dist.FaultCrash
+	FaultDropExchange = dist.FaultDropExchange
 )
 
 // RetriesExhaustedError carries the failing vertex, attempt count and
@@ -443,9 +441,9 @@ type RetriesExhaustedError = dist.RetriesExhaustedError
 func NewFaultPlan(faults ...Fault) *FaultPlan { return dist.NewFaultPlan(faults...) }
 
 // RandomFaults derives a reproducible schedule of n faults from a seed
-// over the given vertex IDs and shard count.
-func RandomFaults(seed int64, n int, vertices []int, shards int) *FaultPlan {
-	return dist.RandomFaults(seed, n, vertices, shards)
+// over the given vertex IDs.
+func RandomFaults(seed int64, n int, vertices []int) *FaultPlan {
+	return dist.RandomFaults(seed, n, vertices)
 }
 
 // DistReport is the dist runtime's per-run measurement: actual bytes and
