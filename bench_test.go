@@ -279,7 +279,7 @@ func BenchmarkCSRMulDense(b *testing.B) {
 			y := tensor.RandNormal(rng, s.k, s.m)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchSink = a.MulDense(y)
+				benchSink = a.MulDenseK(tensor.K{}, y)
 			}
 			b.ReportMetric(2*float64(a.NNZ())*float64(s.m)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})

@@ -1,16 +1,7 @@
 package core
 
-import "context"
-
 // Optimize computes the optimal annotation of g with a fresh
 // uncancellable session; see Session.Optimize.
 func Optimize(g *Graph, env *Env) (*Annotation, error) {
 	return NewSession(nil, env).Optimize(g)
-}
-
-// OptimizeCtx is Optimize under a caller-supplied context: an expired
-// deadline aborts the search with ErrTimeout, an explicit cancellation
-// with the context's own error.
-func OptimizeCtx(ctx context.Context, g *Graph, env *Env) (*Annotation, error) {
-	return NewSession(ctx, env).Optimize(g)
 }

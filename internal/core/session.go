@@ -96,9 +96,6 @@ func NewSession(ctx context.Context, env *Env, opts ...SessionOption) *Session {
 // Stats returns the instrumentation of the session's last run.
 func (s *Session) Stats() Stats { return s.stats }
 
-// Env returns the session's optimization environment.
-func (s *Session) Env() *Env { return s.env }
-
 // ctxErr translates the session context's state into the optimizer's
 // error vocabulary: an expired deadline becomes ErrTimeout (which also
 // still matches context.DeadlineExceeded via errors.Is), an explicit

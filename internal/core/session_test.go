@@ -53,9 +53,12 @@ func seedGraphs(t *testing.T) []seedCase {
 	}
 	g, err = workload.BlockInverse2(workload.PaperBlockInverse())
 	add("block-inverse", 1500, g, err)
-	for _, k := range []workload.ScaleKind{workload.ScaleTree, workload.ScaleDAG1, workload.ScaleDAG2} {
-		g, err = workload.ScaleGraph(k, 4)
-		add(fmt.Sprintf("scale-%v", k), 0, g, err)
+	for _, sk := range []struct {
+		name string
+		kind workload.ScaleKind
+	}{{"Tree", workload.ScaleTree}, {"DAG1", workload.ScaleDAG1}, {"DAG2", workload.ScaleDAG2}} {
+		g, err = workload.ScaleGraph(sk.kind, 4)
+		add("scale-"+sk.name, 0, g, err)
 	}
 	return out
 }
@@ -151,8 +154,8 @@ func TestCancelledContextAborts(t *testing.T) {
 	if _, err := core.NewSession(ctx, env).Frontier(dag); !errors.Is(err, context.Canceled) {
 		t.Errorf("Frontier under cancelled context: got %v", err)
 	}
-	if _, err := core.OptimizeCtx(ctx, dag, env); !errors.Is(err, context.Canceled) {
-		t.Errorf("OptimizeCtx under cancelled context: got %v", err)
+	if _, err := core.NewSession(ctx, env).Optimize(dag); !errors.Is(err, context.Canceled) {
+		t.Errorf("Optimize under cancelled context: got %v", err)
 	}
 }
 

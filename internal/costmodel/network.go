@@ -45,49 +45,6 @@ func AggregateBytes(bPerPartial float64, workers int) float64 {
 	return bPerPartial * math.Ceil(math.Log2(float64(workers)))
 }
 
-// The Total* helpers below convert the same logical volumes into bytes
-// summed over every link — the quantity a byte-metered runtime (such as
-// internal/dist) measures when it counts every cross-shard payload. They
-// upper-bound their per-link counterparts times the worker count, which
-// is what NetBytesCeiling exposes for predicted-vs-measured checks.
-
-// TotalBroadcastBytes returns the bytes crossing all links when a
-// relation of b total bytes is replicated to every one of w workers:
-// each of the other w-1 workers receives a full copy.
-func TotalBroadcastBytes(b float64, workers int) float64 {
-	if workers <= 1 {
-		return 0
-	}
-	return b * float64(workers-1)
-}
-
-// TotalShuffleBytes returns the bytes crossing all links when a
-// relation of b total bytes is hash-repartitioned across w workers: in
-// expectation a (w−1)/w fraction of every byte changes worker.
-func TotalShuffleBytes(b float64, workers int) float64 {
-	if workers <= 1 {
-		return 0
-	}
-	return b * float64(workers-1) / float64(workers)
-}
-
-// TotalGatherBytes returns the bytes crossing all links when a relation
-// of b total bytes is collected onto one worker; identical to the
-// per-link figure because the collector's inbound link carries it all.
-func TotalGatherBytes(b float64, workers int) float64 {
-	return GatherBytes(b, workers)
-}
-
-// TotalAggregateBytes returns the bytes crossing all links when w
-// per-worker partials of bPerPartial bytes are combined at one site:
-// w-1 partials move.
-func TotalAggregateBytes(bPerPartial float64, workers int) float64 {
-	if workers <= 1 {
-		return 0
-	}
-	return bPerPartial * float64(workers-1)
-}
-
 // NetBytesCeiling converts a per-link NetBytes feature into an upper
 // bound on total cross-link traffic: no pattern can push more than the
 // busiest link's volume over every one of the w links at once.

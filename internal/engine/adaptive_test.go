@@ -64,7 +64,7 @@ func TestRunAdaptiveDetectsDensityDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tensor.Scale(tensor.Hadamard(base, base), 2)
+	want := tensor.K{}.Scale(tensor.K{}.Hadamard(base, base), 2)
 	if diff := tensor.MaxAbsDiff(got, want); diff > 1e-9 {
 		t.Errorf("adaptive result deviates by %g", diff)
 	}
@@ -84,8 +84,8 @@ func TestRunAdaptiveNoDriftNoReplan(t *testing.T) {
 	inputs := map[string]*tensor.Dense{
 		// Strictly positive inputs keep every intermediate fully dense,
 		// matching the declared density exactly (relu keeps density 1).
-		"a": tensor.Apply(tensor.RandNormal(rng, 150, 150), abs1),
-		"b": tensor.Apply(tensor.RandNormal(rng, 150, 150), abs1),
+		"a": tensor.K{}.Apply(tensor.RandNormal(rng, 150, 150), abs1),
+		"b": tensor.K{}.Apply(tensor.RandNormal(rng, 150, 150), abs1),
 	}
 	e := New(env.Cluster)
 	res, err := e.RunAdaptive(g, env, inputs, 1.2)
@@ -100,7 +100,7 @@ func TestRunAdaptiveNoDriftNoReplan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tensor.ReLU(tensor.MatMul(inputs["a"], inputs["b"]))
+	want := tensor.K{}.ReLU(tensor.MatMul(inputs["a"], inputs["b"]))
 	if diff := tensor.MaxAbsDiff(got, want); diff > 1e-9 {
 		t.Errorf("result deviates by %g", diff)
 	}

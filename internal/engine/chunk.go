@@ -58,7 +58,7 @@ func Chunk(m *tensor.Dense, f format.Format, maxTupleBytes int64) ([]Tuple, shap
 			})
 		}
 	case format.COO:
-		for _, tr := range sparse.FromDenseCOO(m).Triples {
+		for _, tr := range sparse.FromDenseCOO(m) {
 			tuples = append(tuples, Tuple{Key: Key{int64(tr.Row), int64(tr.Col)}, Val: tr.Val, IsVal: true})
 		}
 		if len(tuples) == 0 { // an all-zero matrix still needs presence

@@ -134,12 +134,6 @@ func (e *Engine) Stats() Stats {
 	return Stats{Tuples: e.tuples.Load(), FLOPs: e.flops.Load()}
 }
 
-// ResetStats zeroes the counters.
-func (e *Engine) ResetStats() {
-	e.tuples.Store(0)
-	e.flops.Store(0)
-}
-
 // produced counts a freshly produced relation's tuples into Stats.
 func (e *Engine) produced(r *Relation, err error) (*Relation, error) {
 	if err != nil {

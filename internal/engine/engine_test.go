@@ -121,7 +121,7 @@ func TestLoadCollectRoundTripAllFormats(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", f, err)
 		}
-		if !tensor.Equal(got, m, 0) {
+		if !tensor.BitEqual(got, m) {
 			t.Errorf("%v: round trip mismatch", f)
 		}
 	}
@@ -179,7 +179,7 @@ func TestTransformBetweenFormats(t *testing.T) {
 		if err != nil {
 			t.Fatalf("to %v: %v", target, err)
 		}
-		if !tensor.Equal(got, m, 0) {
+		if !tensor.BitEqual(got, m) {
 			t.Errorf("transform to %v corrupted data", target)
 		}
 	}

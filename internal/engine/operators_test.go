@@ -64,37 +64,37 @@ func TestUnaryAndBiasExecutors(t *testing.T) {
 		want *tensor.Dense
 	}{
 		{"relu-map", op.Op{Kind: op.ReLU}, s, []*tensor.Dense{m},
-			[]format.Format{format.NewTile(100)}, tensor.ReLU(m)},
+			[]format.Format{format.NewTile(100)}, tensor.K{}.ReLU(m)},
 		{"relugrad-map", op.Op{Kind: op.ReLUGrad}, s, []*tensor.Dense{m},
-			[]format.Format{format.NewRowStrip(100)}, tensor.ReLUGrad(m)},
+			[]format.Format{format.NewRowStrip(100)}, tensor.K{}.ReLUGrad(m)},
 		{"sigmoid-map", op.Op{Kind: op.Sigmoid}, s, []*tensor.Dense{m},
-			[]format.Format{format.NewColStrip(100)}, tensor.Sigmoid(m)},
+			[]format.Format{format.NewColStrip(100)}, tensor.K{}.Sigmoid(m)},
 		{"exp-map", op.Op{Kind: op.Exp}, s, []*tensor.Dense{m},
-			[]format.Format{format.NewSingle()}, tensor.Exp(m)},
+			[]format.Format{format.NewSingle()}, tensor.K{}.Exp(m)},
 		{"neg-map", op.Op{Kind: op.Neg}, s, []*tensor.Dense{m},
-			[]format.Format{format.NewTile(100)}, tensor.Neg(m)},
+			[]format.Format{format.NewTile(100)}, tensor.K{}.Neg(m)},
 		{"scalarmul-map", op.Op{Kind: op.ScalarMul, Scalar: -2.5}, s, []*tensor.Dense{m},
-			[]format.Format{format.NewTile(100)}, tensor.Scale(m, -2.5)},
+			[]format.Format{format.NewTile(100)}, tensor.K{}.Scale(m, -2.5)},
 		{"softmax-single", op.Op{Kind: op.Softmax}, s, []*tensor.Dense{m},
-			[]format.Format{format.NewSingle()}, tensor.Softmax(m)},
+			[]format.Format{format.NewSingle()}, tensor.K{}.Softmax(m)},
 		{"softmax-rowstrip", op.Op{Kind: op.Softmax}, s, []*tensor.Dense{m},
-			[]format.Format{format.NewRowStrip(100)}, tensor.Softmax(m)},
+			[]format.Format{format.NewRowStrip(100)}, tensor.K{}.Softmax(m)},
 		{"addbias-single", op.Op{Kind: op.AddBias}, s, []*tensor.Dense{m, bias},
-			[]format.Format{format.NewSingle(), format.NewSingle()}, tensor.AddBias(m, bias)},
+			[]format.Format{format.NewSingle(), format.NewSingle()}, tensor.K{}.AddBias(m, bias)},
 		{"addbias-rowstrip-bcast", op.Op{Kind: op.AddBias}, s, []*tensor.Dense{m, bias},
-			[]format.Format{format.NewRowStrip(100), format.NewSingle()}, tensor.AddBias(m, bias)},
+			[]format.Format{format.NewRowStrip(100), format.NewSingle()}, tensor.K{}.AddBias(m, bias)},
 		{"rowsums-single", op.Op{Kind: op.RowSums}, shape.New(250, 1), []*tensor.Dense{m},
-			[]format.Format{format.NewSingle()}, tensor.RowSums(m)},
+			[]format.Format{format.NewSingle()}, tensor.K{}.RowSums(m)},
 		{"rowsums-rowstrip", op.Op{Kind: op.RowSums}, shape.New(250, 1), []*tensor.Dense{m},
-			[]format.Format{format.NewRowStrip(100)}, tensor.RowSums(m)},
+			[]format.Format{format.NewRowStrip(100)}, tensor.K{}.RowSums(m)},
 		{"colsums-single", op.Op{Kind: op.ColSums}, shape.New(1, 120), []*tensor.Dense{m},
-			[]format.Format{format.NewSingle()}, tensor.ColSums(m)},
+			[]format.Format{format.NewSingle()}, tensor.K{}.ColSums(m)},
 		{"colsums-colstrip", op.Op{Kind: op.ColSums}, shape.New(1, 120), []*tensor.Dense{m},
-			[]format.Format{format.NewColStrip(100)}, tensor.ColSums(m)},
-		{"sub-single", op.Op{Kind: op.Sub}, s, []*tensor.Dense{m, tensor.Scale(m, 0.5)},
-			[]format.Format{format.NewSingle(), format.NewSingle()}, tensor.Scale(m, 0.5)},
+			[]format.Format{format.NewColStrip(100)}, tensor.K{}.ColSums(m)},
+		{"sub-single", op.Op{Kind: op.Sub}, s, []*tensor.Dense{m, tensor.K{}.Scale(m, 0.5)},
+			[]format.Format{format.NewSingle(), format.NewSingle()}, tensor.K{}.Scale(m, 0.5)},
 		{"hadamard-copart", op.Op{Kind: op.Hadamard}, s, []*tensor.Dense{m, m},
-			[]format.Format{format.NewTile(100), format.NewTile(100)}, tensor.Hadamard(m, m)},
+			[]format.Format{format.NewTile(100), format.NewTile(100)}, tensor.K{}.Hadamard(m, m)},
 	}
 	for _, c := range cases {
 		got := runExec(t, c.name, c.o, c.out, c.ins, c.fmts)
@@ -107,7 +107,7 @@ func TestUnaryAndBiasExecutors(t *testing.T) {
 func TestTransposeExecutors(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := tensor.RandNormal(rng, 240, 130)
-	want := tensor.Transpose(m)
+	want := tensor.K{}.Transpose(m)
 	out := shape.New(130, 240)
 	for _, c := range []struct {
 		name string
@@ -126,7 +126,7 @@ func TestTransposeExecutors(t *testing.T) {
 	sp := tensor.RandSparse(rng, 240, 130, 0.1)
 	got := runExec(t, "transpose-csr-single", op.Op{Kind: op.Transpose}, out,
 		[]*tensor.Dense{sp}, []format.Format{format.NewCSRSingle()})
-	if diff := tensor.MaxAbsDiff(got, tensor.Transpose(sp)); diff > 1e-12 {
+	if diff := tensor.MaxAbsDiff(got, tensor.K{}.Transpose(sp)); diff > 1e-12 {
 		t.Errorf("transpose-csr-single deviates by %g", diff)
 	}
 }
@@ -142,7 +142,7 @@ func TestReluOnSparseRelation(t *testing.T) {
 	}
 	got := runExec(t, "relu-map", op.Op{Kind: op.ReLU}, shape.New(300, 200),
 		[]*tensor.Dense{m}, []format.Format{format.NewCSRSingle()})
-	if diff := tensor.MaxAbsDiff(got, tensor.ReLU(m)); diff > 1e-12 {
+	if diff := tensor.MaxAbsDiff(got, tensor.K{}.ReLU(m)); diff > 1e-12 {
 		t.Errorf("relu on CSR deviates by %g", diff)
 	}
 }
@@ -178,9 +178,8 @@ func TestStatsAccounting(t *testing.T) {
 	if after.FLOPs-before.FLOPs != 2*200*200*200 {
 		t.Errorf("FLOPs delta = %d", after.FLOPs-before.FLOPs)
 	}
-	e.ResetStats()
-	if e.Stats() != (Stats{}) {
-		t.Error("ResetStats left residue")
+	if fresh := New(costmodel.LocalTest(4)).Stats(); fresh != (Stats{}) {
+		t.Errorf("a fresh engine starts at %+v", fresh)
 	}
 }
 

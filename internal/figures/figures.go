@@ -397,12 +397,6 @@ func Fig13(budget time.Duration) Table {
 	return t
 }
 
-// All regenerates every figure (Fig13 with the given brute budget).
-func All(bruteBudget time.Duration) []Table {
-	tables, _ := AllCtx(context.Background(), bruteBudget)
-	return tables
-}
-
 // AllCtx regenerates every figure, checking ctx between figures; on
 // cancellation it returns the tables completed so far together with the
 // context's error.

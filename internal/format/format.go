@@ -117,15 +117,9 @@ func (f Format) IsSparse() bool {
 	return f.Kind == COO || f.Kind == CSRSingle || f.Kind == CSRRowStrip
 }
 
-// IsChunked reports whether the matrix is split across multiple tuples.
-func (f Format) IsChunked(s shape.Shape) bool { return f.NumTuples(s) > 1 }
-
-// NumTuples returns the tuple count of the relation storing a matrix of
-// shape s in this format. For COO, which stores one tuple per non-zero,
-// the count depends on density and is exposed via NumTuplesDensity.
-func (f Format) NumTuples(s shape.Shape) int64 { return f.NumTuplesDensity(s, 1) }
-
-// NumTuplesDensity is NumTuples with an explicit non-zero fraction.
+// NumTuplesDensity returns the tuple count of the relation storing a
+// matrix of shape s with the given non-zero fraction in this format;
+// only COO, which stores one tuple per non-zero, depends on the density.
 func (f Format) NumTuplesDensity(s shape.Shape, density float64) int64 {
 	switch f.Kind {
 	case Single, CSRSingle:

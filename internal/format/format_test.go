@@ -61,8 +61,8 @@ func TestNumTuples(t *testing.T) {
 		{NewCSRRowStrip(1000), 3},
 	}
 	for _, c := range cases {
-		if got := c.f.NumTuples(s); got != c.want {
-			t.Errorf("%v.NumTuples(%v) = %d, want %d", c.f, s, got, c.want)
+		if got := c.f.NumTuplesDensity(s, 1); got != c.want {
+			t.Errorf("%v.NumTuplesDensity(%v, 1) = %d, want %d", c.f, s, got, c.want)
 		}
 	}
 	// COO stores one tuple per non-zero.
@@ -159,12 +159,8 @@ func TestStringForms(t *testing.T) {
 }
 
 func TestIsSparseIsChunked(t *testing.T) {
-	s := shape.New(5000, 5000)
 	if NewTile(1000).IsSparse() || !NewCOO().IsSparse() || !NewCSRRowStrip(1000).IsSparse() {
 		t.Error("IsSparse misclassifies")
-	}
-	if NewSingle().IsChunked(s) || !NewTile(1000).IsChunked(s) {
-		t.Error("IsChunked misclassifies")
 	}
 }
 
@@ -175,7 +171,7 @@ func TestTuplesTimesTupleBytesCoversTotal(t *testing.T) {
 		s := shape.New(int64(r16)+1, int64(c16)+1)
 		fs := SingleStripBlock()
 		fm := fs[int(pick)%len(fs)]
-		return fm.NumTuples(s)*fm.MaxTupleBytes(s, 1) >= s.Bytes()
+		return fm.NumTuplesDensity(s, 1)*fm.MaxTupleBytes(s, 1) >= s.Bytes()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

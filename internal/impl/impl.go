@@ -15,8 +15,6 @@
 package impl
 
 import (
-	"fmt"
-
 	"matopt/internal/costmodel"
 	"matopt/internal/format"
 	"matopt/internal/op"
@@ -106,14 +104,6 @@ func All() []*Impl { return registry }
 
 // ForOp returns the implementations of one atomic computation.
 func ForOp(k op.Kind) []*Impl { return byOp[k] }
-
-// ByID returns the implementation with the given ID.
-func ByID(id ID) *Impl {
-	if int(id) >= len(registry) {
-		panic(fmt.Sprintf("impl: unknown id %d", id))
-	}
-	return registry[id]
-}
 
 // ByName returns the implementation with the given name, or nil.
 func ByName(name string) *Impl {

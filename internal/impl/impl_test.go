@@ -55,7 +55,7 @@ func TestThirtyEightImplementations(t *testing.T) {
 			t.Errorf("duplicate implementation name %q", im.Name)
 		}
 		seen[im.Name] = true
-		if ByID(im.ID) != im || ByName(im.Name) != im {
+		if All()[im.ID] != im || ByName(im.Name) != im {
 			t.Errorf("%s: registry lookup broken", im.Name)
 		}
 	}

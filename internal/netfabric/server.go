@@ -26,7 +26,6 @@ type Server struct {
 	// session: the peer's address and the typed error that ended it.
 	Logf func(format string, args ...any)
 
-	ioTimeout                       time.Duration
 	sever                           map[int64]bool
 	closeAfter                      int64
 	sessions                        atomic.Int64 // opened; numbers them for fault injection
@@ -49,7 +48,7 @@ const idleFrameBufs = 4
 
 // ServerStats counts what a worker has done since it started: Sessions
 // served through to EOF, the Frames relayed and their Bytes on the wire,
-// and sessions Rejected — ended by an error (a malformed, hostile or
+// and sessions Rejected — ended by an error (a malformed or hostile
 // frame, a shard out of range, a connection cut mid-session);
 // a pooled connection closed while idle is not one.
 type ServerStats struct{ Sessions, Frames, Bytes, Rejected int64 }
@@ -61,17 +60,6 @@ func (s *Server) Stats() ServerStats {
 
 // ServerOption configures a Server.
 type ServerOption func(*Server)
-
-// WithServerIOTimeout bounds the server's echo writes (reads stay
-// unbounded: the gap between a session's frames is the coordinator's
-// produce time, which the server must not second-guess).
-func WithServerIOTimeout(d time.Duration) ServerOption {
-	return func(s *Server) {
-		if d > 0 {
-			s.ioTimeout = d
-		}
-	}
-}
 
 // SeverSessions injects a network fault for chaos testing: the n-th
 // session (1-based, counted across all connections) has its connection
@@ -96,10 +84,9 @@ func CloseAfterSessions(n int) ServerOption {
 // NewServer builds a worker server; call Serve to run it.
 func NewServer(opts ...ServerOption) *Server {
 	s := &Server{
-		ioTimeout: DefaultIOTimeout,
-		sever:     make(map[int64]bool),
-		conns:     make(map[net.Conn]struct{}),
-		bufs:      make(chan []byte, idleFrameBufs),
+		sever: make(map[int64]bool),
+		conns: make(map[net.Conn]struct{}),
+		bufs:  make(chan []byte, idleFrameBufs),
 	}
 	for _, o := range opts {
 		o(s)
@@ -145,15 +132,6 @@ func (s *Server) Serve(ln net.Listener) error {
 			s.handle(conn)
 		}()
 	}
-}
-
-// ListenAndServe listens on addr and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("netfabric: listen %s: %w", addr, err)
-	}
-	return s.Serve(ln)
 }
 
 // Addr reports the bound listen address (useful with ":0" listeners).
@@ -238,7 +216,9 @@ func (s *Server) handle(conn net.Conn) {
 // place, and written straight back; the writer is flushed whenever the
 // reader has nothing buffered (the coordinator is producing, so what
 // was echoed should reach it now), and at FIN after an EOF frame. Any
-// error tears the connection down.
+// error tears the connection down. Writes are bounded by
+// DefaultIOTimeout; reads are not, since the gap between a session's
+// frames is the coordinator's produce time.
 func (s *Server) session(conn net.Conn, fr *frameReader, br *bufio.Reader, bw *bufio.Writer) error {
 	fr.buf = idleBuf(fr.buf) // an oversized buffer is not held while idle
 	typ, payload, err := fr.next()
@@ -280,7 +260,7 @@ func (s *Server) session(conn net.Conn, fr *frameReader, br *bufio.Reader, bw *b
 			return fmt.Errorf("%w: message for shard %d of %d", ErrBadFrame, shard, shards)
 		}
 		fr.buf[3] = frameInbox
-		conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
+		conn.SetWriteDeadline(time.Now().Add(DefaultIOTimeout))
 		if _, err := bw.Write(fr.buf); err != nil {
 			return err
 		}
@@ -292,7 +272,7 @@ func (s *Server) session(conn net.Conn, fr *frameReader, br *bufio.Reader, bw *b
 		frames++
 		bytes += int64(len(fr.buf))
 	}
-	conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
+	conn.SetWriteDeadline(time.Now().Add(DefaultIOTimeout))
 	if _, err := bw.Write(controlFrame(fr.buf, frameEOF)); err != nil {
 		return err
 	}

@@ -15,16 +15,16 @@ func goldenTrace() *Trace {
 	at := func(us int64) time.Time { return base.Add(time.Duration(us) * time.Microsecond) }
 	return &Trace{Spans: []SpanData{
 		{ID: 1, Parent: 0, Name: "optimize", Start: at(0), End: at(1500),
-			Attrs: []Attr{StrAttr("algorithm", "frontier")}},
+			Attrs: []Attr{Attr{Key: "algorithm", kind: attrStr, s: "frontier"}}},
 		{ID: 2, Parent: 1, Name: "plancache.lookup", Start: at(10), End: at(20),
-			Attrs: []Attr{BoolAttr("hit", false)}},
+			Attrs: []Attr{Attr{Key: "hit", kind: attrBool}}},
 		{ID: 3, Parent: 1, Name: "frontier", Start: at(20), End: at(1400)},
 		{ID: 4, Parent: 3, Name: "frontier.round", Start: at(30), End: at(700),
-			Attrs: []Attr{IntAttr("vertex", 2)}},
+			Attrs: []Attr{Attr{Key: "vertex", kind: attrInt, i: 2}}},
 		{ID: 5, Parent: 0, Name: "execute", Start: at(1500), End: at(3500)},
 		{ID: 6, Parent: 5, Name: "dist.run", Start: at(1510), End: at(3490)},
 		{ID: 7, Parent: 6, Name: "vertex", Start: at(1520), End: at(2500),
-			Attrs: []Attr{IntAttr("id", 3), StrAttr("impl", "RowMatrix")}},
+			Attrs: []Attr{Attr{Key: "id", kind: attrInt, i: 3}, Attr{Key: "impl", kind: attrStr, s: "RowMatrix"}}},
 	}}
 }
 
@@ -63,10 +63,10 @@ func TestChromeTraceGolden(t *testing.T) {
 	tr := &Trace{Spans: []SpanData{
 		{ID: 1, Name: "dist.run", Start: at(0), End: at(2000)},
 		{ID: 2, Parent: 1, Name: "vertex", Start: at(100), End: at(900),
-			Attrs: []Attr{IntAttr("id", 3)}},
+			Attrs: []Attr{Attr{Key: "id", kind: attrInt, i: 3}}},
 		{ID: 3, Parent: 1, Name: "vertex", Start: at(100), End: at(1900)},
 		{ID: 4, Parent: 3, Name: "exchange", Start: at(200), End: at(800),
-			Attrs: []Attr{StrAttr("kind", "shuffle")}},
+			Attrs: []Attr{Attr{Key: "kind", kind: attrStr, s: "shuffle"}}},
 	}}
 	want := `{
   "traceEvents": [

@@ -92,15 +92,6 @@ func (s *Span) SetInt(key string, v int64) *Span {
 	return s
 }
 
-// SetFloat attaches a float attribute and returns the span.
-func (s *Span) SetFloat(key string, v float64) *Span {
-	if s == nil {
-		return nil
-	}
-	s.setAttr(Attr{Key: key, kind: attrFloat, f: v})
-	return s
-}
-
 // SetStr attaches a string attribute and returns the span.
 func (s *Span) SetStr(key, v string) *Span {
 	if s == nil {
@@ -134,46 +125,23 @@ type attrKind uint8
 
 const (
 	attrInt attrKind = iota
-	attrFloat
 	attrStr
 	attrBool
 )
 
-// Attr is one typed span attribute. Build them with IntAttr, FloatAttr,
-// StrAttr and BoolAttr (or the Span setters).
+// Attr is one typed span attribute, set with the Span setters.
 type Attr struct {
 	// Key names the attribute.
 	Key  string
 	kind attrKind
 	i    int64
-	f    float64
 	s    string
 }
 
-// IntAttr builds an integer attribute.
-func IntAttr(key string, v int64) Attr { return Attr{Key: key, kind: attrInt, i: v} }
-
-// FloatAttr builds a float attribute.
-func FloatAttr(key string, v float64) Attr { return Attr{Key: key, kind: attrFloat, f: v} }
-
-// StrAttr builds a string attribute.
-func StrAttr(key, v string) Attr { return Attr{Key: key, kind: attrStr, s: v} }
-
-// BoolAttr builds a boolean attribute.
-func BoolAttr(key string, v bool) Attr {
-	a := Attr{Key: key, kind: attrBool}
-	if v {
-		a.i = 1
-	}
-	return a
-}
-
-// Value returns the attribute's payload as an any (int64, float64,
-// string or bool), for JSON-style exporters.
+// Value returns the attribute's payload as an any (int64, string or
+// bool), for JSON-style exporters.
 func (a Attr) Value() any {
 	switch a.kind {
-	case attrFloat:
-		return a.f
 	case attrStr:
 		return a.s
 	case attrBool:
@@ -196,14 +164,6 @@ type SpanData struct {
 	Start, End time.Time
 	// Attrs are the attributes in the order they were set.
 	Attrs []Attr
-}
-
-// Duration returns End−Start, clamping open or inverted spans to 0.
-func (d SpanData) Duration() time.Duration {
-	if d.End.IsZero() || d.End.Before(d.Start) {
-		return 0
-	}
-	return d.End.Sub(d.Start)
 }
 
 // Snapshot returns the tracer's spans as an immutable Trace, in

@@ -12,7 +12,7 @@ func TestTracerParentingAndSnapshot(t *testing.T) {
 	grand := tr.Start(child, "frontier.round").SetStr("vertex", "v2").SetBool("pruned", true)
 	grand.End()
 	child.End()
-	root.SetFloat("cost", 1.5)
+	root.SetInt("cost", 15)
 	root.End()
 
 	snap := tr.Snapshot()
@@ -29,15 +29,12 @@ func TestTracerParentingAndSnapshot(t *testing.T) {
 	if len(s[2].Attrs) != 2 || s[2].Attrs[0].Value() != "v2" || s[2].Attrs[1].Value() != true {
 		t.Errorf("grandchild attrs wrong: %+v", s[2].Attrs)
 	}
-	if len(s[0].Attrs) != 1 || s[0].Attrs[0].Value() != 1.5 {
+	if len(s[0].Attrs) != 1 || s[0].Attrs[0].Value() != int64(15) {
 		t.Errorf("root attrs wrong: %+v", s[0].Attrs)
 	}
 	for i, sp := range s {
 		if sp.End.IsZero() || sp.End.Before(sp.Start) {
 			t.Errorf("span %d not properly ended: %+v", i, sp)
-		}
-		if sp.Duration() < 0 {
-			t.Errorf("span %d negative duration", i)
 		}
 	}
 }
@@ -76,7 +73,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 		t.Fatal("nil tracer must return nil span")
 	}
 	// Every span method must accept a nil receiver.
-	s.SetInt("a", 1).SetFloat("b", 2).SetStr("c", "d").SetBool("e", true).End()
+	s.SetInt("a", 1).SetStr("c", "d").SetBool("e", true).End()
 	if tr.Snapshot() != nil {
 		t.Error("nil tracer Snapshot must be nil")
 	}

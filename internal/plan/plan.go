@@ -106,12 +106,6 @@ type Node struct {
 	Strategy string
 }
 
-// OutBytes estimates the node's output size in bytes: density-scaled
-// 8-byte elements of its output shape.
-func (n *Node) OutBytes() int64 {
-	return int64(float64(n.OutShape.Rows*n.OutShape.Cols) * 8 * n.OutDensity)
-}
-
 // Plan is a lowered physical plan: the node DAG in execution order plus
 // the bookkeeping engines need to run it and report on it.
 type Plan struct {

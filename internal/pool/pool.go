@@ -134,32 +134,22 @@ func chunkBounds(c, chunks, n int) (lo, hi int) {
 // chunk has finished. fn must be safe to call concurrently on disjoint
 // ranges.
 func (p *Pool) For(threads, n, grain int, fn func(lo, hi int)) {
-	p.ForChunks(threads, n, grain, func(_, lo, hi int) { fn(lo, hi) })
-}
-
-// ForChunks is For with the deterministic chunk index passed through,
-// for callers that accumulate per-chunk results into pre-sized slots
-// (chunk c always covers the same rows for the same (threads, n,
-// grain), regardless of where it ran).
-func (p *Pool) ForChunks(threads, n, grain int, fn func(chunk, lo, hi int)) {
 	chunks := Chunks(threads, n, grain)
 	if chunks == 0 {
 		return
 	}
 	if chunks == 1 || p.Workers() == 0 {
 		for c := 0; c < chunks; c++ {
-			lo, hi := chunkBounds(c, chunks, n)
-			fn(c, lo, hi)
+			fn(chunkBounds(c, chunks, n))
 		}
 		return
 	}
 	var wg sync.WaitGroup
 	for c := 1; c < chunks; c++ {
-		c := c
 		lo, hi := chunkBounds(c, chunks, n)
 		task := func() {
 			defer wg.Done()
-			fn(c, lo, hi)
+			fn(lo, hi)
 		}
 		wg.Add(1)
 		select {
@@ -172,8 +162,7 @@ func (p *Pool) ForChunks(threads, n, grain int, fn func(chunk, lo, hi int)) {
 			task()
 		}
 	}
-	lo, hi := chunkBounds(0, chunks, n)
-	fn(0, lo, hi)
+	fn(chunkBounds(0, chunks, n))
 	wg.Wait()
 }
 
@@ -183,17 +172,9 @@ func (p *Pool) ForChunks(threads, n, grain int, fn func(chunk, lo, hi int)) {
 // and every kernel stays serial.
 var shared = New(runtime.GOMAXPROCS(0) - 1)
 
-// Shared returns the process-wide kernel pool. It is never closed.
-func Shared() *Pool { return shared }
-
 // For runs fn over [0, n) on the shared pool; see Pool.For.
 func For(threads, n, grain int, fn func(lo, hi int)) {
 	shared.For(threads, n, grain, fn)
-}
-
-// ForChunks runs fn over [0, n) on the shared pool; see Pool.ForChunks.
-func ForChunks(threads, n, grain int, fn func(chunk, lo, hi int)) {
-	shared.ForChunks(threads, n, grain, fn)
 }
 
 // MaxThreads is the widest useful kernel thread budget: GOMAXPROCS.

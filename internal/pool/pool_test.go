@@ -84,20 +84,27 @@ func TestForCoversRangeOnce(t *testing.T) {
 }
 
 // TestForChunksDeterministicBounds: chunk c covers the same rows no
-// matter where it ran — recorded bounds must match chunkBounds exactly.
+// matter where it ran — the bounds For hands out, in any order, must be
+// exactly chunkBounds' for every chunk, each once.
 func TestForChunksDeterministicBounds(t *testing.T) {
 	p := New(3)
 	defer p.Close()
 	const n, threads = 509, 4
 	want := Chunks(threads, n, 1)
-	bounds := make([][2]int, want)
-	p.ForChunks(threads, n, 1, func(c, lo, hi int) {
-		bounds[c] = [2]int{lo, hi}
+	var mu sync.Mutex
+	ran := map[[2]int]int{}
+	p.For(threads, n, 1, func(lo, hi int) {
+		mu.Lock()
+		ran[[2]int{lo, hi}]++
+		mu.Unlock()
 	})
+	if len(ran) != want {
+		t.Fatalf("For ran %d distinct chunks, want %d: %v", len(ran), want, ran)
+	}
 	for c := 0; c < want; c++ {
 		lo, hi := chunkBounds(c, want, n)
-		if bounds[c] != [2]int{lo, hi} {
-			t.Fatalf("chunk %d ran [%d,%d), want [%d,%d)", c, bounds[c][0], bounds[c][1], lo, hi)
+		if k := ran[[2]int{lo, hi}]; k != 1 {
+			t.Fatalf("chunk %d [%d,%d) ran %d times, want once: %v", c, lo, hi, k, ran)
 		}
 	}
 }

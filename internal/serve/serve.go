@@ -169,11 +169,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Optimizer exposes the server's shared optimizer (its plan cache and
-// coalescing boundary); the benchmark harness uses it to compare
-// service latency against direct calls.
-func (s *Server) Optimizer() *matopt.Optimizer { return s.opt }
-
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 

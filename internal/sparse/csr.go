@@ -51,55 +51,14 @@ func NewCSR(rows, cols int, rowPtr, colIdx []int, val []float64) (*CSR, error) {
 // NNZ returns the number of stored non-zeros.
 func (m *CSR) NNZ() int { return len(m.Val) }
 
-// Density returns the non-zero fraction; an empty matrix has density 0.
-func (m *CSR) Density() float64 {
-	if m.Rows == 0 || m.Cols == 0 {
-		return 0
-	}
-	return float64(m.NNZ()) / (float64(m.Rows) * float64(m.Cols))
-}
-
 // Bytes returns the CSR storage size: 8 bytes per row pointer, 4 per
 // column index, 8 per value — the sizes the cost model charges.
 func (m *CSR) Bytes() int64 { return int64(len(m.RowPtr))*8 + int64(m.NNZ())*12 }
 
-// FromCOO converts a COO matrix (already sorted/coalesced) to CSR.
-func FromCOO(c *COO) *CSR {
-	rowPtr := make([]int, c.Rows+1)
-	for _, t := range c.Triples {
-		rowPtr[t.Row+1]++
-	}
-	for i := 0; i < c.Rows; i++ {
-		rowPtr[i+1] += rowPtr[i]
-	}
-	colIdx := make([]int, c.NNZ())
-	val := make([]float64, c.NNZ())
-	for i, t := range c.Triples { // triples are (row, col)-sorted
-		colIdx[i] = t.Col
-		val[i] = t.Val
-	}
-	return &CSR{Rows: c.Rows, Cols: c.Cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
-}
-
-// ToCOO converts back to triples.
-func (m *CSR) ToCOO() *COO {
-	ts := make([]Triple, 0, m.NNZ())
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			ts = append(ts, Triple{Row: i, Col: m.ColIdx[k], Val: m.Val[k]})
-		}
-	}
-	out, err := NewCOO(m.Rows, m.Cols, ts)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // FromDense extracts the non-zeros of d into CSR form: a cell is stored
 // iff it compares unequal to zero (so −0 is dropped and NaN kept), the
-// arrays FromCOO(FromDenseCOO(d)) builds. One pass counts each row's
-// non-zeros, a second fills arrays of exactly that size.
+// cells FromDenseCOO(d) lists, in the same order. One pass counts each
+// row's non-zeros, a second fills arrays of exactly that size.
 func FromDense(d *tensor.Dense) *CSR {
 	rowPtr := make([]int, d.Rows+1)
 	for i := 0; i < d.Rows; i++ {

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math"
 	"time"
 
 	"matopt/internal/tensor"
@@ -29,15 +30,12 @@ func (m *CSR) avgRowWork(width int) int {
 	return 2 * (m.NNZ()/m.Rows + 1) * width
 }
 
-// MulDense returns the dense product a×b for CSR a and dense b,
-// serially. The output of a sparse-data × dense-model multiply is dense
-// (§7 of the paper), so the result is materialized densely.
-func (m *CSR) MulDense(b *tensor.Dense) *tensor.Dense { return m.MulDenseK(tensor.K{}, b) }
-
-// MulDenseK is MulDense under a kernel context: output rows are
-// partitioned into contiguous chunks (a CSR row is owned by exactly one
-// chunk, and its accumulation order over stored entries is unchanged),
-// so any thread count is bit-identical to serial.
+// MulDenseK returns the dense product a×b for CSR a and dense b under
+// a kernel context. The output of a sparse-data × dense-model multiply
+// is dense (§7 of the paper), so the result is materialized densely.
+// Output rows are partitioned into contiguous chunks (a CSR row is owned
+// by exactly one chunk, and its accumulation order over stored entries
+// is unchanged), so any thread count is bit-identical to serial.
 //
 // A chunk sweeps column blocks × b-row blocks × its rows, so that the
 // kb×cb tile of b its rows gather from stays in cache while
@@ -94,126 +92,10 @@ func (m *CSR) MulDenseK(kc tensor.K, b *tensor.Dense) *tensor.Dense {
 	return out
 }
 
-// TransposeMulDense returns aᵀ×b for CSR a and dense b, without
-// materializing aᵀ — the access pattern scatter-adds each sparse row.
-func (m *CSR) TransposeMulDense(b *tensor.Dense) *tensor.Dense {
-	return m.TransposeMulDenseK(tensor.K{}, b)
-}
-
-// TransposeMulDenseK is TransposeMulDense under a kernel context. It
-// runs serially regardless of the thread budget: the kernel
-// scatter-adds into output rows indexed by ColIdx, so output ownership
-// follows the (unpredictable) sparsity pattern rather than a row range
-// — there is no partition that is both disjoint and
-// accumulation-order-preserving. Only the context's timer is honored.
-func (m *CSR) TransposeMulDenseK(kc tensor.K, b *tensor.Dense) *tensor.Dense {
-	if m.Rows != b.Rows {
-		shapePanic("TransposeMulDense", "row counts must agree (aᵀ×b needs a.Rows == b.Rows)",
-			tensor.Dim("a", m.Rows, m.Cols), tensor.Dim("b", b.Rows, b.Cols))
-	}
-	defer kernDone(kc, time.Now())
-	out := tensor.NewDense(m.Cols, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		brow := b.Data[i*b.Cols : (i+1)*b.Cols]
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			tensor.Axpy(m.Val[k], brow, out.Data[m.ColIdx[k]*b.Cols:(m.ColIdx[k]+1)*b.Cols])
-		}
-	}
-	return out
-}
-
-// Mul returns the sparse product a×b for two CSR matrices, serially,
-// using the classical Gustavson row-merge algorithm.
-func (m *CSR) Mul(b *CSR) *CSR { return m.MulK(tensor.K{}, b) }
-
-// MulK is Mul under a kernel context. Output rows are split into
-// contiguous chunks; each chunk runs the serial Gustavson row loop into
-// its own accumulator and emits a private (colIdx, val) segment, and the
-// segments are concatenated in chunk order — so the assembled CSR is
-// byte-identical to the serial result for any thread count.
-func (m *CSR) MulK(kc tensor.K, b *CSR) *CSR {
-	if m.Cols != b.Rows {
-		shapePanic("Mul", "inner dimensions must agree (a.Cols == b.Rows)",
-			tensor.Dim("a", m.Rows, m.Cols), tensor.Dim("b", b.Rows, b.Cols))
-	}
-	defer kernDone(kc, time.Now())
-	// Work per row ≈ 2 · nnz(a)/rows · nnz(b)/rows flops through the
-	// accumulator map (map ops dominate, hence the extra factor).
-	workPerRow := 1
-	if m.Rows > 0 && b.Rows > 0 {
-		workPerRow = 8 * (m.NNZ()/m.Rows + 1) * (b.NNZ()/b.Rows + 1)
-	}
-	nch := kc.NumChunks(m.Rows, workPerRow)
-	type segment struct {
-		rowNNZ []int // entries per output row in this chunk
-		colIdx []int
-		val    []float64
-	}
-	segs := make([]segment, nch)
-	kc.ParChunks(m.Rows, workPerRow, func(chunk, lo, hi int) {
-		acc := make(map[int]float64)
-		cols := make([]int, 0, 64)
-		seg := segment{rowNNZ: make([]int, 0, hi-lo)}
-		for i := lo; i < hi; i++ {
-			for k := range acc {
-				delete(acc, k)
-			}
-			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-				av := m.Val[k]
-				r := m.ColIdx[k]
-				// float64(…) rounds the product before the add, so
-				// no compiler may fuse the two (KERNELS.md §2, Rule 3).
-				for kb := b.RowPtr[r]; kb < b.RowPtr[r+1]; kb++ {
-					acc[b.ColIdx[kb]] += float64(av * b.Val[kb])
-				}
-			}
-			cols = cols[:0]
-			for c, v := range acc {
-				if v != 0 {
-					cols = append(cols, c)
-				}
-			}
-			insertionSort(cols)
-			for _, c := range cols {
-				seg.colIdx = append(seg.colIdx, c)
-				seg.val = append(seg.val, acc[c])
-			}
-			seg.rowNNZ = append(seg.rowNNZ, len(cols))
-		}
-		segs[chunk] = seg
-	})
-	rowPtr := make([]int, m.Rows+1)
-	var total int
-	for _, seg := range segs {
-		total += len(seg.val)
-	}
-	colIdx := make([]int, 0, total)
-	val := make([]float64, 0, total)
-	row := 0
-	for _, seg := range segs {
-		for _, nnz := range seg.rowNNZ {
-			rowPtr[row+1] = rowPtr[row] + nnz
-			row++
-		}
-		colIdx = append(colIdx, seg.colIdx...)
-		val = append(val, seg.val...)
-	}
-	return &CSR{Rows: m.Rows, Cols: b.Cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
-}
-
-func insertionSort(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
 // EstimateMatMulDensity predicts the density of a×b from input densities
 // and the inner dimension, under the standard independence assumption:
-// P(out non-zero) = 1 − (1 − da·db)^k. This is the simple estimator the
-// cost model uses in lieu of the MNC sketches the paper defers to future
-// work.
+// P(out non-zero) = 1 − (1 − da·db)^k. It is the only density estimator
+// the cost model prices plans with.
 func EstimateMatMulDensity(da, db float64, k int64) float64 {
 	if da <= 0 || db <= 0 {
 		return 0
@@ -237,4 +119,17 @@ func EstimateMatMulDensity(da, db float64, k int64) float64 {
 		e >>= 1
 	}
 	return 1 - q
+}
+
+// RelativeError is Sommer's accuracy measure used in §7 of the paper:
+// max(est, actual)/min(est, actual), with 1.0 meaning a perfect
+// estimate. Zero-vs-nonzero disagreements return +Inf.
+func RelativeError(estimated, actual float64) float64 {
+	if estimated == actual {
+		return 1
+	}
+	if estimated <= 0 || actual <= 0 {
+		return math.Inf(1)
+	}
+	return math.Max(estimated, actual) / math.Min(estimated, actual)
 }

@@ -1,50 +1,12 @@
 package sparse
 
 import (
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"matopt/internal/tensor"
 )
-
-func bitsEqualDense(a, b *tensor.Dense) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i := range a.Data {
-		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// csrIdentical compares two CSR matrices byte for byte: structure and
-// value bits. The threaded Gustavson kernel promises exactly this.
-func csrIdentical(a, b *CSR) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols || len(a.RowPtr) != len(b.RowPtr) ||
-		len(a.ColIdx) != len(b.ColIdx) || len(a.Val) != len(b.Val) {
-		return false
-	}
-	for i := range a.RowPtr {
-		if a.RowPtr[i] != b.RowPtr[i] {
-			return false
-		}
-	}
-	for i := range a.ColIdx {
-		if a.ColIdx[i] != b.ColIdx[i] {
-			return false
-		}
-	}
-	for i := range a.Val {
-		if math.Float64bits(a.Val[i]) != math.Float64bits(b.Val[i]) {
-			return false
-		}
-	}
-	return true
-}
 
 // TestMulDenseKBitIdenticalAcrossThreads: CSR×dense partitions output
 // rows; every thread budget reproduces the serial bits.
@@ -53,53 +15,17 @@ func TestMulDenseKBitIdenticalAcrossThreads(t *testing.T) {
 	for _, dim := range [][3]int{{1, 1, 1}, {37, 53, 29}, {200, 150, 64}} {
 		a := FromDense(tensor.RandSparse(rng, dim[0], dim[1], 0.2))
 		b := tensor.RandNormal(rng, dim[1], dim[2])
-		want := a.MulDense(b)
+		want := a.MulDenseK(tensor.K{}, b)
 		for _, threads := range []int{2, 3, 8} {
 			got := a.MulDenseK(tensor.K{Threads: threads}, b)
-			if !bitsEqualDense(got, want) {
+			if !tensor.BitEqual(got, want) {
 				t.Fatalf("%v threads=%d: MulDenseK differs from serial", dim, threads)
 			}
 		}
 	}
 }
 
-// TestMulKByteIdenticalAcrossThreads: sparse×sparse emits per-chunk
-// segments concatenated in chunk order — the assembled CSR must be
-// byte-identical to serial Gustavson at every thread count.
-func TestMulKByteIdenticalAcrossThreads(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, dim := range [][3]int{{1, 1, 1}, {40, 60, 35}, {150, 100, 120}} {
-		a := FromDense(tensor.RandSparse(rng, dim[0], dim[1], 0.15))
-		b := FromDense(tensor.RandSparse(rng, dim[1], dim[2], 0.15))
-		want := a.Mul(b)
-		for _, threads := range []int{2, 3, 8} {
-			got := a.MulK(tensor.K{Threads: threads}, b)
-			if !csrIdentical(got, want) {
-				t.Fatalf("%v threads=%d: MulK differs from serial Gustavson", dim, threads)
-			}
-		}
-	}
-}
-
-// TestTransposeMulDenseKHonorsTimerOnly: the scatter-add kernel stays
-// serial at any budget (no order-preserving partition exists) but still
-// reports its time, and matches the package-level entry point.
-func TestTransposeMulDenseKHonorsTimerOnly(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	a := FromDense(tensor.RandSparse(rng, 50, 40, 0.2))
-	b := tensor.RandNormal(rng, 50, 30)
-	want := a.TransposeMulDense(b)
-	var calls int
-	got := a.TransposeMulDenseK(tensor.K{Threads: 8, Timer: func(int64) { calls++ }}, b)
-	if !bitsEqualDense(got, want) {
-		t.Fatal("TransposeMulDenseK differs from serial")
-	}
-	if calls != 1 {
-		t.Fatalf("timer saw %d invocations, want 1", calls)
-	}
-}
-
-// TestSparseKernelTimers: every sparse kernel reports through the
+// TestSparseKernelTimers: the sparse kernel reports through the
 // context's timer.
 func TestSparseKernelTimers(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -108,25 +34,21 @@ func TestSparseKernelTimers(t *testing.T) {
 	var calls int
 	kc := tensor.K{Threads: 2, Timer: func(int64) { calls++ }}
 	a.MulDenseK(kc, d)
-	a.MulK(kc, a)
-	if calls != 2 {
-		t.Fatalf("timer saw %d kernels, want 2", calls)
+	if calls != 1 {
+		t.Fatalf("timer saw %d kernels, want 1", calls)
 	}
 }
 
-// TestSparseShapeErrors: mis-shaped sparse kernels panic with typed
+// TestSparseShapeErrors: a mis-shaped sparse kernel panics with a typed
 // *tensor.ShapeError values carrying the sparse.-prefixed kernel name.
 func TestSparseShapeErrors(t *testing.T) {
 	a := &CSR{Rows: 2, Cols: 3, RowPtr: []int{0, 0, 0}}
 	d42 := tensor.NewDense(4, 2)
-	s42 := &CSR{Rows: 4, Cols: 2, RowPtr: []int{0, 0, 0, 0, 0}}
 	cases := []struct {
 		kernel string
 		call   func()
 	}{
-		{"sparse.MulDense", func() { a.MulDense(d42) }},
-		{"sparse.TransposeMulDense", func() { a.TransposeMulDense(d42) }},
-		{"sparse.Mul", func() { a.Mul(s42) }},
+		{"sparse.MulDense", func() { a.MulDenseK(tensor.K{}, d42) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.kernel, func(t *testing.T) {

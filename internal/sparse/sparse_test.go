@@ -10,59 +10,37 @@ import (
 	"matopt/internal/tensor"
 )
 
-func TestNewCOOValidatesSortsCoalesces(t *testing.T) {
-	m, err := NewCOO(3, 3, []Triple{
-		{2, 2, 1}, {0, 1, 2}, {0, 1, 3}, {1, 0, 0}, // dup (0,1), explicit zero
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NNZ() != 2 {
-		t.Fatalf("NNZ = %d, want 2 (coalesced, zero dropped): %v", m.NNZ(), m.Triples)
-	}
-	if m.Triples[0] != (Triple{0, 1, 5}) || m.Triples[1] != (Triple{2, 2, 1}) {
-		t.Fatalf("triples = %v", m.Triples)
-	}
-	if _, err := NewCOO(2, 2, []Triple{{2, 0, 1}}); err == nil {
-		t.Fatal("out-of-range triple accepted")
-	}
-	if _, err := NewCOO(0, 2, nil); err == nil {
-		t.Fatal("zero rows accepted")
-	}
-}
-
+// TestCOODenseRoundTrip: the triples FromDenseCOO lists rebuild the
+// matrix, in strictly ascending (Row, Col) order, one per non-zero.
 func TestCOODenseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := tensor.RandSparse(rng, 30, 40, 0.2)
-	c := FromDenseCOO(d)
-	if !tensor.Equal(c.ToDense(), d, 0) {
+	ts := FromDenseCOO(d)
+	back := tensor.NewDense(d.Rows, d.Cols)
+	for k, tr := range ts {
+		if k > 0 && (tr.Row < ts[k-1].Row || tr.Row == ts[k-1].Row && tr.Col <= ts[k-1].Col) {
+			t.Fatalf("triple %d %v does not follow %v", k, tr, ts[k-1])
+		}
+		back.Set(tr.Row, tr.Col, tr.Val)
+	}
+	if !tensor.BitEqual(back, d) {
 		t.Fatal("COO round trip mismatch")
 	}
-	if math.Abs(c.Density()-d.Density()) > 1e-12 {
-		t.Fatalf("Density %v vs dense %v", c.Density(), d.Density())
-	}
-	if c.Bytes() != int64(c.NNZ())*16 {
-		t.Fatalf("Bytes = %d", c.Bytes())
+	if want := d.Density() * float64(d.Rows*d.Cols); math.Abs(float64(len(ts))-want) > 1e-9 {
+		t.Fatalf("%d triples, want %v", len(ts), want)
 	}
 }
 
 func TestCSRRoundTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	d := tensor.RandSparse(rng, 25, 35, 0.15)
-	m := FromDense(d)
-	if !tensor.Equal(m.ToDense(), d, 0) {
+	if !tensor.BitEqual(FromDense(d).ToDense(), d) {
 		t.Fatal("CSR↔dense round trip mismatch")
-	}
-	if !tensor.Equal(m.ToCOO().ToDense(), d, 0) {
-		t.Fatal("CSR→COO round trip mismatch")
-	}
-	if !tensor.Equal(FromCOO(m.ToCOO()).ToDense(), d, 0) {
-		t.Fatal("COO→CSR round trip mismatch")
 	}
 }
 
 // TestFromDenseMatchesCOOPath: the two-pass FromDense builds, array for
-// array, what the route through sorted triples built — at every density,
+// array, the CSR of the triples FromDenseCOO lists — at every density,
 // with an all-zero row, and with −0 (dropped: it equals zero) and NaN
 // (kept: it does not) among the cells.
 func TestFromDenseMatchesCOOPath(t *testing.T) {
@@ -75,7 +53,7 @@ func TestFromDenseMatchesCOOPath(t *testing.T) {
 		d.Set(3, 5, math.Copysign(0, -1))
 		d.Set(3, 6, math.NaN())
 		d.Set(18, 36, math.NaN())
-		got, want := FromDense(d), FromCOO(FromDenseCOO(d))
+		got, want := FromDense(d), csrOfTriples(d.Rows, d.Cols, FromDenseCOO(d))
 		if got.Rows != want.Rows || got.Cols != want.Cols || !reflect.DeepEqual(got.RowPtr, want.RowPtr) ||
 			!reflect.DeepEqual(got.ColIdx, want.ColIdx) || len(got.Val) != len(want.Val) {
 			t.Fatalf("density %g: structure differs:\n got %v %v\nwant %v %v", density, got.RowPtr, got.ColIdx, want.RowPtr, want.ColIdx)
@@ -89,6 +67,20 @@ func TestFromDenseMatchesCOOPath(t *testing.T) {
 			t.Fatalf("density %g: %v", density, err)
 		}
 	}
+}
+
+// csrOfTriples assembles row-major triples into CSR arrays.
+func csrOfTriples(rows, cols int, ts []Triple) *CSR {
+	m := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1),
+		ColIdx: make([]int, len(ts)), Val: make([]float64, len(ts))}
+	for k, tr := range ts {
+		m.RowPtr[tr.Row+1]++
+		m.ColIdx[k], m.Val[k] = tr.Col, tr.Val
+	}
+	for i := 0; i < rows; i++ {
+		m.RowPtr[i+1] += m.RowPtr[i]
+	}
+	return m
 }
 
 func TestNewCSRValidation(t *testing.T) {
@@ -120,32 +112,10 @@ func TestCSRMulDenseMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := tensor.RandSparse(rng, 20, 30, 0.1)
 	b := tensor.RandNormal(rng, 30, 12)
-	got := FromDense(a).MulDense(b)
+	got := FromDense(a).MulDenseK(tensor.K{}, b)
 	want := tensor.MatMul(a, b)
 	if diff := tensor.MaxAbsDiff(got, want); diff > 1e-9 {
 		t.Fatalf("MulDense diff %g", diff)
-	}
-}
-
-func TestCSRTransposeMulDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := tensor.RandSparse(rng, 20, 30, 0.1)
-	b := tensor.RandNormal(rng, 20, 9)
-	got := FromDense(a).TransposeMulDense(b)
-	want := tensor.MatMul(tensor.Transpose(a), b)
-	if diff := tensor.MaxAbsDiff(got, want); diff > 1e-9 {
-		t.Fatalf("TransposeMulDense diff %g", diff)
-	}
-}
-
-func TestCSRMulSparseMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := tensor.RandSparse(rng, 15, 25, 0.15)
-	b := tensor.RandSparse(rng, 25, 18, 0.15)
-	got := FromDense(a).Mul(FromDense(b)).ToDense()
-	want := tensor.MatMul(a, b)
-	if diff := tensor.MaxAbsDiff(got, want); diff > 1e-9 {
-		t.Fatalf("sparse Mul diff %g", diff)
 	}
 }
 
@@ -154,7 +124,7 @@ func TestCSRRowSlice(t *testing.T) {
 	d := tensor.RandSparse(rng, 12, 9, 0.3)
 	m := FromDense(d)
 	s := m.RowSlice(3, 8)
-	if !tensor.Equal(s.ToDense(), d.Slice(3, 8, 0, 9), 0) {
+	if !tensor.BitEqual(s.ToDense(), d.Slice(3, 8, 0, 9)) {
 		t.Fatal("RowSlice mismatch")
 	}
 	defer func() {
@@ -202,24 +172,24 @@ func TestSparseDensityEstimateTracksEmpirical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := tensor.RandSparse(rng, 120, 100, 0.05)
 	b := tensor.RandSparse(rng, 100, 120, 0.05)
-	prod := FromDense(a).Mul(FromDense(b))
-	got := prod.Density()
+	got := tensor.MatMul(a, b).Density()
 	want := EstimateMatMulDensity(0.05, 0.05, 100)
 	if math.Abs(got-want) > 0.1*want+0.02 {
 		t.Errorf("empirical density %v vs estimate %v", got, want)
 	}
 }
 
-// The constructors refuse empty shapes, the zero values do not: their
-// density is 0, not the NaN of 0/0.
-func TestCSRDensityOfEmptyMatrix(t *testing.T) {
-	if d := new(CSR).Density(); d != 0 {
-		t.Fatalf("Density of an empty CSR = %v, want 0", d)
+func TestRelativeError(t *testing.T) {
+	if RelativeError(10, 10) != 1 {
+		t.Error("perfect estimate must be 1.0")
 	}
-}
-
-func TestCOODensityOfEmptyMatrix(t *testing.T) {
-	if d := new(COO).Density(); d != 0 {
-		t.Fatalf("Density of an empty COO = %v, want 0", d)
+	if RelativeError(20, 10) != 2 || RelativeError(10, 20) != 2 {
+		t.Error("relative error must be symmetric")
+	}
+	if !math.IsInf(RelativeError(0, 5), 1) {
+		t.Error("zero-vs-nonzero must be +Inf")
+	}
+	if RelativeError(0, 0) != 1 {
+		t.Error("zero-vs-zero is perfect")
 	}
 }

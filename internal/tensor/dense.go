@@ -84,19 +84,6 @@ func (m *Dense) SetSlice(r0, c0 int, src *Dense) {
 	}
 }
 
-// Equal reports entrywise equality within tol.
-func Equal(a, b *Dense, tol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i := range a.Data {
-		if math.Abs(a.Data[i]-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // MaxAbsDiff returns the largest entrywise absolute difference, or +Inf on
 // a shape mismatch.
 func MaxAbsDiff(a, b *Dense) float64 {

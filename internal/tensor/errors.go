@@ -14,14 +14,14 @@ import (
 // engines' recover paths and the table tests distinguish a real shape
 // bug from an arbitrary panic string.
 type ShapeError struct {
-	Kernel string   // qualified kernel name, e.g. "tensor.MatMulAdd" or "sparse.MulDense"
+	Kernel string   // qualified kernel name, e.g. "tensor.MatMul" or "sparse.MulDense"
 	Want   string   // the constraint that was violated
 	Dims   []string // operand shapes as "rows×cols" strings, in argument order
 }
 
 // Error formats the kernel, the violated constraint and every operand
-// shape, e.g. `tensor.MatMulAdd: inner dimensions must agree (a.Cols ==
-// b.Rows): dst 3×4, a 3×5, b 6×4`.
+// shape, e.g. `tensor.MatMul: inner dimensions must agree (a.Cols ==
+// b.Rows): a 3×5, b 6×4`.
 func (e *ShapeError) Error() string {
 	return fmt.Sprintf("%s: %s: %s", e.Kernel, e.Want, strings.Join(e.Dims, ", "))
 }

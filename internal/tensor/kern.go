@@ -9,8 +9,7 @@ import (
 // K is the kernel context: how many threads a kernel may use and,
 // optionally, where to report the time it spent. The zero value K{}
 // runs every kernel serially, which is also what the package-level
-// functions (MatMul, Add, …) use — existing callers keep exact serial
-// semantics.
+// MatMul uses.
 //
 // Every kernel is bit-identical across thread counts: work is
 // partitioned into contiguous row (or element) ranges with disjoint
@@ -78,18 +77,4 @@ func (k K) parRange(n, g int, fn func(lo, hi int)) {
 // internal/sparse; dense kernels use it via their own wrappers.
 func (k K) Par(n, workPerUnit int, fn func(lo, hi int)) {
 	k.parRange(n, grainFor(workPerUnit), fn)
-}
-
-// NumChunks reports how many chunks Par and ParChunks will split
-// [0, n) into for this context — callers that collect per-chunk results
-// pre-size their slots with it.
-func (k K) NumChunks(n, workPerUnit int) int {
-	return pool.Chunks(k.threads(), n, grainFor(workPerUnit))
-}
-
-// ParChunks is Par with the deterministic chunk index passed to fn;
-// chunk c always covers the same range for the same (context, n,
-// workPerUnit), no matter which goroutine runs it.
-func (k K) ParChunks(n, workPerUnit int, fn func(chunk, lo, hi int)) {
-	pool.ForChunks(k.threads(), n, grainFor(workPerUnit), fn)
 }

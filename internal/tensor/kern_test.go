@@ -9,22 +9,6 @@ import (
 	"matopt/internal/pool"
 )
 
-// bitsEqual compares two matrices bit for bit — the golden standard
-// every thread-count comparison in this file uses. Tolerance-based
-// comparison would hide exactly the reassociation bugs these tests
-// exist to catch.
-func bitsEqual(a, b *Dense) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i := range a.Data {
-		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // gemmShapes crosses every blocking boundary: the 4-row micro-kernel
 // remainder (rows ≢ 0 mod 4), the kc=256 panel edge, the nc=128 panel
 // edge, and tiny shapes that stay under the serial cutoff.
@@ -50,7 +34,7 @@ func TestMatMulMatchesNaiveBitExact(t *testing.T) {
 		want := naiveMatMul(a, b)
 		for _, threads := range []int{1, 2, 3, 8} {
 			got := K{Threads: threads}.MatMul(a, b)
-			if !bitsEqual(got, want) {
+			if !BitEqual(got, want) {
 				t.Fatalf("%dx%dx%d threads=%d: blocked GEMM differs from naive (max |Δ| %g)",
 					s.m, s.k, s.n, threads, MaxAbsDiff(got, want))
 			}
@@ -58,20 +42,21 @@ func TestMatMulMatchesNaiveBitExact(t *testing.T) {
 	}
 }
 
-// TestMatMulAddAccumulates: MatMulAdd adds into a non-zero destination
-// identically at every thread count.
+// TestMatMulAddAccumulates: gemm without zero computes dst += a×b, the
+// mode MatMul takes on zeroed storage; into a non-zero destination it
+// adds identically at every thread count.
 func TestMatMulAddAccumulates(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := RandNormal(rng, 33, 47)
 	b := RandNormal(rng, 47, 29)
 	base := RandNormal(rng, 33, 29)
 	want := base.Clone()
-	K{}.MatMulAdd(want, a, b)
+	K{}.gemm(want, a, b, false)
 	for _, threads := range []int{2, 8} {
 		got := base.Clone()
-		K{Threads: threads}.MatMulAdd(got, a, b)
-		if !bitsEqual(got, want) {
-			t.Fatalf("threads=%d: MatMulAdd differs from serial", threads)
+		K{Threads: threads}.gemm(got, a, b, false)
+		if !BitEqual(got, want) {
+			t.Fatalf("threads=%d: dst += a×b differs from serial", threads)
 		}
 	}
 }
@@ -100,7 +85,7 @@ func TestGEMMSignedZeros(t *testing.T) {
 	want := naiveMatMul(a, b)
 	for _, threads := range []int{1, 2, 4} {
 		got := K{Threads: threads}.MatMul(a, b)
-		if !bitsEqual(got, want) {
+		if !BitEqual(got, want) {
 			t.Fatalf("threads=%d: signed-zero GEMM differs from naive", threads)
 		}
 	}
@@ -137,12 +122,12 @@ func TestKernelsBitIdenticalAcrossThreads(t *testing.T) {
 		t.Run(kr.name, func(t *testing.T) {
 			want := kr.run(K{})
 			for _, threads := range []int{2, 3, 8} {
-				if got := kr.run(K{Threads: threads}); !bitsEqual(got, want) {
+				if got := kr.run(K{Threads: threads}); !BitEqual(got, want) {
 					t.Fatalf("threads=%d differs from serial", threads)
 				}
 			}
 			// Package-level wrappers are the serial context.
-			if got := kr.run(Auto()); !bitsEqual(got, want) {
+			if got := kr.run(Auto()); !BitEqual(got, want) {
 				t.Fatal("Auto() differs from serial")
 			}
 		})
@@ -160,14 +145,12 @@ func TestShapeErrors(t *testing.T) {
 		call   func()
 	}{
 		{"tensor.MatMul", func() { MatMul(m23, m23) }},
-		{"tensor.MatMulAdd", func() { MatMulAdd(NewDense(2, 2), m23, m23) }},
-		{"tensor.MatMulAdd", func() { MatMulAdd(NewDense(9, 9), m23, m32) }},
-		{"tensor.Add", func() { Add(m23, m24) }},
-		{"tensor.Sub", func() { Sub(m23, m32) }},
-		{"tensor.Hadamard", func() { Hadamard(m23, m24) }},
-		{"tensor.AddInPlace", func() { AddInPlace(m23, m24) }},
-		{"tensor.AddBias", func() { AddBias(m23, NewDense(1, 4)) }},
-		{"tensor.AddBias", func() { AddBias(m23, NewDense(2, 3)) }},
+		{"tensor.Add", func() { K{}.Add(m23, m24) }},
+		{"tensor.Sub", func() { K{}.Sub(m23, m32) }},
+		{"tensor.Hadamard", func() { K{}.Hadamard(m23, m24) }},
+		{"tensor.AddInPlace", func() { K{}.AddInPlace(m23, m24) }},
+		{"tensor.AddBias", func() { K{}.AddBias(m23, NewDense(1, 4)) }},
+		{"tensor.AddBias", func() { K{}.AddBias(m23, NewDense(2, 3)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.kernel, func(t *testing.T) {
@@ -192,23 +175,24 @@ func TestShapeErrors(t *testing.T) {
 	}
 }
 
-// TestCutoffBoundary pins where kernels go parallel: NumChunks stays 1
+// TestCutoffBoundary pins where kernels go parallel: Par keeps one chunk
 // below 2·MinParWork total work and forks above it (given threads).
 func TestCutoffBoundary(t *testing.T) {
+	chunks := func(k K, n, workPerUnit int) int { return pool.Chunks(k.threads(), n, grainFor(workPerUnit)) }
 	k := K{Threads: 4}
 	// workPerUnit = MinParWork ⇒ grain 1 ⇒ chunk per row up to threads.
-	if c := k.NumChunks(10, pool.MinParWork); c != 4 {
-		t.Fatalf("heavy rows: NumChunks = %d, want 4", c)
+	if c := chunks(k, 10, pool.MinParWork); c != 4 {
+		t.Fatalf("heavy rows: chunks = %d, want 4", c)
 	}
 	// workPerUnit 1 ⇒ grain MinParWork: below 2 grains stays serial.
-	if c := k.NumChunks(2*pool.MinParWork-1, 1); c != 1 {
-		t.Fatalf("just under cutoff: NumChunks = %d, want 1", c)
+	if c := chunks(k, 2*pool.MinParWork-1, 1); c != 1 {
+		t.Fatalf("just under cutoff: chunks = %d, want 1", c)
 	}
-	if c := k.NumChunks(2*pool.MinParWork, 1); c != 2 {
-		t.Fatalf("at cutoff: NumChunks = %d, want 2", c)
+	if c := chunks(k, 2*pool.MinParWork, 1); c != 2 {
+		t.Fatalf("at cutoff: chunks = %d, want 2", c)
 	}
 	// The zero context is always serial.
-	if c := (K{}).NumChunks(1<<20, pool.MinParWork); c != 1 {
+	if c := chunks(K{}, 1<<20, pool.MinParWork); c != 1 {
 		t.Fatalf("serial context forked into %d chunks", c)
 	}
 }

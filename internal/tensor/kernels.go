@@ -15,9 +15,6 @@ const (
 // is bit-identical either way.
 func MatMul(a, b *Dense) *Dense { return K{}.MatMul(a, b) }
 
-// MatMulAdd computes dst += a×b serially. dst must be a.Rows × b.Cols.
-func MatMulAdd(dst, a, b *Dense) { K{}.MatMulAdd(dst, a, b) }
-
 // MatMul returns a×b using the cache-blocked, panel-packed kernel,
 // parallelized over contiguous output-row ranges.
 func (k K) MatMul(a, b *Dense) *Dense {
@@ -28,19 +25,6 @@ func (k K) MatMul(a, b *Dense) *Dense {
 	out, dirty := DrawAccumulator(a.Rows, b.Cols)
 	k.gemm(out, a, b, dirty)
 	return out
-}
-
-// MatMulAdd computes dst += a×b with the cache-blocked, panel-packed
-// kernel. dst must be a.Rows × b.Cols. Output rows are partitioned into
-// contiguous chunks; each chunk accumulates its own rows with ascending
-// k order, so any thread count produces bits identical to the serial
-// kernel.
-func (k K) MatMulAdd(dst, a, b *Dense) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		shapePanic("MatMulAdd", "dst must be a.Rows×b.Cols with a.Cols == b.Rows",
-			Dim("dst", dst.Rows, dst.Cols), Dim("a", a.Rows, a.Cols), Dim("b", b.Rows, b.Cols))
-	}
-	k.gemm(dst, a, b, false)
 }
 
 // gemm runs gemmRows over contiguous chunks of dst's rows; with zero,
@@ -162,9 +146,6 @@ func gemmRows(dst, a, b *Dense, lo, hi int, zero bool) {
 	}
 }
 
-// Add returns a+b.
-func Add(a, b *Dense) *Dense { return K{}.Add(a, b) }
-
 // Add returns a+b, element-partitioned across the context's threads.
 func (k K) Add(a, b *Dense) *Dense {
 	return k.zipNew("Add", a, b, func(od, ad, bd []float64) {
@@ -174,9 +155,6 @@ func (k K) Add(a, b *Dense) *Dense {
 		}
 	})
 }
-
-// Sub returns a−b.
-func Sub(a, b *Dense) *Dense { return K{}.Sub(a, b) }
 
 // Sub returns a−b, element-partitioned across the context's threads.
 func (k K) Sub(a, b *Dense) *Dense {
@@ -188,9 +166,6 @@ func (k K) Sub(a, b *Dense) *Dense {
 	})
 }
 
-// Hadamard returns the entrywise product a∘b.
-func Hadamard(a, b *Dense) *Dense { return K{}.Hadamard(a, b) }
-
 // Hadamard returns a∘b, element-partitioned across the context's threads.
 func (k K) Hadamard(a, b *Dense) *Dense {
 	return k.zipNew("Hadamard", a, b, func(od, ad, bd []float64) {
@@ -200,9 +175,6 @@ func (k K) Hadamard(a, b *Dense) *Dense {
 		}
 	})
 }
-
-// AddInPlace computes a += b.
-func AddInPlace(a, b *Dense) { K{}.AddInPlace(a, b) }
 
 // AddInPlace computes a += b, element-partitioned across the context's
 // threads.
@@ -239,9 +211,6 @@ func (k K) zipNew(name string, a, b *Dense, loop func(od, ad, bd []float64)) *De
 	return out
 }
 
-// Transpose returns aᵀ using a cache-blocked swap.
-func Transpose(a *Dense) *Dense { return K{}.Transpose(a) }
-
 // Transpose returns aᵀ, partitioned over output rows (input columns);
 // each chunk writes a disjoint slab of the output.
 func (k K) Transpose(a *Dense) *Dense {
@@ -264,9 +233,6 @@ func (k K) Transpose(a *Dense) *Dense {
 	return out
 }
 
-// Scale returns s·a.
-func Scale(a *Dense, s float64) *Dense { return K{}.Scale(a, s) }
-
 // Scale returns s·a, element-partitioned across the context's threads.
 func (k K) Scale(a *Dense, s float64) *Dense {
 	defer k.end(k.begin())
@@ -279,9 +245,6 @@ func (k K) Scale(a *Dense, s float64) *Dense {
 	})
 	return out
 }
-
-// RowSums returns the column vector of row sums (Rows×1).
-func RowSums(a *Dense) *Dense { return K{}.RowSums(a) }
 
 // RowSums returns the Rows×1 vector of row sums, row-partitioned; each
 // row's sum accumulates left to right exactly as in the serial kernel.
@@ -300,9 +263,6 @@ func (k K) RowSums(a *Dense) *Dense {
 	return out
 }
 
-// ColSums returns the row vector of column sums (1×Cols).
-func ColSums(a *Dense) *Dense { return K{}.ColSums(a) }
-
 // ColSums returns the 1×Cols vector of column sums, partitioned over
 // columns: every chunk owns a disjoint set of accumulators and adds
 // rows in ascending order, matching the serial kernel bit for bit.
@@ -319,9 +279,6 @@ func (k K) ColSums(a *Dense) *Dense {
 	})
 	return out
 }
-
-// AddBias returns a with the 1×Cols row vector bias added to every row.
-func AddBias(a, bias *Dense) *Dense { return K{}.AddBias(a, bias) }
 
 // AddBias returns a with the 1×Cols bias row added to every row,
 // row-partitioned across the context's threads.

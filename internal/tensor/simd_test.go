@@ -293,7 +293,7 @@ func TestGEMMEdgeSweep(t *testing.T) {
 				for _, bd := range bindings {
 					withBinding(bd, func() {
 						for _, threads := range []int{1, 2, 3, 8} {
-							if got := (K{Threads: threads}).MatMul(a, b); !bitsEqual(got, want) {
+							if got := (K{Threads: threads}).MatMul(a, b); !BitEqual(got, want) {
 								t.Fatalf("%s %dx%dx%d threads=%d: differs from naive (max |Δ| %g)",
 									bd.isa, rows, kd, cols, threads, MaxAbsDiff(got, want))
 							}
@@ -388,7 +388,7 @@ func testGEMMSpecialValues(t *testing.T, _ binding) {
 	for i := range b.Data {
 		b.Data[i] = math.MaxFloat64
 	}
-	if got, want := MatMul(a, b), naiveMatMul(a, b); !bitsEqual(got, want) || !math.IsInf(got.Data[0], 1) ||
+	if got, want := MatMul(a, b), naiveMatMul(a, b); !BitEqual(got, want) || !math.IsInf(got.Data[0], 1) ||
 		got.Data[8] != 0 || !math.IsInf(got.Data[16], -1) {
 		t.Fatalf("overflow to Inf: got %v, want %v", got.Data, want.Data)
 	}
@@ -419,9 +419,9 @@ func testMatMulAddIntoNonZeroDst(t *testing.T, _ binding) {
 		}
 		for _, threads := range []int{1, 3} {
 			got := base.Clone()
-			K{Threads: threads}.MatMulAdd(got, a, b)
-			if !bitsEqual(got, want) {
-				t.Fatalf("cols=%d threads=%d: MatMulAdd into non-zero dst differs from naive (max |Δ| %g)",
+			K{Threads: threads}.gemm(got, a, b, false)
+			if !BitEqual(got, want) {
+				t.Fatalf("cols=%d threads=%d: dst += a×b into non-zero dst differs from naive (max |Δ| %g)",
 					cols, threads, MaxAbsDiff(got, want))
 			}
 		}

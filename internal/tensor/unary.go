@@ -2,9 +2,6 @@ package tensor
 
 import "math"
 
-// Apply returns f mapped over every entry.
-func Apply(a *Dense, f func(float64) float64) *Dense { return K{}.Apply(a, f) }
-
 // Apply returns f mapped over every entry, element-partitioned across
 // the context's threads (entries are independent, so any partition is
 // bit-identical to serial).
@@ -26,9 +23,6 @@ func (k K) Apply(a *Dense, f func(float64) float64) *Dense {
 // slightly larger chunks than strictly necessary.
 const unaryWork = 16
 
-// ReLU returns max(x, 0) entrywise.
-func ReLU(a *Dense) *Dense { return K{}.ReLU(a) }
-
 // ReLU returns max(x, 0) entrywise under the context's thread budget.
 func (k K) ReLU(a *Dense) *Dense {
 	return k.Apply(a, func(x float64) float64 {
@@ -38,9 +32,6 @@ func (k K) ReLU(a *Dense) *Dense {
 		return 0
 	})
 }
-
-// ReLUGrad returns the derivative of ReLU: 1 where x > 0, else 0.
-func ReLUGrad(a *Dense) *Dense { return K{}.ReLUGrad(a) }
 
 // ReLUGrad returns the ReLU derivative under the context's thread budget.
 func (k K) ReLUGrad(a *Dense) *Dense {
@@ -52,32 +43,19 @@ func (k K) ReLUGrad(a *Dense) *Dense {
 	})
 }
 
-// Sigmoid returns 1/(1+e^{−x}) entrywise.
-func Sigmoid(a *Dense) *Dense { return K{}.Sigmoid(a) }
-
 // Sigmoid returns 1/(1+e^{−x}) entrywise under the context's thread
 // budget.
 func (k K) Sigmoid(a *Dense) *Dense {
 	return k.Apply(a, func(x float64) float64 { return 1 / (1 + math.Exp(-x)) })
 }
 
-// Exp returns e^x entrywise.
-func Exp(a *Dense) *Dense { return K{}.Exp(a) }
-
 // Exp returns e^x entrywise under the context's thread budget.
 func (k K) Exp(a *Dense) *Dense { return k.Apply(a, math.Exp) }
-
-// Neg returns −a.
-func Neg(a *Dense) *Dense { return K{}.Neg(a) }
 
 // Neg returns −a under the context's thread budget.
 func (k K) Neg(a *Dense) *Dense {
 	return k.Apply(a, func(x float64) float64 { return -x })
 }
-
-// Softmax returns the row-wise softmax with the usual max-shift for
-// numerical stability.
-func Softmax(a *Dense) *Dense { return K{}.Softmax(a) }
 
 // Softmax returns the row-wise softmax, row-partitioned: each row is
 // computed exactly as in the serial kernel (max scan, exp, normalize,

@@ -13,8 +13,6 @@
 package trans
 
 import (
-	"fmt"
-
 	"matopt/internal/costmodel"
 	"matopt/internal/format"
 	"matopt/internal/shape"
@@ -167,24 +165,6 @@ func All() []*Transform { return registry }
 func ByName(name string) *Transform {
 	for _, t := range registry {
 		if t.Name == name {
-			return t
-		}
-	}
-	return nil
-}
-
-// ByID returns the transformation with the given ID.
-func ByID(id ID) *Transform {
-	if int(id) >= len(registry) {
-		panic(fmt.Sprintf("trans: unknown id %d", id))
-	}
-	return registry[id]
-}
-
-// ToFormat returns the non-identity transformation targeting f, or nil.
-func ToFormat(f format.Format) *Transform {
-	for _, t := range registry[1:] {
-		if t.target == f {
 			return t
 		}
 	}

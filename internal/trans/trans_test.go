@@ -20,8 +20,8 @@ func TestTwentyTransformations(t *testing.T) {
 			t.Errorf("duplicate transformation %q", tr.Name)
 		}
 		seen[tr.Name] = true
-		if ByID(tr.ID) != tr {
-			t.Errorf("%s: ByID broken", tr.Name)
+		if All()[tr.ID] != tr {
+			t.Errorf("%s: ID does not index the registry", tr.Name)
 		}
 	}
 	if !All()[0].Identity() {
@@ -44,8 +44,18 @@ func TestIdentityIsFree(t *testing.T) {
 	}
 }
 
+// toFormat returns the non-identity transformation targeting f, or nil.
+func toFormat(f format.Format) *Transform {
+	for _, tr := range All()[1:] {
+		if tr.target == f {
+			return tr
+		}
+	}
+	return nil
+}
+
 func TestNoOpRelayoutRejected(t *testing.T) {
-	tr := ToFormat(format.NewTile(1000))
+	tr := toFormat(format.NewTile(1000))
 	if tr == nil {
 		t.Fatal("to-tile[1000] missing")
 	}
@@ -58,7 +68,7 @@ func TestGatherToSingleHasROWMATRIXShape(t *testing.T) {
 	// A 1000×1000 matrix in 100 tiles gathered into one tuple, the
 	// motivating example's matAB re-layout scaled to our tile sizes.
 	s := shape.New(1000, 1000)
-	tr := ToFormat(format.NewSingle())
+	tr := toFormat(format.NewSingle())
 	out, ok := tr.Apply(s, 1, format.NewTile(100), cl)
 	if !ok {
 		t.Fatal("tile→single rejected")
@@ -73,12 +83,12 @@ func TestGatherToSingleHasROWMATRIXShape(t *testing.T) {
 
 func TestSingleTooBigRejected(t *testing.T) {
 	big := shape.New(100000, 100000) // 80 GB
-	tr := ToFormat(format.NewSingle())
+	tr := toFormat(format.NewSingle())
 	if _, ok := tr.Apply(big, 1, format.NewTile(1000), cl); ok {
 		t.Error("gathering 80GB into one tuple must be ⊥")
 	}
 	// But the sparse single-tuple CSR of a very sparse matrix fits.
-	trc := ToFormat(format.NewCSRSingle())
+	trc := toFormat(format.NewCSRSingle())
 	if _, ok := trc.Apply(big, 1e-6, format.NewCOO(), cl); !ok {
 		t.Error("COO→CSR-single of a very sparse matrix must be feasible")
 	}
@@ -86,14 +96,14 @@ func TestSingleTooBigRejected(t *testing.T) {
 
 func TestScatterAndShuffleCosts(t *testing.T) {
 	s := shape.New(10000, 10000) // 800 MB
-	scatter, ok := ToFormat(format.NewTile(1000)).Apply(s, 1, format.NewSingle(), cl)
+	scatter, ok := toFormat(format.NewTile(1000)).Apply(s, 1, format.NewSingle(), cl)
 	if !ok {
 		t.Fatal("single→tile rejected")
 	}
 	if scatter.Features.NetBytes != float64(s.Bytes()) {
 		t.Errorf("scatter net bytes = %v, want full payload", scatter.Features.NetBytes)
 	}
-	shuffle, ok := ToFormat(format.NewRowStrip(1000)).Apply(s, 1, format.NewTile(1000), cl)
+	shuffle, ok := toFormat(format.NewRowStrip(1000)).Apply(s, 1, format.NewTile(1000), cl)
 	if !ok {
 		t.Fatal("tile→rowstrip rejected")
 	}
@@ -110,7 +120,7 @@ func TestDensifyAndSparsify(t *testing.T) {
 	s := shape.New(20000, 20000)
 	// Sparse→dense strips of a very sparse matrix: valid, and the cost
 	// reflects the dense target size.
-	out, ok := ToFormat(format.NewRowStrip(1000)).Apply(s, 1e-4, format.NewCSRSingle(), cl)
+	out, ok := toFormat(format.NewRowStrip(1000)).Apply(s, 1e-4, format.NewCSRSingle(), cl)
 	if !ok {
 		t.Fatal("csr→rowstrip rejected")
 	}
@@ -118,7 +128,7 @@ func TestDensifyAndSparsify(t *testing.T) {
 		t.Errorf("format = %v", out.Format)
 	}
 	// Dense→COO explodes the tuple count.
-	cooOut, ok := ToFormat(format.NewCOO()).Apply(s, 0.5, format.NewTile(1000), cl)
+	cooOut, ok := toFormat(format.NewCOO()).Apply(s, 0.5, format.NewTile(1000), cl)
 	if !ok {
 		t.Fatal("tile→coo rejected")
 	}

@@ -126,19 +126,6 @@ const (
 	ScaleDAG2
 )
 
-// String returns the family's name as Figure 13 labels it.
-func (k ScaleKind) String() string {
-	switch k {
-	case ScaleTree:
-		return "Tree"
-	case ScaleDAG1:
-		return "DAG1"
-	case ScaleDAG2:
-		return "DAG2"
-	}
-	return fmt.Sprintf("ScaleKind(%d)", int(k))
-}
-
 // ScaleGraph builds the Figure 13 graph of the given family at the given
 // scale. All input matrices are 20,000×20,000 singles, as in §8.4.
 func ScaleGraph(kind ScaleKind, scale int) (*core.Graph, error) {

@@ -91,7 +91,7 @@ func TestSparseFFNNForwardNumerics(t *testing.T) {
 	wm := tensor.RandNormal(rng, features, hidden)
 	eng := engine.New(e.Cluster)
 	outs := enginetest.Run(t, eng, enginetest.Lower(t, e, ann), map[string]*tensor.Dense{"X": xm, "W1": wm})
-	want := tensor.ReLU(tensor.MatMul(xm, wm))
+	want := tensor.K{}.ReLU(tensor.MatMul(xm, wm))
 	sink := g.Sinks()[0]
 	if diff := tensor.MaxAbsDiff(outs[sink.ID], want); diff > 1e-8 {
 		t.Errorf("sparse forward deviates by %g", diff)
@@ -116,16 +116,16 @@ func TestFFNNBackpropSmallScaleNumerics(t *testing.T) {
 	eng := engine.New(e.Cluster)
 	outs := enginetest.Run(t, eng, enginetest.Lower(t, e, ann), ins)
 	// Reference: recompute the W3 update with plain kernels.
-	z1 := tensor.AddBias(tensor.MatMul(ins["X"], ins["W1"]), ins["B1"])
-	a1 := tensor.ReLU(z1)
-	z2 := tensor.AddBias(tensor.MatMul(a1, ins["W2"]), ins["B2"])
-	a2 := tensor.ReLU(z2)
-	z3 := tensor.AddBias(tensor.MatMul(a2, ins["W3"]), ins["B3"])
-	p := tensor.Softmax(z3)
-	d3 := tensor.Sub(p, ins["Y"])
-	gw3 := tensor.MatMul(tensor.Transpose(a2), d3)
+	z1 := tensor.K{}.AddBias(tensor.MatMul(ins["X"], ins["W1"]), ins["B1"])
+	a1 := tensor.K{}.ReLU(z1)
+	z2 := tensor.K{}.AddBias(tensor.MatMul(a1, ins["W2"]), ins["B2"])
+	a2 := tensor.K{}.ReLU(z2)
+	z3 := tensor.K{}.AddBias(tensor.MatMul(a2, ins["W3"]), ins["B3"])
+	p := tensor.K{}.Softmax(z3)
+	d3 := tensor.K{}.Sub(p, ins["Y"])
+	gw3 := tensor.MatMul(tensor.K{}.Transpose(a2), d3)
 	lr := cfg.LearningRate / float64(cfg.Batch)
-	wantW3 := tensor.Sub(ins["W3"], tensor.Scale(gw3, lr))
+	wantW3 := tensor.K{}.Sub(ins["W3"], tensor.K{}.Scale(gw3, lr))
 
 	// Find the W3-update sink: the Sub vertex consuming source W3.
 	w3v := g.ByName("W3")

@@ -7,18 +7,13 @@ import (
 	"matopt/internal/tensor"
 )
 
-// AmazonCat14K holds the published statistics of the AmazonCat-14K
-// extreme-classification dataset used by Figures 11/12. The dataset
-// itself is not redistributable here, so SyntheticAmazonCat draws inputs
-// with the same dimensions and density; only those two quantities enter
-// the kernels and the cost model.
-const (
-	AmazonCatFeatures = 597540
-	AmazonCatLabels   = 14588
-	// AmazonCatDensity matches the dataset's ≈100 non-zero features per
-	// example.
-	AmazonCatDensity = 1.7e-4
-)
+// AmazonCatDensity is the published density of the AmazonCat-14K
+// extreme-classification dataset used by Figures 11/12: ≈100 non-zero
+// features per example. The dataset itself is not redistributable here,
+// so SyntheticAmazonCat draws inputs with its dimensions (AmazonCatConfig)
+// and this density; only those quantities enter the kernels and the cost
+// model.
+const AmazonCatDensity = 1.7e-4
 
 // SyntheticAmazonCat generates a batch×features sparse design matrix and
 // a batch×labels one-hot label matrix with AmazonCat-like density. The

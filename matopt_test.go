@@ -87,7 +87,7 @@ func TestExecuteSmallPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tensor.ReLU(tensor.MatMul(ins["x"], ins["y"]))
+	want := tensor.K{}.ReLU(tensor.MatMul(ins["x"], ins["y"]))
 	if diff := tensor.MaxAbsDiff(got, want); diff > 1e-9 {
 		t.Fatalf("deviates by %g", diff)
 	}
