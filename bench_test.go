@@ -236,13 +236,14 @@ func BenchmarkFrontierParallel(b *testing.B) { benchFrontierFFNN(b, runtime.GOMA
 
 // BenchmarkGEMM times the serial dense product at the sizes the plans
 // run it: a large square, a chain tile, the 64³ small tile where packing
-// used to dominate, and a tall-skinny product whose width is not a
-// multiple of the register tile.
+// used to dominate, a tall-skinny product whose width is not a multiple
+// of the register tile, and the shape of BenchmarkCSRMulDense's chain row.
 func BenchmarkGEMM(b *testing.B) {
 	for _, s := range []struct {
 		name    string
 		n, k, m int
-	}{{"1000", 1000, 1000, 1000}, {"250", 250, 250, 250}, {"64", 64, 64, 64}, {"2500x250x30", 2500, 250, 30}} {
+	}{{"1000", 1000, 1000, 1000}, {"250", 250, 250, 250}, {"64", 64, 64, 64}, {"2500x250x30", 2500, 250, 30},
+		{"250x1250x1250", 250, 1250, 1250}} {
 		b.Run(s.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			x, y := tensor.RandNormal(rng, s.n, s.k), tensor.RandNormal(rng, s.k, s.m)
@@ -257,25 +258,36 @@ func BenchmarkGEMM(b *testing.B) {
 
 // BenchmarkCSRMulDense times the CSR×dense product: first at the shape
 // of the chain plan's mm-bcast-csr-rowstrip-agg vertex (a fully dense
-// 250×1250 strip held as CSR times a 1250×1250 dense matrix), then on
-// operands that are sparse in earnest and on narrow right-hand sides,
-// where blocking has the least to give and the most to cost.
+// 250×1250 strip held as CSR times a 1250×1250 dense matrix, which runs
+// on the GEMM tile), then at that shape with one cell absent (the gather
+// strip's near-full rate) and at densities 0.9 and 0.5, which bracket
+// the dense/CSR crossover, then on operands that are sparse in earnest
+// and on narrow right-hand sides, where blocking has the least to give
+// and the most to cost.
 func BenchmarkCSRMulDense(b *testing.B) {
 	for _, s := range []struct {
 		name    string
 		n, k, m int
 		density float64
+		absent  bool // clear one cell, so the operand is not full
 	}{
-		{"chain", 250, 1250, 1250, 1},
-		{"1000x2000x500@0.01", 1000, 2000, 500, 0.01},
-		{"1000x2000x500@0.1", 1000, 2000, 500, 0.1},
-		{"2000x5000x64@0.002", 2000, 5000, 64, 0.002},
-		{"1000x1000x1@0.05", 1000, 1000, 1, 0.05},
-		{"1000x1000x10@0.05", 1000, 1000, 10, 0.05},
+		{"chain", 250, 1250, 1250, 1, false},
+		{"chain-1", 250, 1250, 1250, 1, true},
+		{"chain@0.9", 250, 1250, 1250, 0.9, false},
+		{"chain@0.5", 250, 1250, 1250, 0.5, false},
+		{"1000x2000x500@0.01", 1000, 2000, 500, 0.01, false},
+		{"1000x2000x500@0.1", 1000, 2000, 500, 0.1, false},
+		{"2000x5000x64@0.002", 2000, 5000, 64, 0.002, false},
+		{"1000x1000x1@0.05", 1000, 1000, 1, 0.05, false},
+		{"1000x1000x10@0.05", 1000, 1000, 10, 0.05, false},
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
-			a := sparse.FromDense(tensor.RandSparse(rng, s.n, s.k, s.density))
+			d := tensor.RandSparse(rng, s.n, s.k, s.density)
+			if s.absent {
+				d.Set(s.n/2, s.k/2, 0)
+			}
+			a := sparse.FromDense(d)
 			y := tensor.RandNormal(rng, s.k, s.m)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

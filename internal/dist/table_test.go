@@ -23,7 +23,9 @@ import (
 // optimizer happens to pick — over every combination of input formats
 // its type function accepts, and requires the sequential engine and the
 // dist runtime at 2 and 7 shards to return the same bytes, and those
-// bytes to agree with the oracle.
+// bytes to agree with the oracle. Sparse-format arguments are drawn at
+// density 0.05, and once more at density 1 for each implementation that
+// takes a CSR argument.
 func TestEveryImplementationBitIdentical(t *testing.T) {
 	const blk = 50 // ragged against every extent below
 	candidates := []format.Format{
@@ -52,26 +54,26 @@ func TestEveryImplementationBitIdentical(t *testing.T) {
 			o.Scalar = -2.5
 		}
 		shapes := argShapes(im.Op)
-		ran := 0
-		// Enumerate every assignment of candidate formats to arguments.
-		combos := 1
-		for range shapes {
-			combos *= len(candidates)
-		}
-		for c := 0; c < combos; c++ {
+		// run forces im over the c-th assignment of candidate formats to
+		// its arguments, sparse-format arguments drawn at sparseDensity,
+		// and reports whether the type function accepted it and whether
+		// any argument was CSR.
+		run := func(c int, sparseDensity float64) (accepted, csr bool) {
 			rng := rand.New(rand.NewSource(int64(im.ID)*1000 + int64(c)))
 			g := core.NewGraph()
 			ins := make([]impl.Input, len(shapes))
 			args := make([]*core.Vertex, len(shapes))
 			inputs := make(map[string]*tensor.Dense, len(shapes))
-			valid := true
 			for j, s := range shapes {
 				f := candidates[(c/pow(len(candidates), j))%len(candidates)]
 				density := 1.0
 				m := tensor.RandNormal(rng, int(s.Rows), int(s.Cols))
+				csr = csr || f.Kind == format.CSRSingle || f.Kind == format.CSRRowStrip
 				if f.IsSparse() {
-					density = 0.05
-					m = tensor.RandSparse(rng, int(s.Rows), int(s.Cols), density)
+					density = sparseDensity
+					if density < 1 {
+						m = tensor.RandSparse(rng, int(s.Rows), int(s.Cols), density)
+					}
 				}
 				if im.Op == op.Inverse {
 					for i := 0; i < m.Rows; i++ {
@@ -79,23 +81,18 @@ func TestEveryImplementationBitIdentical(t *testing.T) {
 					}
 				}
 				if !f.Valid(s, density, cl.MaxTupleBytes) {
-					valid = false
-					break
+					return false, csr
 				}
 				name := fmt.Sprintf("in%d", j)
 				ins[j] = impl.Input{Shape: s, Density: density, Format: f}
 				args[j] = g.Input(name, s, density, f)
 				inputs[name] = m
 			}
-			if !valid {
-				continue
-			}
 			v := g.MustApply(o, args...)
 			out, ok := im.Apply(o, ins, v.Shape, v.Density, cl)
 			if !ok {
-				continue
+				return false, csr
 			}
-			ran++
 			label := fmt.Sprintf("%s%v", im.Name, ins)
 			pp := enginetest.Lower(t, env, handAnn(t, g, im.Name, out.Format))
 			want := enginetest.Run(t, engine.New(cl), pp, inputs)
@@ -111,9 +108,34 @@ func TestEveryImplementationBitIdentical(t *testing.T) {
 				}
 				compareSinks(t, fmt.Sprintf("%s @%d shards", label, shards), pp, want, got)
 			}
+			return true, csr
+		}
+		// Enumerate every assignment of candidate formats to arguments.
+		combos := 1
+		for range shapes {
+			combos *= len(candidates)
+		}
+		ran, csrRan, fullRan := 0, false, false
+		for c := 0; c < combos; c++ {
+			accepted, csr := run(c, 0.05)
+			if !accepted {
+				continue
+			}
+			ran++
+			if csr {
+				csrRan = true
+				// Once per implementation, CSR arguments that store every
+				// cell: a full CSR operand takes the GEMM tile.
+				if !fullRan {
+					fullRan, _ = run(c, 1)
+				}
+			}
 		}
 		if ran == 0 {
 			t.Errorf("%s: its type function accepted no candidate format combination", im.Name)
+		}
+		if csrRan && !fullRan {
+			t.Errorf("%s: its type function accepted no CSR combination at density 1", im.Name)
 		}
 	}
 }

@@ -67,3 +67,81 @@ func TestCSRDenseProductsMatchScalarLoops(t *testing.T) {
 		}
 	}
 }
+
+// TestFullCSRMatchesScalarLoop: a CSR that stores every cell runs on the
+// GEMM tile, and every output bit still equals the scalar loop's. Rows
+// cover the 8×16 tile, the 4×16 half tile and the remainder rows Axpy
+// takes; widths lie on both sides of the 16-column tile and the
+// 128-column panel, inner dimensions on both sides of the 256-row panel.
+// a stores ±0, NaN and ±∞, b holds NaN and ±∞: where the loop produces a
+// NaN the kernel must too (which NaN is not part of the contract,
+// KERNELS.md §2). Each product is also run into an output drawn dirty
+// from the free list, where the output is long enough to be kept there.
+func TestFullCSRMatchesScalarLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	signed := []float64{0, math.Copysign(0, -1)}
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	dirtyDraws := 0
+	for _, rows := range []int{1, 3, 4, 7, 8, 9, 41} {
+		for _, inner := range []int{17, 300} {
+			for _, width := range []int{1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 300} {
+				a := FromDense(tensor.RandNormal(rng, rows, inner))
+				if a.NNZ() != rows*inner {
+					t.Fatalf("%dx%d: operand stores %d cells", rows, inner, a.NNZ())
+				}
+				for k := range a.Val {
+					if rng.Intn(8) == 0 {
+						a.Val[k] = signed[rng.Intn(len(signed))]
+					}
+				}
+				b := tensor.RandNormal(rng, inner, width)
+				for _, v := range special {
+					a.Val[rng.Intn(len(a.Val))] = v
+					b.Data[rng.Intn(len(b.Data))] = v
+				}
+				want := mulDenseRef(a, b)
+				for _, threads := range []int{1, 2, 8} {
+					for _, dirty := range []bool{false, true} {
+						var junk []float64
+						if dirty {
+							junk = releaseJunk(rows, width)
+						}
+						got := a.MulDenseK(tensor.K{Threads: threads}, b)
+						if junk != nil && &got.Data[0] == &junk[0] {
+							dirtyDraws++
+						}
+						if i := firstBitDifference(got, want); i >= 0 {
+							t.Fatalf("rows %d inner %d width %d threads %d dirty %v: element %d = %x, want %x",
+								rows, inner, width, threads, dirty, i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+	if dirtyDraws == 0 {
+		t.Fatal("no product was drawn dirty from the free list")
+	}
+}
+
+// releaseJunk puts a NaN-filled r×c array on tensor's free list and
+// returns it, so the next draw of that size may be handed it dirty.
+func releaseJunk(r, c int) []float64 {
+	d := make([]float64, r*c)
+	for i := range d {
+		d[i] = math.NaN()
+	}
+	tensor.Release(&tensor.Dense{Rows: r, Cols: c, Data: d})
+	return d
+}
+
+// firstBitDifference returns the first element where got and want differ
+// in bits, a NaN in both counting as equal, or −1.
+func firstBitDifference(got, want *tensor.Dense) int {
+	for i, w := range want.Data {
+		if g := got.Data[i]; math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			return i
+		}
+	}
+	return -1
+}

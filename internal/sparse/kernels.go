@@ -12,12 +12,11 @@ func shapePanic(kernel, want string, dims ...string) {
 	panic(&tensor.ShapeError{Kernel: "sparse." + kernel, Want: want, Dims: dims})
 }
 
-// kernDone reports a kernel's wall time to the context's timer, if one
-// is attached. Use as `defer kernDone(kc, time.Now())`.
-func kernDone(kc tensor.K, t0 time.Time) {
-	if kc.Timer != nil {
-		kc.Timer(time.Since(t0).Nanoseconds())
-	}
+// kernDone reports the wall time since t0 to a kernel context's timer.
+// Defer it only when a Timer is attached, so that an unmetered kernel
+// never reads the clock (as tensor.K's kernels do not).
+func kernDone(timer func(ns int64), t0 time.Time) {
+	timer(time.Since(t0).Nanoseconds())
 }
 
 // avgRowWork estimates the scalar operations one CSR row contributes to
@@ -50,12 +49,26 @@ func (m *CSR) avgRowWork(width int) int {
 // output may come dirty off the free list (tensor.DrawAccumulator): a
 // chunk then clears its rows' share of a column block right before it
 // accumulates into it.
+//
+// A CSR that stores every cell is a dense matrix: its columns ascend,
+// so Val is already its row-major data, and the product runs on the
+// GEMM register tile instead. That is the same operation sequence per
+// element (KERNELS.md §2) — start at +0, add every rounded product in
+// ascending k — and no cell is missing for a zero-skip to differ on.
 func (m *CSR) MulDenseK(kc tensor.K, b *tensor.Dense) *tensor.Dense {
 	if m.Cols != b.Rows {
 		shapePanic("MulDense", "inner dimensions must agree (a.Cols == b.Rows)",
 			tensor.Dim("a", m.Rows, m.Cols), tensor.Dim("b", b.Rows, b.Cols))
 	}
-	defer kernDone(kc, time.Now())
+	if m.NNZ() == m.Rows*m.Cols {
+		// The view borrows Val and must never reach tensor.Release: the
+		// CSR owns the array, and engine.Storage recycles only relations'
+		// Dense arrays. kc.MatMul reports to kc.Timer itself.
+		return kc.MatMul(&tensor.Dense{Rows: m.Rows, Cols: m.Cols, Data: m.Val}, b)
+	}
+	if kc.Timer != nil {
+		defer kernDone(kc.Timer, time.Now())
+	}
 	if m.NNZ() == 0 {
 		return tensor.NewDense(m.Rows, b.Cols)
 	}

@@ -9,33 +9,43 @@ import (
 )
 
 // TestMulDenseKBitIdenticalAcrossThreads: CSR×dense partitions output
-// rows; every thread budget reproduces the serial bits.
+// rows; every thread budget reproduces the serial bits, on the gather
+// strip and, for an operand that stores every cell, on the GEMM tile.
 func TestMulDenseKBitIdenticalAcrossThreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, dim := range [][3]int{{1, 1, 1}, {37, 53, 29}, {200, 150, 64}} {
-		a := FromDense(tensor.RandSparse(rng, dim[0], dim[1], 0.2))
-		b := tensor.RandNormal(rng, dim[1], dim[2])
+	for _, c := range []struct {
+		n, k, m int
+		density float64
+	}{{1, 1, 1, 0.2}, {37, 53, 29, 0.2}, {200, 150, 64, 0.2}, {200, 150, 64, 1}} {
+		a := FromDense(tensor.RandSparse(rng, c.n, c.k, c.density))
+		if full := a.NNZ() == a.Rows*a.Cols; full != (c.density == 1) {
+			t.Fatalf("%+v: operand stores %d of %d cells", c, a.NNZ(), a.Rows*a.Cols)
+		}
+		b := tensor.RandNormal(rng, c.k, c.m)
 		want := a.MulDenseK(tensor.K{}, b)
 		for _, threads := range []int{2, 3, 8} {
 			got := a.MulDenseK(tensor.K{Threads: threads}, b)
 			if !tensor.BitEqual(got, want) {
-				t.Fatalf("%v threads=%d: MulDenseK differs from serial", dim, threads)
+				t.Fatalf("%+v threads=%d: MulDenseK differs from serial", c, threads)
 			}
 		}
 	}
 }
 
 // TestSparseKernelTimers: the sparse kernel reports through the
-// context's timer.
+// context's timer exactly once per product, on the gather strip and on
+// the GEMM tile a full operand takes.
 func TestSparseKernelTimers(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	a := FromDense(tensor.RandSparse(rng, 30, 30, 0.3))
 	d := tensor.RandNormal(rng, 30, 30)
-	var calls int
-	kc := tensor.K{Threads: 2, Timer: func(int64) { calls++ }}
-	a.MulDenseK(kc, d)
-	if calls != 1 {
-		t.Fatalf("timer saw %d kernels, want 1", calls)
+	for _, density := range []float64{0.3, 1} {
+		a := FromDense(tensor.RandSparse(rng, 30, 30, density))
+		var calls int
+		kc := tensor.K{Threads: 2, Timer: func(int64) { calls++ }}
+		a.MulDenseK(kc, d)
+		if calls != 1 {
+			t.Fatalf("density %g: timer saw %d kernels, want 1", density, calls)
+		}
 	}
 }
 
