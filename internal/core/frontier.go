@@ -27,7 +27,9 @@ import (
 // per tuple of formats the arguments can arrive in, which
 // (transformations, implementation) choices can win a cell at all; the
 // combo walk (round.walk) then crosses the consumed classes' cells and
-// offers each new cell the cheapest such choice. DESIGN.md §7 has the
+// offers each new cell the cheapest such choice. The new cells live in a
+// dense table indexed by the consumed cells' groups of retained formats
+// and v's output format, not by a hashed key. DESIGN.md §7 has the
 // layout and the argument for why the result is independent of the walk
 // order.
 
@@ -107,6 +109,7 @@ type expansion struct {
 // a transformation per argument and an implementation.
 type choice struct {
 	outBits  uint64 // the output format's id at v's own key byte; 0 when v leaves the frontier at once
+	outOf    int32  // the output cell: outBits's rank among the round's distinct outBits
 	trCost   float64
 	implCost float64
 	out      format.Format
@@ -131,89 +134,36 @@ func (c *fclass) backtrack(cell int, ann *Annotation) {
 	}
 }
 
-// cellTable collects the winners of one round: an open-addressing hash
-// from key to cell over the same flat arrays a class has. A cell is won
-// by the lowest cost and, at equal cost, the lowest choice index — a rule
-// that does not depend on the order offers arrive in.
+// cellTable collects the winners of one round in flat arrays with one
+// slot per possible cell of the class being built: slot = Σ group·stride
+// over the consumed classes + output cell (see round). choice −1 marks an
+// empty slot. A cell is won by the lowest cost and, at equal cost, the
+// lowest choice index — a rule that does not depend on the order offers
+// arrive in.
 type cellTable struct {
-	words, nargs int
-	slots        []int32 // cell index + 1; 0 is empty
-	shift        uint    // 64 − log2(len(slots))
-	keys         []uint64
-	cost         []float64
-	choice       []int32
-	parent       []int32
+	nargs  int
+	cost   []float64
+	choice []int32
+	parent []int32
 }
 
-// reset empties the table for a round whose keys have the given width,
-// with room for hint cells; the arrays of earlier rounds and searches are
-// reused.
-func (t *cellTable) reset(words, nargs, hint int) {
-	size := 16
-	for size < 2*hint {
-		size *= 2
+// reset empties the table for a round with the given number of slots;
+// the arrays of earlier rounds and searches are reused.
+func (t *cellTable) reset(slots, nargs int) {
+	t.nargs = nargs
+	t.cost = reuse(t.cost, slots, math.NaN())
+	t.choice = reuse(t.choice, slots, -1)
+	for s := range t.choice {
+		t.choice[s] = -1
 	}
-	t.emptySlots(size)
-	t.words, t.nargs = words, nargs
-	t.keys = slices.Grow(t.keys[:0], hint*words)
-	t.cost = slices.Grow(t.cost[:0], hint)
-	t.choice = slices.Grow(t.choice[:0], hint)
-	t.parent = slices.Grow(t.parent[:0], hint*nargs)
+	t.parent = reuse(t.parent, slots*nargs, -1)
 }
 
-func hashKey(key []uint64) uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, w := range key {
-		h = (h ^ w) * 0x9E3779B97F4A7C15
-		h ^= h >> 32
-	}
-	return h * 0x9E3779B97F4A7C15
-}
-
-func (t *cellTable) key(i int) []uint64 { return t.keys[i*t.words : (i+1)*t.words] }
-
-// offer proposes (cost, choice, parents) for the cell with the given key.
-func (t *cellTable) offer(key []uint64, cost float64, choice int32, parents []int32) {
-	mask := len(t.slots) - 1
-	for s := int(hashKey(key) >> t.shift); ; s = (s + 1) & mask {
-		at := int(t.slots[s]) - 1
-		if at < 0 {
-			t.slots[s] = int32(len(t.cost) + 1)
-			t.keys = append(t.keys, key...)
-			t.cost = append(t.cost, cost)
-			t.choice = append(t.choice, choice)
-			t.parent = append(t.parent, parents...)
-			if 2*len(t.cost) > len(t.slots) {
-				t.grow()
-			}
-			return
-		}
-		if slices.Equal(t.key(at), key) {
-			if cost < t.cost[at] || cost == t.cost[at] && choice < t.choice[at] {
-				t.cost[at], t.choice[at] = cost, choice
-				copy(t.parent[at*t.nargs:], parents)
-			}
-			return
-		}
-	}
-}
-
-// emptySlots makes the hash size slots, all empty.
-func (t *cellTable) emptySlots(size int) {
-	t.slots = reuse(t.slots, size, math.MaxInt32) // junk that indexes past every cell
-	clear(t.slots)
-	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
-}
-
-func (t *cellTable) grow() {
-	t.emptySlots(2 * len(t.slots))
-	mask := len(t.slots) - 1
-	for i := range t.cost {
-		s := int(hashKey(t.key(i)) >> t.shift)
-		for t.slots[s] != 0 {
-			s = (s + 1) & mask
-		}
-		t.slots[s] = int32(i + 1)
+// offer proposes (cost, choice, parents) for the cell in slot s.
+func (t *cellTable) offer(s int, cost float64, choice int32, parents []int32) {
+	if old := t.choice[s]; old < 0 || cost < t.cost[s] || cost == t.cost[s] && choice < old {
+		t.cost[s], t.choice[s] = cost, choice
+		copy(t.parent[s*t.nargs:], parents)
 	}
 }
 
@@ -247,38 +197,57 @@ func kthSmallest(a []float64, k int) float64 {
 	return a[k]
 }
 
-// class turns the table into a frontier class: cells in ascending key
-// order, beam-limited to the cheapest beam of them (see
+// class turns the round's table into a frontier class: cells in
+// ascending key order, beam-limited to the cheapest beam of them (see
 // Env.MaxClassEntries). It reports how many cells the beam dropped. Ties
 // at the cut are broken on the key, so pruning is deterministic. The
-// class's cells are cut from the scratch.
-func (t *cellTable) class(sc *scratch, members []int, from *expansion, beam int) (*fclass, int) {
-	n, w := len(t.cost), t.words
+// occupied slots move to the front of the table in slot order, which is
+// key order when r.sorted holds; otherwise they are sorted by key once.
+// The class's cells are cut from the scratch.
+func (r *round) class(sc *scratch, t *cellTable, members []int, beam int) (*fclass, int) {
+	w, nargs := r.words, t.nargs
+	n := 0
+	for s, ch := range t.choice {
+		if ch < 0 {
+			continue
+		}
+		t.cost[n], t.choice[n] = t.cost[s], ch
+		copy(t.parent[n*nargs:(n+1)*nargs], t.parent[s*nargs:(s+1)*nargs])
+		n++
+	}
+	cost, choice, parent := t.cost[:n], t.choice[:n], t.parent[:n*nargs]
 	sc.order = reuse(sc.order, n, -1)
 	order := sc.order // cell indices, ascending by key
 	for i := range order {
 		order[i] = int32(i)
 	}
-	slices.SortFunc(order, func(a, b int32) int { return slices.Compare(t.key(int(a)), t.key(int(b))) })
+	if !r.sorted {
+		sc.keys = reuse(sc.keys, n*w, math.MaxUint64)
+		for i := range n {
+			r.key(sc.keys[i*w:(i+1)*w], choice[i], parent[i*nargs:(i+1)*nargs])
+		}
+		key := func(i int32) []uint64 { return sc.keys[int(i)*w : (int(i)+1)*w] }
+		slices.SortFunc(order, func(a, b int32) int { return slices.Compare(key(a), key(b)) })
+	}
 	pruned := 0
 	if n > beam {
 		// The cheapest beam cells by (cost, key): every cell below the
 		// beam-th smallest cost, then cells at that cost in key order.
 		sc.costs = reuse(sc.costs, n, math.NaN())
-		copy(sc.costs, t.cost)
+		copy(sc.costs, cost)
 		cut := kthSmallest(sc.costs, beam-1)
 		atCut := beam
-		for _, c := range t.cost {
+		for _, c := range cost {
 			if c < cut {
 				atCut--
 			}
 		}
 		order = slices.DeleteFunc(order, func(i int32) bool {
-			if t.cost[i] == cut {
+			if cost[i] == cut {
 				atCut--
 				return atCut < 0
 			}
-			return t.cost[i] > cut
+			return cost[i] > cut
 		})
 		pruned = n - beam
 	}
@@ -287,17 +256,32 @@ func (t *cellTable) class(sc *scratch, members []int, from *expansion, beam int)
 		words:   w,
 		keys:    sc.u64.take(len(order) * w),
 		cost:    sc.f64.take(len(order)),
-		from:    from,
+		from:    r.x,
 		choice:  sc.i32.take(len(order)),
-		parent:  sc.i32.take(len(order) * t.nargs),
+		parent:  sc.i32.take(len(order) * nargs),
 	}
 	for i, at := range order {
-		copy(c.keys[i*w:], t.key(int(at)))
-		c.cost[i] = t.cost[at]
-		c.choice[i] = t.choice[at]
-		copy(c.parent[i*t.nargs:], t.parent[int(at)*t.nargs:(int(at)+1)*t.nargs])
+		c.cost[i] = cost[at]
+		c.choice[i] = choice[at]
+		copy(c.parent[i*nargs:], parent[int(at)*nargs:(int(at)+1)*nargs])
+		r.key(c.keys[i*w:(i+1)*w], c.choice[i], c.parent[i*nargs:(i+1)*nargs])
 	}
 	return c, pruned
+}
+
+// key writes the key of the cell that choice built on the given cells of
+// the consumed classes.
+func (r *round) key(key []uint64, choice int32, parents []int32) {
+	clear(key)
+	if r.vWord >= 0 {
+		key[r.vWord] = r.x.choices[choice].outBits
+	}
+	for k, p := range parents {
+		g := int(r.group[k][p])
+		for w, b := range r.gkeys[k][g*r.words : (g+1)*r.words] {
+			key[w] |= b
+		}
+	}
 }
 
 // Frontier runs the Frontier DP with a fresh uncancellable session; see
@@ -317,17 +301,41 @@ func Frontier(g *Graph, env *Env) (*Annotation, error) {
 func (s *Session) Frontier(g *Graph) (ann *Annotation, err error) {
 	start := time.Now()
 	fspan := s.tr.Start(s.span, "frontier")
-	var rspan *obs.Span // current frontier.round; ended by the defer on error paths
 	sc := takeScratch()
 	defer func() {
 		sc.giveBack()
 		s.finish(ann, start)
-		rspan.End()
 		fspan.SetInt("classes", int64(s.stats.ClassesExpanded)).
 			SetInt("candidates", s.stats.CandidatesEvaluated).
 			SetInt("pruned", int64(s.stats.EntriesPruned)).
 			End()
 	}()
+	front, err := s.expand(g, sc, fspan)
+	if err != nil {
+		return nil, err
+	}
+
+	// Every class remaining on the frontier contributes its cheapest
+	// cell — at equal cost the one with the lowest key; classes are
+	// ancestor-disjoint, so costs add.
+	ann = NewAnnotation(g)
+	for _, c := range front {
+		best := 0
+		for i, cost := range c.cost {
+			if cost < c.cost[best] {
+				best = i
+			}
+		}
+		c.backtrack(best, ann)
+	}
+	return ann, nil
+}
+
+// expand runs every round of the search and returns the classes left on
+// the frontier. Their cells are cut from sc.
+func (s *Session) expand(g *Graph, sc *scratch, fspan *obs.Span) ([]*fclass, error) {
+	var rspan *obs.Span // current frontier.round
+	defer func() { rspan.End() }()
 	env := s.env
 	ids, err := internFormats(g, env)
 	if err != nil {
@@ -432,10 +440,10 @@ func (s *Session) Frontier(g *Graph) (ann *Annotation, err error) {
 		if err := s.ctxErr(); err != nil {
 			return nil, err
 		}
-		if len(table.cost) == 0 {
+		class, pruned := r.class(sc, table, newMembers, beam)
+		if class.len() == 0 {
 			return nil, ErrInfeasible
 		}
-		class, pruned := table.class(sc, newMembers, r.x, beam)
 		s.stats.EntriesPruned += pruned
 		rspan.SetInt("combos", int64(r.combos)).SetInt("entries", int64(class.len()))
 
@@ -444,39 +452,37 @@ func (s *Session) Frontier(g *Graph) (ann *Annotation, err error) {
 		}
 		addClass(class)
 	}
-
-	// Every class remaining on the frontier contributes its cheapest
-	// cell — at equal cost the one with the lowest key; classes are
-	// ancestor-disjoint, so costs add.
-	ann = NewAnnotation(g)
-	for _, c := range front {
-		best := 0
-		for i, cost := range c.cost {
-			if cost < c.cost[best] {
-				best = i
-			}
-		}
-		c.backtrack(best, ann)
-	}
-	return ann, nil
+	return front, nil
 }
 
-// round is the working state of one expansion: where each consumed cell's
-// formats land in the new key and in the pin tuple, and which choices
-// each pin tuple has. It is read-only once built, so the walk can fan
-// out.
+// round is the working state of one expansion: where each consumed cell
+// lands in the table and in the pin tuple, and which choices each pin
+// tuple has. It is read-only once built, so the walk can fan out.
+//
+// A consumed class's cells fall into groups by their retained members'
+// formats, numbered in key order. The table has one slot per (group of
+// every consumed class, output cell): slot = Σ group·stride + output
+// cell, a mixed-radix number whose digits are the classes' groups, first
+// class most significant, and then the output cell. The classes' retained
+// members are disjoint, so slots and keys of the class being built
+// correspond one to one.
 type round struct {
 	x      *expansion
 	combos int // Π len(args[k]): the cross product the walk covers
 	words  int // key words of the class being built
 	vWord  int // word and shift of v's own key byte; vWord is −1 when v leaves the frontier at once
 	vShift uint
-	// Per consumed class and cell: the retained members' formats at their
-	// positions in the new key, and the cell's share of the pin-tuple index.
-	contrib [][]uint64
+	// Per consumed class and cell: its group and its share of the
+	// pin-tuple index.
+	group   [][]int32
 	pinPart [][]int32
-	spans   []span // pin-tuple index → its range of x.choices
-	cells   int    // most output cells any pin tuple's choices reach
+	// Per consumed class: the weight of its group in the slot, and per
+	// group the retained members' formats at their positions in the new key.
+	stride []int32
+	gkeys  [][]uint64
+	slots  int    // Π groups · output cells
+	sorted bool   // slot order is key order
+	spans  []span // pin-tuple index → its range of x.choices
 
 	// What bestChoices enumerates. A pin tuple's index is the format ids
 	// its arguments arrive in, as digits in radix len(ids.formats) with
@@ -516,8 +522,10 @@ func (s *Session) newRound(sc *scratch, v *Vertex, args []*fclass, members []int
 		combos:    1,
 		words:     (len(members) + 7) / 8,
 		vWord:     -1,
-		contrib:   make([][]uint64, len(args)),
+		group:     make([][]int32, len(args)),
 		pinPart:   make([][]int32, len(args)),
+		stride:    make([]int32, len(args)),
+		gkeys:     make([][]uint64, len(args)),
 		weight:    make([]int32, nargs),
 		pins:      make([][][]argOption, nargs),
 		delivered: make([]int, nargs),
@@ -534,10 +542,10 @@ func (s *Session) newRound(sc *scratch, v *Vertex, args []*fclass, members []int
 	sc.spans = reuse(sc.spans, int(tuples), span{-1, -1})
 	r.spans = sc.spans
 
-	// Each consumed cell's contribution to the new key and to the pin
-	// tuple. The pin tuples the classes can deliver are the sums of one
-	// share per class.
+	// Each consumed cell's group and its share of the pin tuple. The pin
+	// tuples the classes can deliver are the sums of one share per class.
 	deliverable := []int32{0}
+	groups := make([]int, len(args))
 	for k, c := range args {
 		r.combos *= c.len()
 		// Retained members' key bytes move from c's keys into the new key.
@@ -580,8 +588,17 @@ func (s *Session) newRound(sc *scratch, v *Vertex, args []*fclass, members []int
 				}
 			}
 		}
-		contrib := sc.u64.take(c.len() * r.words)
-		clear(contrib)
+		// project ORs cell i's retained formats into to, at their
+		// positions in the new key.
+		project := func(i int, to []uint64) {
+			key := c.keys[i*c.words : (i+1)*c.words]
+			for _, m := range keep {
+				to[m.toWord] |= (key[m.word] & m.mask) << m.left >> m.right
+			}
+		}
+		r.group[k] = sc.i32.take(c.len())
+		groups[k], r.gkeys[k] = sc.group(c.len(), r.words, project, r.group[k])
+
 		part := sc.i32.take(c.len())
 		sc.seen = reuse(sc.seen, int(tuples), true)
 		seen := sc.seen
@@ -589,10 +606,6 @@ func (s *Session) newRound(sc *scratch, v *Vertex, args []*fclass, members []int
 		var shares []int32
 		for i := range part {
 			key := c.keys[i*c.words : (i+1)*c.words]
-			to := contrib[i*r.words : (i+1)*r.words]
-			for _, m := range keep {
-				to[m.toWord] |= (key[m.word] & m.mask) << m.left >> m.right
-			}
 			share := int32(0)
 			for _, m := range pin {
 				share += int32(key[m.word]>>m.shift&0xff) * m.weight
@@ -603,7 +616,7 @@ func (s *Session) newRound(sc *scratch, v *Vertex, args []*fclass, members []int
 				shares = append(shares, share)
 			}
 		}
-		r.contrib[k], r.pinPart[k] = contrib, part
+		r.pinPart[k] = part
 		sums := make([]int32, 0, len(deliverable)*len(shares))
 		for _, d := range deliverable {
 			for _, sh := range shares {
@@ -649,7 +662,137 @@ func (s *Session) newRound(sc *scratch, v *Vertex, args []*fclass, members []int
 	if err := s.bestChoices(r, sc, ids, deliverable, evals); err != nil {
 		return nil, err
 	}
+
+	// The output cells are the choices' distinct output formats, ascending.
+	var outOf [256]int32 // v's key byte → its output cell + 1
+	for i := range r.x.choices {
+		outOf[r.x.choices[i].outBits>>r.vShift] = 1
+	}
+	outs := int32(0)
+	for id := range outOf {
+		if outOf[id] != 0 {
+			outs++
+			outOf[id] = outs
+		}
+	}
+	for i := range r.x.choices {
+		ch := &r.x.choices[i]
+		ch.outOf = outOf[ch.outBits>>r.vShift] - 1
+	}
+	// Slot strides, from the last class up. With at most one class of
+	// several groups a slot orders its cells by (group, output cell), which
+	// is key order: v has the largest ID among the members, so its byte is
+	// the key's least significant.
+	stride, several := int(outs), 0
+	for k := len(args) - 1; k >= 0; k-- {
+		r.stride[k] = int32(stride)
+		if groups[k] > 1 {
+			several++
+		}
+		if stride > math.MaxInt32/groups[k] {
+			return nil, internalf("the class built at v%d has more than 2^31 possible cells", v.ID)
+		}
+		stride *= groups[k]
+	}
+	r.slots = stride
+	r.sorted = several <= 1
 	return r, nil
+}
+
+// group numbers a class's n cells by their retained formats, which
+// project ORs into a cleared key of the given words, and writes each
+// cell's group to ids. It returns the number of groups and their keys,
+// cut from the scratch, with group order key order.
+//
+// The cells are in key order, so when the retained members come first —
+// all of them, or all but the last few, the common cases — the
+// projection never falls and a group is a run of cells. Otherwise a hash
+// pass over the cells numbers the groups.
+func (sc *scratch) group(n, words int, project func(i int, to []uint64), ids []int32) (int, []uint64) {
+	keys := sc.gkeys[:0] // group g: keys[g*words : (g+1)*words]
+	groups := 0
+	for i := range n {
+		keys = slices.Grow(keys, words)[:(groups+1)*words]
+		key := keys[groups*words:]
+		clear(key)
+		project(i, key)
+		if groups > 0 {
+			switch slices.Compare(keys[(groups-1)*words:groups*words], key) {
+			case 0:
+				ids[i] = int32(groups - 1)
+				continue
+			case 1:
+				sc.gkeys = keys
+				return sc.hashGroup(n, words, project, ids)
+			}
+		}
+		ids[i] = int32(groups)
+		groups++
+	}
+	sc.gkeys = keys
+	out := sc.u64.take(groups * words)
+	copy(out, keys)
+	return groups, out
+}
+
+func hashKey(key []uint64) uint64 {
+	h := uint64(0x9E3779B97F4A7C15)
+	for _, w := range key {
+		h = (h ^ w) * 0x9E3779B97F4A7C15
+		h ^= h >> 32
+	}
+	return h * 0x9E3779B97F4A7C15
+}
+
+// hashGroup is group by one hash pass over the cells, which assigns ids
+// in first-seen order, and a sort that renumbers them in key order.
+func (sc *scratch) hashGroup(n, words int, project func(i int, to []uint64), ids []int32) (int, []uint64) {
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	sc.gslots = reuse(sc.gslots, size, math.MaxInt32) // junk that indexes past every group
+	clear(sc.gslots)
+	shift, mask := uint(64-bits.TrailingZeros(uint(size))), size-1
+	keys := sc.gkeys[:0]
+	key := func(g int32) []uint64 { return keys[int(g)*words : (int(g)+1)*words] }
+	for i := range n {
+		at := len(keys)
+		keys = slices.Grow(keys, words)[:at+words]
+		k := keys[at:]
+		clear(k)
+		project(i, k)
+		for s := int(hashKey(k) >> shift); ; s = (s + 1) & mask {
+			g := sc.gslots[s] - 1
+			if g < 0 {
+				sc.gslots[s] = int32(at/words + 1)
+				ids[i] = int32(at / words)
+				break
+			}
+			if slices.Equal(key(g), k) {
+				keys = keys[:at]
+				ids[i] = g
+				break
+			}
+		}
+	}
+	sc.gkeys = keys
+	groups := len(keys) / words
+	sc.perm = reuse(sc.perm, 2*groups, -1)
+	order, rank := sc.perm[:groups], sc.perm[groups:]
+	for g := range order {
+		order[g] = int32(g)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return slices.Compare(key(a), key(b)) })
+	out := sc.u64.take(groups * words)
+	for j, g := range order {
+		rank[g] = int32(j)
+		copy(out[j*words:], key(g))
+	}
+	for i, g := range ids {
+		ids[i] = rank[g]
+	}
+	return groups, out
 }
 
 // bestChoices fills the round's best-choice table: for every deliverable
@@ -754,15 +897,10 @@ func (s *Session) bestChoices(r *round, sc *scratch, ids *formatIDs, tuples []in
 		}
 		cands, candEdges, order = cands[:0], candEdges[:0], order[:0]
 		rec(0, 0, 0)
-		cells := 0
 		for i := range cands {
 			order = append(order, i)
-			if cands[i].prev == 0 {
-				cells++
-			}
 			head[cands[i].outBits>>r.vShift] = 0
 		}
-		r.cells = max(r.cells, cells)
 		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(cands[a].outBits, cands[b].outBits) })
 		lo := len(x.choices)
 		for _, i := range order {
@@ -776,9 +914,9 @@ func (s *Session) bestChoices(r *round, sc *scratch, ids *formatIDs, tuples []in
 
 // run walks the round's combos — on up to len(tables) goroutines when
 // there are enough of them — and returns the table of winning cells.
-// Chunks cover contiguous combo ranges and fold in chunk order; since a
-// cell's winner is its minimum under (cost, choice index), the fold
-// equals the serial walk.
+// Chunks cover contiguous combo ranges, each into a table of its own, and
+// fold slot by slot in chunk order; since a cell's winner is its minimum
+// under (cost, choice index), the fold equals the serial walk.
 func (r *round) run(ctx context.Context, tables []cellTable) *cellTable {
 	workers := min(len(tables), r.combos)
 	if r.combos < 16 {
@@ -786,7 +924,7 @@ func (r *round) run(ctx context.Context, tables []cellTable) *cellTable {
 	}
 	chunk := func(w int) {
 		lo, hi := w*r.combos/workers, (w+1)*r.combos/workers
-		tables[w].reset(r.words, len(r.x.args), min((hi-lo)*r.cells, 1<<16))
+		tables[w].reset(r.slots, len(r.x.args))
 		r.walk(ctx, lo, hi, &tables[w])
 	}
 	t := &tables[0]
@@ -805,8 +943,10 @@ func (r *round) run(ctx context.Context, tables []cellTable) *cellTable {
 	wg.Wait()
 	for w := 1; w < workers; w++ {
 		o := &tables[w]
-		for i := range o.cost {
-			t.offer(o.key(i), o.cost[i], o.choice[i], o.parent[i*o.nargs:(i+1)*o.nargs])
+		for s, ch := range o.choice {
+			if ch >= 0 {
+				t.offer(s, o.cost[s], ch, o.parent[s*o.nargs:(s+1)*o.nargs])
+			}
 		}
 	}
 	return t
@@ -824,38 +964,27 @@ func (r *round) walk(ctx context.Context, lo, hi int, t *cellTable) {
 		n := x.args[k].len()
 		at[k], rest = int32(rest%n), rest/n
 	}
-	key := make([]uint64, r.words)
 	for c := lo; c < hi; c++ {
 		if c&15 == 0 && ctx.Err() != nil {
 			return
 		}
 		var base float64
-		tuple := int32(0)
-		clear(key)
+		tuple, slot := int32(0), int32(0)
 		for k, i := range at {
 			base += x.args[k].cost[i]
 			tuple += r.pinPart[k][i]
-			for w := range key {
-				key[w] |= r.contrib[k][int(i)*r.words+w]
-			}
-		}
-		var kv uint64
-		if r.vWord >= 0 {
-			kv = key[r.vWord]
+			slot += r.group[k][i] * r.stride[k]
 		}
 		sp := r.spans[tuple]
 		for ch := sp.lo; ch < sp.hi; {
-			cell := x.choices[ch].outBits
+			out := x.choices[ch].outOf
 			best, bestCost := ch, base+x.choices[ch].trCost+x.choices[ch].implCost
-			for ch++; ch < sp.hi && x.choices[ch].outBits == cell; ch++ {
+			for ch++; ch < sp.hi && x.choices[ch].outOf == out; ch++ {
 				if total := base + x.choices[ch].trCost + x.choices[ch].implCost; total < bestCost {
 					best, bestCost = ch, total
 				}
 			}
-			if r.vWord >= 0 {
-				key[r.vWord] = kv | cell
-			}
-			t.offer(key, bestCost, best, at)
+			t.offer(int(slot+out), bestCost, best, at)
 		}
 		for k := len(at) - 1; k >= 0; k-- {
 			if at[k]++; int(at[k]) < x.args[k].len() {

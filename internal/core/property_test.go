@@ -218,6 +218,123 @@ func TestFrontierMatchesBruteOnSharedDAGs(t *testing.T) {
 	}
 }
 
+// TestFrontierClassesAscendOnSharedDAGs checks the table layout on the
+// graphs of TestFrontierMatchesBruteOnSharedDAGs. Every class a search
+// builds holds its cells in ascending key order: by construction when at
+// most one consumed class has several groups of retained formats, by
+// the sort otherwise, and the sort must be taken on some graph. The
+// parallel search returns the serial plan and cost bits at every
+// parallelism.
+func TestFrontierClassesAscendOnSharedDAGs(t *testing.T) {
+	universe := []format.Format{format.NewSingle(), format.NewTile(1000), format.NewRowStrip(1000), format.NewColStrip(1000)}
+	env := NewEnv(costmodel.EC2R5D(4), universe)
+	sorts := 0
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(3000 + seed))
+		g := sharedDAG(rng, 1+rng.Intn(2), 4, 2+rng.Intn(2))
+
+		sc := takeScratch()
+		front, err := NewSession(nil, env, WithParallelism(1)).expand(g, sc, nil)
+		seen := map[*fclass]bool{}
+		var check func(c *fclass)
+		check = func(c *fclass) {
+			if seen[c] {
+				return
+			}
+			seen[c] = true
+			key := func(i int) []uint64 { return c.keys[i*c.words : (i+1)*c.words] }
+			for i := 1; i < c.len(); i++ {
+				if slices.Compare(key(i-1), key(i)) >= 0 {
+					t.Errorf("seed %d: the class built at v%d holds cell %d's key %x after %x", seed, c.from.v.ID, i, key(i), key(i-1))
+					break
+				}
+			}
+			if severalGroups(c) >= 2 {
+				sorts++
+			}
+			for _, a := range c.from.args {
+				check(a)
+			}
+		}
+		for _, c := range front {
+			check(c)
+		}
+		sc.giveBack()
+		if err != nil {
+			continue
+		}
+
+		var plan string
+		var bits uint64
+		for _, p := range []int{1, 2, 8} {
+			ann, err := NewSession(nil, env, WithParallelism(p)).Frontier(g)
+			if err != nil {
+				t.Fatalf("seed %d: Frontier at parallelism %d: %v", seed, p, err)
+			}
+			if p == 1 {
+				plan, bits = ann.Describe(), math.Float64bits(ann.Total())
+				continue
+			}
+			if d, b := ann.Describe(), math.Float64bits(ann.Total()); d != plan || b != bits {
+				t.Errorf("seed %d: parallelism %d returned cost bits %x and plan\n%s\nserial %x and\n%s", seed, p, b, d, bits, plan)
+			}
+		}
+	}
+	t.Logf("%d classes were sorted by key", sorts)
+	if sorts == 0 {
+		t.Error("no round had two consumed classes of several groups; the sort path went untested")
+	}
+}
+
+// TestGroupsFollowKeyOrder numbers cells by their retained formats,
+// given here as one projected word per cell in the class's key order:
+// formats that never fall form runs, and formats that fall and first
+// meet out of order — which the shared DAGs and the seed workloads do not
+// produce — are renumbered so that group order is still key order.
+func TestGroupsFollowKeyOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		projected []uint64
+		ids       []int32
+		groupKeys []uint64
+	}{
+		{"runs", []uint64{1, 1, 2, 5, 5}, []int32{0, 0, 1, 2, 2}, []uint64{1, 2, 5}},
+		{"falls", []uint64{1, 2, 0, 2, 1, 0}, []int32{1, 2, 0, 2, 1, 0}, []uint64{0, 1, 2}},
+	} {
+		sc := takeScratch()
+		ids := make([]int32, len(tc.projected))
+		n, keys := sc.group(len(ids), 1, func(i int, to []uint64) { to[0] |= tc.projected[i] }, ids)
+		if n != len(tc.groupKeys) || !slices.Equal(keys, tc.groupKeys) || !slices.Equal(ids, tc.ids) {
+			t.Errorf("%s: %d groups with keys %v and cell groups %v, want %d, %v and %v",
+				tc.name, n, keys, ids, len(tc.groupKeys), tc.groupKeys, tc.ids)
+		}
+		sc.giveBack()
+	}
+}
+
+// severalGroups counts the classes consumed to build c whose cells fall
+// into more than one group by the formats of the members c retains.
+func severalGroups(c *fclass) int {
+	n := 0
+	for _, a := range c.from.args {
+		groups := map[string]bool{}
+		for i := range a.len() {
+			var b []byte
+			for p, id := range a.members {
+				if slices.Contains(c.members, id) {
+					w, sh := keyPos(p)
+					b = append(b, byte(a.keys[i*a.words+w]>>sh))
+				}
+			}
+			groups[string(b)] = true
+		}
+		if len(groups) > 1 {
+			n++
+		}
+	}
+	return n
+}
+
 // TestFrontierMatchesTreeDPOnRandomTrees runs random trees through both
 // dynamic programs over the full format universe. The costs must agree
 // and both plans verify; the plans themselves may differ where two are

@@ -34,14 +34,19 @@ var poisoned bool
 
 type scratch struct {
 	tables []cellTable // one per walk goroutine
+	keys   []uint64    // class: the cells' keys, when they must be sorted
 	order  []int32     // class: cell indices in key order
 	costs  []float64   // class: the cost copy the beam cut reorders
 	seen   []bool      // newRound: pin-tuple shares already met
 	spans  []span      // newRound: pin tuple → its range of choices
+	gslots []int32     // group: hash of group keys, group + 1; 0 is empty
+	gkeys  []uint64    // group: the groups' keys in the order they are met
+	perm   []int32     // group: groups in key order, then group → its rank
 	evals  []implEval  // bestChoices: code·len(impls) + impl → its evaluation
 	done   []bool      // bestChoices: code → evaluated
 
-	// Class cells and per-round contributions are cut from these.
+	// Class cells and the rounds' per-cell groups and pin shares and
+	// per-group keys are cut from these.
 	u64 bump[uint64]
 	f64 bump[float64]
 	i32 bump[int32]
@@ -83,11 +88,12 @@ func (s *scratch) giveBack() {
 
 // bytes is what the scratch holds. A rewind never makes it larger.
 func (s *scratch) bytes() int {
-	n := 4*cap(s.order) + 8*cap(s.costs) + cap(s.seen) + 8*cap(s.spans) +
+	n := 8*cap(s.keys) + 4*cap(s.order) + 8*cap(s.costs) + cap(s.seen) + 8*cap(s.spans) +
+		4*cap(s.gslots) + 8*cap(s.gkeys) + 4*cap(s.perm) +
 		int(unsafe.Sizeof(implEval{}))*cap(s.evals) + cap(s.done)
 	for i := range s.tables {
 		t := &s.tables[i]
-		n += 4*cap(t.slots) + 8*cap(t.keys) + 8*cap(t.cost) + 4*cap(t.choice) + 4*cap(t.parent)
+		n += 8*cap(t.cost) + 4*cap(t.choice) + 4*cap(t.parent)
 	}
 	return n + s.u64.bytes() + s.f64.bytes() + s.i32.bytes()
 }
