@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test test-purego test-avx2 poison nofma race chaos fuzz bench bench-smoke docs-check profile-frontier profile-chain profile-chain-tcp profile-serve
+.PHONY: check fmt vet build test test-purego test-avx2 poison nofma race chaos fuzz bench bench-smoke docs-check profile-frontier profile-chain profile-inverse profile-chain-tcp profile-serve
 
 check: fmt vet build test test-purego test-avx2 poison nofma race chaos docs-check bench-smoke
 
@@ -49,11 +49,12 @@ test-avx2:
 # which proves each kernel writes (or clears) every element it hands out
 # and nothing reads storage after it is released. A Frontier search's
 # scratch (DESIGN.md §7) is poisoned the same way, with junk keys, NaN
-# costs and −1 indices, and the recorded plan hashes must still match.
+# costs and −1 indices: the recorded plan hashes must still match, and
+# every class's keys must still follow its cells' back-pointers.
 poison:
 	$(GO) test -tags matopt_poison $(KERNEL_SUITES)
 	$(GO) test -tags matopt_poison -run 'TestPlanCacheEngineInvariance|TestEnginesLeaveInputsUntouched' .
-	$(GO) test -tags matopt_poison -run 'TestFrontierPlanIdentity|TestParallelFrontierMatchesSerial|TestSearchesShareScratch' ./internal/core
+	$(GO) test -tags matopt_poison -run 'TestFrontierPlanIdentity|TestParallelFrontierMatchesSerial|TestSearchesShareScratch|TestClassKeysFollowBackPointers' ./internal/core
 
 # KERNELS.md §2 Rule 3 — a product is rounded before it is added —
 # checked on what the compiler emits: cross-build the two kernel packages
@@ -172,6 +173,18 @@ profile-chain:
 		-cpuprofile chain.cpu.prof -memprofile chain.mem.prof -o chain.test .
 	$(GO) tool pprof -top -nodecount 12 chain.test chain.cpu.prof
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 8 chain.test chain.mem.prof
+
+# And for a cold operation: two hundred operations of the benchmark's
+# inverse_cold workload without the digest (BenchmarkInverseCold: build,
+# a new Optimizer's full Frontier search, lowering, plan.Encode and the
+# run) on one processor, with B/op, profiles and test binary written to
+# git-ignored inverse.{cpu,mem}.prof / inverse.test, then the 15 hottest
+# functions and the 8 sites that allocate the most bytes.
+profile-inverse:
+	$(GO) test -run '^$$' -bench 'BenchmarkInverseCold$$' -benchtime 200x -cpu 1 -benchmem \
+		-cpuprofile inverse.cpu.prof -memprofile inverse.mem.prof -o inverse.test .
+	$(GO) tool pprof -top -nodecount 15 inverse.test inverse.cpu.prof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 8 inverse.test inverse.mem.prof
 
 # And for the wire: twenty warm operations of the benchmark's
 # chain_dist_tcp workload (BenchmarkChainDistTCP: 2 dist shards, shard 1

@@ -22,6 +22,7 @@ import (
 	"matopt/internal/figures"
 	"matopt/internal/format"
 	"matopt/internal/netfabric"
+	"matopt/internal/plan"
 	"matopt/internal/sparse"
 	"matopt/internal/tensor"
 	"matopt/internal/workload"
@@ -318,6 +319,47 @@ func BenchmarkChainSeq(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if _, err := x.Run(p, inputs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkInverseCold is one operation of the benchmark's inverse_cold
+// workload (cmd/bench/lib.go: Figure 9's two-level block inverse ÷ 80
+// under LocalTest(2) on the sequential engine) without its digest: build
+// the graph, then a new Optimizer, so that Optimize runs a full Frontier
+// search, then Physical, plan.Encode and Run. It is BenchmarkChainSeq's
+// twin for a cold operation: BenchmarkFrontierInverseCold
+// (internal/core) times the search alone. `make profile-inverse`
+// profiles it.
+func BenchmarkInverseCold(b *testing.B) {
+	spec := workload.Spec{Workload: "inverse", Scale: 80}.Normalized()
+	_, inputs, err := spec.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl := costmodel.LocalTest(2)
+	x := matopt.NewExecutor(cl)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := spec.Graph()
+		if err != nil {
+			b.Fatal(err)
+		}
+		opt := matopt.NewOptimizer(cl)
+		p, err := opt.Optimize(matopt.NewBuilderFromGraph(g))
+		if err != nil {
+			b.Fatal(err)
+		}
+		pp, err := p.Physical()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := plan.Encode(pp, opt.Env()); err != nil {
+			b.Fatal(err)
+		}
 		if _, err := x.Run(p, inputs); err != nil {
 			b.Fatal(err)
 		}

@@ -1,5 +1,7 @@
 package core
 
+import "testing"
+
 // RandomTree lets the external test package draw the property tests'
 // random trees.
 var RandomTree = randomTree
@@ -29,3 +31,8 @@ func IdleScratchBytes() []int {
 	}
 	return n
 }
+
+// InverseColdGraph returns the graph of the benchmark's inverse_cold
+// workload. The external tests set it: internal/workload, which builds
+// the graph, imports this package.
+var InverseColdGraph func(testing.TB) *Graph

@@ -22,16 +22,20 @@ import (
 // every vertex in class V with the output formats fixed to the vector p.
 //
 // One round expands one vertex v: it consumes the classes holding v's
-// arguments and builds the class of their surviving members plus v. A
-// round has two steps. The best-choice table (bestChoices) decides, once
-// per tuple of formats the arguments can arrive in, which
-// (transformations, implementation) choices can win a cell at all; the
-// combo walk (round.walk) then crosses the consumed classes' cells and
-// offers each new cell the cheapest such choice. The new cells live in a
-// dense table indexed by the consumed cells' groups of retained formats
-// and v's output format, not by a hashed key. DESIGN.md §7 has the
-// layout and the argument for why the result is independent of the walk
-// order.
+// arguments and builds the class of their surviving members plus v. One
+// pass over each consumed class's keys numbers its cells into groups by
+// their retained formats and sums each cell's share of the pin tuple
+// (newRound). The best-choice table (bestChoices) then decides, once per
+// tuple of formats the arguments can arrive in, which (transformations,
+// implementation) choices can win a cell at all; the combo walk
+// (round.walk) crosses the consumed classes' cells, summing the outer
+// classes once per run of the last, and offers each new cell the cheapest
+// such choice. The new cells live in a dense table indexed by the
+// consumed cells' groups and v's output format, not by a hashed key. A
+// table in key order that fits the beam becomes its class in one pass
+// over its slots (round.classInOrder); any other is compacted, sorted and
+// cut (round.class). DESIGN.md §7 has the layout and the argument for why
+// the result is independent of the walk order.
 
 // formatIDs gives every format one Frontier run can meet a dense byte
 // id, so cost-table keys are integers. Ids are assigned once, serially
@@ -142,6 +146,7 @@ func (c *fclass) backtrack(cell int, ann *Annotation) {
 // arrive in.
 type cellTable struct {
 	nargs  int
+	filled int // occupied slots
 	cost   []float64
 	choice []int32
 	parent []int32
@@ -150,7 +155,7 @@ type cellTable struct {
 // reset empties the table for a round with the given number of slots;
 // the arrays of earlier rounds and searches are reused.
 func (t *cellTable) reset(slots, nargs int) {
-	t.nargs = nargs
+	t.nargs, t.filled = nargs, 0
 	t.cost = reuse(t.cost, slots, math.NaN())
 	t.choice = reuse(t.choice, slots, -1)
 	for s := range t.choice {
@@ -161,9 +166,17 @@ func (t *cellTable) reset(slots, nargs int) {
 
 // offer proposes (cost, choice, parents) for the cell in slot s.
 func (t *cellTable) offer(s int, cost float64, choice int32, parents []int32) {
-	if old := t.choice[s]; old < 0 || cost < t.cost[s] || cost == t.cost[s] && choice < old {
-		t.cost[s], t.choice[s] = cost, choice
-		copy(t.parent[s*t.nargs:], parents)
+	old := t.choice[s]
+	if old >= 0 && !(cost < t.cost[s] || cost == t.cost[s] && choice < old) {
+		return
+	}
+	if old < 0 {
+		t.filled++
+	}
+	t.cost[s], t.choice[s] = cost, choice
+	p := t.parent[s*len(parents) : (s+1)*len(parents)]
+	for k := range p {
+		p[k] = parents[k]
 	}
 }
 
@@ -200,11 +213,16 @@ func kthSmallest(a []float64, k int) float64 {
 // class turns the round's table into a frontier class: cells in
 // ascending key order, beam-limited to the cheapest beam of them (see
 // Env.MaxClassEntries). It reports how many cells the beam dropped. Ties
-// at the cut are broken on the key, so pruning is deterministic. The
-// occupied slots move to the front of the table in slot order, which is
-// key order when r.sorted holds; otherwise they are sorted by key once.
-// The class's cells are cut from the scratch.
+// at the cut are broken on the key, so pruning is deterministic. A table
+// in key order (r.sorted) that fits the beam becomes its class in one
+// pass over the slots (classInOrder). Otherwise the occupied slots move to
+// the front of the table in slot order, are sorted by key once unless
+// r.sorted holds, and are cut to the beam. The class's cells are cut from
+// the scratch.
 func (r *round) class(sc *scratch, t *cellTable, members []int, beam int) (*fclass, int) {
+	if r.sorted && t.filled <= beam {
+		return r.classInOrder(sc, t, members), 0
+	}
 	w, nargs := r.words, t.nargs
 	n := 0
 	for s, ch := range t.choice {
@@ -267,6 +285,63 @@ func (r *round) class(sc *scratch, t *cellTable, members []int, beam int) (*fcla
 		r.key(c.keys[i*w:(i+1)*w], c.choice[i], c.parent[i*nargs:(i+1)*nargs])
 	}
 	return c, pruned
+}
+
+// classInOrder writes the class straight from the occupied slots of a
+// table whose slot order is key order. A digit counter over the consumed
+// classes' groups, last class fastest, walks the slots one group
+// combination at a time: the combination's retained formats are ORed
+// together once, and each occupied slot of it adds its output cell's byte
+// of v.
+func (r *round) classInOrder(sc *scratch, t *cellTable, members []int) *fclass {
+	w, nargs, n := r.words, t.nargs, t.filled
+	c := &fclass{
+		members: members,
+		words:   w,
+		keys:    sc.u64.take(n * w),
+		cost:    sc.f64.take(n),
+		from:    r.x,
+		choice:  sc.i32.take(n),
+		parent:  sc.i32.take(n * nargs),
+	}
+	digit := sc.i32.take(nargs) // the group of each consumed class
+	clear(digit)
+	gkey := sc.u64.take(w) // their retained formats, ORed
+	i := 0
+	for s := 0; i < n; s += len(r.outBits) {
+		clear(gkey)
+		for k, g := range digit {
+			for j, b := range r.gkeys[k][int(g)*w : (int(g)+1)*w] {
+				gkey[j] |= b
+			}
+		}
+		for o, bits := range r.outBits {
+			ch := t.choice[s+o]
+			if ch < 0 {
+				continue
+			}
+			key := c.keys[i*w : (i+1)*w]
+			for j, b := range gkey {
+				key[j] = b
+			}
+			if r.vWord >= 0 {
+				key[r.vWord] |= bits
+			}
+			c.cost[i], c.choice[i] = t.cost[s+o], ch
+			p := c.parent[i*nargs : (i+1)*nargs]
+			for k, q := range t.parent[(s+o)*nargs : (s+o+1)*nargs] {
+				p[k] = q
+			}
+			i++
+		}
+		for k := nargs - 1; k >= 0; k-- {
+			if digit[k]++; digit[k] < r.groups[k] {
+				break
+			}
+			digit[k] = 0
+		}
+	}
+	return c
 }
 
 // key writes the key of the cell that choice built on the given cells of
@@ -476,13 +551,18 @@ type round struct {
 	// pin-tuple index.
 	group   [][]int32
 	pinPart [][]int32
-	// Per consumed class: the weight of its group in the slot, and per
-	// group the retained members' formats at their positions in the new key.
+	// Per consumed class: its number of groups, the weight of its group in
+	// the slot, and per group the retained members' formats at their
+	// positions in the new key.
+	groups []int32
 	stride []int32
 	gkeys  [][]uint64
-	slots  int    // Π groups · output cells
-	sorted bool   // slot order is key order
-	spans  []span // pin-tuple index → its range of x.choices
+	// Per output cell: v's format at v's key byte (0 when v leaves the
+	// frontier at once).
+	outBits []uint64
+	slots   int    // Π groups · output cells
+	sorted  bool   // slot order is key order
+	spans   []span // pin-tuple index → its range of x.choices
 
 	// What bestChoices enumerates. A pin tuple's index is the format ids
 	// its arguments arrive in, as digits in radix len(ids.formats) with
@@ -524,6 +604,7 @@ func (s *Session) newRound(sc *scratch, v *Vertex, args []*fclass, members []int
 		vWord:     -1,
 		group:     make([][]int32, len(args)),
 		pinPart:   make([][]int32, len(args)),
+		groups:    make([]int32, len(args)),
 		stride:    make([]int32, len(args)),
 		gkeys:     make([][]uint64, len(args)),
 		weight:    make([]int32, nargs),
@@ -542,10 +623,11 @@ func (s *Session) newRound(sc *scratch, v *Vertex, args []*fclass, members []int
 	sc.spans = reuse(sc.spans, int(tuples), span{-1, -1})
 	r.spans = sc.spans
 
-	// Each consumed cell's group and its share of the pin tuple. The pin
-	// tuples the classes can deliver are the sums of one share per class.
+	// Each consumed cell's group and its share of the pin tuple, from one
+	// pass over its key. The pin tuples the classes can deliver are the
+	// sums of one share per class.
 	deliverable := []int32{0}
-	groups := make([]int, len(args))
+	sc.seen = reuse(sc.seen, int(tuples), true)
 	for k, c := range args {
 		r.combos *= c.len()
 		// Retained members' key bytes move from c's keys into the new key.
@@ -588,27 +670,22 @@ func (s *Session) newRound(sc *scratch, v *Vertex, args []*fclass, members []int
 				}
 			}
 		}
+		part, seen := sc.i32.take(c.len()), sc.seen
+		clear(seen)
+		var shares []int32 // the distinct shares, as first met
 		// project ORs cell i's retained formats into to, at their
-		// positions in the new key.
+		// positions in the new key, and records the cell's pin share.
+		// hashGroup's restart projects cells again; the share is the same.
+		// Every shift is below 64; masking it says so to the compiler,
+		// which then emits a bare shift.
 		project := func(i int, to []uint64) {
 			key := c.keys[i*c.words : (i+1)*c.words]
 			for _, m := range keep {
-				to[m.toWord] |= (key[m.word] & m.mask) << m.left >> m.right
+				to[m.toWord] |= (key[m.word] & m.mask) << (m.left & 63) >> (m.right & 63)
 			}
-		}
-		r.group[k] = sc.i32.take(c.len())
-		groups[k], r.gkeys[k] = sc.group(c.len(), r.words, project, r.group[k])
-
-		part := sc.i32.take(c.len())
-		sc.seen = reuse(sc.seen, int(tuples), true)
-		seen := sc.seen
-		clear(seen)
-		var shares []int32
-		for i := range part {
-			key := c.keys[i*c.words : (i+1)*c.words]
 			share := int32(0)
 			for _, m := range pin {
-				share += int32(key[m.word]>>m.shift&0xff) * m.weight
+				share += int32(key[m.word]>>(m.shift&63)&0xff) * m.weight
 			}
 			part[i] = share
 			if !seen[share] {
@@ -616,7 +693,9 @@ func (s *Session) newRound(sc *scratch, v *Vertex, args []*fclass, members []int
 				shares = append(shares, share)
 			}
 		}
-		r.pinPart[k] = part
+		r.group[k] = sc.i32.take(c.len())
+		groups, gkeys := sc.group(c.len(), r.words, project, r.group[k])
+		r.groups[k], r.gkeys[k], r.pinPart[k] = int32(groups), gkeys, part
 		sums := make([]int32, 0, len(deliverable)*len(shares))
 		for _, d := range deliverable {
 			for _, sh := range shares {
@@ -675,6 +754,12 @@ func (s *Session) newRound(sc *scratch, v *Vertex, args []*fclass, members []int
 			outOf[id] = outs
 		}
 	}
+	r.outBits = sc.u64.take(int(outs))
+	for id, o := range outOf {
+		if o != 0 {
+			r.outBits[o-1] = uint64(id) << r.vShift
+		}
+	}
 	for i := range r.x.choices {
 		ch := &r.x.choices[i]
 		ch.outOf = outOf[ch.outBits>>r.vShift] - 1
@@ -686,13 +771,14 @@ func (s *Session) newRound(sc *scratch, v *Vertex, args []*fclass, members []int
 	stride, several := int(outs), 0
 	for k := len(args) - 1; k >= 0; k-- {
 		r.stride[k] = int32(stride)
-		if groups[k] > 1 {
+		groups := int(r.groups[k])
+		if groups > 1 {
 			several++
 		}
-		if stride > math.MaxInt32/groups[k] {
+		if stride > math.MaxInt32/groups {
 			return nil, internalf("the class built at v%d has more than 2^31 possible cells", v.ID)
 		}
-		stride *= groups[k]
+		stride *= groups
 	}
 	r.slots = stride
 	r.sorted = several <= 1
@@ -955,38 +1041,50 @@ func (r *round) run(ctx context.Context, tables []cellTable) *cellTable {
 // walk offers the cells reachable from combos [lo, hi) — combo c picks
 // one cell of every consumed class, the last class varying fastest — to
 // the table: per combo and output cell, the cheapest choice of the
-// combo's pin tuple on top of the picked cells' summed cost. The context
-// is polled every 16 combos.
+// combo's pin tuple on top of the picked cells' summed cost. The cost,
+// pin tuple and slot of the classes but the last are summed once per run
+// of the last class; a combo adds its last cell's, so its cost is the
+// same left fold over the classes as summing all of them. The context is
+// polled every 16 combos.
 func (r *round) walk(ctx context.Context, lo, hi int, t *cellTable) {
 	x := r.x
+	last := len(x.args) - 1
 	at := make([]int32, len(x.args)) // the picked cell of each class
-	for k, rest := len(x.args)-1, lo; k >= 0; k-- {
+	for k, rest := last, lo; k >= 0; k-- {
 		n := x.args[k].len()
 		at[k], rest = int32(rest%n), rest/n
 	}
-	for c := lo; c < hi; c++ {
-		if c&15 == 0 && ctx.Err() != nil {
-			return
+	lastCost, lastPart, lastGroup, lastStride := x.args[last].cost, r.pinPart[last], r.group[last], r.stride[last]
+	for c := lo; c < hi; {
+		var outer float64
+		outerTuple, outerSlot := int32(0), int32(0)
+		for k, i := range at[:last] {
+			outer += x.args[k].cost[i]
+			outerTuple += r.pinPart[k][i]
+			outerSlot += r.group[k][i] * r.stride[k]
 		}
-		var base float64
-		tuple, slot := int32(0), int32(0)
-		for k, i := range at {
-			base += x.args[k].cost[i]
-			tuple += r.pinPart[k][i]
-			slot += r.group[k][i] * r.stride[k]
-		}
-		sp := r.spans[tuple]
-		for ch := sp.lo; ch < sp.hi; {
-			out := x.choices[ch].outOf
-			best, bestCost := ch, base+x.choices[ch].trCost+x.choices[ch].implCost
-			for ch++; ch < sp.hi && x.choices[ch].outOf == out; ch++ {
-				if total := base + x.choices[ch].trCost + x.choices[ch].implCost; total < bestCost {
-					best, bestCost = ch, total
-				}
+		end := min(hi, c+len(lastCost)-int(at[last]))
+		for i := at[last]; c < end; i, c = i+1, c+1 {
+			if c&15 == 0 && ctx.Err() != nil {
+				return
 			}
-			t.offer(int(slot+out), bestCost, best, at)
+			at[last] = i
+			base := outer + lastCost[i]
+			slot := outerSlot + lastGroup[i]*lastStride
+			sp := r.spans[outerTuple+lastPart[i]]
+			for ch := sp.lo; ch < sp.hi; {
+				out := x.choices[ch].outOf
+				best, bestCost := ch, base+x.choices[ch].trCost+x.choices[ch].implCost
+				for ch++; ch < sp.hi && x.choices[ch].outOf == out; ch++ {
+					if total := base + x.choices[ch].trCost + x.choices[ch].implCost; total < bestCost {
+						best, bestCost = ch, total
+					}
+				}
+				t.offer(int(slot+out), bestCost, best, at)
+			}
 		}
-		for k := len(at) - 1; k >= 0; k-- {
+		at[last] = 0
+		for k := last - 1; k >= 0; k-- {
 			if at[k]++; int(at[k]) < x.args[k].len() {
 				break
 			}

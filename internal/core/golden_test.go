@@ -19,6 +19,8 @@ import (
 	"matopt/internal/workload"
 )
 
+func init() { core.InverseColdGraph = benchInverse }
+
 // benchInverse is the graph of the benchmark's inverse_cold workload
 // (cmd/bench/lib.go, inverseGraph(80)): Figure 9's two-level block
 // inverse with the paper's 10K/2K/8K split divided by 80. The benchmark

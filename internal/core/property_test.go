@@ -12,6 +12,7 @@ import (
 	"matopt/internal/format"
 	"matopt/internal/op"
 	"matopt/internal/shape"
+	"matopt/internal/trans"
 )
 
 // The random graphs are over square matrices, which keeps every binary
@@ -286,6 +287,128 @@ func TestFrontierClassesAscendOnSharedDAGs(t *testing.T) {
 	}
 }
 
+// TestClassKeysFollowBackPointers rebuilds the key of every cell of every
+// class a search builds member by member, from the cell's back-pointers
+// alone — no groups, no strides: v's byte is its choice's output format,
+// and every other retained member's byte is that member's byte in the
+// parent cell of the consumed class that held it. It runs on the graphs
+// of TestFrontierMatchesBruteOnSharedDAGs, whose rounds cover the
+// one-pass class on one and two consumed classes as well as the sort
+// path; on the same graphs where the only transformation is a gather to
+// a single machine, so that an argument's format limits v's and tables
+// have empty slots; and on the benchmark's block inverse, whose widest
+// round is cut by the beam.
+func TestClassKeysFollowBackPointers(t *testing.T) {
+	var cover struct{ onePassTwo, onePassEmpty, sorted, cut int }
+	check := func(name string, g *Graph, env *Env) {
+		sess := NewSession(nil, env, WithParallelism(1))
+		sc := takeScratch()
+		defer sc.giveBack()
+		front, err := sess.expand(g, sc, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cover.cut += sess.stats.EntriesPruned
+		seen := map[*fclass]bool{}
+		var walk func(c *fclass)
+		walk = func(c *fclass) {
+			x := c.from
+			if seen[c] || x.v.IsSource {
+				return
+			}
+			seen[c] = true
+			for _, a := range x.args {
+				walk(a)
+			}
+			if c.len() < DefaultMaxClassEntries && severalGroups(c) <= 1 {
+				if len(x.args) == 2 {
+					cover.onePassTwo++
+				}
+				if c.len() < possibleCells(c) {
+					cover.onePassEmpty++
+				}
+			} else if severalGroups(c) >= 2 {
+				cover.sorted++
+			}
+			want := make([]uint64, c.words)
+			for i := range c.len() {
+				clear(want)
+				for p, id := range c.members {
+					w, sh := keyPos(p)
+					var b uint64
+					if id == x.v.ID {
+						b = x.choices[c.choice[i]].outBits >> sh & 0xff
+					} else {
+						k := slices.IndexFunc(x.args, func(a *fclass) bool { return slices.Contains(a.members, id) })
+						a, from := x.args[k], int(c.parent[i*len(x.args)+k])
+						aw, ash := keyPos(slices.Index(a.members, id))
+						b = a.keys[from*a.words+aw] >> ash & 0xff
+					}
+					want[w] |= b << sh
+				}
+				if got := c.keys[i*c.words : (i+1)*c.words]; !slices.Equal(got, want) {
+					t.Errorf("%s: the class built at v%d holds key %x at cell %d; its back-pointers give %x", name, x.v.ID, got, i, want)
+					return
+				}
+			}
+		}
+		for _, c := range front {
+			walk(c)
+		}
+	}
+
+	universe := []format.Format{format.NewSingle(), format.NewTile(1000), format.NewRowStrip(1000), format.NewColStrip(1000)}
+	env := NewEnv(costmodel.EC2R5D(4), universe)
+	gather := NewEnv(costmodel.EC2R5D(4), universe)
+	gather.Transforms = slices.DeleteFunc(slices.Clone(gather.Transforms), func(tr *trans.Transform) bool {
+		return !tr.Identity() && tr.Target() != format.NewSingle()
+	})
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(3000 + seed))
+		g := sharedDAG(rng, 1+rng.Intn(2), 4, 2+rng.Intn(2))
+		check(fmt.Sprintf("seed %d", seed), g, env)
+		check(fmt.Sprintf("seed %d, gather only", seed), g, gather)
+	}
+	check("block inverse", InverseColdGraph(t), NewEnv(costmodel.LocalTest(2), format.All()))
+	t.Logf("%d one-pass classes on two consumed classes, %d on tables with empty slots, %d sorted, %d cells beam-cut",
+		cover.onePassTwo, cover.onePassEmpty, cover.sorted, cover.cut)
+	if cover.onePassTwo == 0 || cover.onePassEmpty == 0 || cover.sorted == 0 || cover.cut == 0 {
+		t.Error("a path of round.class went untested")
+	}
+}
+
+// possibleCells is the number of slots of the table the class c was
+// built from: the product of the consumed classes' groups of the formats
+// c retains and the round's output cells.
+func possibleCells(c *fclass) int {
+	outs := map[uint64]bool{}
+	for _, ch := range c.from.choices {
+		outs[ch.outBits] = true
+	}
+	n := len(outs)
+	for _, a := range c.from.args {
+		n *= len(retainedGroups(a, c))
+	}
+	return n
+}
+
+// retainedGroups returns the distinct formats, as one byte per member, of
+// the members of c among the members of a, over a's cells.
+func retainedGroups(a, c *fclass) map[string]bool {
+	groups := map[string]bool{}
+	for i := range a.len() {
+		var b []byte
+		for p, id := range a.members {
+			if slices.Contains(c.members, id) {
+				w, sh := keyPos(p)
+				b = append(b, byte(a.keys[i*a.words+w]>>sh))
+			}
+		}
+		groups[string(b)] = true
+	}
+	return groups
+}
+
 // TestGroupsFollowKeyOrder numbers cells by their retained formats,
 // given here as one projected word per cell in the class's key order:
 // formats that never fall form runs, and formats that fall and first
@@ -317,18 +440,7 @@ func TestGroupsFollowKeyOrder(t *testing.T) {
 func severalGroups(c *fclass) int {
 	n := 0
 	for _, a := range c.from.args {
-		groups := map[string]bool{}
-		for i := range a.len() {
-			var b []byte
-			for p, id := range a.members {
-				if slices.Contains(c.members, id) {
-					w, sh := keyPos(p)
-					b = append(b, byte(a.keys[i*a.words+w]>>sh))
-				}
-			}
-			groups[string(b)] = true
-		}
-		if len(groups) > 1 {
+		if len(retainedGroups(a, c)) > 1 {
 			n++
 		}
 	}

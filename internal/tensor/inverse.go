@@ -34,9 +34,14 @@ func Inverse(a *Dense) (*Dense, error) {
 			swapRows(w, p, col)
 			swapRows(inv, p, col)
 		}
+		// Columns 0..col of w are never read after this step: later pivot
+		// searches, multipliers and row updates read only the columns to
+		// the right. So w is scaled and updated on those alone; inv, all
+		// of whose columns are live, on whole rows.
 		piv := w.At(col, col)
-		scaleRow(w, col, 1/piv)
-		scaleRow(inv, col, 1/piv)
+		live := w.Data[col*n+col+1 : (col+1)*n]
+		scale(live, 1/piv)
+		scale(inv.Data[col*n:(col+1)*n], 1/piv)
 		for r := 0; r < n; r++ {
 			if r == col {
 				continue
@@ -45,7 +50,7 @@ func Inverse(a *Dense) (*Dense, error) {
 			if f == 0 {
 				continue
 			}
-			axpyRow(w, r, col, -f)
+			Axpy(-f, live, w.Data[r*n+col+1:(r+1)*n])
 			axpyRow(inv, r, col, -f)
 		}
 	}
@@ -69,10 +74,9 @@ func swapRows(m *Dense, a, b int) {
 	}
 }
 
-func scaleRow(m *Dense, r int, s float64) {
-	row := m.Data[r*m.Cols : (r+1)*m.Cols]
-	for i := range row {
-		row[i] *= s
+func scale(x []float64, s float64) {
+	for i := range x {
+		x[i] *= s
 	}
 }
 
