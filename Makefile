@@ -49,12 +49,14 @@ test-avx2:
 # which proves each kernel writes (or clears) every element it hands out
 # and nothing reads storage after it is released. A Frontier search's
 # scratch (DESIGN.md §7) is poisoned the same way, with junk keys, NaN
-# costs and −1 indices: the recorded plan hashes must still match, and
-# every class's keys must still follow its cells' back-pointers.
+# costs and −1 indices: the recorded plan hashes must still match, every
+# class's keys must still follow its cells' back-pointers, every class
+# must come out the same whichever class a round streams and wherever its
+# walk is cut, and the beam cut must keep the same cells.
 poison:
 	$(GO) test -tags matopt_poison $(KERNEL_SUITES)
 	$(GO) test -tags matopt_poison -run 'TestPlanCacheEngineInvariance|TestEnginesLeaveInputsUntouched' .
-	$(GO) test -tags matopt_poison -run 'TestFrontierPlanIdentity|TestParallelFrontierMatchesSerial|TestSearchesShareScratch|TestClassKeysFollowBackPointers' ./internal/core
+	$(GO) test -tags matopt_poison -run 'TestFrontierPlanIdentity|TestParallelFrontierMatchesSerial|TestSearchesShareScratch|TestClassKeysFollowBackPointers|TestStreamOrderDoesNotMatter|TestBeamCut' ./internal/core
 
 # KERNELS.md §2 Rule 3 — a product is rounded before it is added —
 # checked on what the compiler emits: cross-build the two kernel packages

@@ -80,7 +80,8 @@ func (env *Env) applyImpl(v *Vertex, im *impl.Impl, pouts []format.Format) (form
 	for j := range ins {
 		ins[j].Format = pouts[j]
 	}
-	return env.applyInputs(v, im, ins)
+	out, _, cost, ok := env.applyInputs(v, im, ins)
+	return out, cost, ok
 }
 
 // vertexInputs describes v's arguments, their formats left for the
@@ -95,14 +96,16 @@ func vertexInputs(v *Vertex) []impl.Input {
 
 // applyInputs is applyImpl on arguments already described; Frontier
 // shares one description among all the implementations it evaluates on a
-// combination of delivered formats.
-func (env *Env) applyInputs(v *Vertex, im *impl.Impl, ins []impl.Input) (format.Format, float64, bool) {
+// combination of delivered formats. It also returns the output format's
+// index in env.Formats.
+func (env *Env) applyInputs(v *Vertex, im *impl.Impl, ins []impl.Input) (format.Format, int, float64, bool) {
 	out, ok := im.Apply(v.Op, ins, v.Shape, v.Density, env.Cluster)
 	if !ok {
-		return format.Format{}, 0, false
+		return format.Format{}, -1, 0, false
 	}
-	if !env.HasFormat(out.Format) {
-		return format.Format{}, 0, false
+	at := env.formatIndex(out.Format)
+	if at < 0 {
+		return format.Format{}, -1, 0, false
 	}
-	return out.Format, im.Cost(env.Model, out), true
+	return out.Format, at, im.Cost(env.Model, out), true
 }

@@ -59,11 +59,14 @@ func NewEnv(cl costmodel.Cluster, formats []format.Format) *Env {
 }
 
 // HasFormat reports whether f is in the environment's format universe.
-func (e *Env) HasFormat(f format.Format) bool {
-	for _, g := range e.Formats {
+func (e *Env) HasFormat(f format.Format) bool { return e.formatIndex(f) >= 0 }
+
+// formatIndex returns the index of f in e.Formats, or −1.
+func (e *Env) formatIndex(f format.Format) int {
+	for i, g := range e.Formats {
 		if g == f {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
