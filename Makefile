@@ -51,12 +51,14 @@ test-avx2:
 # scratch (DESIGN.md §7) is poisoned the same way, with junk keys, NaN
 # costs and −1 indices: the recorded plan hashes must still match, every
 # class's keys must still follow its cells' back-pointers, every class
-# must come out the same whichever class a round streams and wherever its
-# walk is cut, and the beam cut must keep the same cells.
+# must come out the same whichever class a round streams and however many
+# ranges of whole groups its walk is cut into, every class's keys must
+# still ascend and the 200 random shared DAGs' plans must not depend on the
+# parallelism, and the beam cut must keep the same cells.
 poison:
 	$(GO) test -tags matopt_poison $(KERNEL_SUITES)
 	$(GO) test -tags matopt_poison -run 'TestPlanCacheEngineInvariance|TestEnginesLeaveInputsUntouched' .
-	$(GO) test -tags matopt_poison -run 'TestFrontierPlanIdentity|TestParallelFrontierMatchesSerial|TestSearchesShareScratch|TestClassKeysFollowBackPointers|TestStreamOrderDoesNotMatter|TestBeamCut' ./internal/core
+	$(GO) test -tags matopt_poison -run 'TestFrontierPlanIdentity|TestParallelFrontierMatchesSerial|TestSearchesShareScratch|TestClassKeysFollowBackPointers|TestStreamOrderDoesNotMatter|TestFrontierClassesAscendOnSharedDAGs|TestBeamCut' ./internal/core
 
 # KERNELS.md §2 Rule 3 — a product is rounded before it is added —
 # checked on what the compiler emits: cross-build the two kernel packages

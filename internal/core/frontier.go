@@ -33,8 +33,9 @@ import (
 // format the cheapest such choice in a small table over the other
 // classes' groups and v's output cells, and when the walk leaves a group
 // that table's cells are written out. A cell goes to the least (cost,
-// choice index), and no two offers for a cell tie on both, so neither the
-// visiting order nor the walk's chunks change it. The written cells are
+// choice index), and no two offers for a cell tie on both, so the visiting
+// order does not change it; the walk's parallel ranges hold whole groups,
+// so no two of them offer for one cell. The written cells are
 // sorted if they must be, cut to the beam and copied into the new class.
 // DESIGN.md §7 has the layout.
 
@@ -457,7 +458,7 @@ func (s *Session) expand(g *Graph, sc *scratch, fspan *obs.Span) ([]*fclass, err
 		if err != nil {
 			return nil, err
 		}
-		written := r.walk(s.ctx, sc, s.parallelism, nil)
+		written := r.walk(s.ctx, sc, s.parallelism)
 		if err := s.ctxErr(); err != nil {
 			return nil, err
 		}
@@ -1011,49 +1012,38 @@ func (r *round) stream(s int) {
 
 // walker is one walk goroutine's state, reused round after round.
 type walker struct {
-	head groupTable // the winners of the group its range begins inside
-	tail groupTable // the winners of the group it is in
-	at   []int32    // the parents of the cell being walked
-	from int        // where its cells begin in the walk's array
-	n    int        // how many cells it wrote
+	table groupTable // the winners of the group it is in
+	at    []int32    // the parents of the cell being walked
+	n     int        // how many cells it wrote
 }
 
 // walk writes the new class's cells, in the streamed class's group order,
-// to an array the scratch reuses from round to round. The visit is cut
-// into ranges at cuts or, when cuts is nil, into up to parallelism equal
-// ranges (one when the round has fewer than 16 combos), each walked on a
-// goroutine of its own into a window of the array with room for every
-// group it touches. The winners of a group that straddles a cut fold range
-// by range and are written between the cells of the ranges it straddles,
-// into room the first of them left, and each range's cells then move down
-// to follow.
-func (r *round) walk(ctx context.Context, sc *scratch, parallelism int, cuts []int) cells {
-	if cuts == nil {
-		n := r.x.args[r.s].len()
-		workers := min(parallelism, n)
-		if r.combos < 16 {
-			workers = 1
-		}
-		sc.cuts = reuse(sc.cuts, workers+1, -1)
-		for w := range sc.cuts {
-			sc.cuts[w] = w * n / workers
-		}
-		cuts = sc.cuts
+// to an array the scratch reuses from round to round, with room for every
+// group's slots. The visit is cut only at group starts, into up to workers
+// ranges of whole groups (one when the round has fewer than 16 combos):
+// the w-th of k ranges begins at the first group start at or after w·n/k
+// of the visit's n positions. Each range is walked on a goroutine of its
+// own into the window of the array its groups own, and the ranges' cells
+// then move down to follow one another.
+func (r *round) walk(ctx context.Context, sc *scratch, workers int) cells {
+	start := r.in[r.s].start
+	groups := len(start) - 1
+	k := min(workers, groups)
+	if r.combos < 16 {
+		k = 1
 	}
-	ws, n := sc.walkers(len(cuts)-1), 0
-	group, order, start := r.in[r.s].group, r.in[r.s].order, r.in[r.s].start
-	for w := range ws {
-		ws[w].from = n
-		n += int(group[order[cuts[w+1]-1]]-group[order[cuts[w]]]+1) * r.slots
+	sc.cuts = append(sc.cuts[:0], 0)
+	for w := 1; w < k; w++ {
+		if g, _ := slices.BinarySearch(start, int32(w*int(start[groups])/k)); g > sc.cuts[len(sc.cuts)-1] && g < groups {
+			sc.cuts = append(sc.cuts, g)
+		}
 	}
+	sc.cuts = append(sc.cuts, groups)
+	cuts, ws := sc.cuts, sc.walkers(len(sc.cuts)-1)
 	all := &sc.written
-	all.reuse(r.words, len(r.x.args), n)
+	all.reuse(r.words, len(r.x.args), groups*r.slots)
 	walk := func(w int) {
-		end := n
-		if w+1 < len(ws) {
-			end = ws[w+1].from
-		}
-		ws[w].n = r.chunk(ctx, cuts[w], cuts[w+1], &ws[w], all.window(ws[w].from, end))
+		ws[w].n = r.chunk(ctx, cuts[w], cuts[w+1], &ws[w], all.window(cuts[w]*r.slots, cuts[w+1]*r.slots))
 	}
 	if len(ws) == 1 {
 		walk(0)
@@ -1068,69 +1058,45 @@ func (r *round) walk(ctx context.Context, sc *scratch, parallelism int, cuts []i
 		}
 		wg.Wait()
 	}
-	var open groupTable // the winners so far of a group that straddles a cut
-	n = 0
+	n := 0
 	for w := range ws {
-		lo, hi, wk := cuts[w], cuts[w+1], &ws[w]
-		if g := group[order[lo]]; w > 0 && int(start[g]) < lo {
-			for s, e := range wk.head {
-				if e.choice >= 0 {
-					offer(open, s, e.cost, e.choice, e.cell, e.other)
-				}
-			}
-			if int(start[g+1]) <= hi {
-				n = r.flush(open, g, all, n, wk.at)
-			}
+		if from := cuts[w] * r.slots; n != from {
+			copyCells(all.window(n, n+ws[w].n), all.window(from, from+ws[w].n))
 		}
-		if n != wk.from {
-			copyCells(all.window(n, n+wk.n), all.window(wk.from, wk.from+wk.n))
-		}
-		n += wk.n
-		if g := group[order[hi-1]]; int(start[g]) >= lo && int(start[g+1]) > hi {
-			open = wk.tail
-		}
+		n += ws[w].n
 	}
 	all.truncate(n)
 	return *all
 }
 
-// chunk walks positions [lo, hi) of the streamed class's visit group by
-// group, writes the groups it begins and finishes to seg and returns how
-// many cells it wrote; the winners of a group begun before lo stay in
-// wk.head, those of one that runs past hi in wk.tail. A cell, crossed with
-// each cell of the other class, offers every output cell the cheapest
-// choice of their pin tuple on top of their summed costs. The context is
-// polled every 16 cells.
+// chunk walks groups [lo, hi) of the streamed class's visit, writes each
+// group's winners to seg as it leaves the group and returns how many cells
+// it wrote. A cell, crossed with each cell of the other class, offers every
+// output cell the cheapest choice of their pin tuple on top of their summed
+// costs. The context is polled every 16 cells.
 func (r *round) chunk(ctx context.Context, lo, hi int, wk *walker, seg cells) int {
 	x, s, o, outs := r.x, r.s, r.o, int32(len(r.outBits))
-	wk.head = reuse(wk.head, r.slots, slot{math.NaN(), 0, -1, -1})
-	wk.tail = reuse(wk.tail, r.slots, slot{math.NaN(), 0, -1, -1})
-	for i := range wk.tail {
-		wk.head[i].choice, wk.tail[i].choice = -1, -1
+	wk.table = reuse(wk.table, r.slots, slot{math.NaN(), 0, -1, -1})
+	for i := range wk.table {
+		wk.table[i].choice = -1
 	}
 	wk.at = reuse(wk.at, len(x.args), -1)
-	n, choices, spans, in := 0, x.choices, r.spans, r.in[s]
+	n, t, choices, spans, in := 0, wk.table, x.choices, r.spans, r.in[s]
 	costS, partS, others := x.args[s].cost, in.pinPart, 1
 	if o >= 0 {
 		others = x.args[o].len()
 	}
-	for p, polls := lo, 0; p < hi; {
-		g := in.group[in.order[p]]
-		first, end := int(in.start[g]), int(in.start[g+1])
-		t := wk.tail
-		if first < lo {
-			t = wk.head
-		}
+	polls := 0
+	for g := int32(lo); g < int32(hi); g++ {
 		for j := range int32(others) {
 			costO, tuple, slot := 0.0, int32(0), int32(0)
 			if o >= 0 {
 				costO, tuple, slot = x.args[o].cost[j], r.in[o].pinPart[j], r.in[o].group[j]*outs
 			}
-			for q := p; q < min(hi, end); q++ {
+			for _, i := range in.order[in.start[g]:in.start[g+1]] {
 				if polls++; polls&15 == 0 && ctx.Err() != nil {
 					return n
 				}
-				i := in.order[q]
 				base := costS[i] + costO // the same bits in either order
 				sp := spans[tuple+partS[i]]
 				for ch := sp.lo; ch < sp.hi; {
@@ -1145,10 +1111,7 @@ func (r *round) chunk(ctx context.Context, lo, hi int, wk *walker, seg cells) in
 				}
 			}
 		}
-		if first >= lo && end <= hi {
-			n = r.flush(t, g, &seg, n, wk.at)
-		}
-		p = min(hi, end)
+		n = r.flush(t, g, &seg, n, wk.at)
 	}
 	return n
 }

@@ -37,7 +37,7 @@ var poisoned bool
 
 type scratch struct {
 	walk    []walker    // one per walk goroutine
-	cuts    []int       // walk: where each walk goroutine's range begins
+	cuts    []int       // walk: the first group of each walk goroutine's range, then the number of groups
 	written cells       // walk: the cells a round writes
 	in      [2]consumed // newRound: the layout of each class a round consumes
 	mask    []uint64    // newRound: per word of a consumed class's keys, the retained bytes
@@ -105,7 +105,7 @@ func (s *scratch) bytes() int {
 	}
 	for i := range s.walk {
 		w := &s.walk[i]
-		n += w.head.bytes() + w.tail.bytes() + 4*cap(w.at)
+		n += w.table.bytes() + 4*cap(w.at)
 	}
 	return n + s.u64.bytes() + s.f64.bytes() + s.i32.bytes()
 }

@@ -50,11 +50,11 @@ func builtClasses(front []*fclass) []*fclass {
 }
 
 // TestStreamOrderDoesNotMatter rebuilds every class a search builds with
-// each consumed class in turn as the streamed one, its visit cut into one
-// range, into equal ranges for 2 and 8 walk goroutines, and at cuts
-// inside its largest group — one of them a range that lies inside that
-// group — and requires the very cells the search built: keys, cost bits,
-// choices and parents. It runs on the 200 shared DAGs under both
+// each consumed class in turn as the streamed one, walked by 1, 2 and 8
+// goroutines and by one goroutine per group of the streamed class — the
+// most ranges a walk makes, every range a run of whole groups — and
+// requires the very cells the search built: keys, cost bits, choices and
+// parents. It runs on the 200 shared DAGs under both
 // environments of TestClassKeysFollowBackPointers and on the benchmark's
 // block inverse.
 //
@@ -89,10 +89,10 @@ func TestStreamOrderDoesNotMatter(t *testing.T) {
 				}
 				collisions += parentCollisions(r)
 				r.stream(s)
-				for _, cuts := range streamCuts(r) {
-					got, _ := r.class(sc, r.walk(context.Background(), sc, 0, cuts), c.members, beam)
+				for _, workers := range []int{1, 2, 8, len(r.in[s].start) - 1} {
+					got, _ := r.class(sc, r.walk(context.Background(), sc, workers), c.members, beam)
 					if err := sameCells(&got.cells, &c.cells); err != nil {
-						t.Errorf("%s, v%d streamed from class %d, cut at %v: %v", name, x.v.ID, s, cuts, err)
+						t.Errorf("%s, v%d streamed from class %d by %d goroutines: %v", name, x.v.ID, s, workers, err)
 						return
 					}
 					rebuilt++
@@ -112,36 +112,6 @@ func TestStreamOrderDoesNotMatter(t *testing.T) {
 	if collisions != 0 {
 		t.Errorf("%d pairs of parents share a slot and a pin tuple", collisions)
 	}
-}
-
-// streamCuts returns the cuts TestStreamOrderDoesNotMatter walks r's
-// visit at: one range, equal ranges for 2 and 8 goroutines, and, when
-// the largest group holds several positions, a cut after its first
-// position and cuts around its second, which make a range inside it.
-func streamCuts(r *round) [][]int {
-	n := r.x.args[r.s].len()
-	var out [][]int
-	for _, workers := range []int{1, 2, 8} {
-		workers = min(workers, n)
-		cuts := make([]int, workers+1)
-		for w := range cuts {
-			cuts[w] = w * n / workers
-		}
-		out = append(out, cuts)
-	}
-	start, largest := r.in[r.s].start, 0
-	for g := range len(start) - 1 {
-		if start[g+1]-start[g] > start[largest+1]-start[largest] {
-			largest = g
-		}
-	}
-	if lo, hi := int(start[largest]), int(start[largest+1]); hi-lo >= 2 {
-		out = append(out, []int{0, lo + 1, n})
-		if hi-lo >= 3 {
-			out = append(out, []int{0, lo + 1, lo + 2, n})
-		}
-	}
-	return out
 }
 
 // parentCollisions counts the pairs of consumed cells of r that share
