@@ -54,11 +54,15 @@ test-avx2:
 # must come out the same whichever class a round streams and however many
 # ranges of whole groups its walk is cut into, every class's keys must
 # still ascend and the 200 random shared DAGs' plans must not depend on the
-# parallelism, and the beam cut must keep the same cells.
+# parallelism, the beam cut must keep the same cells, and a consumed
+# class's groups, pin shares, visit and group keys, read through its part
+# tables, must match the grouping of its cells' keys, on the hand-made
+# layouts and on every class of the recorded, shared-DAG and block-inverse
+# searches.
 poison:
 	$(GO) test -tags matopt_poison $(KERNEL_SUITES)
 	$(GO) test -tags matopt_poison -run 'TestPlanCacheEngineInvariance|TestEnginesLeaveInputsUntouched' .
-	$(GO) test -tags matopt_poison -run 'TestFrontierPlanIdentity|TestParallelFrontierMatchesSerial|TestSearchesShareScratch|TestClassKeysFollowBackPointers|TestStreamOrderDoesNotMatter|TestFrontierClassesAscendOnSharedDAGs|TestBeamCut' ./internal/core
+	$(GO) test -tags matopt_poison -run 'TestFrontierPlanIdentity|TestParallelFrontierMatchesSerial|TestSearchesShareScratch|TestClassKeysFollowBackPointers|TestStreamOrderDoesNotMatter|TestFrontierClassesAscendOnSharedDAGs|TestBeamCut|TestGroupsFollowKeyOrder|TestLayoutMatchesKeyGrouping' ./internal/core
 
 # KERNELS.md §2 Rule 3 — a product is rounded before it is added —
 # checked on what the compiler emits: cross-build the two kernel packages

@@ -36,3 +36,15 @@ func IdleScratchBytes() []int {
 // workload. The external tests set it: internal/workload, which builds
 // the graph, imports this package.
 var InverseColdGraph func(testing.TB) *Graph
+
+// GoldenGraph is a graph whose plan TestFrontierPlanIdentity records,
+// with the environment it is searched under.
+type GoldenGraph struct {
+	Name string
+	G    *Graph
+	Env  *Env
+}
+
+// GoldenGraphs returns the graphs of TestFrontierPlanIdentity. The
+// external tests set it, as they set InverseColdGraph.
+var GoldenGraphs func(*testing.T) []GoldenGraph

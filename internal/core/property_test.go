@@ -242,7 +242,7 @@ func TestFrontierClassesAscendOnSharedDAGs(t *testing.T) {
 				return
 			}
 			seen[c] = true
-			key := func(i int) []uint64 { return c.keys[i*c.words : (i+1)*c.words] }
+			key := func(i int) []uint64 { return cellKey(c, i) }
 			for i := 1; i < c.len(); i++ {
 				if slices.Compare(key(i-1), key(i)) >= 0 {
 					t.Errorf("seed %d: the class built at v%d holds cell %d's key %x after %x", seed, c.from.v.ID, i, key(i), key(i-1))
@@ -290,7 +290,8 @@ func TestFrontierClassesAscendOnSharedDAGs(t *testing.T) {
 // class a search builds member by member, from the cell's back-pointers
 // alone — no groups, no strides: v's byte is its choice's output format,
 // and every other retained member's byte is that member's byte in the
-// parent cell of the consumed class that held it. It runs on the graphs
+// parent cell of the consumed class that held it — and requires the key
+// the cell's entries make of its class's parts. It runs on the graphs
 // of TestFrontierMatchesBruteOnSharedDAGs, whose rounds stream classes
 // whose groups are runs of cells and, where retained formats fall,
 // classes grouped by a hash pass, and take the sort path; on the same graphs where
@@ -342,11 +343,11 @@ func TestClassKeysFollowBackPointers(t *testing.T) {
 						k := slices.IndexFunc(x.args, func(a *fclass) bool { return slices.Contains(a.members, id) })
 						a, from := x.args[k], int(c.parent[i*len(x.args)+k])
 						aw, ash := keyPos(slices.Index(a.members, id))
-						b = a.keys[from*a.words+aw] >> ash & 0xff
+						b = cellKey(a, from)[aw] >> ash & 0xff
 					}
 					want[w] |= b << sh
 				}
-				if got := c.keys[i*c.words : (i+1)*c.words]; !slices.Equal(got, want) {
+				if got := cellKey(c, i); !slices.Equal(got, want) {
 					t.Errorf("%s: the class built at v%d holds key %x at cell %d; its back-pointers give %x", name, x.v.ID, got, i, want)
 					return
 				}
@@ -423,40 +424,92 @@ func retainedFormats(a, c *fclass, i int) string {
 	for p, id := range a.members {
 		if slices.Contains(c.members, id) {
 			w, sh := keyPos(p)
-			b = append(b, byte(a.keys[i*a.words+w]>>sh))
+			b = append(b, byte(cellKey(a, i)[w]>>sh))
 		}
 	}
 	return string(b)
 }
 
-// TestGroupsFollowKeyOrder numbers cells by their retained formats,
-// given here as one key word per cell, all of it retained, in the class's
-// key order: formats that never fall form runs, and formats that fall and
-// first meet out of order are renumbered so that group order is still key
-// order. Either way the cells come back in group order, in cell order
-// within a group.
+// TestGroupsFollowKeyOrder lays out small consumed classes given by
+// their parts — keys of one word, each cell an entry of every part — and
+// checks the groups the round reads off them: formats that never fall
+// form runs; formats that fall and first meet out of order are
+// renumbered so that group order is still key order; different entries
+// of a part whose retained formats are equal, and parts whose retained
+// bytes interleave or whose own retained formats fall, still give one
+// group per distinct retained formats, in key order. Either way the cells
+// come back in group order, in cell order within a group, each with its
+// share of the pin tuple.
 func TestGroupsFollowKeyOrder(t *testing.T) {
-	for _, tc := range []struct {
+	type tc struct {
 		name      string
-		projected []uint64
+		parts     [][]uint64 // per part its entries' keys; the last part's are the output cells'
+		cells     [][]int32  // per cell its entry of each part
+		mv        moves
 		ids       []int32
 		groupKeys []uint64
 		order     []int32
 		start     []int32
-	}{
-		{"runs", []uint64{1, 1, 2, 5, 5}, []int32{0, 0, 1, 2, 2}, []uint64{1, 2, 5}, []int32{0, 1, 2, 3, 4}, []int32{0, 2, 3, 5}},
-		{"falls", []uint64{1, 2, 0, 2, 1, 0}, []int32{1, 2, 0, 2, 1, 0}, []uint64{0, 1, 2}, []int32{2, 5, 0, 4, 1, 3}, []int32{0, 2, 4, 6}},
+		pinPart   []int32
+	}
+	keep := func(mask uint64) []wordMove { return []wordMove{{mask: mask}} }
+	for _, tc := range []tc{
+		{name: "runs", // the group's byte, then the output cell's, which is not retained
+			parts: [][]uint64{{1 << 8, 2 << 8, 5 << 8}, {0, 1}},
+			cells: [][]int32{{0, 0}, {0, 1}, {1, 0}, {2, 0}, {2, 1}},
+			mv:    moves{keep: keep(0xff00), pin: []pinMove{{shift: 0, weight: 10}}},
+			ids:   []int32{0, 0, 1, 2, 2}, groupKeys: []uint64{1 << 8, 2 << 8, 5 << 8},
+			order: []int32{0, 1, 2, 3, 4}, start: []int32{0, 2, 3, 5}, pinPart: []int32{0, 10, 0, 0, 10}},
+		{name: "falls", // only the output cell's byte is retained
+			parts: [][]uint64{{0, 1 << 8, 2 << 8, 3 << 8}, {0, 1, 2}},
+			cells: [][]int32{{0, 1}, {0, 2}, {1, 0}, {1, 2}, {2, 1}, {3, 0}},
+			mv:    moves{keep: keep(0xff), pin: []pinMove{{shift: 8, weight: 1}}},
+			ids:   []int32{1, 2, 0, 2, 1, 0}, groupKeys: []uint64{0, 1, 2},
+			order: []int32{2, 5, 0, 4, 1, 3}, start: []int32{0, 2, 4, 6}, pinPart: []int32{0, 0, 1, 1, 2, 3}},
+		{name: "equal entries", // entries 0 and 1 of the group part differ only in a byte that is not retained
+			parts: [][]uint64{{1 << 16, 1<<16 | 5<<8, 2 << 16}, {0, 1}},
+			cells: [][]int32{{0, 0}, {1, 0}, {1, 1}, {2, 0}},
+			mv:    moves{keep: keep(0xff0000)},
+			ids:   []int32{0, 0, 0, 1}, groupKeys: []uint64{1 << 16, 2 << 16},
+			order: []int32{0, 1, 2, 3}, start: []int32{0, 3, 4}, pinPart: []int32{0, 0, 0, 0}},
+		{name: "interleaved", // part 0's bytes come before and after part 1's
+			parts: [][]uint64{{1, 1<<16 | 0}, {1 << 8, 2 << 8}, {0}},
+			cells: [][]int32{{0, 0, 0}, {0, 1, 0}, {1, 0, 0}, {1, 1, 0}},
+			mv:    moves{keep: keep(0xffffff)},
+			ids:   []int32{0, 1, 2, 3}, groupKeys: []uint64{1<<8 | 1, 2<<8 | 1, 1<<16 | 1<<8, 1<<16 | 2<<8},
+			order: []int32{0, 1, 2, 3}, start: []int32{0, 1, 2, 3, 4}, pinPart: []int32{0, 0, 0, 0}},
+		{name: "part falls", // the group part's retained byte falls along its entries
+			parts: [][]uint64{{1<<8 | 2, 2<<8 | 1, 3<<8 | 2}, {0}},
+			cells: [][]int32{{0, 0}, {1, 0}, {2, 0}},
+			mv:    moves{keep: keep(0xff)},
+			ids:   []int32{1, 0, 1}, groupKeys: []uint64{1, 2},
+			order: []int32{1, 0, 2}, start: []int32{0, 1, 3}, pinPart: []int32{0, 0, 0}},
 	} {
+		c := layoutClass(tc.parts, tc.cells)
 		sc := takeScratch()
-		in := &consumed{group: make([]int32, len(tc.projected)), pinPart: make([]int32, len(tc.projected))}
-		project := func(key, to []uint64) { to[0] |= key[0] }
-		sc.group(in, tc.projected, []uint64{^uint64(0)}, 1, project, nil)
-		if !slices.Equal(in.gkeys, tc.groupKeys) || !slices.Equal(in.group, tc.ids) || !slices.Equal(in.order, tc.order) || !slices.Equal(in.start, tc.start) {
-			t.Errorf("%s: group keys %v, cell groups %v, order %v and starts %v, want %v, %v, %v and %v",
-				tc.name, in.gkeys, in.group, in.order, in.start, tc.groupKeys, tc.ids, tc.order, tc.start)
+		in := &consumed{group: make([]int32, len(tc.cells)), pinPart: make([]int32, len(tc.cells))}
+		sc.layout(in, c, &tc.mv, 1)
+		if !slices.Equal(in.gkeys, tc.groupKeys) || !slices.Equal(in.group, tc.ids) || !slices.Equal(in.order, tc.order) ||
+			!slices.Equal(in.start, tc.start) || !slices.Equal(in.pinPart, tc.pinPart) {
+			t.Errorf("%s: group keys %x, cell groups %v, order %v, starts %v and pin shares %v, want %x, %v, %v, %v and %v",
+				tc.name, in.gkeys, in.group, in.order, in.start, in.pinPart, tc.groupKeys, tc.ids, tc.order, tc.start, tc.pinPart)
 		}
 		sc.giveBack()
 	}
+}
+
+// layoutClass returns a class of one-word keys with the given parts,
+// whose i-th cell is entry cells[i][k] of each part k.
+func layoutClass(keys [][]uint64, entries [][]int32) *fclass {
+	nargs := len(keys) - 1
+	c := &fclass{from: &expansion{}, parts: parts{words: 1, keys: keys}, cells: cells{nargs: nargs}}
+	for _, e := range entries {
+		c.cost = append(c.cost, 0)
+		c.choice = append(c.choice, -1)
+		c.parent = append(c.parent, e[:nargs]...)
+		c.entry = append(c.entry, e...)
+	}
+	return c
 }
 
 // severalGroups counts the classes consumed to build c whose cells fall
