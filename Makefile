@@ -50,11 +50,10 @@ test-avx2:
 # and nothing reads storage after it is released. A Frontier search's
 # scratch (DESIGN.md §7) is poisoned the same way, with junk keys, NaN
 # costs and −1 indices: the recorded plan hashes must still match, every
-# class's keys must still follow its cells' back-pointers, every class
-# must come out the same whichever class a round streams and however many
-# ranges of whole groups its walk is cut into, every class's keys must
-# still ascend and the 200 random shared DAGs' plans must not depend on the
-# parallelism, the beam cut must keep the same cells, and a consumed
+# seed workload's plan must verify, every class's keys must still follow
+# its cells' back-pointers, every class must come out the same whichever
+# class a round streams, every class's keys must still ascend on the 200
+# random shared DAGs, the beam cut must keep the same cells, and a consumed
 # class's groups, pin shares, visit and group keys, read through its part
 # tables, must match the grouping of its cells' keys, on the hand-made
 # layouts and on every class of the recorded, shared-DAG and block-inverse
@@ -62,7 +61,7 @@ test-avx2:
 poison:
 	$(GO) test -tags matopt_poison $(KERNEL_SUITES)
 	$(GO) test -tags matopt_poison -run 'TestPlanCacheEngineInvariance|TestEnginesLeaveInputsUntouched' .
-	$(GO) test -tags matopt_poison -run 'TestFrontierPlanIdentity|TestParallelFrontierMatchesSerial|TestSearchesShareScratch|TestClassKeysFollowBackPointers|TestStreamOrderDoesNotMatter|TestFrontierClassesAscendOnSharedDAGs|TestBeamCut|TestGroupsFollowKeyOrder|TestLayoutMatchesKeyGrouping' ./internal/core
+	$(GO) test -tags matopt_poison -run 'TestFrontierPlanIdentity|TestFrontierSeedPlansVerify|TestSearchesShareScratch|TestClassKeysFollowBackPointers|TestStreamOrderDoesNotMatter|TestFrontierClassesAscendOnSharedDAGs|TestBeamCut|TestGroupsFollowKeyOrder|TestLayoutMatchesKeyGrouping' ./internal/core
 
 # KERNELS.md §2 Rule 3 — a product is rounded before it is added —
 # checked on what the compiler emits: cross-build the two kernel packages
@@ -81,9 +80,10 @@ nofma:
 	@if sed 's://.*::' internal/tensor/*.s internal/sparse/*.s 2>/dev/null | grep -nE 'FN?M(ADD|SUB)'; then \
 		echo "fused multiply-add in an assembler source"; exit 1; fi
 
-# The optimizer's parallel Frontier expansion, the engine's
-# context-aware execution, the sharded dist runtime, the shared kernel
-# worker pool and the tensor/sparse kernels that fork onto it, the plan
+# The optimizer's scratch free list, which concurrent searches share,
+# the engine's context-aware execution, the sharded dist runtime, the
+# shared kernel worker pool and the tensor/sparse kernels that fork onto
+# it, the plan
 # layer (whose lowered IR is shared across concurrent engine runs), the
 # metrics registry / tracer they hammer concurrently, the public
 # package's singleflight coalescing, the serving layer's admission

@@ -11,7 +11,6 @@ package matopt_test
 import (
 	"math/rand"
 	"net"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -207,31 +206,24 @@ func BenchmarkOptimizeCacheCold(b *testing.B) {
 	}
 }
 
-// --- parallel-vs-serial Frontier benches ---
+// --- Frontier bench ---
 
-func benchFrontier(b *testing.B, g *core.Graph, err error, cl costmodel.Cluster, parallelism int) {
+// BenchmarkFrontierFFNN is one Frontier search of the Figure 5 FFNN
+// graph (57 vertices) on ten r5d workers.
+func BenchmarkFrontierFFNN(b *testing.B) {
+	g, err := workload.FFNNThreePass(workload.PaperFFNN(80000))
 	if err != nil {
 		b.Fatal(err)
 	}
-	env := core.NewEnv(cl, format.All())
+	env := core.NewEnv(costmodel.EC2R5D(10), format.All())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sess := core.NewSession(nil, env, core.WithParallelism(parallelism))
-		if _, err := sess.Frontier(g); err != nil {
+		if _, err := core.NewSession(nil, env).Frontier(g); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func benchFrontierFFNN(b *testing.B, parallelism int) {
-	g, err := workload.FFNNThreePass(workload.PaperFFNN(80000))
-	benchFrontier(b, g, err, costmodel.EC2R5D(10), parallelism)
-}
-
-func BenchmarkFrontierSerial(b *testing.B) { benchFrontierFFNN(b, 1) }
-
-func BenchmarkFrontierParallel(b *testing.B) { benchFrontierFFNN(b, runtime.GOMAXPROCS(0)) }
 
 // --- kernel benches: the floor under every engine ---
 

@@ -14,15 +14,14 @@ import (
 // spelled '-'; the field comment is its reference) plus the CLI's own.
 type execConfig struct {
 	dist.Config
-	Engine      string // sim | seq | dist
-	Scale       int64
-	Parallelism int
-	Trace       bool   // print the span tree after the run
-	TraceOut    string // write a Chrome trace_event file here ("" = off)
-	Metrics     bool   // print the metrics registry after the run
-	Explain     bool   // print the lowered physical plan with per-operator costs
-	PlanOut     string // write the serialized physical plan here ("" = off)
-	PlanIn      string // load a serialized physical plan instead of optimizing ("" = off)
+	Engine   string // sim | seq | dist
+	Scale    int64
+	Trace    bool   // print the span tree after the run
+	TraceOut string // write a Chrome trace_event file here ("" = off)
+	Metrics  bool   // print the metrics registry after the run
+	Explain  bool   // print the lowered physical plan with per-operator costs
+	PlanOut  string // write the serialized physical plan here ("" = off)
+	PlanIn   string // load a serialized physical plan instead of optimizing ("" = off)
 
 	// What to compute: with Scale, the fields of a workload.Spec (the
 	// seed is fixed).
@@ -30,7 +29,7 @@ type execConfig struct {
 	Hidden   int64
 	SizeSet  int
 
-	// How to optimize it: with Parallelism, one matopt.Option each.
+	// How to optimize it: one matopt.Option each.
 	Workers int           // cluster size
 	Formats string        // all | ssb | sb
 	Sparse  bool          // keep the sparse formats of "all"
@@ -48,9 +47,6 @@ func (c execConfig) tracing() bool { return c.Trace || c.TraceOut != "" }
 // validate checks the CLI's own flags, then the shared knobs with the
 // one validator every surface uses (it names a knob by its JSON name).
 func (c execConfig) validate() error {
-	if c.Parallelism <= 0 {
-		return fmt.Errorf("-parallelism must be positive, got %d", c.Parallelism)
-	}
 	if c.Scale <= 0 {
 		return fmt.Errorf("-scale must be positive, got %d", c.Scale)
 	}
@@ -65,8 +61,8 @@ func (c execConfig) validate() error {
 	return c.Config.Validate(c.Engine == "dist")
 }
 
-// optimizerOptions translates -formats/-sparse, -alg/-brute-budget and
-// -parallelism into the public API's options.
+// optimizerOptions translates -formats/-sparse and -alg/-brute-budget
+// into the public API's options.
 func (c execConfig) optimizerOptions() ([]matopt.Option, error) {
 	formats, ok := map[string]matopt.FormatSet{
 		"all": matopt.AllFormats, "ssb": matopt.SingleStripBlockFormats, "sb": matopt.SingleBlockFormats,
@@ -82,7 +78,7 @@ func (c execConfig) optimizerOptions() ([]matopt.Option, error) {
 		return nil, fmt.Errorf("unknown algorithm %q", c.Alg)
 	}
 	return []matopt.Option{matopt.WithFormats(formats), matopt.WithAlgorithm(alg),
-		matopt.WithBudget(c.Budget), matopt.WithParallelism(c.Parallelism)}, nil
+		matopt.WithBudget(c.Budget)}, nil
 }
 
 // setPeers is the -peers flag's setter: a comma-separated list of

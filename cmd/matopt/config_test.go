@@ -20,15 +20,14 @@ const removedKnob = "specu" + "late"
 // field at a time.
 func valid() execConfig {
 	return execConfig{
-		Engine: "dist", Scale: 100, Parallelism: 8,
+		Engine: "dist", Scale: 100,
 		Config: dist.Config{Shards: 4, FaultSeed: 1, MaxRetries: intp(2)},
 	}
 }
 
-// TestExecConfigValidate: the CLI-only checks (scale, parallelism,
-// engine name, plan-in/out), and that every shared knob the flags bind
-// reaches dist.Config.Validate, whose full table is
-// dist.TestConfigValidate.
+// TestExecConfigValidate: the CLI-only checks (scale, engine name,
+// plan-in/out), and that every shared knob the flags bind reaches
+// dist.Config.Validate, whose full table is dist.TestConfigValidate.
 func TestExecConfigValidate(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -50,8 +49,6 @@ func TestExecConfigValidate(t *testing.T) {
 		{"many kernel threads", func(c *execConfig) { c.KernelThreads = 64 }, ""},
 		{"kernel threads on seq", func(c *execConfig) { c.Engine = "seq"; c.KernelThreads = 4 }, ""},
 
-		{"zero parallelism", func(c *execConfig) { c.Parallelism = 0 }, "-parallelism"},
-		{"negative parallelism", func(c *execConfig) { c.Parallelism = -3 }, "-parallelism"},
 		{"zero shards", func(c *execConfig) { c.Shards = 0 }, ""}, // GOMAXPROCS, as on every surface
 		{"negative shards", func(c *execConfig) { c.Shards = -1 }, "shards must be non-negative"},
 		{"zero scale", func(c *execConfig) { c.Scale = 0 }, "-scale"},

@@ -50,7 +50,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -87,7 +86,6 @@ func bindFlags(fs *flag.FlagSet, cfg *execConfig) {
 	fs.DurationVar(&cfg.Budget, "brute-budget", 30*time.Second, "brute-force time budget")
 	fs.BoolVar(&cfg.Stats, "stats", false, "print optimizer search statistics")
 	fs.BoolVar(&cfg.DOT, "dot", false, "emit the annotated compute graph in Graphviz format (Figure 2 style)")
-	fs.IntVar(&cfg.Parallelism, "parallelism", runtime.GOMAXPROCS(0), "frontier worker pool size")
 	fs.StringVar(&cfg.Engine, "engine", "sim", "sim (simulate at paper scale) | seq | dist (execute, scaled by -scale)")
 	fs.IntVar(&cfg.Shards, "shards", 0, "dist engine shard count (0 = GOMAXPROCS)")
 	fs.Int64Var(&cfg.Scale, "scale", 100, "divisor applied to workload dimensions before real execution")

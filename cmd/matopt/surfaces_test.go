@@ -101,7 +101,7 @@ func cliConfig(spec workload.Spec, engine string) execConfig {
 	retries := dist.DefaultMaxRetries
 	c := execConfig{
 		Engine: engine, Workload: spec.Workload, SizeSet: spec.SizeSet, Hidden: spec.Hidden, Scale: spec.Scale,
-		Workers: 10, Formats: "all", Sparse: true, Alg: "auto", Budget: 30 * time.Second, Parallelism: 2,
+		Workers: 10, Formats: "all", Sparse: true, Alg: "auto", Budget: 30 * time.Second,
 	}
 	c.FaultSeed, c.MaxRetries, c.Fallback = 1, &retries, true
 	if engine == "dist" {

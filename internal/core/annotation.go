@@ -83,8 +83,8 @@ func (a *Annotation) Decide(v *Vertex, d Decision) {
 
 // Total returns Cost(G′) = Σ_v v.c + Σ_e e.c. Terms are summed in
 // topological vertex/edge order, not map order, so the result is
-// bit-identical across runs of the same plan (the parallel-vs-serial
-// determinism tests compare totals exactly).
+// bit-identical across runs of the same plan (the plan-hash goldens
+// record its bits).
 func (a *Annotation) Total() float64 {
 	var t float64
 	for _, v := range a.Graph.Vertices {

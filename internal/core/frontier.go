@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 	"time"
 
 	"matopt/internal/format"
@@ -38,9 +37,8 @@ import (
 // cells are written out, each with its groups and output cell as its
 // entries. A cell goes to the least (cost, choice index), and no two
 // offers for a cell tie on both, so the visiting order does not change
-// it; the walk's parallel ranges hold whole groups, so no two of them
-// offer for one cell. The written cells are sorted if they must be, cut
-// to the beam and copied into the new class.
+// it. The written cells are sorted if they must be, cut to the beam and
+// copied into the new class.
 // DESIGN.md §7 has the layout.
 
 // formatIDs gives every format one Frontier run can meet a dense byte
@@ -110,14 +108,7 @@ func (c *cells) truncate(n int) {
 	c.cost, c.choice, c.parent, c.entry = c.cost[:n], c.choice[:n], c.parent[:n*c.nargs], c.entry[:n*(c.nargs+1)]
 }
 
-// window returns cells lo to hi of c, which share c's arrays.
-func (c *cells) window(lo, hi int) cells {
-	k, e := c.nargs, c.nargs+1
-	return cells{k, c.cost[lo:hi], c.choice[lo:hi], c.parent[lo*k : hi*k], c.entry[lo*e : hi*e]}
-}
-
-// copyCells copies the cells of src to the front of dst, which may
-// overlap src.
+// copyCells copies the cells of src to the front of dst.
 func copyCells(dst, src cells) {
 	copy(dst.cost, src.cost)
 	copy(dst.choice, src.choice)
@@ -343,14 +334,12 @@ func Frontier(g *Graph, env *Env) (*Annotation, error) {
 	return NewSession(nil, env).Frontier(g)
 }
 
-// Frontier computes the optimal annotation of a general compute DAG.
-// Each round's best-choice table is built serially; the walk over the
-// consumed classes' cells runs on a worker pool bounded by the session's
-// parallelism. A cell's winner is defined by (cost, choice index), not
-// by arrival order, so parallel and serial runs produce
-// byte-identical plans and costs. The search's working memory is one
-// scratch (scratch.go), given back on every return: each round's walk
-// has joined by then.
+// Frontier computes the optimal annotation of a general compute DAG,
+// one round per vertex on the calling goroutine. A cell's winner is
+// defined by (cost, choice index), not by arrival order, so the plan and
+// its cost do not depend on which consumed class a round streams. The
+// search's working memory is one scratch (scratch.go), given back on
+// every return.
 func (s *Session) Frontier(g *Graph) (ann *Annotation, err error) {
 	start := time.Now()
 	fspan := s.tr.Start(s.span, "frontier")
@@ -487,7 +476,7 @@ func (s *Session) expand(g *Graph, sc *scratch, fspan *obs.Span) ([]*fclass, err
 		if err != nil {
 			return nil, err
 		}
-		written := r.walk(s.ctx, sc, s.parallelism)
+		written := r.walk(s.ctx, sc)
 		if err := s.ctxErr(); err != nil {
 			return nil, err
 		}
@@ -509,7 +498,7 @@ func (s *Session) expand(g *Graph, sc *scratch, fspan *obs.Span) ([]*fclass, err
 // round is the working state of one expansion: where each consumed cell
 // lands in the new key and in the pin tuple, which choices each pin tuple
 // has, and how the walk streams one consumed class. It is read-only once
-// built, so the walk can fan out.
+// built.
 //
 // A consumed class's cells fall into groups by their retained members'
 // formats, numbered in key order. The classes' retained members are
@@ -1161,82 +1150,34 @@ func (r *round) stream(s int) {
 	}
 }
 
-// walker is one walk goroutine's state, reused round after round.
-type walker struct {
-	table groupTable // the winners of the group it is in
-	n     int        // how many cells it wrote
-}
-
 // walk writes the new class's cells, in the streamed class's group order,
 // to an array the scratch reuses from round to round, with room for every
-// group's slots. The visit is cut only at group starts, into up to workers
-// ranges of whole groups (one when the round has fewer than 16 combos):
-// the w-th of k ranges begins at the first group start at or after w·n/k
-// of the visit's n positions. Each range is walked on a goroutine of its
-// own into the window of the array its groups own, and the ranges' cells
-// then move down to follow one another.
-func (r *round) walk(ctx context.Context, sc *scratch, workers int) cells {
-	start := r.in[r.s].start
-	groups := len(start) - 1
-	k := min(workers, groups)
-	if r.combos < 16 {
-		k = 1
-	}
-	sc.cuts = append(sc.cuts[:0], 0)
-	for w := 1; w < k; w++ {
-		if g, _ := slices.BinarySearch(start, int32(w*int(start[groups])/k)); g > sc.cuts[len(sc.cuts)-1] && g < groups {
-			sc.cuts = append(sc.cuts, g)
-		}
-	}
-	sc.cuts = append(sc.cuts, groups)
-	cuts, ws := sc.cuts, sc.walkers(len(sc.cuts)-1)
+// group's slots.
+func (r *round) walk(ctx context.Context, sc *scratch) cells {
 	all := &sc.written
-	all.reuse(len(r.x.args), groups*r.slots)
-	walk := func(w int) {
-		ws[w].n = r.chunk(ctx, cuts[w], cuts[w+1], &ws[w], all.window(cuts[w]*r.slots, cuts[w+1]*r.slots))
-	}
-	if len(ws) == 1 {
-		walk(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := range ws {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				walk(w)
-			}()
-		}
-		wg.Wait()
-	}
-	n := 0
-	for w := range ws {
-		if from := cuts[w] * r.slots; n != from {
-			copyCells(all.window(n, n+ws[w].n), all.window(from, from+ws[w].n))
-		}
-		n += ws[w].n
-	}
-	all.truncate(n)
+	all.reuse(len(r.x.args), (len(r.in[r.s].start)-1)*r.slots)
+	sc.table = reuse(sc.table, r.slots, slot{math.NaN(), 0, -1, -1})
+	all.truncate(r.chunk(ctx, sc.table, all))
 	return *all
 }
 
-// chunk walks groups [lo, hi) of the streamed class's visit, writes each
-// group's winners to seg as it leaves the group and returns how many cells
-// it wrote. A cell, crossed with each cell of the other class, offers every
-// output cell the cheapest choice of their pin tuple on top of their summed
-// costs. The context is polled every 16 cells.
-func (r *round) chunk(ctx context.Context, lo, hi int, wk *walker, seg cells) int {
+// chunk walks the streamed class's groups in order, writes each group's
+// winners to seg as it leaves the group and returns how many cells it
+// wrote. A cell, crossed with each cell of the other class, offers every
+// output cell the cheapest choice of their pin tuple on top of their
+// summed costs. The context is polled every 16 cells.
+func (r *round) chunk(ctx context.Context, t groupTable, seg *cells) int {
 	x, s, o, outs := r.x, r.s, r.o, int32(r.outs)
-	wk.table = reuse(wk.table, r.slots, slot{math.NaN(), 0, -1, -1})
-	for i := range wk.table {
-		wk.table[i].choice = -1
+	for i := range t {
+		t[i].choice = -1
 	}
-	n, t, choices, spans, in := 0, wk.table, x.choices, r.spans, r.in[s]
+	n, choices, spans, in := 0, x.choices, r.spans, r.in[s]
 	costS, partS, others := x.args[s].cost, in.pinPart, 1
 	if o >= 0 {
 		others = x.args[o].len()
 	}
 	polls := 0
-	for g := int32(lo); g < int32(hi); g++ {
+	for g := range int32(len(in.start) - 1) {
 		for j := range int32(others) {
 			costO, tuple, slot := 0.0, int32(0), int32(0)
 			if o >= 0 {
@@ -1260,7 +1201,7 @@ func (r *round) chunk(ctx context.Context, lo, hi int, wk *walker, seg cells) in
 				}
 			}
 		}
-		n = r.flush(t, g, &seg, n)
+		n = r.flush(t, g, seg, n)
 	}
 	return n
 }

@@ -89,10 +89,10 @@ func goldenCases(t *testing.T) []goldenCase {
 
 // search runs Frontier on the case under ctx and returns the hash
 // planHashes records of its plan.
-func (tc goldenCase) search(ctx context.Context, parallelism int) (string, error) {
+func (tc goldenCase) search(ctx context.Context) (string, error) {
 	env := core.NewEnv(tc.cluster, format.All())
 	env.MaxClassEntries = tc.beam
-	sess := core.NewSession(ctx, env, core.WithParallelism(parallelism))
+	sess := core.NewSession(ctx, env)
 	ann, err := sess.Frontier(tc.g)
 	if err != nil {
 		return "", err
@@ -103,8 +103,7 @@ func (tc goldenCase) search(ctx context.Context, parallelism int) (string, error
 }
 
 // TestFrontierPlanIdentity is the plan-for-plan half of the determinism
-// contract: serial Frontier reproduces the recorded hash of every case.
-// (TestParallelFrontierMatchesSerial ties the parallel path to it.)
+// contract: Frontier reproduces the recorded hash of every case.
 func TestFrontierPlanIdentity(t *testing.T) {
 	for _, tc := range goldenCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -112,7 +111,7 @@ func TestFrontierPlanIdentity(t *testing.T) {
 			if !ok {
 				t.Fatalf("no recorded hash for %q", tc.name)
 			}
-			got, err := tc.search(nil, 1)
+			got, err := tc.search(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,8 +124,7 @@ func TestFrontierPlanIdentity(t *testing.T) {
 
 // cancelAfter is a context whose Err turns to context.Canceled on its
 // n-th call. Frontier polls Err once per round, once per pin tuple and
-// every 16 cells a walk goroutine visits, so a search under it stops
-// mid-round.
+// every 16 cells its walk visits, so a search under it stops mid-round.
 type cancelAfter struct {
 	context.Context
 	calls atomic.Int64
@@ -159,22 +157,22 @@ func TestSearchesShareScratch(t *testing.T) {
 	// Cancel the block inverse halfway through its polls.
 	cancelled := func() error {
 		count := &cancelAfter{Context: context.Background(), n: math.MaxInt64}
-		if _, err := byName["bench-inverse"].search(count, 1); err != nil {
+		if _, err := byName["bench-inverse"].search(count); err != nil {
 			return err
 		}
 		ctx := &cancelAfter{Context: context.Background(), n: count.calls.Load() / 2}
-		if _, err := byName["bench-inverse"].search(ctx, 1); !errors.Is(err, context.Canceled) {
+		if _, err := byName["bench-inverse"].search(ctx); !errors.Is(err, context.Canceled) {
 			return fmt.Errorf("search cancelled mid-round returned %v", err)
 		}
 		return nil
 	}
-	run := func(tc goldenCase, parallelism int) error {
-		got, err := tc.search(nil, parallelism)
+	run := func(tc goldenCase) error {
+		got, err := tc.search(nil)
 		if err != nil {
 			return fmt.Errorf("%s: %w", tc.name, err)
 		}
 		if want := planHashes[tc.name]; got != want {
-			return fmt.Errorf("%s at parallelism %d: hash %s, recorded %s", tc.name, parallelism, got, want)
+			return fmt.Errorf("%s: hash %s, recorded %s", tc.name, got, want)
 		}
 		return nil
 	}
@@ -182,8 +180,8 @@ func TestSearchesShareScratch(t *testing.T) {
 	if err := cancelled(); err != nil {
 		t.Fatal(err)
 	}
-	for i, tc := range mix {
-		if err := run(tc, 1+i%3); err != nil {
+	for _, tc := range mix {
+		if err := run(tc); err != nil {
 			t.Error(err)
 		}
 	}
@@ -199,7 +197,7 @@ func TestSearchesShareScratch(t *testing.T) {
 				}
 			}
 			for i := range mix {
-				if err := run(mix[(w+i)%len(mix)], 1+(w+i)%2); err != nil {
+				if err := run(mix[(w+i)%len(mix)]); err != nil {
 					t.Error(err)
 				}
 			}
@@ -219,7 +217,7 @@ func TestFrontierAllocBudget(t *testing.T) {
 	g := benchInverse(t)
 	env := core.NewEnv(costmodel.LocalTest(2), format.All())
 	search := func() {
-		if _, err := core.NewSession(nil, env, core.WithParallelism(1)).Frontier(g); err != nil {
+		if _, err := core.NewSession(nil, env).Frontier(g); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,7 +266,7 @@ func TestScratchRetentionBound(t *testing.T) {
 	}
 	big := goldenCase{seedCase{"block-inverse-48000", g, 48000}, costmodel.EC2R5D(10)}
 	core.DropIdleScratches()
-	if _, err := big.search(nil, 1); err != nil {
+	if _, err := big.search(nil); err != nil {
 		t.Fatal(err)
 	}
 	if idle := core.IdleScratchBytes(); len(idle) != 0 {
@@ -285,7 +283,7 @@ func TestScratchRetentionBound(t *testing.T) {
 		go func() {
 			defer done.Done()
 			ctx := &gate{Context: context.Background(), arrived: &arrived, open: open}
-			if _, err := small.search(ctx, 1); err != nil {
+			if _, err := small.search(ctx); err != nil {
 				t.Error(err)
 			}
 		}()

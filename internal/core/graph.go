@@ -8,9 +8,7 @@
 //
 // Searches run inside a Session, which threads a context.Context
 // through all three algorithms (deadline → ErrTimeout, cancellation →
-// context.Canceled), bounds the Frontier's candidate evaluation to a
-// worker pool (WithParallelism; parallel and serial searches return
-// byte-identical plans), collects per-run Stats, and — when a tracer is
+// context.Canceled), collects per-run Stats, and — when a tracer is
 // attached with WithTracer — wraps each phase in obs spans ("frontier"
 // with one "frontier.round" per expanded vertex, "treedp",
 // "brute.enumerate"; DESIGN.md §11).

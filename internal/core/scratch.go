@@ -6,17 +6,17 @@ import (
 	"unsafe"
 )
 
-// A Frontier search borrows all of its working memory — the walk
-// goroutines' group tables, the per-round index arrays and the cells and
-// parts of every class it builds — from one scratch, and gives it back
-// whole when it returns. What a round writes before its class is sorted
-// and cut to the beam lives in arrays reused from round to round; only
-// what a class keeps is cut from the bump regions, so a search holds that
-// plus one array the size of its largest round. Nothing cut from a scratch
-// outlives the search: the annotation is written from the expansions'
-// choices and edges, which are ordinary heap memory. Idle scratches wait
-// on one process-wide free list, so a process that searches again finds
-// its tables already allocated. The list is bounded by constants, the way
+// A Frontier search borrows all of its working memory — the walk's group
+// table, the per-round index arrays and the cells and parts of every class
+// it builds — from one scratch, and gives it back whole when it returns.
+// What a round writes before its class is sorted and cut to the beam
+// lives in arrays reused from round to round; only what a class keeps is
+// cut from the bump regions, so a search holds that plus one array the
+// size of its largest round. Nothing cut from a scratch outlives the
+// search: the annotation is written from the expansions' choices and
+// edges, which are ordinary heap memory. Idle scratches wait on one
+// process-wide free list, so a process that searches again finds its
+// tables already allocated. The list is bounded by constants, the way
 // netfabric bounds its idle frame buffers; it is not a sync.Pool because
 // a collection would empty a pool between a serving process's searches.
 const (
@@ -36,8 +36,7 @@ var idleScratches struct {
 var poisoned bool
 
 type scratch struct {
-	walk     []walker        // one per walk goroutine
-	cuts     []int           // walk: the first group of each walk goroutine's range, then the number of groups
+	table    groupTable      // walk: the winners of the group being walked
 	written  cells           // walk: the cells a round writes
 	in       [2]consumed     // newRound: the layout of each class a round consumes
 	mv       moves           // newRound: how a round reads the class it is laying out
@@ -105,15 +104,12 @@ func (s *scratch) giveBack() {
 
 // bytes is what the scratch holds. A rewind never makes it larger.
 func (s *scratch) bytes() int {
-	n := 8*cap(s.cuts) + s.written.bytes() + s.sorted.bytes() + 8*cap(s.outKeys) + 4*cap(s.iota) + 8*cap(s.keys) + 4*cap(s.order) +
+	n := int(unsafe.Sizeof(slot{}))*cap(s.table) + s.written.bytes() + s.sorted.bytes() + 8*cap(s.outKeys) + 4*cap(s.iota) + 8*cap(s.keys) + 4*cap(s.order) +
 		8*cap(s.costs) + cap(s.seen) + 8*cap(s.spans) + 4*cap(s.gslots) + 8*cap(s.outProj) + 8*cap(s.outs) +
 		8*cap(s.gkeys) + 4*cap(s.perm) + int(unsafe.Sizeof(implEval{}))*cap(s.evals) + cap(s.done)
 	n += int(unsafe.Sizeof(wordMove{}))*cap(s.mv.keep) + int(unsafe.Sizeof(pinMove{}))*cap(s.mv.pin)
 	for _, p := range s.pins {
 		n += 24 * cap(p)
-	}
-	for i := range s.walk {
-		n += int(unsafe.Sizeof(slot{})) * cap(s.walk[i].table)
 	}
 	for _, p := range s.partProj {
 		n += 8 * cap(p)
@@ -139,14 +135,6 @@ func (c *cells) bytes() int {
 // matopt_poison).
 func (c *cells) reuse(nargs, n int) {
 	*c = cells{nargs, reuse(c.cost, n, math.NaN()), reuse(c.choice, n, -1), reuse(c.parent, n*nargs, -1), reuse(c.entry, n*(nargs+1), -1)}
-}
-
-// walkers returns the state of n walk goroutines.
-func (s *scratch) walkers(n int) []walker {
-	if len(s.walk) < n {
-		s.walk = append(s.walk, make([]walker, n-len(s.walk))...)
-	}
-	return s.walk[:n]
 }
 
 // reuse returns n elements of s, reallocating only when its capacity is

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"matopt/internal/obs"
@@ -35,37 +34,27 @@ type Stats struct {
 	// CandidatesEvaluated counts cost-model evaluations of an
 	// implementation on one combination of delivered input formats. In
 	// Frontier each round evaluates every implementation once per distinct
-	// combination, before the walk fans out, so the count is a function
-	// of the graph and the environment, not of the parallelism.
+	// combination, before its walk, so the count is a function of the
+	// graph and the environment.
 	CandidatesEvaluated int64
 	// WallSeconds is the wall time of the last algorithm run.
 	WallSeconds float64
 }
 
 // Session is one optimization run's execution context: the cancellation
-// context its algorithms poll, the environment they search over, the
-// degree of parallelism the Frontier DP may use, and the instrumentation
-// the run fills in. A Session is not safe for concurrent use; create one
-// per Optimize call.
+// context its algorithms poll, the environment they search over and the
+// instrumentation the run fills in. A Session is not safe for concurrent
+// use; create one per Optimize call.
 type Session struct {
-	ctx         context.Context
-	env         *Env
-	parallelism int
-	stats       Stats
-	tr          *obs.Tracer
-	span        *obs.Span
+	ctx   context.Context
+	env   *Env
+	stats Stats
+	tr    *obs.Tracer
+	span  *obs.Span
 }
 
 // SessionOption configures a Session.
 type SessionOption func(*Session)
-
-// WithParallelism bounds the Frontier worker pool to n goroutines; n ≤ 1
-// forces the serial path. The default is runtime.GOMAXPROCS(0). Parallel
-// and serial runs produce byte-identical plans, so this only trades CPU
-// for latency.
-func WithParallelism(n int) SessionOption {
-	return func(s *Session) { s.parallelism = n }
-}
 
 // WithTracer attaches an obs tracer to the session: each algorithm run
 // opens a span ("frontier", "treedp", "brute.enumerate") under parent,
@@ -83,12 +72,9 @@ func NewSession(ctx context.Context, env *Env, opts ...SessionOption) *Session {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s := &Session{ctx: ctx, env: env, parallelism: runtime.GOMAXPROCS(0)}
+	s := &Session{ctx: ctx, env: env}
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.parallelism < 1 {
-		s.parallelism = 1
 	}
 	return s
 }

@@ -50,13 +50,10 @@ func builtClasses(front []*fclass) []*fclass {
 }
 
 // TestStreamOrderDoesNotMatter rebuilds every class a search builds with
-// each consumed class in turn as the streamed one, walked by 1, 2 and 8
-// goroutines and by one goroutine per group of the streamed class — the
-// most ranges a walk makes, every range a run of whole groups — and
-// requires the very cells the search built: keys, cost bits, choices,
-// parents and entries. It runs on the 200 shared DAGs under both
-// environments of TestClassKeysFollowBackPointers and on the benchmark's
-// block inverse.
+// each consumed class in turn as the streamed one and requires the very
+// cells the search built: keys, cost bits, choices, parents and entries.
+// It runs on the 200 shared DAGs under both environments of
+// TestClassKeysFollowBackPointers and on the benchmark's block inverse.
 //
 // A cell goes to the lowest (cost, choice index), which decides every
 // slot only because one (slot, choice) names one pair of parents (see
@@ -65,7 +62,7 @@ func builtClasses(front []*fclass) []*fclass {
 func TestStreamOrderDoesNotMatter(t *testing.T) {
 	rebuilt, collisions := 0, 0
 	check := func(name string, g *Graph, env *Env) {
-		sess := NewSession(nil, env, WithParallelism(1))
+		sess := NewSession(nil, env)
 		sc := takeScratch()
 		defer sc.giveBack()
 		front, err := sess.expand(g, sc, nil)
@@ -89,14 +86,12 @@ func TestStreamOrderDoesNotMatter(t *testing.T) {
 				}
 				collisions += parentCollisions(r)
 				r.stream(s)
-				for _, workers := range []int{1, 2, 8, len(r.in[s].start) - 1} {
-					got, _ := r.class(sc, r.walk(context.Background(), sc, workers), c.members, beam)
-					if err := sameCells(got, c); err != nil {
-						t.Errorf("%s, v%d streamed from class %d by %d goroutines: %v", name, x.v.ID, s, workers, err)
-						return
-					}
-					rebuilt++
+				got, _ := r.class(sc, r.walk(context.Background(), sc), c.members, beam)
+				if err := sameCells(got, c); err != nil {
+					t.Errorf("%s, v%d streamed from class %d: %v", name, x.v.ID, s, err)
+					return
 				}
+				rebuilt++
 			}
 		}
 	}
@@ -237,7 +232,7 @@ func TestBeamCut(t *testing.T) {
 func TestLayoutMatchesKeyGrouping(t *testing.T) {
 	var cover struct{ classes, runs, hashed int }
 	check := func(name string, g *Graph, env *Env) {
-		sess := NewSession(nil, env, WithParallelism(1))
+		sess := NewSession(nil, env)
 		sc := takeScratch()
 		defer sc.giveBack()
 		front, err := sess.expand(g, sc, nil)

@@ -62,15 +62,14 @@ const (
 // recorded first and the environment is built once in NewOptimizer, so
 // option order never matters.
 type Optimizer struct {
-	cluster     Cluster
-	formatSet   FormatSet
-	model       *costmodel.Model
-	algorithm   Algorithm
-	budget      time.Duration
-	parallelism int
-	cacheSize   int
-	noCache     bool
-	tracer      *Tracer
+	cluster   Cluster
+	formatSet FormatSet
+	model     *costmodel.Model
+	algorithm Algorithm
+	budget    time.Duration
+	cacheSize int
+	noCache   bool
+	tracer    *Tracer
 
 	env    *core.Env
 	cache  *lru.Cache[string, *plan.Plan] // nil when WithoutPlanCache was given
@@ -93,10 +92,11 @@ func WithBudget(d time.Duration) Option { return func(o *Optimizer) { o.budget =
 // WithModel installs a calibrated cost model (see Calibrate).
 func WithModel(m *costmodel.Model) Option { return func(o *Optimizer) { o.model = m } }
 
-// WithParallelism bounds the Frontier DP's candidate-evaluation worker
-// pool; n ≤ 1 forces the serial path. The default is GOMAXPROCS.
-// Parallel and serial runs produce byte-identical plans.
-func WithParallelism(n int) Option { return func(o *Optimizer) { o.parallelism = n } }
+// WithParallelism does nothing: the Frontier search runs on the calling
+// goroutine.
+//
+// Deprecated: there is no parallelism left to bound; drop the option.
+func WithParallelism(n int) Option { return func(*Optimizer) {} }
 
 // WithoutPlanCache disables the plan cache: every Optimize call searches
 // from scratch, as earlier versions of this package did.
@@ -300,9 +300,6 @@ func (o *Optimizer) DecodePlan(b *Builder, data []byte) (*Plan, error) {
 
 func (o *Optimizer) newSession(ctx context.Context, span *Span) *core.Session {
 	var opts []core.SessionOption
-	if o.parallelism > 0 {
-		opts = append(opts, core.WithParallelism(o.parallelism))
-	}
 	if o.tracer != nil {
 		opts = append(opts, core.WithTracer(o.tracer, span))
 	}
