@@ -7,7 +7,6 @@ import (
 	"math"
 	"runtime"
 	"strings"
-	"time"
 
 	"matopt/internal/netfabric"
 	"matopt/internal/obs"
@@ -57,9 +56,8 @@ type Config struct {
 	// attempt, so any retry budget above zero recovers. 0 = none; negative or above FaultLimit is an error;
 	// positive requires the dist engine. FaultPlan takes precedence.
 	Faults int `json:"faults,omitempty"`
-	// FaultSeed picks the Faults schedule and, through it, the jitter of
-	// the retry backoff: a chaos run is reproducible from this one
-	// number. 0 = 1; negative is an error.
+	// FaultSeed picks the Faults schedule: a chaos run is reproducible
+	// from this one number. 0 = 1; negative is an error.
 	FaultSeed int64 `json:"fault_seed,omitempty"`
 	// Peers maps shards onto worker processes: shard s lives on
 	// Peers[s % len(Peers)], each entry a `matoptd -worker -listen`
@@ -75,9 +73,9 @@ type Config struct {
 	Peers []string `json:"peers,omitempty"`
 
 	// Tracer, when non-nil, records every run as a "dist.run" span under
-	// Span with "vertex"/"attempt" children, an "exchange" span per
-	// fabric exchange and "retry.backoff" spans (DESIGN.md §11). nil
-	// costs nothing; the metrics behind each Report are unaffected.
+	// Span with "vertex"/"attempt" children and an "exchange" span per
+	// fabric exchange (DESIGN.md §11). nil costs nothing; the metrics
+	// behind each Report are unaffected.
 	Tracer *obs.Tracer `json:"-"`
 	Span   *obs.Span   `json:"-"`
 	// FaultPlan is an explicit schedule, replacing Faults/FaultSeed — the
@@ -88,10 +86,6 @@ type Config struct {
 	// caller-built one (say, a TCP with a short netfabric.WithIOTimeout);
 	// the caller owns its lifecycle, the runtime never closes it.
 	Transport netfabric.Transport `json:"-"`
-	// BackoffBase and BackoffCap shape the wait before retry i: about
-	// min(base<<i, cap), jittered deterministically from the fault seed.
-	// 0 = 500µs and 50ms, negligible next to real compute.
-	BackoffBase, BackoffCap time.Duration `json:"-"`
 }
 
 // Upper bounds on the knobs that size per-run state — shard goroutines
@@ -161,8 +155,6 @@ func (c Config) withDefaults() Config {
 	retries := DefaultMaxRetries
 	c.MaxRetries = cmp.Or(c.MaxRetries, &retries)
 	c.FaultSeed = cmp.Or(c.FaultSeed, 1)
-	c.BackoffBase = cmp.Or(c.BackoffBase, 500*time.Microsecond)
-	c.BackoffCap = cmp.Or(c.BackoffCap, 50*time.Millisecond)
 	return c
 }
 

@@ -3,7 +3,6 @@ package dist_test
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"matopt/internal/costmodel"
 	"matopt/internal/dist"
@@ -97,9 +96,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if c.FaultSeed != 1 {
 		t.Errorf("fault_seed default = %d, want 1", c.FaultSeed)
-	}
-	if c.BackoffBase != 500*time.Microsecond || c.BackoffCap != 50*time.Millisecond {
-		t.Errorf("backoff defaults = %v..%v, want 500µs..50ms", c.BackoffBase, c.BackoffCap)
 	}
 	rt, err = dist.New(costmodel.LocalTest(2), dist.Config{MaxRetries: intp(0)})
 	if err != nil {

@@ -21,7 +21,7 @@
 // view over that registry, including on failed and degraded runs, then
 // merged into the process-wide registry (DESIGN.md §11). With a tracer
 // attached (Config.Tracer) each run also records a span tree: dist.run →
-// vertex → attempt → exchange, plus retry.backoff during recovery.
+// vertex → attempt → exchange.
 // Reports can be held against the cost model's predicted features.
 //
 // Everything a caller may set about a run is a field of Config, the
@@ -80,7 +80,7 @@ func (rt *Runtime) FaultSchedule(p *plan.Plan) []Fault { return rt.cfg.faultPlan
 // engine's — including runs that recovered from injected or transient
 // faults, since every vertex recomputation replays the same
 // deterministic kernels over immutable inputs. The context cancels the
-// run at the next vertex, exchange or backoff boundary. The plan is
+// run at the next vertex or exchange boundary. The plan is
 // validated before any shard does work, so a corrupt or stale plan fails
 // with plan.ErrInvalidPlan instead of executing garbage.
 //

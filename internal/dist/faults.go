@@ -80,7 +80,6 @@ type faultState struct {
 // build a fresh plan per run.
 type FaultPlan struct {
 	faults []*faultState
-	seed   int64 // the RandomFaults seed (0 for explicit plans)
 }
 
 // NewFaultPlan builds an explicit fault schedule.
@@ -112,19 +111,7 @@ func RandomFaults(seed int64, n int, vertices []int) *FaultPlan {
 			fs = append(fs, Fault{Kind: FaultDropExchange, Vertex: v, Shard: -1})
 		}
 	}
-	p := NewFaultPlan(fs...)
-	p.seed = seed
-	return p
-}
-
-// Seed returns the seed a RandomFaults schedule was derived from (0 for
-// explicit plans); the runtime's jittered retry backoff defaults to it
-// so chaos runs stay reproducible end to end.
-func (p *FaultPlan) Seed() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.seed
+	return NewFaultPlan(fs...)
 }
 
 // Faults returns the scheduled faults, fired or not.

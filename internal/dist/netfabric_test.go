@@ -212,8 +212,7 @@ func TestChaosNetDialRefusedSurfacesExchangeTimeout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := dist.New(cl, dist.Config{Shards: shards, Transport: tp,
-			BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond})
+		rt, err := dist.New(cl, dist.Config{Shards: shards, Transport: tp})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,8 +290,7 @@ func TestChaosNetSilentPeer(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer tp.Close()
-		cfg := dist.Config{Shards: 2, Transport: tp, MaxRetries: intp(1),
-			BackoffBase: time.Microsecond, BackoffCap: time.Microsecond}
+		cfg := dist.Config{Shards: 2, Transport: tp, MaxRetries: intp(1)}
 
 		rt, err := dist.New(cl, cfg)
 		if err != nil {

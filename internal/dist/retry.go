@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -66,11 +65,11 @@ func retryable(err error) bool {
 // runGroup executes one recovery group (a vertex's fused plan nodes)
 // with recovery: each attempt runs inline on the group's goroutine, and
 // transient failures (ErrShardFailed, ErrExchangeTimeout) are retried
-// with capped, jittered exponential backoff up to the runtime's retry
-// budget; deterministic inputs make every re-execution produce the same
-// bits as a fault-free run. Every attempt reads the original input
-// relations, so a retry re-derives the fused re-layouts from them rather
-// than from a half-transformed attempt state.
+// at once, up to the runtime's retry budget; deterministic inputs make
+// every re-execution produce the same bits as a fault-free run. Every
+// attempt reads the original input relations, so a retry re-derives the
+// fused re-layouts from them rather than from a half-transformed attempt
+// state.
 func (r *run) runGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]*tensor.Dense) (*engine.Relation, error) {
 	start := time.Now()
 	vspan := r.tr.Start(r.span, "vertex").
@@ -101,60 +100,7 @@ func (r *run) runGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]
 			return nil, &RetriesExhaustedError{Vertex: gr.vertex, Attempts: attempt + 1, Cause: err}
 		}
 		r.recordRetry(gr.vertex)
-		bspan := r.tr.Start(vspan, "retry.backoff").SetInt("attempt", int64(attempt))
-		berr := sleepCtx(r.ctx, r.cfg.backoffDelay(gr.vertex, attempt))
-		bspan.End()
-		if berr != nil {
-			return nil, fmt.Errorf("dist: vertex %d aborted during retry backoff: %w", gr.vertex, berr)
-		}
 	}
-}
-
-// backoffDelay returns the jittered pause before retry `attempt` of a
-// vertex: exponential growth from backoffBase capped at backoffCap,
-// then equal jitter — half the nominal delay is kept fixed and the
-// other half is scaled by a hash of (retry seed, vertex, attempt) — so
-// every wait stays at least half the nominal backoff while concurrent
-// retries decorrelate.
-func (c *Config) backoffDelay(vertex, attempt int) time.Duration {
-	d := c.BackoffBase << uint(attempt)
-	if d > c.BackoffCap || d <= 0 {
-		d = c.BackoffCap
-	}
-	if d <= 0 {
-		return 0
-	}
-	half := d / 2
-	return half + time.Duration(jitterFrac(c.FaultPlan.Seed(), vertex, attempt)*float64(half))
-}
-
-// sleepCtx waits d, returning early with the context's error on
-// cancellation — a retry backoff must not outlive a cancel.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// jitterFrac hashes (seed, vertex, attempt) to a fraction in [0, 1)
-// with a splitmix64 finalizer: pure, order-independent and
-// schedule-independent, so the jitter a vertex's attempt draws never
-// depends on which other vertices retried first.
-func jitterFrac(seed int64, vertex, attempt int) float64 {
-	z := uint64(seed) ^ uint64(vertex)*0x9e3779b97f4a7c15 ^ uint64(attempt)*0xbf58476d1ce4e5b9
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
 }
 
 // recordRetry meters one recomputation of a vertex into the run's

@@ -144,26 +144,30 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Close stops accepting, severs every live connection, and waits for
-// all handlers to exit — after it returns the server has no goroutines
-// left, which the leak-checked shutdown test asserts.
+// Close shuts the server and waits for all handlers to exit — after it
+// returns the server has no goroutines left, which the leak-checked
+// shutdown test asserts. It waits even when the server was already shut.
 func (s *Server) Close() error {
+	s.shut()
+	s.wg.Wait()
+	return nil
+}
+
+// shut stops accepting and severs every live connection without waiting
+// for the handlers, so a handler may call it.
+func (s *Server) shut() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		return nil
+		return
 	}
 	s.closed = true
-	ln := s.ln
+	if s.ln != nil {
+		s.ln.Close()
+	}
 	for conn := range s.conns {
 		conn.Close()
 	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	s.wg.Wait()
-	return nil
 }
 
 func (s *Server) release(conn net.Conn) {
@@ -284,10 +288,9 @@ func (s *Server) session(conn net.Conn, fr *frameReader, br *bufio.Reader, bw *b
 	s.frames.Add(frames)
 	s.bytes.Add(bytes)
 	if s.closeAfter > 0 && num >= s.closeAfter {
-		// Injected fault: the worker leaves the cluster. Close runs on
-		// its own goroutine (it waits for this handler); dropping the
-		// connection here makes the departure immediate.
-		go s.Close()
+		// Injected fault: the worker leaves the cluster. Shutting here,
+		// before the handler returns, refuses every later dial.
+		s.shut()
 		return errors.New("netfabric: worker departed by fault injection")
 	}
 	return nil

@@ -153,6 +153,12 @@ func TestSustainedLoadBitIdentical(t *testing.T) {
 		t.Fatalf("%d of %d requests failed or diverged", failed, clients*perClient)
 	}
 
+	// Close the listener: httptest.Server.Close returns only after every
+	// handler has, so the counter below is final — a client can read its
+	// reply before the handler that wrote it has counted it.
+	client.CloseIdleConnections()
+	ts.Close()
+
 	// Every request was served — none shed — and the coalescing layer
 	// saw all of them.
 	reg := cfg.Registry
@@ -161,9 +167,7 @@ func TestSustainedLoadBitIdentical(t *testing.T) {
 		t.Fatalf("served %d requests, want %d", served, clients*perClient)
 	}
 
-	// Drain under no load, close the listener, and verify nothing leaked.
-	client.CloseIdleConnections()
-	ts.Close()
+	// Drain under no load and verify nothing leaked.
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}

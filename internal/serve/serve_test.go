@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"matopt"
 	"matopt/internal/netfabric"
@@ -139,7 +138,6 @@ func TestExecuteRequestWireFormat(t *testing.T) {
 			Faults: 2, FaultSeed: 9, Peers: []string{"local"},
 			// Go-only fields must never reach the wire.
 			Tracer: obs.NewTracer(), FaultPlan: matopt.NewFaultPlan(), Transport: netfabric.Chan(),
-			BackoffBase: time.Second, BackoffCap: time.Second,
 		},
 	}
 	raw, err := json.Marshal(full)
