@@ -131,13 +131,14 @@ fuzz:
 # Every exported identifier in the public matopt package, the shared
 # physical-plan IR, the serving layer, the workload catalogue (home of
 # the request Spec), the dist runtime (home of the execution Config
-# every surface documents itself by) and the engine (home of the
-# operator table) must carry a doc comment; docscheck prints one
-# file:line per miss.
+# every surface documents itself by), the engine (home of the operator
+# table) and obs (the registry matopt.Metrics returns) must carry a doc
+# comment; docscheck prints one file:line per miss.
 docs-check:
 	$(GO) run ./cmd/docscheck -dir .
 	$(GO) run ./cmd/docscheck -dir ./internal/dist
 	$(GO) run ./cmd/docscheck -dir ./internal/engine
+	$(GO) run ./cmd/docscheck -dir ./internal/obs
 	$(GO) run ./cmd/docscheck -dir ./internal/plan
 	$(GO) run ./cmd/docscheck -dir ./internal/serve
 	$(GO) run ./cmd/docscheck -dir ./internal/workload

@@ -15,11 +15,12 @@
 // Reduce) and the fault hooks, so operators never touch another shard's
 // tuples directly and every movement meters the actual bytes and message
 // counts crossing shard boundaries.
-// Every run meters into its own obs.Registry — exchange traffic by
-// (vertex, kind, label), per-shard busy time, queue-wait and
-// vertex-duration histograms, retries — and its Report is built as a
-// view over that registry, including on failed and degraded runs, then
-// merged into the process-wide registry (DESIGN.md §11). With a tracer
+// Every run meters into typed fields of its own — exchange traffic by
+// (vertex, kind, label), per-shard busy time, kernel time, retries,
+// faults, wire traffic — and builds its Report from them, including on
+// failed and degraded runs, then publishes the Report once into the
+// process-wide obs.Default registry; the queue-wait and vertex-duration
+// histograms are observed there live (DESIGN.md §11). With a tracer
 // attached (Config.Tracer) each run also records a span tree: dist.run →
 // vertex → attempt → exchange.
 // Reports can be held against the cost model's predicted features.

@@ -3,12 +3,10 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync/atomic"
 
 	"matopt/internal/engine"
 	"matopt/internal/netfabric"
-	"matopt/internal/obs"
 	"matopt/internal/tensor"
 )
 
@@ -25,41 +23,30 @@ type routed struct {
 	msg message
 }
 
-// meter counts the traffic of one exchange; only payloads that cross a
-// shard boundary are counted (local delivery is free, as on a cluster).
-// Counts land in the run's metrics registry under
-// dist.exchange.bytes/dist.exchange.messages, labelled by (vertex,
-// kind, label) — the identity the Report's exchange rows are built
-// from. A retried vertex asks for the same identity again and gets the
-// same counters, so recovery traffic merges into the exchange it
-// belongs to rather than appearing as a duplicate row.
-type meter struct {
-	bytes *obs.Counter
-	msgs  *obs.Counter
-}
+// meter counts the traffic of one exchange identity (vertex, kind,
+// label) — one row of the Report's exchange breakdown. Only payloads
+// that cross a shard boundary are counted (local delivery is free, as
+// on a cluster). A retried vertex asks for the same identity again and
+// gets the same meter, so recovery traffic lands in the exchange it
+// belongs to rather than in a duplicate row.
+type meter struct{ bytes, msgs atomic.Int64 }
 
 func (m *meter) count(t engine.Tuple) {
 	m.bytes.Add(t.Bytes())
-	m.msgs.Inc()
+	m.msgs.Add(1)
 }
 
-// fabric hands out exchange meters backed by the run's registry.
-type fabric struct {
-	shards int
-	reg    *obs.Registry
-}
-
-// meterFor returns the meter for one exchange identity at one vertex.
-func (f *fabric) meterFor(x engine.Xfer) *meter {
-	ls := []obs.Label{
-		obs.L("vertex", strconv.Itoa(x.Vertex)),
-		obs.L("kind", x.Kind),
-		obs.L("label", x.Label),
+// meterFor returns the run's meter for one exchange identity, creating
+// it on first use.
+func (r *run) meterFor(x engine.Xfer) *meter {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m := r.meters[x]
+	if m == nil {
+		m = new(meter)
+		r.meters[x] = m
 	}
-	return &meter{
-		bytes: f.reg.Counter("dist.exchange.bytes", ls...),
-		msgs:  f.reg.Counter("dist.exchange.messages", ls...),
-	}
+	return m
 }
 
 // exchange is the fabric's one movement primitive, the body of both
@@ -83,7 +70,7 @@ func (f *fabric) meterFor(x engine.Xfer) *meter {
 // own: the chan transport cannot stall, and the TCP transport bounds
 // every socket operation with its I/O deadline (DESIGN.md §16).
 func (r *exec) exchange(x engine.Xfer, produce func(shard int) ([]routed, error)) ([][]message, error) {
-	m := r.fab.meterFor(x)
+	m := r.meterFor(x)
 	tp := r.cfg.Transport
 	xspan := r.tr.Start(r.span, "exchange").
 		SetStr("kind", x.Kind).SetStr("label", x.Label).SetInt("vertex", int64(x.Vertex)).
@@ -94,13 +81,13 @@ func (r *exec) exchange(x engine.Xfer, produce func(shard int) ([]routed, error)
 	defer xspan.End()
 	n := r.Shards()
 	id := netfabric.ExchangeID{Vertex: x.Vertex, Kind: x.Kind, Label: x.Label, Attempt: r.attempt}
-	sess, err := tp.Open(r.ctx, r.reg, id, n)
+	sess, err := tp.Open(r.ctx, &r.net, id, n)
 	if err != nil {
 		return nil, r.wireErr(x, "open", err)
 	}
 	drop := r.cfg.FaultPlan.drop(x.Vertex, x.Label, r.attempt)
 	if drop != nil {
-		r.faults.Inc()
+		r.faults.Add(1)
 	}
 	var lost atomic.Bool
 	err = r.Parallel(func(s int) error {

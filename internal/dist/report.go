@@ -119,96 +119,39 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// reportFromRegistry builds a Report as a view over a run registry's
-// snapshot — the registry is the source of truth; the Report is the
-// stable struct callers already consume. Metric names are the dist.*
-// families DESIGN.md §11 documents: exchange counters keyed by
-// (vertex, kind, label) become Exchanges rows, dist.shard.busy_ns
-// counters become ShardBusy, dist.retries counters become
-// Retries/RetriesByVertex, the dist.faults_injected counter becomes
-// FaultsInjected, and the dist.shards / dist.peak_bytes / dist.wall_ns
-// gauges fill the scalars.
-func reportFromRegistry(snap []obs.Metric) *Report {
-	rep := &Report{}
-	label := func(m obs.Metric, key string) string {
-		for _, l := range m.Labels {
-			if l.Key == key {
-				return l.Value
-			}
-		}
-		return ""
+// publish adds the report into reg under the dist.* families DESIGN.md
+// §11 lists — the one place their names are written. Counters add and
+// gauges keep their high-water mark, so reg's totals accumulate across
+// runs. Like dist.retries, a dist.wire.* family appears once it has
+// counted something, so a chan run, which puts nothing on a socket,
+// publishes none.
+func (r *Report) publish(reg *obs.Registry) {
+	for _, x := range r.Exchanges {
+		ls := []obs.Label{obs.L("vertex", strconv.Itoa(x.Vertex)), obs.L("kind", x.Kind), obs.L("label", x.Label)}
+		reg.Counter("dist.exchange.bytes", ls...).Add(x.Bytes)
+		reg.Counter("dist.exchange.messages", ls...).Add(x.Messages)
 	}
-	type xkey struct {
-		vertex      int
-		kind, label string
+	for s, d := range r.ShardBusy {
+		reg.Counter("dist.shard.busy_ns", obs.L("shard", strconv.Itoa(s))).Add(int64(d))
 	}
-	xidx := make(map[xkey]int)
-	xrow := func(m obs.Metric) *ExchangeStat {
-		v, _ := strconv.Atoi(label(m, "vertex"))
-		k := xkey{vertex: v, kind: label(m, "kind"), label: label(m, "label")}
-		i, ok := xidx[k]
-		if !ok {
-			i = len(rep.Exchanges)
-			xidx[k] = i
-			rep.Exchanges = append(rep.Exchanges, ExchangeStat{Vertex: k.vertex, Kind: k.kind, Label: k.label})
-		}
-		return &rep.Exchanges[i]
+	for v, n := range r.RetriesByVertex {
+		reg.Counter("dist.retries", obs.L("vertex", strconv.Itoa(v))).Add(int64(n))
 	}
-	busy := make(map[int]int64)
-	for _, m := range snap {
-		switch m.Name {
-		case "dist.shards":
-			rep.Shards = int(m.Value)
-		case "dist.peak_bytes":
-			rep.PeakBytes = m.Value
-		case "dist.wall_ns":
-			rep.Wall = time.Duration(m.Value)
-		case "dist.faults_injected":
-			rep.FaultsInjected = m.Value
-		case "dist.kernel.threads":
-			rep.KernelThreads = int(m.Value)
-		case "dist.kernel.ns":
-			rep.KernelTime = time.Duration(m.Value)
-		case "dist.exchange.bytes":
-			x := xrow(m)
-			x.Bytes += m.Value
-			rep.NetBytes += m.Value
-		case "dist.exchange.messages":
-			x := xrow(m)
-			x.Messages += m.Value
-			rep.Messages += m.Value
-		case "dist.wire.bytes":
-			rep.WireBytes += m.Value
-		case "dist.wire.messages":
-			rep.WireMessages += m.Value
-		case "dist.wire.dials":
-			rep.WireDials += m.Value
-		case "dist.wire.reconnects":
-			rep.WireReconnects += m.Value
-		case "dist.shard.busy_ns":
-			s, err := strconv.Atoi(label(m, "shard"))
-			if err == nil {
-				busy[s] = m.Value
-			}
-		case "dist.retries":
-			v, err := strconv.Atoi(label(m, "vertex"))
-			if err == nil && m.Value > 0 {
-				if rep.RetriesByVertex == nil {
-					rep.RetriesByVertex = make(map[int]int)
-				}
-				rep.RetriesByVertex[v] += int(m.Value)
-				rep.Retries += m.Value
-			}
+	reg.Counter("dist.faults_injected").Add(r.FaultsInjected)
+	reg.Counter("dist.kernel.ns").Add(int64(r.KernelTime))
+	wire := func(name string, v int64) {
+		if v > 0 {
+			reg.Counter(name).Add(v)
 		}
 	}
-	rep.ShardBusy = make([]time.Duration, rep.Shards)
-	for s, ns := range busy {
-		if s >= 0 && s < len(rep.ShardBusy) {
-			rep.ShardBusy[s] = time.Duration(ns)
-		}
-	}
-	sortExchanges(rep.Exchanges)
-	return rep
+	wire("dist.wire.bytes", r.WireBytes)
+	wire("dist.wire.messages", r.WireMessages)
+	wire("dist.wire.dials", r.WireDials)
+	wire("dist.wire.reconnects", r.WireReconnects)
+	reg.Gauge("dist.shards").SetMax(int64(r.Shards))
+	reg.Gauge("dist.kernel.threads").SetMax(int64(r.KernelThreads))
+	reg.Gauge("dist.peak_bytes").SetMax(r.PeakBytes)
+	reg.Gauge("dist.wall_ns").SetMax(int64(r.Wall))
 }
 
 // sortExchanges orders stats deterministically for the report.

@@ -3,11 +3,9 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"matopt/internal/engine"
-	"matopt/internal/obs"
 	"matopt/internal/tensor"
 )
 
@@ -103,9 +101,10 @@ func (r *run) runGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]
 	}
 }
 
-// recordRetry meters one recomputation of a vertex into the run's
-// registry; the Report's Retries/RetriesByVertex are views over these
-// counters.
+// recordRetry counts one recomputation of a vertex, what the Report's
+// Retries and RetriesByVertex are summed from.
 func (r *run) recordRetry(vertex int) {
-	r.reg.Counter("dist.retries", obs.L("vertex", strconv.Itoa(vertex))).Inc()
+	r.mu.Lock()
+	r.retries[vertex]++
+	r.mu.Unlock()
 }

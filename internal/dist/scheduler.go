@@ -3,7 +3,6 @@ package dist
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,6 +10,7 @@ import (
 	"matopt/internal/core"
 	"matopt/internal/costmodel"
 	"matopt/internal/engine"
+	"matopt/internal/netfabric"
 	"matopt/internal/obs"
 	"matopt/internal/plan"
 	"matopt/internal/tensor"
@@ -70,33 +70,35 @@ func buildGroups(p *plan.Plan) ([]*planGroup, error) {
 }
 
 // run is the per-execution state: one worker goroutine per shard fed by
-// a task queue, the comms fabric, the lowered physical plan being
-// executed, the run's metrics registry (every meter and timer lands
-// there; the final Report is a view over it) and the optional tracer.
+// a task queue, the lowered physical plan being executed, the optional
+// tracer, and the typed meters the run's Report is built from.
 type run struct {
 	cfg     Config            // this run's: defaults filled, FaultPlan and Transport resolved
 	cl      costmodel.Cluster // per-tuple size bounds
 	ctx     context.Context
 	pl      *plan.Plan
 	groups  []*planGroup
-	fab     *fabric
 	st      *engine.Storage // what this run's compute groups and re-layouts produced
 	tasks   []chan func()
 	workers sync.WaitGroup
 
-	reg   *obs.Registry  // per-run metrics; merged into obs.Default at report time
 	tr    *obs.Tracer    // nil when tracing is disabled
 	span  *obs.Span      // the run's "dist.run" root span
-	qwait *obs.Histogram // dist.queue.wait.seconds
-	vsec  *obs.Histogram // dist.vertex.seconds
+	qwait *obs.Histogram // obs.Default's dist.queue.wait.seconds, observed live
+	vsec  *obs.Histogram // obs.Default's dist.vertex.seconds, observed live
 
-	kernNS *obs.Counter // dist.kernel.ns — wall time inside local compute kernels
-	faults *obs.Counter // dist.faults_injected — faults this run claimed or applied
+	mu      sync.Mutex             // guards meters and retries
+	meters  map[engine.Xfer]*meter // exchange traffic by identity
+	retries map[int]int            // vertex ID → recomputations taken
+	busy    []atomic.Int64         // per-shard ns spent inside tasks
+	kernNS  atomic.Int64           // wall time inside local compute kernels
+	faults  atomic.Int64           // faults this run claimed or applied
+	net     netfabric.Wire         // what the TCP transport put on sockets
 }
 
 // exec is one attempt's view of the run: the embedded run carries all
-// shared state (shards, fabric, registry, context), while the
-// attempt-scoped fields shadow it — span so exchanges nest under the
+// shared state (shards, meters, context), while the attempt-scoped
+// fields shadow it — span so exchanges nest under the
 // right attempt, and attempt so fault matchers see the right number.
 // *exec is the runtime's engine.Mover: the operator table reaches
 // shards, workers and the fabric only through its Shards, OwnerShard,
@@ -113,8 +115,8 @@ type exec struct {
 // Kern returns the kernel context this attempt's local compute runs
 // under: the run's per-shard thread budget (so shard × kernel
 // parallelism never oversubscribes the machine), with a timer that
-// meters kernel wall time into the run registry (dist.kernel.ns) and
-// the attempt's kernel_ns span attribute — traces therefore show kernel
+// adds kernel wall time to the run's KernelTime meter and the
+// attempt's kernel_ns span attribute — traces therefore show kernel
 // time against the exchange spans directly.
 func (x *exec) Kern() tensor.K {
 	return tensor.K{Threads: x.cfg.KernelThreads, Timer: func(ns int64) {
@@ -128,36 +130,33 @@ func (x *exec) Kern() tensor.K {
 func (x *exec) Flops(int64) {}
 
 func newRun(cfg Config, cl costmodel.Cluster, ctx context.Context, p *plan.Plan, groups []*planGroup) *run {
-	reg := obs.NewRegistry()
 	r := &run{
-		cfg:    cfg,
-		cl:     cl,
-		ctx:    ctx,
-		pl:     p,
-		groups: groups,
-		reg:    reg,
-		tr:     cfg.Tracer,
-		fab:    &fabric{shards: cfg.Shards, reg: reg},
-		st:     engine.NewStorage(),
-		tasks:  make([]chan func(), cfg.Shards),
-		qwait:  reg.Histogram("dist.queue.wait.seconds", obs.DefaultDurationBuckets()),
-		vsec:   reg.Histogram("dist.vertex.seconds", obs.DefaultDurationBuckets()),
+		cfg:     cfg,
+		cl:      cl,
+		ctx:     ctx,
+		pl:      p,
+		groups:  groups,
+		tr:      cfg.Tracer,
+		st:      engine.NewStorage(),
+		tasks:   make([]chan func(), cfg.Shards),
+		qwait:   obs.Default().Histogram("dist.queue.wait.seconds", obs.DefaultDurationBuckets()),
+		vsec:    obs.Default().Histogram("dist.vertex.seconds", obs.DefaultDurationBuckets()),
+		meters:  make(map[engine.Xfer]*meter),
+		retries: make(map[int]int),
+		busy:    make([]atomic.Int64, cfg.Shards),
 	}
-	r.kernNS = reg.Counter("dist.kernel.ns")
-	r.faults = reg.Counter("dist.faults_injected")
 	r.span = cfg.Tracer.Start(cfg.Span, "dist.run").
 		SetInt("shards", int64(cfg.Shards)).
 		SetInt("kernel_threads", int64(cfg.KernelThreads))
 	for s := 0; s < cfg.Shards; s++ {
 		r.tasks[s] = make(chan func(), 16)
-		busy := reg.Counter("dist.shard.busy_ns", obs.L("shard", strconv.Itoa(s)))
 		r.workers.Add(1)
 		go func(s int) {
 			defer r.workers.Done()
 			for fn := range r.tasks[s] {
 				t0 := time.Now()
 				fn()
-				busy.Add(int64(time.Since(t0)))
+				r.busy[s].Add(int64(time.Since(t0)))
 			}
 		}(s)
 	}
@@ -356,7 +355,7 @@ func (x *exec) execGroup(gr *planGroup, ins []*engine.Relation, inputs map[strin
 		return nil, fmt.Errorf("dist: execution aborted before vertex %d: %w", gr.vertex, err)
 	}
 	if f := x.cfg.FaultPlan.claim(gr.vertex, x.attempt); f != nil {
-		x.faults.Inc()
+		x.faults.Add(1)
 		return nil, fmt.Errorf("dist: injected %v on shard %d: %w", *f, x.OwnerShard(gr.vertex), ErrShardFailed)
 	}
 	n := gr.node
@@ -410,18 +409,45 @@ func (x *exec) execGroup(gr *planGroup, ins []*engine.Relation, inputs map[strin
 	return out, nil
 }
 
-// report finalizes the run's registry (peak and wall gauges), builds
-// the Report as a view over it, and merges the per-run readings into
-// the process-wide obs.Default registry. Called exactly once per Run,
-// on both the success and the error path, so even a run that is about
-// to degrade reports everything it metered.
+// report builds the Report from the run's meters and publishes it once
+// into the process-wide obs.Default registry. Called exactly once per
+// Run, on both the success and the error path, so even a run that is
+// about to degrade reports everything it metered.
 func (r *run) report(peak int64, wall time.Duration) *Report {
-	r.reg.Gauge("dist.shards").Set(int64(r.Shards()))
-	r.reg.Gauge("dist.kernel.threads").Set(int64(r.cfg.KernelThreads))
-	r.reg.Gauge("dist.peak_bytes").SetMax(peak)
-	r.reg.Gauge("dist.wall_ns").SetMax(int64(wall))
-	rep := reportFromRegistry(r.reg.Snapshot())
-	rep.Transport = r.cfg.Transport.Name()
-	obs.Default().Merge(r.reg)
+	rep := &Report{
+		Shards:         r.Shards(),
+		PeakBytes:      peak,
+		Wall:           wall,
+		FaultsInjected: r.faults.Load(),
+		Transport:      r.cfg.Transport.Name(),
+		WireBytes:      r.net.Bytes.Load(),
+		WireMessages:   r.net.Messages.Load(),
+		WireDials:      r.net.Dials.Load(),
+		WireReconnects: r.net.Reconnects.Load(),
+		ShardBusy:      make([]time.Duration, r.Shards()),
+		KernelThreads:  r.cfg.KernelThreads,
+		KernelTime:     time.Duration(r.kernNS.Load()),
+	}
+	for s := range r.busy {
+		rep.ShardBusy[s] = time.Duration(r.busy[s].Load())
+	}
+	r.mu.Lock()
+	for x, m := range r.meters {
+		st := ExchangeStat{Vertex: x.Vertex, Kind: x.Kind, Label: x.Label,
+			Bytes: m.bytes.Load(), Messages: m.msgs.Load()}
+		rep.Exchanges = append(rep.Exchanges, st)
+		rep.NetBytes += st.Bytes
+		rep.Messages += st.Messages
+	}
+	if len(r.retries) > 0 {
+		rep.RetriesByVertex = make(map[int]int, len(r.retries))
+		for v, n := range r.retries {
+			rep.RetriesByVertex[v] = n
+			rep.Retries += int64(n)
+		}
+	}
+	r.mu.Unlock()
+	sortExchanges(rep.Exchanges)
+	rep.publish(obs.Default())
 	return rep
 }

@@ -17,18 +17,15 @@ import (
 	"matopt/internal/workload"
 )
 
-// TestExecuteFreesAtLastConsumer: once execute returns, the scheduler
-// holds exactly the plan's retained relations — every other one was
-// released when its last consumer completed — and those relations
-// collect to the sequential engine's bits. It checks the set, not
-// Report.PeakBytes, because the peak depends on the order concurrent
-// groups complete in.
-func TestExecuteFreesAtLastConsumer(t *testing.T) {
+// serveWorker runs an in-process netfabric worker on an ephemeral
+// loopback listener until the test ends and returns its address.
+func serveWorker(t *testing.T, opts ...netfabric.ServerOption) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	worker := netfabric.NewServer()
+	worker := netfabric.NewServer(opts...)
 	served := make(chan error, 1)
 	go func() { served <- worker.Serve(ln) }()
 	t.Cleanup(func() {
@@ -37,7 +34,17 @@ func TestExecuteFreesAtLastConsumer(t *testing.T) {
 			t.Errorf("worker Serve: %v", err)
 		}
 	})
+	return ln.Addr().String()
+}
 
+// TestExecuteFreesAtLastConsumer: once execute returns, the scheduler
+// holds exactly the plan's retained relations — every other one was
+// released when its last consumer completed — and those relations
+// collect to the sequential engine's bits. It checks the set, not
+// Report.PeakBytes, because the peak depends on the order concurrent
+// groups complete in.
+func TestExecuteFreesAtLastConsumer(t *testing.T) {
+	addr := serveWorker(t)
 	cl := costmodel.LocalTest(3)
 	env := core.NewEnv(cl, format.All())
 	for _, spec := range []workload.Spec{
@@ -65,7 +72,7 @@ func TestExecuteFreesAtLastConsumer(t *testing.T) {
 				cfg := Config{Shards: shards}.withDefaults()
 				cfg.Transport = netfabric.Chan()
 				if tpName == "tcp-local" {
-					tp, err := netfabric.NewTCP([]string{netfabric.LocalPeer, ln.Addr().String()})
+					tp, err := netfabric.NewTCP([]string{netfabric.LocalPeer, addr})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -11,8 +11,8 @@
 //     socket: length-prefixed binary frames (codec.go), per-peer
 //     connection pooling with lazy dial, coalesced writes, and read
 //     loops that fill the same inboxes. Wire traffic is metered into the
-//     run's registry (dist.wire.*) next to the fabric's dist.exchange.*
-//     meters.
+//     caller's Wire (bytes, messages, dials, reconnects), which the dist
+//     runtime reports next to its exchange traffic.
 //
 // Determinism carries across transports because the fabric sorts every
 // shard's inbox by (Key, Seq) before any reduce replays it — arrival
@@ -28,9 +28,9 @@ import (
 	"context"
 	"errors"
 	"sort"
+	"sync/atomic"
 
 	"matopt/internal/engine"
-	"matopt/internal/obs"
 )
 
 // Message is one tuple in flight plus its deterministic reduce
@@ -60,6 +60,15 @@ type ExchangeID struct {
 	Label string
 	// Attempt is the consuming vertex's attempt number.
 	Attempt int
+}
+
+// Wire is what a transport's sessions put on real sockets, summed over
+// every peer: framed bytes and messages in both directions, dials, and
+// the dials that replaced a connection discarded after a failure. The
+// in-process transport never touches it.
+type Wire struct {
+	// Bytes, Messages, Dials and Reconnects are running totals.
+	Bytes, Messages, Dials, Reconnects atomic.Int64
 }
 
 // Typed failure surface of the transport layer.
@@ -106,9 +115,8 @@ type Transport interface {
 	// Name tags spans and reports: "chan" or "tcp".
 	Name() string
 	// Open starts a session for one exchange across shards inboxes.
-	// reg is the executing run's metrics registry; transports meter
-	// wire traffic (dist.wire.*) into it. A nil reg disables metering.
-	Open(ctx context.Context, reg *obs.Registry, id ExchangeID, shards int) (Session, error)
+	// Socket traffic is added to w; a nil w meters nothing.
+	Open(ctx context.Context, w *Wire, id ExchangeID, shards int) (Session, error)
 	// Close releases long-lived resources (pooled connections). The
 	// transport must not be used afterwards.
 	Close() error

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"matopt/internal/obs"
 )
 
 // Chan returns the in-process transport, the dist runtime's default: its
@@ -21,7 +19,7 @@ func (inProcess) Name() string { return "chan" }
 
 func (inProcess) Close() error { return nil }
 
-func (inProcess) Open(_ context.Context, _ *obs.Registry, _ ExchangeID, shards int) (Session, error) {
+func (inProcess) Open(_ context.Context, _ *Wire, _ ExchangeID, shards int) (Session, error) {
 	return &session{inbox: make([][]Message, shards)}, nil
 }
 
@@ -63,7 +61,7 @@ func (s *session) Send(dst int, m Message) error {
 	if err != nil {
 		return err
 	}
-	l.msgs.Inc()
+	l.wire.Messages.Add(1)
 	return nil
 }
 

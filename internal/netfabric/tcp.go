@@ -8,8 +8,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"matopt/internal/obs"
 )
 
 // LocalPeer is the peer-map entry meaning "this shard lives on the
@@ -126,8 +124,8 @@ type wireConn struct {
 
 // checkout returns a pooled connection to addr, dialing when the pool
 // is dry. Dials (and re-dials replacing a discarded connection) are
-// metered per peer.
-func (t *TCP) checkout(ctx context.Context, reg *obs.Registry, addr string) (*wireConn, error) {
+// metered into w.
+func (t *TCP) checkout(ctx context.Context, w *Wire, addr string) (*wireConn, error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -145,9 +143,9 @@ func (t *TCP) checkout(ctx context.Context, reg *obs.Registry, addr string) (*wi
 	}
 	t.mu.Unlock()
 	d := net.Dialer{Timeout: t.ioTimeout}
-	reg.Counter("dist.wire.dials", obs.L("peer", addr)).Inc()
+	w.Dials.Add(1)
 	if redial {
-		reg.Counter("dist.wire.reconnects", obs.L("peer", addr)).Inc()
+		w.Reconnects.Add(1)
 	}
 	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -186,9 +184,9 @@ func (t *TCP) discard(addr string, c *wireConn) {
 // this exchange, starts its reader and announces the session with an
 // OPEN frame. A refused dial fails the open with an ErrWire-wrapped
 // error — the dist runtime retries the vertex like any exchange timeout.
-func (t *TCP) Open(ctx context.Context, reg *obs.Registry, id ExchangeID, shards int) (Session, error) {
-	if reg == nil {
-		reg = obs.NewRegistry()
+func (t *TCP) Open(ctx context.Context, w *Wire, id ExchangeID, shards int) (Session, error) {
+	if w == nil {
+		w = new(Wire)
 	}
 	s := &session{t: t, inbox: make([][]Message, shards), links: make(map[string]*peerLink)}
 	for sh := 0; sh < shards; sh++ {
@@ -196,18 +194,12 @@ func (t *TCP) Open(ctx context.Context, reg *obs.Registry, id ExchangeID, shards
 		if addr == LocalPeer || s.links[addr] != nil {
 			continue
 		}
-		c, err := t.checkout(ctx, reg, addr)
+		c, err := t.checkout(ctx, w, addr)
 		if err != nil {
 			s.Abandon()
 			return nil, err
 		}
-		l := &peerLink{
-			addr:  addr,
-			conn:  c,
-			bytes: reg.Counter("dist.wire.bytes", obs.L("peer", addr)),
-			msgs:  reg.Counter("dist.wire.messages", obs.L("peer", addr)),
-			done:  make(chan struct{}),
-		}
+		l := &peerLink{addr: addr, wire: w, conn: c, done: make(chan struct{})}
 		s.links[addr] = l
 		go s.read(l, c)
 		// No producer has the session yet, so nothing contends for the link.
@@ -233,9 +225,8 @@ func (t *TCP) Open(ctx context.Context, reg *obs.Registry, id ExchangeID, shards
 // reader runs from Open until EOF or its first error, which it leaves in
 // readErr before closing done.
 type peerLink struct {
-	addr  string
-	bytes *obs.Counter
-	msgs  *obs.Counter
+	addr string
+	wire *Wire
 
 	done    chan struct{}
 	readErr error
@@ -260,7 +251,7 @@ func (l *peerLink) sendLocked(ioTimeout time.Duration, write func(c *wireConn) (
 		l.err = fmt.Errorf("%w: write to %s: %v", ErrWire, l.addr, err)
 		return l.err
 	}
-	l.bytes.Add(int64(n))
+	l.wire.Bytes.Add(int64(n))
 	return nil
 }
 
@@ -314,7 +305,7 @@ func (s *session) read(l *peerLink, c *wireConn) {
 				return
 			}
 			s.inbox[shard] = append(s.inbox[shard], m)
-			l.msgs.Inc()
+			l.wire.Messages.Add(1)
 		case frameEOF:
 			if _, err := c.fr.body(); err != nil {
 				fail(fmt.Errorf("%w: read from %s: %v", ErrWire, l.addr, err))
@@ -324,7 +315,7 @@ func (s *session) read(l *peerLink, c *wireConn) {
 			fail(fmt.Errorf("%w: peer %s sent unexpected frame type %d", ErrWire, l.addr, typ))
 			return
 		}
-		l.bytes.Add(int64(frameHeaderLen + c.fr.n + frameTrailerLen))
+		l.wire.Bytes.Add(int64(frameHeaderLen + c.fr.n + frameTrailerLen))
 		if typ == frameEOF {
 			return
 		}

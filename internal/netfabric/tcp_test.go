@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"matopt/internal/engine"
-	"matopt/internal/obs"
 	"matopt/internal/testutil"
 )
 
@@ -50,9 +49,9 @@ func TestTCPExchangeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tp.Close()
-	reg := obs.NewRegistry()
+	w := new(Wire)
 	const shards = 5
-	sess, err := tp.Open(context.Background(), reg, testID(0), shards)
+	sess, err := tp.Open(context.Background(), w, testID(0), shards)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -94,10 +93,10 @@ func TestTCPExchangeRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if v := counterValue(reg, "dist.wire.dials"); v != 1 {
+	if v := w.Dials.Load(); v != 1 {
 		t.Fatalf("dials = %d, want 1", v)
 	}
-	if v := counterValue(reg, "dist.wire.bytes"); v == 0 {
+	if v := w.Bytes.Load(); v == 0 {
 		t.Fatal("no wire bytes metered")
 	}
 }
@@ -111,9 +110,9 @@ func TestTCPConnectionPooling(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tp.Close()
-	reg := obs.NewRegistry()
+	w := new(Wire)
 	for attempt := 0; attempt < 3; attempt++ {
-		sess, err := tp.Open(context.Background(), reg, testID(attempt), 2)
+		sess, err := tp.Open(context.Background(), w, testID(attempt), 2)
 		if err != nil {
 			t.Fatalf("Open %d: %v", attempt, err)
 		}
@@ -129,10 +128,10 @@ func TestTCPConnectionPooling(t *testing.T) {
 			t.Fatalf("attempt %d: shard 1 got %d messages", attempt, len(recv[1]))
 		}
 	}
-	if v := counterValue(reg, "dist.wire.dials"); v != 1 {
+	if v := w.Dials.Load(); v != 1 {
 		t.Fatalf("dials = %d after 3 pooled sessions, want 1", v)
 	}
-	if v := counterValue(reg, "dist.wire.reconnects"); v != 0 {
+	if v := w.Reconnects.Load(); v != 0 {
 		t.Fatalf("reconnects = %d, want 0", v)
 	}
 }
@@ -151,7 +150,7 @@ func TestTCPDialRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tp.Close()
-	_, err = tp.Open(context.Background(), obs.NewRegistry(), testID(0), 2)
+	_, err = tp.Open(context.Background(), new(Wire), testID(0), 2)
 	if !errors.Is(err, ErrWire) {
 		t.Fatalf("Open against dead peer: got %v, want ErrWire", err)
 	}
@@ -168,8 +167,8 @@ func TestTCPSeveredMidExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tp.Close()
-	reg := obs.NewRegistry()
-	sess, err := tp.Open(context.Background(), reg, testID(0), 2)
+	w := new(Wire)
+	sess, err := tp.Open(context.Background(), w, testID(0), 2)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -188,7 +187,7 @@ func TestTCPSeveredMidExchange(t *testing.T) {
 	}
 
 	// Recovery: session 2 is not severed and must work over a new dial.
-	sess, err = tp.Open(context.Background(), reg, testID(1), 2)
+	sess, err = tp.Open(context.Background(), w, testID(1), 2)
 	if err != nil {
 		t.Fatalf("Open after sever: %v", err)
 	}
@@ -202,7 +201,7 @@ func TestTCPSeveredMidExchange(t *testing.T) {
 	if len(recv[1]) != 1 {
 		t.Fatalf("shard 1 got %d messages after recovery", len(recv[1]))
 	}
-	if v := counterValue(reg, "dist.wire.reconnects"); v != 1 {
+	if v := w.Reconnects.Load(); v != 1 {
 		t.Fatalf("reconnects = %d, want 1", v)
 	}
 }
@@ -217,20 +216,20 @@ func TestTCPAbandonDiscardsConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tp.Close()
-	reg := obs.NewRegistry()
-	sess, err := tp.Open(context.Background(), reg, testID(0), 2)
+	w := new(Wire)
+	sess, err := tp.Open(context.Background(), w, testID(0), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sess.Abandon()
-	sess, err = tp.Open(context.Background(), reg, testID(1), 2)
+	sess, err = tp.Open(context.Background(), w, testID(1), 2)
 	if err != nil {
 		t.Fatalf("Open after abandon: %v", err)
 	}
 	if _, err := sess.Collect(); err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
-	if v := counterValue(reg, "dist.wire.dials"); v != 2 {
+	if v := w.Dials.Load(); v != 2 {
 		t.Fatalf("dials = %d, want 2 (abandoned conns must not be pooled)", v)
 	}
 }
@@ -253,7 +252,7 @@ func TestServerShutdownLeakFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		for attempt := 0; attempt < 2; attempt++ {
-			sess, err := tp.Open(context.Background(), obs.NewRegistry(), testID(attempt), 4)
+			sess, err := tp.Open(context.Background(), new(Wire), testID(attempt), 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -301,14 +300,14 @@ func TestTCPConcurrentSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tp.Close()
-	reg := obs.NewRegistry()
+	w := new(Wire)
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	for i := range errs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sess, err := tp.Open(context.Background(), reg, testID(i), 3)
+			sess, err := tp.Open(context.Background(), w, testID(i), 3)
 			if err != nil {
 				errs[i] = err
 				return
@@ -362,7 +361,7 @@ func TestServerHoldsOneFrame(t *testing.T) {
 		big := Message{Key: k, Tuple: denseTuple(k, 64, 64, 1)} // 32 KiB a frame
 		frameLen := len(mustFrame(t)(shardMessageFrame(nil, frameMsg, 1, big)))
 		const msgs = 64 // 2 MiB a session
-		sess, err := tp.Open(context.Background(), obs.NewRegistry(), testID(0), 2)
+		sess, err := tp.Open(context.Background(), new(Wire), testID(0), 2)
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
@@ -447,8 +446,8 @@ func TestServerStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	sess, err := tp.Open(context.Background(), reg, testID(0), 2)
+	w := new(Wire)
+	sess, err := tp.Open(context.Background(), w, testID(0), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,11 +503,11 @@ func TestTCPSessionAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tp.Close()
-	reg := obs.NewRegistry()
+	w := new(Wire)
 	k := engine.Key{I: 1}
 	session := func(attempt, msgs int, tuple engine.Tuple) {
 		t.Helper()
-		sess, err := tp.Open(context.Background(), reg, testID(attempt), 2)
+		sess, err := tp.Open(context.Background(), w, testID(attempt), 2)
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
@@ -554,16 +553,6 @@ func TestTCPSessionAllocBudget(t *testing.T) {
 			t.Errorf("worker kept a %d B frame buffer, bound %d", cap(buf), maxIdleBuf)
 		}
 	}
-}
-
-func counterValue(reg *obs.Registry, name string) int64 {
-	var total int64
-	for _, m := range reg.Snapshot() {
-		if m.Name == name {
-			total += m.Value
-		}
-	}
-	return total
 }
 
 // BenchmarkTCPSession is one warm session at the shape of the

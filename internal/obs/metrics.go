@@ -44,8 +44,8 @@ func (c *Counter) Value() int64 {
 }
 
 // Gauge is an atomic instantaneous value. A nil *Gauge accepts writes
-// as no-ops and reads as 0. Merging registries keeps the maximum, so
-// gauges suit high-water marks (peak bytes, longest wall time).
+// as no-ops and reads as 0. With SetMax, gauges suit high-water marks
+// (peak bytes, longest wall time).
 type Gauge struct{ v atomic.Int64 }
 
 // Set stores v.
@@ -96,12 +96,7 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.buckets[i].Add(1)
 	h.count.Add(1)
-	h.addSum(v)
-}
-
-// addSum adds v to the running sum, lock-free.
-func (h *Histogram) addSum(v float64) {
-	for {
+	for { // add v to the running sum, lock-free
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
 			return
@@ -142,6 +137,8 @@ const (
 	KindHistogram
 )
 
+// String names the kind as the JSON metrics export prints it:
+// "counter", "gauge" or "histogram".
 func (k MetricKind) String() string {
 	switch k {
 	case KindGauge:
@@ -187,10 +184,10 @@ type metricID struct {
 
 // Registry is a set of named, labelled metrics. Instruments are created
 // on first use and shared by identity, so two calls with the same name
-// and labels return the same counter — which is what lets retried work
-// meter into the same exchange row. A nil *Registry is a valid,
-// disabled registry: every getter returns nil, and nil instruments
-// no-op. All methods are safe for concurrent use.
+// and labels return the same counter — which is what lets every run
+// that publishes a series add to the same total. A nil *Registry is a
+// valid, disabled registry: every getter returns nil, and nil
+// instruments no-op. All methods are safe for concurrent use.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -212,9 +209,9 @@ func NewRegistry() *Registry {
 // defaultRegistry is the process-wide registry; see Default.
 var defaultRegistry = NewRegistry()
 
-// Default returns the process-wide registry. Subsystems that keep a
-// per-run registry (the dist runtime) merge it into Default when the
-// run completes, so the process totals accumulate across runs.
+// Default returns the process-wide registry. Subsystems meter into it
+// live, or (the dist runtime) publish each run's totals into it once
+// when the run completes, so the process totals accumulate across runs.
 func Default() *Registry { return defaultRegistry }
 
 // key canonicalizes a metric identity: name plus labels sorted by key.
@@ -384,61 +381,4 @@ func (r *Registry) Render() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Merge folds src's metrics into r: counters add, gauges keep the
-// maximum (high-water semantics), histograms add bucket counts and
-// sums (histograms created on the r side reuse src's bounds). Both
-// sides may be nil; a nil side makes Merge a no-op.
-func (r *Registry) Merge(src *Registry) {
-	if r == nil || src == nil {
-		return
-	}
-	type vsnap struct {
-		id metricID
-		v  int64
-	}
-	type hsnap struct {
-		id      metricID
-		bounds  []float64
-		buckets []int64
-		count   int64
-		sum     float64
-	}
-	src.mu.Lock()
-	var counters, gauges []vsnap
-	var hists []hsnap
-	for k, c := range src.counters {
-		counters = append(counters, vsnap{id: src.ids[k], v: c.Value()})
-	}
-	for k, g := range src.gauges {
-		gauges = append(gauges, vsnap{id: src.ids[k], v: g.Value()})
-	}
-	for k, h := range src.hists {
-		s := hsnap{id: src.ids[k], bounds: append([]float64(nil), h.bounds...), count: h.Count(), sum: h.Sum()}
-		s.buckets = make([]int64, len(h.buckets))
-		for i := range h.buckets {
-			s.buckets[i] = h.buckets[i].Load()
-		}
-		hists = append(hists, s)
-	}
-	src.mu.Unlock()
-
-	for _, s := range counters {
-		r.Counter(s.id.name, s.id.labels...).Add(s.v)
-	}
-	for _, s := range gauges {
-		r.Gauge(s.id.name, s.id.labels...).SetMax(s.v)
-	}
-	for _, s := range hists {
-		h := r.Histogram(s.id.name, s.bounds, s.id.labels...)
-		if h == nil || len(h.buckets) != len(s.buckets) {
-			continue // bound mismatch with an existing family; skip
-		}
-		for i, n := range s.buckets {
-			h.buckets[i].Add(n)
-		}
-		h.count.Add(s.count)
-		h.addSum(s.sum)
-	}
 }

@@ -110,42 +110,6 @@ func TestRender(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	dst, src := NewRegistry(), NewRegistry()
-	dst.Counter("c", L("k", "a")).Add(5)
-	src.Counter("c", L("k", "a")).Add(7)
-	src.Counter("only.src").Add(3)
-	dst.Gauge("peak").Set(100)
-	src.Gauge("peak").Set(40)
-	src.Gauge("peak2").Set(9)
-	dst.Histogram("h", []float64{1, 10}).Observe(0.5)
-	src.Histogram("h", []float64{1, 10}).Observe(5)
-	src.Histogram("h", []float64{1, 10}).Observe(50)
-
-	dst.Merge(src)
-
-	if v := dst.Counter("c", L("k", "a")).Value(); v != 12 {
-		t.Errorf("merged counter = %d, want 12", v)
-	}
-	if v := dst.Counter("only.src").Value(); v != 3 {
-		t.Errorf("src-only counter = %d, want 3", v)
-	}
-	if v := dst.Gauge("peak").Value(); v != 100 {
-		t.Errorf("gauge merge must keep max: %d", v)
-	}
-	if v := dst.Gauge("peak2").Value(); v != 9 {
-		t.Errorf("src-only gauge = %d, want 9", v)
-	}
-	h := dst.Histogram("h", []float64{1, 10})
-	if h.Count() != 3 || h.Sum() != 55.5 {
-		t.Errorf("merged hist count=%d sum=%g, want 3/55.5", h.Count(), h.Sum())
-	}
-	// Merging a nil registry, or into a nil registry, is a no-op.
-	dst.Merge(nil)
-	var nilReg *Registry
-	nilReg.Merge(src)
-}
-
 // TestRegistryConcurrent hammers one registry from many goroutines the
 // way parallel dist shards do — same identities from every shard — and
 // checks the totals. Run under -race (make check gates it).

@@ -41,11 +41,11 @@ func L(key, value string) Label { return obs.L(key, value) }
 func NewTracer() *Tracer { return obs.NewTracer() }
 
 // Metrics returns the process-wide metrics registry. The optimizer
-// records plan-cache hits and misses here (matopt.plancache.hits /
-// matopt.plancache.misses), and every dist run merges its meters —
-// exchange traffic, shard busy time, retries, queue wait, vertex wall
-// time — into it when the run's Report is built, so totals accumulate
-// across runs. Render it with Metrics().Render() or walk
-// Metrics().Snapshot(); metric names and units are listed in
-// DESIGN.md §11.
+// records plan-cache lookups here (matopt.plancache.hits / .misses /
+// .coalesced); every dist run observes its queue-wait and vertex wall
+// time histograms here live and publishes its Report — exchange
+// traffic, shard busy time, kernel time, retries, faults, wire traffic
+// — into it once the run ends, so totals accumulate across runs.
+// Render it with Metrics().Render() or walk Metrics().Snapshot();
+// metric names and units are listed in DESIGN.md §11.
 func Metrics() *MetricsRegistry { return obs.Default() }
