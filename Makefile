@@ -42,8 +42,9 @@ test-avx2:
 	$(GO) test -tags noavx512 -run TestPlanCacheEngineInvariance .
 
 # The kernels draw storage off a free list without zeroing it where they
-# write every element, and both runtimes recycle what their plan or
-# scheduler frees (DESIGN.md §15, Storage). Under the matopt_poison tag every such
+# write every element, and both runtimes recycle what a step no longer
+# needs or a value's last consumer leaves behind (DESIGN.md §15,
+# Storage). Under the matopt_poison tag every such
 # draw and every release is filled with a NaN: the kernel suites and the
 # root package's pinned output digest must still reproduce their bits,
 # which proves each kernel writes (or clears) every element it hands out

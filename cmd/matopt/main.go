@@ -30,7 +30,7 @@
 //	matopt -workload ffnn -engine dist -trace-out trace.json
 //
 // -explain prints the lowered physical plan — the exact operator DAG
-// (scans, re-layouts, compute strategies, frees) every engine executes
+// (scans, re-layouts, compute strategies) every engine executes
 // — with per-operator predicted costs. -plan-out FILE serializes that
 // plan to JSON; -plan-in FILE loads one back (skipping optimization
 // entirely) after checking its fingerprint against the workload and

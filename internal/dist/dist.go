@@ -4,17 +4,19 @@
 // across P worker shards — one goroutine pool per shard, standing in for
 // the paper's cluster nodes (the same substitution DESIGN.md documents
 // for the simulator, applied to real execution). A dataflow DAG
-// scheduler runs independent vertices concurrently, ref-counts each
-// relation's consumers so shards are freed as soon as the last consumer
-// finishes, and accounts peak resident bytes.
+// scheduler runs the plan's independent steps (plan.Plan.Steps)
+// concurrently, releases each relation when its plan.Plan.Consumers
+// count reaches zero — as soon as its last consumer finishes — and
+// accounts peak resident bytes.
 //
-// The runtime holds no operator code. Each physical implementation is
-// defined once, in internal/engine's operator table, against the
-// engine.Mover interface; a run's per-attempt exec implements Mover with
-// the shard workers (Parallel, On), the exchange fabric (Exchange,
-// Reduce) and the fault hooks, so operators never touch another shard's
-// tuples directly and every movement meters the actual bytes and message
-// counts crossing shard boundaries.
+// The runtime holds no operator code and no step code. Each physical
+// implementation is defined once, in internal/engine's operator table,
+// against the engine.Mover interface, and each attempt at a step runs
+// engine.RunStep, the sequential engine's step; a run's per-attempt exec
+// implements Mover with the shard workers (Parallel, On), the exchange
+// fabric (Exchange, Reduce) and the fault hooks, so operators never
+// touch another shard's tuples directly and every movement meters the
+// actual bytes and message counts crossing shard boundaries.
 // Every run meters into typed fields of its own — exchange traffic by
 // (vertex, kind, label), per-shard busy time, kernel time, retries,
 // faults, wire traffic — and builds its Report from them, including on
@@ -92,10 +94,6 @@ func (rt *Runtime) RunPlan(ctx context.Context, p *plan.Plan, inputs map[string]
 	if err := p.Validate(); err != nil {
 		return nil, &Report{Shards: rt.cfg.Shards}, err
 	}
-	groups, err := buildGroups(p)
-	if err != nil {
-		return nil, &Report{Shards: rt.cfg.Shards}, err
-	}
 	// What is per run, not per runtime: a fresh seeded fault schedule
 	// for this plan's vertices, and — with Peers — a TCP transport whose
 	// pooled connections live for the run's exchanges and are torn down
@@ -115,7 +113,7 @@ func (rt *Runtime) RunPlan(ctx context.Context, p *plan.Plan, inputs map[string]
 		cfg.Transport = netfabric.Chan()
 	}
 	start := time.Now()
-	r := newRun(cfg, rt.cluster, ctx, p, groups)
+	r := newRun(cfg, rt.cluster, ctx, p)
 	defer r.stop()
 	rels, peak, err := r.execute(inputs)
 	if err != nil {

@@ -151,8 +151,9 @@ func (r *exec) wireErr(x engine.Xfer, stage string, err error) error {
 
 // Exchange implements engine.Mover's shuffle on the fabric. A dense
 // tuple that arrives as other storage than was sent crossed a wire and
-// was decoded into storage of its own, which the attempt recycles once
-// its compute is done (execGroup).
+// was decoded into storage of its own: the run's Storage owns those
+// copies on arrival, so a relation built of them holds them too, and the
+// attempt releases them once its step is done (execStep).
 func (r *exec) Exchange(x engine.Xfer, produce func(shard int) ([]engine.Routed, error)) ([][]engine.Tuple, error) {
 	sent := make([][]routed, r.Shards())
 	recv, err := r.exchange(x, func(s int) ([]routed, error) {
@@ -176,12 +177,18 @@ func (r *exec) Exchange(x engine.Xfer, produce func(shard int) ([]engine.Routed,
 			local[rm.msg.Tuple.Dense] = true
 		}
 	}
+	var wire []engine.Tuple
 	for _, ms := range recv {
 		for _, m := range ms {
 			if d := m.Tuple.Dense; d != nil && !local[d] {
-				r.wire = append(r.wire, m.Tuple)
+				wire = append(wire, m.Tuple)
 			}
 		}
+	}
+	if len(wire) > 0 {
+		w := &engine.Relation{Parts: [][]engine.Tuple{wire}}
+		r.st.Own(w)
+		r.wire = append(r.wire, w)
 	}
 	return messageTuples(recv), nil
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"matopt/internal/engine"
+	"matopt/internal/plan"
 	"matopt/internal/tensor"
 )
 
@@ -60,19 +61,20 @@ func retryable(err error) bool {
 	return errors.Is(err, ErrShardFailed) || errors.Is(err, ErrExchangeTimeout)
 }
 
-// runGroup executes one recovery group (a vertex's fused plan nodes)
-// with recovery: each attempt runs inline on the group's goroutine, and
-// transient failures (ErrShardFailed, ErrExchangeTimeout) are retried
-// at once, up to the runtime's retry budget; deterministic inputs make
-// every re-execution produce the same bits as a fault-free run. Every
-// attempt reads the original input relations, so a retry re-derives the
-// fused re-layouts from them rather than from a half-transformed attempt
-// state.
-func (r *run) runGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]*tensor.Dense) (*engine.Relation, error) {
+// runStep executes one plan step (a vertex's producing node with its
+// fused re-layouts) with recovery: each attempt runs inline on the
+// step's goroutine, and transient failures (ErrShardFailed,
+// ErrExchangeTimeout) are retried at once, up to the runtime's retry
+// budget; deterministic inputs make every re-execution produce the same
+// bits as a fault-free run. Every attempt reads the original input
+// relations, so a retry re-derives the fused re-layouts from them rather
+// than from a half-transformed attempt state.
+func (r *run) runStep(s plan.Step, ins []*engine.Relation, inputs map[string]*tensor.Dense) (*engine.Relation, error) {
 	start := time.Now()
+	v := s.Node.Vertex
 	vspan := r.tr.Start(r.span, "vertex").
-		SetInt("id", int64(gr.vertex)).SetStr("impl", gr.node.Name).
-		SetInt("node", int64(gr.node.ID)).SetStr("strategy", gr.node.Strategy)
+		SetInt("id", int64(v)).SetStr("impl", s.Node.Name).
+		SetInt("node", int64(s.Node.ID)).SetStr("strategy", s.Node.Strategy)
 	defer func() {
 		r.vsec.Observe(time.Since(start).Seconds())
 		vspan.End()
@@ -80,7 +82,7 @@ func (r *run) runGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]
 	for attempt := 0; ; attempt++ {
 		aspan := r.tr.Start(vspan, "attempt").SetInt("n", int64(attempt))
 		x := &exec{run: r, attempt: attempt, span: aspan}
-		rel, err := x.execGroup(gr, ins, inputs)
+		rel, err := x.execStep(s, ins, inputs)
 		aspan.End()
 		if err == nil {
 			vspan.SetInt("attempts", int64(attempt+1))
@@ -89,15 +91,15 @@ func (r *run) runGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]
 		if cerr := r.ctx.Err(); cerr != nil {
 			// The run was cancelled; report the context's cause rather
 			// than whatever the teardown surfaced as.
-			return nil, fmt.Errorf("dist: vertex %d aborted: %w", gr.vertex, cerr)
+			return nil, fmt.Errorf("dist: vertex %d aborted: %w", v, cerr)
 		}
 		if !retryable(err) {
 			return nil, err
 		}
 		if attempt >= *r.cfg.MaxRetries {
-			return nil, &RetriesExhaustedError{Vertex: gr.vertex, Attempts: attempt + 1, Cause: err}
+			return nil, &RetriesExhaustedError{Vertex: v, Attempts: attempt + 1, Cause: err}
 		}
-		r.recordRetry(gr.vertex)
+		r.recordRetry(v)
 	}
 }
 

@@ -16,59 +16,6 @@ import (
 	"matopt/internal/tensor"
 )
 
-// planGroup is the dist runtime's unit of scheduling and recovery: one
-// vertex's producing plan node (a scan or compute) fused with the
-// re-layout nodes feeding it. Fusing keeps the fault surface per vertex
-// — one attempt counter, one retry unit — exactly as
-// the recovery semantics and chaos tests expect, while the work itself
-// is described entirely by shared physical-plan IR nodes.
-type planGroup struct {
-	vertex    int
-	node      *plan.Node   // the vertex's producing node (KindScan or KindCompute)
-	relayouts []*plan.Node // per compute arg: the fused re-layout node, nil for identity edges
-	deps      []int        // producer vertex IDs in argument order
-}
-
-// buildGroups fuses a lowered plan into per-vertex recovery groups.
-// Free nodes are not scheduled — the scheduler ref-counts relations by
-// consumer group instead, which releases values at the same points the
-// plan's free nodes mark, but safely under concurrent completion order.
-func buildGroups(p *plan.Plan) ([]*planGroup, error) {
-	groups := make([]*planGroup, len(p.Graph.Vertices))
-	for _, n := range p.Nodes {
-		switch n.Kind {
-		case plan.KindScan:
-			groups[n.Vertex] = &planGroup{vertex: n.Vertex, node: n}
-		case plan.KindCompute:
-			gr := &planGroup{
-				vertex:    n.Vertex,
-				node:      n,
-				relayouts: make([]*plan.Node, len(n.Inputs)),
-				deps:      make([]int, len(n.Inputs)),
-			}
-			for j, id := range n.Inputs {
-				in := p.Nodes[id]
-				if in.Kind == plan.KindRelayout {
-					gr.relayouts[j] = in
-					in = p.Nodes[in.Inputs[0]]
-				}
-				if in.Kind != plan.KindScan && in.Kind != plan.KindCompute {
-					return nil, fmt.Errorf("dist: node %d input %d is not a vertex value: %w",
-						n.ID, id, core.ErrInternal)
-				}
-				gr.deps[j] = in.Vertex
-			}
-			groups[n.Vertex] = gr
-		}
-	}
-	for id, gr := range groups {
-		if gr == nil {
-			return nil, fmt.Errorf("dist: vertex %d has no plan node: %w", id, core.ErrInternal)
-		}
-	}
-	return groups, nil
-}
-
 // run is the per-execution state: one worker goroutine per shard fed by
 // a task queue, the lowered physical plan being executed, the optional
 // tracer, and the typed meters the run's Report is built from.
@@ -77,8 +24,8 @@ type run struct {
 	cl      costmodel.Cluster // per-tuple size bounds
 	ctx     context.Context
 	pl      *plan.Plan
-	groups  []*planGroup
-	st      *engine.Storage // what this run's compute groups and re-layouts produced
+	steps   []plan.Step     // pl.Steps(): the units of scheduling and recovery
+	st      *engine.Storage // what this run's steps and exchanges produced
 	tasks   []chan func()
 	workers sync.WaitGroup
 
@@ -107,7 +54,7 @@ type run struct {
 type exec struct {
 	*run
 	attempt int
-	wire    []engine.Tuple // what this attempt's exchanges received as copies of their own
+	wire    []*engine.Relation // per exchange, the copies it received over a wire; owned on arrival
 	span    *obs.Span
 	kernAcc atomic.Int64 // kernel ns accumulated by this attempt, for its span
 }
@@ -129,13 +76,13 @@ func (x *exec) Kern() tensor.K {
 // and leaves the exact operation count to the sequential engine's Stats.
 func (x *exec) Flops(int64) {}
 
-func newRun(cfg Config, cl costmodel.Cluster, ctx context.Context, p *plan.Plan, groups []*planGroup) *run {
+func newRun(cfg Config, cl costmodel.Cluster, ctx context.Context, p *plan.Plan) *run {
 	r := &run{
 		cfg:     cfg,
 		cl:      cl,
 		ctx:     ctx,
 		pl:      p,
-		groups:  groups,
+		steps:   p.Steps(),
 		tr:      cfg.Tracer,
 		st:      engine.NewStorage(),
 		tasks:   make([]chan func(), cfg.Shards),
@@ -164,7 +111,7 @@ func newRun(cfg Config, cl costmodel.Cluster, ctx context.Context, p *plan.Plan,
 }
 
 // stop shuts the run down leak-free once execute has returned: every
-// attempt runs on its group's goroutine, which execute waits for, so no
+// attempt runs on its step's goroutine, which execute waits for, so no
 // task can be submitted after the shard queues close.
 func (r *run) stop() {
 	for _, ch := range r.tasks {
@@ -233,63 +180,54 @@ func (r *run) On(shard int, fn func() error) error {
 	return err
 }
 
-// execute schedules the dataflow DAG: every recovery group whose inputs
-// are ready is launched concurrently, and a completed group drops
-// inputs whose last consumer has now run (retained vertices are kept).
-// A compute group's output is owned by the run's Storage, so a dropped
-// one goes back to the tensor free list: every exchange has returned
-// with its producers, so nothing reads it once its last consumer is done.
-// The first error wins: nothing further launches, and execute returns
-// it once every group in flight has reported. Returns the retained
-// relations and the peak resident bytes.
+// execute schedules the dataflow DAG: every step whose inputs are ready
+// is launched concurrently, and a completed step drops the inputs whose
+// plan.Consumers count it brought to zero — their last consumer has run,
+// and a retained vertex's count never gets there. A compute step's
+// output is owned by the run's Storage, so a dropped one goes back to
+// the tensor free list: every exchange has returned with its producers,
+// so nothing reads it once its last consumer is done. The first error
+// wins: nothing further launches, and execute returns it once every step
+// in flight has reported. Returns the retained relations and the peak
+// resident bytes.
 func (r *run) execute(inputs map[string]*tensor.Dense) (rels map[int]*engine.Relation, peak int64, err error) {
-	refs := make(map[int]int, len(r.groups))
-	for _, gr := range r.groups {
-		for _, dep := range gr.deps {
-			refs[dep]++
-		}
-	}
-	retain := make(map[int]bool, len(r.pl.Retained))
-	for _, id := range r.pl.Retained {
-		retain[id] = true
-	}
-
+	refs := r.pl.Consumers()
 	type result struct {
 		id  int
 		rel *engine.Relation
 		err error
 	}
 	results := make(chan result)
-	rels = make(map[int]*engine.Relation, len(r.groups))
-	launched := make(map[int]bool, len(r.groups))
+	rels = make(map[int]*engine.Relation, len(r.steps))
+	launched := make([]bool, len(r.steps))
 	var failed error
 	var resident int64
 	inFlight, completed := 0, 0
 
-	ready := func(gr *planGroup) bool {
-		if launched[gr.vertex] {
+	ready := func(v int) bool {
+		if launched[v] {
 			return false
 		}
-		for _, dep := range gr.deps {
+		for _, dep := range r.steps[v].Deps {
 			if _, ok := rels[dep]; !ok {
 				return false
 			}
 		}
 		return true
 	}
-	launch := func(gr *planGroup) {
-		launched[gr.vertex] = true
+	launch := func(v int) {
+		launched[v] = true
 		// Snapshot input relations now: ref counts guarantee they stay
 		// alive until this consumer completes.
-		ins := make([]*engine.Relation, len(gr.deps))
-		for j, dep := range gr.deps {
+		ins := make([]*engine.Relation, len(r.steps[v].Deps))
+		for j, dep := range r.steps[v].Deps {
 			ins[j] = rels[dep]
 		}
 		inFlight++
-		go func(gr *planGroup) {
-			rel, err := r.runGroup(gr, ins, inputs)
-			results <- result{id: gr.vertex, rel: rel, err: err}
-		}(gr)
+		go func() {
+			rel, err := r.runStep(r.steps[v], ins, inputs)
+			results <- result{id: v, rel: rel, err: err}
+		}()
 	}
 
 	for {
@@ -297,9 +235,9 @@ func (r *run) execute(inputs map[string]*tensor.Dense) (rels map[int]*engine.Rel
 			if err := r.ctx.Err(); err != nil {
 				failed = fmt.Errorf("dist: execution aborted: %w", err)
 			} else {
-				for _, gr := range r.groups {
-					if ready(gr) {
-						launch(gr)
+				for v := range r.steps {
+					if ready(v) {
+						launch(v)
 					}
 				}
 			}
@@ -319,9 +257,8 @@ func (r *run) execute(inputs map[string]*tensor.Dense) (rels map[int]*engine.Rel
 		completed++
 		resident += res.rel.Bytes()
 		peak = max(peak, resident)
-		for _, dep := range r.groups[res.id].deps {
-			refs[dep]--
-			if refs[dep] == 0 && !retain[dep] {
+		for _, dep := range r.steps[res.id].Deps {
+			if refs[dep]--; refs[dep] == 0 {
 				resident -= rels[dep].Bytes()
 				r.st.Free(rels[dep])
 				delete(rels, dep)
@@ -331,81 +268,38 @@ func (r *run) execute(inputs map[string]*tensor.Dense) (rels map[int]*engine.Rel
 	if failed != nil {
 		return nil, peak, failed
 	}
-	if completed != len(r.groups) {
+	if completed != len(r.steps) {
 		return nil, peak, fmt.Errorf("dist: scheduler stalled with %d of %d vertices executed: %w",
-			completed, len(r.groups), core.ErrInternal)
+			completed, len(r.steps), core.ErrInternal)
 	}
 	return rels, peak, nil
 }
 
-// execGroup runs one recovery group's plan nodes through the operator
-// table with this attempt as the Mover: the scan for sources, otherwise
-// the fused re-layout nodes followed by the compute node's operator,
-// whose output the run's Storage then owns. What else the attempt made —
-// a re-layout output that is not its input, and the copies its exchanges
-// received over a wire — is its alone, so once the compute has
-// succeeded it goes back to the free list, less what the output holds.
-func (x *exec) execGroup(gr *planGroup, ins []*engine.Relation, inputs map[string]*tensor.Dense) (*engine.Relation, error) {
+// execStep is one attempt at a step: the context check, the fault claim,
+// engine.RunStep with this attempt as the Mover, and then the release of
+// the copies the attempt's exchanges received over a wire — its own, so
+// they go back to the free list, less what a relation still holds.
+func (x *exec) execStep(s plan.Step, ins []*engine.Relation, inputs map[string]*tensor.Dense) (*engine.Relation, error) {
 	defer func() {
 		if ns := x.kernAcc.Load(); ns > 0 {
 			x.span.SetInt("kernel_ns", ns)
 		}
 	}()
+	v := s.Node.Vertex
 	if err := x.ctx.Err(); err != nil {
-		return nil, fmt.Errorf("dist: execution aborted before vertex %d: %w", gr.vertex, err)
+		return nil, fmt.Errorf("dist: execution aborted before vertex %d: %w", v, err)
 	}
-	if f := x.cfg.FaultPlan.claim(gr.vertex, x.attempt); f != nil {
+	if f := x.cfg.FaultPlan.claim(v, x.attempt); f != nil {
 		x.faults.Add(1)
-		return nil, fmt.Errorf("dist: injected %v on shard %d: %w", *f, x.OwnerShard(gr.vertex), ErrShardFailed)
+		return nil, fmt.Errorf("dist: injected %v on shard %d: %w", *f, x.OwnerShard(v), ErrShardFailed)
 	}
-	n := gr.node
-	if n.Kind == plan.KindScan {
-		m, ok := inputs[n.Source]
-		if !ok {
-			return nil, fmt.Errorf("dist: no input matrix for source %q", n.Source)
-		}
-		if int64(m.Rows) != n.OutShape.Rows || int64(m.Cols) != n.OutShape.Cols {
-			return nil, fmt.Errorf("dist: input %q is %dx%d, graph declares %v",
-				n.Source, m.Rows, m.Cols, n.OutShape)
-		}
-		rel, err := engine.Scan(x, gr.vertex, m, n.OutFormat, x.cl.MaxTupleBytes)
-		if err != nil {
-			return nil, fmt.Errorf("dist: loading %q: %w", n.Source, err)
-		}
-		return rel, nil
+	out, err := engine.RunStep(x, x.st, s, ins, inputs, x.cl.MaxTupleBytes)
+	for _, w := range x.wire {
+		x.st.Free(w)
 	}
-	args := make([]*engine.Relation, len(ins))
-	for j, in := range ins {
-		if in == nil {
-			return nil, fmt.Errorf("dist: vertex %d input %d was freed early", gr.vertex, j)
-		}
-		args[j] = in
-	}
-	for j := range args {
-		if rn := gr.relayouts[j]; rn != nil {
-			var err error
-			args[j], err = engine.Relayout(x, gr.vertex, j, args[j], rn.OutFormat, x.cl.MaxTupleBytes)
-			if err != nil {
-				return nil, fmt.Errorf("dist: transforming input %d of vertex %d: %w", j, gr.vertex, err)
-			}
-			if args[j] != ins[j] {
-				x.st.Own(args[j])
-			}
-		}
-	}
-	out, err := engine.Compute(x, n, args)
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
-	x.st.Own(out)
-	wire := &engine.Relation{Parts: [][]engine.Tuple{x.wire}}
-	x.st.Own(wire)
-	for j, a := range args {
-		if a != ins[j] {
-			x.st.Free(a)
-		}
-	}
-	x.st.Free(wire)
 	return out, nil
 }
 

@@ -42,7 +42,7 @@ func serveWorker(t *testing.T, opts ...netfabric.ServerOption) string {
 // released when its last consumer completed — and those relations
 // collect to the sequential engine's bits. It checks the set, not
 // Report.PeakBytes, because the peak depends on the order concurrent
-// groups complete in.
+// steps complete in.
 func TestExecuteFreesAtLastConsumer(t *testing.T) {
 	addr := serveWorker(t)
 	cl := costmodel.LocalTest(3)
@@ -61,10 +61,6 @@ func TestExecuteFreesAtLastConsumer(t *testing.T) {
 		}
 		p := enginetest.Lower(t, env, ann)
 		want := enginetest.Run(t, engine.New(cl), p, inputs)
-		groups, err := buildGroups(p)
-		if err != nil {
-			t.Fatal(err)
-		}
 
 		for _, tpName := range []string{"chan", "tcp-local"} {
 			for _, shards := range []int{1, 2, 7} {
@@ -78,7 +74,7 @@ func TestExecuteFreesAtLastConsumer(t *testing.T) {
 					}
 					cfg.Transport = tp
 				}
-				r := newRun(cfg, cl, context.Background(), p, groups)
+				r := newRun(cfg, cl, context.Background(), p)
 				rels, _, err := r.execute(inputs)
 				r.stop()
 				if c, ok := cfg.Transport.(*netfabric.TCP); ok {

@@ -91,8 +91,9 @@ func (e *Engine) RunAdaptive(g *core.Graph, env *core.Env, inputs map[string]*te
 		// Run the sub-plan through the engine's node loop, publishing each
 		// computed relation under its ORIGINAL vertex ID, until the plan
 		// finishes or a density estimate drifts beyond threshold. res holds
-		// every published relation, so the plan's frees release nothing a
-		// re-optimization could want to resume from.
+		// every published relation, and a run with a computed hook owns no
+		// storage, so releasing a value recycles nothing a re-optimization
+		// could want to resume from.
 		drifted := false
 		_, err = e.interpret(context.Background(), p, inputs, preload, func(n *plan.Node, out *Relation) bool {
 			orig := back[n.Vertex]

@@ -16,7 +16,7 @@ func TestMeasuredDensity(t *testing.T) {
 	e := New(costmodel.LocalTest(3))
 	m := tensor.FromRows([][]float64{{1, 0}, {0, 2}})
 	for _, f := range []format.Format{format.NewSingle(), format.NewCSRSingle(), format.NewCOO()} {
-		r, err := e.Load(m, f)
+		r, err := load(e, m, f)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,12 +81,6 @@ func Chunk(m *tensor.Dense, f format.Format, maxTupleBytes int64) ([]Tuple, shap
 	return tuples, s, nil
 }
 
-// Load chunks a dense matrix into the given physical format as a
-// one-shard relation.
-func (e *Engine) Load(m *tensor.Dense, f format.Format) (*Relation, error) {
-	return e.produced(Scan(local{e}, 0, m, f, e.Cluster.MaxTupleBytes))
-}
-
 // Assemble reconstructs the dense matrix a relation stores, validating
 // that its tuples tile the shape exactly; tuple order does not matter
 // because every tuple writes a disjoint region (or, for COO, a distinct
@@ -161,16 +155,6 @@ func Collect(r *Relation) (*tensor.Dense, error) {
 
 // Collect is the package-level Collect, for the engine's own relations.
 func (e *Engine) Collect(r *Relation) (*tensor.Dense, error) { return Collect(r) }
-
-// Transform re-lays-out a relation into the target format — the
-// engine-level realization of the ROWMATRIX/COLMATRIX-style re-layouts;
-// see Relayout.
-func (e *Engine) Transform(r *Relation, target format.Format) (*Relation, error) {
-	if target == r.Format {
-		return r, nil
-	}
-	return e.produced(Relayout(local{e}, 0, 0, r, target, e.Cluster.MaxTupleBytes))
-}
 
 // sortTuples orders tuples by key for deterministic iteration; every
 // runtime relies on this order to make floating-point accumulation

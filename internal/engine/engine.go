@@ -98,8 +98,7 @@ func (r *Relation) Bytes() int64 {
 // moves nothing, the dist runtime meters real bytes in its Report, and
 // costmodel.Features holds the analytic volumes.
 type Stats struct {
-	Tuples int64 // tuples produced by loads, re-layouts and operators
-	FLOPs  int64 // floating-point operations executed
+	FLOPs int64 // floating-point operations executed
 }
 
 // Engine executes lowered plans sequentially; Cluster supplies the
@@ -114,8 +113,7 @@ type Engine struct {
 	// bit-identical at every setting.
 	KernelThreads int
 
-	tuples atomic.Int64
-	flops  atomic.Int64
+	flops atomic.Int64
 }
 
 // New returns an engine with the given cluster profile.
@@ -131,16 +129,7 @@ func (e *Engine) kern() tensor.K {
 
 // Stats returns a snapshot of the counters.
 func (e *Engine) Stats() Stats {
-	return Stats{Tuples: e.tuples.Load(), FLOPs: e.flops.Load()}
-}
-
-// produced counts a freshly produced relation's tuples into Stats.
-func (e *Engine) produced(r *Relation, err error) (*Relation, error) {
-	if err != nil {
-		return nil, err
-	}
-	e.tuples.Add(r.NumTuples())
-	return r, nil
+	return Stats{FLOPs: e.flops.Load()}
 }
 
 // String summarizes the relation — shape, format, tuple count — for

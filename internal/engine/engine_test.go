@@ -85,6 +85,18 @@ func checkPlan(t *testing.T, g *core.Graph, env *core.Env, ann *core.Annotation,
 	}
 }
 
+// load scans m into format f as a one-shard relation on the engine's
+// local mover.
+func load(e *Engine, m *tensor.Dense, f format.Format) (*Relation, error) {
+	return Scan(local{e}, 0, m, f, e.Cluster.MaxTupleBytes)
+}
+
+// relayout re-lays-out r into the target format on the engine's local
+// mover.
+func relayout(e *Engine, r *Relation, target format.Format) (*Relation, error) {
+	return Relayout(local{e}, 0, 0, r, target, e.Cluster.MaxTupleBytes)
+}
+
 // runOp runs one named operator of the table on the engine's one-shard
 // mover over already-loaded relations and collects the result.
 func runOp(t *testing.T, e *Engine, name string, o op.Op, outShape shape.Shape, rels []*Relation) *tensor.Dense {
@@ -113,7 +125,7 @@ func TestLoadCollectRoundTripAllFormats(t *testing.T) {
 		format.NewColStrip(100), format.NewCOO(), format.NewCSRSingle(),
 		format.NewCSRRowStrip(100),
 	} {
-		r, err := e.Load(m, f)
+		r, err := load(e, m, f)
 		if err != nil {
 			t.Fatalf("%v: %v", f, err)
 		}
@@ -134,13 +146,13 @@ func TestLoadCollectRoundTripAllFormats(t *testing.T) {
 func TestRelayoutOutOfSingleCopiesOnce(t *testing.T) {
 	const n = 512
 	e := New(costmodel.LocalTest(4))
-	r, err := e.Load(tensor.RandNormal(rand.New(rand.NewSource(3)), n, n), format.NewSingle())
+	r, err := load(e, tensor.RandNormal(rand.New(rand.NewSource(3)), n, n), format.NewSingle())
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Transform(r, format.NewRowStrip(128)); err != nil {
+			if _, err := relayout(e, r, format.NewRowStrip(128)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -154,7 +166,7 @@ func TestRelayoutOutOfSingleCopiesOnce(t *testing.T) {
 func TestLoadRejectsInvalidFormat(t *testing.T) {
 	e := New(costmodel.LocalTest(4))
 	m := tensor.NewDense(10, 10)
-	if _, err := e.Load(m, format.NewTile(1000)); err == nil {
+	if _, err := load(e, m, format.NewTile(1000)); err == nil {
 		t.Error("tile[1000] on a 10x10 matrix must fail to load")
 	}
 }
@@ -163,7 +175,7 @@ func TestTransformBetweenFormats(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	e := New(costmodel.LocalTest(4))
 	m := tensor.RandNormal(rng, 300, 500)
-	r, err := e.Load(m, format.NewTile(100))
+	r, err := load(e, m, format.NewTile(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +183,7 @@ func TestTransformBetweenFormats(t *testing.T) {
 		format.NewRowStrip(100), format.NewColStrip(100), format.NewSingle(),
 		format.NewCSRSingle(), format.NewTile(100),
 	} {
-		out, err := e.Transform(r, target)
+		out, err := relayout(e, r, target)
 		if err != nil {
 			t.Fatalf("to %v: %v", target, err)
 		}
@@ -242,11 +254,11 @@ func TestEveryMatMulExecutorAgainstReference(t *testing.T) {
 			am = aSparse
 			ref = wantSparse
 		}
-		ra, err := e.Load(am, c.fa)
+		ra, err := load(e, am, c.fa)
 		if err != nil {
 			t.Fatalf("%s: load a: %v", c.impl, err)
 		}
-		rb, err := e.Load(bMat, c.fb)
+		rb, err := load(e, bMat, c.fb)
 		if err != nil {
 			t.Fatalf("%s: load b: %v", c.impl, err)
 		}

@@ -21,7 +21,7 @@ func runExec(t *testing.T, name string, o op.Op, outShape shape.Shape, mats []*t
 	e := New(costmodel.LocalTest(4))
 	rels := make([]*Relation, len(mats))
 	for i := range mats {
-		r, err := e.Load(mats[i], fmts[i])
+		r, err := load(e, mats[i], fmts[i])
 		if err != nil {
 			t.Fatalf("%s: load %d: %v", name, i, err)
 		}
@@ -164,11 +164,11 @@ func TestStatsAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	e := New(costmodel.LocalTest(4))
 	m := tensor.RandNormal(rng, 200, 200)
-	ra, err := e.Load(m, format.NewSingle())
+	ra, err := load(e, m, format.NewSingle())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := e.Load(m, format.NewColStrip(100))
+	rb, err := load(e, m, format.NewColStrip(100))
 	if err != nil {
 		t.Fatal(err)
 	}

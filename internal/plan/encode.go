@@ -10,11 +10,12 @@ import (
 )
 
 // encodeVersion is the version of the plan document Encode writes: the
-// node listing alone. minEncodeVersion is the oldest Decode reads;
-// versions 1 to 3 are refused.
+// node listing alone, without the free nodes version 4 listed.
+// minEncodeVersion is the oldest Decode reads; versions 1 to 4 are
+// refused.
 const (
-	encodeVersion    = 4
-	minEncodeVersion = 4
+	encodeVersion    = 5
+	minEncodeVersion = 5
 )
 
 // planDTO is the serialized physical plan: a fingerprint binding it to
@@ -57,15 +58,11 @@ func Encode(p *Plan, env *core.Env) ([]byte, error) {
 		Nodes:       make([]nodeDTO, len(p.Nodes)),
 	}
 	for i, n := range p.Nodes {
-		d := nodeDTO{
+		dto.Nodes[i] = nodeDTO{
 			ID: n.ID, Kind: n.Kind.String(), Vertex: n.Vertex, Arg: n.Arg,
 			Name: n.Name, Source: n.Source, Inputs: n.Inputs,
-			Strategy: n.Strategy, Cost: n.Cost,
+			Format: n.OutFormat.String(), Strategy: n.Strategy, Cost: n.Cost,
 		}
-		if n.Kind != KindFree {
-			d.Format = n.OutFormat.String()
-		}
-		dto.Nodes[i] = d
 	}
 	return json.MarshalIndent(dto, "", "  ")
 }
@@ -108,7 +105,7 @@ func Decode(g *core.Graph, env *core.Env, data []byte) (*Plan, error) {
 			return nil, bad("node %d in the payload (%s %q on vertex %d) does not match the lowered plan",
 				i, d.Kind, d.Name, d.Vertex)
 		}
-		if n.Kind != KindFree && d.Format != n.OutFormat.String() {
+		if d.Format != n.OutFormat.String() {
 			return nil, bad("node %d format %q does not match lowered %v", i, d.Format, n.OutFormat)
 		}
 	}
@@ -139,9 +136,8 @@ func Decode(g *core.Graph, env *core.Env, data []byte) (*Plan, error) {
 // readDecisions reads the decision set out of a node listing into an
 // annotation holding implementations and transformations only: exactly
 // one compute node per non-source vertex, at most one relayout node per
-// input edge, every name a registered operator. Scan and free nodes
-// decide nothing; Decode's comparison with the lowered listing covers
-// them.
+// input edge, every name a registered operator. Scan nodes decide
+// nothing; Decode's comparison with the lowered listing covers them.
 func readDecisions(g *core.Graph, nodes []nodeDTO) (*core.Annotation, error) {
 	ann := core.NewAnnotation(g)
 	for _, d := range nodes {

@@ -275,27 +275,28 @@ func readFixture(t testing.TB, name string) []byte {
 	return data
 }
 
-// TestGoldenPlanBytes pins version 4: the fixture's plan must encode to
+// TestGoldenPlanBytes pins version 5: the fixture's plan must encode to
 // exactly the checked-in bytes. A change that moves them has changed the
 // plan document (or the plan) and must be deliberate: bump encodeVersion
-// if old payloads stop decoding, and rewrite testdata/chain.v4.json.
+// if old payloads stop decoding, and rewrite testdata/chain.v5.json.
 func TestGoldenPlanBytes(t *testing.T) {
 	_, env, p := chainFixture(t)
 	got, err := plan.Encode(p, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := readFixture(t, "chain.v4.json"); !bytes.Equal(got, want) {
-		t.Errorf("version 4 bytes moved; Encode now writes\n%s", got)
+	if want := readFixture(t, "chain.v5.json"); !bytes.Equal(got, want) {
+		t.Errorf("version 5 bytes moved; Encode now writes\n%s", got)
 	}
 }
 
 // TestDecodeRefusesVersion3: version 3 differed from 4 only by a node
-// mark nothing reads any more, and 4 is the floor, so the golden listing
-// relabelled as version 3 is refused rather than decoded.
+// mark nothing reads any more, 4 from 5 by the free nodes it listed, and
+// 5 is the floor, so the golden listing relabelled as version 3 is
+// refused rather than decoded.
 func TestDecodeRefusesVersion3(t *testing.T) {
 	g, env, _ := chainFixture(t)
-	v3 := tamper(t, readFixture(t, "chain.v4.json"), func(p *payload) { p.Version = 3 })
+	v3 := tamper(t, readFixture(t, "chain.v5.json"), func(p *payload) { p.Version = 3 })
 	if _, err := plan.Decode(g, env, v3); !errors.Is(err, plan.ErrInvalidPlan) {
 		t.Errorf("version 3: %v does not wrap ErrInvalidPlan", err)
 	}
@@ -333,7 +334,7 @@ func TestLowerIsBitReproducible(t *testing.T) {
 }
 
 // FuzzDecode feeds Decode arbitrary bytes for the fixture computation
-// (the seed corpus holds payloads of versions 1–4 and edits of them). It
+// (the seed corpus holds payloads of versions 1–5 and edits of them). It
 // must never panic; what it does not refuse — with ErrInvalidPlan or a
 // JSON error — must be a valid plan that encodes to a payload decoding
 // to the same plan.

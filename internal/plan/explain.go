@@ -11,9 +11,9 @@ import (
 // logical plan listing) with the fully resolved physical view.
 func (p *Plan) Explain() string {
 	var b strings.Builder
-	scans, relayouts, computes, frees := p.Counts()
-	fmt.Fprintf(&b, "physical plan: %d nodes (%d scans, %d re-layouts, %d computes, %d frees), predicted %.2fs\n",
-		len(p.Nodes), scans, relayouts, computes, frees, p.PredictedSeconds())
+	scans, relayouts, computes := p.Counts()
+	fmt.Fprintf(&b, "physical plan: %d nodes (%d scans, %d re-layouts, %d computes), predicted %.2fs\n",
+		len(p.Nodes), scans, relayouts, computes, p.PredictedSeconds())
 	for _, n := range p.Nodes {
 		switch n.Kind {
 		case KindScan:
@@ -25,8 +25,6 @@ func (p *Plan) Explain() string {
 		case KindCompute:
 			fmt.Fprintf(&b, "  n%-3d compute  v%-3d %-28s (%s) %v → %v [%.3fs]\n",
 				n.ID, n.Vertex, n.Name, n.Strategy, joinFormats(n.InFormats), n.OutFormat, n.Cost)
-		case KindFree:
-			fmt.Fprintf(&b, "  n%-3d free     v%-3d n%d\n", n.ID, n.Vertex, n.Inputs[0])
 		}
 	}
 	return b.String()

@@ -11,15 +11,14 @@ import (
 // Lower turns an optimizer annotation into a physical plan: one scan
 // node per source, one re-layout node per non-identity edge
 // transformation (emitted in argument order, so predicted costs fold in
-// the same order Simulate always summed them), one compute node per
-// non-source vertex, and free nodes releasing values after their last
-// consumer. Every cost and feature set is re-derived fresh from the
-// environment's model — the annotation's cost maps are not consulted, so
-// hand-built annotations with empty maps lower correctly.
+// the same order Simulate always summed them), and one compute node per
+// non-source vertex. Every cost and feature set is re-derived fresh from
+// the environment's model — the annotation's cost maps are not
+// consulted, so hand-built annotations with empty maps lower correctly.
 //
 // keep lists additional vertex IDs to retain on top of the sinks: their
-// values are never freed, so callers can collect chosen intermediates
-// after executing the plan.
+// values are never released (Consumers), so callers can collect chosen
+// intermediates after executing the plan.
 //
 // Lowering fails with the paper's ⊥ ("Fail") when a chosen
 // transformation or implementation rejects its inputs on this cluster —
@@ -37,13 +36,7 @@ func Lower(g *core.Graph, env *core.Env, ann *core.Annotation, keep ...int) (*Pl
 		NodeOfVertex: make([]int, len(g.Vertices)),
 		OptSeconds:   ann.OptSeconds,
 	}
-	refs := make([]int, len(g.Vertices))
 	retain := make([]bool, len(g.Vertices))
-	for _, v := range g.Vertices {
-		for _, in := range v.Ins {
-			refs[in.ID]++
-		}
-	}
 	for _, v := range g.Sinks() {
 		retain[v.ID] = true
 	}
@@ -121,26 +114,6 @@ func Lower(g *core.Graph, env *core.Env, ann *core.Annotation, keep ...int) (*Pl
 			PeakWorkerBytes: iout.PeakWorkerBytes, Strategy: im.Strategy(),
 		})
 		p.NodeOfVertex[v.ID] = cn.ID
-		// Re-layout temporaries have exactly one consumer — this vertex —
-		// so they are released immediately after it runs.
-		for _, id := range inputNodes {
-			if t := p.Nodes[id]; t.Kind == KindRelayout {
-				push(&Node{
-					Kind: KindFree, Vertex: t.Vertex, Arg: t.Arg, Name: "free",
-					Inputs: []int{t.ID}, Strategy: "free",
-				})
-			}
-		}
-		// Release producers whose last consumer just ran.
-		for _, in := range v.Ins {
-			refs[in.ID]--
-			if refs[in.ID] == 0 && !retain[in.ID] {
-				push(&Node{
-					Kind: KindFree, Vertex: in.ID, Name: "free",
-					Inputs: []int{p.NodeOfVertex[in.ID]}, Strategy: "free",
-				})
-			}
-		}
 	}
 	for id, keep := range retain {
 		if keep {

@@ -1,8 +1,8 @@
 // Package plan defines the serializable physical-plan IR shared by every
 // execution engine. Lowering turns an optimizer annotation
 // (core.Annotation) into an explicit DAG of physical operators — scan,
-// re-layout transform, compute (broadcast/shuffle/co-partition join,
-// group-by-SUM aggregate, map, local), and free — with every format,
+// re-layout transform, and compute (broadcast/shuffle/co-partition join,
+// group-by-SUM aggregate, map, local) — with every format,
 // implementation, and transformation decision resolved up front. The
 // sequential engine, the simulator, the adaptive executor, and the
 // sharded dist runtime all execute this one IR instead of re-interpreting
@@ -11,10 +11,12 @@
 //
 // The IR is deliberately engine-invariant: Lower takes no engine kind and
 // no shard count, so one lowered plan (and one plan-cache entry) is valid
-// under any engine. Engines differ only in scheduling policy — the
-// sequential engine interprets nodes in linear order, while the dist
-// runtime fuses each compute node with its feeding re-layout nodes into a
-// per-vertex recovery group that it can retry as a unit.
+// under any engine. Both runtimes run a plan as its Steps — one per
+// vertex: the producing node with the re-layouts fused into its input
+// edges — and release a value when its count in Consumers reaches zero.
+// They differ only in scheduling policy: the sequential engine runs the
+// steps in order, the dist runtime runs every ready step concurrently
+// and retries a failed one as a unit.
 package plan
 
 import (
@@ -39,8 +41,6 @@ const (
 	// KindCompute runs one atomic computation under a chosen physical
 	// implementation.
 	KindCompute
-	// KindFree releases a value whose last consumer has executed.
-	KindFree
 )
 
 // String returns the node kind's lower-case name.
@@ -52,8 +52,6 @@ func (k Kind) String() string {
 		return "relayout"
 	case KindCompute:
 		return "compute"
-	case KindFree:
-		return "free"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -68,22 +66,20 @@ type Node struct {
 	Kind Kind
 	// Vertex is the logical graph vertex this node belongs to: the
 	// producing vertex for scans and computes, the consuming vertex for
-	// re-layouts (they live on an input edge), and the vertex whose
-	// value is released for frees.
+	// re-layouts (they live on an input edge).
 	Vertex int
 	// Arg is the consumer's input position for re-layout nodes; zero
 	// otherwise.
 	Arg int
 	// Name is the physical operator name: the implementation name for
-	// computes, the transformation name for re-layouts, "load" for
-	// scans, and "free" for frees.
+	// computes, the transformation name for re-layouts, and "load" for
+	// scans.
 	Name string
 	// Source is the source matrix name for scan nodes.
 	Source string
 	// Op is the atomic computation for compute nodes.
 	Op op.Op
-	// Inputs are the IDs of the nodes whose values this node consumes
-	// (for frees: the single node whose value is released).
+	// Inputs are the IDs of the nodes whose values this node consumes.
 	Inputs []int
 	// InFormats are the physical formats the node requires of its
 	// inputs, aligned with Inputs.
@@ -102,7 +98,7 @@ type Node struct {
 	PeakWorkerBytes float64
 	// Strategy is the operator's physical strategy class: "scan",
 	// "re-layout", "local", "map", "broadcast-join", "shuffle-join",
-	// "co-partition-join", "group-by-sum", or "free".
+	// "co-partition-join" or "group-by-sum".
 	Strategy string
 }
 
@@ -136,8 +132,8 @@ func (p *Plan) PredictedSeconds() float64 {
 	return s
 }
 
-// Counts returns the number of scan, re-layout, compute, and free nodes.
-func (p *Plan) Counts() (scans, relayouts, computes, frees int) {
+// Counts returns the number of scan, re-layout and compute nodes.
+func (p *Plan) Counts() (scans, relayouts, computes int) {
 	for _, n := range p.Nodes {
 		switch n.Kind {
 		case KindScan:
@@ -146,9 +142,59 @@ func (p *Plan) Counts() (scans, relayouts, computes, frees int) {
 			relayouts++
 		case KindCompute:
 			computes++
-		case KindFree:
-			frees++
 		}
 	}
 	return
+}
+
+// Step is one vertex's unit of execution and recovery — the paper's
+// per-vertex choice of an implementation and one transformation per
+// in-edge: the vertex's producing node, the re-layout fused into each of
+// its arguments, and the vertex each argument reads.
+type Step struct {
+	// Node is the vertex's producing node: a scan or a compute.
+	Node *Node
+	// Relayouts holds, per compute argument, the re-layout node the
+	// argument passes through, nil on an identity edge.
+	Relayouts []*Node
+	// Deps holds, per compute argument, the vertex the argument reads.
+	Deps []int
+}
+
+// Steps returns one step per vertex of a validated plan: Steps()[v] is
+// vertex v's, and that order is an execution order.
+func (p *Plan) Steps() []Step {
+	steps := make([]Step, len(p.Graph.Vertices))
+	for v, id := range p.NodeOfVertex {
+		n := p.Nodes[id]
+		s := Step{Node: n, Relayouts: make([]*Node, len(n.Inputs)), Deps: make([]int, len(n.Inputs))}
+		for j, in := range n.Inputs {
+			src := p.Nodes[in]
+			if src.Kind == KindRelayout {
+				s.Relayouts[j] = src
+				src = p.Nodes[src.Inputs[0]]
+			}
+			s.Deps[j] = src.Vertex
+		}
+		steps[v] = s
+	}
+	return steps
+}
+
+// Consumers is the one liveness rule of both runtimes: for each vertex,
+// the number of steps that read it, plus one if it is retained. A
+// runtime decrements a vertex's count once per dep of each step it has
+// completed and releases the value when the count reaches zero — after
+// its last consumer, and never for a retained vertex.
+func (p *Plan) Consumers() []int {
+	refs := make([]int, len(p.Graph.Vertices))
+	for _, s := range p.Steps() {
+		for _, d := range s.Deps {
+			refs[d]++
+		}
+	}
+	for _, v := range p.Retained {
+		refs[v]++
+	}
+	return refs
 }

@@ -3,6 +3,9 @@ package plan_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"matopt/internal/core"
@@ -11,6 +14,7 @@ import (
 	"matopt/internal/op"
 	"matopt/internal/plan"
 	"matopt/internal/shape"
+	"matopt/internal/workload"
 )
 
 // lowered builds a small multi-op DAG — a matmul, a ReLU, and an
@@ -75,19 +79,13 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		{"unknown transformation", func(t *testing.T, p *plan.Plan) {
 			p.Nodes[firstOfKind(t, p, plan.KindRelayout)].Name = "teleport"
 		}},
-		{"double free", func(t *testing.T, p *plan.Plan) {
-			f := p.Nodes[firstOfKind(t, p, plan.KindFree)]
-			p.Nodes = append(p.Nodes, &plan.Node{
-				ID: len(p.Nodes), Kind: plan.KindFree, Vertex: f.Vertex,
-				Name: "free", Inputs: []int{f.Inputs[0]}, Strategy: "free",
-			})
-		}},
-		{"free of a retained sink", func(t *testing.T, p *plan.Plan) {
-			sink := p.Retained[len(p.Retained)-1]
-			p.Nodes = append(p.Nodes, &plan.Node{
-				ID: len(p.Nodes), Kind: plan.KindFree, Vertex: sink,
-				Name: "free", Inputs: []int{p.NodeOfVertex[sink]}, Strategy: "free",
-			})
+		{"re-layout read by another vertex", func(t *testing.T, p *plan.Plan) {
+			// The inverse's re-layout, relabelled as an edge into the
+			// ReLU: the inverse's compute now reads another vertex's
+			// re-layout, and no step could hold it.
+			r := p.Nodes[firstOfKind(t, p, plan.KindRelayout)]
+			relu := p.Nodes[firstOfKind(t, p, plan.KindCompute)+1]
+			r.Vertex = relu.Vertex
 		}},
 		{"scan of a non-source vertex", func(t *testing.T, p *plan.Plan) {
 			s := p.Nodes[firstOfKind(t, p, plan.KindScan)]
@@ -121,8 +119,8 @@ func TestValidateCatchesCorruption(t *testing.T) {
 
 // TestEncodeDecodeRejectsTampering checks the serialized plan's
 // integrity story: a clean payload round-trips, while a tampered node
-// listing, a foreign environment, or a wire version other than 3 or 4
-// are all rejected with ErrInvalidPlan.
+// listing, a foreign environment, or a wire version other than 5 are
+// all rejected with ErrInvalidPlan.
 func TestEncodeDecodeRejectsTampering(t *testing.T) {
 	g, env, p := lowered(t)
 	data, err := plan.Encode(p, env)
@@ -150,9 +148,10 @@ func TestEncodeDecodeRejectsTampering(t *testing.T) {
 	// Tampering with the node listing after serialization.
 	expectInvalid("tampered operator name", bytes.Replace(data, []byte(`"name": "load"`), []byte(`"name": "leak"`), 1), g, env)
 	// A wire version outside the range: unknown, or one nothing reads
-	// any more (1 and 2 nested an annotation beside the listing).
-	for _, v := range []string{"99", "5", "1", "2", "0"} {
-		expectInvalid("version "+v, bytes.Replace(data, []byte(`"version": 4`), []byte(`"version": `+v), 1), g, env)
+	// any more (1 and 2 nested an annotation beside the listing, 4
+	// listed free nodes).
+	for _, v := range []string{"99", "6", "4", "1", "2", "0"} {
+		expectInvalid("version "+v, bytes.Replace(data, []byte(`"version": 5`), []byte(`"version": `+v), 1), g, env)
 	}
 }
 
@@ -169,14 +168,99 @@ func TestLowerMatchesAnnotationCost(t *testing.T) {
 	if got, want := p.PredictedSeconds(), ann.Total(); got != want {
 		t.Fatalf("lowered plan predicts %v seconds, annotation totals %v", got, want)
 	}
-	scans, relayouts, computes, frees := p.Counts()
+	scans, relayouts, computes := p.Counts()
 	if scans != 3 || computes != 3 {
 		t.Fatalf("expected 3 scans and 3 computes, got %d and %d", scans, computes)
 	}
 	if relayouts == 0 {
 		t.Fatal("the tiled inverse input must lower to a re-layout node")
 	}
-	if frees == 0 {
-		t.Fatal("plan frees nothing; intermediate values would never be released")
+}
+
+// TestConsumersReleaseAtLastConsumer walks each plan's Steps in order,
+// decrementing Consumers once per dep of every step, as both runtimes
+// do. Every value that is not retained must be released exactly once,
+// right after the step of its last consumer in the graph — where
+// lowering used to place a free node — and no retained value ever.
+func TestConsumersReleaseAtLastConsumer(t *testing.T) {
+	type lowering struct {
+		name string
+		p    *plan.Plan
+	}
+	_, _, small := lowered(t)
+	plans := []lowering{{"lowered", small}}
+	env := core.NewEnv(costmodel.EC2R5D(10), format.All())
+	for _, spec := range []workload.Spec{
+		{Workload: "chain"}, {Workload: "ffnn3", Scale: 200}, {Workload: "inverse"},
+	} {
+		g, err := spec.Normalized().Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ann, err := core.Optimize(g, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Once as lowered, and once keeping the first intermediate,
+		// which has consumers of its own.
+		inter := slices.IndexFunc(g.Vertices, func(v *core.Vertex) bool { return !v.IsSource && len(v.Outs) > 0 })
+		for _, keep := range [][]int{nil, {inter}} {
+			p, err := plan.Lower(g, env, ann, keep...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans = append(plans, lowering{fmt.Sprintf("%s keep %v", spec.Workload, keep), p})
+		}
+	}
+	for _, l := range plans {
+		g := l.p.Graph
+		// The old way: graph in-edges counted, the sinks and kept
+		// vertices retained, a value freed after the vertex whose
+		// in-edges bring its count to zero.
+		refs := make([]int, len(g.Vertices))
+		for _, v := range g.Vertices {
+			for _, in := range v.Ins {
+				refs[in.ID]++
+			}
+		}
+		retained := make(map[int]bool)
+		for _, id := range l.p.Retained {
+			retained[id] = true
+		}
+		want := make(map[int]int) // vertex → the step after which it is freed
+		for _, v := range g.Vertices {
+			for _, in := range v.Ins {
+				if refs[in.ID]--; refs[in.ID] == 0 && !retained[in.ID] {
+					want[in.ID] = v.ID
+				}
+			}
+		}
+
+		got := make(map[int]int)
+		count := l.p.Consumers()
+		for v, s := range l.p.Steps() {
+			if s.Node.Vertex != v {
+				t.Fatalf("%s: step %d runs vertex %d's node", l.name, v, s.Node.Vertex)
+			}
+			for _, d := range s.Deps {
+				if count[d]--; count[d] == 0 {
+					if prev, twice := got[d]; twice {
+						t.Fatalf("%s: v%d released after step %d and again after step %d", l.name, d, prev, v)
+					}
+					got[d] = v
+				}
+			}
+		}
+		for id := range retained {
+			if at, ok := got[id]; ok {
+				t.Errorf("%s: retained v%d released after step %d", l.name, id, at)
+			}
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("%s: released after steps %v, want %v", l.name, got, want)
+		}
+		if len(want)+len(retained) != len(g.Vertices) {
+			t.Errorf("%s: %d released and %d retained of %d vertices", l.name, len(want), len(retained), len(g.Vertices))
+		}
 	}
 }

@@ -10,9 +10,10 @@ import (
 
 // ErrInvalidPlan reports a physical plan that fails pre-execution
 // validation: a dangling node reference, a producer/consumer format
-// mismatch, a use after free, or an unknown physical operator. Every
-// engine runs Validate before executing a plan, so a corrupted or
-// hand-edited serialized plan is rejected before any data moves.
+// mismatch, a re-layout outside its own edge, or an unknown physical
+// operator. Every engine runs Validate before executing a plan, so a
+// corrupted or hand-edited serialized plan is rejected before any data
+// moves.
 var ErrInvalidPlan = errors.New("plan: invalid physical plan")
 
 // bad returns an error wrapping ErrInvalidPlan: what Validate and Decode
@@ -23,20 +24,17 @@ func bad(f string, args ...any) error {
 
 // Validate checks the structural and format soundness of the plan
 // without touching data or the cost model: nodes are topologically
-// ordered, every input reference points at an earlier live value, every
-// producer's output format matches the consumer's required input format,
-// frees target live values, retained vertices are never freed, and every
-// compute and re-layout names a known physical operator. It returns nil
-// or an error wrapping ErrInvalidPlan.
+// ordered, every producer's output format matches the consumer's
+// required input format, every re-layout reads a vertex's value and is
+// read at most once, by its own vertex's compute at its own argument,
+// every vertex has one producing node, and every compute and re-layout
+// names a known physical operator — so Steps cannot fail on a plan that
+// passes. It returns nil or an error wrapping ErrInvalidPlan.
 func (p *Plan) Validate() error {
 	if p == nil || p.Graph == nil {
 		return bad("nil plan or graph")
 	}
-	retained := make(map[int]bool, len(p.Retained))
-	for _, id := range p.Retained {
-		retained[id] = true
-	}
-	live := make([]bool, len(p.Nodes))
+	read := make([]bool, len(p.Nodes))                   // re-layouts read by their compute
 	produced := make(map[int]int, len(p.Graph.Vertices)) // vertex → producing node
 	for i, n := range p.Nodes {
 		if n == nil {
@@ -52,11 +50,8 @@ func (p *Plan) Validate() error {
 			if in < 0 || in >= i {
 				return bad("node %d references node %d out of topological order", i, in)
 			}
-			if !live[in] {
-				return bad("node %d uses node %d after it was freed", i, in)
-			}
 		}
-		if n.Kind != KindFree && len(n.InFormats) != len(n.Inputs) {
+		if len(n.InFormats) != len(n.Inputs) {
 			return bad("node %d has %d input formats for %d inputs", i, len(n.InFormats), len(n.Inputs))
 		}
 		switch n.Kind {
@@ -69,7 +64,6 @@ func (p *Plan) Validate() error {
 				return bad("scan node %d loads %v, source %d declares %v", i, n.OutFormat, v.ID, v.SrcFormat)
 			}
 			produced[n.Vertex] = i
-			live[i] = true
 		case KindRelayout:
 			if len(n.Inputs) != 1 {
 				return bad("re-layout node %d has %d inputs, want 1", i, len(n.Inputs))
@@ -77,38 +71,36 @@ func (p *Plan) Validate() error {
 			if trans.ByName(n.Name) == nil {
 				return bad("re-layout node %d names unknown transformation %q", i, n.Name)
 			}
-			if got := p.Nodes[n.Inputs[0]].OutFormat; got != n.InFormats[0] {
-				return bad("re-layout node %d expects %v, producer node %d emits %v",
-					i, n.InFormats[0], n.Inputs[0], got)
+			src := p.Nodes[n.Inputs[0]]
+			if src.Kind == KindRelayout {
+				return bad("re-layout node %d reads re-layout node %d, not a vertex value", i, src.ID)
 			}
-			live[i] = true
+			if src.OutFormat != n.InFormats[0] {
+				return bad("re-layout node %d expects %v, producer node %d emits %v",
+					i, n.InFormats[0], src.ID, src.OutFormat)
+			}
 		case KindCompute:
 			if impl.ByName(n.Name) == nil {
 				return bad("compute node %d names unknown implementation %q", i, n.Name)
 			}
 			for j, in := range n.Inputs {
-				if got := p.Nodes[in].OutFormat; got != n.InFormats[j] {
+				src := p.Nodes[in]
+				if got := src.OutFormat; got != n.InFormats[j] {
 					return bad("compute node %d (vertex %d) arg %d expects %v, producer node %d emits %v",
 						i, n.Vertex, j, n.InFormats[j], in, got)
+				}
+				if src.Kind == KindRelayout {
+					if read[in] || src.Vertex != n.Vertex || src.Arg != j {
+						return bad("re-layout node %d (vertex %d arg %d) is read by vertex %d arg %d",
+							in, src.Vertex, src.Arg, n.Vertex, j)
+					}
+					read[in] = true
 				}
 			}
 			if prev, dup := produced[n.Vertex]; dup {
 				return bad("vertex %d produced by both node %d and node %d", n.Vertex, prev, i)
 			}
 			produced[n.Vertex] = i
-			live[i] = true
-		case KindFree:
-			if len(n.Inputs) != 1 {
-				return bad("free node %d has %d targets, want 1", i, len(n.Inputs))
-			}
-			t := p.Nodes[n.Inputs[0]]
-			if t.Kind == KindFree {
-				return bad("free node %d targets free node %d", i, t.ID)
-			}
-			if (t.Kind == KindScan || t.Kind == KindCompute) && retained[t.Vertex] {
-				return bad("free node %d releases retained vertex %d", i, t.Vertex)
-			}
-			live[n.Inputs[0]] = false
 		default:
 			return bad("node %d has unknown kind %d", i, uint8(n.Kind))
 		}
@@ -128,9 +120,6 @@ func (p *Plan) Validate() error {
 	for _, id := range p.Retained {
 		if id < 0 || id >= len(p.Graph.Vertices) {
 			return bad("retained vertex %d outside the graph", id)
-		}
-		if !live[produced[id]] {
-			return bad("retained vertex %d was freed", id)
 		}
 	}
 	return nil

@@ -138,28 +138,11 @@ func TestFFNNBackpropSmallScaleNumerics(t *testing.T) {
 	if w3New < 0 {
 		t.Fatal("no W3 update vertex found")
 	}
-	got, err := eng.Collect(mustRel(t, outs, w3New, eng, ann))
-	if err != nil {
-		t.Fatal(err)
+	got, ok := outs[w3New]
+	if !ok {
+		t.Fatalf("vertex %d is not a sink", w3New)
 	}
 	if diff := tensor.MaxAbsDiff(got, wantW3); diff > 1e-7 {
 		t.Errorf("updated W3 deviates by %g", diff)
 	}
-}
-
-// mustRel fetches a non-sink vertex's relation by re-running; sinks are
-// already collected in outs.
-func mustRel(t *testing.T, outs map[int]*tensor.Dense, id int, eng *engine.Engine, ann *core.Annotation) *engine.Relation {
-	t.Helper()
-	if _, ok := outs[id]; ok {
-		// Already dense; wrap it back into a single relation for the
-		// common Collect path.
-		r, err := eng.Load(outs[id], format.NewSingle())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	t.Fatalf("vertex %d is not a sink", id)
-	return nil
 }
