@@ -9,7 +9,8 @@ import (
 )
 
 // mulDenseRef is the loop MulDenseK ran before tensor.Axpy became its
-// body, with the product rounded before the add (KERNELS.md §2, Rule 3).
+// body, with each product fused into its add by math.FMA, one rounding
+// (KERNELS.md §2, Rule 3).
 func mulDenseRef(m *CSR, b *tensor.Dense) *tensor.Dense {
 	out := tensor.NewDense(m.Rows, b.Cols)
 	for i := 0; i < m.Rows; i++ {
@@ -17,11 +18,44 @@ func mulDenseRef(m *CSR, b *tensor.Dense) *tensor.Dense {
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
 			av := m.Val[k]
 			for j, bv := range b.Data[m.ColIdx[k]*b.Cols : (m.ColIdx[k]+1)*b.Cols] {
-				orow[j] += float64(av * bv)
+				orow[j] = math.FMA(av, bv, orow[j])
 			}
 		}
 	}
 	return out
+}
+
+// TestMultiplyAddIsFused: MulDenseK rounds each multiply-add once on
+// both of its paths — the GEMM tile for a CSR that stores every cell, the
+// gather strip for one that does not. Row i of a is (−1, 1+2⁻²⁷), or
+// (−1, 0, 1+2⁻²⁷) with the zero not stored, and the rows of b those
+// entries read are 1 and 1−2⁻²⁷: every output element is fma(1+2⁻²⁷,
+// 1−2⁻²⁷, −1) = −2⁻⁵⁴, where a product rounded before its add leaves
+// +0. Thirteen rows and 167 columns cross the tile, half tile, remainder
+// row and edge tile, and the 128-, 32-, 4- and 1-column strips.
+func TestMultiplyAddIsFused(t *testing.T) {
+	const rows, width, want = 13, 128 + 32 + 4 + 3, -0x1p-54
+	for _, inner := range []int{2, 3} {
+		d, b := tensor.NewDense(rows, inner), tensor.NewDense(inner, width)
+		for i := 0; i < rows; i++ {
+			d.Set(i, 0, -1)
+			d.Set(i, inner-1, 1+0x1p-27)
+		}
+		for j := 0; j < width; j++ {
+			b.Set(0, j, 1)
+			b.Set(inner-1, j, 1-0x1p-27)
+		}
+		a := FromDense(d)
+		full := a.NNZ() == rows*inner
+		if full != (inner == 2) {
+			t.Fatalf("inner %d: operand stores %d cells", inner, a.NNZ())
+		}
+		for i, v := range a.MulDenseK(tensor.K{Threads: 1}, b).Data {
+			if math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("inner %d (every cell stored: %v): element %d = %g, want one rounding's %g", inner, full, i, v, want)
+			}
+		}
+	}
 }
 
 // TestCSRDenseProductsMatchScalarLoops: widths on both sides of the

@@ -45,7 +45,8 @@ func (m *CSR) avgRowWork(width int) int {
 // stored entries, cb keeps the tile at 32 KiB in whole strips. Column indices
 // ascend within a row, so a block's entries are a contiguous run that a
 // per-row cursor walks once per column block, and every output element
-// still adds its rounded products in ascending stored-entry order. The
+// still fuses its products into its sum in ascending stored-entry
+// order, one rounding each. The
 // output may come dirty off the free list (tensor.DrawAccumulator): a
 // chunk then clears its rows' share of a column block right before it
 // accumulates into it.
@@ -53,8 +54,9 @@ func (m *CSR) avgRowWork(width int) int {
 // A CSR that stores every cell is a dense matrix: its columns ascend,
 // so Val is already its row-major data, and the product runs on the
 // GEMM register tile instead. That is the same operation sequence per
-// element (KERNELS.md §2) — start at +0, add every rounded product in
-// ascending k — and no cell is missing for a zero-skip to differ on.
+// element (KERNELS.md §2) — start at +0, fuse every product into the
+// sum in ascending k — and no cell is missing for a zero-skip to differ
+// on.
 func (m *CSR) MulDenseK(kc tensor.K, b *tensor.Dense) *tensor.Dense {
 	if m.Cols != b.Rows {
 		shapePanic("MulDense", "inner dimensions must agree (a.Cols == b.Rows)",
@@ -116,7 +118,7 @@ func EstimateMatMulDensity(da, db float64, k int64) float64 {
 	if da >= 1 && db >= 1 {
 		return 1
 	}
-	p := float64(da * db) // rounded, so that 1−p cannot fuse: plans are priced with this (KERNELS.md §2, Rule 3)
+	p := float64(da * db) // rounded, so that 1−p cannot fuse: plans are priced with this, the same on every architecture (KERNELS.md §2, Rule 3)
 	// 1 − (1−p)^k without float underflow for tiny p·k.
 	if pk := p * float64(k); pk < 1e-6 {
 		return pk

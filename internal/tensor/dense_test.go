@@ -102,16 +102,16 @@ func TestMatMulIdentity(t *testing.T) {
 	}
 }
 
-// naiveMatMul is an unblocked reference implementation. The product is
-// rounded before it is added (KERNELS.md §2, Rule 3), so the reference
-// cannot be fused on an architecture where the kernels are not.
+// naiveMatMul is an unblocked reference implementation. Each product is
+// fused into its add with math.FMA, one rounding (KERNELS.md §2, Rule 3),
+// as every kernel body does on every architecture.
 func naiveMatMul(a, b *Dense) *Dense {
 	out := NewDense(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < b.Cols; j++ {
 			var s float64
 			for k := 0; k < a.Cols; k++ {
-				s += float64(a.At(i, k) * b.At(k, j))
+				s = math.FMA(a.At(i, k), b.At(k, j), s)
 			}
 			out.Set(i, j, s)
 		}

@@ -59,8 +59,8 @@ func (k K) gemm(dst, a, b *Dense, zero bool) {
 //
 // Determinism note: for every output element (i, j) the additions
 // happen in ascending k order — j panels are independent elements, and
-// within a j panel the k panels ascend — every product is rounded
-// before it is added, and there is deliberately no skip of zero
+// within a j panel the k panels ascend — every product is fused into
+// its add, one rounding, and there is deliberately no skip of zero
 // a-elements: a skipped `+= 0·b` is not a no-op for signed zeros, so
 // any data-dependent shortcut could make results depend on which code
 // path (register tile vs. remainder) an element lands in, which shifts

@@ -19,7 +19,8 @@ func RandSparse(rng *rand.Rand, r, c int, density float64) *Dense {
 	for i := range m.Data {
 		if rng.Float64() < density {
 			// The conversion rounds Float64's inlined scaling before
-			// the add (KERNELS.md §2, Rule 3).
+			// the add: only the kernel bodies fuse (KERNELS.md §2,
+			// Rule 3), and these are input bits.
 			m.Data[i] = float64(rng.Float64()) + 1e-9
 		}
 	}

@@ -27,15 +27,16 @@ var avx512 = binding{
 	gemmTile: gemmTile8x16AVX512, gemmHalfTile: gemmTile4x16AVX512, tileRows: 8, tileCols: 16,
 }
 
-// cpuHasAVX2 reports whether AVX2 instructions may be executed: CPUID
-// leaf 1 OSXSAVE and AVX, XCR0 SSE and AVX state saved by the OS, CPUID
-// leaf 7 AVX2.
+// cpuHasAVX2 reports whether AVX2 and FMA instructions may be executed:
+// CPUID leaf 1 FMA, OSXSAVE and AVX, XCR0 SSE and AVX state saved by the
+// OS, CPUID leaf 7 AVX2. Every assembler body is built on VFMADD231PD,
+// so a CPU with AVX2 but without FMA binds the portable bodies.
 func cpuHasAVX2() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
 	}
-	const osxsaveAVX = 1<<27 | 1<<28
-	if _, _, c, _ := cpuid(1, 0); c&osxsaveAVX != osxsaveAVX {
+	const fmaOSXSAVEAVX = 1<<12 | 1<<27 | 1<<28
+	if _, _, c, _ := cpuid(1, 0); c&fmaOSXSAVEAVX != fmaOSXSAVEAVX {
 		return false
 	}
 	_, b, _, _ := cpuid(7, 0)
@@ -60,8 +61,8 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // OSXSAVE may execute it.
 func xgetbv() uint32
 
-// axpyAVX2 is Axpy's YMM body: VMULPD then VADDPD, four lanes at a
-// time, VMULSD/VADDSD for the tail. len(y) must be at least len(x).
+// axpyAVX2 is Axpy's YMM body: VFMADD231PD four lanes at a time,
+// VFMADD231SD for the tail. len(y) must be at least len(x).
 //
 //go:noescape
 func axpyAVX2(a float64, x, y []float64)

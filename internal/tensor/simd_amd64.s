@@ -3,11 +3,11 @@
 #include "textflag.h"
 
 // The AVX2 (YMM) and AVX-512 (ZMM) bodies of the three multiply-
-// accumulate primitives. Every product is formed by VMULPD/VMULSD and
-// rounded, then added by VADDPD/VADDSD: the binary64 multiply and add of
-// MULSD/ADDSD under the same MXCSR, one independent output element per
-// lane, whatever the lane count. No fused multiply-add instruction may
-// appear in this file (`make nofma`).
+// accumulate primitives. Every multiply-accumulate is one
+// VFMADD231PD/VFMADD231SD into the accumulator: acc = a·b + acc rounded
+// once, the binary64 operation math.FMA specifies, one independent
+// output element per lane, whatever the lane count. No separate multiply
+// or add of a product may appear in this file (`make fma`).
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -37,14 +37,14 @@ TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
 loop16:
 	CMPQ CX, $16
 	JLT  loop4
-	VMULPD (SI), Y0, Y1
-	VMULPD 32(SI), Y0, Y2
-	VMULPD 64(SI), Y0, Y3
-	VMULPD 96(SI), Y0, Y4
-	VADDPD (DI), Y1, Y1
-	VADDPD 32(DI), Y2, Y2
-	VADDPD 64(DI), Y3, Y3
-	VADDPD 96(DI), Y4, Y4
+	VMOVUPD (DI), Y1
+	VMOVUPD 32(DI), Y2
+	VMOVUPD 64(DI), Y3
+	VMOVUPD 96(DI), Y4
+	VFMADD231PD (SI), Y0, Y1
+	VFMADD231PD 32(SI), Y0, Y2
+	VFMADD231PD 64(SI), Y0, Y3
+	VFMADD231PD 96(SI), Y0, Y4
 	VMOVUPD Y1, (DI)
 	VMOVUPD Y2, 32(DI)
 	VMOVUPD Y3, 64(DI)
@@ -57,8 +57,8 @@ loop16:
 loop4:
 	CMPQ CX, $4
 	JLT  tail
-	VMULPD (SI), Y0, Y1
-	VADDPD (DI), Y1, Y1
+	VMOVUPD (DI), Y1
+	VFMADD231PD (SI), Y0, Y1
 	VMOVUPD Y1, (DI)
 	ADDQ $32, SI
 	ADDQ $32, DI
@@ -68,8 +68,8 @@ loop4:
 tail:
 	TESTQ CX, CX
 	JZ   done
-	VMULSD (SI), X0, X1
-	VADDSD (DI), X1, X1
+	VMOVSD (DI), X1
+	VFMADD231SD (SI), X0, X1
 	VMOVSD X1, (DI)
 	ADDQ $8, SI
 	ADDQ $8, DI
@@ -90,14 +90,14 @@ TEXT ·axpyAVX512(SB), NOSPLIT, $0-56
 loop32:
 	CMPQ CX, $32
 	JLT  loop8
-	VMULPD (SI), Z0, Z1
-	VMULPD 64(SI), Z0, Z2
-	VMULPD 128(SI), Z0, Z3
-	VMULPD 192(SI), Z0, Z4
-	VADDPD (DI), Z1, Z1
-	VADDPD 64(DI), Z2, Z2
-	VADDPD 128(DI), Z3, Z3
-	VADDPD 192(DI), Z4, Z4
+	VMOVUPD (DI), Z1
+	VMOVUPD 64(DI), Z2
+	VMOVUPD 128(DI), Z3
+	VMOVUPD 192(DI), Z4
+	VFMADD231PD (SI), Z0, Z1
+	VFMADD231PD 64(SI), Z0, Z2
+	VFMADD231PD 128(SI), Z0, Z3
+	VFMADD231PD 192(SI), Z0, Z4
 	VMOVUPD Z1, (DI)
 	VMOVUPD Z2, 64(DI)
 	VMOVUPD Z3, 128(DI)
@@ -110,8 +110,8 @@ loop32:
 loop8:
 	CMPQ CX, $8
 	JLT  tail4
-	VMULPD (SI), Z0, Z1
-	VADDPD (DI), Z1, Z1
+	VMOVUPD (DI), Z1
+	VFMADD231PD (SI), Z0, Z1
 	VMOVUPD Z1, (DI)
 	ADDQ $64, SI
 	ADDQ $64, DI
@@ -121,8 +121,8 @@ loop8:
 tail4:
 	CMPQ CX, $4
 	JLT  tail
-	VMULPD (SI), Y0, Y1
-	VADDPD (DI), Y1, Y1
+	VMOVUPD (DI), Y1
+	VFMADD231PD (SI), Y0, Y1
 	VMOVUPD Y1, (DI)
 	ADDQ $32, SI
 	ADDQ $32, DI
@@ -131,8 +131,8 @@ tail4:
 tail:
 	TESTQ CX, CX
 	JZ   done
-	VMULSD (SI), X0, X1
-	VADDSD (DI), X1, X1
+	VMOVSD (DI), X1
+	VFMADD231SD (SI), X0, X1
 	VMOVSD X1, (DI)
 	ADDQ $8, SI
 	ADDQ $8, DI
@@ -162,7 +162,7 @@ TEXT ·gatherAxpyAVX2(SB), NOSPLIT, $0-104
 // Columns of y are taken 32, then 4, then 1 at a time; each strip is
 // loaded once, receives val[k]·b[idx[k]][strip] for every k ascending,
 // and is stored once. In the 32-column strip Y0..Y7 are the
-// accumulators, Y8 the broadcast of val[k], Y9..Y15 products in flight.
+// accumulators and Y8 the broadcast of val[k].
 // BX and DI advance with the strip, so AX = BX + idx[k]·ldb·8 is the
 // strip's first element in row idx[k].
 TEXT gatherTails<>(SB), NOSPLIT|NOFRAME, $0-0
@@ -186,22 +186,14 @@ entry32:
 	IMULQ R9, AX
 	ADDQ BX, AX
 	VBROADCASTSD (SI)(R10*8), Y8
-	VMULPD (AX), Y8, Y9
-	VMULPD 32(AX), Y8, Y10
-	VMULPD 64(AX), Y8, Y11
-	VMULPD 96(AX), Y8, Y12
-	VMULPD 128(AX), Y8, Y13
-	VMULPD 160(AX), Y8, Y14
-	VMULPD 192(AX), Y8, Y15
-	VADDPD Y9, Y0, Y0
-	VMULPD 224(AX), Y8, Y9
-	VADDPD Y10, Y1, Y1
-	VADDPD Y11, Y2, Y2
-	VADDPD Y12, Y3, Y3
-	VADDPD Y13, Y4, Y4
-	VADDPD Y14, Y5, Y5
-	VADDPD Y15, Y6, Y6
-	VADDPD Y9, Y7, Y7
+	VFMADD231PD (AX), Y8, Y0
+	VFMADD231PD 32(AX), Y8, Y1
+	VFMADD231PD 64(AX), Y8, Y2
+	VFMADD231PD 96(AX), Y8, Y3
+	VFMADD231PD 128(AX), Y8, Y4
+	VFMADD231PD 160(AX), Y8, Y5
+	VFMADD231PD 192(AX), Y8, Y6
+	VFMADD231PD 224(AX), Y8, Y7
 	INCQ R10
 	JMP  entry32
 
@@ -231,8 +223,7 @@ entry4:
 	MOVQ (DX)(R10*8), AX
 	IMULQ R9, AX
 	VBROADCASTSD (SI)(R10*8), Y8
-	VMULPD (BX)(AX*1), Y8, Y9
-	VADDPD Y9, Y0, Y0
+	VFMADD231PD (BX)(AX*1), Y8, Y0
 	INCQ R10
 	JMP  entry4
 
@@ -255,8 +246,7 @@ entry1:
 	MOVQ (DX)(R10*8), AX
 	IMULQ R9, AX
 	VMOVSD (SI)(R10*8), X8
-	VMULSD (BX)(AX*1), X8, X9
-	VADDSD X9, X0, X0
+	VFMADD231SD (BX)(AX*1), X8, X0
 	INCQ R10
 	JMP  entry1
 
@@ -274,9 +264,8 @@ gathered:
 // func gatherAxpyAVX512(val []float64, idx []int, b []float64, ldb int, y []float64)
 //
 // gatherTails<> behind a wider strip: columns of y are taken 128 at a
-// time first — Z0..Z15 the accumulators, Z16 the broadcast of val[k],
-// Z17..Z31 products in flight — and what is left goes on to the 32-, 4-
-// and 1-column strips.
+// time first — Z0..Z15 the accumulators, Z16 the broadcast of val[k] —
+// and what is left goes on to the 32-, 4- and 1-column strips.
 TEXT ·gatherAxpyAVX512(SB), NOSPLIT, $0-104
 	MOVQ val_base+0(FP), SI
 	MOVQ val_len+8(FP), R8
@@ -318,38 +307,22 @@ entry:
 	IMULQ R9, AX
 	ADDQ BX, AX
 	VBROADCASTSD (SI)(R10*8), Z16
-	VMULPD (AX), Z16, Z17
-	VMULPD 64(AX), Z16, Z18
-	VMULPD 128(AX), Z16, Z19
-	VMULPD 192(AX), Z16, Z20
-	VMULPD 256(AX), Z16, Z21
-	VMULPD 320(AX), Z16, Z22
-	VMULPD 384(AX), Z16, Z23
-	VMULPD 448(AX), Z16, Z24
-	VMULPD 512(AX), Z16, Z25
-	VMULPD 576(AX), Z16, Z26
-	VMULPD 640(AX), Z16, Z27
-	VMULPD 704(AX), Z16, Z28
-	VMULPD 768(AX), Z16, Z29
-	VMULPD 832(AX), Z16, Z30
-	VMULPD 896(AX), Z16, Z31
-	VADDPD Z17, Z0, Z0
-	VMULPD 960(AX), Z16, Z17
-	VADDPD Z18, Z1, Z1
-	VADDPD Z19, Z2, Z2
-	VADDPD Z20, Z3, Z3
-	VADDPD Z21, Z4, Z4
-	VADDPD Z22, Z5, Z5
-	VADDPD Z23, Z6, Z6
-	VADDPD Z24, Z7, Z7
-	VADDPD Z25, Z8, Z8
-	VADDPD Z26, Z9, Z9
-	VADDPD Z27, Z10, Z10
-	VADDPD Z28, Z11, Z11
-	VADDPD Z29, Z12, Z12
-	VADDPD Z30, Z13, Z13
-	VADDPD Z31, Z14, Z14
-	VADDPD Z17, Z15, Z15
+	VFMADD231PD (AX), Z16, Z0
+	VFMADD231PD 64(AX), Z16, Z1
+	VFMADD231PD 128(AX), Z16, Z2
+	VFMADD231PD 192(AX), Z16, Z3
+	VFMADD231PD 256(AX), Z16, Z4
+	VFMADD231PD 320(AX), Z16, Z5
+	VFMADD231PD 384(AX), Z16, Z6
+	VFMADD231PD 448(AX), Z16, Z7
+	VFMADD231PD 512(AX), Z16, Z8
+	VFMADD231PD 576(AX), Z16, Z9
+	VFMADD231PD 640(AX), Z16, Z10
+	VFMADD231PD 704(AX), Z16, Z11
+	VFMADD231PD 768(AX), Z16, Z12
+	VFMADD231PD 832(AX), Z16, Z13
+	VFMADD231PD 896(AX), Z16, Z14
+	VFMADD231PD 960(AX), Z16, Z15
 	INCQ R10
 	JMP  entry
 
@@ -378,9 +351,9 @@ store:
 // func gemmTile4x8AVX2(d []float64, ldd int, a []float64, lda int, p []float64, ldp, kc int)
 //
 // Y0..Y7 hold d[r][0:4], d[r][4:8] for r = 0..3. Per k: two loads of
-// the panel row, four broadcasts of a[r][k], eight multiplies, eight
-// adds. Sixteen YMM registers: eight accumulators, two panel halves,
-// four broadcasts, two products.
+// the panel row, four broadcasts of a[r][k], eight fused multiply-adds.
+// Fourteen of the sixteen YMM registers: eight accumulators, two panel
+// halves, four broadcasts.
 TEXT ·gemmTile4x8AVX2(SB), NOSPLIT, $0-104
 	MOVQ d_base+0(FP), DI
 	MOVQ ldd+24(FP), R8
@@ -416,22 +389,14 @@ loop:
 	VBROADCASTSD (SI)(R9*1), Y11
 	VBROADCASTSD (DX), Y12
 	VBROADCASTSD (DX)(R9*1), Y13
-	VMULPD Y8, Y10, Y14
-	VMULPD Y9, Y10, Y15
-	VADDPD Y14, Y0, Y0
-	VADDPD Y15, Y1, Y1
-	VMULPD Y8, Y11, Y14
-	VMULPD Y9, Y11, Y15
-	VADDPD Y14, Y2, Y2
-	VADDPD Y15, Y3, Y3
-	VMULPD Y8, Y12, Y14
-	VMULPD Y9, Y12, Y15
-	VADDPD Y14, Y4, Y4
-	VADDPD Y15, Y5, Y5
-	VMULPD Y8, Y13, Y14
-	VMULPD Y9, Y13, Y15
-	VADDPD Y14, Y6, Y6
-	VADDPD Y15, Y7, Y7
+	VFMADD231PD Y8, Y10, Y0
+	VFMADD231PD Y9, Y10, Y1
+	VFMADD231PD Y8, Y11, Y2
+	VFMADD231PD Y9, Y11, Y3
+	VFMADD231PD Y8, Y12, Y4
+	VFMADD231PD Y9, Y12, Y5
+	VFMADD231PD Y8, Y13, Y6
+	VFMADD231PD Y9, Y13, Y7
 	ADDQ $8, SI
 	ADDQ $8, DX
 	ADDQ R10, BX
@@ -453,10 +418,10 @@ store:
 // func gemmTile8x16AVX512(d []float64, ldd int, a []float64, lda int, p []float64, ldp, kc int)
 //
 // Z0..Z15 hold d[r][0:8], d[r][8:16] for r = 0..7. Per k: two loads of
-// the panel row, eight broadcasts of a[r][k], sixteen multiplies,
-// sixteen adds. All thirty-two ZMM registers: sixteen accumulators, two
-// panel halves, eight broadcasts, six products in flight. Row r of a is
-// SI + r·lda: R11, R12 and R13 hold 3·lda, 5·lda and 7·lda.
+// the panel row, eight broadcasts of a[r][k], sixteen fused
+// multiply-adds. Twenty-six ZMM registers: sixteen accumulators, two
+// panel halves, eight broadcasts. Row r of a is SI + r·lda: R11, R12 and
+// R13 hold 3·lda, 5·lda and 7·lda.
 TEXT ·gemmTile8x16AVX512(SB), NOSPLIT, $0-104
 	MOVQ d_base+0(FP), DI
 	MOVQ ldd+24(FP), R8
@@ -511,38 +476,22 @@ loop:
 	VBROADCASTSD (SI)(R12*1), Z23
 	VBROADCASTSD (SI)(R11*2), Z24
 	VBROADCASTSD (SI)(R13*1), Z25
-	VMULPD Z16, Z18, Z26
-	VMULPD Z17, Z18, Z27
-	VADDPD Z26, Z0, Z0
-	VADDPD Z27, Z1, Z1
-	VMULPD Z16, Z19, Z28
-	VMULPD Z17, Z19, Z29
-	VADDPD Z28, Z2, Z2
-	VADDPD Z29, Z3, Z3
-	VMULPD Z16, Z20, Z30
-	VMULPD Z17, Z20, Z31
-	VADDPD Z30, Z4, Z4
-	VADDPD Z31, Z5, Z5
-	VMULPD Z16, Z21, Z26
-	VMULPD Z17, Z21, Z27
-	VADDPD Z26, Z6, Z6
-	VADDPD Z27, Z7, Z7
-	VMULPD Z16, Z22, Z28
-	VMULPD Z17, Z22, Z29
-	VADDPD Z28, Z8, Z8
-	VADDPD Z29, Z9, Z9
-	VMULPD Z16, Z23, Z30
-	VMULPD Z17, Z23, Z31
-	VADDPD Z30, Z10, Z10
-	VADDPD Z31, Z11, Z11
-	VMULPD Z16, Z24, Z26
-	VMULPD Z17, Z24, Z27
-	VADDPD Z26, Z12, Z12
-	VADDPD Z27, Z13, Z13
-	VMULPD Z16, Z25, Z28
-	VMULPD Z17, Z25, Z29
-	VADDPD Z28, Z14, Z14
-	VADDPD Z29, Z15, Z15
+	VFMADD231PD Z16, Z18, Z0
+	VFMADD231PD Z17, Z18, Z1
+	VFMADD231PD Z16, Z19, Z2
+	VFMADD231PD Z17, Z19, Z3
+	VFMADD231PD Z16, Z20, Z4
+	VFMADD231PD Z17, Z20, Z5
+	VFMADD231PD Z16, Z21, Z6
+	VFMADD231PD Z17, Z21, Z7
+	VFMADD231PD Z16, Z22, Z8
+	VFMADD231PD Z17, Z22, Z9
+	VFMADD231PD Z16, Z23, Z10
+	VFMADD231PD Z17, Z23, Z11
+	VFMADD231PD Z16, Z24, Z12
+	VFMADD231PD Z17, Z24, Z13
+	VFMADD231PD Z16, Z25, Z14
+	VFMADD231PD Z17, Z25, Z15
 	ADDQ $8, SI
 	ADDQ R10, BX
 	DECQ CX
@@ -578,7 +527,7 @@ store:
 // func gemmTile4x16AVX512(d []float64, ldd int, a []float64, lda int, p []float64, ldp, kc int)
 //
 // The first four rows of gemmTile8x16AVX512: Z0..Z7 accumulate, Z16 and
-// Z17 are the panel halves, Z18..Z21 the broadcasts, Z26..Z31 products.
+// Z17 are the panel halves, Z18..Z21 the broadcasts.
 TEXT ·gemmTile4x16AVX512(SB), NOSPLIT, $0-104
 	MOVQ d_base+0(FP), DI
 	MOVQ ldd+24(FP), R8
@@ -615,22 +564,14 @@ loop:
 	VBROADCASTSD (SI)(R9*1), Z19
 	VBROADCASTSD (SI)(R9*2), Z20
 	VBROADCASTSD (SI)(R11*1), Z21
-	VMULPD Z16, Z18, Z26
-	VMULPD Z17, Z18, Z27
-	VADDPD Z26, Z0, Z0
-	VADDPD Z27, Z1, Z1
-	VMULPD Z16, Z19, Z28
-	VMULPD Z17, Z19, Z29
-	VADDPD Z28, Z2, Z2
-	VADDPD Z29, Z3, Z3
-	VMULPD Z16, Z20, Z30
-	VMULPD Z17, Z20, Z31
-	VADDPD Z30, Z4, Z4
-	VADDPD Z31, Z5, Z5
-	VMULPD Z16, Z21, Z26
-	VMULPD Z17, Z21, Z27
-	VADDPD Z26, Z6, Z6
-	VADDPD Z27, Z7, Z7
+	VFMADD231PD Z16, Z18, Z0
+	VFMADD231PD Z17, Z18, Z1
+	VFMADD231PD Z16, Z19, Z2
+	VFMADD231PD Z17, Z19, Z3
+	VFMADD231PD Z16, Z20, Z4
+	VFMADD231PD Z17, Z20, Z5
+	VFMADD231PD Z16, Z21, Z6
+	VFMADD231PD Z17, Z21, Z7
 	ADDQ $8, SI
 	ADDQ R10, BX
 	DECQ CX

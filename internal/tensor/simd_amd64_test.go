@@ -31,15 +31,18 @@ func TestISAMatchesCPUFlags(t *testing.T) {
 	flag := func(name string) bool {
 		return regexp.MustCompile(`(?m)^flags\s*:.*\s` + name + `(\s|$)`).Match(cpuinfo)
 	}
+	// Every assembler body is built on VFMADD231PD, so either binding
+	// needs FMA as well.
 	want := "generic"
 	switch {
+	case !flag("fma"):
 	case buildAVX512 && flag("avx512f"):
 		want = "avx512"
 	case flag("avx2"):
 		want = "avx2"
 	}
 	if got := ISA(); got != want {
-		t.Fatalf("ISA() = %q, but /proc/cpuinfo (avx2 %v, avx512f %v; AVX-512 built in: %v) wants %q",
-			got, flag("avx2"), flag("avx512f"), buildAVX512, want)
+		t.Fatalf("ISA() = %q, but /proc/cpuinfo (fma %v, avx2 %v, avx512f %v; AVX-512 built in: %v) wants %q",
+			got, flag("fma"), flag("avx2"), flag("avx512f"), buildAVX512, want)
 	}
 }

@@ -1,13 +1,15 @@
 package tensor
 
+import "math"
+
 // The three multiply-accumulate primitives every dense and CSR×dense
 // product bottoms out in, and their portable bodies. simd_amd64.go
 // replaces the bodies with AVX-512 or AVX2 ones at init when the CPU
 // and the OS allow it; everywhere else (other architectures, `-tags
-// purego`, an amd64 without AVX2) these run. Every body performs, per
-// output element, the identical operation sequence — multiply, round,
-// add, in ascending k — so which one is selected never shows in the
-// bits (KERNELS.md §2).
+// purego`, an amd64 without AVX2 and FMA) these run. Every body
+// performs, per output element, the identical operation sequence — one
+// fused multiply-add, rounded once, per product, in ascending k — so
+// which one is selected never shows in the bits (KERNELS.md §2).
 
 // tileFunc is a register-tile body: d[r][0:cols] += Σ_k a[r][k]·p[k][0:cols]
 // for r < rows and k ascending over kc panel rows, rows × cols being the
@@ -51,28 +53,29 @@ func ISA() string { return bound.isa }
 // holds in registers at once (32 or 128).
 func GatherStrip() int { return bound.gatherStrip }
 
-// Axpy computes y[j] += a·x[j] for every j < len(x). Each product is
-// rounded to float64 before it is added — never fused — and lanes are
-// independent, so the result does not depend on the selected body. It
-// panics if y is shorter than x.
+// Axpy computes y[j] = a·x[j] + y[j] for every j < len(x), each as one
+// fused multiply-add rounded once (math.FMA), and lanes are independent,
+// so the result does not depend on the selected body. It panics if y is
+// shorter than x.
 func Axpy(a float64, x, y []float64) {
 	bound.axpy(a, x, y[:len(x)])
 }
 
-// axpyGeneric is the portable Axpy body. The explicit conversion rounds
-// the product and thereby forbids the compiler to fuse it into the add
-// (arm64, GOAMD64=v3); it costs nothing where no fused form exists.
+// axpyGeneric is the portable Axpy body. math.FMA is one rounding on
+// every architecture: the compiler emits the fused instruction where the
+// target has it (arm64, amd64 at GOAMD64=v3; at v1 behind a run-time
+// check of the CPU's FMA flag) and an exact software routine elsewhere.
 func axpyGeneric(a float64, x, y []float64) {
 	for j, xv := range x {
-		y[j] += float64(a * xv)
+		y[j] = math.FMA(a, xv, y[j])
 	}
 }
 
 // GatherAxpy computes y[j] += Σ_k val[k]·b[idx[k]·ldb+j] for every
 // j < len(y), k ascending: the rows idx[k] of a row-major b with row
 // stride ldb, scaled by val[k], accumulated into y. Each product is
-// rounded before it is added and every y[j] receives its products in
-// the order of val, so the result is that of one Axpy per entry; idx
+// fused into its add and every y[j] receives its products in the order
+// of val, so the result is that of one Axpy per entry; idx
 // may repeat and need not be sorted. It panics if idx is shorter than
 // val, if y is wider than a row of b, or if a gathered row does not lie
 // inside b.
@@ -93,7 +96,7 @@ func GatherAxpy(val []float64, idx []int, b []float64, ldb int, y []float64) {
 	bound.gatherAxpy(val, idx, b, ldb, y)
 }
 
-// gatherAxpyGeneric is the portable GatherAxpy body: one rounded
+// gatherAxpyGeneric is the portable GatherAxpy body: one fused
 // multiply-add sweep of y per entry.
 func gatherAxpyGeneric(val []float64, idx []int, b []float64, ldb int, y []float64) {
 	for k, v := range val {
@@ -108,10 +111,10 @@ func gemmTile4x8Generic(d []float64, ldd int, a []float64, lda int, p []float64,
 	for k := 0; k < kc; k++ {
 		a0, a1, a2, a3 := a[k], a[lda+k], a[2*lda+k], a[3*lda+k]
 		for j, pv := range p[k*ldp : k*ldp+8] {
-			d0[j] += float64(a0 * pv)
-			d1[j] += float64(a1 * pv)
-			d2[j] += float64(a2 * pv)
-			d3[j] += float64(a3 * pv)
+			d0[j] = math.FMA(a0, pv, d0[j])
+			d1[j] = math.FMA(a1, pv, d1[j])
+			d2[j] = math.FMA(a2, pv, d2[j])
+			d3[j] = math.FMA(a3, pv, d3[j])
 		}
 	}
 }

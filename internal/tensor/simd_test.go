@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -31,7 +32,7 @@ func refTile(rows, cols int) tileFunc {
 		for r := 0; r < rows; r++ {
 			for k := 0; k < kc; k++ {
 				for j := 0; j < cols; j++ {
-					d[r*ldd+j] += float64(a[r*lda+k] * p[k*ldp+j])
+					d[r*ldd+j] = math.FMA(a[r*lda+k], p[k*ldp+j], d[r*ldd+j])
 				}
 			}
 		}
@@ -56,6 +57,76 @@ func eachBinding(t *testing.T, f func(t *testing.T, b binding)) {
 func TestISA(t *testing.T) {
 	if got := ISA(); got != "avx512" && got != "avx2" && got != "generic" {
 		t.Fatalf("ISA() = %q, want avx512, avx2 or generic", got)
+	}
+}
+
+// The operands of TestMultiplyAddIsFused: (1+2⁻²⁷)·(1−2⁻²⁷) is 1−2⁻⁵⁴
+// exactly, which rounds to 1, so a product rounded before its add leaves
+// −1 + 1 = +0 where one fused multiply-add leaves −2⁻⁵⁴.
+const (
+	fusedA, fusedB, fusedAcc = 1 + 0x1p-27, 1 - 0x1p-27, -1.0
+	fusedSum                 = -0x1p-54
+)
+
+// TestMultiplyAddIsFused: every body — the tile at each geometry, Axpy
+// through all its vector steps and tails, GatherAxpy through all its
+// strips — and K.MatMul above them, on full, half and edge tiles and a
+// remainder row, round each multiply-add once (KERNELS.md §2, Rule 3).
+func TestMultiplyAddIsFused(t *testing.T) { eachBinding(t, testMultiplyAddIsFused) }
+
+func testMultiplyAddIsFused(t *testing.T, bd binding) {
+	a, b, acc := fusedA, fusedB, fusedAcc
+	if float64(a*b)+acc != 0 || math.FMA(a, b, acc) != fusedSum {
+		t.Fatal("the operands do not tell one rounding from two")
+	}
+	fill := func(n int, v float64) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = v
+		}
+		return s
+	}
+	check := func(what string, got []float64) {
+		t.Helper()
+		for i, v := range got {
+			if math.Float64bits(v) != math.Float64bits(fusedSum) {
+				t.Fatalf("%s: element %d = %g, want one rounding's %g", what, i, v, fusedSum)
+			}
+		}
+	}
+	tiles := map[int]tileFunc{bd.tileRows: bd.gemmTile}
+	if bd.gemmHalfTile != nil {
+		tiles[bd.tileRows/2] = bd.gemmHalfTile
+	}
+	tc := bd.tileCols
+	for rows, tile := range tiles {
+		d := fill(rows*tc, fusedAcc)
+		tile(d, tc, fill(rows, fusedA), 1, fill(tc, fusedB), tc, 1)
+		check(fmt.Sprintf("%d×%d tile", rows, tc), d)
+	}
+	const n, width = 32 + 8 + 4 + 3, 128 + 32 + 4 + 3
+	y := fill(n, fusedAcc)
+	Axpy(fusedA, fill(n, fusedB), y)
+	check("Axpy", y)
+	y = fill(width, fusedAcc)
+	GatherAxpy([]float64{fusedA}, []int{0}, fill(width, fusedB), width, y)
+	check("GatherAxpy", y)
+
+	// Row i of x is (−1, 1+2⁻²⁷) and the rows of w are 1 and 1−2⁻²⁷, so
+	// every element of x×w is fma(1+2⁻²⁷, 1−2⁻²⁷, −1·1). Thirteen rows
+	// take a full tile, a half or second full one and a remainder row,
+	// 141 columns a packed panel and an edge tile.
+	x, w := NewDense(13, 2), NewDense(2, 141)
+	for i := 0; i < x.Rows; i++ {
+		x.Set(i, 0, fusedAcc)
+		x.Set(i, 1, fusedA)
+	}
+	for j := 0; j < w.Cols; j++ {
+		w.Set(0, j, 1)
+		w.Set(1, j, fusedB)
+	}
+	for _, threads := range []int{1, 3} {
+		check(fmt.Sprintf("K.MatMul threads=%d", threads), K{Threads: threads}.MatMul(x, w).Data)
 	}
 }
 
@@ -88,7 +159,7 @@ func testAxpyMatchesReference(t *testing.T, _ binding) {
 				xs, ys := randSlice(rng, n+16), randSlice(rng, n+16)
 				want := append([]float64(nil), ys...)
 				for j := 0; j < n; j++ {
-					want[yo+j] += float64(a * xs[xo+j])
+					want[yo+j] = math.FMA(a, xs[xo+j], want[yo+j])
 				}
 				Axpy(a, xs[xo:xo+n], ys[yo:yo+n+1]) // y may be longer than x
 				for j := range ys {
@@ -115,7 +186,7 @@ func TestAxpyPanicsOnShortY(t *testing.T) {
 func gatherAxpyRef(val []float64, idx []int, b []float64, ldb int, y []float64) {
 	for k, v := range val {
 		for j := range y {
-			y[j] += float64(v * b[idx[k]*ldb+j])
+			y[j] = math.FMA(v, b[idx[k]*ldb+j], y[j])
 		}
 	}
 }
@@ -412,7 +483,7 @@ func testMatMulAddIntoNonZeroDst(t *testing.T, _ binding) {
 			for j := 0; j < b.Cols; j++ {
 				s := base.At(i, j)
 				for k := 0; k < a.Cols; k++ {
-					s += float64(a.At(i, k) * b.At(k, j))
+					s = math.FMA(a.At(i, k), b.At(k, j), s)
 				}
 				want.Set(i, j, s)
 			}
@@ -428,10 +499,11 @@ func testMatMulAddIntoNonZeroDst(t *testing.T, _ binding) {
 	}
 }
 
-// TestInverseDigest pins Gauss–Jordan's bits to a digest recorded on the
-// commit before axpyRow was routed through Axpy.
+// TestInverseDigest pins Gauss–Jordan's bits to a digest recorded when
+// Axpy, its row update, became one fused multiply-add per element; the
+// same under every binding.
 func TestInverseDigest(t *testing.T) {
-	const want = "de77f31b16228834202b50ba62bce557d2bb2a4b88a24ea255e67448c025889e"
+	const want = "be471ee97fab7345b7ddbfeba6a864af27cc13c45a6ece550aba7268403888fd"
 	rng := rand.New(rand.NewSource(41))
 	h := sha256.New()
 	var buf [8]byte

@@ -46,11 +46,12 @@ func TestPlanCacheEngineInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The golden itself is pinned, to a digest recorded when the widest
-	// kernel bodies were AVX2: whichever bodies this build binds (avx512;
-	// avx2 under -tags noavx512; generic under -tags purego or on another
-	// architecture), these are the bits.
-	const wantDigest = "b562691a3f02ad41235ff9f7b2313fecceaf46e8ff0dde9ade9b8692b6d5890f"
+	// The golden itself is pinned, to a digest recorded when every kernel
+	// body became one fused multiply-add per product (KERNELS.md §2, Rule
+	// 3): whichever bodies this build binds (avx512; avx2 under -tags
+	// noavx512; generic under -tags purego or on another architecture),
+	// these are the bits.
+	const wantDigest = "1c349c12f295a90c9f2e5079f1542db9fbc45b722e29814eeec18c499d9459cc"
 	if got := outputDigest(want); got != wantDigest {
 		t.Fatalf("sequential outputs under %s kernels hash to %s, want %s", tensor.ISA(), got, wantDigest)
 	}
