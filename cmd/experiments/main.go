@@ -15,21 +15,14 @@ import (
 	"syscall"
 	"time"
 
-	"matopt/internal/dist"
 	"matopt/internal/figures"
 )
 
 func main() {
-	fig := flag.String("fig", "", "regenerate one figure (1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, dist, faults); default all")
+	fig := flag.String("fig", "", "regenerate one figure (1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13); default all")
 	budget := flag.Duration("brute-budget", 30*time.Second,
 		"time budget per brute-force run in Figure 13 (the paper used 30m)")
-	shards := flag.Int("shards", dist.DefaultShards(),
-		"shard count for the dist-runtime validation table")
 	flag.Parse()
-
-	if *shards <= 0 {
-		log.Fatalf("-shards must be positive, got %d", *shards)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -38,10 +31,8 @@ func main() {
 		"1": figures.Fig1, "4": figures.Fig4, "5": figures.Fig5,
 		"6": figures.Fig6, "7": figures.Fig7, "8": figures.Fig8,
 		"9": figures.Fig9, "10": figures.Fig10, "11": figures.Fig11,
-		"12":     figures.Fig12,
-		"13":     func() figures.Table { return figures.Fig13(*budget) },
-		"dist":   func() figures.Table { return figures.DistValidation(*shards) },
-		"faults": func() figures.Table { return figures.FaultRecovery(*shards) },
+		"12": figures.Fig12,
+		"13": func() figures.Table { return figures.Fig13(*budget) },
 	}
 	if *fig != "" {
 		f, ok := run[*fig]

@@ -45,13 +45,6 @@ func AggregateBytes(bPerPartial float64, workers int) float64 {
 	return bPerPartial * math.Ceil(math.Log2(float64(workers)))
 }
 
-// NetBytesCeiling converts a per-link NetBytes feature into an upper
-// bound on total cross-link traffic: no pattern can push more than the
-// busiest link's volume over every one of the w links at once.
-func NetBytesCeiling(perLink float64, workers int) float64 {
-	return perLink * float64(workers)
-}
-
 // ParallelFLOPs divides total floating-point work over the effective
 // parallelism: the smaller of the worker count and the number of
 // independent tasks.

@@ -107,7 +107,8 @@ func runFaulted(t *testing.T, name string, cl costmodel.Cluster, shards int, pla
 }
 
 // TestChaosSweep is the seeded fault sweep: crash each vertex once,
-// drop each exchange once, and run a combined schedule — at shards
+// crash every vertex in one run, drop each exchange once, and run a
+// combined schedule — at shards
 // {2, 7}. Every schedule must recover to bit-identical outputs, and the
 // Report must count each injected fault and each retry taken.
 func TestChaosSweep(t *testing.T) {
@@ -132,6 +133,23 @@ func TestChaosSweep(t *testing.T) {
 			if rep.Retries != 1 || rep.RetriesByVertex[v.ID] != 1 {
 				t.Fatalf("crash v%d @%d shards: retries=%d byVertex=%v, want exactly one retry of v%d",
 					v.ID, shards, rep.Retries, rep.RetriesByVertex, v.ID)
+			}
+		}
+
+		// Crash every vertex once, all in one run: each crash is
+		// metered as one fault and answered by one retry of its vertex.
+		var crashAll []dist.Fault
+		for _, v := range pp.Graph.Vertices {
+			crashAll = append(crashAll, dist.Fault{Kind: dist.FaultCrash, Vertex: v.ID})
+		}
+		rep := runFaulted(t, "crash all", cl, shards, dist.NewFaultPlan(crashAll...), pp, inputs, want)
+		if n := int64(len(crashAll)); rep.FaultsInjected != n || rep.Retries != n {
+			t.Fatalf("crash all @%d shards: %d faults injected, %d retries; want %d of each",
+				shards, rep.FaultsInjected, rep.Retries, n)
+		}
+		for _, v := range pp.Graph.Vertices {
+			if rep.RetriesByVertex[v.ID] != 1 {
+				t.Fatalf("crash all @%d shards: v%d retried %d times, want once", shards, v.ID, rep.RetriesByVertex[v.ID])
 			}
 		}
 
@@ -167,7 +185,7 @@ func TestChaosSweep(t *testing.T) {
 			dist.Fault{Kind: dist.FaultCrash, Vertex: mid.ID},
 			dist.Fault{Kind: dist.FaultDropExchange, Vertex: dropX.Vertex, Label: dropX.Label, Shard: -1},
 		)
-		rep := runFaulted(t, "combined", cl, shards, combined, pp, inputs, want)
+		rep = runFaulted(t, "combined", cl, shards, combined, pp, inputs, want)
 		if rep.FaultsInjected != 2 {
 			t.Fatalf("combined @%d shards: %d faults injected, want 2", shards, rep.FaultsInjected)
 		}

@@ -16,7 +16,6 @@ import (
 	"matopt/internal/baseline"
 	"matopt/internal/core"
 	"matopt/internal/costmodel"
-	"matopt/internal/dist"
 	"matopt/internal/engine"
 	"matopt/internal/format"
 	"matopt/internal/workload"
@@ -404,8 +403,6 @@ func AllCtx(ctx context.Context, bruteBudget time.Duration) ([]Table, error) {
 	gens := []func() Table{
 		Fig1, Fig4, Fig5, Fig6, Fig7, Fig8, Fig9, Fig10,
 		Fig11, Fig12, func() Table { return Fig13(bruteBudget) },
-		func() Table { return DistValidation(dist.DefaultShards()) },
-		func() Table { return FaultRecovery(dist.DefaultShards()) },
 	}
 	var tables []Table
 	for _, gen := range gens {

@@ -134,16 +134,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Addr reports the bound listen address (useful with ":0" listeners).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
 // Close shuts the server and waits for all handlers to exit — after it
 // returns the server has no goroutines left, which the leak-checked
 // shutdown test asserts. It waits even when the server was already shut.

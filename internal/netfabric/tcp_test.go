@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"matopt/internal/engine"
+	"matopt/internal/tensor"
 	"matopt/internal/testutil"
 )
 
@@ -560,6 +561,7 @@ func TestTCPSessionAllocBudget(t *testing.T) {
 // the remote shard (33.6 MB out and back) and 4 to the local one: Open ·
 // Send × 17 · Collect through a loopback worker, reported as remote
 // payload MB/s each way (every remote byte goes out and comes back).
+// The received arrays go back to the free list, as a dist run's do.
 func BenchmarkTCPSession(b *testing.B) {
 	_, addr := startServer(b)
 	tp, err := NewTCP([]string{LocalPeer, addr})
@@ -584,8 +586,15 @@ func BenchmarkTCPSession(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if recv, err := sess.Collect(); err != nil || len(recv[0]) != local || len(recv[1]) != remote {
+		recv, err := sess.Collect()
+		if err != nil || len(recv[0]) != local || len(recv[1]) != remote {
 			b.Fatalf("Collect: %d local and %d remote messages, err %v", len(recv[0]), len(recv[1]), err)
+		}
+		// A run recycles what it received once consumed: the decoder
+		// drew each remote tuple's array from the free list. Local
+		// messages share the sent tuple and are not released.
+		for _, m := range recv[1] {
+			tensor.Release(m.Tuple.Dense)
 		}
 	}
 	session(0)

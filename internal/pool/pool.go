@@ -32,13 +32,8 @@ import (
 // parallel-for loops. The zero value is not usable; construct with New.
 // A nil *Pool is valid and runs everything on the caller.
 type Pool struct {
-	tasks chan func()
-	quit  chan struct{}
-	wg    sync.WaitGroup
-
-	mu      sync.Mutex
+	tasks   chan func()
 	workers int
-	closed  bool
 }
 
 // New starts a pool with the given number of worker goroutines.
@@ -48,22 +43,11 @@ func New(workers int) *Pool {
 	if workers < 0 {
 		workers = 0
 	}
-	p := &Pool{
-		tasks:   make(chan func()),
-		quit:    make(chan struct{}),
-		workers: workers,
-	}
-	p.wg.Add(workers)
+	p := &Pool{tasks: make(chan func()), workers: workers}
 	for i := 0; i < workers; i++ {
 		go func() {
-			defer p.wg.Done()
-			for {
-				select {
-				case fn := <-p.tasks:
-					fn()
-				case <-p.quit:
-					return
-				}
+			for fn := range p.tasks {
+				fn()
 			}
 		}()
 	}
@@ -77,26 +61,6 @@ func (p *Pool) Workers() int {
 		return 0
 	}
 	return p.workers
-}
-
-// Close shuts the pool down and waits for every worker goroutine to
-// exit. Close is idempotent and safe to call concurrently with For:
-// in-flight chunks finish (their callers are waiting on them), and
-// later For calls simply run everything inline.
-func (p *Pool) Close() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.wg.Wait()
-		return
-	}
-	p.closed = true
-	close(p.quit)
-	p.mu.Unlock()
-	p.wg.Wait()
 }
 
 // Chunks returns how many chunks For will split [0, n) into for the

@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"matopt/internal/testutil"
 )
 
 // TestChunksBoundaries pins the chunk-count function at the serial-size
@@ -66,7 +64,6 @@ func TestChunkBoundsPartition(t *testing.T) {
 // every index is visited exactly once.
 func TestForCoversRangeOnce(t *testing.T) {
 	p := New(4)
-	defer p.Close()
 	for _, threads := range []int{1, 2, 3, 8} {
 		const n = 1000
 		var hits [n]int32
@@ -88,7 +85,6 @@ func TestForCoversRangeOnce(t *testing.T) {
 // exactly chunkBounds' for every chunk, each once.
 func TestForChunksDeterministicBounds(t *testing.T) {
 	p := New(3)
-	defer p.Close()
 	const n, threads = 509, 4
 	want := Chunks(threads, n, 1)
 	var mu sync.Mutex
@@ -114,7 +110,6 @@ func TestForChunksDeterministicBounds(t *testing.T) {
 // runs inline when no worker is free.
 func TestNestedForDoesNotDeadlock(t *testing.T) {
 	p := New(2)
-	defer p.Close()
 	var total atomic.Int64
 	p.For(4, 64, 1, func(lo, hi int) {
 		p.For(4, 64, 1, func(ilo, ihi int) {
@@ -132,7 +127,6 @@ func TestNestedForDoesNotDeadlock(t *testing.T) {
 // detector guards the pool's internals, the sums guard correctness.
 func TestConcurrentFor(t *testing.T) {
 	p := New(3)
-	defer p.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -152,49 +146,6 @@ func TestConcurrentFor(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCloseStopsWorkers: Close waits for every worker goroutine to exit
-// (leak-checked), is idempotent, and later For calls still work inline.
-func TestCloseStopsWorkers(t *testing.T) {
-	testutil.CheckGoroutines(t, func() {
-		p := New(5)
-		var sum atomic.Int64
-		p.For(4, 100, 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				sum.Add(1)
-			}
-		})
-		p.Close()
-		p.Close() // idempotent
-		if sum.Load() != 100 {
-			t.Fatalf("For before Close covered %d rows, want 100", sum.Load())
-		}
-		// After Close every chunk runs on the caller; answers don't change.
-		sum.Store(0)
-		p.For(4, 100, 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				sum.Add(1)
-			}
-		})
-		if sum.Load() != 100 {
-			t.Fatalf("For after Close covered %d rows, want 100", sum.Load())
-		}
-	})
-}
-
-// TestConcurrentClose: Close racing Close is safe and both return only
-// after the workers exited.
-func TestConcurrentClose(t *testing.T) {
-	testutil.CheckGoroutines(t, func() {
-		p := New(4)
-		var wg sync.WaitGroup
-		for i := 0; i < 4; i++ {
-			wg.Add(1)
-			go func() { defer wg.Done(); p.Close() }()
-		}
-		wg.Wait()
-	})
-}
-
 // TestNilAndZeroWorkerPools: a nil *Pool and a zero-worker pool both run
 // everything inline on the caller.
 func TestNilAndZeroWorkerPools(t *testing.T) {
@@ -202,7 +153,6 @@ func TestNilAndZeroWorkerPools(t *testing.T) {
 	if nilPool.Workers() != 0 {
 		t.Fatal("nil pool reports workers")
 	}
-	nilPool.Close() // must not panic
 	count := 0
 	nilPool.For(8, 10, 1, func(lo, hi int) { count += hi - lo })
 	if count != 10 {
@@ -210,7 +160,6 @@ func TestNilAndZeroWorkerPools(t *testing.T) {
 	}
 
 	z := New(0)
-	defer z.Close()
 	count = 0
 	z.For(8, 10, 1, func(lo, hi int) { count += hi - lo }) // no atomics: must be inline
 	if count != 10 {

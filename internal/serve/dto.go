@@ -1,15 +1,11 @@
 package serve
 
 import (
-	"encoding/base64"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"time"
 
 	"matopt"
-	"matopt/internal/tensor"
 	"matopt/internal/workload"
 )
 
@@ -94,24 +90,6 @@ type OutputMatrix struct {
 	DataB64 string `json:"data_b64"`
 	// SHA256 is the hex digest of the encoded bytes.
 	SHA256 string `json:"sha256"`
-}
-
-// Dense decodes the wire form back to a matrix — what example clients
-// and the bit-identical load tests use.
-func (o OutputMatrix) Dense() (*tensor.Dense, error) {
-	raw, err := base64.StdEncoding.DecodeString(o.DataB64)
-	if err != nil {
-		return nil, fmt.Errorf("serve: output %d: %w", o.Vertex, err)
-	}
-	if len(raw) != 8*o.Rows*o.Cols {
-		return nil, fmt.Errorf("serve: output %d: %d data bytes for a %dx%d matrix",
-			o.Vertex, len(raw), o.Rows, o.Cols)
-	}
-	d := tensor.NewDense(o.Rows, o.Cols)
-	for i := range d.Data {
-		d.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-	}
-	return d, nil
 }
 
 // SimSummary is the simulator's paper-scale resource report in wire

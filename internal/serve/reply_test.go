@@ -104,11 +104,7 @@ func TestReplyBytesEqualMarshal(t *testing.T) {
 				t.Fatalf("%s: engine %s with %d outputs, dist %v", c.name, resp.Engine, len(resp.Outputs), resp.Dist)
 			}
 			for i, o := range resp.Outputs {
-				d, err := o.Dense()
-				if err != nil {
-					t.Fatalf("%s: %v", c.name, err)
-				}
-				resp.Outputs[i] = encodeDense(o.Vertex, d)
+				resp.Outputs[i] = encodeDense(o.Vertex, decodeOutput(t, o))
 			}
 			if strings.Contains(c.body, `"trace"`) != (resp.Trace != "") {
 				t.Fatalf("%s: trace %q", c.name, resp.Trace)
@@ -211,10 +207,7 @@ func testStreamedMatrices(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &back); err != nil {
 			t.Fatal(err)
 		}
-		d, err := back.Outputs[len(back.Outputs)-1].Dense()
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := decodeOutput(t, back.Outputs[len(back.Outputs)-1])
 		for i, v := range special.Data {
 			if math.Float64bits(d.Data[i]) != math.Float64bits(v) {
 				t.Errorf("element %d: bits %016x came back as %016x", i, math.Float64bits(v), math.Float64bits(d.Data[i]))
@@ -359,4 +352,21 @@ func TestInputCache(t *testing.T) {
 	if hit+miss != 16 || miss < 1 {
 		t.Errorf("serve.inputs hit=%d miss=%d over 16 requests", hit, miss)
 	}
+}
+
+// decodeOutput decodes an output's wire form back to a matrix.
+func decodeOutput(t *testing.T, o OutputMatrix) *tensor.Dense {
+	t.Helper()
+	raw, err := base64.StdEncoding.DecodeString(o.DataB64)
+	if err != nil {
+		t.Fatalf("output %d: %v", o.Vertex, err)
+	}
+	if len(raw) != 8*o.Rows*o.Cols {
+		t.Fatalf("output %d: %d data bytes for a %dx%d matrix", o.Vertex, len(raw), o.Rows, o.Cols)
+	}
+	d := tensor.NewDense(o.Rows, o.Cols)
+	for i := range d.Data {
+		d.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
+	}
+	return d
 }

@@ -3,8 +3,11 @@ package matopt
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"reflect"
@@ -111,15 +114,17 @@ func TestOneRoadFromComputationToBytes(t *testing.T) {
 }
 
 // TestEveryInternalFunctionHasACaller keeps code that no program runs
-// from growing back under internal/. An exported package-level function
-// p.F counts as called when a non-test file outside p selects p.F
-// through its import, or a non-test file of p names F outside F's own
-// declaration; an exported method M counts as called when a non-test
-// file anywhere selects .M outside the declarations of M. String,
-// Error, Unwrap and ServeHTTP are reached through interfaces and are
-// exempt. The test-helper packages and the benchmark's own kit are not
-// checked, and the hooks below are kept for tests that drive the
-// production path with them.
+// from growing back under internal/. Every non-test package of the
+// repository, the nested cmd/bench module included, is type-checked for
+// this host's build, and each identifier is resolved to the function or
+// method it names, so a method is keyed by its receiver type and not by
+// its bare name. An exported function or method counts as called when a
+// non-test file names it outside its own declaration; a method also
+// counts when the method of an interface its type implements is named.
+// String, Error, Unwrap and ServeHTTP are reached through the standard
+// library's interfaces and are exempt. The test-helper packages and the
+// benchmark's own kit are not checked, and the hooks below are kept for
+// tests that drive the production path with them.
 func TestEveryInternalFunctionHasACaller(t *testing.T) {
 	skipped := map[string]bool{"internal/testutil": true, "internal/enginetest": true, "internal/benchkit": true}
 	kept := map[string]string{
@@ -131,18 +136,8 @@ func TestEveryInternalFunctionHasACaller(t *testing.T) {
 	}
 	interfaceMethods := map[string]bool{"String": true, "Error": true, "Unwrap": true, "ServeHTTP": true}
 
-	type decl struct {
-		name     string // p.F or p.T.M, p relative to internal/
-		pos      token.Position
-		from, to token.Pos
-	}
-	type file struct {
-		dir  string // slash path relative to the repository root
-		ast  *ast.File
-		decl []*ast.FuncDecl
-	}
 	fset := token.NewFileSet()
-	var files []file
+	files := map[string][]*ast.File{} // slash dir relative to the repository root → its non-test files
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -153,132 +148,152 @@ func TestEveryInternalFunctionHasACaller(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		dir, name := filepath.Split(path)
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
+		}
+		if ok, err := build.Default.MatchFile(filepath.Clean(dir), name); !ok || err != nil {
+			return err
 		}
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			return err
 		}
-		fl := file{dir: filepath.ToSlash(filepath.Dir(path)), ast: f}
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				fl.decl = append(fl.decl, fd)
-			}
-		}
-		files = append(files, fl)
+		dir = filepath.ToSlash(filepath.Clean(dir))
+		files[dir] = append(files[dir], f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// What is declared: exported functions per package and exported
-	// methods by name, with the extent of each declaration.
-	funcs := map[string][]decl{}   // "dir.F" → its declaration
-	methods := map[string][]decl{} // "M" → every declaration of a method M
-	for _, f := range files {
-		if !strings.HasPrefix(f.dir, "internal/") || skipped[f.dir] {
-			continue
+	// Packages of this repository are checked from the files above, in
+	// the order their imports ask for them, so every package shares one
+	// set of types; the standard library is checked from source.
+	std := importer.ForCompiler(fset, "source", nil)
+	pkgs := map[string]*types.Package{}
+	infos := map[string]*types.Info{}
+	var check func(dir string) (*types.Package, error)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if path == "matopt" {
+			return check(".")
 		}
-		pkg := strings.TrimPrefix(f.dir, "internal/")
-		for _, fd := range f.decl {
-			if !fd.Name.IsExported() {
-				continue
-			}
-			d := decl{pkg + "." + fd.Name.Name, fset.Position(fd.Pos()), fd.Pos(), fd.End()}
-			if fd.Recv == nil {
-				funcs[f.dir+"."+fd.Name.Name] = append(funcs[f.dir+"."+fd.Name.Name], d)
-				continue
-			}
-			if interfaceMethods[fd.Name.Name] {
-				continue
-			}
-			recv := fd.Recv.List[0].Type
-			if star, ok := recv.(*ast.StarExpr); ok {
-				recv = star.X
-			}
-			switch x := recv.(type) {
-			case *ast.IndexExpr:
-				recv = x.X
-			case *ast.IndexListExpr:
-				recv = x.X
-			}
-			d.name = pkg + "." + recv.(*ast.Ident).Name + "." + fd.Name.Name
-			methods[fd.Name.Name] = append(methods[fd.Name.Name], d)
+		if dir, ok := strings.CutPrefix(path, "matopt/"); ok {
+			return check(dir)
 		}
+		return std.Import(path)
+	})
+	check = func(dir string) (*types.Package, error) {
+		if p, ok := pkgs[dir]; ok {
+			return p, nil
+		}
+		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		path := "matopt"
+		if dir != "." {
+			path += "/" + dir
+		}
+		p, err := (&types.Config{Importer: imp}).Check(path, fset, files[dir], info)
+		if err != nil {
+			return nil, err
+		}
+		pkgs[dir], infos[dir] = p, info
+		return p, nil
 	}
-	within := func(ds []decl, p token.Pos) bool {
-		for _, d := range ds {
-			if d.from <= p && p < d.to {
-				return true
-			}
+	for dir := range files {
+		if _, err := check(dir); err != nil {
+			t.Fatalf("type-checking %s: %v", dir, err)
 		}
-		return false
 	}
 
-	// What is used.
+	// key names a function p.F or a method p.T.M, p relative to internal/.
+	key := func(fn *types.Func) string {
+		fn = fn.Origin()
+		name := strings.TrimPrefix(fn.Pkg().Path(), "matopt/internal/") + "."
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			typ := recv.Type()
+			if ptr, ok := typ.(*types.Pointer); ok {
+				typ = ptr.Elem()
+			}
+			if named, ok := typ.(*types.Named); ok {
+				name += named.Origin().Obj().Name() + "."
+			}
+		}
+		return name + fn.Name()
+	}
+
+	// What is declared, and what is used outside its own declaration.
+	declared := map[string]*types.Func{}
 	called := map[string]bool{}
-	for _, f := range files {
-		imports := map[string]string{} // local name → slash dir of an internal package
-		for _, imp := range f.ast.Imports {
-			path, _ := strconv.Unquote(imp.Path.Value)
-			if !strings.HasPrefix(path, "matopt/internal/") {
+	viaInterface := map[*types.Func]bool{} // interface methods some file names
+	for dir, fs := range files {
+		info := infos[dir]
+		for _, f := range fs {
+			for _, d := range f.Decls {
+				self := ""
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					fn := info.Defs[fd.Name].(*types.Func)
+					self = key(fn)
+					if strings.HasPrefix(dir, "internal/") && !skipped[dir] && fd.Name.IsExported() &&
+						!(fd.Recv != nil && interfaceMethods[fd.Name.Name]) {
+						declared[self] = fn
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					fn, ok := info.Uses[id].(*types.Func)
+					if !ok || fn.Pkg() == nil {
+						return true
+					}
+					if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+						viaInterface[fn] = true
+					} else if k := key(fn); k != self {
+						called[k] = true
+					}
+					return true
+				})
+			}
+		}
+	}
+	// A method reached through an interface is called as the method of
+	// every repository type that implements the interface.
+	for _, p := range pkgs {
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
 				continue
 			}
-			name := path[strings.LastIndex(path, "/")+1:]
-			if imp.Name != nil {
-				name = imp.Name.Name
+			if named, ok := tn.Type().(*types.Named); !ok || named.TypeParams().Len() > 0 {
+				continue
 			}
-			imports[name] = strings.TrimPrefix(path, "matopt/")
-		}
-		selected := map[*ast.Ident]bool{}
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			selected[sel.Sel] = true
-			if x, ok := sel.X.(*ast.Ident); ok && x.Obj == nil && imports[x.Name] != "" {
-				called[imports[x.Name]+"."+sel.Sel.Name] = true
-			} else if !within(methods[sel.Sel.Name], sel.Pos()) {
-				called["."+sel.Sel.Name] = true
-			}
-			return true
-		})
-		declared := map[*ast.Ident]bool{}
-		for _, fd := range f.decl {
-			declared[fd.Name] = true
-		}
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if ok && !selected[id] && !declared[id] {
-				if key := f.dir + "." + id.Name; !within(funcs[key], id.Pos()) {
-					called[key] = true
+			ptr := types.NewPointer(tn.Type())
+			for im := range viaInterface {
+				iface := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+				if !types.Implements(ptr, iface) {
+					continue
+				}
+				obj, _, _ := types.LookupFieldOrMethod(ptr, false, im.Pkg(), im.Name())
+				if fn, ok := obj.(*types.Func); ok {
+					called[key(fn)] = true
 				}
 			}
-			return true
-		})
+		}
 	}
 
 	var missing []string
-	check := func(name string, pos token.Position, ok bool) {
+	for name, fn := range declared {
+		ok := called[name]
 		if reason, isKept := kept[name]; isKept {
 			if ok {
 				t.Errorf("%s is kept as a test hook (%s) but has a caller now: drop it from the list", name, reason)
 			}
-			return
+			continue
 		}
 		if !ok {
+			pos := fset.Position(fn.Pos())
 			missing = append(missing, fmt.Sprintf("%s:%d: %s", pos.Filename, pos.Line, name))
-		}
-	}
-	for key, ds := range funcs {
-		check(ds[0].name, ds[0].pos, called[key])
-	}
-	for name, ds := range methods {
-		for _, d := range ds {
-			check(d.name, d.pos, called["."+name])
 		}
 	}
 	sort.Strings(missing)
@@ -286,3 +301,8 @@ func TestEveryInternalFunctionHasACaller(t *testing.T) {
 		t.Errorf("%s has no caller outside tests: delete it, or keep it with a reason", m)
 	}
 }
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
