@@ -80,7 +80,7 @@ func main() {
 		log.Fatal(err)
 	}
 	eng := engine.New(small.Cluster)
-	rels, err := eng.RunPlan(context.Background(), sp, inputs)
+	outs, err := eng.RunPlan(context.Background(), sp, inputs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -88,10 +88,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	got, err := eng.Collect(rels[sinvID])
-	if err != nil {
-		log.Fatal(err)
-	}
+	got := outs[sinvID]
 	n := int(cfg.Outer)
 	diff := tensor.MaxAbsDiff(got, wantInv.Slice(n, 2*n, n, 2*n))
 	fmt.Printf("\nreduced-scale execution: D̄ block max deviation from direct inverse = %.2e\n", diff)

@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"time"
 
-	"matopt/internal/core"
 	"matopt/internal/costmodel"
 	"matopt/internal/engine"
 	"matopt/internal/netfabric"
@@ -119,18 +118,9 @@ func (rt *Runtime) RunPlan(ctx context.Context, p *plan.Plan, inputs map[string]
 	if err != nil {
 		return nil, r.report(peak, time.Since(start)), err
 	}
-	outs := make(map[int]*tensor.Dense)
-	for _, id := range p.Retained {
-		rel := rels[id]
-		if rel == nil {
-			return nil, r.report(peak, time.Since(start)), fmt.Errorf("dist: sink %d has no relation after the run: %w", id, core.ErrInternal)
-		}
-		m, err := engine.Collect(rel)
-		if err != nil {
-			return nil, r.report(peak, time.Since(start)), fmt.Errorf("dist: collecting sink %d: %w", id, err)
-		}
-		outs[id] = m
-		r.st.Free(rel) // collected into m, which shares none of it
+	outs, err := engine.Outputs(r.st, p.Retained, rels)
+	if err != nil {
+		return nil, r.report(peak, time.Since(start)), fmt.Errorf("dist: %w", err)
 	}
 	return outs, r.report(peak, time.Since(start)), nil
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"matopt/internal/enginetest"
 	"matopt/internal/format"
 	"matopt/internal/netfabric"
+	"matopt/internal/op"
 	"matopt/internal/plan"
 	"matopt/internal/shape"
 	"matopt/internal/tensor"
@@ -79,6 +81,66 @@ func sequentialBaseline(t *testing.T, cl costmodel.Cluster, pp *plan.Plan, input
 	serial := engine.New(cl)
 	serial.KernelThreads = 1
 	return enginetest.Run(t, serial, pp, inputs)
+}
+
+// TestRunsLeaveStorageEmpty: a finished dist run's Storage owns
+// nothing. engine.Outputs fails a run that leaves anything owned, so
+// each run here fails if a step, a failed attempt, a release at the last
+// consumer or Outputs skips a Free: over the chan transport with an
+// exchange dropped after its step re-laid out an argument, and over
+// loopback TCP, where a remote-hosted shard receives wire copies the run
+// owns on arrival.
+func TestRunsLeaveStorageEmpty(t *testing.T) {
+	t.Run("chan, retried after a relayout", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		g := core.NewGraph()
+		a := g.Input("a", shape.New(160, 300), 1, format.NewRowStrip(100))
+		b := g.Input("b", shape.New(300, 160), 1, format.NewColStrip(100))
+		c := g.Input("c", shape.New(160, 500), 1, format.NewColStrip(100))
+		g.MustApply(op.Op{Kind: op.MatMul}, g.MustApply(op.Op{Kind: op.MatMul}, a, b), c)
+		env := core.NewEnv(costmodel.LocalTest(3), format.All())
+		pp := optimize(t, g, env)
+		inputs := map[string]*tensor.Dense{
+			"a": tensor.RandNormal(rng, 160, 300),
+			"b": tensor.RandNormal(rng, 300, 160),
+			"c": tensor.RandNormal(rng, 160, 500),
+		}
+		v := slices.IndexFunc(pp.Steps(), func(s plan.Step) bool {
+			return slices.ContainsFunc(s.Relayouts, func(n *plan.Node) bool { return n != nil })
+		})
+		if v < 0 {
+			t.Fatal("the plan re-lays out no argument")
+		}
+		rt, err := dist.New(env.Cluster, dist.Config{Shards: 3, FaultPlan: dist.NewFaultPlan(
+			dist.Fault{Kind: dist.FaultDropExchange, Vertex: v, Label: "broadcast(arg0)", Shard: -1})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, rep, err := rt.RunPlan(context.Background(), pp, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareSinks(t, "chan", pp, sequentialBaseline(t, env.Cluster, pp, inputs), got)
+		if rep.Retries == 0 {
+			t.Fatalf("v%d broadcast no re-laid-out argument: the drop never fired", v)
+		}
+	})
+	t.Run("tcp", func(t *testing.T) {
+		cl, pp, inputs := tcpGoldenWorkload(t)
+		_, addr := startWorker(t)
+		rt, err := dist.New(cl, dist.Config{Shards: 3, Peers: []string{netfabric.LocalPeer, addr}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, rep, err := rt.RunPlan(context.Background(), pp, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareSinks(t, "tcp", pp, sequentialBaseline(t, cl, pp, inputs), got)
+		if rep.WireBytes == 0 {
+			t.Error("nothing crossed the wire")
+		}
+	})
 }
 
 // TestGoldenTCPTransport is the tentpole's golden suite: at every

@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"fmt"
+	"maps"
 
 	"matopt/internal/core"
+	"matopt/internal/format"
 	"matopt/internal/plan"
 	"matopt/internal/sparse"
 	"matopt/internal/tensor"
@@ -44,9 +46,16 @@ type DensityCorrection struct {
 
 // AdaptiveResult is the outcome of RunAdaptive.
 type AdaptiveResult struct {
-	Relations   map[int]*Relation
+	Outputs     map[int]*tensor.Dense // the dense value of every sink, keyed by vertex ID
 	Reoptimized int
 	Corrections []DensityCorrection
+}
+
+// measurement is what a computed value was found to be: the format it
+// was produced in and its true density.
+type measurement struct {
+	format  format.Format
+	density float64
 }
 
 // RunAdaptive implements the re-optimization scheme §7 sketches as
@@ -55,14 +64,20 @@ type AdaptiveResult struct {
 // error (Sommer's measure, 1.0 = perfect) exceeds threshold — the paper
 // suggests 1.2 — halt, re-optimize the remaining computation with the
 // measured densities substituted in, and continue under the new plan.
+//
+// Each round is one run of the engine's step loop, which recycles like
+// RunPlan. A halted round hands back the dense value of everything it
+// computed that is still live; the next round takes each as the input
+// done-<id> and scans it in again.
 func (e *Engine) RunAdaptive(g *core.Graph, env *core.Env, inputs map[string]*tensor.Dense, threshold float64) (*AdaptiveResult, error) {
 	if threshold < 1 {
 		return nil, fmt.Errorf("engine: relative-error threshold %v must be ≥ 1", threshold)
 	}
-	res := &AdaptiveResult{Relations: make(map[int]*Relation)}
-	measured := make(map[int]float64) // original vertex → true density of its result
+	res := &AdaptiveResult{Outputs: make(map[int]*tensor.Dense)}
+	measured := make(map[int]measurement)  // original vertex → what its computed value measured
+	carried := make(map[int]*tensor.Dense) // original vertex → its value, computed in an earlier round
 	for {
-		sub, idmap, err := remainderGraph(g, res.Relations, measured)
+		sub, idmap, err := remainderGraph(g, measured)
 		if err != nil {
 			return nil, err
 		}
@@ -77,41 +92,43 @@ func (e *Engine) RunAdaptive(g *core.Graph, env *core.Env, inputs map[string]*te
 		if err != nil {
 			return nil, err
 		}
-		// back maps sub vertex IDs to original ones. Already-computed
-		// intermediates re-enter the sub-plan as sources: preload their
-		// scans with the materialized relations.
+		// back maps sub vertex IDs to original ones. A value an earlier
+		// round computed enters under the name its source was declared
+		// with.
 		back := make(map[int]int, len(idmap))
-		preload := make(map[int]*Relation)
+		in := maps.Clone(inputs)
 		for orig, nv := range idmap {
 			back[nv.ID] = orig
-			if r, ok := res.Relations[orig]; ok {
-				preload[nv.ID] = r
+			if m, ok := carried[orig]; ok {
+				in[nv.Name] = m
 			}
 		}
-		// Run the sub-plan through the engine's node loop, publishing each
-		// computed relation under its ORIGINAL vertex ID, until the plan
-		// finishes or a density estimate drifts beyond threshold. res holds
-		// every published relation, and a run with a computed hook owns no
-		// storage, so releasing a value recycles nothing a re-optimization
-		// could want to resume from.
+		// Run the sub-plan, recording each computed value's measurement
+		// under its ORIGINAL vertex ID, until the plan finishes or a
+		// density estimate drifts beyond threshold.
 		drifted := false
-		_, err = e.interpret(context.Background(), p, inputs, preload, func(n *plan.Node, out *Relation) bool {
+		outs, err := e.interpret(context.Background(), p, in, func(n *plan.Node, out *Relation) bool {
 			orig := back[n.Vertex]
-			res.Relations[orig] = out
 			est := sub.Vertices[n.Vertex].Density
-			// Record the truth for any re-optimization.
 			truth := out.MeasuredDensity()
-			measured[orig] = truth
+			measured[orig] = measurement{format: out.Format, density: truth}
 			if re := sparse.RelativeError(est, truth); re > threshold {
 				res.Corrections = append(res.Corrections, DensityCorrection{
 					Vertex: orig, Estimated: est, Measured: truth, RelErr: re,
 				})
 				drifted = true
 			}
-			return !drifted
+			return drifted
 		})
 		if err != nil {
 			return nil, err
+		}
+		for id, m := range outs {
+			if orig := back[id]; len(g.Vertices[orig].Outs) == 0 {
+				res.Outputs[orig] = m
+			} else {
+				carried[orig] = m
+			}
 		}
 		if !drifted {
 			return res, nil
@@ -120,19 +137,20 @@ func (e *Engine) RunAdaptive(g *core.Graph, env *core.Env, inputs map[string]*te
 	}
 }
 
-// remainderGraph rebuilds the not-yet-computed portion of g: computed
-// vertices whose results are still needed become sources carrying their
-// materialized format and measured density. idmap maps original vertex
-// IDs to the new graph's vertices.
-func remainderGraph(g *core.Graph, done map[int]*Relation, measured map[int]float64) (*core.Graph, map[int]*core.Vertex, error) {
+// remainderGraph rebuilds the not-yet-computed portion of g: measured
+// vertices are done, and those a remaining vertex still reads become the
+// sources done-<id>, declared in the format and density they were
+// measured in. idmap maps original vertex IDs to the new graph's
+// vertices.
+func remainderGraph(g *core.Graph, measured map[int]measurement) (*core.Graph, map[int]*core.Vertex, error) {
 	sub := core.NewGraph()
 	idmap := make(map[int]*core.Vertex)
 	for _, v := range g.Vertices {
-		if r, ok := done[v.ID]; ok {
+		if m, ok := measured[v.ID]; ok {
 			// Only re-declare it if some remaining vertex consumes it.
 			needed := false
 			for _, out := range v.Outs {
-				if _, did := done[out.ID]; !did {
+				if _, did := measured[out.ID]; !did {
 					needed = true
 					break
 				}
@@ -140,7 +158,7 @@ func remainderGraph(g *core.Graph, done map[int]*Relation, measured map[int]floa
 			if !needed {
 				continue
 			}
-			idmap[v.ID] = sub.Input(fmt.Sprintf("done-%d", v.ID), v.Shape, measured[v.ID], r.Format)
+			idmap[v.ID] = sub.Input(fmt.Sprintf("done-%d", v.ID), v.Shape, m.density, m.format)
 			continue
 		}
 		if v.IsSource {

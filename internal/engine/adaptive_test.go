@@ -26,26 +26,29 @@ func TestMeasuredDensity(t *testing.T) {
 	}
 }
 
-// A Hadamard chain over sparse inputs: the independence assumption
-// under-estimates density when the operands share their support, so the
-// adaptive executor must detect the drift, re-optimize, and still
-// produce the right numbers.
-func TestRunAdaptiveDetectsDensityDrift(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	g := core.NewGraph()
+// driftGraph is a Hadamard chain over sparse inputs: the independence
+// assumption under-estimates density when the operands share their
+// support. Declared density 0.2 ⇒ the optimizer estimates 0.2·0.2 = 0.04
+// for the product; the actual inputs share an identical support, so the
+// true product density is 0.2 — a relative error of 5. base is the
+// matrix both inputs hold.
+func driftGraph() (g *core.Graph, env *core.Env, inputs map[string]*tensor.Dense, base *tensor.Dense) {
+	g = core.NewGraph()
 	s := shape.New(200, 200)
-	// Declared density 0.2 ⇒ the optimizer estimates 0.2·0.2 = 0.04 for
-	// the product; the actual inputs share an identical support, so the
-	// true product density is 0.2 — a relative error of 5.
 	a := g.Input("a", s, 0.2, format.NewCSRSingle())
 	b := g.Input("b", s, 0.2, format.NewCSRSingle())
 	had := g.MustApply(op.Op{Kind: op.Hadamard}, a, b)
 	g.MustApply(op.Op{Kind: op.ScalarMul, Scalar: 2}, had)
 
-	env := core.NewEnv(costmodel.LocalTest(3), format.All())
-	base := tensor.RandSparse(rng, 200, 200, 0.2)
-	inputs := map[string]*tensor.Dense{"a": base, "b": base.Clone()}
+	env = core.NewEnv(costmodel.LocalTest(3), format.All())
+	base = tensor.RandSparse(rand.New(rand.NewSource(1)), 200, 200, 0.2)
+	return g, env, map[string]*tensor.Dense{"a": base, "b": base.Clone()}, base
+}
 
+// On driftGraph the adaptive executor must detect the drift,
+// re-optimize, and still produce the right numbers.
+func TestRunAdaptiveDetectsDensityDrift(t *testing.T) {
+	g, env, inputs, base := driftGraph()
 	e := New(env.Cluster)
 	res, err := e.RunAdaptive(g, env, inputs, 1.2)
 	if err != nil {
@@ -59,11 +62,7 @@ func TestRunAdaptiveDetectsDensityDrift(t *testing.T) {
 		t.Errorf("recorded relative error %v should exceed the threshold", c.RelErr)
 	}
 	// Numerics must survive the re-planning.
-	sink := g.Sinks()[0]
-	got, err := e.Collect(res.Relations[sink.ID])
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := res.Outputs[g.Sinks()[0].ID]
 	want := tensor.K{}.Scale(tensor.K{}.Hadamard(base, base), 2)
 	if diff := tensor.MaxAbsDiff(got, want); diff > 1e-9 {
 		t.Errorf("adaptive result deviates by %g", diff)
@@ -95,14 +94,23 @@ func TestRunAdaptiveNoDriftNoReplan(t *testing.T) {
 	if res.Reoptimized != 0 {
 		t.Fatalf("spurious re-optimization: %+v", res.Corrections)
 	}
-	sink := g.Sinks()[0]
-	got, err := e.Collect(res.Relations[sink.ID])
-	if err != nil {
-		t.Fatal(err)
-	}
+	sink := g.Sinks()[0].ID
+	got := res.Outputs[sink]
 	want := tensor.K{}.ReLU(tensor.MatMul(inputs["a"], inputs["b"]))
 	if diff := tensor.MaxAbsDiff(got, want); diff > 1e-9 {
 		t.Errorf("result deviates by %g", diff)
+	}
+	// Without a drift the one round is RunPlan on the same plan.
+	ann, err := core.Optimize(g, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := runCollect(e, env, ann, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tensor.BitEqual(got, plain[sink]) {
+		t.Error("adaptive result differs from RunPlan's in Float64bits")
 	}
 }
 

@@ -153,9 +153,6 @@ func Collect(r *Relation) (*tensor.Dense, error) {
 	return m, err
 }
 
-// Collect is the package-level Collect, for the engine's own relations.
-func (e *Engine) Collect(r *Relation) (*tensor.Dense, error) { return Collect(r) }
-
 // sortTuples orders tuples by key for deterministic iteration; every
 // runtime relies on this order to make floating-point accumulation
 // reproducible.

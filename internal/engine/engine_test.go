@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -60,11 +61,7 @@ func runCollect(e *Engine, env *core.Env, ann *core.Annotation, inputs map[strin
 	if err != nil {
 		return nil, err
 	}
-	rels, err := e.RunPlan(context.Background(), p, inputs)
-	if err != nil {
-		return nil, err
-	}
-	return e.CollectAll(rels)
+	return e.RunPlan(context.Background(), p, inputs)
 }
 
 // checkPlan runs an annotated plan on the engine and holds every sink
@@ -109,7 +106,7 @@ func runOp(t *testing.T, e *Engine, name string, o op.Op, outShape shape.Shape, 
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	got, err := e.Collect(out)
+	got, err := Collect(out)
 	if err != nil {
 		t.Fatalf("%s: collect: %v", name, err)
 	}
@@ -129,7 +126,7 @@ func TestLoadCollectRoundTripAllFormats(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", f, err)
 		}
-		got, err := e.Collect(r)
+		got, err := Collect(r)
 		if err != nil {
 			t.Fatalf("%v: %v", f, err)
 		}
@@ -187,7 +184,7 @@ func TestTransformBetweenFormats(t *testing.T) {
 		if err != nil {
 			t.Fatalf("to %v: %v", target, err)
 		}
-		got, err := e.Collect(out)
+		got, err := Collect(out)
 		if err != nil {
 			t.Fatalf("to %v: %v", target, err)
 		}
@@ -267,6 +264,73 @@ func TestEveryMatMulExecutorAgainstReference(t *testing.T) {
 			t.Errorf("%s: result deviates by %g", c.impl, diff)
 		}
 	}
+}
+
+// TestRunsLeaveStorageEmpty: a finished run's Storage owns nothing.
+// Outputs fails a run that leaves anything owned, so each run here
+// fails if a step, a release at the last consumer or Outputs itself
+// skips a Free: RunPlan keeping an intermediate on top of its sink, and
+// a RunAdaptive whose estimate drifts, so that a halted round hands back
+// its live values and the next scans them in again.
+func TestRunsLeaveStorageEmpty(t *testing.T) {
+	t.Run("seq RunPlan", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		g := core.NewGraph()
+		a := g.Input("a", shape.New(160, 300), 1, format.NewRowStrip(100))
+		b := g.Input("b", shape.New(300, 160), 1, format.NewColStrip(100))
+		c := g.Input("c", shape.New(160, 500), 1, format.NewColStrip(100))
+		ab := g.MustApply(op.Op{Kind: op.MatMul}, a, b)
+		g.MustApply(op.Op{Kind: op.MatMul}, ab, c)
+		env := testEnv(4)
+		ann, err := core.Optimize(g, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := plan.Lower(g, env, ann, ab.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs := map[string]*tensor.Dense{
+			"a": tensor.RandNormal(rng, 160, 300),
+			"b": tensor.RandNormal(rng, 300, 160),
+			"c": tensor.RandNormal(rng, 160, 500),
+		}
+		outs, err := New(env.Cluster).RunPlan(context.Background(), p, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(outs) != 2 {
+			t.Fatalf("got %d outputs, want the sink and the kept intermediate", len(outs))
+		}
+	})
+	t.Run("drifting RunAdaptive", func(t *testing.T) {
+		g, env, inputs, _ := driftGraph()
+		res, err := New(env.Cluster).RunAdaptive(g, env, inputs, 1.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Reoptimized == 0 {
+			t.Fatal("no round halted")
+		}
+	})
+	t.Run("Outputs refuses", func(t *testing.T) {
+		e := New(costmodel.LocalTest(2))
+		r, err := load(e, tensor.RandNormal(rand.New(rand.NewSource(4)), 8, 8), format.NewTile(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := NewStorage()
+		st.Own(r)
+		if _, err := Outputs(st, nil, nil); !errors.Is(err, core.ErrInternal) {
+			t.Errorf("a Storage still owning a relation: %v, want core.ErrInternal", err)
+		}
+		if _, err := Outputs(st, []int{0}, nil); !errors.Is(err, core.ErrInternal) {
+			t.Errorf("a kept vertex without a relation: %v, want core.ErrInternal", err)
+		}
+		if _, err := Outputs(st, []int{0}, map[int]*Relation{0: r}); err != nil {
+			t.Errorf("freeing the one owned relation: %v", err)
+		}
+	})
 }
 
 func TestFFNNStyleDAGExecutes(t *testing.T) {

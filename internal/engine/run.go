@@ -6,56 +6,51 @@ import (
 	"slices"
 	"sync"
 
+	"matopt/internal/core"
 	"matopt/internal/plan"
 	"matopt/internal/tensor"
 )
 
 // RunPlan validates and executes a lowered physical plan on real data —
-// the engine's one execution entry point. inputs maps source-vertex
-// names to dense matrices, which are loaded in each source's declared
-// format; every step then runs through RunStep on the one-shard local
-// Mover, in the plan's step order.
+// the engine's one execution entry point — and returns the dense value
+// of every retained vertex (the sinks, plus whatever plan.Lower was
+// asked to keep), keyed by vertex ID. inputs maps source-vertex names to
+// dense matrices, which are loaded in each source's declared format;
+// every step then runs through RunStep on the one-shard local Mover, in
+// the plan's step order.
 //
 // Values are released by the plan's Consumers: once a vertex's last
 // consumer has executed, its relation is dropped, bounding peak memory
 // on deep graphs, and the storage this run's steps drew for it goes back
-// to the tensor free list for the next kernel to draw. The returned map
-// therefore holds only the plan's retained vertices — the sinks, plus
-// whatever plan.Lower was asked to keep — keyed by vertex ID; Collect or
-// CollectAll turns them back into dense matrices. The context is checked
-// before every step, so a cancelled context aborts the run at the next
-// vertex boundary with the context's error.
+// to the tensor free list for the next kernel to draw. The retained
+// relations go the same way once Outputs has collected them. The context
+// is checked before every step, so a cancelled context aborts the run at
+// the next vertex boundary with the context's error.
 //
 // The engine lowers nothing: whoever holds an annotation lowers it with
 // the environment it was optimized in (plan.Lower) and passes the plan.
-func (e *Engine) RunPlan(ctx context.Context, p *plan.Plan, inputs map[string]*tensor.Dense) (map[int]*Relation, error) {
-	return e.interpret(ctx, p, inputs, nil, nil)
+func (e *Engine) RunPlan(ctx context.Context, p *plan.Plan, inputs map[string]*tensor.Dense) (map[int]*tensor.Dense, error) {
+	return e.interpret(ctx, p, inputs, nil)
 }
 
 // interpret is the engine's one step loop, shared by RunPlan and the
-// adaptive executor. preload overrides source steps by vertex ID with
-// already-materialized relations (how an adaptive run resumes from its
-// intermediates without re-loading them); computed, when non-nil, sees
-// every compute step's fresh relation and returns false to halt the run
-// there, in which case interpret returns (nil, nil).
+// adaptive executor. halt, when non-nil, sees every compute step's fresh
+// relation once the step's spent inputs are released, and returns true
+// to stop the run there: interpret then hands back, keyed by vertex ID,
+// every computed value still live — a retained vertex, or one a later
+// step reads — instead of the retained ones.
 func (e *Engine) interpret(ctx context.Context, p *plan.Plan, inputs map[string]*tensor.Dense,
-	preload map[int]*Relation, computed func(n *plan.Node, out *Relation) bool) (map[int]*Relation, error) {
+	halt func(n *plan.Node, out *Relation) bool) (map[int]*tensor.Dense, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	refs := p.Consumers()
-	vals := make([]*Relation, len(refs))
-	var st *Storage // nil when computed sees the relations: an adaptive run resumes from them
-	if computed == nil {
-		st = NewStorage()
-	}
-	for v, s := range p.Steps() {
+	steps, refs := p.Steps(), p.Consumers()
+	vals := make(map[int]*Relation, len(steps)) // the live values
+	kept := p.Retained
+	st := NewStorage()
+	for v, s := range steps {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("engine: execution aborted before vertex %d: %w", v, err)
-		}
-		if r, ok := preload[v]; ok {
-			vals[v] = r
-			continue
 		}
 		ins := make([]*Relation, len(s.Deps))
 		for j, d := range s.Deps {
@@ -66,21 +61,56 @@ func (e *Engine) interpret(ctx context.Context, p *plan.Plan, inputs map[string]
 			return nil, fmt.Errorf("engine: %w", err)
 		}
 		vals[v] = r
-		if computed != nil && s.Node.Kind == plan.KindCompute && !computed(s.Node, r) {
-			return nil, nil
-		}
 		for _, d := range s.Deps {
 			if refs[d]--; refs[d] == 0 {
 				st.Free(vals[d])
-				vals[d] = nil
+				delete(vals, d)
 			}
 		}
+		if halt != nil && s.Node.Kind == plan.KindCompute && halt(s.Node, r) {
+			kept = nil
+			for u := range vals {
+				if steps[u].Node.Kind == plan.KindCompute {
+					kept = append(kept, u)
+				}
+			}
+			break
+		}
 	}
-	out := make(map[int]*Relation, len(p.Retained))
-	for _, v := range p.Retained {
-		out[v] = vals[v]
+	outs, err := Outputs(st, kept, vals)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
-	return out, nil
+	return outs, nil
+}
+
+// Outputs collects the dense value of each vertex in ids from rels and
+// frees its relation into st: the one place either runtime hands back
+// what a run kept. It runs once the run's last step is done, when every
+// other value st owned has been freed, so st must own nothing once ids
+// are freed; a vertex without a relation, or a Storage still owning
+// something, is a broken run (core.ErrInternal).
+func Outputs(st *Storage, ids []int, rels map[int]*Relation) (map[int]*tensor.Dense, error) {
+	outs := make(map[int]*tensor.Dense, len(ids))
+	for _, id := range ids {
+		r := rels[id]
+		if r == nil {
+			return nil, fmt.Errorf("vertex %d has no relation after the run: %w", id, core.ErrInternal)
+		}
+		m, err := Collect(r)
+		if err != nil {
+			return nil, fmt.Errorf("collecting vertex %d: %w", id, err)
+		}
+		outs[id] = m
+		st.Free(r) // collected into m, which shares none of it
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if len(st.owned) > 0 || len(st.holders) > 0 {
+		return nil, fmt.Errorf("storage still owns %d relations and %d arrays after the run: %w",
+			len(st.owned), len(st.holders), core.ErrInternal)
+	}
+	return outs, nil
 }
 
 // RunStep runs one plan step on m and is the only code either runtime
@@ -89,8 +119,8 @@ func (e *Engine) interpret(ctx context.Context, p *plan.Plan, inputs map[string]
 // caller's matrix and st never owns it). A compute step runs each fused
 // re-layout on the argument relations ins, then the operator; st owns
 // the output, and owns and then frees each re-layout output that is not
-// its input, so once the step returns only what the output holds of
-// them is left.
+// its input, so once the step returns, failed or not, only what the
+// output holds of them is left.
 func RunStep(m Mover, st *Storage, s plan.Step, ins []*Relation, inputs map[string]*tensor.Dense, maxTupleBytes int64) (*Relation, error) {
 	n := s.Node
 	if n.Kind == plan.KindScan {
@@ -108,28 +138,31 @@ func RunStep(m Mover, st *Storage, s plan.Step, ins []*Relation, inputs map[stri
 		return r, nil
 	}
 	args := slices.Clone(ins)
+	defer func() {
+		for j, a := range args {
+			if a != ins[j] {
+				st.Free(a)
+			}
+		}
+	}()
 	for j, rn := range s.Relayouts {
 		if rn == nil {
 			continue
 		}
-		var err error
-		if args[j], err = Relayout(m, n.Vertex, j, ins[j], rn.OutFormat, maxTupleBytes); err != nil {
+		a, err := Relayout(m, n.Vertex, j, ins[j], rn.OutFormat, maxTupleBytes)
+		if err != nil {
 			return nil, fmt.Errorf("transforming input %d of vertex %d: %w", j, n.Vertex, err)
 		}
-		if args[j] != ins[j] {
-			st.Own(args[j])
+		if a != ins[j] {
+			st.Own(a)
 		}
+		args[j] = a
 	}
 	out, err := Compute(m, n, args)
 	if err != nil {
 		return nil, err
 	}
 	st.Own(out)
-	for j, a := range args {
-		if a != ins[j] {
-			st.Free(a)
-		}
-	}
 	return out, nil
 }
 
@@ -138,11 +171,12 @@ func RunStep(m Mover, st *Storage, s plan.Step, ins []*Relation, inputs map[stri
 // relations holding each, so an array goes back to the tensor free list
 // once, after its last holder is freed — an array an exchange delivered
 // in process to another shard is held by every relation it landed in.
-// RunStep owns what a step produced, and a runtime frees a value when
-// its plan.Consumers count reaches zero. Only relations Own was given are
-// ever released: a scan shares the caller's matrix and is never owned,
-// every operator writes fresh storage, and a runtime never frees what it
-// hands back. Safe for concurrent use; a nil *Storage owns nothing.
+// RunStep owns what a step produced, a runtime frees a value when its
+// plan.Consumers count reaches zero, and Outputs frees what the run kept
+// once it has collected it, so a finished run's Storage owns nothing.
+// Only relations Own was given are ever released: a scan shares the
+// caller's matrix and is never owned, and every operator writes fresh
+// storage. Safe for concurrent use.
 type Storage struct {
 	mu      sync.Mutex
 	owned   map[*Relation]bool
@@ -156,9 +190,6 @@ func NewStorage() *Storage {
 
 // Own records r as a relation the run produced and may recycle.
 func (st *Storage) Own(r *Relation) {
-	if st == nil {
-		return
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.owned[r] = true
@@ -175,9 +206,6 @@ func (st *Storage) Own(r *Relation) {
 // holds; a relation Own was not given is left alone. The caller
 // guarantees nothing reads r any more.
 func (st *Storage) Free(r *Relation) {
-	if st == nil {
-		return
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if !st.owned[r] {
@@ -196,18 +224,4 @@ func (st *Storage) Free(r *Relation) {
 			}
 		}
 	}
-}
-
-// CollectAll assembles every relation RunPlan retained back into a
-// dense matrix, keyed as RunPlan keyed them.
-func (e *Engine) CollectAll(rels map[int]*Relation) (map[int]*tensor.Dense, error) {
-	out := make(map[int]*tensor.Dense, len(rels))
-	for id, r := range rels {
-		m, err := e.Collect(r)
-		if err != nil {
-			return nil, fmt.Errorf("engine: collecting sink %d: %w", id, err)
-		}
-		out[id] = m
-	}
-	return out, nil
 }

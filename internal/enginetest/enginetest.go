@@ -25,15 +25,11 @@ func Lower(t testing.TB, env *core.Env, ann *core.Annotation, keep ...int) *plan
 	return p
 }
 
-// Run executes p on e and collects every retained vertex into a dense
-// matrix keyed by vertex ID, failing the test on any error.
+// Run executes p on e and returns the dense value of every retained
+// vertex keyed by vertex ID, failing the test on any error.
 func Run(t testing.TB, e *engine.Engine, p *plan.Plan, inputs map[string]*tensor.Dense) map[int]*tensor.Dense {
 	t.Helper()
-	rels, err := e.RunPlan(context.Background(), p, inputs)
-	if err != nil {
-		t.Fatalf("sequential run: %v", err)
-	}
-	outs, err := e.CollectAll(rels)
+	outs, err := e.RunPlan(context.Background(), p, inputs)
 	if err != nil {
 		t.Fatalf("sequential run: %v", err)
 	}

@@ -68,12 +68,11 @@ type Optimizer struct {
 	algorithm Algorithm
 	budget    time.Duration
 	cacheSize int
-	noCache   bool
 	tracer    *Tracer
 
 	env    *core.Env
-	cache  *lru.Cache[string, *plan.Plan] // nil when WithoutPlanCache was given
-	flight *flightGroup                   // nil when WithoutPlanCache was given
+	cache  *lru.Cache[string, *plan.Plan]
+	flight *flightGroup
 }
 
 // Option configures an Optimizer.
@@ -97,10 +96,6 @@ func WithModel(m *costmodel.Model) Option { return func(o *Optimizer) { o.model 
 //
 // Deprecated: there is no parallelism left to bound; drop the option.
 func WithParallelism(n int) Option { return func(*Optimizer) {} }
-
-// WithoutPlanCache disables the plan cache: every Optimize call searches
-// from scratch, as earlier versions of this package did.
-func WithoutPlanCache() Option { return func(o *Optimizer) { o.noCache = true } }
 
 // WithPlanCacheSize sets the plan cache's LRU capacity (default
 // DefaultPlanCacheSize).
@@ -129,10 +124,8 @@ func NewOptimizer(cl Cluster, opts ...Option) *Optimizer {
 	if o.model != nil {
 		o.env.Model = o.model
 	}
-	if !o.noCache {
-		o.cache = newPlanCache(o.cacheSize)
-		o.flight = newFlightGroup()
-	}
+	o.cache = newPlanCache(o.cacheSize)
+	o.flight = newFlightGroup()
 	return o
 }
 
@@ -141,13 +134,8 @@ func NewOptimizer(cl Cluster, opts ...Option) *Optimizer {
 func (o *Optimizer) Env() *core.Env { return o.env }
 
 // CachedPlans reports how many optimized computations the plan cache
-// currently holds (0 when the cache is disabled).
-func (o *Optimizer) CachedPlans() int {
-	if o.cache == nil {
-		return 0
-	}
-	return o.cache.Len()
-}
+// currently holds.
+func (o *Optimizer) CachedPlans() int { return o.cache.Len() }
 
 // Plan is an optimized, type-correct annotated compute graph in the
 // form every engine executes: the lowered physical plan (internal/plan),
@@ -211,13 +199,6 @@ func (o *Optimizer) OptimizeCtx(ctx context.Context, b *Builder, outputs ...Matr
 	}
 	span := o.tracer.Start(nil, "optimize").SetInt("vertices", int64(len(g.Vertices)))
 	defer span.End()
-	if o.cache == nil {
-		pp, stats, err := o.search(ctx, g, span)
-		if err != nil {
-			return nil, err
-		}
-		return &Plan{phys: pp, env: o.env, fingerprint: core.Fingerprint(g, o.env), stats: stats}, nil
-	}
 	lspan := o.tracer.Start(span, "plancache.lookup")
 	fp := core.Fingerprint(g, o.env)
 	key := fmt.Sprintf("%d|%s", o.algorithm, fp)
@@ -527,22 +508,12 @@ func (x *Executor) RunCtx(ctx context.Context, p *Plan, inputs map[string]*tenso
 		}
 		fspan := x.tracer.Start(span, "fallback.sequential").SetStr("cause", err.Error())
 		defer fspan.End()
-		return x.runSequential(ctx, p, inputs)
+		return x.eng.RunPlan(ctx, p.phys, inputs)
 	}
 	span.SetStr("engine", "seq")
 	sspan := x.tracer.Start(span, "seq.run")
 	defer sspan.End()
-	return x.runSequential(ctx, p, inputs)
-}
-
-// runSequential executes the plan on the Executor's sequential engine
-// and collects every retained vertex.
-func (x *Executor) runSequential(ctx context.Context, p *Plan, inputs map[string]*tensor.Dense) (map[int]*tensor.Dense, error) {
-	rels, err := x.eng.RunPlan(ctx, p.phys, inputs)
-	if err != nil {
-		return nil, err
-	}
-	return x.eng.CollectAll(rels)
+	return x.eng.RunPlan(ctx, p.phys, inputs)
 }
 
 // DistReport returns the measurement of the most recent DistEngine run,
@@ -583,9 +554,12 @@ func (x *Executor) Stats() engine.Stats { return x.eng.Stats() }
 // plan runs vertex by vertex, every intermediate's true density is
 // measured, and when an estimate's relative error exceeds threshold
 // (the paper suggests 1.2) the remaining computation is re-optimized
-// with the measured densities before continuing. Adaptive execution
-// always uses the sequential engine, regardless of WithEngineKind —
-// its vertex-at-a-time measurement loop has no sharded counterpart yet.
+// with the measured densities before continuing. The result's Outputs
+// holds the dense value of every sink keyed by vertex ID, as Run
+// returns them, and each round recycles its storage like Run. Adaptive
+// execution always uses the sequential engine, regardless of
+// WithEngineKind — its vertex-at-a-time measurement loop has no sharded
+// counterpart yet.
 func (x *Executor) RunAdaptive(o *Optimizer, b *Builder, inputs map[string]*tensor.Dense, threshold float64) (*engine.AdaptiveResult, error) {
 	if b.err != nil {
 		return nil, b.err

@@ -53,22 +53,6 @@ func TestPlanCacheHit(t *testing.T) {
 	}
 }
 
-func TestPlanCacheBypass(t *testing.T) {
-	o := NewOptimizer(ClusterR5D(5), WithoutPlanCache())
-	for i := 0; i < 2; i++ {
-		p, err := o.Optimize(motivatingBuilder(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Cached() {
-			t.Fatalf("run %d served from cache despite WithoutPlanCache", i)
-		}
-	}
-	if n := o.CachedPlans(); n != 0 {
-		t.Errorf("CachedPlans() = %d with cache disabled", n)
-	}
-}
-
 // TestPlanCacheKeyedOnDensity: the adaptive executor re-optimizes
 // remainder graphs with measured densities, so two computations that
 // differ only in a density estimate must not share a cache slot.
@@ -130,7 +114,7 @@ func TestOptionOrderIndependence(t *testing.T) {
 func TestOptimizeCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	o := NewOptimizer(ClusterR5D(5), WithoutPlanCache())
+	o := NewOptimizer(ClusterR5D(5))
 	if _, err := o.OptimizeCtx(ctx, motivatingBuilder(1)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", err)
 	}
@@ -139,7 +123,7 @@ func TestOptimizeCtxCancelled(t *testing.T) {
 func TestOptimizeCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
-	o := NewOptimizer(ClusterR5D(5), WithoutPlanCache())
+	o := NewOptimizer(ClusterR5D(5))
 	if _, err := o.OptimizeCtx(ctx, motivatingBuilder(1)); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("expected ErrTimeout, got %v", err)
 	}

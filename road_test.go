@@ -169,8 +169,9 @@ func TestEveryInternalFunctionHasACaller(t *testing.T) {
 
 	// Packages of this repository are checked from the files above, in
 	// the order their imports ask for them, so every package shares one
-	// set of types; the standard library is checked from source.
-	std := importer.ForCompiler(fset, "source", nil)
+	// set of types; the standard library comes from the compiler's
+	// export data.
+	std := importer.ForCompiler(fset, "gc", nil)
 	pkgs := map[string]*types.Package{}
 	infos := map[string]*types.Info{}
 	var check func(dir string) (*types.Package, error)
