@@ -48,7 +48,10 @@ test-avx2:
 # draw and every release is filled with a NaN: the kernel suites and the
 # root package's pinned output digest must still reproduce their bits,
 # which proves each kernel writes (or clears) every element it hands out
-# and nothing reads storage after it is released. A Frontier search's
+# and nothing reads storage after it is released — the serving layer's
+# 64-client load test included, whose replies must keep their bits
+# although /execute releases each output once its reply is encoded. A
+# CSR's index arrays are poisoned with a negative index. A Frontier search's
 # scratch (DESIGN.md §7) is poisoned the same way, with junk keys, NaN
 # costs and −1 indices: the recorded plan hashes must still match, every
 # seed workload's plan must verify, every class's keys must still follow
@@ -62,6 +65,7 @@ test-avx2:
 poison:
 	$(GO) test -tags matopt_poison $(KERNEL_SUITES)
 	$(GO) test -tags matopt_poison -run 'TestPlanCacheEngineInvariance|TestEnginesLeaveInputsUntouched' .
+	$(GO) test -tags matopt_poison -run TestSustainedLoadBitIdentical ./internal/serve
 	$(GO) test -tags matopt_poison -run 'TestFrontierPlanIdentity|TestFrontierSeedPlansVerify|TestSearchesShareScratch|TestClassKeysFollowBackPointers|TestStreamOrderDoesNotMatter|TestFrontierClassesAscendOnSharedDAGs|TestBeamCut|TestGroupsFollowKeyOrder|TestLayoutMatchesKeyGrouping' ./internal/core
 
 # KERNELS.md §2 Rule 3 — every multiply-accumulate of a kernel body is
@@ -228,10 +232,12 @@ profile-chain-tcp:
 # And for the serving layer: two thousand warm /execute requests of each
 # of served_mix's two serve-bound classes (BenchmarkServeExecute:
 # exec_small, exec_bigreply) through Server.Handler() on one processor,
-# profile and test binary written to git-ignored serve.cpu.prof /
-# serve.test, then the 30 hottest functions. What is not the engine
-# there is the envelope.
+# with B/op, profiles and test binary written to git-ignored
+# serve.{cpu,mem}.prof / serve.test, then the 30 hottest functions and
+# the 8 sites that allocate the most bytes. What is not the engine there
+# is the envelope.
 profile-serve:
 	$(GO) test -run '^$$' -bench BenchmarkServeExecute -benchtime 2000x -benchmem -cpu 1 \
-		-cpuprofile serve.cpu.prof -o serve.test ./internal/serve
+		-cpuprofile serve.cpu.prof -memprofile serve.mem.prof -o serve.test ./internal/serve
 	$(GO) tool pprof -top -nodecount 30 serve.test serve.cpu.prof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 8 serve.test serve.mem.prof

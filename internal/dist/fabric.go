@@ -149,9 +149,9 @@ func (r *exec) wireErr(x engine.Xfer, stage string, err error) error {
 		x.Label, x.Vertex, stage, r.cfg.Transport.Name(), err, ErrExchangeTimeout)
 }
 
-// Exchange implements engine.Mover's shuffle on the fabric. A dense
-// tuple that arrives as other storage than was sent crossed a wire and
-// was decoded into storage of its own: the run's Storage owns those
+// Exchange implements engine.Mover's shuffle on the fabric. A dense or
+// CSR tuple that arrives as other storage than was sent crossed a wire
+// and was decoded into storage of its own: the run's Storage owns those
 // copies on arrival, so a relation built of them holds them too, and the
 // attempt releases them once its step is done (execStep).
 func (r *exec) Exchange(x engine.Xfer, produce func(shard int) ([]engine.Routed, error)) ([][]engine.Tuple, error) {
@@ -171,17 +171,21 @@ func (r *exec) Exchange(x engine.Xfer, produce func(shard int) ([]engine.Routed,
 	if err != nil {
 		return nil, err
 	}
-	local := make(map[*tensor.Dense]bool)
+	local := make(map[any]bool) // the payloads sent, by pointer
 	for _, out := range sent {
 		for _, rm := range out {
-			local[rm.msg.Tuple.Dense] = true
+			if t := rm.msg.Tuple; t.Dense != nil {
+				local[t.Dense] = true
+			} else if t.CSR != nil {
+				local[t.CSR] = true
+			}
 		}
 	}
 	var wire []engine.Tuple
 	for _, ms := range recv {
 		for _, m := range ms {
-			if d := m.Tuple.Dense; d != nil && !local[d] {
-				wire = append(wire, m.Tuple)
+			if t := m.Tuple; (t.Dense != nil && !local[t.Dense]) || (t.CSR != nil && !local[t.CSR]) {
+				wire = append(wire, t)
 			}
 		}
 	}

@@ -89,8 +89,20 @@ func sequentialBaseline(t *testing.T, cl costmodel.Cluster, pp *plan.Plan, input
 // consumer or Outputs skips a Free: over the chan transport with an
 // exchange dropped after its step re-laid out an argument, and over
 // loopback TCP, where a remote-hosted shard receives wire copies the run
-// owns on arrival.
+// owns on arrival. Every array either run drew from the tensor free
+// lists must be back on them, less its outputs.
 func TestRunsLeaveStorageEmpty(t *testing.T) {
+	// returned checks that the free lists hold what they held at before
+	// once the run's outputs are released.
+	returned := func(t *testing.T, before int64, outs map[int]*tensor.Dense) {
+		t.Helper()
+		for _, m := range outs {
+			tensor.Release(m)
+		}
+		if kept := tensor.Outstanding() - before; kept != 0 {
+			t.Fatalf("the run kept %d arrays it drew from the free lists", kept)
+		}
+	}
 	t.Run("chan, retried after a relayout", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		g := core.NewGraph()
@@ -116,11 +128,14 @@ func TestRunsLeaveStorageEmpty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := sequentialBaseline(t, env.Cluster, pp, inputs)
+		before := tensor.Outstanding()
 		got, rep, err := rt.RunPlan(context.Background(), pp, inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareSinks(t, "chan", pp, sequentialBaseline(t, env.Cluster, pp, inputs), got)
+		compareSinks(t, "chan", pp, want, got)
+		returned(t, before, got)
 		if rep.Retries == 0 {
 			t.Fatalf("v%d broadcast no re-laid-out argument: the drop never fired", v)
 		}
@@ -132,11 +147,14 @@ func TestRunsLeaveStorageEmpty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := sequentialBaseline(t, cl, pp, inputs)
+		before := tensor.Outstanding()
 		got, rep, err := rt.RunPlan(context.Background(), pp, inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareSinks(t, "tcp", pp, sequentialBaseline(t, cl, pp, inputs), got)
+		compareSinks(t, "tcp", pp, want, got)
+		returned(t, before, got)
 		if rep.WireBytes == 0 {
 			t.Error("nothing crossed the wire")
 		}

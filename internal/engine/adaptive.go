@@ -67,8 +67,9 @@ type measurement struct {
 //
 // Each round is one run of the engine's step loop, which recycles like
 // RunPlan. A halted round hands back the dense value of everything it
-// computed that is still live; the next round takes each as the input
-// done-<id> and scans it in again.
+// computed that is still live; the next round takes each as an input of
+// its own name (remainderGraph) and scans it in again, and a carried
+// value goes back to the free list once no remaining vertex reads it.
 func (e *Engine) RunAdaptive(g *core.Graph, env *core.Env, inputs map[string]*tensor.Dense, threshold float64) (*AdaptiveResult, error) {
 	if threshold < 1 {
 		return nil, fmt.Errorf("engine: relative-error threshold %v must be ≥ 1", threshold)
@@ -76,10 +77,21 @@ func (e *Engine) RunAdaptive(g *core.Graph, env *core.Env, inputs map[string]*te
 	res := &AdaptiveResult{Outputs: make(map[int]*tensor.Dense)}
 	measured := make(map[int]measurement)  // original vertex → what its computed value measured
 	carried := make(map[int]*tensor.Dense) // original vertex → its value, computed in an earlier round
+	defer func() {
+		for _, m := range carried {
+			tensor.Release(m)
+		}
+	}()
 	for {
 		sub, idmap, err := remainderGraph(g, measured)
 		if err != nil {
 			return nil, err
+		}
+		for orig, m := range carried {
+			if _, read := idmap[orig]; !read {
+				tensor.Release(m)
+				delete(carried, orig)
+			}
 		}
 		if sub.NumOps() == 0 {
 			return res, nil
@@ -138,13 +150,20 @@ func (e *Engine) RunAdaptive(g *core.Graph, env *core.Env, inputs map[string]*te
 }
 
 // remainderGraph rebuilds the not-yet-computed portion of g: measured
-// vertices are done, and those a remaining vertex still reads become the
-// sources done-<id>, declared in the format and density they were
-// measured in. idmap maps original vertex IDs to the new graph's
-// vertices.
+// vertices are done, and those a remaining vertex still reads become
+// sources declared in the format and density they were measured in,
+// named done-<id> — with a prime appended while that is the name of
+// one of g's inputs, so a caller's input never collides with it. idmap
+// maps original vertex IDs to the new graph's vertices.
 func remainderGraph(g *core.Graph, measured map[int]measurement) (*core.Graph, map[int]*core.Vertex, error) {
 	sub := core.NewGraph()
 	idmap := make(map[int]*core.Vertex)
+	taken := make(map[string]bool)
+	for _, v := range g.Vertices {
+		if v.IsSource {
+			taken[v.Name] = true
+		}
+	}
 	for _, v := range g.Vertices {
 		if m, ok := measured[v.ID]; ok {
 			// Only re-declare it if some remaining vertex consumes it.
@@ -158,7 +177,11 @@ func remainderGraph(g *core.Graph, measured map[int]measurement) (*core.Graph, m
 			if !needed {
 				continue
 			}
-			idmap[v.ID] = sub.Input(fmt.Sprintf("done-%d", v.ID), v.Shape, m.density, m.format)
+			name := fmt.Sprintf("done-%d", v.ID)
+			for taken[name] {
+				name += "'"
+			}
+			idmap[v.ID] = sub.Input(name, v.Shape, m.density, m.format)
 			continue
 		}
 		if v.IsSource {

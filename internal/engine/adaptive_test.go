@@ -31,41 +31,48 @@ func TestMeasuredDensity(t *testing.T) {
 // support. Declared density 0.2 ⇒ the optimizer estimates 0.2·0.2 = 0.04
 // for the product; the actual inputs share an identical support, so the
 // true product density is 0.2 — a relative error of 5. base is the
-// matrix both inputs hold.
-func driftGraph() (g *core.Graph, env *core.Env, inputs map[string]*tensor.Dense, base *tensor.Dense) {
+// matrix both inputs hold; the second input is named bName.
+func driftGraph(bName string) (g *core.Graph, env *core.Env, inputs map[string]*tensor.Dense, base *tensor.Dense) {
 	g = core.NewGraph()
 	s := shape.New(200, 200)
 	a := g.Input("a", s, 0.2, format.NewCSRSingle())
-	b := g.Input("b", s, 0.2, format.NewCSRSingle())
+	b := g.Input(bName, s, 0.2, format.NewCSRSingle())
 	had := g.MustApply(op.Op{Kind: op.Hadamard}, a, b)
 	g.MustApply(op.Op{Kind: op.ScalarMul, Scalar: 2}, had)
 
 	env = core.NewEnv(costmodel.LocalTest(3), format.All())
 	base = tensor.RandSparse(rand.New(rand.NewSource(1)), 200, 200, 0.2)
-	return g, env, map[string]*tensor.Dense{"a": base, "b": base.Clone()}, base
+	return g, env, map[string]*tensor.Dense{"a": base, bName: base.Clone()}, base
 }
 
 // On driftGraph the adaptive executor must detect the drift,
-// re-optimize, and still produce the right numbers.
+// re-optimize, and still produce the right numbers — also when the
+// caller's second input is named done-2, the name the first round's
+// carried Hadamard product (vertex 2) would take.
 func TestRunAdaptiveDetectsDensityDrift(t *testing.T) {
-	g, env, inputs, base := driftGraph()
-	e := New(env.Cluster)
-	res, err := e.RunAdaptive(g, env, inputs, 1.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reoptimized == 0 || len(res.Corrections) == 0 {
-		t.Fatalf("drift not detected: %+v", res)
-	}
-	c := res.Corrections[0]
-	if c.RelErr <= 1.2 {
-		t.Errorf("recorded relative error %v should exceed the threshold", c.RelErr)
-	}
-	// Numerics must survive the re-planning.
-	got := res.Outputs[g.Sinks()[0].ID]
-	want := tensor.K{}.Scale(tensor.K{}.Hadamard(base, base), 2)
-	if diff := tensor.MaxAbsDiff(got, want); diff > 1e-9 {
-		t.Errorf("adaptive result deviates by %g", diff)
+	for _, bName := range []string{"b", "done-2"} {
+		g, env, inputs, base := driftGraph(bName)
+		if g.Vertices[2].Op.Kind != op.Hadamard {
+			t.Fatalf("vertex 2 is %v, want the carried Hadamard product", g.Vertices[2].Op.Kind)
+		}
+		e := New(env.Cluster)
+		res, err := e.RunAdaptive(g, env, inputs, 1.2)
+		if err != nil {
+			t.Fatalf("second input %q: %v", bName, err)
+		}
+		if res.Reoptimized == 0 || len(res.Corrections) == 0 {
+			t.Fatalf("second input %q: drift not detected: %+v", bName, res)
+		}
+		c := res.Corrections[0]
+		if c.Vertex != 2 || c.RelErr <= 1.2 {
+			t.Errorf("second input %q: correction %+v, want vertex 2 above the threshold", bName, c)
+		}
+		// Numerics must survive the re-planning.
+		got := res.Outputs[g.Sinks()[0].ID]
+		want := tensor.K{}.Scale(tensor.K{}.Hadamard(base, base), 2)
+		if diff := tensor.MaxAbsDiff(got, want); diff > 1e-9 {
+			t.Errorf("second input %q: adaptive result deviates by %g", bName, diff)
+		}
 	}
 }
 

@@ -75,6 +75,7 @@ func Chunk(m *tensor.Dense, f format.Format, maxTupleBytes int64) ([]Tuple, shap
 				CSR: whole.RowSlice(i, min(i+h, m.Rows)),
 			})
 		}
+		sparse.Release(whole)
 	default:
 		return nil, s, fmt.Errorf("engine: unknown format %v", f)
 	}
@@ -85,7 +86,8 @@ func Chunk(m *tensor.Dense, f format.Format, maxTupleBytes int64) ([]Tuple, shap
 // that its tuples tile the shape exactly; tuple order does not matter
 // because every tuple writes a disjoint region (or, for COO, a distinct
 // element). A single relation's payload is returned as is, not copied:
-// the caller only reads it (Collect copies).
+// the caller only reads it (Collect copies). Every other matrix is
+// drawn for the caller, who owns it.
 func Assemble(r *Relation) (*tensor.Dense, error) {
 	var tuples []Tuple
 	for _, p := range r.Parts {
@@ -133,7 +135,9 @@ func Assemble(r *Relation) (*tensor.Dense, error) {
 	case format.CSRRowStrip:
 		h := int(r.Format.Block)
 		for _, t := range tuples {
-			m.SetSlice(int(t.Key.I)*h, 0, t.CSR.ToDense())
+			d := t.CSR.ToDense()
+			m.SetSlice(int(t.Key.I)*h, 0, d)
+			tensor.Release(d)
 		}
 	default:
 		return nil, fmt.Errorf("engine: unknown format %v", r.Format)

@@ -16,6 +16,7 @@ import (
 	"matopt/internal/plan"
 	"matopt/internal/shape"
 	"matopt/internal/tensor"
+	"matopt/internal/workload"
 )
 
 func testEnv(workers int) *core.Env {
@@ -266,13 +267,30 @@ func TestEveryMatMulExecutorAgainstReference(t *testing.T) {
 	}
 }
 
-// TestRunsLeaveStorageEmpty: a finished run's Storage owns nothing.
-// Outputs fails a run that leaves anything owned, so each run here
-// fails if a step, a release at the last consumer or Outputs itself
-// skips a Free: RunPlan keeping an intermediate on top of its sink, and
-// a RunAdaptive whose estimate drifts, so that a halted round hands back
-// its live values and the next scans them in again.
+// TestRunsLeaveStorageEmpty: a finished run's Storage owns nothing, and
+// every array the run drew from the tensor free lists has gone back to
+// them but its outputs. Outputs fails a run that leaves anything owned,
+// so each run here fails if a step, a release at the last consumer or
+// Outputs itself skips a Free; the free lists' Outstanding count fails
+// one that draws an array no Storage or operator gives back. The runs:
+// RunPlan keeping an intermediate on top of its sink; the benchmark's
+// chain_seq plan, whose to-csr-single re-layout and
+// mm-bcast-csr-rowstrip-agg column slices are CSR arrays; and a
+// RunAdaptive whose estimate drifts, so that a halted round hands back
+// its live values and the next scans them in again, once more with a
+// CSR scan still live at the halt.
 func TestRunsLeaveStorageEmpty(t *testing.T) {
+	// returned checks that the free lists hold what they held at before,
+	// once the outputs are released.
+	returned := func(t *testing.T, before int64, outs map[int]*tensor.Dense) {
+		t.Helper()
+		for _, m := range outs {
+			tensor.Release(m)
+		}
+		if kept := tensor.Outstanding() - before; kept != 0 {
+			t.Fatalf("the run kept %d arrays it drew from the free lists", kept)
+		}
+	}
 	t.Run("seq RunPlan", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		g := core.NewGraph()
@@ -295,6 +313,7 @@ func TestRunsLeaveStorageEmpty(t *testing.T) {
 			"b": tensor.RandNormal(rng, 300, 160),
 			"c": tensor.RandNormal(rng, 160, 500),
 		}
+		before := tensor.Outstanding()
 		outs, err := New(env.Cluster).RunPlan(context.Background(), p, inputs)
 		if err != nil {
 			t.Fatal(err)
@@ -302,9 +321,39 @@ func TestRunsLeaveStorageEmpty(t *testing.T) {
 		if len(outs) != 2 {
 			t.Fatalf("got %d outputs, want the sink and the kept intermediate", len(outs))
 		}
+		returned(t, before, outs)
+	})
+	t.Run("chain_seq plan", func(t *testing.T) {
+		g, inputs, err := workload.Spec{Workload: "chain", Scale: 40}.Normalized().Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := testEnv(2)
+		ann, err := core.Optimize(g, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := plan.Lower(g, env, ann)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make(map[string]bool)
+		for _, n := range p.Nodes {
+			names[n.Name] = true
+		}
+		if !names["to-csr-single"] || !names["mm-bcast-csr-rowstrip-agg"] {
+			t.Fatalf("the chain_seq plan no longer runs a CSR product:\n%s", p.Explain())
+		}
+		before := tensor.Outstanding()
+		outs, err := New(env.Cluster).RunPlan(context.Background(), p, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		returned(t, before, outs)
 	})
 	t.Run("drifting RunAdaptive", func(t *testing.T) {
-		g, env, inputs, _ := driftGraph()
+		g, env, inputs, _ := driftGraph("b")
+		before := tensor.Outstanding()
 		res, err := New(env.Cluster).RunAdaptive(g, env, inputs, 1.2)
 		if err != nil {
 			t.Fatal(err)
@@ -312,6 +361,28 @@ func TestRunsLeaveStorageEmpty(t *testing.T) {
 		if res.Reoptimized == 0 {
 			t.Fatal("no round halted")
 		}
+		returned(t, before, res.Outputs)
+	})
+	t.Run("RunAdaptive halting while a scan is live", func(t *testing.T) {
+		// driftGraph's Hadamard product drifts, and the sink also reads
+		// a, so a's CSR scan is still live when the first round halts.
+		g, env, inputs, base := driftGraph("b")
+		had, a := g.Vertices[2], g.Vertices[0]
+		g.MustApply(op.Op{Kind: op.Add}, had, a)
+		kc := tensor.K{}
+		want := kc.Add(kc.Hadamard(base, base), base)
+		before := tensor.Outstanding()
+		res, err := New(env.Cluster).RunAdaptive(g, env, inputs, 1.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Reoptimized == 0 {
+			t.Fatal("no round halted")
+		}
+		if got := res.Outputs[g.Sinks()[1].ID]; tensor.MaxAbsDiff(got, want) > 1e-9 {
+			t.Fatalf("the sum deviates by %g", tensor.MaxAbsDiff(got, want))
+		}
+		returned(t, before, res.Outputs)
 	})
 	t.Run("Outputs refuses", func(t *testing.T) {
 		e := New(costmodel.LocalTest(2))

@@ -191,7 +191,8 @@ func Scan(m Mover, vertex int, mat *tensor.Dense, f format.Format, maxTupleBytes
 // into the target format: the tuples are gathered onto a deterministic
 // stitch shard, the matrix is assembled and re-chunked there, and the
 // new chunks are scattered to their home shards. Gather and scatter are
-// metered as one "transform" movement.
+// metered as one "transform" movement. The assembled matrix is the new
+// single's payload, or goes back to the free list once chunked.
 func Relayout(m Mover, vertex, arg int, rel *Relation, target format.Format, maxTupleBytes int64) (*Relation, error) {
 	if target == rel.Format {
 		return rel, nil
@@ -212,6 +213,9 @@ func Relayout(m Mover, vertex, arg int, rel *Relation, target format.Format, max
 		}
 		m.Flops(int64(md.Rows) * int64(md.Cols))
 		tuples, out.Shape, err = Chunk(md, target, maxTupleBytes)
+		if rel.Format.Kind != format.Single && (err != nil || target.Kind != format.Single) {
+			tensor.Release(md) // assembled for this re-layout, and no tuple shares it
+		}
 		return err
 	})
 	if err != nil {

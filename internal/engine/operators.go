@@ -411,6 +411,8 @@ func mmBcastSingleTile(m Mover, n *plan.Node, ins []*Relation) (*Relation, error
 		return nil, err
 	}
 	b := int(ins[1].Format.Block)
+	drawn := newOperands[*tensor.Dense](m)
+	defer drawn.release(tensor.Release)
 	parts, err := sumByKey(m, Xfer{Vertex: n.Vertex, Kind: "shuffle", Label: "partials"}, func(s int) ([]Partial, error) {
 		a := as[s]
 		var out []Partial
@@ -418,7 +420,7 @@ func mmBcastSingleTile(m Mover, n *plan.Node, ins []*Relation) (*Relation, error
 			c0 := int(tb.Key.I) * b
 			key := Key{I: 0, J: tb.Key.J}
 			out = append(out, Partial{Dst: home(key, m.Shards()), Key: key, Seq: tb.Key.I,
-				Make: product(m, kc, a.Slice(0, a.Rows, c0, c0+tb.Dense.Rows), tb.Dense)})
+				Make: product(m, kc, drawn.add(s, a.Slice(0, a.Rows, c0, c0+tb.Dense.Rows)), tb.Dense)})
 		}
 		return out, nil
 	})
@@ -432,6 +434,8 @@ func mmTileBcastSingle(m Mover, n *plan.Node, ins []*Relation) (*Relation, error
 		return nil, err
 	}
 	bk := int(ins[0].Format.Block)
+	drawn := newOperands[*tensor.Dense](m)
+	defer drawn.release(tensor.Release)
 	parts, err := sumByKey(m, Xfer{Vertex: n.Vertex, Kind: "shuffle", Label: "partials"}, func(s int) ([]Partial, error) {
 		b := bs[s]
 		var out []Partial
@@ -439,7 +443,7 @@ func mmTileBcastSingle(m Mover, n *plan.Node, ins []*Relation) (*Relation, error
 			r0 := int(ta.Key.J) * bk
 			key := Key{I: ta.Key.I, J: 0}
 			out = append(out, Partial{Dst: home(key, m.Shards()), Key: key, Seq: ta.Key.J,
-				Make: product(m, kc, ta.Dense, b.Slice(r0, r0+ta.Dense.Cols, 0, b.Cols))})
+				Make: product(m, kc, ta.Dense, drawn.add(s, b.Slice(r0, r0+ta.Dense.Cols, 0, b.Cols)))})
 		}
 		return out, nil
 	})
@@ -461,18 +465,21 @@ func mmCSRSingleSingle(m Mover, n *plan.Node, ins []*Relation) (*Relation, error
 // csrColSlice extracts columns [c0, c1) of a CSR matrix, renumbering
 // column indices to the slice. Columns ascend within a row, so a row's
 // share of the slice is the run between two binary searches; the runs
-// are located first and copied into arrays of exactly their total size.
+// are located first and copied into arrays of exactly their total size,
+// drawn from the tensor free lists.
 func csrColSlice(m *sparse.CSR, c0, c1 int) *sparse.CSR {
-	rowPtr := make([]int, m.Rows+1)
-	from := make([]int, m.Rows) // where each row's run starts in m
+	rowPtr := tensor.DrawInts(m.Rows + 1)
+	from := tensor.DrawInts(m.Rows) // where each row's run starts in m
+	defer tensor.ReleaseInts(from)
+	rowPtr[0] = 0
 	for i := range from {
 		row := m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]]
 		lo := sort.SearchInts(row, c0)
 		from[i] = m.RowPtr[i] + lo
 		rowPtr[i+1] = rowPtr[i] + sort.SearchInts(row[lo:], c1)
 	}
-	colIdx := make([]int, rowPtr[m.Rows])
-	val := make([]float64, rowPtr[m.Rows])
+	colIdx := tensor.DrawInts(rowPtr[m.Rows])
+	val := tensor.DrawFloats(rowPtr[m.Rows])
 	for i, p := range from {
 		q := p + rowPtr[i+1] - rowPtr[i]
 		copy(val[rowPtr[i]:], m.Val[p:q])
@@ -481,6 +488,29 @@ func csrColSlice(m *sparse.CSR, c0, c1 int) *sparse.CSR {
 		}
 	}
 	return &sparse.CSR{Rows: m.Rows, Cols: c1 - c0, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
+}
+
+// operands is what an operator draws for its own products on each
+// shard — slices of an operand that no relation holds. Each shard adds
+// only to its own list, and release gives all of them back once the
+// operator's movement has returned: every product made of them has been
+// made by then.
+type operands[T any] [][]T
+
+func newOperands[T any](m Mover) operands[T] { return make(operands[T], m.Shards()) }
+
+// add records x as shard s's and returns it.
+func (o operands[T]) add(s int, x T) T {
+	o[s] = append(o[s], x)
+	return x
+}
+
+func (o operands[T]) release(free func(T)) {
+	for _, xs := range o {
+		for _, x := range xs {
+			free(x)
+		}
+	}
 }
 
 func mmBcastCSRRowStripAgg(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
@@ -492,6 +522,8 @@ func mmBcastCSRRowStripAgg(m Mover, n *plan.Node, ins []*Relation) (*Relation, e
 	if err != nil {
 		return nil, err
 	}
+	drawn := newOperands[*sparse.CSR](m)
+	defer drawn.release(sparse.Release)
 	h := int(ins[1].Format.Block)
 	return sumAtOwner(m, n, "partials→owner", func(s, owner int) ([]Partial, error) {
 		if len(copies[s]) != 1 || copies[s][0].CSR == nil {
@@ -502,7 +534,7 @@ func mmBcastCSRRowStripAgg(m Mover, n *plan.Node, ins []*Relation) (*Relation, e
 		for _, tb := range sortedShard(ins[1], s) {
 			r0 := int(tb.Key.I) * h
 			out = append(out, Partial{Dst: owner, Seq: tb.Key.I,
-				Make: csrProduct(m, kc, csrColSlice(a, r0, r0+tb.Dense.Rows), tb.Dense)})
+				Make: csrProduct(m, kc, drawn.add(s, csrColSlice(a, r0, r0+tb.Dense.Rows)), tb.Dense)})
 		}
 		return out, nil
 	}, addPartial(kc))
@@ -644,12 +676,27 @@ func mapOp(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
 			return Tuple{Key: t.Key, Dense: kern(t.Dense)}
 		case t.CSR != nil:
 			m.Flops(int64(t.CSR.NNZ()))
-			return Tuple{Key: t.Key, CSR: sparse.FromDense(kern(t.CSR.ToDense()))}
+			return Tuple{Key: t.Key, CSR: throughDense(t.CSR, kern)}
 		}
 		d := tensor.FromRows([][]float64{{t.Val}})
-		return Tuple{Key: t.Key, Val: kern(d).At(0, 0), IsVal: true}
+		out := kern(d)
+		v := out.At(0, 0)
+		tensor.Release(d)
+		tensor.Release(out)
+		return Tuple{Key: t.Key, Val: v, IsVal: true}
 	})
 	return chunked(ins[0].Format, n, parts, err)
+}
+
+// throughDense applies a dense kernel to a CSR matrix: kern runs on its
+// dense form and the result is compressed again. Both dense matrices go
+// back to the free list.
+func throughDense(c *sparse.CSR, kern func(*tensor.Dense) *tensor.Dense) *sparse.CSR {
+	d := c.ToDense()
+	out := kern(d)
+	tensor.Release(d)
+	defer tensor.Release(out)
+	return sparse.FromDense(out)
 }
 
 // denseMap applies a per-tuple dense kernel shard-locally, keeping keys
@@ -721,7 +768,7 @@ func transposeCSR(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
 	}
 	return atHolder(m, n, ins[0], format.NewCSRSingle(), func(t Tuple) (Tuple, error) {
 		m.Flops(2 * int64(t.CSR.NNZ()))
-		return Tuple{CSR: sparse.FromDense(m.Kern().Transpose(t.CSR.ToDense()))}, nil
+		return Tuple{CSR: throughDense(t.CSR, m.Kern().Transpose)}, nil
 	})
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"matopt/internal/core"
+	"matopt/internal/format"
 	"matopt/internal/plan"
 	"matopt/internal/tensor"
 )
@@ -69,9 +70,11 @@ func (e *Engine) interpret(ctx context.Context, p *plan.Plan, inputs map[string]
 		}
 		if halt != nil && s.Node.Kind == plan.KindCompute && halt(s.Node, r) {
 			kept = nil
-			for u := range vals {
+			for u, r := range vals {
 				if steps[u].Node.Kind == plan.KindCompute {
 					kept = append(kept, u)
+				} else {
+					st.Free(r) // a live scan: the next round scans its input again
 				}
 			}
 			break
@@ -106,21 +109,22 @@ func Outputs(st *Storage, ids []int, rels map[int]*Relation) (map[int]*tensor.De
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if len(st.owned) > 0 || len(st.holders) > 0 {
+	if arrays := len(st.floats) + len(st.ints); len(st.owned) > 0 || arrays > 0 {
 		return nil, fmt.Errorf("storage still owns %d relations and %d arrays after the run: %w",
-			len(st.owned), len(st.holders), core.ErrInternal)
+			len(st.owned), arrays, core.ErrInternal)
 	}
 	return outs, nil
 }
 
 // RunStep runs one plan step on m and is the only code either runtime
 // runs a step with. A source step looks up its input matrix, checks its
-// shape against the plan and scans it in (the relation shares the
-// caller's matrix and st never owns it). A compute step runs each fused
-// re-layout on the argument relations ins, then the operator; st owns
-// the output, and owns and then frees each re-layout output that is not
-// its input, so once the step returns, failed or not, only what the
-// output holds of them is left.
+// shape against the plan and scans it in: a single relation shares the
+// caller's matrix and st never owns it, every other format is storage
+// of its own, which st owns. A compute step runs each fused re-layout on
+// the argument relations ins, then the operator; st owns the output, and
+// owns and then frees each re-layout output that is not its input, so
+// once the step returns, failed or not, only what the output holds of
+// them is left.
 func RunStep(m Mover, st *Storage, s plan.Step, ins []*Relation, inputs map[string]*tensor.Dense, maxTupleBytes int64) (*Relation, error) {
 	n := s.Node
 	if n.Kind == plan.KindScan {
@@ -134,6 +138,9 @@ func RunStep(m Mover, st *Storage, s plan.Step, ins []*Relation, inputs map[stri
 		r, err := Scan(m, n.Vertex, mat, n.OutFormat, maxTupleBytes)
 		if err != nil {
 			return nil, fmt.Errorf("loading %q: %w", n.Source, err)
+		}
+		if n.OutFormat.Kind != format.Single {
+			st.Own(r)
 		}
 		return r, nil
 	}
@@ -167,25 +174,28 @@ func RunStep(m Mover, st *Storage, s plan.Step, ins []*Relation, inputs map[stri
 }
 
 // Storage is the one ownership rule of both runtimes' recycling: the
-// dense arrays of the relations a run produced and owns, counted by the
-// relations holding each, so an array goes back to the tensor free list
-// once, after its last holder is freed — an array an exchange delivered
-// in process to another shard is held by every relation it landed in.
-// RunStep owns what a step produced, a runtime frees a value when its
-// plan.Consumers count reaches zero, and Outputs frees what the run kept
-// once it has collected it, so a finished run's Storage owns nothing.
-// Only relations Own was given are ever released: a scan shares the
-// caller's matrix and is never owned, and every operator writes fresh
-// storage. Safe for concurrent use.
+// arrays of the relations a run produced and owns — a dense tuple's
+// Data, a CSR tuple's Val on the float free list and its RowPtr and
+// ColIdx on the index free list — counted by the relations holding each,
+// so an array goes back to the tensor free lists once, after its last
+// holder is freed: an array an exchange delivered in process to another
+// shard is held by every relation it landed in. RunStep owns what a step
+// produced, a runtime frees a value when its plan.Consumers count
+// reaches zero, and Outputs frees what the run kept once it has
+// collected it, so a finished run's Storage owns nothing. Only relations
+// Own was given are ever released: a single scan shares the caller's
+// matrix and is never owned, and every operator writes fresh storage.
+// Safe for concurrent use.
 type Storage struct {
-	mu      sync.Mutex
-	owned   map[*Relation]bool
-	holders map[*float64]int // by the array's first element
+	mu     sync.Mutex
+	owned  map[*Relation]bool
+	floats map[*float64]int // holders of each float array, by its first element
+	ints   map[*int]int     // holders of each index array, by its first element
 }
 
 // NewStorage returns an empty Storage for one run.
 func NewStorage() *Storage {
-	return &Storage{owned: make(map[*Relation]bool), holders: make(map[*float64]int)}
+	return &Storage{owned: make(map[*Relation]bool), floats: make(map[*float64]int), ints: make(map[*int]int)}
 }
 
 // Own records r as a relation the run produced and may recycle.
@@ -195,8 +205,13 @@ func (st *Storage) Own(r *Relation) {
 	st.owned[r] = true
 	for _, p := range r.Parts {
 		for _, t := range p {
-			if t.Dense != nil && len(t.Dense.Data) > 0 {
-				st.holders[&t.Dense.Data[0]]++
+			if t.Dense != nil {
+				hold(st.floats, t.Dense.Data)
+			}
+			if c := t.CSR; c != nil {
+				hold(st.floats, c.Val)
+				hold(st.ints, c.RowPtr)
+				hold(st.ints, c.ColIdx)
 			}
 		}
 	}
@@ -214,14 +229,38 @@ func (st *Storage) Free(r *Relation) {
 	delete(st.owned, r)
 	for _, p := range r.Parts {
 		for _, t := range p {
-			if t.Dense == nil || len(t.Dense.Data) == 0 {
-				continue
+			if t.Dense != nil {
+				drop(st.floats, &t.Dense.Data, tensor.ReleaseFloats)
 			}
-			a := &t.Dense.Data[0]
-			if st.holders[a]--; st.holders[a] == 0 {
-				delete(st.holders, a)
-				tensor.Release(t.Dense)
+			if c := t.CSR; c != nil {
+				drop(st.floats, &c.Val, tensor.ReleaseFloats)
+				drop(st.ints, &c.RowPtr, tensor.ReleaseInts)
+				drop(st.ints, &c.ColIdx, tensor.ReleaseInts)
 			}
 		}
 	}
+}
+
+// hold counts one more holder of the array d begins; an empty d is no
+// array.
+func hold[T any](holders map[*T]int, d []T) {
+	if len(d) > 0 {
+		holders[&d[0]]++
+	}
+}
+
+// drop counts one holder of *d's array less and, when that was its
+// last, releases the array and clears *d, so that a later reader panics
+// instead of reading reused storage.
+func drop[T any](holders map[*T]int, d *[]T, release func([]T)) {
+	if len(*d) == 0 {
+		return
+	}
+	a := &(*d)[0]
+	if holders[a]--; holders[a] > 0 {
+		return
+	}
+	delete(holders, a)
+	release(*d)
+	*d = nil
 }

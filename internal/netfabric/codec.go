@@ -362,7 +362,7 @@ func parseShardMessage(b []byte, n int) (layout, error) {
 // targets alike. Its fixed fields are read and checked as
 // parseShardMessage checks them before anything is allocated; then the
 // payload's words are read from the stream straight into storage drawn
-// for the tuple (a dense payload from tensor's free list), and the CRC
+// for the tuple (from tensor's free lists), and the CRC
 // over all of it is compared last. A frame that passed the checksum can
 // still be hostile: sparse.NewCSR checks a CSR's structure. Any failure
 // releases what was drawn and is ErrBadFrame (or the stream's error),
@@ -394,7 +394,7 @@ func (f *frameReader) message() (int, Message, error) {
 		t.Dense = tensor.Draw(l.rows, l.cols)
 		crc, err = readWords(f.r, crc, nil, t.Dense.Data)
 	case payloadCSR:
-		rowPtr, colIdx, val = make([]int, l.rows+1), make([]int, l.nnz), make([]float64, l.nnz)
+		rowPtr, colIdx, val = tensor.DrawInts(l.rows+1), tensor.DrawInts(l.nnz), tensor.DrawFloats(l.nnz)
 		crc, err = readWords(f.r, crc, nil, rowPtr)
 		crc, err = readWords(f.r, crc, err, colIdx)
 		crc, err = readWords(f.r, crc, err, val)
@@ -416,6 +416,11 @@ func (f *frameReader) message() (int, Message, error) {
 	if err != nil {
 		if t.Dense != nil {
 			tensor.Release(t.Dense)
+		}
+		if l.kind == payloadCSR {
+			tensor.ReleaseInts(rowPtr)
+			tensor.ReleaseInts(colIdx)
+			tensor.ReleaseFloats(val)
 		}
 		return 0, Message{}, err
 	}

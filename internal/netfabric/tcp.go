@@ -38,9 +38,11 @@ const connBufSize = 64 << 10
 // transports.
 //
 // Connections are pooled per peer and dialed lazily: a session checks
-// one out per peer at Open (dialing only when the pool is dry), and
-// returns it at a clean Collect. Failed or abandoned connections are
-// discarded; the next checkout's dial is counted as a reconnect.
+// one out per peer at Open (dialing when the pool is dry), and returns
+// it at a clean Collect. Failed or abandoned connections are discarded,
+// and the next checkout to that peer dials a replacement, counted as a
+// reconnect, rather than trust an idle connection to a peer that has
+// just failed one.
 type TCP struct {
 	peers     []string
 	ioTimeout time.Duration
@@ -123,23 +125,23 @@ type wireConn struct {
 }
 
 // checkout returns a pooled connection to addr, dialing when the pool
-// is dry. Dials (and re-dials replacing a discarded connection) are
-// metered into w.
+// is dry or a connection to addr was discarded since its last re-dial:
+// each discard is replaced by exactly one dial, whatever else the pool
+// holds. Dials (and those re-dials) are metered into w.
 func (t *TCP) checkout(ctx context.Context, w *Wire, addr string) (*wireConn, error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if conns := t.idle[addr]; len(conns) > 0 {
+	redial := t.broken[addr] > 0
+	if redial {
+		t.broken[addr]--
+	} else if conns := t.idle[addr]; len(conns) > 0 {
 		c := conns[len(conns)-1]
 		t.idle[addr] = conns[:len(conns)-1]
 		t.mu.Unlock()
 		return c, nil
-	}
-	redial := t.broken[addr] > 0
-	if redial {
-		t.broken[addr]--
 	}
 	t.mu.Unlock()
 	d := net.Dialer{Timeout: t.ioTimeout}

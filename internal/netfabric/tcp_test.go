@@ -207,6 +207,44 @@ func TestTCPSeveredMidExchange(t *testing.T) {
 	}
 }
 
+// TestTCPRedialsAfterDiscard: a discarded connection is replaced by a
+// dial, counted as a reconnect, even while the pool holds an idle
+// connection to the same peer — which a concurrent session may have
+// checked in just before a failed session's retry checks one out.
+func TestTCPRedialsAfterDiscard(t *testing.T) {
+	_, addr := startServer(t)
+	tp, err := NewTCP([]string{addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tp.Close()
+	ctx, w := context.Background(), new(Wire)
+	failed, err := tp.checkout(ctx, w, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, err := tp.checkout(ctx, w, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp.checkin(addr, healthy)
+	tp.discard(addr, failed)
+	retry, err := tp.checkout(ctx, w, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if retry == healthy || w.Dials.Load() != 3 || w.Reconnects.Load() != 1 {
+		t.Fatalf("the checkout after a discard reused the idle connection = %v, %d dials (%d reconnects), want a re-dial: 3 (1)",
+			retry == healthy, w.Dials.Load(), w.Reconnects.Load())
+	}
+	tp.checkin(addr, retry)
+	if next, err := tp.checkout(ctx, w, addr); err != nil || w.Dials.Load() != 3 {
+		t.Fatalf("the checkout after the re-dial: %v, %d dials, want an idle connection", err, w.Dials.Load())
+	} else {
+		tp.checkin(addr, next)
+	}
+}
+
 // TestTCPAbandonDiscardsConnections abandons a healthy session and
 // checks the transport does not pool its connection (the next session
 // dials afresh).

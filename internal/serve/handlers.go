@@ -101,6 +101,9 @@ func endpoint[R request](s *Server, name string, fn func(ctx context.Context, re
 			ts.setTrace(tr.Snapshot().Tree())
 		}
 		s.writeReply(w, name, http.StatusOK, result)
+		if x, ok := result.(*executeReply); ok {
+			x.release()
+		}
 	})
 }
 

@@ -80,6 +80,16 @@ type executeReply struct {
 	outs             map[int]*tensor.Dense // by sink vertex ID
 }
 
+// release gives the output matrices back to the tensor free list once
+// the reply holding their encoding has been written. They are this
+// request's alone: a run's outputs share no memory with its inputs —
+// the input cache's matrices — nor with anything the run recycles.
+func (x *executeReply) release() {
+	for _, m := range x.outs {
+		tensor.Release(m)
+	}
+}
+
 // outputsSlot is how an ExecuteResponse encodes an Outputs of one zero
 // OutputMatrix, derived from the DTOs so that it follows their tags. A
 // quote inside a JSON string is always escaped, so these bytes can occur

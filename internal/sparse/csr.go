@@ -58,9 +58,11 @@ func (m *CSR) Bytes() int64 { return int64(len(m.RowPtr))*8 + int64(m.NNZ())*12 
 // FromDense extracts the non-zeros of d into CSR form: a cell is stored
 // iff it compares unequal to zero (so −0 is dropped and NaN kept), the
 // cells FromDenseCOO(d) lists, in the same order. One pass counts each
-// row's non-zeros, a second fills arrays of exactly that size.
+// row's non-zeros, a second fills arrays of exactly that size, drawn
+// from the tensor free lists (Release gives them back).
 func FromDense(d *tensor.Dense) *CSR {
-	rowPtr := make([]int, d.Rows+1)
+	rowPtr := tensor.DrawInts(d.Rows + 1)
+	rowPtr[0] = 0
 	for i := 0; i < d.Rows; i++ {
 		n := 0
 		for _, v := range d.Data[i*d.Cols : (i+1)*d.Cols] {
@@ -70,8 +72,8 @@ func FromDense(d *tensor.Dense) *CSR {
 		}
 		rowPtr[i+1] = rowPtr[i] + n
 	}
-	colIdx := make([]int, rowPtr[d.Rows])
-	val := make([]float64, rowPtr[d.Rows])
+	colIdx := tensor.DrawInts(rowPtr[d.Rows])
+	val := tensor.DrawFloats(rowPtr[d.Rows])
 	k := 0
 	for i := 0; i < d.Rows; i++ {
 		for j, v := range d.Data[i*d.Cols : (i+1)*d.Cols] {
@@ -82,6 +84,16 @@ func FromDense(d *tensor.Dense) *CSR {
 		}
 	}
 	return &CSR{Rows: d.Rows, Cols: d.Cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
+}
+
+// Release returns m's arrays to the tensor free lists and clears them,
+// so that a later use of m panics instead of reading reused storage. The
+// caller holds the only reference to them.
+func Release(m *CSR) {
+	tensor.ReleaseInts(m.RowPtr)
+	tensor.ReleaseInts(m.ColIdx)
+	tensor.ReleaseFloats(m.Val)
+	m.RowPtr, m.ColIdx, m.Val = nil, nil, nil
 }
 
 // ToDense materializes the matrix densely.
@@ -95,21 +107,20 @@ func (m *CSR) ToDense() *tensor.Dense {
 	return d
 }
 
-// RowSlice returns the CSR sub-matrix of rows [r0, r1).
+// RowSlice returns the CSR sub-matrix of rows [r0, r1) in arrays of its
+// own, drawn from the tensor free lists, so that each slice can be
+// released apart from m.
 func (m *CSR) RowSlice(r0, r1 int) *CSR {
 	if r0 < 0 || r1 > m.Rows || r0 >= r1 {
 		panic(fmt.Sprintf("sparse: bad row slice [%d:%d) of %d rows", r0, r1, m.Rows))
 	}
 	base := m.RowPtr[r0]
-	rowPtr := make([]int, r1-r0+1)
+	rowPtr := tensor.DrawInts(r1 - r0 + 1)
 	for i := range rowPtr {
 		rowPtr[i] = m.RowPtr[r0+i] - base
 	}
-	return &CSR{
-		Rows:   r1 - r0,
-		Cols:   m.Cols,
-		RowPtr: rowPtr,
-		ColIdx: m.ColIdx[base:m.RowPtr[r1]],
-		Val:    m.Val[base:m.RowPtr[r1]],
-	}
+	colIdx, val := tensor.DrawInts(rowPtr[r1-r0]), tensor.DrawFloats(rowPtr[r1-r0])
+	copy(colIdx, m.ColIdx[base:m.RowPtr[r1]])
+	copy(val, m.Val[base:m.RowPtr[r1]])
+	return &CSR{Rows: r1 - r0, Cols: m.Cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
 }

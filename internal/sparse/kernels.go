@@ -64,8 +64,8 @@ func (m *CSR) MulDenseK(kc tensor.K, b *tensor.Dense) *tensor.Dense {
 	}
 	if m.NNZ() == m.Rows*m.Cols {
 		// The view borrows Val and must never reach tensor.Release: the
-		// CSR owns the array, and engine.Storage recycles only relations'
-		// Dense arrays. kc.MatMul reports to kc.Timer itself.
+		// CSR owns the array (engine.Storage recycles it with the CSR).
+		// kc.MatMul reports to kc.Timer itself.
 		return kc.MatMul(&tensor.Dense{Rows: m.Rows, Cols: m.Cols, Data: m.Val}, b)
 	}
 	if kc.Timer != nil {
@@ -81,7 +81,8 @@ func (m *CSR) MulDenseK(kc tensor.K, b *tensor.Dense) *tensor.Dense {
 	cb := min(w, max(strip, 4096/kb/strip*strip))
 	kb = max(kb, 4096/cb) // a b narrower than cb leaves room for more of its rows
 	kc.Par(m.Rows, m.avgRowWork(w), func(lo, hi int) {
-		cur := make([]int, hi-lo) // per row: its first entry not yet multiplied in this column block
+		cur := tensor.DrawInts(hi - lo) // per row: its first entry not yet multiplied in this column block
+		defer tensor.ReleaseInts(cur)
 		for j0 := 0; j0 < w; j0 += cb {
 			j1 := min(j0+cb, w)
 			for i := lo; dirty && i < hi; i++ {

@@ -78,12 +78,12 @@ func gemmRows(dst, a, b *Dense, lo, hi int, zero bool) {
 	var bp []float64
 	if m > mmNC {
 		bp, _ = draw(min(kd, mmKC) * mmNC)
-		defer release(bp)
+		defer ReleaseFloats(bp)
 	}
 	var scratch, edge []float64 // the tr×tc block of dst the edge tile updates, and its zero-padded kc×tc panel
 	if m%tc != 0 && tiled > lo {
 		buf, dirty := draw((tr + min(kd, mmKC)) * tc)
-		defer release(buf)
+		defer ReleaseFloats(buf)
 		if dirty {
 			clear(buf)
 		}

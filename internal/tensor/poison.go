@@ -2,9 +2,10 @@
 
 // This file is built only by `make poison`, which runs the kernel suites
 // and the pinned output digests with it. It fills every array drawn
-// without zeroing, and every array released, with a NaN, so a kernel
-// that leaves an element of its output unwritten, or a reader of
-// released storage, turns a golden's bits into NaN and fails it.
+// without zeroing, and every array released, with a NaN (a float array)
+// or a negative index no matrix has (an index array), so a kernel that
+// leaves an element of its output unwritten, or a reader of released
+// storage, turns a golden's bits into NaN or indexes out of range.
 
 package tensor
 
@@ -15,9 +16,14 @@ const poisonBits = 0x7ff4dead00000001
 
 func init() {
 	nan := math.Float64frombits(poisonBits)
-	poison = func(d []float64) {
+	floats.poison = func(d []float64) {
 		for i := range d {
 			d[i] = nan
+		}
+	}
+	indices.poison = func(d []int) {
+		for i := range d {
+			d[i] = math.MinInt32
 		}
 	}
 }

@@ -463,6 +463,9 @@ func NewExecutor(cl Cluster, opts ...ExecutorOption) *Executor {
 // (nor with storage a run recycles). One set of matrices may therefore
 // be handed to any number of runs, concurrent ones included — the
 // serving layer's input cache does (TestEnginesLeaveInputsUntouched).
+// The outputs are the caller's alone, drawn from the tensor free list:
+// a caller done with one may give it back (the serving layer does once
+// it has encoded the reply).
 func (x *Executor) Run(p *Plan, inputs map[string]*tensor.Dense) (map[int]*tensor.Dense, error) {
 	return x.RunCtx(context.Background(), p, inputs)
 }

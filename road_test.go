@@ -133,6 +133,7 @@ func TestEveryInternalFunctionHasACaller(t *testing.T) {
 		"netfabric.WithIOTimeout":      "chaos tests shorten the transport's socket deadline to fail fast",
 		"impl.All":                     "TestOperatorTableComplete walks the implementation registry",
 		"trans.All":                    "TestOperatorTableComplete walks the transformation registry",
+		"tensor.Outstanding":           "TestRunsLeaveStorageEmpty checks a run gives back every array it draws",
 	}
 	interfaceMethods := map[string]bool{"String": true, "Error": true, "Unwrap": true, "ServeHTTP": true}
 
