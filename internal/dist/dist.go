@@ -54,6 +54,7 @@ import (
 type Runtime struct {
 	cluster costmodel.Cluster
 	cfg     Config // defaults filled
+	oneStep bool   // run one step at a time, in plan order: tests pin a PeakBytes no schedule moves
 }
 
 // New returns a runtime for the given cluster profile (per-tuple size
@@ -113,6 +114,7 @@ func (rt *Runtime) RunPlan(ctx context.Context, p *plan.Plan, inputs map[string]
 	}
 	start := time.Now()
 	r := newRun(cfg, rt.cluster, ctx, p)
+	r.oneStep = rt.oneStep
 	defer r.stop()
 	rels, peak, err := r.execute(inputs)
 	if err != nil {

@@ -52,9 +52,12 @@ func (r *run) meterFor(x engine.Xfer) *meter {
 // exchange is the fabric's one movement primitive, the body of both
 // Mover movements (Exchange and Reduce): produce runs on every
 // shard as a pool task (so its compute is attributed to the shard) and
-// emits messages with explicit destinations; deliveries go through the
-// run's Transport session into per-shard inboxes — directly by default,
-// over a framed TCP stream for shards on Config.Peers workers. Returns
+// emits messages with explicit destinations; deliveries to another shard
+// go through the run's Transport session into per-shard inboxes —
+// directly by default, over a framed TCP stream for shards on
+// Config.Peers workers. A shard's messages to itself never enter the
+// session, so they cost nothing on any transport (and are not metered):
+// they join its inbox once the session is collected. Returns
 // the per-shard received messages sorted by (key, seq) — the
 // deterministic order every reduce replays, which is what makes the
 // output independent of the transport's arrival order.
@@ -90,6 +93,7 @@ func (r *exec) exchange(x engine.Xfer, produce func(shard int) ([]routed, error)
 		r.faults.Add(1)
 	}
 	var lost atomic.Bool
+	own := make([][]message, n) // each shard's messages to itself
 	err = r.Parallel(func(s int) error {
 		out, err := produce(s)
 		if err != nil {
@@ -108,9 +112,11 @@ func (r *exec) exchange(x engine.Xfer, produce func(shard int) ([]routed, error)
 			if rm.dst < 0 || rm.dst >= n {
 				return fmt.Errorf("dist: message routed to shard %d of %d", rm.dst, n)
 			}
-			if rm.dst != s {
-				m.count(rm.msg.Tuple)
+			if rm.dst == s {
+				own[s] = append(own[s], rm.msg)
+				continue
 			}
+			m.count(rm.msg.Tuple)
 			if err := sess.Send(rm.dst, rm.msg); err != nil {
 				return err
 			}
@@ -135,6 +141,7 @@ func (r *exec) exchange(x engine.Xfer, produce func(shard int) ([]routed, error)
 			x.Label, x.Vertex, *drop, ErrExchangeTimeout)
 	}
 	for s := range recv {
+		recv[s] = append(recv[s], own[s]...)
 		netfabric.SortMessages(recv[s])
 	}
 	return recv, nil

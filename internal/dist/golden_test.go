@@ -140,9 +140,18 @@ func optimize(t testing.TB, g *core.Graph, env *core.Env) *plan.Plan {
 	return enginetest.Lower(t, env, ann)
 }
 
-// TestGoldenMatMulChain covers the §8.2 chain workload generator at an
-// executable scale.
-func TestGoldenMatMulChain(t *testing.T) {
+// goldenCase is one workload the golden and traffic tests run: a graph
+// from a workload generator (or built by hand for the sparse formats),
+// its optimal plan and its inputs.
+type goldenCase struct {
+	name   string
+	env    *core.Env
+	pp     *plan.Plan
+	inputs map[string]*tensor.Dense
+}
+
+// chainCase is the §8.2 chain workload generator at an executable scale.
+func chainCase(t testing.TB) goldenCase {
 	sz := workload.ChainSizes{
 		Name: "scaled",
 		A:    shape.New(100, 300), B: shape.New(300, 500),
@@ -154,80 +163,118 @@ func TestGoldenMatMulChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := core.NewEnv(costmodel.LocalTest(3), format.All())
-	pp := optimize(t, g, env)
 	rng := rand.New(rand.NewSource(1))
 	mk := func(s shape.Shape) *tensor.Dense { return tensor.RandNormal(rng, int(s.Rows), int(s.Cols)) }
 	inputs := map[string]*tensor.Dense{
 		"A": mk(sz.A), "B": mk(sz.B), "C": mk(sz.C),
 		"D": mk(sz.D), "E": mk(sz.E), "F": mk(sz.F),
 	}
-	assertBitIdentical(t, "matmul-chain", env.Cluster, pp, inputs)
+	return goldenCase{"matmul-chain", env, optimize(t, g, env), inputs}
 }
 
-// TestGoldenFFNN covers the three FFNN workload generators (W2 update,
-// full backprop, three-pass) at a scaled size.
-func TestGoldenFFNN(t *testing.T) {
+// ffnnCases are the three FFNN workload generators (W2 update, full
+// backprop, three-pass) at a scaled size.
+func ffnnCases(t testing.TB) []goldenCase {
 	cfg := workload.ScaledFFNN(workload.PaperFFNN(80000), 500)
-	gens := map[string]func(workload.FFNNConfig) (*core.Graph, error){
-		"w2update": workload.FFNNW2Update,
-		"backprop": workload.FFNNBackprop,
-		"3pass":    workload.FFNNThreePass,
+	gens := []struct {
+		name string
+		gen  func(workload.FFNNConfig) (*core.Graph, error)
+	}{
+		{"w2update", workload.FFNNW2Update},
+		{"backprop", workload.FFNNBackprop},
+		{"3pass", workload.FFNNThreePass},
 	}
 	env := core.NewEnv(costmodel.LocalTest(3), format.All())
-	for name, gen := range gens {
-		g, err := gen(cfg)
+	var cases []goldenCase
+	for _, gen := range gens {
+		g, err := gen.gen(cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", gen.name, err)
 		}
-		pp := optimize(t, g, env)
 		rng := rand.New(rand.NewSource(3))
-		assertBitIdentical(t, "ffnn-"+name, env.Cluster, pp, workload.FFNNInputs(rng, cfg))
+		cases = append(cases, goldenCase{"ffnn-" + gen.name, env, optimize(t, g, env), workload.FFNNInputs(rng, cfg)})
 	}
+	return cases
 }
 
-// TestGoldenBlockInverse covers the two-level block-inverse generator.
-func TestGoldenBlockInverse(t *testing.T) {
+// blockInverseCase is the two-level block-inverse generator.
+func blockInverseCase(t testing.TB) goldenCase {
 	cfg := workload.BlockInverseConfig{Outer: 40, Inner1: 16, Inner2: 24, BlockFormat: format.NewSingle()}
 	g, err := workload.BlockInverse2(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	env := core.NewEnv(costmodel.LocalTest(3), format.All())
-	pp := optimize(t, g, env)
 	inputs, _ := workload.BlockInverseInputs(rand.New(rand.NewSource(1)), cfg)
-	assertBitIdentical(t, "block-inverse", env.Cluster, pp, inputs)
+	return goldenCase{"block-inverse", env, optimize(t, g, env), inputs}
 }
 
-// TestGoldenSparse covers sparse formats: a CSR-input FFNN forward
-// layer and a COO-input multiply.
-func TestGoldenSparse(t *testing.T) {
+// sparseCases cover the sparse formats: a CSR-input FFNN forward layer
+// and a COO-input multiply.
+func sparseCases(t testing.TB) []goldenCase {
 	env := core.NewEnv(costmodel.LocalTest(3), format.All())
+	var cases []goldenCase
 	{
 		g := core.NewGraph()
 		x := g.Input("X", shape.New(200, 3000), 0.01, format.NewCSRSingle())
 		w1 := g.Input("W1", shape.New(3000, 80), 1, format.NewRowStrip(1000))
 		z1 := g.MustApply(op.Op{Kind: op.MatMul}, x, w1)
 		g.MustApply(op.Op{Kind: op.ReLU}, z1)
-		pp := optimize(t, g, env)
 		rng := rand.New(rand.NewSource(2))
 		inputs := map[string]*tensor.Dense{
 			"X":  tensor.RandSparse(rng, 200, 3000, 0.01),
 			"W1": tensor.RandNormal(rng, 3000, 80),
 		}
-		assertBitIdentical(t, "sparse-csr-forward", env.Cluster, pp, inputs)
+		cases = append(cases, goldenCase{"sparse-csr-forward", env, optimize(t, g, env), inputs})
 	}
 	{
 		g := core.NewGraph()
 		x := g.Input("X", shape.New(150, 400), 0.005, format.NewCOO())
 		w := g.Input("W", shape.New(400, 60), 1, format.NewSingle())
 		g.MustApply(op.Op{Kind: op.MatMul}, x, w)
-		pp := optimize(t, g, env)
 		rng := rand.New(rand.NewSource(4))
 		inputs := map[string]*tensor.Dense{
 			"X": tensor.RandSparse(rng, 150, 400, 0.005),
 			"W": tensor.RandNormal(rng, 400, 60),
 		}
-		assertBitIdentical(t, "sparse-coo-mm", env.Cluster, pp, inputs)
+		cases = append(cases, goldenCase{"sparse-coo-mm", env, optimize(t, g, env), inputs})
+	}
+	return cases
+}
+
+// goldenCases lists every case above, in a fixed order.
+func goldenCases(t testing.TB) []goldenCase {
+	cases := []goldenCase{chainCase(t)}
+	cases = append(cases, ffnnCases(t)...)
+	cases = append(cases, blockInverseCase(t))
+	return append(cases, sparseCases(t)...)
+}
+
+func (c goldenCase) assertBitIdentical(t *testing.T) {
+	t.Helper()
+	assertBitIdentical(t, c.name, c.env.Cluster, c.pp, c.inputs)
+}
+
+// TestGoldenMatMulChain covers the §8.2 chain workload generator at an
+// executable scale.
+func TestGoldenMatMulChain(t *testing.T) { chainCase(t).assertBitIdentical(t) }
+
+// TestGoldenFFNN covers the three FFNN workload generators (W2 update,
+// full backprop, three-pass) at a scaled size.
+func TestGoldenFFNN(t *testing.T) {
+	for _, c := range ffnnCases(t) {
+		c.assertBitIdentical(t)
+	}
+}
+
+// TestGoldenBlockInverse covers the two-level block-inverse generator.
+func TestGoldenBlockInverse(t *testing.T) { blockInverseCase(t).assertBitIdentical(t) }
+
+// TestGoldenSparse covers sparse formats: a CSR-input FFNN forward
+// layer and a COO-input multiply.
+func TestGoldenSparse(t *testing.T) {
+	for _, c := range sparseCases(t) {
+		c.assertBitIdentical(t)
 	}
 }
 

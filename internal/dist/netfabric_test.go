@@ -442,3 +442,76 @@ func TestChaosNetShutdownLeakFree(t *testing.T) {
 		}
 	})
 }
+
+// runOverWorker runs the hand-annotated plan of g at 2 shards, shard 1
+// hosted by a loopback worker, checks its outputs against the sequential
+// engine's bits, and returns the run's Report and the MSG frames the
+// worker relayed, counted once it has served every session.
+func runOverWorker(t *testing.T, g *core.Graph, ann *core.Annotation, inputs map[string]*tensor.Dense) (*dist.Report, int64) {
+	t.Helper()
+	srv, addr := startWorker(t)
+	cl := costmodel.LocalTest(2)
+	pp := enginetest.Lower(t, core.NewEnv(cl, format.All()), ann)
+	want := sequentialBaseline(t, cl, pp, inputs)
+	tp, err := netfabric.NewTCP([]string{netfabric.LocalPeer, addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := dist.New(cl, dist.Config{Shards: 2, Transport: tp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, rep, err := rt.RunPlan(context.Background(), pp, inputs)
+	tp.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareSinks(t, "tcp @2 shards", pp, want, got)
+	srv.Close() // waits for every handler, so Stats has every session
+	return rep, srv.Stats().Frames
+}
+
+// TestTCPSelfDeliveryStaysOffTheWire: a co-partitioned add of two
+// relations already hash partitioned alike re-homes every tuple onto the
+// shard it lives on, so no message of either exchange leaves its
+// producer — and none may reach the worker hosting shard 1, though it
+// hosts half the tuples.
+func TestTCPSelfDeliveryStaysOffTheWire(t *testing.T) {
+	g := core.NewGraph()
+	a := g.Input("A", shape.New(120, 120), 1, format.NewTile(50))
+	b := g.Input("B", shape.New(120, 120), 1, format.NewTile(50))
+	g.MustApply(op.Op{Kind: op.Add}, a, b)
+	ann := handAnn(t, g, "add-copart", format.NewTile(50))
+	rng := rand.New(rand.NewSource(5))
+	inputs := map[string]*tensor.Dense{"A": tensor.RandNormal(rng, 120, 120), "B": tensor.RandNormal(rng, 120, 120)}
+	rep, frames := runOverWorker(t, g, ann, inputs)
+	if rep.NetBytes != 0 || frames != 0 {
+		t.Fatalf("an exchange that stays on its producers moved %d B between shards and put %d MSG frames on the wire", rep.NetBytes, frames)
+	}
+}
+
+// TestBroadcastOnlyToPartnerShards: a row-strip × single multiply whose
+// left side is one strip, on the shard that also holds the single, needs
+// the single nowhere else — so its broadcast meters no bytes and puts
+// nothing on the wire to the worker hosting the other shard.
+func TestBroadcastOnlyToPartnerShards(t *testing.T) {
+	g := core.NewGraph()
+	b := g.Input("B", shape.New(80, 40), 1, format.NewSingle())     // vertex 0: owner shard 0
+	a := g.Input("A", shape.New(50, 80), 1, format.NewRowStrip(50)) // one strip, key (0, 0): home shard 0
+	g.MustApply(op.Op{Kind: op.MatMul}, a, b)
+	ann := handAnn(t, g, "mm-rowstrip-bcast-single", format.NewRowStrip(50))
+	rng := rand.New(rand.NewSource(6))
+	inputs := map[string]*tensor.Dense{"A": tensor.RandNormal(rng, 50, 80), "B": tensor.RandNormal(rng, 80, 40)}
+	rep, frames := runOverWorker(t, g, ann, inputs)
+	if len(rep.Exchanges) == 0 {
+		t.Fatal("the run metered no exchange; the broadcast did not run")
+	}
+	for _, x := range rep.Exchanges {
+		if x.Bytes != 0 {
+			t.Errorf("v%d %s %s metered %d B: the partner holds nothing on the other shard", x.Vertex, x.Kind, x.Label, x.Bytes)
+		}
+	}
+	if frames != 0 {
+		t.Errorf("the worker relayed %d MSG frames", frames)
+	}
+}

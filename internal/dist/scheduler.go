@@ -25,6 +25,7 @@ type run struct {
 	ctx     context.Context
 	pl      *plan.Plan
 	steps   []plan.Step     // pl.Steps(): the units of scheduling and recovery
+	oneStep bool            // launch a step only when none is in flight
 	st      *engine.Storage // what this run's steps and exchanges produced
 	tasks   []chan func()
 	workers sync.WaitGroup
@@ -236,6 +237,9 @@ func (r *run) execute(inputs map[string]*tensor.Dense) (rels map[int]*engine.Rel
 				failed = fmt.Errorf("dist: execution aborted: %w", err)
 			} else {
 				for v := range r.steps {
+					if r.oneStep && inFlight > 0 {
+						break
+					}
 					if ready(v) {
 						launch(v)
 					}

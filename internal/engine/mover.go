@@ -123,14 +123,18 @@ func (l local) Reduce(_ Xfer, produce func(shard int) ([]Partial, error), fold f
 	return nil
 }
 
-// broadcast ships every tuple of rel to every shard and returns each
-// shard's copy in key order — the broadcast-join movement.
-func broadcast(m Mover, x Xfer, rel *Relation) ([][]Tuple, error) {
+// broadcast ships every tuple of rel to every shard where partner holds
+// a tuple — the only shards a broadcast join reads rel on — and returns
+// each shard's copy in key order; a shard partner leaves empty receives
+// nothing.
+func broadcast(m Mover, x Xfer, rel, partner *Relation) ([][]Tuple, error) {
 	return m.Exchange(x, func(s int) ([]Routed, error) {
 		var out []Routed
 		for _, t := range rel.Parts[s] {
-			for d := 0; d < m.Shards(); d++ {
-				out = append(out, Routed{Dst: d, Tuple: t})
+			for d, p := range partner.Parts {
+				if len(p) > 0 {
+					out = append(out, Routed{Dst: d, Tuple: t})
+				}
 			}
 		}
 		return out, nil
@@ -188,17 +192,17 @@ func Scan(m Mover, vertex int, mat *tensor.Dense, f format.Format, maxTupleBytes
 }
 
 // Relayout re-lays-out the relation feeding argument arg of a vertex
-// into the target format: the tuples are gathered onto a deterministic
-// stitch shard, the matrix is assembled and re-chunked there, and the
-// new chunks are scattered to their home shards. Gather and scatter are
-// metered as one "transform" movement. The assembled matrix is the new
-// single's payload, or goes back to the free list once chunked.
+// into the target format: the tuples are gathered onto a stitch shard,
+// the matrix is assembled and re-chunked there, and the new chunks are
+// scattered to their home shards. Gather and scatter are metered as one
+// "transform" movement. The assembled matrix is the new single's
+// payload, or goes back to the free list once chunked.
 func Relayout(m Mover, vertex, arg int, rel *Relation, target format.Format, maxTupleBytes int64) (*Relation, error) {
 	if target == rel.Format {
 		return rel, nil
 	}
 	x := Xfer{Vertex: vertex, Kind: "transform", Label: fmt.Sprintf("arg%d %v→%v", arg, rel.Format, target)}
-	stitch := m.OwnerShard(vertex + 31*arg)
+	stitch := stitchShard(rel, m.OwnerShard(vertex+31*arg))
 	gathered, err := shuffle(m, x, rel, func(Tuple) int { return stitch })
 	if err != nil {
 		return nil, err
@@ -235,6 +239,25 @@ func Relayout(m Mover, vertex, arg int, rel *Relation, target format.Format, max
 		return routed, nil
 	})
 	return out, err
+}
+
+// stitchShard is where a re-layout gathers rel: the shard that already
+// holds the most of its bytes, so the gather moves the least; a tie
+// goes to tie when it is among the tied shards, else to the lowest one.
+func stitchShard(rel *Relation, tie int) int {
+	held := func(s int) (b int64) {
+		for _, t := range rel.Parts[s] {
+			b += t.Bytes()
+		}
+		return b
+	}
+	stitch, most := tie, held(tie)
+	for s := range rel.Parts {
+		if b := held(s); b > most {
+			stitch, most = s, b
+		}
+	}
+	return stitch
 }
 
 // sole returns the relation's only tuple and the shard holding it.

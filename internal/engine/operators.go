@@ -186,18 +186,22 @@ func mapLocal(m Mover, in *Relation, f func(shard int, t Tuple) Tuple) ([][]Tupl
 	return parts, err
 }
 
-// broadcastSingleDense broadcasts a one-tuple dense relation and
-// returns each shard's copy.
-func broadcastSingleDense(m Mover, n *plan.Node, rel *Relation, label string) ([]*tensor.Dense, error) {
+// broadcastSingleDense broadcasts a one-tuple dense relation to the
+// shards where partner holds a tuple and returns each shard's copy (nil
+// on the others).
+func broadcastSingleDense(m Mover, n *plan.Node, rel, partner *Relation, label string) ([]*tensor.Dense, error) {
 	if _, _, err := rel.singleDense(); err != nil {
 		return nil, err
 	}
-	copies, err := broadcast(m, Xfer{Vertex: n.Vertex, Kind: "broadcast", Label: label}, rel)
+	copies, err := broadcast(m, Xfer{Vertex: n.Vertex, Kind: "broadcast", Label: label}, rel, partner)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*tensor.Dense, m.Shards())
 	for s := range copies {
+		if len(partner.Parts[s]) == 0 {
+			continue
+		}
 		if len(copies[s]) != 1 || copies[s][0].Dense == nil {
 			return nil, fmt.Errorf("broadcast of %v delivered %d tuples to shard %d", rel.Format, len(copies[s]), s)
 		}
@@ -207,13 +211,14 @@ func broadcastSingleDense(m Mover, n *plan.Node, rel *Relation, label string) ([
 }
 
 // broadcastSmaller broadcasts whichever of two relations holds fewer
-// bytes and reports which argument that was.
+// bytes to the shards where the other holds a tuple and reports which
+// argument that was.
 func broadcastSmaller(m Mover, n *plan.Node, ins []*Relation) (int, [][]Tuple, error) {
 	bcast := 0
 	if ins[1].Bytes() < ins[0].Bytes() {
 		bcast = 1
 	}
-	copies, err := broadcast(m, Xfer{Vertex: n.Vertex, Kind: "broadcast", Label: fmt.Sprintf("broadcast(arg%d)", bcast)}, ins[bcast])
+	copies, err := broadcast(m, Xfer{Vertex: n.Vertex, Kind: "broadcast", Label: fmt.Sprintf("broadcast(arg%d)", bcast)}, ins[bcast], ins[1-bcast])
 	return bcast, copies, err
 }
 
@@ -269,7 +274,7 @@ func mmSingleSingle(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
 
 func mmBcastSingleColStrip(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
 	kc := m.Kern()
-	as, err := broadcastSingleDense(m, n, ins[0], "broadcast(a)")
+	as, err := broadcastSingleDense(m, n, ins[0], ins[1], "broadcast(a)")
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +286,7 @@ func mmBcastSingleColStrip(m Mover, n *plan.Node, ins []*Relation) (*Relation, e
 
 func mmRowStripBcastSingle(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
 	kc := m.Kern()
-	bs, err := broadcastSingleDense(m, n, ins[1], "broadcast(b)")
+	bs, err := broadcastSingleDense(m, n, ins[1], ins[0], "broadcast(b)")
 	if err != nil {
 		return nil, err
 	}
@@ -406,7 +411,7 @@ func mmTileTileBcast(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) 
 
 func mmBcastSingleTile(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
 	kc := m.Kern()
-	as, err := broadcastSingleDense(m, n, ins[0], "broadcast(a)")
+	as, err := broadcastSingleDense(m, n, ins[0], ins[1], "broadcast(a)")
 	if err != nil {
 		return nil, err
 	}
@@ -429,7 +434,7 @@ func mmBcastSingleTile(m Mover, n *plan.Node, ins []*Relation) (*Relation, error
 
 func mmTileBcastSingle(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
 	kc := m.Kern()
-	bs, err := broadcastSingleDense(m, n, ins[1], "broadcast(b)")
+	bs, err := broadcastSingleDense(m, n, ins[1], ins[0], "broadcast(b)")
 	if err != nil {
 		return nil, err
 	}
@@ -518,7 +523,7 @@ func mmBcastCSRRowStripAgg(m Mover, n *plan.Node, ins []*Relation) (*Relation, e
 	if _, _, err := ins[0].singleCSR(); err != nil {
 		return nil, err
 	}
-	copies, err := broadcast(m, Xfer{Vertex: n.Vertex, Kind: "broadcast", Label: "broadcast(a)"}, ins[0])
+	copies, err := broadcast(m, Xfer{Vertex: n.Vertex, Kind: "broadcast", Label: "broadcast(a)"}, ins[0], ins[1])
 	if err != nil {
 		return nil, err
 	}
@@ -526,6 +531,9 @@ func mmBcastCSRRowStripAgg(m Mover, n *plan.Node, ins []*Relation) (*Relation, e
 	defer drawn.release(sparse.Release)
 	h := int(ins[1].Format.Block)
 	return sumAtOwner(m, n, "partials→owner", func(s, owner int) ([]Partial, error) {
+		if len(ins[1].Parts[s]) == 0 {
+			return nil, nil
+		}
 		if len(copies[s]) != 1 || copies[s][0].CSR == nil {
 			return nil, fmt.Errorf("broadcast csr missing on shard %d", s)
 		}
@@ -542,7 +550,7 @@ func mmBcastCSRRowStripAgg(m Mover, n *plan.Node, ins []*Relation) (*Relation, e
 
 func mmCSRRowStripBcastSingle(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
 	kc := m.Kern()
-	bs, err := broadcastSingleDense(m, n, ins[1], "broadcast(b)")
+	bs, err := broadcastSingleDense(m, n, ins[1], ins[0], "broadcast(b)")
 	if err != nil {
 		return nil, err
 	}
@@ -553,7 +561,7 @@ func mmCSRRowStripBcastSingle(m Mover, n *plan.Node, ins []*Relation) (*Relation
 }
 
 func mmBcastCOOSingle(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
-	bs, err := broadcastSingleDense(m, n, ins[1], "broadcast(b)")
+	bs, err := broadcastSingleDense(m, n, ins[1], ins[0], "broadcast(b)")
 	if err != nil {
 		return nil, err
 	}
@@ -711,7 +719,7 @@ func denseMap(m Mover, n *plan.Node, in *Relation, kern func(*tensor.Dense) *ten
 
 func addBias(m Mover, n *plan.Node, ins []*Relation) (*Relation, error) {
 	kc := m.Kern()
-	bs, err := broadcastSingleDense(m, n, ins[1], "broadcast(bias)")
+	bs, err := broadcastSingleDense(m, n, ins[1], ins[0], "broadcast(bias)")
 	if err != nil {
 		return nil, err
 	}

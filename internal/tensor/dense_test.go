@@ -220,6 +220,44 @@ func TestUnaryOps(t *testing.T) {
 	}
 }
 
+// TestReLUBits holds ReLU and ReLUGrad to their scalar definitions, bit
+// for bit, on the values a bit trick could get wrong: both zeros, both
+// infinities, NaNs of both signs and payloads, the extreme subnormals
+// and normals, and ±1.
+func TestReLUBits(t *testing.T) {
+	nan := math.Float64bits(math.NaN())
+	vals := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Float64frombits(nan | 1<<63), math.Float64frombits(0x7ff0000000000001),
+		math.Float64frombits(0xfff0000000000001), math.Float64frombits(0x7fffffffffffffff), math.Float64frombits(0xffffffffffffffff),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), math.Float64frombits(0x800fffffffffffff),
+		math.MaxFloat64, -math.MaxFloat64, 1, -1}
+	relu := func(x float64) float64 {
+		if x > 0 {
+			return x
+		}
+		return 0
+	}
+	grad := func(x float64) float64 {
+		if x > 0 {
+			return 1
+		}
+		return 0
+	}
+	a := FromRows([][]float64{vals})
+	for _, c := range []struct {
+		name string
+		got  *Dense
+		want func(float64) float64
+	}{{"ReLU", K{}.ReLU(a), relu}, {"ReLUGrad", K{}.ReLUGrad(a), grad}} {
+		for i, x := range vals {
+			if g, w := math.Float64bits(c.got.Data[i]), math.Float64bits(c.want(x)); g != w {
+				t.Errorf("%s(%#016x) = %#016x, want %#016x", c.name, math.Float64bits(x), g, w)
+			}
+		}
+	}
+}
+
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := RandNormal(rng, 10, 17)

@@ -1,6 +1,8 @@
 package tensor
 
-import "math"
+import (
+	"math"
+)
 
 // Apply returns f mapped over every entry, element-partitioned across
 // the context's threads (entries are independent, so any partition is
@@ -23,24 +25,52 @@ func (k K) Apply(a *Dense, f func(float64) float64) *Dense {
 // slightly larger chunks than strictly necessary.
 const unaryWork = 16
 
-// ReLU returns max(x, 0) entrywise under the context's thread budget.
-func (k K) ReLU(a *Dense) *Dense {
-	return k.Apply(a, func(x float64) float64 {
-		if x > 0 {
-			return x
-		}
-		return 0
-	})
+// ReLU returns x where x > 0 and +0 elsewhere (−0 and NaN included),
+// entrywise under the context's thread budget.
+func (k K) ReLU(a *Dense) *Dense { return k.mapNew(a, relu) }
+
+// ReLUGrad returns the ReLU derivative — 1 where x > 0, +0 elsewhere
+// (NaN included) — under the context's thread budget.
+func (k K) ReLUGrad(a *Dense) *Dense { return k.mapNew(a, reluGrad) }
+
+func relu(od, ad []float64) {
+	od = od[:len(ad)]
+	for i, x := range ad {
+		b := math.Float64bits(x)
+		od[i] = math.Float64frombits(b & positive(b))
+	}
 }
 
-// ReLUGrad returns the ReLU derivative under the context's thread budget.
-func (k K) ReLUGrad(a *Dense) *Dense {
-	return k.Apply(a, func(x float64) float64 {
-		if x > 0 {
-			return 1
-		}
-		return 0
+func reluGrad(od, ad []float64) {
+	od = od[:len(ad)]
+	for i, x := range ad {
+		od[i] = math.Float64frombits(math.Float64bits(1) & positive(math.Float64bits(x)))
+	}
+}
+
+// positive is all ones when b is the bits of a float64 greater than
+// zero and all zeros otherwise, without a branch a random sign would
+// mispredict. Exactly the bits 1 (the least subnormal) through those of
+// +Inf are such floats, so d = b−1 is below +Inf's bits for them only:
+// +0 wraps d to the top, and a negative or a NaN leaves it at or above.
+// d < +Inf's bits is d − +Inf's bits negative while d is not.
+func positive(b uint64) uint64 {
+	d := int64(b - 1)
+	return uint64(((d - int64(math.Float64bits(math.Inf(1)))) &^ d) >> 63)
+}
+
+// mapNew draws the entrywise image of a that loop writes whole: loop is
+// called once per chunk with equally long slices of the output and the
+// operand, so an element costs one iteration of a plain loop, not a
+// call. Elements are independent, so any flat partition is
+// bit-identical to serial.
+func (k K) mapNew(a *Dense, loop func(od, ad []float64)) *Dense {
+	defer k.end(k.begin())
+	out := Draw(a.Rows, a.Cols)
+	k.parRange(len(a.Data), grainFor(1), func(lo, hi int) {
+		loop(out.Data[lo:hi], a.Data[lo:hi])
 	})
+	return out
 }
 
 // Sigmoid returns 1/(1+e^{−x}) entrywise under the context's thread

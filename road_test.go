@@ -9,6 +9,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -116,9 +117,11 @@ func TestOneRoadFromComputationToBytes(t *testing.T) {
 // TestEveryInternalFunctionHasACaller keeps code that no program runs
 // from growing back under internal/. Every non-test package of the
 // repository, the nested cmd/bench module included, is type-checked for
-// this host's build, and each identifier is resolved to the function or
-// method it names, so a method is keyed by its receiver type and not by
-// its bare name. An exported function or method counts as called when a
+// each build configuration `make check` builds — the default, purego,
+// noavx512 and matopt_poison — and each identifier is resolved to the
+// function or method it names, so a method is keyed by its receiver type
+// and not by its bare name. A function any configuration declares must
+// have a caller in some configuration. An exported function or method counts as called when a
 // non-test file names it outside its own declaration; a method also
 // counts when the method of an interface its type implements is named.
 // String, Error, Unwrap and ServeHTTP are reached through the standard
@@ -126,7 +129,6 @@ func TestOneRoadFromComputationToBytes(t *testing.T) {
 // benchmark's own kit are not checked, and the hooks below are kept for
 // tests that drive the production path with them.
 func TestEveryInternalFunctionHasACaller(t *testing.T) {
-	skipped := map[string]bool{"internal/testutil": true, "internal/enginetest": true, "internal/benchkit": true}
 	kept := map[string]string{
 		"netfabric.SeverSessions":      "chaos tests cut a session of the production server mid-exchange",
 		"netfabric.CloseAfterSessions": "chaos tests make a production worker leave mid-run",
@@ -135,11 +137,60 @@ func TestEveryInternalFunctionHasACaller(t *testing.T) {
 		"trans.All":                    "TestOperatorTableComplete walks the transformation registry",
 		"tensor.Outstanding":           "TestRunsLeaveStorageEmpty checks a run gives back every array it draws",
 	}
-	interfaceMethods := map[string]bool{"String": true, "Error": true, "Unwrap": true, "ServeHTTP": true}
-
+	// Every configuration `make check` builds: the host's default, the
+	// portable kernels, AVX2 as the widest, and the poisoned free lists.
+	// A function counts as declared when any configuration declares it
+	// and as called when any configuration calls it.
 	fset := token.NewFileSet()
+	parsed := map[string]*ast.File{} // each file parsed once, shared by the configurations that build it
+	declared := map[string]*types.Func{}
+	called := map[string]bool{}
+	for _, tags := range [][]string{nil, {"purego"}, {"noavx512"}, {"matopt_poison"}} {
+		ctxt := build.Default
+		ctxt.BuildTags = tags
+		d, c, err := callGraph(ctxt, fset, parsed)
+		if err != nil {
+			t.Fatalf("build tags %v: %v", tags, err)
+		}
+		for name, fn := range d {
+			if declared[name] == nil {
+				declared[name] = fn
+			}
+		}
+		maps.Copy(called, c)
+	}
+
+	var missing []string
+	for name, fn := range declared {
+		ok := called[name]
+		if reason, isKept := kept[name]; isKept {
+			if ok {
+				t.Errorf("%s is kept as a test hook (%s) but has a caller now: drop it from the list", name, reason)
+			}
+			continue
+		}
+		if !ok {
+			pos := fset.Position(fn.Pos())
+			missing = append(missing, fmt.Sprintf("%s:%d: %s", pos.Filename, pos.Line, name))
+		}
+	}
+	sort.Strings(missing)
+	for _, m := range missing {
+		t.Errorf("%s has no caller outside tests: delete it, or keep it with a reason", m)
+	}
+}
+
+// callGraph type-checks every non-test package of the repository for
+// the build configuration ctxt and returns, by key, the exported
+// functions and methods of the checked internal packages it declares and
+// every function or method some file names outside its own declaration
+// (a method also when the method of an interface its type implements is
+// named). parsed holds the files already parsed into fset, by path.
+func callGraph(ctxt build.Context, fset *token.FileSet, parsed map[string]*ast.File) (declared map[string]*types.Func, called map[string]bool, err error) {
+	skipped := map[string]bool{"internal/testutil": true, "internal/enginetest": true, "internal/benchkit": true}
+	interfaceMethods := map[string]bool{"String": true, "Error": true, "Unwrap": true, "ServeHTTP": true}
 	files := map[string][]*ast.File{} // slash dir relative to the repository root → its non-test files
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -153,19 +204,22 @@ func TestEveryInternalFunctionHasACaller(t *testing.T) {
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
-		if ok, err := build.Default.MatchFile(filepath.Clean(dir), name); !ok || err != nil {
+		if ok, err := ctxt.MatchFile(filepath.Clean(dir), name); !ok || err != nil {
 			return err
 		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
+		f := parsed[path]
+		if f == nil {
+			if f, err = parser.ParseFile(fset, path, nil, 0); err != nil {
+				return err
+			}
+			parsed[path] = f
 		}
 		dir = filepath.ToSlash(filepath.Clean(dir))
 		files[dir] = append(files[dir], f)
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 
 	// Packages of this repository are checked from the files above, in
@@ -203,7 +257,7 @@ func TestEveryInternalFunctionHasACaller(t *testing.T) {
 	}
 	for dir := range files {
 		if _, err := check(dir); err != nil {
-			t.Fatalf("type-checking %s: %v", dir, err)
+			return nil, nil, fmt.Errorf("type-checking %s: %w", dir, err)
 		}
 	}
 
@@ -224,8 +278,7 @@ func TestEveryInternalFunctionHasACaller(t *testing.T) {
 	}
 
 	// What is declared, and what is used outside its own declaration.
-	declared := map[string]*types.Func{}
-	called := map[string]bool{}
+	declared, called = map[string]*types.Func{}, map[string]bool{}
 	viaInterface := map[*types.Func]bool{} // interface methods some file names
 	for dir, fs := range files {
 		info := infos[dir]
@@ -283,25 +336,7 @@ func TestEveryInternalFunctionHasACaller(t *testing.T) {
 			}
 		}
 	}
-
-	var missing []string
-	for name, fn := range declared {
-		ok := called[name]
-		if reason, isKept := kept[name]; isKept {
-			if ok {
-				t.Errorf("%s is kept as a test hook (%s) but has a caller now: drop it from the list", name, reason)
-			}
-			continue
-		}
-		if !ok {
-			pos := fset.Position(fn.Pos())
-			missing = append(missing, fmt.Sprintf("%s:%d: %s", pos.Filename, pos.Line, name))
-		}
-	}
-	sort.Strings(missing)
-	for _, m := range missing {
-		t.Errorf("%s has no caller outside tests: delete it, or keep it with a reason", m)
-	}
+	return declared, called, nil
 }
 
 // importerFunc adapts a function to types.Importer.
