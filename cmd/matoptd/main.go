@@ -32,8 +32,10 @@
 // With -worker the process is an exchange worker instead: it hosts the
 // dist engine's shuffle inboxes for remote shards over the netfabric
 // TCP transport, serving coordinators started with `matopt -peers` (or
-// a daemon handling "peers" execute requests). A worker holds no plan
-// state — it can join or leave between runs freely.
+// a daemon handling "peers" execute requests). A coordinator opens a
+// session on it only for an exchange that sends it a message; the worker
+// checks each frame and echoes it back, and holds no plan state — it can
+// join or leave between runs freely.
 //
 //	matoptd -worker -listen 127.0.0.1:9431
 //	matopt -workload chain -engine dist -shards 4 -peers 127.0.0.1:9431

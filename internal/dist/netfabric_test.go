@@ -445,9 +445,9 @@ func TestChaosNetShutdownLeakFree(t *testing.T) {
 
 // runOverWorker runs the hand-annotated plan of g at 2 shards, shard 1
 // hosted by a loopback worker, checks its outputs against the sequential
-// engine's bits, and returns the run's Report and the MSG frames the
-// worker relayed, counted once it has served every session.
-func runOverWorker(t *testing.T, g *core.Graph, ann *core.Annotation, inputs map[string]*tensor.Dense) (*dist.Report, int64) {
+// engine's bits, and returns the run's Report and what the worker
+// counted once it had served every session.
+func runOverWorker(t *testing.T, g *core.Graph, ann *core.Annotation, inputs map[string]*tensor.Dense) (*dist.Report, netfabric.ServerStats) {
 	t.Helper()
 	srv, addr := startWorker(t)
 	cl := costmodel.LocalTest(2)
@@ -468,14 +468,15 @@ func runOverWorker(t *testing.T, g *core.Graph, ann *core.Annotation, inputs map
 	}
 	compareSinks(t, "tcp @2 shards", pp, want, got)
 	srv.Close() // waits for every handler, so Stats has every session
-	return rep, srv.Stats().Frames
+	return rep, srv.Stats()
 }
 
 // TestTCPSelfDeliveryStaysOffTheWire: a co-partitioned add of two
 // relations already hash partitioned alike re-homes every tuple onto the
 // shard it lives on, so no message of either exchange leaves its
-// producer — and none may reach the worker hosting shard 1, though it
-// hosts half the tuples.
+// producer — and the worker hosting shard 1, though it hosts half the
+// tuples, must not even see a session: no frame of any kind crosses the
+// wire.
 func TestTCPSelfDeliveryStaysOffTheWire(t *testing.T) {
 	g := core.NewGraph()
 	a := g.Input("A", shape.New(120, 120), 1, format.NewTile(50))
@@ -484,9 +485,10 @@ func TestTCPSelfDeliveryStaysOffTheWire(t *testing.T) {
 	ann := handAnn(t, g, "add-copart", format.NewTile(50))
 	rng := rand.New(rand.NewSource(5))
 	inputs := map[string]*tensor.Dense{"A": tensor.RandNormal(rng, 120, 120), "B": tensor.RandNormal(rng, 120, 120)}
-	rep, frames := runOverWorker(t, g, ann, inputs)
-	if rep.NetBytes != 0 || frames != 0 {
-		t.Fatalf("an exchange that stays on its producers moved %d B between shards and put %d MSG frames on the wire", rep.NetBytes, frames)
+	rep, st := runOverWorker(t, g, ann, inputs)
+	if rep.NetBytes != 0 || st.Frames != 0 || st.Sessions != 0 || rep.WireBytes != 0 {
+		t.Fatalf("an exchange that stays on its producers moved %d B between shards, put %d B on the wire and %d MSG frames in %d worker sessions",
+			rep.NetBytes, rep.WireBytes, st.Frames, st.Sessions)
 	}
 }
 
@@ -502,7 +504,7 @@ func TestBroadcastOnlyToPartnerShards(t *testing.T) {
 	ann := handAnn(t, g, "mm-rowstrip-bcast-single", format.NewRowStrip(50))
 	rng := rand.New(rand.NewSource(6))
 	inputs := map[string]*tensor.Dense{"A": tensor.RandNormal(rng, 50, 80), "B": tensor.RandNormal(rng, 80, 40)}
-	rep, frames := runOverWorker(t, g, ann, inputs)
+	rep, st := runOverWorker(t, g, ann, inputs)
 	if len(rep.Exchanges) == 0 {
 		t.Fatal("the run metered no exchange; the broadcast did not run")
 	}
@@ -511,7 +513,7 @@ func TestBroadcastOnlyToPartnerShards(t *testing.T) {
 			t.Errorf("v%d %s %s metered %d B: the partner holds nothing on the other shard", x.Vertex, x.Kind, x.Label, x.Bytes)
 		}
 	}
-	if frames != 0 {
-		t.Errorf("the worker relayed %d MSG frames", frames)
+	if st.Frames != 0 {
+		t.Errorf("the worker relayed %d MSG frames", st.Frames)
 	}
 }

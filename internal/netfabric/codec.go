@@ -23,14 +23,16 @@ import (
 // codec: writers stamp frameVersion, readers accept the
 // [minFrameVersion, frameVersion] range and reject anything else with
 // ErrBadFrame so an old coordinator talking to a new worker fails
-// loudly instead of misparsing. Version 2 has version 1's bytes and a
+// loudly instead of misparsing. Version 2 had version 1's bytes and a
 // new timing: the worker echoes each MSG frame as soon as it has checked
-// it, so a coordinator must read while it writes — a version 1
-// coordinator, which reads only after FIN, would stall both ends until
-// the I/O timeout, and is refused at OPEN instead.
+// it, so a coordinator must read while it writes. Version 3 drops the
+// OPEN frame that began every session: a session is MSG+ FIN → INBOX*
+// EOF, begun by its first MSG, so a coordinator opens one only on a
+// worker it sends to. A version 2 coordinator's OPEN is refused by its
+// version byte, as a version 1 coordinator's was.
 const (
-	frameVersion    = 2
-	minFrameVersion = 2
+	frameVersion    = 3
+	minFrameVersion = 3
 
 	frameHeaderLen  = 8
 	frameTrailerLen = 4
@@ -44,13 +46,12 @@ const (
 var frameMagic = [2]byte{'m', 'f'}
 
 // Frame types of the coordinator↔worker exchange protocol (tcp.go).
+// Type 1 was OPEN, which version 3 retired.
 const (
-	// frameOpen starts an exchange session: payload is the ExchangeID
-	// header plus the total shard count.
-	frameOpen = byte(iota + 1)
 	// frameMsg carries one routed message: payload is the destination
-	// shard plus an encoded Message.
-	frameMsg
+	// shard plus an encoded Message. The first one on an idle connection
+	// begins a session.
+	frameMsg = byte(iota + 2)
 	// frameFin ends the send side of a session; the worker answers with
 	// EOF once it has echoed every MSG before it.
 	frameFin
@@ -68,34 +69,12 @@ func putHeader(b []byte, typ byte, n int) {
 	binary.LittleEndian.PutUint32(b[4:], uint32(n))
 }
 
-// newFrame returns a frame of type typ whose n payload bytes are the
-// caller's to fill before sealFrame checksums them — in buf's storage
-// when that is large enough (a sender hands its previous frame back in),
-// else in a new buffer of exactly its size; or refuses an oversized one.
-func newFrame(buf []byte, typ byte, n int) ([]byte, error) {
-	if n > maxFramePayload {
-		return nil, fmt.Errorf("%w: frame payload %d exceeds %d", ErrBadFrame, n, maxFramePayload)
-	}
-	total := frameHeaderLen + n + frameTrailerLen
-	if cap(buf) < total {
-		buf = make([]byte, total)
-	}
-	buf = buf[:total]
-	putHeader(buf, typ, n)
-	return buf, nil
-}
-
-// sealFrame writes the CRC of f's payload into its trailer.
-func sealFrame(f []byte) []byte {
-	crcAt := len(f) - frameTrailerLen
-	binary.LittleEndian.PutUint32(f[crcAt:], crc32.ChecksumIEEE(f[frameHeaderLen:crcAt]))
-	return f
-}
-
-// controlFrame builds a frame with no payload: FIN or EOF.
+// controlFrame builds a frame with no payload, FIN or EOF, in buf's
+// storage; the CRC of no bytes is 0.
 func controlFrame(buf []byte, typ byte) []byte {
-	f, _ := newFrame(buf, typ, 0) // an empty payload is never oversized
-	return sealFrame(f)
+	f := append(buf[:0], make([]byte, frameHeaderLen+frameTrailerLen)...)
+	putHeader(f, typ, 0)
+	return f
 }
 
 // frameReader reads one connection's frames, one at a time, into a
@@ -283,14 +262,6 @@ func appendInt64s(b []byte, vs ...int64) []byte {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
 	return b
-}
-
-// putInt64s stores vs at the front of b and returns what follows them.
-func putInt64s(b []byte, vs ...int64) []byte {
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
-	}
-	return b[8*len(vs):]
 }
 
 // layout is a MSG/INBOX payload whose declared sizes have been checked
@@ -502,14 +473,15 @@ func fromBits[T word](u uint64) (v T) {
 }
 
 // checkShardMessage is the worker's validating scan of a MSG payload it
-// holds whole: the decoder's verdict and shard (FuzzScanMatchesDecode holds
-// it to that) without the tuple. Past parseShardMessage only a CSR has structure left to check —
-// what sparse.NewCSR requires, read off the wire words: row pointers
-// monotone from 0 to nnz, each row's columns in range and ascending.
-func checkShardMessage(b []byte) (int, error) {
+// holds whole: the decoder's verdict (FuzzScanMatchesDecode holds it to
+// that) without the tuple. Past parseShardMessage only a CSR has
+// structure left to check — what sparse.NewCSR requires, read off the
+// wire words: row pointers monotone from 0 to nnz, each row's columns in
+// range and ascending.
+func checkShardMessage(b []byte) error {
 	l, err := parseShardMessage(b, len(b))
 	if err != nil || l.kind != payloadCSR {
-		return l.shard, err
+		return err
 	}
 	word := func(i int64) int64 { return int64(binary.LittleEndian.Uint64(l.words[8*i:])) }
 	rows := int64(l.rows)
@@ -524,9 +496,9 @@ func checkShardMessage(b []byte) (int, error) {
 		}
 	}
 	if !ok {
-		return 0, fmt.Errorf("%w: invalid CSR structure", ErrBadFrame)
+		return fmt.Errorf("%w: invalid CSR structure", ErrBadFrame)
 	}
-	return l.shard, nil
+	return nil
 }
 
 // cursor walks a payload's fixed fields, latching the first error so
@@ -564,53 +536,8 @@ func (c *cursor) dim() int {
 	return int(v)
 }
 
-// Header payloads of the session-control frames.
-
-// openFrame builds the OPEN frame: exchange identity + shard count.
-func openFrame(buf []byte, id ExchangeID, shards int) ([]byte, error) {
-	f, err := newFrame(buf, frameOpen, 5*8+len(id.Kind)+len(id.Label))
-	if err != nil {
-		return nil, err
-	}
-	b := putInt64s(f[frameHeaderLen:], int64(id.Vertex), int64(id.Attempt), int64(shards), int64(len(id.Kind)))
-	b = putInt64s(b[copy(b, id.Kind):], int64(len(id.Label)))
-	copy(b, id.Label)
-	return sealFrame(f), nil
-}
-
-func decodeOpen(b []byte) (id ExchangeID, shards int, err error) {
-	c := cursor{b: b}
-	id.Vertex = int(c.int64())
-	id.Attempt = int(c.int64())
-	n := c.int64()
-	id.Kind = c.string()
-	id.Label = c.string()
-	if c.err != nil {
-		return ExchangeID{}, 0, c.err
-	}
-	if n <= 0 || n > maxShards {
-		return ExchangeID{}, 0, fmt.Errorf("%w: shard count %d outside (0, %d]", ErrBadFrame, n, maxShards)
-	}
-	if len(c.b) != c.off {
-		return ExchangeID{}, 0, fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(c.b)-c.off)
-	}
-	return id, int(n), nil
-}
-
-// maxShards bounds the shard count a frame may declare; far above any
-// real topology, low enough that per-shard allocations stay sane.
+// maxShards bounds the shard a MSG or INBOX frame may name; far above
+// any real topology. A worker indexes nothing by shard, and the
+// coordinator's reader refuses an INBOX for a shard its peer does not
+// host.
 const maxShards = 1 << 16
-
-func (c *cursor) string() string {
-	n := c.int64()
-	if c.err != nil {
-		return ""
-	}
-	if n < 0 || n > 1<<16 || c.off+int(n) > len(c.b) {
-		c.err = fmt.Errorf("%w: invalid string length %d", ErrBadFrame, n)
-		return ""
-	}
-	s := string(c.b[c.off : c.off+int(n)])
-	c.off += int(n)
-	return s
-}

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"net"
@@ -54,15 +55,17 @@ func shardMessageFrame(buf []byte, typ byte, shard int, m Message) ([]byte, erro
 	return b.Bytes(), err
 }
 
+// sealedFrame frames payload as a frame of type typ, checksum and all.
+func sealedFrame(typ byte, payload []byte) []byte {
+	f := make([]byte, frameHeaderLen, frameHeaderLen+len(payload)+frameTrailerLen)
+	putHeader(f, typ, len(payload))
+	return binary.LittleEndian.AppendUint32(append(f, payload...), crc32.ChecksumIEEE(payload))
+}
+
 // decodeShardMessage runs the one decoder over a MSG payload: sealed
 // into a frame, read from a bytes.Reader.
 func decodeShardMessage(payload []byte) (int, Message, error) {
-	f, err := newFrame(nil, frameMsg, len(payload))
-	if err != nil {
-		return 0, Message{}, err
-	}
-	copy(f[frameHeaderLen:], payload)
-	fr := frameReader{r: bytes.NewReader(sealFrame(f))}
+	fr := frameReader{r: bytes.NewReader(sealedFrame(frameMsg, payload))}
 	if _, err := fr.header(); err != nil {
 		return 0, Message{}, err
 	}
@@ -179,17 +182,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if _, _, err := readFrame(r); err != io.EOF {
 		t.Fatalf("expected io.EOF on drained stream, got %v", err)
-	}
-}
-
-func TestOpenRoundTrip(t *testing.T) {
-	id := ExchangeID{Vertex: 12, Kind: "aggregate", Label: "sum(ab)", Attempt: 3}
-	gotID, shards, err := decodeOpen(framePayload(mustFrame(t)(openFrame(nil, id, 7))))
-	if err != nil {
-		t.Fatalf("decodeOpen: %v", err)
-	}
-	if gotID != id || shards != 7 {
-		t.Fatalf("got %+v shards %d, want %+v shards 7", gotID, shards, id)
 	}
 }
 
@@ -364,10 +356,14 @@ func (c *recordingConn) Write(p []byte) (int, error) {
 // Val, an empty tuple — interleaved across two remote shards must put
 // exactly the recorded bytes on the wire, in both directions; a change
 // that moves either one has changed the format and must bump
-// frameVersion. Version 2 changed when the worker answers, not what it
-// sends: with every frame's version byte set back to 1, both streams hash
-// to what the version 1 codec (the append-per-word encoder and the
-// decode-and-re-encode worker) put on the wire.
+// frameVersion. Each older version is pinned too, as what this one is
+// not: version 2 changed when the worker answers, not what it sends, and
+// version 3 only dropped the OPEN frame that began every session. So
+// with every frame's version byte set back to 2 or to 1, the worker's
+// stream hashes to what that version's worker sent, and the
+// coordinator's does too once each connection's OPEN is put back in
+// front of it — the version 1 codec being the append-per-word encoder
+// and the decode-and-re-encode worker.
 //
 // Each shard has its own worker, so each connection carries one shard's
 // frames in send order: the order in which a worker hosting several
@@ -375,10 +371,11 @@ func (c *recordingConn) Write(p []byte) (int, error) {
 // every inbox by (key, seq)).
 func TestGoldenWireBytes(t *testing.T) {
 	const (
-		wantToWorker   = "3c4ef651ba5754fa77c32585b017a0a159ecec60a60cd3a171797575254a68ce"
-		wantFromWorker = "54061b5ffba2567243de563d03ad6debab922297bdb4467970e15aff8bd7efbe"
-		v1ToWorker     = "03cb66e8abbbf5be8d0a90526dce6f1e5d64f6f411b9ab3e10d19c0b2e7796a7"
-		v1FromWorker   = "deca47c4322416b76f40bd9b46ef88c4fce28d4445c23c61a847d7c16a8482a9"
+		toWorker     = "58a31fa369711d685c57f4727f6eb0777064fce7df3b710226d939d3a1beaec4"
+		v2ToWorker   = "3c4ef651ba5754fa77c32585b017a0a159ecec60a60cd3a171797575254a68ce"
+		v2FromWorker = "54061b5ffba2567243de563d03ad6debab922297bdb4467970e15aff8bd7efbe"
+		v1ToWorker   = "03cb66e8abbbf5be8d0a90526dce6f1e5d64f6f411b9ab3e10d19c0b2e7796a7"
+		v1FromWorker = "deca47c4322416b76f40bd9b46ef88c4fce28d4445c23c61a847d7c16a8482a9"
 	)
 	var lns [2]*recordingListener
 	var srvs [2]*Server
@@ -408,7 +405,8 @@ func TestGoldenWireBytes(t *testing.T) {
 		{Key: k(5, 5), Seq: 4, Tuple: engine.Tuple{Key: k(5, 5)}},
 		{Key: k(6, 1), Seq: 5, Tuple: denseTuple(k(6, 1), 3, 5, 8)},
 	}
-	sess, err := tp.Open(context.Background(), nil, ExchangeID{Vertex: 9, Kind: "shuffle", Label: "shuffle(golden)", Attempt: 2}, 2)
+	id := ExchangeID{Vertex: 9, Kind: "shuffle", Label: "shuffle(golden)", Attempt: 2}
+	sess, err := tp.Open(context.Background(), nil, id, 2)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -433,37 +431,52 @@ func TestGoldenWireBytes(t *testing.T) {
 			t.Errorf("Serve: %v", err)
 		}
 	}
+	in := func(l *recordingListener) []byte { return l.in.Bytes() }
+	out := func(l *recordingListener) []byte { return l.out.Bytes() }
 	for _, c := range []struct {
-		name, want, v1 string
-		stream         func(*recordingListener) []byte
+		name     string
+		want     string
+		version  byte
+		withOpen bool
+		stream   func(*recordingListener) []byte
 	}{
-		{"coordinator→worker", wantToWorker, v1ToWorker, func(l *recordingListener) []byte { return l.in.Bytes() }},
-		{"worker→coordinator", wantFromWorker, v1FromWorker, func(l *recordingListener) []byte { return l.out.Bytes() }},
+		{"coordinator→worker", toWorker, frameVersion, false, in},
+		{"coordinator→worker at version 2, OPEN put back", v2ToWorker, 2, true, in},
+		{"coordinator→worker at version 1, OPEN put back", v1ToWorker, 1, true, in},
+		{"worker→coordinator at version 2", v2FromWorker, 2, false, out},
+		{"worker→coordinator at version 1", v1FromWorker, 1, false, out},
 	} {
-		v2, v1 := sha256.New(), sha256.New()
+		h := sha256.New()
 		for _, ln := range lns {
-			b := c.stream(ln)
-			v2.Write(b)
-			v1.Write(asVersion1(t, b))
+			if c.withOpen {
+				h.Write(asVersion(t, oldOpen(id, 2), c.version))
+			}
+			h.Write(asVersion(t, c.stream(ln), c.version))
 		}
-		if got := hex.EncodeToString(v2.Sum(nil)); got != c.want {
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
 			t.Errorf("%s stream hashes to %s, want %s", c.name, got, c.want)
-		}
-		if got := hex.EncodeToString(v1.Sum(nil)); got != c.v1 {
-			t.Errorf("%s stream at version 1 hashes to %s, want %s", c.name, got, c.v1)
 		}
 	}
 }
 
-// asVersion1 is a copy of a recorded stream with every frame's version
-// byte set to 1.
-func asVersion1(t *testing.T, stream []byte) []byte {
+// oldOpen is the OPEN frame (type 1) a version 1 or 2 coordinator began
+// every session with: the exchange's vertex, attempt and shard count,
+// then its kind and its label, each behind its length.
+func oldOpen(id ExchangeID, shards int) []byte {
+	p := appendInt64s(nil, int64(id.Vertex), int64(id.Attempt), int64(shards), int64(len(id.Kind)))
+	p = appendInt64s(append(p, id.Kind...), int64(len(id.Label)))
+	return sealedFrame(1, append(p, id.Label...))
+}
+
+// asVersion is a copy of a recorded stream with every frame's version
+// byte set to version.
+func asVersion(t *testing.T, stream []byte, version byte) []byte {
 	out := append([]byte(nil), stream...)
 	for at := 0; at < len(out); {
 		if at+frameHeaderLen > len(out) || out[at+2] != frameVersion {
 			t.Fatalf("no version %d frame header at offset %d of a %d B stream", frameVersion, at, len(out))
 		}
-		out[at+2] = 1
+		out[at+2] = version
 		at += frameHeaderLen + int(binary.LittleEndian.Uint32(out[at+4:])) + frameTrailerLen
 	}
 	return out

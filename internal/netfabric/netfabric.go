@@ -2,15 +2,18 @@
 // runtime's shuffle fabric. The fabric in internal/dist decides *what*
 // moves (which tuples, to which shard, metered how); a Transport decides
 // *how* the bytes get there. Both transports open one session type: the
-// inboxes of the shards this process hosts plus a link per remote peer.
+// inboxes of the shards this process hosts plus a link per remote peer
+// that the session has sent a message to.
 //
 //   - Chan, the default, has no links: every message is appended to its
 //     shard's inbox.
 //   - TCP maps shards onto peer worker processes (cmd/matoptd -worker)
 //     and moves every message to a remote-hosted shard over a real
 //     socket: length-prefixed binary frames (codec.go), per-peer
-//     connection pooling with lazy dial, coalesced writes, and read
-//     loops that fill the same inboxes. Wire traffic is metered into the
+//     connection pooling, coalesced writes, and read loops that fill the
+//     same inboxes. A session touches a worker only once it sends that
+//     worker a message, so an exchange costs the workers it sends
+//     nothing no round trip. Wire traffic is metered into the
 //     caller's Wire (bytes, messages, dials, reconnects), which the dist
 //     runtime reports next to its exchange traffic.
 //
@@ -93,9 +96,9 @@ var (
 // the session. Send is safe for concurrent use; Collect and Abandon are
 // not, and must be called only after every producer has returned.
 type Session interface {
-	// Send delivers one message to shard dst's inbox. It may block on a
-	// busy socket and returns an error wrapping ErrWire when the
-	// transport fails.
+	// Send delivers one message to shard dst's inbox. It may dial, or
+	// block on a busy socket, and returns an error wrapping ErrWire when
+	// the transport fails.
 	Send(dst int, m Message) error
 	// Collect closes the send side, waits for every inbox to settle,
 	// and returns each shard's received messages in arrival order (the
@@ -114,8 +117,10 @@ type Session interface {
 type Transport interface {
 	// Name tags spans and reports: "chan" or "tcp".
 	Name() string
-	// Open starts a session for one exchange across shards inboxes.
-	// Socket traffic is added to w; a nil w meters nothing.
+	// Open starts a session for one exchange across shards inboxes. It
+	// does no I/O: a TCP session connects to a worker at its first Send
+	// there, and names id in the wire errors it returns. Socket traffic
+	// is added to w; a nil w meters nothing.
 	Open(ctx context.Context, w *Wire, id ExchangeID, shards int) (Session, error)
 	// Close releases long-lived resources (pooled connections). The
 	// transport must not be used afterwards.

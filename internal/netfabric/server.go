@@ -13,10 +13,13 @@ import (
 
 // Server is the worker side of the TCP transport: it hosts the exchange
 // inboxes of remote shards. Each accepted connection serves sessions
-// back to back — OPEN, then each MSG frame validated and echoed back as
-// an INBOX frame as soon as it is (no tuple is ever built), and at FIN
-// an EOF, after which the connection is idle and the coordinator may
-// pool it. A worker holds one frame per connection, never a session.
+// back to back, each begun by its first MSG frame: every MSG is
+// validated and echoed back as an INBOX frame as soon as it is (no tuple
+// is ever built), and at FIN an EOF, after which the connection is idle
+// and the coordinator may pool it. A worker holds one frame per
+// connection, never a session, and indexes nothing by shard: the
+// coordinator's reader refuses an INBOX for a shard its peer does not
+// host.
 //
 // cmd/matoptd runs one of these per worker process (-worker -listen);
 // tests run it in-process on a loopback listener, which exercises the
@@ -28,7 +31,7 @@ type Server struct {
 
 	sever                           map[int64]bool
 	closeAfter                      int64
-	sessions                        atomic.Int64 // opened; numbers them for fault injection
+	sessions                        atomic.Int64 // begun; numbers them for fault injection
 	served, frames, bytes, rejected atomic.Int64 // see ServerStats
 
 	// bufs holds the frame buffers of closed connections for new ones to
@@ -49,8 +52,9 @@ const idleFrameBufs = 4
 // ServerStats counts what a worker has done since it started: Sessions
 // served through to EOF, the Frames relayed and their Bytes on the wire,
 // and sessions Rejected — ended by an error (a malformed or hostile
-// frame, a shard out of range, a connection cut mid-session);
-// a pooled connection closed while idle is not one.
+// frame, a connection cut mid-session); a pooled connection closed while
+// idle is not one. A session begins at its first MSG, so every session
+// served carried data.
 type ServerStats struct{ Sessions, Frames, Bytes, Rejected int64 }
 
 // Stats reports the server's counters; safe to call at any time.
@@ -63,7 +67,7 @@ type ServerOption func(*Server)
 
 // SeverSessions injects a network fault for chaos testing: the n-th
 // session (1-based, counted across all connections) has its connection
-// severed right after OPEN — the coordinator sees a connection reset
+// severed at its first MSG — the coordinator sees a connection reset
 // mid-exchange.
 func SeverSessions(nums ...int) ServerOption {
 	return func(s *Server) {
@@ -204,54 +208,40 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// session serves one OPEN, MSG…, FIN round trip. Each MSG frame is read
-// whole into the connection's frame buffer, CRC-checked and validated as
-// the decoder would validate it, its type byte flipped to INBOX in
-// place, and written straight back; the writer is flushed whenever the
-// reader has nothing buffered (the coordinator is producing, so what
-// was echoed should reach it now), and at FIN after an EOF frame. Any
-// error tears the connection down. Writes are bounded by
-// DefaultIOTimeout; reads are not, since the gap between a session's
-// frames is the coordinator's produce time.
+// session serves one MSG…, FIN round trip, begun by its first MSG. Each
+// MSG frame is read whole into the connection's frame buffer,
+// CRC-checked and validated as the decoder would validate it, its type
+// byte flipped to INBOX in place, and written straight back; the writer
+// is flushed whenever the reader has nothing buffered (the coordinator
+// is producing, so what was echoed should reach it now), and at FIN
+// after an EOF frame. Any error tears the connection down. Writes are
+// bounded by DefaultIOTimeout; reads are not, since the gap between a
+// session's frames is the coordinator's produce time.
 func (s *Server) session(conn net.Conn, fr *frameReader, br *bufio.Reader, bw *bufio.Writer) error {
 	fr.buf = idleBuf(fr.buf) // an oversized buffer is not held while idle
-	typ, payload, err := fr.next()
-	if err != nil {
-		return err // io.EOF: pooled connection closed while idle
-	}
-	if typ != frameOpen {
-		return fmt.Errorf("%w: expected OPEN, got frame type %d", ErrBadFrame, typ)
-	}
-	_, shards, err := decodeOpen(payload)
-	if err != nil {
-		return err
-	}
-	num := s.sessions.Add(1)
-	if s.sever[num] {
-		conn.Close() // injected fault: reset mid-exchange
-		return errors.New("netfabric: session severed by fault injection")
-	}
-	var frames, bytes int64
+	var num, frames, bytes int64
 	for {
 		typ, payload, err := fr.next()
-		if err == io.EOF {
+		if err == io.EOF && frames > 0 {
 			err = io.ErrUnexpectedEOF // between frames, but before FIN
 		}
 		if err != nil {
-			return err
+			return err // io.EOF before a MSG: pooled connection closed while idle
 		}
-		if typ == frameFin {
+		if typ == frameFin && frames > 0 {
 			break
 		}
 		if typ != frameMsg {
-			return fmt.Errorf("%w: expected MSG or FIN, got frame type %d", ErrBadFrame, typ)
+			return fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, typ)
 		}
-		shard, err := checkShardMessage(payload)
-		if err != nil {
+		if err := checkShardMessage(payload); err != nil {
 			return err
 		}
-		if shard >= shards {
-			return fmt.Errorf("%w: message for shard %d of %d", ErrBadFrame, shard, shards)
+		if frames == 0 {
+			if num = s.sessions.Add(1); s.sever[num] {
+				conn.Close() // injected fault: reset mid-exchange
+				return errors.New("netfabric: session severed by fault injection")
+			}
 		}
 		fr.buf[3] = frameInbox
 		conn.SetWriteDeadline(time.Now().Add(DefaultIOTimeout))

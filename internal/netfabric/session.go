@@ -24,45 +24,69 @@ func (inProcess) Open(_ context.Context, _ *Wire, _ ExchangeID, shards int) (Ses
 }
 
 // session is one exchange in flight under either transport: the inboxes
-// of the shards this process hosts, plus one link per remote peer
-// hosting the rest (none under Chan).
+// of the shards this process hosts, plus one link per remote peer a
+// message has been sent to (none under Chan).
 type session struct {
-	t     *TCP // nil under Chan
+	t    *TCP // nil under Chan
+	ctx  context.Context
+	wire *Wire
+	id   ExchangeID
+
 	mu    sync.Mutex
 	inbox [][]Message
 	links map[string]*peerLink // by peer address; LocalPeer has none
 }
 
-// linkOf returns the link to the peer hosting shard dst, nil when this
-// process hosts it.
-func (s *session) linkOf(dst int) *peerLink {
-	if len(s.links) == 0 {
-		return nil
+// link returns the session's link to the peer at addr, creating it on
+// the first send there; that send connects it under the link's lock.
+func (s *session) link(addr string) *peerLink {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	l := s.links[addr]
+	if l == nil {
+		if s.links == nil {
+			s.links = make(map[string]*peerLink)
+		}
+		l = &peerLink{addr: addr, wire: s.wire, done: make(chan struct{})}
+		s.links[addr] = l
 	}
-	return s.links[s.t.peerOf(dst)]
+	return l
 }
 
 // Send appends to the inbox of a shard this process hosts and writes a
-// MSG frame on the hosting peer's link otherwise. In-process delivery
-// never fails.
+// MSG frame on the hosting peer's link otherwise; the first send to a
+// peer checks out its connection and starts its reader. In-process
+// delivery never fails.
 func (s *session) Send(dst int, m Message) error {
-	l := s.linkOf(dst)
-	if l == nil {
+	if s.t == nil || s.t.peerOf(dst) == LocalPeer {
 		s.mu.Lock()
 		s.inbox[dst] = append(s.inbox[dst], m)
 		s.mu.Unlock()
 		return nil
 	}
+	l := s.link(s.t.peerOf(dst))
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.conn == nil && l.err == nil {
+		if l.conn, l.err = s.t.checkout(s.ctx, s.wire, l.addr); l.err != nil {
+			close(l.done) // no reader will run
+		} else {
+			go s.read(l, l.conn)
+		}
+	}
 	err := l.sendLocked(s.t.ioTimeout, func(c *wireConn) (int, error) {
 		return writeShardMessage(c.bw, c.wbuf, frameMsg, dst, m)
 	})
 	if err != nil {
-		return err
+		return s.named(err)
 	}
 	l.wire.Messages.Add(1)
 	return nil
+}
+
+// named prefixes a link's failure with the exchange it failed.
+func (s *session) named(err error) error {
+	return fmt.Errorf("%s %q at vertex %d, attempt %d: %w", s.id.Kind, s.id.Label, s.id.Vertex, s.id.Attempt, err)
 }
 
 // Collect finishes every link — FIN, flush, then wait under the I/O
@@ -82,7 +106,7 @@ func (s *session) Collect() ([][]Message, error) {
 		}
 		if err != nil {
 			if firstErr == nil {
-				firstErr = err
+				firstErr = s.named(err)
 			}
 			s.t.discard(l.addr, l.conn)
 			continue

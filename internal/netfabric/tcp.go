@@ -37,12 +37,12 @@ const connBufSize = 64 << 10
 // arrival-order difference, keeping outputs bit-identical across
 // transports.
 //
-// Connections are pooled per peer and dialed lazily: a session checks
-// one out per peer at Open (dialing when the pool is dry), and returns
-// it at a clean Collect. Failed or abandoned connections are discarded,
-// and the next checkout to that peer dials a replacement, counted as a
-// reconnect, rather than trust an idle connection to a peer that has
-// just failed one.
+// A session talks only to the workers it sends to: Open does no I/O, and
+// the first message to a worker checks out a connection from the per-peer
+// pool (dialing when it is dry), which a clean Collect returns. Failed or
+// abandoned connections are discarded, and the next checkout to that peer
+// dials a replacement, counted as a reconnect, rather than trust an idle
+// connection to a peer that has just failed one.
 type TCP struct {
 	peers     []string
 	ioTimeout time.Duration
@@ -174,58 +174,41 @@ func (t *TCP) checkin(addr string, c *wireConn) {
 }
 
 // discard closes a connection whose session failed or was abandoned;
-// the replacement dial will be counted as a reconnect.
+// the replacement dial will be counted as a reconnect. A link whose dial
+// failed has no connection to discard.
 func (t *TCP) discard(addr string, c *wireConn) {
+	if c == nil {
+		return
+	}
 	c.nc.Close()
 	t.mu.Lock()
 	t.broken[addr]++
 	t.mu.Unlock()
 }
 
-// Open checks out one connection per remote peer hosting a shard of
-// this exchange, starts its reader and announces the session with an
-// OPEN frame. A refused dial fails the open with an ErrWire-wrapped
-// error — the dist runtime retries the vertex like any exchange timeout.
+// Open starts a session without touching a socket: a session connects
+// to a worker at its first Send there, so an exchange that sends a
+// worker nothing costs that worker nothing. A refused dial fails that
+// Send with an ErrWire-wrapped error — the dist runtime retries the
+// vertex like any exchange timeout.
 func (t *TCP) Open(ctx context.Context, w *Wire, id ExchangeID, shards int) (Session, error) {
+	t.mu.Lock()
+	closed := t.closed
+	t.mu.Unlock()
+	if closed {
+		return nil, ErrClosed
+	}
 	if w == nil {
 		w = new(Wire)
 	}
-	s := &session{t: t, inbox: make([][]Message, shards), links: make(map[string]*peerLink)}
-	for sh := 0; sh < shards; sh++ {
-		addr := t.peerOf(sh)
-		if addr == LocalPeer || s.links[addr] != nil {
-			continue
-		}
-		c, err := t.checkout(ctx, w, addr)
-		if err != nil {
-			s.Abandon()
-			return nil, err
-		}
-		l := &peerLink{addr: addr, wire: w, conn: c, done: make(chan struct{})}
-		s.links[addr] = l
-		go s.read(l, c)
-		// No producer has the session yet, so nothing contends for the link.
-		err = l.sendLocked(t.ioTimeout, func(c *wireConn) (int, error) {
-			f, err := openFrame(c.wbuf, id, shards)
-			if err != nil {
-				return 0, err
-			}
-			c.wbuf = f
-			return c.bw.Write(f)
-		})
-		if err != nil {
-			s.Abandon()
-			return nil, err
-		}
-	}
-	return s, nil
+	return &session{t: t, ctx: ctx, wire: w, id: id, inbox: make([][]Message, shards)}, nil
 }
 
 // peerLink is one session's connection to one worker. Sends from
-// concurrent producers serialize on mu, and the first write error
-// latches in err and fails every later use of the link. The link's
-// reader runs from Open until EOF or its first error, which it leaves in
-// readErr before closing done.
+// concurrent producers serialize on mu, and the first dial or write
+// error latches in err and fails every later use of the link. The link's
+// reader runs from its first Send until EOF or its first error, which it
+// leaves in readErr before closing done.
 type peerLink struct {
 	addr string
 	wire *Wire
@@ -259,7 +242,7 @@ func (l *peerLink) sendLocked(ioTimeout time.Duration, write func(c *wireConn) (
 
 // finish ends the send side of the link: FIN, flush, and a read deadline
 // by which the worker's EOF must have arrived. On a link that already
-// failed it closes the connection instead, so the reader stops.
+// failed it closes the connection, if it has one, so the reader stops.
 func (l *peerLink) finish(ioTimeout time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -272,11 +255,11 @@ func (l *peerLink) finish(ioTimeout time.Duration) {
 		}
 		return n, err
 	})
-	if err != nil {
+	if err == nil {
+		l.conn.nc.SetReadDeadline(time.Now().Add(ioTimeout))
+	} else if l.conn != nil {
 		l.conn.nc.Close()
-		return
 	}
-	l.conn.nc.SetReadDeadline(time.Now().Add(ioTimeout))
 }
 
 // read is a link's reader: it decodes the worker's INBOX frames into the

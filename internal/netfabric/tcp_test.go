@@ -137,28 +137,77 @@ func TestTCPConnectionPooling(t *testing.T) {
 	}
 }
 
-// TestTCPDialRefused opens against a peer that is not listening: the
-// session must fail with ErrWire, not hang or panic.
+// TestTCPDialRefused sends to a peer that is not listening: Open does
+// no I/O and succeeds, and the first Send there fails with ErrWire naming
+// the exchange — as does every later use of that link — not a hang or a
+// panic.
 func TestTCPDialRefused(t *testing.T) {
+	tp, err := NewTCP([]string{refusingAddr(t)}, WithIOTimeout(2*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tp.Close()
+	w := new(Wire)
+	sess, err := tp.Open(context.Background(), w, testID(0), 2)
+	if err != nil {
+		t.Fatalf("Open against dead peer: %v, want no error before a Send", err)
+	}
+	k := engine.Key{I: 1}
+	err = sess.Send(1, Message{Key: k, Tuple: denseTuple(k, 1, 1, 1)})
+	if !errors.Is(err, ErrWire) || !strings.Contains(err.Error(), testID(0).Label) {
+		t.Fatalf("Send against dead peer: got %v, want ErrWire naming %q", err, testID(0).Label)
+	}
+	if _, err := sess.Collect(); !errors.Is(err, ErrWire) {
+		t.Fatalf("Collect after a refused dial: got %v, want ErrWire", err)
+	}
+	if w.Dials.Load() != 1 || w.Reconnects.Load() != 0 {
+		t.Fatalf("%d dials (%d reconnects), want the one refused dial", w.Dials.Load(), w.Reconnects.Load())
+	}
+}
+
+// refusingAddr is a loopback address nothing listens on any more.
+func refusingAddr(t *testing.T) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	ln.Close() // nothing listens here any more
-	tp, err := NewTCP([]string{addr}, WithIOTimeout(2*time.Second))
+	ln.Close()
+	return addr
+}
+
+// TestTCPLocalOnlyExchangeDialsNothing: an exchange that sends only to
+// the shard this process hosts never touches its worker — it collects
+// cleanly though that worker refuses connections, and dials nothing.
+func TestTCPLocalOnlyExchangeDialsNothing(t *testing.T) {
+	tp, err := NewTCP([]string{LocalPeer, refusingAddr(t)}, WithIOTimeout(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tp.Close()
-	_, err = tp.Open(context.Background(), new(Wire), testID(0), 2)
-	if !errors.Is(err, ErrWire) {
-		t.Fatalf("Open against dead peer: got %v, want ErrWire", err)
+	w := new(Wire)
+	sess, err := tp.Open(context.Background(), w, testID(0), 2)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		k := engine.Key{I: int64(i)}
+		if err := sess.Send(0, Message{Key: k, Tuple: denseTuple(k, 2, 2, 1)}); err != nil {
+			t.Fatalf("Send to the local shard: %v", err)
+		}
+	}
+	recv, err := sess.Collect()
+	if err != nil || len(recv[0]) != 3 || len(recv[1]) != 0 {
+		t.Fatalf("Collect: %d local and %d remote messages, err %v; want 3, 0 and no error", len(recv[0]), len(recv[1]), err)
+	}
+	if w.Dials.Load() != 0 || w.Bytes.Load() != 0 {
+		t.Fatalf("a local-only exchange dialed %d times and put %d B on the wire", w.Dials.Load(), w.Bytes.Load())
 	}
 }
 
-// TestTCPSeveredMidExchange has the server cut the connection right
-// after OPEN; the failure must surface as ErrWire from Collect (or an
+// TestTCPSeveredMidExchange has the server cut the connection at the
+// session's first MSG; the failure must surface as ErrWire from Collect (or an
 // earlier Send), and the next session must recover over a fresh dial,
 // counted as a reconnect.
 func TestTCPSeveredMidExchange(t *testing.T) {
@@ -245,9 +294,9 @@ func TestTCPRedialsAfterDiscard(t *testing.T) {
 	}
 }
 
-// TestTCPAbandonDiscardsConnections abandons a healthy session and
-// checks the transport does not pool its connection (the next session
-// dials afresh).
+// TestTCPAbandonDiscardsConnections abandons a healthy session that has
+// sent to its worker and checks the transport does not pool its
+// connection (the next session to send there dials afresh).
 func TestTCPAbandonDiscardsConnections(t *testing.T) {
 	_, addr := startServer(t)
 	tp, err := NewTCP([]string{addr})
@@ -256,14 +305,21 @@ func TestTCPAbandonDiscardsConnections(t *testing.T) {
 	}
 	defer tp.Close()
 	w := new(Wire)
+	k := engine.Key{I: 1}
 	sess, err := tp.Open(context.Background(), w, testID(0), 2)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Send(1, Message{Key: k, Tuple: denseTuple(k, 1, 1, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	sess.Abandon()
 	sess, err = tp.Open(context.Background(), w, testID(1), 2)
 	if err != nil {
 		t.Fatalf("Open after abandon: %v", err)
+	}
+	if err := sess.Send(1, Message{Key: k, Tuple: denseTuple(k, 1, 1, 1)}); err != nil {
+		t.Fatalf("Send after abandon: %v", err)
 	}
 	if _, err := sess.Collect(); err != nil {
 		t.Fatalf("Collect: %v", err)
@@ -439,32 +495,37 @@ func TestServerHoldsOneFrame(t *testing.T) {
 	})
 }
 
-// TestServerRefusesVersion1 is what frame version 2 means to a worker: a
-// version 1 coordinator's OPEN is refused with ErrBadFrame, counted as
-// one rejected session and logged as one line naming the peer.
-func TestServerRefusesVersion1(t *testing.T) {
+// TestServerRefusesVersions1And2 is what frame version 3 means to a
+// worker: a version 1 or 2 coordinator began each session with an OPEN
+// frame, and whatever frame such a coordinator sends first is refused by
+// its version byte with ErrBadFrame, counted as one rejected session and
+// logged as one line naming the peer.
+func TestServerRefusesVersions1And2(t *testing.T) {
 	lines := make(chan string, 8)
 	srv, addr := startServer(t, func(s *Server) {
 		s.Logf = func(format string, args ...any) { lines <- fmt.Sprintf(format, args...) }
 	})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	open := mustFrame(t)(openFrame(nil, testID(0), 2))
-	open[2] = 1
-	if _, err := conn.Write(open); err != nil {
-		t.Fatal(err)
-	}
-	line := <-lines
-	if !strings.Contains(line, conn.LocalAddr().String()) || !strings.Contains(line, ErrBadFrame.Error()) ||
-		!strings.Contains(line, "version 1") {
-		t.Fatalf("rejection line %q names neither the peer %s, ErrBadFrame nor the version", line, conn.LocalAddr())
+	k := engine.Key{I: 1}
+	for _, version := range []byte{1, 2} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		msg := mustFrame(t)(shardMessageFrame(nil, frameMsg, 1, Message{Key: k, Tuple: denseTuple(k, 1, 1, 1)}))
+		msg[2] = version
+		if _, err := conn.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		line := <-lines
+		if !strings.Contains(line, conn.LocalAddr().String()) || !strings.Contains(line, ErrBadFrame.Error()) ||
+			!strings.Contains(line, fmt.Sprintf("version %d", version)) {
+			t.Fatalf("rejection line %q names neither the peer %s, ErrBadFrame nor version %d", line, conn.LocalAddr(), version)
+		}
 	}
 	srv.Close()
-	if st := srv.Stats(); st.Rejected != 1 || st.Sessions != 0 {
-		t.Fatalf("stats %+v, want 1 rejected and no session served", st)
+	if st := srv.Stats(); st.Rejected != 2 || st.Sessions != 0 {
+		t.Fatalf("stats %+v, want 2 rejected and no session served", st)
 	}
 	if len(lines) != 0 {
 		t.Fatalf("unexpected extra log line %q", <-lines)

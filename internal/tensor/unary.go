@@ -4,34 +4,17 @@ import (
 	"math"
 )
 
-// Apply returns f mapped over every entry, element-partitioned across
-// the context's threads (entries are independent, so any partition is
-// bit-identical to serial).
-func (k K) Apply(a *Dense, f func(float64) float64) *Dense {
-	defer k.end(k.begin())
-	out := Draw(a.Rows, a.Cols)
-	k.parRange(len(a.Data), grainFor(unaryWork), func(lo, hi int) {
-		ad, od := a.Data[lo:hi], out.Data[lo:hi]
-		for i, v := range ad {
-			od[i] = f(v)
-		}
-	})
-	return out
-}
-
-// unaryWork is the assumed per-element cost of a mapped function, in
-// scalar-op equivalents: transcendental maps (Exp, Sigmoid) dominate
-// the family, so chunks are sized for them — cheap maps just get
-// slightly larger chunks than strictly necessary.
+// unaryWork is the assumed per-element cost of a transcendental map
+// (Exp, Sigmoid, a softmax row's entries), in scalar-op equivalents.
 const unaryWork = 16
 
 // ReLU returns x where x > 0 and +0 elsewhere (−0 and NaN included),
 // entrywise under the context's thread budget.
-func (k K) ReLU(a *Dense) *Dense { return k.mapNew(a, relu) }
+func (k K) ReLU(a *Dense) *Dense { return k.mapNew(a, 1, relu) }
 
 // ReLUGrad returns the ReLU derivative — 1 where x > 0, +0 elsewhere
 // (NaN included) — under the context's thread budget.
-func (k K) ReLUGrad(a *Dense) *Dense { return k.mapNew(a, reluGrad) }
+func (k K) ReLUGrad(a *Dense) *Dense { return k.mapNew(a, 1, reluGrad) }
 
 func relu(od, ad []float64) {
 	od = od[:len(ad)]
@@ -62,12 +45,12 @@ func positive(b uint64) uint64 {
 // mapNew draws the entrywise image of a that loop writes whole: loop is
 // called once per chunk with equally long slices of the output and the
 // operand, so an element costs one iteration of a plain loop, not a
-// call. Elements are independent, so any flat partition is
-// bit-identical to serial.
-func (k K) mapNew(a *Dense, loop func(od, ad []float64)) *Dense {
+// call, and chunks are sized for work scalar ops an element. Elements
+// are independent, so any flat partition is bit-identical to serial.
+func (k K) mapNew(a *Dense, work int, loop func(od, ad []float64)) *Dense {
 	defer k.end(k.begin())
 	out := Draw(a.Rows, a.Cols)
-	k.parRange(len(a.Data), grainFor(1), func(lo, hi int) {
+	k.parRange(len(a.Data), grainFor(work), func(lo, hi int) {
 		loop(out.Data[lo:hi], a.Data[lo:hi])
 	})
 	return out
@@ -76,15 +59,32 @@ func (k K) mapNew(a *Dense, loop func(od, ad []float64)) *Dense {
 // Sigmoid returns 1/(1+e^{−x}) entrywise under the context's thread
 // budget.
 func (k K) Sigmoid(a *Dense) *Dense {
-	return k.Apply(a, func(x float64) float64 { return 1 / (1 + math.Exp(-x)) })
+	return k.mapNew(a, unaryWork, func(od, ad []float64) {
+		od = od[:len(ad)]
+		for i, x := range ad {
+			od[i] = 1 / (1 + math.Exp(-x))
+		}
+	})
 }
 
 // Exp returns e^x entrywise under the context's thread budget.
-func (k K) Exp(a *Dense) *Dense { return k.Apply(a, math.Exp) }
+func (k K) Exp(a *Dense) *Dense {
+	return k.mapNew(a, unaryWork, func(od, ad []float64) {
+		od = od[:len(ad)]
+		for i, x := range ad {
+			od[i] = math.Exp(x)
+		}
+	})
+}
 
 // Neg returns −a under the context's thread budget.
 func (k K) Neg(a *Dense) *Dense {
-	return k.Apply(a, func(x float64) float64 { return -x })
+	return k.mapNew(a, 1, func(od, ad []float64) {
+		od = od[:len(ad)]
+		for i, x := range ad {
+			od[i] = -x
+		}
+	})
 }
 
 // Softmax returns the row-wise softmax, row-partitioned: each row is
